@@ -65,7 +65,13 @@ fn bench_collect(c: &mut Criterion) {
     // The price of the wire: same figures, with vs. without the plane.
     g.bench_function("suite_in_process", |b| b.iter(|| suite::run_all(ctx())));
     g.bench_function("suite_wire_zero_faults", |b| {
-        b.iter(|| suite::run_all_with(ctx(), Some(WireConfig::new())))
+        b.iter(|| {
+            let opts = suite::SuiteOptions {
+                wire: Some(WireConfig::new()),
+                ..Default::default()
+            };
+            suite::run_all_opts(ctx(), opts).expect("archive-free engine pass cannot fail")
+        })
     });
 
     // Ingest throughput vs. shard count on a fixed pre-encoded day.

@@ -64,33 +64,6 @@ fn bench_pipeline(c: &mut Criterion) {
         b.iter(|| edu.generate_hour(Date::new(2020, 3, 17), 11).len())
     });
     g.finish();
-
-    // Parallel sweep scaling: one week of IXP-CE, 1 vs N workers.
-    let mut g = c.benchmark_group("parallel_sweep");
-    g.sample_size(10);
-    let start = Date::new(2020, 3, 18);
-    let end = Date::new(2020, 3, 24);
-    // Dedup: on small machines default_workers() may collide with the
-    // fixed points, and Criterion requires unique bench IDs.
-    let mut worker_counts = vec![1usize, 4, lockdown_traffic::parallel::default_workers()];
-    worker_counts.sort_unstable();
-    worker_counts.dedup();
-    for workers in worker_counts {
-        g.bench_function(format!("week_workers_{workers}"), |b| {
-            b.iter(|| {
-                generator.fold_hours_parallel(
-                    VantagePoint::IxpCe,
-                    start,
-                    end,
-                    workers,
-                    || 0u64,
-                    |acc, _, _, flows| *acc += flows.len() as u64,
-                    |a, b| a + b,
-                )
-            })
-        });
-    }
-    g.finish();
 }
 
 criterion_group!(benches, bench_pipeline);

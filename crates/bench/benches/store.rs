@@ -34,7 +34,7 @@ fn week_pass(archive: Option<&Path>, workers: usize) -> u64 {
         Date::new(2020, 3, 22),
         HourlyVolume::new,
     );
-    let mut out = engine::try_run_with_workers(ctx(), plan, workers).expect("pass");
+    let mut out = engine::run_with_workers(ctx(), plan, workers).expect("pass");
     let stats = out.stats();
     let _ = out.take(d);
     stats.flows_emitted

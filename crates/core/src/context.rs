@@ -48,8 +48,7 @@ pub struct Context {
     pub corpus: Corpus,
     /// Generator configuration in use.
     pub config: GeneratorConfig,
-    /// The scenario every generator interprets. Shared (`Arc`) so a
-    /// matrix run can fan one context out into per-scenario lanes.
+    /// The scenario every generator interprets.
     pub scenario: Arc<ScenarioSpec>,
 }
 
@@ -75,6 +74,18 @@ impl Context {
             registry,
             corpus,
             config: fidelity.config(seed),
+            scenario: Arc::new(scenario),
+        }
+    }
+
+    /// The same substrate — registry, corpus, generator configuration —
+    /// under another scenario: one lane of a multi-scenario sweep. Equal
+    /// to [`Context::with_scenario`] at this context's fidelity and seed.
+    pub fn under(&self, scenario: ScenarioSpec) -> Context {
+        Context {
+            registry: self.registry.clone(),
+            corpus: self.corpus.clone(),
+            config: self.config,
             scenario: Arc::new(scenario),
         }
     }

@@ -38,9 +38,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// Object-safe face of [`FlowConsumer`] used inside the engine (and the
-/// multi-scenario matrix built on top of it).
-pub(crate) trait AnyConsumer: Send {
+/// Object-safe face of [`FlowConsumer`] used inside the engine.
+trait AnyConsumer: Send {
     fn observe_batch(&mut self, records: &[FlowRecord]);
     fn merge_box(&mut self, other: Box<dyn AnyConsumer>);
     fn into_any(self: Box<Self>) -> Box<dyn Any>;
@@ -83,7 +82,7 @@ impl<C: FlowConsumer + Send + 'static> AnyConsumer for Erased<C> {
     }
 }
 
-pub(crate) struct Subscription {
+struct Subscription {
     stream: Stream,
     start: Date,
     end: Date,
@@ -94,12 +93,8 @@ pub(crate) struct Subscription {
 }
 
 impl Subscription {
-    pub(crate) fn covers(&self, cell: Cell) -> bool {
+    fn covers(&self, cell: Cell) -> bool {
         self.stream == cell.stream && self.start <= cell.date && cell.date <= self.end
-    }
-
-    pub(crate) fn build(&self) -> Box<dyn AnyConsumer> {
-        (self.factory)()
     }
 }
 
@@ -146,27 +141,16 @@ impl EnginePlan {
         self
     }
 
-    /// The wire configuration, if wire mode is enabled.
-    pub fn wire_config(&self) -> Option<&WireConfig> {
-        self.wire.as_ref()
-    }
-
     /// Attach a columnar archive directory to the pass. A manifest keyed to
     /// the same `(seed, scenario)` generation and covering every demanded
     /// cell makes the pass *warm*: cells are decoded from segments instead
     /// of generated, byte-identically. Anything else — no manifest, a stale
     /// key, missing cells — makes the pass *cold*: cells are generated as
-    /// usual and spilled so the next run replays. Archived passes must run
-    /// through [`try_run`]/[`try_run_with_workers`] to surface I/O and
-    /// corruption errors instead of panicking.
+    /// usual and spilled so the next run replays. I/O and corruption
+    /// surface as errors from [`run`]/[`run_with_workers`].
     pub fn with_archive(&mut self, dir: impl Into<PathBuf>) -> &mut EnginePlan {
         self.archive = Some(dir.into());
         self
-    }
-
-    /// The archive directory, if one is attached.
-    pub fn archive_dir(&self) -> Option<&std::path::Path> {
-        self.archive.as_deref()
     }
 
     /// Attach a supervisor: each cell slot runs under panic isolation
@@ -178,11 +162,6 @@ impl EnginePlan {
     pub fn with_supervisor(&mut self, cfg: ChaosConfig) -> &mut EnginePlan {
         self.supervisor = Some(cfg);
         self
-    }
-
-    /// The supervisor configuration, if supervision is enabled.
-    pub fn supervisor_config(&self) -> Option<&ChaosConfig> {
-        self.supervisor.as_ref()
     }
 
     /// Run `f` with every subscription it records labeled `label` (the
@@ -225,11 +204,6 @@ impl EnginePlan {
         }
     }
 
-    /// Number of subscriptions recorded.
-    pub fn demand_count(&self) -> usize {
-        self.subs.len()
-    }
-
     /// Fingerprint of the deduplicated cell plan. Two processes that
     /// build the same subscriptions get the same hash — the shard
     /// protocol's guard against running an assignment against a
@@ -238,16 +212,10 @@ impl EnginePlan {
         self.trace.plan_hash()
     }
 
-    /// Decompose into the deduplicated trace plan and the subscription
-    /// list, dropping the (matrix-unsupported) wire/archive/chaos options
-    /// — the multi-scenario matrix drives cells itself.
-    pub(crate) fn into_trace_and_subs(self) -> (TracePlan, Vec<Subscription>) {
-        (self.trace, self.subs)
-    }
-
-    /// Whether nothing has been subscribed.
-    pub fn is_empty(&self) -> bool {
-        self.subs.is_empty()
+    /// Every distinct cell the plan demands, ordered by
+    /// `(stream, date, hour)` — the shard assignment index space.
+    pub fn cells(&self) -> Vec<Cell> {
+        self.trace.cells()
     }
 }
 
@@ -349,24 +317,6 @@ pub struct EngineOutput {
 }
 
 impl EngineOutput {
-    /// Assemble an output from externally merged consumers (the matrix
-    /// path). Wire, audit and supervisor artefacts do not apply there.
-    pub(crate) fn from_consumers(
-        consumers: Vec<Box<dyn AnyConsumer>>,
-        stats: EngineStats,
-        store_metrics: Option<Arc<StoreMetrics>>,
-    ) -> EngineOutput {
-        EngineOutput {
-            consumers: consumers.into_iter().map(Some).collect(),
-            stats,
-            wire_metrics: None,
-            audit: None,
-            store_metrics,
-            supervisor_metrics: None,
-            degraded: None,
-        }
-    }
-
     /// Take the merged consumer of one subscription, reporting a typed
     /// error for the two reachable misuses (double-take, wrong-type
     /// redemption) instead of panicking.
@@ -439,25 +389,42 @@ pub fn run(ctx: &Context, plan: EnginePlan) -> Result<EngineOutput, StoreError> 
     run_with_workers(ctx, plan, default_workers())
 }
 
-/// Fallible run with the default worker count. Alias of [`run`], kept for
-/// call sites that want the archived-pass intent in the name.
-pub fn try_run(ctx: &Context, plan: EnginePlan) -> Result<EngineOutput, StoreError> {
-    run_with_workers(ctx, plan, default_workers())
+/// Run one driver standalone: subscribe its demands on a fresh plan, run
+/// the pass with the default worker count, and redeem them. This is what
+/// every figure driver's `run()` is.
+pub fn run_standalone<H, T>(
+    ctx: &Context,
+    plan: impl FnOnce(&mut EnginePlan) -> H,
+    finish: impl FnOnce(H, &mut EngineOutput) -> T,
+) -> T {
+    let mut eplan = EnginePlan::new();
+    let handles = plan(&mut eplan);
+    let mut out = run(ctx, eplan).expect("archive-free engine pass cannot fail");
+    finish(handles, &mut out)
 }
 
-/// One worker's tallies alongside its consumer column.
+/// One contiguous cell range's consumer column and tallies.
 struct Partial {
     consumers: Vec<Box<dyn AnyConsumer>>,
     tallies: Tallies,
 }
 
-/// Per-worker cell accounting.
+/// Per-range cell accounting.
 #[derive(Debug, Default, Clone, Copy)]
 struct Tallies {
     flows: u64,
     generated: u64,
     replayed: u64,
     resumed: u64,
+}
+
+impl Tallies {
+    fn add(&mut self, other: Tallies) {
+        self.flows += other.flows;
+        self.generated += other.generated;
+        self.replayed += other.replayed;
+        self.resumed += other.resumed;
+    }
 }
 
 /// How one cell's records were obtained.
@@ -480,14 +447,33 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
     }
 }
 
+/// One fresh consumer per subscription, in subscription order.
+fn fresh_consumers(subs: &[Subscription]) -> Vec<Box<dyn AnyConsumer>> {
+    subs.iter().map(|s| (s.factory)()).collect()
+}
+
+/// Hand one cell's batch to every subscription whose window covers it.
+fn fan_out(
+    subs: &[Subscription],
+    consumers: &mut [Box<dyn AnyConsumer>],
+    cell: Cell,
+    batch: &[FlowRecord],
+) {
+    for (sub, consumer) in subs.iter().zip(consumers.iter_mut()) {
+        if sub.covers(cell) {
+            consumer.observe_batch(batch);
+        }
+    }
+}
+
 /// Everything one engine pass shares across workers to execute a cell:
 /// generation, replay, resume, the wire plane and (optionally) the
-/// supervisor. Both the sequential and the threaded paths run cells
-/// through [`CellRunner::process`], so supervised semantics cannot drift
-/// between worker counts.
+/// supervisor. Every cell of every entry point runs through
+/// [`CellRunner::run_range`], so supervised semantics cannot drift
+/// between worker counts or between threads and shard processes.
 struct CellRunner<'a> {
-    emitter: &'a TraceEmitter<'a>,
-    scan: Option<&'a SegmentScan<'a>>,
+    emitter: TraceEmitter<'a>,
+    scan: Option<SegmentScan<'a>>,
     writer: Option<&'a ArchiveWriter>,
     adopted: &'a BTreeMap<Cell, SegmentMeta>,
     plane: Option<&'a CollectionPlane>,
@@ -500,7 +486,7 @@ impl CellRunner<'_> {
     /// Unsupervised fill: exactly the pre-supervisor semantics — first
     /// error aborts the pass, archive corruption included.
     fn fill_plain(&self, cell: Cell, buf: &mut Vec<FlowRecord>) -> Result<CellFill, StoreError> {
-        match self.scan {
+        match &self.scan {
             Some(sc) => {
                 *buf = sc.read_cell(cell)?;
                 Ok(CellFill::Replayed)
@@ -532,7 +518,7 @@ impl CellRunner<'_> {
         }
         let fill = 'fill: {
             if !force_generate {
-                if let Some(sc) = self.scan {
+                if let Some(sc) = &self.scan {
                     // Warm replay. Corruption downgrades from hard abort
                     // to regenerate-that-cell; a cell genuinely absent
                     // from the archive stays fatal (retrying cannot make
@@ -672,16 +658,257 @@ impl CellRunner<'_> {
         if let Some(pl) = self.plane {
             pl.note_consumed(&cell, batch);
         }
-        for (sub, consumer) in self.subs.iter().zip(consumers.iter_mut()) {
-            if sub.covers(cell) {
-                consumer.observe_batch(batch);
+        fan_out(self.subs, consumers, cell, batch);
+        Ok(())
+    }
+
+    /// Run a contiguous range of the plan's cells, in order, into one
+    /// fresh consumer column — the unit of work of a worker thread and of
+    /// a shard worker process alike. The first fatal error raises `stop`,
+    /// which ends every other range at its next cell so (say) a
+    /// demanded-but-absent segment aborts the pass promptly; supervised
+    /// retriable failures never raise it.
+    fn run_range(&self, cells: &[Cell], stop: &AtomicBool) -> Result<Partial, StoreError> {
+        let mut partial = Partial {
+            consumers: fresh_consumers(self.subs),
+            tallies: Tallies::default(),
+        };
+        let mut buf = Vec::new();
+        for &cell in cells {
+            if stop.load(Ordering::Relaxed) {
+                break;
+            }
+            if let Err(e) =
+                self.process(cell, &mut buf, &mut partial.consumers, &mut partial.tallies)
+            {
+                stop.store(true, Ordering::Relaxed);
+                return Err(e);
             }
         }
-        Ok(())
+        Ok(partial)
     }
 }
 
-/// Run a plan with an explicit worker count, surfacing archive errors.
+/// Who owns the archive index (manifest and journal) during a pass.
+enum ArchiveMode {
+    /// This pass owns the index: a stale or partial archive is
+    /// invalidated and respilled from scratch.
+    Own,
+    /// This pass owns the index and *adopts* a journal or partially
+    /// covering manifest of the same generation, so it regenerates only
+    /// what is actually missing (supervised checkpoint/resume).
+    OwnResumable,
+    /// A coordinator owns the index and has already invalidated a stale
+    /// one: spill segment files only, never the manifest or journal.
+    Attach,
+}
+
+/// A plan with its archive resolved: the state the three entry points —
+/// [`run_with_workers`], [`run_slice`], [`ShardAssembler`] — start from,
+/// and the one [`Pass::conclude`] they end in.
+struct Pass {
+    subs: Vec<Subscription>,
+    /// The cells this pass answers for, in plan order: the whole plan, or
+    /// a shard worker's slice of it.
+    cells: Vec<Cell>,
+    cells_demanded: u64,
+    plan_hash: u64,
+    plane: Option<CollectionPlane>,
+    supervisor: Option<Supervisor>,
+    store_metrics: Option<Arc<StoreMetrics>>,
+    reader: Option<ArchiveReader>,
+    writer: Option<ArchiveWriter>,
+    adopted: BTreeMap<Cell, SegmentMeta>,
+}
+
+impl Pass {
+    /// Take a plan apart and resolve its archive for the cell-index
+    /// `range` of its sorted cell list. Replay happens only from a
+    /// manifest of the same generation (seed + scenario — the plan hash
+    /// may differ, a superset archive serves a subset plan with pruning)
+    /// that covers every cell of the range; anything else is regenerated
+    /// and spilled the way `mode` says. `tolerate_corrupt` downgrades an
+    /// unreadable manifest from hard abort to regeneration.
+    fn resolve(
+        ctx: &Context,
+        plan: EnginePlan,
+        range: std::ops::Range<usize>,
+        mode: ArchiveMode,
+        tolerate_corrupt: bool,
+    ) -> Result<Pass, StoreError> {
+        let EnginePlan {
+            trace,
+            subs,
+            wire,
+            archive,
+            supervisor,
+            scope: _,
+        } = plan;
+        let mut cells = trace.cells();
+        cells.truncate(range.end);
+        cells.drain(..range.start.min(cells.len()));
+        let plan_hash = trace.plan_hash();
+        let mut pass = Pass {
+            subs,
+            cells,
+            cells_demanded: trace.cells_demanded(),
+            plan_hash,
+            // Wire mode: each cell's flows cross the export → transport →
+            // collect plane before fan-out. The plane is per-cell seeded,
+            // so the delivered batch is the same whichever worker
+            // processes the cell.
+            plane: wire.map(CollectionPlane::new),
+            supervisor: supervisor.map(Supervisor::new),
+            store_metrics: None,
+            reader: None,
+            writer: None,
+            adopted: BTreeMap::new(),
+        };
+        let Some(dir) = archive else {
+            return Ok(pass);
+        };
+        let metrics = StoreMetrics::new();
+        let key = StoreKey {
+            seed: ctx.config.seed,
+            scenario_hash: ctx.scenario_hash(),
+            plan_hash,
+        };
+        let opened = match ArchiveReader::open(&dir, Arc::clone(&metrics)) {
+            Ok(r) => r,
+            Err(StoreError::Corrupt { .. }) if tolerate_corrupt => {
+                metrics.resume_rejected.inc();
+                None
+            }
+            Err(e) => return Err(e),
+        };
+        match (opened, mode) {
+            (Some(r), _) if r.key().same_generation(&key) && r.covers(pass.cells.iter()) => {
+                pass.reader = Some(r);
+            }
+            (_, ArchiveMode::Own) => {
+                pass.writer = Some(ArchiveWriter::create(&dir, key, Arc::clone(&metrics))?);
+            }
+            (_, ArchiveMode::OwnResumable) => {
+                let (w, a) = ArchiveWriter::create_or_resume(&dir, key, Arc::clone(&metrics))?;
+                pass.writer = Some(w);
+                pass.adopted = a;
+            }
+            (_, ArchiveMode::Attach) => {
+                pass.writer = Some(ArchiveWriter::attach(&dir, key, Arc::clone(&metrics))?);
+            }
+        }
+        pass.store_metrics = Some(metrics);
+        Ok(pass)
+    }
+
+    /// The per-cell executor over this pass's state. A warm pass scans
+    /// exactly its own cells, so archived segments outside them are
+    /// counted as pruned once, here.
+    fn runner<'a>(&'a self, ctx: &'a Context) -> CellRunner<'a> {
+        CellRunner {
+            emitter: TraceEmitter::with_scenario(
+                &ctx.registry,
+                &ctx.corpus,
+                ctx.config,
+                &ctx.scenario,
+            ),
+            scan: match (&self.reader, &self.store_metrics) {
+                (Some(r), Some(m)) => Some(SegmentScan::new(r, self.cells.iter().copied(), m)),
+                _ => None,
+            },
+            writer: self.writer.as_ref(),
+            adopted: &self.adopted,
+            plane: self.plane.as_ref(),
+            supervisor: self.supervisor.as_ref(),
+            store_metrics: self.store_metrics.as_ref(),
+            subs: &self.subs,
+        }
+    }
+
+    /// What this pass's own supervisor (if any) has quarantined so far.
+    fn quarantined(&self) -> Vec<QuarantinedCell> {
+        self.supervisor
+            .as_ref()
+            .map(|s| s.quarantined())
+            .unwrap_or_default()
+    }
+
+    /// End a pass: publish or checkpoint the archive, attribute
+    /// quarantined cells to the figures they starve, and assemble the
+    /// output. A complete pass publishes the manifest; a degraded pass
+    /// (any quarantined cell) must not claim completeness, so it
+    /// checkpoints the journal instead, leaving the archive resumable. A
+    /// pass that errored fatally never gets here and leaves the archive
+    /// manifest-less (= absent).
+    fn conclude(
+        self,
+        consumers: Vec<Box<dyn AnyConsumer>>,
+        tallies: Tallies,
+        mut quarantined: Vec<QuarantinedCell>,
+        workers: usize,
+    ) -> Result<EngineOutput, StoreError> {
+        quarantined.sort_by_key(|q| q.cell);
+        if let Some(w) = &self.writer {
+            if quarantined.is_empty() {
+                w.finish()?;
+            } else {
+                w.checkpoint()?;
+            }
+        }
+        let supervisor_metrics = self.supervisor.as_ref().map(|s| s.metrics());
+        if let Some(m) = &supervisor_metrics {
+            m.quarantined_cells.set_max(quarantined.len() as u64);
+            m.resumed_cells.set_max(tallies.resumed);
+        }
+        let retries = supervisor_metrics.as_ref().map_or(0, |m| m.retries.get());
+        let stats = EngineStats {
+            demands: consumers.len(),
+            cells_demanded: self.cells_demanded,
+            cells_generated: tallies.generated,
+            cells_replayed: tallies.replayed,
+            cells_resumed: tallies.resumed,
+            cells_quarantined: quarantined.len() as u64,
+            retries,
+            flows_emitted: tallies.flows,
+            workers,
+        };
+        let degraded = (!quarantined.is_empty()).then(|| {
+            let mut affected: BTreeMap<&str, u64> = BTreeMap::new();
+            for q in &quarantined {
+                let labels: BTreeSet<&str> = self
+                    .subs
+                    .iter()
+                    .filter(|sub| sub.covers(q.cell))
+                    .map(|sub| sub.label.as_deref().unwrap_or("unlabeled"))
+                    .collect();
+                for label in labels {
+                    *affected.entry(label).or_default() += 1;
+                }
+            }
+            DegradedReport {
+                affected: affected
+                    .into_iter()
+                    .map(|(label, n)| (label.to_string(), n))
+                    .collect(),
+                quarantined,
+                retries,
+            }
+        });
+        Ok(EngineOutput {
+            stats,
+            consumers: consumers.into_iter().map(Some).collect(),
+            audit: self.plane.as_ref().and_then(|p| p.audit_report()),
+            wire_metrics: self.plane.map(|p| p.metrics()),
+            store_metrics: self.store_metrics,
+            supervisor_metrics,
+            degraded,
+        })
+    }
+}
+
+/// Run a plan with an explicit worker count, surfacing archive errors:
+/// resolve the archive, run one contiguous chunk of the sorted cell list
+/// per worker thread, merge the chunks' consumers in chunk order, conclude.
 /// Output is bit-identical for any count (see module docs) and for warm
 /// vs. cold archive passes (`tests/archive_replay.rs`).
 pub fn run_with_workers(
@@ -689,210 +916,77 @@ pub fn run_with_workers(
     plan: EnginePlan,
     workers: usize,
 ) -> Result<EngineOutput, StoreError> {
-    let EnginePlan {
-        trace,
-        subs,
-        wire,
-        archive,
-        supervisor: supervisor_cfg,
-        scope: _,
-    } = plan;
-    let emitter =
-        TraceEmitter::with_scenario(&ctx.registry, &ctx.corpus, ctx.config, &ctx.scenario);
-    // Wire mode: each cell's flows cross the export → transport → collect
-    // plane before fan-out. The plane is per-cell seeded, so the delivered
-    // batch is the same whichever worker processes the cell.
-    let plane = wire.map(CollectionPlane::new);
-    let cells = trace.cells();
-    let supervisor = supervisor_cfg.map(Supervisor::new);
-
-    // Archive resolution: replay only from a manifest of the same
-    // generation (seed + scenario — the plan hash may differ, a superset
-    // archive serves a subset plan with pruning) that covers every
-    // demanded cell. Everything else is regenerated and respilled —
-    // except under supervision, where a journal or partially covering
-    // manifest of the same generation is *adopted* so the pass
-    // regenerates only what is actually missing (checkpoint/resume), and
-    // a corrupt manifest downgrades from hard abort to regeneration.
-    let store_metrics = archive.as_ref().map(|_| StoreMetrics::new());
-    let mut reader: Option<ArchiveReader> = None;
-    let mut writer: Option<ArchiveWriter> = None;
-    let mut adopted: BTreeMap<Cell, SegmentMeta> = BTreeMap::new();
-    if let (Some(dir), Some(metrics)) = (&archive, &store_metrics) {
-        let key = StoreKey {
-            seed: ctx.config.seed,
-            scenario_hash: ctx.scenario_hash(),
-            plan_hash: trace.plan_hash(),
-        };
-        let opened = match ArchiveReader::open(dir, Arc::clone(metrics)) {
-            Ok(r) => r,
-            Err(StoreError::Corrupt { .. }) if supervisor.is_some() => {
-                metrics.resume_rejected.inc();
-                None
-            }
-            Err(e) => return Err(e),
-        };
-        match opened {
-            Some(r) if r.key().same_generation(&key) && r.covers(cells.iter()) => {
-                reader = Some(r);
-            }
-            _ if supervisor.is_some() => {
-                let (w, a) = ArchiveWriter::create_or_resume(dir, key, Arc::clone(metrics))?;
-                writer = Some(w);
-                adopted = a;
-            }
-            _ => writer = Some(ArchiveWriter::create(dir, key, Arc::clone(metrics))?),
-        }
-    }
-    let scan = match (&reader, &store_metrics) {
-        (Some(r), Some(m)) => Some(SegmentScan::new(r, cells.iter().copied(), m)),
-        _ => None,
-    };
-
-    let workers = workers.max(1).min(cells.len().max(1));
-    let mut merged: Vec<Box<dyn AnyConsumer>> = subs.iter().map(|s| (s.factory)()).collect();
-    let mut tallies = Tallies::default();
-    let runner = CellRunner {
-        emitter: &emitter,
-        scan: scan.as_ref(),
-        writer: writer.as_ref(),
-        adopted: &adopted,
-        plane: plane.as_ref(),
-        supervisor: supervisor.as_ref(),
-        store_metrics: store_metrics.as_ref(),
-        subs: &subs,
-    };
-
-    if workers == 1 {
-        let mut buf = Vec::new();
-        for &cell in &cells {
-            runner.process(cell, &mut buf, &mut merged, &mut tallies)?;
-        }
+    // Only a supervised pass adopts an interrupted predecessor's journal
+    // and survives a corrupt manifest; a plain one starts over or aborts.
+    let supervised = plan.supervisor.is_some();
+    let mode = if supervised {
+        ArchiveMode::OwnResumable
     } else {
-        let chunk = cells.len().div_ceil(workers);
-        let mut results: Vec<Option<Result<Partial, StoreError>>> = Vec::new();
-        results.resize_with(workers, || None);
-        // First fatal error wins; the flag stops the other workers at
-        // their next cell so (say) a demanded-but-absent segment aborts
-        // the pass promptly. Supervised retriable failures never set it.
+        ArchiveMode::Own
+    };
+    let pass = Pass::resolve(ctx, plan, 0..usize::MAX, mode, supervised)?;
+    let workers = workers.max(1).min(pass.cells.len().max(1));
+    let chunk = pass.cells.len().div_ceil(workers).max(1);
+    let partials = {
+        let runner = pass.runner(ctx);
         let stop = AtomicBool::new(false);
         crossbeam::thread::scope(|scope| {
-            for (slot, chunk_cells) in results.iter_mut().zip(cells.chunks(chunk)) {
-                let runner = &runner;
-                let subs = &subs;
-                let stop = &stop;
-                scope.spawn(move |_| {
-                    let mut local: Vec<Box<dyn AnyConsumer>> =
-                        subs.iter().map(|s| (s.factory)()).collect();
-                    let mut buf = Vec::new();
-                    let mut tallies = Tallies::default();
-                    for &cell in chunk_cells {
-                        if stop.load(Ordering::Relaxed) {
-                            return;
-                        }
-                        if let Err(e) = runner.process(cell, &mut buf, &mut local, &mut tallies) {
-                            stop.store(true, Ordering::Relaxed);
-                            *slot = Some(Err(e));
-                            return;
-                        }
-                    }
-                    *slot = Some(Ok(Partial {
-                        consumers: local,
-                        tallies,
-                    }));
-                });
-            }
+            let handles: Vec<_> = pass
+                .cells
+                .chunks(chunk)
+                .map(|cells| {
+                    let (runner, stop) = (&runner, &stop);
+                    scope.spawn(move |_| runner.run_range(cells, stop))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("engine workers do not panic"))
+                .collect::<Vec<_>>()
         })
-        .expect("engine workers do not panic");
-        for partial in results.into_iter().flatten() {
-            let partial = partial?;
-            tallies.flows += partial.tallies.flows;
-            tallies.generated += partial.tallies.generated;
-            tallies.replayed += partial.tallies.replayed;
-            tallies.resumed += partial.tallies.resumed;
-            for (m, l) in merged.iter_mut().zip(partial.consumers) {
-                m.merge_box(l);
-            }
-        }
-    }
-
-    // A complete pass publishes the manifest; a degraded pass (any
-    // quarantined cell) must not claim completeness, so it checkpoints
-    // the journal instead, leaving the archive resumable. A pass that
-    // errored fatally above leaves the archive manifest-less (= absent).
-    let quarantined = supervisor
-        .as_ref()
-        .map(|s| s.quarantined())
-        .unwrap_or_default();
-    if let Some(w) = &writer {
-        if quarantined.is_empty() {
-            w.finish()?;
-        } else {
-            w.checkpoint()?;
-        }
-    }
-
-    let (degraded, supervisor_metrics) = match &supervisor {
-        Some(sup) => {
-            let metrics = sup.metrics();
-            metrics.resumed_cells.set_max(tallies.resumed);
-            let mut affected: BTreeMap<String, u64> = BTreeMap::new();
-            for q in &quarantined {
-                let mut seen = BTreeSet::new();
-                for sub in &subs {
-                    if sub.covers(q.cell) {
-                        let label = sub.label.clone().unwrap_or_else(|| "unlabeled".to_string());
-                        if seen.insert(label.clone()) {
-                            *affected.entry(label).or_default() += 1;
-                        }
-                    }
-                }
-            }
-            let report = DegradedReport {
-                quarantined,
-                affected: affected.into_iter().collect(),
-                retries: metrics.retries.get(),
-            };
-            (report.is_degraded().then_some(report), Some(metrics))
-        }
-        None => (None, None),
+        .expect("engine workers do not panic")
     };
-
-    Ok(EngineOutput {
-        stats: EngineStats {
-            demands: merged.len(),
-            cells_demanded: trace.cells_demanded(),
-            cells_generated: tallies.generated,
-            cells_replayed: tallies.replayed,
-            cells_resumed: tallies.resumed,
-            cells_quarantined: degraded
-                .as_ref()
-                .map(|d| d.quarantined.len() as u64)
-                .unwrap_or(0),
-            retries: supervisor_metrics
-                .as_ref()
-                .map(|m| m.retries.get())
-                .unwrap_or(0),
-            flows_emitted: tallies.flows,
-            workers,
-        },
-        consumers: merged.into_iter().map(Some).collect(),
-        audit: plane.as_ref().and_then(|p| p.audit_report()),
-        wire_metrics: plane.map(|p| p.metrics()),
-        store_metrics,
-        supervisor_metrics,
-        degraded,
-    })
+    let mut merged = fresh_consumers(&pass.subs);
+    let mut tallies = Tallies::default();
+    for partial in partials {
+        let partial = partial?;
+        tallies.add(partial.tallies);
+        for (m, l) in merged.iter_mut().zip(partial.consumers) {
+            m.merge_box(l);
+        }
+    }
+    let quarantined = pass.quarantined();
+    pass.conclude(merged, tallies, quarantined, workers)
 }
 
-/// Alias of [`run_with_workers`], kept for call sites that want the
-/// archived-pass intent in the name.
-pub fn try_run_with_workers(
+/// The cell source a fetched pass is assembled from.
+pub type Fetch<'a> = dyn FnMut(Cell) -> Result<Arc<Vec<FlowRecord>>, StoreError> + 'a;
+
+/// Run a plan over cells the *caller* supplies: pull every distinct cell
+/// once through `fetch`, fan each batch out to the covering subscriptions,
+/// and hand back the redeemable output (every cell counts as replayed).
+/// This is the serving path's pass — `fetch` is whatever read layer the
+/// caller owns — so the plan's own wire, archive and supervisor options
+/// must be unset.
+pub fn run_fetched(
     ctx: &Context,
     plan: EnginePlan,
-    workers: usize,
+    fetch: &mut Fetch<'_>,
 ) -> Result<EngineOutput, StoreError> {
-    run_with_workers(ctx, plan, workers)
+    assert!(
+        plan.wire.is_none() && plan.archive.is_none() && plan.supervisor.is_none(),
+        "a fetched pass reads only through its fetch"
+    );
+    let pass = Pass::resolve(ctx, plan, 0..usize::MAX, ArchiveMode::Own, false)?;
+    let mut consumers = fresh_consumers(&pass.subs);
+    let mut tallies = Tallies::default();
+    for &cell in &pass.cells {
+        let records = fetch(cell)?;
+        tallies.replayed += 1;
+        tallies.flows += records.len() as u64;
+        fan_out(&pass.subs, &mut consumers, cell, &records);
+    }
+    pass.conclude(consumers, tallies, Vec::new(), 1)
 }
 
 /// Everything one shard worker hands back after running a cell-index
@@ -925,12 +1019,12 @@ pub struct SliceOutcome {
 /// cell list — the shard worker's half of a coordinated pass. Semantics
 /// match [`run_with_workers`] except:
 ///
-/// * only the slice's cells execute, sequentially (worker *processes* are
+/// * only the slice's cells execute, as one range (worker *processes* are
 ///   the parallelism, so a second thread pool inside each would fight the
 ///   scheduler);
-/// * an archived cold slice spills through [`ArchiveWriter::attach`] —
-///   segment files only, never the manifest or journal, which belong to
-///   the coordinator;
+/// * the archive is resolved against the slice alone, and a cold slice
+///   spills through [`ArchiveWriter::attach`] — segment files only, never
+///   the manifest or journal, which belong to the coordinator;
 /// * nothing is published: the consumers come back as codec frames for
 ///   [`ShardAssembler::absorb`] to merge.
 ///
@@ -942,92 +1036,31 @@ pub fn run_slice(
     plan: EnginePlan,
     range: std::ops::Range<usize>,
 ) -> Result<SliceOutcome, StoreError> {
-    let EnginePlan {
-        trace,
-        subs,
-        wire,
-        archive,
-        supervisor: supervisor_cfg,
-        scope: _,
-    } = plan;
     assert!(
-        wire.is_none(),
+        plan.wire.is_none(),
         "wire mode does not cross the shard boundary"
     );
-    let emitter =
-        TraceEmitter::with_scenario(&ctx.registry, &ctx.corpus, ctx.config, &ctx.scenario);
-    let cells = trace.cells();
-    let start = range.start.min(cells.len());
-    let end = range.end.min(cells.len()).max(start);
-    let slice = &cells[start..end];
-    let supervisor = supervisor_cfg.map(Supervisor::new);
-
-    // Archive resolution mirrors the coordinator's: a same-generation
-    // manifest covering the slice means warm replay; anything else means
-    // the coordinator already invalidated the index and this slice spills
-    // fresh segments in attach (index-untouching) mode.
-    let store_metrics = archive.as_ref().map(|_| StoreMetrics::new());
-    let mut reader: Option<ArchiveReader> = None;
-    let mut writer: Option<ArchiveWriter> = None;
-    if let (Some(dir), Some(metrics)) = (&archive, &store_metrics) {
-        let key = StoreKey {
-            seed: ctx.config.seed,
-            scenario_hash: ctx.scenario_hash(),
-            plan_hash: trace.plan_hash(),
-        };
-        let opened = match ArchiveReader::open(dir, Arc::clone(metrics)) {
-            Ok(r) => r,
-            Err(StoreError::Corrupt { .. }) if supervisor.is_some() => {
-                metrics.resume_rejected.inc();
-                None
-            }
-            Err(e) => return Err(e),
-        };
-        match opened {
-            Some(r) if r.key().same_generation(&key) && r.covers(slice.iter()) => {
-                reader = Some(r);
-            }
-            _ => writer = Some(ArchiveWriter::attach(dir, key, Arc::clone(metrics))?),
-        }
-    }
-    let scan = match (&reader, &store_metrics) {
-        (Some(r), Some(m)) => Some(SegmentScan::new(r, slice.iter().copied(), m)),
-        _ => None,
-    };
-
-    let adopted = BTreeMap::new();
-    let mut consumers: Vec<Box<dyn AnyConsumer>> = subs.iter().map(|s| (s.factory)()).collect();
-    let mut tallies = Tallies::default();
-    let runner = CellRunner {
-        emitter: &emitter,
-        scan: scan.as_ref(),
-        writer: writer.as_ref(),
-        adopted: &adopted,
-        plane: None,
-        supervisor: supervisor.as_ref(),
-        store_metrics: store_metrics.as_ref(),
-        subs: &subs,
-    };
-    let mut buf = Vec::new();
-    for &cell in slice {
-        runner.process(cell, &mut buf, &mut consumers, &mut tallies)?;
-    }
-
+    let supervised = plan.supervisor.is_some();
+    let pass = Pass::resolve(ctx, plan, range, ArchiveMode::Attach, supervised)?;
+    let partial = pass
+        .runner(ctx)
+        .run_range(&pass.cells, &AtomicBool::new(false))?;
     Ok(SliceOutcome {
-        states: consumers.iter().map(|c| c.encode_state_frame()).collect(),
-        flows: tallies.flows,
-        generated: tallies.generated,
-        replayed: tallies.replayed,
-        resumed: tallies.resumed,
-        retries: supervisor
+        states: partial
+            .consumers
+            .iter()
+            .map(|c| c.encode_state_frame())
+            .collect(),
+        flows: partial.tallies.flows,
+        generated: partial.tallies.generated,
+        replayed: partial.tallies.replayed,
+        resumed: partial.tallies.resumed,
+        retries: pass
+            .supervisor
             .as_ref()
-            .map(|s| s.metrics().retries.get())
-            .unwrap_or(0),
-        segments: writer.as_ref().map(|w| w.metas()).unwrap_or_default(),
-        quarantined: supervisor
-            .as_ref()
-            .map(|s| s.quarantined())
-            .unwrap_or_default(),
+            .map_or(0, |s| s.metrics().retries.get()),
+        segments: pass.writer.as_ref().map(|w| w.metas()).unwrap_or_default(),
+        quarantined: pass.quarantined(),
     })
 }
 
@@ -1040,17 +1073,9 @@ pub fn run_slice(
 /// invalidated) *before* any worker opens it, so every worker sees a
 /// consistent warm/cold decision.
 pub struct ShardAssembler {
-    subs: Vec<Subscription>,
+    pass: Pass,
     merged: Vec<Box<dyn AnyConsumer>>,
-    cells: Vec<Cell>,
-    plan_hash: u64,
-    cells_demanded: u64,
-    warm: bool,
-    writer: Option<ArchiveWriter>,
-    store_metrics: Option<Arc<StoreMetrics>>,
-    supervised: bool,
     tallies: Tallies,
-    retries: u64,
     quarantined: Vec<QuarantinedCell>,
 }
 
@@ -1058,56 +1083,18 @@ impl ShardAssembler {
     /// Prepare a coordinated pass: build the merge targets and resolve
     /// the archive. Wire mode is not supported across the shard boundary.
     pub fn new(ctx: &Context, plan: EnginePlan) -> Result<ShardAssembler, StoreError> {
-        let EnginePlan {
-            trace,
-            subs,
-            wire,
-            archive,
-            supervisor: supervisor_cfg,
-            scope: _,
-        } = plan;
         assert!(
-            wire.is_none(),
+            plan.wire.is_none(),
             "wire mode does not cross the shard boundary"
         );
-        let cells = trace.cells();
-        let plan_hash = trace.plan_hash();
-        let cells_demanded = trace.cells_demanded();
-        let store_metrics = archive.as_ref().map(|_| StoreMetrics::new());
-        let mut warm = false;
-        let mut writer = None;
-        if let (Some(dir), Some(metrics)) = (&archive, &store_metrics) {
-            let key = StoreKey {
-                seed: ctx.config.seed,
-                scenario_hash: ctx.scenario_hash(),
-                plan_hash,
-            };
-            let opened = match ArchiveReader::open(dir, Arc::clone(metrics)) {
-                Ok(r) => r,
-                Err(StoreError::Corrupt { .. }) => {
-                    metrics.resume_rejected.inc();
-                    None
-                }
-                Err(e) => return Err(e),
-            };
-            match opened {
-                Some(r) if r.key().same_generation(&key) && r.covers(cells.iter()) => warm = true,
-                _ => writer = Some(ArchiveWriter::create(dir, key, Arc::clone(metrics))?),
-            }
-        }
-        let merged = subs.iter().map(|s| s.build()).collect();
+        // The coordinator invalidates rather than resumes (workers spill
+        // fresh segments for it to adopt), and a corrupt manifest is one
+        // more thing to invalidate.
+        let pass = Pass::resolve(ctx, plan, 0..usize::MAX, ArchiveMode::Own, true)?;
         Ok(ShardAssembler {
-            subs,
-            merged,
-            cells,
-            plan_hash,
-            cells_demanded,
-            warm,
-            writer,
-            store_metrics,
-            supervised: supervisor_cfg.is_some(),
+            merged: fresh_consumers(&pass.subs),
+            pass,
             tallies: Tallies::default(),
-            retries: 0,
             quarantined: Vec::new(),
         })
     }
@@ -1115,18 +1102,18 @@ impl ShardAssembler {
     /// Fingerprint of the deduplicated cell plan; workers echo it back so
     /// an assignment can never run against a differently built plan.
     pub fn plan_hash(&self) -> u64 {
-        self.plan_hash
+        self.pass.plan_hash
     }
 
     /// Number of cells in the sorted plan (the assignment index space).
     pub fn cell_count(&self) -> usize {
-        self.cells.len()
+        self.pass.cells.len()
     }
 
     /// Whether the pass replays a warm archive (workers decode segments
     /// instead of generating, and no segments come back to adopt).
     pub fn is_warm(&self) -> bool {
-        self.warm
+        self.pass.reader.is_some()
     }
 
     /// Merge one worker's slice into the coordinator state: consumer
@@ -1153,12 +1140,16 @@ impl ShardAssembler {
                     detail: e.to_string(),
                 })?;
         }
-        self.tallies.flows += outcome.flows;
-        self.tallies.generated += outcome.generated;
-        self.tallies.replayed += outcome.replayed;
-        self.tallies.resumed += outcome.resumed;
-        self.retries += outcome.retries;
-        if let Some(w) = &self.writer {
+        self.tallies.add(Tallies {
+            flows: outcome.flows,
+            generated: outcome.generated,
+            replayed: outcome.replayed,
+            resumed: outcome.resumed,
+        });
+        if let Some(sup) = &self.pass.supervisor {
+            sup.metrics().retries.add(outcome.retries);
+        }
+        if let Some(w) = &self.pass.writer {
             for meta in outcome.segments {
                 w.adopt(meta)?;
             }
@@ -1171,10 +1162,11 @@ impl ShardAssembler {
     /// died. The archive must not claim any of them, and each cell is
     /// reported exactly like a supervisor quarantine.
     pub fn quarantine_range(&mut self, range: std::ops::Range<usize>, attempts: u32, error: &str) {
-        let start = range.start.min(self.cells.len());
-        let end = range.end.min(self.cells.len()).max(start);
-        for &cell in &self.cells[start..end] {
-            if let Some(w) = &self.writer {
+        let cells = &self.pass.cells;
+        let start = range.start.min(cells.len());
+        let end = range.end.min(cells.len()).max(start);
+        for &cell in &cells[start..end] {
+            if let Some(w) = &self.pass.writer {
                 let _ = w.remove(cell);
             }
             self.quarantined.push(QuarantinedCell {
@@ -1190,61 +1182,8 @@ impl ShardAssembler {
     /// consumers, the combined stats and the degraded-mode report.
     /// `workers` is recorded in the stats (worker processes, not threads).
     pub fn finish(self, workers: usize) -> Result<EngineOutput, StoreError> {
-        let mut quarantined = self.quarantined;
-        quarantined.sort_by_key(|q| q.cell);
-        if let Some(w) = &self.writer {
-            if quarantined.is_empty() {
-                w.finish()?;
-            } else {
-                w.checkpoint()?;
-            }
-        }
-        let degraded = if quarantined.is_empty() {
-            None
-        } else {
-            let mut affected: BTreeMap<String, u64> = BTreeMap::new();
-            for q in &quarantined {
-                let mut seen = BTreeSet::new();
-                for sub in &self.subs {
-                    if sub.covers(q.cell) {
-                        let label = sub.label.clone().unwrap_or_else(|| "unlabeled".to_string());
-                        if seen.insert(label.clone()) {
-                            *affected.entry(label).or_default() += 1;
-                        }
-                    }
-                }
-            }
-            Some(DegradedReport {
-                quarantined: quarantined.clone(),
-                affected: affected.into_iter().collect(),
-                retries: self.retries,
-            })
-        };
-        Ok(EngineOutput {
-            stats: EngineStats {
-                demands: self.merged.len(),
-                cells_demanded: self.cells_demanded,
-                cells_generated: self.tallies.generated,
-                cells_replayed: self.tallies.replayed,
-                cells_resumed: self.tallies.resumed,
-                cells_quarantined: quarantined.len() as u64,
-                retries: self.retries,
-                flows_emitted: self.tallies.flows,
-                workers,
-            },
-            consumers: self.merged.into_iter().map(Some).collect(),
-            wire_metrics: None,
-            audit: None,
-            store_metrics: self.store_metrics,
-            supervisor_metrics: self.supervised.then(|| {
-                let m = SupervisorMetrics::new();
-                m.retries.add(self.retries);
-                m.quarantined_cells.set_max(quarantined.len() as u64);
-                m.resumed_cells.set_max(self.tallies.resumed);
-                m
-            }),
-            degraded,
-        })
+        self.pass
+            .conclude(self.merged, self.tallies, self.quarantined, workers)
     }
 }
 

@@ -112,12 +112,7 @@ pub fn finish(plan: Plan, out: &mut EngineOutput) -> Fig1 {
 
 /// Run the Fig. 1 reproduction standalone (one engine pass of its own).
 pub fn run(ctx: &Context) -> Fig1 {
-    let mut eplan = EnginePlan::new();
-    let p = plan(&mut eplan);
-    finish(
-        p,
-        &mut engine::run(ctx, eplan).expect("archive-free engine pass cannot fail"),
-    )
+    engine::run_standalone(ctx, plan, finish)
 }
 
 impl Fig1 {

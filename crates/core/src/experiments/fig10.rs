@@ -174,12 +174,7 @@ pub fn finish(plan: Plan, out: &mut EngineOutput) -> Fig10 {
 
 /// Run Fig. 10 (IXP-CE) standalone.
 pub fn run(ctx: &Context) -> Fig10 {
-    let mut eplan = EnginePlan::new();
-    let p = plan(&mut eplan, ctx);
-    finish(
-        p,
-        &mut engine::run(ctx, eplan).expect("archive-free engine pass cannot fail"),
-    )
+    engine::run_standalone(ctx, |p| plan(p, ctx), finish)
 }
 
 impl Fig10 {

@@ -247,12 +247,7 @@ pub fn finish(plan: Plan, out: &mut EngineOutput) -> EduFigures {
 
 /// Run the EDU experiments standalone.
 pub fn run(ctx: &Context) -> EduFigures {
-    let mut eplan = EnginePlan::new();
-    let p = plan(&mut eplan, &ctx.registry);
-    finish(
-        p,
-        &mut engine::run(ctx, eplan).expect("archive-free engine pass cannot fail"),
-    )
+    engine::run_standalone(ctx, |p| plan(p, &ctx.registry), finish)
 }
 
 impl EduFigures {

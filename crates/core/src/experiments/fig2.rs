@@ -103,12 +103,7 @@ pub fn finish_2a(plan: Plan2a, out: &mut EngineOutput) -> Fig2a {
 
 /// Run Fig. 2a (ISP-CE) standalone.
 pub fn run_2a(ctx: &Context) -> Fig2a {
-    let mut eplan = EnginePlan::new();
-    let p = plan_2a(&mut eplan);
-    finish_2a(
-        p,
-        &mut engine::run(ctx, eplan).expect("archive-free engine pass cannot fail"),
-    )
+    engine::run_standalone(ctx, plan_2a, finish_2a)
 }
 
 impl Fig2a {
@@ -170,12 +165,7 @@ pub fn finish_2bc(plan: Plan2bc, out: &mut EngineOutput) -> Fig2bc {
 
 /// Run Fig. 2b (ISP-CE) or 2c (IXP-CE) standalone.
 pub fn run_2bc(ctx: &Context, vantage: VantagePoint) -> Fig2bc {
-    let mut eplan = EnginePlan::new();
-    let p = plan_2bc(&mut eplan, vantage);
-    finish_2bc(
-        p,
-        &mut engine::run(ctx, eplan).expect("archive-free engine pass cannot fail"),
-    )
+    engine::run_standalone(ctx, |p| plan_2bc(p, vantage), finish_2bc)
 }
 
 impl Fig2bc {

@@ -73,12 +73,7 @@ pub fn finish_3a(plan: Plan3a, out: &mut EngineOutput) -> Fig3a {
 
 /// Run Fig. 3a (ISP-CE) standalone.
 pub fn run_3a(ctx: &Context) -> Fig3a {
-    let mut eplan = EnginePlan::new();
-    let p = plan_3a(&mut eplan);
-    finish_3a(
-        p,
-        &mut engine::run(ctx, eplan).expect("archive-free engine pass cannot fail"),
-    )
+    engine::run_standalone(ctx, plan_3a, finish_3a)
 }
 
 impl Fig3a {
@@ -236,12 +231,7 @@ pub fn finish_3b(plan: Plan3b, out: &mut EngineOutput) -> Fig3b {
 
 /// Run Fig. 3b (the three IXPs) standalone.
 pub fn run_3b(ctx: &Context) -> Fig3b {
-    let mut eplan = EnginePlan::new();
-    let p = plan_3b(&mut eplan);
-    finish_3b(
-        p,
-        &mut engine::run(ctx, eplan).expect("archive-free engine pass cannot fail"),
-    )
+    engine::run_standalone(ctx, plan_3b, finish_3b)
 }
 
 impl Fig3b {

@@ -61,12 +61,7 @@ pub fn finish(plan: Plan, out: &mut EngineOutput) -> Fig4 {
 
 /// Run Fig. 4 standalone.
 pub fn run(ctx: &Context) -> Fig4 {
-    let mut eplan = EnginePlan::new();
-    let p = plan(&mut eplan);
-    finish(
-        p,
-        &mut engine::run(ctx, eplan).expect("archive-free engine pass cannot fail"),
-    )
+    engine::run_standalone(ctx, plan, finish)
 }
 
 impl Fig4 {

@@ -90,13 +90,7 @@ pub fn finish(ctx: &Context, plan: Plan, out: &mut EngineOutput) -> Fig5 {
 
 /// Run Fig. 5 standalone.
 pub fn run(ctx: &Context) -> Fig5 {
-    let mut eplan = EnginePlan::new();
-    let p = plan(&mut eplan);
-    finish(
-        ctx,
-        p,
-        &mut engine::run(ctx, eplan).expect("archive-free engine pass cannot fail"),
-    )
+    engine::run_standalone(ctx, plan, |h, out| finish(ctx, h, out))
 }
 
 impl Fig5 {

@@ -122,13 +122,7 @@ pub fn finish(ctx: &Context, plan: Plan, out: &mut EngineOutput) -> Fig6 {
 
 /// Run Fig. 6 standalone.
 pub fn run(ctx: &Context) -> Fig6 {
-    let mut eplan = EnginePlan::new();
-    let p = plan(&mut eplan);
-    finish(
-        ctx,
-        p,
-        &mut engine::run(ctx, eplan).expect("archive-free engine pass cannot fail"),
-    )
+    engine::run_standalone(ctx, plan, |h, out| finish(ctx, h, out))
 }
 
 impl Fig6 {

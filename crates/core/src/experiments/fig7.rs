@@ -85,12 +85,7 @@ pub fn finish(plan: Plan, out: &mut EngineOutput) -> Fig7 {
 
 /// Run Fig. 7a (ISP-CE) or 7b (IXP-CE) standalone.
 pub fn run(ctx: &Context, vantage: VantagePoint) -> Fig7 {
-    let mut eplan = EnginePlan::new();
-    let p = plan(&mut eplan, vantage);
-    finish(
-        p,
-        &mut engine::run(ctx, eplan).expect("archive-free engine pass cannot fail"),
-    )
+    engine::run_standalone(ctx, |p| plan(p, vantage), finish)
 }
 
 impl Fig7 {

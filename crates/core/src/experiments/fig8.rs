@@ -119,12 +119,7 @@ pub fn finish(plan: Plan, out: &mut EngineOutput) -> Fig8 {
 
 /// Run Fig. 8 standalone.
 pub fn run(ctx: &Context) -> Fig8 {
-    let mut eplan = EnginePlan::new();
-    let p = plan(&mut eplan, &ctx.registry);
-    finish(
-        p,
-        &mut engine::run(ctx, eplan).expect("archive-free engine pass cannot fail"),
-    )
+    engine::run_standalone(ctx, |p| plan(p, &ctx.registry), finish)
 }
 
 impl Fig8 {

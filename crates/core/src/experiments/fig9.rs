@@ -75,12 +75,7 @@ pub fn finish(plan: Plan, out: &mut EngineOutput) -> Fig9 {
 
 /// Run Fig. 9 for one vantage point standalone.
 pub fn run(ctx: &Context, vantage: VantagePoint) -> Fig9 {
-    let mut eplan = EnginePlan::new();
-    let p = plan(&mut eplan, &ctx.registry, vantage);
-    finish(
-        p,
-        &mut engine::run(ctx, eplan).expect("archive-free engine pass cannot fail"),
-    )
+    engine::run_standalone(ctx, |p| plan(p, &ctx.registry, vantage), finish)
 }
 
 impl Fig9 {

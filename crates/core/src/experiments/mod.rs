@@ -3,9 +3,10 @@
 //! Every driver declares its trace demands on an [`crate::engine`] plan
 //! (`plan(..)`), and assembles its typed result from the finished pass
 //! (`finish(..)`); a back-compat `run(..)` wraps both in a standalone
-//! engine pass. [`suite::run_all`] composes *all* drivers onto one shared
-//! plan so each overlapping `(stream, date, hour)` cell is generated
-//! exactly once. Every result carries a plain-text `render()`.
+//! engine pass. [`figures::FIGURES`] lists every driver once, and
+//! [`suite::run_all`] composes them all onto one shared plan so each
+//! overlapping `(stream, date, hour)` cell is generated exactly once.
+//! Every result carries a plain-text `render()`.
 //!
 //! | Module | Reproduces |
 //! |---|---|
@@ -39,4 +40,5 @@ pub mod sec3_4;
 pub mod sec9;
 pub mod tables;
 
+pub mod figures;
 pub mod suite;

@@ -124,12 +124,7 @@ pub fn finish(plan: Plan, out: &mut EngineOutput) -> Sec34 {
 
 /// Run the §3.4 grouping analysis over the ISP transit view standalone.
 pub fn run(ctx: &Context) -> Sec34 {
-    let mut eplan = EnginePlan::new();
-    let p = plan(&mut eplan);
-    finish(
-        p,
-        &mut engine::run(ctx, eplan).expect("archive-free engine pass cannot fail"),
-    )
+    engine::run_standalone(ctx, plan, finish)
 }
 
 impl Sec34 {

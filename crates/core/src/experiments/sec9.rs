@@ -98,12 +98,7 @@ pub fn finish(plan: Plan, out: &mut EngineOutput) -> Sec9 {
 
 /// Run the §9 peak/valley decomposition standalone.
 pub fn run(ctx: &Context) -> Sec9 {
-    let mut eplan = EnginePlan::new();
-    let p = plan(&mut eplan);
-    finish(
-        p,
-        &mut engine::run(ctx, eplan).expect("archive-free engine pass cannot fail"),
-    )
+    engine::run_standalone(ctx, plan, finish)
 }
 
 impl Sec9 {

@@ -2,61 +2,25 @@
 //!
 //! Every driver contributes its demands to a single [`EnginePlan`]; the
 //! engine generates each distinct `(stream, date, hour)` cell exactly once
-//! and fans it out to every subscribed consumer. The per-figure `run()`
-//! wrappers remain for standalone use; this module is what the CLI's
-//! `figures` command uses when the full suite is requested.
+//! and fans it out to every subscribed consumer. Which drivers there are
+//! is the figure table's business ([`crate::experiments::figures`]); this
+//! module is the pass over it, for the whole table or a selection. The
+//! per-figure `run()` wrappers remain for standalone use.
 
 use crate::context::Context;
 use crate::engine::{self, EngineOutput, EnginePlan, EngineStats, ShardAssembler, SliceOutcome};
-use crate::experiments::{
-    fig1, fig10, fig11_12, fig2, fig3, fig4, fig5, fig6, fig7, fig8, fig9, sec3_4, sec9, tables,
-};
+use crate::experiments::figures::{Figure, Finish, Section, FIGURES};
 use crate::supervisor::{DegradedReport, SupervisorMetrics};
 use lockdown_chaos::ChaosConfig;
 use lockdown_collect::{CollectMetrics, WireConfig};
 use lockdown_store::{StoreError, StoreMetrics};
-use lockdown_topology::vantage::VantagePoint;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Every figure and table of the paper, produced by one engine pass.
+/// Figures and tables of the paper, produced by one engine pass.
 pub struct Suite {
-    /// Table 1 — application-classification filters.
-    pub table1: tables::Table1,
-    /// Fig. 1 — weekly traffic across vantage points.
-    pub fig1: fig1::Fig1,
-    /// Fig. 2a — the three days' diurnal profiles.
-    pub fig2a: fig2::Fig2a,
-    /// Fig. 2b — ISP-CE day classification.
-    pub fig2b: fig2::Fig2bc,
-    /// Fig. 2c — IXP-CE day classification.
-    pub fig2c: fig2::Fig2bc,
-    /// Fig. 3a — ISP-CE hourly volumes for the four analysis weeks.
-    pub fig3a: fig3::Fig3a,
-    /// Fig. 3b — the three IXPs' workday/weekend profiles.
-    pub fig3b: fig3::Fig3b,
-    /// Fig. 4 — hypergiant vs. other-AS growth.
-    pub fig4: fig4::Fig4,
-    /// Fig. 5 — IXP port-utilization ECDFs.
-    pub fig5: fig5::Fig5,
-    /// Fig. 6 — per-AS total vs. residential shifts.
-    pub fig6: fig6::Fig6,
-    /// §3.4 — remote-work AS ratio groups.
-    pub sec34: sec3_4::Sec34,
-    /// Fig. 7a — top ports at ISP-CE.
-    pub fig7_isp: fig7::Fig7,
-    /// Fig. 7b — top ports at IXP-CE.
-    pub fig7_ixp: fig7::Fig7,
-    /// Fig. 8 — gaming at IXP-SE.
-    pub fig8: fig8::Fig8,
-    /// Fig. 9 — application-class heatmaps, core-four order.
-    pub fig9: Vec<fig9::Fig9>,
-    /// Fig. 10 — VPN: port- vs. domain-identified.
-    pub fig10: fig10::Fig10,
-    /// Figs. 11–12 and §7 — the EDU network.
-    pub edu: fig11_12::EduFigures,
-    /// §9 — peak vs. valley growth decomposition.
-    pub sec9: sec9::Sec9,
+    /// The finished sections by name, in [`FIGURES`] order.
+    sections: Vec<(&'static str, Section)>,
     /// What the shared pass did (dedup story included).
     pub stats: EngineStats,
     /// Wire-plane metrics, present when the pass ran in wire mode.
@@ -87,83 +51,45 @@ pub struct SuiteOptions {
     pub chaos: Option<ChaosConfig>,
 }
 
-/// Every figure's demand handles, pending redemption after the pass.
-pub(crate) struct Plans {
-    p1: fig1::Plan,
-    p2a: fig2::Plan2a,
-    p2b: fig2::Plan2bc,
-    p2c: fig2::Plan2bc,
-    p3a: fig3::Plan3a,
-    p3b: fig3::Plan3b,
-    p4: fig4::Plan,
-    p5: fig5::Plan,
-    p6: fig6::Plan,
-    p34: sec3_4::Plan,
-    p7_isp: fig7::Plan,
-    p7_ixp: fig7::Plan,
-    p8: fig8::Plan,
-    p9: Vec<fig9::Plan>,
-    p10: fig10::Plan,
-    pedu: fig11_12::Plan,
-    p9s: sec9::Plan,
+/// The planned figures' pending halves, in table order.
+type Pending = Vec<(&'static str, Finish)>;
+
+/// One shared plan under `opts` with the given figures subscribed, each
+/// under its own label so a degraded pass can name the figures it starved.
+fn build_plan(
+    ctx: &Context,
+    figures: impl IntoIterator<Item = &'static Figure>,
+    opts: SuiteOptions,
+) -> (EnginePlan, Pending) {
+    let mut plan = EnginePlan::new();
+    if let Some(cfg) = opts.wire {
+        plan.with_wire(cfg);
+    }
+    if let Some(dir) = opts.archive {
+        plan.with_archive(dir);
+    }
+    if let Some(cfg) = opts.chaos {
+        plan.with_supervisor(cfg);
+    }
+    let pending = figures
+        .into_iter()
+        .map(|f| (f.name, f.plan(ctx, &mut plan)))
+        .collect();
+    (plan, pending)
 }
 
-/// Subscribe every figure driver to one shared plan, labelling each
-/// driver's subscriptions so a degraded pass can name affected figures.
-pub(crate) fn build_plan(ctx: &Context, plan: &mut EnginePlan) -> Plans {
-    Plans {
-        p1: plan.scoped("fig1", fig1::plan),
-        p2a: plan.scoped("fig2a", fig2::plan_2a),
-        p2b: plan.scoped("fig2b", |p| fig2::plan_2bc(p, VantagePoint::IspCe)),
-        p2c: plan.scoped("fig2c", |p| fig2::plan_2bc(p, VantagePoint::IxpCe)),
-        p3a: plan.scoped("fig3a", fig3::plan_3a),
-        p3b: plan.scoped("fig3b", fig3::plan_3b),
-        p4: plan.scoped("fig4", fig4::plan),
-        p5: plan.scoped("fig5", fig5::plan),
-        p6: plan.scoped("fig6", fig6::plan),
-        p34: plan.scoped("sec3.4", sec3_4::plan),
-        p7_isp: plan.scoped("fig7a", |p| fig7::plan(p, VantagePoint::IspCe)),
-        p7_ixp: plan.scoped("fig7b", |p| fig7::plan(p, VantagePoint::IxpCe)),
-        p8: plan.scoped("fig8", |p| fig8::plan(p, &ctx.registry)),
-        p9: VantagePoint::CORE_FOUR
-            .into_iter()
-            .map(|vp| {
-                plan.scoped(&format!("fig9:{}", vp.label()), |p| {
-                    fig9::plan(p, &ctx.registry, vp)
-                })
-            })
-            .collect(),
-        p10: plan.scoped("fig10", |p| fig10::plan(p, ctx)),
-        pedu: plan.scoped("fig11-12", |p| fig11_12::plan(p, &ctx.registry)),
-        p9s: plan.scoped("sec9", sec9::plan),
-    }
+/// The full-suite plan, options unset: what [`run_all`] subscribes.
+pub(crate) fn full_plan(ctx: &Context) -> EnginePlan {
+    build_plan(ctx, &FIGURES, SuiteOptions::default()).0
 }
 
 /// Redeem every demand against the pass output and assemble the suite.
-pub(crate) fn assemble(ctx: &Context, plans: Plans, mut out: EngineOutput) -> Suite {
+fn assemble(ctx: &Context, pending: Pending, mut out: EngineOutput) -> Suite {
     Suite {
-        table1: tables::table1(ctx),
-        fig1: fig1::finish(plans.p1, &mut out),
-        fig2a: fig2::finish_2a(plans.p2a, &mut out),
-        fig2b: fig2::finish_2bc(plans.p2b, &mut out),
-        fig2c: fig2::finish_2bc(plans.p2c, &mut out),
-        fig3a: fig3::finish_3a(plans.p3a, &mut out),
-        fig3b: fig3::finish_3b(plans.p3b, &mut out),
-        fig4: fig4::finish(plans.p4, &mut out),
-        fig5: fig5::finish(ctx, plans.p5, &mut out),
-        fig6: fig6::finish(ctx, plans.p6, &mut out),
-        sec34: sec3_4::finish(plans.p34, &mut out),
-        fig7_isp: fig7::finish(plans.p7_isp, &mut out),
-        fig7_ixp: fig7::finish(plans.p7_ixp, &mut out),
-        fig8: fig8::finish(plans.p8, &mut out),
-        fig9: plans
-            .p9
+        sections: pending
             .into_iter()
-            .map(|p| fig9::finish(p, &mut out))
+            .map(|(name, finish)| (name, finish(ctx, &mut out)))
             .collect(),
-        fig10: fig10::finish(plans.p10, &mut out),
-        edu: fig11_12::finish(plans.pedu, &mut out),
-        sec9: sec9::finish(plans.p9s, &mut out),
         stats: out.stats(),
         wire_metrics: out.wire_metrics().cloned(),
         audit: out.audit().cloned(),
@@ -175,20 +101,7 @@ pub(crate) fn assemble(ctx: &Context, plans: Plans, mut out: EngineOutput) -> Su
 
 /// Run the full suite through one shared engine pass.
 pub fn run_all(ctx: &Context) -> Suite {
-    run_all_with(ctx, None)
-}
-
-/// Run the full suite, optionally routing every cell through the wire-mode
-/// collection plane (export → faulty transport → collect) before fan-out.
-pub fn run_all_with(ctx: &Context, wire: Option<WireConfig>) -> Suite {
-    run_all_opts(
-        ctx,
-        SuiteOptions {
-            wire,
-            ..SuiteOptions::default()
-        },
-    )
-    .expect("archive-free engine pass cannot fail")
+    run_all_opts(ctx, SuiteOptions::default()).expect("archive-free engine pass cannot fail")
 }
 
 /// Run the full suite against a columnar archive: warm (replay every cell
@@ -216,19 +129,21 @@ pub fn run_all_archived(
 /// on retriable faults — exhausted cells are quarantined and reported in
 /// `Suite::degraded` instead, and figures compute from partial data.
 pub fn run_all_opts(ctx: &Context, opts: SuiteOptions) -> Result<Suite, StoreError> {
-    let mut plan = EnginePlan::new();
-    if let Some(cfg) = opts.wire {
-        plan.with_wire(cfg);
-    }
-    if let Some(dir) = &opts.archive {
-        plan.with_archive(dir);
-    }
-    if let Some(cfg) = opts.chaos {
-        plan.with_supervisor(cfg);
-    }
-    let plans = build_plan(ctx, &mut plan);
+    run_figures(ctx, &FIGURES, opts)
+}
+
+/// Run a selection of figures (see [`select`](crate::experiments::figures::select))
+/// through one shared engine pass: cells two selected figures both demand
+/// are still generated once, and [`Suite::renders`] yields just the
+/// selected sections, each byte-identical to its full-suite rendering.
+pub fn run_figures(
+    ctx: &Context,
+    figures: impl IntoIterator<Item = &'static Figure>,
+    opts: SuiteOptions,
+) -> Result<Suite, StoreError> {
+    let (plan, pending) = build_plan(ctx, figures, opts);
     let out = engine::run(ctx, plan)?;
-    Ok(assemble(ctx, plans, out))
+    Ok(assemble(ctx, pending, out))
 }
 
 /// How to run a *sharded* suite pass. Wire mode does not cross the shard
@@ -245,16 +160,13 @@ pub struct ShardSuiteOptions {
     pub chaos: Option<ChaosConfig>,
 }
 
-fn shard_plan(ctx: &Context, opts: &ShardSuiteOptions) -> (EnginePlan, Plans) {
-    let mut plan = EnginePlan::new();
-    if let Some(dir) = &opts.archive {
-        plan.with_archive(dir);
-    }
-    if let Some(cfg) = opts.chaos {
-        plan.with_supervisor(cfg);
-    }
-    let plans = build_plan(ctx, &mut plan);
-    (plan, plans)
+fn shard_plan(ctx: &Context, opts: &ShardSuiteOptions) -> (EnginePlan, Pending) {
+    let opts = SuiteOptions {
+        wire: None,
+        archive: opts.archive.clone(),
+        chaos: opts.chaos,
+    };
+    build_plan(ctx, &FIGURES, opts)
 }
 
 /// Fingerprint of the full-suite cell plan under these options (the
@@ -267,9 +179,7 @@ pub fn suite_shard_plan_hash(ctx: &Context, opts: &ShardSuiteOptions) -> u64 {
 /// Number of cells in the full-suite plan — the shard assignment index
 /// space.
 pub fn suite_shard_cell_count(ctx: &Context, opts: &ShardSuiteOptions) -> usize {
-    let (plan, _plans) = shard_plan(ctx, opts);
-    let (trace, _subs) = plan.into_trace_and_subs();
-    trace.cells().len()
+    shard_plan(ctx, opts).0.cells().len()
 }
 
 /// Worker side of a sharded suite pass: run one cell-index slice of the
@@ -280,8 +190,7 @@ pub fn run_suite_slice(
     opts: &ShardSuiteOptions,
     range: std::ops::Range<usize>,
 ) -> Result<SliceOutcome, StoreError> {
-    let (plan, _plans) = shard_plan(ctx, opts);
-    engine::run_slice(ctx, plan, range)
+    engine::run_slice(ctx, shard_plan(ctx, opts).0, range)
 }
 
 /// Coordinator side of a sharded suite pass: the engine's
@@ -289,7 +198,7 @@ pub fn run_suite_slice(
 /// merged consumer states assemble into a [`Suite`] exactly as a
 /// single-process pass would.
 pub struct SuiteAssembler {
-    plans: Plans,
+    pending: Pending,
     asm: ShardAssembler,
 }
 
@@ -297,9 +206,9 @@ impl SuiteAssembler {
     /// Build the full-suite plan and prepare the coordinated pass
     /// (resolving the archive before any worker opens it).
     pub fn new(ctx: &Context, opts: &ShardSuiteOptions) -> Result<SuiteAssembler, StoreError> {
-        let (plan, plans) = shard_plan(ctx, opts);
+        let (plan, pending) = shard_plan(ctx, opts);
         Ok(SuiteAssembler {
-            plans,
+            pending,
             asm: ShardAssembler::new(ctx, plan)?,
         })
     }
@@ -333,7 +242,7 @@ impl SuiteAssembler {
     /// worker *process* count recorded in the stats.
     pub fn finish(self, ctx: &Context, workers: usize) -> Result<Suite, StoreError> {
         let out = self.asm.finish(workers)?;
-        Ok(assemble(ctx, self.plans, out))
+        Ok(assemble(ctx, self.pending, out))
     }
 }
 
@@ -344,44 +253,17 @@ impl Suite {
     /// annotation naming how many, so partial data is never mistaken for
     /// a complete reproduction.
     pub fn renders(&self) -> Vec<String> {
-        let mut labelled: Vec<(Option<String>, String)> = vec![
-            (None, tables::table2()),
-            (None, self.table1.render()),
-            (Some("fig1".into()), self.fig1.render()),
-            (Some("fig2a".into()), self.fig2a.render()),
-            (Some("fig2b".into()), self.fig2b.render()),
-            (Some("fig2c".into()), self.fig2c.render()),
-            (Some("fig3a".into()), self.fig3a.render()),
-            (Some("fig3b".into()), self.fig3b.render()),
-            (Some("fig4".into()), self.fig4.render()),
-            (Some("fig5".into()), self.fig5.render()),
-            (Some("fig6".into()), self.fig6.render()),
-            (Some("sec3.4".into()), self.sec34.render()),
-            (Some("fig7a".into()), self.fig7_isp.render()),
-            (Some("fig7b".into()), self.fig7_ixp.render()),
-            (Some("fig8".into()), self.fig8.render()),
-        ];
-        labelled.extend(
-            VantagePoint::CORE_FOUR
-                .into_iter()
-                .zip(self.fig9.iter())
-                .map(|(vp, f)| (Some(format!("fig9:{}", vp.label())), f.render())),
-        );
-        labelled.push((Some("fig10".into()), self.fig10.render()));
-        labelled.push((Some("fig11-12".into()), self.edu.render()));
-        labelled.push((Some("sec9".into()), self.sec9.render()));
-
-        labelled
-            .into_iter()
-            .map(|(label, mut section)| {
-                if let (Some(label), Some(d)) = (label, &self.degraded) {
-                    if let Some((_, n)) = d.affected.iter().find(|(l, _)| *l == label) {
-                        section.push_str(&format!(
-                            "\n[degraded: {n} cell(s) quarantined — computed from partial data]"
-                        ));
-                    }
+        let affected = self.degraded.as_ref().map_or(&[][..], |d| &d.affected);
+        self.sections
+            .iter()
+            .map(|(name, section)| {
+                let mut text = section();
+                if let Some((_, n)) = affected.iter().find(|(label, _)| label == name) {
+                    text.push_str(&format!(
+                        "\n[degraded: {n} cell(s) quarantined — computed from partial data]"
+                    ));
                 }
-                section
+                text
             })
             .collect()
     }

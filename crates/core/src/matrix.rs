@@ -1,40 +1,31 @@
-//! Multi-scenario matrix engine: N scenarios, ONE pass over the cell set.
+//! Multi-scenario sweep: N scenarios, N suite passes, one report.
 //!
-//! `lockdown scenarios --matrix a.toml b.toml …` sweeps several scenario
-//! specs in a single engine pass. The figure plans are scenario-independent
-//! (analysis windows are fixed paper dates), so every scenario lane demands
-//! the *same* deduplicated cell set — asserted via
-//! [`TracePlan::plan_hash`](lockdown_traffic::plan::TracePlan::plan_hash).
-//! The matrix therefore enumerates the shared cells exactly once and, per
-//! cell, materializes each lane's flows with that lane's scenario-calibrated
-//! emitter before fanning out to the lane's consumers — extending the
-//! engine's mergeable-consumer fan-out across a scenario axis. Compared to
-//! running the suite N times sequentially, the shared pass pays plan
-//! deduplication, emitter setup, worker spawn and cell bookkeeping once.
+//! `lockdown scenarios --matrix a.toml b.toml …` runs the full figure suite
+//! once per scenario spec — [`suite::run_all_opts`] under a context that
+//! differs only in the scenario — and diffs every lane against the first.
+//! A lane is therefore a plain single-scenario pass by construction: lane 0
+//! of a sweep is byte-identical to `figures --scenario` under the same spec
+//! (`tests/scenario_matrix.rs`).
+//!
+//! The lanes demand the same cells (analysis windows are fixed paper dates)
+//! but share no pass: every lane has to generate its own flows for every
+//! cell, so walking the cell list once for all lanes saves nothing that
+//! costs anything — measured at 0.988× of sequential passes (DESIGN.md,
+//! "The scenario layer", has the numbers).
 //!
 //! Archives compose per lane: with a base directory attached, each lane
 //! spills to (or replays from) its own complete archive under a
-//! [`scenario_subdir`] keyed by the lane's scenario fingerprint, so a warm
-//! matrix re-run generates nothing at all. Wire mode and chaos supervision
-//! do not compose with the matrix — those axes exercise the collection
-//! plane, which is orthogonal to scenario calibration.
-//!
-//! Determinism: cells are independently seeded and lanes are fanned out in
-//! scenario order, so lane 0 of a matrix run is byte-identical to a plain
-//! single-scenario pass under the same spec (`tests/scenario_matrix.rs`).
+//! [`scenario_subdir`] keyed by the lane's label, so a warm re-run
+//! generates nothing at all and swapping one scenario regenerates only
+//! that lane. Wire mode and chaos supervision are not offered here — those
+//! axes exercise the collection plane, which is orthogonal to scenario
+//! calibration.
 
 use crate::context::Context;
-use crate::engine::{AnyConsumer, EngineOutput, EnginePlan, EngineStats, Subscription};
-use crate::experiments::suite::{self, Suite};
+use crate::experiments::suite::{self, Suite, SuiteOptions};
 use lockdown_scenario::measures::ScenarioSpec;
-use lockdown_store::{
-    scenario_subdir, ArchiveReader, ArchiveWriter, SegmentScan, StoreError, StoreKey, StoreMetrics,
-};
-use lockdown_traffic::parallel::default_workers;
-use lockdown_traffic::plan::{fold_hash, TraceEmitter, TracePlan};
+use lockdown_store::{scenario_subdir, StoreError};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 /// One scenario lane of a matrix run.
 pub struct MatrixScenario {
@@ -44,42 +35,36 @@ pub struct MatrixScenario {
     pub spec: ScenarioSpec,
 }
 
-/// How to run a matrix: archive and worker count are optional.
+/// How to run a matrix.
 #[derive(Default)]
 pub struct MatrixOptions {
     /// Base archive directory; each lane archives/replays under its own
     /// [`scenario_subdir`] of it.
     pub archive: Option<PathBuf>,
-    /// Worker threads; `0` means the default for this machine.
-    pub workers: usize,
 }
 
-/// What the shared matrix pass did, in distinct-cell terms.
+/// What a sweep did, summed over its lanes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MatrixStats {
     /// Scenario lanes swept.
     pub scenarios: usize,
-    /// Distinct cells in the shared plan (equal for every lane).
-    pub cells: u64,
-    /// Distinct cells generated in the shared pass — a cell counts once
-    /// no matter how many lanes materialized it. Equal to a single
-    /// scenario's `cells_generated` on a cold run; zero on a fully warm
-    /// one.
+    /// Cells generated, over all lanes: `scenarios ×` one pass's cells on
+    /// a cold sweep, zero on a fully warm one.
     pub cells_generated: u64,
-    /// Distinct cells served entirely from lane archives.
+    /// Cells replayed from lane archives, over all lanes.
     pub cells_replayed: u64,
-    /// Flow records fanned out across all lanes.
+    /// Flow records fanned out, over all lanes.
     pub flows_emitted: u64,
-    /// Worker threads used.
+    /// Worker threads each lane's pass used.
     pub workers: usize,
 }
 
 impl MatrixStats {
     /// One-line human-readable summary (the CLI prints this to stderr
-    /// after a matrix run). Format is stable; `verify.sh` greps it.
+    /// after a matrix run).
     pub fn summary(&self) -> String {
         format!(
-            "matrix: {} scenarios, {} cells generated once (shared pass), {} replayed, {} flows, {} workers",
+            "matrix: {} scenarios, {} cells generated + {} replayed (summed over lanes), {} flows, {} workers",
             self.scenarios, self.cells_generated, self.cells_replayed, self.flows_emitted, self.workers,
         )
     }
@@ -97,13 +82,12 @@ pub struct ScenarioRun {
     pub suite: Suite,
 }
 
-/// A completed matrix pass: per-scenario suites plus the shared-pass
-/// accounting.
+/// A completed sweep: per-scenario suites plus their summed accounting.
 pub struct MatrixRun {
     /// One run per requested scenario, in request order. The first lane
     /// is the diff baseline.
     pub runs: Vec<ScenarioRun>,
-    /// Shared-pass statistics.
+    /// Statistics summed over the lanes.
     pub stats: MatrixStats,
 }
 
@@ -151,32 +135,8 @@ impl MatrixRun {
     }
 }
 
-/// Per-lane, per-worker accounting.
-#[derive(Debug, Default, Clone, Copy)]
-struct LaneTally {
-    flows: u64,
-    generated: u64,
-    replayed: u64,
-}
-
-/// One worker's result: per-lane consumer columns and tallies, plus the
-/// worker's distinct-cell generation count.
-struct Partial {
-    lanes: Vec<(Vec<Box<dyn AnyConsumer>>, LaneTally)>,
-    cells_generated: u64,
-}
-
-/// Everything one lane contributes to the shared pass.
-struct Lane<'a> {
-    emitter: TraceEmitter<'a>,
-    subs: Vec<Subscription>,
-    reader: Option<ArchiveReader>,
-    writer: Option<ArchiveWriter>,
-    metrics: Option<Arc<StoreMetrics>>,
-}
-
-/// Sweep `scenarios` in one shared pass over the (identical) cell set.
-/// See the module docs for semantics; archive I/O and corruption surface
+/// Sweep `scenarios`: one full-suite pass per lane, each under `ctx`'s
+/// substrate and that lane's scenario. Archive I/O and corruption surface
 /// as errors naming the offending lane file.
 pub fn run_matrix(
     ctx: &Context,
@@ -184,208 +144,35 @@ pub fn run_matrix(
     opts: MatrixOptions,
 ) -> Result<MatrixRun, StoreError> {
     assert!(!scenarios.is_empty(), "matrix needs at least one scenario");
-
-    // Build one (identical) plan per lane: same demands, fresh consumer
-    // factories and demand handles.
-    let mut plans = Vec::with_capacity(scenarios.len());
-    let mut traces: Vec<TracePlan> = Vec::with_capacity(scenarios.len());
-    let mut lanes: Vec<Lane<'_>> = Vec::with_capacity(scenarios.len());
-    for (i, sc) in scenarios.iter().enumerate() {
-        let mut plan = EnginePlan::new();
-        plans.push(suite::build_plan(ctx, &mut plan));
-        let (trace, subs) = plan.into_trace_and_subs();
-        assert_eq!(
-            trace.plan_hash(),
-            traces.first().unwrap_or(&trace).plan_hash(),
-            "figure plans must be scenario-independent"
-        );
-
-        let mut lane = Lane {
-            emitter: TraceEmitter::with_scenario(&ctx.registry, &ctx.corpus, ctx.config, &sc.spec),
-            subs,
-            reader: None,
-            writer: None,
-            metrics: None,
-        };
-        if let Some(base) = &opts.archive {
-            let dir = scenario_subdir(base, i, &sc.label);
-            let metrics = StoreMetrics::new();
-            let key = StoreKey {
-                seed: ctx.config.seed,
-                scenario_hash: fold_hash([ctx.config.scenario_hash(), sc.spec.fingerprint()]),
-                plan_hash: trace.plan_hash(),
-            };
-            match ArchiveReader::open(&dir, Arc::clone(&metrics))? {
-                Some(r) if r.key().same_generation(&key) && r.covers(trace.cells().iter()) => {
-                    lane.reader = Some(r);
-                }
-                _ => lane.writer = Some(ArchiveWriter::create(&dir, key, Arc::clone(&metrics))?),
-            }
-            lane.metrics = Some(metrics);
-        }
-        traces.push(trace);
-        lanes.push(lane);
-    }
-
-    let cells = traces[0].cells();
-    // Warm-lane scans borrow their lane's reader; built after the lanes
-    // so the borrows outlive the worker scope.
-    let scans: Vec<Option<SegmentScan<'_>>> = lanes
-        .iter()
-        .map(|lane| match (&lane.reader, &lane.metrics) {
-            (Some(r), Some(m)) => Some(SegmentScan::new(r, cells.iter().copied(), m)),
-            _ => None,
-        })
-        .collect();
-
-    let workers = if opts.workers == 0 {
-        default_workers()
-    } else {
-        opts.workers
-    }
-    .max(1)
-    .min(cells.len().max(1));
-
-    // The shared pass: workers own contiguous chunks of the sorted cell
-    // list; per cell, every lane materializes (replay or generate+spill)
-    // and fans out. First fatal error stops the other workers at their
-    // next cell.
-    let chunk = cells.len().div_ceil(workers);
-    let mut results: Vec<Option<Result<Partial, StoreError>>> = Vec::new();
-    results.resize_with(workers, || None);
-    let stop = AtomicBool::new(false);
-    crossbeam::thread::scope(|scope| {
-        for (slot, chunk_cells) in results.iter_mut().zip(cells.chunks(chunk.max(1))) {
-            let lanes = &lanes;
-            let scans = &scans;
-            let stop = &stop;
-            scope.spawn(move |_| {
-                let run = || -> Result<Partial, StoreError> {
-                    let mut partial = Partial {
-                        lanes: lanes
-                            .iter()
-                            .map(|l| {
-                                (
-                                    l.subs.iter().map(|s| s.build()).collect(),
-                                    LaneTally::default(),
-                                )
-                            })
-                            .collect(),
-                        cells_generated: 0,
-                    };
-                    let mut buf: Vec<lockdown_flow::record::FlowRecord> = Vec::new();
-                    for &cell in chunk_cells {
-                        if stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let mut any_generated = false;
-                        for (lane_idx, lane) in lanes.iter().enumerate() {
-                            let (consumers, tally) = &mut partial.lanes[lane_idx];
-                            match &scans[lane_idx] {
-                                Some(scan) => {
-                                    buf = scan.read_cell(cell)?;
-                                    tally.replayed += 1;
-                                }
-                                None => {
-                                    lane.emitter.generate_cell(cell, &mut buf);
-                                    if let Some(w) = &lane.writer {
-                                        w.spill(cell, &buf)?;
-                                    }
-                                    tally.generated += 1;
-                                    any_generated = true;
-                                }
-                            }
-                            tally.flows += buf.len() as u64;
-                            for (sub, consumer) in lane.subs.iter().zip(consumers.iter_mut()) {
-                                if sub.covers(cell) {
-                                    consumer.observe_batch(&buf);
-                                }
-                            }
-                        }
-                        if any_generated {
-                            partial.cells_generated += 1;
-                        }
-                    }
-                    Ok(partial)
-                };
-                let result = run();
-                if result.is_err() {
-                    stop.store(true, Ordering::Relaxed);
-                }
-                *slot = Some(result);
-            });
-        }
-    })
-    .expect("matrix workers do not panic");
-
-    // Merge worker partials per lane, in worker order (= cell order).
-    let mut merged: Vec<Vec<Box<dyn AnyConsumer>>> = lanes
-        .iter()
-        .map(|l| l.subs.iter().map(|s| s.build()).collect())
-        .collect();
-    let mut tallies = vec![LaneTally::default(); lanes.len()];
-    let mut cells_generated = 0u64;
-    for partial in results.into_iter().flatten() {
-        let partial = partial?;
-        cells_generated += partial.cells_generated;
-        for (lane_idx, (consumers, tally)) in partial.lanes.into_iter().enumerate() {
-            tallies[lane_idx].flows += tally.flows;
-            tallies[lane_idx].generated += tally.generated;
-            tallies[lane_idx].replayed += tally.replayed;
-            for (m, l) in merged[lane_idx].iter_mut().zip(consumers) {
-                m.merge_box(l);
-            }
-        }
-    }
-
-    // Cold lanes publish their manifests only after a complete pass.
-    drop(scans);
-    for lane in &lanes {
-        if let Some(w) = &lane.writer {
-            w.finish()?;
-        }
-    }
-
-    let cell_count = traces[0].cell_count();
-    let total_flows: u64 = tallies.iter().map(|t| t.flows).sum();
-    let stats = MatrixStats {
+    let mut stats = MatrixStats {
         scenarios: scenarios.len(),
-        cells: cell_count,
-        cells_generated,
-        cells_replayed: cell_count - cells_generated,
-        flows_emitted: total_flows,
-        workers,
+        cells_generated: 0,
+        cells_replayed: 0,
+        flows_emitted: 0,
+        workers: 0,
     };
-
-    // Assemble each lane's suite from its merged consumers, carrying
-    // lane-local stats so per-scenario summaries stay meaningful.
     let mut runs = Vec::with_capacity(scenarios.len());
-    let lane_iter = scenarios
-        .into_iter()
-        .zip(plans)
-        .zip(merged)
-        .zip(lanes)
-        .zip(tallies)
-        .zip(traces);
-    for (((((sc, plan_handles), consumers), lane), tally), trace) in lane_iter {
-        let lane_stats = EngineStats {
-            demands: lane.subs.len(),
-            cells_demanded: trace.cells_demanded(),
-            cells_generated: tally.generated,
-            cells_replayed: tally.replayed,
-            cells_resumed: 0,
-            cells_quarantined: 0,
-            retries: 0,
-            flows_emitted: tally.flows,
-            workers,
-        };
-        let out = EngineOutput::from_consumers(consumers, lane_stats, lane.metrics.clone());
+    for (i, MatrixScenario { label, spec }) in scenarios.into_iter().enumerate() {
+        let fingerprint = spec.fingerprint();
+        let suite = suite::run_all_opts(
+            &ctx.under(spec),
+            SuiteOptions {
+                archive: opts
+                    .archive
+                    .as_ref()
+                    .map(|base| scenario_subdir(base, i, &label)),
+                ..SuiteOptions::default()
+            },
+        )?;
+        stats.cells_generated += suite.stats.cells_generated;
+        stats.cells_replayed += suite.stats.cells_replayed;
+        stats.flows_emitted += suite.stats.flows_emitted;
+        stats.workers = suite.stats.workers;
         runs.push(ScenarioRun {
-            fingerprint: sc.spec.fingerprint(),
-            label: sc.label,
-            suite: suite::assemble(ctx, plan_handles, out),
+            label,
+            fingerprint,
+            suite,
         });
     }
-
     Ok(MatrixRun { runs, stats })
 }

@@ -27,7 +27,7 @@ pub use archive::{
     SegmentMeta, SpillFault, StoreKey, VerifyReport, JOURNAL_NAME, MANIFEST_NAME, SEGMENTS_DIR,
 };
 pub use metrics::StoreMetrics;
-pub use scan::{OwnedSegmentScan, SegmentScan, TimeRange};
+pub use scan::{SegmentScan, TimeRange};
 pub use segment::{Column, SegmentFooter, ZoneMap};
 
 use std::fmt;

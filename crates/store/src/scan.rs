@@ -15,7 +15,6 @@ use crate::StoreError;
 use lockdown_flow::record::FlowRecord;
 use lockdown_traffic::plan::Cell;
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// A half-open `[from, to)` window over flow *start* seconds, the
 /// normalization every predicate-pushdown scan uses.
@@ -129,50 +128,6 @@ impl<'a> SegmentScan<'a> {
     }
 }
 
-/// Shared-ownership variant used by the engine: same pruning semantics,
-/// but owns an `Arc` so it can outlive the borrow that built it.
-#[derive(Debug, Clone)]
-pub struct OwnedSegmentScan {
-    reader: Arc<ArchiveReader>,
-    demanded: Arc<BTreeSet<Cell>>,
-}
-
-impl OwnedSegmentScan {
-    /// Build a scan over a shared reader for exactly `demanded`,
-    /// recording pruned segments in `metrics`.
-    pub fn new(
-        reader: Arc<ArchiveReader>,
-        demanded: impl IntoIterator<Item = Cell>,
-        metrics: &StoreMetrics,
-    ) -> OwnedSegmentScan {
-        let demanded: BTreeSet<Cell> = demanded.into_iter().collect();
-        let pruned = reader
-            .segments()
-            .filter(|m| !demanded.contains(&m.cell))
-            .count() as u64;
-        metrics.segments_pruned.add(pruned);
-        OwnedSegmentScan {
-            reader,
-            demanded: Arc::new(demanded),
-        }
-    }
-
-    /// Whether the archive can satisfy every demanded cell.
-    pub fn covers_all(&self) -> bool {
-        self.reader.covers(self.demanded.iter())
-    }
-
-    /// Decode one demanded cell's records.
-    pub fn read_cell(&self, cell: Cell) -> Result<Vec<FlowRecord>, StoreError> {
-        if !self.demanded.contains(&cell) {
-            return Err(StoreError::Missing {
-                what: format!("cell {cell:?} is not in the scan's demand set"),
-            });
-        }
-        self.reader.read_cell(cell)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,6 +138,7 @@ mod tests {
     use lockdown_traffic::plan::Stream;
     use std::net::Ipv4Addr;
     use std::path::PathBuf;
+    use std::sync::Arc;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("lockdown-scan-{tag}-{}", std::process::id()));

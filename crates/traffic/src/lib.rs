@@ -16,8 +16,6 @@
 //! * [`picker`] — endpoint selection (AS, address, port) with hypergiant
 //!   shares and real VPN gateway addresses;
 //! * [`generate`] — the main generator plus the ISP transit view (§3.4);
-//! * [`parallel`] — crossbeam-scoped parallel sweeps, bit-identical to the
-//!   sequential output thanks to cell seeding;
 //! * [`plan`] — deduplicated generation plans shared across consumers
 //!   (the substrate of the single-pass trace engine);
 //! * [`edu_gen`] — the §7 educational-network generator.
@@ -40,5 +38,5 @@ pub mod prelude {
     pub use crate::generate::{TrafficGenerator, BYTES_PER_GBPS_HOUR};
     pub use crate::parallel::default_workers;
     pub use crate::picker::{as_jitter, Picker};
-    pub use crate::plan::{Cell, FlowSink, Stream, TraceEmitter, TracePlan};
+    pub use crate::plan::{Cell, Stream, TraceEmitter, TracePlan};
 }

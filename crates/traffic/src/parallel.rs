@@ -1,16 +1,8 @@
-//! Parallel trace generation.
+//! Worker-count policy for parallel trace generation.
 //!
 //! Generation cells are independently seeded (see [`crate::generate`]), so
-//! a date range can be fanned out across threads and merged with *no*
-//! change in output — the merge is deterministic because each worker owns
-//! a disjoint, ordered chunk of days. Per the session's networking guides,
-//! CPU-bound fan-out uses scoped threads (crossbeam), not async.
-
-use crate::generate::TrafficGenerator;
-use crate::plan::{Stream, TracePlan};
-use lockdown_flow::record::FlowRecord;
-use lockdown_flow::time::Date;
-use lockdown_topology::vantage::VantagePoint;
+//! the engine in `lockdown-core` fans a plan's cells out across threads and
+//! merges with *no* change in output; this module only says how many.
 
 /// Default worker count: physical parallelism, capped to keep small
 /// sweeps from paying spawn overhead.
@@ -19,164 +11,4 @@ pub fn default_workers() -> usize {
         .map(|n| n.get())
         .unwrap_or(4)
         .min(16)
-}
-
-impl TrafficGenerator<'_> {
-    /// Fold every hour of `[start, end]` for a vantage point, in parallel
-    /// over days, combining per-worker accumulators at the end.
-    ///
-    /// `fold` consumes one hourly flow batch into the worker-local
-    /// accumulator; `merge` combines two accumulators. The result equals
-    /// the sequential fold as long as `merge` is commutative over disjoint
-    /// date ranges (byte sums, histograms and time-keyed maps all are).
-    #[allow(clippy::too_many_arguments)] // (range, workers, fold triple) is the natural shape
-    pub fn fold_hours_parallel<Acc, Fold, Merge>(
-        &self,
-        vp: VantagePoint,
-        start: Date,
-        end: Date,
-        workers: usize,
-        make_acc: impl Fn() -> Acc + Sync,
-        fold: Fold,
-        merge: Merge,
-    ) -> Acc
-    where
-        Acc: Send,
-        Fold: Fn(&mut Acc, Date, u8, &[FlowRecord]) + Sync,
-        Merge: Fn(Acc, Acc) -> Acc,
-    {
-        let mut plan = TracePlan::new();
-        plan.demand(Stream::Vantage(vp), start, end);
-        let cells = plan.cells();
-        let total_days = start.days_until(end) + 1;
-        let workers = workers.max(1).min(total_days.max(1) as usize);
-        if workers == 1 {
-            let mut acc = make_acc();
-            let mut buf = Vec::new();
-            for cell in &cells {
-                self.generate_cell(*cell, &mut buf);
-                fold(&mut acc, cell.date, cell.hour, &buf);
-            }
-            return acc;
-        }
-        let chunk = cells.len().div_ceil(workers);
-        let mut results: Vec<Option<Acc>> = Vec::new();
-        for _ in 0..workers {
-            results.push(None);
-        }
-        crossbeam::thread::scope(|scope| {
-            for (slot, chunk_cells) in results.iter_mut().zip(cells.chunks(chunk)) {
-                let fold = &fold;
-                let make_acc = &make_acc;
-                scope.spawn(move |_| {
-                    let mut acc = make_acc();
-                    let mut buf = Vec::new();
-                    for cell in chunk_cells {
-                        self.generate_cell(*cell, &mut buf);
-                        fold(&mut acc, cell.date, cell.hour, &buf);
-                    }
-                    *slot = Some(acc);
-                });
-            }
-        })
-        .expect("generation workers do not panic");
-        results
-            .into_iter()
-            .flatten()
-            .reduce(merge)
-            .unwrap_or_else(make_acc)
-    }
-
-    /// Parallel day generation: all flows of `[start, end]`, identical to
-    /// concatenating sequential [`TrafficGenerator::generate_day`] calls.
-    pub fn generate_days_parallel(
-        &self,
-        vp: VantagePoint,
-        start: Date,
-        end: Date,
-        workers: usize,
-    ) -> Vec<FlowRecord> {
-        // Per-day vectors keyed by day index keep the merge order-stable.
-        let total_days = (start.days_until(end) + 1) as usize;
-        let mut per_day: Vec<Vec<FlowRecord>> = (0..total_days).map(|_| Vec::new()).collect();
-        let workers = workers.max(1).min(total_days.max(1));
-        crossbeam::thread::scope(|scope| {
-            for (w, chunk) in per_day
-                .chunks_mut((total_days).div_ceil(workers))
-                .enumerate()
-            {
-                let chunk_days = chunk.len();
-                let first = start.add_days((w * total_days.div_ceil(workers)) as i64);
-                scope.spawn(move |_| {
-                    for (i, slot) in chunk.iter_mut().enumerate().take(chunk_days) {
-                        *slot = self.generate_day(vp, first.add_days(i as i64));
-                    }
-                });
-            }
-        })
-        .expect("generation workers do not panic");
-        per_day.into_iter().flatten().collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::config::GeneratorConfig;
-    use lockdown_dns::corpus::synthesize;
-    use lockdown_topology::registry::Registry;
-
-    fn setup() -> (Registry, lockdown_dns::corpus::Corpus) {
-        let r = Registry::synthesize();
-        let c = synthesize(&r, 7);
-        (r, c)
-    }
-
-    #[test]
-    fn parallel_equals_sequential_generation() {
-        let (r, c) = setup();
-        let g = TrafficGenerator::new(&r, &c, GeneratorConfig::coarse(3));
-        let start = Date::new(2020, 3, 20);
-        let end = Date::new(2020, 3, 27);
-        let mut sequential = Vec::new();
-        for d in start.range_inclusive(end) {
-            sequential.extend(g.generate_day(VantagePoint::IxpSe, d));
-        }
-        for workers in [1usize, 2, 3, 8, 32] {
-            let parallel = g.generate_days_parallel(VantagePoint::IxpSe, start, end, workers);
-            assert_eq!(parallel, sequential, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn parallel_fold_equals_sequential_fold() {
-        let (r, c) = setup();
-        let g = TrafficGenerator::new(&r, &c, GeneratorConfig::coarse(5));
-        let start = Date::new(2020, 2, 1);
-        let end = Date::new(2020, 2, 14);
-        let mut seq_bytes = 0u64;
-        g.for_each_hour(VantagePoint::IspCe, start, end, |_, _, flows| {
-            seq_bytes += flows.iter().map(|f| f.bytes).sum::<u64>();
-        });
-        let par_bytes = g.fold_hours_parallel(
-            VantagePoint::IspCe,
-            start,
-            end,
-            4,
-            || 0u64,
-            |acc, _, _, flows| *acc += flows.iter().map(|f| f.bytes).sum::<u64>(),
-            |a, b| a + b,
-        );
-        assert_eq!(par_bytes, seq_bytes);
-    }
-
-    #[test]
-    fn single_day_range_works() {
-        let (r, c) = setup();
-        let g = TrafficGenerator::new(&r, &c, GeneratorConfig::coarse(5));
-        let d = Date::new(2020, 4, 1);
-        let a = g.generate_days_parallel(VantagePoint::MobileCe, d, d, 8);
-        let b = g.generate_day(VantagePoint::MobileCe, d);
-        assert_eq!(a, b);
-    }
 }

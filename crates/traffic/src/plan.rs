@@ -101,20 +101,6 @@ pub struct Cell {
     pub hour: u8,
 }
 
-/// A consumer of emitted cell batches.
-///
-/// Implemented for closures so `emit_cell(cell, &mut |c, flows| …)` works.
-pub trait FlowSink {
-    /// Receive one cell's complete flow batch.
-    fn accept(&mut self, cell: Cell, flows: &[FlowRecord]);
-}
-
-impl<F: FnMut(Cell, &[FlowRecord])> FlowSink for F {
-    fn accept(&mut self, cell: Cell, flows: &[FlowRecord]) {
-        self(cell, flows)
-    }
-}
-
 /// The union of requested `(stream, window)` demands.
 ///
 /// Demands are recorded verbatim (so the dedup ratio can be reported) and
@@ -249,22 +235,6 @@ impl<'a> TraceEmitter<'a> {
             _ => self.vantage.generate_cell(cell, out),
         }
     }
-
-    /// Generate one cell and hand the batch to a sink.
-    pub fn emit_cell(&self, cell: Cell, sink: &mut dyn FlowSink) {
-        let mut buf = Vec::new();
-        self.generate_cell(cell, &mut buf);
-        sink.accept(cell, &buf);
-    }
-
-    /// Emit every distinct cell of a plan, reusing one buffer.
-    pub fn emit_plan(&self, plan: &TracePlan, sink: &mut dyn FlowSink) {
-        let mut buf = Vec::new();
-        for cell in plan.cells() {
-            self.generate_cell(cell, &mut buf);
-            sink.accept(cell, &buf);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -394,22 +364,5 @@ mod tests {
             &mut buf,
         );
         assert_eq!(buf, edu.generate_hour(date, 9));
-    }
-
-    #[test]
-    fn emit_plan_visits_each_cell_once() {
-        let registry = Registry::synthesize();
-        let corpus = synthesize(&registry, 7);
-        let emitter = TraceEmitter::new(&registry, &corpus, GeneratorConfig::coarse(3));
-        let mut plan = TracePlan::new();
-        let d = Date::new(2020, 2, 3);
-        plan.demand(Stream::Vantage(VantagePoint::IxpSe), d, d);
-        plan.demand(Stream::Vantage(VantagePoint::IxpSe), d, d);
-        let mut seen = Vec::new();
-        emitter.emit_plan(&plan, &mut |cell: Cell, _flows: &[FlowRecord]| {
-            seen.push(cell);
-        });
-        assert_eq!(seen.len(), 24);
-        assert_eq!(plan.cells(), seen);
     }
 }

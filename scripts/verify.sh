@@ -17,6 +17,12 @@ fi
 echo "==> cargo test --workspace"
 cargo test --workspace --quiet
 
+# The benchmark is a package of its own (outside the workspace, building
+# against vendored stand-ins): its tests drive every workload once and
+# byte-compare all 22 sections against the suite.
+echo "==> lockbench plumbing and byte-identity check"
+cargo test --manifest-path lockbench/Cargo.toml --quiet
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
@@ -46,7 +52,7 @@ if [[ $quick -eq 0 ]]; then
     echo "==> wire-mode zero-fault equality (audited)"
     plain=$(mktemp)
     wired=$(mktemp)
-    trap 'kill "${serve_pid:-}" "${wc_worker_pid:-}" "${wc_proxy_pid:-}" 2>/dev/null || true; rm -f "$plain" "$wired" "${cold:-}" "${warm:-}" "${qctl:-}" "${pctl:-}" "${sharded:-}" "${shwarm:-}" "${killed:-}" "${resumed_wire:-}"; rm -rf "${arch:-}" "${sharch:-}"' EXIT
+    trap 'kill "${serve_pid:-}" "${wc_worker_pid:-}" "${wc_proxy_pid:-}" 2>/dev/null || true; rm -f "$plain" "$wired" "${cold:-}" "${warm:-}" "${qctl:-}" "${pctl:-}" "${sharded:-}" "${shwarm:-}" "${killed:-}" "${resumed_wire:-}"; rm -rf "${arch:-}" "${sharch:-}" "${march:-}"' EXIT
     ./target/release/lockdown figures --fidelity test > "$plain"
     # --audit makes a conservation violation a hard failure (non-zero exit)
     # on top of the byte-identity diff; the report lands in the artifact.
@@ -126,17 +132,13 @@ if [[ $quick -eq 0 ]]; then
         exit 1
     }
 
-    echo "==> 2-scenario matrix: one shared generation pass"
+    echo "==> 2-scenario matrix: lanes are plain passes, archived per lane"
     mkdir -p target/matrix
+    march=$(mktemp -d)
     ./target/release/lockdown scenarios --matrix \
         scenarios/covid-spring-2020.toml scenarios/hypergiant-outage.toml \
-        --fidelity test --out target/matrix 2> target/matrix/stderr.txt
-    # The matrix must generate exactly as many distinct cells as the
-    # single-scenario pass above (from the cold archive run's summary).
-    single_cells=$(grep -oE "[0-9]+ cells generated once" \
-        target/store/cold-stderr.txt | grep -oE "[0-9]+")
-    grep -q "matrix: 2 scenarios, $single_cells cells generated once (shared pass)" \
-        target/matrix/stderr.txt
+        --fidelity test --archive "$march" --out target/matrix \
+        2> target/matrix/stderr.txt
     # Lane 0 (the reference calibration) is byte-identical to a plain run;
     # the counterfactual lane must actually diverge.
     diff -u "$plain" target/matrix/00-covid-spring-2020.txt
@@ -146,14 +148,16 @@ if [[ $quick -eq 0 ]]; then
         exit 1
     fi
     grep -q "sections differ" target/matrix/stderr.txt
-
-    echo "==> engine bench numbers (BENCH_engine.json)"
-    cargo run --release -q -p lockdown-bench --bin engine_json > BENCH_engine.json
-    cat BENCH_engine.json
-
-    echo "==> store bench numbers (BENCH_store.json)"
-    cargo run --release -q -p lockdown-bench --bin store_json > BENCH_store.json
-    cat BENCH_store.json
+    # Every lane replays from its own archive: a second sweep generates
+    # nothing and writes the same bytes.
+    ./target/release/lockdown scenarios --matrix \
+        scenarios/covid-spring-2020.toml scenarios/hypergiant-outage.toml \
+        --fidelity test --archive "$march" --out target/matrix/warm \
+        2> target/matrix/warm-stderr.txt
+    grep -q "matrix: 2 scenarios, 0 cells generated" target/matrix/warm-stderr.txt
+    diff -u target/matrix/00-covid-spring-2020.txt target/matrix/warm/00-covid-spring-2020.txt
+    diff -u target/matrix/01-hypergiant-outage.txt target/matrix/warm/01-hypergiant-outage.txt
+    rm -rf "$march"
 
     echo "==> chaos smoke: zero-chaos supervision is byte-identical"
     mkdir -p target/chaos

@@ -24,10 +24,7 @@ use lockdown::collect::soak::{self, SoakConfig};
 use lockdown::collect::{
     export, CollectMetrics, Collectd, CollectdConfig, ExportConfig, FaultProfile, WireConfig,
 };
-use lockdown::core::experiments::{
-    fig1, fig10, fig11_12, fig2, fig3, fig4, fig5, fig6, fig7, fig8, fig9, sec3_4, sec9, suite,
-    tables,
-};
+use lockdown::core::experiments::{figures, suite};
 use lockdown::core::serve::suite_plan_hash;
 use lockdown::core::{run_matrix, Context, Fidelity, MatrixOptions, MatrixScenario};
 use lockdown::dns::vpn::identify_vpn_ips;
@@ -109,8 +106,10 @@ USAGE:
                    [--scenario FILE] [--wire] [--audit] [--archive DIR]
                    [--chaos SPEC]
                    [--loss P] [--reorder P] [--dup P] [--restart N]
-      Render figures/tables (default: all). Names: fig1 fig2 fig3 fig4
-      fig5 fig6 fig7 fig8 fig9 fig10 edu sec3.4 sec9 table1 table2
+      Render figures/tables (default: all) in one engine pass. Names:
+      fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 edu sec3.4 sec9
+      table1 table2, or a single section as 'lockdown serve' names them
+      (fig2a, fig9:IXP-CE, ...); an unknown name is an error.
       --scenario FILE interprets the given scenario measure file (TOML)
       instead of the built-in COVID spring-2020 calibration; see
       'lockdown scenarios' and scenarios/*.toml.
@@ -201,10 +200,9 @@ USAGE:
       (the exact form 'parse -> render' round-trips).
   lockdown scenarios --matrix FILE... [--fidelity test|standard|high]
                      [--archive DIR] [--out DIR]
-      Sweep N scenario files through the full figure suite in ONE
-      engine pass: the shared cell set is enumerated once and each
-      cell is materialized per scenario lane — vs. running the suite N
-      times. Per-scenario output goes to OUT/NN-label.txt (--out) or
+      Sweep N scenario files through the full figure suite, one engine
+      pass per scenario lane, each exactly a 'figures --scenario FILE'
+      run. Per-scenario output goes to OUT/NN-label.txt (--out) or
       stdout under '=== scenario:' headers; the matrix summary and a
       per-scenario diff report vs. the first file go to stderr. With
       --archive DIR each lane replays from / spills to its own
@@ -526,7 +524,6 @@ fn cmd_figures(rest: &[String]) -> Result<ExitCode, String> {
     let chaos = parse_chaos(rest)?;
     let names = positionals(rest);
     let all = names.is_empty();
-    let want = |n: &str| all || names.iter().any(|x| x.as_str() == n);
     if wire.is_some() && !all {
         return Err("--wire applies to the full suite; drop the figure names".into());
     }
@@ -536,94 +533,47 @@ fn cmd_figures(rest: &[String]) -> Result<ExitCode, String> {
     if chaos.is_some() && !all {
         return Err("--chaos applies to the full suite; drop the figure names".into());
     }
+    let selected = figures::select(&names).map_err(|unknown| {
+        format!(
+            "unknown figure '{unknown}'; valid names: {}",
+            figures::selectable_names().join(" ")
+        )
+    })?;
 
     let ctx = parse_context(rest)?;
-    if all {
-        // The full suite goes through ONE engine pass: every overlapping
-        // (stream, date, hour) cell is generated exactly once and fanned
-        // out to all consumers. In wire mode every cell additionally
-        // crosses the export -> transport -> collect plane first; stdout
-        // stays byte-identical at zero faults, and the plane's metrics
-        // snapshot goes to stderr. With --archive the cells come from (or
-        // go to) the columnar store — stdout is byte-identical cold vs.
-        // warm, which is why the engine summary and every metrics
-        // snapshot go to stderr. With --chaos the pass is supervised:
-        // quarantined cells degrade (not abort) the run, and the degraded
-        // report plus supervisor metrics also go to stderr.
-        let suite = suite::run_all_opts(
-            &ctx,
-            suite::SuiteOptions {
-                wire,
-                archive: archive.as_ref().map(|d| Path::new(d).to_path_buf()),
-                chaos,
-            },
-        )
-        .map_err(|e| e.to_string())?;
-        for section in suite.renders() {
-            println!("{section}");
-        }
-        eprintln!("{}", suite.stats.summary());
-        if let Some(metrics) = &suite.store_metrics {
-            eprint!("{}", metrics.render());
-        }
-        if let Some(metrics) = &suite.wire_metrics {
-            eprint!("{}", metrics.render());
-        }
-        check_audit(&suite)?;
-        return Ok(degraded_exit(&suite));
+    // Whatever was selected goes through ONE engine pass: every
+    // overlapping (stream, date, hour) cell is generated exactly once and
+    // fanned out to all consumers. In wire mode every cell additionally
+    // crosses the export -> transport -> collect plane first; stdout
+    // stays byte-identical at zero faults, and the plane's metrics
+    // snapshot goes to stderr. With --archive the cells come from (or go
+    // to) the columnar store — stdout is byte-identical cold vs. warm,
+    // which is why the engine summary and every metrics snapshot go to
+    // stderr. With --chaos the pass is supervised: quarantined cells
+    // degrade (not abort) the run, and the degraded report plus
+    // supervisor metrics also go to stderr.
+    let suite = suite::run_figures(
+        &ctx,
+        selected,
+        suite::SuiteOptions {
+            wire,
+            archive: archive.map(Into::into),
+            chaos,
+        },
+    )
+    .map_err(|e| e.to_string())?;
+    for section in suite.renders() {
+        println!("{section}");
     }
-    if want("table2") {
-        println!("{}", tables::table2());
+    eprintln!("{}", suite.stats.summary());
+    if let Some(metrics) = &suite.store_metrics {
+        eprint!("{}", metrics.render());
     }
-    if want("table1") {
-        println!("{}", tables::table1(&ctx).render());
+    if let Some(metrics) = &suite.wire_metrics {
+        eprint!("{}", metrics.render());
     }
-    if want("fig1") {
-        println!("{}", fig1::run(&ctx).render());
-    }
-    if want("fig2") {
-        println!("{}", fig2::run_2a(&ctx).render());
-        println!("{}", fig2::run_2bc(&ctx, VantagePoint::IspCe).render());
-        println!("{}", fig2::run_2bc(&ctx, VantagePoint::IxpCe).render());
-    }
-    if want("fig3") {
-        println!("{}", fig3::run_3a(&ctx).render());
-        println!("{}", fig3::run_3b(&ctx).render());
-    }
-    if want("fig4") {
-        println!("{}", fig4::run(&ctx).render());
-    }
-    if want("fig5") {
-        println!("{}", fig5::run(&ctx).render());
-    }
-    if want("fig6") {
-        println!("{}", fig6::run(&ctx).render());
-    }
-    if want("sec3.4") {
-        println!("{}", sec3_4::run(&ctx).render());
-    }
-    if want("fig7") {
-        println!("{}", fig7::run(&ctx, VantagePoint::IspCe).render());
-        println!("{}", fig7::run(&ctx, VantagePoint::IxpCe).render());
-    }
-    if want("fig8") {
-        println!("{}", fig8::run(&ctx).render());
-    }
-    if want("fig9") {
-        for vp in VantagePoint::CORE_FOUR {
-            println!("{}", fig9::run(&ctx, vp).render());
-        }
-    }
-    if want("fig10") {
-        println!("{}", fig10::run(&ctx).render());
-    }
-    if want("edu") {
-        println!("{}", fig11_12::run(&ctx).render());
-    }
-    if want("sec9") {
-        println!("{}", sec9::run(&ctx).render());
-    }
-    Ok(ExitCode::SUCCESS)
+    check_audit(&suite)?;
+    Ok(degraded_exit(&suite))
 }
 
 /// `coordinate`: the sharded full-suite pass. Stdout carries exactly
@@ -1077,8 +1027,8 @@ fn cmd_scenarios(rest: &[String]) -> Result<(), String> {
     }
 }
 
-/// `scenarios --matrix`: run N scenario files through one shared engine
-/// pass and emit per-scenario figure suites plus a diff report.
+/// `scenarios --matrix`: run the suite once per scenario file and emit
+/// per-scenario figure suites plus a diff report.
 fn cmd_scenarios_matrix(rest: &[String]) -> Result<(), String> {
     let files = positionals(rest);
     if files.is_empty() {
@@ -1096,7 +1046,6 @@ fn cmd_scenarios_matrix(rest: &[String]) -> Result<(), String> {
     let ctx = Context::new(parse_fidelity(rest)?);
     let opts = MatrixOptions {
         archive: flag(rest, "--archive").map(|d| Path::new(&d).to_path_buf()),
-        workers: 0,
     };
     let run = run_matrix(&ctx, scenarios, opts).map_err(|e| e.to_string())?;
 

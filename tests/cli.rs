@@ -153,6 +153,53 @@ fn figures_rejects_unknown_flags_with_usage() {
 }
 
 #[test]
+fn figures_rejects_unknown_names_and_prints_nothing() {
+    for args in [&["nosuchfig"][..], &["fig2", "fig77", "table1"][..]] {
+        let out = bin()
+            .args(["figures", "--fidelity", "test"])
+            .args(args)
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} must print no figure");
+        let err = String::from_utf8_lossy(&out.stderr);
+        let unknown = if args.len() == 1 {
+            "nosuchfig"
+        } else {
+            "fig77"
+        };
+        assert!(
+            err.contains(&format!("unknown figure '{unknown}'")),
+            "{err}"
+        );
+        assert!(err.contains("fig2 fig3") && err.contains("edu"), "{err}");
+    }
+}
+
+#[test]
+fn figures_selection_equals_the_full_suite_sections() {
+    let run = |names: &[&str]| {
+        let out = bin()
+            .args(["figures", "--fidelity", "test"])
+            .args(names)
+            .output()
+            .expect("spawn");
+        assert!(out.status.success(), "{names:?}");
+        String::from_utf8(out.stdout).expect("utf-8 figures")
+    };
+    let full = run(&[]);
+    // Given out of order on purpose: sections print in suite order.
+    let selected = run(&["fig7", "fig2"]);
+    assert!(!selected.is_empty() && selected.len() < full.len());
+    let (fig2, rest) = selected
+        .split_once("Fig. 7")
+        .expect("both groups render, fig2 first");
+    assert!(fig2.contains("Fig. 2"));
+    assert!(full.contains(fig2), "fig2a-c are the suite's bytes");
+    assert!(full.contains(&format!("Fig. 7{rest}")), "fig7a-b likewise");
+}
+
+#[test]
 fn collect_rejects_unknown_flags_with_usage() {
     // --wire is valid for `figures` but meaningless for `collect` (which
     // is always wired) — it must be rejected, not silently ignored.
@@ -333,7 +380,7 @@ fn figures_rejects_bad_scenario_files() {
 }
 
 #[test]
-fn scenarios_matrix_sweeps_in_one_pass() {
+fn scenarios_matrix_lane0_is_a_plain_figures_run() {
     let dir = std::env::temp_dir().join(format!("lockdown-cli-matrix-{}", std::process::id()));
     let out_dir = dir.join("out");
     std::fs::create_dir_all(&dir).expect("tmp dir");
@@ -357,12 +404,17 @@ fn scenarios_matrix_sweeps_in_one_pass() {
     );
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("matrix: 2 scenarios"), "{err}");
-    assert!(err.contains("cells generated once (shared pass)"), "{err}");
+    assert!(err.contains("summed over lanes"), "{err}");
     assert!(err.contains("sections differ"), "{err}");
 
+    let plain = bin()
+        .args(["figures", "--fidelity", "test"])
+        .output()
+        .expect("spawn figures");
+    assert!(plain.status.success());
     let covid = std::fs::read(out_dir.join("00-covid-spring-2020.txt")).expect("lane 0 output");
     let outage = std::fs::read(out_dir.join("01-hypergiant-outage.txt")).expect("lane 1 output");
-    assert!(!covid.is_empty());
+    assert_eq!(covid, plain.stdout, "lane 0 must equal a plain figures run");
     assert_ne!(covid, outage, "per-scenario outputs must differ");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -50,7 +50,14 @@ fn wired_pass(
 fn zero_fault_wire_suite_is_byte_identical() {
     let ctx = Context::new(Fidelity::Test);
     let plain = suite::run_all(&ctx);
-    let wired = suite::run_all_with(&ctx, Some(WireConfig::new().with_audit(true)));
+    let wired = suite::run_all_opts(
+        &ctx,
+        suite::SuiteOptions {
+            wire: Some(WireConfig::new().with_audit(true)),
+            ..Default::default()
+        },
+    )
+    .expect("archive-free engine pass cannot fail");
     assert_eq!(
         plain.renders(),
         wired.renders(),
