@@ -23,6 +23,7 @@
 //! mergeable accumulator state.
 
 use crate::consumer::FlowConsumer;
+use lockdown_base::crc::crc32;
 use std::fmt;
 
 /// Current state-frame format version.
@@ -136,20 +137,6 @@ impl fmt::Display for CodecError {
 }
 
 impl std::error::Error for CodecError {}
-
-/// CRC-32 (IEEE 802.3 polynomial, reflected). Bitwise — state frames are
-/// small, and a table buys nothing here.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
 
 /// Append a `u16`, big-endian.
 pub fn put_u16(out: &mut Vec<u8>, v: u16) {
@@ -359,13 +346,6 @@ mod tests {
     use super::*;
     use crate::timeseries::HourlyVolume;
     use lockdown_flow::time::Date;
-
-    #[test]
-    fn crc_matches_known_vector() {
-        // The classic IEEE test vector.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
 
     #[test]
     fn frame_roundtrips_and_any_flipped_byte_fails_named() {

@@ -1,0 +1,111 @@
+//! The `key=value,key=value` spec grammar behind both `--chaos` flags.
+//!
+//! One grammar, many vocabularies: a config declares a table of [`Key`]s
+//! (name plus typed [`Set`]ter) and [`parse`] does the rest — parts are
+//! trimmed, empty parts skipped, values typed as a probability in
+//! `[0, 1]` or a count, and an unknown key or malformed value is an
+//! error that names the key and lists the valid ones, never a default.
+
+/// How a key's value is typed, and where it lands in the config `C`.
+pub enum Set<C> {
+    /// A probability in `[0, 1]`.
+    Prob(fn(&mut C, f64)),
+    /// A non-negative integer.
+    Count(fn(&mut C, u64)),
+}
+
+/// One key of a spec vocabulary: its name as written, and its setter.
+pub type Key<C> = (&'static str, Set<C>);
+
+/// Apply `spec` to `cfg` through the vocabulary `keys`. `what` names the
+/// spec in error messages (`"chaos"`, `"wire-chaos"`). Later occurrences
+/// of a key override earlier ones; the empty spec changes nothing.
+pub fn parse<C>(what: &str, keys: &[Key<C>], spec: &str, cfg: &mut C) -> Result<(), String> {
+    for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
+        let (name, value) = part
+            .split_once('=')
+            .ok_or_else(|| format!("{what} spec part {part:?} is not key=value"))?;
+        let (_, set) = keys.iter().find(|(k, _)| *k == name).ok_or_else(|| {
+            let valid: Vec<&str> = keys.iter().map(|(k, _)| *k).collect();
+            format!("unknown {what} key {name:?} (valid: {})", valid.join(", "))
+        })?;
+        match set {
+            Set::Prob(set) => {
+                let p: f64 = value
+                    .parse()
+                    .map_err(|_| format!("{what} {name}={value:?} is not a number"))?;
+                if !(0.0..=1.0).contains(&p) {
+                    return Err(format!("{what} {name}={value} is outside [0, 1]"));
+                }
+                set(cfg, p);
+            }
+            Set::Count(set) => {
+                let n: u64 = value
+                    .parse()
+                    .map_err(|_| format!("{what} {name}={value:?} is not a count"))?;
+                set(cfg, n);
+            }
+        }
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Set::{Count, Prob};
+    use super::*;
+
+    /// `(seed, panic, delay_ms)`.
+    #[derive(Debug, Default, PartialEq)]
+    struct Toy(u64, f64, u64);
+
+    const KEYS: &[Key<Toy>] = &[
+        ("seed", Count(|c, v| c.0 = v)),
+        ("panic", Prob(|c, v| c.1 = v)),
+        ("delay-ms", Count(|c, v| c.2 = v)),
+    ];
+
+    fn toy(spec: &str) -> Result<Toy, String> {
+        let mut cfg = Toy::default();
+        parse("toy", KEYS, spec, &mut cfg).map(|()| cfg)
+    }
+
+    #[test]
+    fn grammar_accepts() {
+        for (spec, want) in [
+            ("", Toy::default()),
+            ("seed=7,panic=0.5,delay-ms=25", Toy(7, 0.5, 25)),
+            // Parts are trimmed and empty parts skipped.
+            (" seed=7 ,, panic=0.5,\n delay-ms=25,", Toy(7, 0.5, 25)),
+            // Both ends of the probability range are in; the last wins.
+            ("panic=0,panic=1", Toy(0, 1.0, 0)),
+        ] {
+            assert_eq!(toy(spec).as_ref(), Ok(&want), "{spec:?}");
+        }
+    }
+
+    #[test]
+    fn grammar_rejects_naming_the_culprit() {
+        for (spec, needles) in [
+            ("panic", &["\"panic\"", "key=value"][..]),
+            ("panic=1.5", &["panic=1.5", "outside [0, 1]"]),
+            ("panic=-0.1", &["panic=-0.1", "outside [0, 1]"]),
+            ("panic=nan", &["panic=nan", "outside [0, 1]"]),
+            ("panic=x", &["panic=\"x\"", "not a number"]),
+            ("seed=x", &["seed=\"x\"", "not a count"]),
+            ("seed=-1", &["seed=\"-1\"", "not a count"]),
+            ("seed=1.5", &["not a count"]),
+            (
+                "frobnicate=1",
+                &["unknown toy key \"frobnicate\"", "seed, panic, delay-ms"],
+            ),
+            // A good prefix does not excuse a bad tail.
+            ("seed=1,bogus=2", &["\"bogus\""]),
+        ] {
+            let err = toy(spec).unwrap_err();
+            for needle in needles {
+                assert!(err.contains(needle), "{spec:?}: {err}");
+            }
+        }
+    }
+}

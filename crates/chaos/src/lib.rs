@@ -10,31 +10,19 @@
 //! cells, whatever the worker count, which is what makes a quarantine set
 //! assertable in tests and CI.
 //!
-//! The crate is dependency-free (like `lockdown-audit`) so every layer —
-//! engine, store, CLI — can consume it without cycles.
+//! The crate has no external dependencies (only `lockdown-base`, the
+//! shared hashing and spec-grammar floor) so every layer — engine, store,
+//! CLI — can consume it without cycles.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// Splitmix64 chaining over the parts — the same fingerprint construction
-/// the trace plan uses, duplicated here so the crate stays dependency-free
-/// and fault schedules stay stable across builds.
-fn fold_hash(parts: impl IntoIterator<Item = u64>) -> u64 {
-    let mut acc = 0x243F_6A88_85A3_08D3u64;
-    for p in parts {
-        let mut z = acc ^ p;
-        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        acc = z ^ (z >> 31);
-    }
-    acc
-}
+use lockdown_base::hash::{fold, unit};
+use lockdown_base::spec::{self, Key, Set::Count, Set::Prob};
 
-/// Map a hash to a uniform draw in `[0, 1)` using the top 53 bits.
-fn unit(h: u64) -> f64 {
-    (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
+/// Initial constant of every schedule fold. Historical: fault schedules
+/// are pinned to it (`lockdown_base::hash` tests hold the vector).
+const SCHEDULE_INIT: u64 = 0x243F_6A88_85A3_08D3;
 
 /// Domain separators so the four fault families never correlate.
 const PANIC_SALT: u64 = 0x7061_6E69_6321_2121; // "panic!!!"
@@ -173,49 +161,31 @@ impl ChaosConfig {
     /// rejected loudly.
     pub fn parse(spec: &str) -> Result<ChaosConfig, String> {
         let mut cfg = ChaosConfig::zero();
-        for part in spec.split(',').filter(|p| !p.is_empty()) {
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| format!("bad chaos spec item (want key=value): {part}"))?;
-            let prob = |what: &str| -> Result<f64, String> {
-                let p: f64 = value.parse().map_err(|_| format!("bad {what}: {value}"))?;
-                if !(0.0..=1.0).contains(&p) {
-                    return Err(format!("{what} must be in [0,1]: {value}"));
-                }
-                Ok(p)
-            };
-            match key {
-                "seed" => cfg.seed = value.parse().map_err(|_| format!("bad seed: {value}"))?,
-                "panic" => cfg.panic = prob("panic probability")?,
-                "torn" => cfg.torn = prob("torn-write probability")?,
-                "enospc" => cfg.enospc = prob("enospc probability")?,
-                "stall" => cfg.stall = prob("stall probability")?,
-                "wkill" => cfg.wkill = prob("worker-kill probability")?,
-                "wstall" => cfg.wstall = prob("worker-stall probability")?,
-                "attempts" => {
-                    cfg.attempts = value
-                        .parse()
-                        .map_err(|_| format!("bad attempts: {value}"))?;
-                    if cfg.attempts == 0 {
-                        return Err("attempts must be at least 1".into());
-                    }
-                }
-                "backoff" => {
-                    cfg.backoff_base_ms = value
-                        .parse()
-                        .map_err(|_| format!("bad backoff (ms): {value}"))?
-                }
-                "cap" => {
-                    cfg.backoff_cap_ms = value
-                        .parse()
-                        .map_err(|_| format!("bad backoff cap (ms): {value}"))?
-                }
-                other => return Err(format!("unknown chaos key: {other}")),
-            }
+        spec::parse("chaos", KEYS, spec, &mut cfg)?;
+        if cfg.attempts == 0 {
+            return Err("chaos attempts=0: the budget must be at least 1".into());
         }
         Ok(cfg)
     }
 }
+
+/// The `--chaos` vocabulary of the supervisor and the shard coordinator.
+const KEYS: &[Key<ChaosConfig>] = &[
+    ("seed", Count(|c, v| c.seed = v)),
+    ("panic", Prob(|c, v| c.panic = v)),
+    ("torn", Prob(|c, v| c.torn = v)),
+    ("enospc", Prob(|c, v| c.enospc = v)),
+    ("stall", Prob(|c, v| c.stall = v)),
+    ("wkill", Prob(|c, v| c.wkill = v)),
+    ("wstall", Prob(|c, v| c.wstall = v)),
+    // Budgets past u32::MAX saturate; no pass runs that long.
+    (
+        "attempts",
+        Count(|c, v| c.attempts = u32::try_from(v).unwrap_or(u32::MAX)),
+    ),
+    ("backoff", Count(|c, v| c.backoff_base_ms = v)),
+    ("cap", Count(|c, v| c.backoff_cap_ms = v)),
+];
 
 /// The seeded fault schedule. Decisions are a pure function of
 /// `(config seed, wire_id, day_number, hour, attempt)` — evaluating them
@@ -236,15 +206,23 @@ impl ChaosInjector {
         &self.cfg
     }
 
+    /// The schedule hash of one `(salt, cell, attempt)` slot.
+    fn cell_hash(&self, salt: u64, wire_id: u32, day_number: i64, hour: u8, attempt: u32) -> u64 {
+        fold(
+            SCHEDULE_INIT,
+            [
+                self.cfg.seed,
+                salt,
+                u64::from(wire_id),
+                day_number as u64,
+                u64::from(hour),
+                u64::from(attempt),
+            ],
+        )
+    }
+
     fn draw(&self, salt: u64, wire_id: u32, day_number: i64, hour: u8, attempt: u32) -> f64 {
-        unit(fold_hash([
-            self.cfg.seed,
-            salt,
-            u64::from(wire_id),
-            day_number as u64,
-            u64::from(hour),
-            u64::from(attempt),
-        ]))
+        unit(self.cell_hash(salt, wire_id, day_number, hour, attempt))
     }
 
     /// The faults scheduled for one `(cell, attempt)` slot. Torn and
@@ -281,13 +259,16 @@ impl ChaosInjector {
             return WorkerChaos::default();
         }
         let draw = |salt: u64| {
-            unit(fold_hash([
-                self.cfg.seed,
-                salt,
-                u64::from(range_start),
-                u64::from(range_end),
-                u64::from(attempt),
-            ]))
+            unit(fold(
+                SCHEDULE_INIT,
+                [
+                    self.cfg.seed,
+                    salt,
+                    u64::from(range_start),
+                    u64::from(range_end),
+                    u64::from(attempt),
+                ],
+            ))
         };
         let kill = draw(WKILL_SALT) < self.cfg.wkill;
         WorkerChaos {
@@ -308,14 +289,7 @@ impl ChaosInjector {
         let exp = base
             .saturating_mul(1u64 << shift)
             .min(self.cfg.backoff_cap_ms);
-        let jitter = fold_hash([
-            self.cfg.seed,
-            JITTER_SALT,
-            u64::from(wire_id),
-            day_number as u64,
-            u64::from(hour),
-            u64::from(attempt),
-        ]) % base;
+        let jitter = self.cell_hash(JITTER_SALT, wire_id, day_number, hour, attempt) % base;
         exp.saturating_add(jitter).min(self.cfg.backoff_cap_ms)
     }
 }
@@ -335,39 +309,30 @@ mod tests {
         }
     }
 
+    /// The grammar itself is tested in `lockdown_base::spec`; this pins
+    /// the vocabulary: every key of the table lands in its own field.
     #[test]
-    fn parse_roundtrips_every_knob() {
-        let cfg = ChaosConfig::parse(
-            "seed=42,panic=0.1,torn=0.05,enospc=0.02,stall=0.03,wkill=0.2,wstall=0.15,attempts=2,backoff=1,cap=50",
-        )
-        .unwrap();
-        assert_eq!(cfg.seed, 42);
-        assert_eq!(cfg.panic, 0.1);
-        assert_eq!(cfg.torn, 0.05);
-        assert_eq!(cfg.enospc, 0.02);
-        assert_eq!(cfg.stall, 0.03);
-        assert_eq!(cfg.wkill, 0.2);
-        assert_eq!(cfg.wstall, 0.15);
-        assert_eq!(cfg.attempts, 2);
-        assert_eq!(cfg.backoff_base_ms, 1);
-        assert_eq!(cfg.backoff_cap_ms, 50);
-        assert!(!cfg.is_zero());
-    }
-
-    #[test]
-    fn parse_rejects_bad_specs() {
-        for bad in [
-            "panic",
-            "panic=1.5",
-            "panic=-0.1",
-            "attempts=0",
-            "frobnicate=1",
-            "seed=x",
-        ] {
-            assert!(ChaosConfig::parse(bad).is_err(), "should reject: {bad}");
-        }
-        // The empty spec is the zero config with supervision on.
+    fn every_key_of_the_table_round_trips() {
+        let spec = "seed=42,panic=0.1,torn=0.05,enospc=0.02,stall=0.03,wkill=0.2,wstall=0.15,attempts=2,backoff=1,cap=50";
+        assert_eq!(spec.split(',').count(), KEYS.len(), "exercise every key");
+        let want = ChaosConfig {
+            seed: 42,
+            panic: 0.1,
+            torn: 0.05,
+            enospc: 0.02,
+            stall: 0.03,
+            wkill: 0.2,
+            wstall: 0.15,
+            attempts: 2,
+            backoff_base_ms: 1,
+            backoff_cap_ms: 50,
+        };
+        assert_eq!(ChaosConfig::parse(spec), Ok(want));
+        // The empty spec is the zero config with supervision on; a zero
+        // attempt budget is the one value the grammar cannot rule out.
         assert!(ChaosConfig::parse("").unwrap().is_zero());
+        assert!(ChaosConfig::parse("attempts=0").is_err());
+        assert!(ChaosConfig::parse("frobnicate=1").is_err());
     }
 
     #[test]

@@ -20,9 +20,10 @@
 //! — and their sum must equal the total datagram loss; the conservation
 //! auditor checks exactly that (`socket-conservation`).
 //!
-//! [`SocketPlane`] is the cell driver: the same export → deliver → collect
-//! pipeline as [`crate::CollectionPlane`], but with the in-process
-//! [`crate::Transport`] replaced by real localhost UDP. On a zero-loss run
+//! [`SocketPlane`] is the cell driver: the same export and collect stages
+//! as [`crate::CollectionPlane`] (one implementation, `stages.rs`), with
+//! the in-process [`crate::Transport`] between them replaced by real
+//! localhost UDP. On a zero-loss run
 //! its output is byte-identical to the loopback plane's: per-domain
 //! ordering is preserved end to end (one sender, one receiver per socket,
 //! one worker per shard), and the shard's wire-side record tags equal the
@@ -40,12 +41,12 @@ use std::time::{Duration, Instant};
 use lockdown_flow::prelude::*;
 use lockdown_traffic::plan::Cell;
 
-use crate::fleet::{ExporterFleet, FleetConfig};
 use crate::metrics::CollectMetrics;
 use crate::queue::BoundedQueue;
-use crate::shard::{CollectorShard, SequenceUnits, ShardSet};
+use crate::shard::{CollectorShard, ShardSet};
 use crate::socket::{peek, Recv, RecvSocket, SendSocket, RECV_BUF_LEN};
-use crate::{cell_key, volume, WireConfig};
+use crate::stages::Plane;
+use crate::WireConfig;
 
 /// In-flight window for the loopback sender: at most this many datagrams
 /// unaccounted between send and shard ingest. Far below both the queue
@@ -467,6 +468,13 @@ fn await_progress(mut current: impl FnMut() -> u64, target: u64) -> u64 {
     last
 }
 
+/// The real-UDP transit: a [`Collectd`] daemon on localhost sockets and
+/// the socket that sends to it.
+pub struct Sockets {
+    daemon: Collectd,
+    sender: SendSocket,
+}
+
 /// The export → real UDP → collect path for engine cells: the socket
 /// counterpart of [`crate::CollectionPlane`].
 ///
@@ -477,121 +485,37 @@ fn await_progress(mut current: impl FnMut() -> u64, target: u64) -> u64 {
 /// datagram manifest against the workers' received log, and every drop is
 /// attributed to kernel, queue, or truncation. Cells are processed
 /// sequentially (`&mut self`): one daemon, one cycle at a time.
-pub struct SocketPlane {
-    cfg: WireConfig,
-    daemon: Collectd,
-    sender: SendSocket,
-    metrics: Arc<CollectMetrics>,
-    ledger: Option<Arc<lockdown_audit::Ledger>>,
-}
+pub type SocketPlane = Plane<Sockets>;
 
-impl SocketPlane {
+impl Plane<Sockets> {
     /// Bind a daemon per `dcfg` (its format is overridden by
     /// `cfg.format`) and open the sending socket.
     pub fn new(cfg: WireConfig, dcfg: CollectdConfig) -> io::Result<SocketPlane> {
         let metrics = CollectMetrics::new();
-        let daemon = Collectd::bind(
-            &CollectdConfig {
-                format: cfg.format,
-                ..dcfg
-            },
-            Arc::clone(&metrics),
-        )?;
-        Ok(SocketPlane {
-            ledger: cfg.audit.then(|| Arc::new(lockdown_audit::Ledger::new())),
-            cfg,
-            daemon,
+        let dcfg = CollectdConfig {
+            format: cfg.format,
+            ..dcfg
+        };
+        let transit = Sockets {
+            daemon: Collectd::bind(&dcfg, Arc::clone(&metrics))?,
             sender: SendSocket::open()?,
-            metrics,
-        })
-    }
-
-    /// The plane's configuration.
-    pub fn config(&self) -> &WireConfig {
-        &self.cfg
-    }
-
-    /// Shared handle to the plane's (and daemon's) metrics.
-    pub fn metrics(&self) -> Arc<CollectMetrics> {
-        Arc::clone(&self.metrics)
-    }
-
-    /// Shared handle to the conservation ledger, if auditing is on.
-    pub fn ledger(&self) -> Option<Arc<lockdown_audit::Ledger>> {
-        self.ledger.clone()
+        };
+        Ok(Plane::over(cfg, metrics, transit))
     }
 
     /// The daemon's bound socket addresses.
     pub fn addrs(&self) -> &[SocketAddr] {
-        self.daemon.addrs()
-    }
-
-    /// Post what the analysis layer actually consumed for one cell
-    /// (mirrors [`crate::CollectionPlane::note_consumed`]).
-    pub fn note_consumed(&self, cell: &Cell, records: &[FlowRecord]) {
-        if let Some(ledger) = &self.ledger {
-            let consumed = volume(records);
-            ledger.record(cell_key(cell), |c| c.consumed.add(consumed));
-        }
-    }
-
-    /// Audit every cell ledger and return the report (None without
-    /// auditing). Also mirrors the outcome into the `audit_*` metrics.
-    pub fn audit_report(&self) -> Option<lockdown_audit::Report> {
-        let report = self.ledger.as_ref()?.report();
-        self.metrics.audit_cells.set_max(report.cells);
-        self.metrics
-            .audit_violations
-            .set_max(report.violations.len() as u64);
-        Some(report)
+        self.transit.daemon.addrs()
     }
 
     /// Push one engine cell's flows through real UDP sockets and return
     /// what the collector shards accepted (possibly renormalized under
-    /// loss). Mirrors [`crate::CollectionPlane::process_cell`] stage for
-    /// stage.
+    /// loss). The export and collect stages are the ones
+    /// [`crate::CollectionPlane::process_cell`] runs; only the transit
+    /// between them differs.
     pub fn process_cell(&mut self, cell: Cell, flows: &[FlowRecord]) -> Vec<FlowRecord> {
-        let m = &*self.metrics;
-        m.engine_cells_wired.inc();
-        m.engine_flows_wired.add(flows.len() as u64);
-
-        let sid = cell.stream.wire_id();
-        let hour_start = cell.date.at_hour(cell.hour);
-        let now = flows
-            .iter()
-            .map(|f| f.end)
-            .max()
-            .unwrap_or_else(|| hour_start.add_hours(1))
-            .add_secs(1);
-
-        let mut fleet = ExporterFleet::new(
-            FleetConfig {
-                format: self.cfg.format,
-                exporters: self.cfg.exporters,
-                batch_size: self.cfg.batch_size,
-                template_refresh: self.cfg.template_refresh,
-                restart_every: self.cfg.faults.restart_every,
-                initial_sequence: self.cfg.initial_sequence,
-                boot_age_secs: self.cfg.boot_age_secs,
-                sampling: self.cfg.sampling,
-            },
-            sid,
-            hour_start,
-        );
-        let (datagrams, truth) = fleet.export_cell(flows, now);
-        m.exporter_sessions.add(fleet.len() as u64);
-        m.exporter_datagrams.add(truth.datagrams);
-        m.exporter_records.add(truth.sent_records);
-        m.exporter_restarts.add(truth.restarts);
-        m.exporter_fleet_size.set_max(fleet.len() as u64);
-
-        let exported = lockdown_audit::Counts {
-            records: datagrams.iter().map(|d| u64::from(d.records)).sum(),
-            bytes: datagrams.iter().map(|d| d.flow_bytes).sum(),
-            packets: datagrams.iter().map(|d| d.flow_packets).sum(),
-        };
-        let offered = datagrams.len() as u64;
-        let export_units: u64 = truth.sessions.iter().map(|s| s.units_sent).sum();
+        let format = self.cfg.format;
+        let (datagrams, exported) = self.export(&cell, flows);
 
         // The sender's manifest: identity triple → ground-truth volume.
         // Diffed against the workers' received log after the drain, this
@@ -600,14 +524,14 @@ impl SocketPlane {
         let mut manifest: HashMap<(u32, u32, u32), lockdown_audit::Counts> =
             HashMap::with_capacity(datagrams.len());
         for dg in &datagrams {
-            if self.cfg.format == ExportFormat::NetflowV5 {
+            if format == ExportFormat::NetflowV5 {
                 assert!(
                     dg.domain <= 0xFFFF,
                     "v5 carries the domain in 16 engine bits; domain {} does not fit",
                     dg.domain
                 );
             }
-            let seq = peek(self.cfg.format, &dg.bytes).map_or(0, |p| p.sequence);
+            let seq = peek(format, &dg.bytes).map_or(0, |p| p.sequence);
             let prior = manifest.insert(
                 (dg.domain, seq, dg.bytes.len() as u32),
                 lockdown_audit::Counts {
@@ -623,16 +547,16 @@ impl SocketPlane {
         // (sequential sends, one socket per domain, one worker per shard);
         // the window additionally guarantees zero loss by keeping the
         // in-flight count far below every buffer bound.
-        let addrs = self.daemon.addrs().to_vec();
-        let base_accounted = self.daemon.accounted();
-        let base_received = self.daemon.socket_received();
+        let addrs = self.transit.daemon.addrs().to_vec();
+        let base_accounted = self.transit.daemon.accounted();
+        let base_received = self.transit.daemon.socket_received();
         let mut sent: u64 = 0;
         let mut written_off: u64 = 0;
         for dg in &datagrams {
             if sent >= SEND_WINDOW {
                 let target = sent - SEND_WINDOW + 1;
                 let got = await_progress(
-                    || self.daemon.accounted() - base_accounted + written_off,
+                    || self.transit.daemon.accounted() - base_accounted + written_off,
                     target,
                 );
                 // Quiescence with the window still full: the remainder was
@@ -640,22 +564,24 @@ impl SocketPlane {
                 written_off += target.saturating_sub(got);
             }
             let _ = self
+                .transit
                 .sender
                 .send_to(&dg.bytes, addrs[dg.domain as usize % addrs.len()]);
             sent += 1;
         }
         // Drain barrier: everything sent is accounted (or written off as
         // kernel-dropped) before the cycle closes.
-        let got = await_progress(
-            || self.daemon.accounted() - base_accounted + written_off,
+        await_progress(
+            || self.transit.daemon.accounted() - base_accounted + written_off,
             sent,
         );
-        let _ = got;
 
-        let cycle = self.daemon.close_cycle();
-        let received_now = self.daemon.socket_received();
+        let cycle = self.transit.daemon.close_cycle();
+        let received_now = self.transit.daemon.socket_received();
         let kernel_dropped = sent.saturating_sub(received_now - base_received);
-        m.socket_datagrams_kernel_dropped.add(kernel_dropped);
+        self.metrics
+            .socket_datagrams_kernel_dropped
+            .add(kernel_dropped);
 
         // Manifest diff: what the workers logged is delivered; the
         // remainder is dropped, with exact record/byte/packet volume.
@@ -665,71 +591,25 @@ impl SocketPlane {
                 delivered += 1;
             }
         }
-        let dropped_datagrams = manifest.len() as u64;
         let mut dropped = lockdown_audit::Counts::default();
         for counts in manifest.values() {
             dropped.add(*counts);
         }
-
-        let mut shards = cycle.shards;
-        let records = shards.close(&truth.sessions, self.cfg.renormalize);
-        let t = shards.totals();
-        m.collector_datagrams.add(t.datagrams);
-        m.collector_records.add(t.records_accepted);
-        m.collector_sequence_gaps.add(t.sequence_gaps);
-        m.collector_records_lost_est.add(t.records_lost_est);
-        m.collector_missing_template_sets
-            .add(t.missing_template_sets);
-        m.collector_datagrams_buffered.add(t.buffered);
-        m.collector_duplicates_rejected.add(t.duplicates);
-        m.collector_malformed.add(t.malformed);
-        m.collector_restarts_detected.add(t.restarts_detected);
-        m.collector_records_renormalized.add(t.records_renormalized);
-        m.collector_shards.set_max(self.cfg.shards as u64);
-        m.engine_flows_delivered.add(records.len() as u64);
-
-        if let Some(ledger) = &self.ledger {
-            let generated = volume(flows);
-            let units_exact = SequenceUnits::for_format(self.cfg.format) != SequenceUnits::Packets;
-            let sampling = self.cfg.sampling.is_some_and(|r| r > 1);
-            ledger.record(cell_key(&cell), |c| {
-                c.generated.add(generated);
-                c.sampled_out += truth.sampled_out;
-                c.exported.add(exported);
-                c.export_units += export_units;
-                c.offered_datagrams += offered;
-                c.delivered_datagrams += delivered;
-                c.dropped_datagrams += dropped_datagrams;
-                c.dropped.add(dropped);
-                c.accepted.add(lockdown_audit::Counts {
-                    records: t.records_accepted,
-                    bytes: t.bytes_accepted,
-                    packets: t.packets_accepted,
-                });
-                c.rejected_duplicate += t.records_duplicate;
-                c.rejected_anomalous += t.records_anomalous;
-                c.rejected_malformed += t.records_malformed;
-                c.undecoded += t.records_undecoded;
-                c.abandoned_records += t.records_abandoned;
-                c.abandoned_units += t.units_abandoned;
-                c.est_lost += t.records_lost_est;
-                c.renorm_bytes_added += t.renorm_bytes_added;
-                c.renorm_packets_added += t.renorm_packets_added;
-                c.renorm_clipped += t.renorm_clipped;
-                c.units_exact = units_exact;
-                c.sampling = sampling;
-                c.socket = true;
-                c.socket_kernel_dropped += kernel_dropped;
-                c.socket_queue_dropped += cycle.queue_dropped;
-                c.socket_truncated += cycle.truncated_datagrams;
-            });
-        }
-        records
+        let dropped_datagrams = manifest.len() as u64;
+        self.collect(&cell, flows, exported, cycle.shards, |c| {
+            c.delivered_datagrams += delivered;
+            c.dropped_datagrams += dropped_datagrams;
+            c.dropped.add(dropped);
+            c.socket = true;
+            c.socket_kernel_dropped += kernel_dropped;
+            c.socket_queue_dropped += cycle.queue_dropped;
+            c.socket_truncated += cycle.truncated_datagrams;
+        })
     }
 
     /// Shut the daemon down (joins every thread). Also runs on drop.
     pub fn shutdown(&mut self) {
-        self.daemon.shutdown();
+        self.transit.daemon.shutdown();
     }
 }
 

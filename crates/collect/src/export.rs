@@ -24,9 +24,10 @@ use lockdown_flow::time::Date;
 use lockdown_topology::vantage::VantagePoint;
 use lockdown_traffic::plan::{Cell, Stream};
 
-use crate::fleet::{ExporterFleet, FleetConfig};
+use crate::fleet::ExporterFleet;
 use crate::soak::soak_flows;
 use crate::socket::SendSocket;
+use crate::WireConfig;
 
 /// Shape of one export run against a remote collectd.
 #[derive(Debug, Clone)]
@@ -110,6 +111,16 @@ pub fn run(cfg: &ExportConfig) -> io::Result<ExportSummary> {
         datagrams_sent: 0,
         bytes_sent: 0,
     };
+    let fleet_cfg = WireConfig {
+        format: cfg.format,
+        exporters: cfg.exporters,
+        batch_size: cfg.batch_size,
+        // Self-describing datagrams: the daemon decodes every arrival
+        // without needing to have seen session start.
+        template_refresh: 1,
+        ..WireConfig::new()
+    }
+    .fleet_config();
     for c in 0..cfg.cells {
         let cell = Cell {
             stream: Stream::Vantage(VantagePoint::IxpCe),
@@ -117,18 +128,7 @@ pub fn run(cfg: &ExportConfig) -> io::Result<ExportSummary> {
             hour: (c % 24) as u8,
         };
         let mut fleet = ExporterFleet::new(
-            FleetConfig {
-                format: cfg.format,
-                exporters: cfg.exporters,
-                batch_size: cfg.batch_size,
-                // Self-describing datagrams: the daemon decodes every
-                // arrival without needing to have seen session start.
-                template_refresh: 1,
-                restart_every: 0,
-                initial_sequence: 0,
-                boot_age_secs: 0,
-                sampling: None,
-            },
+            fleet_cfg,
             cell.stream.wire_id(),
             cell.date.at_hour(cell.hour),
         );

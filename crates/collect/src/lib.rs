@@ -28,14 +28,13 @@ pub mod export;
 pub mod fleet;
 pub mod metrics;
 pub mod queue;
-mod rng;
 pub mod shard;
 pub mod soak;
 pub mod socket;
+mod stages;
 pub mod transport;
 
-use std::sync::Arc;
-
+use lockdown_base::hash::fold;
 use lockdown_flow::prelude::*;
 use lockdown_traffic::plan::Cell;
 
@@ -43,13 +42,19 @@ pub use daemon::{Collectd, CollectdConfig, Cycle, ReceivedDatagram, SocketPlane}
 pub use export::{ExportConfig, ExportSummary};
 pub use fleet::{DomainTruth, ExporterFleet, FleetConfig, FleetTruth, WireDatagram};
 pub use lockdown_audit as audit;
-pub use metrics::{CollectMetrics, Metric, MetricKind, MetricsRegistry};
+pub use metrics::CollectMetrics;
 pub use queue::BoundedQueue;
 pub use shard::{
     CollectorShard, Observation, SequenceTracker, SequenceUnits, ShardSet, ShardTotals,
 };
 pub use socket::{peek, Recv, RecvSocket, SendSocket, WirePeek, MAX_UDP_PAYLOAD, RECV_BUF_LEN};
+pub use stages::Plane;
 pub use transport::{FaultProfile, Transport, TransportReport};
+
+/// Initial constant of the per-cell seed fold over `(seed, stream, day,
+/// hour)`. Historical: every `--loss/--reorder/--dup` schedule is pinned
+/// to it (`lockdown_base::hash` tests hold the vector).
+const CELL_SEED_INIT: u64 = 0x51_7C_C1_B7_27_22_0A_95;
 
 /// Domain separator so transport fault draws never correlate with any
 /// other consumer of the cell seed.
@@ -123,6 +128,20 @@ impl WireConfig {
         self.audit = audit;
         self
     }
+
+    /// The per-cell exporter-fleet configuration this wire path implies.
+    pub fn fleet_config(&self) -> FleetConfig {
+        FleetConfig {
+            format: self.format,
+            exporters: self.exporters,
+            batch_size: self.batch_size,
+            template_refresh: self.template_refresh,
+            restart_every: self.faults.restart_every,
+            initial_sequence: self.initial_sequence,
+            boot_age_secs: self.boot_age_secs,
+            sampling: self.sampling,
+        }
+    }
 }
 
 impl Default for WireConfig {
@@ -131,228 +150,60 @@ impl Default for WireConfig {
     }
 }
 
-/// The export → transport → collect path for engine cells.
-///
-/// The plane is `Sync`: per-cell state (fleet, transport, shards) is built
-/// inside [`CollectionPlane::process_cell`] from the cell's deterministic
-/// seed, and the shared metrics are atomic, so engine workers can process
-/// disjoint cells concurrently without coordination.
+/// The in-process transit: the seeded fault-injecting [`Transport`].
 #[derive(Debug)]
-pub struct CollectionPlane {
-    cfg: WireConfig,
-    metrics: Arc<CollectMetrics>,
-    ledger: Option<Arc<lockdown_audit::Ledger>>,
-}
+pub struct Loopback;
 
-/// The audit key of one engine cell.
-pub(crate) fn cell_key(cell: &Cell) -> lockdown_audit::CellKey {
-    lockdown_audit::CellKey {
-        wire_id: cell.stream.wire_id(),
-        day_number: cell.date.day_number(),
-        hour: cell.hour,
-    }
-}
+/// The export → transport → collect path for engine cells, all in
+/// process. `Sync`, so engine workers share one plane.
+pub type CollectionPlane = Plane<Loopback>;
 
-/// Record/byte/packet volume of a record slice.
-pub(crate) fn volume(records: &[FlowRecord]) -> lockdown_audit::Counts {
-    lockdown_audit::Counts {
-        records: records.len() as u64,
-        bytes: records.iter().map(|r| r.bytes).sum(),
-        packets: records.iter().map(|r| r.packets).sum(),
-    }
-}
-
-impl CollectionPlane {
+impl Plane<Loopback> {
     /// A plane with a fresh metrics registry (and, when the configuration
     /// asks for auditing, a fresh conservation ledger).
     pub fn new(cfg: WireConfig) -> CollectionPlane {
-        CollectionPlane {
-            metrics: CollectMetrics::new(),
-            ledger: cfg.audit.then(|| Arc::new(lockdown_audit::Ledger::new())),
-            cfg,
-        }
-    }
-
-    /// The plane's configuration.
-    pub fn config(&self) -> &WireConfig {
-        &self.cfg
-    }
-
-    /// Shared handle to the plane's metrics.
-    pub fn metrics(&self) -> Arc<CollectMetrics> {
-        Arc::clone(&self.metrics)
-    }
-
-    /// Shared handle to the conservation ledger, if auditing is on.
-    pub fn ledger(&self) -> Option<Arc<lockdown_audit::Ledger>> {
-        self.ledger.clone()
-    }
-
-    /// Post what the analysis layer actually consumed for one cell. Called
-    /// by the engine after [`CollectionPlane::process_cell`], closing the
-    /// last link of the conservation chain. No-op without auditing.
-    pub fn note_consumed(&self, cell: &Cell, records: &[FlowRecord]) {
-        if let Some(ledger) = &self.ledger {
-            let consumed = volume(records);
-            ledger.record(cell_key(cell), |c| c.consumed.add(consumed));
-        }
-    }
-
-    /// Record an injected exporter stall for one cell: the fleet timed
-    /// out before delivering, so the attempt is abandoned and the
-    /// supervisor retries. Only the stall counter moves — conservation
-    /// stages are posted by the (later, successful) attempt.
-    pub fn note_stalled(&self, _cell: &Cell) {
-        self.metrics.exporter_stalls.inc();
-    }
-
-    /// Mark one cell quarantined in the conservation ledger: it exhausted
-    /// its attempt budget and never delivered, so the auditor must not
-    /// hold it to the usual conservation identities. No-op without
-    /// auditing.
-    pub fn note_quarantined(&self, cell: &Cell) {
-        if let Some(ledger) = &self.ledger {
-            ledger.record(cell_key(cell), |c| c.quarantined = true);
-        }
-    }
-
-    /// Audit every cell ledger and return the report (None without
-    /// auditing). Also mirrors the outcome into the `audit_*` metrics.
-    pub fn audit_report(&self) -> Option<lockdown_audit::Report> {
-        let report = self.ledger.as_ref()?.report();
-        self.metrics.audit_cells.set_max(report.cells);
-        self.metrics
-            .audit_violations
-            .set_max(report.violations.len() as u64);
-        Some(report)
+        Plane::over(cfg, CollectMetrics::new(), Loopback)
     }
 
     /// Push one engine cell's flows through the wire and return what the
     /// collector shards accepted (possibly renormalized under loss).
     pub fn process_cell(&self, cell: Cell, flows: &[FlowRecord]) -> Vec<FlowRecord> {
-        let m = &*self.metrics;
-        m.engine_cells_wired.inc();
-        m.engine_flows_wired.add(flows.len() as u64);
+        let cfg = &self.cfg;
+        let (datagrams, exported) = self.export(&cell, flows);
 
-        let sid = cell.stream.wire_id();
-        let hour_start = cell.date.at_hour(cell.hour);
-        let cell_seed = rng::mix(&[
-            self.cfg.seed,
-            u64::from(sid),
-            cell.date.day_number() as u64,
-            u64::from(cell.hour),
-        ]);
-        // Export strictly after the last flow ends so uptime-relative
-        // encodings (v5/v9) can express every timestamp.
-        let now = flows
-            .iter()
-            .map(|f| f.end)
-            .max()
-            .unwrap_or_else(|| hour_start.add_hours(1))
-            .add_secs(1);
-
-        let mut fleet = ExporterFleet::new(
-            FleetConfig {
-                format: self.cfg.format,
-                exporters: self.cfg.exporters,
-                batch_size: self.cfg.batch_size,
-                template_refresh: self.cfg.template_refresh,
-                restart_every: self.cfg.faults.restart_every,
-                initial_sequence: self.cfg.initial_sequence,
-                boot_age_secs: self.cfg.boot_age_secs,
-                sampling: self.cfg.sampling,
-            },
-            sid,
-            hour_start,
+        let cell_seed = fold(
+            CELL_SEED_INIT,
+            [
+                cfg.seed,
+                u64::from(cell.stream.wire_id()),
+                cell.date.day_number() as u64,
+                u64::from(cell.hour),
+            ],
         );
-        let (datagrams, truth) = fleet.export_cell(flows, now);
-        m.exporter_sessions.add(fleet.len() as u64);
-        m.exporter_datagrams.add(truth.datagrams);
-        m.exporter_records.add(truth.sent_records);
-        m.exporter_restarts.add(truth.restarts);
-        m.exporter_fleet_size.set_max(fleet.len() as u64);
-
-        // Snapshot the export-side ground truth before the transport takes
-        // ownership of the datagrams.
-        let wire_truth = self.ledger.is_some().then(|| {
-            let exported = lockdown_audit::Counts {
-                records: datagrams.iter().map(|d| u64::from(d.records)).sum(),
-                bytes: datagrams.iter().map(|d| d.flow_bytes).sum(),
-                packets: datagrams.iter().map(|d| d.flow_packets).sum(),
-            };
-            let units: u64 = truth.sessions.iter().map(|s| s.units_sent).sum();
-            (exported, datagrams.len() as u64, units)
-        });
-
-        let transport = Transport::new(self.cfg.faults, cell_seed ^ TRANSPORT_SALT);
+        let transport = Transport::new(cfg.faults, cell_seed ^ TRANSPORT_SALT);
         let (delivered, tr) = transport.deliver(datagrams);
+        let m = &*self.metrics;
         m.transport_datagrams_delivered.add(tr.delivered);
         m.transport_datagrams_dropped.add(tr.dropped_datagrams);
         m.transport_records_dropped.add(tr.dropped_records);
         m.transport_datagrams_duplicated.add(tr.duplicated);
         m.transport_datagrams_reordered.add(tr.reordered);
 
-        let mut shards = ShardSet::new(self.cfg.shards, self.cfg.format);
+        let mut shards = ShardSet::new(cfg.shards, cfg.format);
         for dg in &delivered {
             shards.ingest(dg);
         }
-        let records = shards.close(&truth.sessions, self.cfg.renormalize);
-        let t = shards.totals();
-        m.collector_datagrams.add(t.datagrams);
-        m.collector_records.add(t.records_accepted);
-        m.collector_sequence_gaps.add(t.sequence_gaps);
-        m.collector_records_lost_est.add(t.records_lost_est);
-        m.collector_missing_template_sets
-            .add(t.missing_template_sets);
-        m.collector_datagrams_buffered.add(t.buffered);
-        m.collector_duplicates_rejected.add(t.duplicates);
-        m.collector_malformed.add(t.malformed);
-        m.collector_restarts_detected.add(t.restarts_detected);
-        m.collector_records_renormalized.add(t.records_renormalized);
-        m.collector_shards.set_max(self.cfg.shards as u64);
-        m.engine_flows_delivered.add(records.len() as u64);
-
-        if let Some(ledger) = &self.ledger {
-            let (exported, offered, export_units) =
-                wire_truth.expect("wire truth snapshot exists when auditing");
-            let generated = volume(flows);
-            let units_exact = SequenceUnits::for_format(self.cfg.format) != SequenceUnits::Packets;
-            let sampling = self.cfg.sampling.is_some_and(|r| r > 1);
-            ledger.record(cell_key(&cell), |c| {
-                c.generated.add(generated);
-                c.sampled_out += truth.sampled_out;
-                c.exported.add(exported);
-                c.export_units += export_units;
-                c.offered_datagrams += offered;
-                c.delivered_datagrams += tr.delivered;
-                c.dropped_datagrams += tr.dropped_datagrams;
-                c.dropped.add(lockdown_audit::Counts {
-                    records: tr.dropped_records,
-                    bytes: tr.dropped_bytes,
-                    packets: tr.dropped_packets,
-                });
-                c.duplicated_datagrams += tr.duplicated;
-                c.duplicated_records += tr.duplicated_records;
-                c.accepted.add(lockdown_audit::Counts {
-                    records: t.records_accepted,
-                    bytes: t.bytes_accepted,
-                    packets: t.packets_accepted,
-                });
-                c.rejected_duplicate += t.records_duplicate;
-                c.rejected_anomalous += t.records_anomalous;
-                c.rejected_malformed += t.records_malformed;
-                c.undecoded += t.records_undecoded;
-                c.abandoned_records += t.records_abandoned;
-                c.abandoned_units += t.units_abandoned;
-                c.est_lost += t.records_lost_est;
-                c.renorm_bytes_added += t.renorm_bytes_added;
-                c.renorm_packets_added += t.renorm_packets_added;
-                c.renorm_clipped += t.renorm_clipped;
-                c.units_exact = units_exact;
-                c.sampling = sampling;
+        self.collect(&cell, flows, exported, shards, |c| {
+            c.delivered_datagrams += tr.delivered;
+            c.dropped_datagrams += tr.dropped_datagrams;
+            c.dropped.add(lockdown_audit::Counts {
+                records: tr.dropped_records,
+                bytes: tr.dropped_bytes,
+                packets: tr.dropped_packets,
             });
-        }
-        records
+            c.duplicated_datagrams += tr.duplicated;
+            c.duplicated_records += tr.duplicated_records;
+        })
     }
 }
 

@@ -1,413 +1,128 @@
-//! Atomic metrics registry with a Prometheus-style text rendering.
+//! The collection plane's metric family: `exporter_*`, `transport_*`,
+//! `socket_*`, `queue_*`, `collector_*`, `engine_*` and `audit_*`,
+//! declared once over the shared `lockdown_base::metrics` registry.
 //!
-//! Every counter is a plain [`AtomicU64`] updated with relaxed ordering:
-//! all increments are sums of per-cell, content-derived event counts, so a
+//! All increments are sums of per-cell, content-derived event counts, so a
 //! snapshot taken after an engine run is identical regardless of how many
 //! worker threads processed the cells.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-/// Whether a metric is a monotonically increasing counter or a
-/// last-write/maximum gauge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricKind {
-    /// Monotonically increasing event count (rendered as `counter`).
-    Counter,
-    /// Point-in-time value (rendered as `gauge`).
-    Gauge,
-}
-
-impl MetricKind {
-    fn as_str(self) -> &'static str {
-        match self {
-            MetricKind::Counter => "counter",
-            MetricKind::Gauge => "gauge",
-        }
-    }
-}
-
-/// One named metric backed by an atomic value.
-#[derive(Debug)]
-pub struct Metric {
-    name: &'static str,
-    help: &'static str,
-    kind: MetricKind,
-    value: AtomicU64,
-}
-
-impl Metric {
-    /// Metric name as rendered in the snapshot.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// One-line description rendered as the `# HELP` comment.
-    pub fn help(&self) -> &'static str {
-        self.help
-    }
-
-    /// Counter or gauge.
-    pub fn kind(&self) -> MetricKind {
-        self.kind
-    }
-
-    /// Add `v` to the metric.
-    pub fn add(&self, v: u64) {
-        self.value.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Add one to the metric.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Set a gauge to `v` unconditionally.
-    pub fn set(&self, v: u64) {
-        self.value.store(v, Ordering::Relaxed);
-    }
-
-    /// Raise a gauge to `v` if larger (commutative, so safe across workers).
-    pub fn set_max(&self, v: u64) {
-        self.value.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// An ordered collection of metrics, rendered sorted by name.
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    metrics: Vec<Arc<Metric>>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> MetricsRegistry {
-        MetricsRegistry::default()
-    }
-
-    /// Register a counter and return a shared handle to it.
-    pub fn counter(&mut self, name: &'static str, help: &'static str) -> Arc<Metric> {
-        self.register(name, help, MetricKind::Counter)
-    }
-
-    /// Register a gauge and return a shared handle to it.
-    pub fn gauge(&mut self, name: &'static str, help: &'static str) -> Arc<Metric> {
-        self.register(name, help, MetricKind::Gauge)
-    }
-
-    fn register(
-        &mut self,
-        name: &'static str,
-        help: &'static str,
-        kind: MetricKind,
-    ) -> Arc<Metric> {
-        assert!(
-            self.find(name).is_none(),
-            "duplicate metric registration: {name}"
-        );
-        let m = Arc::new(Metric {
-            name,
-            help,
-            kind,
-            value: AtomicU64::new(0),
-        });
-        self.metrics.push(Arc::clone(&m));
-        m
-    }
-
-    /// Look up a metric by name.
-    pub fn find(&self, name: &str) -> Option<&Arc<Metric>> {
-        self.metrics.iter().find(|m| m.name == name)
-    }
-
-    /// All registered metrics in registration order.
-    pub fn metrics(&self) -> &[Arc<Metric>] {
-        &self.metrics
-    }
-
-    /// Render a Prometheus-style text snapshot, sorted by metric name so the
-    /// output is stable regardless of registration order.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
-    }
-
-    /// Append this registry's snapshot to `out`. Lets callers that hold
-    /// several registries (the wire plane's plus the archive store's)
-    /// compose one combined snapshot.
-    pub fn render_into(&self, out: &mut String) {
-        let mut sorted: Vec<&Arc<Metric>> = self.metrics.iter().collect();
-        sorted.sort_by_key(|m| m.name);
-        for m in sorted {
-            out.push_str(&format!("# HELP {} {}\n", m.name, m.help));
-            out.push_str(&format!("# TYPE {} {}\n", m.name, m.kind.as_str()));
-            out.push_str(&format!("{} {}\n", m.name, m.get()));
-        }
-    }
-}
-
-/// The full metric set of the collection plane, grouped by pipeline layer:
-/// `exporter_*`, `transport_*`, `collector_*` and `engine_*` families.
-#[derive(Debug)]
-pub struct CollectMetrics {
-    registry: MetricsRegistry,
-    /// Per-cell exporter sessions opened (one per fleet member per cell).
-    pub exporter_sessions: Arc<Metric>,
-    /// Datagrams emitted by exporters.
-    pub exporter_datagrams: Arc<Metric>,
-    /// Flow records pushed through exporters.
-    pub exporter_records: Arc<Metric>,
-    /// Scheduled exporter restarts applied.
-    pub exporter_restarts: Arc<Metric>,
-    /// Configured exporters per stream (gauge).
-    pub exporter_fleet_size: Arc<Metric>,
-    /// Datagrams the transport delivered (duplicates included).
-    pub transport_datagrams_delivered: Arc<Metric>,
-    /// Datagrams the transport dropped.
-    pub transport_datagrams_dropped: Arc<Metric>,
-    /// Ground-truth flow records inside dropped datagrams.
-    pub transport_records_dropped: Arc<Metric>,
-    /// Datagrams duplicated in flight.
-    pub transport_datagrams_duplicated: Arc<Metric>,
-    /// Adjacent datagram swaps applied in flight.
-    pub transport_datagrams_reordered: Arc<Metric>,
-    /// Datagrams read off collectd's UDP sockets (truncated reads included).
-    pub socket_datagrams_received: Arc<Metric>,
-    /// Payload bytes read off collectd's UDP sockets.
-    pub socket_bytes_received: Arc<Metric>,
-    /// Datagrams cut by the kernel at recv (dropped at the socket, never
-    /// decoded; counted separately from queue drops).
-    pub socket_datagrams_truncated: Arc<Metric>,
-    /// Header-claimed records inside truncated datagrams.
-    pub socket_records_truncated: Arc<Metric>,
-    /// Datagrams the kernel dropped before recv (sent minus received,
-    /// settled at cycle drain).
-    pub socket_datagrams_kernel_dropped: Arc<Metric>,
-    /// Datagrams dropped at a full shard queue (dropped at the queue, not
-    /// the socket; backpressure made explicit).
-    pub queue_datagrams_dropped: Arc<Metric>,
-    /// Configured per-shard queue bound (gauge).
-    pub queue_capacity: Arc<Metric>,
-    /// Bound collectd receive sockets (gauge).
-    pub socket_receivers: Arc<Metric>,
-    /// Kernel-granted `SO_RCVBUF` per receive socket, in bytes (gauge;
-    /// the kernel default when no `--rcvbuf` tuning was requested).
-    pub socket_rcvbuf_bytes: Arc<Metric>,
-    /// Datagrams presented to collector shards.
-    pub collector_datagrams: Arc<Metric>,
-    /// Flow records accepted by collector shards.
-    pub collector_records: Arc<Metric>,
-    /// Sequence-gap events observed across all domain sessions.
-    pub collector_sequence_gaps: Arc<Metric>,
-    /// Estimated records lost, from sequence accounting at session close.
-    pub collector_records_lost_est: Arc<Metric>,
-    /// Data sets skipped because their template was not yet known.
-    pub collector_missing_template_sets: Arc<Metric>,
-    /// Undecodable datagrams buffered awaiting a template.
-    pub collector_datagrams_buffered: Arc<Metric>,
-    /// Duplicate datagrams rejected by sequence tracking.
-    pub collector_duplicates_rejected: Arc<Metric>,
-    /// Malformed datagrams rejected by shards.
-    pub collector_malformed: Arc<Metric>,
-    /// Exporter restarts detected from boot-epoch shifts (v9 only).
-    pub collector_restarts_detected: Arc<Metric>,
-    /// Records scaled by loss-aware renormalization at session close.
-    pub collector_records_renormalized: Arc<Metric>,
-    /// Configured collector shards (gauge).
-    pub collector_shards: Arc<Metric>,
-    /// Engine cells routed through the wire path.
-    pub engine_cells_wired: Arc<Metric>,
-    /// Generated flow records entering the wire path.
-    pub engine_flows_wired: Arc<Metric>,
-    /// Flow records delivered back to the engine after collection.
-    pub engine_flows_delivered: Arc<Metric>,
-    /// Injected exporter stall timeouts (the chaos surface; the attempt
-    /// is abandoned and the supervisor retries the cell).
-    pub exporter_stalls: Arc<Metric>,
-    /// Cells covered by the conservation audit (gauge; 0 when auditing
-    /// is off).
-    pub audit_cells: Arc<Metric>,
-    /// Conservation-identity violations found by the audit (gauge).
-    pub audit_violations: Arc<Metric>,
-}
-
-impl CollectMetrics {
-    /// Build the full metric set inside a fresh registry.
-    pub fn new() -> Arc<CollectMetrics> {
-        let mut r = MetricsRegistry::new();
-        Arc::new(CollectMetrics {
-            exporter_sessions: r.counter(
-                "exporter_sessions_total",
-                "Per-cell exporter sessions opened",
-            ),
-            exporter_datagrams: r.counter("exporter_datagrams_total", "Datagrams emitted"),
-            exporter_records: r.counter("exporter_records_total", "Flow records exported"),
-            exporter_restarts: r.counter("exporter_restarts_total", "Scheduled exporter restarts"),
-            exporter_fleet_size: r.gauge("exporter_fleet_size", "Configured exporters per stream"),
-            transport_datagrams_delivered: r.counter(
-                "transport_datagrams_delivered_total",
-                "Datagrams delivered (duplicates included)",
-            ),
-            transport_datagrams_dropped: r.counter(
-                "transport_datagrams_dropped_total",
-                "Datagrams dropped in flight",
-            ),
-            transport_records_dropped: r.counter(
-                "transport_records_dropped_total",
-                "Ground-truth records inside dropped datagrams",
-            ),
-            transport_datagrams_duplicated: r.counter(
-                "transport_datagrams_duplicated_total",
-                "Datagrams duplicated in flight",
-            ),
-            transport_datagrams_reordered: r.counter(
-                "transport_datagrams_reordered_total",
-                "Adjacent datagram swaps applied",
-            ),
-            socket_datagrams_received: r.counter(
-                "socket_datagrams_received_total",
-                "Datagrams read off collectd UDP sockets",
-            ),
-            socket_bytes_received: r.counter(
-                "socket_bytes_received_total",
-                "Payload bytes read off collectd UDP sockets",
-            ),
-            socket_datagrams_truncated: r.counter(
-                "socket_datagrams_truncated_total",
-                "Datagrams cut by the kernel at recv (never decoded)",
-            ),
-            socket_records_truncated: r.counter(
-                "socket_records_truncated_total",
-                "Header-claimed records inside truncated datagrams",
-            ),
-            socket_datagrams_kernel_dropped: r.counter(
-                "socket_datagrams_kernel_dropped_total",
-                "Datagrams dropped by the kernel before recv",
-            ),
-            queue_datagrams_dropped: r.counter(
-                "queue_datagrams_dropped_total",
-                "Datagrams dropped at a full shard queue",
-            ),
-            queue_capacity: r.gauge("queue_capacity", "Configured per-shard queue bound"),
-            socket_receivers: r.gauge("socket_receivers", "Bound collectd receive sockets"),
-            socket_rcvbuf_bytes: r.gauge(
-                "socket_rcvbuf_bytes",
-                "Kernel-granted SO_RCVBUF per receive socket",
-            ),
-            collector_datagrams: r
-                .counter("collector_datagrams_total", "Datagrams presented to shards"),
-            collector_records: r.counter("collector_records_total", "Records accepted by shards"),
-            collector_sequence_gaps: r.counter(
-                "collector_sequence_gaps_total",
-                "Sequence-gap events observed",
-            ),
-            collector_records_lost_est: r.counter(
-                "collector_records_lost_est_total",
-                "Estimated records lost (sequence accounting)",
-            ),
-            collector_missing_template_sets: r.counter(
-                "collector_missing_template_sets_total",
-                "Data sets skipped for lack of a template",
-            ),
-            collector_datagrams_buffered: r.counter(
-                "collector_datagrams_buffered_total",
-                "Undecodable datagrams buffered awaiting a template",
-            ),
-            collector_duplicates_rejected: r.counter(
-                "collector_duplicates_rejected_total",
-                "Duplicate datagrams rejected",
-            ),
-            collector_malformed: r.counter("collector_malformed_total", "Malformed datagrams"),
-            collector_restarts_detected: r.counter(
-                "collector_restarts_detected_total",
-                "Exporter restarts detected from boot-epoch shifts",
-            ),
-            collector_records_renormalized: r.counter(
-                "collector_records_renormalized_total",
-                "Records scaled by loss-aware renormalization",
-            ),
-            collector_shards: r.gauge("collector_shards", "Configured collector shards"),
-            engine_cells_wired: r.counter(
-                "engine_cells_wired_total",
-                "Engine cells routed through the wire path",
-            ),
-            engine_flows_wired: r.counter(
-                "engine_flows_wired_total",
-                "Generated records entering the wire path",
-            ),
-            engine_flows_delivered: r.counter(
-                "engine_flows_delivered_total",
-                "Records delivered back to the engine",
-            ),
-            exporter_stalls: r.counter(
-                "exporter_stalls_total",
-                "Injected exporter stall timeouts (attempt abandoned and retried)",
-            ),
-            audit_cells: r.gauge("audit_cells", "Cells covered by the conservation audit"),
-            audit_violations: r.gauge(
-                "audit_violations",
-                "Conservation-identity violations found by the audit",
-            ),
-            registry: r,
-        })
-    }
-
-    /// The underlying registry (for lookups and custom rendering).
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-
-    /// Prometheus-style text snapshot of every metric, sorted by name.
-    pub fn render(&self) -> String {
-        self.registry.render()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn render_is_sorted_and_typed() {
-        let m = CollectMetrics::new();
-        m.exporter_datagrams.add(7);
-        m.collector_shards.set(4);
-        let text = m.render();
-        assert!(text.contains("# TYPE exporter_datagrams_total counter"));
-        assert!(text.contains("exporter_datagrams_total 7"));
-        assert!(text.contains("# TYPE collector_shards gauge"));
-        assert!(text.contains("collector_shards 4"));
-        // Sorted by name: sample lines appear in lexicographic order.
-        let names: Vec<&str> = text
-            .lines()
-            .filter(|l| !l.starts_with('#'))
-            .map(|l| l.split(' ').next().unwrap())
-            .collect();
-        let mut sorted = names.clone();
-        sorted.sort_unstable();
-        assert_eq!(names, sorted);
-    }
-
-    #[test]
-    fn set_max_is_commutative() {
-        let m = CollectMetrics::new();
-        m.collector_shards.set_max(2);
-        m.collector_shards.set_max(8);
-        m.collector_shards.set_max(4);
-        assert_eq!(m.collector_shards.get(), 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate metric registration")]
-    fn duplicate_names_rejected() {
-        let mut r = MetricsRegistry::new();
-        let _ = r.counter("x_total", "first");
-        let _ = r.counter("x_total", "second");
+lockdown_base::metrics_family! {
+    /// The full metric set of the collection plane, grouped by pipeline
+    /// layer.
+    pub struct CollectMetrics {
+        exporter_sessions: counter("exporter_sessions_total", "Per-cell exporter sessions opened"),
+        exporter_datagrams: counter("exporter_datagrams_total", "Datagrams emitted"),
+        exporter_records: counter("exporter_records_total", "Flow records exported"),
+        exporter_restarts: counter("exporter_restarts_total", "Scheduled exporter restarts"),
+        exporter_fleet_size: gauge("exporter_fleet_size", "Configured exporters per stream"),
+        transport_datagrams_delivered: counter(
+            "transport_datagrams_delivered_total",
+            "Datagrams delivered (duplicates included)"
+        ),
+        transport_datagrams_dropped: counter(
+            "transport_datagrams_dropped_total",
+            "Datagrams dropped in flight"
+        ),
+        transport_records_dropped: counter(
+            "transport_records_dropped_total",
+            "Ground-truth records inside dropped datagrams"
+        ),
+        transport_datagrams_duplicated: counter(
+            "transport_datagrams_duplicated_total",
+            "Datagrams duplicated in flight"
+        ),
+        transport_datagrams_reordered: counter(
+            "transport_datagrams_reordered_total",
+            "Adjacent datagram swaps applied"
+        ),
+        socket_datagrams_received: counter(
+            "socket_datagrams_received_total",
+            "Datagrams read off collectd UDP sockets"
+        ),
+        socket_bytes_received: counter(
+            "socket_bytes_received_total",
+            "Payload bytes read off collectd UDP sockets"
+        ),
+        /// (dropped at the socket; counted separately from queue drops).
+        socket_datagrams_truncated: counter(
+            "socket_datagrams_truncated_total",
+            "Datagrams cut by the kernel at recv (never decoded)"
+        ),
+        socket_records_truncated: counter(
+            "socket_records_truncated_total",
+            "Header-claimed records inside truncated datagrams"
+        ),
+        /// (sent minus received, settled at cycle drain).
+        socket_datagrams_kernel_dropped: counter(
+            "socket_datagrams_kernel_dropped_total",
+            "Datagrams dropped by the kernel before recv"
+        ),
+        /// (at the queue, not the socket: backpressure made explicit).
+        queue_datagrams_dropped: counter(
+            "queue_datagrams_dropped_total",
+            "Datagrams dropped at a full shard queue"
+        ),
+        queue_capacity: gauge("queue_capacity", "Configured per-shard queue bound"),
+        socket_receivers: gauge("socket_receivers", "Bound collectd receive sockets"),
+        /// (the kernel default when no `--rcvbuf` tuning was requested).
+        socket_rcvbuf_bytes: gauge(
+            "socket_rcvbuf_bytes",
+            "Kernel-granted SO_RCVBUF per receive socket"
+        ),
+        collector_datagrams: counter("collector_datagrams_total", "Datagrams presented to shards"),
+        collector_records: counter("collector_records_total", "Records accepted by shards"),
+        collector_sequence_gaps: counter(
+            "collector_sequence_gaps_total",
+            "Sequence-gap events observed"
+        ),
+        collector_records_lost_est: counter(
+            "collector_records_lost_est_total",
+            "Estimated records lost (sequence accounting)"
+        ),
+        collector_missing_template_sets: counter(
+            "collector_missing_template_sets_total",
+            "Data sets skipped for lack of a template"
+        ),
+        collector_datagrams_buffered: counter(
+            "collector_datagrams_buffered_total",
+            "Undecodable datagrams buffered awaiting a template"
+        ),
+        collector_duplicates_rejected: counter(
+            "collector_duplicates_rejected_total",
+            "Duplicate datagrams rejected"
+        ),
+        collector_malformed: counter("collector_malformed_total", "Malformed datagrams"),
+        collector_restarts_detected: counter(
+            "collector_restarts_detected_total",
+            "Exporter restarts detected from boot-epoch shifts"
+        ),
+        collector_records_renormalized: counter(
+            "collector_records_renormalized_total",
+            "Records scaled by loss-aware renormalization"
+        ),
+        collector_shards: gauge("collector_shards", "Configured collector shards"),
+        engine_cells_wired: counter(
+            "engine_cells_wired_total",
+            "Engine cells routed through the wire path"
+        ),
+        engine_flows_wired: counter(
+            "engine_flows_wired_total",
+            "Generated records entering the wire path"
+        ),
+        engine_flows_delivered: counter(
+            "engine_flows_delivered_total",
+            "Records delivered back to the engine"
+        ),
+        /// — the chaos surface; the supervisor retries the cell.
+        exporter_stalls: counter(
+            "exporter_stalls_total",
+            "Injected exporter stall timeouts (attempt abandoned and retried)"
+        ),
+        /// (zero when auditing is off).
+        audit_cells: gauge("audit_cells", "Cells covered by the conservation audit"),
+        audit_violations: gauge(
+            "audit_violations",
+            "Conservation-identity violations found by the audit"
+        ),
     }
 }

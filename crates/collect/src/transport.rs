@@ -13,7 +13,7 @@
 //! an exact reference for validating collector-side loss estimates.
 
 use crate::fleet::WireDatagram;
-use crate::rng::SplitMix;
+use lockdown_base::hash::SplitMix;
 
 /// Probabilities and cadences for injected faults. All probabilities are
 /// per-datagram and clamped to `[0, 0.95]` on construction paths that parse

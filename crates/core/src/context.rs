@@ -1,6 +1,7 @@
 //! Shared experiment context: one registry, DNS corpus and generator pair
 //! that every figure reproduction runs against, under one scenario.
 
+use lockdown_base::hash::fold;
 use lockdown_dns::corpus::{synthesize, Corpus};
 use lockdown_dns::vpn::identify_vpn_ips;
 use lockdown_scenario::measures::ScenarioSpec;
@@ -8,7 +9,7 @@ use lockdown_topology::registry::Registry;
 use lockdown_traffic::config::GeneratorConfig;
 use lockdown_traffic::edu_gen::EduGenerator;
 use lockdown_traffic::generate::TrafficGenerator;
-use lockdown_traffic::plan::fold_hash;
+use lockdown_traffic::plan::FINGERPRINT_INIT;
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -107,7 +108,10 @@ impl Context {
     /// behavioural content. Archives key their manifests on it, so a
     /// store written under one scenario is never replayed into another.
     pub fn scenario_hash(&self) -> u64 {
-        fold_hash([self.config.scenario_hash(), self.scenario.fingerprint()])
+        fold(
+            FINGERPRINT_INIT,
+            [self.config.scenario_hash(), self.scenario.fingerprint()],
+        )
     }
 
     /// The §6 candidate VPN endpoint set, derived from the corpus the way

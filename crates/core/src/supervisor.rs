@@ -20,84 +20,42 @@
 //! the failure-injection tests assert.
 
 use lockdown_chaos::{CellChaos, ChaosConfig, ChaosInjector, InjectedPanic};
-use lockdown_collect::metrics::{Metric, MetricsRegistry};
 use lockdown_traffic::plan::Cell;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, Once};
 
 pub use lockdown_chaos::{ChaosConfig as SupervisorConfig, WriteFault};
 
-/// The `supervisor_*` metrics family, on the same Prometheus-style
-/// registry as the wire and store families.
-#[derive(Debug)]
-pub struct SupervisorMetrics {
-    registry: MetricsRegistry,
-    /// Cell attempts beyond the first (each one follows a backoff delay).
-    pub retries: Arc<Metric>,
-    /// Total milliseconds of backoff delay served before retries.
-    pub backoff_ms: Arc<Metric>,
-    /// Worker panics caught by cell isolation (injected or genuine).
-    pub panics_caught: Arc<Metric>,
-    /// Injected segment-write faults (torn writes and ENOSPC).
-    pub write_faults: Arc<Metric>,
-    /// Injected exporter stall timeouts.
-    pub stalls: Arc<Metric>,
-    /// Archived segments that failed integrity checks and were
-    /// regenerated instead of aborting the pass.
-    pub replay_corruptions: Arc<Metric>,
-    /// Cells quarantined after exhausting their attempt budget (gauge).
-    pub quarantined_cells: Arc<Metric>,
-    /// Cells adopted from a checkpoint journal instead of regenerated
-    /// (gauge).
-    pub resumed_cells: Arc<Metric>,
-}
-
-impl SupervisorMetrics {
-    /// Build the metric set inside a fresh registry.
-    pub fn new() -> Arc<SupervisorMetrics> {
-        let mut r = MetricsRegistry::new();
-        Arc::new(SupervisorMetrics {
-            retries: r.counter("supervisor_retries_total", "Cell attempts beyond the first"),
-            backoff_ms: r.counter(
-                "supervisor_backoff_ms_total",
-                "Milliseconds of backoff delay before retries",
-            ),
-            panics_caught: r.counter(
-                "supervisor_panics_caught_total",
-                "Worker panics caught by cell isolation",
-            ),
-            write_faults: r.counter(
-                "supervisor_write_faults_total",
-                "Injected segment-write faults (torn writes and ENOSPC)",
-            ),
-            stalls: r.counter(
-                "supervisor_stalls_total",
-                "Injected exporter stall timeouts",
-            ),
-            replay_corruptions: r.counter(
-                "supervisor_replay_corruptions_total",
-                "Corrupt archived segments regenerated instead of aborting",
-            ),
-            quarantined_cells: r.gauge(
-                "supervisor_quarantined_cells",
-                "Cells quarantined after exhausting their attempt budget",
-            ),
-            resumed_cells: r.gauge(
-                "supervisor_resumed_cells",
-                "Cells adopted from a checkpoint journal instead of regenerated",
-            ),
-            registry: r,
-        })
-    }
-
-    /// The underlying registry (for lookups and snapshot composition).
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-
-    /// Prometheus-style text snapshot of the `supervisor_*` family.
-    pub fn render(&self) -> String {
-        self.registry.render()
+lockdown_base::metrics_family! {
+    /// The `supervisor_*` metrics family, on the same Prometheus-style
+    /// registry as the wire and store families.
+    pub struct SupervisorMetrics {
+        retries: counter("supervisor_retries_total", "Cell attempts beyond the first"),
+        backoff_ms: counter(
+            "supervisor_backoff_ms_total",
+            "Milliseconds of backoff delay before retries"
+        ),
+        panics_caught: counter(
+            "supervisor_panics_caught_total",
+            "Worker panics caught by cell isolation"
+        ),
+        write_faults: counter(
+            "supervisor_write_faults_total",
+            "Injected segment-write faults (torn writes and ENOSPC)"
+        ),
+        stalls: counter("supervisor_stalls_total", "Injected exporter stall timeouts"),
+        replay_corruptions: counter(
+            "supervisor_replay_corruptions_total",
+            "Corrupt archived segments regenerated instead of aborting"
+        ),
+        quarantined_cells: gauge(
+            "supervisor_quarantined_cells",
+            "Cells quarantined after exhausting their attempt budget"
+        ),
+        resumed_cells: gauge(
+            "supervisor_resumed_cells",
+            "Cells adopted from a checkpoint journal instead of regenerated"
+        ),
     }
 }
 
@@ -312,6 +270,7 @@ impl Supervisor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lockdown_base::metrics::MetricKind;
     use lockdown_flow::time::Date;
     use lockdown_topology::vantage::VantagePoint;
     use lockdown_traffic::plan::Stream;
@@ -371,6 +330,7 @@ mod tests {
         let text = m.render();
         assert!(text.contains("supervisor_retries_total 4"));
         assert!(text.contains("supervisor_backoff_ms_total 120"));
-        assert!(text.contains("# TYPE supervisor_quarantined_cells gauge"));
+        assert!(text.contains("\nsupervisor_quarantined_cells 0\n"));
+        assert_eq!(m.quarantined_cells.kind(), MetricKind::Gauge);
     }
 }

@@ -14,17 +14,9 @@
 //! a simulation, not a cryptographic product; the structure, not the cipher
 //! strength, is what the reproduction needs).
 
+use lockdown_base::hash::splitmix64;
 use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
-
-/// splitmix64 finalizer: a well-mixed 64->64 bijection.
-#[inline]
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// A keyed prefix-preserving anonymizer for IPv4 addresses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

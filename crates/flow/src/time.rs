@@ -221,6 +221,29 @@ impl Date {
         format!("{:04}-{:02}-{:02}", self.year, self.month, self.day)
     }
 
+    /// Parse a `YYYY-MM-DD` date, validating the calendar: the one
+    /// checked entry for dates from outside the program (CLI flags,
+    /// query strings, scenario files), so [`Date::new`]'s range
+    /// assertions are never reached by input. Unpadded fields
+    /// (`2020-3-5`) are accepted; callers with a stricter surface check
+    /// the width themselves.
+    pub fn parse_iso(s: &str) -> Result<Date, String> {
+        // Digits only: `i32::from_str` alone would admit a sign.
+        let mut fields = s.split('-').map(|p| {
+            let digits = !p.is_empty() && p.bytes().all(|b| b.is_ascii_digit());
+            digits.then(|| p.parse::<i32>().ok()).flatten()
+        });
+        let (Some(Some(y)), Some(Some(m)), Some(Some(d)), None) =
+            (fields.next(), fields.next(), fields.next(), fields.next())
+        else {
+            return Err(format!("bad date (want YYYY-MM-DD): {s}"));
+        };
+        if !(1..=12).contains(&m) || d < 1 || d > i32::from(days_in_month(y, m as u8)) {
+            return Err(format!("impossible calendar date: {s}"));
+        }
+        Ok(Date::new(y, m as u8, d as u8))
+    }
+
     /// Iterate all dates in `[self, end]`.
     pub fn range_inclusive(self, end: Date) -> impl Iterator<Item = Date> {
         let start = self.day_number();
@@ -379,6 +402,33 @@ mod tests {
         for z in [-1_000_000i64, -1, 0, 1, 18_262, 18_322, 20_000, 1_000_000] {
             let d = Date::from_day_number(z);
             assert_eq!(d.day_number(), z, "roundtrip failed at {z} ({d:?})");
+        }
+    }
+
+    #[test]
+    fn parse_iso_validates_the_calendar() {
+        for d in [Date::new(2020, 2, 29), Date::new(1969, 12, 31)] {
+            assert_eq!(Date::parse_iso(&d.iso()), Ok(d));
+        }
+        assert_eq!(Date::parse_iso("2020-3-5"), Ok(Date::new(2020, 3, 5)));
+        for (bad, needle) in [
+            ("2020-02-31", "impossible calendar date"),
+            ("2019-02-29", "impossible calendar date"),
+            ("2020-13-01", "impossible calendar date"),
+            ("2020-00-10", "impossible calendar date"),
+            ("2020-01-00", "impossible calendar date"),
+            ("2020-01-300", "impossible calendar date"),
+            ("2020-01", "want YYYY-MM-DD"),
+            ("2020-01-01-01", "want YYYY-MM-DD"),
+            ("2020--01", "want YYYY-MM-DD"),
+            ("-2020-01-01", "want YYYY-MM-DD"),
+            ("2020-+1-01", "want YYYY-MM-DD"),
+            ("20x0-01-01", "want YYYY-MM-DD"),
+            ("99999999999-01-01", "want YYYY-MM-DD"),
+            ("", "want YYYY-MM-DD"),
+        ] {
+            let err = Date::parse_iso(bad).unwrap_err();
+            assert!(err.contains(needle) && err.contains(bad), "{bad:?}: {err}");
         }
     }
 

@@ -17,6 +17,7 @@
 
 use crate::json;
 use crate::plan::{stream_keys, QueryPlan, CLASS_KEYS};
+use lockdown_base::hash::SplitMix;
 use lockdown_flow::time::Date;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -93,14 +94,6 @@ impl LoadReport {
             self.mismatches
         )
     }
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// One keep-alive connection with minimal HTTP/1.1 client plumbing.
@@ -183,20 +176,20 @@ fn strip_scheme(target: &str) -> &str {
 
 /// A seeded dashboard-style request: mostly ad-hoc queries, some figure
 /// fetches, some metrics scrapes.
-fn pick_path(rng: &mut u64, figures: &[String]) -> String {
+fn pick_path(rng: &mut SplitMix, figures: &[String]) -> String {
     let scenario_start = Date::new(2020, 1, 1).midnight().unix();
-    match splitmix64(rng) % 10 {
+    match rng.next_u64() % 10 {
         0..=5 => {
             let mut plan = QueryPlan::default();
             let day = 86_400;
-            let from = scenario_start + (splitmix64(rng) % 180) * day;
+            let from = scenario_start + (rng.next_u64() % 180) * day;
             plan.from = Some(from);
-            plan.to = Some(from + (1 + splitmix64(rng) % 14) * day);
+            plan.to = Some(from + (1 + rng.next_u64() % 14) * day);
             let streams = stream_keys();
-            plan.stream = Some(streams[(splitmix64(rng) as usize) % streams.len()].1);
-            match splitmix64(rng) % 4 {
-                0 => plan.port = Some([443, 80, 3389, 8801, 51820][(splitmix64(rng) as usize) % 5]),
-                1 => plan.class = Some(CLASS_KEYS[(splitmix64(rng) as usize) % CLASS_KEYS.len()].1),
+            plan.stream = Some(streams[(rng.next_u64() as usize) % streams.len()].1);
+            match rng.next_u64() % 4 {
+                0 => plan.port = Some([443, 80, 3389, 8801, 51820][(rng.next_u64() as usize) % 5]),
+                1 => plan.class = Some(CLASS_KEYS[(rng.next_u64() as usize) % CLASS_KEYS.len()].1),
                 _ => {}
             }
             format!("/query?{}", plan.to_query_string())
@@ -204,7 +197,7 @@ fn pick_path(rng: &mut u64, figures: &[String]) -> String {
         6..=7 if !figures.is_empty() => {
             format!(
                 "/figures/{}",
-                figures[(splitmix64(rng) as usize) % figures.len()]
+                figures[(rng.next_u64() as usize) % figures.len()]
             )
         }
         8 => "/metrics".into(),
@@ -294,7 +287,7 @@ pub fn run(cfg: &LoadConfig) -> Result<LoadReport, String> {
         let figures = Arc::clone(&figures);
         let errors = Arc::clone(&errors);
         let failed = Arc::clone(&failed);
-        let mut rng = cfg.seed ^ (client as u64).wrapping_mul(0xA076_1D64_78BD_642F);
+        let mut rng = SplitMix::new(cfg.seed ^ (client as u64).wrapping_mul(0xA076_1D64_78BD_642F));
         let worker = std::thread::Builder::new()
             .name(format!("loadgen-{client}"))
             .stack_size(256 * 1024)
@@ -386,8 +379,8 @@ mod tests {
         assert_eq!(percentile(&v, 0.999), 100);
 
         let figures = vec!["fig1".to_string(), "fig2a".to_string()];
-        let mut a = 42u64;
-        let mut b = 42u64;
+        let mut a = SplitMix::new(42);
+        let mut b = SplitMix::new(42);
         let seq_a: Vec<String> = (0..50).map(|_| pick_path(&mut a, &figures)).collect();
         let seq_b: Vec<String> = (0..50).map(|_| pick_path(&mut b, &figures)).collect();
         assert_eq!(seq_a, seq_b, "same seed, same mix");

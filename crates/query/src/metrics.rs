@@ -6,9 +6,6 @@
 //! semantics): each observation increments every bucket whose upper
 //! bound admits it, plus `_count` and `_sum_us`.
 
-use lockdown_collect::metrics::{Metric, MetricsRegistry};
-use std::sync::Arc;
-
 /// Upper bounds (microseconds) of the request-latency buckets.
 pub const LATENCY_BUCKETS_US: [u64; 10] = [
     250, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 1_000_000,
@@ -27,87 +24,50 @@ const BUCKET_NAMES: [&str; 10] = [
     "query_latency_us_le_1000000",
 ];
 
-/// Counters and gauges for the query plane.
-#[derive(Debug)]
-pub struct QueryMetrics {
-    registry: MetricsRegistry,
-    /// HTTP requests accepted (any status).
-    pub requests: Arc<Metric>,
-    /// Responses with a 2xx status.
-    pub responses_2xx: Arc<Metric>,
-    /// Responses with a 4xx status.
-    pub responses_4xx: Arc<Metric>,
-    /// Responses with a 5xx status.
-    pub responses_5xx: Arc<Metric>,
-    /// Segments skipped before decode (stream/time/zone-map pushdown).
-    pub segments_pruned: Arc<Metric>,
-    /// Segments a query plan admitted (decoded or served from cache).
-    pub segments_scanned: Arc<Metric>,
-    /// Segments actually decoded from disk (cache misses).
-    pub segments_decoded: Arc<Metric>,
-    /// Segment-footer reads done for zone-map pruning decisions.
-    pub footer_reads: Arc<Metric>,
-    /// Decoded-segment cache hits.
-    pub cache_hits: Arc<Metric>,
-    /// Decoded-segment cache misses.
-    pub cache_misses: Arc<Metric>,
-    /// Segments evicted from the cache to stay under budget.
-    pub cache_evictions: Arc<Metric>,
-    /// Bytes of decoded records currently held by the cache.
-    pub cache_bytes: Arc<Metric>,
-    /// Latency observations recorded.
-    pub latency_count: Arc<Metric>,
-    /// Sum of observed latencies, microseconds.
-    pub latency_sum_us: Arc<Metric>,
-    /// Cumulative latency buckets, one per [`LATENCY_BUCKETS_US`] bound,
-    /// plus the implicit `+Inf` (== `latency_count`).
-    pub latency_buckets: [Arc<Metric>; 10],
+lockdown_base::metrics_family! {
+    /// Counters and gauges for the query plane.
+    pub struct QueryMetrics {
+        requests: counter("query_requests_total", "HTTP requests accepted"),
+        responses_2xx: counter("query_responses_2xx_total", "2xx responses"),
+        responses_4xx: counter("query_responses_4xx_total", "4xx responses"),
+        responses_5xx: counter("query_responses_5xx_total", "5xx responses"),
+        segments_pruned: counter(
+            "query_segments_pruned_total",
+            "Segments skipped before decode by predicate pushdown"
+        ),
+        segments_scanned: counter(
+            "query_segments_scanned_total",
+            "Segments admitted by a query plan"
+        ),
+        segments_decoded: counter(
+            "query_segments_decoded_total",
+            "Segments decoded from disk (cache misses)"
+        ),
+        footer_reads: counter(
+            "query_footer_reads_total",
+            "Segment footers read for zone-map pruning"
+        ),
+        cache_hits: counter("query_cache_hits_total", "Decoded-segment cache hits"),
+        cache_misses: counter("query_cache_misses_total", "Decoded-segment cache misses"),
+        cache_evictions: counter(
+            "query_cache_evictions_total",
+            "Segments evicted to stay under the byte budget"
+        ),
+        cache_bytes: gauge(
+            "query_cache_bytes",
+            "Bytes of decoded records held by the cache"
+        ),
+        latency_count: counter("query_latency_us_count", "Latency observations"),
+        latency_sum_us: counter("query_latency_us_sum", "Sum of observed latencies (us)"),
+        /// — one per [`LATENCY_BUCKETS_US`] bound; the implicit `+Inf` bucket is `latency_count`.
+        latency_buckets: counter[10](
+            BUCKET_NAMES,
+            "Requests at or under this latency (cumulative)"
+        ),
+    }
 }
 
 impl QueryMetrics {
-    /// Build the metric set inside a fresh registry.
-    pub fn new() -> Arc<QueryMetrics> {
-        let mut r = MetricsRegistry::new();
-        let latency_buckets = BUCKET_NAMES
-            .map(|name| r.counter(name, "Requests at or under this latency (cumulative)"));
-        Arc::new(QueryMetrics {
-            requests: r.counter("query_requests_total", "HTTP requests accepted"),
-            responses_2xx: r.counter("query_responses_2xx_total", "2xx responses"),
-            responses_4xx: r.counter("query_responses_4xx_total", "4xx responses"),
-            responses_5xx: r.counter("query_responses_5xx_total", "5xx responses"),
-            segments_pruned: r.counter(
-                "query_segments_pruned_total",
-                "Segments skipped before decode by predicate pushdown",
-            ),
-            segments_scanned: r.counter(
-                "query_segments_scanned_total",
-                "Segments admitted by a query plan",
-            ),
-            segments_decoded: r.counter(
-                "query_segments_decoded_total",
-                "Segments decoded from disk (cache misses)",
-            ),
-            footer_reads: r.counter(
-                "query_footer_reads_total",
-                "Segment footers read for zone-map pruning",
-            ),
-            cache_hits: r.counter("query_cache_hits_total", "Decoded-segment cache hits"),
-            cache_misses: r.counter("query_cache_misses_total", "Decoded-segment cache misses"),
-            cache_evictions: r.counter(
-                "query_cache_evictions_total",
-                "Segments evicted to stay under the byte budget",
-            ),
-            cache_bytes: r.gauge(
-                "query_cache_bytes",
-                "Bytes of decoded records held by the cache",
-            ),
-            latency_count: r.counter("query_latency_us_count", "Latency observations"),
-            latency_sum_us: r.counter("query_latency_us_sum", "Sum of observed latencies (us)"),
-            latency_buckets,
-            registry: r,
-        })
-    }
-
     /// Record one request latency into the cumulative buckets.
     pub fn observe_latency_us(&self, us: u64) {
         self.latency_count.inc();
@@ -126,16 +86,6 @@ impl QueryMetrics {
             400..=499 => self.responses_4xx.inc(),
             _ => self.responses_5xx.inc(),
         }
-    }
-
-    /// The underlying registry (for lookups and snapshot composition).
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-
-    /// Prometheus-style text snapshot of the `query_*` family.
-    pub fn render(&self) -> String {
-        self.registry.render()
     }
 }
 

@@ -64,21 +64,12 @@ fn parse_time(value: &str, what: &str) -> Result<u64, String> {
     if let Ok(secs) = value.parse::<u64>() {
         return Ok(secs);
     }
-    let parts: Vec<&str> = value.split('-').collect();
-    if parts.len() == 3 {
-        if let (Ok(y), Ok(m), Ok(d)) = (
-            parts[0].parse::<i32>(),
-            parts[1].parse::<u8>(),
-            parts[2].parse::<u8>(),
-        ) {
-            if (1..=12).contains(&m) && (1..=31).contains(&d) {
-                return Ok(Date::new(y, m, d).midnight().unix());
-            }
-        }
+    let date = Date::parse_iso(value)
+        .map_err(|e| format!("bad {what} '{value}': {e} (or give unix seconds)"))?;
+    if date.day_number() < 0 {
+        return Err(format!("bad {what} '{value}': before 1970-01-01"));
     }
-    Err(format!(
-        "bad {what} '{value}': want unix seconds or YYYY-MM-DD"
-    ))
+    Ok(date.midnight().unix())
 }
 
 impl QueryPlan {
@@ -282,5 +273,11 @@ mod tests {
         assert!(QueryPlan::parse([("from", "10"), ("to", "10")])
             .unwrap_err()
             .contains("empty time range"));
+        // Dates that `Date::new` or `midnight` would panic on are plain
+        // errors naming the value: this is input from a URL.
+        for bad in ["2020-02-31", "2020-13-01", "1969-01-01", "2020-01-01x"] {
+            let err = QueryPlan::parse([("from", bad)]).unwrap_err();
+            assert!(err.contains("bad from") && err.contains(bad), "{err}");
+        }
     }
 }

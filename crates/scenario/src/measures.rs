@@ -17,6 +17,7 @@
 
 use crate::phases::{IntensityCurve, RegionTimeline};
 use crate::toml::{self, Entry, Table, Value};
+use lockdown_base::hash::splitmix64;
 use lockdown_flow::time::Date;
 use lockdown_topology::asn::Region;
 use lockdown_topology::vantage::{VantageKind, VantagePoint};
@@ -714,14 +715,6 @@ impl ScenarioSpec {
         spec.validate()?;
         Ok(spec)
     }
-}
-
-/// splitmix64's finalizer: a cheap, well-mixed 64-bit permutation.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 // ---------------------------------------------------------------------------

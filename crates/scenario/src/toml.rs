@@ -12,7 +12,7 @@
 //! than silently misread): dotted keys, inline tables, multi-line strings,
 //! datetimes with a time component, and non-string arrays.
 
-use lockdown_flow::time::{days_in_month, Date};
+use lockdown_flow::time::Date;
 
 /// A parsed scalar (or string-array) value.
 #[derive(Debug, Clone, PartialEq)]
@@ -160,25 +160,8 @@ fn parse_quoted(s: &str, line: usize) -> Result<(String, &str), ParseError> {
     err(line, "unterminated string")
 }
 
-/// Parse a bare `YYYY-MM-DD` date, validating the calendar.
-fn parse_date(s: &str, line: usize) -> Result<Date, ParseError> {
-    let bad = || ParseError {
-        line,
-        message: format!("bad date (want YYYY-MM-DD): {s}"),
-    };
-    let parts: Vec<&str> = s.split('-').collect();
-    if parts.len() != 3 || parts[0].len() != 4 || parts[1].len() != 2 || parts[2].len() != 2 {
-        return Err(bad());
-    }
-    let y: i32 = parts[0].parse().map_err(|_| bad())?;
-    let m: u8 = parts[1].parse().map_err(|_| bad())?;
-    let d: u8 = parts[2].parse().map_err(|_| bad())?;
-    if !(1..=12).contains(&m) || d < 1 || d > days_in_month(y, m) {
-        return err(line, format!("impossible calendar date: {s}"));
-    }
-    Ok(Date::new(y, m, d))
-}
-
+/// Whether `s` has the zero-padded `DDDD-DD-DD` shape of a bare date
+/// (the calendar is checked by [`Date::parse_iso`]).
 fn looks_like_date(s: &str) -> bool {
     let b = s.as_bytes();
     b.len() == 10
@@ -197,7 +180,9 @@ fn parse_scalar(s: &str, line: usize) -> Result<Value, ParseError> {
         return Ok(Value::Bool(false));
     }
     if looks_like_date(s) {
-        return Ok(Value::Date(parse_date(s, line)?));
+        return Date::parse_iso(s)
+            .map(Value::Date)
+            .map_err(|message| ParseError { line, message });
     }
     if s.contains('.') || s.contains('e') || s.contains('E') {
         if let Ok(f) = s.parse::<f64>() {

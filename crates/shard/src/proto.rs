@@ -133,7 +133,7 @@ pub struct Assign {
 /// either fails verification; the fold means a (kind, payload) pair can
 /// never verify as a different kind with the same payload.
 pub fn frame_check(kind: u8, payload: &[u8]) -> u32 {
-    lockdown_store::codec::crc32(payload)
+    lockdown_base::crc::crc32(payload)
         ^ 0x9e37_79b9u32.wrapping_mul(u32::from(kind).wrapping_add(1))
 }
 

@@ -15,12 +15,13 @@
 //! were generated by a different universe and the archive is *stale*:
 //! callers regenerate and overwrite rather than silently replaying it.
 
-use crate::codec::{crc32, get_varint, put_varint, unzigzag, zigzag};
+use crate::codec::{get_varint, put_varint, unzigzag, zigzag};
 use crate::metrics::StoreMetrics;
 use crate::segment::{
     decode_segment, encode_segment, read_footer as read_segment_footer, SegmentFooter,
 };
 use crate::StoreError;
+use lockdown_base::crc::crc32;
 use lockdown_flow::record::FlowRecord;
 use lockdown_flow::time::Date;
 use lockdown_flow::tracefile::{read_container_header, write_container_header};

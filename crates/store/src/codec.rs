@@ -1,11 +1,9 @@
-//! Byte-level primitives for the columnar segment format: LEB128 varints,
-//! zigzag signed mapping, and CRC-32.
+//! Byte-level primitives for the columnar segment format: LEB128 varints
+//! and the zigzag signed mapping. (The CRC every segment and manifest
+//! carries is `lockdown_base::crc::crc32`.)
 //!
 //! Column arrays are sequences of small deltas most of the time, so LEB128
 //! keeps the common case at one byte while still carrying full `u64` range.
-//! The CRC is the standard IEEE polynomial (the one zlib, PNG and Ethernet
-//! use), table-driven; it exists to make "one flipped byte anywhere"
-//! detectable, not to resist adversaries.
 
 use lockdown_flow::wire::{Cursor, WireError, WireResult};
 
@@ -48,37 +46,6 @@ pub fn zigzag(v: i64) -> u64 {
 /// Inverse of [`zigzag`].
 pub fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-/// CRC-32 (IEEE 802.3 polynomial, reflected), the checksum every segment
-/// and manifest carries over its own bytes.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = crc_table();
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
-    }
-    !crc
-}
-
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
 }
 
 #[cfg(test)]
@@ -130,13 +97,5 @@ mod tests {
         assert_eq!(zigzag(0), 0);
         assert_eq!(zigzag(-1), 1);
         assert_eq!(zigzag(1), 2);
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // The classic check value for the IEEE polynomial.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-        assert_ne!(crc32(b"a"), crc32(b"b"));
     }
 }

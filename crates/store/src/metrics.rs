@@ -1,95 +1,48 @@
 //! The `store_*` metrics family: archive I/O accounting.
 //!
-//! Built on the collection plane's [`MetricsRegistry`] so one combined
-//! Prometheus-style snapshot can carry wire metrics and store metrics
-//! side by side (`render_into` composes them).
+//! Declared over the shared `lockdown_base::metrics` registry so one
+//! combined Prometheus-style snapshot can carry query metrics and store
+//! metrics side by side (`render_into` composes them).
 
-use lockdown_collect::metrics::{Metric, MetricsRegistry};
-use std::sync::Arc;
-
-/// Counters for archive writes, reads, pruning and corruption.
-#[derive(Debug)]
-pub struct StoreMetrics {
-    registry: MetricsRegistry,
-    /// Segments encoded and written to the archive.
-    pub segments_written: Arc<Metric>,
-    /// Bytes of segment data written.
-    pub bytes_written: Arc<Metric>,
-    /// Flow records spilled into segments.
-    pub records_written: Arc<Metric>,
-    /// Segments decoded during replay or verification.
-    pub segments_read: Arc<Metric>,
-    /// Bytes of segment data read back.
-    pub bytes_read: Arc<Metric>,
-    /// Flow records decoded from segments.
-    pub records_read: Arc<Metric>,
-    /// Archived segments skipped because no demand covered them.
-    pub segments_pruned: Arc<Metric>,
-    /// Segments rejected for CRC or structural corruption.
-    pub crc_failures: Arc<Metric>,
-    /// Segments adopted from a journal or stale manifest during resume.
-    pub segments_resumed: Arc<Metric>,
-    /// Resume candidates rejected (corrupt index, missing or short file).
-    pub resume_rejected: Arc<Metric>,
-    /// Journal snapshots published (automatic and explicit checkpoints).
-    pub journal_checkpoints: Arc<Metric>,
-}
-
-impl StoreMetrics {
-    /// Build the metric set inside a fresh registry.
-    pub fn new() -> Arc<StoreMetrics> {
-        let mut r = MetricsRegistry::new();
-        Arc::new(StoreMetrics {
-            segments_written: r.counter("store_segments_written_total", "Segments written"),
-            bytes_written: r.counter("store_bytes_written_total", "Segment bytes written"),
-            records_written: r.counter(
-                "store_records_written_total",
-                "Flow records spilled into segments",
-            ),
-            segments_read: r.counter("store_segments_read_total", "Segments decoded"),
-            bytes_read: r.counter("store_bytes_read_total", "Segment bytes read"),
-            records_read: r.counter(
-                "store_records_read_total",
-                "Flow records decoded from segments",
-            ),
-            segments_pruned: r.counter(
-                "store_segments_pruned_total",
-                "Archived segments skipped by zone-map/demand pruning",
-            ),
-            crc_failures: r.counter(
-                "store_crc_failures_total",
-                "Segments rejected for CRC or structural corruption",
-            ),
-            segments_resumed: r.counter(
-                "store_segments_resumed_total",
-                "Segments adopted from a journal or stale manifest during resume",
-            ),
-            resume_rejected: r.counter(
-                "store_resume_rejected_total",
-                "Resume candidates rejected (corrupt index, missing or short file)",
-            ),
-            journal_checkpoints: r.counter(
-                "store_journal_checkpoints_total",
-                "Journal snapshots published",
-            ),
-            registry: r,
-        })
-    }
-
-    /// The underlying registry (for lookups and snapshot composition).
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-
-    /// Prometheus-style text snapshot of the `store_*` family.
-    pub fn render(&self) -> String {
-        self.registry.render()
+lockdown_base::metrics_family! {
+    /// Counters for archive writes, reads, pruning and corruption.
+    pub struct StoreMetrics {
+        segments_written: counter("store_segments_written_total", "Segments written"),
+        bytes_written: counter("store_bytes_written_total", "Segment bytes written"),
+        records_written: counter(
+            "store_records_written_total",
+            "Flow records spilled into segments"
+        ),
+        segments_read: counter("store_segments_read_total", "Segments decoded"),
+        bytes_read: counter("store_bytes_read_total", "Segment bytes read"),
+        records_read: counter("store_records_read_total", "Flow records decoded from segments"),
+        segments_pruned: counter(
+            "store_segments_pruned_total",
+            "Archived segments skipped by zone-map/demand pruning"
+        ),
+        crc_failures: counter(
+            "store_crc_failures_total",
+            "Segments rejected for CRC or structural corruption"
+        ),
+        segments_resumed: counter(
+            "store_segments_resumed_total",
+            "Segments adopted from a journal or stale manifest during resume"
+        ),
+        resume_rejected: counter(
+            "store_resume_rejected_total",
+            "Resume candidates rejected (corrupt index, missing or short file)"
+        ),
+        journal_checkpoints: counter(
+            "store_journal_checkpoints_total",
+            "Journal snapshots published"
+        ),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lockdown_base::metrics::MetricKind;
 
     #[test]
     fn renders_the_store_family() {
@@ -99,6 +52,7 @@ mod tests {
         let text = m.render();
         assert!(text.contains("store_segments_written_total 3"));
         assert!(text.contains("store_crc_failures_total 1"));
-        assert!(text.contains("# TYPE store_bytes_read_total counter"));
+        assert!(text.contains("\nstore_bytes_read_total 0\n"));
+        assert_eq!(m.bytes_read.kind(), MetricKind::Counter);
     }
 }

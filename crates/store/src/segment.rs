@@ -22,8 +22,9 @@
 //! Decoding rebuilds [`FlowRecord`]s bit-exactly; the replay path depends
 //! on that for byte-identical figure output.
 
-use crate::codec::{crc32, get_varint, put_varint, unzigzag, zigzag};
+use crate::codec::{get_varint, put_varint, unzigzag, zigzag};
 use crate::StoreError;
+use lockdown_base::crc::crc32;
 use lockdown_flow::protocol::{IpProtocol, TcpFlags};
 use lockdown_flow::record::{Direction, FlowKey, FlowRecord};
 use lockdown_flow::time::Timestamp;

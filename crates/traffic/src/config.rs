@@ -1,5 +1,7 @@
 //! Generator configuration and scaling knobs.
 
+use crate::plan::FINGERPRINT_INIT;
+use lockdown_base::hash::fold;
 use serde::{Deserialize, Serialize};
 
 /// Tuning knobs for the synthetic trace generator.
@@ -71,11 +73,14 @@ impl GeneratorConfig {
     /// cells for identical seeds, so an archive written at one fidelity is
     /// never replayed into a run at another.
     pub fn scenario_hash(&self) -> u64 {
-        crate::plan::fold_hash([
-            self.flows_per_gbps.to_bits(),
-            self.users_per_gbps.to_bits(),
-            self.min_flows as u64,
-        ])
+        fold(
+            FINGERPRINT_INIT,
+            [
+                self.flows_per_gbps.to_bits(),
+                self.users_per_gbps.to_bits(),
+                self.min_flows as u64,
+            ],
+        )
     }
 }
 

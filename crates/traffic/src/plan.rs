@@ -11,6 +11,7 @@
 use crate::config::GeneratorConfig;
 use crate::edu_gen::EduGenerator;
 use crate::generate::TrafficGenerator;
+use lockdown_base::hash::fold;
 use lockdown_dns::corpus::Corpus;
 use lockdown_flow::record::FlowRecord;
 use lockdown_flow::time::Date;
@@ -74,21 +75,12 @@ impl Stream {
     }
 }
 
-/// Fold `parts` into one stable 64-bit hash (splitmix64 chaining). Not a
-/// general hasher — just enough to fingerprint plans, generator
-/// configurations and scenario specs for archive-staleness checks, with a
-/// fixed algorithm so fingerprints stay comparable across builds.
-pub fn fold_hash(parts: impl IntoIterator<Item = u64>) -> u64 {
-    let mut acc = 0x243F_6A88_85A3_08D3u64; // pi digits, nothing up the sleeve
-    for p in parts {
-        let mut z = acc ^ p;
-        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        acc = z ^ (z >> 31);
-    }
-    acc
-}
+/// Initial constant of every archive-key fingerprint (plan shape,
+/// generator configuration, scenario content), folded with
+/// `lockdown_base::hash::fold`. Historical: archive `StoreKey`s are
+/// pinned to it, so fingerprints stay comparable across builds. (Pi
+/// digits, nothing up the sleeve.)
+pub const FINGERPRINT_INIT: u64 = 0x243F_6A88_85A3_08D3;
 
 /// One deduplicated generation cell: a single hour of a single stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -157,12 +149,15 @@ impl TracePlan {
     /// their demands overlapped; archives record it so a replay knows the
     /// stored segments came from the same plan shape.
     pub fn plan_hash(&self) -> u64 {
-        fold_hash(self.dates.iter().flat_map(|(stream, dates)| {
-            let id = u64::from(stream.wire_id());
-            dates
-                .iter()
-                .map(move |d| fold_hash([id, d.day_number() as u64]))
-        }))
+        fold(
+            FINGERPRINT_INIT,
+            self.dates.iter().flat_map(|(stream, dates)| {
+                let id = u64::from(stream.wire_id());
+                dates
+                    .iter()
+                    .map(move |d| fold(FINGERPRINT_INIT, [id, d.day_number() as u64]))
+            }),
+        )
     }
 
     /// Enumerate every distinct cell exactly once, ordered by

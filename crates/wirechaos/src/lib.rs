@@ -26,9 +26,10 @@
 //! | `dup=P`        | UDP   | deliver the datagram twice                       |
 //! | `corrupt=P`    | UDP   | flip one byte of the datagram                    |
 //!
-//! Like its process-level sibling this crate is dependency-free and
-//! does all randomness through splitmix64 folding, so schedules never
-//! shift when unrelated draws are added.
+//! Like its process-level sibling this crate has no external
+//! dependencies and does all randomness through `lockdown-base`'s
+//! splitmix64 folding, so schedules never shift when unrelated draws are
+//! added.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,7 +40,8 @@ mod udp;
 pub use tcp::TcpProxy;
 pub use udp::UdpProxy;
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use lockdown_base::hash::{fold, unit};
+use lockdown_base::spec::{self, Key, Set::Count, Set::Prob};
 
 /// Relay buffer size: one proxied "chunk" is one `read` into this much.
 pub const CHUNK_LEN: usize = 64 << 10;
@@ -63,28 +65,11 @@ const DUP_SALT: u64 = 0x57c1_d119_u64;
 /// Salt for picking which byte to flip and what to xor it with.
 const FLIP_SALT: u64 = 0x57c1_f119_u64;
 
-/// One splitmix64 scramble step.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// Fold a key sequence into one hash; every draw in this crate is a
-/// pure function of the folded keys, never of call order.
-fn fold_hash(keys: &[u64]) -> u64 {
-    let mut h = 0x10cd_d047_2020_c4a5u64;
-    for &k in keys {
-        h = splitmix64(h ^ k);
-    }
-    h
-}
-
-/// Map a hash to a uniform draw in `[0, 1)` from its top 53 bits.
-fn unit(h: u64) -> f64 {
-    (h >> 11) as f64 / (1u64 << 53) as f64
-}
+/// Initial constant of every schedule fold; every draw in this crate is
+/// a pure function of the folded keys, never of call order. Historical:
+/// proxy schedules are pinned to it (`lockdown_base::hash` tests hold the
+/// vector).
+const SCHEDULE_INIT: u64 = 0x10cd_d047_2020_c4a5;
 
 /// Traffic direction through the proxy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -186,47 +171,26 @@ impl WireChaosConfig {
     /// and out-of-range probabilities are errors, not defaults.
     pub fn parse(spec: &str) -> Result<WireChaosConfig, String> {
         let mut cfg = WireChaosConfig::zero();
-        for part in spec.split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| format!("wire-chaos spec part {part:?} is not key=value"))?;
-            let prob = || -> Result<f64, String> {
-                let p: f64 = value
-                    .parse()
-                    .map_err(|_| format!("wire-chaos {key}={value:?} is not a number"))?;
-                if !(0.0..=1.0).contains(&p) {
-                    return Err(format!("wire-chaos {key}={value} is outside [0, 1]"));
-                }
-                Ok(p)
-            };
-            let count = || -> Result<u64, String> {
-                value
-                    .parse()
-                    .map_err(|_| format!("wire-chaos {key}={value:?} is not a count"))
-            };
-            match key {
-                "seed" => cfg.seed = count()?,
-                "corrupt" => cfg.corrupt = prob()?,
-                "trunc" => cfg.trunc = prob()?,
-                "split" => cfg.split = prob()?,
-                "delay" => cfg.delay = prob()?,
-                "delay-ms" => cfg.delay_ms = count()?,
-                "reset" => cfg.reset = prob()?,
-                "stall" => cfg.stall = prob()?,
-                "cut-payload" => cfg.cut_payload = count()? as usize,
-                "min-len" => cfg.min_len = count()? as usize,
-                "drop" => cfg.drop = prob()?,
-                "dup" => cfg.dup = prob()?,
-                other => return Err(format!("unknown wire-chaos key {other:?}")),
-            }
-        }
+        spec::parse("wire-chaos", KEYS, spec, &mut cfg)?;
         Ok(cfg)
     }
 }
+
+/// The `chaosproxy --chaos` vocabulary (the table in the crate docs).
+const KEYS: &[Key<WireChaosConfig>] = &[
+    ("seed", Count(|c, v| c.seed = v)),
+    ("corrupt", Prob(|c, v| c.corrupt = v)),
+    ("trunc", Prob(|c, v| c.trunc = v)),
+    ("split", Prob(|c, v| c.split = v)),
+    ("delay", Prob(|c, v| c.delay = v)),
+    ("delay-ms", Count(|c, v| c.delay_ms = v)),
+    ("reset", Prob(|c, v| c.reset = v)),
+    ("stall", Prob(|c, v| c.stall = v)),
+    ("cut-payload", Count(|c, v| c.cut_payload = v as usize)),
+    ("min-len", Count(|c, v| c.min_len = v as usize)),
+    ("drop", Prob(|c, v| c.drop = v)),
+    ("dup", Prob(|c, v| c.dup = v)),
+];
 
 /// What the schedule says to do with one TCP chunk. At most one fault
 /// fires per chunk; severing faults win over mangling ones so a chunk
@@ -277,27 +241,30 @@ impl WireSchedule {
     pub fn tcp_fault(&self, conn: u64, dir: Direction, chunk_idx: u64, len: usize) -> ChunkFault {
         let c = &self.cfg;
         let keys = |salt: u64| [c.seed, salt, conn, dir.code(), chunk_idx];
-        if c.reset > 0.0 && unit(fold_hash(&keys(RESET_SALT))) < c.reset {
+        if c.reset > 0.0 && unit(fold(SCHEDULE_INIT, keys(RESET_SALT))) < c.reset {
             return ChunkFault::Reset;
         }
-        if c.stall > 0.0 && unit(fold_hash(&keys(STALL_SALT))) < c.stall {
+        if c.stall > 0.0 && unit(fold(SCHEDULE_INIT, keys(STALL_SALT))) < c.stall {
             return ChunkFault::Stall;
         }
         let big_enough = len >= c.min_len;
-        if big_enough && c.trunc > 0.0 && unit(fold_hash(&keys(TRUNC_SALT))) < c.trunc {
+        if big_enough && c.trunc > 0.0 && unit(fold(SCHEDULE_INIT, keys(TRUNC_SALT))) < c.trunc {
             return ChunkFault::Truncate;
         }
-        if big_enough && c.corrupt > 0.0 && unit(fold_hash(&keys(CORRUPT_SALT))) < c.corrupt {
-            let h = fold_hash(&keys(FLIP_SALT));
+        if big_enough
+            && c.corrupt > 0.0
+            && unit(fold(SCHEDULE_INIT, keys(CORRUPT_SALT))) < c.corrupt
+        {
+            let h = fold(SCHEDULE_INIT, keys(FLIP_SALT));
             return ChunkFault::Corrupt {
                 index: (h as usize) % len.max(1),
                 xor: ((h >> 32) as u8).max(1),
             };
         }
-        if c.split > 0.0 && unit(fold_hash(&keys(SPLIT_SALT))) < c.split {
+        if c.split > 0.0 && unit(fold(SCHEDULE_INIT, keys(SPLIT_SALT))) < c.split {
             return ChunkFault::Split;
         }
-        if c.delay > 0.0 && unit(fold_hash(&keys(DELAY_SALT))) < c.delay {
+        if c.delay > 0.0 && unit(fold(SCHEDULE_INIT, keys(DELAY_SALT))) < c.delay {
             return ChunkFault::Delay(c.delay_ms);
         }
         ChunkFault::None
@@ -307,20 +274,23 @@ impl WireSchedule {
     pub fn udp_fault(&self, idx: u64, len: usize) -> UdpFault {
         let c = &self.cfg;
         let keys = |salt: u64| [c.seed, salt, idx];
-        if c.drop > 0.0 && unit(fold_hash(&keys(DROP_SALT))) < c.drop {
+        if c.drop > 0.0 && unit(fold(SCHEDULE_INIT, keys(DROP_SALT))) < c.drop {
             return UdpFault::Drop;
         }
-        if c.dup > 0.0 && unit(fold_hash(&keys(DUP_SALT))) < c.dup {
+        if c.dup > 0.0 && unit(fold(SCHEDULE_INIT, keys(DUP_SALT))) < c.dup {
             return UdpFault::Duplicate;
         }
-        if len >= c.min_len && c.corrupt > 0.0 && unit(fold_hash(&keys(CORRUPT_SALT))) < c.corrupt {
-            let h = fold_hash(&keys(FLIP_SALT));
+        if len >= c.min_len
+            && c.corrupt > 0.0
+            && unit(fold(SCHEDULE_INIT, keys(CORRUPT_SALT))) < c.corrupt
+        {
+            let h = fold(SCHEDULE_INIT, keys(FLIP_SALT));
             return UdpFault::Corrupt {
                 index: (h as usize) % len.max(1),
                 xor: ((h >> 32) as u8).max(1),
             };
         }
-        if c.delay > 0.0 && unit(fold_hash(&keys(DELAY_SALT))) < c.delay {
+        if c.delay > 0.0 && unit(fold(SCHEDULE_INIT, keys(DELAY_SALT))) < c.delay {
             return UdpFault::Delay(c.delay_ms);
         }
         UdpFault::None
@@ -347,83 +317,44 @@ pub enum UdpFault {
     Delay(u64),
 }
 
-/// Lock-free tallies of what a proxy actually did — the ground truth a
-/// fault-matrix test checks injected faults against.
-#[derive(Debug, Default)]
-pub struct ProxyMetrics {
-    /// TCP connections accepted.
-    pub connections: AtomicU64,
-    /// TCP chunks relayed (mangled or not).
-    pub chunks: AtomicU64,
-    /// Bytes relayed client→upstream.
-    pub bytes_up: AtomicU64,
-    /// Bytes relayed upstream→client.
-    pub bytes_down: AtomicU64,
-    /// Chunks with a byte flipped.
-    pub corrupted: AtomicU64,
-    /// Chunks cut in half (trunc or cut-payload), severing the link.
-    pub truncated: AtomicU64,
-    /// Chunks relayed byte-by-byte.
-    pub split: AtomicU64,
-    /// Chunks (or datagrams) held for added latency.
-    pub delayed: AtomicU64,
-    /// Connections severed by a reset draw.
-    pub resets: AtomicU64,
-    /// Directions stalled forever.
-    pub stalls: AtomicU64,
-    /// UDP datagrams relayed.
-    pub datagrams: AtomicU64,
-    /// UDP datagrams swallowed.
-    pub dropped: AtomicU64,
-    /// UDP datagrams delivered twice.
-    pub duplicated: AtomicU64,
+lockdown_base::metrics_family! {
+    /// Lock-free tallies of what a proxy actually did — the ground truth a
+    /// fault-matrix test checks injected faults against. Rendered by the one
+    /// exposition renderer, same school as every other plane's family.
+    pub struct ProxyMetrics {
+        connections: counter("wirechaos_connections", "TCP connections accepted"),
+        chunks: counter("wirechaos_chunks", "TCP chunks relayed (mangled or not)"),
+        bytes_up: counter("wirechaos_bytes_up", "Bytes relayed client to upstream"),
+        bytes_down: counter("wirechaos_bytes_down", "Bytes relayed upstream to client"),
+        corrupted: counter("wirechaos_corrupted", "Chunks or datagrams with a byte flipped"),
+        /// (by `trunc` or the one-shot `cut-payload`).
+        truncated: counter("wirechaos_truncated", "Chunks cut in half, severing the link"),
+        split: counter("wirechaos_split", "Chunks relayed one byte per write"),
+        delayed: counter("wirechaos_delayed", "Chunks or datagrams held for added latency"),
+        resets: counter("wirechaos_resets", "Connections severed by a reset draw"),
+        stalls: counter("wirechaos_stalls", "Directions stalled forever"),
+        datagrams: counter("wirechaos_datagrams", "UDP datagrams relayed"),
+        dropped: counter("wirechaos_dropped", "UDP datagrams swallowed"),
+        duplicated: counter("wirechaos_duplicated", "UDP datagrams delivered twice"),
+    }
 }
 
 impl ProxyMetrics {
     /// Total chunks/datagrams that had any fault applied.
     pub fn faults(&self) -> u64 {
-        self.corrupted.load(Ordering::Relaxed)
-            + self.truncated.load(Ordering::Relaxed)
-            + self.split.load(Ordering::Relaxed)
-            + self.delayed.load(Ordering::Relaxed)
-            + self.resets.load(Ordering::Relaxed)
-            + self.stalls.load(Ordering::Relaxed)
-            + self.dropped.load(Ordering::Relaxed)
-            + self.duplicated.load(Ordering::Relaxed)
-    }
-
-    /// Text exposition (Prometheus style, same school as the other
-    /// planes' metrics).
-    pub fn render(&self) -> String {
-        let g = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        format!(
-            "wirechaos_connections {}\n\
-             wirechaos_chunks {}\n\
-             wirechaos_bytes_up {}\n\
-             wirechaos_bytes_down {}\n\
-             wirechaos_corrupted {}\n\
-             wirechaos_truncated {}\n\
-             wirechaos_split {}\n\
-             wirechaos_delayed {}\n\
-             wirechaos_resets {}\n\
-             wirechaos_stalls {}\n\
-             wirechaos_datagrams {}\n\
-             wirechaos_dropped {}\n\
-             wirechaos_duplicated {}\n",
-            g(&self.connections),
-            g(&self.chunks),
-            g(&self.bytes_up),
-            g(&self.bytes_down),
-            g(&self.corrupted),
-            g(&self.truncated),
-            g(&self.split),
-            g(&self.delayed),
-            g(&self.resets),
-            g(&self.stalls),
-            g(&self.datagrams),
-            g(&self.dropped),
-            g(&self.duplicated),
-        )
+        [
+            &self.corrupted,
+            &self.truncated,
+            &self.split,
+            &self.delayed,
+            &self.resets,
+            &self.stalls,
+            &self.dropped,
+            &self.duplicated,
+        ]
+        .iter()
+        .map(|m| m.get())
+        .sum()
     }
 }
 
@@ -431,42 +362,31 @@ impl ProxyMetrics {
 mod tests {
     use super::*;
 
+    /// The grammar itself is tested in `lockdown_base::spec`; this pins
+    /// the vocabulary: every key of the table lands in its own field.
     #[test]
-    fn parse_roundtrips_every_key() {
-        let cfg = WireChaosConfig::parse(
-            "seed=7,corrupt=0.5,trunc=0.1,split=0.2,delay=0.3,delay-ms=25,\
-             reset=0.05,stall=0.01,cut-payload=512,min-len=128,drop=0.4,dup=0.15",
-        )
-        .unwrap();
-        assert_eq!(cfg.seed, 7);
-        assert_eq!(cfg.corrupt, 0.5);
-        assert_eq!(cfg.trunc, 0.1);
-        assert_eq!(cfg.split, 0.2);
-        assert_eq!(cfg.delay, 0.3);
-        assert_eq!(cfg.delay_ms, 25);
-        assert_eq!(cfg.reset, 0.05);
-        assert_eq!(cfg.stall, 0.01);
-        assert_eq!(cfg.cut_payload, 512);
-        assert_eq!(cfg.min_len, 128);
-        assert_eq!(cfg.drop, 0.4);
-        assert_eq!(cfg.dup, 0.15);
-        assert!(!cfg.is_zero());
+    fn every_key_of_the_table_round_trips() {
+        let spec = "seed=7,corrupt=0.5,trunc=0.1,split=0.2,delay=0.3,delay-ms=25,\
+                    reset=0.05,stall=0.01,cut-payload=512,min-len=128,drop=0.4,dup=0.15";
+        assert_eq!(spec.split(',').count(), KEYS.len(), "exercise every key");
+        let want = WireChaosConfig {
+            seed: 7,
+            corrupt: 0.5,
+            trunc: 0.1,
+            split: 0.2,
+            delay: 0.3,
+            delay_ms: 25,
+            reset: 0.05,
+            stall: 0.01,
+            cut_payload: 512,
+            min_len: 128,
+            drop: 0.4,
+            dup: 0.15,
+        };
+        assert_eq!(WireChaosConfig::parse(spec), Ok(want));
         assert!(WireChaosConfig::parse("").unwrap().is_zero());
         assert!(WireChaosConfig::parse("seed=9").unwrap().is_zero());
-    }
-
-    #[test]
-    fn parse_rejects_garbage_with_names() {
-        for (spec, needle) in [
-            ("corrupt=2", "outside"),
-            ("corrupt=x", "not a number"),
-            ("frobnicate=1", "unknown"),
-            ("corrupt", "key=value"),
-            ("seed=-1", "not a count"),
-        ] {
-            let err = WireChaosConfig::parse(spec).unwrap_err();
-            assert!(err.contains(needle), "{spec}: {err}");
-        }
+        assert!(WireChaosConfig::parse("frobnicate=1").is_err());
     }
 
     #[test]

@@ -55,7 +55,7 @@ impl TcpProxy {
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
-        let metrics = Arc::new(ProxyMetrics::default());
+        let metrics = ProxyMetrics::new();
         let schedule = WireSchedule::new(cfg);
         // The deterministic cut-payload fault fires at most once per
         // proxy lifetime; this is its one-shot trigger.
@@ -71,7 +71,7 @@ impl TcpProxy {
                 while !stop.load(Ordering::Relaxed) {
                     match listener.accept() {
                         Ok((client, _peer)) => {
-                            metrics.connections.fetch_add(1, Ordering::Relaxed);
+                            metrics.connections.inc();
                             match TcpStream::connect(upstream) {
                                 Ok(server) => {
                                     let _ = client.set_nodelay(true);
@@ -221,7 +221,7 @@ impl Pump {
                     return;
                 }
             };
-            self.metrics.chunks.fetch_add(1, Ordering::Relaxed);
+            self.metrics.chunks.inc();
             let chunk = &mut buf[..n];
 
             // The one-shot deterministic cut beats the random draws: a
@@ -233,7 +233,7 @@ impl Pump {
                 && n >= cut_at
                 && self.cut.swap(false, Ordering::Relaxed)
             {
-                self.metrics.truncated.fetch_add(1, Ordering::Relaxed);
+                self.metrics.truncated.inc();
                 let _ = self.dst.write_all(&chunk[..n / 2]);
                 let _ = self.dst.flush();
                 self.sever();
@@ -244,35 +244,35 @@ impl Pump {
             chunk_idx += 1;
             match fault {
                 ChunkFault::Reset => {
-                    self.metrics.resets.fetch_add(1, Ordering::Relaxed);
+                    self.metrics.resets.inc();
                     self.sever();
                     return;
                 }
                 ChunkFault::Stall => {
                     // Hold both sockets open and go silent: the fault a
                     // frame deadline exists to catch.
-                    self.metrics.stalls.fetch_add(1, Ordering::Relaxed);
+                    self.metrics.stalls.inc();
                     while !self.stop.load(Ordering::Relaxed) && !self.dead.load(Ordering::Relaxed) {
                         std::thread::sleep(POLL);
                     }
                     return;
                 }
                 ChunkFault::Truncate => {
-                    self.metrics.truncated.fetch_add(1, Ordering::Relaxed);
+                    self.metrics.truncated.inc();
                     let _ = self.dst.write_all(&chunk[..n / 2]);
                     let _ = self.dst.flush();
                     self.sever();
                     return;
                 }
                 ChunkFault::Corrupt { index, xor } => {
-                    self.metrics.corrupted.fetch_add(1, Ordering::Relaxed);
+                    self.metrics.corrupted.inc();
                     chunk[index] ^= xor;
                     if self.relay(&buf[..n]).is_err() {
                         return;
                     }
                 }
                 ChunkFault::Split => {
-                    self.metrics.split.fetch_add(1, Ordering::Relaxed);
+                    self.metrics.split.inc();
                     for i in 0..n {
                         if self.relay(&buf[i..i + 1]).is_err() {
                             return;
@@ -280,7 +280,7 @@ impl Pump {
                     }
                 }
                 ChunkFault::Delay(ms) => {
-                    self.metrics.delayed.fetch_add(1, Ordering::Relaxed);
+                    self.metrics.delayed.inc();
                     let deadline = std::time::Instant::now() + Duration::from_millis(ms);
                     while std::time::Instant::now() < deadline
                         && !self.stop.load(Ordering::Relaxed)
@@ -309,7 +309,7 @@ impl Pump {
         };
         match self.dst.write_all(bytes) {
             Ok(()) => {
-                counter.fetch_add(bytes.len() as u64, Ordering::Relaxed);
+                counter.add(bytes.len() as u64);
                 Ok(())
             }
             Err(e) => {
@@ -366,9 +366,9 @@ mod tests {
         c.read_to_end(&mut got).unwrap();
         assert_eq!(got, payload);
         let m = proxy.metrics();
-        assert_eq!(m.connections.load(Ordering::Relaxed), 1);
+        assert_eq!(m.connections.get(), 1);
         assert_eq!(m.faults(), 0, "passthrough injects nothing");
-        assert_eq!(m.bytes_up.load(Ordering::Relaxed), payload.len() as u64);
+        assert_eq!(m.bytes_up.get(), payload.len() as u64);
         proxy.shutdown();
     }
 
@@ -386,7 +386,7 @@ mod tests {
         assert_eq!(got.len(), payload.len());
         assert_ne!(got, payload, "corrupt=1 must flip something");
         let m = proxy.metrics();
-        assert!(m.corrupted.load(Ordering::Relaxed) >= 1);
+        assert!(m.corrupted.get() >= 1);
         proxy.shutdown();
     }
 
@@ -415,7 +415,7 @@ mod tests {
         let mut got2 = Vec::new();
         c2.read_to_end(&mut got2).unwrap();
         assert_eq!(got2, vec![9u8; 4096]);
-        assert_eq!(proxy.metrics().truncated.load(Ordering::Relaxed), 1);
+        assert_eq!(proxy.metrics().truncated.get(), 1);
         proxy.shutdown();
     }
 
@@ -431,7 +431,7 @@ mod tests {
         let mut got = Vec::new();
         c.read_to_end(&mut got).unwrap();
         assert_eq!(got, payload, "splitting reorders nothing");
-        assert!(proxy.metrics().split.load(Ordering::Relaxed) >= 1);
+        assert!(proxy.metrics().split.get() >= 1);
         proxy.shutdown();
     }
 }

@@ -52,7 +52,7 @@ impl UdpProxy {
         back.set_read_timeout(Some(POLL))?;
 
         let stop = Arc::new(AtomicBool::new(false));
-        let metrics = Arc::new(ProxyMetrics::default());
+        let metrics = ProxyMetrics::new();
         let schedule = WireSchedule::new(cfg);
         let last_client: Arc<Mutex<Option<SocketAddr>>> = Arc::new(Mutex::new(None));
         let mut threads = Vec::with_capacity(2);
@@ -83,25 +83,25 @@ impl UdpProxy {
                         Err(_) => break,
                     };
                     *last_client.lock().expect("client-addr lock") = Some(from);
-                    metrics.datagrams.fetch_add(1, Ordering::Relaxed);
+                    metrics.datagrams.inc();
                     let fault = schedule.udp_fault(idx, n);
                     idx += 1;
                     match fault {
                         UdpFault::Drop => {
-                            metrics.dropped.fetch_add(1, Ordering::Relaxed);
+                            metrics.dropped.inc();
                         }
                         UdpFault::Duplicate => {
-                            metrics.duplicated.fetch_add(1, Ordering::Relaxed);
+                            metrics.duplicated.inc();
                             let _ = back.send_to(&buf[..n], upstream);
                             let _ = back.send_to(&buf[..n], upstream);
                         }
                         UdpFault::Corrupt { index, xor } => {
-                            metrics.corrupted.fetch_add(1, Ordering::Relaxed);
+                            metrics.corrupted.inc();
                             buf[index] ^= xor;
                             let _ = back.send_to(&buf[..n], upstream);
                         }
                         UdpFault::Delay(ms) => {
-                            metrics.delayed.fetch_add(1, Ordering::Relaxed);
+                            metrics.delayed.inc();
                             std::thread::sleep(Duration::from_millis(ms));
                             let _ = back.send_to(&buf[..n], upstream);
                         }
@@ -209,10 +209,10 @@ mod tests {
         }
 
         let m = proxy.metrics();
-        let dropped = m.dropped.load(Ordering::Relaxed);
-        let duplicated = m.duplicated.load(Ordering::Relaxed);
-        let corrupted = m.corrupted.load(Ordering::Relaxed);
-        assert_eq!(m.datagrams.load(Ordering::Relaxed), SENT);
+        let dropped = m.dropped.get();
+        let duplicated = m.duplicated.get();
+        let corrupted = m.corrupted.get();
+        assert_eq!(m.datagrams.get(), SENT);
         assert!(
             dropped > 0 && duplicated > 0 && corrupted > 0,
             "{}",

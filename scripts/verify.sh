@@ -9,6 +9,34 @@ cd "$(dirname "$0")/.."
 quick=0
 [[ "${1:-}" == "--quick" ]] && quick=1
 
+# "Said once": each shared primitive lives in crates/base. A re-copy
+# fails here by name, with the offending file:line, before anything
+# builds (so --quick runs it too).
+echo "==> said-once gate (primitives live in crates/base)"
+said_once() { # <what> <fixed-string pattern> <allowed path prefix>...
+    local what=$1 pattern=$2 hits
+    shift 2
+    hits=$(grep -rnF --include='*.rs' -e "$pattern" crates src || true)
+    for allowed in "$@"; do
+        hits=$(grep -v "^$allowed" <<< "$hits" || true)
+    done
+    if [[ -n "$hits" ]]; then
+        echo "said-once: $what re-copied outside $*:" >&2
+        echo "$hits" >&2
+        exit 1
+    fi
+}
+said_once "the splitmix64 finalizer" '>> 30)).wrapping_mul' \
+    crates/base/src/hash.rs crates/traffic/src/picker.rs
+said_once "the CRC-32 polynomial" 'EDB8_8320' crates/base/src/
+said_once "the metrics exposition format" '"# TYPE' crates/base/src/
+for manifest in crates/store/Cargo.toml crates/query/Cargo.toml; do
+    if grep -n "lockdown-collect" "$manifest" >&2; then
+        echo "said-once: $manifest depends on the collection plane again" >&2
+        exit 1
+    fi
+done
+
 if [[ $quick -eq 0 ]]; then
     echo "==> cargo build --release --workspace"
     cargo build --release --workspace

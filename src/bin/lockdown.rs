@@ -1,19 +1,8 @@
 //! `lockdown` — command-line front end to the reproduction.
 //!
-//! ```text
-//! lockdown figures [--fidelity test|standard|high] [--scenario FILE] [--wire] [--audit] [--loss P] [--reorder P] [--dup P] [--restart N] [NAME...]
-//! lockdown collect [--fidelity test|standard|high] [--scenario FILE] [--audit] [--loss P] [--reorder P] [--dup P] [--restart N]
-//! lockdown scenarios list|show FILE|--matrix FILE... [--out DIR]
-//! lockdown registry
-//! lockdown capture --vantage IXP-CE --date 2020-03-25 --out day.lkdn [--format ipfix|v9|v5] [--sample N]
-//! lockdown analyze --trace day.lkdn
-//! lockdown chaosproxy --upstream HOST:PORT [--listen HOST:PORT] [--chaos SPEC] [--udp]
-//! lockdown serve --archive DIR [--addr HOST:PORT] [--connections N] [--cache-mb MB]
-//! lockdown query --archive DIR [--from T] [--to T] [--vantage VP] [--class C] [--as N] [--port P] [--direction D]
-//! lockdown loadgen --target URL [--clients N] [--duration S] [--seed N] [--expect FILE]
-//! lockdown vpn-scan
-//! lockdown help
-//! ```
+//! Every subcommand, its flags and the exit codes are documented in one
+//! place, [`USAGE`] (`lockdown help` prints it); [`COMMANDS`] is the table
+//! `main` dispatches through and checks flags against.
 //!
 //! Argument parsing is hand-rolled (the dependency set is deliberately
 //! small); every subcommand prints human-oriented tables.
@@ -59,35 +48,60 @@ const EXIT_DEGRADED: u8 = 3;
 /// to the expected engine output.
 const EXIT_MISMATCH: u8 = 4;
 
+type Handler = fn(&[String], &[&String]) -> Result<ExitCode, String>;
+
+/// One row per subcommand [`USAGE`] documents: its name, the flags it
+/// defines — those that consume the following argument, then those that
+/// stand alone, each space-separated; any other `--flag` is rejected
+/// before the handler runs — and its handler, which receives the raw
+/// arguments and the positional ones.
+#[rustfmt::skip] // a table: one row per line
+const COMMANDS: &[(&str, &str, &str, Handler)] = &[
+    ("figures",
+        "--fidelity --scenario --loss --reorder --dup --restart --archive --chaos",
+        "--wire --audit", cmd_figures),
+    ("coordinate",
+        "--workers --attach --fidelity --scenario --archive --chaos --chunks --timeout-ms",
+        "", cmd_coordinate),
+    ("worker", "--listen --fidelity --scenario --archive --chaos", "", cmd_worker),
+    ("chaosproxy", "--listen --upstream --chaos", "--udp", cmd_chaosproxy),
+    ("collect",
+        "--fidelity --scenario --loss --reorder --dup --restart --chaos",
+        "--audit", cmd_collect),
+    ("collectd",
+        "--format --listen --sockets --shards --queue --cells --records --batch --rcvbuf",
+        "--soak", cmd_collectd),
+    ("export", "--target --format --cells --records --batch --exporters", "", cmd_export),
+    ("scenarios", "--fidelity --archive --dir --out", "--matrix", cmd_scenarios),
+    ("store", "--archive", "--dry-run", cmd_store),
+    ("registry", "", "", cmd_registry),
+    ("capture", "--vantage --date --out --format --sample", "", cmd_capture),
+    ("analyze", "--trace", "", cmd_analyze),
+    ("serve", "--archive --addr --connections --cache-mb --fidelity --scenario", "", cmd_serve),
+    ("query",
+        "--archive --cache-mb --from --to --vantage --class --as --port --direction",
+        "", cmd_query),
+    ("loadgen", "--target --clients --duration --seed --expect", "", cmd_loadgen),
+    ("vpn-scan", "", "", cmd_vpn_scan),
+];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
+    let Some(name) = args.first() else {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
     let rest = &args[1..];
-    let result = match cmd.as_str() {
-        "figures" => cmd_figures(rest),
-        "coordinate" => cmd_coordinate(rest),
-        "worker" => cmd_worker(rest),
-        "chaosproxy" => cmd_chaosproxy(rest),
-        "collect" => cmd_collect(rest),
-        "collectd" => cmd_collectd(rest),
-        "export" => cmd_export(rest),
-        "scenarios" => cmd_scenarios(rest).map(|()| ExitCode::SUCCESS),
-        "store" => cmd_store(rest).map(|()| ExitCode::SUCCESS),
-        "registry" => cmd_registry().map(|()| ExitCode::SUCCESS),
-        "capture" => cmd_capture(rest).map(|()| ExitCode::SUCCESS),
-        "analyze" => cmd_analyze(rest).map(|()| ExitCode::SUCCESS),
-        "serve" => cmd_serve(rest),
-        "query" => cmd_query(rest).map(|()| ExitCode::SUCCESS),
-        "loadgen" => cmd_loadgen(rest),
-        "vpn-scan" => cmd_vpn_scan().map(|()| ExitCode::SUCCESS),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(ExitCode::SUCCESS)
+    let result = if matches!(name.as_str(), "help" | "--help" | "-h") {
+        println!("{USAGE}");
+        Ok(ExitCode::SUCCESS)
+    } else {
+        match COMMANDS.iter().find(|c| c.0 == name) {
+            Some(&(_, value_flags, bool_flags, run)) => {
+                check_flags(rest, value_flags, bool_flags).and_then(|pos| run(rest, &pos))
+            }
+            None => Err(format!("unknown command: {name}\n{USAGE}")),
         }
-        other => Err(format!("unknown command: {other}\n{USAGE}")),
     };
     match result {
         Ok(code) => code,
@@ -308,88 +322,45 @@ fn flag(rest: &[String], name: &str) -> Option<String> {
         .cloned()
 }
 
-/// Flags that consume the following argument as their value; everything
-/// else starting with `--` is boolean.
-const VALUE_FLAGS: &[&str] = &[
-    "--fidelity",
-    "--loss",
-    "--reorder",
-    "--dup",
-    "--restart",
-    "--archive",
-    "--chaos",
-    "--scenario",
-    "--dir",
-    "--out",
-    "--addr",
-    "--connections",
-    "--cache-mb",
-    "--from",
-    "--to",
-    "--vantage",
-    "--class",
-    "--as",
-    "--port",
-    "--direction",
-    "--target",
-    "--clients",
-    "--duration",
-    "--seed",
-    "--expect",
-    "--format",
-    "--listen",
-    "--sockets",
-    "--shards",
-    "--queue",
-    "--cells",
-    "--records",
-    "--batch",
-    "--rcvbuf",
-    "--exporters",
-    "--workers",
-    "--attach",
-    "--chunks",
-    "--timeout-ms",
-    "--upstream",
-];
-
-/// Reject any `--flag` the subcommand does not define: a typo must fail
-/// loudly (with the usage text) instead of silently doing the default.
-fn check_flags(rest: &[String], value: &[&str], boolean: &[&str]) -> Result<(), String> {
+/// Reject any `--flag` the subcommand does not define — a typo must fail
+/// loudly (with the usage text) instead of silently doing the default —
+/// and return the positional arguments: everything that is neither a
+/// flag nor the value token following one of `value_flags`.
+fn check_flags<'a>(
+    rest: &'a [String],
+    value_flags: &str,
+    bool_flags: &str,
+) -> Result<Vec<&'a String>, String> {
+    let mut positionals = Vec::new();
     let mut skip_value = false;
     for a in rest {
         if skip_value {
             skip_value = false;
-            continue;
-        }
-        if a.starts_with("--") {
-            if value.contains(&a.as_str()) {
-                skip_value = true;
-            } else if !boolean.contains(&a.as_str()) {
-                return Err(format!("unknown flag: {a}\n\n{USAGE}"));
-            }
+        } else if !a.starts_with("--") {
+            positionals.push(a);
+        } else if value_flags.split(' ').any(|f| f == a) {
+            skip_value = true;
+        } else if !bool_flags.split(' ').any(|f| f == a) {
+            return Err(format!("unknown flag: {a}\n\n{USAGE}"));
         }
     }
-    Ok(())
+    Ok(positionals)
 }
 
-/// Positional (non-flag) arguments: skips `--` flags and the value token
-/// following each value-taking flag.
-fn positionals(rest: &[String]) -> Vec<&String> {
-    let mut out = Vec::new();
-    let mut skip_value = false;
-    for a in rest {
-        if skip_value {
-            skip_value = false;
-            continue;
-        }
-        if a.starts_with("--") {
-            skip_value = VALUE_FLAGS.contains(&a.as_str());
-            continue;
-        }
-        out.push(a);
-    }
-    out
+/// Unwrap a bind result, or report the failure the way every daemon
+/// does; the caller then exits with [`EXIT_BIND`].
+fn bound<T>(what: impl std::fmt::Display, result: std::io::Result<T>) -> Option<T> {
+    result
+        .map_err(|e| eprintln!("error: binding {what}: {e}"))
+        .ok()
+}
+
+/// Block until stdin reaches EOF — the portable shutdown signal for a
+/// daemon whose lifetime a parent pipeline manages.
+fn wait_for_stdin_eof() {
+    let mut sink = [0u8; 4096];
+    let mut stdin = std::io::stdin();
+    while matches!(stdin.read(&mut sink), Ok(n) if n > 0) {}
 }
 
 fn parse_fidelity(rest: &[String]) -> Result<Fidelity, String> {
@@ -424,23 +395,6 @@ fn parse_faults(rest: &[String]) -> Result<FaultProfile, String> {
         faults.restart_every = s.parse().map_err(|_| format!("bad --restart: {s}"))?;
     }
     Ok(faults)
-}
-
-fn parse_date(s: &str) -> Result<Date, String> {
-    let parts: Vec<&str> = s.split('-').collect();
-    if parts.len() != 3 {
-        return Err(format!("bad date (want YYYY-MM-DD): {s}"));
-    }
-    let y: i32 = parts[0].parse().map_err(|_| format!("bad year: {s}"))?;
-    let m: u8 = parts[1].parse().map_err(|_| format!("bad month: {s}"))?;
-    let d: u8 = parts[2].parse().map_err(|_| format!("bad day: {s}"))?;
-    if !(1..=12).contains(&m) {
-        return Err(format!("bad month: {s}"));
-    }
-    if d < 1 || d > lockdown_flow::time::days_in_month(y, m) {
-        return Err(format!("bad day of month: {s}"));
-    }
-    Ok(Date::new(y, m, d))
 }
 
 fn parse_vantage(s: &str) -> Result<VantagePoint, String> {
@@ -492,21 +446,7 @@ fn degraded_exit(suite: &suite::Suite) -> ExitCode {
     }
 }
 
-fn cmd_figures(rest: &[String]) -> Result<ExitCode, String> {
-    check_flags(
-        rest,
-        &[
-            "--fidelity",
-            "--loss",
-            "--reorder",
-            "--dup",
-            "--restart",
-            "--archive",
-            "--chaos",
-            "--scenario",
-        ],
-        &["--wire", "--audit"],
-    )?;
+fn cmd_figures(rest: &[String], names: &[&String]) -> Result<ExitCode, String> {
     let faults = parse_faults(rest)?;
     let audit = rest.iter().any(|a| a == "--audit");
     let wire = if rest.iter().any(|a| a == "--wire") {
@@ -522,7 +462,6 @@ fn cmd_figures(rest: &[String]) -> Result<ExitCode, String> {
     };
     let archive = flag(rest, "--archive");
     let chaos = parse_chaos(rest)?;
-    let names = positionals(rest);
     let all = names.is_empty();
     if wire.is_some() && !all {
         return Err("--wire applies to the full suite; drop the figure names".into());
@@ -533,7 +472,7 @@ fn cmd_figures(rest: &[String]) -> Result<ExitCode, String> {
     if chaos.is_some() && !all {
         return Err("--chaos applies to the full suite; drop the figure names".into());
     }
-    let selected = figures::select(&names).map_err(|unknown| {
+    let selected = figures::select(names).map_err(|unknown| {
         format!(
             "unknown figure '{unknown}'; valid names: {}",
             figures::selectable_names().join(" ")
@@ -579,21 +518,7 @@ fn cmd_figures(rest: &[String]) -> Result<ExitCode, String> {
 /// `coordinate`: the sharded full-suite pass. Stdout carries exactly
 /// what `figures` would print; scheduling and engine summaries go to
 /// stderr, and a degraded pass exits 3 like any supervised run.
-fn cmd_coordinate(rest: &[String]) -> Result<ExitCode, String> {
-    check_flags(
-        rest,
-        &[
-            "--workers",
-            "--attach",
-            "--fidelity",
-            "--scenario",
-            "--archive",
-            "--chaos",
-            "--chunks",
-            "--timeout-ms",
-        ],
-        &[],
-    )?;
+fn cmd_coordinate(rest: &[String], _: &[&String]) -> Result<ExitCode, String> {
     let ctx = parse_context(rest)?;
     let mut opts = CoordOptions::default();
     opts.suite = suite::ShardSuiteOptions {
@@ -673,18 +598,7 @@ fn cmd_coordinate(rest: &[String]) -> Result<ExitCode, String> {
 /// `worker`: one shard worker process. Stdout carries only the
 /// `listening on HOST:PORT` contract line; the coordinator owns the
 /// figures.
-fn cmd_worker(rest: &[String]) -> Result<ExitCode, String> {
-    check_flags(
-        rest,
-        &[
-            "--listen",
-            "--fidelity",
-            "--scenario",
-            "--archive",
-            "--chaos",
-        ],
-        &[],
-    )?;
+fn cmd_worker(rest: &[String], _: &[&String]) -> Result<ExitCode, String> {
     let ctx = parse_context(rest)?;
     let opts = suite::ShardSuiteOptions {
         archive: flag(rest, "--archive").map(|d| Path::new(&d).to_path_buf()),
@@ -693,12 +607,8 @@ fn cmd_worker(rest: &[String]) -> Result<ExitCode, String> {
     let addr = flag(rest, "--listen").unwrap_or_else(|| "127.0.0.1:0".into());
     // Bind before anything else: a port conflict must be diagnosable
     // (exit 2, as for serve and collectd).
-    let listener = match std::net::TcpListener::bind(&addr) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("error: binding {addr}: {e}");
-            return Ok(ExitCode::from(EXIT_BIND));
-        }
+    let Some(listener) = bound(&addr, std::net::TcpListener::bind(&addr)) else {
+        return Ok(ExitCode::from(EXIT_BIND));
     };
     println!(
         "listening on {}",
@@ -714,8 +624,7 @@ fn cmd_worker(rest: &[String]) -> Result<ExitCode, String> {
 /// processes. Sits on --listen, relays to --upstream, and injects the
 /// faults named in --chaos on a deterministic splitmix64 schedule —
 /// same seed, same faults, every run.
-fn cmd_chaosproxy(rest: &[String]) -> Result<ExitCode, String> {
-    check_flags(rest, &["--listen", "--upstream", "--chaos"], &["--udp"])?;
+fn cmd_chaosproxy(rest: &[String], _: &[&String]) -> Result<ExitCode, String> {
     let upstream = flag(rest, "--upstream").ok_or("chaosproxy needs --upstream HOST:PORT")?;
     let upstream: std::net::SocketAddr = upstream
         .parse()
@@ -732,32 +641,24 @@ fn cmd_chaosproxy(rest: &[String]) -> Result<ExitCode, String> {
     // Bind before anything else: exit 2 on a port conflict, as for
     // serve, collectd and worker.
     let (addr, metrics, mut tcp, mut udp_proxy) = if udp {
-        match wirechaos::UdpProxy::start(listen.as_str(), upstream, cfg) {
-            Ok(p) => (p.addr(), p.metrics(), None, Some(p)),
-            Err(e) => {
-                eprintln!("error: binding {listen}: {e}");
-                return Ok(ExitCode::from(EXIT_BIND));
-            }
-        }
+        let start = wirechaos::UdpProxy::start(listen.as_str(), upstream, cfg);
+        let Some(p) = bound(&listen, start) else {
+            return Ok(ExitCode::from(EXIT_BIND));
+        };
+        (p.addr(), p.metrics(), None, Some(p))
     } else {
-        match wirechaos::TcpProxy::start(listen.as_str(), upstream, cfg) {
-            Ok(p) => (p.addr(), p.metrics(), Some(p), None),
-            Err(e) => {
-                eprintln!("error: binding {listen}: {e}");
-                return Ok(ExitCode::from(EXIT_BIND));
-            }
-        }
+        let start = wirechaos::TcpProxy::start(listen.as_str(), upstream, cfg);
+        let Some(p) = bound(&listen, start) else {
+            return Ok(ExitCode::from(EXIT_BIND));
+        };
+        (p.addr(), p.metrics(), Some(p), None)
     };
     // The bound address is the first stdout line so a parent pipeline
     // can scrape the ephemeral port.
     println!("listening on {addr}");
     std::io::stdout().flush().map_err(|e| e.to_string())?;
 
-    // Run until stdin reaches EOF — the same portable shutdown signal
-    // every other lockdown daemon honours.
-    let mut sink = [0u8; 4096];
-    let mut stdin = std::io::stdin();
-    while matches!(stdin.read(&mut sink), Ok(n) if n > 0) {}
+    wait_for_stdin_eof();
 
     if let Some(p) = tcp.as_mut() {
         p.shutdown();
@@ -769,20 +670,7 @@ fn cmd_chaosproxy(rest: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_collect(rest: &[String]) -> Result<ExitCode, String> {
-    check_flags(
-        rest,
-        &[
-            "--fidelity",
-            "--loss",
-            "--reorder",
-            "--dup",
-            "--restart",
-            "--chaos",
-            "--scenario",
-        ],
-        &["--audit"],
-    )?;
+fn cmd_collect(rest: &[String], _: &[&String]) -> Result<ExitCode, String> {
     let faults = parse_faults(rest)?;
     let audit = rest.iter().any(|a| a == "--audit");
     let chaos = parse_chaos(rest)?;
@@ -826,22 +714,7 @@ fn parse_format(rest: &[String]) -> Result<ExportFormat, String> {
     }
 }
 
-fn cmd_collectd(rest: &[String]) -> Result<ExitCode, String> {
-    check_flags(
-        rest,
-        &[
-            "--format",
-            "--listen",
-            "--sockets",
-            "--shards",
-            "--queue",
-            "--cells",
-            "--records",
-            "--batch",
-            "--rcvbuf",
-        ],
-        &["--soak"],
-    )?;
+fn cmd_collectd(rest: &[String], _: &[&String]) -> Result<ExitCode, String> {
     let format = parse_format(rest)?;
     let sockets = parse_count(rest, "--sockets", 2)?;
     let shards = parse_count(rest, "--shards", 4)?;
@@ -864,12 +737,8 @@ fn cmd_collectd(rest: &[String]) -> Result<ExitCode, String> {
         cfg.records_per_cell = parse_count(rest, "--records", cfg.records_per_cell)?;
         cfg.batch_size = parse_count(rest, "--batch", cfg.batch_size)?;
         cfg.rcvbuf = rcvbuf;
-        let out = match soak::run(&cfg) {
-            Ok(out) => out,
-            Err(e) => {
-                eprintln!("error: binding soak sockets: {e}");
-                return Ok(ExitCode::from(EXIT_BIND));
-            }
+        let Some(out) = bound("soak sockets", soak::run(&cfg)) else {
+            return Ok(ExitCode::from(EXIT_BIND));
         };
         println!("{}", out.render_json());
         if !out.audit_clean {
@@ -896,12 +765,9 @@ fn cmd_collectd(rest: &[String]) -> Result<ExitCode, String> {
     let metrics = CollectMetrics::new();
     // Bind before anything else: a port conflict must be diagnosable
     // (exit 2, as for serve) independently of everything downstream.
-    let mut daemon = match Collectd::bind(&dcfg, Arc::clone(&metrics)) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("error: binding {}: {e}", dcfg.listen);
-            return Ok(ExitCode::from(EXIT_BIND));
-        }
+    let bind = Collectd::bind(&dcfg, Arc::clone(&metrics));
+    let Some(mut daemon) = bound(dcfg.listen, bind) else {
+        return Ok(ExitCode::from(EXIT_BIND));
     };
     // The bound addresses are the first stdout lines so a parent
     // pipeline can scrape the ephemeral ports.
@@ -910,11 +776,7 @@ fn cmd_collectd(rest: &[String]) -> Result<ExitCode, String> {
     }
     std::io::stdout().flush().map_err(|e| e.to_string())?;
 
-    // Run until stdin reaches EOF — the portable shutdown signal for a
-    // daemon whose lifetime a parent pipeline manages.
-    let mut sink = [0u8; 4096];
-    let mut stdin = std::io::stdin();
-    while matches!(stdin.read(&mut sink), Ok(n) if n > 0) {}
+    wait_for_stdin_eof();
 
     // Graceful drain: the cycle barrier flushes every queued datagram
     // through its shard before the workers hand their state back.
@@ -938,19 +800,7 @@ fn cmd_collectd(rest: &[String]) -> Result<ExitCode, String> {
 /// `export`: the exporter half of a two-process wire run. Encodes
 /// synthetic flows and pushes them at a running collectd; the printed
 /// tallies are the sender's side of the cross-process conservation diff.
-fn cmd_export(rest: &[String]) -> Result<ExitCode, String> {
-    check_flags(
-        rest,
-        &[
-            "--target",
-            "--format",
-            "--cells",
-            "--records",
-            "--batch",
-            "--exporters",
-        ],
-        &[],
-    )?;
+fn cmd_export(rest: &[String], _: &[&String]) -> Result<ExitCode, String> {
     let targets = flag(rest, "--target")
         .ok_or("export needs --target HOST:PORT[,HOST:PORT...]")?
         .split(',')
@@ -970,16 +820,10 @@ fn cmd_export(rest: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_scenarios(rest: &[String]) -> Result<(), String> {
-    check_flags(
-        rest,
-        &["--fidelity", "--archive", "--dir", "--out"],
-        &["--matrix"],
-    )?;
+fn cmd_scenarios(rest: &[String], pos: &[&String]) -> Result<ExitCode, String> {
     if rest.iter().any(|a| a == "--matrix") {
-        return cmd_scenarios_matrix(rest);
+        return cmd_scenarios_matrix(rest, pos);
     }
-    let pos = positionals(rest);
     match pos.split_first().map(|(a, files)| (a.as_str(), files)) {
         Some(("list", [])) => {
             let dir = flag(rest, "--dir").unwrap_or_else(|| "scenarios".to_string());
@@ -991,7 +835,7 @@ fn cmd_scenarios(rest: &[String]) -> Result<(), String> {
             files.sort();
             if files.is_empty() {
                 println!("no scenario files (*.toml) in {dir}");
-                return Ok(());
+                return Ok(ExitCode::SUCCESS);
             }
             for path in files {
                 let shown = path.display().to_string();
@@ -1007,7 +851,7 @@ fn cmd_scenarios(rest: &[String]) -> Result<(), String> {
                     Err(e) => println!("{shown}\n  INVALID: {e}"),
                 }
             }
-            Ok(())
+            Ok(ExitCode::SUCCESS)
         }
         Some(("show", [file])) => {
             let spec = load_scenario(file)?;
@@ -1019,7 +863,7 @@ fn cmd_scenarios(rest: &[String]) -> Result<(), String> {
                 spec.regions.len(),
                 spec.events.len(),
             );
-            Ok(())
+            Ok(ExitCode::SUCCESS)
         }
         _ => Err(format!(
             "scenarios needs an action: list | show FILE | --matrix FILE...\n\n{USAGE}"
@@ -1029,13 +873,12 @@ fn cmd_scenarios(rest: &[String]) -> Result<(), String> {
 
 /// `scenarios --matrix`: run the suite once per scenario file and emit
 /// per-scenario figure suites plus a diff report.
-fn cmd_scenarios_matrix(rest: &[String]) -> Result<(), String> {
-    let files = positionals(rest);
+fn cmd_scenarios_matrix(rest: &[String], files: &[&String]) -> Result<ExitCode, String> {
     if files.is_empty() {
         return Err("scenarios --matrix needs at least one scenario file".into());
     }
     let mut scenarios = Vec::with_capacity(files.len());
-    for file in &files {
+    for file in files {
         let spec = load_scenario(file)?;
         let label = Path::new(file.as_str())
             .file_stem()
@@ -1081,13 +924,11 @@ fn cmd_scenarios_matrix(rest: &[String]) -> Result<(), String> {
     if run.runs.len() > 1 {
         eprint!("{}", run.diff_report());
     }
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_store(rest: &[String]) -> Result<(), String> {
-    check_flags(rest, &["--archive"], &["--dry-run"])?;
-    let actions = positionals(rest);
-    let action = match actions.as_slice() {
+fn cmd_store(rest: &[String], actions: &[&String]) -> Result<ExitCode, String> {
+    let action = match actions {
         [one] => one.as_str(),
         _ => return Err("store needs exactly one action: inspect | verify | gc".into()),
     };
@@ -1111,7 +952,7 @@ fn cmd_store(rest: &[String]) -> Result<(), String> {
         for name in &report.removed {
             println!("  {name}");
         }
-        return Ok(());
+        return Ok(ExitCode::SUCCESS);
     }
     if rest.iter().any(|a| a == "--dry-run") {
         return Err("--dry-run only applies to gc".into());
@@ -1142,7 +983,7 @@ fn cmd_store(rest: &[String]) -> Result<(), String> {
                     meta.max_end,
                 );
             }
-            Ok(())
+            Ok(ExitCode::SUCCESS)
         }
         "verify" => {
             let report = reader.verify();
@@ -1158,7 +999,7 @@ fn cmd_store(rest: &[String]) -> Result<(), String> {
                 println!("  FAIL {f}");
             }
             if report.ok() {
-                Ok(())
+                Ok(ExitCode::SUCCESS)
             } else {
                 Err(format!("{} corrupt segments", report.failures.len()))
             }
@@ -1184,7 +1025,7 @@ fn check_audit(suite: &suite::Suite) -> Result<(), String> {
     }
 }
 
-fn cmd_registry() -> Result<(), String> {
+fn cmd_registry(_: &[String], _: &[&String]) -> Result<ExitCode, String> {
     let registry = lockdown::topology::registry::Registry::synthesize();
     let mut by_cat: HashMap<String, usize> = HashMap::new();
     for a in registry.ases() {
@@ -1200,12 +1041,15 @@ fn cmd_registry() -> Result<(), String> {
     for (cat, n) in cats {
         println!("  {n:>4}  {cat}");
     }
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_capture(rest: &[String]) -> Result<(), String> {
+fn cmd_capture(rest: &[String], _: &[&String]) -> Result<ExitCode, String> {
     let vantage = parse_vantage(&flag(rest, "--vantage").ok_or("--vantage required")?)?;
-    let date = parse_date(&flag(rest, "--date").ok_or("--date required")?)?;
+    let date = Date::parse_iso(&flag(rest, "--date").ok_or("--date required")?)?;
+    if date.day_number() < 0 {
+        return Err(format!("--date {} is before 1970-01-01", date.iso()));
+    }
     let out = flag(rest, "--out").ok_or("--out required")?;
     let format = parse_format(rest)?;
     let sample_rate: u32 = match flag(rest, "--sample") {
@@ -1249,10 +1093,10 @@ fn cmd_capture(rest: &[String]) -> Result<(), String> {
         flows.len(),
         bytes.len(),
     );
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_analyze(rest: &[String]) -> Result<(), String> {
+fn cmd_analyze(rest: &[String], _: &[&String]) -> Result<ExitCode, String> {
     let path = flag(rest, "--trace").ok_or("--trace required")?;
     let bytes = std::fs::read(&path).map_err(|e| format!("reading {path}: {e}"))?;
     let reader = TraceReader::open(&bytes).map_err(|e| e.to_string())?;
@@ -1267,7 +1111,7 @@ fn cmd_analyze(rest: &[String]) -> Result<(), String> {
         stats.packets_ok, stats.records, stats.missing_template, stats.malformed
     );
     if collector.records().is_empty() {
-        return Ok(());
+        return Ok(ExitCode::SUCCESS);
     }
 
     // Volume + top ports + VPN summary over the replayed records.
@@ -1301,7 +1145,7 @@ fn cmd_analyze(rest: &[String]) -> Result<(), String> {
         .map(|r| r.bytes)
         .sum();
     println!("VPN bytes: port-identified {port_vpn}, domain-identified {dom_vpn}");
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Open the query engine over `--archive DIR` with the `--cache-mb`
@@ -1320,19 +1164,7 @@ fn open_query_engine(rest: &[String]) -> Result<QueryEngine, String> {
         .ok_or_else(|| format!("no archive manifest in {dir}"))
 }
 
-fn cmd_serve(rest: &[String]) -> Result<ExitCode, String> {
-    check_flags(
-        rest,
-        &[
-            "--archive",
-            "--addr",
-            "--connections",
-            "--cache-mb",
-            "--fidelity",
-            "--scenario",
-        ],
-        &[],
-    )?;
+fn cmd_serve(rest: &[String], _: &[&String]) -> Result<ExitCode, String> {
     let addr = flag(rest, "--addr").unwrap_or_else(|| "127.0.0.1:0".into());
     let connections: usize = match flag(rest, "--connections") {
         None => 2048,
@@ -1340,12 +1172,8 @@ fn cmd_serve(rest: &[String]) -> Result<ExitCode, String> {
     };
     // Bind before touching the archive: a port conflict must be
     // diagnosable (exit 2) independently of archive health.
-    let listener = match std::net::TcpListener::bind(&addr) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("error: binding {addr}: {e}");
-            return Ok(ExitCode::from(EXIT_BIND));
-        }
+    let Some(listener) = bound(&addr, std::net::TcpListener::bind(&addr)) else {
+        return Ok(ExitCode::from(EXIT_BIND));
     };
     let ctx = parse_context(rest)?;
     let engine = open_query_engine(rest)?;
@@ -1375,32 +1203,13 @@ fn cmd_serve(rest: &[String]) -> Result<ExitCode, String> {
     // can scrape the ephemeral port.
     println!("serving on {}", server.addr());
     std::io::stdout().flush().map_err(|e| e.to_string())?;
-    // Run until stdin reaches EOF — the portable shutdown signal for a
-    // server whose lifetime a parent pipeline manages.
-    let mut sink = [0u8; 4096];
-    let mut stdin = std::io::stdin();
-    while matches!(stdin.read(&mut sink), Ok(n) if n > 0) {}
+    wait_for_stdin_eof();
     server.shutdown(Duration::from_secs(5));
     eprint!("{}", engine.render_metrics());
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_query(rest: &[String]) -> Result<(), String> {
-    check_flags(
-        rest,
-        &[
-            "--archive",
-            "--cache-mb",
-            "--from",
-            "--to",
-            "--vantage",
-            "--class",
-            "--as",
-            "--port",
-            "--direction",
-        ],
-        &[],
-    )?;
+fn cmd_query(rest: &[String], _: &[&String]) -> Result<ExitCode, String> {
     let mut pairs: Vec<(String, String)> = Vec::new();
     for key in ["from", "to", "vantage", "class", "as", "port", "direction"] {
         if let Some(v) = flag(rest, &format!("--{key}")) {
@@ -1411,15 +1220,10 @@ fn cmd_query(rest: &[String]) -> Result<(), String> {
     let engine = open_query_engine(rest)?;
     let out = engine.execute(&plan).map_err(|e| e.to_string())?;
     println!("{}", out.render_json());
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_loadgen(rest: &[String]) -> Result<ExitCode, String> {
-    check_flags(
-        rest,
-        &["--target", "--clients", "--duration", "--seed", "--expect"],
-        &[],
-    )?;
+fn cmd_loadgen(rest: &[String], _: &[&String]) -> Result<ExitCode, String> {
     let target = flag(rest, "--target").ok_or("--target HOST:PORT required")?;
     let clients: usize = match flag(rest, "--clients") {
         None => 1000,
@@ -1458,7 +1262,7 @@ fn cmd_loadgen(rest: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_vpn_scan() -> Result<(), String> {
+fn cmd_vpn_scan(_: &[String], _: &[&String]) -> Result<ExitCode, String> {
     let ctx = Context::new(Fidelity::Standard);
     let id = identify_vpn_ips(&ctx.corpus.db);
     println!(
@@ -1472,5 +1276,5 @@ fn cmd_vpn_scan() -> Result<(), String> {
     for d in id.candidate_domains.iter().take(10) {
         println!("  {d}");
     }
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }

@@ -293,6 +293,10 @@ fn http_server_serves_queries_figures_and_metrics() {
     assert_eq!(http_get(addr, "/figures/fig99").0, 404);
     assert_eq!(http_get(addr, "/query?frobnicate=1").0, 400);
     assert_eq!(http_get(addr, "/query?from=10&to=10").0, 400);
+    // Impossible and pre-epoch dates are the client's error (400), not a
+    // caught handler panic (500).
+    assert_eq!(http_get(addr, "/query?from=2020-02-31").0, 400);
+    assert_eq!(http_get(addr, "/query?from=1969-01-01").0, 400);
 
     let (status, metrics) = http_get(addr, "/metrics");
     assert_eq!(status, 200);

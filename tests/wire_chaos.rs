@@ -300,10 +300,10 @@ fn udp_drop_dup_corrupt_conserve_datagrams_and_never_hang() {
         sender.join().expect("sender thread");
 
         let m = proxy.metrics();
-        let seen = m.datagrams.load(std::sync::atomic::Ordering::Relaxed);
-        let dropped = m.dropped.load(std::sync::atomic::Ordering::Relaxed);
-        let duplicated = m.duplicated.load(std::sync::atomic::Ordering::Relaxed);
-        let corrupted = m.corrupted.load(std::sync::atomic::Ordering::Relaxed);
+        let seen = m.datagrams.get();
+        let dropped = m.dropped.get();
+        let duplicated = m.duplicated.get();
+        let corrupted = m.corrupted.get();
         // Conservation over the proxy's own ledger: every datagram the
         // proxy saw was forwarded once, dropped, or forwarded twice —
         // nothing vanishes unaccounted inside the interposer.
