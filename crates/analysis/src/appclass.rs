@@ -17,13 +17,12 @@ use lockdown_flow::time::Date;
 use lockdown_scenario::apps::{PortSig, GAMING_PORTS};
 use lockdown_topology::asn::{AsCategory, Asn};
 use lockdown_topology::registry::{Registry, ZOOM_ASN};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashSet};
 use std::fmt;
 use std::net::Ipv4Addr;
 
 /// The nine application classes of Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PaperClass {
     /// Web conferencing and telephony.
     WebConf,
@@ -97,7 +96,7 @@ impl fmt::Display for PaperClass {
 }
 
 /// One filter: ports, ASNs, or a port+AS combination.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FilterRule {
     /// Match on service port signature(s) alone.
     Ports(Vec<PortSig>),
@@ -322,7 +321,7 @@ fn service_sig(record: &FlowRecord) -> Option<PortSig> {
 }
 
 /// Per-class usage metrics for one hour (Fig. 8's two panels).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct HourUsage {
     /// Bytes attributed to the class.
     pub bytes: u64,

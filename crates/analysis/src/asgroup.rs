@@ -3,15 +3,15 @@
 
 use lockdown_flow::record::FlowRecord;
 use lockdown_flow::time::Date;
+use lockdown_flow::wire::PutBe;
 use lockdown_scenario::calendar::day_type;
 use lockdown_topology::asn::{Asn, Region};
 use lockdown_topology::hypergiants::is_hypergiant;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Fig. 4's four time buckets: workday/weekend × working hours
 /// (09:00–16:59) / evening (17:00–24:00).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DayPart {
     /// Workday 09:00–16:59.
     WorkdayWork,
@@ -142,20 +142,20 @@ impl HypergiantSplit {
 
     /// Shard-codec payload: byte bins, then day sets (each set sorted).
     pub(crate) fn encode_split(&self, out: &mut Vec<u8>) {
-        crate::codec::put_u64(out, self.bins.len() as u64);
+        out.put_u64_be(self.bins.len() as u64);
         for ((week, part, hg), bytes) in &self.bins {
             out.push(*week);
             out.push(part.index());
             crate::codec::put_bool(out, *hg);
-            crate::codec::put_u64(out, *bytes);
+            out.put_u64_be(*bytes);
         }
-        crate::codec::put_u64(out, self.days.len() as u64);
+        out.put_u64_be(self.days.len() as u64);
         for ((week, part), days) in &self.days {
             out.push(*week);
             out.push(part.index());
             let mut sorted: Vec<i64> = days.iter().copied().collect();
             sorted.sort_unstable();
-            crate::codec::put_u64(out, sorted.len() as u64);
+            out.put_u64_be(sorted.len() as u64);
             for d in sorted {
                 crate::codec::put_i64(out, d);
             }
@@ -218,7 +218,7 @@ impl HypergiantSplit {
 }
 
 /// §3.4's workday/weekend-ratio grouping of ASes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RatioGroup {
     /// Traffic dominated by workdays (candidate remote-work AS).
     WorkdayDominated,
@@ -287,17 +287,17 @@ impl AsDayTotals {
     pub(crate) fn encode_totals(&self, out: &mut Vec<u8>) {
         let mut asns: Vec<u32> = self.totals.keys().copied().collect();
         asns.sort_unstable();
-        crate::codec::put_u64(out, asns.len() as u64);
+        out.put_u64_be(asns.len() as u64);
         for asn in asns {
             let (wd, we) = self.totals[&asn];
-            crate::codec::put_u32(out, asn);
-            crate::codec::put_u64(out, wd);
-            crate::codec::put_u64(out, we);
+            out.put_u32_be(asn);
+            out.put_u64_be(wd);
+            out.put_u64_be(we);
         }
         for set in [&self.days_seen.0, &self.days_seen.1] {
             let mut sorted: Vec<i64> = set.iter().copied().collect();
             sorted.sort_unstable();
-            crate::codec::put_u64(out, sorted.len() as u64);
+            out.put_u64_be(sorted.len() as u64);
             for d in sorted {
                 crate::codec::put_i64(out, d);
             }
@@ -380,7 +380,7 @@ impl AsDayTotals {
 }
 
 /// One point of the Fig. 6 scatter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResidentialShift {
     /// The AS.
     pub asn: Asn,
@@ -428,7 +428,7 @@ pub fn residential_shift(
 }
 
 /// Counts per quadrant of the Fig. 6 plane (excluding points on the axes).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QuadrantCounts {
     /// Total ↑, residential ↑.
     pub both_up: usize,

@@ -24,6 +24,7 @@
 
 use crate::consumer::FlowConsumer;
 use lockdown_base::crc::crc32;
+use lockdown_flow::wire::{Cursor, PutBe, WireError, WireResult};
 use std::fmt;
 
 /// Current state-frame format version.
@@ -138,21 +139,6 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// Append a `u16`, big-endian.
-pub fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-/// Append a `u32`, big-endian.
-pub fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-/// Append a `u64`, big-endian.
-pub fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
 /// Append an `i64`, big-endian two's complement.
 pub fn put_i64(out: &mut Vec<u8>, v: i64) {
     out.extend_from_slice(&v.to_be_bytes());
@@ -163,13 +149,12 @@ pub fn put_bool(out: &mut Vec<u8>, v: bool) {
     out.push(u8::from(v));
 }
 
-/// Sequential reader over one frame's payload; every error it produces
-/// names the expected consumer.
+/// Sequential reader over one frame's payload: the flow codecs' byte
+/// [`Cursor`], with every error it produces naming the expected consumer.
 #[derive(Debug)]
 pub struct StateReader<'a> {
     consumer: &'static str,
-    buf: &'a [u8],
-    pos: usize,
+    cur: Cursor<'a>,
 }
 
 impl<'a> StateReader<'a> {
@@ -177,8 +162,7 @@ impl<'a> StateReader<'a> {
     pub fn new(consumer: &'static str, buf: &'a [u8]) -> StateReader<'a> {
         StateReader {
             consumer,
-            buf,
-            pos: 0,
+            cur: Cursor::new(buf),
         }
     }
 
@@ -192,56 +176,52 @@ impl<'a> StateReader<'a> {
 
     /// Unread bytes.
     pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        self.cur.remaining()
     }
 
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], CodecError> {
-        if self.remaining() < n {
-            return Err(self.error(format!(
-                "truncated {what}: need {n} bytes, have {}",
+    /// Read through the cursor, attributing its error to this reader's
+    /// consumer.
+    fn read<T>(
+        &mut self,
+        read: impl FnOnce(&mut Cursor<'a>) -> WireResult<T>,
+    ) -> Result<T, CodecError> {
+        read(&mut self.cur).map_err(|e| match e {
+            WireError::Truncated { what, needed } => self.error(format!(
+                "truncated {what}: need {} bytes, have {}",
+                needed + self.remaining(),
                 self.remaining()
-            )));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+            )),
+            other => self.error(other.to_string()),
+        })
     }
 
     /// Read one byte.
-    pub fn u8(&mut self, what: &str) -> Result<u8, CodecError> {
-        Ok(self.take(1, what)?[0])
+    pub fn u8(&mut self, what: &'static str) -> Result<u8, CodecError> {
+        self.read(|cur| cur.read_u8(what))
     }
 
     /// Read a big-endian `u16`.
-    pub fn u16(&mut self, what: &str) -> Result<u16, CodecError> {
-        Ok(u16::from_be_bytes(
-            self.take(2, what)?.try_into().expect("2 bytes"),
-        ))
+    pub fn u16(&mut self, what: &'static str) -> Result<u16, CodecError> {
+        self.read(|cur| cur.read_u16(what))
     }
 
     /// Read a big-endian `u32`.
-    pub fn u32(&mut self, what: &str) -> Result<u32, CodecError> {
-        Ok(u32::from_be_bytes(
-            self.take(4, what)?.try_into().expect("4 bytes"),
-        ))
+    pub fn u32(&mut self, what: &'static str) -> Result<u32, CodecError> {
+        self.read(|cur| cur.read_u32(what))
     }
 
     /// Read a big-endian `u64`.
-    pub fn u64(&mut self, what: &str) -> Result<u64, CodecError> {
-        Ok(u64::from_be_bytes(
-            self.take(8, what)?.try_into().expect("8 bytes"),
-        ))
+    pub fn u64(&mut self, what: &'static str) -> Result<u64, CodecError> {
+        self.read(|cur| cur.read_u64(what))
     }
 
-    /// Read a big-endian `i64`.
-    pub fn i64(&mut self, what: &str) -> Result<i64, CodecError> {
-        Ok(i64::from_be_bytes(
-            self.take(8, what)?.try_into().expect("8 bytes"),
-        ))
+    /// Read a big-endian two's-complement `i64`.
+    pub fn i64(&mut self, what: &'static str) -> Result<i64, CodecError> {
+        Ok(self.u64(what)? as i64)
     }
 
     /// Read a strict boolean byte (anything but 0/1 is corruption).
-    pub fn bool(&mut self, what: &str) -> Result<bool, CodecError> {
+    pub fn bool(&mut self, what: &'static str) -> Result<bool, CodecError> {
         match self.u8(what)? {
             0 => Ok(false),
             1 => Ok(true),
@@ -251,7 +231,7 @@ impl<'a> StateReader<'a> {
 
     /// Read a `u64` length prefix, sanity-bounded by what the remaining
     /// bytes could possibly hold (`min_entry` bytes per entry).
-    pub fn len(&mut self, what: &str, min_entry: usize) -> Result<usize, CodecError> {
+    pub fn len(&mut self, what: &'static str, min_entry: usize) -> Result<usize, CodecError> {
         let n = self.u64(what)?;
         let cap = self.remaining() / min_entry.max(1);
         if n as usize > cap {
@@ -269,15 +249,15 @@ impl<'a> StateReader<'a> {
 pub fn encode_frame<C: FlowConsumer + ?Sized>(consumer: &C) -> Vec<u8> {
     let tag = consumer.state_tag();
     let mut buf = Vec::with_capacity(64);
-    put_u16(&mut buf, STATE_VERSION);
+    buf.put_u16_be(STATE_VERSION);
     buf.push(tag.id);
     let len_at = buf.len();
-    put_u32(&mut buf, 0); // patched below
+    buf.put_u32_be(0); // patched below
     consumer.encode_state(&mut buf);
     let payload_len = (buf.len() - len_at - 4) as u32;
     buf[len_at..len_at + 4].copy_from_slice(&payload_len.to_be_bytes());
     let crc = crc32(&buf);
-    put_u32(&mut buf, crc);
+    buf.put_u32_be(crc);
     buf
 }
 

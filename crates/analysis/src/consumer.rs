@@ -16,6 +16,7 @@ use crate::ports::{PortProfile, EPHEMERAL_START};
 use crate::timeseries::HourlyVolume;
 use lockdown_flow::record::FlowRecord;
 use lockdown_flow::time::Date;
+use lockdown_flow::wire::PutBe;
 use lockdown_topology::asn::{Asn, Region};
 use std::collections::{BTreeMap, HashSet};
 use std::net::Ipv4Addr;
@@ -278,11 +279,11 @@ impl FlowConsumer for HeatmapConsumer {
 
     fn encode_state(&self, out: &mut Vec<u8>) {
         codec::put_i64(out, self.heatmap.start.day_number());
-        codec::put_u64(out, self.heatmap.grid.len() as u64);
+        out.put_u64_be(self.heatmap.grid.len() as u64);
         for class_grid in &self.heatmap.grid {
             for day in class_grid {
                 for v in day {
-                    codec::put_u64(out, *v);
+                    out.put_u64_be(*v);
                 }
             }
         }
@@ -380,16 +381,16 @@ impl FlowConsumer for ClassUsageConsumer {
     }
 
     fn encode_state(&self, out: &mut Vec<u8>) {
-        codec::put_u64(out, self.bins.len() as u64);
+        out.put_u64_be(self.bins.len() as u64);
         for ((day, hour), (bytes, ips)) in &self.bins {
             codec::put_i64(out, *day);
             out.push(*hour);
-            codec::put_u64(out, *bytes);
+            out.put_u64_be(*bytes);
             let mut sorted: Vec<u32> = ips.iter().map(|&ip| u32::from(ip)).collect();
             sorted.sort_unstable();
-            codec::put_u64(out, sorted.len() as u64);
+            out.put_u64_be(sorted.len() as u64);
             for ip in sorted {
-                codec::put_u32(out, ip);
+                out.put_u32_be(ip);
             }
         }
     }

@@ -17,10 +17,9 @@ use crate::timeseries::HourlyVolume;
 use lockdown_flow::time::Date;
 use lockdown_scenario::calendar::{day_type, DayType};
 use lockdown_topology::asn::Region;
-use serde::{Deserialize, Serialize};
 
 /// Classifier verdict for one day.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DayPattern {
     /// Evening-peaked: a pre-pandemic working day.
     WorkdayLike,
@@ -30,7 +29,7 @@ pub enum DayPattern {
 
 /// One classified day, with the ground-truth calendar day type so the
 /// Fig. 2b/2c match/mismatch coloring can be reproduced.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClassifiedDay {
     /// The date.
     pub date: Date,
@@ -200,7 +199,7 @@ fn centroid(rows: &[Vec<f64>]) -> Vec<f64> {
 
 /// Summary of a classified range: how many days landed in each verdict,
 /// and how many match the calendar.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClassificationSummary {
     /// Days classified workday-like.
     pub workday_like: usize,

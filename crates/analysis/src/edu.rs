@@ -12,12 +12,12 @@ use crate::timeseries::HourlyVolume;
 use lockdown_flow::protocol::IpProtocol;
 use lockdown_flow::record::{Direction, FlowRecord};
 use lockdown_flow::time::Date;
+use lockdown_flow::wire::PutBe;
 use lockdown_topology::registry::{EDU_ASN, SPOTIFY_ASN};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Connection orientation relative to the EDU network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Orientation {
     /// Established from outside toward a service inside EDU.
     Incoming,
@@ -28,7 +28,7 @@ pub enum Orientation {
 }
 
 /// Appendix B's traffic classes for the EDU analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum EduTrafficClass {
     /// TCP/80, TCP/443, UDP/443, TCP/8000, TCP/8080.
     Web,
@@ -238,17 +238,17 @@ impl EduAnalysis {
     /// Shard-codec payload: connection bins (class/orientation as indexes
     /// into their `ALL` arrays), both volume series, then the counters.
     pub(crate) fn encode_payload(&self, out: &mut Vec<u8>) {
-        crate::codec::put_u64(out, self.connections.len() as u64);
+        out.put_u64_be(self.connections.len() as u64);
         for ((day, class, orient), count) in &self.connections {
             crate::codec::put_i64(out, *day);
             out.push(class_index(*class));
             out.push(orientation_index(*orient));
-            crate::codec::put_u64(out, *count);
+            out.put_u64_be(*count);
         }
         self.ingress.encode_bins(out);
         self.egress.encode_bins(out);
-        crate::codec::put_u64(out, self.flows);
-        crate::codec::put_u64(out, self.undetermined);
+        out.put_u64_be(self.flows);
+        out.put_u64_be(self.undetermined);
     }
 
     /// Decode a shard-codec payload and merge it additively.

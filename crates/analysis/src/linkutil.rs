@@ -19,6 +19,7 @@
 
 use lockdown_flow::record::FlowRecord;
 use lockdown_flow::time::Date;
+use lockdown_flow::wire::PutBe;
 use lockdown_topology::asn::Asn;
 use lockdown_topology::ixp::IxpFabric;
 use std::collections::HashMap;
@@ -94,11 +95,11 @@ impl AsHourly {
         crate::codec::put_i64(out, self.date.day_number());
         let mut asns: Vec<u32> = self.bins.keys().copied().collect();
         asns.sort_unstable();
-        crate::codec::put_u64(out, asns.len() as u64);
+        out.put_u64_be(asns.len() as u64);
         for asn in asns {
-            crate::codec::put_u32(out, asn);
+            out.put_u32_be(asn);
             for b in &self.bins[&asn] {
-                crate::codec::put_u64(out, *b);
+                out.put_u64_be(*b);
             }
         }
     }

@@ -9,9 +9,9 @@
 
 use lockdown_flow::protocol::IpProtocol;
 use lockdown_flow::record::FlowRecord;
+use lockdown_flow::wire::PutBe;
 use lockdown_scenario::calendar::{day_type, DayType};
 use lockdown_topology::asn::Region;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -20,7 +20,7 @@ pub const EPHEMERAL_START: u16 = 32_768;
 
 /// A service identity at the transport layer: either a concrete
 /// protocol/port pair, or a port-less protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ServiceKey {
     /// Protocol + well-known/registered server port.
     Port(u8, u16),
@@ -161,17 +161,17 @@ impl PortProfile {
 
     /// Shard-codec payload: both maps in key order.
     pub(crate) fn encode_profile(&self, out: &mut Vec<u8>) {
-        crate::codec::put_u64(out, self.bins.len() as u64);
+        out.put_u64_be(self.bins.len() as u64);
         for ((key, weekend, hour), bytes) in &self.bins {
             put_service_key(out, *key);
             crate::codec::put_bool(out, *weekend);
             out.push(*hour);
-            crate::codec::put_u64(out, *bytes);
+            out.put_u64_be(*bytes);
         }
-        crate::codec::put_u64(out, self.totals.len() as u64);
+        out.put_u64_be(self.totals.len() as u64);
         for (key, bytes) in &self.totals {
             put_service_key(out, *key);
-            crate::codec::put_u64(out, *bytes);
+            out.put_u64_be(*bytes);
         }
     }
 
@@ -209,7 +209,7 @@ fn put_service_key(out: &mut Vec<u8>, key: ServiceKey) {
         ServiceKey::Port(proto, port) => {
             out.push(0);
             out.push(proto);
-            crate::codec::put_u16(out, port);
+            out.put_u16_be(port);
         }
         ServiceKey::Protocol(proto) => {
             out.push(1);

@@ -8,6 +8,7 @@
 
 use lockdown_flow::record::FlowRecord;
 use lockdown_flow::time::{Date, Timestamp, SECS_PER_HOUR};
+use lockdown_flow::wire::PutBe;
 use std::collections::BTreeMap;
 
 /// Hour-binned byte volume accumulator.
@@ -115,10 +116,10 @@ impl HourlyVolume {
     /// Shard-codec payload: bin count, then `(timestamp, bytes)` pairs in
     /// key order (`BTreeMap` iteration is already sorted).
     pub(crate) fn encode_bins(&self, out: &mut Vec<u8>) {
-        crate::codec::put_u64(out, self.bins.len() as u64);
+        out.put_u64_be(self.bins.len() as u64);
         for (t, b) in &self.bins {
-            crate::codec::put_u64(out, t.0);
-            crate::codec::put_u64(out, *b);
+            out.put_u64_be(t.0);
+            out.put_u64_be(*b);
         }
     }
 

@@ -14,12 +14,11 @@
 
 use lockdown_flow::protocol::IpProtocol;
 use lockdown_flow::record::FlowRecord;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 /// Which §6 method identified a flow as VPN.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VpnMethod {
     /// Well-known VPN port/protocol.
     Port,

@@ -930,13 +930,13 @@ pub fn run_with_workers(
     let partials = {
         let runner = pass.runner(ctx);
         let stop = AtomicBool::new(false);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let handles: Vec<_> = pass
                 .cells
                 .chunks(chunk)
                 .map(|cells| {
                     let (runner, stop) = (&runner, &stop);
-                    scope.spawn(move |_| runner.run_range(cells, stop))
+                    scope.spawn(move || runner.run_range(cells, stop))
                 })
                 .collect();
             handles
@@ -944,7 +944,6 @@ pub fn run_with_workers(
                 .map(|h| h.join().expect("engine workers do not panic"))
                 .collect::<Vec<_>>()
         })
-        .expect("engine workers do not panic")
     };
     let mut merged = fresh_consumers(&pass.subs);
     let mut tallies = Tallies::default();

@@ -10,6 +10,7 @@ use lockdown_analysis::codec::{self, CodecError, ConsumerTag, StateReader};
 use lockdown_analysis::consumer::FlowConsumer;
 use lockdown_analysis::vpn::{VpnClassifier, VpnMethod};
 use lockdown_flow::record::FlowRecord;
+use lockdown_flow::wire::PutBe;
 use lockdown_scenario::calendar::{day_type, DayType, PORTS_IXP_WEEKS};
 use lockdown_topology::asn::Region;
 use lockdown_topology::vantage::VantagePoint;
@@ -107,7 +108,7 @@ impl FlowConsumer for VpnWeekConsumer {
             &self.domain.weekend,
         ] {
             for &v in series {
-                codec::put_u64(out, v);
+                out.put_u64_be(v);
             }
         }
     }

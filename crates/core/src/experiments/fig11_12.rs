@@ -17,6 +17,7 @@ use lockdown_analysis::consumer::FlowConsumer;
 use lockdown_analysis::edu::{orientation, EduAnalysis, EduTrafficClass, Orientation};
 use lockdown_flow::record::FlowRecord;
 use lockdown_flow::time::Date;
+use lockdown_flow::wire::PutBe;
 use lockdown_scenario::calendar::{AnalysisWeek, EDU_WEEKS};
 use lockdown_topology::asn::Region;
 use lockdown_topology::registry::Registry;
@@ -148,7 +149,7 @@ impl FlowConsumer for OriginsConsumer {
         // series are mergeable state.
         for series in [&self.national, &self.overseas] {
             for &v in series {
-                codec::put_u64(out, v);
+                out.put_u64_be(v);
             }
         }
     }

@@ -25,12 +25,11 @@ use lockdown_topology::asn::{AsCategory, Asn, Region};
 use lockdown_topology::registry::Registry;
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
 /// Which §6 source datasets a domain was observed in.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SourceSet {
     /// TLS certificates from Certificate Transparency logs (2015–2020).
     pub ct_logs: bool,
@@ -41,7 +40,7 @@ pub struct SourceSet {
 }
 
 /// One DNS name with its resolved addresses.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DnsEntry {
     /// Resolved IPv4 addresses.
     pub addrs: Vec<Ipv4Addr>,

@@ -7,13 +7,12 @@
 //! embeds the subset of rules the synthetic corpus uses (including
 //! two-level rules like `co.uk`, exercising the same matching logic).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// A fully-qualified domain name, stored as lower-case labels in
 /// left-to-right order (`www.example.com` → `["www", "example", "com"]`).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DomainName {
     labels: Vec<String>,
 }

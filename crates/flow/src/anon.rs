@@ -15,11 +15,10 @@
 //! strength, is what the reproduction needs).
 
 use lockdown_base::hash::splitmix64;
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// A keyed prefix-preserving anonymizer for IPv4 addresses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Anonymizer {
     key: u64,
 }

@@ -12,7 +12,6 @@ pub mod v5;
 pub mod v9;
 
 use crate::wire::{WireError, WireResult};
-use serde::{Deserialize, Serialize};
 
 /// Field-type / information-element numbers used by the templates in this
 /// workspace (identical in NetFlow v9 and the IANA IPFIX registry).
@@ -38,7 +37,7 @@ pub mod field {
 }
 
 /// One `(field type, encoded length)` pair inside a template.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FieldSpec {
     /// Field-type / information-element number.
     pub field_type: u16,
@@ -47,7 +46,7 @@ pub struct FieldSpec {
 }
 
 /// A flow template: the schema a data set is decoded against.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Template {
     /// Template id; data FlowSet/Set ids ≥ 256 reference this.
     pub id: u16,

@@ -15,7 +15,6 @@
 
 use super::FieldSpec;
 use crate::wire::{Cursor, WireError, WireResult};
-use serde::{Deserialize, Serialize};
 
 /// Scope field type: System (the whole exporter).
 pub const SCOPE_SYSTEM: u16 = 1;
@@ -25,7 +24,7 @@ pub const SAMPLING_INTERVAL: u16 = 34;
 pub const SAMPLING_ALGORITHM: u16 = 35;
 
 /// A parsed options template: scope fields plus option fields.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OptionsTemplate {
     /// Template id (shares the ≥256 space with data templates).
     pub id: u16,
@@ -69,7 +68,7 @@ impl OptionsTemplate {
 }
 
 /// Sampling state announced by an exporter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SamplingInfo {
     /// 1-in-N sampling interval.
     pub interval: u32,

@@ -1,6 +1,5 @@
 //! Transport/IP protocol numbers and TCP flags as they appear in flow records.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// IP protocol numbers relevant to the paper's analyses.
@@ -9,7 +8,7 @@ use std::fmt;
 /// (§6, Appendix B) distinguish TCP, UDP, and the tunnelling protocols ESP
 /// (IPsec payload) and GRE, which carry no ports. Everything else is folded
 /// into [`IpProtocol::Other`] with its raw protocol number preserved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum IpProtocol {
     /// ICMP (protocol 1).
     Icmp,
@@ -71,7 +70,7 @@ impl fmt::Display for IpProtocol {
 
 /// TCP control-bit flags, as accumulated over a flow by NetFlow/IPFIX
 /// exporters (`tcpControlBits`, IE 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash)]
 pub struct TcpFlags(pub u8);
 
 #[allow(missing_docs)] // the six flag constants are self-describing

@@ -8,7 +8,6 @@
 
 use crate::protocol::{IpProtocol, TcpFlags};
 use crate::time::Timestamp;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -19,7 +18,7 @@ use std::net::Ipv4Addr;
 /// numbers of each end-point, interfaces, and port pairs"); flows whose
 /// direction cannot be established are `Unknown` (the paper reports 39% of
 /// EDU flows in that state).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// Entering the observed network from outside.
     Ingress,
@@ -30,7 +29,7 @@ pub enum Direction {
 }
 
 /// The classic unidirectional 5-tuple flow key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FlowKey {
     /// Source IPv4 address.
     pub src_addr: Ipv4Addr,
@@ -68,7 +67,7 @@ impl fmt::Display for FlowKey {
 }
 
 /// One exported flow record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowRecord {
     /// The flow's 5-tuple.
     pub key: FlowKey,

@@ -13,8 +13,6 @@
 //! scenario layer models by shifting demand curves, not by carrying zone
 //! data in timestamps.
 
-use serde::{Deserialize, Serialize};
-
 /// Seconds in one minute.
 pub const SECS_PER_MIN: u64 = 60;
 /// Seconds in one hour.
@@ -26,7 +24,7 @@ pub const SECS_PER_DAY: u64 = 86_400;
 ///
 /// Wrapped in a newtype so that flow timestamps, durations and bucket
 /// indices cannot be mixed up silently.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Timestamp(pub u64);
 
 impl Timestamp {
@@ -82,7 +80,7 @@ impl Timestamp {
 }
 
 /// Day of the week. `Monday` is day 0 so that ISO week arithmetic is direct.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[allow(missing_docs)] // the seven variants are self-describing
 pub enum Weekday {
     Monday,
@@ -134,7 +132,7 @@ impl Weekday {
 }
 
 /// A proleptic-Gregorian civil date.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Date {
     /// Gregorian year.
     pub year: i32,

@@ -12,7 +12,6 @@ use std::fmt;
 #[allow(missing_docs)] // enum-internal fields are described per variant
 pub enum WireError {
     /// The buffer ended before a complete structure was read.
-    /// The buffer ended early.
     Truncated {
         /// What was being parsed.
         what: &'static str,

@@ -9,12 +9,11 @@
 
 use lockdown_flow::protocol::IpProtocol;
 use lockdown_topology::asn::AsCategory;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A transport endpoint signature: protocol + server-side port.
 /// GRE and ESP carry no ports; their signature is the protocol alone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PortSig {
     /// IP protocol of the signature.
     pub protocol: IpProtocol,
@@ -55,7 +54,7 @@ impl fmt::Display for PortSig {
 /// Superset of the paper's nine Table 1 classes: the §4 port analysis and
 /// the §6/§7 studies need finer classes (QUIC vs. Web, the two VPN flavors,
 /// push notifications, remote desktop, …).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AppClass {
     /// HTTP(S) on TCP/80 + TCP/443 — the dominant share everywhere.
     Web,

@@ -3,10 +3,9 @@
 
 use lockdown_flow::time::Date;
 use lockdown_topology::asn::Region;
-use serde::{Deserialize, Serialize};
 
 /// Classification of a civil day for traffic purposes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DayType {
     /// Monday–Friday, not a holiday.
     Workday,
@@ -76,7 +75,7 @@ pub fn day_type(date: Date, region: Region) -> DayType {
 }
 
 /// One of the paper's selected analysis weeks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AnalysisWeek {
     /// The paper's name for the week ("base", "stage1", …).
     pub label: &'static str,

@@ -9,10 +9,8 @@
 //! the demand model uses to morph workdays toward the lockdown shape as
 //! stay-at-home intensity rises.
 
-use serde::{Deserialize, Serialize};
-
 /// A named hour-of-day profile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DiurnalProfile {
     /// Pre-pandemic residential workday: quiet day, evening peak 20–22h.
     ResidentialWorkday,

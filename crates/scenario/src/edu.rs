@@ -20,12 +20,11 @@ use crate::calendar::{day_type, DayType};
 use crate::diurnal::{shape, DiurnalProfile};
 use crate::phases::RegionTimeline;
 use lockdown_flow::time::Date;
-use serde::{Deserialize, Serialize};
 
 /// Traffic classes tracked in the §7 connection-level analysis
 /// (Appendix B, condensed to the classes Fig. 12 plots plus the ones the
 /// prose quotes growth factors for).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum EduClass {
     /// Web served *by* the universities (incoming from eyeballs).
     WebIn,

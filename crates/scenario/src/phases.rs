@@ -16,10 +16,9 @@
 
 use lockdown_flow::time::Date;
 use lockdown_topology::asn::Region;
-use serde::{Deserialize, Serialize};
 
 /// Coarse phase of the pandemic response.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LockdownPhase {
     /// Before the outbreak influenced behaviour.
     PreCovid,
@@ -40,7 +39,7 @@ pub enum LockdownPhase {
 /// scenario file can re-shape the response without touching code — and so
 /// the shipped COVID calibration ([`IntensityCurve::paper`]) evaluates
 /// *bit-identically* to the pre-DSL literals.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IntensityCurve {
     /// Intensity reached as awareness builds (end of the outbreak phase).
     pub awareness_gain: f64,
@@ -84,7 +83,7 @@ impl IntensityCurve {
 }
 
 /// The date anchors of one region's timeline, plus its intensity curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RegionTimeline {
     /// The region this timeline describes.
     pub region: Region,

@@ -48,6 +48,7 @@ use lockdown_analysis::codec::{self, StateReader};
 use lockdown_core::engine::SliceOutcome;
 use lockdown_core::supervisor::QuarantinedCell;
 use lockdown_flow::time::Date;
+use lockdown_flow::wire::PutBe;
 use lockdown_store::SegmentMeta;
 use lockdown_topology::vantage::VantagePoint;
 use lockdown_traffic::plan::{Cell, Stream};
@@ -359,10 +360,10 @@ fn proto_err(e: impl std::fmt::Display) -> ShardError {
 /// Encode an identity (HELLO payload).
 pub fn encode_identity(id: &Identity) -> Vec<u8> {
     let mut out = Vec::with_capacity(32);
-    codec::put_u64(&mut out, id.seed);
-    codec::put_u64(&mut out, id.scenario_hash);
-    codec::put_u64(&mut out, id.plan_hash);
-    codec::put_u64(&mut out, id.cells);
+    out.put_u64_be(id.seed);
+    out.put_u64_be(id.scenario_hash);
+    out.put_u64_be(id.plan_hash);
+    out.put_u64_be(id.cells);
     out
 }
 
@@ -386,14 +387,14 @@ fn decode_identity_from(r: &mut StateReader<'_>) -> Result<Identity, ShardError>
 /// recomputation.
 pub fn encode_hello_ack(id: &Identity, retained: &[(u32, u32)]) -> Vec<u8> {
     let mut out = Vec::with_capacity(32 + 8 + retained.len() * 8);
-    codec::put_u64(&mut out, id.seed);
-    codec::put_u64(&mut out, id.scenario_hash);
-    codec::put_u64(&mut out, id.plan_hash);
-    codec::put_u64(&mut out, id.cells);
-    codec::put_u64(&mut out, retained.len() as u64);
+    out.put_u64_be(id.seed);
+    out.put_u64_be(id.scenario_hash);
+    out.put_u64_be(id.plan_hash);
+    out.put_u64_be(id.cells);
+    out.put_u64_be(retained.len() as u64);
     for &(start, end) in retained {
-        codec::put_u32(&mut out, start);
-        codec::put_u32(&mut out, end);
+        out.put_u32_be(start);
+        out.put_u32_be(end);
     }
     out
 }
@@ -420,11 +421,11 @@ pub fn decode_hello_ack(buf: &[u8]) -> Result<(Identity, Vec<(u32, u32)>), Shard
 /// Encode an assignment.
 pub fn encode_assign(a: &Assign) -> Vec<u8> {
     let mut out = Vec::with_capacity(17);
-    codec::put_u32(&mut out, a.start);
-    codec::put_u32(&mut out, a.end);
-    codec::put_u32(&mut out, a.attempt);
+    out.put_u32_be(a.start);
+    out.put_u32_be(a.end);
+    out.put_u32_be(a.attempt);
     codec::put_bool(&mut out, a.kill);
-    codec::put_u32(&mut out, a.stall_ms);
+    out.put_u32_be(a.stall_ms);
     out
 }
 
@@ -453,7 +454,7 @@ pub fn decode_failed(buf: &[u8]) -> Result<String, ShardError> {
 }
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
-    codec::put_u32(out, s.len() as u32);
+    out.put_u32_be(s.len() as u32);
     out.extend_from_slice(s.as_bytes());
 }
 
@@ -511,29 +512,29 @@ fn get_cell(r: &mut StateReader<'_>) -> Result<Cell, ShardError> {
 pub fn encode_outcome(o: &SliceOutcome) -> Vec<u8> {
     let state_bytes: usize = o.states.iter().map(|s| s.len() + 4).sum();
     let mut out = Vec::with_capacity(64 + state_bytes + o.segments.len() * 48);
-    codec::put_u64(&mut out, o.flows);
-    codec::put_u64(&mut out, o.generated);
-    codec::put_u64(&mut out, o.replayed);
-    codec::put_u64(&mut out, o.resumed);
-    codec::put_u64(&mut out, o.retries);
-    codec::put_u64(&mut out, o.states.len() as u64);
+    out.put_u64_be(o.flows);
+    out.put_u64_be(o.generated);
+    out.put_u64_be(o.replayed);
+    out.put_u64_be(o.resumed);
+    out.put_u64_be(o.retries);
+    out.put_u64_be(o.states.len() as u64);
     for state in &o.states {
-        codec::put_u32(&mut out, state.len() as u32);
+        out.put_u32_be(state.len() as u32);
         out.extend_from_slice(state);
     }
-    codec::put_u64(&mut out, o.segments.len() as u64);
+    out.put_u64_be(o.segments.len() as u64);
     for m in &o.segments {
         put_cell(&mut out, m.cell);
-        codec::put_u64(&mut out, m.records);
-        codec::put_u64(&mut out, m.file_len);
-        codec::put_u32(&mut out, m.crc);
-        codec::put_u64(&mut out, m.min_start);
-        codec::put_u64(&mut out, m.max_end);
+        out.put_u64_be(m.records);
+        out.put_u64_be(m.file_len);
+        out.put_u32_be(m.crc);
+        out.put_u64_be(m.min_start);
+        out.put_u64_be(m.max_end);
     }
-    codec::put_u64(&mut out, o.quarantined.len() as u64);
+    out.put_u64_be(o.quarantined.len() as u64);
     for q in &o.quarantined {
         put_cell(&mut out, q.cell);
-        codec::put_u32(&mut out, q.attempts);
+        out.put_u32_be(q.attempts);
         put_str(&mut out, &q.error);
     }
     out

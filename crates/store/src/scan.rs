@@ -2,7 +2,7 @@
 //!
 //! A [`SegmentScan`] sits where the trace emitter sits on the cold path:
 //! the engine asks it for one cell at a time (possibly from several
-//! crossbeam workers — all methods take `&self`) and fans the decoded
+//! worker threads — all methods take `&self`) and fans the decoded
 //! batches into the same consumer merge machinery. Archived segments the
 //! current plan does not demand are *pruned*: never opened, never
 //! decoded, counted in `store_segments_pruned_total`. That is what lets a

@@ -1,10 +1,9 @@
 //! Autonomous system identities and categories.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An autonomous system number (32-bit, RFC 6793).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Asn(pub u32);
 
 impl fmt::Display for Asn {
@@ -16,7 +15,7 @@ impl fmt::Display for Asn {
 /// Business category of an AS — the dimension every AS-level analysis in the
 /// paper slices by (hypergiants §3.2, remote-work ASes §3.4, application
 /// classes §5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AsCategory {
     /// One of the 15 hypergiants of Table 2 (Böttger et al.).
     Hypergiant,
@@ -133,7 +132,7 @@ impl fmt::Display for AsCategory {
 /// Geographic region of an AS or vantage point. Lockdown timing differs by
 /// region (Europe locked down in March; the US East Coast later), which is
 /// exactly the effect Fig. 1/3 show.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)] // region names are self-describing
 pub enum Region {
     CentralEurope,
@@ -162,7 +161,7 @@ impl fmt::Display for Region {
 }
 
 /// Everything the pipeline knows about one AS.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AsInfo {
     /// AS number.
     pub asn: Asn,

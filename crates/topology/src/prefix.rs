@@ -8,13 +8,12 @@
 //! semantics. A linear-scan fallback exists for the ablation bench
 //! (`ablation_lpm`) that quantifies why tries are used.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::Ipv4Addr;
 use std::str::FromStr;
 
 /// An IPv4 CIDR prefix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Ipv4Prefix {
     addr: u32,
     len: u8,

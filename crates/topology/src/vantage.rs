@@ -8,11 +8,10 @@
 
 use crate::asn::Region;
 use lockdown_flow::exporter::ExportFormat;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// What kind of network a vantage point observes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VantageKind {
     /// Residential broadband ISP (border-router NetFlow, non-transit focus).
     Isp,
@@ -30,7 +29,7 @@ pub enum VantageKind {
 ///
 /// The ordering follows the paper's presentation order (`ALL`); the trace
 /// engine relies on it to enumerate generation cells deterministically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum VantagePoint {
     /// Large Central-European ISP, >15M fixed lines ("L-ISP"/"ISP-CE").
     IspCe,

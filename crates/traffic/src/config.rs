@@ -2,7 +2,6 @@
 
 use crate::plan::FINGERPRINT_INIT;
 use lockdown_base::hash::fold;
-use serde::{Deserialize, Serialize};
 
 /// Tuning knobs for the synthetic trace generator.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// must *scale down* without changing the statistics any figure depends on.
 /// Every figure in the paper is either normalized (volumes relative to a
 /// baseline) or a ratio, so a global flows-per-volume scale cancels out.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeneratorConfig {
     /// Master RNG seed; all generation is deterministic given this.
     pub seed: u64,

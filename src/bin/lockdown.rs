@@ -197,9 +197,9 @@ USAGE:
       client chunk of at least BYTES halfway through — a deterministic
       mid-frame reset). --udp proxies datagrams instead (drop/dup/
       corrupt/delay apply; replies relay to the last client unfaulted).
-      Insert between coordinate and workers (--attach through the
-      proxy), between export and collectd (--udp), or between loadgen
-      and serve.
+      Insert between coordinate and workers (the coordinator attaches
+      to the proxy), between export and collectd (--udp), or between
+      loadgen and serve.
   lockdown store inspect|verify|gc --archive DIR [--dry-run]
       inspect: print the manifest key and per-segment zone maps.
       verify:  re-read and CRC-check every segment; non-zero on failure.
@@ -215,12 +215,12 @@ USAGE:
   lockdown scenarios --matrix FILE... [--fidelity test|standard|high]
                      [--archive DIR] [--out DIR]
       Sweep N scenario files through the full figure suite, one engine
-      pass per scenario lane, each exactly a 'figures --scenario FILE'
-      run. Per-scenario output goes to OUT/NN-label.txt (--out) or
-      stdout under '=== scenario:' headers; the matrix summary and a
-      per-scenario diff report vs. the first file go to stderr. With
-      --archive DIR each lane replays from / spills to its own
-      subdirectory of DIR.
+      pass per scenario lane, each exactly a 'lockdown figures' run
+      under that scenario file. Per-scenario output goes to
+      OUT/NN-label.txt (--out) or stdout under '=== scenario:' headers;
+      the matrix summary and a per-scenario diff report vs. the first
+      file go to stderr. With --archive DIR each lane replays from /
+      spills to its own subdirectory of DIR.
   lockdown collect [--fidelity test|standard|high] [--audit]
                    [--scenario FILE]
                    [--loss P] [--reorder P] [--dup P] [--restart N]
@@ -1277,4 +1277,40 @@ fn cmd_vpn_scan(_: &[String], _: &[&String]) -> Result<ExitCode, String> {
         println!("  {d}");
     }
     Ok(ExitCode::SUCCESS)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{COMMANDS, USAGE};
+    use std::collections::{BTreeMap, BTreeSet};
+
+    /// [`USAGE`] is written by hand beside [`COMMANDS`]; this is what keeps
+    /// the two from drifting: under each command's `lockdown NAME` entries
+    /// the usage text mentions every flag of the command's row and no
+    /// `--flag` the row does not define.
+    #[test]
+    fn usage_and_the_command_table_name_the_same_flags() {
+        let mut documented: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+        let mut command = None;
+        for line in USAGE.lines() {
+            if let Some(entry) = line.strip_prefix("  lockdown ") {
+                command = entry.split_whitespace().next();
+            } else if !line.starts_with(' ') {
+                command = None; // a heading: the text under it is no command's
+            }
+            let Some(command) = command else { continue };
+            let flags = line
+                .split(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+                .filter(|word| word.starts_with("--") && word.len() > 2);
+            documented.entry(command).or_default().extend(flags);
+        }
+        let table: BTreeMap<&str, BTreeSet<&str>> = COMMANDS
+            .iter()
+            .map(|(name, value_flags, bool_flags, _)| {
+                let flags = value_flags.split(' ').chain(bool_flags.split(' '));
+                (*name, flags.filter(|f| !f.is_empty()).collect())
+            })
+            .collect();
+        assert_eq!(documented, table);
+    }
 }

@@ -1,10 +1,85 @@
-//! Smoke tests for the `lockdown` CLI binary: every subcommand runs,
-//! capture→analyze round-trips, and bad input fails cleanly.
+//! The `lockdown` CLI binary as processes: every subcommand runs,
+//! capture→analyze round-trips, bad input fails cleanly, and the daemons
+//! (`collectd`, `serve`, `worker`, `chaosproxy`) bind, announce their
+//! address, work across process boundaries and drain on stdin EOF.
+//! Byte-identity between processes is held against [`plain_figures`],
+//! which `tests/equivalence.rs` pins to the in-process reference.
 
-use std::process::Command;
+use std::io::{BufRead, BufReader, Read};
+use std::process::{Child, ChildStdout, Command, ExitStatus, Stdio};
+use std::sync::OnceLock;
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_lockdown"))
+}
+
+/// Stdout of `lockdown figures --fidelity test`, run once.
+fn plain_figures() -> &'static [u8] {
+    static PLAIN: OnceLock<Vec<u8>> = OnceLock::new();
+    PLAIN.get_or_init(|| {
+        let out = bin()
+            .args(["figures", "--fidelity", "test"])
+            .output()
+            .expect("spawn figures");
+        assert!(out.status.success());
+        out.stdout
+    })
+}
+
+/// A running daemon subcommand: all three streams piped, the address it
+/// announced on its first stdout line (`<verb> on HOST:PORT`) parsed.
+/// Dropping it kills the process, so a failing test leaks nothing.
+struct Daemon {
+    child: Child,
+    stdout: BufReader<ChildStdout>,
+    addr: String,
+}
+
+/// The `HOST:PORT` of the next `<verb> on HOST:PORT` stdout line.
+fn announced_addr(stdout: &mut impl BufRead) -> String {
+    let mut line = String::new();
+    stdout.read_line(&mut line).expect("read bound address");
+    match line.trim().split_once(" on ") {
+        Some((_, addr)) => addr.to_string(),
+        None => panic!("unexpected announcement line {line:?}"),
+    }
+}
+
+fn daemon(args: &[&str]) -> Daemon {
+    let mut child = bin()
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap_or_else(|e| panic!("spawn {args:?}: {e}"));
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let addr = announced_addr(&mut stdout);
+    Daemon {
+        child,
+        stdout,
+        addr,
+    }
+}
+
+impl Daemon {
+    /// Close stdin — the shutdown signal — and collect the rest of
+    /// stdout, stderr and the exit status.
+    fn shut_down(mut self) -> (String, String, ExitStatus) {
+        drop(self.child.stdin.take());
+        let (mut out, mut err) = (String::new(), String::new());
+        self.stdout.read_to_string(&mut out).expect("read stdout");
+        let mut stderr = self.child.stderr.take().expect("piped stderr");
+        stderr.read_to_string(&mut err).expect("read stderr");
+        (out, err, self.child.wait().expect("daemon exits"))
+    }
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
 }
 
 #[test]
@@ -226,7 +301,7 @@ fn figures_selection_equals_the_full_suite_sections() {
         assert!(out.status.success(), "{names:?}");
         String::from_utf8(out.stdout).expect("utf-8 figures")
     };
-    let full = run(&[]);
+    let full = String::from_utf8_lossy(plain_figures());
     // Given out of order on purpose: sections print in suite order.
     let selected = run(&["fig7", "fig2"]);
     assert!(!selected.is_empty() && selected.len() < full.len());
@@ -420,14 +495,13 @@ fn scenarios_matrix_lane0_is_a_plain_figures_run() {
     assert!(err.contains("summed over lanes"), "{err}");
     assert!(err.contains("sections differ"), "{err}");
 
-    let plain = bin()
-        .args(["figures", "--fidelity", "test"])
-        .output()
-        .expect("spawn figures");
-    assert!(plain.status.success());
     let covid = std::fs::read(out_dir.join("00-covid-spring-2020.txt")).expect("lane 0 output");
     let outage = std::fs::read(out_dir.join("01-hypergiant-outage.txt")).expect("lane 1 output");
-    assert_eq!(covid, plain.stdout, "lane 0 must equal a plain figures run");
+    assert_eq!(
+        covid,
+        plain_figures(),
+        "lane 0 must equal a plain figures run"
+    );
     assert_ne!(covid, outage, "per-scenario outputs must differ");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -510,54 +584,28 @@ fn collectd_bind_failure_exits_2() {
 
 #[test]
 fn collectd_stdin_eof_drains_and_accounts_received_datagrams() {
-    use std::io::{BufRead, BufReader, Read};
-
-    let mut daemon = bin()
-        .args(["collectd", "--sockets", "1", "--shards", "2"])
-        .stdin(std::process::Stdio::piped())
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::piped())
-        .spawn()
-        .expect("spawn collectd");
-    let mut stdout = BufReader::new(daemon.stdout.take().expect("collectd stdout"));
-    let mut first_line = String::new();
-    stdout
-        .read_line(&mut first_line)
-        .expect("read bound address");
-    let addr = first_line
-        .trim()
-        .strip_prefix("listening on ")
-        .unwrap_or_else(|| panic!("unexpected first line: {first_line:?}"))
-        .to_string();
+    let collectd = daemon(&["collectd", "--sockets", "1", "--shards", "2"]);
 
     // A garbage datagram must still be accounted: received at the
     // socket, then counted malformed by a shard — never silently lost.
     let sender = std::net::UdpSocket::bind("127.0.0.1:0").expect("sender");
-    sender.send_to(b"not a flow export", &addr).expect("send");
+    sender
+        .send_to(b"not a flow export", &collectd.addr)
+        .expect("send");
     // Loopback delivery is synchronous, but give the receiver thread
     // time to pull the datagram off the socket before the drain.
     std::thread::sleep(std::time::Duration::from_millis(300));
 
     // Closing stdin is the shutdown signal: drain, summarize, exit 0.
-    drop(daemon.stdin.take());
-    let mut rest = String::new();
-    stdout.read_to_string(&mut rest).expect("read summary");
-    let status = daemon.wait().expect("collectd exits");
+    let (summary, metrics, status) = collectd.shut_down();
     assert_eq!(status.code(), Some(0), "graceful drain exits 0");
     assert!(
-        rest.contains("1 datagrams received") && rest.contains("1 malformed"),
-        "summary must account the garbage datagram: {rest:?}"
+        summary.contains("1 datagrams received") && summary.contains("1 malformed"),
+        "summary must account the garbage datagram: {summary:?}"
     );
-    let mut err = String::new();
-    daemon
-        .stderr
-        .take()
-        .expect("collectd stderr")
-        .read_to_string(&mut err)
-        .expect("read metrics");
     assert!(
-        err.contains("socket_datagrams_received_total 1"),
-        "metrics on stderr must reflect the receive: {err}"
+        metrics.contains("socket_datagrams_received_total 1"),
+        "metrics on stderr must reflect the receive: {metrics}"
     );
 }
 
@@ -579,29 +627,11 @@ fn collectd_soak_smoke_reports_clean_audit() {
 
 #[test]
 fn export_process_feeds_collectd_and_conservation_closes() {
-    use std::io::{BufRead, BufReader, Read};
-
     // A daemon process with a generous kernel buffer (the exporter is a
     // separate process with no flow-control channel back).
-    let mut daemon = bin()
-        .args(["collectd", "--sockets", "2", "--rcvbuf", "4194304"])
-        .stdin(std::process::Stdio::piped())
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .expect("spawn collectd");
-    let mut stdout = BufReader::new(daemon.stdout.take().expect("collectd stdout"));
-    let mut targets = Vec::new();
-    for _ in 0..2 {
-        let mut line = String::new();
-        stdout.read_line(&mut line).expect("read bound address");
-        targets.push(
-            line.trim()
-                .strip_prefix("listening on ")
-                .unwrap_or_else(|| panic!("unexpected line: {line:?}"))
-                .to_string(),
-        );
-    }
+    let mut collectd = daemon(&["collectd", "--sockets", "2", "--rcvbuf", "4194304"]);
+    let second = announced_addr(&mut collectd.stdout);
+    let targets = [collectd.addr.as_str(), second.as_str()];
 
     // A separate exporter process pushes one cell at the daemon.
     let out = bin()
@@ -624,12 +654,7 @@ fn export_process_feeds_collectd_and_conservation_closes() {
 
     // Let the receivers pull everything off the sockets, then drain.
     std::thread::sleep(std::time::Duration::from_millis(700));
-    drop(daemon.stdin.take());
-    let mut rest = String::new();
-    stdout
-        .read_to_string(&mut rest)
-        .expect("read drain summary");
-    let status = daemon.wait().expect("collectd exits");
+    let (rest, _, status) = collectd.shut_down();
     assert_eq!(status.code(), Some(0), "graceful drain exits 0");
 
     // Cross-process conservation: every datagram and record the exporter
@@ -671,12 +696,6 @@ fn coordinate_validates_worker_topology_flags() {
 
 #[test]
 fn coordinate_spawned_workers_render_byte_identical_figures() {
-    let single = bin()
-        .args(["figures", "--fidelity", "test"])
-        .output()
-        .expect("spawn figures");
-    assert!(single.status.success());
-
     let sharded = bin()
         .args(["coordinate", "--fidelity", "test", "--workers", "3"])
         .output()
@@ -688,7 +707,7 @@ fn coordinate_spawned_workers_render_byte_identical_figures() {
     );
     assert_eq!(
         String::from_utf8_lossy(&sharded.stdout),
-        String::from_utf8_lossy(&single.stdout),
+        String::from_utf8_lossy(plain_figures()),
         "coordinated figures must be byte-identical to the single process"
     );
     let err = String::from_utf8_lossy(&sharded.stderr);
@@ -696,10 +715,84 @@ fn coordinate_spawned_workers_render_byte_identical_figures() {
     assert!(err.contains("0 ranges quarantined"), "{err}");
 }
 
+/// The number in front of `what` in a coordinator summary line
+/// (`… 0 reassigned, 1 reconnects, 2 ranges resumed`).
+fn summary_count(stderr: &str, what: &str) -> u64 {
+    stderr
+        .split(what)
+        .next()
+        .and_then(|before| before.split_whitespace().last())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no count before {what:?}: {stderr}"))
+}
+
+/// One real worker process, a seeded chaos proxy process in front of it,
+/// and a coordinator process attached through the proxy.
+fn coordinate_through_chaosproxy(chaos: &str) -> (Daemon, Daemon, std::process::Output) {
+    let worker = daemon(&["worker", "--listen", "127.0.0.1:0", "--fidelity", "test"]);
+    let proxy = daemon(&["chaosproxy", "--upstream", &worker.addr, "--chaos", chaos]);
+    let out = bin()
+        .args(["coordinate", "--fidelity", "test", "--attach", &proxy.addr])
+        .output()
+        .expect("spawn coordinate");
+    (worker, proxy, out)
+}
+
+#[test]
+fn mid_frame_cut_between_processes_resumes_byte_identically() {
+    // The proxy severs the first bulk result frame halfway. The
+    // coordinator must reconnect and re-adopt the worker's retained
+    // slice: byte-identical figures, at least one resumed range, zero
+    // recomputed (reassigned) ranges.
+    let (worker, proxy, out) = coordinate_through_chaosproxy("seed=1,cut-payload=512");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{err}");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(plain_figures()),
+        "resume must not change a byte"
+    );
+    assert!(summary_count(&err, " reconnects") >= 1, "{err}");
+    assert!(summary_count(&err, " ranges resumed") >= 1, "{err}");
+    assert!(err.contains(" 0 reassigned"), "{err}");
+    assert!(err.contains(" 0 ranges quarantined"), "{err}");
+
+    // Stdin EOF shuts the proxy down and flushes its fault ledger: the
+    // one-shot cut is accounted as exactly one truncation.
+    let (_, ledger, status) = proxy.shut_down();
+    assert_eq!(status.code(), Some(0), "{ledger}");
+    assert!(
+        ledger.lines().any(|l| l == "wirechaos_truncated 1"),
+        "{ledger}"
+    );
+    // The coordinator shut the worker down when the pass completed.
+    let (_, worker_err, status) = worker.shut_down();
+    assert_eq!(status.code(), Some(0), "{worker_err}");
+}
+
+#[test]
+fn certain_corruption_between_processes_degrades_with_exit_3() {
+    // corrupt=1 with min-len=512 flips a byte in every bulk frame and
+    // leaves the small control frames alone: the handshake succeeds,
+    // every result is rejected by the frame CRC, and the run must end in
+    // the named degraded outcome — never a hang, never wrong bytes.
+    let (_worker, proxy, out) = coordinate_through_chaosproxy("seed=3,corrupt=1,min-len=512");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "degraded exit code: {err}");
+    assert!(err.contains("DEGRADED"), "{err}");
+
+    let (_, ledger, status) = proxy.shut_down();
+    assert_eq!(status.code(), Some(0), "{ledger}");
+    let corrupted = ledger
+        .lines()
+        .find_map(|l| l.strip_prefix("wirechaos_corrupted "))
+        .and_then(|n| n.parse::<u64>().ok());
+    assert!(corrupted >= Some(1), "{ledger}");
+    // The worker lingers in its reconnect window; dropping it ends it.
+}
+
 #[test]
 fn serve_loadgen_roundtrip_and_mismatch_exit_4() {
-    use std::io::{BufRead, BufReader};
-
     let dir = std::env::temp_dir().join(format!("lockdown-cli-serve-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let archive = dir.join("arch");
@@ -716,34 +809,40 @@ fn serve_loadgen_roundtrip_and_mismatch_exit_4() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    assert_eq!(out.stdout, plain_figures(), "spilling changes no figure");
     let expected = dir.join("expected.txt");
     std::fs::write(&expected, &out.stdout).expect("expected stdout");
+    // The archive that pass published re-reads and CRC-checks clean.
+    let out = bin()
+        .args(["store", "verify", "--archive"])
+        .arg(&archive)
+        .output()
+        .expect("spawn");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let garbage = dir.join("garbage.txt");
     std::fs::write(&garbage, b"not the suite\n").expect("garbage");
 
-    // Serve on an ephemeral port; keep stdin open to keep it running.
-    let mut serve = bin()
-        .args(["serve", "--fidelity", "test", "--archive"])
-        .arg(&archive)
-        .args(["--addr", "127.0.0.1:0"])
-        .stdin(std::process::Stdio::piped())
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .expect("spawn serve");
-    let mut first_line = String::new();
-    BufReader::new(serve.stdout.take().expect("serve stdout"))
-        .read_line(&mut first_line)
-        .expect("read bound address");
-    let addr = first_line
-        .trim()
-        .strip_prefix("serving on ")
-        .unwrap_or_else(|| panic!("unexpected first line: {first_line:?}"))
-        .to_string();
+    // Serve on an ephemeral port; stdin stays open to keep it running.
+    let archive_arg = archive.to_str().expect("utf-8 temp path");
+    let serve = daemon(&[
+        "serve",
+        "--fidelity",
+        "test",
+        "--archive",
+        archive_arg,
+        "--addr",
+        "127.0.0.1:0",
+    ]);
+    let addr = &serve.addr;
 
     // Matching expectation: exit 0, zero mismatches reported.
     let out = bin()
-        .args(["loadgen", "--target", &addr, "--clients", "2"])
+        .args(["loadgen", "--target", addr, "--clients", "2"])
         .args(["--duration", "0", "--expect"])
         .arg(&expected)
         .output()
@@ -759,7 +858,7 @@ fn serve_loadgen_roundtrip_and_mismatch_exit_4() {
 
     // Garbage expectation: the documented mismatch exit code 4.
     let out = bin()
-        .args(["loadgen", "--target", &addr, "--clients", "0"])
+        .args(["loadgen", "--target", addr, "--clients", "0"])
         .args(["--duration", "0", "--expect"])
         .arg(&garbage)
         .output()
@@ -768,8 +867,7 @@ fn serve_loadgen_roundtrip_and_mismatch_exit_4() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("diverge"));
 
     // Closing stdin is the shutdown signal: serve must exit 0.
-    drop(serve.stdin.take());
-    let status = serve.wait().expect("serve exits");
+    let (_, _, status) = serve.shut_down();
     assert_eq!(status.code(), Some(0), "graceful shutdown exits 0");
 
     std::fs::remove_dir_all(&dir).ok();

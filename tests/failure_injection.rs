@@ -435,34 +435,6 @@ fn chaos_tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// A supervised pass with zero fault rates is the plain pass: same
-/// consumer bytes, no quarantine, no retries — supervision must be free
-/// when chaos is off.
-#[test]
-fn zero_chaos_supervised_pass_matches_baseline() {
-    let ctx = Context::new(Fidelity::Test);
-    let vp = VantagePoint::IspCe;
-    let (d1, d2) = (Date::new(2020, 3, 16), Date::new(2020, 3, 18));
-
-    let mut base_plan = EnginePlan::new();
-    let bd = base_plan.subscribe(Stream::Vantage(vp), d1, d2, HourlyVolume::new);
-    let mut base = engine::run(&ctx, base_plan).expect("baseline pass succeeds");
-
-    let mut sup_plan = EnginePlan::new();
-    sup_plan.with_supervisor(ChaosConfig::zero());
-    let sd = sup_plan.subscribe(Stream::Vantage(vp), d1, d2, HourlyVolume::new);
-    let mut sup = engine::run(&ctx, sup_plan).expect("supervised pass succeeds");
-
-    let sup_stats = sup.stats();
-    assert_eq!(sup_stats.cells_quarantined, 0);
-    assert_eq!(sup_stats.retries, 0);
-    assert!(sup.degraded().is_none());
-    assert_eq!(
-        base.take(bd).hourly_series(d1, d2),
-        sup.take(sd).hourly_series(d1, d2),
-    );
-}
-
 /// A supervised archived pass killed mid-publication resumes from the
 /// journal: only the missing cells are regenerated and the output is
 /// identical to the uninterrupted pass.

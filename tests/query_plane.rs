@@ -1,13 +1,15 @@
 //! Query-plane integration: predicate pushdown must be *observable*
 //! (strictly fewer segments decoded than a full scan, `query_*` counters
 //! moving), the cache must serve repeats without re-decoding, query
-//! aggregates must match an independent engine-pass oracle, and every
-//! figure served from the archive must be byte-identical to the suite's
-//! own rendering — the correctness gate behind `lockdown serve`.
+//! aggregates must match an independent engine-pass oracle, and the live
+//! HTTP server must hand the load generator the very sections the pass
+//! that wrote the archive rendered. (That figures served from an archive
+//! equal the in-memory suite is the `serve::render_figure` row of
+//! `tests/equivalence.rs`.)
 
 use lockdown::app::build_handler;
 use lockdown::core::experiments::suite;
-use lockdown::core::serve::{figure_names, render_figure};
+use lockdown::core::serve::figure_names;
 use lockdown::core::{Context, Fidelity};
 use lockdown::query::{loadgen, LoadConfig, QueryEngine, QueryPlan, Server};
 use lockdown_analysis::appclass::Classifier;
@@ -25,21 +27,22 @@ use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-/// One shared test-fidelity archive for the whole file: built by the
-/// first test that needs it, reused (read-only) by the rest.
-fn archive_dir() -> &'static PathBuf {
-    static DIR: OnceLock<PathBuf> = OnceLock::new();
-    DIR.get_or_init(|| {
+/// One shared test-fidelity archive for the whole file — its directory
+/// and the sections the pass that wrote it rendered: built by the first
+/// test that needs it, reused (read-only) by the rest.
+fn archive() -> &'static (PathBuf, Vec<String>) {
+    static ARCHIVE: OnceLock<(PathBuf, Vec<String>)> = OnceLock::new();
+    ARCHIVE.get_or_init(|| {
         let dir = std::env::temp_dir().join(format!("lockdown-queryplane-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let ctx = Context::new(Fidelity::Test);
-        suite::run_all_archived(&ctx, None, &dir).expect("cold archived suite pass");
-        dir
+        let cold = suite::run_all_archived(&ctx, None, &dir).expect("cold archived suite pass");
+        (dir, cold.renders())
     })
 }
 
 fn open_engine() -> QueryEngine {
-    QueryEngine::open(archive_dir(), 256 * 1024 * 1024)
+    QueryEngine::open(&archive().0, 256 * 1024 * 1024)
         .expect("archive opens")
         .expect("archive has a manifest")
 }
@@ -213,26 +216,6 @@ fn execute_matches_engine_pass_oracle() {
     assert_eq!(got.hourly, oracle.hourly);
 }
 
-#[test]
-fn served_figures_are_byte_identical_to_suite_renders() {
-    let dir = archive_dir();
-    let ctx = Context::new(Fidelity::Test);
-    // Warm pass: replays the archive, so these sections are exactly what
-    // `lockdown figures --archive` prints.
-    let suite_run = suite::run_all_archived(&ctx, None, dir).expect("warm suite pass");
-    let sections = suite_run.renders();
-    let names = figure_names();
-    assert_eq!(names.len(), sections.len(), "catalog covers every section");
-
-    let engine = Arc::new(open_engine());
-    let mut fetch = |cell| engine.read_cell(cell);
-    for (name, expected) in names.iter().zip(&sections) {
-        let served =
-            render_figure(&ctx, name, &mut fetch).unwrap_or_else(|e| panic!("serving {name}: {e}"));
-        assert_eq!(&served, expected, "figure {name} diverges from the suite");
-    }
-}
-
 /// Minimal HTTP/1.1 GET over a raw socket (Connection: close).
 fn http_get(addr: std::net::SocketAddr, path: &str) -> (u16, String) {
     let mut stream = TcpStream::connect(addr).expect("connect");
@@ -328,11 +311,10 @@ fn http_server_serves_queries_figures_and_metrics() {
     );
 
     // The load generator against the live server: the served catalog
-    // must reassemble to the suite stdout (zero mismatches).
-    let suite_run = suite::run_all_archived(&ctx, None, archive_dir()).expect("warm suite");
+    // must reassemble to the archiving pass's stdout (zero mismatches).
     let mut expected = String::new();
-    for section in suite_run.renders() {
-        expected.push_str(&section);
+    for section in &archive().1 {
+        expected.push_str(section);
         expected.push('\n');
     }
     let report = loadgen::run(&LoadConfig {

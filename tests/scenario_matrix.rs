@@ -1,15 +1,9 @@
-//! The scenario DSL's safety rail and the scenario sweep's core claims:
-//!
-//! * golden byte-identity: the full figure suite rendered under the
-//!   shipped `scenarios/covid-spring-2020.toml` equals the suite under
-//!   the built-in calibration, section for section;
-//! * a lane is a plain pass: lane 0 of a matrix run is byte-identical to
-//!   a plain run, every lane's stats equal a plain run of its scenario,
-//!   and a behaviourally different lane actually diverges;
-//! * matrix archives replay per lane: a warm re-run generates nothing,
-//!   and swapping one scenario regenerates only that lane.
+//! Matrix archives replay per lane: a warm re-run generates nothing, and
+//! swapping one scenario regenerates only that lane. (That the shipped
+//! `scenarios/covid-spring-2020.toml` reproduces the built-in suite and
+//! that a lane is a plain pass of its scenario are the scenario-file and
+//! `matrix lane` rows of `tests/equivalence.rs`.)
 
-use lockdown::core::experiments::suite;
 use lockdown::core::{run_matrix, Context, Fidelity, MatrixOptions, MatrixScenario};
 use lockdown::scenario::measures::ScenarioSpec;
 use std::path::PathBuf;
@@ -24,77 +18,6 @@ fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("lockdown-matrix-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-#[test]
-fn shipped_scenario_file_reproduces_the_builtin_suite() {
-    let base = suite::run_all(&Context::new(Fidelity::Test));
-    let via_file = suite::run_all(&Context::with_scenario(
-        Fidelity::Test,
-        0x10CD_2020,
-        shipped("covid-spring-2020.toml"),
-    ));
-    let (a, b) = (base.renders(), via_file.renders());
-    assert_eq!(a.len(), b.len());
-    for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
-        assert_eq!(x, y, "section {i} differs under the shipped scenario file");
-    }
-    assert_eq!(base.stats, via_file.stats);
-}
-
-#[test]
-fn matrix_lanes_are_plain_single_scenario_passes() {
-    let ctx = Context::new(Fidelity::Test);
-    let single = suite::run_all(&ctx);
-    let outage = suite::run_all(&Context::with_scenario(
-        Fidelity::Test,
-        0x10CD_2020,
-        shipped("hypergiant-outage.toml"),
-    ));
-    let run = run_matrix(
-        &ctx,
-        vec![
-            MatrixScenario {
-                label: "covid".into(),
-                spec: shipped("covid-spring-2020.toml"),
-            },
-            MatrixScenario {
-                label: "outage".into(),
-                spec: shipped("hypergiant-outage.toml"),
-            },
-        ],
-        MatrixOptions::default(),
-    )
-    .expect("archive-free matrix cannot fail");
-
-    // Lane 0 (the reference calibration) is byte-identical to the plain
-    // single-scenario run; the counterfactual lane is byte-identical to a
-    // plain run of *its* scenario, and actually diverges from lane 0.
-    let plain = single.renders();
-    assert_eq!(run.runs[0].suite.renders(), plain);
-    assert_eq!(run.runs[1].suite.renders(), outage.renders());
-    assert_ne!(run.runs[1].suite.renders(), plain);
-
-    // Per-lane stats are a plain run's stats, and the matrix totals are
-    // their sum.
-    assert_eq!(run.runs[0].suite.stats, single.stats);
-    assert_eq!(run.runs[1].suite.stats, outage.stats);
-    assert_eq!(run.stats.scenarios, 2);
-    assert_eq!(
-        run.stats.cells_generated,
-        single.stats.cells_generated + outage.stats.cells_generated
-    );
-    assert_eq!(run.stats.cells_replayed, 0);
-    assert_eq!(
-        run.stats.flows_emitted,
-        single.stats.flows_emitted + outage.stats.flows_emitted
-    );
-
-    let report = run.diff_report();
-    assert!(
-        report.contains("sections differ"),
-        "diff report should quantify divergence: {report}"
-    );
 }
 
 #[test]

@@ -7,206 +7,30 @@
 //!   a panic, never silently-wrong bytes;
 //! - on the shard plane every injected flip is caught by the frame
 //!   CRC (a corrupted slice can quarantine, but can never merge);
-//! - a transient mid-frame connection cut is *resumed*: the worker's
-//!   retained slice is re-adopted over a reconnect, with zero ranges
-//!   recomputed and zero reassignments.
+//! - a range whose every replica died is quarantined, not retried
+//!   forever and not a crash.
+//!
+//! The shard cells that must end byte-identical — pass-through, split
+//! writes, added latency, the mid-frame cut that is *resumed* over a
+//! reconnect, random truncation when it recovers — are rows of
+//! `tests/equivalence.rs`, where the reference lives; the cells here end
+//! degraded, or never touch the figures.
 
-use lockdown::core::experiments::suite::{self, ShardSuiteOptions};
-use lockdown::core::{Context, Fidelity};
+mod common;
+
+use common::{assert_named_degraded, coordinate, ctx, watchdog};
+use lockdown::chaos::{ChaosConfig, ChaosInjector};
+use lockdown::core::experiments::suite::{suite_shard_cell_count, ShardSuiteOptions};
+use lockdown::core::serve::figure_names;
 use lockdown::query::{http::Response, QueryMetrics, Server};
-use lockdown::shard::coord::{self, CoordOptions, Coordinated};
-use lockdown::shard::worker::{serve_worker, WorkerExit};
+use lockdown::shard::coord::{chunk_ranges, CoordOptions};
+use lockdown::shard::worker::WorkerExit;
 use lockdown::wirechaos::{TcpProxy, UdpProxy, WireChaosConfig};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream, UdpSocket};
-use std::sync::mpsc;
-use std::sync::OnceLock;
 use std::time::Duration;
 
-/// Generous per-cell watchdog: a cell that cannot finish inside this is
-/// a hang, which is exactly what the protocol hardening forbids.
-const WATCHDOG: Duration = Duration::from_secs(120);
-
-fn ctx() -> Context {
-    Context::new(Fidelity::Test)
-}
-
-/// The single-process oracle, computed once.
-fn reference() -> &'static Vec<String> {
-    static REF: OnceLock<Vec<String>> = OnceLock::new();
-    REF.get_or_init(|| suite::run_all(&ctx()).renders())
-}
-
-/// Run `f` under the watchdog; a timeout is a hang and fails loudly.
-fn watchdog<T: Send + 'static>(label: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
-    let (tx, rx) = mpsc::channel();
-    let handle = std::thread::spawn(move || {
-        let _ = tx.send(f());
-    });
-    match rx.recv_timeout(WATCHDOG) {
-        Ok(v) => {
-            handle.join().expect("cell thread");
-            v
-        }
-        Err(mpsc::RecvTimeoutError::Disconnected) => {
-            // The cell thread died without sending: propagate its panic
-            // rather than misreporting an assertion failure as a hang.
-            match handle.join() {
-                Err(payload) => std::panic::resume_unwind(payload),
-                Ok(_) => unreachable!("cell dropped the channel without panicking"),
-            }
-        }
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            panic!("fault-matrix cell {label:?} hung past {WATCHDOG:?}")
-        }
-    }
-}
-
-/// A protocol worker's join handle.
-type WorkerHandle = std::thread::JoinHandle<Result<WorkerExit, lockdown::shard::ShardError>>;
-
-/// Start `n` in-thread protocol workers, each behind its own chaos
-/// proxy configured by `cfg(i)`. Returns the proxy addresses the
-/// coordinator should attach to, the proxies (kept alive), and the
-/// worker join handles.
-fn workers_behind_proxies(
-    n: usize,
-    cfg: impl Fn(usize) -> WireChaosConfig,
-) -> (Vec<String>, Vec<TcpProxy>, Vec<WorkerHandle>) {
-    let mut addrs = Vec::with_capacity(n);
-    let mut proxies = Vec::with_capacity(n);
-    let mut handles = Vec::with_capacity(n);
-    for i in 0..n {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind worker");
-        let upstream = listener.local_addr().expect("worker addr");
-        let opts = ShardSuiteOptions::default();
-        handles.push(std::thread::spawn(move || {
-            serve_worker(&ctx(), &opts, listener)
-        }));
-        let proxy = TcpProxy::start("127.0.0.1:0", upstream, cfg(i)).expect("start proxy");
-        addrs.push(proxy.addr().to_string());
-        proxies.push(proxy);
-    }
-    (addrs, proxies, handles)
-}
-
-/// Run one coordinated pass through per-worker proxies and return the
-/// outcome plus worker exits. Panics (named) only on coordinator-level
-/// errors that are *not* part of the degraded contract.
-fn coordinate_through(
-    n: usize,
-    cfg: impl Fn(usize) -> WireChaosConfig + Send + 'static,
-) -> (Coordinated, Vec<WorkerExit>) {
-    let (addrs, mut proxies, handles) = workers_behind_proxies(n, cfg);
-    let links = coord::attach_workers(&addrs).expect("attach through proxy");
-    let out = coord::coordinate(&ctx(), &CoordOptions::default(), links).expect("coordinate");
-    for p in &mut proxies {
-        p.shutdown();
-    }
-    let exits = handles
-        .into_iter()
-        .map(|h| {
-            h.join()
-                .expect("worker thread")
-                .unwrap_or(WorkerExit::Disconnected)
-        })
-        .collect();
-    (out, exits)
-}
-
-/// The terminal contract every cell must satisfy: byte-identical output
-/// or a named degraded outcome.
-fn assert_identical_or_degraded(label: &str, out: &Coordinated) {
-    if out.is_degraded() {
-        // Degraded is allowed — but it must be *named*: either the
-        // suite's own quarantine report or the assembly-failure section.
-        if let Some(suite) = &out.suite {
-            let report = suite.degraded.as_ref().expect("degraded names its holes");
-            assert!(!report.quarantined.is_empty(), "{label}: empty quarantine");
-        } else {
-            assert!(
-                out.assembly_error.is_some(),
-                "{label}: suite-less outcome must carry the assembly error"
-            );
-        }
-    } else {
-        assert_eq!(&out.renders(), reference(), "{label}: byte identity");
-    }
-}
-
 // --- shard plane -----------------------------------------------------------
-
-#[test]
-fn shard_passthrough_proxy_is_byte_identical() {
-    let (out, _) = watchdog("shard/passthrough", || {
-        coordinate_through(2, |_| WireChaosConfig::zero())
-    });
-    assert!(!out.is_degraded(), "{}", out.stats.summary());
-    assert_eq!(&out.renders(), reference());
-    assert_eq!(out.stats.reconnects, 0, "{}", out.stats.summary());
-}
-
-#[test]
-fn shard_split_writes_are_reassembled_byte_identically() {
-    // Every chunk relayed one byte per write: the deadline reader must
-    // reassemble frames across thousands of tiny reads without ever
-    // resetting its whole-frame clock.
-    let (out, _) = watchdog("shard/split", || {
-        coordinate_through(2, |_| {
-            let mut c = WireChaosConfig::zero();
-            c.seed = 11;
-            c.split = 1.0;
-            c
-        })
-    });
-    assert!(!out.is_degraded(), "{}", out.stats.summary());
-    assert_eq!(&out.renders(), reference());
-}
-
-#[test]
-fn shard_added_latency_is_absorbed_byte_identically() {
-    let (out, _) = watchdog("shard/delay", || {
-        coordinate_through(2, |_| {
-            let mut c = WireChaosConfig::zero();
-            c.seed = 5;
-            c.delay = 0.3;
-            c.delay_ms = 120; // well inside the 2s heartbeat budget
-            c
-        })
-    });
-    assert!(!out.is_degraded(), "{}", out.stats.summary());
-    assert_eq!(&out.renders(), reference());
-}
-
-#[test]
-fn shard_mid_frame_cut_resumes_the_retained_slice() {
-    // Worker 0's proxy severs the first DONE frame halfway through —
-    // a deterministic mid-frame connection reset. The coordinator must
-    // redial, learn the retained range from HELLO_ACK, re-assign it and
-    // adopt the cached outcome: byte-identical output, at least one
-    // resumed range, zero reassignments (the wire failed; the work
-    // never did).
-    let (out, _) = watchdog("shard/cut", || {
-        coordinate_through(2, |i| {
-            let mut c = WireChaosConfig::zero();
-            if i == 0 {
-                c.cut_payload = 512; // larger than any control frame
-            }
-            c
-        })
-    });
-    assert!(!out.is_degraded(), "{}", out.stats.summary());
-    assert_eq!(&out.renders(), reference(), "resume must not change a byte");
-    assert!(out.stats.reconnects >= 1, "{}", out.stats.summary());
-    assert!(out.stats.ranges_resumed >= 1, "{}", out.stats.summary());
-    assert_eq!(out.stats.reassignments, 0, "{}", out.stats.summary());
-    assert_eq!(
-        out.stats.assignments,
-        out.stats.chunks,
-        "every range computed exactly once: {}",
-        out.stats.summary()
-    );
-}
 
 #[test]
 fn shard_certain_corruption_degrades_with_every_flip_caught() {
@@ -215,36 +39,81 @@ fn shard_certain_corruption_degrades_with_every_flip_caught() {
     // a flipped byte. The frame CRC must catch every single one — the
     // pass may degrade to quarantine, but corrupt bytes must never
     // merge into figures.
-    let (out, _) = watchdog("shard/corrupt", || {
-        coordinate_through(2, |_| {
-            let mut c = WireChaosConfig::zero();
-            c.seed = 3;
-            c.corrupt = 1.0;
-            c.min_len = 512;
-            c
-        })
+    let (out, _) = coordinate("shard/corrupt", CoordOptions::default(), 2, |_| {
+        let mut c = WireChaosConfig::zero();
+        c.seed = 3;
+        c.corrupt = 1.0;
+        c.min_len = 512;
+        Some(c)
     });
-    assert!(out.is_degraded(), "{}", out.stats.summary());
-    assert_identical_or_degraded("shard/corrupt", &out);
+    assert_named_degraded("shard/corrupt", &out);
     assert!(out.stats.workers_lost >= 1, "{}", out.stats.summary());
 }
 
 #[test]
-fn shard_random_truncation_ends_identical_or_degraded_never_hung() {
-    // Probabilistic truncate-and-sever on bulk chunks: whether a given
-    // seed recovers through reconnect-resume or exhausts the redial
-    // budget and quarantines, the outcome must be one of the two named
-    // terminal states, inside the watchdog.
-    let (out, _) = watchdog("shard/trunc", || {
-        coordinate_through(2, |_| {
-            let mut c = WireChaosConfig::zero();
-            c.seed = 17;
-            c.trunc = 0.4;
-            c.min_len = 512;
-            c
-        })
-    });
-    assert_identical_or_degraded("shard/trunc", &out);
+fn a_fully_dead_range_degrades_instead_of_aborting() {
+    let base = ShardSuiteOptions::default();
+    let cells = suite_shard_cell_count(&ctx(), &base);
+    let workers = 3;
+    let cpw = CoordOptions::default().chunks_per_worker;
+    let ranges = chunk_ranges(cells, workers, cpw);
+
+    // attempts=1: a range whose only replica dies has exhausted its
+    // budget — quarantined, not retried. Find a seed that kills exactly
+    // one first attempt; skip seeds whose quarantined hole lands where
+    // a figure's assembly cannot tolerate it (an empty classification
+    // window asserts).
+    'seed: for seed in 0..10_000u64 {
+        let mut cfg = ChaosConfig::zero();
+        cfg.seed = seed;
+        cfg.wkill = 0.08;
+        cfg.attempts = 1;
+        let injector = ChaosInjector::new(cfg);
+        let mut kills = 0;
+        for &(s, e) in &ranges {
+            let d = injector.decide_worker(s, e, 0);
+            if d.stall {
+                continue 'seed;
+            }
+            kills += u32::from(d.kill);
+        }
+        if kills != 1 {
+            continue;
+        }
+        let mut opts = CoordOptions::default();
+        opts.suite.chaos = Some(cfg);
+        let (out, exits) = coordinate("shard/dead-range", opts, workers, |_| None);
+
+        assert!(exits.contains(&WorkerExit::ChaosKilled), "{exits:?}");
+        assert_eq!(out.stats.workers_lost, 1, "{}", out.stats.summary());
+        assert_eq!(out.stats.quarantined_ranges, 1, "{}", out.stats.summary());
+        assert_eq!(out.stats.reassignments, 0, "{}", out.stats.summary());
+        assert!(out.is_degraded(), "a quarantined range must degrade");
+        let Some(suite) = &out.suite else {
+            // This seed's hole was too large for figure assembly: the
+            // coordinator must still return a *named* degraded outcome
+            // (no crash), with its single explanatory section. Keep
+            // searching for a seed whose hole the figures tolerate.
+            let err = out.assembly_error.as_deref().expect("named failure");
+            assert!(!err.is_empty());
+            let sections = out.renders();
+            assert_eq!(sections.len(), 1, "{sections:?}");
+            assert!(sections[0].contains("degraded"), "{}", sections[0]);
+            continue;
+        };
+        let report = suite.degraded.as_ref().expect("degraded report");
+        let rendered = report.render();
+        assert!(rendered.contains("DEGRADED PASS"), "{rendered}");
+        assert!(!report.quarantined.is_empty());
+        assert!(
+            report.quarantined.iter().all(|q| q.attempts == 1),
+            "one replica, one attempt"
+        );
+        // The suite still renders every section — degraded, not aborted.
+        assert_eq!(out.renders().len(), figure_names().len());
+        return;
+    }
+    panic!("no seed in 0..10000 produced a renderable one-range quarantine");
 }
 
 // --- collect (UDP) plane ---------------------------------------------------
