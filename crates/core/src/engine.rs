@@ -9,11 +9,18 @@
 //! distinct cell is generated exactly once and fanned out to every
 //! subscription whose window covers it.
 //!
-//! Determinism: cells are independently seeded, workers own contiguous
-//! chunks of the sorted cell list, and every [`FlowConsumer`] merge is
-//! commutative and associative over disjoint cell sets — so the merged
-//! result is bit-identical regardless of worker count, and identical to
-//! the old per-figure regeneration. `tests/determinism.rs` asserts both.
+//! Scheduling and determinism: the workers of a pass claim cells one at
+//! a time from a shared cursor over the sorted cell list, so each stays
+//! busy until the list runs dry however unevenly the flows are spread
+//! over it (the first half of the suite's cells carries 78% of its flows).
+//! Which worker ends up with which cells differs from run to run, and the
+//! output does not: cells are independently seeded, so a cell's flows are
+//! the same on any thread; each cell is claimed exactly once; and every
+//! [`FlowConsumer`] merge is commutative and associative over disjoint
+//! cell sets, so the merged result depends only on the set of cells. It
+//! is therefore bit-identical for any worker count and any claim order,
+//! and identical to the old per-figure regeneration.
+//! `tests/determinism.rs` asserts all three.
 
 use crate::context::Context;
 use crate::supervisor::{
@@ -29,13 +36,12 @@ use lockdown_store::{
     ArchiveReader, ArchiveWriter, SegmentMeta, SegmentScan, SpillFault, StoreError, StoreKey,
     StoreMetrics,
 };
-use lockdown_traffic::parallel::default_workers;
 use lockdown_traffic::plan::{Cell, Stream, TraceEmitter, TracePlan};
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 use std::marker::PhantomData;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Object-safe face of [`FlowConsumer`] used inside the engine.
@@ -382,6 +388,14 @@ impl EngineOutput {
     }
 }
 
+/// Default worker count: one per core the process may run on, at most 16.
+fn default_workers() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(4)
+        .min(16)
+}
+
 /// Run a plan with the default worker count. An archive-free,
 /// unsupervised plan cannot actually fail; archived plans surface I/O and
 /// corruption errors here instead of panicking.
@@ -403,13 +417,13 @@ pub fn run_standalone<H, T>(
     finish(handles, &mut out)
 }
 
-/// One contiguous cell range's consumer column and tallies.
+/// One worker's consumer column and tallies.
 struct Partial {
     consumers: Vec<Box<dyn AnyConsumer>>,
     tallies: Tallies,
 }
 
-/// Per-range cell accounting.
+/// Per-worker cell accounting.
 #[derive(Debug, Default, Clone, Copy)]
 struct Tallies {
     flows: u64,
@@ -469,7 +483,7 @@ fn fan_out(
 /// Everything one engine pass shares across workers to execute a cell:
 /// generation, replay, resume, the wire plane and (optionally) the
 /// supervisor. Every cell of every entry point runs through
-/// [`CellRunner::run_range`], so supervised semantics cannot drift
+/// [`CellRunner::run`], so supervised semantics cannot drift
 /// between worker counts or between threads and shard processes.
 struct CellRunner<'a> {
     emitter: TraceEmitter<'a>,
@@ -662,19 +676,27 @@ impl CellRunner<'_> {
         Ok(())
     }
 
-    /// Run a contiguous range of the plan's cells, in order, into one
-    /// fresh consumer column — the unit of work of a worker thread and of
-    /// a shard worker process alike. The first fatal error raises `stop`,
-    /// which ends every other range at its next cell so (say) a
-    /// demanded-but-absent segment aborts the pass promptly; supervised
-    /// retriable failures never raise it.
-    fn run_range(&self, cells: &[Cell], stop: &AtomicBool) -> Result<Partial, StoreError> {
+    /// One worker: claim the next unclaimed cell until the list runs dry,
+    /// running each into this worker's own consumer column through its
+    /// own record buffer. The first fatal error raises `stop`, which ends
+    /// every other worker at its next cell so (say) a demanded-but-absent
+    /// segment aborts the pass promptly; supervised retriable failures
+    /// never raise it.
+    fn claim_cells(
+        &self,
+        cells: &[Cell],
+        cursor: &AtomicUsize,
+        stop: &AtomicBool,
+    ) -> Result<Partial, StoreError> {
         let mut partial = Partial {
             consumers: fresh_consumers(self.subs),
             tallies: Tallies::default(),
         };
         let mut buf = Vec::new();
-        for &cell in cells {
+        // Relaxed: the cursor and the flag publish no data. The cell list
+        // is shared before any worker starts, and each column reaches the
+        // merge through its worker's join.
+        while let Some(&cell) = cells.get(cursor.fetch_add(1, Ordering::Relaxed)) {
             if stop.load(Ordering::Relaxed) {
                 break;
             }
@@ -686,6 +708,34 @@ impl CellRunner<'_> {
             }
         }
         Ok(partial)
+    }
+
+    /// Run `cells` — the unit of work of a whole pass and of a shard
+    /// worker's slice alike — over `workers` claimants, this thread being
+    /// the first, and merge their columns in worker order. The first
+    /// error in that order is the pass's.
+    fn run(&self, cells: &[Cell], workers: usize) -> Result<Partial, StoreError> {
+        let cursor = AtomicUsize::new(0);
+        let stop = AtomicBool::new(false);
+        let claim = || self.claim_cells(cells, &cursor, &stop);
+        let (first, rest) = std::thread::scope(|scope| {
+            let spawned: Vec<_> = (1..workers).map(|_| scope.spawn(claim)).collect();
+            let first = claim();
+            let rest: Vec<_> = spawned
+                .into_iter()
+                .map(|h| h.join().expect("engine workers do not panic"))
+                .collect();
+            (first, rest)
+        });
+        let mut merged = first?;
+        for partial in rest {
+            let partial = partial?;
+            merged.tallies.add(partial.tallies);
+            for (m, l) in merged.consumers.iter_mut().zip(partial.consumers) {
+                m.merge_box(l);
+            }
+        }
+        Ok(merged)
     }
 }
 
@@ -907,10 +957,10 @@ impl Pass {
 }
 
 /// Run a plan with an explicit worker count, surfacing archive errors:
-/// resolve the archive, run one contiguous chunk of the sorted cell list
-/// per worker thread, merge the chunks' consumers in chunk order, conclude.
-/// Output is bit-identical for any count (see module docs) and for warm
-/// vs. cold archive passes (`tests/archive_replay.rs`).
+/// resolve the archive, let the workers claim the sorted cell list between
+/// them, merge their consumers in worker order, conclude. Output is
+/// bit-identical for any count (see module docs) and for warm vs. cold
+/// archive passes (`tests/equivalence.rs`).
 pub fn run_with_workers(
     ctx: &Context,
     plan: EnginePlan,
@@ -926,36 +976,9 @@ pub fn run_with_workers(
     };
     let pass = Pass::resolve(ctx, plan, 0..usize::MAX, mode, supervised)?;
     let workers = workers.max(1).min(pass.cells.len().max(1));
-    let chunk = pass.cells.len().div_ceil(workers).max(1);
-    let partials = {
-        let runner = pass.runner(ctx);
-        let stop = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = pass
-                .cells
-                .chunks(chunk)
-                .map(|cells| {
-                    let (runner, stop) = (&runner, &stop);
-                    scope.spawn(move || runner.run_range(cells, stop))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("engine workers do not panic"))
-                .collect::<Vec<_>>()
-        })
-    };
-    let mut merged = fresh_consumers(&pass.subs);
-    let mut tallies = Tallies::default();
-    for partial in partials {
-        let partial = partial?;
-        tallies.add(partial.tallies);
-        for (m, l) in merged.iter_mut().zip(partial.consumers) {
-            m.merge_box(l);
-        }
-    }
+    let partial = pass.runner(ctx).run(&pass.cells, workers)?;
     let quarantined = pass.quarantined();
-    pass.conclude(merged, tallies, quarantined, workers)
+    pass.conclude(partial.consumers, partial.tallies, quarantined, workers)
 }
 
 /// The cell source a fetched pass is assembled from.
@@ -1018,9 +1041,9 @@ pub struct SliceOutcome {
 /// cell list — the shard worker's half of a coordinated pass. Semantics
 /// match [`run_with_workers`] except:
 ///
-/// * only the slice's cells execute, as one range (worker *processes* are
-///   the parallelism, so a second thread pool inside each would fight the
-///   scheduler);
+/// * only the slice's cells execute, with this thread the one claimant
+///   (worker *processes* are the parallelism, so a second thread pool
+///   inside each would fight the scheduler);
 /// * the archive is resolved against the slice alone, and a cold slice
 ///   spills through [`ArchiveWriter::attach`] — segment files only, never
 ///   the manifest or journal, which belong to the coordinator;
@@ -1041,9 +1064,7 @@ pub fn run_slice(
     );
     let supervised = plan.supervisor.is_some();
     let pass = Pass::resolve(ctx, plan, range, ArchiveMode::Attach, supervised)?;
-    let partial = pass
-        .runner(ctx)
-        .run_range(&pass.cells, &AtomicBool::new(false))?;
+    let partial = pass.runner(ctx).run(&pass.cells, 1)?;
     Ok(SliceOutcome {
         states: partial
             .consumers
@@ -1278,6 +1299,99 @@ mod tests {
         assert!(report
             .render()
             .contains("DEGRADED PASS: 2 cells quarantined"));
+    }
+
+    #[test]
+    fn a_failed_cell_ends_every_other_worker_at_its_next_cell() {
+        let ctx = Context::with_seed(Fidelity::Test, 5);
+        let dir = std::env::temp_dir().join(format!("lockdown-engine-stop-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let d = Date::new(2020, 3, 9);
+        let archived = || {
+            let mut plan = EnginePlan::new();
+            plan.with_archive(&dir);
+            plan.subscribe(
+                Stream::Vantage(VantagePoint::IxpSe),
+                d,
+                d,
+                HourlyVolume::new,
+            );
+            plan
+        };
+        run_with_workers(&ctx, archived(), 2).expect("cold pass spills");
+        // The manifest still demands the fourth cell; its segment is gone.
+        let pass = Pass::resolve(&ctx, archived(), 0..usize::MAX, ArchiveMode::Own, false)
+            .expect("warm archive");
+        let absent = lockdown_store::segment_file_name(pass.cells[3]);
+        std::fs::remove_file(dir.join(lockdown_store::SEGMENTS_DIR).join(&absent))
+            .expect("drop one segment");
+        let names_absent = |e: StoreError| {
+            assert!(
+                matches!(&e, StoreError::Io { path, .. } if path.ends_with(&absent)),
+                "{e}"
+            );
+        };
+        let runner = pass.runner(&ctx);
+
+        // The interleaving, forced: the worker that claims the absent
+        // cell returns its error and raises `stop`…
+        let (cursor, stop) = (AtomicUsize::new(0), AtomicBool::new(false));
+        names_absent(
+            runner
+                .claim_cells(&pass.cells, &cursor, &stop)
+                .err()
+                .expect("absent"),
+        );
+        assert!(stop.load(Ordering::Relaxed));
+        assert_eq!(cursor.load(Ordering::Relaxed), 4);
+        // …and a worker arriving at its next cell runs nothing more.
+        let late = runner
+            .claim_cells(&pass.cells, &cursor, &stop)
+            .expect("stopped, not failed");
+        assert_eq!(late.tallies.replayed, 0);
+        assert_eq!(cursor.load(Ordering::Relaxed), 5);
+
+        // Through the scope, whichever worker met it: the same error,
+        // from a pass that ended instead of hanging.
+        for workers in [2, 3, 8] {
+            names_absent(runner.run(&pass.cells, workers).err().expect("absent"));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn seeded_chaos_degrades_identically_at_any_worker_count() {
+        let ctx = Context::with_seed(Fidelity::Test, 11);
+        let (d1, d2) = (Date::new(2020, 3, 2), Date::new(2020, 3, 4));
+        let degraded = |workers: usize| {
+            let mut plan = EnginePlan::new();
+            plan.with_supervisor(ChaosConfig {
+                seed: 0xC4A05,
+                panic: 0.5,
+                attempts: 2,
+                backoff_base_ms: 0,
+                backoff_cap_ms: 0,
+                ..ChaosConfig::zero()
+            });
+            let h = plan.scoped("fig-x", |p| {
+                p.subscribe(
+                    Stream::Vantage(VantagePoint::IxpSe),
+                    d1,
+                    d2,
+                    HourlyVolume::new,
+                )
+            });
+            let mut out = run_with_workers(&ctx, plan, workers).expect("supervised pass");
+            let report = out.degraded().expect("half the attempts panic").clone();
+            (
+                report,
+                out.stats().flows_emitted,
+                out.take(h).hourly_series(d1, d2),
+            )
+        };
+        let single = degraded(1);
+        assert!(!single.0.quarantined.is_empty() && single.0.retries > 0);
+        assert_eq!(single, degraded(4));
     }
 
     #[test]

@@ -29,7 +29,7 @@ use lockdown_flow::wire::{Cursor, PutBe, WireResult};
 use lockdown_traffic::plan::{Cell, Stream};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 
 /// Manifest file magic.
 pub const MANIFEST_MAGIC: [u8; 4] = *b"LKSM";
@@ -322,6 +322,12 @@ pub struct ArchiveWriter {
     dir: PathBuf,
     key: StoreKey,
     state: Mutex<WriterState>,
+    /// Held while an index file (journal or manifest) is encoded and
+    /// written — work that grows with the archive and must not hold
+    /// `state`, which every spill needs. One writer at a time: a journal
+    /// cannot overtake a newer one, nor land beside a published manifest.
+    /// Taken before `state`, never the other way round.
+    index_io: Mutex<()>,
     metrics: Arc<StoreMetrics>,
     /// Whether spills periodically republish the journal. Attached
     /// (shard-worker) writers disable this: the manifest and journal are
@@ -340,6 +346,7 @@ impl ArchiveWriter {
                 metas: BTreeMap::new(),
                 since_checkpoint: 0,
             }),
+            index_io: Mutex::new(()),
             metrics,
             journal,
         }
@@ -502,7 +509,13 @@ impl ArchiveWriter {
             self.journal && state.since_checkpoint >= CHECKPOINT_INTERVAL
         };
         if checkpoint_due {
-            self.checkpoint()?;
+            // Skip, don't queue, while another worker's checkpoint is in
+            // flight: this spill stays counted and the next one retries.
+            match self.index_io.try_lock() {
+                Ok(held) => self.write_journal(&held)?,
+                Err(TryLockError::WouldBlock) => {}
+                Err(TryLockError::Poisoned(_)) => panic!("index writer panicked"),
+            }
         }
         Ok(())
     }
@@ -565,26 +578,37 @@ impl ArchiveWriter {
         remove_if_present(&self.dir.join(SEGMENTS_DIR).join(segment_file_name(cell)))
     }
 
-    /// Publish the journal now: an atomic snapshot of every spilled
-    /// segment so far. Called automatically every few spills; public so a
-    /// degraded pass can leave a resumable index instead of a manifest.
-    pub fn checkpoint(&self) -> Result<(), StoreError> {
-        let mut state = self.state.lock().expect("writer state lock");
-        let metas: Vec<SegmentMeta> = state.metas.values().copied().collect();
+    /// Write the journal from a snapshot of the recorded segments, taken
+    /// under `state` and written without it. Every one of them is fully
+    /// on disk — a spill records its segment only after writing it — and
+    /// spills go on while this encodes and writes.
+    fn write_journal(&self, _index_io: &MutexGuard<'_, ()>) -> Result<(), StoreError> {
+        let metas: Vec<SegmentMeta> = {
+            let mut state = self.state.lock().expect("writer state lock");
+            state.since_checkpoint = 0;
+            state.metas.values().copied().collect()
+        };
         write_index_atomic(&self.dir, JOURNAL_NAME, self.key, &metas)?;
-        state.since_checkpoint = 0;
         self.metrics.journal_checkpoints.inc();
         Ok(())
+    }
+
+    /// Publish the journal now: an atomic snapshot of every spilled
+    /// segment so far. Spills do this every few cells on their own; public
+    /// so a degraded pass can leave a resumable index instead of a
+    /// manifest. Waits for a checkpoint in flight instead of skipping, so
+    /// the journal on disk when this returns is at least this recent.
+    pub fn checkpoint(&self) -> Result<(), StoreError> {
+        let held = self.index_io.lock().expect("index writer lock");
+        self.write_journal(&held)
     }
 
     /// Write the manifest atomically, making the archive visible to
     /// readers, and retire the journal. Returns the number of segments
     /// published.
     pub fn finish(&self) -> Result<usize, StoreError> {
-        let metas: Vec<SegmentMeta> = {
-            let state = self.state.lock().expect("writer state lock");
-            state.metas.values().copied().collect()
-        };
+        let _held = self.index_io.lock().expect("index writer lock");
+        let metas = self.metas();
         write_index_atomic(&self.dir, MANIFEST_NAME, self.key, &metas)?;
         remove_if_present(&self.dir.join(JOURNAL_NAME))?;
         Ok(metas.len())
@@ -1031,6 +1055,46 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(r.segment_count(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn spills_do_not_wait_for_a_checkpoint_in_flight() {
+        let dir = tmp_dir("checkpoint-in-flight");
+        let metrics = StoreMetrics::new();
+        let w = ArchiveWriter::create(&dir, KEY, Arc::clone(&metrics)).unwrap();
+        let cells: Vec<Cell> = (0..2 * CHECKPOINT_INTERVAL as u8)
+            .map(|i| cell(2 + i / 24, i % 24))
+            .collect();
+        let journaled = || {
+            read_index_file(&dir, JOURNAL_NAME)
+                .unwrap()
+                .map_or(0, |(_, metas)| metas.len())
+        };
+        {
+            // Another worker is mid-checkpoint: spills past the interval
+            // return without journaling rather than queue behind it.
+            let _in_flight = w.index_io.lock().unwrap();
+            for &c in &cells[..CHECKPOINT_INTERVAL + 3] {
+                w.spill(c, &records(c, 4)).unwrap();
+            }
+            assert_eq!(metrics.journal_checkpoints.get(), 0);
+        }
+        // The skipped checkpoint is retried by the very next spill, and
+        // the journal names every segment written so far — a kill here
+        // would lose nothing.
+        let next = cells[CHECKPOINT_INTERVAL + 3];
+        w.spill(next, &records(next, 4)).unwrap();
+        assert_eq!(metrics.journal_checkpoints.get(), 1);
+        assert_eq!(journaled(), CHECKPOINT_INTERVAL + 4);
+        // With the counter reset the interval applies again, and `finish`
+        // leaves no journal beside the manifest.
+        for &c in &cells[CHECKPOINT_INTERVAL + 4..] {
+            w.spill(c, &records(c, 4)).unwrap();
+        }
+        assert_eq!(metrics.journal_checkpoints.get(), 1);
+        assert_eq!(w.finish().unwrap(), cells.len());
+        assert!(!dir.join(JOURNAL_NAME).exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -26,7 +26,6 @@
 pub mod config;
 pub mod edu_gen;
 pub mod generate;
-pub mod parallel;
 pub mod picker;
 pub mod plan;
 pub mod sizes;
@@ -36,7 +35,6 @@ pub mod prelude {
     pub use crate::config::GeneratorConfig;
     pub use crate::edu_gen::EduGenerator;
     pub use crate::generate::{TrafficGenerator, BYTES_PER_GBPS_HOUR};
-    pub use crate::parallel::default_workers;
     pub use crate::picker::{as_jitter, Picker};
     pub use crate::plan::{Cell, Stream, TraceEmitter, TracePlan};
 }

@@ -36,6 +36,19 @@ said_once "the splitmix64 finalizer" '>> 30)).wrapping_mul' \
     crates/base/src/hash.rs crates/traffic/src/picker.rs
 said_once "the CRC-32 polynomial" 'EDB8_8320' crates/base/src/
 said_once "the metrics exposition format" '"# TYPE' crates/base/src/
+# The engine has one scheduler: one scope its workers run in, one loop
+# that runs a cell. A second of either is a fork of the pass core.
+exactly_once() { # <what> <fixed-string pattern>
+    local hits
+    hits=$(grep -rnF --include='*.rs' -e "$2" crates/core/src || true)
+    if [[ $(grep -c . <<< "$hits") -ne 1 ]]; then
+        echo "said-once: $1 must occur exactly once under crates/core/src, found:" >&2
+        echo "${hits:-(nowhere)}" >&2
+        exit 1
+    fi
+}
+exactly_once "the engine's worker scope" 'thread::scope('
+exactly_once "the call that runs a cell" '.process('
 for manifest in crates/store/Cargo.toml crates/query/Cargo.toml; do
     if grep -n "lockdown-collect" "$manifest" >&2; then
         echo "said-once: $manifest depends on the collection plane again" >&2

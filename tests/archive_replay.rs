@@ -8,7 +8,9 @@
 
 use lockdown::core::engine::{self, EnginePlan};
 use lockdown::core::{Context, Fidelity};
-use lockdown::store::StoreError;
+use lockdown::store::{
+    ArchiveReader, ArchiveWriter, StoreError, StoreMetrics, MANIFEST_NAME, SEGMENTS_DIR,
+};
 use lockdown_analysis::consumer::FlowConsumer;
 use lockdown_collect::WireConfig;
 use lockdown_flow::record::FlowRecord;
@@ -122,6 +124,44 @@ fn warm_replay_is_byte_identical_and_generates_nothing() {
     assert_eq!(warm, plain);
     assert_eq!(warm_stats.flows_emitted, cold_stats.flows_emitted);
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `tests/fixtures/archive-pr15` was written by the encoder as it stood
+/// before the CRC-32 went eight bytes a step (four cells cut to 67, 8, 0
+/// and 21 records, so segment lengths fall on either side of the
+/// stride). Today's reader must accept every checksum in it, and today's
+/// writer must produce the same files from the same records: archives
+/// already on disk stay valid, and neither the format nor a CRC value
+/// has moved.
+#[test]
+fn archive_written_before_the_sliced_crc_replays_and_re_encodes_bit_for_bit() {
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/archive-pr15");
+    let reader = ArchiveReader::open(&fixture, StoreMetrics::new())
+        .expect("manifest CRC and layout accepted")
+        .expect("manifest present");
+    assert_eq!(reader.segment_count(), 4);
+
+    let dir = tmp_dir("fixture");
+    let writer = ArchiveWriter::create(&dir, reader.key(), StoreMetrics::new()).expect("create");
+    let mut files = vec![PathBuf::from(MANIFEST_NAME)];
+    let mut records = Vec::new();
+    for meta in reader.segments() {
+        let flows = reader.read_cell(meta.cell).expect("segment CRC accepted");
+        records.push(flows.len());
+        writer.spill(meta.cell, &flows).expect("spill");
+        files.push(Path::new(SEGMENTS_DIR).join(lockdown::store::segment_file_name(meta.cell)));
+    }
+    assert_eq!(records, [67, 8, 0, 21]);
+    writer.finish().expect("publish");
+    for file in files {
+        assert_eq!(
+            std::fs::read(dir.join(&file)).expect("re-encoded file"),
+            std::fs::read(fixture.join(&file)).expect("fixture file"),
+            "{} differs from the fixture",
+            file.display()
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

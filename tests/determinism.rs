@@ -3,7 +3,9 @@
 //! bit-identically from a seed") and stronger than the paper's own
 //! reproducibility.
 
+use lockdown::collect::WireConfig;
 use lockdown::core::engine::{self, EnginePlan};
+use lockdown::core::experiments::figures::FIGURES;
 use lockdown::core::experiments::{fig1, tables};
 use lockdown::core::{Context, Fidelity};
 use lockdown::dns::corpus::synthesize as synth_corpus;
@@ -121,40 +123,91 @@ fn engine_output_independent_of_worker_count() {
 fn engine_generates_overlapping_cells_exactly_once() {
     // Acceptance criterion: the cell counter equals the hand-computed
     // union of the demanded windows, strictly below the overlap-counting
-    // total a per-figure path would regenerate.
+    // total a per-figure path would regenerate — however many workers
+    // claim from the list, more of them than there are cells included.
     let ctx = Context::with_seed(Fidelity::Test, 19);
     let vp = VantagePoint::IxpSe;
+    let feb = |day| Date::new(2020, 2, day);
+    let cells = 10 * 24;
+    let mut reference = None;
+    for workers in [1, 2, 3, 8, cells + 5] {
+        let mut plan = EnginePlan::new();
+        // Three overlapping windows on one stream: Feb 1–7, Feb 5–10, Feb 7.
+        let windows = [(1, 7), (5, 10), (7, 7)].map(|(from, to)| {
+            plan.subscribe(Stream::Vantage(vp), feb(from), feb(to), HourlyVolume::new)
+        });
+        let mut out = engine::run_with_workers(&ctx, plan, workers).expect("pass succeeds");
+        let stats = out.stats();
+        // Union: Feb 1–10 = 10 days. Demanded: 7 + 6 + 1 = 14 days.
+        assert_eq!(stats.cells_generated, cells as u64, "workers={workers}");
+        assert_eq!(stats.cells_demanded, 14 * 24);
+        assert_eq!(stats.workers, workers.min(cells));
+        // And the shared cells feed every subscription identically.
+        let [a, b, c] = windows.map(|w| out.take(w));
+        assert_eq!(a.daily_total(feb(7)), b.daily_total(feb(7)));
+        assert_eq!(a.daily_total(feb(7)), c.daily_total(feb(7)));
+        // A cell run twice or not at all would also move the volumes.
+        let volumes = (
+            stats.flows_emitted,
+            a.hourly_series(feb(1), feb(7)),
+            b.hourly_series(feb(5), feb(10)),
+        );
+        match &reference {
+            None => reference = Some(volumes),
+            Some(r) => assert_eq!(r, &volumes, "workers={workers}"),
+        }
+    }
+}
+
+/// The whole suite through one pass of `workers` workers over `plan`'s
+/// options: the 22 rendered sections.
+fn suite_renders(ctx: &Context, workers: usize, options: impl Fn(&mut EnginePlan)) -> Vec<String> {
     let mut plan = EnginePlan::new();
-    // Three overlapping windows on one stream: Feb 1–7, Feb 5–10, Feb 7.
-    let a = plan.subscribe(
-        Stream::Vantage(vp),
-        Date::new(2020, 2, 1),
-        Date::new(2020, 2, 7),
-        HourlyVolume::new,
-    );
-    let b = plan.subscribe(
-        Stream::Vantage(vp),
-        Date::new(2020, 2, 5),
-        Date::new(2020, 2, 10),
-        HourlyVolume::new,
-    );
-    let c = plan.subscribe(
-        Stream::Vantage(vp),
-        Date::new(2020, 2, 7),
-        Date::new(2020, 2, 7),
-        HourlyVolume::new,
-    );
-    let mut out = engine::run(&ctx, plan).expect("pass succeeds");
-    let stats = out.stats();
-    // Union: Feb 1–10 = 10 days. Demanded: 7 + 6 + 1 = 14 days.
-    assert_eq!(stats.cells_generated, 10 * 24);
-    assert_eq!(stats.cells_demanded, 14 * 24);
-    assert!(stats.cells_generated < stats.cells_demanded);
-    // And the shared cells feed every subscription identically.
-    let (a, b, c) = (out.take(a), out.take(b), out.take(c));
-    let feb7 = Date::new(2020, 2, 7);
-    assert_eq!(a.daily_total(feb7), b.daily_total(feb7));
-    assert_eq!(a.daily_total(feb7), c.daily_total(feb7));
+    options(&mut plan);
+    let pending: Vec<_> = FIGURES.iter().map(|f| f.plan(ctx, &mut plan)).collect();
+    let mut out = engine::run_with_workers(ctx, plan, workers).expect("suite pass");
+    pending
+        .into_iter()
+        .map(|finish| finish(ctx, &mut out)())
+        .collect()
+}
+
+/// Which worker claims which cell differs from run to run, so "any claim
+/// order gives the same bytes" is checked two ways: across worker counts,
+/// and across repeated runs at the count the reference box uses.
+fn assert_suite_is_claim_order_invariant(options: impl Fn(&mut EnginePlan)) {
+    let ctx = Context::new(Fidelity::Test);
+    let single = suite_renders(&ctx, 1, &options);
+    assert_eq!(single.len(), FIGURES.len());
+    for workers in [2, 3, 8, 2, 2, 2, 2] {
+        let renders = suite_renders(&ctx, workers, &options);
+        for ((figure, got), want) in FIGURES.iter().zip(&renders).zip(&single) {
+            assert_eq!(got, want, "workers={workers}: section {}", figure.name);
+        }
+    }
+}
+
+#[test]
+fn suite_renders_identically_under_any_claim_order() {
+    assert_suite_is_claim_order_invariant(|_| {});
+}
+
+#[test]
+fn wire_suite_renders_identically_under_any_claim_order() {
+    assert_suite_is_claim_order_invariant(|plan| {
+        plan.with_wire(WireConfig::new());
+    });
+}
+
+#[test]
+fn warm_archive_suite_renders_identically_under_any_claim_order() {
+    let dir = std::env::temp_dir().join(format!("lockdown-claim-order-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // The single-worker run spills; every later one replays.
+    assert_suite_is_claim_order_invariant(|plan| {
+        plan.with_archive(&dir);
+    });
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
