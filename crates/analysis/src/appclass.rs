@@ -11,8 +11,9 @@
 //! number of filters and the number of distinct ASNs and transport ports
 //! they reference.
 
-use crate::ports::EPHEMERAL_START;
-use lockdown_flow::record::FlowRecord;
+use crate::ports::{client_addr, service_port, EPHEMERAL_START};
+use lockdown_flow::protocol::IpProtocol;
+use lockdown_flow::record::{hour_runs, FlowRecord, HourRun};
 use lockdown_flow::time::Date;
 use lockdown_scenario::apps::{PortSig, GAMING_PORTS};
 use lockdown_topology::asn::{AsCategory, Asn};
@@ -57,6 +58,12 @@ impl PaperClass {
         PaperClass::CollabWorking,
         PaperClass::Cdn,
     ];
+
+    /// Position in [`PaperClass::ALL`], which lists the variants in
+    /// declaration order.
+    fn index(self) -> usize {
+        self as usize
+    }
 
     /// Table 1 row label.
     pub fn label(self) -> &'static str {
@@ -107,6 +114,9 @@ pub enum FilterRule {
 }
 
 impl FilterRule {
+    /// The rule as written: the reference the compiled [`Lookup`] is held
+    /// to.
+    #[cfg(test)]
     fn matches(&self, sig: Option<PortSig>, src_as: Asn, dst_as: Asn) -> bool {
         let port_hit = |ports: &[PortSig]| sig.map(|s| ports.contains(&s)).unwrap_or(false);
         let asn_hit = |asns: &[Asn]| asns.contains(&src_as) || asns.contains(&dst_as);
@@ -136,8 +146,137 @@ impl FilterRule {
 /// priority order.
 #[derive(Debug, Clone)]
 pub struct Classifier {
-    /// (class, rules) in evaluation order.
+    /// (class, rules) in evaluation order: the Table 1 inventory.
     classes: Vec<(PaperClass, Vec<FilterRule>)>,
+    /// The same rules, compiled to lookups for [`Classifier::classify`].
+    lookup: Lookup,
+}
+
+/// Rank of a flow no rule matched: past every class.
+const NO_RANK: u8 = u8::MAX;
+
+/// What a port signature or an ASN contributes to a flow's class.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// Lowest evaluation rank among the rules it satisfies by itself.
+    rank: u8,
+    /// Its row (signature) or column (ASN) in [`Lookup::pairs`]; 0 when no
+    /// port-and-AS rule names it.
+    pair: u8,
+}
+
+impl Slot {
+    const NONE: Slot = Slot {
+        rank: NO_RANK,
+        pair: 0,
+    };
+}
+
+/// The rule list as index lookups. Which rules a flow satisfies depends
+/// only on its service signature and its two ASNs, and the first matching
+/// class in evaluation order is the lowest rank among the satisfied rules
+/// — so its class is the minimum over five table reads: the signature, each
+/// ASN, and each (signature, ASN) pair.
+#[derive(Debug, Clone)]
+struct Lookup {
+    /// By [`sig_slot`].
+    by_sig: Vec<Slot>,
+    /// By ASN, as long as the largest ASN a rule names.
+    by_asn: Vec<Slot>,
+    /// `pairs[sig.pair][asn.pair]`: lowest rank among the port-and-AS rules
+    /// naming both. Row 0 and column 0 stay [`NO_RANK`].
+    pairs: Vec<[u8; 256]>,
+}
+
+/// Slots of [`Lookup::by_sig`]: the TCP service ports, the UDP service
+/// ports, then the port-less protocols by number.
+const SIG_SLOTS: usize = 2 * EPHEMERAL_START as usize + 256;
+
+/// Where a signature lives in [`Lookup::by_sig`]; `None` for one
+/// [`service_sig`] never produces (an ephemeral port, or a port on a
+/// port-less protocol), which therefore no flow can match. Port-less
+/// protocols are keyed by number, so a hand-built `Other(47)` is GRE here.
+fn sig_slot(sig: PortSig) -> Option<usize> {
+    let service = usize::from(sig.port) < usize::from(EPHEMERAL_START);
+    match sig.protocol {
+        IpProtocol::Tcp if service => Some(usize::from(sig.port)),
+        IpProtocol::Udp if service => Some(usize::from(EPHEMERAL_START) + usize::from(sig.port)),
+        IpProtocol::Tcp | IpProtocol::Udp => None,
+        other if sig.port == 0 => {
+            Some(2 * usize::from(EPHEMERAL_START) + usize::from(other.number()))
+        }
+        _ => None,
+    }
+}
+
+impl Lookup {
+    fn compile(classes: &[(PaperClass, Vec<FilterRule>)]) -> Lookup {
+        let largest_asn = classes
+            .iter()
+            .flat_map(|(_, rules)| rules)
+            .flat_map(|rule| rule.asns())
+            .map(|asn| asn.0 as usize)
+            .max()
+            .unwrap_or(0);
+        let mut by_sig = vec![Slot::NONE; SIG_SLOTS];
+        let mut by_asn = vec![Slot::NONE; largest_asn + 1];
+        let mut pairs = vec![[NO_RANK; 256]];
+        let mut columns = 1u8;
+        let lower = |cell: &mut u8, rank: u8| *cell = (*cell).min(rank);
+        for (rank, (_, rules)) in classes.iter().enumerate() {
+            let rank = u8::try_from(rank).expect("fewer classes than ranks");
+            for rule in rules {
+                let sigs = rule.ports().iter().filter_map(|&sig| sig_slot(sig));
+                match rule {
+                    FilterRule::Ports(_) => sigs.for_each(|s| lower(&mut by_sig[s].rank, rank)),
+                    FilterRule::Asns(asns) => asns
+                        .iter()
+                        .for_each(|a| lower(&mut by_asn[a.0 as usize].rank, rank)),
+                    FilterRule::PortsAndAsns(_, asns) => {
+                        for s in sigs {
+                            if by_sig[s].pair == 0 {
+                                by_sig[s].pair =
+                                    u8::try_from(pairs.len()).expect("under 256 paired ports");
+                                pairs.push([NO_RANK; 256]);
+                            }
+                            for a in asns {
+                                let asn = &mut by_asn[a.0 as usize];
+                                if asn.pair == 0 {
+                                    asn.pair = columns;
+                                    columns =
+                                        columns.checked_add(1).expect("under 256 paired ASNs");
+                                }
+                                lower(
+                                    &mut pairs[usize::from(by_sig[s].pair)][usize::from(asn.pair)],
+                                    rank,
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        Lookup {
+            by_sig,
+            by_asn,
+            pairs,
+        }
+    }
+
+    /// Lowest rank among the rules a flow satisfies.
+    fn rank(&self, record: &FlowRecord) -> u8 {
+        let sig = service_sig(record)
+            .and_then(sig_slot)
+            .map_or(Slot::NONE, |s| self.by_sig[s]);
+        let asn = |asn: u32| self.by_asn.get(asn as usize).copied().unwrap_or(Slot::NONE);
+        let (src, dst) = (asn(record.src_as), asn(record.dst_as));
+        let paired = &self.pairs[usize::from(sig.pair)];
+        sig.rank
+            .min(src.rank)
+            .min(dst.rank)
+            .min(paired[usize::from(src.pair)])
+            .min(paired[usize::from(dst.pair)])
+    }
 }
 
 /// ASNs of a registry category, ordered.
@@ -246,31 +385,38 @@ impl Classifier {
         // content classes; gaming sits in between (its AS rules must win
         // over the generic 443 classes, its port groups after messaging so
         // shared STUN-family ports resolve by AS first).
+        let classes = vec![
+            (PaperClass::WebConf, webconf),
+            (PaperClass::Messaging, messaging),
+            (PaperClass::Email, email),
+            (PaperClass::Gaming, gaming),
+            (PaperClass::CollabWorking, collab),
+            (PaperClass::Vod, vod),
+            (PaperClass::Cdn, cdn),
+            (PaperClass::SocialMedia, social),
+            (PaperClass::Educational, educational),
+        ];
         Classifier {
-            classes: vec![
-                (PaperClass::WebConf, webconf),
-                (PaperClass::Messaging, messaging),
-                (PaperClass::Email, email),
-                (PaperClass::Gaming, gaming),
-                (PaperClass::CollabWorking, collab),
-                (PaperClass::Vod, vod),
-                (PaperClass::Cdn, cdn),
-                (PaperClass::SocialMedia, social),
-                (PaperClass::Educational, educational),
-            ],
+            lookup: Lookup::compile(&classes),
+            classes,
         }
     }
 
     /// Classify one flow into a paper class, if any filter matches.
     pub fn classify(&self, record: &FlowRecord) -> Option<PaperClass> {
+        let rank = self.lookup.rank(record);
+        self.classes.get(usize::from(rank)).map(|(class, _)| *class)
+    }
+
+    /// [`Classifier::classify`] by walking the rule list in order.
+    #[cfg(test)]
+    fn classify_by_walk(&self, record: &FlowRecord) -> Option<PaperClass> {
         let sig = service_sig(record);
         let (src_as, dst_as) = (Asn(record.src_as), Asn(record.dst_as));
-        for (class, rules) in &self.classes {
-            if rules.iter().any(|r| r.matches(sig, src_as, dst_as)) {
-                return Some(*class);
-            }
-        }
-        None
+        self.classes
+            .iter()
+            .find(|(_, rules)| rules.iter().any(|r| r.matches(sig, src_as, dst_as)))
+            .map(|(class, _)| *class)
     }
 
     /// Table 1's per-class summary: (filters, distinct ASNs, distinct
@@ -299,25 +445,17 @@ impl Classifier {
     }
 }
 
-/// The service-side port signature of a flow (lower, non-ephemeral port),
-/// or `None` when both ports are ephemeral.
+/// The service-side port signature of a flow ([`service_port`]; the
+/// protocol alone for port-less ones), or `None` when both ports are
+/// ephemeral.
 fn service_sig(record: &FlowRecord) -> Option<PortSig> {
-    let proto = record.key.protocol;
-    if !proto.has_ports() {
-        return Some(PortSig {
-            protocol: proto,
-            port: 0,
-        });
-    }
-    let lo = record.key.src_port.min(record.key.dst_port);
-    if lo >= EPHEMERAL_START {
-        None
+    let protocol = record.key.protocol;
+    let port = if protocol.has_ports() {
+        service_port(record)?
     } else {
-        Some(PortSig {
-            protocol: proto,
-            port: lo,
-        })
-    }
+        0
+    };
+    Some(PortSig { protocol, port })
 }
 
 /// Per-class usage metrics for one hour (Fig. 8's two panels).
@@ -342,13 +480,7 @@ pub fn class_hour_usage(
     for f in flows {
         if classifier.classify(f) == Some(class) {
             bytes += f.bytes;
-            // The client is the ephemeral-port side; fall back to source.
-            let client = if f.key.src_port >= EPHEMERAL_START || f.key.src_port == 0 {
-                f.key.src_addr
-            } else {
-                f.key.dst_addr
-            };
-            ips.insert(client);
+            ips.insert(client_addr(f));
         }
     }
     HourUsage {
@@ -392,21 +524,29 @@ impl WeekHeatmap {
     /// Accumulate one flow into the grid (classified flows inside the
     /// week's displayed hours only).
     pub fn add(&mut self, classifier: &Classifier, record: &FlowRecord) {
-        let Some(class) = classifier.classify(record) else {
-            return;
-        };
-        let day = self.start.days_until(record.start.date());
+        self.add_run(classifier, &HourRun::of(record));
+    }
+
+    /// Accumulate one hour run: day and display slot are the run's (a run
+    /// outside the week or the displayed hours is not classified at all),
+    /// bytes are summed per class and flushed into the run's one column.
+    pub fn add_run(&mut self, classifier: &Classifier, run: &HourRun<'_>) {
+        let day = run.day_number - self.start.day_number();
         if !(0..7).contains(&day) {
             return;
         }
-        let Some(slot) = display_slot(record.start.hour()) else {
+        let Some(slot) = display_slot(run.hour) else {
             return;
         };
-        let ci = PaperClass::ALL
-            .iter()
-            .position(|&c| c == class)
-            .expect("in ALL");
-        self.grid[ci][day as usize][slot] += record.bytes;
+        let mut by_class = [0u64; PaperClass::ALL.len()];
+        for record in run.records {
+            if let Some(class) = classifier.classify(record) {
+                by_class[class.index()] += record.bytes;
+            }
+        }
+        for (class_grid, bytes) in self.grid.iter_mut().zip(by_class) {
+            class_grid[day as usize][slot] += bytes;
+        }
     }
 
     /// Merge another same-week grid into this one (cells are additive).
@@ -424,8 +564,8 @@ impl WeekHeatmap {
     /// Accumulate one week of flows into the grid.
     pub fn build(classifier: &Classifier, start: Date, flows: &[FlowRecord]) -> WeekHeatmap {
         let mut h = WeekHeatmap::new(start);
-        for f in flows {
-            h.add(classifier, f);
+        for run in hour_runs(flows) {
+            h.add_run(classifier, &run);
         }
         h
     }
@@ -435,10 +575,7 @@ impl WeekHeatmap {
     /// the paper's "normalized to the minimum/maximum of all three weeks
     /// per application per vantage point").
     pub fn normalized(&self, class: PaperClass, class_max: u64) -> [[f64; DISPLAY_HOURS]; 7] {
-        let ci = PaperClass::ALL
-            .iter()
-            .position(|&c| c == class)
-            .expect("in ALL");
+        let ci = class.index();
         let mut out = [[0.0; DISPLAY_HOURS]; 7];
         let denom = class_max.max(1) as f64;
         for (day_out, day_in) in out.iter_mut().zip(&self.grid[ci]) {
@@ -451,10 +588,7 @@ impl WeekHeatmap {
 
     /// Max cell value of one class in this week.
     pub fn class_max(&self, class: PaperClass) -> u64 {
-        let ci = PaperClass::ALL
-            .iter()
-            .position(|&c| c == class)
-            .expect("in ALL");
+        let ci = class.index();
         self.grid[ci]
             .iter()
             .flat_map(|day| day.iter())
@@ -494,7 +628,6 @@ pub fn heatmap_diff(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lockdown_flow::protocol::IpProtocol;
     use lockdown_flow::record::FlowKey;
 
     fn registry() -> Registry {
@@ -615,6 +748,117 @@ mod tests {
             c.classify(&flow(IpProtocol::Udp, 443, 50_000, 15_169, 64_496)),
             None
         );
+    }
+
+    /// Every (signature, source AS, destination AS) the inventory can tell
+    /// apart: each named value plus ones no rule names, the service port on
+    /// either side, and both sides ephemeral.
+    fn assert_lookup_is_the_walk(c: &Classifier) -> BTreeSet<Option<PaperClass>> {
+        let rules = || c.classes.iter().flat_map(|(_, rules)| rules);
+        let mut sigs: BTreeSet<PortSig> = rules().flat_map(|r| r.ports()).copied().collect();
+        sigs.extend([PortSig::tcp(12_345), PortSig::udp(12_345), PortSig::tcp(0)]);
+        sigs.extend(
+            [
+                IpProtocol::Icmp,
+                IpProtocol::Gre,
+                IpProtocol::Esp,
+                IpProtocol::Other(99),
+            ]
+            .map(|protocol| PortSig { protocol, port: 0 }),
+        );
+        let mut asns: BTreeSet<u32> = rules().flat_map(|r| r.asns()).map(|a| a.0).collect();
+        let beyond = asns.last().expect("rules name ASNs") + 1;
+        asns.extend([0, 99, beyond, u32::MAX]);
+
+        let mut seen = BTreeSet::new();
+        for sig in sigs {
+            for (sport, dport) in [(sig.port, 50_000), (50_000, sig.port), (40_000, 50_000)] {
+                for &src in &asns {
+                    for &dst in &asns {
+                        let f = flow(sig.protocol, sport, dport, src, dst);
+                        let class = c.classify(&f);
+                        assert_eq!(
+                            class,
+                            c.classify_by_walk(&f),
+                            "{sig} as {sport}->{dport}, AS{src}->AS{dst}"
+                        );
+                        seen.insert(class);
+                    }
+                }
+            }
+        }
+        seen
+    }
+
+    #[test]
+    fn compiled_lookup_is_the_rule_walk() {
+        let seen = assert_lookup_is_the_walk(&Classifier::from_registry(&registry()));
+        // The product reached every class, and the unclassified rest.
+        assert_eq!(seen.len(), PaperClass::ALL.len() + 1);
+    }
+
+    #[test]
+    fn lookup_compiles_rule_shapes_table1_does_not_use() {
+        use PortSig as P;
+        let gre = PortSig {
+            protocol: IpProtocol::Gre,
+            port: 0,
+        };
+        // Overlaps across classes (the earlier class must win), a port-less
+        // signature, several paired ports and ASNs, an ASN above 16 bits,
+        // and two rules no flow can match: an ephemeral port, and a port on
+        // a port-less protocol.
+        let classes = vec![
+            (
+                PaperClass::Vod,
+                vec![FilterRule::PortsAndAsns(
+                    vec![P::tcp(443), P::udp(53)],
+                    vec![Asn(7), Asn(70_000)],
+                )],
+            ),
+            (
+                PaperClass::Email,
+                vec![
+                    FilterRule::Ports(vec![P::udp(53), gre, P::tcp(50_000)]),
+                    FilterRule::Ports(vec![PortSig {
+                        protocol: IpProtocol::Esp,
+                        port: 9,
+                    }]),
+                ],
+            ),
+            (
+                PaperClass::Cdn,
+                vec![
+                    FilterRule::Asns(vec![Asn(7), Asn(8)]),
+                    FilterRule::PortsAndAsns(vec![P::tcp(443), P::tcp(80)], vec![Asn(9), Asn(7)]),
+                ],
+            ),
+            (
+                PaperClass::Gaming,
+                vec![FilterRule::Ports(vec![P::tcp(80)])],
+            ),
+        ];
+        let c = Classifier {
+            lookup: Lookup::compile(&classes),
+            classes,
+        };
+        let seen = assert_lookup_is_the_walk(&c);
+        assert_eq!(seen.len(), 5, "four classes and the rest: {seen:?}");
+        let class = |proto, sport, src_as| c.classify(&flow(proto, sport, 50_000, src_as, 0));
+        assert_eq!(class(IpProtocol::Tcp, 443, 7), Some(PaperClass::Vod));
+        assert_eq!(class(IpProtocol::Udp, 53, 9), Some(PaperClass::Email));
+        assert_eq!(class(IpProtocol::Gre, 0, 8), Some(PaperClass::Email));
+        assert_eq!(class(IpProtocol::Tcp, 80, 9), Some(PaperClass::Cdn));
+        assert_eq!(class(IpProtocol::Tcp, 80, 70_000), Some(PaperClass::Gaming));
+        assert_eq!(class(IpProtocol::Tcp, 50_000, 0), None);
+        assert_eq!(class(IpProtocol::Esp, 9, 0), None);
+    }
+
+    #[test]
+    fn class_index_is_the_position_in_all() {
+        for (i, class) in PaperClass::ALL.into_iter().enumerate() {
+            assert_eq!(class.index(), i);
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! AS-level traffic splits: hypergiants vs. the rest (Fig. 4), remote-work
 //! AS grouping (§3.4), and the per-AS residential-shift scatter (Fig. 6).
 
-use lockdown_flow::record::FlowRecord;
+use lockdown_flow::record::{FlowRecord, HourRun};
 use lockdown_flow::time::Date;
 use lockdown_flow::wire::PutBe;
 use lockdown_scenario::calendar::day_type;
@@ -91,23 +91,35 @@ impl HypergiantSplit {
     /// content side is whichever endpoint is not the local eyeball; the
     /// caller passes the eyeball ASN to exclude.
     pub fn add(&mut self, record: &FlowRecord, region: Region, eyeball_asn: Asn) {
-        let date = record.start.date();
-        let hour = record.start.hour();
-        let Some(part) = DayPart::of(date, hour, region) else {
+        self.add_run(&HourRun::of(record), region, eyeball_asn);
+    }
+
+    /// Add one hour run: week and day part are the run's, only the
+    /// hypergiant/other side is per flow. A side gets a bin only if a
+    /// flow of the run fell on it.
+    pub fn add_run(&mut self, run: &HourRun<'_>, region: Region, eyeball_asn: Asn) {
+        let Some(part) = DayPart::of(run.date, run.hour, region) else {
             return;
         };
-        let (_, week) = date.iso_week();
-        let content_asn = if record.src_as == eyeball_asn.0 {
-            Asn(record.dst_as)
-        } else {
-            Asn(record.src_as)
-        };
-        let hg = is_hypergiant(content_asn);
-        *self.bins.entry((week, part, hg)).or_insert(0) += record.bytes;
+        let (_, week) = run.date.iso_week();
+        let mut sides: [Option<u64>; 2] = [None; 2];
+        for record in run.records {
+            let content_asn = if record.src_as == eyeball_asn.0 {
+                Asn(record.dst_as)
+            } else {
+                Asn(record.src_as)
+            };
+            *sides[usize::from(is_hypergiant(content_asn))].get_or_insert(0) += record.bytes;
+        }
+        for (hg, bytes) in [false, true].into_iter().zip(sides) {
+            if let Some(bytes) = bytes {
+                *self.bins.entry((week, part, hg)).or_insert(0) += bytes;
+            }
+        }
         self.days
             .entry((week, part))
             .or_default()
-            .insert(date.day_number());
+            .insert(run.day_number);
     }
 
     /// Merge another split into this one (byte bins are additive; day
@@ -248,24 +260,36 @@ impl AsDayTotals {
     /// Add one flow, attributing bytes to both endpoint ASes (an AS's
     /// traffic is what it sends plus what it receives).
     pub fn add(&mut self, record: &FlowRecord) {
+        self.add_run(&HourRun::of(record), |_| true);
+    }
+
+    /// Add the flows of one hour run that `keep` admits; the day and its
+    /// type are the run's, and count as seen only if a flow was admitted.
+    pub fn add_run(&mut self, run: &HourRun<'_>, keep: impl Fn(&FlowRecord) -> bool) {
         let region = self.region.expect("constructed via new()");
-        let date = record.start.date();
-        let weekend = day_type(date, region).is_weekend_like();
-        for asn in [record.src_as, record.dst_as] {
-            if asn == 0 {
-                continue;
-            }
-            let entry = self.totals.entry(asn).or_insert((0, 0));
-            if weekend {
-                entry.1 += record.bytes;
-            } else {
-                entry.0 += record.bytes;
+        let weekend = day_type(run.date, region).is_weekend_like();
+        let mut seen = false;
+        for record in run.records.iter().filter(|r| keep(r)) {
+            seen = true;
+            for asn in [record.src_as, record.dst_as] {
+                if asn == 0 {
+                    continue;
+                }
+                let entry = self.totals.entry(asn).or_insert((0, 0));
+                if weekend {
+                    entry.1 += record.bytes;
+                } else {
+                    entry.0 += record.bytes;
+                }
             }
         }
-        if weekend {
-            self.days_seen.1.insert(date.day_number());
-        } else {
-            self.days_seen.0.insert(date.day_number());
+        if seen {
+            let days = if weekend {
+                &mut self.days_seen.1
+            } else {
+                &mut self.days_seen.0
+            };
+            days.insert(run.day_number);
         }
     }
 

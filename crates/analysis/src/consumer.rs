@@ -1,20 +1,27 @@
 //! The multi-consumer aggregation contract used by the single-pass trace
 //! engine (`lockdown-core::engine`).
 //!
-//! Every figure's accumulator observes flow records one at a time and can
-//! merge a same-typed partial produced by another worker. All implementors
-//! bin into integer counters (or sets) whose merges are commutative and
-//! associative, so results are independent of both flow fan-out order and
-//! worker count — the property the engine's determinism tests assert.
+//! Every figure's accumulator observes flow records and can merge a
+//! same-typed partial produced by another worker. All implementors bin into
+//! integer counters (or sets) whose merges are commutative and associative,
+//! so results are independent of both flow fan-out order and worker count —
+//! the property the engine's determinism tests assert.
+//!
+//! Calendar facts are per hour run: an accumulator's one body takes a
+//! [`HourRun`](lockdown_flow::record::HourRun) and derives day type, ISO
+//! week, day part and bin keys from it once, so `observe_all` walks
+//! [`hour_runs`] and `observe` is the one-record case of the same body.
+//! The state either leaves is the same field for field, down to which keys
+//! exist — `encode_frame` bytes cross the shard boundary.
 
 use crate::appclass::{Classifier, HourUsage, PaperClass, WeekHeatmap};
 use crate::asgroup::{AsDayTotals, HypergiantSplit};
 use crate::codec::{self, CodecError, ConsumerTag, StateReader};
 use crate::edu::EduAnalysis;
 use crate::linkutil::AsHourly;
-use crate::ports::{PortProfile, EPHEMERAL_START};
+use crate::ports::{client_addr, PortProfile};
 use crate::timeseries::HourlyVolume;
-use lockdown_flow::record::FlowRecord;
+use lockdown_flow::record::{hour_runs, FlowRecord};
 use lockdown_flow::time::Date;
 use lockdown_flow::wire::PutBe;
 use lockdown_topology::asn::{Asn, Region};
@@ -32,7 +39,8 @@ pub trait FlowConsumer {
     fn observe(&mut self, record: &FlowRecord);
 
     /// Observe a batch of records (hot path for the engine's per-cell
-    /// fan-out; the default just loops).
+    /// fan-out; the default just loops, the figures' accumulators take it
+    /// an hour run at a time).
     fn observe_all(&mut self, records: &[FlowRecord]) {
         for r in records {
             self.observe(r);
@@ -71,6 +79,12 @@ impl FlowConsumer for HourlyVolume {
         self.add(record);
     }
 
+    fn observe_all(&mut self, records: &[FlowRecord]) {
+        for run in hour_runs(records) {
+            self.add_run(&run);
+        }
+    }
+
     fn merge(&mut self, other: Self) {
         HourlyVolume::merge(self, &other);
     }
@@ -91,6 +105,12 @@ impl FlowConsumer for HourlyVolume {
 impl FlowConsumer for EduAnalysis {
     fn observe(&mut self, record: &FlowRecord) {
         self.add(record);
+    }
+
+    fn observe_all(&mut self, records: &[FlowRecord]) {
+        for run in hour_runs(records) {
+            self.add_run(&run);
+        }
     }
 
     fn merge(&mut self, other: Self) {
@@ -133,6 +153,12 @@ impl FlowConsumer for PortConsumer {
         self.profile.add(record, self.region);
     }
 
+    fn observe_all(&mut self, records: &[FlowRecord]) {
+        for run in hour_runs(records) {
+            self.profile.add_run(&run, self.region);
+        }
+    }
+
     fn merge(&mut self, other: Self) {
         self.profile.merge(&other.profile);
     }
@@ -173,6 +199,12 @@ impl HypergiantConsumer {
 impl FlowConsumer for HypergiantConsumer {
     fn observe(&mut self, record: &FlowRecord) {
         self.split.add(record, self.region, self.eyeball);
+    }
+
+    fn observe_all(&mut self, records: &[FlowRecord]) {
+        for run in hour_runs(records) {
+            self.split.add_run(&run, self.region, self.eyeball);
+        }
     }
 
     fn merge(&mut self, other: Self) {
@@ -221,12 +253,16 @@ impl AsTotalsConsumer {
 
 impl FlowConsumer for AsTotalsConsumer {
     fn observe(&mut self, record: &FlowRecord) {
-        if let Some(a) = self.require_asn {
-            if record.src_as != a && record.dst_as != a {
-                return;
-            }
+        self.observe_all(std::slice::from_ref(record));
+    }
+
+    fn observe_all(&mut self, records: &[FlowRecord]) {
+        let gate = self.require_asn;
+        for run in hour_runs(records) {
+            self.totals.add_run(&run, |r| {
+                gate.is_none_or(|a| r.src_as == a || r.dst_as == a)
+            });
         }
-        self.totals.add(record);
     }
 
     fn merge(&mut self, other: Self) {
@@ -267,6 +303,12 @@ impl HeatmapConsumer {
 impl FlowConsumer for HeatmapConsumer {
     fn observe(&mut self, record: &FlowRecord) {
         self.heatmap.add(&self.classifier, record);
+    }
+
+    fn observe_all(&mut self, records: &[FlowRecord]) {
+        for run in hour_runs(records) {
+            self.heatmap.add_run(&self.classifier, &run);
+        }
     }
 
     fn merge(&mut self, other: Self) {
@@ -350,22 +392,29 @@ impl ClassUsageConsumer {
 
 impl FlowConsumer for ClassUsageConsumer {
     fn observe(&mut self, record: &FlowRecord) {
-        if self.classifier.classify(record) != Some(self.class) {
-            return;
+        self.observe_all(std::slice::from_ref(record));
+    }
+
+    fn observe_all(&mut self, records: &[FlowRecord]) {
+        for run in hour_runs(records) {
+            let mut matched = run
+                .records
+                .iter()
+                .filter(|r| self.classifier.classify(r) == Some(self.class))
+                .peekable();
+            // The run's bin exists only once a flow of the class is seen.
+            if matched.peek().is_none() {
+                continue;
+            }
+            let bin = self
+                .bins
+                .entry((run.day_number, run.hour))
+                .or_insert_with(|| (0, HashSet::new()));
+            for record in matched {
+                bin.0 += record.bytes;
+                bin.1.insert(client_addr(record));
+            }
         }
-        // The client is the ephemeral-port side; fall back to source —
-        // the same rule `class_hour_usage` applies.
-        let client = if record.key.src_port >= EPHEMERAL_START || record.key.src_port == 0 {
-            record.key.src_addr
-        } else {
-            record.key.dst_addr
-        };
-        let bin = self
-            .bins
-            .entry((record.start.date().day_number(), record.start.hour()))
-            .or_insert_with(|| (0, HashSet::new()));
-        bin.0 += record.bytes;
-        bin.1.insert(client);
     }
 
     fn merge(&mut self, other: Self) {
@@ -421,6 +470,12 @@ impl FlowConsumer for ClassUsageConsumer {
 impl FlowConsumer for AsHourly {
     fn observe(&mut self, record: &FlowRecord) {
         self.add(record);
+    }
+
+    fn observe_all(&mut self, records: &[FlowRecord]) {
+        for run in hour_runs(records) {
+            self.add_run(&run);
+        }
     }
 
     fn merge(&mut self, other: Self) {

@@ -10,7 +10,7 @@
 
 use crate::timeseries::HourlyVolume;
 use lockdown_flow::protocol::IpProtocol;
-use lockdown_flow::record::{Direction, FlowRecord};
+use lockdown_flow::record::{Direction, FlowRecord, HourRun};
 use lockdown_flow::time::Date;
 use lockdown_flow::wire::PutBe;
 use lockdown_topology::registry::{EDU_ASN, SPOTIFY_ASN};
@@ -198,21 +198,47 @@ impl EduAnalysis {
 
     /// Add one border flow.
     pub fn add(&mut self, record: &FlowRecord) {
-        self.flows += 1;
-        let class = EduTrafficClass::of(record);
-        let orient = orientation(record);
-        if orient == Orientation::Undetermined {
-            self.undetermined += 1;
-        }
-        let day = record.start.date().day_number();
-        *self.connections.entry((day, class, orient)).or_insert(0) += 1;
+        self.add_run(&HourRun::of(record));
+    }
 
-        // Volume accounting uses the exporter's interface direction, as
-        // NetFlow provides it (§7's volumetric analysis).
-        match record.direction {
-            Direction::Ingress => self.ingress.add(record),
-            Direction::Egress => self.egress.add(record),
-            Direction::Unknown => {}
+    /// Add one hour run: connections are counted per (class, orientation)
+    /// and volume per direction in locals, then flushed under the run's
+    /// day and hour — one map entry per key the run touched.
+    pub fn add_run(&mut self, run: &HourRun<'_>) {
+        let mut connections = [[0u64; ORIENTATIONS.len()]; EduTrafficClass::ALL.len()];
+        let mut ingress: Option<u64> = None;
+        let mut egress: Option<u64> = None;
+        for record in run.records {
+            let orient = orientation(record);
+            if orient == Orientation::Undetermined {
+                self.undetermined += 1;
+            }
+            let class = class_index(EduTrafficClass::of(record));
+            connections[usize::from(class)][usize::from(orientation_index(orient))] += 1;
+
+            // Volume accounting uses the exporter's interface direction, as
+            // NetFlow provides it (§7's volumetric analysis).
+            match record.direction {
+                Direction::Ingress => *ingress.get_or_insert(0) += record.bytes,
+                Direction::Egress => *egress.get_or_insert(0) += record.bytes,
+                Direction::Unknown => {}
+            }
+        }
+        self.flows += run.records.len() as u64;
+        for (class, row) in EduTrafficClass::ALL.into_iter().zip(connections) {
+            for (orient, count) in ORIENTATIONS.into_iter().zip(row) {
+                if count > 0 {
+                    *self
+                        .connections
+                        .entry((run.day_number, class, orient))
+                        .or_insert(0) += count;
+                }
+            }
+        }
+        for (volume, bytes) in [(&mut self.ingress, ingress), (&mut self.egress, egress)] {
+            if let Some(bytes) = bytes {
+                volume.add_bytes(run.hour_start, bytes);
+            }
         }
     }
 

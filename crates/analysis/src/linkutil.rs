@@ -17,8 +17,8 @@
 //! reproduction's flow resolution minute bins would be mostly empty —
 //! documented in EXPERIMENTS.md).
 
-use lockdown_flow::record::FlowRecord;
-use lockdown_flow::time::Date;
+use lockdown_flow::record::{FlowRecord, HourRun};
+use lockdown_flow::time::{Date, SECS_PER_HOUR};
 use lockdown_flow::wire::PutBe;
 use lockdown_topology::asn::Asn;
 use lockdown_topology::ixp::IxpFabric;
@@ -67,13 +67,21 @@ impl AsHourly {
     /// Add one flow (binned by start hour; flows outside the day are
     /// ignored).
     pub fn add(&mut self, record: &FlowRecord) {
-        let hour = (record.start.unix().saturating_sub(self.day_start_unix) / 3_600) as usize;
+        self.add_run(&HourRun::of(record));
+    }
+
+    /// Add one hour run: the hour slot is the run's.
+    pub fn add_run(&mut self, run: &HourRun<'_>) {
+        let since_midnight = run.hour_start.unix().saturating_sub(self.day_start_unix);
+        let hour = (since_midnight / SECS_PER_HOUR) as usize;
         if hour >= 24 {
             return;
         }
-        for asn in [record.src_as, record.dst_as] {
-            if asn != 0 {
-                self.bins.entry(asn).or_insert([0; 24])[hour] += record.bytes;
+        for record in run.records {
+            for asn in [record.src_as, record.dst_as] {
+                if asn != 0 {
+                    self.bins.entry(asn).or_insert([0; 24])[hour] += record.bytes;
+                }
             }
         }
     }

@@ -8,15 +8,34 @@
 //! their own rows.
 
 use lockdown_flow::protocol::IpProtocol;
-use lockdown_flow::record::FlowRecord;
+use lockdown_flow::record::{FlowRecord, HourRun};
 use lockdown_flow::wire::PutBe;
 use lockdown_scenario::calendar::{day_type, DayType};
 use lockdown_topology::asn::Region;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::net::Ipv4Addr;
 
 /// First port of the ephemeral range for service-port attribution.
 pub const EPHEMERAL_START: u16 = 32_768;
+
+/// The service port of a flow that carries ports: the lower side, unless
+/// it too is ephemeral (ephemeral↔ephemeral is unattributable). Two
+/// registered ports resolve to the lower one, like most flow tools.
+pub fn service_port(record: &FlowRecord) -> Option<u16> {
+    let lo = record.key.src_port.min(record.key.dst_port);
+    (lo < EPHEMERAL_START).then_some(lo)
+}
+
+/// The client address of a flow: the ephemeral-port side, falling back to
+/// the source (§5 counts these to "approximate the order of households").
+pub fn client_addr(record: &FlowRecord) -> Ipv4Addr {
+    if record.key.src_port >= EPHEMERAL_START || record.key.src_port == 0 {
+        record.key.src_addr
+    } else {
+        record.key.dst_addr
+    }
+}
 
 /// A service identity at the transport layer: either a concrete
 /// protocol/port pair, or a port-less protocol.
@@ -35,17 +54,7 @@ impl ServiceKey {
         if !proto.has_ports() {
             return Some(ServiceKey::Protocol(proto.number()));
         }
-        let (a, b) = (record.key.src_port, record.key.dst_port);
-        let (lo, hi) = (a.min(b), a.max(b));
-        if lo < EPHEMERAL_START {
-            // The lower side is the service; ties with two registered
-            // ports resolve to the lower one, like most flow tools.
-            Some(ServiceKey::Port(proto.number(), lo))
-        } else if hi >= EPHEMERAL_START && lo >= EPHEMERAL_START {
-            None // ephemeral↔ephemeral: unattributable
-        } else {
-            Some(ServiceKey::Port(proto.number(), lo))
-        }
+        service_port(record).map(|port| ServiceKey::Port(proto.number(), port))
     }
 
     /// Human-readable form ("TCP/443", "GRE").
@@ -80,14 +89,20 @@ impl PortProfile {
     /// Add one flow observed in `region` (the region's calendar decides
     /// workday vs. weekend; Easter counts as weekend, §4).
     pub fn add(&mut self, record: &FlowRecord, region: Region) {
-        let Some(key) = ServiceKey::of(record) else {
-            return;
-        };
-        let date = record.start.date();
-        let weekend = day_type(date, region) != DayType::Workday;
-        let hour = record.start.hour();
-        *self.bins.entry((key, weekend, hour)).or_insert(0) += record.bytes;
-        *self.totals.entry(key).or_insert(0) += record.bytes;
+        self.add_run(&HourRun::of(record), region);
+    }
+
+    /// Add one hour run observed in `region`: the day type is the run's,
+    /// only the service key is per flow.
+    pub fn add_run(&mut self, run: &HourRun<'_>, region: Region) {
+        let weekend = day_type(run.date, region) != DayType::Workday;
+        for record in run.records {
+            let Some(key) = ServiceKey::of(record) else {
+                continue;
+            };
+            *self.bins.entry((key, weekend, run.hour)).or_insert(0) += record.bytes;
+            *self.totals.entry(key).or_insert(0) += record.bytes;
+        }
     }
 
     /// Add many flows.

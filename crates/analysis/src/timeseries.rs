@@ -6,7 +6,7 @@
 //! for the §5 heatmaps). This module provides that primitive as a streaming
 //! accumulator so experiments never hold a full trace in memory.
 
-use lockdown_flow::record::FlowRecord;
+use lockdown_flow::record::{FlowRecord, HourRun};
 use lockdown_flow::time::{Date, Timestamp, SECS_PER_HOUR};
 use lockdown_flow::wire::PutBe;
 use std::collections::BTreeMap;
@@ -27,6 +27,12 @@ impl HourlyVolume {
     /// pipelines use for hourly accounting).
     pub fn add(&mut self, record: &FlowRecord) {
         self.add_bytes(record.start, record.bytes);
+    }
+
+    /// Add one hour run: its bytes summed, then one bin entry (created even
+    /// when the sum is zero, as a zero-byte flow creates its bin).
+    pub fn add_run(&mut self, run: &HourRun<'_>) {
+        self.add_bytes(run.hour_start, run.records.iter().map(|r| r.bytes).sum());
     }
 
     /// Add raw bytes at a time.

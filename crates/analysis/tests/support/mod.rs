@@ -1,0 +1,202 @@
+//! Record slices that stress the hour-run accumulate path, and the check
+//! every consumer is held to over them: `observe_all` — which takes a
+//! slice an hour run at a time — must leave the state per-record `observe`
+//! leaves, byte for byte in `encode_frame`, including which keys exist.
+//!
+//! Included by path from the tests of consumers this crate cannot see
+//! (`lockdown-core`'s private ones, the query filter in `tests/`), so a
+//! new slice shape reaches all of them.
+
+#![allow(dead_code)] // each includer uses its share
+
+use lockdown_analysis::codec::encode_frame;
+use lockdown_analysis::consumer::FlowConsumer;
+use lockdown_base::hash::SplitMix;
+use lockdown_flow::protocol::{IpProtocol, TcpFlags};
+use lockdown_flow::record::{Direction, FlowKey, FlowRecord};
+use lockdown_flow::time::{Date, Timestamp};
+use lockdown_topology::registry::{EDU_ASN, SPOTIFY_ASN, ZOOM_ASN};
+use std::net::Ipv4Addr;
+
+/// Seeds every check runs over.
+pub const SEEDS: [u64; 3] = [1, 0x10CD_2020, 0xFEED];
+
+/// The Wednesday the plain slices fall on; its week starts [`WEEK_START`].
+pub const DAY: Date = Date {
+    year: 2020,
+    month: 3,
+    day: 25,
+};
+
+/// Monday of [`DAY`]'s week.
+pub const WEEK_START: Date = Date {
+    year: 2020,
+    month: 3,
+    day: 23,
+};
+
+/// The eyeball ASN among the slices' endpoints.
+pub const EYEBALL: u32 = 64_496;
+
+/// Every address is `198.51.100.x` with `x` below this.
+pub const ADDRESSES: u8 = 8;
+
+fn pick<T: Copy>(rng: &mut SplitMix, from: &[T]) -> T {
+    from[(rng.next_u64() % from.len() as u64) as usize]
+}
+
+/// One seeded flow starting at `start`: service, gaming, conferencing,
+/// tunnel and ephemeral ports; hypergiant, eyeball, campus, Table 1 and
+/// unknown ASNs; every direction; one flow in eight carries no bytes.
+fn flow(rng: &mut SplitMix, start: Timestamp) -> FlowRecord {
+    const PROTOCOLS: [IpProtocol; 6] = [
+        IpProtocol::Tcp,
+        IpProtocol::Tcp,
+        IpProtocol::Udp,
+        IpProtocol::Udp,
+        IpProtocol::Esp,
+        IpProtocol::Gre,
+    ];
+    const PORTS: [u16; 12] = [
+        0, 22, 80, 443, 443, 993, 4_500, 8_801, 27_015, 40_000, 50_000, 60_000,
+    ];
+    let asns = [
+        0,
+        1,
+        2,
+        2_906,
+        15_169,
+        32_934,
+        EYEBALL,
+        EDU_ASN.0,
+        SPOTIFY_ASN.0,
+        ZOOM_ASN.0,
+    ];
+    const DIRECTIONS: [Direction; 3] = [Direction::Ingress, Direction::Egress, Direction::Unknown];
+    let addr = |rng: &mut SplitMix| {
+        Ipv4Addr::new(198, 51, 100, (rng.next_u64() % u64::from(ADDRESSES)) as u8)
+    };
+    let bytes = match rng.next_u64() % 8 {
+        0 => 0,
+        _ => rng.next_u64() % 1_000_000,
+    };
+    FlowRecord::builder(
+        FlowKey {
+            src_addr: addr(rng),
+            dst_addr: addr(rng),
+            src_port: pick(rng, &PORTS),
+            dst_port: pick(rng, &PORTS),
+            protocol: pick(rng, &PROTOCOLS),
+        },
+        start,
+    )
+    .end(start.add_secs(rng.next_u64() % 600))
+    .bytes(bytes)
+    .packets(1 + bytes / 1_400)
+    .tcp_flags(TcpFlags::complete_connection())
+    .asns(pick(rng, &asns), pick(rng, &asns))
+    .direction(pick(rng, &DIRECTIONS))
+    .build()
+}
+
+/// `n` flows starting anywhere in one hour.
+fn hour(rng: &mut SplitMix, date: Date, hour: u8, n: usize) -> Vec<FlowRecord> {
+    (0..n)
+        .map(|_| {
+            let start = date.at_hour(hour).add_secs(rng.next_u64() % 3_600);
+            flow(rng, start)
+        })
+        .collect()
+}
+
+/// `a` and `b` alternating record by record.
+fn interleave(a: Vec<FlowRecord>, b: Vec<FlowRecord>) -> Vec<FlowRecord> {
+    a.into_iter().zip(b).flat_map(|(x, y)| [x, y]).collect()
+}
+
+/// The labelled slices of one seed.
+pub fn slices(seed: u64) -> Vec<(String, Vec<FlowRecord>)> {
+    let rng = &mut SplitMix::new(seed);
+    let mut out = vec![
+        ("the empty slice".to_string(), Vec::new()),
+        ("one hour".to_string(), hour(rng, DAY, 11, 40)),
+        (
+            "two hours interleaved record by record".to_string(),
+            interleave(hour(rng, DAY, 11, 20), hour(rng, DAY, 12, 20)),
+        ),
+        (
+            "10:59:59 | 11:00:00".to_string(),
+            vec![
+                flow(rng, DAY.at_hour(10).add_secs(3_599)),
+                flow(rng, DAY.at_hour(11)),
+                flow(rng, DAY.at_hour(10).add_secs(3_599)),
+            ],
+        ),
+        // Outside Fig. 4's day parts and Fig. 9's displayed hours.
+        ("the small hours".to_string(), hour(rng, DAY, 3, 20)),
+    ];
+
+    // A run ending at midnight and the next day's first, then the two
+    // days alternating: the day type, day number or ISO week changes
+    // inside the slice.
+    for (label, eve) in [
+        ("Epiphany → a workday", Date::new(2020, 1, 6)),
+        ("a workday → Good Friday", Date::new(2020, 4, 9)),
+        ("Easter Monday → a workday", Date::new(2020, 4, 13)),
+        ("Sunday → Monday, ISO week 12 → 13", Date::new(2020, 3, 22)),
+        (
+            "ISO week 52 of 2019 → week 1 of 2020",
+            Date::new(2019, 12, 29),
+        ),
+    ] {
+        let morrow = eve.add_days(1);
+        let mut slice = hour(rng, eve, 23, 15);
+        slice.extend(hour(rng, morrow, 0, 15));
+        slice.extend(interleave(hour(rng, eve, 18, 6), hour(rng, morrow, 10, 6)));
+        out.push((label.to_string(), slice));
+    }
+
+    let mut empty_handed = hour(rng, DAY, 20, 20);
+    for r in &mut empty_handed {
+        r.bytes = 0;
+    }
+    out.push(("zero-byte flows".to_string(), empty_handed));
+
+    let mut unclassified = hour(rng, DAY, 14, 20);
+    for r in &mut unclassified {
+        r.key.protocol = IpProtocol::Tcp;
+        (r.key.src_port, r.key.dst_port) = (40_000, 50_000);
+        (r.src_as, r.dst_as) = (1, 2);
+    }
+    out.push(("an all-unclassified slice".to_string(), unclassified));
+    out
+}
+
+/// Hold one consumer type to the contract: over every slice of every seed,
+/// alone and on top of the state the earlier slices left, `observe_all`
+/// equals per-record `observe` in `encode_frame` bytes.
+pub fn assert_runs_match_records<C: FlowConsumer>(make: impl Fn() -> C) {
+    for seed in SEEDS {
+        let (mut all_by_run, mut all_by_record) = (make(), make());
+        for (label, slice) in slices(seed) {
+            let (mut by_run, mut by_record) = (make(), make());
+            by_run.observe_all(&slice);
+            all_by_run.observe_all(&slice);
+            for r in &slice {
+                by_record.observe(r);
+                all_by_record.observe(r);
+            }
+            let name = by_run.state_tag().name;
+            assert_eq!(
+                encode_frame(&by_run),
+                encode_frame(&by_record),
+                "{name} over {label} (seed {seed:#x})"
+            );
+            assert_eq!(
+                encode_frame(&all_by_run),
+                encode_frame(&all_by_record),
+                "{name} through {label} (seed {seed:#x})"
+            );
+        }
+    }
+}

@@ -9,7 +9,7 @@ use crate::report::TextTable;
 use lockdown_analysis::codec::{self, CodecError, ConsumerTag, StateReader};
 use lockdown_analysis::consumer::FlowConsumer;
 use lockdown_analysis::vpn::{VpnClassifier, VpnMethod};
-use lockdown_flow::record::FlowRecord;
+use lockdown_flow::record::{hour_runs, FlowRecord};
 use lockdown_flow::wire::PutBe;
 use lockdown_scenario::calendar::{day_type, DayType, PORTS_IXP_WEEKS};
 use lockdown_topology::asn::Region;
@@ -69,19 +69,28 @@ impl VpnWeekConsumer {
 
 impl FlowConsumer for VpnWeekConsumer {
     fn observe(&mut self, record: &FlowRecord) {
-        let Some(method) = self.classifier.classify(record) else {
-            return;
-        };
-        let target = match method {
-            VpnMethod::Port => &mut self.port,
-            VpnMethod::Domain => &mut self.domain,
-        };
-        let weekend = day_type(record.start.date(), self.region) != DayType::Workday;
-        let hour = record.start.hour() as usize;
-        if weekend {
-            target.weekend[hour] += record.bytes;
-        } else {
-            target.workday[hour] += record.bytes;
+        self.observe_all(std::slice::from_ref(record));
+    }
+
+    fn observe_all(&mut self, records: &[FlowRecord]) {
+        for run in hour_runs(records) {
+            let (mut port, mut domain) = (0u64, 0u64);
+            for record in run.records {
+                match self.classifier.classify(record) {
+                    Some(VpnMethod::Port) => port += record.bytes,
+                    Some(VpnMethod::Domain) => domain += record.bytes,
+                    None => {}
+                }
+            }
+            let weekend = day_type(run.date, self.region) != DayType::Workday;
+            for (week, bytes) in [(&mut self.port, port), (&mut self.domain, domain)] {
+                let series = if weekend {
+                    &mut week.weekend
+                } else {
+                    &mut week.workday
+                };
+                series[usize::from(run.hour)] += bytes;
+            }
         }
     }
 
@@ -234,6 +243,18 @@ mod tests {
     fn fig() -> &'static Fig10 {
         static FIG: OnceLock<Fig10> = OnceLock::new();
         FIG.get_or_init(|| run(&Context::new(Fidelity::Test)))
+    }
+
+    #[test]
+    fn hour_runs_match_per_record_observe() {
+        use crate::experiments::hour_slices::assert_runs_match_records;
+        // Two of the slices' eight addresses are VPN endpoints, so both
+        // methods fire; Easter Monday is a workday only in the US.
+        let endpoints = [1, 2].map(|x| std::net::Ipv4Addr::new(198, 51, 100, x));
+        let classifier = Arc::new(VpnClassifier::new(endpoints.into()));
+        for region in [Region::CentralEurope, Region::UsEast] {
+            assert_runs_match_records(|| VpnWeekConsumer::new(Arc::clone(&classifier), region));
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::report::TextTable;
 use lockdown_analysis::codec::{self, CodecError, ConsumerTag, StateReader};
 use lockdown_analysis::consumer::FlowConsumer;
 use lockdown_analysis::edu::{orientation, EduAnalysis, EduTrafficClass, Orientation};
-use lockdown_flow::record::FlowRecord;
+use lockdown_flow::record::{hour_runs, FlowRecord};
 use lockdown_flow::time::Date;
 use lockdown_flow::wire::PutBe;
 use lockdown_scenario::calendar::{AnalysisWeek, EDU_WEEKS};
@@ -122,14 +122,24 @@ impl OriginsConsumer {
 
 impl FlowConsumer for OriginsConsumer {
     fn observe(&mut self, record: &FlowRecord) {
-        if orientation(record) != Orientation::Incoming {
-            return;
-        }
-        let hour = record.start.hour() as usize;
-        if self.national_as.contains(&record.src_as) {
-            self.national[hour] += 1;
-        } else if self.overseas_as.contains(&record.src_as) {
-            self.overseas[hour] += 1;
+        self.observe_all(std::slice::from_ref(record));
+    }
+
+    fn observe_all(&mut self, records: &[FlowRecord]) {
+        for run in hour_runs(records) {
+            let (mut national, mut overseas) = (0u64, 0u64);
+            for record in run.records {
+                if orientation(record) != Orientation::Incoming {
+                    continue;
+                }
+                if self.national_as.contains(&record.src_as) {
+                    national += 1;
+                } else if self.overseas_as.contains(&record.src_as) {
+                    overseas += 1;
+                }
+            }
+            self.national[usize::from(run.hour)] += national;
+            self.overseas[usize::from(run.hour)] += overseas;
         }
     }
 
@@ -356,6 +366,17 @@ mod tests {
     fn fig() -> &'static EduFigures {
         static FIG: OnceLock<EduFigures> = OnceLock::new();
         FIG.get_or_init(|| run(&Context::new(Fidelity::Test)))
+    }
+
+    #[test]
+    fn hour_runs_match_per_record_observe() {
+        use crate::experiments::hour_slices::{assert_runs_match_records, EYEBALL};
+        // Source ASNs of the slices on either side, the rest on neither.
+        let national = Arc::new(HashSet::from([1, EYEBALL]));
+        let overseas = Arc::new(HashSet::from([2, 15_169]));
+        assert_runs_match_records(|| {
+            OriginsConsumer::new(Arc::clone(&national), Arc::clone(&overseas))
+        });
     }
 
     #[test]

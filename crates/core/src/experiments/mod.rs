@@ -42,3 +42,9 @@ pub mod tables;
 
 pub mod figures;
 pub mod suite;
+
+/// The stress slices and contract check of `lockdown-analysis`' consumer
+/// tests, for the two consumers private to this crate.
+#[cfg(test)]
+#[path = "../../../analysis/tests/support/mod.rs"]
+mod hour_slices;

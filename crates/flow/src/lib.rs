@@ -76,7 +76,7 @@ pub mod prelude {
     pub use crate::exporter::{ExportFormat, Exporter, ExporterConfig};
     pub use crate::netflow::{FieldSpec, Template};
     pub use crate::protocol::{IpProtocol, TcpFlags};
-    pub use crate::record::{Direction, FlowKey, FlowRecord};
+    pub use crate::record::{hour_runs, Direction, FlowKey, FlowRecord, HourRun};
     pub use crate::sampling::{FlowSampler, ThresholdSampler};
     pub use crate::time::{Date, Timestamp, Weekday};
     pub use crate::tracefile::{TraceReader, TraceRecord, TraceWriter};

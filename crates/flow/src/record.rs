@@ -7,7 +7,7 @@
 //! on the packet header … no payload information").
 
 use crate::protocol::{IpProtocol, TcpFlags};
-use crate::time::Timestamp;
+use crate::time::{Date, Timestamp};
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -131,6 +131,56 @@ impl FlowRecord {
     }
 }
 
+/// A maximal run of consecutive records that start in one hour, with that
+/// hour's calendar facts computed once.
+///
+/// Every figure bins by (week, day type, hour), all functions of the start
+/// hour, and the engine hands consumers one vantage-hour at a time — so an
+/// accumulator derives its keys per run, not per flow. Runs are found from
+/// the data, never assumed: a slice that alternates hours yields one run
+/// per record and the same result.
+#[derive(Debug, Clone, Copy)]
+pub struct HourRun<'a> {
+    /// The run's records, in slice order (never empty).
+    pub records: &'a [FlowRecord],
+    /// Start of the hour every record of the run starts in.
+    pub hour_start: Timestamp,
+    /// Civil date (UTC) of that hour.
+    pub date: Date,
+    /// Days since the Unix epoch of that date.
+    pub day_number: i64,
+    /// Hour of day in `0..24`.
+    pub hour: u8,
+}
+
+impl<'a> HourRun<'a> {
+    /// The one-record run: how a per-flow `add` enters the run path.
+    pub fn of(record: &'a FlowRecord) -> HourRun<'a> {
+        HourRun::starting(std::slice::from_ref(record))
+    }
+
+    /// The run `records` forms: not empty, and every record starts in the
+    /// first one's hour.
+    fn starting(records: &'a [FlowRecord]) -> HourRun<'a> {
+        let hour_start = records[0].start.floor_hour();
+        HourRun {
+            records,
+            hour_start,
+            date: hour_start.date(),
+            day_number: hour_start.day_number(),
+            hour: hour_start.hour(),
+        }
+    }
+}
+
+/// Split `records` into its [`HourRun`]s, in order; concatenated, the runs'
+/// records are the input.
+pub fn hour_runs(records: &[FlowRecord]) -> impl Iterator<Item = HourRun<'_>> {
+    records
+        .chunk_by(|a, b| a.start.floor_hour() == b.start.floor_hour())
+        .map(HourRun::starting)
+}
+
 /// Builder for [`FlowRecord`]; keeps construction sites readable when only a
 /// few optional fields are set.
 #[derive(Debug, Clone)]
@@ -251,6 +301,48 @@ mod tests {
             .tcp_flags(TcpFlags(TcpFlags::SYN))
             .build();
         assert!(!r.is_connection_start());
+    }
+
+    #[test]
+    fn hour_runs_split_at_the_hour_and_reassemble() {
+        let d = Date::new(2020, 3, 25);
+        let at = |t: Timestamp| FlowRecord::builder(key(), t).build();
+        assert_eq!(hour_runs(&[]).count(), 0);
+
+        // xx:59:59 | xx+1:00:00 is a boundary; the seconds before it are not.
+        let flows = [
+            at(d.at_hour(9)),
+            at(d.at_hour(9).add_secs(3_599)),
+            at(d.at_hour(10)),
+            at(d.at_hour(10).add_secs(1)),
+            at(d.at_hour(9).add_secs(7)), // back to an earlier hour: a new run
+            at(d.add_days(1).at_hour(9)), // same hour of day, next day
+        ];
+        let runs: Vec<HourRun<'_>> = hour_runs(&flows).collect();
+        let lens: Vec<usize> = runs.iter().map(|r| r.records.len()).collect();
+        assert_eq!(lens, [2, 2, 1, 1]);
+        assert_eq!(runs[0].hour_start, d.at_hour(9));
+        assert_eq!((runs[1].date, runs[1].hour), (d, 10));
+        assert_eq!(runs[2].hour_start, d.at_hour(9));
+        assert_eq!(runs[3].date, d.add_days(1));
+        for run in &runs {
+            assert_eq!(run.day_number, run.date.day_number());
+            for r in run.records {
+                assert_eq!(r.start.floor_hour(), run.hour_start);
+            }
+        }
+        let back: Vec<FlowRecord> = runs.iter().flat_map(|r| r.records).copied().collect();
+        assert_eq!(back, flows);
+
+        // One record is one run, and `HourRun::of` is that run.
+        let one = hour_runs(&flows[1..2]).next().expect("one run");
+        let of = HourRun::of(&flows[1]);
+        assert_eq!(one.records, of.records);
+        assert_eq!(
+            (one.hour_start, one.date, one.day_number, one.hour),
+            (of.hour_start, of.date, of.day_number, of.hour)
+        );
+        assert_eq!((of.hour_start, of.hour), (d.at_hour(9), 9));
     }
 
     #[test]

@@ -38,9 +38,15 @@ impl Timestamp {
         self.0
     }
 
+    /// Whole days since the Unix epoch — [`Date::day_number`] of
+    /// [`Timestamp::date`] without the trip through the civil calendar.
+    pub const fn day_number(self) -> i64 {
+        (self.0 / SECS_PER_DAY) as i64
+    }
+
     /// The civil date (UTC) containing this instant.
     pub fn date(self) -> Date {
-        Date::from_day_number((self.0 / SECS_PER_DAY) as i64)
+        Date::from_day_number(self.day_number())
     }
 
     /// Hour of day in `0..24`.
@@ -455,6 +461,20 @@ mod tests {
         assert_eq!(t.minute(), 45);
         assert_eq!(t.floor_hour(), Date::new(2020, 3, 25).at_hour(13));
         assert_eq!(t.floor_day(), Date::new(2020, 3, 25).midnight());
+    }
+
+    #[test]
+    fn day_number_is_the_civil_round_trip() {
+        // Every day of the study window (and the weeks the figures reach
+        // around it), first and last second.
+        for date in Date::new(2019, 12, 15).range_inclusive(Date::new(2020, 6, 30)) {
+            for t in [date.midnight(), date.at_hour(23).add_secs(3_599)] {
+                assert_eq!(t.day_number(), t.date().day_number(), "{date:?}");
+                assert_eq!(t.day_number(), date.day_number(), "{date:?}");
+            }
+        }
+        assert_eq!(Timestamp(0).day_number(), 0);
+        assert_eq!(Timestamp(SECS_PER_DAY - 1).day_number(), 0);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::cache::SegmentCache;
 use crate::metrics::QueryMetrics;
 use crate::plan::QueryPlan;
 use lockdown_analysis::appclass::Classifier;
-use lockdown_flow::record::FlowRecord;
+use lockdown_flow::record::{hour_runs, FlowRecord};
 use lockdown_store::{ArchiveReader, Column, StoreError, StoreMetrics};
 use lockdown_topology::registry::Registry;
 use lockdown_traffic::plan::Cell;
@@ -162,10 +162,9 @@ impl QueryEngine {
             segments_cached: 0,
         };
         // The manifest is iterated without I/O; only survivors touch disk.
-        let metas: Vec<_> = self.reader.segments().cloned().collect();
-        for meta in metas {
+        for meta in self.reader.segments() {
             // Stage 1: manifest pruning (stream, time span, emptiness).
-            if plan.stream.is_some_and(|s| meta.cell.stream != s) || !window.admits_meta(&meta) {
+            if plan.stream.is_some_and(|s| meta.cell.stream != s) || !window.admits_meta(meta) {
                 out.segments_pruned += 1;
                 continue;
             }
@@ -190,20 +189,27 @@ impl QueryEngine {
             if was_hit {
                 out.segments_cached += 1;
             }
-            for r in records.iter() {
-                if !plan.admits_record(r) {
-                    continue;
+            for run in hour_runs(&records) {
+                // The hour's bin exists only once a record of it matched.
+                let mut hour_bytes: Option<u64> = None;
+                for r in run.records {
+                    if !plan.admits_record(r) {
+                        continue;
+                    }
+                    if plan
+                        .class
+                        .is_some_and(|c| self.classifier.classify(r) != Some(c))
+                    {
+                        continue;
+                    }
+                    out.flows += 1;
+                    out.packets += r.packets;
+                    *hour_bytes.get_or_insert(0) += r.bytes;
                 }
-                if plan
-                    .class
-                    .is_some_and(|c| self.classifier.classify(r) != Some(c))
-                {
-                    continue;
+                if let Some(bytes) = hour_bytes {
+                    out.bytes += bytes;
+                    *out.hourly.entry(run.hour_start.unix()).or_insert(0) += bytes;
                 }
-                out.flows += 1;
-                out.bytes += r.bytes;
-                out.packets += r.packets;
-                *out.hourly.entry(r.start.floor_hour().unix()).or_insert(0) += r.bytes;
             }
         }
         self.metrics.segments_pruned.add(out.segments_pruned);

@@ -41,26 +41,28 @@ pub fn study_end() -> Date {
 /// baseline) and Easter (categorized as weekend days in §4's ISP analysis;
 /// visible as a shaded break in Fig. 12).
 pub fn is_holiday(date: Date, region: Region) -> bool {
-    let y = date.year;
-    if y != 2020 {
-        return false;
+    const fn day(month: u8, day: u8) -> Date {
+        Date {
+            year: 2020,
+            month,
+            day,
+        }
     }
     // New Year / Christmas-break tail: Jan 1–6 (Epiphany Jan 6 is a holiday
     // in parts of Central and Southern Europe; US only Jan 1).
-    let new_year_end = match region {
-        Region::UsEast => Date::new(2020, 1, 1),
-        _ => Date::new(2020, 1, 6),
-    };
-    if date >= Date::new(2020, 1, 1) && date <= new_year_end {
-        return true;
-    }
+    const NEW_YEAR: Date = day(1, 1);
+    const EPIPHANY: Date = day(1, 6);
     // Easter 2020: Good Friday Apr 10 – Easter Monday Apr 13 (Europe).
     // The US markets do not observe Easter Monday.
-    let easter_end = match region {
-        Region::UsEast => Date::new(2020, 4, 12),
-        _ => Date::new(2020, 4, 13),
+    const GOOD_FRIDAY: Date = day(4, 10);
+    const EASTER_SUNDAY: Date = day(4, 12);
+    const EASTER_MONDAY: Date = day(4, 13);
+
+    let (new_year_end, easter_end) = match region {
+        Region::UsEast => (NEW_YEAR, EASTER_SUNDAY),
+        _ => (EPIPHANY, EASTER_MONDAY),
     };
-    date >= Date::new(2020, 4, 10) && date <= easter_end
+    (NEW_YEAR..=new_year_end).contains(&date) || (GOOD_FRIDAY..=easter_end).contains(&date)
 }
 
 /// Day type of a date in a region.

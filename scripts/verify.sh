@@ -36,6 +36,11 @@ said_once "the splitmix64 finalizer" '>> 30)).wrapping_mul' \
     crates/base/src/hash.rs crates/traffic/src/picker.rs
 said_once "the CRC-32 polynomial" 'EDB8_8320' crates/base/src/
 said_once "the metrics exposition format" '"# TYPE' crates/base/src/
+# One service-port rule, and calendar facts per hour run: a consumer that
+# restates the ephemeral cut, or turns a record's timestamp into a civil
+# date by itself, is back on a per-flow path.
+said_once "the ephemeral-port cut" '>= EPHEMERAL_START' crates/analysis/src/ports.rs
+said_once "a record's civil date" 'start.date()' crates/flow/src/
 # The engine has one scheduler: one scope its workers run in, one loop
 # that runs a cell. A second of either is a fork of the pass core.
 exactly_once() { # <what> <fixed-string pattern>

@@ -12,20 +12,25 @@ use lockdown::core::experiments::suite;
 use lockdown::core::serve::figure_names;
 use lockdown::core::{Context, Fidelity};
 use lockdown::query::{loadgen, LoadConfig, QueryEngine, QueryPlan, Server};
-use lockdown_analysis::appclass::Classifier;
+use lockdown::store::{ArchiveWriter, StoreKey, StoreMetrics};
+use lockdown_analysis::appclass::{Classifier, PaperClass};
 use lockdown_analysis::consumer::FlowConsumer;
 use lockdown_core::engine::{self, EnginePlan};
 use lockdown_flow::record::FlowRecord;
 use lockdown_flow::time::Date;
 use lockdown_topology::registry::Registry;
 use lockdown_topology::vantage::VantagePoint;
-use lockdown_traffic::plan::Stream;
+use lockdown_traffic::plan::{Cell, Stream};
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
+
+/// The hour-run stress slices of the consumer contract tests.
+#[path = "../crates/analysis/tests/support/mod.rs"]
+mod hour_slices;
 
 /// One shared test-fidelity archive for the whole file — its directory
 /// and the sections the pass that wrote it rendered: built by the first
@@ -177,6 +182,90 @@ impl FlowConsumer for FilteredAggregate {
     }
 }
 
+impl FilteredAggregate {
+    fn new(plan: QueryPlan) -> FilteredAggregate {
+        FilteredAggregate {
+            plan,
+            classifier: Classifier::from_registry(&Registry::synthesize()),
+            flows: 0,
+            bytes: 0,
+            packets: 0,
+            hourly: BTreeMap::new(),
+        }
+    }
+}
+
+/// The filter loop takes a decoded segment an hour run at a time; over
+/// segments that interleave hours, cross midnight and carry zero-byte or
+/// unclassified flows it must still answer like the record-at-a-time
+/// oracle, down to which hours have a bin.
+#[test]
+fn execute_filters_by_hour_run_like_the_per_record_oracle() {
+    let dir = std::env::temp_dir().join(format!("lockdown-queryruns-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let key = StoreKey {
+        seed: 1,
+        scenario_hash: 2,
+        plan_hash: 3,
+    };
+    for seed in hour_slices::SEEDS {
+        // One segment per slice; the cell is only its name in the manifest.
+        let slices = hour_slices::slices(seed);
+        let writer = ArchiveWriter::create(&dir, key, StoreMetrics::new()).expect("create");
+        for (i, (_, slice)) in slices.iter().enumerate() {
+            let cell = Cell {
+                stream: Stream::Vantage(VantagePoint::IspCe),
+                date: hour_slices::DAY.add_days(i as i64),
+                hour: 0,
+            };
+            writer.spill(cell, slice).expect("spill");
+        }
+        writer.finish().expect("finish");
+        let engine = QueryEngine::open(&dir, 1 << 20)
+            .expect("archive opens")
+            .expect("archive has a manifest");
+
+        let eleven = hour_slices::DAY.at_hour(11).unix();
+        let plans = [
+            QueryPlan::default(),
+            QueryPlan {
+                class: Some(PaperClass::Email),
+                ..QueryPlan::default()
+            },
+            QueryPlan {
+                class: Some(PaperClass::WebConf),
+                port: Some(8_801),
+                ..QueryPlan::default()
+            },
+            QueryPlan {
+                asn: Some(hour_slices::EYEBALL),
+                ..QueryPlan::default()
+            },
+            // A window that opens and closes inside an hour.
+            QueryPlan {
+                from: Some(eleven + 600),
+                to: Some(eleven + 3_600 + 1_800),
+                ..QueryPlan::default()
+            },
+        ];
+        for plan in plans {
+            let got = engine.execute(&plan).expect("query");
+            let mut oracle = FilteredAggregate::new(plan);
+            for (_, slice) in &slices {
+                for r in slice {
+                    oracle.observe(r);
+                }
+            }
+            assert_eq!(
+                (got.flows, got.bytes, got.packets, &got.hourly),
+                (oracle.flows, oracle.bytes, oracle.packets, &oracle.hourly),
+                "{plan:?} (seed {seed:#x})"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn execute_matches_engine_pass_oracle() {
     let engine = open_engine();
@@ -197,14 +286,7 @@ fn execute_matches_engine_pass_oracle() {
         Stream::Vantage(VantagePoint::IspCe),
         Date::new(2020, 3, 9),
         Date::new(2020, 3, 11),
-        move || FilteredAggregate {
-            plan: oracle_plan,
-            classifier: Classifier::from_registry(&Registry::synthesize()),
-            flows: 0,
-            bytes: 0,
-            packets: 0,
-            hourly: BTreeMap::new(),
-        },
+        move || FilteredAggregate::new(oracle_plan),
     );
     let mut out = engine::run(&ctx, eplan).expect("oracle pass");
     let oracle = out.take(d);
