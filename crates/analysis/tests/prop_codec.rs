@@ -14,6 +14,8 @@
 //!   *for* (CRC-32 detects all sub-32-bit burst errors, so a one-byte
 //!   flip can never slip through).
 
+mod support;
+
 use lockdown_analysis::appclass::{Classifier, PaperClass};
 use lockdown_analysis::codec::{encode_frame, merge_frame};
 use lockdown_analysis::consumer::{
@@ -23,22 +25,17 @@ use lockdown_analysis::consumer::{
 use lockdown_analysis::edu::EduAnalysis;
 use lockdown_analysis::linkutil::AsHourly;
 use lockdown_analysis::timeseries::HourlyVolume;
-use lockdown_flow::protocol::{IpProtocol, TcpFlags};
-use lockdown_flow::record::{Direction, FlowKey, FlowRecord};
+use lockdown_base::hash::SplitMix;
+use lockdown_base::prop::cases;
+use lockdown_flow::record::FlowRecord;
 use lockdown_flow::time::Date;
 use lockdown_topology::asn::{Asn, Region};
-use lockdown_topology::registry::{Registry, EDU_ASN, SPOTIFY_ASN};
-use proptest::prelude::*;
-use std::net::Ipv4Addr;
+use lockdown_topology::registry::Registry;
 use std::sync::{Arc, OnceLock};
 
 /// Monday of the analysis week every generated flow lands in (heatmap and
 /// per-day consumers are anchored here).
-const BASE: Date = Date {
-    year: 2020,
-    month: 3,
-    day: 23,
-};
+const BASE: Date = support::WEEK_START;
 
 fn classifier() -> Arc<Classifier> {
     static C: OnceLock<Arc<Classifier>> = OnceLock::new();
@@ -48,60 +45,11 @@ fn classifier() -> Arc<Classifier> {
     }))
 }
 
-fn arb_flow() -> impl Strategy<Value = FlowRecord> {
-    let ports = vec![22u16, 80, 443, 993, 1_194, 3_389, 40_000, 50_000];
-    let asns = vec![0u32, 1, 2, 15_169, 64_496, EDU_ASN.0, SPOTIFY_ASN.0];
-    (
-        (0u64..7 * 86_400, 1u64..600, 1u64..1_000_000),
-        (
-            prop::sample::select(vec![
-                IpProtocol::Tcp,
-                IpProtocol::Udp,
-                IpProtocol::Esp,
-                IpProtocol::Gre,
-            ]),
-            prop::sample::select(ports.clone()),
-            prop::sample::select(ports),
-        ),
-        (
-            prop::sample::select(asns.clone()),
-            prop::sample::select(asns),
-            any::<u32>(),
-            any::<u32>(),
-        ),
-        prop::sample::select(vec![
-            Direction::Ingress,
-            Direction::Egress,
-            Direction::Unknown,
-        ]),
-    )
-        .prop_map(
-            |(
-                (secs, duration, bytes),
-                (proto, sport, dport),
-                (src_as, dst_as, src_ip, dst_ip),
-                direction,
-            )| {
-                let start = BASE.at_hour(0).add_secs(secs);
-                FlowRecord::builder(
-                    FlowKey {
-                        src_addr: Ipv4Addr::from(src_ip),
-                        dst_addr: Ipv4Addr::from(dst_ip),
-                        src_port: sport,
-                        dst_port: dport,
-                        protocol: proto,
-                    },
-                    start,
-                )
-                .end(start.add_secs(duration))
-                .bytes(bytes)
-                .packets(1 + bytes / 1_400)
-                .tcp_flags(TcpFlags::complete_connection())
-                .asns(src_as, dst_as)
-                .direction(direction)
-                .build()
-            },
-        )
+/// `1..=max` seeded flows (fewer at a smaller case `size`) anywhere in
+/// [`BASE`]'s week.
+fn week_flows(rng: &mut SplitMix, size: usize, max: usize) -> Vec<FlowRecord> {
+    let n = 1 + rng.below(size.min(max) as u64) as usize;
+    support::flows(rng, n, BASE.midnight(), 7 * 86_400)
 }
 
 /// Codec-mediated merge must equal direct in-process merge.
@@ -149,12 +97,11 @@ where
     );
 }
 
-proptest! {
-    #[test]
-    fn codec_merge_equals_direct_merge(
-        flows in prop::collection::vec(arb_flow(), 1..40),
-        split in 0usize..40,
-    ) {
+#[test]
+fn codec_merge_equals_direct_merge() {
+    cases(256, |rng, size| {
+        let flows = week_flows(rng, size, 39);
+        let split = rng.below(40) as usize;
         let region = Region::CentralEurope;
         check_merge_equivalence(HourlyVolume::new, &flows, split);
         check_merge_equivalence(EduAnalysis::new, &flows, split);
@@ -177,14 +124,15 @@ proptest! {
             split,
         );
         check_merge_equivalence(|| AsHourly::new(BASE), &flows, split);
-    }
+    });
+}
 
-    #[test]
-    fn one_flipped_byte_fails_with_consumer_named(
-        flows in prop::collection::vec(arb_flow(), 1..20),
-        at in any::<usize>(),
-        mask in 1u8..=255,
-    ) {
+#[test]
+fn one_flipped_byte_fails_with_consumer_named() {
+    cases(256, |rng, size| {
+        let flows = week_flows(rng, size, 19);
+        let at = rng.next_u64() as usize;
+        let mask = rng.range(1..256) as u8;
         let region = Region::CentralEurope;
         check_corruption_detected(HourlyVolume::new, &flows, at, mask);
         check_corruption_detected(EduAnalysis::new, &flows, at, mask);
@@ -196,7 +144,12 @@ proptest! {
             mask,
         );
         check_corruption_detected(|| AsTotalsConsumer::all(region), &flows, at, mask);
-        check_corruption_detected(|| HeatmapConsumer::new(classifier(), BASE), &flows, at, mask);
+        check_corruption_detected(
+            || HeatmapConsumer::new(classifier(), BASE),
+            &flows,
+            at,
+            mask,
+        );
         check_corruption_detected(
             || ClassUsageConsumer::new(classifier(), PaperClass::Email),
             &flows,
@@ -204,18 +157,21 @@ proptest! {
             mask,
         );
         check_corruption_detected(|| AsHourly::new(BASE), &flows, at, mask);
-    }
+    });
+}
 
-    /// A frame for one consumer must be rejected by every *other*
-    /// consumer, with the receiving (expected) consumer named.
-    #[test]
-    fn misrouted_frames_are_rejected(flows in prop::collection::vec(arb_flow(), 1..10)) {
+/// A frame for one consumer must be rejected by every *other*
+/// consumer, with the receiving (expected) consumer named.
+#[test]
+fn misrouted_frames_are_rejected() {
+    cases(256, |rng, size| {
+        let flows = week_flows(rng, size, 9);
         let mut volume = HourlyVolume::new();
         volume.observe_all(&flows);
         let frame = encode_frame(&volume);
         let mut edu = EduAnalysis::new();
         let err = merge_frame(&mut edu, &frame).expect_err("wrong tag must be rejected");
-        prop_assert_eq!(err.consumer, "EduAnalysis");
-        prop_assert!(err.to_string().contains("HourlyVolume"), "{}", err);
-    }
+        assert_eq!(err.consumer, "EduAnalysis");
+        assert!(err.to_string().contains("HourlyVolume"), "{}", err);
+    });
 }

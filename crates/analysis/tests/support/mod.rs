@@ -38,17 +38,14 @@ pub const WEEK_START: Date = Date {
 /// The eyeball ASN among the slices' endpoints.
 pub const EYEBALL: u32 = 64_496;
 
-/// Every address is `198.51.100.x` with `x` below this.
-pub const ADDRESSES: u8 = 8;
-
-fn pick<T: Copy>(rng: &mut SplitMix, from: &[T]) -> T {
-    from[(rng.next_u64() % from.len() as u64) as usize]
-}
-
-/// One seeded flow starting at `start`: service, gaming, conferencing,
+/// One seeded flow starting at `start`: the one arbitrary-record
+/// generator of this crate's tests. Each field comes from a short list
+/// three times in four, so keys collide — service, gaming, conferencing,
 /// tunnel and ephemeral ports; hypergiant, eyeball, campus, Table 1 and
-/// unknown ASNs; every direction; one flow in eight carries no bytes.
-fn flow(rng: &mut SplitMix, start: Timestamp) -> FlowRecord {
+/// unknown ASNs; eight addresses — and from its whole domain otherwise, so
+/// a classifier meets every value. Every direction; one flow in eight
+/// carries no bytes.
+pub fn flow(rng: &mut SplitMix, start: Timestamp) -> FlowRecord {
     const PROTOCOLS: [IpProtocol; 6] = [
         IpProtocol::Tcp,
         IpProtocol::Tcp,
@@ -57,8 +54,8 @@ fn flow(rng: &mut SplitMix, start: Timestamp) -> FlowRecord {
         IpProtocol::Esp,
         IpProtocol::Gre,
     ];
-    const PORTS: [u16; 12] = [
-        0, 22, 80, 443, 443, 993, 4_500, 8_801, 27_015, 40_000, 50_000, 60_000,
+    const PORTS: [u16; 14] = [
+        0, 22, 80, 443, 443, 993, 1_194, 3_389, 4_500, 8_801, 27_015, 40_000, 50_000, 60_000,
     ];
     let asns = [
         0,
@@ -73,40 +70,54 @@ fn flow(rng: &mut SplitMix, start: Timestamp) -> FlowRecord {
         ZOOM_ASN.0,
     ];
     const DIRECTIONS: [Direction; 3] = [Direction::Ingress, Direction::Egress, Direction::Unknown];
-    let addr = |rng: &mut SplitMix| {
-        Ipv4Addr::new(198, 51, 100, (rng.next_u64() % u64::from(ADDRESSES)) as u8)
-    };
-    let bytes = match rng.next_u64() % 8 {
+    let near: [Ipv4Addr; 8] = std::array::from_fn(|x| Ipv4Addr::new(198, 51, 100, x as u8));
+    /// A listed value, or one time in four any value.
+    fn field<T: Copy>(rng: &mut SplitMix, listed: &[T], any: impl Fn(u64) -> T) -> T {
+        if rng.chance(0.25) {
+            any(rng.next_u64())
+        } else {
+            rng.pick(listed)
+        }
+    }
+    let addr = |rng: &mut SplitMix| field(rng, &near, |raw| Ipv4Addr::from(raw as u32));
+    let port = |rng: &mut SplitMix| field(rng, &PORTS, |raw| raw as u16);
+    let asn = |rng: &mut SplitMix| field(rng, &asns, |raw| raw as u32);
+    let bytes = match rng.below(8) {
         0 => 0,
-        _ => rng.next_u64() % 1_000_000,
+        _ => rng.below(1_000_000),
     };
     FlowRecord::builder(
         FlowKey {
             src_addr: addr(rng),
             dst_addr: addr(rng),
-            src_port: pick(rng, &PORTS),
-            dst_port: pick(rng, &PORTS),
-            protocol: pick(rng, &PROTOCOLS),
+            src_port: port(rng),
+            dst_port: port(rng),
+            protocol: field(rng, &PROTOCOLS, |raw| IpProtocol::from_number(raw as u8)),
         },
         start,
     )
-    .end(start.add_secs(rng.next_u64() % 600))
+    .end(start.add_secs(rng.below(600)))
     .bytes(bytes)
     .packets(1 + bytes / 1_400)
     .tcp_flags(TcpFlags::complete_connection())
-    .asns(pick(rng, &asns), pick(rng, &asns))
-    .direction(pick(rng, &DIRECTIONS))
+    .asns(asn(rng), asn(rng))
+    .direction(rng.pick(&DIRECTIONS))
     .build()
+}
+
+/// `n` flows, each starting up to `span_secs` after `from`.
+pub fn flows(rng: &mut SplitMix, n: usize, from: Timestamp, span_secs: u64) -> Vec<FlowRecord> {
+    (0..n)
+        .map(|_| {
+            let start = from.add_secs(rng.below(span_secs));
+            flow(rng, start)
+        })
+        .collect()
 }
 
 /// `n` flows starting anywhere in one hour.
 fn hour(rng: &mut SplitMix, date: Date, hour: u8, n: usize) -> Vec<FlowRecord> {
-    (0..n)
-        .map(|_| {
-            let start = date.at_hour(hour).add_secs(rng.next_u64() % 3_600);
-            flow(rng, start)
-        })
-        .collect()
+    flows(rng, n, date.at_hour(hour), 3_600)
 }
 
 /// `a` and `b` alternating record by record.

@@ -1,10 +1,16 @@
-//! splitmix64: the one mixer behind every seeded schedule and fingerprint.
+//! splitmix64: the one mixer behind every seeded schedule, fingerprint
+//! and generated flow.
 //!
-//! Fault schedules, archive keys and scenario fingerprints are part of the
-//! deterministic-output contract ("same seed, same figures"), so they are
-//! built from this fixed algorithm and never from an external crate's
-//! stream. Each caller keeps its own initial constant (its domain) and
-//! passes it to [`fold`]; the constants are pinned in this module's tests.
+//! Flow streams, fault schedules, archive keys and scenario fingerprints
+//! are part of the deterministic-output contract ("same seed, same
+//! figures"), so they are built from this fixed algorithm and never from
+//! an external crate's stream. Each caller keeps its own initial constant
+//! (its domain) and passes it to [`fold`]; a stream is addressed by
+//! folding its coordinates, `SplitMix::new(fold(INIT, [seed, …]))`, never
+//! by `seed ^ small_const`. Constants and first draws are pinned in this
+//! module's tests.
+
+use std::ops::Range;
 
 /// Weyl increment of the splitmix64 sequence (the golden ratio, 2^64/φ).
 const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -44,6 +50,41 @@ impl SplitMix {
     #[inline]
     pub fn next_f64(&mut self) -> f64 {
         unit(self.next_u64())
+    }
+
+    /// Uniform in `[0, n)` for `n > 0`. Like every draw below it consumes
+    /// a fixed number of outputs — one, by multiply-shift, with no
+    /// rejection loop (the bias is below `n / 2^64`) — so a stream's
+    /// position never depends on the values drawn.
+    #[inline]
+    pub fn below(&mut self, n: u64) -> u64 {
+        debug_assert!(n > 0, "cannot draw below zero");
+        ((u128::from(self.next_u64()) * u128::from(n)) >> 64) as u64
+    }
+
+    /// Uniform in the half-open, non-empty `range`.
+    #[inline]
+    pub fn range(&mut self, range: Range<u64>) -> u64 {
+        range.start + self.below(range.end - range.start)
+    }
+
+    /// `true` with probability `p`: never at `0.0`, always at `1.0`.
+    #[inline]
+    pub fn chance(&mut self, p: f64) -> bool {
+        self.next_f64() < p
+    }
+
+    /// One element of the non-empty `from`, uniformly.
+    #[inline]
+    pub fn pick<T: Copy>(&mut self, from: &[T]) -> T {
+        from[self.below(from.len() as u64) as usize]
+    }
+
+    /// Fisher–Yates shuffle in place: `len - 1` draws.
+    pub fn shuffle<T>(&mut self, items: &mut [T]) {
+        for i in (1..items.len()).rev() {
+            items.swap(i, self.below(i as u64 + 1) as usize);
+        }
     }
 }
 
@@ -115,5 +156,71 @@ mod tests {
         assert_eq!(r.next_u64(), 0x28EF_E333_B266_F103);
         assert_eq!(SplitMix::new(7).next_f64().to_bits(), 4600694168356277378);
         assert!(unit(0) == 0.0 && unit(u64::MAX) < 1.0);
+    }
+
+    /// The anchor of the generator re-baseline: the first output of every
+    /// draw. One that drifts moves every flow, so it also means bumping
+    /// `lockdown_traffic::config::GENERATOR_STREAM`.
+    #[test]
+    fn first_draws_are_pinned() {
+        let rng = || SplitMix::new(2020);
+        assert_eq!(rng().next_u64(), 0xD812_1ACC_BF8B_8A0E);
+        assert_eq!(rng().next_f64().to_bits(), 4605777532205658481);
+        assert_eq!(rng().below(1_000), 844);
+        assert_eq!(rng().range(32_768..61_000), 56_596);
+        assert!(!rng().chance(0.5) && rng().chance(0.85));
+        assert_eq!(rng().pick(&[25u16, 110, 143, 465, 587, 993, 995]), 993);
+        let mut deck = [0u8, 1, 2, 3, 4, 5, 6, 7];
+        rng().shuffle(&mut deck);
+        assert_eq!(deck, [3, 7, 5, 0, 1, 2, 4, 6]);
+    }
+
+    #[test]
+    fn ranges_stay_in_bounds_and_cover_them() {
+        let mut rng = SplitMix::new(3);
+        let mut seen = [false; 7];
+        for _ in 0..2_000 {
+            seen[rng.below(7) as usize] = true;
+            assert!((32_768..61_000).contains(&rng.range(32_768..61_000)));
+            assert_eq!(rng.below(1), 0);
+            assert_eq!(rng.range(9..10), 9);
+            assert!((0.0..1.0).contains(&rng.next_f64()));
+        }
+        assert!(seen.iter().all(|s| *s));
+    }
+
+    #[test]
+    fn chance_tracks_its_probability() {
+        let mut rng = SplitMix::new(4);
+        for p in [0.125, 0.5, 0.85] {
+            let hits = (0..100_000).filter(|_| rng.chance(p)).count() as f64;
+            assert!(
+                (hits / 100_000.0 - p).abs() < 0.01,
+                "{hits} hits at p = {p}"
+            );
+        }
+        assert!((0..10_000).all(|_| rng.chance(1.0) && !rng.chance(0.0)));
+    }
+
+    #[test]
+    fn shuffle_permutes_and_pick_returns_members() {
+        let mut rng = SplitMix::new(5);
+        let mut v: Vec<u32> = (0..50).collect();
+        rng.shuffle(&mut v);
+        let mut sorted = v.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
+        assert_ne!(v, sorted);
+        rng.shuffle::<u32>(&mut []);
+        let mut picked = [0u32; 4];
+        for _ in 0..400 {
+            picked[rng.pick(&[0usize, 1, 2, 3])] += 1;
+        }
+        assert!(picked.iter().all(|&n| n > 50), "{picked:?}");
+        // Every draw but `shuffle` advances the stream by exactly one.
+        let (mut a, mut b) = (SplitMix::new(6), SplitMix::new(6));
+        let _ = (a.below(9), a.range(2..5), a.chance(0.3), a.pick(&[1, 2]));
+        let _ = [(); 4].map(|()| b.next_u64());
+        assert_eq!(a.next_u64(), b.next_u64());
     }
 }

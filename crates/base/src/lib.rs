@@ -3,11 +3,14 @@
 //! The reproduction compares vantage points only because one definition is
 //! applied at all of them; its own planes hold to the same rule. This
 //! crate sits at the bottom of the dependency graph (it depends on
-//! nothing) and owns the four things that used to be re-derived per crate:
+//! nothing) and owns the things that used to be re-derived per crate or
+//! taken from an external one:
 //!
-//! - [`hash`] — the splitmix64 step, its stateful stream, the seeded fold
-//!   that every fingerprint and fault schedule is built from, and the
-//!   top-53-bits `[0, 1)` draw;
+//! - [`hash`] — the splitmix64 step, the seeded fold that every
+//!   fingerprint, fault schedule and cell stream is addressed by, and its
+//!   stateful stream with the draws the generators make from it (`[0, 1)`
+//!   float, `below`/`range`, `chance`, `pick`, `shuffle`);
+//! - [`prop`] — the seeded case driver every property test runs under;
 //! - [`crc`] — the table-driven IEEE CRC-32 that segments, manifests,
 //!   consumer-state frames and shard frames carry;
 //! - [`spec`] — the `key=value,key=value` grammar behind both `--chaos`
@@ -24,4 +27,5 @@
 pub mod crc;
 pub mod hash;
 pub mod metrics;
+pub mod prop;
 pub mod spec;

@@ -297,7 +297,7 @@ impl ChaosInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use lockdown_base::prop::cases;
 
     #[test]
     fn zero_config_never_fires() {
@@ -420,21 +420,27 @@ mod tests {
         assert_eq!(fast.backoff_ms(1, 18_341, 3, 5), 0);
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-
-        /// Empirical fault rates track the configured probabilities: the
-        /// schedule is a real Bernoulli draw, not a degenerate constant.
-        #[test]
-        fn rates_track_probabilities(seed in any::<u64>(), p in 0.05f64..0.95) {
-            let cfg = ChaosConfig { seed, panic: p, ..ChaosConfig::zero() };
+    /// Empirical fault rates track the configured probabilities: the
+    /// schedule is a real Bernoulli draw, not a degenerate constant.
+    #[test]
+    fn rates_track_probabilities() {
+        cases(32, |rng, _| {
+            let (seed, p) = (rng.next_u64(), 0.05 + 0.9 * rng.next_f64());
+            let cfg = ChaosConfig {
+                seed,
+                panic: p,
+                ..ChaosConfig::zero()
+            };
             let inj = ChaosInjector::new(cfg);
             let n = 2_000u32;
             let fired = (0..n)
-                .filter(|&i| inj.decide(i % 7, i64::from(i / 7), (i % 24) as u8, i % 3).panic)
+                .filter(|&i| {
+                    inj.decide(i % 7, i64::from(i / 7), (i % 24) as u8, i % 3)
+                        .panic
+                })
                 .count() as f64;
             let rate = fired / f64::from(n);
-            prop_assert!((rate - p).abs() < 0.08, "rate {rate:.3} vs p {p:.3}");
-        }
+            assert!((rate - p).abs() < 0.08, "rate {rate:.3} vs p {p:.3}");
+        });
     }
 }

@@ -108,6 +108,7 @@ impl Fig4 {
 mod tests {
     use super::*;
     use crate::context::Fidelity;
+    use crate::experiments::CLAIM_SEEDS;
     use std::sync::OnceLock;
 
     fn fig() -> &'static Fig4 {
@@ -183,21 +184,31 @@ mod tests {
         );
     }
 
+    /// Held on every seed. One weekly bin over the one base week carries
+    /// the flow sizes' heavy tail twice — the week-14 gap moves by ±0.1 a
+    /// seed, and the base week's draw shifts a whole series — so the gap
+    /// is taken between windows: the post-lockdown weeks over the weeks
+    /// before the outbreak, where §3.2 has the curves coincide.
     #[test]
     fn smallest_gap_during_work_hours() {
-        let f = fig();
-        // §3.2: "the smallest difference is during workhours on workdays".
-        let gap = |part| {
-            let hg = f.at(part, true, 14).unwrap();
-            let other = f.at(part, false, 14).unwrap();
-            other - hg
-        };
-        let wd_work = gap(DayPart::WorkdayWork);
-        let we_evening = gap(DayPart::WeekendEvening);
-        assert!(
-            wd_work < we_evening + 0.25,
-            "workday-work gap {wd_work:.3} vs weekend-evening {we_evening:.3}"
-        );
+        for seed in CLAIM_SEEDS {
+            let f = run(&Context::with_seed(Fidelity::Standard, seed));
+            let mean = |part, hg, weeks: std::ops::RangeInclusive<u8>| {
+                let n = f64::from(weeks.end() - weeks.start() + 1);
+                weeks.map(|w| f.at(part, hg, w).unwrap()).sum::<f64>() / n
+            };
+            // §3.2: "the smallest difference is during workhours on workdays".
+            let gap = |part| {
+                let growth = |hg| mean(part, hg, 13..=18) / mean(part, hg, 3..=9);
+                growth(false) - growth(true)
+            };
+            let wd_work = gap(DayPart::WorkdayWork);
+            let we_evening = gap(DayPart::WeekendEvening);
+            assert!(
+                wd_work < we_evening + 0.25,
+                "seed {seed}: workday-work gap {wd_work:.3} vs weekend-evening {we_evening:.3}"
+            );
+        }
     }
 
     #[test]

@@ -154,6 +154,7 @@ impl Fig7 {
 mod tests {
     use super::*;
     use crate::context::{Context, Fidelity};
+    use crate::experiments::CLAIM_SEEDS;
     use lockdown_flow::protocol::IpProtocol;
     use std::sync::OnceLock;
 
@@ -203,12 +204,23 @@ mod tests {
         assert!(g_gre > 1.0, "ISP GRE should rise slightly: {g_gre:.2}");
     }
 
+    /// A ±15–20% flatness band is a magnitude claim, and at
+    /// `Fidelity::Test` one week of TCP/8080 is a few hundred Pareto(1.2)
+    /// flows whose byte share moves by ±6% a seed: it is held at
+    /// `Standard` (±3.5%), on every seed.
     #[test]
     fn alt_http_flat() {
         let alt = ServiceKey::Port(IpProtocol::Tcp.number(), 8_080);
-        for f in [isp(), ixp()] {
-            if let Some(g) = f.growth(alt, "february", "march") {
-                assert!((0.85..1.2).contains(&g), "TCP/8080 must stay flat: {g:.2}");
+        for seed in CLAIM_SEEDS {
+            let ctx = Context::with_seed(Fidelity::Standard, seed);
+            for vantage in [VantagePoint::IspCe, VantagePoint::IxpCe] {
+                let g = run(&ctx, vantage)
+                    .growth(alt, "february", "march")
+                    .expect("TCP/8080 carries February traffic");
+                assert!(
+                    (0.85..1.2).contains(&g),
+                    "TCP/8080 must stay flat at {vantage}, seed {seed}: {g:.2}"
+                );
             }
         }
     }

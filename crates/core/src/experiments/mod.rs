@@ -43,6 +43,12 @@ pub mod tables;
 pub mod figures;
 pub mod suite;
 
+/// The seeds a paper claim that sits near its band's edge is asserted
+/// over, every one: a claim that holds at one seed and not the next is a
+/// calibration bug a single replicate hides.
+#[cfg(test)]
+pub(crate) const CLAIM_SEEDS: std::ops::RangeInclusive<u64> = 1..=16;
+
 /// The stress slices and contract check of `lockdown-analysis`' consumer
 /// tests, for the two consumers private to this crate.
 #[cfg(test)]

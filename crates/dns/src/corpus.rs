@@ -21,10 +21,9 @@
 //! analysis pipeline works from the corpus alone, exactly like the paper.
 
 use crate::domain::DomainName;
+use lockdown_base::hash::{fold, SplitMix};
 use lockdown_topology::asn::{AsCategory, Asn, Region};
 use lockdown_topology::registry::Registry;
-use rand::prelude::*;
-use rand::rngs::StdRng;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
@@ -129,13 +128,16 @@ pub struct Corpus {
     pub truth: VpnGroundTruth,
 }
 
+/// Initial constant of the corpus-stream fold (√5's fractional digits).
+const CORPUS_INIT: u64 = 0x3C6E_F372_FE94_F82B;
+
 /// TLD for an organization, by region.
-fn tld_for(region: Region, rng: &mut StdRng) -> &'static str {
-    match region {
-        Region::CentralEurope => ["de", "eu", "com"].choose(rng).expect("non-empty"),
-        Region::SouthernEurope => ["es", "com.es", "com"].choose(rng).expect("non-empty"),
-        Region::UsEast => ["com", "net", "org"].choose(rng).expect("non-empty"),
-    }
+fn tld_for(region: Region, rng: &mut SplitMix) -> &'static str {
+    rng.pick(match region {
+        Region::CentralEurope => &["de", "eu", "com"],
+        Region::SouthernEurope => &["es", "com.es", "com"],
+        Region::UsEast => &["com", "net", "org"],
+    })
 }
 
 /// Slug from an AS name ("Enterprise-17" → "enterprise-17").
@@ -158,7 +160,7 @@ fn slug(name: &str) -> String {
 /// gets a web presence; ~75% get VPN gateways; ~20% of gateways share the
 /// `www.` address.
 pub fn synthesize(registry: &Registry, seed: u64) -> Corpus {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xD05);
+    let mut rng = SplitMix::new(fold(CORPUS_INIT, [seed]));
     let mut db = DnsDb::new();
     let mut truth = VpnGroundTruth::default();
 
@@ -218,11 +220,11 @@ pub fn synthesize(registry: &Registry, seed: u64) -> Corpus {
 
         // Chaff hosts, including the vps decoy.
         for label in CHAFF_LABELS {
-            if !rng.gen_bool(0.5) {
+            if !rng.chance(0.5) {
                 continue;
             }
             let ip = registry
-                .host_addr(org.asn, rng.gen_range(2..50))
+                .host_addr(org.asn, rng.range(2..50))
                 .expect("org has prefixes");
             db.insert(
                 format!("{label}.{reg_dom}").parse().expect("valid"),
@@ -232,21 +234,21 @@ pub fn synthesize(registry: &Registry, seed: u64) -> Corpus {
         }
 
         // VPN gateways for most organizations.
-        if rng.gen_bool(0.75) {
-            let n_gw = rng.gen_range(1..=2);
+        if rng.chance(0.75) {
+            let n_gw = rng.range(1..3);
             for g in 0..n_gw {
-                let label = VPN_LABELS[rng.gen_range(0..VPN_LABELS.len())];
+                let label = rng.pick(&VPN_LABELS);
                 let name: DomainName = if g == 0 {
                     format!("{label}.{reg_dom}").parse().expect("valid")
                 } else {
                     format!("{label}{g}.{reg_dom}").parse().expect("valid")
                 };
-                let shared = rng.gen_bool(0.2);
+                let shared = rng.chance(0.2);
                 let ip = if shared {
                     www_ip
                 } else {
                     registry
-                        .host_addr(org.asn, 100 + g as u64)
+                        .host_addr(org.asn, 100 + g)
                         .expect("org has prefixes")
                 };
                 db.insert(name, ip, ct_only);

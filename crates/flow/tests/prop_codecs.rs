@@ -2,90 +2,84 @@
 //! survive an encode/decode round trip in every format, and the decoders
 //! must never panic on arbitrary bytes.
 
+use lockdown_base::hash::SplitMix;
+use lockdown_base::prop::cases;
 use lockdown_flow::ipfix;
 use lockdown_flow::netflow::v9::TemplateCache;
 use lockdown_flow::netflow::{v5, v9, Template};
 use lockdown_flow::prelude::*;
-use proptest::prelude::*;
+use lockdown_flow::tracefile::{TraceReader, TraceWriter};
 use std::net::Ipv4Addr;
-
-/// Strategy for a plausible flow record. Start/end stay within a window
-/// preceding the export time so v5/v9 uptime-relative encoding is exact.
-fn arb_record(export_unix: u64) -> impl Strategy<Value = FlowRecord> {
-    (
-        (
-            any::<u32>(), // src addr
-            any::<u32>(), // dst addr
-            any::<u16>(), // src port
-            any::<u16>(), // dst port
-            prop_oneof![Just(6u8), Just(17u8), Just(47u8), Just(50u8), any::<u8>()],
-            0u64..3_000,         // start offset back from export
-            0u64..600,           // duration
-            1u64..4_000_000_000, // bytes (u32-safe for v5)
-            1u64..3_000_000,     // packets
-        ),
-        (
-            any::<u8>(),  // tcp flags
-            any::<u16>(), // input if
-            any::<u16>(), // output if
-            0u32..65_000, // src as (16-bit-safe for v5)
-            0u32..65_000, // dst as
-        ),
-    )
-        .prop_map(
-            move |(
-                (sa, da, sp, dp, proto, back, dur, bytes, pkts),
-                (flags, inif, outif, sas, das),
-            )| {
-                let start = Timestamp::from_unix(export_unix - back - dur);
-                FlowRecord::builder(
-                    FlowKey {
-                        src_addr: Ipv4Addr::from(sa),
-                        dst_addr: Ipv4Addr::from(da),
-                        src_port: sp,
-                        dst_port: dp,
-                        protocol: IpProtocol::from_number(proto),
-                    },
-                    start,
-                )
-                .end(start.add_secs(dur))
-                .bytes(bytes)
-                .packets(pkts)
-                .tcp_flags(TcpFlags(flags))
-                .interfaces(inif, outif)
-                .asns(sas, das)
-                .direction(Direction::Egress)
-                .build()
-            },
-        )
-}
 
 const EXPORT_UNIX: u64 = 1_585_000_000; // 2020-03-23, within the study window
 
-proptest! {
-    #[test]
-    #[test]
-    fn v5_roundtrip(records in prop::collection::vec(arb_record(EXPORT_UNIX), 0..=30)) {
+/// Up to `max` plausible flow records, scaled by the case `size`.
+/// Start/end stay within a window preceding [`EXPORT_UNIX`] so v5/v9
+/// uptime-relative encoding is exact; byte, packet and AS ranges are
+/// v5-safe (32-, 32- and 16-bit fields).
+fn records(rng: &mut SplitMix, size: usize, max: u64) -> Vec<FlowRecord> {
+    let n = rng.below(1 + max * size as u64 / 100);
+    (0..n)
+        .map(|_| {
+            let (back, dur) = (rng.below(3_000), rng.below(600));
+            let start = Timestamp::from_unix(EXPORT_UNIX - back - dur);
+            // Four draws in five name TCP, UDP, GRE or ESP.
+            let any = rng.next_u64() as u8;
+            let proto = rng.pick(&[6, 17, 47, 50, any]);
+            FlowRecord::builder(
+                FlowKey {
+                    src_addr: Ipv4Addr::from(rng.next_u64() as u32),
+                    dst_addr: Ipv4Addr::from(rng.next_u64() as u32),
+                    src_port: rng.next_u64() as u16,
+                    dst_port: rng.next_u64() as u16,
+                    protocol: IpProtocol::from_number(proto),
+                },
+                start,
+            )
+            .end(start.add_secs(dur))
+            .bytes(rng.range(1..4_000_000_000))
+            .packets(rng.range(1..3_000_000))
+            .tcp_flags(TcpFlags(rng.next_u64() as u8))
+            .interfaces(rng.next_u64() as u16, rng.next_u64() as u16)
+            .asns(rng.below(65_000) as u32, rng.below(65_000) as u32)
+            .direction(Direction::Egress)
+            .build()
+        })
+        .collect()
+}
+
+/// `lo..=lo + span` arbitrary bytes, the span scaled by the case `size`.
+fn junk(rng: &mut SplitMix, size: usize, lo: u64, span: u64) -> Vec<u8> {
+    let n = lo + rng.below(1 + span * size as u64 / 100);
+    (0..n).map(|_| rng.next_u64() as u8).collect()
+}
+
+#[test]
+fn v5_roundtrip() {
+    cases(256, |rng, size| {
+        let records = records(rng, size, 30);
         let export = Timestamp::from_unix(EXPORT_UNIX);
         let boot = Timestamp::from_unix(EXPORT_UNIX - 86_400);
         let pkt = v5::encode(&records, export, boot, 7);
         let (hdr, out) = v5::decode(&pkt).unwrap();
-        prop_assert_eq!(hdr.count as usize, records.len());
-        prop_assert_eq!(out.len(), records.len());
+        assert_eq!(hdr.count as usize, records.len());
+        assert_eq!(out.len(), records.len());
         for (a, b) in records.iter().zip(&out) {
-            prop_assert_eq!(a.key, b.key);
-            prop_assert_eq!(a.start, b.start);
-            prop_assert_eq!(a.end, b.end);
-            prop_assert_eq!(a.bytes, b.bytes);
-            prop_assert_eq!(a.packets, b.packets);
-            prop_assert_eq!(a.tcp_flags, b.tcp_flags);
-            prop_assert_eq!((a.src_as, a.dst_as), (b.src_as, b.dst_as));
+            assert_eq!(a.key, b.key);
+            assert_eq!(a.start, b.start);
+            assert_eq!(a.end, b.end);
+            assert_eq!(a.bytes, b.bytes);
+            assert_eq!(a.packets, b.packets);
+            assert_eq!(a.tcp_flags, b.tcp_flags);
+            assert_eq!((a.src_as, a.dst_as), (b.src_as, b.dst_as));
         }
-    }
+    });
+}
 
-    #[test]
-    #[test]
-    fn v9_roundtrip(records in prop::collection::vec(arb_record(EXPORT_UNIX), 0..80)) {
+#[test]
+fn v9_roundtrip() {
+    cases(256, |rng, size| {
+        let records = records(rng, size, 79);
         let export = Timestamp::from_unix(EXPORT_UNIX);
         let boot = Timestamp::from_unix(EXPORT_UNIX - 86_400);
         let t = Template::standard_v9(300);
@@ -94,45 +88,53 @@ proptest! {
         let (_, out) = v9::decode(&pkt, &mut cache).unwrap();
         // v9 standard template has no Direction::Unknown encoding ambiguity
         // for Egress, so full equality holds.
-        prop_assert_eq!(out, records);
-    }
+        assert_eq!(out, records);
+    });
+}
 
-    #[test]
-    #[test]
-    fn ipfix_roundtrip(records in prop::collection::vec(arb_record(EXPORT_UNIX), 0..80)) {
+#[test]
+fn ipfix_roundtrip() {
+    cases(256, |rng, size| {
+        let records = records(rng, size, 79);
         let export = Timestamp::from_unix(EXPORT_UNIX);
         let t = Template::standard_ipfix(256);
         let msg = ipfix::encode(&records, Some(&t), &t, export, 1, 2);
         let mut cache = TemplateCache::new();
         let (hdr, out) = ipfix::decode(&msg, &mut cache).unwrap();
-        prop_assert_eq!(hdr.length as usize, msg.len());
-        prop_assert_eq!(out, records);
-    }
+        assert_eq!(hdr.length as usize, msg.len());
+        assert_eq!(out, records);
+    });
+}
 
-    /// Fuzz: the decoders must return an error, never panic, on junk.
-    #[test]
-    #[test]
-    fn decoders_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
+/// Fuzz: the decoders must return an error, never panic, on junk.
+#[test]
+fn decoders_never_panic() {
+    cases(256, |rng, size| {
+        let bytes = junk(rng, size, 0, 511);
         let _ = v5::decode(&bytes);
         let mut cache = TemplateCache::new();
         let _ = v9::decode(&bytes, &mut cache);
         let mut cache = TemplateCache::new();
         let _ = ipfix::decode(&bytes, &mut cache);
-    }
+    });
+}
 
-    /// Fuzz with a valid-looking v5 header prefix to reach deeper paths.
-    #[test]
-    #[test]
-    fn v5_header_fuzz(mut bytes in prop::collection::vec(any::<u8>(), 24..1500)) {
+/// Fuzz with a valid-looking v5 header prefix to reach deeper paths.
+#[test]
+fn v5_header_fuzz() {
+    cases(256, |rng, size| {
+        let mut bytes = junk(rng, size, 24, 1_475);
         bytes[0] = 0;
         bytes[1] = 5;
         let _ = v5::decode(&bytes);
-    }
+    });
+}
 
-    /// Fuzz with valid IPFIX version+length to exercise set walking.
-    #[test]
-    #[test]
-    fn ipfix_set_fuzz(mut bytes in prop::collection::vec(any::<u8>(), 16..1500)) {
+/// Fuzz with valid IPFIX version+length to exercise set walking.
+#[test]
+fn ipfix_set_fuzz() {
+    cases(256, |rng, size| {
+        let mut bytes = junk(rng, size, 16, 1_483);
         bytes[0] = 0;
         bytes[1] = 10;
         let len = (bytes.len() as u16).to_be_bytes();
@@ -140,104 +142,102 @@ proptest! {
         bytes[3] = len[1];
         let mut cache = TemplateCache::new();
         let _ = ipfix::decode(&bytes, &mut cache);
-    }
+    });
+}
 
-    /// Anonymization is prefix-preserving for arbitrary address pairs.
-    #[test]
-    #[test]
-    fn anonymizer_prefix_preserving(key in any::<u64>(), a in any::<u32>(), b in any::<u32>()) {
-        let anon = Anonymizer::new(key);
-        let (ia, ib) = (Ipv4Addr::from(a), Ipv4Addr::from(b));
-        let shared = Anonymizer::common_prefix_len(ia, ib);
-        let out = Anonymizer::common_prefix_len(anon.anonymize(ia), anon.anonymize(ib));
-        prop_assert_eq!(shared, out);
-    }
+/// Anonymization is prefix-preserving for arbitrary address pairs.
+#[test]
+fn anonymizer_prefix_preserving() {
+    cases(256, |rng, _| {
+        let anon = Anonymizer::new(rng.next_u64());
+        let a = rng.next_u64() as u32;
+        // `b` differs from `a` below a random bit: every shared length occurs.
+        let b = a ^ (rng.next_u64() as u32 >> rng.below(32));
+        let (a, b) = (Ipv4Addr::from(a), Ipv4Addr::from(b));
+        let shared = Anonymizer::common_prefix_len(a, b);
+        let out = Anonymizer::common_prefix_len(anon.anonymize(a), anon.anonymize(b));
+        assert_eq!(shared, out);
+    });
+}
 
-    /// Exporter/collector composition loses no records for any batch size.
-    #[test]
-    #[test]
-    fn export_collect_identity(
-        records in prop::collection::vec(arb_record(EXPORT_UNIX), 0..200),
-        batch in 1usize..64,
-        refresh in 1u32..8,
-    ) {
+/// Exporter/collector composition loses no records for any batch size.
+#[test]
+fn export_collect_identity() {
+    cases(256, |rng, size| {
+        let records = records(rng, size, 199);
         let boot = Timestamp::from_unix(EXPORT_UNIX - 86_400);
         let mut cfg = ExporterConfig::new(ExportFormat::Ipfix, boot);
-        cfg.batch_size = batch;
-        cfg.template_refresh = refresh;
+        cfg.batch_size = rng.range(1..64) as usize;
+        cfg.template_refresh = rng.range(1..8) as u32;
         let mut exporter = Exporter::new(cfg);
         let pkts = exporter.export_all(&records, Timestamp::from_unix(EXPORT_UNIX));
         let mut collector = Collector::new();
         let n = collector.ingest_all(pkts.iter().map(|p| p.as_slice()));
-        prop_assert_eq!(n, records.len());
-        prop_assert_eq!(collector.records(), &records[..]);
-    }
+        assert_eq!(n, records.len());
+        assert_eq!(collector.records(), &records[..]);
+    });
 }
 
-mod tracefile_props {
-    use lockdown_flow::time::Timestamp;
-    use lockdown_flow::tracefile::{TraceReader, TraceWriter};
-    use proptest::prelude::*;
-
-    proptest! {
-        /// Arbitrary datagram sequences round-trip through the container.
-        #[test]
-        #[test]
-        fn tracefile_roundtrip(
-            payloads in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..2_000), 0..30),
-            t0 in 1_500_000_000u64..1_700_000_000,
-        ) {
-            let mut w = TraceWriter::new();
-            for (i, p) in payloads.iter().enumerate() {
-                w.push(Timestamp::from_unix(t0 + i as u64), p).unwrap();
-            }
-            let bytes = w.finish();
-            let reader = TraceReader::open(&bytes).unwrap();
-            let back: Vec<Vec<u8>> = reader.map(|r| r.unwrap().payload.to_vec()).collect();
-            prop_assert_eq!(back, payloads);
+/// Arbitrary datagram sequences round-trip through the container.
+#[test]
+fn tracefile_roundtrip() {
+    cases(256, |rng, size| {
+        let n = rng.below(1 + 29 * size as u64 / 100);
+        let payloads: Vec<_> = (0..n).map(|_| junk(rng, 100, 0, 1_999)).collect();
+        let t0 = rng.range(1_500_000_000..1_700_000_000);
+        let mut w = TraceWriter::new();
+        for (i, p) in payloads.iter().enumerate() {
+            w.push(Timestamp::from_unix(t0 + i as u64), p).unwrap();
         }
+        let bytes = w.finish();
+        let reader = TraceReader::open(&bytes).unwrap();
+        let back: Vec<Vec<u8>> = reader.map(|r| r.unwrap().payload.to_vec()).collect();
+        assert_eq!(back, payloads);
+    });
+}
 
-        /// The reader never panics on arbitrary bytes.
-        #[test]
-        #[test]
-        fn tracefile_reader_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..4_096)) {
-            if let Ok(reader) = TraceReader::open(&bytes) {
-                for record in reader {
-                    if record.is_err() {
-                        break;
-                    }
+/// The reader never panics on arbitrary bytes.
+#[test]
+fn tracefile_reader_never_panics() {
+    cases(256, |rng, size| {
+        let bytes = junk(rng, size, 0, 4_095);
+        if let Ok(reader) = TraceReader::open(&bytes) {
+            for record in reader {
+                if record.is_err() {
+                    break;
                 }
             }
         }
+    });
+}
 
-        /// Truncating a valid trace anywhere yields an error or a clean
-        /// prefix — never junk records beyond the cut.
-        #[test]
-        #[test]
-        fn tracefile_truncation_is_safe(
-            payloads in prop::collection::vec(prop::collection::vec(any::<u8>(), 1..100), 1..10),
-            cut_frac in 0.0f64..1.0,
-        ) {
-            let mut w = TraceWriter::new();
-            for (i, p) in payloads.iter().enumerate() {
-                w.push(Timestamp::from_unix(1_600_000_000 + i as u64), p).unwrap();
-            }
-            let bytes = w.finish();
-            let cut = ((bytes.len() as f64) * cut_frac) as usize;
-            if let Ok(reader) = TraceReader::open(&bytes[..cut]) {
-                let mut recovered = 0usize;
-                for record in reader {
-                    match record {
-                        Ok(r) => {
-                            // Every recovered payload is a true prefix record.
-                            prop_assert_eq!(r.payload, payloads[recovered].as_slice());
-                            recovered += 1;
-                        }
-                        Err(_) => break,
-                    }
-                }
-                prop_assert!(recovered <= payloads.len());
-            }
+/// Truncating a valid trace anywhere yields an error or a clean
+/// prefix — never junk records beyond the cut.
+#[test]
+fn tracefile_truncation_is_safe() {
+    cases(256, |rng, size| {
+        let n = 1 + rng.below(1 + 8 * size as u64 / 100);
+        let payloads: Vec<_> = (0..n).map(|_| junk(rng, 100, 1, 98)).collect();
+        let mut w = TraceWriter::new();
+        for (i, p) in payloads.iter().enumerate() {
+            w.push(Timestamp::from_unix(1_600_000_000 + i as u64), p)
+                .unwrap();
         }
-    }
+        let bytes = w.finish();
+        let cut = rng.below(bytes.len() as u64) as usize;
+        if let Ok(reader) = TraceReader::open(&bytes[..cut]) {
+            let mut recovered = 0usize;
+            for record in reader {
+                match record {
+                    Ok(r) => {
+                        // Every recovered payload is a true prefix record.
+                        assert_eq!(r.payload, payloads[recovered].as_slice());
+                        recovered += 1;
+                    }
+                    Err(_) => break,
+                }
+            }
+            assert!(recovered <= payloads.len());
+        }
+    });
 }

@@ -174,10 +174,11 @@ impl DemandModel {
 
         match app {
             AppClass::Web => 1.0 + 0.15 * i,
-            // §4: alternative HTTP ports stay flat in *absolute* volume
-            // while total traffic rises — so relative to the growing
-            // aggregate they must shed the lockdown growth, not ride it.
-            AppClass::AltHttp | AppClass::CloudflareLb => 1.0 - 0.15 * i,
+            // §4: alternative HTTP ports and Cloudflare's load balancer
+            // stay flat in *absolute* volume while total traffic rises.
+            // This multiplier scales absolute volume, so flat is 1.0 (their
+            // share of the growing aggregate falls by itself).
+            AppClass::AltHttp | AppClass::CloudflareLb => 1.0,
             // §4: QUIC +30–80% at the ISP (morning hours largest), ~+50% at
             // the IXP-CE.
             AppClass::Quic => {

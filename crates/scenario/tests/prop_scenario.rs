@@ -2,6 +2,8 @@
 //! positive and finite, intensity stays in [0, 1], shapes stay normalized,
 //! and the calendar's day types partition every date.
 
+use lockdown_base::hash::SplitMix;
+use lockdown_base::prop::cases;
 use lockdown_flow::time::Date;
 use lockdown_scenario::apps::AppClass;
 use lockdown_scenario::calendar::{day_type, DayType};
@@ -11,123 +13,131 @@ use lockdown_scenario::edu::{EduClass, EduModel};
 use lockdown_scenario::phases::RegionTimeline;
 use lockdown_topology::asn::Region;
 use lockdown_topology::vantage::VantagePoint;
-use proptest::prelude::*;
 
-fn arb_date() -> impl Strategy<Value = Date> {
-    // The study window plus margins.
-    (0i64..200).prop_map(|d| Date::new(2019, 12, 15).add_days(d))
+/// A date in the study window plus margins.
+fn date(rng: &mut SplitMix) -> Date {
+    Date::new(2019, 12, 15).add_days(rng.below(200) as i64)
 }
 
-fn arb_vantage() -> impl Strategy<Value = VantagePoint> {
-    prop::sample::select(VantagePoint::ALL.to_vec())
+fn hour(rng: &mut SplitMix) -> u8 {
+    rng.below(24) as u8
 }
 
-fn arb_app() -> impl Strategy<Value = AppClass> {
-    prop::sample::select(AppClass::ALL.to_vec())
+/// Demand is finite and non-negative for every cell in the window.
+#[test]
+fn demand_finite_nonnegative() {
+    let m = DemandModel::new();
+    cases(256, |rng, _| {
+        let (vp, app) = (rng.pick(&VantagePoint::ALL), rng.pick(&AppClass::ALL));
+        let v = m.volume_gbps(vp, app, date(rng), hour(rng));
+        assert!(v.is_finite());
+        assert!(v >= 0.0);
+    });
 }
 
-proptest! {
-    /// Demand is finite and non-negative for every cell in the window.
-    #[test]
-    #[test]
-    fn demand_finite_nonnegative(vp in arb_vantage(), app in arb_app(), d in arb_date(), h in 0u8..24) {
-        let m = DemandModel::new();
-        let v = m.volume_gbps(vp, app, d, h);
-        prop_assert!(v.is_finite());
-        prop_assert!(v >= 0.0);
-    }
+/// Growth multipliers are positive and bounded (nothing grows 100×,
+/// nothing goes negative — the clamps the paper's ±[100, 200]% range
+/// presumes).
+#[test]
+fn growth_bounded() {
+    let m = DemandModel::new();
+    cases(256, |rng, _| {
+        let (vp, app) = (rng.pick(&VantagePoint::ALL), rng.pick(&AppClass::ALL));
+        let d = date(rng);
+        let g = m.growth(vp, app, d, hour(rng));
+        assert!(g > 0.0, "{vp}/{app} {d:?}: growth {g}");
+        assert!(g < 6.0, "{vp}/{app} {d:?}: growth {g}");
+    });
+}
 
-    /// Growth multipliers are positive and bounded (nothing grows 100×,
-    /// nothing goes negative — the clamps the paper's ±[100, 200]% range
-    /// presumes).
-    #[test]
-    #[test]
-    fn growth_bounded(vp in arb_vantage(), app in arb_app(), d in arb_date(), h in 0u8..24) {
-        let m = DemandModel::new();
-        let g = m.growth(vp, app, d, h);
-        prop_assert!(g > 0.0, "{vp}/{app} {d:?}: growth {g}");
-        prop_assert!(g < 6.0, "{vp}/{app} {d:?}: growth {g}");
-    }
-
-    /// Intensity (raw and effective) stays in [0, 1], and effective never
-    /// exceeds raw.
-    #[test]
-    #[test]
-    fn intensity_bounds(vp in arb_vantage(), d in arb_date()) {
-        let m = DemandModel::new();
+/// Intensity (raw and effective) stays in [0, 1], and effective never
+/// exceeds raw.
+#[test]
+fn intensity_bounds() {
+    let m = DemandModel::new();
+    cases(256, |rng, _| {
+        let (vp, d) = (rng.pick(&VantagePoint::ALL), date(rng));
         let raw = m.intensity(vp, d);
         let eff = m.effective_intensity(vp, d);
-        prop_assert!((0.0..=1.0).contains(&raw));
-        prop_assert!((0.0..=1.0).contains(&eff));
-        prop_assert!(eff <= raw + 1e-12);
-    }
+        assert!((0.0..=1.0).contains(&raw));
+        assert!((0.0..=1.0).contains(&eff));
+        assert!(eff <= raw + 1e-12);
+    });
+}
 
-    /// Phase timelines are monotone: intensity never decreases before the
-    /// relaxation date.
-    #[test]
-    #[test]
-    fn intensity_monotone_until_relaxation(
-        region in prop::sample::select(Region::ALL.to_vec()),
-        offset in 0i64..120,
-    ) {
-        let t = RegionTimeline::for_region(region);
-        let d = Date::new(2020, 1, 1).add_days(offset);
+/// Phase timelines are monotone: intensity never decreases before the
+/// relaxation date.
+#[test]
+fn intensity_monotone_until_relaxation() {
+    cases(256, |rng, _| {
+        let t = RegionTimeline::for_region(rng.pick(&Region::ALL));
+        let d = Date::new(2020, 1, 1).add_days(rng.below(120) as i64);
         if d.add_days(1) < t.relaxation {
-            prop_assert!(t.intensity(d.add_days(1)) >= t.intensity(d) - 1e-12);
+            assert!(t.intensity(d.add_days(1)) >= t.intensity(d) - 1e-12);
         }
-    }
+    });
+}
 
-    /// Day types partition every date (calendar totality).
-    #[test]
-    #[test]
-    fn day_types_total(d in arb_date(), region in prop::sample::select(Region::ALL.to_vec())) {
-        let dt = day_type(d, region);
+/// Day types partition every date (calendar totality).
+#[test]
+fn day_types_total() {
+    cases(256, |rng, _| {
+        let d = date(rng);
+        let dt = day_type(d, rng.pick(&Region::ALL));
         // Weekends are weekend-typed or holiday-typed, never workdays.
         if d.weekday().is_weekend() {
-            prop_assert!(dt != DayType::Workday);
+            assert!(dt != DayType::Workday);
         }
-    }
+    });
+}
 
-    /// Blending any two profiles stays within their pointwise envelope.
-    #[test]
-    #[test]
-    fn blend_envelope(t in 0.0f64..1.0, h in 0u8..24) {
+/// Blending any two profiles stays within their pointwise envelope.
+#[test]
+fn blend_envelope() {
+    cases(256, |rng, _| {
+        let (t, h) = (rng.next_f64(), hour(rng));
         for (a, b) in [
-            (DiurnalProfile::ResidentialWorkday, DiurnalProfile::ResidentialLockdown),
+            (
+                DiurnalProfile::ResidentialWorkday,
+                DiurnalProfile::ResidentialLockdown,
+            ),
             (DiurnalProfile::BusinessHours, DiurnalProfile::Flat),
         ] {
             let lo = shape(a, h).min(shape(b, h));
             let hi = shape(a, h).max(shape(b, h));
             let v = blend(a, b, t, h);
-            prop_assert!(v >= lo - 1e-12 && v <= hi + 1e-12);
+            assert!(v >= lo - 1e-12 && v <= hi + 1e-12);
         }
-    }
+    });
+}
 
-    /// App shares form a probability distribution per vantage point.
-    #[test]
-    #[test]
-    fn shares_are_distribution(vp in arb_vantage()) {
+/// App shares form a probability distribution per vantage point.
+#[test]
+fn shares_are_distribution() {
+    for vp in VantagePoint::ALL {
         let sum: f64 = AppClass::ALL.iter().map(|&a| app_share(vp, a)).sum();
-        prop_assert!((sum - 1.0).abs() < 1e-9);
+        assert!((sum - 1.0).abs() < 1e-9);
         for app in AppClass::ALL {
-            prop_assert!((0.0..=1.0).contains(&app_share(vp, app)));
+            assert!((0.0..=1.0).contains(&app_share(vp, app)));
         }
     }
+}
 
-    /// EDU model: volumes and connection counts are finite and positive,
-    /// presence/remote stay in [0, 1].
-    #[test]
-    #[test]
-    fn edu_model_bounds(d in arb_date(), h in 0u8..24) {
-        let m = EduModel::new();
-        prop_assert!((0.0..=1.0).contains(&m.campus_presence(d)));
-        prop_assert!((0.0..=1.0).contains(&m.remote_activity(d)));
+/// EDU model: volumes and connection counts are finite and positive,
+/// presence/remote stay in [0, 1].
+#[test]
+fn edu_model_bounds() {
+    let m = EduModel::new();
+    cases(256, |rng, _| {
+        let (d, h) = (date(rng), hour(rng));
+        assert!((0.0..=1.0).contains(&m.campus_presence(d)));
+        assert!((0.0..=1.0).contains(&m.remote_activity(d)));
         let (i, e) = m.volume_gbps(d, h);
-        prop_assert!(i.is_finite() && i >= 0.0);
-        prop_assert!(e.is_finite() && e > 0.0);
+        assert!(i.is_finite() && i >= 0.0);
+        assert!(e.is_finite() && e > 0.0);
         for c in EduClass::ALL {
             let n = m.daily_connections(c, d);
-            prop_assert!(n.is_finite() && n >= 0.0);
+            assert!(n.is_finite() && n >= 0.0);
         }
-    }
+    });
 }

@@ -6,10 +6,11 @@
 //!
 //! Two layers: an exhaustive every-position sweep over one encoding of
 //! each frame type (cheap, deterministic, catches offset-sensitive
-//! bugs), and a proptest layer drawing random frame contents *and*
+//! bugs), and a property layer drawing random frame contents *and*
 //! random flips (catches content-dependent holes the fixed samples
 //! miss).
 
+use lockdown_base::prop::cases;
 use lockdown_core::engine::SliceOutcome;
 use lockdown_core::supervisor::QuarantinedCell;
 use lockdown_flow::time::Date;
@@ -17,7 +18,6 @@ use lockdown_shard::proto::{self, Assign, Identity};
 use lockdown_shard::ShardError;
 use lockdown_store::SegmentMeta;
 use lockdown_traffic::plan::{Cell, Stream};
-use proptest::prelude::*;
 
 /// Encode one whole frame (header + payload) into a byte vector.
 fn frame_bytes(kind: u8, payload: &[u8]) -> Vec<u8> {
@@ -186,51 +186,43 @@ fn typed_decoders_reject_flipped_payloads_by_name_not_panic() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Random frame contents, random flip position, random flip mask:
-    /// named error or byte-identical decode, never a panic.
-    #[test]
-    fn random_single_byte_flips_never_decode_silently_wrong(
-        seed in any::<u64>(),
-        scenario in any::<u64>(),
-        plan in any::<u64>(),
-        cells in any::<u64>(),
-        start in 0u32..1_000_000,
-        len in 1u32..1_000_000,
-        attempt in 0u32..16,
-        kill in any::<bool>(),
-        stall in 0u32..60_000,
-        msg_seed in any::<u64>(),
-        pos_seed in any::<u64>(),
-        xor in 1u8..=255,
-        which in 0usize..4,
-    ) {
-        let id = Identity { seed, scenario_hash: scenario, plan_hash: plan, cells };
-        let (kind, payload) = match which {
+/// Random frame contents, random flip position, random flip mask:
+/// named error or byte-identical decode, never a panic.
+#[test]
+fn random_single_byte_flips_never_decode_silently_wrong() {
+    cases(64, |rng, _| {
+        let id = Identity {
+            seed: rng.next_u64(),
+            scenario_hash: rng.next_u64(),
+            plan_hash: rng.next_u64(),
+            cells: rng.next_u64(),
+        };
+        let start = rng.below(1_000_000) as u32;
+        let len = rng.range(1..1_000_000) as u32;
+        let (kind, payload) = match rng.below(4) {
             0 => (proto::T_HELLO, proto::encode_identity(&id)),
             1 => (
                 proto::T_HELLO_ACK,
-                proto::encode_hello_ack(&id, &[(start, start.saturating_add(len).max(start + 1))]),
+                proto::encode_hello_ack(&id, &[(start, start + len)]),
             ),
             2 => (
                 proto::T_ASSIGN,
                 proto::encode_assign(&Assign {
                     start,
-                    end: start.saturating_add(len),
-                    attempt,
-                    kill,
-                    stall_ms: stall,
+                    end: start + len,
+                    attempt: rng.below(16) as u32,
+                    kill: rng.chance(0.5),
+                    stall_ms: rng.below(60_000) as u32,
                 }),
             ),
             _ => (
                 proto::T_FAILED,
-                proto::encode_failed(&format!("slice failed: code {msg_seed:#018x}")),
+                proto::encode_failed(&format!("slice failed: code {:#018x}", rng.next_u64())),
             ),
         };
         let wire = frame_bytes(kind, &payload);
-        let pos = (pos_seed % wire.len() as u64) as usize;
+        let pos = rng.below(wire.len() as u64) as usize;
+        let xor = rng.range(1..256) as u8;
         assert_flip_is_caught(&wire, pos, xor, kind, &payload);
 
         // And the unmutated frame must still round-trip — the oracle is
@@ -238,30 +230,29 @@ proptest! {
         let (got_kind, got_payload) = decode(&wire)
             .expect("clean frame decodes")
             .expect("clean frame is not EOF");
-        prop_assert_eq!((got_kind, got_payload), (kind, payload));
-    }
+        assert_eq!((got_kind, got_payload), (kind, payload));
+    });
+}
 
-    /// Truncating a frame at any point is an error or clean EOF at a
-    /// frame boundary — never a partial decode.
-    #[test]
-    fn random_truncation_never_yields_a_frame(
-        cut_seed in any::<u64>(),
-        start in 0u32..1_000_000,
-        len in 1u32..1_000_000,
-    ) {
+/// Truncating a frame at any point is an error or clean EOF at a
+/// frame boundary — never a partial decode.
+#[test]
+fn random_truncation_never_yields_a_frame() {
+    cases(64, |rng, _| {
+        let start = rng.below(1_000_000) as u32;
         let payload = proto::encode_assign(&Assign {
             start,
-            end: start.saturating_add(len),
+            end: start + rng.range(1..1_000_000) as u32,
             attempt: 0,
             kill: false,
             stall_ms: 0,
         });
         let wire = frame_bytes(proto::T_ASSIGN, &payload);
-        let cut = (cut_seed % wire.len() as u64) as usize;
+        let cut = rng.below(wire.len() as u64) as usize;
         match decode(&wire[..cut]) {
             Err(_) => {}
-            Ok(None) => prop_assert_eq!(cut, 0, "EOF only at the frame boundary"),
-            Ok(Some(_)) => prop_assert!(false, "truncated frame decoded"),
+            Ok(None) => assert_eq!(cut, 0, "EOF only at the frame boundary"),
+            Ok(Some(_)) => panic!("truncated frame decoded"),
         }
-    }
+    });
 }

@@ -57,10 +57,11 @@ pub struct StoreKey {
     /// Master RNG seed of the generator configuration.
     pub seed: u64,
     /// Fingerprint of everything non-seed that shapes flow content: the
-    /// generator's scaling knobs
+    /// generator's scaling knobs and stream version
     /// ([`GeneratorConfig::scenario_hash`](lockdown_traffic::config::GeneratorConfig::scenario_hash))
     /// folded with the scenario spec's behavioural fingerprint, so an
-    /// archive written under one scenario never replays into another.
+    /// archive written under one scenario, or by a build that drew its
+    /// flows differently, never replays into this one.
     pub scenario_hash: u64,
     /// [`TracePlan::plan_hash`](lockdown_traffic::plan::TracePlan::plan_hash)
     /// of the cell set that was spilled.

@@ -10,9 +10,11 @@
 use crate::asn::{AsCategory, Asn};
 use crate::registry::Registry;
 use crate::vantage::VantagePoint;
+use lockdown_base::hash::{fold, SplitMix};
 use lockdown_flow::time::Date;
-use rand::prelude::*;
-use rand::rngs::StdRng;
+
+/// Initial constant of the fabric-stream fold (√3's fractional digits).
+const FABRIC_INIT: u64 = 0xBB67_AE85_84CA_A73B;
 
 /// One IXP member: an AS connected to the peering fabric through physical
 /// ports of a given aggregate capacity.
@@ -68,7 +70,7 @@ impl IxpFabric {
             VantagePoint::IxpUs => (250, 800.0),
             other => panic!("{other} is not an IXP vantage point"),
         };
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x1A9);
+        let mut rng = SplitMix::new(fold(FABRIC_INIT, [seed, vantage as u64]));
 
         // Candidate member ASes: everything in the registry, weighted so
         // content networks and eyeballs dominate (an IXP's member list).
@@ -90,7 +92,7 @@ impl IxpFabric {
             let base_capacity_gbps = draw_capacity(&mut rng, category);
             // Fig. 5: utilizations spread widely; draw a Beta-ish shape by
             // squaring a uniform (mass toward low utilization, long tail).
-            let u: f64 = rng.gen::<f64>();
+            let u = rng.next_f64();
             let base_utilization = 0.05 + 0.75 * u * u;
             members.push(IxpMember {
                 asn,
@@ -106,7 +108,7 @@ impl IxpFabric {
         // at random, step each by one port-size, until the budget is spent.
         let mut remaining = upgrade_budget_gbps;
         let mut order: Vec<usize> = (0..members.len()).collect();
-        order.shuffle(&mut rng);
+        rng.shuffle(&mut order);
         for idx in order {
             if remaining <= 0.0 {
                 break;
@@ -115,7 +117,7 @@ impl IxpFabric {
             let step = m.base_capacity_gbps.clamp(10.0, 100.0);
             m.upgrade_gbps = step;
             // Upgrades rolled out through late March / April.
-            let offset = rng.gen_range(0..30i64);
+            let offset = rng.below(30) as i64;
             m.upgrade_date = Some(Date::new(2020, 3, 20).add_days(offset));
             remaining -= step;
         }
@@ -140,7 +142,7 @@ impl IxpFabric {
 }
 
 /// Draw a port capacity from the discrete ladder, weighted by category.
-fn draw_capacity(rng: &mut StdRng, category: AsCategory) -> f64 {
+fn draw_capacity(rng: &mut SplitMix, category: AsCategory) -> f64 {
     let ladder: &[(f64, f64)] = match category {
         // Hypergiants run multi-100G LAGs.
         AsCategory::Hypergiant => &[(100.0, 0.3), (200.0, 0.4), (400.0, 0.3)],
@@ -153,7 +155,7 @@ fn draw_capacity(rng: &mut StdRng, category: AsCategory) -> f64 {
         _ => &[(1.0, 0.3), (10.0, 0.5), (40.0, 0.2)],
     };
     let total: f64 = ladder.iter().map(|(_, w)| w).sum();
-    let mut x = rng.gen::<f64>() * total;
+    let mut x = rng.next_f64() * total;
     for (cap, w) in ladder {
         if x < *w {
             return *cap;

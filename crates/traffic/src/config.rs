@@ -1,7 +1,19 @@
 //! Generator configuration and scaling knobs.
 
-use crate::plan::FINGERPRINT_INIT;
-use lockdown_base::hash::fold;
+use crate::plan::{Stream, FINGERPRINT_INIT};
+use lockdown_base::hash::{fold, SplitMix};
+use lockdown_flow::time::Date;
+
+/// Version of everything that shapes a flow and is code, not a knob or
+/// scenario data: bump it whenever a draw is added, dropped, reordered or
+/// re-seeded (here, in the DNS corpus or in `lockdown_base::hash`) or a
+/// calibration constant of the demand model moves. Folded into
+/// [`GeneratorConfig::scenario_hash`], so an archive spilled by a build
+/// that generated differently is recreated, not replayed.
+pub const GENERATOR_STREAM: u64 = 1;
+
+/// Initial constant of the cell-stream fold (e's fractional digits).
+const CELL_INIT: u64 = 0xB7E1_5162_8AED_2A6A;
 
 /// Tuning knobs for the synthetic trace generator.
 ///
@@ -66,15 +78,32 @@ impl GeneratorConfig {
         }
     }
 
-    /// Stable fingerprint of every knob that shapes generated traffic
-    /// *except* the seed (archives key on the seed separately). Two
-    /// configurations hash equal exactly when they would emit identical
-    /// cells for identical seeds, so an archive written at one fidelity is
-    /// never replayed into a run at another.
+    /// The stream one generation cell draws from, addressed by its
+    /// coordinates (`class` numbers the streams inside a cell), so any
+    /// cell regenerates bit-identically in isolation.
+    pub(crate) fn cell_rng(&self, stream: Stream, class: u64, date: Date, hour: u8) -> SplitMix {
+        SplitMix::new(fold(
+            CELL_INIT,
+            [
+                self.seed,
+                u64::from(stream.wire_id()),
+                class,
+                date.day_number() as u64,
+                u64::from(hour),
+            ],
+        ))
+    }
+
+    /// Stable fingerprint of everything that shapes generated traffic
+    /// *except* the seed (archives key on the seed separately): every
+    /// knob and [`GENERATOR_STREAM`]. Two configurations hash equal exactly
+    /// when they would emit identical cells for identical seeds, so an
+    /// archive written at another fidelity or stream is never replayed.
     pub fn scenario_hash(&self) -> u64 {
         fold(
             FINGERPRINT_INIT,
             [
+                GENERATOR_STREAM,
                 self.flows_per_gbps.to_bits(),
                 self.users_per_gbps.to_bits(),
                 self.min_flows as u64,

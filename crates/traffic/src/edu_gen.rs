@@ -7,7 +7,9 @@
 //! 39% of flows whose direction cannot be determined (§7).
 
 use crate::config::GeneratorConfig;
+use crate::plan::Stream;
 use crate::sizes;
+use lockdown_base::hash::SplitMix;
 use lockdown_flow::protocol::{IpProtocol, TcpFlags};
 use lockdown_flow::record::{Direction, FlowKey, FlowRecord};
 use lockdown_flow::time::Date;
@@ -16,8 +18,6 @@ use lockdown_scenario::edu::{EduClass, EduModel};
 use lockdown_scenario::measures::ScenarioSpec;
 use lockdown_topology::asn::{AsCategory, Asn, Region};
 use lockdown_topology::registry::{Registry, EDU_ASN, SPOTIFY_ASN};
-use rand::prelude::*;
-use rand::rngs::StdRng;
 use std::net::Ipv4Addr;
 
 /// Scale factor from modelled connection counts to generated records.
@@ -25,39 +25,33 @@ use std::net::Ipv4Addr;
 /// statistical smoothness against cost.
 pub const CONN_SCALE: f64 = 1.0 / 1_500.0;
 
+/// Cell-stream class ids beside the [`EduClass`] numbers: the
+/// direction-unknown chaff, and the hour's byte split.
+const CHAFF: u64 = 0xFF;
+const VOLUME: u64 = 0xAB;
+
 /// Port signature for one EDU traffic class (protocol, server port).
-fn class_signature(class: EduClass, rng: &mut StdRng) -> (IpProtocol, u16) {
+fn class_signature(class: EduClass, rng: &mut SplitMix) -> (IpProtocol, u16) {
     match class {
         EduClass::WebIn | EduClass::WebOut | EduClass::HypergiantWebOut => {
-            (IpProtocol::Tcp, if rng.gen_bool(0.85) { 443 } else { 80 })
+            (IpProtocol::Tcp, if rng.chance(0.85) { 443 } else { 80 })
         }
         EduClass::QuicOut => (IpProtocol::Udp, 443),
         EduClass::EmailIn => (
             IpProtocol::Tcp,
-            *[993u16, 25, 587, 143, 465, 995, 110]
-                .choose(rng)
-                .expect("non-empty"),
+            rng.pick(&[993, 25, 587, 143, 465, 995, 110]),
         ),
         EduClass::VpnIn => {
-            if rng.gen_bool(0.15) {
+            if rng.chance(0.15) {
                 // Some institutional VPN rides ESP (Appendix B lists it).
                 (IpProtocol::Esp, 0)
             } else {
-                (
-                    IpProtocol::Udp,
-                    *[4500u16, 500, 1194].choose(rng).expect("non-empty"),
-                )
+                (IpProtocol::Udp, rng.pick(&[4500, 500, 1194]))
             }
         }
-        EduClass::RemoteDesktopIn => (
-            IpProtocol::Tcp,
-            *[3389u16, 1494, 5938].choose(rng).expect("non-empty"),
-        ),
+        EduClass::RemoteDesktopIn => (IpProtocol::Tcp, rng.pick(&[3389, 1494, 5938])),
         EduClass::SshIn => (IpProtocol::Tcp, 22),
-        EduClass::PushNotifOut => (
-            IpProtocol::Tcp,
-            *[5223u16, 5228].choose(rng).expect("non-empty"),
-        ),
+        EduClass::PushNotifOut => (IpProtocol::Tcp, rng.pick(&[5223, 5228])),
         EduClass::SpotifyOut => (IpProtocol::Tcp, 4070),
     }
 }
@@ -148,15 +142,6 @@ impl<'a> EduGenerator<'a> {
         }
     }
 
-    /// Cell RNG (per date/hour).
-    fn cell_rng(&self, date: Date, hour: u8, salt: u64) -> StdRng {
-        let mut z = self.config.seed ^ salt.wrapping_mul(0xA24B_AED4_963E_E407);
-        z ^= (date.day_number() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        z = z.rotate_left(17).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z ^= u64::from(hour) << 7;
-        StdRng::seed_from_u64(z)
-    }
-
     /// Generate one hour of EDU traffic.
     pub fn generate_hour(&self, date: Date, hour: u8) -> Vec<FlowRecord> {
         let mut out = Vec::new();
@@ -168,10 +153,10 @@ impl<'a> EduGenerator<'a> {
         for class in EduClass::ALL {
             let daily = self.model.daily_connections(class, date);
             let weight = self.hour_weight(class, date, hour);
-            let mut rng = self.cell_rng(date, hour, class as u64 + 1);
+            let mut rng = self.config.cell_rng(Stream::Edu, class as u64, date, hour);
             let raw = daily * CONN_SCALE * weight / 24.0;
             let mut n = raw.floor() as usize;
-            if rng.gen_bool((raw - n as f64).clamp(0.0, 1.0)) {
+            if rng.chance((raw - n as f64).clamp(0.0, 1.0)) {
                 n += 1;
             }
             if n == 0 {
@@ -189,14 +174,14 @@ impl<'a> EduGenerator<'a> {
         // 39% of flows. unknown / (unknown + known) = 0.39.
         let known = n_in + n_out;
         let n_unknown = ((known as f64) * 0.39 / 0.61).round() as usize;
-        let mut rng = self.cell_rng(date, hour, 0xFF);
+        let mut rng = self.config.cell_rng(Stream::Edu, CHAFF, date, hour);
         self.emit_unknown(n_unknown, date, hour, &mut rng, &mut out);
 
         // Attach volume: split the hour's ingress/egress bytes over the
         // flows of each direction so Fig. 11 recovers the volume story.
         let in_bytes = (ingress_gbps * crate::generate::BYTES_PER_GBPS_HOUR) as u64;
         let eg_bytes = (egress_gbps * crate::generate::BYTES_PER_GBPS_HOUR) as u64;
-        let mut rng = self.cell_rng(date, hour, 0xAB);
+        let mut rng = self.config.cell_rng(Stream::Edu, VOLUME, date, hour);
         distribute_bytes(&mut out, Direction::Ingress, in_bytes, &mut rng);
         distribute_bytes(&mut out, Direction::Egress, eg_bytes, &mut rng);
         out
@@ -209,7 +194,7 @@ impl<'a> EduGenerator<'a> {
         n: usize,
         date: Date,
         hour: u8,
-        rng: &mut StdRng,
+        rng: &mut SplitMix,
         out: &mut Vec<FlowRecord>,
     ) {
         let hour_start = date.at_hour(hour);
@@ -223,7 +208,7 @@ impl<'a> EduGenerator<'a> {
         let overseas_now = w_ov / (w_dom + w_ov);
         for _ in 0..n {
             let (protocol, server_port) = class_signature(class, rng);
-            let start = hour_start.add_secs(rng.gen_range(0..3_600));
+            let start = hour_start.add_secs(rng.below(3_600));
             let flags = if protocol == IpProtocol::Tcp {
                 TcpFlags::complete_connection()
             } else {
@@ -232,14 +217,14 @@ impl<'a> EduGenerator<'a> {
             let record = if class.is_incoming() {
                 // External client → EDU server.
                 let overseas_p = 0.05 * (1.0 - remote) + remote * overseas_now;
-                let ext_asn = if rng.gen_bool(overseas_p) {
-                    self.overseas_eyeballs[rng.gen_range(0..self.overseas_eyeballs.len())]
+                let ext_asn = if rng.chance(overseas_p) {
+                    rng.pick(&self.overseas_eyeballs)
                 } else {
-                    self.national_eyeballs[rng.gen_range(0..self.national_eyeballs.len())]
+                    rng.pick(&self.national_eyeballs)
                 };
                 let ext_ip = self
                     .registry
-                    .host_addr(ext_asn, 1_000 + rng.gen_range(0..20_000))
+                    .host_addr(ext_asn, 1_000 + rng.below(20_000))
                     .expect("eyeball prefixes");
                 let edu_ip = self.edu_server_ip(class, rng);
                 FlowRecord::builder(
@@ -247,7 +232,7 @@ impl<'a> EduGenerator<'a> {
                         src_addr: ext_ip,
                         dst_addr: edu_ip,
                         src_port: if protocol.has_ports() {
-                            rng.gen_range(32_768..61_000)
+                            rng.range(32_768..61_000) as u16
                         } else {
                             0
                         },
@@ -264,31 +249,31 @@ impl<'a> EduGenerator<'a> {
                 let pool = ((8_000.0 * presence) as u64).max(50);
                 let campus_ip = self
                     .registry
-                    .host_addr(EDU_ASN, 1_000 + rng.gen_range(0..pool))
+                    .host_addr(EDU_ASN, 1_000 + rng.below(pool))
                     .expect("EDU prefixes");
                 let dst_asn = match class {
                     EduClass::SpotifyOut => SPOTIFY_ASN,
                     EduClass::PushNotifOut | EduClass::HypergiantWebOut | EduClass::QuicOut => {
-                        self.hypergiants[rng.gen_range(0..self.hypergiants.len())]
+                        rng.pick(&self.hypergiants)
                     }
                     _ => {
-                        if rng.gen_bool(0.5) {
-                            self.hypergiants[rng.gen_range(0..self.hypergiants.len())]
+                        if rng.chance(0.5) {
+                            rng.pick(&self.hypergiants)
                         } else {
-                            self.web_servers[rng.gen_range(0..self.web_servers.len())]
+                            rng.pick(&self.web_servers)
                         }
                     }
                 };
                 let dst_ip = self
                     .registry
-                    .host_addr(dst_asn, rng.gen_range(0..64))
+                    .host_addr(dst_asn, rng.below(64))
                     .expect("server prefixes");
                 FlowRecord::builder(
                     FlowKey {
                         src_addr: campus_ip,
                         dst_addr: dst_ip,
                         src_port: if protocol.has_ports() {
-                            rng.gen_range(32_768..61_000)
+                            rng.range(32_768..61_000) as u16
                         } else {
                             0
                         },
@@ -318,27 +303,27 @@ impl<'a> EduGenerator<'a> {
         n: usize,
         date: Date,
         hour: u8,
-        rng: &mut StdRng,
+        rng: &mut SplitMix,
         out: &mut Vec<FlowRecord>,
     ) {
         let hour_start = date.at_hour(hour);
         for _ in 0..n {
-            let start = hour_start.add_secs(rng.gen_range(0..3_600));
-            let protocol = if rng.gen_bool(0.8) {
-                if rng.gen_bool(0.5) {
+            let start = hour_start.add_secs(rng.below(3_600));
+            let protocol = if rng.chance(0.8) {
+                if rng.chance(0.5) {
                     IpProtocol::Udp
                 } else {
                     IpProtocol::Tcp
                 }
             } else {
-                IpProtocol::Other(rng.gen_range(90..130))
+                IpProtocol::Other(rng.range(90..130) as u8)
             };
             let edu_ip = self
                 .registry
-                .host_addr(EDU_ASN, 1_000 + rng.gen_range(0..8_000))
+                .host_addr(EDU_ASN, 1_000 + rng.below(8_000))
                 .expect("EDU prefixes");
-            let peer = Ipv4Addr::from(rng.gen_range(0x0B00_0000u32..0x5F00_0000));
-            let (src, dst) = if rng.gen_bool(0.5) {
+            let peer = Ipv4Addr::from(rng.range(0x0B00_0000..0x5F00_0000) as u32);
+            let (src, dst) = if rng.chance(0.5) {
                 (edu_ip, peer)
             } else {
                 (peer, edu_ip)
@@ -349,12 +334,12 @@ impl<'a> EduGenerator<'a> {
                         src_addr: src,
                         dst_addr: dst,
                         src_port: if protocol.has_ports() {
-                            rng.gen_range(20_000..65_000)
+                            rng.range(20_000..65_000) as u16
                         } else {
                             0
                         },
                         dst_port: if protocol.has_ports() {
-                            rng.gen_range(20_000..65_000)
+                            rng.range(20_000..65_000) as u16
                         } else {
                             0
                         },
@@ -363,8 +348,8 @@ impl<'a> EduGenerator<'a> {
                     start,
                 )
                 .end(start.add_secs(sizes::duration_secs(rng, 600)))
-                .bytes(rng.gen_range(500..50_000))
-                .packets(rng.gen_range(2..50))
+                .bytes(rng.range(500..50_000))
+                .packets(rng.range(2..50))
                 .direction(Direction::Unknown)
                 .build(),
             );
@@ -373,8 +358,8 @@ impl<'a> EduGenerator<'a> {
 
     /// A stable EDU-side server address for a class, spread across the 16
     /// institutions.
-    fn edu_server_ip(&self, class: EduClass, rng: &mut StdRng) -> Ipv4Addr {
-        let institution = rng.gen_range(0..lockdown_topology::registry::EDU_INSTITUTIONS as u64);
+    fn edu_server_ip(&self, class: EduClass, rng: &mut SplitMix) -> Ipv4Addr {
+        let institution = rng.below(lockdown_topology::registry::EDU_INSTITUTIONS as u64);
         let service = class as u64;
         self.registry
             .host_addr(EDU_ASN, institution * 8 + service % 8)
@@ -387,7 +372,7 @@ fn distribute_bytes(
     flows: &mut [FlowRecord],
     direction: Direction,
     total_bytes: u64,
-    rng: &mut StdRng,
+    rng: &mut SplitMix,
 ) {
     let idx: Vec<usize> = flows
         .iter()

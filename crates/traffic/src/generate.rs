@@ -12,6 +12,7 @@ use crate::config::GeneratorConfig;
 use crate::picker::{as_jitter, Picker};
 use crate::plan::{Cell, Stream, TracePlan};
 use crate::sizes;
+use lockdown_base::hash::SplitMix;
 use lockdown_dns::corpus::Corpus;
 use lockdown_flow::protocol::{IpProtocol, TcpFlags};
 use lockdown_flow::record::{Direction, FlowKey, FlowRecord};
@@ -19,11 +20,8 @@ use lockdown_flow::time::Date;
 use lockdown_scenario::apps::AppClass;
 use lockdown_scenario::demand::DemandModel;
 use lockdown_scenario::measures::ScenarioSpec;
-use lockdown_topology::asn::AsCategory;
 use lockdown_topology::registry::{Registry, ISP_CE_ASN};
 use lockdown_topology::vantage::{VantageKind, VantagePoint};
-use rand::prelude::*;
-use rand::rngs::StdRng;
 
 /// Bytes carried by 1 Gbps sustained for one hour.
 pub const BYTES_PER_GBPS_HOUR: f64 = 3_600.0 / 8.0 * 1e9;
@@ -90,21 +88,6 @@ impl<'a> TrafficGenerator<'a> {
         &self.config
     }
 
-    /// Deterministic RNG for one generation cell.
-    fn cell_rng(&self, vp: VantagePoint, app: Option<AppClass>, date: Date, hour: u8) -> StdRng {
-        let mut z = self.config.seed;
-        for part in [
-            vp as u64 + 1,
-            app.map(|a| a as u64 + 10).unwrap_or(1),
-            date.day_number() as u64,
-            u64::from(hour),
-        ] {
-            z = (z ^ part.wrapping_mul(0x9E37_79B9_7F4A_7C15)).rotate_left(23);
-            z = z.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        }
-        StdRng::seed_from_u64(z)
-    }
-
     /// Generate all flows of one class in one hour, appending to `out`.
     pub fn generate_hour_class(
         &self,
@@ -118,13 +101,15 @@ impl<'a> TrafficGenerator<'a> {
         if volume_gbps <= 0.0 {
             return;
         }
-        let mut rng = self.cell_rng(vp, Some(app), date, hour);
+        let mut rng = self
+            .config
+            .cell_rng(Stream::Vantage(vp), app as u64, date, hour);
         let bytes_total = (volume_gbps * BYTES_PER_GBPS_HOUR) as u64;
 
         // Randomized rounding keeps expected flow counts exact.
         let raw = volume_gbps * self.config.flows_per_gbps;
         let mut n = raw.floor() as usize;
-        if rng.gen_bool((raw - n as f64).clamp(0.0, 1.0)) {
+        if rng.chance((raw - n as f64).clamp(0.0, 1.0)) {
             n += 1;
         }
         let n = n.max(self.config.min_flows);
@@ -138,7 +123,7 @@ impl<'a> TrafficGenerator<'a> {
             let (client_asn, client_ip) = self.picker.client(vp, user_pool, &mut rng);
             let sig = self.picker.port_sig(app, &mut rng);
             let client_port = if sig.protocol.has_ports() {
-                rng.gen_range(32_768..61_000)
+                rng.range(32_768..61_000) as u16
             } else {
                 0
             };
@@ -151,9 +136,9 @@ impl<'a> TrafficGenerator<'a> {
             // Downstream (server → client) dominates; symmetric classes
             // flip a fair coin, others send 1 in 8 flows upstream.
             let upstream = if is_symmetric(app) {
-                rng.gen_bool(0.5)
+                rng.chance(0.5)
             } else {
-                rng.gen_bool(0.125)
+                rng.chance(0.125)
             };
             let (key, src_as, dst_as) = if upstream {
                 (
@@ -194,7 +179,7 @@ impl<'a> TrafficGenerator<'a> {
                 _ => Direction::Unknown,
             };
 
-            let start_off = rng.gen_range(0..3_600u64);
+            let start_off = rng.below(3_600);
             let start = hour_start.add_secs(start_off);
             let dur = sizes::duration_secs(&mut rng, (3_600 - start_off).max(1));
             let flags = if sig.protocol == IpProtocol::Tcp {
@@ -282,50 +267,35 @@ impl<'a> TrafficGenerator<'a> {
     /// lockdown (offices empty) while the residential-facing share grows —
     /// with heavy per-AS idiosyncrasy, giving Fig. 6 its quadrant scatter.
     pub fn generate_isp_transit_hour(&self, date: Date, hour: u8) -> Vec<FlowRecord> {
-        let mut rng = self.cell_rng(VantagePoint::IspCe, None, date, hour);
+        let mut rng = self.config.cell_rng(Stream::IspTransit, 0, date, hour);
         let mut out = Vec::new();
-        let registry = self.picker.registry();
         let i = self.demand.effective_intensity(VantagePoint::IspCe, date);
         let dt = lockdown_scenario::calendar::day_type(
             date,
             lockdown_topology::asn::Region::CentralEurope,
         );
-        let business: Vec<_> = registry
-            .ases()
-            .iter()
-            .filter(|a| {
-                matches!(
-                    a.category,
-                    AsCategory::Enterprise
-                        | AsCategory::CloudProvider
-                        | AsCategory::ConferencingProvider
-                        | AsCategory::CollaborationProvider
-                        | AsCategory::Hosting
-                )
-            })
-            .collect();
-
         let shape = lockdown_scenario::diurnal::shape(
             lockdown_scenario::diurnal::DiurnalProfile::BusinessHours,
             hour,
         );
         let weekend_damp = if dt.is_weekend_like() { 0.3 } else { 1.0 };
 
-        for a in &business {
+        let seed = self.config.seed;
+        for &asn in &self.picker.business {
             // Per-AS base levels and idiosyncratic responses to lockdown.
-            let base_res = 2.0 * as_jitter(a.asn, self.config.seed ^ 0x11, 0.8);
-            let base_b2b = 3.0 * as_jitter(a.asn, self.config.seed ^ 0x22, 0.8);
+            let base_res = 2.0 * as_jitter(asn, seed, 1, 0.8);
+            let base_b2b = 3.0 * as_jitter(asn, seed, 2, 0.8);
             // Residential delta centred +0.55, spread wide enough that some
             // ASes lose residential traffic (bottom quadrants of Fig. 6).
-            let res_delta = 0.55 * as_jitter(a.asn, self.config.seed ^ 0x33, 1.6);
+            let res_delta = 0.55 * as_jitter(asn, seed, 3, 1.6);
             // B2B delta centred −0.45, a few ASes gain (cloud platforms).
-            let b2b_delta = -0.45 * as_jitter(a.asn, self.config.seed ^ 0x44, 1.3);
+            let b2b_delta = -0.45 * as_jitter(asn, seed, 4, 1.3);
 
             let res_gbps = base_res * shape * weekend_damp * (1.0 + res_delta * i).max(0.05);
             let b2b_gbps = base_b2b * shape * weekend_damp * (1.0 + b2b_delta * i).max(0.05);
 
-            self.emit_transit_flows(a.asn, res_gbps, true, &mut rng, date, hour, &mut out);
-            self.emit_transit_flows(a.asn, b2b_gbps, false, &mut rng, date, hour, &mut out);
+            self.emit_transit_flows(asn, res_gbps, true, &mut rng, date, hour, &mut out);
+            self.emit_transit_flows(asn, b2b_gbps, false, &mut rng, date, hour, &mut out);
         }
         out
     }
@@ -338,7 +308,7 @@ impl<'a> TrafficGenerator<'a> {
         asn: lockdown_topology::asn::Asn,
         gbps: f64,
         residential: bool,
-        rng: &mut StdRng,
+        rng: &mut SplitMix,
         date: Date,
         hour: u8,
         out: &mut Vec<FlowRecord>,
@@ -355,10 +325,10 @@ impl<'a> TrafficGenerator<'a> {
 
         for flow_bytes in bytes {
             let local_ip = registry
-                .host_addr(asn, rng.gen_range(0..64))
+                .host_addr(asn, rng.below(64))
                 .expect("business AS has prefixes");
             let (peer_asn, peer_ip) = if residential {
-                let idx = rng.gen_range(0..5_000u64);
+                let idx = rng.below(5_000);
                 (
                     ISP_CE_ASN,
                     registry
@@ -366,21 +336,12 @@ impl<'a> TrafficGenerator<'a> {
                         .expect("ISP has prefixes"),
                 )
             } else {
-                // Another business AS, deterministic-ish partner choice.
-                let partners: Vec<_> = registry
-                    .in_category(AsCategory::CloudProvider)
-                    .map(|x| x.asn)
-                    .collect();
-                let p = partners[rng.gen_range(0..partners.len())];
-                (
-                    p,
-                    registry
-                        .host_addr(p, rng.gen_range(0..64))
-                        .expect("prefixes"),
-                )
+                // Another business AS: one of the cloud platforms.
+                let p = rng.pick(&self.picker.partners);
+                (p, registry.host_addr(p, rng.below(64)).expect("prefixes"))
             };
-            let start = hour_start.add_secs(rng.gen_range(0..3_600));
-            let outbound = rng.gen_bool(0.5);
+            let start = hour_start.add_secs(rng.below(3_600));
+            let outbound = rng.chance(0.5);
             let (src_ip, dst_ip, src_as, dst_as) = if outbound {
                 (local_ip, peer_ip, asn.0, peer_asn.0)
             } else {
@@ -392,7 +353,7 @@ impl<'a> TrafficGenerator<'a> {
                         src_addr: src_ip,
                         dst_addr: dst_ip,
                         src_port: 443,
-                        dst_port: rng.gen_range(32_768..61_000),
+                        dst_port: rng.range(32_768..61_000) as u16,
                         protocol: IpProtocol::Tcp,
                     },
                     start,

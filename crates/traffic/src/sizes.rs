@@ -6,15 +6,15 @@
 //! byte total exactly, so figure-level volumes are noise-free while
 //! per-flow statistics stay realistic.
 
-use rand::Rng;
+use lockdown_base::hash::SplitMix;
 
 /// Pareto shape parameter for flow-size weights. α ≈ 1.2 reproduces the
 /// classic elephants-and-mice skew without divergent variance in samples.
 pub const SIZE_ALPHA: f64 = 1.2;
 
 /// Draw a bounded Pareto(α) variate in `[1, cap]` by inverse transform.
-pub fn bounded_pareto<R: Rng + ?Sized>(rng: &mut R, alpha: f64, cap: f64) -> f64 {
-    let u: f64 = rng.gen_range(0.0..1.0);
+pub fn bounded_pareto(rng: &mut SplitMix, alpha: f64, cap: f64) -> f64 {
+    let u = rng.next_f64();
     // Inverse CDF of Pareto with x_m = 1, truncated at cap.
     let raw = (1.0 - u * (1.0 - cap.powf(-alpha))).powf(-1.0 / alpha);
     raw.min(cap)
@@ -23,7 +23,7 @@ pub fn bounded_pareto<R: Rng + ?Sized>(rng: &mut R, alpha: f64, cap: f64) -> f64
 /// Split `total_bytes` across `n` flows with heavy-tailed proportions.
 /// The sizes sum to exactly `total_bytes` (remainder goes to the largest
 /// flow). Every flow gets at least 1 byte when `total_bytes >= n`.
-pub fn split_bytes<R: Rng + ?Sized>(rng: &mut R, total_bytes: u64, n: usize) -> Vec<u64> {
+pub fn split_bytes(rng: &mut SplitMix, total_bytes: u64, n: usize) -> Vec<u64> {
     assert!(n > 0, "cannot split across zero flows");
     if n == 1 {
         return vec![total_bytes];
@@ -47,31 +47,28 @@ pub fn split_bytes<R: Rng + ?Sized>(rng: &mut R, total_bytes: u64, n: usize) -> 
 
 /// Packets for a flow of `bytes` bytes: MTU-ish mean packet size with some
 /// spread, at least 1 packet for non-empty flows.
-pub fn packets_for<R: Rng + ?Sized>(rng: &mut R, bytes: u64) -> u64 {
+pub fn packets_for(rng: &mut SplitMix, bytes: u64) -> u64 {
     if bytes == 0 {
         return 0;
     }
-    let mean_pkt = rng.gen_range(400.0..1400.0);
+    let mean_pkt = 400.0 + 1_000.0 * rng.next_f64();
     ((bytes as f64 / mean_pkt).ceil() as u64).max(1)
 }
 
 /// Flow duration in seconds: log-uniform over [1, cap], so short flows
 /// dominate but long-lived tunnels appear.
-pub fn duration_secs<R: Rng + ?Sized>(rng: &mut R, cap_secs: u64) -> u64 {
+pub fn duration_secs(rng: &mut SplitMix, cap_secs: u64) -> u64 {
     let cap = cap_secs.max(1) as f64;
-    let u: f64 = rng.gen_range(0.0..1.0);
-    cap.powf(u) as u64
+    cap.powf(rng.next_f64()) as u64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn split_is_exact() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = SplitMix::new(1);
         for n in [1usize, 2, 7, 100] {
             for total in [0u64, 5, 1_000, 123_456_789] {
                 let sizes = split_bytes(&mut rng, total, n);
@@ -83,7 +80,7 @@ mod tests {
 
     #[test]
     fn split_is_heavy_tailed() {
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = SplitMix::new(2);
         let sizes = split_bytes(&mut rng, 1_000_000_000, 1_000);
         let mut sorted = sizes.clone();
         sorted.sort_unstable_by(|a, b| b.cmp(a));
@@ -98,7 +95,7 @@ mod tests {
 
     #[test]
     fn pareto_bounds() {
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = SplitMix::new(3);
         for _ in 0..10_000 {
             let x = bounded_pareto(&mut rng, SIZE_ALPHA, 100.0);
             assert!((1.0..=100.0).contains(&x), "out of bounds: {x}");
@@ -107,7 +104,7 @@ mod tests {
 
     #[test]
     fn packets_plausible() {
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = SplitMix::new(4);
         assert_eq!(packets_for(&mut rng, 0), 0);
         for bytes in [1u64, 1_500, 1_000_000] {
             let p = packets_for(&mut rng, bytes);
@@ -121,7 +118,7 @@ mod tests {
 
     #[test]
     fn duration_bounds() {
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = SplitMix::new(5);
         for _ in 0..1_000 {
             let d = duration_secs(&mut rng, 3_600);
             assert!(d <= 3_600);
@@ -132,7 +129,7 @@ mod tests {
 
     #[test]
     fn short_flows_dominate_durations() {
-        let mut rng = StdRng::seed_from_u64(6);
+        let mut rng = SplitMix::new(6);
         let short = (0..10_000)
             .filter(|_| duration_secs(&mut rng, 3_600) < 60)
             .count();

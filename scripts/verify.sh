@@ -32,8 +32,7 @@ said_once() { # <what> <fixed-string pattern> <allowed path prefix>...
         exit 1
     fi
 }
-said_once "the splitmix64 finalizer" '>> 30)).wrapping_mul' \
-    crates/base/src/hash.rs crates/traffic/src/picker.rs
+said_once "the splitmix64 finalizer" '>> 30)).wrapping_mul' crates/base/src/hash.rs
 said_once "the CRC-32 polynomial" 'EDB8_8320' crates/base/src/
 said_once "the metrics exposition format" '"# TYPE' crates/base/src/
 # One service-port rule, and calendar facts per hour run: a consumer that
@@ -60,10 +59,27 @@ for manifest in crates/store/Cargo.toml crates/query/Cargo.toml; do
         exit 1
     fi
 done
-# The build graph is rand plus dev-only proptest; nothing serialises,
-# std has scoped threads, and the wire cursors never used `bytes`.
-if grep -nE '^(criterion|serde|crossbeam|bytes)\b' Cargo.toml crates/*/Cargo.toml >&2; then
-    echo "said-once: a retired dependency is back in a manifest" >&2
+# No crate outside the workspace: every entry of every dependency table
+# is a lockdown-* path, so tier-1 builds with no registry and no network,
+# and every draw comes from base::hash::SplitMix.
+external=$(awk '
+    /^\[/ {
+        deps = /dependencies/
+        if (deps && !/^\[(workspace\.|dev-)?dependencies\]$/) print FILENAME ":" FNR ": " $0
+        next
+    }
+    deps && NF && !/^#/ &&
+        !/^lockdown-[a-z]+(\.workspace = true| = \{ path = "crates\/[a-z]+" \})$/ {
+        print FILENAME ":" FNR ": " $0
+    }
+' Cargo.toml crates/*/Cargo.toml)
+if [[ -n "$external" ]]; then
+    echo "said-once: a dependency that is not a lockdown-* path:" >&2
+    echo "$external" >&2
+    exit 1
+fi
+if grep -rnE 'rand::|StdRng|proptest' crates src tests examples >&2; then
+    echo "said-once: an external generator or case driver is back (base::hash, base::prop)" >&2
     exit 1
 fi
 
@@ -81,9 +97,9 @@ else
         cargo test --workspace --release --quiet
 fi
 
-# The benchmark is a package of its own (outside the workspace, building
-# against vendored stand-ins): its tests drive every workload once and
-# byte-compare all 22 sections against the suite.
+# The benchmark is a package of its own, outside the workspace: its tests
+# drive every workload once and byte-compare all 22 sections against the
+# suite.
 echo "==> lockbench plumbing and byte-identity check"
 cargo test --manifest-path lockbench/Cargo.toml --quiet
 

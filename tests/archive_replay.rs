@@ -9,14 +9,15 @@
 use lockdown::core::engine::{self, EnginePlan};
 use lockdown::core::{Context, Fidelity};
 use lockdown::store::{
-    ArchiveReader, ArchiveWriter, StoreError, StoreMetrics, MANIFEST_NAME, SEGMENTS_DIR,
+    ArchiveReader, ArchiveWriter, StoreError, StoreKey, StoreMetrics, MANIFEST_NAME, SEGMENTS_DIR,
 };
 use lockdown_analysis::consumer::FlowConsumer;
+use lockdown_base::hash::fold;
 use lockdown_collect::WireConfig;
 use lockdown_flow::record::FlowRecord;
 use lockdown_flow::time::Date;
 use lockdown_topology::vantage::VantagePoint;
-use lockdown_traffic::plan::Stream;
+use lockdown_traffic::plan::{Cell, Stream, FINGERPRINT_INIT};
 use std::path::{Path, PathBuf};
 
 /// Engine consumer that keeps raw flows sorted into canonical order, so
@@ -224,6 +225,61 @@ fn stale_seed_invalidates_and_respills() {
     let (warm_b, stats, _) = pass(&b, vp, d1, d2, Some(&dir), false, 2);
     assert_eq!(stats.cells_generated, 0);
     assert_eq!(warm_b, plain_b);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Same seed, same knobs, same scenario — but spilled by a build whose
+/// generator drew differently (another `rand`, or any build from before
+/// `GENERATOR_STREAM` was folded into the key): the archive holds other
+/// flows, so it is recreated, never replayed.
+#[test]
+fn archive_of_another_generator_stream_is_recreated_not_replayed() {
+    let ctx = Context::with_seed(Fidelity::Test, 59);
+    let dir = tmp_dir("stream");
+    let (d1, d2) = (Date::new(2020, 3, 16), Date::new(2020, 3, 17));
+    let vp = VantagePoint::IxpSe;
+
+    // The key such a build published under: the knobs and the scenario,
+    // no stream version.
+    let c = ctx.config;
+    let knobs = [
+        c.flows_per_gbps.to_bits(),
+        c.users_per_gbps.to_bits(),
+        c.min_flows as u64,
+    ];
+    let unversioned = fold(
+        FINGERPRINT_INIT,
+        [fold(FINGERPRINT_INIT, knobs), ctx.scenario.fingerprint()],
+    );
+    assert_ne!(unversioned, ctx.scenario_hash());
+    let foreign = StoreKey {
+        seed: c.seed,
+        scenario_hash: unversioned,
+        plan_hash: 0,
+    };
+    // Its content covers the plan and is nothing this build generates.
+    let writer = ArchiveWriter::create(&dir, foreign, StoreMetrics::new()).expect("create");
+    for date in d1.range_inclusive(d2) {
+        for hour in 0..24 {
+            let stream = Stream::Vantage(vp);
+            writer
+                .spill(Cell { stream, date, hour }, &[])
+                .expect("spill");
+        }
+    }
+    writer.finish().expect("publish");
+
+    let (plain, _, _) = pass(&ctx, vp, d1, d2, None, false, 2);
+    assert!(!plain.is_empty());
+    let (cold, stats, _) = pass(&ctx, vp, d1, d2, Some(&dir), false, 2);
+    assert_eq!(stats.cells_replayed, 0, "a foreign stream must not replay");
+    assert_eq!(stats.cells_generated, 2 * 24);
+    assert_eq!(cold, plain);
+
+    // The respill re-keyed the archive: it now replays warm.
+    let (warm, stats, _) = pass(&ctx, vp, d1, d2, Some(&dir), false, 2);
+    assert_eq!(stats.cells_generated, 0);
+    assert_eq!(warm, plain);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

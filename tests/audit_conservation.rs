@@ -13,8 +13,10 @@ use lockdown::flow::prelude::*;
 use lockdown::flow::protocol::IpProtocol;
 use lockdown::topology::vantage::VantagePoint;
 use lockdown::traffic::plan::{Cell, Stream};
-use proptest::prelude::*;
+use lockdown_base::hash::SplitMix;
+use lockdown_base::prop::cases;
 use std::net::Ipv4Addr;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// Just under the u32-ms uptime wrap (~49.71 days), in seconds: exporters
@@ -164,74 +166,65 @@ fn sampled_export_balances_in_record_space() {
     );
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The tentpole property: for ANY combination of format, fault
-    /// schedule, restart cadence, sampling rate, template cadence, fleet
-    /// shape, and wrap-crossing sequence/uptime starting offsets, the
-    /// ledger balances exactly — every conservation identity holds.
-    #[test]
-    fn any_schedule_balances_the_ledger(
-        format_pick in 0u8..3,
-        loss in prop_oneof![Just(0.0f64), 0.0..0.35f64],
-        duplicate in prop_oneof![Just(0.0f64), 0.0..0.2f64],
-        reorder in prop_oneof![Just(0.0f64), 0.0..0.2f64],
-        restart_every in prop_oneof![Just(0u32), 2u32..8],
-        template_refresh in prop_oneof![Just(0u32), Just(1u32), 2u32..10],
-        sample in prop_oneof![Just(1u32), 2u32..8],
-        exporters in 1usize..5,
-        shards in 1usize..5,
-        batch in 8usize..80,
-        renormalize in any::<bool>(),
-        initial_sequence in prop_oneof![
-            Just(0u32),
-            (u32::MAX - 2_000)..=u32::MAX,
-            any::<u32>(),
-        ],
-        boot_age in prop_oneof![
-            Just(0u64),
-            Just(NEAR_UPTIME_WRAP_SECS),
-            0u64..(200 * 86_400),
-        ],
-        seed in any::<u64>(),
-    ) {
-        let format = match format_pick {
-            0 => ExportFormat::NetflowV5,
-            1 => ExportFormat::NetflowV9,
-            _ => ExportFormat::Ipfix,
+/// The tentpole property: for ANY combination of format, fault
+/// schedule, restart cadence, sampling rate, template cadence, fleet
+/// shape, and wrap-crossing sequence/uptime starting offsets, the
+/// ledger balances exactly — every conservation identity holds.
+#[test]
+fn any_schedule_balances_the_ledger() {
+    cases(24, |rng, _| {
+        // A rate that is exactly zero half the time.
+        let rate = |rng: &mut SplitMix, max: f64| f64::from(rng.chance(0.5)) * max * rng.next_f64();
+        // One of the edge values `fixed`, or `drawn`.
+        let edge_or = |rng: &mut SplitMix, fixed: &[u64], drawn: Range<u64>| {
+            let drawn = rng.range(drawn);
+            let at = rng.below(fixed.len() as u64 + 1) as usize;
+            fixed.get(at).copied().unwrap_or(drawn)
         };
+        let format = rng.pick(&[
+            ExportFormat::NetflowV5,
+            ExportFormat::NetflowV9,
+            ExportFormat::Ipfix,
+        ]);
+        let faults = FaultProfile {
+            loss: rate(rng, 0.35),
+            duplicate: rate(rng, 0.2),
+            reorder: rate(rng, 0.2),
+            restart_every: edge_or(rng, &[0], 2..8) as u32,
+        };
+        let template_refresh = edge_or(rng, &[0, 1], 2..10) as u32;
+        let sample = edge_or(rng, &[1], 2..8) as u32;
         // v5 carries no in-band sampling announcement; sampling requires
         // a template-bearing format.
-        let sampling = (sample > 1 && format != ExportFormat::NetflowV5)
-            .then_some(sample);
-        let mut cfg = WireConfig::new().with_faults(FaultProfile {
-            loss,
-            duplicate,
-            reorder,
-            restart_every,
-        });
+        let sampling = (sample > 1 && format != ExportFormat::NetflowV5).then_some(sample);
+        let mut cfg = WireConfig::new().with_faults(faults);
         cfg.format = format;
-        cfg.exporters = exporters;
-        cfg.shards = shards;
-        cfg.batch_size = batch;
+        cfg.exporters = rng.range(1..5) as usize;
+        cfg.shards = rng.range(1..5) as usize;
+        cfg.batch_size = rng.range(8..80) as usize;
         // The sampling announcement rides the options template; keep it in
         // every datagram so a lossy schedule cannot leave scaling unknown.
-        cfg.template_refresh = if sampling.is_some() { 1 } else { template_refresh };
+        cfg.template_refresh = if sampling.is_some() {
+            1
+        } else {
+            template_refresh
+        };
         cfg.sampling = sampling;
-        cfg.renormalize = renormalize;
-        cfg.initial_sequence = initial_sequence;
-        cfg.boot_age_secs = boot_age;
-        cfg.seed = seed;
+        cfg.renormalize = rng.chance(0.5);
+        // Fresh, just below the u32 wrap, or anywhere.
+        let near_wrap = u64::from(u32::MAX) - rng.below(2_001);
+        cfg.initial_sequence = edge_or(rng, &[0, near_wrap], 0..1 << 32) as u32;
+        cfg.boot_age_secs = edge_or(rng, &[0, NEAR_UPTIME_WRAP_SECS], 0..200 * 86_400);
+        cfg.seed = rng.next_u64();
 
         let (out, report) = run_audited(cfg);
-        prop_assert!(report.is_clean(), "ledger imbalance:\n{}", report.render());
-        prop_assert_eq!(out.len() as u64, report.totals.accepted.records);
+        assert!(report.is_clean(), "ledger imbalance:\n{}", report.render());
+        assert_eq!(out.len() as u64, report.totals.accepted.records);
         // Nothing generated may vanish unaccounted, whatever the schedule.
         let t = &report.totals;
-        prop_assert!(
+        assert!(
             t.accepted.records + t.est_lost + t.sampled_out + t.abandoned_records
                 >= t.generated.records.saturating_sub(t.dropped_records),
         );
-    }
+    });
 }

@@ -10,10 +10,9 @@
 use lockdown::core::{Context, Fidelity};
 use lockdown::flow::prelude::*;
 use lockdown::topology::vantage::VantagePoint;
+use lockdown_base::hash::SplitMix;
+use lockdown_base::prop::cases;
 use lockdown_flow::time::Date;
-use proptest::prelude::*;
-use rand::prelude::*;
-use rand::rngs::StdRng;
 use std::collections::HashSet;
 use std::sync::OnceLock;
 
@@ -61,8 +60,8 @@ fn records_in(i: usize, n: usize, total: usize) -> usize {
 #[test]
 fn datagram_loss_drops_exactly_the_lost_batches() {
     let (flows, pkts) = (flows_once(), self_describing());
-    let mut rng = StdRng::seed_from_u64(1);
-    let keep: Vec<bool> = pkts.iter().map(|_| rng.gen_bool(0.8)).collect();
+    let mut rng = SplitMix::new(1);
+    let keep: Vec<bool> = pkts.iter().map(|_| rng.chance(0.8)).collect();
     let kept: Vec<&Vec<u8>> = pkts
         .iter()
         .zip(&keep)
@@ -97,8 +96,8 @@ fn datagram_loss_drops_exactly_the_lost_batches() {
 fn reordering_is_harmless_once_template_known() {
     let (flows, pkts) = (flows_once(), self_describing());
     let mut pkts = pkts.clone();
-    let mut rng = StdRng::seed_from_u64(2);
-    pkts.shuffle(&mut rng);
+    let mut rng = SplitMix::new(2);
+    rng.shuffle(&mut pkts);
     let mut collector = Collector::new();
     collector.ingest_all(pkts.iter().map(|p| p.as_slice()));
     assert_eq!(collector.stats().records as usize, flows.len());
@@ -127,14 +126,14 @@ fn losing_template_packets_costs_exactly_the_refresh_window() {
 #[test]
 fn corruption_never_panics_and_is_counted() {
     let pkts = self_describing();
-    let mut rng = StdRng::seed_from_u64(3);
+    let mut rng = SplitMix::new(3);
     let mut collector = Collector::new();
     let mut corrupted = 0u64;
     for p in pkts {
         let mut bytes = p.clone();
         // Flip a random byte in ~half the packets.
-        if rng.gen_bool(0.5) {
-            let idx = rng.gen_range(0..bytes.len());
+        if rng.chance(0.5) {
+            let idx = rng.below(bytes.len() as u64) as usize;
             bytes[idx] ^= 0xFF;
             corrupted += 1;
         }
@@ -166,24 +165,27 @@ fn truncated_tails_rejected_cleanly() {
     assert!(collector.stats().malformed > 0);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+/// A fault schedule: up to 600 per-datagram actions below `kinds` (scaled
+/// by the case `size`; datagrams past the end are delivered), and the
+/// exporter's starting sequence — fresh, within 5,000 of the u32 wrap,
+/// or anywhere.
+fn schedule(rng: &mut SplitMix, size: usize, kinds: u64) -> (Vec<u8>, u32) {
+    let n = rng.below(1 + 6 * size as u64);
+    let actions = (0..n).map(|_| rng.below(kinds) as u8).collect();
+    let near_wrap = u32::MAX - rng.below(5_001) as u32;
+    let anywhere = rng.next_u64() as u32;
+    (actions, rng.pick(&[0, near_wrap, anywhere]))
+}
 
-    /// Any drop/duplicate/reorder schedule leaves the accepted records a
-    /// sub-multiset of what was sent: faults lose data, they never invent
-    /// or mutate it. The exporter's starting sequence is fuzzed across the
-    /// whole u32 range — including values a few datagrams below the wrap —
-    /// because wrapped sequence headers must never corrupt decoding.
-    #[test]
-    fn fault_schedules_never_corrupt_accepted_records(
-        actions in prop::collection::vec(0u8..3u8, 0..600usize),
-        shuffle_seed in any::<u64>(),
-        initial_sequence in prop_oneof![
-            Just(0u32),
-            (u32::MAX - 5_000)..=u32::MAX,
-            any::<u32>(),
-        ],
-    ) {
+/// Any drop/duplicate/reorder schedule leaves the accepted records a
+/// sub-multiset of what was sent: faults lose data, they never invent
+/// or mutate it. The exporter's starting sequence is fuzzed across the
+/// whole u32 range — including values a few datagrams below the wrap —
+/// because wrapped sequence headers must never corrupt decoding.
+#[test]
+fn fault_schedules_never_corrupt_accepted_records() {
+    cases(12, |rng, size| {
+        let (actions, initial_sequence) = schedule(rng, size, 3);
         let flows = flows_once();
         let exported;
         let pkts = if initial_sequence == 0 {
@@ -204,28 +206,27 @@ proptest! {
                 _ => wire.push(p),
             }
         }
-        let mut rng = StdRng::seed_from_u64(shuffle_seed);
-        wire.shuffle(&mut rng);
+        rng.shuffle(&mut wire);
 
         let mut collector = Collector::new();
         collector.ingest_all(wire.iter().copied());
         let stats = collector.stats();
-        prop_assert_eq!(stats.packets_ok + stats.malformed, wire.len() as u64);
-        prop_assert_eq!(stats.malformed, 0);
-        prop_assert_eq!(stats.missing_template, 0);
+        assert_eq!(stats.packets_ok + stats.malformed, wire.len() as u64);
+        assert_eq!(stats.malformed, 0);
+        assert_eq!(stats.missing_template, 0);
 
         let originals: HashSet<_> = flows
             .iter()
             .map(|f| (f.key, f.start, f.end, f.bytes, f.packets))
             .collect();
         for r in collector.records() {
-            prop_assert!(
+            assert!(
                 originals.contains(&(r.key, r.start, r.end, r.bytes, r.packets)),
                 "accepted record not in the sent set: {:?}",
                 r
             );
         }
-    }
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -296,32 +297,23 @@ fn duplicate_after_counted_gap_does_not_double_credit_loss() {
     assert_eq!(t.records_abandoned, 0);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// Any dup × reorder × gap schedule balances the shard ledger exactly
-    /// (IPFIX, template in every datagram, so sequence units are records
-    /// and nothing is an estimate):
-    ///   accepted == sent − never_delivered
-    ///   est_lost == never_delivered
-    ///   duplicates == extra delivered copies
-    /// with zero anomalous / malformed / undecoded / abandoned records.
-    /// "Never delivered" is per ground truth — a datagram whose only
-    /// surviving copy arrives late, after its gap was counted, was still
-    /// delivered.
-    #[test]
-    fn dup_reorder_gap_schedules_balance_exactly(
+/// Any dup × reorder × gap schedule balances the shard ledger exactly
+/// (IPFIX, template in every datagram, so sequence units are records
+/// and nothing is an estimate):
+///   accepted == sent − never_delivered
+///   est_lost == never_delivered
+///   duplicates == extra delivered copies
+/// with zero anomalous / malformed / undecoded / abandoned records.
+/// "Never delivered" is per ground truth — a datagram whose only
+/// surviving copy arrives late, after its gap was counted, was still
+/// delivered.
+#[test]
+fn dup_reorder_gap_schedules_balance_exactly() {
+    cases(10, |rng, size| {
         // 0 = deliver; 1 = drop; 2 = deliver + late dup;
         // 3 = drop in place but deliver a late copy (dup-after-gap);
         // 4 = deliver + two late dups.
-        actions in prop::collection::vec(0u8..5u8, 0..600usize),
-        swap_seed in any::<u64>(),
-        initial_sequence in prop_oneof![
-            Just(0u32),
-            (u32::MAX - 5_000)..=u32::MAX,
-            any::<u32>(),
-        ],
-    ) {
+        let (actions, initial_sequence) = schedule(rng, size, 5);
         let flows = flows_once();
         let exported;
         let pkts = if initial_sequence == 0 {
@@ -353,10 +345,9 @@ proptest! {
         }
         // Bounded reorder of the in-order stream: adjacent swaps, the
         // same fault the transport injects.
-        let mut rng = StdRng::seed_from_u64(swap_seed);
         let mut k = 0;
         while k + 1 < in_place.len() {
-            if rng.gen_bool(0.3) {
+            if rng.chance(0.3) {
                 in_place.swap(k, k + 1);
                 k += 2;
             } else {
@@ -366,7 +357,7 @@ proptest! {
         // Late copies arrive after everything in-place, interleaved
         // arbitrarily among themselves: the strongest dup-after-gap
         // schedule the loopback transport cannot produce.
-        late.shuffle(&mut rng);
+        rng.shuffle(&mut late);
 
         let mut shard = CollectorShard::new(ExportFormat::Ipfix);
         for &i in in_place.iter().chain(&late) {
@@ -396,26 +387,26 @@ proptest! {
             .map(|(i, &c)| u64::from(c - 1) * u64::from(datagrams[i].records))
             .sum();
 
-        prop_assert_eq!(t.records_accepted, flows.len() as u64 - never_delivered);
-        prop_assert_eq!(out.len() as u64, t.records_accepted);
-        prop_assert_eq!(
+        assert_eq!(t.records_accepted, flows.len() as u64 - never_delivered);
+        assert_eq!(out.len() as u64, t.records_accepted);
+        assert_eq!(
             t.records_lost_est, never_delivered,
             "loss must equal never-delivered ground truth (no double credit \
              for gaps later filled by duplicates)"
         );
-        prop_assert_eq!(t.records_duplicate, extra_copies);
-        prop_assert_eq!(t.records_anomalous, 0);
-        prop_assert_eq!(t.records_malformed, 0);
-        prop_assert_eq!(t.records_undecoded, 0);
-        prop_assert_eq!(t.records_abandoned, 0);
+        assert_eq!(t.records_duplicate, extra_copies);
+        assert_eq!(t.records_anomalous, 0);
+        assert_eq!(t.records_malformed, 0);
+        assert_eq!(t.records_undecoded, 0);
+        assert_eq!(t.records_abandoned, 0);
         // Exact partition: every delivered tag landed in exactly one bucket.
         let delivered_tags: u64 = copies
             .iter()
             .enumerate()
             .map(|(i, &c)| u64::from(c) * u64::from(datagrams[i].records))
             .sum();
-        prop_assert_eq!(t.records_accepted + t.records_duplicate, delivered_tags);
-    }
+        assert_eq!(t.records_accepted + t.records_duplicate, delivered_tags);
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -489,19 +480,16 @@ fn killed_archived_pass_resumes_from_journal() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// The quarantine set is a pure function of the chaos schedule: it
-    /// equals the prediction computed from `ChaosInjector` alone (a cell
-    /// is quarantined iff every attempt in its budget draws a panic) and
-    /// it is identical across worker counts.
-    #[test]
-    fn quarantine_set_is_deterministic_and_predicted(
-        chaos_seed in any::<u64>(),
-        panic_pct in 30u32..90,
-        attempts in 1u32..4,
-    ) {
+/// The quarantine set is a pure function of the chaos schedule: it
+/// equals the prediction computed from `ChaosInjector` alone (a cell
+/// is quarantined iff every attempt in its budget draws a panic) and
+/// it is identical across worker counts.
+#[test]
+fn quarantine_set_is_deterministic_and_predicted() {
+    cases(6, |rng, _| {
+        let chaos_seed = rng.next_u64();
+        let panic_pct = rng.range(30..90) as u32;
+        let attempts = rng.range(1..4) as u32;
         let ctx = Context::with_seed(Fidelity::Test, 11);
         let vp = VantagePoint::IxpSe;
         let (d1, d2) = (Date::new(2020, 3, 2), Date::new(2020, 3, 3));
@@ -544,14 +532,14 @@ proptest! {
                         .collect()
                 })
                 .unwrap_or_default();
-            prop_assert_eq!(
+            assert_eq!(
                 &quarantined, &predicted,
                 "workers={} seed={} panic={} attempts={}",
                 workers, chaos_seed, cfg.panic, attempts
             );
-            prop_assert_eq!(out.stats().cells_quarantined as usize, predicted.len());
+            assert_eq!(out.stats().cells_quarantined as usize, predicted.len());
             // Quarantined cells contribute nothing; all other cells are intact.
             let _ = out.take(d);
         }
-    }
+    });
 }

@@ -14,12 +14,13 @@ use lockdown::core::{Context, Fidelity};
 use lockdown::flow::prelude::*;
 use lockdown::topology::vantage::VantagePoint;
 use lockdown_analysis::consumer::FlowConsumer;
+use lockdown_base::hash::SplitMix;
+use lockdown_base::prop::cases;
 use lockdown_flow::ipfix;
 use lockdown_flow::netflow::v9::{self, TemplateCache};
 use lockdown_flow::netflow::Template;
 use lockdown_flow::time::Date;
 use lockdown_traffic::plan::Stream;
-use proptest::prelude::*;
 use std::sync::OnceLock;
 
 /// Seeds exercised by the properties; contexts are cached because registry
@@ -75,27 +76,21 @@ fn export_time(flows: &[FlowRecord], date: Date) -> Timestamp {
         .add_secs(1)
 }
 
-fn arb_inputs() -> impl Strategy<Value = (usize, VantagePoint, Date)> {
-    (
-        0..SEEDS.len(),
-        prop::sample::select(VantagePoint::CORE_FOUR.to_vec()),
-        prop_oneof![Just(2u8), Just(3u8), Just(4u8)],
-        1u8..=28,
-    )
-        .prop_map(|(seed_idx, vp, month, day)| (seed_idx, vp, Date::new(2020, month, day)))
+/// One engine day of a cached context: any seed, core vantage point and
+/// February-to-April date.
+fn any_day(rng: &mut SplitMix) -> (Vec<FlowRecord>, Date) {
+    let ctx = ctx(rng.below(SEEDS.len() as u64) as usize);
+    let vp = rng.pick(&VantagePoint::CORE_FOUR);
+    let date = Date::new(2020, rng.range(2..5) as u8, rng.range(1..29) as u8);
+    (engine_day(ctx, vp, date), date)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Every engine-generated flow survives NetFlow v9 encode/decode.
-    #[test]
-    #[test]
-    fn engine_cells_roundtrip_v9(
-        (seed_idx, vp, date) in arb_inputs(),
-        chunk in 16usize..64,
-    ) {
-        let flows = engine_day(ctx(seed_idx), vp, date);
+/// Every engine-generated flow survives NetFlow v9 encode/decode.
+#[test]
+fn engine_cells_roundtrip_v9() {
+    cases(12, |rng, _| {
+        let (flows, date) = any_day(rng);
+        let chunk = rng.range(16..64) as usize;
         let export = export_time(&flows, date);
         let boot = date.midnight();
         let template = Template::standard_v9(310);
@@ -103,46 +98,42 @@ proptest! {
         for batch in flows.chunks(chunk) {
             let pkt = v9::encode(batch, Some(&template), &template, export, boot, 1, 9);
             let (_, out) = v9::decode(&pkt, &mut cache).unwrap();
-            prop_assert_eq!(out, batch);
+            assert_eq!(out, batch);
         }
-    }
+    });
+}
 
-    /// Every engine-generated flow survives IPFIX encode/decode.
-    #[test]
-    #[test]
-    fn engine_cells_roundtrip_ipfix(
-        (seed_idx, vp, date) in arb_inputs(),
-        chunk in 16usize..64,
-    ) {
-        let flows = engine_day(ctx(seed_idx), vp, date);
+/// Every engine-generated flow survives IPFIX encode/decode.
+#[test]
+fn engine_cells_roundtrip_ipfix() {
+    cases(12, |rng, _| {
+        let (flows, date) = any_day(rng);
+        let chunk = rng.range(16..64) as usize;
         let export = export_time(&flows, date);
         let template = Template::standard_ipfix(260);
         let mut cache = TemplateCache::new();
         for batch in flows.chunks(chunk) {
             let msg = ipfix::encode(batch, Some(&template), &template, export, 1, 9);
             let (hdr, out) = ipfix::decode(&msg, &mut cache).unwrap();
-            prop_assert_eq!(hdr.length as usize, msg.len());
-            prop_assert_eq!(out, batch);
+            assert_eq!(hdr.length as usize, msg.len());
+            assert_eq!(out, batch);
         }
-    }
+    });
+}
 
-    /// The whole capture pipeline — exporter, trace-file container,
-    /// collector — is the identity on an engine-generated day, for any
-    /// batch size and both templated wire formats.
-    #[test]
-    #[test]
-    fn engine_cells_through_exporter_and_tracefile(
-        (seed_idx, vp, date) in arb_inputs(),
-        batch in 8usize..64,
-        refresh in 1u32..8,
-        format in prop_oneof![Just(ExportFormat::Ipfix), Just(ExportFormat::NetflowV9)],
-    ) {
-        let flows = engine_day(ctx(seed_idx), vp, date);
+/// The whole capture pipeline — exporter, trace-file container,
+/// collector — is the identity on an engine-generated day, for any
+/// batch size and both templated wire formats.
+#[test]
+fn engine_cells_through_exporter_and_tracefile() {
+    cases(12, |rng, _| {
+        let (flows, date) = any_day(rng);
         let export = export_time(&flows, date);
 
+        let format = rng.pick(&[ExportFormat::Ipfix, ExportFormat::NetflowV9]);
         let mut cfg = ExporterConfig::new(format, date.midnight());
-        cfg.batch_size = batch;
-        cfg.template_refresh = refresh;
+        cfg.batch_size = rng.range(8..64) as usize;
+        cfg.template_refresh = rng.range(1..8) as u32;
         let mut exporter = Exporter::new(cfg);
         let mut writer = TraceWriter::new();
         for pkt in exporter.export_all(&flows, export) {
@@ -155,6 +146,6 @@ proptest! {
         for record in reader {
             collector.ingest(record.unwrap().payload);
         }
-        prop_assert_eq!(collector.records(), &flows[..]);
-    }
+        assert_eq!(collector.records(), &flows[..]);
+    });
 }

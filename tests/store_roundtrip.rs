@@ -11,9 +11,10 @@ use lockdown::core::{Context, Fidelity};
 use lockdown::store::segment::{decode_segment, encode_segment};
 use lockdown::store::StoreError;
 use lockdown::topology::vantage::VantagePoint;
+use lockdown_base::hash::SplitMix;
+use lockdown_base::prop::cases;
 use lockdown_flow::time::Date;
 use lockdown_traffic::plan::{Cell, Stream, TraceEmitter};
-use proptest::prelude::*;
 use std::sync::OnceLock;
 
 /// Seeds exercised by the properties; contexts are cached because registry
@@ -30,81 +31,65 @@ fn ctx(seed_idx: usize) -> &'static Context {
     })[seed_idx]
 }
 
-/// Generate one engine cell's flows exactly as the engine would.
-fn cell_flows(
-    seed_idx: usize,
-    stream: Stream,
-    date: Date,
-    hour: u8,
+/// One cell's flows exactly as the engine would generate them: any cached
+/// seed, any stream (every vantage point plus the EDU generator), any
+/// day 1–28 of a month in `months`, any hour.
+fn any_cell_flows(
+    rng: &mut SplitMix,
+    months: std::ops::Range<u64>,
 ) -> Vec<lockdown_flow::record::FlowRecord> {
-    let c = ctx(seed_idx);
+    let c = ctx(rng.below(SEEDS.len() as u64) as usize);
+    let streams: Vec<Stream> = VantagePoint::ALL
+        .into_iter()
+        .map(Stream::Vantage)
+        .chain([Stream::Edu])
+        .collect();
+    let cell = Cell {
+        stream: rng.pick(&streams),
+        date: Date::new(2020, rng.range(months) as u8, rng.range(1..29) as u8),
+        hour: rng.below(24) as u8,
+    };
     let emitter = TraceEmitter::new(&c.registry, &c.corpus, c.config);
     let mut buf = Vec::new();
-    emitter.generate_cell(Cell { stream, date, hour }, &mut buf);
+    emitter.generate_cell(cell, &mut buf);
     buf
 }
 
-/// A stream strategy covering every vantage point plus the EDU generator.
-fn any_stream() -> impl Strategy<Value = Stream> {
-    prop::sample::select(
-        VantagePoint::ALL
-            .into_iter()
-            .map(Stream::Vantage)
-            .chain([Stream::Edu])
-            .collect::<Vec<_>>(),
-    )
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Engine cell → encode → decode is the identity on flow records and
-    /// reports the exact record count in the footer.
-    #[test]
-    #[test]
-    fn engine_cells_roundtrip_through_segments(
-        seed_idx in 0usize..SEEDS.len(),
-        stream in any_stream(),
-        month in 1u8..=6,
-        day in 1u8..=28,
-        hour in 0u8..24,
-    ) {
-        let flows = cell_flows(seed_idx, stream, Date::new(2020, month, day), hour);
+/// Engine cell → encode → decode is the identity on flow records and
+/// reports the exact record count in the footer.
+#[test]
+fn engine_cells_roundtrip_through_segments() {
+    cases(24, |rng, _| {
+        let flows = any_cell_flows(rng, 1..7);
         let bytes = encode_segment(&flows);
         let (decoded, footer) = decode_segment("prop.lks", &bytes).expect("clean decode");
-        prop_assert_eq!(&decoded, &flows);
-        prop_assert_eq!(footer.records, flows.len() as u64);
+        assert_eq!(&decoded, &flows);
+        assert_eq!(footer.records, flows.len() as u64);
         if let (Some(min), Some(max)) = (
             flows.iter().map(|f| f.start.unix()).min(),
             flows.iter().map(|f| f.end.unix()).max(),
         ) {
-            prop_assert_eq!(footer.min_start, min);
-            prop_assert_eq!(footer.max_end, max);
+            assert_eq!(footer.min_start, min);
+            assert_eq!(footer.max_end, max);
         }
-    }
+    });
+}
 
-    /// Any single flipped byte is caught by the CRC (or a stricter check
-    /// downstream of it) and the error names the segment being decoded.
-    #[test]
-    #[test]
-    fn flipped_byte_fails_decode_naming_the_segment(
-        seed_idx in 0usize..SEEDS.len(),
-        stream in any_stream(),
-        day in 1u8..=28,
-        hour in 0u8..24,
-        pos_seed in any::<u64>(),
-        flip in 1u8..=255,
-    ) {
-        let flows = cell_flows(seed_idx, stream, Date::new(2020, 3, day), hour);
+/// Any single flipped byte is caught by the CRC (or a stricter check
+/// downstream of it) and the error names the segment being decoded.
+#[test]
+fn flipped_byte_fails_decode_naming_the_segment() {
+    cases(24, |rng, _| {
+        let flows = any_cell_flows(rng, 3..4);
         let mut bytes = encode_segment(&flows);
-        let pos = (pos_seed % bytes.len() as u64) as usize;
-        bytes[pos] ^= flip;
+        let pos = rng.below(bytes.len() as u64) as usize;
+        bytes[pos] ^= rng.range(1..256) as u8;
         match decode_segment("seg-corrupt-test.lks", &bytes) {
-            Ok(_) => prop_assert!(false, "corruption at byte {} undetected", pos),
+            Ok(_) => panic!("corruption at byte {pos} undetected"),
             Err(StoreError::Corrupt { segment, .. }) => {
-                prop_assert_eq!(segment, "seg-corrupt-test.lks".to_string());
+                assert_eq!(segment, "seg-corrupt-test.lks".to_string());
             }
-            Err(other) => prop_assert!(false, "wrong error class: {other}"),
+            Err(other) => panic!("wrong error class: {other}"),
         }
-    }
+    });
 }
