@@ -95,9 +95,6 @@ pub struct FleetConfig {
 struct Member {
     exporter: Exporter,
     domain: u32,
-    pushed_since_emit: u32,
-    bytes_since_emit: u64,
-    packets_since_emit: u64,
     datagrams_emitted: u32,
     restarts: u64,
 }
@@ -158,14 +155,8 @@ impl ExporterFleet {
                 ecfg.domain_id = domain;
                 ecfg.initial_sequence = cfg.initial_sequence;
                 ecfg.sampling = cfg.sampling;
-                // v5 packets hold at most MAX_RECORDS records; other formats
-                // take the requested batch as-is.
-                ecfg.batch_size = match cfg.format {
-                    ExportFormat::NetflowV5 => cfg
-                        .batch_size
-                        .clamp(1, lockdown_flow::netflow::v5::MAX_RECORDS),
-                    _ => cfg.batch_size.max(1),
-                };
+                // The exporter clamps this to what one datagram holds.
+                ecfg.batch_size = cfg.batch_size.max(1);
                 if cfg.template_refresh > 0 {
                     ecfg.template_refresh = cfg.template_refresh + i as u32;
                 } else {
@@ -174,9 +165,6 @@ impl ExporterFleet {
                 Member {
                     exporter: Exporter::new(ecfg),
                     domain,
-                    pushed_since_emit: 0,
-                    bytes_since_emit: 0,
-                    packets_since_emit: 0,
                     datagrams_emitted: 0,
                     restarts: 0,
                 }
@@ -206,10 +194,19 @@ impl ExporterFleet {
         flows: &[FlowRecord],
         now: Timestamp,
     ) -> (Vec<WireDatagram>, FleetTruth) {
+        // One copy per flow: grouped by member here, each member's group
+        // is then encoded chunk by chunk straight from its slice.
         let n = self.members.len();
-        let mut partitions: Vec<Vec<FlowRecord>> = vec![Vec::new(); n];
+        // The hash splits a cell near evenly; a quarter's slack spares all
+        // but a lopsided group its reallocation.
+        let mut groups: Vec<Vec<FlowRecord>> = (0..n)
+            .map(|_| Vec::with_capacity(flows.len() / n * 5 / 4 + 4))
+            .collect();
         for f in flows {
-            partitions[(key_hash(&f.key) % n as u64) as usize].push(*f);
+            let i = (key_hash(&f.key) % n as u64) as usize;
+            if self.members[i].exporter.admit(f) {
+                groups[i].push(*f);
+            }
         }
 
         let mut out = Vec::new();
@@ -217,23 +214,22 @@ impl ExporterFleet {
             sent_records: flows.len() as u64,
             ..FleetTruth::default()
         };
-        for (member, part) in self.members.iter_mut().zip(partitions) {
-            for r in part {
-                let sampled_before = member.exporter.sampled_out();
-                let emitted = member.exporter.push(r, now);
-                if member.exporter.sampled_out() == sampled_before {
-                    // Selected for export: the record will appear in a
-                    // datagram, so it belongs in the ground-truth tags.
-                    member.pushed_since_emit += 1;
-                    member.bytes_since_emit += r.bytes;
-                    member.packets_since_emit += r.packets;
+        for (member, group) in self.members.iter_mut().zip(&groups) {
+            for batch in group.chunks(member.exporter.config().batch_size) {
+                out.push(WireDatagram {
+                    domain: member.domain,
+                    records: batch.len() as u32,
+                    flow_bytes: batch.iter().map(|r| r.bytes).sum(),
+                    flow_packets: batch.iter().map(|r| r.packets).sum(),
+                    bytes: member.exporter.export_batch(batch, now),
+                });
+                member.datagrams_emitted += 1;
+                if self.restart_every > 0
+                    && member.datagrams_emitted.is_multiple_of(self.restart_every)
+                {
+                    member.exporter.restart(now);
+                    member.restarts += 1;
                 }
-                if let Some(bytes) = emitted {
-                    Self::emit(member, bytes, now, self.restart_every, &mut out);
-                }
-            }
-            if let Some(bytes) = member.exporter.flush(now) {
-                Self::emit(member, bytes, now, self.restart_every, &mut out);
             }
             truth.restarts += member.restarts;
             truth.sampled_out += member.exporter.sampled_out();
@@ -245,30 +241,6 @@ impl ExporterFleet {
         }
         truth.datagrams = out.len() as u64;
         (out, truth)
-    }
-
-    fn emit(
-        member: &mut Member,
-        bytes: Vec<u8>,
-        now: Timestamp,
-        restart_every: u32,
-        out: &mut Vec<WireDatagram>,
-    ) {
-        out.push(WireDatagram {
-            domain: member.domain,
-            records: member.pushed_since_emit,
-            flow_bytes: member.bytes_since_emit,
-            flow_packets: member.packets_since_emit,
-            bytes,
-        });
-        member.pushed_since_emit = 0;
-        member.bytes_since_emit = 0;
-        member.packets_since_emit = 0;
-        member.datagrams_emitted += 1;
-        if restart_every > 0 && member.datagrams_emitted.is_multiple_of(restart_every) {
-            member.exporter.restart(now);
-            member.restarts += 1;
-        }
     }
 }
 

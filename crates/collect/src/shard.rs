@@ -336,17 +336,22 @@ pub struct CollectorShard {
     totals: ShardTotals,
 }
 
+/// Present to the tracker the datagram whose records were decoded onto the
+/// end of `session.records` (everything from `mark` on): accepted, they
+/// stay where they are and are booked; a duplicate or an anomaly is cut
+/// back off.
 fn accept_into(
     session: &mut DomainSession,
     totals: &mut ShardTotals,
     seq: u32,
     units: u64,
     record_tag: u32,
-    recs: Vec<FlowRecord>,
+    mark: usize,
 ) -> Observation {
     let obs = session.tracker.observe(seq, units);
     match obs {
         Observation::New | Observation::Late => {
+            let recs = &session.records[mark..];
             session.units_accepted += units;
             totals.records_accepted += recs.len() as u64;
             totals.bytes_accepted += recs.iter().map(|r| r.bytes).sum::<u64>();
@@ -355,18 +360,27 @@ fn accept_into(
             // accept fewer records than the ground-truth tag says they
             // carry; the shortfall is accounted, not silently dropped.
             totals.records_undecoded += u64::from(record_tag).saturating_sub(recs.len() as u64);
-            session.records.extend(recs);
         }
         Observation::Duplicate => {
             totals.duplicates += 1;
             totals.records_duplicate += u64::from(record_tag);
+            session.records.truncate(mark);
         }
         Observation::Anomaly => {
             totals.anomalies += 1;
             totals.records_anomalous += u64::from(record_tag);
+            session.records.truncate(mark);
         }
     }
     obs
+}
+
+/// Sequence units a datagram of `records` records advances the counter by.
+fn units_of(units: Option<SequenceUnits>, records: u64) -> u64 {
+    match units.unwrap_or(SequenceUnits::Records) {
+        SequenceUnits::Flows | SequenceUnits::Records => records,
+        SequenceUnits::Packets => 1,
+    }
 }
 
 impl CollectorShard {
@@ -375,13 +389,6 @@ impl CollectorShard {
         CollectorShard {
             units: Some(SequenceUnits::for_format(format)),
             ..CollectorShard::default()
-        }
-    }
-
-    fn units_of(&self, records: u64) -> u64 {
-        match self.units.unwrap_or(SequenceUnits::Records) {
-            SequenceUnits::Flows | SequenceUnits::Records => records,
-            SequenceUnits::Packets => 1,
         }
     }
 
@@ -439,8 +446,11 @@ impl CollectorShard {
             }
         }
 
-        let report = self.inner.ingest_detailed(bytes);
-        let recs = self.inner.take_records();
+        // Decode straight onto the end of the session's records; whatever
+        // is not accepted below is cut back off.
+        let session = self.sessions.entry(domain).or_default();
+        let mark = session.records.len();
+        let report = self.inner.ingest_into(bytes, &mut session.records);
         if !report.ok {
             self.totals.malformed += 1;
             self.totals.records_malformed += u64::from(truth_tag.unwrap_or(claimed));
@@ -449,12 +459,11 @@ impl CollectorShard {
         let seq = report.sequence.unwrap_or(0);
         if report.missed_sets > 0 {
             self.totals.missing_template_sets += u64::from(report.missed_sets);
-            if recs.is_empty() {
+            if report.records == 0 {
                 // Nothing decodable yet: buffer the raw datagram and retry
                 // once a template arrives. The tracker is left untouched —
                 // if the datagram is never resolved, its sequence range
                 // surfaces as a gap and is counted as loss.
-                let session = self.sessions.entry(domain).or_default();
                 session
                     .pending
                     .push((seq, truth_tag.unwrap_or(claimed), bytes.to_vec()));
@@ -465,46 +474,38 @@ impl CollectorShard {
             // units surface as a sequence gap at the next datagram, so the
             // lost-record estimate still covers them.
         }
-        let units = self.units_of(recs.len() as u64);
+        let units = units_of(self.units, report.records as u64);
         // Wire-side tag: what actually decoded. Undecoded shortfall inside
         // a mixed datagram is unknowable without ground truth; it surfaces
         // through the sequence gap (est_lost) instead of `undecoded`.
-        let tag = truth_tag.unwrap_or(recs.len() as u32);
-        let session = self.sessions.entry(domain).or_default();
-        accept_into(session, &mut self.totals, seq, units, tag, recs);
+        let tag = truth_tag.unwrap_or(report.records as u32);
+        accept_into(session, &mut self.totals, seq, units, tag, mark);
         self.try_replay(domain);
     }
 
     /// Retry buffered datagrams for `domain` until no further progress;
     /// each success may itself carry templates that unlock the next.
     fn try_replay(&mut self, domain: u32) {
-        loop {
-            let Some(session) = self.sessions.get_mut(&domain) else {
-                return;
-            };
-            if session.pending.is_empty() {
-                return;
-            }
+        let Some(session) = self.sessions.get_mut(&domain) else {
+            return;
+        };
+        while !session.pending.is_empty() {
             let mut pending = std::mem::take(&mut session.pending);
             // Replay in session order; raw u32 order would be wrong for a
             // queue straddling the sequence wrap.
             pending.sort_by_key(|&(seq, _, _)| session.tracker.position_hint(seq));
-            let mut keep = Vec::with_capacity(pending.len());
             let mut progressed = false;
             for (seq, record_tag, bytes) in pending {
-                let report = self.inner.ingest_detailed(&bytes);
-                let recs = self.inner.take_records();
-                if report.ok && (report.missed_sets == 0 || !recs.is_empty()) {
-                    let units = self.units_of(recs.len() as u64);
-                    let session = self.sessions.entry(domain).or_default();
-                    accept_into(session, &mut self.totals, seq, units, record_tag, recs);
+                let mark = session.records.len();
+                let report = self.inner.ingest_into(&bytes, &mut session.records);
+                if report.ok && (report.missed_sets == 0 || report.records > 0) {
+                    let units = units_of(self.units, report.records as u64);
+                    accept_into(session, &mut self.totals, seq, units, record_tag, mark);
                     progressed = true;
                 } else {
-                    keep.push((seq, record_tag, bytes));
+                    session.pending.push((seq, record_tag, bytes));
                 }
             }
-            let session = self.sessions.entry(domain).or_default();
-            session.pending.extend(keep);
             if !progressed {
                 return;
             }
@@ -526,7 +527,7 @@ impl CollectorShard {
             abandoned.entry(seq).or_insert(record_tag);
         }
         for (_, record_tag) in abandoned {
-            self.totals.units_abandoned += self.units_of(u64::from(record_tag));
+            self.totals.units_abandoned += units_of(self.units, u64::from(record_tag));
         }
         session.tracker.close(truth.first_seq, truth.units_sent);
         self.totals.sequence_gaps += session.tracker.gap_events();
@@ -623,9 +624,13 @@ impl ShardSet {
     pub fn close(&mut self, sessions: &[DomainTruth], renormalize: bool) -> Vec<FlowRecord> {
         let mut sorted = sessions.to_vec();
         sorted.sort_unstable_by_key(|s| s.domain);
-        let mut out = Vec::new();
-        for truth in &sorted {
-            out.extend(self.route(truth.domain).close_domain(truth, renormalize));
+        let closed: Vec<Vec<FlowRecord>> = sorted
+            .iter()
+            .map(|truth| self.route(truth.domain).close_domain(truth, renormalize))
+            .collect();
+        let mut out = Vec::with_capacity(closed.iter().map(Vec::len).sum());
+        for records in closed {
+            out.extend(records);
         }
         out
     }

@@ -133,8 +133,7 @@ use lockdown_flow::ipfix;
 use lockdown_flow::netflow::{v5, v9};
 use lockdown_flow::prelude::*;
 
-/// Largest possible UDP payload (65535 minus IP and UDP headers).
-pub const MAX_UDP_PAYLOAD: usize = 65_507;
+pub use lockdown_flow::wire::MAX_UDP_PAYLOAD;
 
 /// Default receive buffer: strictly larger than [`MAX_UDP_PAYLOAD`], so a
 /// full-buffer read is impossible and truncation cannot go undetected.

@@ -108,7 +108,19 @@ impl Collector {
     /// Ingest one datagram, reporting per-datagram detail (header sequence,
     /// observation domain, skipped sets) for sequence-tracking collectors.
     pub fn ingest_detailed(&mut self, datagram: &[u8]) -> IngestReport {
+        let mut records = std::mem::take(&mut self.records);
+        let report = self.ingest_into(datagram, &mut records);
+        self.records = records;
+        report
+    }
+
+    /// [`Collector::ingest_detailed`] for a caller that keeps the records
+    /// itself: the datagram's records are decoded straight onto the end of
+    /// `out` (the last `report.records` entries), and a rejected datagram
+    /// leaves `out` as it was.
+    pub fn ingest_into(&mut self, datagram: &[u8], out: &mut Vec<FlowRecord>) -> IngestReport {
         let mut report = IngestReport::default();
+        let mark = out.len();
         let mut c = Cursor::new(datagram);
         let version = match c.read_u16("version sniff") {
             Ok(v) => v,
@@ -117,62 +129,48 @@ impl Collector {
                 return report;
             }
         };
+        let boot_epoch_ms = |unix_secs: u32, sys_uptime_ms: u32| {
+            Some((u64::from(unix_secs) * 1000).saturating_sub(u64::from(sys_uptime_ms)))
+        };
+        // What the templated formats' exporter announced, if anything.
+        let mut sampling = None;
         let result = match version {
             v5::VERSION => v5::decode(datagram).map(|(hdr, recs)| {
                 report.sequence = Some(hdr.flow_sequence);
-                report.boot_epoch_ms = Some(
-                    (u64::from(hdr.unix_secs) * 1000).saturating_sub(u64::from(hdr.sys_uptime_ms)),
-                );
-                recs
+                report.boot_epoch_ms = boot_epoch_ms(hdr.unix_secs, hdr.sys_uptime_ms);
+                out.extend(recs);
             }),
-            v9::VERSION => match v9::check(datagram) {
-                Ok(hdr) => {
-                    let cache = self.v9_templates.entry(hdr.source_id).or_default();
-                    v9::decode_tolerant(datagram, cache)
-                        .map(|(hdr, recs, skipped)| (hdr, recs, skipped, cache.sampling()))
-                        .map(|(hdr, mut recs, skipped, sampling)| {
-                            report.sequence = Some(hdr.sequence);
-                            report.domain = Some(hdr.source_id);
-                            report.boot_epoch_ms = Some(
-                                (u64::from(hdr.unix_secs) * 1000)
-                                    .saturating_sub(u64::from(hdr.sys_uptime_ms)),
-                            );
-                            report.missed_sets = skipped.count;
-                            let (adjusted, clipped) = renormalize(&mut recs, sampling);
-                            self.stats.renormalized += adjusted;
-                            self.stats.renorm_clipped += clipped;
-                            recs
-                        })
-                }
-                Err(e) => Err(e),
-            },
-            ipfix::VERSION => match ipfix::check(datagram) {
-                Ok(hdr) => {
-                    let cache = self.ipfix_templates.entry(hdr.domain_id).or_default();
-                    ipfix::decode_tolerant(datagram, cache)
-                        .map(|(hdr, recs, skipped)| (hdr, recs, skipped, cache.sampling()))
-                        .map(|(hdr, mut recs, skipped, sampling)| {
-                            report.sequence = Some(hdr.sequence);
-                            report.domain = Some(hdr.domain_id);
-                            report.missed_sets = skipped.count;
-                            let (adjusted, clipped) = renormalize(&mut recs, sampling);
-                            self.stats.renormalized += adjusted;
-                            self.stats.renorm_clipped += clipped;
-                            recs
-                        })
-                }
-                Err(e) => Err(e),
-            },
+            v9::VERSION => v9::check(datagram).and_then(|hdr| {
+                let cache = self.v9_templates.entry(hdr.source_id).or_default();
+                let (hdr, skipped) = v9::decode_tolerant_into(datagram, cache, out)?;
+                report.sequence = Some(hdr.sequence);
+                report.domain = Some(hdr.source_id);
+                report.boot_epoch_ms = boot_epoch_ms(hdr.unix_secs, hdr.sys_uptime_ms);
+                report.missed_sets = skipped.count;
+                sampling = cache.sampling();
+                Ok(())
+            }),
+            ipfix::VERSION => ipfix::check(datagram).and_then(|hdr| {
+                let cache = self.ipfix_templates.entry(hdr.domain_id).or_default();
+                let (hdr, skipped) = ipfix::decode_tolerant_into(datagram, cache, out)?;
+                report.sequence = Some(hdr.sequence);
+                report.domain = Some(hdr.domain_id);
+                report.missed_sets = skipped.count;
+                sampling = cache.sampling();
+                Ok(())
+            }),
             found => Err(WireError::BadVersion { expected: 0, found }),
         };
         match result {
-            Ok(recs) => {
+            Ok(()) => {
+                let (adjusted, clipped) = renormalize(&mut out[mark..], sampling);
+                self.stats.renormalized += adjusted;
+                self.stats.renorm_clipped += clipped;
                 report.ok = true;
-                report.records = recs.len();
+                report.records = out.len() - mark;
                 self.stats.packets_ok += 1;
-                self.stats.records += recs.len() as u64;
+                self.stats.records += report.records as u64;
                 self.stats.missing_template += u64::from(report.missed_sets);
-                self.records.extend(recs);
             }
             Err(_) => {
                 self.stats.malformed += 1;

@@ -14,6 +14,7 @@ use crate::netflow::Template;
 use crate::record::FlowRecord;
 use crate::sampling::FlowSampler;
 use crate::time::Timestamp;
+use crate::wire::MAX_UDP_PAYLOAD;
 
 /// Wire format an [`Exporter`] speaks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,7 +32,8 @@ pub enum ExportFormat {
 pub struct ExporterConfig {
     /// Wire format to emit.
     pub format: ExportFormat,
-    /// Records per emitted packet (clamped to 30 for v5).
+    /// Records per emitted packet, clamped to what one packet holds: 30
+    /// for v5, a UDP payload's worth for the templated formats.
     pub batch_size: usize,
     /// For templated formats: a template is included every
     /// `template_refresh` packets (and always in the first packet).
@@ -100,10 +102,12 @@ impl Exporter {
             ExportFormat::NetflowV9 => Template::standard_v9(config.template_id),
             _ => Template::standard_ipfix(config.template_id),
         };
+        let options_template = OptionsTemplate::sampling(config.template_id + 1);
         let mut config = config;
-        if config.format == ExportFormat::NetflowV5 {
-            config.batch_size = config.batch_size.min(v5::MAX_RECORDS);
-        }
+        config.batch_size =
+            config
+                .batch_size
+                .min(max_records(config.format, &template, &options_template));
         assert!(config.batch_size > 0, "batch size must be positive");
         let sampler = match config.sampling {
             Some(rate) if rate > 1 => {
@@ -115,7 +119,6 @@ impl Exporter {
             }
             _ => None,
         };
-        let options_template = OptionsTemplate::sampling(config.template_id + 1);
         let sequence = config.initial_sequence;
         Exporter {
             config,
@@ -186,20 +189,24 @@ impl Exporter {
         self.packets_emitted = 0;
     }
 
+    /// Whether `record` is exported: always, unless the in-band sampler
+    /// passes it over (counted in [`Exporter::sampled_out`]). Selected
+    /// flows keep their counters *unscaled* — renormalization is the
+    /// collector's job, guided by the in-band announcement.
+    pub fn admit(&mut self, record: &FlowRecord) -> bool {
+        let selected = self.sampler.as_ref().is_none_or(|s| s.selects(record));
+        self.sampled_out += u64::from(!selected);
+        selected
+    }
+
     /// Queue a record; returns a datagram when a full batch is ready.
-    /// Under sampled export, unselected flows are silently dropped with
-    /// their counters *unscaled* — renormalization is the collector's job,
-    /// guided by the in-band announcement.
     pub fn push(&mut self, record: FlowRecord, now: Timestamp) -> Option<Vec<u8>> {
-        if let Some(sampler) = &self.sampler {
-            if !sampler.selects(&record) {
-                self.sampled_out += 1;
-                return None;
-            }
+        if !self.admit(&record) {
+            return None;
         }
         self.pending.push(record);
         if self.pending.len() >= self.config.batch_size {
-            Some(self.emit(now))
+            self.flush(now)
         } else {
             None
         }
@@ -208,10 +215,13 @@ impl Exporter {
     /// Flush any buffered records into a final (possibly short) datagram.
     pub fn flush(&mut self, now: Timestamp) -> Option<Vec<u8>> {
         if self.pending.is_empty() {
-            None
-        } else {
-            Some(self.emit(now))
+            return None;
         }
+        let mut batch = std::mem::take(&mut self.pending);
+        let pkt = self.export_batch(&batch, now);
+        batch.clear();
+        self.pending = batch;
+        Some(pkt)
     }
 
     /// Export an entire batch of records as a sequence of datagrams.
@@ -236,15 +246,24 @@ impl Exporter {
                     .is_multiple_of(self.config.template_refresh))
     }
 
-    fn emit(&mut self, now: Timestamp) -> Vec<u8> {
-        let batch: Vec<FlowRecord> = self.pending.drain(..).collect();
+    /// Encode `batch` — records [`Exporter::admit`] let through, at most
+    /// `batch_size` of them — as the next datagram, straight from the
+    /// caller's slice. Whoever has the records in hand calls this per
+    /// chunk; [`Exporter::push`] and [`Exporter::flush`] stage one record
+    /// at a time for callers that do not, and what they have buffered is
+    /// not part of `batch`.
+    pub fn export_batch(&mut self, batch: &[FlowRecord], now: Timestamp) -> Vec<u8> {
+        assert!(
+            batch.len() <= self.config.batch_size,
+            "a datagram holds at most batch_size records"
+        );
         let pkt = match self.config.format {
             ExportFormat::NetflowV5 => {
                 // v5 carries the observation domain in the engine bytes
                 // (16 bits) — the only place the format has for it. Wider
                 // domain ids would alias; exporter fleets keep ids small.
                 let pkt = v5::encode_with_engine(
-                    &batch,
+                    batch,
                     now,
                     self.config.boot_time,
                     self.sequence,
@@ -263,7 +282,7 @@ impl Exporter {
                     None
                 };
                 let pkt = v9::encode_full(
-                    &batch,
+                    batch,
                     tmpl,
                     sampling,
                     &self.template,
@@ -285,7 +304,7 @@ impl Exporter {
                     None
                 };
                 let pkt = ipfix::encode_full(
-                    &batch,
+                    batch,
                     tmpl,
                     sampling,
                     &self.template,
@@ -301,6 +320,20 @@ impl Exporter {
         self.packets_emitted = self.packets_emitted.wrapping_add(1);
         pkt
     }
+}
+
+/// Most records one datagram of `format` carries: v5's fixed packet
+/// maximum; for the templated formats, what fits one UDP payload with the
+/// template and options sets due. A longer message would not fit its own
+/// 16-bit length fields.
+fn max_records(format: ExportFormat, template: &Template, options: &OptionsTemplate) -> usize {
+    let refresh = match format {
+        ExportFormat::NetflowV5 => return v5::MAX_RECORDS,
+        ExportFormat::NetflowV9 => v9::packet_len(0, Some(template), Some(options), template),
+        ExportFormat::Ipfix => ipfix::message_len(0, Some(template), Some(options), template),
+    };
+    // The data set's own header, and up to three bytes of alignment.
+    (MAX_UDP_PAYLOAD - refresh - 4 - 3) / template.record_len()
 }
 
 #[cfg(test)]
@@ -351,6 +384,35 @@ mod tests {
         cfg.batch_size = 100;
         let e = Exporter::new(cfg);
         assert_eq!(e.config.batch_size, v5::MAX_RECORDS);
+    }
+
+    /// 1,400 records in one message would need 71,488 bytes; its 16-bit
+    /// length fields used to wrap and the decoder returned 114 of them.
+    #[test]
+    fn oversize_batch_is_clamped_to_one_udp_payload() {
+        for format in [ExportFormat::NetflowV9, ExportFormat::Ipfix] {
+            let (mut e, now) = mk(format, 2_000, 20);
+            assert!(e.config.batch_size < 1_400, "{format:?}");
+            let recs: Vec<_> = (0..1_400).map(|i| record(i, now)).collect();
+            let pkts = e.export_all(&recs, now.add_secs(60));
+            assert!(pkts.len() >= 2, "{format:?}");
+            assert!(pkts.iter().all(|p| p.len() <= MAX_UDP_PAYLOAD));
+            let mut collector = crate::collector::Collector::new();
+            collector.ingest_all(pkts.iter().map(|p| p.as_slice()));
+            assert_eq!(collector.records(), &recs[..], "{format:?}");
+        }
+        // A sampling exporter's refresh carries the options sets too: the
+        // first, fullest message must still fit.
+        let boot = Date::new(2020, 2, 1).midnight();
+        let mut cfg = ExporterConfig::new(ExportFormat::Ipfix, boot);
+        cfg.batch_size = usize::MAX;
+        cfg.sampling = Some(2);
+        let mut e = Exporter::new(cfg);
+        let batch: Vec<_> = (0..e.config.batch_size as u32)
+            .map(|i| record(i, boot))
+            .collect();
+        let pkt = e.export_batch(&batch, boot.add_hours(1));
+        assert!(pkt.len() > MAX_UDP_PAYLOAD - 51 && pkt.len() <= MAX_UDP_PAYLOAD);
     }
 
     #[test]

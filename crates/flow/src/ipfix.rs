@@ -9,12 +9,12 @@
 //! IPFIX template uses absolute `flowStartSeconds`/`flowEndSeconds`
 //! timestamps, so no uptime conversion is involved.
 
-use crate::netflow::options::{parse_options_record, validate, OptionsTemplate, SamplingInfo};
-use crate::netflow::v9::{decode_record, SkippedSets, TemplateCache, TimeAnchor};
+use crate::netflow::options::{validate, OptionsTemplate, SamplingInfo};
+use crate::netflow::v9::{self, SkippedSets, TemplateCache, TimeAnchor};
 use crate::netflow::{FieldSpec, Template};
 use crate::record::FlowRecord;
-use crate::time::Timestamp;
-use crate::wire::{Cursor, PutBe, WireError, WireResult};
+use crate::time::{uptime, Timestamp};
+use crate::wire::{padded, Cursor, PutBe, WireError, WireResult};
 
 /// Protocol version constant.
 pub const VERSION: u16 = 10;
@@ -69,9 +69,15 @@ pub fn encode_full(
     sequence: u32,
     domain_id: u32,
 ) -> Vec<u8> {
-    let mut buf = Vec::new();
+    let total = message_len(
+        records.len(),
+        template,
+        sampling.map(|(ot, _)| ot),
+        data_template,
+    );
+    let mut buf = Vec::with_capacity(total);
     buf.put_u16_be(VERSION);
-    buf.put_u16_be(0); // length: patched below
+    buf.put_u16_be(u16::try_from(total).expect("an IPFIX message's length is a 16-bit field"));
     buf.put_u32_be(export_time.unix() as u32);
     buf.put_u32_be(sequence);
     buf.put_u32_be(domain_id);
@@ -124,55 +130,31 @@ pub fn encode_full(
         }
     }
 
-    if !records.is_empty() {
-        let raw = 4 + records.len() * data_template.record_len();
-        let padding = (4 - raw % 4) % 4;
-        buf.put_u16_be(data_template.id);
-        buf.put_u16_be((raw + padding) as u16);
-        for r in records {
-            encode_data_record(&mut buf, r, data_template);
-        }
-        for _ in 0..padding {
-            buf.put_u8_be(0);
-        }
-    }
-
-    let total = buf.len() as u16;
-    buf[2..4].copy_from_slice(&total.to_be_bytes());
+    // IPFIX has no uptime clock. An uptime-relative element a (non-standard)
+    // template might carry is written against a notional boot a whole
+    // number of clock wraps before the export, so that the clock reads zero
+    // at the export instant: the anchor `decode_tolerant` resolves against.
+    let export_ms = export_time.unix() * 1000;
+    let boot_ms = export_ms % uptime::WRAP_MS;
+    v9::encode_data_set(&mut buf, records, data_template, boot_ms, export_ms);
+    assert_eq!(buf.len(), total, "IPFIX message length computed up front");
     buf
 }
 
-/// Encode one record's fields per the template, reduced-size big-endian.
-fn encode_data_record(buf: &mut Vec<u8>, r: &FlowRecord, template: &Template) {
-    use crate::netflow::field::*;
-    use crate::record::Direction;
-    for f in &template.fields {
-        let value: u64 = match f.field_type {
-            IPV4_SRC_ADDR => u64::from(u32::from(r.key.src_addr)),
-            IPV4_DST_ADDR => u64::from(u32::from(r.key.dst_addr)),
-            L4_SRC_PORT => u64::from(r.key.src_port),
-            L4_DST_PORT => u64::from(r.key.dst_port),
-            PROTOCOL => u64::from(r.key.protocol.number()),
-            TCP_FLAGS => u64::from(r.tcp_flags.0),
-            INPUT_SNMP => u64::from(r.input_if),
-            OUTPUT_SNMP => u64::from(r.output_if),
-            IN_BYTES => r.bytes,
-            IN_PKTS => r.packets,
-            FLOW_START_SECONDS => r.start.unix(),
-            FLOW_END_SECONDS => r.end.unix(),
-            SRC_AS => u64::from(r.src_as),
-            DST_AS => u64::from(r.dst_as),
-            DIRECTION => match r.direction {
-                Direction::Ingress => 0,
-                Direction::Egress => 1,
-                Direction::Unknown => 0xFF,
-            },
-            _ => 0,
-        };
-        for i in (0..f.length).rev() {
-            buf.put_u8_be((value >> (8 * i)) as u8);
-        }
-    }
+/// Exact length of the message [`encode_full`] builds from these parts.
+pub(crate) fn message_len(
+    records: usize,
+    template: Option<&Template>,
+    sampling: Option<&OptionsTemplate>,
+    data_template: &Template,
+) -> usize {
+    HEADER_LEN
+        + template.map_or(0, |t| 8 + t.fields.len() * 4)
+        + sampling.map_or(0, |ot| {
+            let specs = (ot.scope_fields.len() + ot.option_fields.len()) * 4;
+            10 + specs + padded(4 + ot.record_len())
+        })
+        + v9::data_set_len(records, data_template)
 }
 
 /// Structural validation of an IPFIX message header.
@@ -234,6 +216,18 @@ pub fn decode_tolerant(
     buf: &[u8],
     cache: &mut TemplateCache,
 ) -> WireResult<(IpfixHeader, Vec<FlowRecord>, SkippedSets)> {
+    let mut records = Vec::new();
+    let (header, skipped) = decode_tolerant_into(buf, cache, &mut records)?;
+    Ok((header, records, skipped))
+}
+
+/// [`decode_tolerant`] appending to the caller's `out`, which is left as
+/// it was found when the message is rejected.
+pub(crate) fn decode_tolerant_into(
+    buf: &[u8],
+    cache: &mut TemplateCache,
+    out: &mut Vec<FlowRecord>,
+) -> WireResult<(IpfixHeader, SkippedSets)> {
     let header = check(buf)?;
     // IPFIX has no uptime clock; the anchor carries the absolute export
     // time with a zero uptime base, so any (non-standard) uptime-relative
@@ -242,99 +236,67 @@ pub fn decode_tolerant(
         export_unix_ms: u64::from(header.export_time) * 1000,
         uptime_ms: 0,
     };
-    let mut c = Cursor::new(&buf[HEADER_LEN..header.length as usize]);
-    let mut records = Vec::new();
-    let mut skipped = SkippedSets::default();
-    while c.remaining() >= 4 {
-        let set_id = c.read_u16("set id")?;
-        let set_len = c.read_u16("set length")? as usize;
-        if set_len < 4 {
+    let mark = out.len();
+    let mut sets = || {
+        let mut c = Cursor::new(&buf[HEADER_LEN..header.length as usize]);
+        let mut skipped = SkippedSets::default();
+        while c.remaining() >= 4 {
+            let set_id = c.read_u16("set id")?;
+            let set_len = c.read_u16("set length")? as usize;
+            if set_len < 4 {
+                return Err(WireError::BadLength {
+                    what: "set length",
+                    value: set_len,
+                });
+            }
+            let mut body = c.sub(set_len - 4, "set body")?;
+            match set_id {
+                TEMPLATE_SET_ID => v9::decode_template_flowset(&mut body, cache)?,
+                OPTIONS_TEMPLATE_SET_ID => decode_options_template_set(&mut body, cache)?,
+                id if id >= 256 => {
+                    v9::decode_data_set(id, &mut body, cache, anchor, out, &mut skipped)?
+                }
+                _ => {
+                    return Err(WireError::BadField {
+                        what: "reserved set id",
+                    })
+                }
+            }
+        }
+        Ok(skipped)
+    };
+    let skipped = sets().inspect_err(|_| out.truncate(mark))?;
+    Ok((header, skipped))
+}
+
+/// IPFIX options template set: scope fields are *counted*, and come first.
+fn decode_options_template_set(body: &mut Cursor<'_>, cache: &mut TemplateCache) -> WireResult<()> {
+    while body.remaining() >= 6 {
+        let id = body.read_u16("options template id")?;
+        let total_fields = body.read_u16("options field count")? as usize;
+        let scope_count = body.read_u16("scope field count")? as usize;
+        if scope_count > total_fields {
             return Err(WireError::BadLength {
-                what: "set length",
-                value: set_len,
+                what: "options scope field count",
+                value: scope_count,
             });
         }
-        let mut body = c.sub(set_len - 4, "set body")?;
-        match set_id {
-            TEMPLATE_SET_ID => {
-                while body.remaining() >= 4 {
-                    let id = body.read_u16("template id")?;
-                    let n = body.read_u16("field count")? as usize;
-                    let mut fields = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        let field_type = body.read_u16("field type")?;
-                        let length = body.read_u16("field length")?;
-                        if length == 0 {
-                            return Err(WireError::BadLength {
-                                what: "template field length",
-                                value: 0,
-                            });
-                        }
-                        fields.push(FieldSpec { field_type, length });
-                    }
-                    cache.insert(Template::new(id, fields)?);
-                }
-            }
-            OPTIONS_TEMPLATE_SET_ID => {
-                while body.remaining() >= 6 {
-                    let id = body.read_u16("options template id")?;
-                    let total_fields = body.read_u16("options field count")? as usize;
-                    let scope_count = body.read_u16("scope field count")? as usize;
-                    if scope_count > total_fields {
-                        return Err(WireError::BadLength {
-                            what: "options scope field count",
-                            value: scope_count,
-                        });
-                    }
-                    let mut specs = Vec::with_capacity(total_fields);
-                    for _ in 0..total_fields {
-                        let field_type = body.read_u16("options field type")?;
-                        let length = body.read_u16("options field length")?;
-                        specs.push(FieldSpec { field_type, length });
-                    }
-                    let option_fields = specs.split_off(scope_count);
-                    let t = OptionsTemplate {
-                        id,
-                        scope_fields: specs,
-                        option_fields,
-                    };
-                    validate(&t)?;
-                    cache.insert_options(t);
-                }
-            }
-            id if id >= 256 => {
-                if let Some(ot) = cache.get_options(id).cloned() {
-                    let rec_len = ot.record_len();
-                    while rec_len > 0 && body.remaining() >= rec_len {
-                        if let Some(info) = parse_options_record(&mut body, &ot)? {
-                            cache.set_sampling(info);
-                        }
-                    }
-                    continue;
-                }
-                let Some(template) = cache.get(id).cloned() else {
-                    skipped.note(id);
-                    continue;
-                };
-                let rec_len = template.record_len();
-                if rec_len == 0 {
-                    return Err(WireError::BadLength {
-                        what: "template record length",
-                        value: 0,
-                    });
-                }
-                while body.remaining() >= rec_len {
-                    records.push(decode_record(&mut body, &template, anchor)?);
-                }
-            }
-            _ => {
-                return Err(WireError::BadField {
-                    what: "reserved set id",
-                })
-            }
+        let mut specs = Vec::with_capacity(total_fields);
+        for _ in 0..total_fields {
+            let field_type = body.read_u16("options field type")?;
+            let length = body.read_u16("options field length")?;
+            specs.push(FieldSpec { field_type, length });
         }
+        let option_fields = specs.split_off(scope_count);
+        let t = OptionsTemplate {
+            id,
+            scope_fields: specs,
+            option_fields,
+        };
+        validate(&t)?;
+        cache.insert_options(t);
     }
-    Ok((header, records, skipped))
+    Ok(())
 }
 
 #[cfg(test)]
@@ -384,6 +346,22 @@ mod tests {
         assert_eq!(out, recs);
         // 64-bit byte counter survived.
         assert_eq!(out[0].bytes, 5_000_000_000);
+    }
+
+    /// Uptime-relative elements are not IPFIX's own, but a template may
+    /// carry them: they used to be written as zeros and read back as the
+    /// export instant.
+    #[test]
+    fn uptime_relative_elements_roundtrip() {
+        let export = Date::new(2020, 4, 23).at_hour(12);
+        let t = Template::standard_v9(500);
+        // `sample` flows last 120 s: both ended by the export instant.
+        let hour_ago = Timestamp::from_unix(export.unix() - 3_600);
+        let recs = [sample(hour_ago), sample(hour_ago.add_secs(3_480))];
+        let msg = encode(&recs, Some(&t), &t, export, 0, 0);
+        let mut cache = TemplateCache::new();
+        let (_, out) = decode(&msg, &mut cache).unwrap();
+        assert_eq!(out, recs);
     }
 
     #[test]

@@ -79,146 +79,69 @@ impl Template {
     /// The standard template this workspace's exporters use for
     /// [`crate::record::FlowRecord`], with v9-style relative timestamps.
     pub fn standard_v9(id: u16) -> Template {
-        use field::*;
-        Template::new(
-            id,
-            vec![
-                FieldSpec {
-                    field_type: IPV4_SRC_ADDR,
-                    length: 4,
-                },
-                FieldSpec {
-                    field_type: IPV4_DST_ADDR,
-                    length: 4,
-                },
-                FieldSpec {
-                    field_type: L4_SRC_PORT,
-                    length: 2,
-                },
-                FieldSpec {
-                    field_type: L4_DST_PORT,
-                    length: 2,
-                },
-                FieldSpec {
-                    field_type: PROTOCOL,
-                    length: 1,
-                },
-                FieldSpec {
-                    field_type: TCP_FLAGS,
-                    length: 1,
-                },
-                FieldSpec {
-                    field_type: INPUT_SNMP,
-                    length: 2,
-                },
-                FieldSpec {
-                    field_type: OUTPUT_SNMP,
-                    length: 2,
-                },
-                FieldSpec {
-                    field_type: IN_BYTES,
-                    length: 8,
-                },
-                FieldSpec {
-                    field_type: IN_PKTS,
-                    length: 8,
-                },
-                FieldSpec {
-                    field_type: FIRST_SWITCHED,
-                    length: 4,
-                },
-                FieldSpec {
-                    field_type: LAST_SWITCHED,
-                    length: 4,
-                },
-                FieldSpec {
-                    field_type: SRC_AS,
-                    length: 4,
-                },
-                FieldSpec {
-                    field_type: DST_AS,
-                    length: 4,
-                },
-                FieldSpec {
-                    field_type: DIRECTION,
-                    length: 1,
-                },
-            ],
-        )
-        .expect("standard template is valid")
+        Template::new(id, STANDARD_V9.to_vec()).expect("standard template is valid")
     }
 
     /// The standard IPFIX template: absolute second timestamps
     /// (`flowStartSeconds`/`flowEndSeconds`) instead of uptime offsets.
     pub fn standard_ipfix(id: u16) -> Template {
-        use field::*;
-        Template::new(
-            id,
-            vec![
-                FieldSpec {
-                    field_type: IPV4_SRC_ADDR,
-                    length: 4,
-                },
-                FieldSpec {
-                    field_type: IPV4_DST_ADDR,
-                    length: 4,
-                },
-                FieldSpec {
-                    field_type: L4_SRC_PORT,
-                    length: 2,
-                },
-                FieldSpec {
-                    field_type: L4_DST_PORT,
-                    length: 2,
-                },
-                FieldSpec {
-                    field_type: PROTOCOL,
-                    length: 1,
-                },
-                FieldSpec {
-                    field_type: TCP_FLAGS,
-                    length: 1,
-                },
-                FieldSpec {
-                    field_type: INPUT_SNMP,
-                    length: 2,
-                },
-                FieldSpec {
-                    field_type: OUTPUT_SNMP,
-                    length: 2,
-                },
-                FieldSpec {
-                    field_type: IN_BYTES,
-                    length: 8,
-                },
-                FieldSpec {
-                    field_type: IN_PKTS,
-                    length: 8,
-                },
-                FieldSpec {
-                    field_type: FLOW_START_SECONDS,
-                    length: 4,
-                },
-                FieldSpec {
-                    field_type: FLOW_END_SECONDS,
-                    length: 4,
-                },
-                FieldSpec {
-                    field_type: SRC_AS,
-                    length: 4,
-                },
-                FieldSpec {
-                    field_type: DST_AS,
-                    length: 4,
-                },
-                FieldSpec {
-                    field_type: DIRECTION,
-                    length: 1,
-                },
-            ],
-        )
-        .expect("standard template is valid")
+        Template::new(id, STANDARD_IPFIX.to_vec()).expect("standard template is valid")
     }
+
+    /// The fixed record layout this template's data records have, if its
+    /// field list is one of the two standard ones: they differ only in how
+    /// the timestamp pair is carried. Decided from the field list alone,
+    /// once per data set, so a template learned off the wire and one built
+    /// by [`Template::standard_ipfix`] are told apart by nothing else; any
+    /// other list (permuted, reduced-size, foreign elements) is `None` and
+    /// takes the per-field walk.
+    pub(crate) fn fixed_times(&self) -> Option<FixedTimes> {
+        if self.fields == STANDARD_IPFIX {
+            Some(FixedTimes::Seconds)
+        } else if self.fields == STANDARD_V9 {
+            Some(FixedTimes::Uptime)
+        } else {
+            None
+        }
+    }
+}
+
+/// How the standard 51-byte record carries its timestamp pair.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FixedTimes {
+    /// `flowStartSeconds`/`flowEndSeconds`: absolute Unix seconds.
+    Seconds,
+    /// `FIRST_SWITCHED`/`LAST_SWITCHED`: wrapped uptime milliseconds.
+    Uptime,
+}
+
+const STANDARD_V9: [FieldSpec; 15] = standard_fields(field::FIRST_SWITCHED, field::LAST_SWITCHED);
+const STANDARD_IPFIX: [FieldSpec; 15] =
+    standard_fields(field::FLOW_START_SECONDS, field::FLOW_END_SECONDS);
+
+/// The standard field list around the given 4-byte timestamp pair.
+const fn standard_fields(start: u16, end: u16) -> [FieldSpec; 15] {
+    use field::*;
+    const fn spec(field_type: u16, length: u16) -> FieldSpec {
+        FieldSpec { field_type, length }
+    }
+    [
+        spec(IPV4_SRC_ADDR, 4),
+        spec(IPV4_DST_ADDR, 4),
+        spec(L4_SRC_PORT, 2),
+        spec(L4_DST_PORT, 2),
+        spec(PROTOCOL, 1),
+        spec(TCP_FLAGS, 1),
+        spec(INPUT_SNMP, 2),
+        spec(OUTPUT_SNMP, 2),
+        spec(IN_BYTES, 8),
+        spec(IN_PKTS, 8),
+        spec(start, 4),
+        spec(end, 4),
+        spec(SRC_AS, 4),
+        spec(DST_AS, 4),
+        spec(DIRECTION, 1),
+    ]
 }
 
 #[cfg(test)]

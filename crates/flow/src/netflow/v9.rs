@@ -7,11 +7,11 @@
 //! template id)`; here the exporter identity is the cache instance.
 
 use super::options::{parse_options_record, validate, OptionsTemplate, SamplingInfo};
-use super::{field, FieldSpec, Template};
+use super::{field, FieldSpec, FixedTimes, Template};
 use crate::protocol::{IpProtocol, TcpFlags};
 use crate::record::{Direction, FlowKey, FlowRecord};
 use crate::time::{uptime, Timestamp};
-use crate::wire::{Cursor, PutBe, WireError, WireResult};
+use crate::wire::{padded, Cursor, PutBe, WireError, WireResult};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -154,11 +154,17 @@ pub fn encode_full(
     // Modular uptime encoding: see `time::uptime` for the wrap semantics.
     let boot_ms = boot_time.unix() * 1000;
     let export_ms = export_time.unix() * 1000;
-    let mut buf = Vec::new();
     let record_count =
         records.len() + usize::from(template.is_some()) + if sampling.is_some() { 2 } else { 0 };
+    let total = packet_len(
+        records.len(),
+        template,
+        sampling.map(|(ot, _)| ot),
+        data_template,
+    );
+    let mut buf = Vec::with_capacity(total);
     buf.put_u16_be(VERSION);
-    buf.put_u16_be(record_count as u16);
+    buf.put_u16_be(u16::try_from(record_count).expect("a v9 packet's record count is 16-bit"));
     buf.put_u32_be(uptime::to_wire(export_ms, boot_ms));
     buf.put_u32_be(export_time.unix() as u32);
     buf.put_u32_be(sequence);
@@ -171,10 +177,25 @@ pub fn encode_full(
         encode_options_template_flowset(&mut buf, ot);
         encode_options_data_flowset(&mut buf, ot, info, source_id);
     }
-    if !records.is_empty() {
-        encode_data_flowset(&mut buf, records, data_template, boot_ms, export_ms);
-    }
+    encode_data_set(&mut buf, records, data_template, boot_ms, export_ms);
+    assert_eq!(buf.len(), total, "v9 packet length computed up front");
     buf
+}
+
+/// Exact length of the packet [`encode_full`] builds from these parts.
+pub(crate) fn packet_len(
+    records: usize,
+    template: Option<&Template>,
+    sampling: Option<&OptionsTemplate>,
+    data_template: &Template,
+) -> usize {
+    HEADER_LEN
+        + template.map_or(0, |t| 8 + t.fields.len() * 4)
+        + sampling.map_or(0, |ot| {
+            let specs = (ot.scope_fields.len() + ot.option_fields.len()) * 4;
+            padded(10 + specs) + padded(4 + ot.record_len())
+        })
+        + data_set_len(records, data_template)
 }
 
 /// v9 options template FlowSet: scope/option sizes are in *bytes*.
@@ -238,24 +259,110 @@ fn encode_template_flowset(buf: &mut Vec<u8>, t: &Template) {
     }
 }
 
-fn encode_data_flowset(
+/// Encoded length of a data record of either standard template.
+const FIXED_LEN: usize = 51;
+
+/// Length of the data set carrying `records` records of `template`, header
+/// and alignment padding included; an empty batch has no data set.
+pub(crate) fn data_set_len(records: usize, template: &Template) -> usize {
+    if records == 0 {
+        0
+    } else {
+        padded(4 + records * template.record_len())
+    }
+}
+
+/// Append the data set (v9 FlowSet, IPFIX Set: same bytes) carrying
+/// `records`. The record layout is chosen here, once per set, from the
+/// template's field list: the standard lists are written at fixed offsets,
+/// any other list by the per-field walk.
+pub(crate) fn encode_data_set(
     buf: &mut Vec<u8>,
     records: &[FlowRecord],
     template: &Template,
     boot_ms: u64,
     export_ms: u64,
 ) {
-    let raw_len = 4 + records.len() * template.record_len();
-    let padding = (4 - raw_len % 4) % 4; // FlowSets are 32-bit aligned
+    let set_len = data_set_len(records.len(), template);
+    if set_len == 0 {
+        return;
+    }
+    let end = buf.len() + set_len;
     buf.put_u16_be(template.id);
-    buf.put_u16_be((raw_len + padding) as u16);
+    buf.put_u16_be(u16::try_from(set_len).expect("a data set's length is a 16-bit field"));
+    match template.fixed_times() {
+        Some(times) => encode_fixed(buf, records, times, boot_ms, export_ms),
+        None => encode_walk(buf, records, template, boot_ms, export_ms),
+    }
+    buf.resize(end, 0); // sets are 32-bit aligned
+}
+
+/// Wire code of a flow direction (`flowDirection`, 0xFF when unknown).
+fn direction_code(direction: Direction) -> u8 {
+    match direction {
+        Direction::Ingress => 0,
+        Direction::Egress => 1,
+        Direction::Unknown => 0xFF,
+    }
+}
+
+fn direction_of(code: u64) -> Direction {
+    match code {
+        0 => Direction::Ingress,
+        1 => Direction::Egress,
+        _ => Direction::Unknown,
+    }
+}
+
+/// The standard templates' records, written at fixed offsets: the same
+/// bytes [`encode_walk`] produces for those field lists.
+fn encode_fixed(
+    buf: &mut Vec<u8>,
+    records: &[FlowRecord],
+    times: FixedTimes,
+    boot_ms: u64,
+    export_ms: u64,
+) {
+    let rel_ms = |t: Timestamp| uptime::record_field(t.unix() * 1000, boot_ms, export_ms);
+    for r in records {
+        let (start, end) = match times {
+            FixedTimes::Seconds => (r.start.unix() as u32, r.end.unix() as u32),
+            FixedTimes::Uptime => (rel_ms(r.start), rel_ms(r.end)),
+        };
+        let mut out = [0u8; FIXED_LEN];
+        out[0..4].copy_from_slice(&r.key.src_addr.octets());
+        out[4..8].copy_from_slice(&r.key.dst_addr.octets());
+        out[8..10].copy_from_slice(&r.key.src_port.to_be_bytes());
+        out[10..12].copy_from_slice(&r.key.dst_port.to_be_bytes());
+        out[12] = r.key.protocol.number();
+        out[13] = r.tcp_flags.0;
+        out[14..16].copy_from_slice(&r.input_if.to_be_bytes());
+        out[16..18].copy_from_slice(&r.output_if.to_be_bytes());
+        out[18..26].copy_from_slice(&r.bytes.to_be_bytes());
+        out[26..34].copy_from_slice(&r.packets.to_be_bytes());
+        out[34..38].copy_from_slice(&start.to_be_bytes());
+        out[38..42].copy_from_slice(&end.to_be_bytes());
+        out[42..46].copy_from_slice(&r.src_as.to_be_bytes());
+        out[46..50].copy_from_slice(&r.dst_as.to_be_bytes());
+        out[50] = direction_code(r.direction);
+        buf.extend_from_slice(&out);
+    }
+}
+
+/// Any template's records, field by field: the only path for permuted,
+/// reduced-size and foreign templates, and the reference [`encode_fixed`]
+/// is tested against.
+fn encode_walk(
+    buf: &mut Vec<u8>,
+    records: &[FlowRecord],
+    template: &Template,
+    boot_ms: u64,
+    export_ms: u64,
+) {
     for r in records {
         for f in &template.fields {
             encode_field(buf, r, f, boot_ms, export_ms);
         }
-    }
-    for _ in 0..padding {
-        buf.put_u8_be(0);
     }
 }
 
@@ -282,11 +389,7 @@ fn encode_field(buf: &mut Vec<u8>, r: &FlowRecord, spec: &FieldSpec, boot_ms: u6
         FLOW_END_SECONDS => r.end.unix(),
         SRC_AS => u64::from(r.src_as),
         DST_AS => u64::from(r.dst_as),
-        DIRECTION => match r.direction {
-            Direction::Ingress => 0,
-            Direction::Egress => 1,
-            Direction::Unknown => 0xFF,
-        },
+        DIRECTION => u64::from(direction_code(r.direction)),
         _ => 0, // unknown field types encode as zero
     };
     // Big-endian, truncated to the spec'd length (reduced-size encoding).
@@ -363,60 +466,98 @@ pub fn decode_tolerant(
     buf: &[u8],
     cache: &mut TemplateCache,
 ) -> WireResult<(V9Header, Vec<FlowRecord>, SkippedSets)> {
+    let mut records = Vec::new();
+    let (header, skipped) = decode_tolerant_into(buf, cache, &mut records)?;
+    Ok((header, records, skipped))
+}
+
+/// [`decode_tolerant`] appending to the caller's `out`, which is left as
+/// it was found when the datagram is rejected.
+pub(crate) fn decode_tolerant_into(
+    buf: &[u8],
+    cache: &mut TemplateCache,
+    out: &mut Vec<FlowRecord>,
+) -> WireResult<(V9Header, SkippedSets)> {
     let header = check(buf)?;
     let anchor = TimeAnchor {
         export_unix_ms: u64::from(header.unix_secs) * 1000,
         uptime_ms: header.sys_uptime_ms,
     };
-    let mut c = Cursor::new(&buf[HEADER_LEN..]);
-    let mut records = Vec::new();
-    let mut skipped = SkippedSets::default();
-    while c.remaining() >= 4 {
-        let set_id = c.read_u16("flowset id")?;
-        let set_len = c.read_u16("flowset length")? as usize;
-        if set_len < 4 {
-            return Err(WireError::BadLength {
-                what: "flowset length",
-                value: set_len,
-            });
-        }
-        let mut body = c.sub(set_len - 4, "flowset body")?;
-        match set_id {
-            TEMPLATE_FLOWSET_ID => decode_template_flowset(&mut body, cache)?,
-            OPTIONS_FLOWSET_ID => decode_options_template_flowset(&mut body, cache)?,
-            id if id >= 256 => {
-                if let Some(ot) = cache.get_options(id).cloned() {
-                    // Options data: exporter metadata, not flows.
-                    let rec_len = ot.record_len();
-                    while rec_len > 0 && body.remaining() >= rec_len {
-                        if let Some(info) = parse_options_record(&mut body, &ot)? {
-                            cache.set_sampling(info);
-                        }
-                    }
-                    continue;
+    let mark = out.len();
+    let mut sets = || {
+        let mut c = Cursor::new(&buf[HEADER_LEN..]);
+        let mut skipped = SkippedSets::default();
+        while c.remaining() >= 4 {
+            let set_id = c.read_u16("flowset id")?;
+            let set_len = c.read_u16("flowset length")? as usize;
+            if set_len < 4 {
+                return Err(WireError::BadLength {
+                    what: "flowset length",
+                    value: set_len,
+                });
+            }
+            let mut body = c.sub(set_len - 4, "flowset body")?;
+            match set_id {
+                TEMPLATE_FLOWSET_ID => decode_template_flowset(&mut body, cache)?,
+                OPTIONS_FLOWSET_ID => decode_options_template_flowset(&mut body, cache)?,
+                id if id >= 256 => {
+                    decode_data_set(id, &mut body, cache, anchor, out, &mut skipped)?
                 }
-                let Some(template) = cache.get(id).cloned() else {
-                    skipped.note(id);
-                    continue;
-                };
-                decode_data_flowset(&mut body, &template, anchor, &mut records)?;
-            }
-            id => {
-                return Err(WireError::BadField {
-                    what: if id < 256 {
-                        "reserved flowset id"
-                    } else {
-                        "flowset id"
-                    },
-                })
+                _ => {
+                    return Err(WireError::BadField {
+                        what: "reserved flowset id",
+                    })
+                }
             }
         }
-    }
-    Ok((header, records, skipped))
+        Ok(skipped)
+    };
+    let skipped = sets().inspect_err(|_| out.truncate(mark))?;
+    Ok((header, skipped))
 }
 
-fn decode_template_flowset(c: &mut Cursor<'_>, cache: &mut TemplateCache) -> WireResult<()> {
-    // A template FlowSet may carry several templates back to back.
+/// Decode one data set (ids ≥ 256; v9 FlowSet and IPFIX Set alike). A set
+/// keyed by an options template is exporter metadata and updates the
+/// cache's sampling state; one whose template is unknown is noted in
+/// `skipped`; otherwise its flow records are appended to `out` — at fixed
+/// offsets when the template's field list is a standard one, by the
+/// per-field walk when not. The templates are borrowed, never cloned.
+pub(crate) fn decode_data_set(
+    id: u16,
+    body: &mut Cursor<'_>,
+    cache: &mut TemplateCache,
+    anchor: TimeAnchor,
+    out: &mut Vec<FlowRecord>,
+    skipped: &mut SkippedSets,
+) -> WireResult<()> {
+    if let Some(ot) = cache.options.get(&id) {
+        let rec_len = ot.record_len();
+        while rec_len > 0 && body.remaining() >= rec_len {
+            if let Some(info) = parse_options_record(body, ot)? {
+                cache.sampling = Some(info);
+            }
+        }
+        return Ok(());
+    }
+    let Some(template) = cache.templates.get(&id) else {
+        skipped.note(id);
+        return Ok(());
+    };
+    match template.fixed_times() {
+        Some(times) => {
+            let bytes = body.read_bytes(body.remaining(), "data set")?;
+            decode_fixed(bytes, times, anchor, out)
+        }
+        None => decode_walk(body, template, anchor, out),
+    }
+}
+
+/// Decode a template set: same bytes in v9 and IPFIX.
+pub(crate) fn decode_template_flowset(
+    c: &mut Cursor<'_>,
+    cache: &mut TemplateCache,
+) -> WireResult<()> {
+    // A template set may carry several templates back to back.
     while c.remaining() >= 4 {
         let id = c.read_u16("template id")?;
         let field_count = c.read_u16("template field count")? as usize;
@@ -475,7 +616,62 @@ fn decode_options_template_flowset(
     Ok(())
 }
 
-fn decode_data_flowset(
+/// The standard templates' records, read at fixed offsets: the same
+/// records, or the same error, [`decode_walk`] gives for those field
+/// lists. Whatever follows the last whole record is alignment padding.
+fn decode_fixed(
+    set: &[u8],
+    times: FixedTimes,
+    anchor: TimeAnchor,
+    out: &mut Vec<FlowRecord>,
+) -> WireResult<()> {
+    let records = set.chunks_exact(FIXED_LEN);
+    out.reserve(records.len());
+    for rec in records {
+        let rec: &[u8; FIXED_LEN] = rec.try_into().expect("chunks_exact yields whole records");
+        let u16_at = |at: usize| u16::from_be_bytes([rec[at], rec[at + 1]]);
+        let u32_at =
+            |at: usize| u32::from_be_bytes([rec[at], rec[at + 1], rec[at + 2], rec[at + 3]]);
+        let u64_at = |at: usize| (u64::from(u32_at(at)) << 32) | u64::from(u32_at(at + 4));
+        let time = |at: usize| match times {
+            FixedTimes::Seconds => Timestamp(u64::from(u32_at(at))),
+            FixedTimes::Uptime => Timestamp(
+                uptime::from_wire(u32_at(at), anchor.uptime_ms, anchor.export_unix_ms) / 1000,
+            ),
+        };
+        let (start, end) = (time(34), time(38));
+        if end < start {
+            return Err(ENDS_BEFORE_IT_STARTS);
+        }
+        out.push(FlowRecord {
+            key: FlowKey {
+                src_addr: Ipv4Addr::from(u32_at(0)),
+                dst_addr: Ipv4Addr::from(u32_at(4)),
+                src_port: u16_at(8),
+                dst_port: u16_at(10),
+                protocol: IpProtocol::from_number(rec[12]),
+            },
+            start,
+            end,
+            bytes: u64_at(18),
+            packets: u64_at(26),
+            tcp_flags: TcpFlags(rec[13]),
+            input_if: u16_at(14),
+            output_if: u16_at(16),
+            src_as: u32_at(42),
+            dst_as: u32_at(46),
+            direction: direction_of(u64::from(rec[50])),
+        });
+    }
+    Ok(())
+}
+
+const ENDS_BEFORE_IT_STARTS: WireError = WireError::BadField {
+    what: "flow ends before it starts",
+};
+
+/// Any template's records, field by field (see [`encode_walk`]).
+fn decode_walk(
     c: &mut Cursor<'_>,
     template: &Template,
     anchor: TimeAnchor,
@@ -495,10 +691,8 @@ fn decode_data_flowset(
     Ok(())
 }
 
-/// Decode one data record against a template. Shared with the IPFIX decoder
-/// (the field semantics are identical; only the timestamp elements differ,
-/// and both are handled here).
-pub(crate) fn decode_record(
+/// Decode one data record against a template, element by element.
+fn decode_record(
     c: &mut Cursor<'_>,
     template: &Template,
     anchor: TimeAnchor,
@@ -542,20 +736,12 @@ pub(crate) fn decode_record(
             FLOW_END_SECONDS => end = Timestamp(v),
             SRC_AS => src_as = v as u32,
             DST_AS => dst_as = v as u32,
-            DIRECTION => {
-                direction = match v {
-                    0 => Direction::Ingress,
-                    1 => Direction::Egress,
-                    _ => Direction::Unknown,
-                }
-            }
+            DIRECTION => direction = direction_of(v),
             _ => { /* unknown information element: ignore */ }
         }
     }
     if end < start {
-        return Err(WireError::BadField {
-            what: "flow ends before it starts",
-        });
+        return Err(ENDS_BEFORE_IT_STARTS);
     }
     Ok(FlowRecord {
         key: FlowKey {
@@ -582,6 +768,107 @@ pub(crate) fn decode_record(
 mod tests {
     use super::*;
     use crate::time::Date;
+    use lockdown_base::prop::cases;
+
+    const EXPORT_MS: u64 = 1_585_000_000_000; // 2020-03-23
+    const BOOT_MS: u64 = EXPORT_MS - 86_400_000;
+
+    /// Both standard field lists, each with the layout it selects and the
+    /// anchor its decoder resolves timestamps against.
+    fn standard() -> [(Template, FixedTimes, TimeAnchor); 2] {
+        let anchor = |uptime_ms| TimeAnchor {
+            export_unix_ms: EXPORT_MS,
+            uptime_ms,
+        };
+        [
+            (
+                Template::standard_ipfix(256),
+                FixedTimes::Seconds,
+                anchor(0),
+            ),
+            (
+                Template::standard_v9(256),
+                FixedTimes::Uptime,
+                anchor(uptime::to_wire(EXPORT_MS, BOOT_MS)),
+            ),
+        ]
+    }
+
+    /// Fixed layout against the walk over the same records: the same
+    /// bytes out, and the same records back from those bytes.
+    #[test]
+    fn fixed_layout_writes_and_reads_what_the_walk_does() {
+        cases(256, |rng, _| {
+            let records: Vec<FlowRecord> = (0..rng.below(65))
+                .map(|_| {
+                    let start = Timestamp(EXPORT_MS / 1000 - rng.below(3_600) - 600);
+                    FlowRecord {
+                        key: FlowKey {
+                            src_addr: Ipv4Addr::from(rng.next_u64() as u32),
+                            dst_addr: Ipv4Addr::from(rng.next_u64() as u32),
+                            src_port: rng.next_u64() as u16,
+                            dst_port: rng.next_u64() as u16,
+                            protocol: IpProtocol::from_number(rng.next_u64() as u8),
+                        },
+                        start,
+                        end: start.add_secs(rng.below(600)),
+                        bytes: rng.next_u64(),
+                        packets: rng.next_u64(),
+                        tcp_flags: TcpFlags(rng.next_u64() as u8),
+                        input_if: rng.next_u64() as u16,
+                        output_if: rng.next_u64() as u16,
+                        src_as: rng.next_u64() as u32,
+                        dst_as: rng.next_u64() as u32,
+                        direction: direction_of(rng.below(3)),
+                    }
+                })
+                .collect();
+            for (template, times, anchor) in standard() {
+                assert_eq!(template.fixed_times(), Some(times));
+                let (mut fixed, mut walk) = (Vec::new(), Vec::new());
+                encode_fixed(&mut fixed, &records, times, BOOT_MS, EXPORT_MS);
+                encode_walk(&mut walk, &records, &template, BOOT_MS, EXPORT_MS);
+                assert_eq!(fixed, walk, "{times:?}");
+                let (mut by_fixed, mut by_walk) = (Vec::new(), Vec::new());
+                decode_fixed(&fixed, times, anchor, &mut by_fixed).unwrap();
+                decode_walk(&mut Cursor::new(&walk), &template, anchor, &mut by_walk).unwrap();
+                assert_eq!(by_fixed, records, "{times:?}");
+                assert_eq!(by_walk, records, "{times:?}");
+            }
+        });
+    }
+
+    /// Whatever bytes a standard-template data set holds — any length, so
+    /// every truncation and inflation of a whole number of records, and
+    /// any content, so flows that end before they start — both layouts
+    /// give the same records or the same error.
+    #[test]
+    fn fixed_layout_rejects_what_the_walk_rejects() {
+        let (mut accepted, mut rejected) = (0, 0);
+        cases(512, |rng, _| {
+            let mut set: Vec<u8> = (0..rng.below(4 * FIXED_LEN as u64 + 4))
+                .map(|_| rng.next_u64() as u8)
+                .collect();
+            if rng.chance(0.5) {
+                // Let whole sets decode too: zero every record's start.
+                for rec in set.chunks_exact_mut(FIXED_LEN) {
+                    rec[34..38].fill(0);
+                }
+            }
+            for (template, times, anchor) in standard() {
+                let (mut by_fixed, mut by_walk) = (Vec::new(), Vec::new());
+                let fixed = decode_fixed(&set, times, anchor, &mut by_fixed);
+                let walk = decode_walk(&mut Cursor::new(&set), &template, anchor, &mut by_walk);
+                assert_eq!(fixed, walk, "{times:?}");
+                assert_eq!(by_fixed, by_walk, "{times:?}");
+                match fixed {
+                    Ok(()) => accepted += 1,
+                    Err(_) => rejected += 1,
+                }
+            }
+        });
+        assert!(accepted > 100 && rejected > 100, "{accepted} / {rejected}");
+    }
 
     fn sample(start: Timestamp, i: u16) -> FlowRecord {
         FlowRecord::builder(

@@ -155,6 +155,16 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// `len` rounded up to the 32-bit alignment v9 FlowSets and IPFIX Sets keep.
+pub(crate) fn padded(len: usize) -> usize {
+    len.next_multiple_of(4)
+}
+
+/// The largest payload one UDP datagram carries over IPv4: the 16-bit IP
+/// total length less the IP (20) and UDP (8) headers. An exporter never
+/// builds a message longer than this.
+pub const MAX_UDP_PAYLOAD: usize = 65_507;
+
 /// Big-endian append helpers over a `Vec<u8>` used by the encoders.
 #[allow(missing_docs)] // four symmetric append methods
 pub trait PutBe {

@@ -40,6 +40,9 @@ said_once "the metrics exposition format" '"# TYPE' crates/base/src/
 # date by itself, is back on a per-flow path.
 said_once "the ephemeral-port cut" '>= EPHEMERAL_START' crates/analysis/src/ports.rs
 said_once "a record's civil date" 'start.date()' crates/flow/src/
+# One element <-> FlowRecord mapping per direction, shared by v9 and IPFIX: a
+# codec that restates it (ipfix.rs did, minus the uptime pair) drifts.
+said_once "the element-to-record mapping" 'IPV4_SRC_ADDR =>' crates/flow/src/netflow/v9.rs
 # The engine has one scheduler: one scope its workers run in, one loop
 # that runs a cell. A second of either is a fork of the pass core.
 exactly_once() { # <what> <fixed-string pattern>
