@@ -30,14 +30,35 @@ use lockdown_topology::asn::Region;
 use lockdown_topology::vantage::{VantageKind, VantagePoint};
 
 /// The demand model: an interpreter over one scenario's timelines, events
-/// and baseline drift. Cheap to construct and `Copy`-free on purpose
-/// (benches construct one per run).
+/// and baseline drift. Its share table is built at construction, so build
+/// one per pass (as the generator does) and ask it for a [`DayDemand`] per
+/// cell, not for a volume per flow.
 #[derive(Debug, Clone)]
 pub struct DemandModel {
     timelines: [RegionTimeline; 3],
     events: Vec<MeasureEvent>,
     organic_anchor: Date,
     organic_weekly: f64,
+    /// Normalized mix per vantage kind, `[kind as usize][class as usize]`.
+    shares: [[f64; AppClass::ALL.len()]; 5],
+}
+
+/// What the model knows about one `(vantage point, date)` before any hour
+/// or class is named: every factor of [`DemandModel::volume_gbps`] that is
+/// a fact of the day. A cell's 23 classes share one.
+#[derive(Debug)]
+pub struct DayDemand<'a> {
+    vp: VantagePoint,
+    date: Date,
+    day_type: DayType,
+    /// [`DemandModel::effective_intensity`] on this day.
+    intensity: f64,
+    /// Days since the region's lockdown began (negative before).
+    since_lockdown: i64,
+    vantage_factor: f64,
+    organic_factor: f64,
+    event_factors: [f64; AppClass::ALL.len()],
+    shares: &'a [f64; AppClass::ALL.len()],
 }
 
 impl Default for DemandModel {
@@ -54,11 +75,17 @@ impl DemandModel {
 
     /// Build a model interpreting an arbitrary scenario.
     pub fn from_spec(spec: &ScenarioSpec) -> DemandModel {
+        use VantageKind::*;
+        let mut shares = [[0.0; AppClass::ALL.len()]; 5];
+        for kind in [Isp, Ixp, Edu, Mobile, Roaming] {
+            shares[kind as usize] = share_row(kind);
+        }
         DemandModel {
             timelines: spec.timelines(),
             events: spec.events.clone(),
             organic_anchor: spec.baseline.organic_anchor,
             organic_weekly: spec.baseline.organic_weekly,
+            shares,
         }
     }
 
@@ -98,34 +125,56 @@ impl DemandModel {
         }
     }
 
+    /// The day's facts at one vantage point: what every class and hour of
+    /// a cell shares.
+    pub fn day(&self, vp: VantagePoint, date: Date) -> DayDemand<'_> {
+        let intensity = self.effective_intensity(vp, date);
+        DayDemand {
+            vp,
+            date,
+            day_type: day_type(date, vp.region()),
+            intensity,
+            since_lockdown: self.timeline(vp.region()).lockdown.days_until(date),
+            // Mobile traffic dips while people sit on home Wi-Fi; roaming
+            // collapses with travel (Fig. 1's bottom curves).
+            vantage_factor: match vp.kind() {
+                VantageKind::Mobile => 1.0 - 0.30 * intensity,
+                VantageKind::Roaming => 1.0 - 0.60 * intensity,
+                // The EDU vantage's drastic volume drop is modelled by the
+                // dedicated EDU model (crate module `edu`); at the demand level
+                // the campus factor removes the on-premise population.
+                VantageKind::Edu => 1.0 - 0.52 * intensity,
+                _ => 1.0,
+            },
+            organic_factor: self.organic_factor(date),
+            event_factors: self.event_factors(vp, date),
+            shares: &self.shares[vp.kind() as usize],
+        }
+    }
+
     /// Expected volume in Gbps for one class at one vantage point and hour.
     pub fn volume_gbps(&self, vp: VantagePoint, app: AppClass, date: Date, hour: u8) -> f64 {
-        let share = app_share(vp, app);
-        if share == 0.0 {
-            return 0.0;
-        }
-        let base = vp.peak_gbps() * 0.55; // mean level relative to peak
-        let weekend = day_type(date, vp.region()).is_weekend_like();
-        let level = if weekend { weekend_level(app) } else { 1.0 };
-        base * share
-            * level
-            * self.diurnal_weight(vp, app, date, hour)
-            * self.growth(vp, app, date, hour)
-            * self.vantage_factor(vp, date)
-            * self.organic_factor(date)
-            * self.event_factor(vp, app, date)
+        self.day(vp, date).volume_gbps(app, hour)
     }
 
     /// Combined multiplier of the scenario's discrete events on this
     /// (vantage, class, date) — events multiply in file order.
     pub fn event_factor(&self, vp: VantagePoint, app: AppClass, date: Date) -> f64 {
-        let mut f = 1.0;
-        for e in &self.events {
-            if e.applies(vp, app, date) {
-                f *= e.factor;
+        self.event_factors(vp, date)[app as usize]
+    }
+
+    /// [`DemandModel::event_factor`] of every class, by `class as usize`.
+    fn event_factors(&self, vp: VantagePoint, date: Date) -> [f64; AppClass::ALL.len()] {
+        let mut factors = [1.0; AppClass::ALL.len()];
+        // Most events are out of force on most days: ask that once.
+        for e in self.events.iter().filter(|e| e.covers(vp, date)) {
+            for app in AppClass::ALL {
+                if e.applies(vp, app, date) {
+                    factors[app as usize] *= e.factor;
+                }
             }
         }
-        f
+        factors
     }
 
     /// The scenario's organic week-over-week baseline drift.
@@ -136,38 +185,83 @@ impl DemandModel {
 
     /// Expected total volume (all classes) in Gbps.
     pub fn total_volume_gbps(&self, vp: VantagePoint, date: Date, hour: u8) -> f64 {
-        AppClass::ALL
-            .iter()
-            .map(|&a| self.volume_gbps(vp, a, date, hour))
-            .sum()
+        self.day(vp, date).total_volume_gbps(hour)
     }
 
     /// The diurnal weight of a class at an hour, after lockdown morphing.
     pub fn diurnal_weight(&self, vp: VantagePoint, app: AppClass, date: Date, hour: u8) -> f64 {
-        let dt = day_type(date, vp.region());
-        let i = self.effective_intensity(vp, date);
+        self.day(vp, date).diurnal_weight(app, hour)
+    }
+
+    /// COVID growth multiplier for a class. 1.0 = no change vs. baseline.
+    pub fn growth(&self, vp: VantagePoint, app: AppClass, date: Date, hour: u8) -> f64 {
+        self.day(vp, date).growth(app, hour)
+    }
+}
+
+impl DayDemand<'_> {
+    /// The vantage point these facts hold at.
+    pub fn vantage(&self) -> VantagePoint {
+        self.vp
+    }
+
+    /// The day these facts hold on.
+    pub fn date(&self) -> Date {
+        self.date
+    }
+
+    /// Expected volume in Gbps for one class at one hour of this day.
+    pub fn volume_gbps(&self, app: AppClass, hour: u8) -> f64 {
+        let share = self.shares[app as usize];
+        if share == 0.0 {
+            return 0.0;
+        }
+        let base = self.vp.peak_gbps() * 0.55; // mean level relative to peak
+        let level = if self.day_type.is_weekend_like() {
+            weekend_level(app)
+        } else {
+            1.0
+        };
+        base * share
+            * level
+            * self.diurnal_weight(app, hour)
+            * self.growth(app, hour)
+            * self.vantage_factor
+            * self.organic_factor
+            * self.event_factors[app as usize]
+    }
+
+    /// Expected total volume (all classes) in Gbps.
+    pub fn total_volume_gbps(&self, hour: u8) -> f64 {
+        AppClass::ALL
+            .iter()
+            .map(|&a| self.volume_gbps(a, hour))
+            .sum()
+    }
+
+    /// The diurnal weight of a class at an hour, after lockdown morphing.
+    pub fn diurnal_weight(&self, app: AppClass, hour: u8) -> f64 {
         let (workday_profile, weekend_profile) = class_profiles(app);
-        match dt {
+        match self.day_type {
             DayType::Workday => {
                 // Under lockdown, workday shapes morph toward the weekend-
                 // like lockdown shape (Fig. 2b/2c: almost all days classify
                 // as weekend-like from mid-March).
                 let lockdown_profile = lockdown_profile_for(app);
-                blend(workday_profile, lockdown_profile, i, hour)
+                blend(workday_profile, lockdown_profile, self.intensity, hour)
             }
             DayType::Weekend | DayType::Holiday => shape(weekend_profile, hour),
         }
     }
 
     /// COVID growth multiplier for a class. 1.0 = no change vs. baseline.
-    pub fn growth(&self, vp: VantagePoint, app: AppClass, date: Date, hour: u8) -> f64 {
+    pub fn growth(&self, app: AppClass, hour: u8) -> f64 {
+        let (vp, date, i) = (self.vp, self.date, self.intensity);
         let region = vp.region();
-        let i = self.effective_intensity(vp, date);
         if i == 0.0 {
             return 1.0;
         }
-        let dt = day_type(date, region);
-        let workday = dt == DayType::Workday;
+        let workday = self.day_type == DayType::Workday;
         let work_hours = (9..17).contains(&hour);
         let kind = vp.kind();
         let eu = region != Region::UsEast;
@@ -243,8 +337,7 @@ impl DemandModel {
             // §5: social media spikes in stage 1 and flattens in stage 2
             // (people allowed outside again); ISP-CE sees +70% in stage 1.
             AppClass::SocialMedia => {
-                let lockdown = self.timeline(region).lockdown;
-                let since = lockdown.days_until(date).max(0) as f64;
+                let since = self.since_lockdown.max(0) as f64;
                 // The novelty pulse decays fast enough that the stage-2
                 // analysis week (Apr 9 at the ISP) sits clearly below
                 // stage 1 even as overall demand keeps rising (Fig. 9).
@@ -349,39 +442,6 @@ impl DemandModel {
             AppClass::Other => 1.0 + 0.40 * i,
         }
     }
-
-    /// Vantage-level demand factor: mobile traffic dips while people sit on
-    /// home Wi-Fi; roaming collapses with travel (Fig. 1's bottom curves).
-    pub fn vantage_factor(&self, vp: VantagePoint, date: Date) -> f64 {
-        let i = self.effective_intensity(vp, date);
-        match vp.kind() {
-            VantageKind::Mobile => 1.0 - 0.30 * i,
-            VantageKind::Roaming => 1.0 - 0.60 * i,
-            // The EDU vantage's drastic volume drop is modelled by the
-            // dedicated EDU model (crate module `edu`); at the demand level
-            // the campus factor removes the on-premise population.
-            VantageKind::Edu => 1.0 - 0.52 * i,
-            _ => 1.0,
-        }
-    }
-}
-
-/// The shipped calibration's event factor: the EU streaming resolution
-/// reduction (Mar 19 on) and its partial lift (May 12, §1); the pre-Mar-9
-/// conferencing pre-adoption discount; and the IXP-SE gaming-provider
-/// outage in the first lockdown week (Fig. 8: "the accounted volume
-/// plunges for two days"). The events themselves are data — see
-/// [`ScenarioSpec::covid_spring_2020`]; this free function evaluates them
-/// for the shipped scenario (tests use it as a fixed reference).
-pub fn event_factor(vp: VantagePoint, app: AppClass, date: Date) -> f64 {
-    DemandModel::new().event_factor(vp, app, date)
-}
-
-/// The shipped calibration's mild organic week-over-week growth (Fig. 1
-/// shows a drifting baseline even before the outbreak; annual Internet
-/// growth is ~30%, §9).
-pub fn organic_growth(date: Date) -> f64 {
-    DemandModel::new().organic_factor(date)
 }
 
 /// Weekend volume level of a class relative to its workday level.
@@ -402,9 +462,14 @@ pub fn weekend_level(app: AppClass) -> f64 {
 /// Base share (relative weight) of a class in a vantage point's mix.
 /// Weights are normalized so shares sum to 1 per vantage point.
 pub fn app_share(vp: VantagePoint, app: AppClass) -> f64 {
-    let weights = share_weights(vp.kind());
+    share_row(vp.kind())[app as usize]
+}
+
+/// A vantage kind's normalized mix, indexed by `class as usize`.
+fn share_row(kind: VantageKind) -> [f64; AppClass::ALL.len()] {
+    let weights = share_weights(kind);
     let total: f64 = AppClass::ALL.iter().map(|&a| raw_weight(weights, a)).sum();
-    raw_weight(weights, app) / total
+    AppClass::ALL.map(|a| raw_weight(weights, a) / total)
 }
 
 fn raw_weight(weights: &[(AppClass, f64)], app: AppClass) -> f64 {
@@ -708,32 +773,26 @@ mod tests {
 
     #[test]
     fn vod_resolution_reduction_dips_then_lifts() {
+        let m = model();
         let d_pre = Date::new(2020, 3, 18);
         let d_in = Date::new(2020, 4, 1);
         let d_post = Date::new(2020, 5, 13);
-        assert_eq!(event_factor(VantagePoint::IxpCe, AppClass::Vod, d_pre), 1.0);
-        assert!(event_factor(VantagePoint::IxpCe, AppClass::Vod, d_in) < 1.0);
-        assert_eq!(
-            event_factor(VantagePoint::IxpCe, AppClass::Vod, d_post),
-            1.0
-        );
+        let vod = |vp, d| m.event_factor(vp, AppClass::Vod, d);
+        assert_eq!(vod(VantagePoint::IxpCe, d_pre), 1.0);
+        assert!(vod(VantagePoint::IxpCe, d_in) < 1.0);
+        assert_eq!(vod(VantagePoint::IxpCe, d_post), 1.0);
         // US streams were not degraded.
-        assert_eq!(event_factor(VantagePoint::IxpUs, AppClass::Vod, d_in), 1.0);
+        assert_eq!(vod(VantagePoint::IxpUs, d_in), 1.0);
     }
 
     #[test]
     fn gaming_outage_at_ixp_se_only() {
+        let m = model();
         let d = Date::new(2020, 3, 16);
-        assert!(event_factor(VantagePoint::IxpSe, AppClass::Gaming, d) < 0.2);
-        assert_eq!(event_factor(VantagePoint::IxpCe, AppClass::Gaming, d), 1.0);
-        assert_eq!(
-            event_factor(
-                VantagePoint::IxpSe,
-                AppClass::Gaming,
-                Date::new(2020, 3, 20)
-            ),
-            1.0
-        );
+        let gaming = |vp, d| m.event_factor(vp, AppClass::Gaming, d);
+        assert!(gaming(VantagePoint::IxpSe, d) < 0.2);
+        assert_eq!(gaming(VantagePoint::IxpCe, d), 1.0);
+        assert_eq!(gaming(VantagePoint::IxpSe, Date::new(2020, 3, 20)), 1.0);
     }
 
     #[test]
@@ -832,8 +891,9 @@ mod tests {
 
     #[test]
     fn organic_growth_is_mild() {
-        let g = organic_growth(Date::new(2020, 5, 17));
+        let m = model();
+        let g = m.organic_factor(Date::new(2020, 5, 17));
         assert!(g > 1.0 && g < 1.10, "organic growth to May = {g}");
-        assert!(organic_growth(Date::new(2020, 1, 1)) < 1.0);
+        assert!(m.organic_factor(Date::new(2020, 1, 1)) < 1.0);
     }
 }

@@ -52,7 +52,7 @@ pub mod prelude {
         day_type, is_holiday, study_end, study_start, AnalysisWeek, DayType, APPCLASS_ISP_WEEKS,
         APPCLASS_IXP_WEEKS, EDU_WEEKS, FIG3_WEEKS, PORTS_ISP_WEEKS, PORTS_IXP_WEEKS,
     };
-    pub use crate::demand::{app_share, event_factor, organic_growth, DemandModel};
+    pub use crate::demand::{app_share, DayDemand, DemandModel};
     pub use crate::diurnal::{blend, peak_hour, shape, DiurnalProfile};
     pub use crate::edu::{EduClass, EduModel};
     pub use crate::measures::{

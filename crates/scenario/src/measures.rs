@@ -182,17 +182,14 @@ pub struct MeasureEvent {
 impl MeasureEvent {
     /// Whether the event applies to this (vantage, class, date).
     pub fn applies(&self, vp: VantagePoint, app: AppClass, date: Date) -> bool {
-        if let Some(s) = self.start {
-            if date < s {
-                return false;
-            }
-        }
-        if let Some(u) = self.until {
-            if date >= u {
-                return false;
-            }
-        }
-        (self.classes.is_empty() || self.classes.contains(&app))
+        (self.classes.is_empty() || self.classes.contains(&app)) && self.covers(vp, date)
+    }
+
+    /// Whether the event is in force at this vantage point on this date,
+    /// whatever the class — the part of the scope that is a fact of the day.
+    pub fn covers(&self, vp: VantagePoint, date: Date) -> bool {
+        self.start.is_none_or(|s| date >= s)
+            && self.until.is_none_or(|u| date < u)
             && (self.regions.is_empty() || self.regions.contains(&vp.region()))
             && (self.kinds.is_empty() || self.kinds.contains(&vp.kind()))
             && (self.vantages.is_empty() || self.vantages.contains(&vp))

@@ -10,6 +10,7 @@ use lockdown_scenario::calendar::{day_type, DayType};
 use lockdown_scenario::demand::{app_share, DemandModel};
 use lockdown_scenario::diurnal::{blend, shape, DiurnalProfile};
 use lockdown_scenario::edu::{EduClass, EduModel};
+use lockdown_scenario::measures::ScenarioSpec;
 use lockdown_scenario::phases::RegionTimeline;
 use lockdown_topology::asn::Region;
 use lockdown_topology::vantage::VantagePoint;
@@ -33,6 +34,39 @@ fn demand_finite_nonnegative() {
         assert!(v.is_finite());
         assert!(v >= 0.0);
     });
+}
+
+/// One `DayDemand`, asked for many classes and hours, answers bit for bit
+/// what the one-shot forms answer — under both shipped scenarios.
+#[test]
+fn day_demand_equals_the_one_shot_form() {
+    let outage = include_str!("../../../scenarios/hypergiant-outage.toml");
+    let outage = ScenarioSpec::parse_toml(outage).expect("shipped counterfactual parses");
+    for spec in [ScenarioSpec::covid_spring_2020(), outage] {
+        let m = DemandModel::from_spec(&spec);
+        cases(128, |rng, _| {
+            let (vp, d) = (rng.pick(&VantagePoint::ALL), date(rng));
+            let day = m.day(vp, d);
+            assert_eq!((day.vantage(), day.date()), (vp, d));
+            for _ in 0..8 {
+                let (app, h) = (rng.pick(&AppClass::ALL), hour(rng));
+                let bits = |x: f64| x.to_bits();
+                assert_eq!(
+                    bits(day.volume_gbps(app, h)),
+                    bits(m.volume_gbps(vp, app, d, h))
+                );
+                assert_eq!(bits(day.growth(app, h)), bits(m.growth(vp, app, d, h)));
+                assert_eq!(
+                    bits(day.diurnal_weight(app, h)),
+                    bits(m.diurnal_weight(vp, app, d, h))
+                );
+                assert_eq!(
+                    bits(day.total_volume_gbps(h)),
+                    bits(m.total_volume_gbps(vp, d, h))
+                );
+            }
+        });
+    }
 }
 
 /// Growth multipliers are positive and bounded (nothing grows 100×,

@@ -265,13 +265,16 @@ impl Registry {
     /// A deterministic "random" host address inside one of an AS's
     /// prefixes, selected by an arbitrary index (generators pass RNG draws).
     pub fn host_addr(&self, asn: Asn, index: u64) -> Option<Ipv4Addr> {
-        let prefixes = self.prefixes.get(&asn)?;
-        if prefixes.is_empty() {
-            return None;
-        }
+        let prefixes = self.prefixes_of(asn);
+        (!prefixes.is_empty()).then(|| Registry::host_in(prefixes, index))
+    }
+
+    /// [`Registry::host_addr`] over an AS's already-resolved, non-empty
+    /// prefix list — generators resolve their pools once, not per flow.
+    pub fn host_in(prefixes: &[Ipv4Prefix], index: u64) -> Ipv4Addr {
         let p = prefixes[(index % prefixes.len() as u64) as usize];
         // Rotate by a large odd constant so consecutive indices spread out.
-        Some(p.nth_addr(index.wrapping_mul(0x9E37_79B9)))
+        p.nth_addr(index.wrapping_mul(0x9E37_79B9))
     }
 }
 
@@ -405,6 +408,7 @@ mod tests {
         for a in r.ases() {
             for i in [0u64, 1, 17, 9_999] {
                 let addr = r.host_addr(a.asn, i).unwrap();
+                assert_eq!(addr, Registry::host_in(r.prefixes_of(a.asn), i));
                 assert_eq!(
                     r.lookup(addr),
                     Some(a.asn),
@@ -413,6 +417,7 @@ mod tests {
                 );
             }
         }
+        assert_eq!(r.host_addr(Asn(1), 0), None, "an AS the registry lacks");
     }
 
     #[test]

@@ -7,17 +7,18 @@
 //! 39% of flows whose direction cannot be determined (§7).
 
 use crate::config::GeneratorConfig;
+use crate::picker::{eyeballs, net, nets, Net};
 use crate::plan::Stream;
 use crate::sizes;
 use lockdown_base::hash::SplitMix;
 use lockdown_flow::protocol::{IpProtocol, TcpFlags};
 use lockdown_flow::record::{Direction, FlowKey, FlowRecord};
-use lockdown_flow::time::Date;
+use lockdown_flow::time::{Date, Timestamp};
 use lockdown_scenario::diurnal::{shape, DiurnalProfile};
 use lockdown_scenario::edu::{EduClass, EduModel};
 use lockdown_scenario::measures::ScenarioSpec;
-use lockdown_topology::asn::{AsCategory, Asn, Region};
-use lockdown_topology::registry::{Registry, EDU_ASN, SPOTIFY_ASN};
+use lockdown_topology::asn::{AsCategory, Region};
+use lockdown_topology::registry::{Registry, EDU_ASN, EDU_INSTITUTIONS, SPOTIFY_ASN};
 use std::net::Ipv4Addr;
 
 /// Scale factor from modelled connection counts to generated records.
@@ -59,13 +60,14 @@ fn class_signature(class: EduClass, rng: &mut SplitMix) -> (IpProtocol, u16) {
 /// The EDU trace generator.
 #[derive(Debug)]
 pub struct EduGenerator<'a> {
-    registry: &'a Registry,
     model: EduModel,
     config: GeneratorConfig,
-    national_eyeballs: Vec<Asn>,
-    overseas_eyeballs: Vec<Asn>,
-    hypergiants: Vec<Asn>,
-    web_servers: Vec<Asn>,
+    edu: Net<'a>,
+    spotify: Net<'a>,
+    national_eyeballs: Vec<Net<'a>>,
+    overseas_eyeballs: Vec<Net<'a>>,
+    hypergiants: Vec<Net<'a>>,
+    web_servers: Vec<Net<'a>>,
 }
 
 impl<'a> EduGenerator<'a> {
@@ -92,30 +94,20 @@ impl<'a> EduGenerator<'a> {
         config: GeneratorConfig,
         model: EduModel,
     ) -> EduGenerator<'a> {
-        let eyeballs = |region: Region| -> Vec<Asn> {
-            registry
-                .in_region(region)
-                .filter(|a| a.category == AsCategory::EyeballIsp)
-                .map(|a| a.asn)
-                .collect()
-        };
+        let web_servers = registry
+            .in_category(AsCategory::Cdn)
+            .chain(registry.in_category(AsCategory::CloudProvider));
         EduGenerator {
-            registry,
             model,
             config,
-            national_eyeballs: eyeballs(Region::SouthernEurope),
+            edu: net(registry, EDU_ASN),
+            spotify: net(registry, SPOTIFY_ASN),
+            national_eyeballs: eyeballs(registry, Region::SouthernEurope),
             // The paper's overseas students connect from Latin America and
             // North America; the US region stands in for both.
-            overseas_eyeballs: eyeballs(Region::UsEast),
-            hypergiants: registry
-                .in_category(AsCategory::Hypergiant)
-                .map(|a| a.asn)
-                .collect(),
-            web_servers: registry
-                .in_category(AsCategory::Cdn)
-                .chain(registry.in_category(AsCategory::CloudProvider))
-                .map(|a| a.asn)
-                .collect(),
+            overseas_eyeballs: eyeballs(registry, Region::UsEast),
+            hypergiants: nets(registry, registry.in_category(AsCategory::Hypergiant)),
+            web_servers: nets(registry, web_servers),
         }
     }
 
@@ -125,8 +117,7 @@ impl<'a> EduGenerator<'a> {
     }
 
     /// Hourly weight (mean 1.0 across the day) for a class's connections.
-    fn hour_weight(&self, class: EduClass, date: Date, hour: u8) -> f64 {
-        let remote = self.model.remote_activity(date);
+    fn hour_weight(class: EduClass, remote: f64, hour: u8) -> f64 {
         if class.is_incoming() {
             // Incoming shifts from business hours toward a remote mix with
             // a visible overseas night component (§7: Latin-American users
@@ -145,14 +136,25 @@ impl<'a> EduGenerator<'a> {
     /// Generate one hour of EDU traffic.
     pub fn generate_hour(&self, date: Date, hour: u8) -> Vec<FlowRecord> {
         let mut out = Vec::new();
+        self.hour_into(date, hour, &mut out);
+        out
+    }
+
+    /// One hour of EDU traffic, appended to `out`.
+    pub(crate) fn hour_into(&self, date: Date, hour: u8, out: &mut Vec<FlowRecord>) {
+        let first = out.len();
+        let hour_start = date.at_hour(hour);
         let (ingress_gbps, egress_gbps) = self.model.volume_gbps(date, hour);
+        // Facts of the day, not of a class or a flow.
+        let remote = self.model.remote_activity(date);
+        let presence = self.model.campus_presence(date);
 
         // Per-class connection records.
         let mut n_in = 0usize;
         let mut n_out = 0usize;
         for class in EduClass::ALL {
             let daily = self.model.daily_connections(class, date);
-            let weight = self.hour_weight(class, date, hour);
+            let weight = Self::hour_weight(class, remote, hour);
             let mut rng = self.config.cell_rng(Stream::Edu, class as u64, date, hour);
             let raw = daily * CONN_SCALE * weight / 24.0;
             let mut n = raw.floor() as usize;
@@ -167,7 +169,7 @@ impl<'a> EduGenerator<'a> {
             } else {
                 n_out += n;
             }
-            self.emit_class(class, n, date, hour, &mut rng, &mut out);
+            self.emit_class(class, n, (remote, presence), hour_start, &mut rng, out);
         }
 
         // Direction-unknown chaff: §7 cannot determine directionality for
@@ -175,30 +177,34 @@ impl<'a> EduGenerator<'a> {
         let known = n_in + n_out;
         let n_unknown = ((known as f64) * 0.39 / 0.61).round() as usize;
         let mut rng = self.config.cell_rng(Stream::Edu, CHAFF, date, hour);
-        self.emit_unknown(n_unknown, date, hour, &mut rng, &mut out);
+        self.emit_unknown(n_unknown, hour_start, &mut rng, out);
 
         // Attach volume: split the hour's ingress/egress bytes over the
         // flows of each direction so Fig. 11 recovers the volume story.
         let in_bytes = (ingress_gbps * crate::generate::BYTES_PER_GBPS_HOUR) as u64;
         let eg_bytes = (egress_gbps * crate::generate::BYTES_PER_GBPS_HOUR) as u64;
         let mut rng = self.config.cell_rng(Stream::Edu, VOLUME, date, hour);
-        distribute_bytes(&mut out, Direction::Ingress, in_bytes, &mut rng);
-        distribute_bytes(&mut out, Direction::Egress, eg_bytes, &mut rng);
-        out
+        let mut sizes = Vec::new();
+        for (direction, bytes) in [
+            (Direction::Ingress, in_bytes),
+            (Direction::Egress, eg_bytes),
+        ] {
+            distribute_bytes(&mut out[first..], direction, bytes, &mut rng, &mut sizes);
+        }
     }
 
-    /// Emit `n` connection records of one class.
+    /// Emit `n` connection records of one class; `(remote, presence)` are
+    /// the day's remote-activity and campus-presence factors.
     fn emit_class(
         &self,
         class: EduClass,
         n: usize,
-        date: Date,
-        hour: u8,
+        (remote, presence): (f64, f64),
+        hour_start: Timestamp,
         rng: &mut SplitMix,
         out: &mut Vec<FlowRecord>,
     ) {
-        let hour_start = date.at_hour(hour);
-        let remote = self.model.remote_activity(date);
+        let hour = hour_start.hour();
         // Client origin correlates with the hour: overseas students (the
         // §7 Latin-American cohort) dominate the small hours once teaching
         // moves online, because of the time-zone offset.
@@ -206,6 +212,9 @@ impl<'a> EduGenerator<'a> {
             + 0.15 * shape(DiurnalProfile::ResidentialLockdown, hour);
         let w_ov = 0.20 * shape(DiurnalProfile::OverseasNight, hour);
         let overseas_now = w_ov / (w_dom + w_ov);
+        let overseas_p = 0.05 * (1.0 - remote) + remote * overseas_now;
+        let campus_pool = ((8_000.0 * presence) as u64).max(50);
+        let (edu_asn, edu_prefixes) = self.edu;
         for _ in 0..n {
             let (protocol, server_port) = class_signature(class, rng);
             let start = hour_start.add_secs(rng.below(3_600));
@@ -216,17 +225,16 @@ impl<'a> EduGenerator<'a> {
             };
             let record = if class.is_incoming() {
                 // External client → EDU server.
-                let overseas_p = 0.05 * (1.0 - remote) + remote * overseas_now;
-                let ext_asn = if rng.chance(overseas_p) {
+                let (ext_asn, ext_prefixes) = if rng.chance(overseas_p) {
                     rng.pick(&self.overseas_eyeballs)
                 } else {
                     rng.pick(&self.national_eyeballs)
                 };
-                let ext_ip = self
-                    .registry
-                    .host_addr(ext_asn, 1_000 + rng.below(20_000))
-                    .expect("eyeball prefixes");
-                let edu_ip = self.edu_server_ip(class, rng);
+                let ext_ip = Registry::host_in(ext_prefixes, 1_000 + rng.below(20_000));
+                // A stable EDU-side server address for the class, spread
+                // across the 16 institutions.
+                let institution = rng.below(EDU_INSTITUTIONS as u64);
+                let edu_ip = Registry::host_in(edu_prefixes, institution * 8 + class as u64 % 8);
                 FlowRecord::builder(
                     FlowKey {
                         src_addr: ext_ip,
@@ -241,18 +249,13 @@ impl<'a> EduGenerator<'a> {
                     },
                     start,
                 )
-                .asns(ext_asn.0, EDU_ASN.0)
+                .asns(ext_asn.0, edu_asn.0)
                 .direction(Direction::Ingress)
             } else {
                 // Campus client → external service.
-                let presence = self.model.campus_presence(date);
-                let pool = ((8_000.0 * presence) as u64).max(50);
-                let campus_ip = self
-                    .registry
-                    .host_addr(EDU_ASN, 1_000 + rng.below(pool))
-                    .expect("EDU prefixes");
-                let dst_asn = match class {
-                    EduClass::SpotifyOut => SPOTIFY_ASN,
+                let campus_ip = Registry::host_in(edu_prefixes, 1_000 + rng.below(campus_pool));
+                let (dst_asn, dst_prefixes) = match class {
+                    EduClass::SpotifyOut => self.spotify,
                     EduClass::PushNotifOut | EduClass::HypergiantWebOut | EduClass::QuicOut => {
                         rng.pick(&self.hypergiants)
                     }
@@ -264,10 +267,7 @@ impl<'a> EduGenerator<'a> {
                         }
                     }
                 };
-                let dst_ip = self
-                    .registry
-                    .host_addr(dst_asn, rng.below(64))
-                    .expect("server prefixes");
+                let dst_ip = Registry::host_in(dst_prefixes, rng.below(64));
                 FlowRecord::builder(
                     FlowKey {
                         src_addr: campus_ip,
@@ -282,7 +282,7 @@ impl<'a> EduGenerator<'a> {
                     },
                     start,
                 )
-                .asns(EDU_ASN.0, dst_asn.0)
+                .asns(edu_asn.0, dst_asn.0)
                 .direction(Direction::Egress)
             };
             out.push(
@@ -301,12 +301,10 @@ impl<'a> EduGenerator<'a> {
     fn emit_unknown(
         &self,
         n: usize,
-        date: Date,
-        hour: u8,
+        hour_start: Timestamp,
         rng: &mut SplitMix,
         out: &mut Vec<FlowRecord>,
     ) {
-        let hour_start = date.at_hour(hour);
         for _ in 0..n {
             let start = hour_start.add_secs(rng.below(3_600));
             let protocol = if rng.chance(0.8) {
@@ -318,10 +316,7 @@ impl<'a> EduGenerator<'a> {
             } else {
                 IpProtocol::Other(rng.range(90..130) as u8)
             };
-            let edu_ip = self
-                .registry
-                .host_addr(EDU_ASN, 1_000 + rng.below(8_000))
-                .expect("EDU prefixes");
+            let edu_ip = Registry::host_in(self.edu.1, 1_000 + rng.below(8_000));
             let peer = Ipv4Addr::from(rng.range(0x0B00_0000..0x5F00_0000) as u32);
             let (src, dst) = if rng.chance(0.5) {
                 (edu_ip, peer)
@@ -355,44 +350,33 @@ impl<'a> EduGenerator<'a> {
             );
         }
     }
-
-    /// A stable EDU-side server address for a class, spread across the 16
-    /// institutions.
-    fn edu_server_ip(&self, class: EduClass, rng: &mut SplitMix) -> Ipv4Addr {
-        let institution = rng.below(lockdown_topology::registry::EDU_INSTITUTIONS as u64);
-        let service = class as u64;
-        self.registry
-            .host_addr(EDU_ASN, institution * 8 + service % 8)
-            .expect("EDU prefixes")
-    }
 }
 
-/// Re-split `total_bytes` across all flows of one direction, heavy-tailed.
+/// Re-split `total_bytes` across all flows of one direction, heavy-tailed;
+/// `sizes` is the caller's scratch buffer.
 fn distribute_bytes(
     flows: &mut [FlowRecord],
     direction: Direction,
     total_bytes: u64,
     rng: &mut SplitMix,
+    sizes: &mut Vec<u64>,
 ) {
-    let idx: Vec<usize> = flows
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| f.direction == direction)
-        .map(|(i, _)| i)
-        .collect();
-    if idx.is_empty() {
+    let n = flows.iter().filter(|f| f.direction == direction).count();
+    if n == 0 {
         return;
     }
-    let sizes = sizes::split_bytes(rng, total_bytes, idx.len());
-    for (slot, bytes) in idx.into_iter().zip(sizes) {
-        flows[slot].bytes = bytes.max(1);
-        flows[slot].packets = (bytes / 1_000).max(1);
+    sizes::split_bytes(rng, total_bytes, n, sizes);
+    let of_direction = flows.iter_mut().filter(|f| f.direction == direction);
+    for (flow, &bytes) in of_direction.zip(sizes.iter()) {
+        flow.bytes = bytes.max(1);
+        flow.packets = (bytes / 1_000).max(1);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lockdown_topology::asn::Asn;
 
     fn gen() -> (Registry, GeneratorConfig) {
         (Registry::synthesize(), GeneratorConfig::with_seed(11))

@@ -9,18 +9,21 @@
 //! the property that makes per-figure experiments cheap and parallel.
 
 use crate::config::GeneratorConfig;
-use crate::picker::{as_jitter, Picker};
+use crate::picker::{as_jitter, Net, Picker};
 use crate::plan::{Cell, Stream, TracePlan};
 use crate::sizes;
 use lockdown_base::hash::SplitMix;
 use lockdown_dns::corpus::Corpus;
 use lockdown_flow::protocol::{IpProtocol, TcpFlags};
 use lockdown_flow::record::{Direction, FlowKey, FlowRecord};
-use lockdown_flow::time::Date;
+use lockdown_flow::time::{Date, Timestamp};
 use lockdown_scenario::apps::AppClass;
-use lockdown_scenario::demand::DemandModel;
+use lockdown_scenario::calendar::day_type;
+use lockdown_scenario::demand::{DayDemand, DemandModel};
+use lockdown_scenario::diurnal::{shape, DiurnalProfile};
 use lockdown_scenario::measures::ScenarioSpec;
-use lockdown_topology::registry::{Registry, ISP_CE_ASN};
+use lockdown_topology::asn::Region;
+use lockdown_topology::registry::Registry;
 use lockdown_topology::vantage::{VantageKind, VantagePoint};
 
 /// Bytes carried by 1 Gbps sustained for one hour.
@@ -42,23 +45,34 @@ fn is_symmetric(app: AppClass) -> bool {
     )
 }
 
-/// The trace generator. Cheap to construct; all methods take `&self`.
+/// One row of the §3.4 transit view: a business AS, its base levels and
+/// its idiosyncratic responses to lockdown — facts of the AS and the seed.
+#[derive(Debug)]
+struct TransitAs<'a> {
+    net: Net<'a>,
+    base_res: f64,
+    base_b2b: f64,
+    res_delta: f64,
+    b2b_delta: f64,
+}
+
+/// The trace generator. Construction resolves every endpoint pool and
+/// builds the demand model's tables, so build one per pass; all methods
+/// take `&self`.
 #[derive(Debug)]
 pub struct TrafficGenerator<'a> {
     picker: Picker<'a>,
     demand: DemandModel,
     config: GeneratorConfig,
+    transit: Vec<TransitAs<'a>>,
 }
 
 impl<'a> TrafficGenerator<'a> {
     /// Build a generator over a registry and DNS corpus, calibrated to the
     /// built-in COVID spring-2020 scenario.
     pub fn new(registry: &'a Registry, corpus: &'a Corpus, config: GeneratorConfig) -> Self {
-        TrafficGenerator {
-            picker: Picker::new(registry, corpus),
-            demand: DemandModel::new(),
-            config,
-        }
+        let spec = ScenarioSpec::covid_spring_2020();
+        TrafficGenerator::with_scenario(registry, corpus, config, &spec)
     }
 
     /// Build a generator whose demand model interprets `spec` instead of
@@ -71,8 +85,21 @@ impl<'a> TrafficGenerator<'a> {
         config: GeneratorConfig,
         spec: &ScenarioSpec,
     ) -> Self {
+        let picker = Picker::new(registry, corpus);
+        let jitter = |net: Net<'a>, id, spread| as_jitter(net.0, config.seed, id, spread);
+        let transit = picker.business.iter().map(|&net| TransitAs {
+            net,
+            base_res: 2.0 * jitter(net, 1, 0.8),
+            base_b2b: 3.0 * jitter(net, 2, 0.8),
+            // Residential delta centred +0.55, spread wide enough that some
+            // ASes lose residential traffic (bottom quadrants of Fig. 6).
+            res_delta: 0.55 * jitter(net, 3, 1.6),
+            // B2B delta centred −0.45, a few ASes gain (cloud platforms).
+            b2b_delta: -0.45 * jitter(net, 4, 1.3),
+        });
         TrafficGenerator {
-            picker: Picker::new(registry, corpus),
+            transit: transit.collect(),
+            picker,
             demand: DemandModel::from_spec(spec),
             config,
         }
@@ -97,7 +124,21 @@ impl<'a> TrafficGenerator<'a> {
         hour: u8,
         out: &mut Vec<FlowRecord>,
     ) {
-        let volume_gbps = self.demand.volume_gbps(vp, app, date, hour);
+        self.class_into(&self.demand.day(vp, date), app, hour, &mut Vec::new(), out);
+    }
+
+    /// One class of one hour of `day`, appended to `out`; `sizes` is the
+    /// caller's scratch buffer.
+    fn class_into(
+        &self,
+        day: &DayDemand<'_>,
+        app: AppClass,
+        hour: u8,
+        sizes: &mut Vec<u64>,
+        out: &mut Vec<FlowRecord>,
+    ) {
+        let (vp, date) = (day.vantage(), day.date());
+        let volume_gbps = day.volume_gbps(app, hour);
         if volume_gbps <= 0.0 {
             return;
         }
@@ -115,10 +156,10 @@ impl<'a> TrafficGenerator<'a> {
         let n = n.max(self.config.min_flows);
 
         let user_pool = ((volume_gbps * self.config.users_per_gbps) as u64).max(8);
-        let bytes = sizes::split_bytes(&mut rng, bytes_total, n);
+        sizes::split_bytes(&mut rng, bytes_total, n, sizes);
         let hour_start = date.at_hour(hour);
 
-        for flow_bytes in bytes {
+        for &flow_bytes in sizes.iter() {
             let (server_asn, server_ip) = self.picker.server(app, &mut rng);
             let (client_asn, client_ip) = self.picker.client(vp, user_pool, &mut rng);
             let sig = self.picker.port_sig(app, &mut rng);
@@ -203,12 +244,20 @@ impl<'a> TrafficGenerator<'a> {
         }
     }
 
+    /// One full hour at a vantage point (all classes), appended to `out`:
+    /// the day's facts are derived once for the cell's 23 classes.
+    fn hour_into(&self, vp: VantagePoint, date: Date, hour: u8, out: &mut Vec<FlowRecord>) {
+        let day = self.demand.day(vp, date);
+        let mut sizes = Vec::new();
+        for app in AppClass::ALL {
+            self.class_into(&day, app, hour, &mut sizes, out);
+        }
+    }
+
     /// Generate one full hour at a vantage point (all classes).
     pub fn generate_hour(&self, vp: VantagePoint, date: Date, hour: u8) -> Vec<FlowRecord> {
         let mut out = Vec::new();
-        for app in AppClass::ALL {
-            self.generate_hour_class(vp, app, date, hour, &mut out);
-        }
+        self.hour_into(vp, date, hour, &mut out);
         out
     }
 
@@ -216,9 +265,7 @@ impl<'a> TrafficGenerator<'a> {
     pub fn generate_day(&self, vp: VantagePoint, date: Date) -> Vec<FlowRecord> {
         let mut out = Vec::new();
         for hour in 0..24 {
-            for app in AppClass::ALL {
-                self.generate_hour_class(vp, app, date, hour, &mut out);
-            }
+            self.hour_into(vp, date, hour, &mut out);
         }
         out
     }
@@ -230,14 +277,8 @@ impl<'a> TrafficGenerator<'a> {
     pub fn generate_cell(&self, cell: Cell, out: &mut Vec<FlowRecord>) {
         out.clear();
         match cell.stream {
-            Stream::Vantage(vp) => {
-                for app in AppClass::ALL {
-                    self.generate_hour_class(vp, app, cell.date, cell.hour, out);
-                }
-            }
-            Stream::IspTransit => {
-                out.extend(self.generate_isp_transit_hour(cell.date, cell.hour));
-            }
+            Stream::Vantage(vp) => self.hour_into(vp, cell.date, cell.hour, out),
+            Stream::IspTransit => self.isp_transit_into(cell.date, cell.hour, out),
             Stream::Edu => panic!("EDU cells are generated by EduGenerator"),
         }
     }
@@ -267,37 +308,29 @@ impl<'a> TrafficGenerator<'a> {
     /// lockdown (offices empty) while the residential-facing share grows —
     /// with heavy per-AS idiosyncrasy, giving Fig. 6 its quadrant scatter.
     pub fn generate_isp_transit_hour(&self, date: Date, hour: u8) -> Vec<FlowRecord> {
-        let mut rng = self.config.cell_rng(Stream::IspTransit, 0, date, hour);
         let mut out = Vec::new();
-        let i = self.demand.effective_intensity(VantagePoint::IspCe, date);
-        let dt = lockdown_scenario::calendar::day_type(
-            date,
-            lockdown_topology::asn::Region::CentralEurope,
-        );
-        let shape = lockdown_scenario::diurnal::shape(
-            lockdown_scenario::diurnal::DiurnalProfile::BusinessHours,
-            hour,
-        );
-        let weekend_damp = if dt.is_weekend_like() { 0.3 } else { 1.0 };
-
-        let seed = self.config.seed;
-        for &asn in &self.picker.business {
-            // Per-AS base levels and idiosyncratic responses to lockdown.
-            let base_res = 2.0 * as_jitter(asn, seed, 1, 0.8);
-            let base_b2b = 3.0 * as_jitter(asn, seed, 2, 0.8);
-            // Residential delta centred +0.55, spread wide enough that some
-            // ASes lose residential traffic (bottom quadrants of Fig. 6).
-            let res_delta = 0.55 * as_jitter(asn, seed, 3, 1.6);
-            // B2B delta centred −0.45, a few ASes gain (cloud platforms).
-            let b2b_delta = -0.45 * as_jitter(asn, seed, 4, 1.3);
-
-            let res_gbps = base_res * shape * weekend_damp * (1.0 + res_delta * i).max(0.05);
-            let b2b_gbps = base_b2b * shape * weekend_damp * (1.0 + b2b_delta * i).max(0.05);
-
-            self.emit_transit_flows(asn, res_gbps, true, &mut rng, date, hour, &mut out);
-            self.emit_transit_flows(asn, b2b_gbps, false, &mut rng, date, hour, &mut out);
-        }
+        self.isp_transit_into(date, hour, &mut out);
         out
+    }
+
+    /// The transit view of one hour, appended to `out`.
+    fn isp_transit_into(&self, date: Date, hour: u8, out: &mut Vec<FlowRecord>) {
+        let mut rng = self.config.cell_rng(Stream::IspTransit, 0, date, hour);
+        let i = self.demand.effective_intensity(VantagePoint::IspCe, date);
+        let shape = shape(DiurnalProfile::BusinessHours, hour);
+        let weekend_damp = if day_type(date, Region::CentralEurope).is_weekend_like() {
+            0.3
+        } else {
+            1.0
+        };
+        let at = date.at_hour(hour);
+        let mut sizes = Vec::new();
+        for t in &self.transit {
+            let res_gbps = t.base_res * shape * weekend_damp * (1.0 + t.res_delta * i).max(0.05);
+            let b2b_gbps = t.base_b2b * shape * weekend_damp * (1.0 + t.b2b_delta * i).max(0.05);
+            self.emit_transit_flows(t.net, res_gbps, true, &mut rng, at, &mut sizes, out);
+            self.emit_transit_flows(t.net, b2b_gbps, false, &mut rng, at, &mut sizes, out);
+        }
     }
 
     /// Emit flows between a business AS and either ISP subscribers
@@ -305,40 +338,31 @@ impl<'a> TrafficGenerator<'a> {
     #[allow(clippy::too_many_arguments)]
     fn emit_transit_flows(
         &self,
-        asn: lockdown_topology::asn::Asn,
+        (asn, prefixes): Net<'a>,
         gbps: f64,
         residential: bool,
         rng: &mut SplitMix,
-        date: Date,
-        hour: u8,
+        hour_start: Timestamp,
+        sizes: &mut Vec<u64>,
         out: &mut Vec<FlowRecord>,
     ) {
         if gbps <= 0.0 {
             return;
         }
-        let registry = self.picker.registry();
         let bytes_total = (gbps * BYTES_PER_GBPS_HOUR) as u64;
         let raw = (gbps * self.config.flows_per_gbps).max(1.0);
         let n = (raw as usize).max(1);
-        let bytes = sizes::split_bytes(rng, bytes_total, n);
-        let hour_start = date.at_hour(hour);
+        sizes::split_bytes(rng, bytes_total, n, sizes);
 
-        for flow_bytes in bytes {
-            let local_ip = registry
-                .host_addr(asn, rng.below(64))
-                .expect("business AS has prefixes");
+        for &flow_bytes in sizes.iter() {
+            let local_ip = Registry::host_in(prefixes, rng.below(64));
             let (peer_asn, peer_ip) = if residential {
-                let idx = rng.below(5_000);
-                (
-                    ISP_CE_ASN,
-                    registry
-                        .host_addr(ISP_CE_ASN, 1_000 + idx)
-                        .expect("ISP has prefixes"),
-                )
+                let (isp, prefixes) = self.picker.isp;
+                (isp, Registry::host_in(prefixes, 1_000 + rng.below(5_000)))
             } else {
                 // Another business AS: one of the cloud platforms.
-                let p = rng.pick(&self.picker.partners);
-                (p, registry.host_addr(p, rng.below(64)).expect("prefixes"))
+                let (p, prefixes) = rng.pick(&self.picker.partners);
+                (p, Registry::host_in(prefixes, rng.below(64)))
             };
             let start = hour_start.add_secs(rng.below(3_600));
             let outbound = rng.chance(0.5);
@@ -374,6 +398,7 @@ impl<'a> TrafficGenerator<'a> {
 mod tests {
     use super::*;
     use lockdown_dns::corpus::synthesize;
+    use lockdown_topology::registry::ISP_CE_ASN;
 
     fn setup() -> (Registry, Corpus) {
         let r = Registry::synthesize();

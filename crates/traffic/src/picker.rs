@@ -3,19 +3,61 @@
 use lockdown_base::hash::{fold, unit, SplitMix};
 use lockdown_dns::corpus::Corpus;
 use lockdown_scenario::apps::{AppClass, PortSig};
-use lockdown_topology::asn::{AsCategory, Asn, Region};
+use lockdown_topology::asn::{AsCategory, AsInfo, Asn, Region};
+use lockdown_topology::prefix::Ipv4Prefix;
 use lockdown_topology::registry::{Registry, ISP_CE_ASN, MOBILE_ASN};
 use lockdown_topology::vantage::{VantageKind, VantagePoint};
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
-/// Pre-indexed endpoint chooser shared by all generation cells.
+/// An AS with its prefixes already looked up: a host address is one
+/// [`Registry::host_in`] away, with no registry probe per flow.
+pub(crate) type Net<'a> = (Asn, &'a [Ipv4Prefix]);
+
+/// Resolve one AS; every AS a generator draws from has address space.
+pub(crate) fn net(registry: &Registry, asn: Asn) -> Net<'_> {
+    let prefixes = registry.prefixes_of(asn);
+    assert!(!prefixes.is_empty(), "registry AS {asn} has no prefixes");
+    (asn, prefixes)
+}
+
+/// Resolve a list of ASes, keeping its order (order decides `rng.pick`).
+pub(crate) fn nets<'a>(
+    registry: &'a Registry,
+    ases: impl Iterator<Item = &'a AsInfo>,
+) -> Vec<Net<'a>> {
+    ases.map(|a| net(registry, a.asn)).collect()
+}
+
+/// A region's eyeball ISPs, registry order.
+pub(crate) fn eyeballs(registry: &Registry, region: Region) -> Vec<Net<'_>> {
+    let in_region = registry.in_region(region);
+    nets(
+        registry,
+        in_region.filter(|a| a.category == AsCategory::EyeballIsp),
+    )
+}
+
+/// Where one class's servers live.
+#[derive(Debug)]
+struct ServerPools<'a> {
+    hypergiant_share: f64,
+    /// `AppClass::hypergiant_pool`, resolved.
+    hypergiants: Vec<Net<'a>>,
+    /// One pool per entry of `AppClass::server_categories`, in its order;
+    /// the hypergiant category stands for the class's own hypergiant pool,
+    /// so AS-based classification stays coherent.
+    categories: Vec<Vec<Net<'a>>>,
+}
+
+/// Pre-resolved endpoint chooser shared by all generation cells.
 #[derive(Debug)]
 pub struct Picker<'a> {
-    registry: &'a Registry,
-    hypergiants: Vec<Asn>,
-    by_category: HashMap<AsCategory, Vec<Asn>>,
-    eyeballs_by_region: HashMap<Region, Vec<Asn>>,
+    /// Indexed by `AppClass as usize`.
+    servers: Vec<ServerPools<'a>>,
+    /// Eyeball ISPs, indexed by `Region as usize`, registry order.
+    eyeballs: [Vec<Net<'a>>; 3],
+    pub(crate) isp: Net<'a>,
+    mobile: Net<'a>,
     /// Discoverable VPN gateway endpoints (dedicated addresses).
     vpn_gateways: Vec<(Ipv4Addr, Asn)>,
     /// Gateways sharing their address with a `www.` host — traffic to
@@ -23,25 +65,36 @@ pub struct Picker<'a> {
     vpn_gateways_shared: Vec<(Ipv4Addr, Asn)>,
     /// The ISP's business-facing ASes (the rows of the §3.4 transit view,
     /// registry order) and their B2B partners, the cloud platforms.
-    pub(crate) business: Vec<Asn>,
-    pub(crate) partners: Vec<Asn>,
+    pub(crate) business: Vec<Net<'a>>,
+    pub(crate) partners: Vec<Net<'a>>,
 }
 
 impl<'a> Picker<'a> {
-    /// Index a registry and DNS corpus.
+    /// Resolve every pool a flow can draw from, once.
     pub fn new(registry: &'a Registry, corpus: &'a Corpus) -> Picker<'a> {
-        let mut by_category: HashMap<AsCategory, Vec<Asn>> = HashMap::new();
-        let mut eyeballs_by_region: HashMap<Region, Vec<Asn>> = HashMap::new();
-        for a in registry.ases() {
-            by_category.entry(a.category).or_default().push(a.asn);
-            if a.category == AsCategory::EyeballIsp {
-                eyeballs_by_region.entry(a.region).or_default().push(a.asn);
-            }
-        }
-        let hypergiants = by_category
-            .get(&AsCategory::Hypergiant)
-            .cloned()
-            .unwrap_or_default();
+        let servers = AppClass::ALL
+            .iter()
+            .map(|app| {
+                let hypergiants: Vec<Net<'a>> = app
+                    .hypergiant_pool()
+                    .iter()
+                    .map(|&asn| net(registry, Asn(asn)))
+                    .collect();
+                let categories = app
+                    .server_categories()
+                    .iter()
+                    .map(|&cat| match cat {
+                        AsCategory::Hypergiant => hypergiants.clone(),
+                        _ => nets(registry, registry.in_category(cat)),
+                    })
+                    .collect();
+                ServerPools {
+                    hypergiant_share: app.hypergiant_share(),
+                    hypergiants,
+                    categories,
+                }
+            })
+            .collect();
         let mut vpn_gateways = Vec::new();
         let mut vpn_gateways_shared = Vec::new();
         for (ip, asn) in &corpus.truth.gateways {
@@ -51,40 +104,26 @@ impl<'a> Picker<'a> {
                 vpn_gateways.push((*ip, *asn));
             }
         }
-        let business = registry
-            .ases()
-            .iter()
-            .filter(|a| {
-                matches!(
-                    a.category,
-                    AsCategory::Enterprise
-                        | AsCategory::CloudProvider
-                        | AsCategory::ConferencingProvider
-                        | AsCategory::CollaborationProvider
-                        | AsCategory::Hosting
-                )
-            })
-            .map(|a| a.asn)
-            .collect();
-        let partners = by_category
-            .get(&AsCategory::CloudProvider)
-            .cloned()
-            .unwrap_or_default();
+        let business = registry.ases().iter().filter(|a| {
+            matches!(
+                a.category,
+                AsCategory::Enterprise
+                    | AsCategory::CloudProvider
+                    | AsCategory::ConferencingProvider
+                    | AsCategory::CollaborationProvider
+                    | AsCategory::Hosting
+            )
+        });
         Picker {
-            registry,
-            business,
-            partners,
-            hypergiants,
-            by_category,
-            eyeballs_by_region,
+            servers,
+            eyeballs: Region::ALL.map(|region| eyeballs(registry, region)),
+            isp: net(registry, ISP_CE_ASN),
+            mobile: net(registry, MOBILE_ASN),
+            business: nets(registry, business),
+            partners: nets(registry, registry.in_category(AsCategory::CloudProvider)),
             vpn_gateways,
             vpn_gateways_shared,
         }
-    }
-
-    /// The underlying registry.
-    pub fn registry(&self) -> &Registry {
-        self.registry
     }
 
     /// Pick the content/server side of a flow for an application class:
@@ -104,79 +143,47 @@ impl<'a> Picker<'a> {
             return (asn, ip);
         }
 
-        let asn = if rng.chance(app.hypergiant_share()) && !self.hypergiants.is_empty() {
-            // Draw from the class-appropriate hypergiant pool (Netflix for
-            // VoD, Microsoft for conferencing, …) so AS-based classification
-            // on the analysis side can recover the class.
-            let pool = app.hypergiant_pool();
-            Asn(rng.pick(pool))
+        let pools = &self.servers[app as usize];
+        // Draw from the class-appropriate hypergiant pool (Netflix for VoD,
+        // Microsoft for conferencing, …) so AS-based classification on the
+        // analysis side can recover the class.
+        let pool = if rng.chance(pools.hypergiant_share) {
+            &pools.hypergiants
         } else {
-            let cats = app.server_categories();
-            // Try categories in random order until one is populated.
+            // Try categories from a random start until one is populated.
+            let cats = &pools.categories;
             let start = rng.below(cats.len() as u64) as usize;
-            let mut chosen = None;
-            for k in 0..cats.len() {
-                let cat = cats[(start + k) % cats.len()];
-                if cat == AsCategory::Hypergiant {
-                    // Stay within the class-appropriate hypergiant pool so
-                    // AS-based classification stays coherent.
-                    let pool = app.hypergiant_pool();
-                    chosen = Some(Asn(rng.pick(pool)));
-                    break;
-                }
-                if let Some(list) = self.by_category.get(&cat) {
-                    if !list.is_empty() {
-                        chosen = Some(rng.pick(list));
-                        break;
-                    }
-                }
-            }
-            chosen.unwrap_or_else(|| {
-                let pool = app.hypergiant_pool();
-                Asn(rng.pick(pool))
-            })
+            (0..cats.len())
+                .map(|k| &cats[(start + k) % cats.len()])
+                .find(|pool| !pool.is_empty())
+                .unwrap_or(&pools.hypergiants)
         };
+        let (asn, prefixes) = rng.pick(pool);
         // Server farms live in a small, stable index range (< 90), disjoint
         // from the VPN gateway index range used by the DNS corpus.
-        let ip = self
-            .registry
-            .host_addr(asn, rng.below(64))
-            .expect("registry AS has prefixes");
-        (asn, ip)
+        (asn, Registry::host_in(prefixes, rng.below(64)))
     }
 
     /// Pick the subscriber/client side for a vantage point. `user_pool` is
     /// the number of concurrently active users; unique-address statistics
     /// (Fig. 8) derive from it.
     pub fn client(&self, vp: VantagePoint, user_pool: u64, rng: &mut SplitMix) -> (Asn, Ipv4Addr) {
-        let asn = match vp.kind() {
-            VantageKind::Isp => ISP_CE_ASN,
-            VantageKind::Mobile | VantageKind::Roaming => MOBILE_ASN,
+        let (asn, prefixes) = match vp.kind() {
+            VantageKind::Isp => self.isp,
+            VantageKind::Mobile | VantageKind::Roaming => self.mobile,
             _ => {
                 // IXPs see many eyeball networks, mostly regional.
                 let region = if rng.chance(0.8) {
                     vp.region()
                 } else {
-                    rng.pick(&[
-                        Region::CentralEurope,
-                        Region::SouthernEurope,
-                        Region::UsEast,
-                    ])
+                    rng.pick(&Region::ALL)
                 };
-                let pool = self
-                    .eyeballs_by_region
-                    .get(&region)
-                    .expect("every region has eyeballs");
-                rng.pick(pool)
+                rng.pick(&self.eyeballs[region as usize])
             }
         };
         let idx = rng.below(user_pool.max(1));
         // Client addresses live above the server/gateway index ranges.
-        let ip = self
-            .registry
-            .host_addr(asn, 1_000 + idx)
-            .expect("eyeball AS has prefixes");
-        (asn, ip)
+        (asn, Registry::host_in(prefixes, 1_000 + idx))
     }
 
     /// Pick a port signature for a class: the first (canonical) signature
@@ -217,6 +224,43 @@ mod tests {
         let r = Registry::synthesize();
         let c = synthesize(&r, 7);
         (r, c)
+    }
+
+    /// Same members, same order: order decides `rng.pick`.
+    #[test]
+    fn pools_are_what_the_registry_and_class_tables_list() {
+        let (r, c) = setup();
+        let p = Picker::new(&r, &c);
+        let asns = |pool: &[Net<'_>]| pool.iter().map(|n| n.0).collect::<Vec<_>>();
+        for app in AppClass::ALL {
+            let pools = &p.servers[app as usize];
+            let class_hg: Vec<Asn> = app.hypergiant_pool().iter().map(|&a| Asn(a)).collect();
+            assert_eq!(pools.hypergiant_share, app.hypergiant_share());
+            assert_eq!(asns(&pools.hypergiants), class_hg, "{app}");
+            assert_eq!(pools.categories.len(), app.server_categories().len());
+            for (pool, &cat) in pools.categories.iter().zip(app.server_categories()) {
+                let listed: Vec<Asn> = match cat {
+                    AsCategory::Hypergiant => class_hg.clone(),
+                    _ => r.in_category(cat).map(|a| a.asn).collect(),
+                };
+                assert_eq!(asns(pool), listed, "{app}, {cat:?}");
+            }
+        }
+        for region in Region::ALL {
+            let listed: Vec<Asn> = r
+                .in_region(region)
+                .filter(|a| a.category == AsCategory::EyeballIsp)
+                .map(|a| a.asn)
+                .collect();
+            assert_eq!(asns(&p.eyeballs[region as usize]), listed, "{region}");
+        }
+        let all = [&p.eyeballs[..], &[vec![p.isp, p.mobile]]]
+            .concat()
+            .concat();
+        for (asn, prefixes) in all {
+            assert_eq!(prefixes, r.prefixes_of(asn));
+        }
+        assert_eq!((p.isp.0, p.mobile.0), (ISP_CE_ASN, MOBILE_ASN));
     }
 
     #[test]

@@ -175,9 +175,8 @@ impl TracePlan {
     }
 }
 
-/// Materializes any [`Cell`] of any stream. Cheap to construct; all
-/// methods take `&self`, so one emitter can be shared across worker
-/// threads.
+/// Materializes any [`Cell`] of any stream. Build one per pass; all
+/// methods take `&self`, so one emitter is shared across worker threads.
 #[derive(Debug)]
 pub struct TraceEmitter<'a> {
     vantage: TrafficGenerator<'a>,
@@ -225,7 +224,7 @@ impl<'a> TraceEmitter<'a> {
         match cell.stream {
             Stream::Edu => {
                 out.clear();
-                out.extend(self.edu.generate_hour(cell.date, cell.hour));
+                self.edu.hour_into(cell.date, cell.hour, out);
             }
             _ => self.vantage.generate_cell(cell, out),
         }

@@ -12,37 +12,56 @@ use lockdown_base::hash::SplitMix;
 /// classic elephants-and-mice skew without divergent variance in samples.
 pub const SIZE_ALPHA: f64 = 1.2;
 
-/// Draw a bounded Pareto(α) variate in `[1, cap]` by inverse transform.
-pub fn bounded_pareto(rng: &mut SplitMix, alpha: f64, cap: f64) -> f64 {
-    let u = rng.next_f64();
-    // Inverse CDF of Pareto with x_m = 1, truncated at cap.
-    let raw = (1.0 - u * (1.0 - cap.powf(-alpha))).powf(-1.0 / alpha);
-    raw.min(cap)
+/// Upper bound of a flow-size weight.
+const SIZE_CAP: f64 = 10_000.0;
+
+/// A Pareto(α) with x_m = 1, truncated to `[1, cap]`.
+#[derive(Debug, Clone, Copy)]
+pub struct BoundedPareto {
+    alpha: f64,
+    cap: f64,
+    /// `1 − cap^−α`, the same for every draw.
+    mass: f64,
 }
 
-/// Split `total_bytes` across `n` flows with heavy-tailed proportions.
-/// The sizes sum to exactly `total_bytes` (remainder goes to the largest
-/// flow). Every flow gets at least 1 byte when `total_bytes >= n`.
-pub fn split_bytes(rng: &mut SplitMix, total_bytes: u64, n: usize) -> Vec<u64> {
-    assert!(n > 0, "cannot split across zero flows");
-    if n == 1 {
-        return vec![total_bytes];
+impl BoundedPareto {
+    /// The distribution; build it once for a run of draws.
+    pub fn new(alpha: f64, cap: f64) -> BoundedPareto {
+        let mass = 1.0 - cap.powf(-alpha);
+        BoundedPareto { alpha, cap, mass }
     }
-    let weights: Vec<f64> = (0..n)
-        .map(|_| bounded_pareto(rng, SIZE_ALPHA, 10_000.0))
-        .collect();
-    let sum: f64 = weights.iter().sum();
-    let mut sizes: Vec<u64> = weights
-        .iter()
-        .map(|w| ((w / sum) * total_bytes as f64) as u64)
-        .collect();
+
+    /// Draw a variate by inverse transform.
+    pub fn sample(&self, rng: &mut SplitMix) -> f64 {
+        let raw = (1.0 - rng.next_f64() * self.mass).powf(-1.0 / self.alpha);
+        raw.min(self.cap)
+    }
+}
+
+/// Split `total_bytes` across `n` flows with heavy-tailed proportions,
+/// into `sizes` (cleared first; a caller keeps one across calls). The
+/// sizes sum to exactly `total_bytes` (remainder goes to the largest
+/// flow). Every flow gets at least 1 byte when `total_bytes >= n`.
+pub fn split_bytes(rng: &mut SplitMix, total_bytes: u64, n: usize, sizes: &mut Vec<u64>) {
+    assert!(n > 0, "cannot split across zero flows");
+    sizes.clear();
+    if n == 1 {
+        sizes.push(total_bytes);
+        return;
+    }
+    // The weights live in `sizes` as bits until their sum is known.
+    let weight = BoundedPareto::new(SIZE_ALPHA, SIZE_CAP);
+    sizes.extend((0..n).map(|_| weight.sample(rng).to_bits()));
+    let sum: f64 = sizes.iter().map(|&w| f64::from_bits(w)).sum();
+    for slot in sizes.iter_mut() {
+        *slot = ((f64::from_bits(*slot) / sum) * total_bytes as f64) as u64;
+    }
     let assigned: u64 = sizes.iter().sum();
     let remainder = total_bytes - assigned;
     // Give the remainder to the biggest flow to keep the tail heavy.
     if let Some(max) = sizes.iter_mut().max() {
         *max += remainder;
     }
-    sizes
 }
 
 /// Packets for a flow of `bytes` bytes: MTU-ish mean packet size with some
@@ -69,9 +88,11 @@ mod tests {
     #[test]
     fn split_is_exact() {
         let mut rng = SplitMix::new(1);
-        for n in [1usize, 2, 7, 100] {
+        // One buffer across calls of different `n`, as the generators hold it.
+        let mut sizes = vec![7; 3];
+        for n in [1usize, 100, 2, 7] {
             for total in [0u64, 5, 1_000, 123_456_789] {
-                let sizes = split_bytes(&mut rng, total, n);
+                split_bytes(&mut rng, total, n, &mut sizes);
                 assert_eq!(sizes.len(), n);
                 assert_eq!(sizes.iter().sum::<u64>(), total, "n={n} total={total}");
             }
@@ -81,8 +102,8 @@ mod tests {
     #[test]
     fn split_is_heavy_tailed() {
         let mut rng = SplitMix::new(2);
-        let sizes = split_bytes(&mut rng, 1_000_000_000, 1_000);
-        let mut sorted = sizes.clone();
+        let mut sorted = Vec::new();
+        split_bytes(&mut rng, 1_000_000_000, 1_000, &mut sorted);
         sorted.sort_unstable_by(|a, b| b.cmp(a));
         let top10: u64 = sorted.iter().take(100).sum(); // top 10%
         let total: u64 = sorted.iter().sum();
@@ -96,8 +117,9 @@ mod tests {
     #[test]
     fn pareto_bounds() {
         let mut rng = SplitMix::new(3);
+        let pareto = BoundedPareto::new(SIZE_ALPHA, 100.0);
         for _ in 0..10_000 {
-            let x = bounded_pareto(&mut rng, SIZE_ALPHA, 100.0);
+            let x = pareto.sample(&mut rng);
             assert!((1.0..=100.0).contains(&x), "out of bounds: {x}");
         }
     }

@@ -43,6 +43,14 @@ said_once "a record's civil date" 'start.date()' crates/flow/src/
 # One element <-> FlowRecord mapping per direction, shared by v9 and IPFIX: a
 # codec that restates it (ipfix.rs did, minus the uptime pair) drifts.
 said_once "the element-to-record mapping" 'IPV4_SRC_ADDR =>' crates/flow/src/netflow/v9.rs
+# Generation per cell: endpoint pools are resolved once per generator. A
+# registry probe by ASN, or a hash map, under crates/traffic/src is a
+# per-flow lookup back on a per-flow path.
+said_once "a per-flow registry probe" '.host_addr(' crates/dns/src/ crates/topology/src/
+if grep -rn --include='*.rs' 'HashMap' crates/traffic/src >&2; then
+    echo "said-once: a hash map is back under crates/traffic/src (resolve pools in Picker::new)" >&2
+    exit 1
+fi
 # The engine has one scheduler: one scope its workers run in, one loop
 # that runs a cell. A second of either is a fork of the pass core.
 exactly_once() { # <what> <fixed-string pattern>
