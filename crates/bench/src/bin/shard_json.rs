@@ -103,7 +103,7 @@ fn main() {
     // Reassignment cost: same 2-worker pass, one seeded first-attempt
     // kill, every retry clean — the delta is protocol + rerun overhead.
     let mut chaos_opts = CoordOptions::default();
-    chaos_opts.suite.chaos = Some(reassignment_seed(cells, 2, opts.chunks_per_worker));
+    chaos_opts.suite.chaos = reassignment_seed(cells, 2, opts.chunks_per_worker);
     let (tkill, kill_stats) = coordinated_pass(fidelity, &chaos_opts, 2);
     assert!(
         kill_stats.reassignments >= 1,

@@ -128,8 +128,8 @@ pub struct ChaosConfig {
 }
 
 impl ChaosConfig {
-    /// No injected faults, default budget and backoff: supervision
-    /// (panic isolation, retries, checkpoint/resume) without chaos.
+    /// No injected faults, default budget and backoff: what every engine
+    /// pass runs under unless told otherwise.
     pub fn zero() -> ChaosConfig {
         ChaosConfig {
             seed: 0,
@@ -166,6 +166,12 @@ impl ChaosConfig {
             return Err("chaos attempts=0: the budget must be at least 1".into());
         }
         Ok(cfg)
+    }
+}
+
+impl Default for ChaosConfig {
+    fn default() -> ChaosConfig {
+        ChaosConfig::zero()
     }
 }
 
@@ -328,8 +334,8 @@ mod tests {
             backoff_cap_ms: 50,
         };
         assert_eq!(ChaosConfig::parse(spec), Ok(want));
-        // The empty spec is the zero config with supervision on; a zero
-        // attempt budget is the one value the grammar cannot rule out.
+        // The empty spec is the zero config; a zero attempt budget is the
+        // one value the grammar cannot rule out.
         assert!(ChaosConfig::parse("").unwrap().is_zero());
         assert!(ChaosConfig::parse("attempts=0").is_err());
         assert!(ChaosConfig::parse("frobnicate=1").is_err());

@@ -33,15 +33,14 @@ use lockdown_collect::{CollectMetrics, CollectionPlane, WireConfig};
 use lockdown_flow::record::FlowRecord;
 use lockdown_flow::time::Date;
 use lockdown_store::{
-    ArchiveReader, ArchiveWriter, SegmentMeta, SegmentScan, SpillFault, StoreError, StoreKey,
-    StoreMetrics,
+    ArchiveReader, ArchiveWriter, SegmentMeta, SpillFault, StoreError, StoreKey, StoreMetrics,
 };
 use lockdown_traffic::plan::{Cell, Stream, TraceEmitter, TracePlan};
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 use std::marker::PhantomData;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Object-safe face of [`FlowConsumer`] used inside the engine.
@@ -127,7 +126,7 @@ pub struct EnginePlan {
     subs: Vec<Subscription>,
     wire: Option<WireConfig>,
     archive: Option<PathBuf>,
-    supervisor: Option<ChaosConfig>,
+    chaos: ChaosConfig,
     scope: Option<String>,
 }
 
@@ -152,21 +151,19 @@ impl EnginePlan {
     /// cell makes the pass *warm*: cells are decoded from segments instead
     /// of generated, byte-identically. Anything else — no manifest, a stale
     /// key, missing cells — makes the pass *cold*: cells are generated as
-    /// usual and spilled so the next run replays. I/O and corruption
-    /// surface as errors from [`run`]/[`run_with_workers`].
+    /// usual and spilled so the next run replays. A segment that cannot be
+    /// read back is regenerated; only opening, creating, checkpointing or
+    /// publishing the archive fails [`run`]/[`run_with_workers`].
     pub fn with_archive(&mut self, dir: impl Into<PathBuf>) -> &mut EnginePlan {
         self.archive = Some(dir.into());
         self
     }
 
-    /// Attach a supervisor: each cell slot runs under panic isolation
-    /// with seeded retries, budget-exhausted cells are quarantined
-    /// instead of fatal, archived passes checkpoint a resume journal, and
-    /// the configured chaos schedule (if any) injects deterministic
-    /// faults. [`ChaosConfig::zero`] gives supervision without chaos —
-    /// and a zero-chaos supervised pass is byte-identical to a plain one.
-    pub fn with_supervisor(&mut self, cfg: ChaosConfig) -> &mut EnginePlan {
-        self.supervisor = Some(cfg);
+    /// Schedule deterministic faults and set the attempt budget and
+    /// backoff of the pass's supervisor. Every pass runs supervised; the
+    /// default, [`ChaosConfig::zero`], injects nothing.
+    pub fn with_chaos(&mut self, cfg: ChaosConfig) -> &mut EnginePlan {
+        self.chaos = cfg;
         self
     }
 
@@ -241,12 +238,12 @@ pub struct EngineStats {
     /// named the segment was a manifest or a journal.
     pub cells_replayed: u64,
     /// Of the replayed cells, how many were adopted from a checkpoint
-    /// journal left by an interrupted pass (supervised passes only).
+    /// journal left by an interrupted pass.
     pub cells_resumed: u64,
     /// Cells the supervisor quarantined after exhausting their attempt
-    /// budget. Always zero without a supervisor.
+    /// budget.
     pub cells_quarantined: u64,
-    /// Cell attempts beyond the first (supervised passes only).
+    /// Cell attempts beyond the first.
     pub retries: u64,
     /// Flow records fanned out across all cells, generated or replayed.
     pub flows_emitted: u64,
@@ -262,9 +259,9 @@ impl EngineStats {
     }
 
     /// One-line human-readable summary (the CLI prints this after a full
-    /// suite run). The base format is stable — supervised-only outcomes
-    /// (resume, quarantine, retries) are appended only when nonzero so
-    /// plain passes render exactly as before.
+    /// suite run). The base format is stable — resume, quarantine and
+    /// retries are appended only when nonzero, so a clean pass renders
+    /// the base line alone.
     pub fn summary(&self) -> String {
         let mut s = format!(
             "engine: {} demands, {} cells generated once + {} replayed (vs {} demanded, dedup x{:.2}), {} flows, {} workers",
@@ -318,7 +315,7 @@ pub struct EngineOutput {
     wire_metrics: Option<Arc<CollectMetrics>>,
     audit: Option<lockdown_audit::Report>,
     store_metrics: Option<Arc<StoreMetrics>>,
-    supervisor_metrics: Option<Arc<SupervisorMetrics>>,
+    supervisor_metrics: Arc<SupervisorMetrics>,
     degraded: Option<DegradedReport>,
 }
 
@@ -376,13 +373,13 @@ impl EngineOutput {
         self.store_metrics.as_ref()
     }
 
-    /// Supervisor metrics, present when the plan ran supervised.
-    pub fn supervisor_metrics(&self) -> Option<&Arc<SupervisorMetrics>> {
-        self.supervisor_metrics.as_ref()
+    /// The pass supervisor's metrics.
+    pub fn supervisor_metrics(&self) -> &Arc<SupervisorMetrics> {
+        &self.supervisor_metrics
     }
 
-    /// The degraded-mode report, present when a supervised pass
-    /// quarantined at least one cell. `None` means the pass is complete.
+    /// The degraded-mode report, present when the pass quarantined at
+    /// least one cell. `None` means the pass is complete.
     pub fn degraded(&self) -> Option<&DegradedReport> {
         self.degraded.as_ref()
     }
@@ -396,9 +393,9 @@ fn default_workers() -> usize {
         .min(16)
 }
 
-/// Run a plan with the default worker count. An archive-free,
-/// unsupervised plan cannot actually fail; archived plans surface I/O and
-/// corruption errors here instead of panicking.
+/// Run a plan with the default worker count. An archive-free plan cannot
+/// fail; an archived one fails only when the archive itself cannot be
+/// opened, created, checkpointed or published.
 pub fn run(ctx: &Context, plan: EnginePlan) -> Result<EngineOutput, StoreError> {
     run_with_workers(ctx, plan, default_workers())
 }
@@ -481,68 +478,47 @@ fn fan_out(
 }
 
 /// Everything one engine pass shares across workers to execute a cell:
-/// generation, replay, resume, the wire plane and (optionally) the
-/// supervisor. Every cell of every entry point runs through
-/// [`CellRunner::run`], so supervised semantics cannot drift
-/// between worker counts or between threads and shard processes.
+/// generation, replay, resume, the wire plane and the supervisor. Every
+/// cell of every entry point runs through [`CellRunner::run`], so
+/// supervised semantics cannot drift between worker counts or between
+/// threads and shard processes.
 struct CellRunner<'a> {
     emitter: TraceEmitter<'a>,
-    scan: Option<SegmentScan<'a>>,
+    reader: Option<&'a ArchiveReader>,
     writer: Option<&'a ArchiveWriter>,
     adopted: &'a BTreeMap<Cell, SegmentMeta>,
     plane: Option<&'a CollectionPlane>,
-    supervisor: Option<&'a Supervisor>,
+    supervisor: &'a Supervisor,
     store_metrics: Option<&'a Arc<StoreMetrics>>,
     subs: &'a [Subscription],
 }
 
 impl CellRunner<'_> {
-    /// Unsupervised fill: exactly the pre-supervisor semantics — first
-    /// error aborts the pass, archive corruption included.
-    fn fill_plain(&self, cell: Cell, buf: &mut Vec<FlowRecord>) -> Result<CellFill, StoreError> {
-        match &self.scan {
-            Some(sc) => {
-                *buf = sc.read_cell(cell)?;
-                Ok(CellFill::Replayed)
-            }
-            None => {
-                self.emitter.generate_cell(cell, buf);
-                if let Some(w) = self.writer {
-                    w.spill(cell, buf)?;
-                }
-                Ok(CellFill::Generated)
-            }
-        }
-    }
-
-    /// One supervised attempt. Every injected failure point precedes the
-    /// cell's wire processing and ledger posts, so a retried attempt
-    /// leaves no partial side effects behind.
+    /// One attempt. Every injected failure point precedes the cell's wire
+    /// processing and ledger posts, so a retried attempt leaves no
+    /// partial side effects behind.
     fn fill_attempt(
         &self,
-        sup: &Supervisor,
         cell: Cell,
         attempt: u32,
         force_generate: bool,
         buf: &mut Vec<FlowRecord>,
     ) -> Result<CellFill, AttemptError> {
+        let sup = self.supervisor;
         let chaos = sup.decide(cell, attempt);
         if chaos.panic {
             std::panic::panic_any(sup.injected_panic(cell, attempt));
         }
         let fill = 'fill: {
             if !force_generate {
-                if let Some(sc) = &self.scan {
-                    // Warm replay. Corruption downgrades from hard abort
-                    // to regenerate-that-cell; a cell genuinely absent
-                    // from the archive stays fatal (retrying cannot make
-                    // it appear).
-                    match sc.read_cell(cell) {
+                if let Some(r) = self.reader {
+                    // Warm replay. A segment that is missing, unreadable
+                    // or corrupt is regenerated inline.
+                    match r.read_cell(cell) {
                         Ok(records) => {
                             *buf = records;
                             break 'fill CellFill::Replayed;
                         }
-                        Err(e @ StoreError::Missing { .. }) => return Err(AttemptError::Store(e)),
                         Err(_) => sup.metrics().replay_corruptions.inc(),
                     }
                 } else if let (Some(w), Some(meta)) = (self.writer, self.adopted.get(&cell)) {
@@ -587,14 +563,10 @@ impl CellRunner<'_> {
         Ok(fill)
     }
 
-    /// The supervised attempt loop: catch panics, back off, retry, and
-    /// quarantine once the budget is spent. `Ok(None)` means quarantined.
-    fn fill_supervised(
-        &self,
-        sup: &Supervisor,
-        cell: Cell,
-        buf: &mut Vec<FlowRecord>,
-    ) -> Result<Option<CellFill>, StoreError> {
+    /// The attempt loop: catch panics, back off, retry, and quarantine
+    /// once the budget is spent. `None` means quarantined.
+    fn fill(&self, cell: Cell, buf: &mut Vec<FlowRecord>) -> Option<CellFill> {
+        let sup = self.supervisor;
         let budget = sup.attempts();
         let mut force_generate = false;
         let mut last_error = String::new();
@@ -603,19 +575,16 @@ impl CellRunner<'_> {
                 sup.backoff(cell, attempt - 1);
             }
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.fill_attempt(sup, cell, attempt, force_generate, buf)
+                self.fill_attempt(cell, attempt, force_generate, buf)
             }));
             let err = match caught {
-                Ok(Ok(fill)) => return Ok(Some(fill)),
+                Ok(Ok(fill)) => return Some(fill),
                 Ok(Err(e)) => e,
                 Err(payload) => {
                     sup.metrics().panics_caught.inc();
                     AttemptError::Panic(panic_message(payload))
                 }
             };
-            if let Some(fatal) = err.fatal() {
-                return Err(fatal.clone());
-            }
             // Whatever the failure left behind (a torn file, a half
             // filled buffer), the next attempt regenerates from scratch
             // rather than trusting on-disk state.
@@ -632,25 +601,21 @@ impl CellRunner<'_> {
             pl.note_quarantined(&cell);
         }
         sup.quarantine(cell, budget, last_error);
-        Ok(None)
+        None
     }
 
-    /// Run one cell end to end: fill (plain or supervised), wire
-    /// processing, conservation posts, and fan-out to covering
-    /// subscriptions. Quarantined cells skip everything downstream.
+    /// Run one cell end to end: fill, wire processing, conservation
+    /// posts, and fan-out to covering subscriptions. Quarantined cells
+    /// skip everything downstream.
     fn process(
         &self,
         cell: Cell,
         buf: &mut Vec<FlowRecord>,
         consumers: &mut [Box<dyn AnyConsumer>],
         tallies: &mut Tallies,
-    ) -> Result<(), StoreError> {
-        let fill = match self.supervisor {
-            Some(sup) => match self.fill_supervised(sup, cell, buf)? {
-                Some(fill) => fill,
-                None => return Ok(()),
-            },
-            None => self.fill_plain(cell, buf)?,
+    ) {
+        let Some(fill) = self.fill(cell, buf) else {
+            return;
         };
         match fill {
             CellFill::Generated => tallies.generated += 1,
@@ -673,52 +638,33 @@ impl CellRunner<'_> {
             pl.note_consumed(&cell, batch);
         }
         fan_out(self.subs, consumers, cell, batch);
-        Ok(())
     }
 
     /// One worker: claim the next unclaimed cell until the list runs dry,
     /// running each into this worker's own consumer column through its
-    /// own record buffer. The first fatal error raises `stop`, which ends
-    /// every other worker at its next cell so (say) a demanded-but-absent
-    /// segment aborts the pass promptly; supervised retriable failures
-    /// never raise it.
-    fn claim_cells(
-        &self,
-        cells: &[Cell],
-        cursor: &AtomicUsize,
-        stop: &AtomicBool,
-    ) -> Result<Partial, StoreError> {
+    /// own record buffer.
+    fn claim_cells(&self, cells: &[Cell], cursor: &AtomicUsize) -> Partial {
         let mut partial = Partial {
             consumers: fresh_consumers(self.subs),
             tallies: Tallies::default(),
         };
         let mut buf = Vec::new();
-        // Relaxed: the cursor and the flag publish no data. The cell list
-        // is shared before any worker starts, and each column reaches the
-        // merge through its worker's join.
+        // Relaxed: the cursor publishes no data. The cell list is shared
+        // before any worker starts, and each column reaches the merge
+        // through its worker's join.
         while let Some(&cell) = cells.get(cursor.fetch_add(1, Ordering::Relaxed)) {
-            if stop.load(Ordering::Relaxed) {
-                break;
-            }
-            if let Err(e) =
-                self.process(cell, &mut buf, &mut partial.consumers, &mut partial.tallies)
-            {
-                stop.store(true, Ordering::Relaxed);
-                return Err(e);
-            }
+            self.process(cell, &mut buf, &mut partial.consumers, &mut partial.tallies);
         }
-        Ok(partial)
+        partial
     }
 
     /// Run `cells` — the unit of work of a whole pass and of a shard
     /// worker's slice alike — over `workers` claimants, this thread being
-    /// the first, and merge their columns in worker order. The first
-    /// error in that order is the pass's.
-    fn run(&self, cells: &[Cell], workers: usize) -> Result<Partial, StoreError> {
+    /// the first, and merge their columns in worker order.
+    fn run(&self, cells: &[Cell], workers: usize) -> Partial {
         let cursor = AtomicUsize::new(0);
-        let stop = AtomicBool::new(false);
-        let claim = || self.claim_cells(cells, &cursor, &stop);
-        let (first, rest) = std::thread::scope(|scope| {
+        let claim = || self.claim_cells(cells, &cursor);
+        let (mut merged, rest) = std::thread::scope(|scope| {
             let spawned: Vec<_> = (1..workers).map(|_| scope.spawn(claim)).collect();
             let first = claim();
             let rest: Vec<_> = spawned
@@ -727,26 +673,25 @@ impl CellRunner<'_> {
                 .collect();
             (first, rest)
         });
-        let mut merged = first?;
         for partial in rest {
-            let partial = partial?;
             merged.tallies.add(partial.tallies);
             for (m, l) in merged.consumers.iter_mut().zip(partial.consumers) {
                 m.merge_box(l);
             }
         }
-        Ok(merged)
+        merged
     }
 }
 
 /// Who owns the archive index (manifest and journal) during a pass.
 enum ArchiveMode {
-    /// This pass owns the index: a stale or partial archive is
-    /// invalidated and respilled from scratch.
+    /// A shard coordinator owns the index: a stale or partial archive is
+    /// invalidated, and the workers respill it for the coordinator to
+    /// adopt.
     Own,
-    /// This pass owns the index and *adopts* a journal or partially
-    /// covering manifest of the same generation, so it regenerates only
-    /// what is actually missing (supervised checkpoint/resume).
+    /// A single-process pass owns the index and *adopts* a journal or
+    /// partially covering manifest of the same generation, so it
+    /// regenerates only what is actually missing (checkpoint/resume).
     OwnResumable,
     /// A coordinator owns the index and has already invalidated a stale
     /// one: spill segment files only, never the manifest or journal.
@@ -764,7 +709,7 @@ struct Pass {
     cells_demanded: u64,
     plan_hash: u64,
     plane: Option<CollectionPlane>,
-    supervisor: Option<Supervisor>,
+    supervisor: Supervisor,
     store_metrics: Option<Arc<StoreMetrics>>,
     reader: Option<ArchiveReader>,
     writer: Option<ArchiveWriter>,
@@ -776,22 +721,20 @@ impl Pass {
     /// `range` of its sorted cell list. Replay happens only from a
     /// manifest of the same generation (seed + scenario — the plan hash
     /// may differ, a superset archive serves a subset plan with pruning)
-    /// that covers every cell of the range; anything else is regenerated
-    /// and spilled the way `mode` says. `tolerate_corrupt` downgrades an
-    /// unreadable manifest from hard abort to regeneration.
+    /// that covers every cell of the range; anything else, a corrupt
+    /// manifest included, is regenerated and spilled the way `mode` says.
     fn resolve(
         ctx: &Context,
         plan: EnginePlan,
         range: std::ops::Range<usize>,
         mode: ArchiveMode,
-        tolerate_corrupt: bool,
     ) -> Result<Pass, StoreError> {
         let EnginePlan {
             trace,
             subs,
             wire,
             archive,
-            supervisor,
+            chaos,
             scope: _,
         } = plan;
         let mut cells = trace.cells();
@@ -808,7 +751,7 @@ impl Pass {
             // so the delivered batch is the same whichever worker
             // processes the cell.
             plane: wire.map(CollectionPlane::new),
-            supervisor: supervisor.map(Supervisor::new),
+            supervisor: Supervisor::new(chaos),
             store_metrics: None,
             reader: None,
             writer: None,
@@ -825,14 +768,17 @@ impl Pass {
         };
         let opened = match ArchiveReader::open(&dir, Arc::clone(&metrics)) {
             Ok(r) => r,
-            Err(StoreError::Corrupt { .. }) if tolerate_corrupt => {
-                metrics.resume_rejected.inc();
-                None
-            }
+            // An archive to rebuild, not a failed pass: `create` deletes
+            // the manifest, `create_or_resume` counts it as rejected.
+            Err(StoreError::Corrupt { .. }) => None,
             Err(e) => return Err(e),
         };
         match (opened, mode) {
             (Some(r), _) if r.key().same_generation(&key) && r.covers(pass.cells.iter()) => {
+                // A warm pass reads exactly its own (distinct, covered)
+                // cells, so every other segment is pruned — counted once.
+                let pruned = r.segment_count() - pass.cells.len();
+                metrics.segments_pruned.add(pruned as u64);
                 pass.reader = Some(r);
             }
             (_, ArchiveMode::Own) => {
@@ -851,9 +797,7 @@ impl Pass {
         Ok(pass)
     }
 
-    /// The per-cell executor over this pass's state. A warm pass scans
-    /// exactly its own cells, so archived segments outside them are
-    /// counted as pruned once, here.
+    /// The per-cell executor over this pass's state.
     fn runner<'a>(&'a self, ctx: &'a Context) -> CellRunner<'a> {
         CellRunner {
             emitter: TraceEmitter::with_scenario(
@@ -862,25 +806,14 @@ impl Pass {
                 ctx.config,
                 &ctx.scenario,
             ),
-            scan: match (&self.reader, &self.store_metrics) {
-                (Some(r), Some(m)) => Some(SegmentScan::new(r, self.cells.iter().copied(), m)),
-                _ => None,
-            },
+            reader: self.reader.as_ref(),
             writer: self.writer.as_ref(),
             adopted: &self.adopted,
             plane: self.plane.as_ref(),
-            supervisor: self.supervisor.as_ref(),
+            supervisor: &self.supervisor,
             store_metrics: self.store_metrics.as_ref(),
             subs: &self.subs,
         }
-    }
-
-    /// What this pass's own supervisor (if any) has quarantined so far.
-    fn quarantined(&self) -> Vec<QuarantinedCell> {
-        self.supervisor
-            .as_ref()
-            .map(|s| s.quarantined())
-            .unwrap_or_default()
     }
 
     /// End a pass: publish or checkpoint the archive, attribute
@@ -888,8 +821,8 @@ impl Pass {
     /// output. A complete pass publishes the manifest; a degraded pass
     /// (any quarantined cell) must not claim completeness, so it
     /// checkpoints the journal instead, leaving the archive resumable. A
-    /// pass that errored fatally never gets here and leaves the archive
-    /// manifest-less (= absent).
+    /// pass that failed on the archive itself never gets here and leaves
+    /// it manifest-less (= absent).
     fn conclude(
         self,
         consumers: Vec<Box<dyn AnyConsumer>>,
@@ -905,12 +838,12 @@ impl Pass {
                 w.checkpoint()?;
             }
         }
-        let supervisor_metrics = self.supervisor.as_ref().map(|s| s.metrics());
-        if let Some(m) = &supervisor_metrics {
-            m.quarantined_cells.set_max(quarantined.len() as u64);
-            m.resumed_cells.set_max(tallies.resumed);
-        }
-        let retries = supervisor_metrics.as_ref().map_or(0, |m| m.retries.get());
+        let supervisor_metrics = self.supervisor.metrics();
+        supervisor_metrics
+            .quarantined_cells
+            .set_max(quarantined.len() as u64);
+        supervisor_metrics.resumed_cells.set_max(tallies.resumed);
+        let retries = supervisor_metrics.retries.get();
         let stats = EngineStats {
             demands: consumers.len(),
             cells_demanded: self.cells_demanded,
@@ -957,27 +890,20 @@ impl Pass {
 }
 
 /// Run a plan with an explicit worker count, surfacing archive errors:
-/// resolve the archive, let the workers claim the sorted cell list between
-/// them, merge their consumers in worker order, conclude. Output is
-/// bit-identical for any count (see module docs) and for warm vs. cold
-/// archive passes (`tests/equivalence.rs`).
+/// resolve the archive (adopting an interrupted predecessor's journal),
+/// let the workers claim the sorted cell list between them, merge their
+/// consumers in worker order, conclude. Output is bit-identical for any
+/// count (see module docs) and for warm vs. cold archive passes
+/// (`tests/equivalence.rs`).
 pub fn run_with_workers(
     ctx: &Context,
     plan: EnginePlan,
     workers: usize,
 ) -> Result<EngineOutput, StoreError> {
-    // Only a supervised pass adopts an interrupted predecessor's journal
-    // and survives a corrupt manifest; a plain one starts over or aborts.
-    let supervised = plan.supervisor.is_some();
-    let mode = if supervised {
-        ArchiveMode::OwnResumable
-    } else {
-        ArchiveMode::Own
-    };
-    let pass = Pass::resolve(ctx, plan, 0..usize::MAX, mode, supervised)?;
+    let pass = Pass::resolve(ctx, plan, 0..usize::MAX, ArchiveMode::OwnResumable)?;
     let workers = workers.max(1).min(pass.cells.len().max(1));
-    let partial = pass.runner(ctx).run(&pass.cells, workers)?;
-    let quarantined = pass.quarantined();
+    let partial = pass.runner(ctx).run(&pass.cells, workers);
+    let quarantined = pass.supervisor.quarantined();
     pass.conclude(partial.consumers, partial.tallies, quarantined, workers)
 }
 
@@ -988,18 +914,18 @@ pub type Fetch<'a> = dyn FnMut(Cell) -> Result<Arc<Vec<FlowRecord>>, StoreError>
 /// once through `fetch`, fan each batch out to the covering subscriptions,
 /// and hand back the redeemable output (every cell counts as replayed).
 /// This is the serving path's pass — `fetch` is whatever read layer the
-/// caller owns — so the plan's own wire, archive and supervisor options
-/// must be unset.
+/// caller owns — so the plan's own wire and archive options must be
+/// unset.
 pub fn run_fetched(
     ctx: &Context,
     plan: EnginePlan,
     fetch: &mut Fetch<'_>,
 ) -> Result<EngineOutput, StoreError> {
     assert!(
-        plan.wire.is_none() && plan.archive.is_none() && plan.supervisor.is_none(),
+        plan.wire.is_none() && plan.archive.is_none(),
         "a fetched pass reads only through its fetch"
     );
-    let pass = Pass::resolve(ctx, plan, 0..usize::MAX, ArchiveMode::Own, false)?;
+    let pass = Pass::resolve(ctx, plan, 0..usize::MAX, ArchiveMode::Own)?;
     let mut consumers = fresh_consumers(&pass.subs);
     let mut tallies = Tallies::default();
     for &cell in &pass.cells {
@@ -1028,7 +954,7 @@ pub struct SliceOutcome {
     pub replayed: u64,
     /// Of the replayed cells, how many came from journal adoption.
     pub resumed: u64,
-    /// Cell attempts beyond the first (supervised slices only).
+    /// Cell attempts beyond the first.
     pub retries: u64,
     /// Segments this slice spilled (cold archived slices only); the
     /// coordinator adopts these into the one published manifest.
@@ -1062,9 +988,8 @@ pub fn run_slice(
         plan.wire.is_none(),
         "wire mode does not cross the shard boundary"
     );
-    let supervised = plan.supervisor.is_some();
-    let pass = Pass::resolve(ctx, plan, range, ArchiveMode::Attach, supervised)?;
-    let partial = pass.runner(ctx).run(&pass.cells, 1)?;
+    let pass = Pass::resolve(ctx, plan, range, ArchiveMode::Attach)?;
+    let partial = pass.runner(ctx).run(&pass.cells, 1);
     Ok(SliceOutcome {
         states: partial
             .consumers
@@ -1075,12 +1000,9 @@ pub fn run_slice(
         generated: partial.tallies.generated,
         replayed: partial.tallies.replayed,
         resumed: partial.tallies.resumed,
-        retries: pass
-            .supervisor
-            .as_ref()
-            .map_or(0, |s| s.metrics().retries.get()),
+        retries: pass.supervisor.metrics().retries.get(),
         segments: pass.writer.as_ref().map(|w| w.metas()).unwrap_or_default(),
-        quarantined: pass.quarantined(),
+        quarantined: pass.supervisor.quarantined(),
     })
 }
 
@@ -1107,10 +1029,9 @@ impl ShardAssembler {
             plan.wire.is_none(),
             "wire mode does not cross the shard boundary"
         );
-        // The coordinator invalidates rather than resumes (workers spill
-        // fresh segments for it to adopt), and a corrupt manifest is one
-        // more thing to invalidate.
-        let pass = Pass::resolve(ctx, plan, 0..usize::MAX, ArchiveMode::Own, true)?;
+        // The coordinator invalidates rather than resumes: workers spill
+        // fresh segments for it to adopt.
+        let pass = Pass::resolve(ctx, plan, 0..usize::MAX, ArchiveMode::Own)?;
         Ok(ShardAssembler {
             merged: fresh_consumers(&pass.subs),
             pass,
@@ -1166,9 +1087,7 @@ impl ShardAssembler {
             replayed: outcome.replayed,
             resumed: outcome.resumed,
         });
-        if let Some(sup) = &self.pass.supervisor {
-            sup.metrics().retries.add(outcome.retries);
-        }
+        self.pass.supervisor.metrics().retries.add(outcome.retries);
         if let Some(w) = &self.pass.writer {
             for meta in outcome.segments {
                 w.adopt(meta)?;
@@ -1281,7 +1200,6 @@ mod tests {
         let ctx = Context::with_seed(Fidelity::Test, 9);
         let d = Date::new(2020, 3, 9);
         let mut plan = EnginePlan::new();
-        plan.with_supervisor(lockdown_chaos::ChaosConfig::zero());
         plan.scoped("fig-x", |p| {
             p.subscribe(
                 Stream::Vantage(VantagePoint::IxpSe),
@@ -1302,70 +1220,12 @@ mod tests {
     }
 
     #[test]
-    fn a_failed_cell_ends_every_other_worker_at_its_next_cell() {
-        let ctx = Context::with_seed(Fidelity::Test, 5);
-        let dir = std::env::temp_dir().join(format!("lockdown-engine-stop-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let d = Date::new(2020, 3, 9);
-        let archived = || {
-            let mut plan = EnginePlan::new();
-            plan.with_archive(&dir);
-            plan.subscribe(
-                Stream::Vantage(VantagePoint::IxpSe),
-                d,
-                d,
-                HourlyVolume::new,
-            );
-            plan
-        };
-        run_with_workers(&ctx, archived(), 2).expect("cold pass spills");
-        // The manifest still demands the fourth cell; its segment is gone.
-        let pass = Pass::resolve(&ctx, archived(), 0..usize::MAX, ArchiveMode::Own, false)
-            .expect("warm archive");
-        let absent = lockdown_store::segment_file_name(pass.cells[3]);
-        std::fs::remove_file(dir.join(lockdown_store::SEGMENTS_DIR).join(&absent))
-            .expect("drop one segment");
-        let names_absent = |e: StoreError| {
-            assert!(
-                matches!(&e, StoreError::Io { path, .. } if path.ends_with(&absent)),
-                "{e}"
-            );
-        };
-        let runner = pass.runner(&ctx);
-
-        // The interleaving, forced: the worker that claims the absent
-        // cell returns its error and raises `stop`…
-        let (cursor, stop) = (AtomicUsize::new(0), AtomicBool::new(false));
-        names_absent(
-            runner
-                .claim_cells(&pass.cells, &cursor, &stop)
-                .err()
-                .expect("absent"),
-        );
-        assert!(stop.load(Ordering::Relaxed));
-        assert_eq!(cursor.load(Ordering::Relaxed), 4);
-        // …and a worker arriving at its next cell runs nothing more.
-        let late = runner
-            .claim_cells(&pass.cells, &cursor, &stop)
-            .expect("stopped, not failed");
-        assert_eq!(late.tallies.replayed, 0);
-        assert_eq!(cursor.load(Ordering::Relaxed), 5);
-
-        // Through the scope, whichever worker met it: the same error,
-        // from a pass that ended instead of hanging.
-        for workers in [2, 3, 8] {
-            names_absent(runner.run(&pass.cells, workers).err().expect("absent"));
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn seeded_chaos_degrades_identically_at_any_worker_count() {
         let ctx = Context::with_seed(Fidelity::Test, 11);
         let (d1, d2) = (Date::new(2020, 3, 2), Date::new(2020, 3, 4));
         let degraded = |workers: usize| {
             let mut plan = EnginePlan::new();
-            plan.with_supervisor(ChaosConfig {
+            plan.with_chaos(ChaosConfig {
                 seed: 0xC4A05,
                 panic: 0.5,
                 attempts: 2,
@@ -1381,7 +1241,7 @@ mod tests {
                     HourlyVolume::new,
                 )
             });
-            let mut out = run_with_workers(&ctx, plan, workers).expect("supervised pass");
+            let mut out = run_with_workers(&ctx, plan, workers).expect("archive-free pass");
             let report = out.degraded().expect("half the attempts panic").clone();
             (
                 report,

@@ -30,24 +30,23 @@ pub struct Suite {
     pub audit: Option<lockdown_audit::Report>,
     /// Store metrics, present when the pass ran against an archive.
     pub store_metrics: Option<Arc<StoreMetrics>>,
-    /// Supervisor metrics, present when the pass ran supervised.
-    pub supervisor_metrics: Option<Arc<SupervisorMetrics>>,
-    /// Degraded-mode report, present when a supervised pass quarantined
-    /// at least one cell. Affected figures are annotated in `renders()`.
+    /// The pass supervisor's metrics.
+    pub supervisor_metrics: Arc<SupervisorMetrics>,
+    /// Degraded-mode report, present when the pass quarantined at least
+    /// one cell. Affected figures are annotated in `renders()`.
     pub degraded: Option<DegradedReport>,
 }
 
-/// How to run the suite: wire plane, archive, and chaos supervision are
-/// all optional and compose.
+/// How to run the suite: wire plane, archive, and chaos schedule are all
+/// optional and compose.
 #[derive(Default)]
 pub struct SuiteOptions {
     /// Route every cell through the wire-mode collection plane.
     pub wire: Option<WireConfig>,
     /// Spill/replay cells against a columnar archive at this directory.
     pub archive: Option<PathBuf>,
-    /// Supervise the pass: panic isolation, retries, quarantine, and —
-    /// with an archive — checkpoint/resume. `ChaosConfig::zero()` (all
-    /// rates 0) supervises without injecting any faults.
+    /// The fault schedule, attempt budget and backoff of the pass's
+    /// supervisor; `None` means [`ChaosConfig::zero`].
     pub chaos: Option<ChaosConfig>,
 }
 
@@ -68,9 +67,7 @@ fn build_plan(
     if let Some(dir) = opts.archive {
         plan.with_archive(dir);
     }
-    if let Some(cfg) = opts.chaos {
-        plan.with_supervisor(cfg);
-    }
+    plan.with_chaos(opts.chaos.unwrap_or_default());
     let pending = figures
         .into_iter()
         .map(|f| (f.name, f.plan(ctx, &mut plan)))
@@ -94,7 +91,7 @@ fn assemble(ctx: &Context, pending: Pending, mut out: EngineOutput) -> Suite {
         wire_metrics: out.wire_metrics().cloned(),
         audit: out.audit().cloned(),
         store_metrics: out.store_metrics().cloned(),
-        supervisor_metrics: out.supervisor_metrics().cloned(),
+        supervisor_metrics: Arc::clone(out.supervisor_metrics()),
         degraded: out.degraded().cloned(),
     }
 }
@@ -107,8 +104,9 @@ pub fn run_all(ctx: &Context) -> Suite {
 /// Run the full suite against a columnar archive: warm (replay every cell
 /// from segments, zero generation) when `dir` holds a covering manifest of
 /// the same generation, cold (generate and spill) otherwise. Output is
-/// byte-identical either way; archive I/O or corruption surfaces as an
-/// error naming the offending file.
+/// byte-identical either way; a segment that fails to read is regenerated,
+/// and only an archive that cannot be opened, created or published fails
+/// the pass.
 pub fn run_all_archived(
     ctx: &Context,
     wire: Option<WireConfig>,
@@ -125,9 +123,9 @@ pub fn run_all_archived(
 }
 
 /// Run the full suite with the full option set: wire plane, archive, and
-/// chaos supervision all compose. With `chaos` set the pass never aborts
-/// on retriable faults — exhausted cells are quarantined and reported in
-/// `Suite::degraded` instead, and figures compute from partial data.
+/// chaos schedule all compose. A cell that exhausts its attempt budget is
+/// quarantined and reported in `Suite::degraded`, and figures compute
+/// from partial data.
 pub fn run_all_opts(ctx: &Context, opts: SuiteOptions) -> Result<Suite, StoreError> {
     run_figures(ctx, &FIGURES, opts)
 }
@@ -155,16 +153,16 @@ pub fn run_figures(
 pub struct ShardSuiteOptions {
     /// Spill/replay cells against a columnar archive at this directory.
     pub archive: Option<PathBuf>,
-    /// Supervise worker slices (and, via `wkill`/`wstall`, schedule
-    /// coordinator-side worker faults).
-    pub chaos: Option<ChaosConfig>,
+    /// The fault schedule of worker slices (and, via `wkill`/`wstall`,
+    /// of coordinator-side worker faults), plus the attempt budget.
+    pub chaos: ChaosConfig,
 }
 
 fn shard_plan(ctx: &Context, opts: &ShardSuiteOptions) -> (EnginePlan, Pending) {
     let opts = SuiteOptions {
         wire: None,
         archive: opts.archive.clone(),
-        chaos: opts.chaos,
+        chaos: Some(opts.chaos),
     };
     build_plan(ctx, &FIGURES, opts)
 }

@@ -17,7 +17,7 @@
 //! spills to (or replays from) its own complete archive under a
 //! [`scenario_subdir`] keyed by the lane's label, so a warm re-run
 //! generates nothing at all and swapping one scenario regenerates only
-//! that lane. Wire mode and chaos supervision are not offered here — those
+//! that lane. Wire mode and chaos schedules are not offered here — those
 //! axes exercise the collection plane, which is orthogonal to scenario
 //! calibration.
 

@@ -1,30 +1,27 @@
 //! Supervised cell execution: panic isolation, retries, quarantine.
 //!
-//! The engine's default contract is all-or-nothing — a worker panic or a
-//! flipped archive byte kills the whole pass. That is the wrong shape for
-//! a measurement plane that runs for months: real exporters stall, disks
-//! fill, and a single bad hour must not take down a week of figures. With
-//! a [`Supervisor`] attached (via
-//! [`EnginePlan::with_supervisor`](crate::engine::EnginePlan::with_supervisor)),
-//! each cell attempt runs inside `catch_unwind`; failures are classified
-//! retriable (panics, stalls, I/O, corruption) or fatal (a demanded cell
-//! genuinely missing), retried under seeded bounded-exponential backoff,
-//! and — once the per-cell attempt budget is exhausted — **quarantined**:
-//! the pass completes without the cell, the suite renders a degraded-mode
-//! report naming it, and the conservation auditor records the quarantine
-//! as a first-class outcome instead of a violation.
+//! A measurement plane that runs for months cannot be all-or-nothing:
+//! real exporters stall, disks fill, and a single bad hour must not take
+//! down a week of figures. Every engine pass therefore runs under one
+//! [`Supervisor`]. Each cell attempt runs inside `catch_unwind`; a failed
+//! attempt (a panic, a stall, a spill error) is retried under seeded
+//! bounded-exponential backoff, and once the per-cell attempt budget is
+//! exhausted the cell is **quarantined**: the pass completes without it,
+//! the suite renders a degraded-mode report naming it, and the
+//! conservation auditor records the quarantine as a first-class outcome
+//! instead of a violation. An archived segment that fails to read is not
+//! even a failed attempt — the cell is regenerated inline.
 //!
 //! All fault *scheduling* lives in [`lockdown_chaos`] and is a pure
 //! function of `(seed, cell, attempt)`, so the quarantine set of a chaos
 //! run is identical across repeat runs and worker counts — which is what
-//! the failure-injection tests assert.
+//! the failure-injection tests assert. The default
+//! [`ChaosConfig::zero`] schedules nothing.
 
 use lockdown_chaos::{CellChaos, ChaosConfig, ChaosInjector, InjectedPanic};
 use lockdown_traffic::plan::Cell;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, Once};
-
-pub use lockdown_chaos::{ChaosConfig as SupervisorConfig, WriteFault};
 
 lockdown_base::metrics_family! {
     /// The `supervisor_*` metrics family, on the same Prometheus-style
@@ -46,7 +43,7 @@ lockdown_base::metrics_family! {
         stalls: counter("supervisor_stalls_total", "Injected exporter stall timeouts"),
         replay_corruptions: counter(
             "supervisor_replay_corruptions_total",
-            "Corrupt archived segments regenerated instead of aborting"
+            "Unreadable archived segments regenerated on replay"
         ),
         quarantined_cells: gauge(
             "supervisor_quarantined_cells",
@@ -140,22 +137,13 @@ fn install_quiet_panic_hook() {
 pub(crate) enum AttemptError {
     /// The attempt panicked (injected or genuine) and was caught.
     Panic(String),
-    /// The store layer failed (I/O, corruption).
+    /// A segment spill failed.
     Store(lockdown_store::StoreError),
     /// The exporter fleet stalled past its timeout (injected).
     Stall,
 }
 
 impl AttemptError {
-    /// Fatal errors abort the pass even under supervision: retrying
-    /// cannot make a demanded-but-unarchived cell appear.
-    pub(crate) fn fatal(&self) -> Option<&lockdown_store::StoreError> {
-        match self {
-            AttemptError::Store(e @ lockdown_store::StoreError::Missing { .. }) => Some(e),
-            _ => None,
-        }
-    }
-
     pub(crate) fn render(&self) -> String {
         match self {
             AttemptError::Panic(msg) => format!("panic: {msg}"),
@@ -165,8 +153,8 @@ impl AttemptError {
     }
 }
 
-/// The supervised-execution control surface one engine pass shares across
-/// its workers: the seeded fault schedule, the retry budget, the
+/// The supervised-execution control surface every engine pass shares
+/// across its workers: the seeded fault schedule, the retry budget, the
 /// `supervisor_*` metrics, and the quarantine list.
 #[derive(Debug)]
 pub struct Supervisor {
@@ -177,8 +165,7 @@ pub struct Supervisor {
 
 impl Supervisor {
     /// A supervisor for one pass. A [`ChaosConfig::zero`] configuration
-    /// gives supervision — panic isolation, retries, checkpoint/resume —
-    /// without any injected faults.
+    /// gives panic isolation and retries without any injected faults.
     pub fn new(cfg: ChaosConfig) -> Supervisor {
         install_quiet_panic_hook();
         Supervisor {

@@ -7,8 +7,8 @@
 //! a live one, carrying its attempt count so the seeded fault schedule
 //! keys on `(range, attempt)` rather than on which process happens to
 //! run it. Ranges that outlive the attempt budget are quarantined; the
-//! assembled suite then degrades exactly like a single-process
-//! supervised pass (same report, same exit-3 contract).
+//! assembled suite then degrades exactly like a single-process pass
+//! (same report, same exit-3 contract).
 //!
 //! Liveness is deadline-based on two clocks: silence past
 //! [`CoordOptions::heartbeat_timeout`] between frames, or a single
@@ -39,9 +39,6 @@ use std::time::{Duration, Instant};
 
 use crate::proto::{self, Assign, Identity};
 use crate::ShardError;
-
-/// Default attempt budget per range when no chaos spec provides one.
-pub const DEFAULT_ATTEMPTS: u32 = 3;
 
 /// Consecutive reconnects the coordinator grants one assignment before
 /// declaring the worker dead. Wire failures are not charged against the
@@ -378,12 +375,8 @@ pub fn coordinate(
         handshake(link, &identity, opts.heartbeat_timeout)?;
     }
 
-    let injector = opts.suite.chaos.map(ChaosInjector::new);
-    let budget = opts
-        .suite
-        .chaos
-        .map(|c| c.attempts.max(1))
-        .unwrap_or(DEFAULT_ATTEMPTS);
+    let injector = ChaosInjector::new(opts.suite.chaos);
+    let budget = opts.suite.chaos.attempts.max(1);
     let chunks = chunk_ranges(assembler.cell_count(), links.len(), opts.chunks_per_worker);
     let dispatch = Mutex::new(Dispatch {
         queue: chunks.iter().map(|&(s, e)| (s, e, 0)).collect(),
@@ -408,7 +401,7 @@ pub fn coordinate(
                     &dispatch,
                     &ready,
                     &identity,
-                    injector.as_ref(),
+                    &injector,
                     budget,
                     stall_ms,
                     opts.heartbeat_timeout,
@@ -555,7 +548,7 @@ fn worker_loop(
     dispatch: &Mutex<Dispatch>,
     ready: &Condvar,
     identity: &Identity,
-    injector: Option<&ChaosInjector>,
+    injector: &ChaosInjector,
     budget: u32,
     stall_ms: u32,
     timeout: Duration,
@@ -585,9 +578,7 @@ fn worker_loop(
             return;
         };
 
-        let chaos = injector
-            .map(|i| i.decide_worker(start, end, attempt))
-            .unwrap_or_default();
+        let chaos = injector.decide_worker(start, end, attempt);
         let assign = Assign {
             start,
             end,

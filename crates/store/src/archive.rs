@@ -246,51 +246,57 @@ fn remove_if_present(path: &Path) -> Result<(), StoreError> {
     }
 }
 
-/// Decode one segment file, cross-checking an index entry (length, CRC,
-/// record count) against the file. Shared by [`ArchiveReader::read_cell`]
-/// and the resume path, so adopted segments get the same integrity
-/// treatment as manifest replay.
+/// Read one segment file, decode it with `decode`, and check the file
+/// against its index entry: length, trailing CRC, record count. Every
+/// failed check names the segment and counts a CRC failure.
+fn read_checked<T>(
+    dir: &Path,
+    meta: &SegmentMeta,
+    metrics: &StoreMetrics,
+    decode: impl FnOnce(&str, &[u8]) -> Result<(T, SegmentFooter), StoreError>,
+) -> Result<(T, SegmentFooter), StoreError> {
+    let name = segment_file_name(meta.cell);
+    let path = dir.join(SEGMENTS_DIR).join(&name);
+    let bytes = std::fs::read(&path).map_err(|e| io_err(&path, e))?;
+    let checked = (|| {
+        let fail = |detail: String| Err(corrupt(&name, detail));
+        if bytes.len() as u64 != meta.file_len {
+            let (len, want) = (bytes.len(), meta.file_len);
+            return fail(format!("file is {len} bytes, manifest says {want}"));
+        }
+        let (value, footer) = decode(&name, &bytes)?;
+        let file_crc = u32::from_be_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
+        if file_crc != meta.crc {
+            let want = meta.crc;
+            return fail(format!(
+                "segment CRC {file_crc:#010x} does not match manifest {want:#010x}"
+            ));
+        }
+        if footer.records != meta.records {
+            let (held, want) = (footer.records, meta.records);
+            return fail(format!(
+                "segment holds {held} records, manifest says {want}"
+            ));
+        }
+        Ok((value, footer))
+    })();
+    if checked.is_err() {
+        metrics.crc_failures.inc();
+    }
+    checked
+}
+
+/// Decode one segment file through [`read_checked`]. Shared by
+/// [`ArchiveReader::read_cell`] and the resume path, so adopted segments
+/// get the same integrity treatment as manifest replay.
 fn read_segment(
     dir: &Path,
     meta: &SegmentMeta,
     metrics: &StoreMetrics,
 ) -> Result<Vec<FlowRecord>, StoreError> {
-    let name = segment_file_name(meta.cell);
-    let path = dir.join(SEGMENTS_DIR).join(&name);
-    let bytes = std::fs::read(&path).map_err(|e| io_err(&path, e))?;
-    let fail = |detail: String| {
-        metrics.crc_failures.inc();
-        Err(corrupt(&name, detail))
-    };
-    if bytes.len() as u64 != meta.file_len {
-        return fail(format!(
-            "file is {} bytes, manifest says {}",
-            bytes.len(),
-            meta.file_len
-        ));
-    }
-    let (records, footer) = match decode_segment(&name, &bytes) {
-        Ok(v) => v,
-        Err(e) => {
-            metrics.crc_failures.inc();
-            return Err(e);
-        }
-    };
-    let file_crc = u32::from_be_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
-    if file_crc != meta.crc {
-        return fail(format!(
-            "segment CRC {file_crc:#010x} does not match manifest {:#010x}",
-            meta.crc
-        ));
-    }
-    if footer.records != meta.records {
-        return fail(format!(
-            "segment holds {} records, manifest says {}",
-            footer.records, meta.records
-        ));
-    }
+    let (records, _) = read_checked(dir, meta, metrics, decode_segment)?;
     metrics.segments_read.inc();
-    metrics.bytes_read.add(bytes.len() as u64);
+    metrics.bytes_read.add(meta.file_len);
     metrics.records_read.add(records.len() as u64);
     Ok(records)
 }
@@ -768,16 +774,17 @@ impl ArchiveReader {
         cells.into_iter().all(|c| self.segments.contains_key(c))
     }
 
+    /// The manifest entry of a cell the caller demands.
+    fn entry(&self, cell: Cell) -> Result<&SegmentMeta, StoreError> {
+        self.segments.get(&cell).ok_or_else(|| StoreError::Missing {
+            what: format!("segment {} not in manifest", segment_file_name(cell)),
+        })
+    }
+
     /// Decode one cell's segment, cross-checking the manifest entry
     /// (length, CRC, record count) against the file.
     pub fn read_cell(&self, cell: Cell) -> Result<Vec<FlowRecord>, StoreError> {
-        let meta = self
-            .segments
-            .get(&cell)
-            .ok_or_else(|| StoreError::Missing {
-                what: format!("segment {} not in manifest", segment_file_name(cell)),
-            })?;
-        read_segment(&self.dir, meta, &self.metrics)
+        read_segment(&self.dir, self.entry(cell)?, &self.metrics)
     }
 
     /// Read one cell's segment *footer* — record count, time range and
@@ -787,47 +794,8 @@ impl ArchiveReader {
     /// on decode; what this skips is the per-column varint decode, which
     /// is what predicate-pushdown scans prune on.
     pub fn read_footer(&self, cell: Cell) -> Result<SegmentFooter, StoreError> {
-        let meta = self
-            .segments
-            .get(&cell)
-            .ok_or_else(|| StoreError::Missing {
-                what: format!("segment {} not in manifest", segment_file_name(cell)),
-            })?;
-        let name = segment_file_name(cell);
-        let path = self.dir.join(SEGMENTS_DIR).join(&name);
-        let bytes = std::fs::read(&path).map_err(|e| io_err(&path, e))?;
-        let fail = |detail: String| {
-            self.metrics.crc_failures.inc();
-            Err(corrupt(&name, detail))
-        };
-        if bytes.len() as u64 != meta.file_len {
-            return fail(format!(
-                "file is {} bytes, manifest says {}",
-                bytes.len(),
-                meta.file_len
-            ));
-        }
-        let footer = match read_segment_footer(&name, &bytes) {
-            Ok(f) => f,
-            Err(e) => {
-                self.metrics.crc_failures.inc();
-                return Err(e);
-            }
-        };
-        let file_crc = u32::from_be_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
-        if file_crc != meta.crc {
-            return fail(format!(
-                "segment CRC {file_crc:#010x} does not match manifest {:#010x}",
-                meta.crc
-            ));
-        }
-        if footer.records != meta.records {
-            return fail(format!(
-                "segment holds {} records, manifest says {}",
-                footer.records, meta.records
-            ));
-        }
-        Ok(footer)
+        let footer_only = |name: &str, bytes: &[u8]| Ok(((), read_segment_footer(name, bytes)?));
+        read_checked(&self.dir, self.entry(cell)?, &self.metrics, footer_only).map(|(_, f)| f)
     }
 
     /// Decode every segment, collecting failures instead of stopping at

@@ -6,10 +6,10 @@
 //! hour)` cell is encoded as a per-column segment ([`segment`]) with zone
 //! maps and a CRC, filed under a manifest ([`archive`]) keyed by seed,
 //! scenario hash and plan hash. A later run with the same generation key
-//! replays decoded segments through the identical consumer machinery
-//! ([`scan`]) and produces byte-identical output without generating a
-//! single flow; any key mismatch marks the archive stale and the run
-//! regenerates. Everything is dependency-light: the encodings are
+//! replays decoded segments ([`ArchiveReader::read_cell`]) through the
+//! identical consumer machinery and produces byte-identical output without
+//! generating a single flow; any key mismatch marks the archive stale and
+//! the run regenerates. Everything is dependency-light: the encodings are
 //! hand-rolled varints/deltas over `std::fs`, no serialization or
 //! compression crates involved.
 
@@ -27,7 +27,7 @@ pub use archive::{
     SegmentMeta, SpillFault, StoreKey, VerifyReport, JOURNAL_NAME, MANIFEST_NAME, SEGMENTS_DIR,
 };
 pub use metrics::StoreMetrics;
-pub use scan::{SegmentScan, TimeRange};
+pub use scan::TimeRange;
 pub use segment::{Column, SegmentFooter, ZoneMap};
 
 use std::fmt;
@@ -43,7 +43,7 @@ pub enum StoreError {
         detail: String,
     },
     /// A segment or manifest failed CRC or structural validation. Always
-    /// names the offending file so an aborted run points at the culprit.
+    /// names the offending file.
     Corrupt {
         /// File name of the bad segment (or the manifest).
         segment: String,

@@ -1,20 +1,7 @@
-//! Replay source: serve a plan's cell demands from archived segments.
-//!
-//! A [`SegmentScan`] sits where the trace emitter sits on the cold path:
-//! the engine asks it for one cell at a time (possibly from several
-//! worker threads — all methods take `&self`) and fans the decoded
-//! batches into the same consumer merge machinery. Archived segments the
-//! current plan does not demand are *pruned*: never opened, never
-//! decoded, counted in `store_segments_pruned_total`. That is what lets a
-//! superset archive (say, the full suite) serve a subset plan (one
-//! figure) without paying for the rest.
+//! Scan windows: the time predicate a predicate-pushdown scan prunes
+//! segments with, before opening them.
 
-use crate::archive::{ArchiveReader, SegmentMeta};
-use crate::metrics::StoreMetrics;
-use crate::StoreError;
-use lockdown_flow::record::FlowRecord;
-use lockdown_traffic::plan::Cell;
-use std::collections::BTreeSet;
+use crate::archive::SegmentMeta;
 
 /// A half-open `[from, to)` window over flow *start* seconds, the
 /// normalization every predicate-pushdown scan uses.
@@ -71,71 +58,15 @@ impl TimeRange {
     }
 }
 
-/// A pruned view of an archive, fixed to one plan's demanded cell set.
-#[derive(Debug)]
-pub struct SegmentScan<'a> {
-    reader: &'a ArchiveReader,
-    demanded: BTreeSet<Cell>,
-    pruned: u64,
-}
-
-impl<'a> SegmentScan<'a> {
-    /// Build a scan over `reader` for exactly `demanded`. Counts the
-    /// archived segments outside the demand set as pruned (recorded in
-    /// `metrics` once, here, so replay workers don't double-count).
-    pub fn new(
-        reader: &'a ArchiveReader,
-        demanded: impl IntoIterator<Item = Cell>,
-        metrics: &StoreMetrics,
-    ) -> SegmentScan<'a> {
-        let demanded: BTreeSet<Cell> = demanded.into_iter().collect();
-        let pruned = reader
-            .segments()
-            .filter(|m| !demanded.contains(&m.cell))
-            .count() as u64;
-        metrics.segments_pruned.add(pruned);
-        SegmentScan {
-            reader,
-            demanded,
-            pruned,
-        }
-    }
-
-    /// Whether the archive can satisfy every demanded cell.
-    pub fn covers_all(&self) -> bool {
-        self.reader.covers(self.demanded.iter())
-    }
-
-    /// Archived segments the demand set never asks for.
-    pub fn pruned(&self) -> u64 {
-        self.pruned
-    }
-
-    /// The underlying archive reader.
-    pub fn reader(&self) -> &ArchiveReader {
-        self.reader
-    }
-
-    /// Decode one demanded cell's records. Asking for a cell outside the
-    /// demand set is a caller bug surfaced as [`StoreError::Missing`].
-    pub fn read_cell(&self, cell: Cell) -> Result<Vec<FlowRecord>, StoreError> {
-        if !self.demanded.contains(&cell) {
-            return Err(StoreError::Missing {
-                what: format!("cell {cell:?} is not in the scan's demand set"),
-            });
-        }
-        self.reader.read_cell(cell)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::archive::{ArchiveWriter, StoreKey};
+    use crate::archive::{ArchiveReader, ArchiveWriter, StoreKey};
+    use crate::metrics::StoreMetrics;
     use lockdown_flow::record::{FlowKey, FlowRecord};
     use lockdown_flow::time::Date;
     use lockdown_topology::vantage::VantagePoint;
-    use lockdown_traffic::plan::Stream;
+    use lockdown_traffic::plan::{Cell, Stream};
     use std::net::Ipv4Addr;
     use std::path::PathBuf;
     use std::sync::Arc;
@@ -166,40 +97,6 @@ mod tests {
             cell.date.at_hour(cell.hour),
         )
         .build()]
-    }
-
-    #[test]
-    fn subset_demand_prunes_the_rest() {
-        let dir = tmp_dir("prune");
-        let metrics = StoreMetrics::new();
-        let key = StoreKey {
-            seed: 1,
-            scenario_hash: 2,
-            plan_hash: 3,
-        };
-        let w = ArchiveWriter::create(&dir, key, Arc::clone(&metrics)).unwrap();
-        for h in 0..6 {
-            w.spill(cell(h), &one_record(cell(h))).unwrap();
-        }
-        w.finish().unwrap();
-
-        let r = ArchiveReader::open(&dir, Arc::clone(&metrics))
-            .unwrap()
-            .unwrap();
-        let scan = SegmentScan::new(&r, [cell(1), cell(3)], &metrics);
-        assert!(scan.covers_all());
-        assert_eq!(scan.pruned(), 4);
-        assert_eq!(metrics.segments_pruned.get(), 4);
-        assert_eq!(scan.read_cell(cell(1)).unwrap().len(), 1);
-        // Undemanded cells are refused, not silently served.
-        assert!(matches!(
-            scan.read_cell(cell(0)),
-            Err(StoreError::Missing { .. })
-        ));
-        // A demand the archive can't satisfy is visible before any read.
-        let partial = SegmentScan::new(&r, [cell(1), cell(23)], &metrics);
-        assert!(!partial.covers_all());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -52,7 +52,8 @@ if grep -rn --include='*.rs' 'HashMap' crates/traffic/src >&2; then
     exit 1
 fi
 # The engine has one scheduler: one scope its workers run in, one loop
-# that runs a cell. A second of either is a fork of the pass core.
+# that runs a cell, one panic boundary around a cell attempt. A second of
+# any is a fork of the pass core.
 exactly_once() { # <what> <fixed-string pattern>
     local hits
     hits=$(grep -rnF --include='*.rs' -e "$2" crates/core/src || true)
@@ -64,6 +65,7 @@ exactly_once() { # <what> <fixed-string pattern>
 }
 exactly_once "the engine's worker scope" 'thread::scope('
 exactly_once "the call that runs a cell" '.process('
+exactly_once "the panic boundary around a cell attempt" 'catch_unwind('
 for manifest in crates/store/Cargo.toml crates/query/Cargo.toml; do
     if grep -n "lockdown-collect" "$manifest" >&2; then
         echo "said-once: $manifest depends on the collection plane again" >&2

@@ -138,15 +138,16 @@ USAGE:
       for this seed/scenario, warm (replay, zero generation) when it does.
       Figure output is byte-identical either way; the store metrics
       snapshot goes to stderr.
-      --chaos SPEC supervises the pass: worker panics, torn/failed
-      segment writes and exporter stalls are caught and retried with
-      seeded backoff; cells whose attempt budget runs out are quarantined
-      and the suite completes degraded (exit code 3) with a report naming
-      every missing cell. SPEC is comma-separated key=value pairs:
-      seed=N panic=P torn=P enospc=P stall=P attempts=N backoff=MS
-      cap=MS (all optional; probabilities in [0,1]). 'seed=0' alone
-      supervises without injecting faults — with --archive that enables
-      checkpoint/resume of a killed pass.
+      Every pass is supervised: worker panics, failed segment writes and
+      exporter stalls are caught and retried with seeded backoff; cells
+      whose attempt budget runs out are quarantined and the suite
+      completes degraded (exit code 3) with a report naming every missing
+      cell; an archived segment that fails to read is regenerated, and
+      with --archive a killed pass resumes from its journal. The
+      supervisor_* metrics snapshot goes to stderr. --chaos SPEC
+      schedules faults: comma-separated key=value pairs seed=N panic=P
+      torn=P enospc=P stall=P attempts=N backoff=MS cap=MS (all
+      optional; probabilities in [0,1]).
   lockdown coordinate (--workers N | --attach ADDR,ADDR,...)
                       [--fidelity test|standard|high] [--scenario FILE]
                       [--archive DIR] [--chaos SPEC]
@@ -228,7 +229,7 @@ USAGE:
       Run the full suite in wire mode and print the Prometheus-style
       metrics snapshot of the collection plane to stdout. --audit appends
       the conservation report to stderr and fails on violations. --chaos
-      supervises the pass as in figures (degraded runs exit 3).
+      schedules faults as in figures (degraded runs exit 3).
       --scenario swaps the calibration as in figures.
 
   lockdown collectd [--format ipfix|v9|v5] [--listen HOST:PORT]
@@ -421,7 +422,7 @@ fn parse_context(rest: &[String]) -> Result<Context, String> {
     })
 }
 
-/// The supervisor/chaos configuration described by `--chaos SPEC`.
+/// The fault schedule described by `--chaos SPEC`.
 fn parse_chaos(rest: &[String]) -> Result<Option<ChaosConfig>, String> {
     match flag(rest, "--chaos") {
         None => Ok(None),
@@ -431,12 +432,10 @@ fn parse_chaos(rest: &[String]) -> Result<Option<ChaosConfig>, String> {
     }
 }
 
-/// Print a degraded pass's report and supervisor metrics (stderr) and map
-/// it to the documented exit code; clean supervised passes exit 0.
+/// Print the supervisor metrics and any degraded pass's report (stderr)
+/// and map the pass to the documented exit code; clean passes exit 0.
 fn degraded_exit(suite: &suite::Suite) -> ExitCode {
-    if let Some(metrics) = &suite.supervisor_metrics {
-        eprint!("{}", metrics.render());
-    }
+    eprint!("{}", suite.supervisor_metrics.render());
     match &suite.degraded {
         Some(report) => {
             eprint!("{}", report.render());
@@ -488,9 +487,8 @@ fn cmd_figures(rest: &[String], names: &[&String]) -> Result<ExitCode, String> {
     // snapshot goes to stderr. With --archive the cells come from (or go
     // to) the columnar store — stdout is byte-identical cold vs. warm,
     // which is why the engine summary and every metrics snapshot go to
-    // stderr. With --chaos the pass is supervised: quarantined cells
-    // degrade (not abort) the run, and the degraded report plus
-    // supervisor metrics also go to stderr.
+    // stderr. Quarantined cells degrade (not abort) the run, and the
+    // degraded report plus supervisor metrics also go to stderr.
     let suite = suite::run_figures(
         &ctx,
         selected,
@@ -517,13 +515,13 @@ fn cmd_figures(rest: &[String], names: &[&String]) -> Result<ExitCode, String> {
 
 /// `coordinate`: the sharded full-suite pass. Stdout carries exactly
 /// what `figures` would print; scheduling and engine summaries go to
-/// stderr, and a degraded pass exits 3 like any supervised run.
+/// stderr, and a degraded pass exits 3 like any other.
 fn cmd_coordinate(rest: &[String], _: &[&String]) -> Result<ExitCode, String> {
     let ctx = parse_context(rest)?;
     let mut opts = CoordOptions::default();
     opts.suite = suite::ShardSuiteOptions {
         archive: flag(rest, "--archive").map(|d| Path::new(&d).to_path_buf()),
-        chaos: parse_chaos(rest)?,
+        chaos: parse_chaos(rest)?.unwrap_or_default(),
     };
     opts.chunks_per_worker = parse_count(rest, "--chunks", opts.chunks_per_worker)?;
     if let Some(ms) = flag(rest, "--timeout-ms") {
@@ -602,7 +600,7 @@ fn cmd_worker(rest: &[String], _: &[&String]) -> Result<ExitCode, String> {
     let ctx = parse_context(rest)?;
     let opts = suite::ShardSuiteOptions {
         archive: flag(rest, "--archive").map(|d| Path::new(&d).to_path_buf()),
-        chaos: parse_chaos(rest)?,
+        chaos: parse_chaos(rest)?.unwrap_or_default(),
     };
     let addr = flag(rest, "--listen").unwrap_or_else(|| "127.0.0.1:0".into());
     // Bind before anything else: a port conflict must be diagnosable

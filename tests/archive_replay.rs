@@ -2,14 +2,14 @@
 //! from a columnar archive must be byte-identical to the pass that
 //! generated (and spilled) them — per consumer, in wire mode, and across
 //! worker counts — while doing zero flow generation. Staleness (different
-//! seed) and corruption (flipped byte) must be detected, not silently
-//! absorbed. (The full figure suite, cold and warm, is the `archive` rows
-//! of `tests/equivalence.rs`.)
+//! seed) and corruption (flipped byte) must be detected and counted, and
+//! the affected cells regenerated rather than replayed. (The full figure
+//! suite, cold and warm, is the `archive` rows of `tests/equivalence.rs`.)
 
 use lockdown::core::engine::{self, EnginePlan};
 use lockdown::core::{Context, Fidelity};
 use lockdown::store::{
-    ArchiveReader, ArchiveWriter, StoreError, StoreKey, StoreMetrics, MANIFEST_NAME, SEGMENTS_DIR,
+    ArchiveReader, ArchiveWriter, StoreKey, StoreMetrics, MANIFEST_NAME, SEGMENTS_DIR,
 };
 use lockdown_analysis::consumer::FlowConsumer;
 use lockdown_base::hash::fold;
@@ -283,40 +283,86 @@ fn archive_of_another_generator_stream_is_recreated_not_replayed() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Flip one byte in the file at `path`.
+fn flip_a_byte(path: &Path) {
+    let mut bytes = std::fs::read(path).expect("read file");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x01;
+    std::fs::write(path, &bytes).expect("rewrite file");
+}
+
 #[test]
-fn corrupt_segment_aborts_the_pass_naming_the_segment() {
+fn corrupt_segment_is_regenerated_and_counted() {
     let ctx = Context::with_seed(Fidelity::Test, 53);
     let dir = tmp_dir("corrupt");
     let (d1, d2) = (Date::new(2020, 4, 6), Date::new(2020, 4, 7));
     let vp = VantagePoint::MobileCe;
     pass(&ctx, vp, d1, d2, Some(&dir), false, 2);
 
-    // Flip one byte in one spilled segment.
-    let seg_dir = dir.join("segments");
+    let seg_dir = dir.join(SEGMENTS_DIR);
     let mut names: Vec<_> = std::fs::read_dir(&seg_dir)
         .expect("segments dir")
         .map(|e| e.expect("entry").file_name().into_string().expect("utf8"))
         .collect();
     names.sort();
     let victim = names[names.len() / 2].clone();
-    let victim_path = seg_dir.join(&victim);
-    let mut bytes = std::fs::read(&victim_path).expect("read segment");
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x01;
-    std::fs::write(&victim_path, &bytes).expect("rewrite segment");
+    flip_a_byte(&seg_dir.join(&victim));
+
+    // The pass completes: the victim is regenerated, every other cell
+    // replayed, and the flows are the archive-free pass's.
+    let mut plan = EnginePlan::new();
+    plan.with_archive(&dir);
+    let d = plan.subscribe(Stream::Vantage(vp), d1, d2, || SortedFlows {
+        flows: Vec::new(),
+    });
+    let mut out = engine::run_with_workers(&ctx, plan, 2).expect("a corrupt segment is not fatal");
+    let stats = out.stats();
+    assert_eq!(stats.cells_generated, 1);
+    assert_eq!(stats.cells_replayed, 2 * 24 - 1);
+    assert_eq!(out.supervisor_metrics().replay_corruptions.get(), 1);
+    let (plain, _, _) = pass(&ctx, vp, d1, d2, None, false, 2);
+    assert_eq!(out.take(d).sorted(), plain);
+
+    // A warm pass writes nothing, so the archive still names the victim.
+    let report = ArchiveReader::open(&dir, StoreMetrics::new())
+        .expect("manifest intact")
+        .expect("manifest present")
+        .verify();
+    assert_eq!(report.failures.len(), 1, "{:?}", report.failures);
+    assert!(
+        report.failures[0].contains(&victim),
+        "{:?}",
+        report.failures
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn corrupt_manifest_runs_the_pass_cold() {
+    let ctx = Context::with_seed(Fidelity::Test, 61);
+    let dir = tmp_dir("corrupt-manifest");
+    let day = Date::new(2020, 4, 14);
+    let vp = VantagePoint::IxpCe;
+    let (plain, _, _) = pass(&ctx, vp, day, day, Some(&dir), false, 2);
+    flip_a_byte(&dir.join(MANIFEST_NAME));
 
     let mut plan = EnginePlan::new();
     plan.with_archive(&dir);
-    plan.subscribe(Stream::Vantage(vp), d1, d2, || SortedFlows {
+    let d = plan.subscribe(Stream::Vantage(vp), day, day, || SortedFlows {
         flows: Vec::new(),
     });
-    match engine::run_with_workers(&ctx, plan, 2) {
-        Ok(_) => panic!("corrupt archive must abort the pass"),
-        Err(StoreError::Corrupt { segment, .. }) => {
-            assert_eq!(segment, victim, "error names the corrupt segment");
-        }
-        Err(other) => panic!("wrong error class: {other}"),
-    }
+    let mut out = engine::run_with_workers(&ctx, plan, 2).expect("a corrupt manifest is not fatal");
+    let stats = out.stats();
+    assert_eq!(stats.cells_generated, 24);
+    assert_eq!(stats.cells_replayed, 0);
+    let store = out.store_metrics().expect("archived pass");
+    assert_eq!(store.resume_rejected.get(), 1);
+    assert_eq!(out.take(d).sorted(), plain);
+
+    // The cold pass republished the manifest: the next one is warm.
+    let (warm, stats, _) = pass(&ctx, vp, day, day, Some(&dir), false, 2);
+    assert_eq!(stats.cells_generated, 0);
+    assert_eq!(warm, plain);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -69,15 +69,24 @@ fn under_file(file: &str) -> Context {
 }
 
 /// The reference: the in-process, in-memory suite, computed once per
-/// calibration.
+/// calibration. Its supervisor, like every pass's, ran with zero chaos.
 fn reference(calibration: Calibration) -> &'static Pass {
     static REFERENCES: [OnceLock<Pass>; 2] = [OnceLock::new(), OnceLock::new()];
     REFERENCES[calibration as usize].get_or_init(|| {
-        Pass::of(&suite::run_all(&match calibration {
+        let suite = suite::run_all(&match calibration {
             Calibration::Builtin => ctx(),
             Calibration::Outage => under_file("hypergiant-outage.toml"),
-        }))
+        });
+        assert_unfaulted(&suite);
+        Pass::of(&suite)
     })
+}
+
+/// Supervision is free when chaos is off: nothing retried, nothing lost.
+fn assert_unfaulted(supervised: &Suite) {
+    assert_eq!(supervised.stats.cells_quarantined, 0);
+    assert_eq!(supervised.stats.retries, 0);
+    assert!(supervised.degraded.is_none());
 }
 
 /// One way of producing the sections, given a scratch directory the rows
@@ -95,8 +104,6 @@ const PATHS: &[(&str, Calibration, Produce)] = &[
     ("archive, cold", Calibration::Builtin, archive_cold),
     ("archive, warm", Calibration::Builtin, archive_warm),
     ("serve::render_figure over a QueryEngine", Calibration::Builtin, served_from_the_archive),
-    ("supervised, zero chaos", Calibration::Builtin, supervised_zero_chaos),
-    ("wire + audit, supervised", Calibration::Builtin, supervised_wire_audited),
     ("archive, resumed from the journal", Calibration::Builtin, resumed_from_journal),
     ("shipped scenarios/covid-spring-2020.toml", Calibration::Builtin, shipped_scenario_file),
     ("matrix lane 0", Calibration::Builtin, matrix_lane_0),
@@ -185,35 +192,9 @@ fn wire_audited(_: &Path) -> Option<Vec<String>> {
         ..Default::default()
     });
     assert_eq!(wired.stats, reference(Calibration::Builtin).stats);
+    assert_unfaulted(&wired);
     assert_audit_clean(&wired);
     Some(wired.renders())
-}
-
-/// Supervision is free when chaos is off: nothing retried, nothing lost.
-fn assert_unfaulted(supervised: &Suite) {
-    assert_eq!(supervised.stats.cells_quarantined, 0);
-    assert_eq!(supervised.stats.retries, 0);
-    assert!(supervised.degraded.is_none());
-}
-
-fn supervised_zero_chaos(_: &Path) -> Option<Vec<String>> {
-    let supervised = run(SuiteOptions {
-        chaos: Some(ChaosConfig::zero()),
-        ..Default::default()
-    });
-    assert_unfaulted(&supervised);
-    Some(supervised.renders())
-}
-
-fn supervised_wire_audited(_: &Path) -> Option<Vec<String>> {
-    let supervised = run(SuiteOptions {
-        wire: Some(WireConfig::new().with_audit(true)),
-        chaos: Some(ChaosConfig::zero()),
-        ..Default::default()
-    });
-    assert_unfaulted(&supervised);
-    assert_audit_clean(&supervised);
-    Some(supervised.renders())
 }
 
 fn shipped_scenario_file(_: &Path) -> Option<Vec<String>> {
@@ -281,7 +262,6 @@ fn resumed_from_journal(scratch: &Path) -> Option<Vec<String>> {
     }
     let resumed = run(SuiteOptions {
         archive: Some(dir),
-        chaos: Some(ChaosConfig::zero()),
         ..Default::default()
     });
     let total = reference(Calibration::Builtin).stats.cells_generated;
@@ -349,7 +329,7 @@ fn adopted(scratch: &Path) -> CoordOptions {
     CoordOptions {
         suite: ShardSuiteOptions {
             archive: Some(scratch.join("adopted")),
-            chaos: None,
+            ..ShardSuiteOptions::default()
         },
         ..CoordOptions::default()
     }
@@ -422,11 +402,7 @@ fn coordinate_worker_kill(_: &Path) -> Option<Vec<String>> {
     let workers = 3;
     let mut opts = CoordOptions::default();
     let cells = suite_shard_cell_count(&ctx(), &opts.suite);
-    opts.suite.chaos = Some(seed_with_survivable_kills(
-        cells,
-        workers,
-        opts.chunks_per_worker,
-    ));
+    opts.suite.chaos = seed_with_survivable_kills(cells, workers, opts.chunks_per_worker);
     let (out, exits) = coordinate("shard/kill", opts, workers, |_| None);
     assert!(
         exits.contains(&WorkerExit::ChaosKilled),

@@ -410,7 +410,7 @@ fn dup_reorder_gap_schedules_balance_exactly() {
 }
 
 // ---------------------------------------------------------------------------
-// Supervised engine: chaos-injected worker faults, quarantine, resume.
+// The engine's supervisor: chaos-injected worker faults, quarantine, resume.
 // ---------------------------------------------------------------------------
 
 use lockdown::chaos::{ChaosConfig, ChaosInjector};
@@ -426,9 +426,9 @@ fn chaos_tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// A supervised archived pass killed mid-publication resumes from the
-/// journal: only the missing cells are regenerated and the output is
-/// identical to the uninterrupted pass.
+/// An archived pass killed mid-publication resumes from the journal:
+/// only the missing cells are regenerated and the output is identical to
+/// the uninterrupted pass.
 #[test]
 fn killed_archived_pass_resumes_from_journal() {
     let ctx = Context::with_seed(Fidelity::Test, 63);
@@ -436,11 +436,8 @@ fn killed_archived_pass_resumes_from_journal() {
     let vp = VantagePoint::IxpSe;
     let (d1, d2) = (Date::new(2020, 3, 9), Date::new(2020, 3, 10));
 
-    let cold = |supervised: bool| {
+    let cold = || {
         let mut plan = EnginePlan::new();
-        if supervised {
-            plan.with_supervisor(ChaosConfig::zero());
-        }
         plan.with_archive(&dir);
         let d = plan.subscribe(Stream::Vantage(vp), d1, d2, HourlyVolume::new);
         let mut out = engine::run(&ctx, plan).expect("pass succeeds");
@@ -448,7 +445,7 @@ fn killed_archived_pass_resumes_from_journal() {
         (out.take(d).hourly_series(d1, d2), stats)
     };
 
-    let (reference, cold_stats) = cold(false);
+    let (reference, cold_stats) = cold();
     let total = cold_stats.cells_generated;
     assert_eq!(total, 2 * 24);
 
@@ -468,13 +465,13 @@ fn killed_archived_pass_resumes_from_journal() {
         std::fs::remove_file(path).expect("drop a completed segment");
     }
 
-    let (resumed, warm_stats) = cold(true);
+    let (resumed, warm_stats) = cold();
     assert_eq!(resumed, reference, "resume must not change the figures");
     assert_eq!(warm_stats.cells_resumed, total - killed as u64);
     assert_eq!(warm_stats.cells_generated, killed as u64);
     // The resumed pass completed, so the manifest is republished and a
-    // plain warm replay generates nothing.
-    let (replayed, warm2) = cold(false);
+    // warm replay generates nothing.
+    let (replayed, warm2) = cold();
     assert_eq!(replayed, reference);
     assert_eq!(warm2.cells_generated, 0);
     let _ = std::fs::remove_dir_all(&dir);
@@ -519,10 +516,10 @@ fn quarantine_set_is_deterministic_and_predicted() {
 
         for workers in [1usize, 2, 5] {
             let mut plan = EnginePlan::new();
-            plan.with_supervisor(cfg);
+            plan.with_chaos(cfg);
             let d = plan.subscribe(Stream::Vantage(vp), d1, d2, HourlyVolume::new);
             let mut out = engine::run_with_workers(&ctx, plan, workers)
-                .expect("supervised pass never aborts on injected panics");
+                .expect("a pass never aborts on injected panics");
             let quarantined: Vec<(i64, u8)> = out
                 .degraded()
                 .map(|r| {

@@ -81,7 +81,7 @@ fn a_fully_dead_range_degrades_instead_of_aborting() {
             continue;
         }
         let mut opts = CoordOptions::default();
-        opts.suite.chaos = Some(cfg);
+        opts.suite.chaos = cfg;
         let (out, exits) = coordinate("shard/dead-range", opts, workers, |_| None);
 
         assert!(exits.contains(&WorkerExit::ChaosKilled), "{exits:?}");
