@@ -116,7 +116,6 @@ fn main() {
     let fidelity_name = match fidelity {
         Fidelity::Test => "test",
         Fidelity::Standard => "standard",
-        Fidelity::High => "high",
     };
 
     // Bulk relay: warm once, then measure direct and proxied.

@@ -81,7 +81,6 @@ fn main() {
     let fidelity_name = match fidelity {
         Fidelity::Test => "test",
         Fidelity::Standard => "standard",
-        Fidelity::High => "high",
     };
     let opts = CoordOptions::default();
     let cells = suite_shard_cell_count(&Context::new(fidelity), &opts.suite);

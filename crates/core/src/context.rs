@@ -25,8 +25,6 @@ pub enum Fidelity {
     Test,
     /// Default resolution used by the examples and benches.
     Standard,
-    /// High resolution for statistics-hungry figures (unique IPs, ports).
-    High,
 }
 
 impl Fidelity {
@@ -35,7 +33,6 @@ impl Fidelity {
         match self {
             Fidelity::Test => GeneratorConfig::coarse(seed),
             Fidelity::Standard => GeneratorConfig::with_seed(seed),
-            Fidelity::High => GeneratorConfig::high_resolution(seed),
         }
     }
 }
@@ -59,8 +56,8 @@ impl Context {
         Context::with_seed(fidelity, 0x10CD_2020)
     }
 
-    /// Build a context with an explicit seed, under the built-in COVID
-    /// spring-2020 scenario.
+    /// Build a context with an explicit seed, under the default scenario,
+    /// the shipped `scenarios/covid-spring-2020.toml`.
     pub fn with_seed(fidelity: Fidelity, seed: u64) -> Context {
         Context::with_scenario(fidelity, seed, ScenarioSpec::covid_spring_2020())
     }
@@ -137,9 +134,7 @@ mod tests {
     fn fidelity_ordering() {
         let t = Fidelity::Test.config(1);
         let s = Fidelity::Standard.config(1);
-        let h = Fidelity::High.config(1);
         assert!(t.flows_per_gbps < s.flows_per_gbps);
-        assert!(s.flows_per_gbps < h.flows_per_gbps);
     }
 
     #[test]

@@ -93,19 +93,9 @@ impl TemplateCache {
         self.options.insert(template.id, template);
     }
 
-    /// Look up an options template by id.
-    pub fn get_options(&self, id: u16) -> Option<&OptionsTemplate> {
-        self.options.get(&id)
-    }
-
     /// The exporter's announced sampling configuration, if any.
     pub fn sampling(&self) -> Option<SamplingInfo> {
         self.sampling
-    }
-
-    /// Record a sampling announcement.
-    pub fn set_sampling(&mut self, info: SamplingInfo) {
-        self.sampling = Some(info);
     }
 }
 

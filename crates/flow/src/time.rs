@@ -59,11 +59,6 @@ impl Timestamp {
         ((self.0 % SECS_PER_HOUR) / SECS_PER_MIN) as u8
     }
 
-    /// Seconds elapsed since midnight UTC.
-    pub fn seconds_of_day(self) -> u64 {
-        self.0 % SECS_PER_DAY
-    }
-
     /// This instant truncated down to the start of its hour.
     pub fn floor_hour(self) -> Timestamp {
         Timestamp(self.0 - self.0 % SECS_PER_HOUR)
@@ -113,27 +108,9 @@ impl Weekday {
         }
     }
 
-    /// Index where Monday = 0 … Sunday = 6.
-    pub fn monday0(self) -> u8 {
-        self as u8
-    }
-
     /// Saturday or Sunday.
     pub fn is_weekend(self) -> bool {
         matches!(self, Weekday::Saturday | Weekday::Sunday)
-    }
-
-    /// Three-letter English abbreviation, as used in the paper's figures.
-    pub fn abbrev(self) -> &'static str {
-        match self {
-            Weekday::Monday => "Mon",
-            Weekday::Tuesday => "Tue",
-            Weekday::Wednesday => "Wed",
-            Weekday::Thursday => "Thu",
-            Weekday::Friday => "Fri",
-            Weekday::Saturday => "Sat",
-            Weekday::Sunday => "Sun",
-        }
     }
 }
 

@@ -23,19 +23,18 @@
 use crate::apps::AppClass;
 use crate::calendar::{day_type, DayType};
 use crate::diurnal::{blend, shape, DiurnalProfile};
-use crate::measures::{MeasureEvent, ScenarioSpec};
-use crate::phases::RegionTimeline;
+use crate::measures::{MeasureEvent, RegionMeasures, ScenarioSpec};
 use lockdown_flow::time::Date;
 use lockdown_topology::asn::Region;
 use lockdown_topology::vantage::{VantageKind, VantagePoint};
 
-/// The demand model: an interpreter over one scenario's timelines, events
+/// The demand model: an interpreter over one scenario's regions, events
 /// and baseline drift. Its share table is built at construction, so build
 /// one per pass (as the generator does) and ask it for a [`DayDemand`] per
 /// cell, not for a volume per flow.
 #[derive(Debug, Clone)]
 pub struct DemandModel {
-    timelines: [RegionTimeline; 3],
+    regions: [RegionMeasures; 3],
     events: Vec<MeasureEvent>,
     organic_anchor: Date,
     organic_weekly: f64,
@@ -81,7 +80,11 @@ impl DemandModel {
             shares[kind as usize] = share_row(kind);
         }
         DemandModel {
-            timelines: spec.timelines(),
+            regions: [
+                *spec.region(Region::CentralEurope),
+                *spec.region(Region::SouthernEurope),
+                *spec.region(Region::UsEast),
+            ],
             events: spec.events.clone(),
             organic_anchor: spec.baseline.organic_anchor,
             organic_weekly: spec.baseline.organic_weekly,
@@ -89,18 +92,18 @@ impl DemandModel {
         }
     }
 
-    /// The timeline for a region.
-    pub fn timeline(&self, region: Region) -> &RegionTimeline {
+    /// The measures for a region.
+    pub fn measures(&self, region: Region) -> &RegionMeasures {
         match region {
-            Region::CentralEurope => &self.timelines[0],
-            Region::SouthernEurope => &self.timelines[1],
-            Region::UsEast => &self.timelines[2],
+            Region::CentralEurope => &self.regions[0],
+            Region::SouthernEurope => &self.regions[1],
+            Region::UsEast => &self.regions[2],
         }
     }
 
     /// Stay-at-home intensity at a vantage point's region on a date.
     pub fn intensity(&self, vp: VantagePoint, date: Date) -> f64 {
-        self.timeline(vp.region()).intensity(date)
+        self.measures(vp.region()).intensity(date)
     }
 
     /// Intensity as *experienced by this vantage point's traffic*.
@@ -110,13 +113,13 @@ impl DemandModel {
     /// faster than the wholesale traffic mix. Residential-facing vantage
     /// points therefore discount intensity during the relaxation phase.
     pub fn effective_intensity(&self, vp: VantagePoint, date: Date) -> f64 {
-        let tl = self.timeline(vp.region());
-        let i = tl.intensity(date);
+        let m = self.measures(vp.region());
+        let i = m.intensity(date);
         match vp.kind() {
             VantageKind::Isp | VantageKind::Mobile | VantageKind::Roaming | VantageKind::Edu => {
-                if date >= tl.relaxation {
-                    let days = tl.relaxation.days_until(date) as f64;
-                    i * (1.0 - tl.curve.reversion * (days / tl.curve.reversion_days).min(1.0))
+                if date >= m.reopening {
+                    let days = m.reopening.days_until(date) as f64;
+                    i * (1.0 - m.reversion * (days / m.reversion_days).min(1.0))
                 } else {
                     i
                 }
@@ -134,7 +137,7 @@ impl DemandModel {
             date,
             day_type: day_type(date, vp.region()),
             intensity,
-            since_lockdown: self.timeline(vp.region()).lockdown.days_until(date),
+            since_lockdown: self.measures(vp.region()).stay_home.days_until(date),
             // Mobile traffic dips while people sit on home Wi-Fi; roaming
             // collapses with travel (Fig. 1's bottom curves).
             vantage_factor: match vp.kind() {

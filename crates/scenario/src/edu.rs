@@ -18,7 +18,7 @@
 
 use crate::calendar::{day_type, DayType};
 use crate::diurnal::{shape, DiurnalProfile};
-use crate::phases::RegionTimeline;
+use crate::measures::{EduSpec, ScenarioSpec};
 use lockdown_flow::time::Date;
 
 /// Traffic classes tracked in the §7 connection-level analysis
@@ -130,15 +130,9 @@ impl EduClass {
 /// educational-system measures.
 #[derive(Debug, Clone)]
 pub struct EduModel {
-    timeline: RegionTimeline,
-    /// Campus closure date: Mar 11 (announced Mar 9, §7).
-    pub closure: Date,
-    /// Campus-presence loss per day after the closure.
-    winddown_per_day: f64,
-    /// Skeleton-crew presence floor.
-    presence_floor: f64,
-    /// Days for teaching to move fully online.
-    remote_ramp_days: f64,
+    /// The campus closure, its wind-down and the region whose calendar
+    /// the campus follows.
+    edu: EduSpec,
 }
 
 impl Default for EduModel {
@@ -150,39 +144,35 @@ impl Default for EduModel {
 impl EduModel {
     /// Standard model (Southern-Europe timeline, Mar 11 closure).
     pub fn new() -> EduModel {
-        EduModel::from_spec(&crate::measures::ScenarioSpec::covid_spring_2020())
+        EduModel::from_spec(&ScenarioSpec::covid_spring_2020())
     }
 
     /// Build a model interpreting an arbitrary scenario's `[edu]` block.
-    pub fn from_spec(spec: &crate::measures::ScenarioSpec) -> EduModel {
-        EduModel {
-            timeline: spec.region(spec.edu.region).timeline(),
-            closure: spec.edu.closure,
-            winddown_per_day: spec.edu.winddown_per_day,
-            presence_floor: spec.edu.presence_floor,
-            remote_ramp_days: spec.edu.remote_ramp_days,
-        }
+    pub fn from_spec(spec: &ScenarioSpec) -> EduModel {
+        EduModel { edu: spec.edu }
     }
 
     /// Campus-presence factor in `[0, 1]`: 1 = normal occupancy.
     /// Only critical-maintenance staff remain after the closure.
     pub fn campus_presence(&self, date: Date) -> f64 {
-        if date < self.closure {
+        let e = &self.edu;
+        if date < e.closure {
             1.0
         } else {
             // Sharp wind-down to the skeleton crew.
-            let days = self.closure.days_until(date) as f64;
-            (1.0 - self.winddown_per_day * days).max(self.presence_floor)
+            let days = e.closure.days_until(date) as f64;
+            (1.0 - e.winddown_per_day * days).max(e.presence_floor)
         }
     }
 
     /// Remote-activity factor: 0 before closure, ramping to 1 as teaching
     /// moves online over the ramp window.
     pub fn remote_activity(&self, date: Date) -> f64 {
-        if date < self.closure {
+        let e = &self.edu;
+        if date < e.closure {
             0.0
         } else {
-            (self.closure.days_until(date) as f64 / self.remote_ramp_days).min(1.0)
+            (e.closure.days_until(date) as f64 / e.remote_ramp_days).min(1.0)
         }
     }
 
@@ -193,7 +183,7 @@ impl EduModel {
     /// Egress is content served out of the universities, which grows with
     /// remote access.
     pub fn volume_gbps(&self, date: Date, hour: u8) -> (f64, f64) {
-        let dt = day_type(date, self.timeline.region);
+        let dt = day_type(date, self.edu.region);
         let presence = self.campus_presence(date);
         let remote = self.remote_activity(date);
 
@@ -239,7 +229,7 @@ impl EduModel {
     /// Expected daily connection count for one class (Fig. 12's unit,
     /// before normalization to Feb 27).
     pub fn daily_connections(&self, class: EduClass, date: Date) -> f64 {
-        let dt = day_type(date, self.timeline.region);
+        let dt = day_type(date, self.edu.region);
         let base = class.base_daily_connections();
         // Weekends always ran at a fraction of workday activity.
         let weekend_scale = if dt.is_weekend_like() { 0.45 } else { 1.0 };
@@ -271,11 +261,6 @@ impl EduModel {
             }
         }
         (inc, out)
-    }
-
-    /// The lockdown timeline used (exposed for analysis alignment).
-    pub fn timeline(&self) -> &RegionTimeline {
-        &self.timeline
     }
 }
 

@@ -11,8 +11,9 @@
 //!
 //! * [`calendar`] — 2020 day types, holidays (Easter is weekend-like, §4),
 //!   and the exact analysis weeks each figure selects;
-//! * [`phases`] — per-region lockdown timelines (Europe in March, the US
-//!   East Coast trailing) and a behavioural intensity curve;
+//! * [`phases`] — lockdown phases and the behavioural intensity curve a
+//!   region's measures describe (Europe in March, the US East Coast
+//!   trailing);
 //! * [`diurnal`] — hour-of-day shapes: workday evening peaks, weekend
 //!   morning momentum, the lockdown morph (Fig. 2);
 //! * [`apps`] — the application-class taxonomy with port signatures from
@@ -24,9 +25,9 @@
 //! * [`edu`] — the §7 educational-network model: campus presence, remote
 //!   activity, per-class connection growth (VPN 4.8×, SSH 9.1×, …);
 //! * [`measures`] — the scenario DSL: declarative dated measures and
-//!   events that the phase/demand/edu interpreters evaluate, with the
-//!   spring-2020 calibration shipped as both a built-in and
-//!   `scenarios/covid-spring-2020.toml`;
+//!   events that the phase/demand/edu interpreters evaluate; the default
+//!   spring-2020 calibration is `scenarios/covid-spring-2020.toml`,
+//!   compiled in;
 //! * [`toml`] — the in-crate TOML subset parser scenario files use.
 //!
 //! Calibration numbers flow *only* through generated traffic: the analysis
@@ -58,5 +59,5 @@ pub mod prelude {
     pub use crate::measures::{
         BaselineSpec, EduSpec, MeasureEvent, RegionMeasures, ScenarioSpec, SpecError,
     };
-    pub use crate::phases::{IntensityCurve, LockdownPhase, RegionTimeline};
+    pub use crate::phases::LockdownPhase;
 }

@@ -8,14 +8,12 @@
 //! school closure Mar 11, state of emergency Mar 14, §7; US East Coast:
 //! lockdown "later", §3.1).
 //!
-//! Since the scenario DSL landed, this module is an *interpreter*: the
-//! dates and curve parameters live in [`crate::measures`] (authorable as
-//! TOML), and [`RegionTimeline`] merely evaluates the piecewise intensity
-//! curve they describe. [`RegionTimeline::for_region`] returns the shipped
-//! COVID spring-2020 calibration.
+//! This module is an *interpreter*: the dates and curve parameters are a
+//! scenario file's [`RegionMeasures`], and the methods here evaluate the
+//! piecewise intensity curve they describe.
 
+use crate::measures::RegionMeasures;
 use lockdown_flow::time::Date;
-use lockdown_topology::asn::Region;
 
 /// Coarse phase of the pandemic response.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -33,92 +31,16 @@ pub enum LockdownPhase {
     Relaxation,
 }
 
-/// Parameters of the piecewise behavioural-intensity curve.
-///
-/// Every constant of the old hard-coded curve is a field here, so a
-/// scenario file can re-shape the response without touching code — and so
-/// the shipped COVID calibration ([`IntensityCurve::paper`]) evaluates
-/// *bit-identically* to the pre-DSL literals.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IntensityCurve {
-    /// Intensity reached as awareness builds (end of the outbreak phase).
-    pub awareness_gain: f64,
-    /// Additional intensity gained across the initial-response window.
-    pub restrictions_gain: f64,
-    /// Intensity on the first day of the stay-at-home order.
-    pub stay_home_from: f64,
-    /// Additional intensity gained over the stay-at-home ramp.
-    pub stay_home_gain: f64,
-    /// Days the stay-at-home ramp takes to saturate.
-    pub stay_home_ramp_days: f64,
-    /// Intensity released (from 1.0) across the reopening window.
-    pub reopening_release: f64,
-    /// Days the reopening decay runs before flooring.
-    pub reopening_days: f64,
-    /// Intensity floor during reopening (behaviour only partially reverts).
-    pub reopening_floor: f64,
-    /// Residential reversion fraction applied by the demand model once
-    /// reopening starts (§3.1: ISP growth falls back faster than IXPs').
-    pub reversion: f64,
-    /// Days over which the residential reversion saturates.
-    pub reversion_days: f64,
-}
-
-impl IntensityCurve {
-    /// The paper's calibration (identical to the pre-DSL constants).
-    pub const fn paper() -> IntensityCurve {
-        IntensityCurve {
-            awareness_gain: 0.10,
-            restrictions_gain: 0.30,
-            stay_home_from: 0.40,
-            stay_home_gain: 0.60,
-            stay_home_ramp_days: 4.0,
-            reopening_release: 0.55,
-            reopening_days: 42.0,
-            reopening_floor: 0.45,
-            reversion: 0.70,
-            reversion_days: 28.0,
-        }
-    }
-}
-
-/// The date anchors of one region's timeline, plus its intensity curve.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RegionTimeline {
-    /// The region this timeline describes.
-    pub region: Region,
-    /// Outbreak becomes publicly salient.
-    pub outbreak: Date,
-    /// First closures/advisories.
-    pub initial_response: Date,
-    /// Stay-at-home lockdown in force.
-    pub lockdown: Date,
-    /// First relaxation steps.
-    pub relaxation: Date,
-    /// Parameters of the behavioural-intensity curve.
-    pub curve: IntensityCurve,
-}
-
-impl RegionTimeline {
-    /// The timeline for a region, from the paper's narrative — the shipped
-    /// COVID spring-2020 calibration (see
-    /// [`crate::measures::ScenarioSpec::covid_spring_2020`] for the
-    /// narrative behind each date).
-    pub fn for_region(region: Region) -> RegionTimeline {
-        crate::measures::ScenarioSpec::covid_spring_2020()
-            .region(region)
-            .timeline()
-    }
-
+impl RegionMeasures {
     /// Phase in force on a date.
     pub fn phase(&self, date: Date) -> LockdownPhase {
-        if date < self.outbreak {
+        if date < self.awareness {
             LockdownPhase::PreCovid
-        } else if date < self.initial_response {
+        } else if date < self.restrictions {
             LockdownPhase::Outbreak
-        } else if date < self.lockdown {
+        } else if date < self.stay_home {
             LockdownPhase::InitialResponse
-        } else if date < self.relaxation {
+        } else if date < self.reopening {
             LockdownPhase::Lockdown
         } else {
             LockdownPhase::Relaxation
@@ -133,34 +55,34 @@ impl RegionTimeline {
     /// the growth decreased to 6% for the ISP-CE but persisted for the
     /// IXP-CE", i.e. behaviour only partially reverts within the window).
     pub fn intensity(&self, date: Date) -> f64 {
-        let c = &self.curve;
         match self.phase(date) {
             LockdownPhase::PreCovid => 0.0,
             LockdownPhase::Outbreak => {
                 // Slow drift up to the awareness gain as awareness builds.
-                let total = self.outbreak.days_until(self.initial_response) as f64;
-                let done = self.outbreak.days_until(date) as f64;
-                c.awareness_gain * (done / total.max(1.0)).clamp(0.0, 1.0)
+                let total = self.awareness.days_until(self.restrictions) as f64;
+                let done = self.awareness.days_until(date) as f64;
+                self.awareness_gain * (done / total.max(1.0)).clamp(0.0, 1.0)
             }
             LockdownPhase::InitialResponse => {
                 // awareness → awareness + restrictions across the window.
-                let total = self.initial_response.days_until(self.lockdown) as f64;
-                let done = self.initial_response.days_until(date) as f64;
-                c.awareness_gain + c.restrictions_gain * (done / total.max(1.0)).clamp(0.0, 1.0)
+                let total = self.restrictions.days_until(self.stay_home) as f64;
+                let done = self.restrictions.days_until(date) as f64;
+                self.awareness_gain
+                    + self.restrictions_gain * (done / total.max(1.0)).clamp(0.0, 1.0)
             }
             LockdownPhase::Lockdown => {
                 // Ramp to 1.0 over the first days, then hold (the paper's
                 // week-over-week jump at the lockdown is sharp).
-                let done = self.lockdown.days_until(date) as f64;
-                (c.stay_home_from + c.stay_home_gain * (done / c.stay_home_ramp_days))
+                let done = self.stay_home.days_until(date) as f64;
+                (self.stay_home_from + self.stay_home_gain * (done / self.stay_home_ramp_days))
                     .clamp(0.0, 1.0)
             }
             LockdownPhase::Relaxation => {
                 // Decay from 1.0 toward the floor: much of the behaviour
                 // change persists within the study window.
-                let done = self.relaxation.days_until(date) as f64;
-                (1.0 - c.reopening_release * (done / c.reopening_days))
-                    .clamp(c.reopening_floor, 1.0)
+                let done = self.reopening.days_until(date) as f64;
+                (1.0 - self.reopening_release * (done / self.reopening_days))
+                    .clamp(self.reopening_floor, 1.0)
             }
         }
     }
@@ -169,10 +91,16 @@ impl RegionTimeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::measures::ScenarioSpec;
+    use lockdown_topology::asn::Region;
+
+    fn measures(region: Region) -> RegionMeasures {
+        *ScenarioSpec::covid_spring_2020().region(region)
+    }
 
     #[test]
     fn phase_progression_central_europe() {
-        let t = RegionTimeline::for_region(Region::CentralEurope);
+        let t = measures(Region::CentralEurope);
         assert_eq!(t.phase(Date::new(2020, 1, 15)), LockdownPhase::PreCovid);
         assert_eq!(t.phase(Date::new(2020, 2, 10)), LockdownPhase::Outbreak);
         assert_eq!(
@@ -185,9 +113,9 @@ mod tests {
 
     #[test]
     fn us_lockdown_trails_europe() {
-        let ce = RegionTimeline::for_region(Region::CentralEurope);
-        let us = RegionTimeline::for_region(Region::UsEast);
-        assert!(us.lockdown > ce.lockdown);
+        let ce = measures(Region::CentralEurope);
+        let us = measures(Region::UsEast);
+        assert!(us.stay_home > ce.stay_home);
         // Mid-April: US still in full lockdown while CE is about to relax.
         let apr25 = Date::new(2020, 4, 25);
         assert_eq!(us.phase(apr25), LockdownPhase::Lockdown);
@@ -196,10 +124,10 @@ mod tests {
 
     #[test]
     fn intensity_monotone_through_lockdown() {
-        let t = RegionTimeline::for_region(Region::CentralEurope);
+        let t = measures(Region::CentralEurope);
         let mut last = -1.0;
         let mut d = Date::new(2020, 1, 1);
-        while d <= t.relaxation {
+        while d <= t.reopening {
             let i = t.intensity(d);
             assert!(i >= last - 1e-9, "intensity dipped at {}", d.iso());
             assert!((0.0..=1.0).contains(&i));
@@ -210,7 +138,7 @@ mod tests {
 
     #[test]
     fn intensity_saturates_and_relaxes() {
-        let t = RegionTimeline::for_region(Region::CentralEurope);
+        let t = measures(Region::CentralEurope);
         assert_eq!(t.intensity(Date::new(2020, 1, 10)), 0.0);
         assert!((t.intensity(Date::new(2020, 4, 1)) - 1.0).abs() < 1e-9);
         let may = t.intensity(Date::new(2020, 5, 15));
@@ -219,39 +147,39 @@ mod tests {
 
     #[test]
     fn southern_europe_locks_down_before_central() {
-        let se = RegionTimeline::for_region(Region::SouthernEurope);
-        let ce = RegionTimeline::for_region(Region::CentralEurope);
-        assert!(se.lockdown < ce.lockdown);
+        let se = measures(Region::SouthernEurope);
+        let ce = measures(Region::CentralEurope);
+        assert!(se.stay_home < ce.stay_home);
     }
 
     #[test]
     fn intensity_is_bit_identical_to_the_pre_dsl_literals() {
         // The old hard-coded curve, kept verbatim as the safety rail.
-        fn old_intensity(t: &RegionTimeline, date: Date) -> f64 {
+        fn old_intensity(t: &RegionMeasures, date: Date) -> f64 {
             match t.phase(date) {
                 LockdownPhase::PreCovid => 0.0,
                 LockdownPhase::Outbreak => {
-                    let total = t.outbreak.days_until(t.initial_response) as f64;
-                    let done = t.outbreak.days_until(date) as f64;
+                    let total = t.awareness.days_until(t.restrictions) as f64;
+                    let done = t.awareness.days_until(date) as f64;
                     0.10 * (done / total.max(1.0)).clamp(0.0, 1.0)
                 }
                 LockdownPhase::InitialResponse => {
-                    let total = t.initial_response.days_until(t.lockdown) as f64;
-                    let done = t.initial_response.days_until(date) as f64;
+                    let total = t.restrictions.days_until(t.stay_home) as f64;
+                    let done = t.restrictions.days_until(date) as f64;
                     0.10 + 0.30 * (done / total.max(1.0)).clamp(0.0, 1.0)
                 }
                 LockdownPhase::Lockdown => {
-                    let done = t.lockdown.days_until(date) as f64;
+                    let done = t.stay_home.days_until(date) as f64;
                     (0.40 + 0.60 * (done / 4.0)).clamp(0.0, 1.0)
                 }
                 LockdownPhase::Relaxation => {
-                    let done = t.relaxation.days_until(date) as f64;
+                    let done = t.reopening.days_until(date) as f64;
                     (1.0 - 0.55 * (done / 42.0)).clamp(0.45, 1.0)
                 }
             }
         }
         for region in Region::ALL {
-            let t = RegionTimeline::for_region(region);
+            let t = measures(region);
             let mut d = Date::new(2020, 1, 1);
             while d <= Date::new(2020, 6, 30) {
                 assert_eq!(

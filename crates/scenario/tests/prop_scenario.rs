@@ -1,6 +1,7 @@
 //! Property tests for the scenario model's invariants: demand is always
 //! positive and finite, intensity stays in [0, 1], shapes stay normalized,
-//! and the calendar's day types partition every date.
+//! the calendar's day types partition every date, and the scenario parser
+//! answers any mangled file with a spec or a line-numbered error.
 
 use lockdown_base::hash::SplitMix;
 use lockdown_base::prop::cases;
@@ -11,7 +12,6 @@ use lockdown_scenario::demand::{app_share, DemandModel};
 use lockdown_scenario::diurnal::{blend, shape, DiurnalProfile};
 use lockdown_scenario::edu::{EduClass, EduModel};
 use lockdown_scenario::measures::ScenarioSpec;
-use lockdown_scenario::phases::RegionTimeline;
 use lockdown_topology::asn::Region;
 use lockdown_topology::vantage::VantagePoint;
 
@@ -104,9 +104,10 @@ fn intensity_bounds() {
 #[test]
 fn intensity_monotone_until_relaxation() {
     cases(256, |rng, _| {
-        let t = RegionTimeline::for_region(rng.pick(&Region::ALL));
+        let spec = ScenarioSpec::covid_spring_2020();
+        let t = spec.region(rng.pick(&Region::ALL));
         let d = Date::new(2020, 1, 1).add_days(rng.below(120) as i64);
-        if d.add_days(1) < t.relaxation {
+        if d.add_days(1) < t.reopening {
             assert!(t.intensity(d.add_days(1)) >= t.intensity(d) - 1e-12);
         }
     });
@@ -172,6 +173,56 @@ fn edu_model_bounds() {
         for c in EduClass::ALL {
             let n = m.daily_connections(c, d);
             assert!(n.is_finite() && n >= 0.0);
+        }
+    });
+}
+
+/// A mangled scenario file — a flipped byte, a truncation, a deleted or
+/// duplicated line, or one shipped file's head spliced onto the other's
+/// tail — parses to a spec or to an error naming a line of the input; the
+/// parser never panics.
+#[test]
+fn parser_answers_mangled_files_with_a_line() {
+    let files = [
+        include_str!("../../../scenarios/covid-spring-2020.toml"),
+        include_str!("../../../scenarios/hypergiant-outage.toml"),
+    ];
+    cases(512, |rng, _| {
+        let which = rng.below(2) as usize;
+        let bytes = files[which].as_bytes();
+        let at = |rng: &mut SplitMix, len: usize| rng.below(len as u64 + 1) as usize;
+        let text = match rng.below(4) {
+            0 => {
+                let mut b = bytes.to_vec();
+                let i = rng.below(b.len() as u64) as usize;
+                b[i] ^= 1 << rng.below(8);
+                String::from_utf8_lossy(&b).into_owned()
+            }
+            1 => String::from_utf8_lossy(&bytes[..at(rng, bytes.len())]).into_owned(),
+            2 => {
+                let mut lines: Vec<&str> = files[which].lines().collect();
+                let i = rng.below(lines.len() as u64) as usize;
+                if rng.chance(0.5) {
+                    lines.remove(i);
+                } else {
+                    lines.insert(i, lines[i]);
+                }
+                lines.join("\n")
+            }
+            _ => {
+                let tail = files[1 - which].as_bytes();
+                let mut b = bytes[..at(rng, bytes.len())].to_vec();
+                b.extend_from_slice(&tail[at(rng, tail.len())..]);
+                String::from_utf8_lossy(&b).into_owned()
+            }
+        };
+        if let Err(e) = ScenarioSpec::parse_toml(&text) {
+            let lines = text.lines().count().max(1);
+            assert!(
+                (1..=lines).contains(&e.line),
+                "error line {} outside 1..={lines}: {e}",
+                e.line
+            );
         }
     });
 }

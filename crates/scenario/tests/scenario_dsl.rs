@@ -1,8 +1,7 @@
-//! The shipped scenario files are the source of truth for the DSL:
-//! `scenarios/covid-spring-2020.toml` must parse to exactly the built-in
-//! calibration (the byte-identity safety rail rests on this), and
-//! malformed measure files must be rejected with an error naming the
-//! offending line.
+//! The shipped scenario files are the DSL's source of truth — the
+//! default calibration is `scenarios/covid-spring-2020.toml`, compiled in —
+//! so their fingerprints are pinned, and every parse rule is exercised by
+//! one violating file that must fail naming its line.
 
 use lockdown_scenario::measures::ScenarioSpec;
 
@@ -11,21 +10,29 @@ fn shipped(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}"))
 }
 
+/// `fingerprint()` of each shipped file, recorded at the commit before the
+/// file became the only source of the default calibration. A parser or
+/// interpreter change that moves one behavioural value fails here by file.
+const PINNED_FINGERPRINTS: [(&str, u64); 2] = [
+    ("covid-spring-2020.toml", 0x83B1_5DC1_4143_60F6),
+    ("hypergiant-outage.toml", 0x4315_B5EE_DD6A_E7F9),
+];
+
 #[test]
-fn shipped_covid_file_is_the_builtin_calibration() {
-    let parsed = ScenarioSpec::parse_toml(&shipped("covid-spring-2020.toml"))
-        .expect("shipped reference scenario parses");
-    let builtin = ScenarioSpec::covid_spring_2020();
-    assert_eq!(parsed, builtin, "shipped TOML drifted from the builtin");
-    assert_eq!(parsed.fingerprint(), builtin.fingerprint());
+fn shipped_fingerprints_are_pinned() {
+    for (name, pinned) in PINNED_FINGERPRINTS {
+        let spec = ScenarioSpec::parse_toml(&shipped(name)).expect("shipped file parses");
+        assert_eq!(spec.fingerprint(), pinned, "{name}: fingerprint moved");
+    }
 }
 
 #[test]
-fn shipped_covid_file_roundtrips_through_render() {
-    let parsed = ScenarioSpec::parse_toml(&shipped("covid-spring-2020.toml")).expect("parses");
-    let rendered = parsed.to_toml();
-    let reparsed = ScenarioSpec::parse_toml(&rendered).expect("rendering parses back");
-    assert_eq!(parsed, reparsed);
+fn shipped_files_roundtrip_through_render() {
+    for name in ["covid-spring-2020.toml", "hypergiant-outage.toml"] {
+        let parsed = ScenarioSpec::parse_toml(&shipped(name)).expect("parses");
+        let reparsed = ScenarioSpec::parse_toml(&parsed.to_toml()).expect("rendering parses back");
+        assert_eq!(parsed, reparsed, "{name}");
+    }
 }
 
 #[test]
@@ -44,60 +51,133 @@ fn shipped_outage_file_is_a_distinct_valid_scenario() {
         .any(|e| e.name == "hypergiant-cdn-outage"));
 }
 
-/// The builtin, rendered, with one line rewritten — for malformed-input
-/// probes that stay valid TOML.
-fn rendered_with(from: &str, to: &str) -> String {
-    let base = ScenarioSpec::covid_spring_2020().to_toml();
-    assert!(
-        base.contains(from),
-        "probe anchor {from:?} not in rendering"
-    );
-    base.replacen(from, to, 1)
+/// `text` with the first `from` replaced by `to`.
+fn sub(text: &str, from: &str, to: &str) -> String {
+    assert!(text.contains(from), "anchor {from:?} not in the file");
+    text.replacen(from, to, 1)
 }
 
-#[test]
-fn overlapping_measure_dates_are_rejected_with_a_line() {
-    // Move central-europe's stay-at-home before its restrictions date.
-    let text = rendered_with(
-        "date = 2020-03-16\nfrom = 0.4",
-        "date = 2020-03-01\nfrom = 0.4",
-    );
-    let err = ScenarioSpec::parse_toml(&text).expect_err("out-of-order measures must not parse");
-    assert!(
-        err.message.contains("overlapping measure dates"),
-        "unexpected message: {}",
-        err.message
-    );
-    assert!(err.line > 0, "error must name a source line");
-    assert!(err.to_string().starts_with(&format!("line {}:", err.line)));
+/// `text` without the span from the first `from` through the next `through`.
+fn cut(text: &str, from: &str, through: &str) -> String {
+    let a = text.find(from).unwrap_or_else(|| panic!("anchor {from:?}"));
+    let b = a + text[a..].find(through).expect("end anchor") + through.len();
+    format!("{}{}", &text[..a], &text[b..])
 }
 
+/// One violating file per parse rule, each a mutation of the shipped
+/// calibration. The line an error must name carries the marker `<-`; a
+/// file without one must be rejected at its last line (something the file
+/// never defines).
 #[test]
-fn fractions_outside_unit_interval_are_rejected_with_a_line() {
-    let text = rendered_with("release = 0.55", "release = 1.55");
-    let err = ScenarioSpec::parse_toml(&text).expect_err("release > 1 must not parse");
-    assert!(
-        err.message.contains("outside [0, 1]"),
-        "unexpected message: {}",
-        err.message
-    );
-    let line_no = err.line;
-    assert!(line_no > 0);
-    let named = text.lines().nth(line_no - 1).expect("line exists");
-    assert!(
-        named.contains("release = 1.55"),
-        "error line {line_no} should be the bad entry, got {named:?}"
-    );
-}
-
-#[test]
-fn unknown_application_class_is_rejected_with_a_line() {
-    let text = rendered_with("classes = [\"gaming\"]", "classes = [\"gamign\"]");
-    let err = ScenarioSpec::parse_toml(&text).expect_err("typo'd class must not parse");
-    assert!(
-        err.message.contains("unknown application class"),
-        "unexpected message: {}",
-        err.message
-    );
-    assert!(err.line > 0);
+fn every_parse_rule_names_its_line() {
+    let base = shipped("covid-spring-2020.toml");
+    let b = base.as_str();
+    let covid_name = "name = \"covid-spring-2020\"";
+    let cases: Vec<(&str, String)> = vec![
+        // The TOML subset.
+        ("unsupported string escape", sub(b, covid_name, r#"name = "co\vid" # <-"#)),
+        ("unterminated string escape", sub(b, covid_name, r#"name = "covid <-\"#)),
+        ("unterminated string", sub(b, covid_name, r#"name = "covid <-"#)),
+        ("trailing characters after string", sub(b, covid_name, r#"name = "covid" x # <-"#)),
+        ("impossible calendar date", sub(b, "closure = 2020-03-11", "closure = 2020-02-30 # <-")),
+        ("non-finite float", sub(b, "floor = 0.45", "floor = 1e999 # <-")),
+        ("unrecognized value", sub(b, "gain = 0.1", "gain = zero # <-")),
+        ("trailing characters after array", sub(b, "kinds = [\"isp\"]", "kinds = [\"isp\"] x # <-")),
+        ("only quoted strings", sub(b, "kinds = [\"isp\"]", "kinds = [1] # <-")),
+        ("expected ',' or ']'", sub(b, "kinds = [\"isp\"]", "kinds = [\"isp\" \"ixp\"] # <-")),
+        ("bad table header", sub(b, "[baseline]", "[base line] # <-")),
+        ("expected `key = value`", sub(b, "organic-anchor =", "organic-anchor # <-")),
+        ("bad key", sub(b, "organic-anchor =", "organic anchor = # <-")),
+        ("duplicate key", sub(b, "gain = 0.1\n", "gain = 0.1\ngain = 0.2 # <-\n")),
+        // Tables.
+        ("top-level keys", sub(b, "[scenario]", "stray = 1 # <-\n[scenario]")),
+        ("unknown table", sub(b, "[edu]", "[campus] # <-")),
+        (
+            "must follow a [[region]]",
+            sub(
+                b,
+                "[[region]]\nname = \"central-europe\"\n\n[[region.measure]]",
+                "[[region.measure]] # <-",
+            ),
+        ),
+        (
+            "defined twice",
+            sub(
+                b,
+                "[[region]]\nname = \"southern-europe\"",
+                "[[region]] # <-\nname = \"central-europe\"",
+            ),
+        ),
+        ("missing [scenario]", cut(b, "[scenario]", "\n\n")),
+        ("missing [baseline]", cut(b, "[baseline]", "\n\n")),
+        ("missing [edu]", cut(b, "[edu]", "\n\n")),
+        (
+            "must define region us-east",
+            cut(b, "[[region]]\nname = \"us-east\"", "reversion-days = 28.0\n"),
+        ),
+        // Keys and values.
+        (
+            "missing key \"organic-anchor\"",
+            sub(&sub(b, "organic-anchor = 2020-01-15\n", ""), "[baseline]", "[baseline] # <-"),
+        ),
+        ("must be a string", sub(b, covid_name, "name = 7 # <-")),
+        ("scenario name must not be empty", sub(b, covid_name, "name = \"\" # <-")),
+        ("must be a YYYY-MM-DD date", sub(b, "closure = 2020-03-11", "closure = \"Mar 11\" # <-")),
+        ("must be a number", sub(b, "factor = 0.55", "factor = \"half\" # <-")),
+        ("must be an array of strings", sub(b, "kinds = [\"isp\"]", "kinds = \"isp\" # <-")),
+        ("unknown key", sub(b, "ramp-days = 4.0", "ramp-dayz = 4.0 # <-")),
+        ("outside [0, 1]", sub(b, "presence-floor = 0.07", "presence-floor = 1.07 # <-")),
+        ("must be positive", sub(b, "remote-ramp-days = 14.0", "remote-ramp-days = 0.0 # <-")),
+        (
+            "organic-weekly-growth must be a positive number",
+            sub(b, "organic-weekly-growth = 1.0035", "organic-weekly-growth = -1.0 # <-"),
+        ),
+        ("unknown region", sub(b, "name = \"us-east\"", "name = \"us-west\" # <-")),
+        // Measures.
+        (
+            "unknown measure kind",
+            sub(b, "kind = \"reopening\"", "kind = \"reopen\" # <-"),
+        ),
+        (
+            "duplicate \"awareness\" measure",
+            sub(
+                b,
+                "[[region.measure]]\n# First institutional measures: events cancelled, travel advisories.\nkind = \"restrictions\"",
+                "[[region.measure]] # <-\nkind = \"awareness\"",
+            ),
+        ),
+        (
+            "lacks a \"reopening\" measure",
+            sub(
+                &cut(b, "[[region.measure]]\n# Gradual relaxation", "reversion-days = 28.0\n"),
+                "[[region]]\nname = \"central-europe\"",
+                "[[region]] # <-\nname = \"central-europe\"",
+            ),
+        ),
+        (
+            "overlapping measure dates",
+            sub(b, "date = 2020-03-16\nfrom", "date = 2020-03-01 # <-\nfrom"),
+        ),
+        // Events.
+        ("event name must not be empty", sub(b, "name = \"gaming-provider-outage\"", "name = \"\" # <-")),
+        ("event factor", sub(b, "factor = 0.15", "factor = -0.15 # <-")),
+        ("window is empty", sub(b, "until = 2020-03-18", "until = 2020-03-16 # <-")),
+        ("unknown application class", sub(b, "classes = [\"gaming\"]", "classes = [\"gamign\"] # <-")),
+        ("unknown vantage kind", sub(b, "kinds = [\"isp\"]", "kinds = [\"isq\"] # <-")),
+        ("unknown vantage point", sub(b, "vantages = [\"ixp-se\"]", "vantages = [\"ixp-xx\"] # <-")),
+    ];
+    for (rule, text) in &cases {
+        let marked: Vec<usize> = text
+            .lines()
+            .enumerate()
+            .filter(|(_, l)| l.contains("<-"))
+            .map(|(i, _)| i + 1)
+            .collect();
+        assert!(marked.len() <= 1, "{rule}: more than one marked line");
+        let want = marked.first().copied().unwrap_or(text.lines().count());
+        let err = ScenarioSpec::parse_toml(text).expect_err(rule);
+        assert!(err.message.contains(rule), "{rule}: got {err}");
+        assert_eq!(err.line, want, "{rule}: got {err}");
+        assert!(err.to_string().starts_with(&format!("line {want}: ")));
+    }
 }

@@ -193,45 +193,6 @@ fn verify_check(kind: u8, payload: &[u8], check: u32) -> Result<(), ShardError> 
     Ok(())
 }
 
-/// Read the payload in capped increments (see [`READ_CHUNK`]).
-fn read_payload(r: &mut impl Read, len: usize) -> Result<Vec<u8>, ShardError> {
-    let mut payload = Vec::with_capacity(len.min(READ_CHUNK));
-    while payload.len() < len {
-        let take = (len - payload.len()).min(READ_CHUNK);
-        let filled = payload.len();
-        payload.resize(filled + take, 0);
-        r.read_exact(&mut payload[filled..])
-            .map_err(|e| ShardError::io("reading frame payload", &e))?;
-    }
-    Ok(payload)
-}
-
-/// Read one frame from a plain byte stream. Returns `Ok(None)` on a
-/// clean EOF at a frame boundary (the peer hung up between messages);
-/// any other truncation or malformation is an error.
-///
-/// This variant has no deadline — it trusts the reader's own blocking
-/// discipline. Socket readers should use [`read_frame_deadline`].
-pub fn read_frame(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>, ShardError> {
-    let mut first = [0u8; 1];
-    loop {
-        match r.read(&mut first) {
-            Ok(0) => return Ok(None),
-            Ok(_) => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) => return Err(ShardError::io("reading frame header", &e)),
-        }
-    }
-    let mut header = [0u8; HEADER_LEN];
-    header[0] = first[0];
-    r.read_exact(&mut header[1..])
-        .map_err(|e| ShardError::io("reading frame header", &e))?;
-    let (kind, len, check) = parse_header(&header)?;
-    let payload = read_payload(r, len as usize)?;
-    verify_check(kind, &payload, check)?;
-    Ok(Some((kind, payload)))
-}
-
 /// Fill `buf` from the socket under a monotonic deadline. The deadline
 /// is *absolute*: progress does not extend it, so a peer delivering one
 /// byte per poll tick still runs out of clock.
@@ -589,7 +550,33 @@ pub fn decode_outcome(buf: &[u8]) -> Result<SliceOutcome, ShardError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
+    use std::net::{Shutdown, TcpListener};
+
+    /// Run `read` on a socket that delivers `wire` and then the peer's
+    /// clean shutdown.
+    fn with_socket<T>(wire: &[u8], read: impl FnOnce(&mut TcpStream) -> T) -> T {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut rx, _) = listener.accept().unwrap();
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                // The reader may give up first and close: the write fails.
+                let _ = tx.write_all(wire);
+                let _ = tx.shutdown(Shutdown::Write);
+            });
+            let got = read(&mut rx);
+            drop(rx); // unblocks a writer the reader stopped short of
+            got
+        })
+    }
+
+    fn read_frame(stream: &mut TcpStream) -> Result<Option<(u8, Vec<u8>)>, ShardError> {
+        read_frame_deadline(stream, Some(Duration::from_secs(5)), Duration::from_secs(5))
+    }
+
+    fn read_bytes(wire: &[u8]) -> Result<Option<(u8, Vec<u8>)>, ShardError> {
+        with_socket(wire, read_frame)
+    }
 
     fn sample_outcome() -> SliceOutcome {
         SliceOutcome {
@@ -624,7 +611,7 @@ mod tests {
     }
 
     #[test]
-    fn frames_roundtrip_over_a_byte_pipe() {
+    fn frames_roundtrip_over_a_socket() {
         let mut wire = Vec::new();
         let id = Identity {
             seed: 0x10CD_2020,
@@ -644,25 +631,26 @@ mod tests {
         write_frame(&mut wire, T_DONE, &encode_outcome(&sample_outcome())).unwrap();
         write_frame(&mut wire, T_SHUTDOWN, &[]).unwrap();
 
-        let mut r = &wire[..];
-        let (k, p) = read_frame(&mut r).unwrap().unwrap();
-        assert_eq!(k, T_HELLO);
-        assert_eq!(decode_identity(&p).unwrap(), id);
-        let (k, p) = read_frame(&mut r).unwrap().unwrap();
-        assert_eq!(k, T_ASSIGN);
-        assert_eq!(decode_assign(&p).unwrap(), assign);
-        let (k, p) = read_frame(&mut r).unwrap().unwrap();
-        assert_eq!(k, T_DONE);
-        let got = decode_outcome(&p).unwrap();
-        let want = sample_outcome();
-        assert_eq!(got.states, want.states);
-        assert_eq!(got.segments, want.segments);
-        assert_eq!(got.flows, want.flows);
-        assert_eq!(got.quarantined.len(), 1);
-        assert_eq!(got.quarantined[0].error, want.quarantined[0].error);
-        let (k, p) = read_frame(&mut r).unwrap().unwrap();
-        assert_eq!((k, p.len()), (T_SHUTDOWN, 0));
-        assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF");
+        with_socket(&wire, |r| {
+            let (k, p) = read_frame(r).unwrap().unwrap();
+            assert_eq!(k, T_HELLO);
+            assert_eq!(decode_identity(&p).unwrap(), id);
+            let (k, p) = read_frame(r).unwrap().unwrap();
+            assert_eq!(k, T_ASSIGN);
+            assert_eq!(decode_assign(&p).unwrap(), assign);
+            let (k, p) = read_frame(r).unwrap().unwrap();
+            assert_eq!(k, T_DONE);
+            let got = decode_outcome(&p).unwrap();
+            let want = sample_outcome();
+            assert_eq!(got.states, want.states);
+            assert_eq!(got.segments, want.segments);
+            assert_eq!(got.flows, want.flows);
+            assert_eq!(got.quarantined.len(), 1);
+            assert_eq!(got.quarantined[0].error, want.quarantined[0].error);
+            let (k, p) = read_frame(r).unwrap().unwrap();
+            assert_eq!((k, p.len()), (T_SHUTDOWN, 0));
+            assert!(read_frame(r).unwrap().is_none(), "clean EOF");
+        });
     }
 
     #[test]
@@ -691,26 +679,25 @@ mod tests {
     #[test]
     fn malformed_frames_are_named_not_crashed() {
         // Bad magic.
-        let mut r = &b"NOPE\x02\x01\x00\x00\x00\x00\x00\x00\x00\x00"[..];
-        let err = read_frame(&mut r).unwrap_err();
+        let err = read_bytes(b"NOPE\x02\x01\x00\x00\x00\x00\x00\x00\x00\x00").unwrap_err();
         assert!(err.to_string().contains("magic"), "{err}");
         // Wrong version (v1 peers are rejected by name, not misread).
         let mut wire = Vec::new();
         write_frame(&mut wire, T_HEARTBEAT, &[]).unwrap();
         wire[4] = 1;
-        let err = read_frame(&mut &wire[..]).unwrap_err();
+        let err = read_bytes(&wire).unwrap_err();
         assert!(err.to_string().contains("version 1"), "{err}");
         // Oversized payload claim.
         let mut wire = Vec::new();
         write_frame(&mut wire, T_DONE, &[]).unwrap();
         wire[6..10].copy_from_slice(&u32::MAX.to_be_bytes());
-        let err = read_frame(&mut &wire[..]).unwrap_err();
+        let err = read_bytes(&wire).unwrap_err();
         assert!(err.to_string().contains("limit"), "{err}");
         // Truncated payload: an error, not a silent None.
         let mut wire = Vec::new();
         write_frame(&mut wire, T_DONE, &[1, 2, 3, 4]).unwrap();
         wire.truncate(wire.len() - 2);
-        assert!(read_frame(&mut &wire[..]).is_err());
+        assert!(read_bytes(&wire).is_err());
         // Truncated outcome payload names the missing field.
         let full = encode_outcome(&sample_outcome());
         let err = decode_outcome(&full[..12]).unwrap_err();
@@ -735,14 +722,14 @@ mod tests {
         // Flip one payload byte; the header check must catch it.
         let last = wire.len() - 1;
         wire[last] ^= 0x40;
-        let err = read_frame(&mut &wire[..]).unwrap_err();
+        let err = read_bytes(&wire).unwrap_err();
         assert!(err.to_string().contains("CRC mismatch"), "{err}");
         // Flip the *type* byte instead: same payload, same CRC — the
         // kind fold must still reject it.
         let mut wire2 = Vec::new();
         write_frame(&mut wire2, T_HEARTBEAT, &[]).unwrap();
         wire2[5] = T_SHUTDOWN;
-        let err = read_frame(&mut &wire2[..]).unwrap_err();
+        let err = read_bytes(&wire2).unwrap_err();
         assert!(err.to_string().contains("CRC mismatch"), "{err}");
     }
 
@@ -756,7 +743,7 @@ mod tests {
         write_frame(&mut wire, T_DONE, &[0u8; 16]).unwrap();
         wire[6..10].copy_from_slice(&(200u32 << 20).to_be_bytes());
         let before = wire.len();
-        let err = read_frame(&mut &wire[..]).unwrap_err();
+        let err = read_bytes(&wire).unwrap_err();
         assert!(err.to_string().contains("payload"), "{err}");
         // The reader consumed what existed; nothing panicked or OOMed.
         assert!(before < READ_CHUNK);

@@ -8,7 +8,9 @@
 //! each frame type (cheap, deterministic, catches offset-sensitive
 //! bugs), and a property layer drawing random frame contents *and*
 //! random flips (catches content-dependent holes the fixed samples
-//! miss).
+//! miss). Every mutated frame travels through a connected loopback
+//! socket and is decoded by the reader the system runs,
+//! `read_frame_deadline`.
 
 use lockdown_base::prop::cases;
 use lockdown_core::engine::SliceOutcome;
@@ -18,6 +20,9 @@ use lockdown_shard::proto::{self, Assign, Identity};
 use lockdown_shard::ShardError;
 use lockdown_store::SegmentMeta;
 use lockdown_traffic::plan::{Cell, Stream};
+use std::io::Write;
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::time::Duration;
 
 /// Encode one whole frame (header + payload) into a byte vector.
 fn frame_bytes(kind: u8, payload: &[u8]) -> Vec<u8> {
@@ -26,12 +31,26 @@ fn frame_bytes(kind: u8, payload: &[u8]) -> Vec<u8> {
     wire
 }
 
-/// Decode one frame from bytes. The typed payload decoders run too, so
-/// a flip that survives the CRC *cannot* survive into a wrong value —
-/// it must reproduce the original frame exactly.
+/// Decode one frame from bytes: written into a connected loopback
+/// socket whose write half is then shut, and read back with
+/// `read_frame_deadline`. A flip that survives the CRC *cannot* survive
+/// into a wrong value — it must reproduce the original frame exactly.
 fn decode(wire: &[u8]) -> Result<Option<(u8, Vec<u8>)>, ShardError> {
-    let mut r = wire;
-    proto::read_frame(&mut r)
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let mut tx = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+    let (mut rx, _) = listener.accept().expect("accept");
+    std::thread::scope(|s| {
+        s.spawn(move || {
+            // The reader may reject the frame early and close: the write
+            // then fails, which is fine.
+            let _ = tx.write_all(wire);
+            let _ = tx.shutdown(Shutdown::Write);
+        });
+        let budget = Duration::from_secs(10);
+        let got = proto::read_frame_deadline(&mut rx, Some(budget), budget);
+        drop(rx); // unblocks a writer the reader stopped short of
+        got
+    })
 }
 
 /// The oracle: flipping `wire[pos]` by `xor` either errors by name or
@@ -43,7 +62,7 @@ fn assert_flip_is_caught(wire: &[u8], pos: usize, xor: u8, kind: u8, payload: &[
         Err(_) => {} // named rejection: the contract
         Ok(None) => {
             // Only a length-field shrink can make the reader see less
-            // than a frame; read_frame reports clean EOF only when the
+            // than a frame; the reader reports clean EOF only when the
             // *first* header byte is missing — impossible here, the
             // header is present. A flip must never register as EOF.
             panic!("flip at {pos} read as clean EOF");

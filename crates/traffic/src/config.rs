@@ -56,8 +56,9 @@ impl GeneratorConfig {
         }
     }
 
-    /// A high-resolution configuration for statistics-hungry experiments
-    /// (port distributions, unique-IP counts).
+    /// A high-resolution configuration for this crate's statistics-hungry
+    /// tests (port distributions, unique-IP counts).
+    #[cfg(test)]
     pub fn high_resolution(seed: u64) -> GeneratorConfig {
         GeneratorConfig {
             seed,

@@ -72,13 +72,13 @@ pub struct EduGenerator<'a> {
 
 impl<'a> EduGenerator<'a> {
     /// Build an EDU generator over the shared registry, calibrated to the
-    /// built-in COVID spring-2020 scenario.
+    /// default scenario, the shipped `scenarios/covid-spring-2020.toml`.
     pub fn new(registry: &'a Registry, config: GeneratorConfig) -> EduGenerator<'a> {
         EduGenerator::with_model(registry, config, EduModel::new())
     }
 
     /// Build an EDU generator whose model interprets `spec` instead of
-    /// the built-in calibration. With
+    /// the default calibration. With
     /// [`ScenarioSpec::covid_spring_2020`] this is byte-identical to
     /// [`EduGenerator::new`].
     pub fn with_scenario(

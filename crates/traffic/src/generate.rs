@@ -69,14 +69,14 @@ pub struct TrafficGenerator<'a> {
 
 impl<'a> TrafficGenerator<'a> {
     /// Build a generator over a registry and DNS corpus, calibrated to the
-    /// built-in COVID spring-2020 scenario.
+    /// default scenario, the shipped `scenarios/covid-spring-2020.toml`.
     pub fn new(registry: &'a Registry, corpus: &'a Corpus, config: GeneratorConfig) -> Self {
         let spec = ScenarioSpec::covid_spring_2020();
         TrafficGenerator::with_scenario(registry, corpus, config, &spec)
     }
 
     /// Build a generator whose demand model interprets `spec` instead of
-    /// the built-in calibration. With
+    /// the default calibration. With
     /// [`ScenarioSpec::covid_spring_2020`] this is byte-identical to
     /// [`TrafficGenerator::new`].
     pub fn with_scenario(

@@ -185,7 +185,7 @@ pub struct TraceEmitter<'a> {
 
 impl<'a> TraceEmitter<'a> {
     /// Build an emitter over a registry and DNS corpus, calibrated to the
-    /// built-in COVID spring-2020 scenario.
+    /// default scenario, the shipped `scenarios/covid-spring-2020.toml`.
     pub fn new(registry: &'a Registry, corpus: &'a Corpus, config: GeneratorConfig) -> Self {
         TraceEmitter {
             vantage: TrafficGenerator::new(registry, corpus, config),
@@ -194,7 +194,7 @@ impl<'a> TraceEmitter<'a> {
     }
 
     /// Build an emitter whose demand and EDU models interpret `spec`
-    /// instead of the built-in calibration. With
+    /// instead of the default calibration. With
     /// [`ScenarioSpec::covid_spring_2020`] this is byte-identical to
     /// [`TraceEmitter::new`].
     pub fn with_scenario(

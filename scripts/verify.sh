@@ -66,6 +66,17 @@ exactly_once() { # <what> <fixed-string pattern>
 exactly_once "the engine's worker scope" 'thread::scope('
 exactly_once "the call that runs a cell" '.process('
 exactly_once "the panic boundary around a cell attempt" 'catch_unwind('
+# The default calibration is the shipped scenarios/covid-spring-2020.toml:
+# the parser builds the one ScenarioSpec literal, and any other is a
+# calibration written as code again.
+literals=$(grep -rnE --include='*.rs' 'ScenarioSpec \{' crates/*/src src |
+    grep -vE '(struct|impl|for|->) ScenarioSpec \{' |
+    grep -vx 'crates/scenario/src/measures.rs:[0-9]*: *Ok(ScenarioSpec {' || true)
+if [[ -n "$literals" ]]; then
+    echo "said-once: a ScenarioSpec literal outside parse_toml (write a scenario file):" >&2
+    echo "$literals" >&2
+    exit 1
+fi
 for manifest in crates/store/Cargo.toml crates/query/Cargo.toml; do
     if grep -n "lockdown-collect" "$manifest" >&2; then
         echo "said-once: $manifest depends on the collection plane again" >&2

@@ -116,7 +116,7 @@ const USAGE: &str = "\
 lockdown — reproduce 'The Lockdown Effect' (IMC 2020) from synthetic flows
 
 USAGE:
-  lockdown figures [--fidelity test|standard|high] [NAME...]
+  lockdown figures [--fidelity test|standard] [NAME...]
                    [--scenario FILE] [--wire] [--audit] [--archive DIR]
                    [--chaos SPEC]
                    [--loss P] [--reorder P] [--dup P] [--restart N]
@@ -125,8 +125,8 @@ USAGE:
       table1 table2, or a single section as 'lockdown serve' names them
       (fig2a, fig9:IXP-CE, ...); an unknown name is an error.
       --scenario FILE interprets the given scenario measure file (TOML)
-      instead of the built-in COVID spring-2020 calibration; see
-      'lockdown scenarios' and scenarios/*.toml.
+      instead of the shipped scenarios/covid-spring-2020.toml, compiled
+      in; see 'lockdown scenarios' and scenarios/*.toml.
       --wire routes the full suite through the export -> faulty transport
       -> collect plane (zero faults keep output byte-identical) and prints
       the metrics snapshot to stderr. P are probabilities in [0,1); N is
@@ -149,7 +149,7 @@ USAGE:
       torn=P enospc=P stall=P attempts=N backoff=MS cap=MS (all
       optional; probabilities in [0,1]).
   lockdown coordinate (--workers N | --attach ADDR,ADDR,...)
-                      [--fidelity test|standard|high] [--scenario FILE]
+                      [--fidelity test|standard] [--scenario FILE]
                       [--archive DIR] [--chaos SPEC]
                       [--chunks N] [--timeout-ms MS]
       Run the full figure suite sharded across worker processes and
@@ -170,7 +170,7 @@ USAGE:
       suite completes degraded (exit 3). --chunks sets work-queue
       ranges per worker (default 4); --timeout-ms the heartbeat
       timeout (default 2000).
-  lockdown worker [--listen HOST:PORT] [--fidelity test|standard|high]
+  lockdown worker [--listen HOST:PORT] [--fidelity test|standard]
                   [--scenario FILE] [--archive DIR] [--chaos SPEC]
       Run one shard worker: print 'listening on HOST:PORT' (first
       stdout line), serve one coordinator connection, run assigned
@@ -213,7 +213,7 @@ USAGE:
   lockdown scenarios show FILE
       Parse and validate FILE, then print its normalized rendering
       (the exact form 'parse -> render' round-trips).
-  lockdown scenarios --matrix FILE... [--fidelity test|standard|high]
+  lockdown scenarios --matrix FILE... [--fidelity test|standard]
                      [--archive DIR] [--out DIR]
       Sweep N scenario files through the full figure suite, one engine
       pass per scenario lane, each exactly a 'lockdown figures' run
@@ -222,7 +222,7 @@ USAGE:
       the matrix summary and a per-scenario diff report vs. the first
       file go to stderr. With --archive DIR each lane replays from /
       spills to its own subdirectory of DIR.
-  lockdown collect [--fidelity test|standard|high] [--audit]
+  lockdown collect [--fidelity test|standard] [--audit]
                    [--scenario FILE]
                    [--loss P] [--reorder P] [--dup P] [--restart N]
                    [--chaos SPEC]
@@ -368,7 +368,6 @@ fn parse_fidelity(rest: &[String]) -> Result<Fidelity, String> {
     match flag(rest, "--fidelity").as_deref() {
         None | Some("standard") => Ok(Fidelity::Standard),
         Some("test") => Ok(Fidelity::Test),
-        Some("high") => Ok(Fidelity::High),
         Some(other) => Err(format!("unknown fidelity: {other}")),
     }
 }
@@ -413,7 +412,7 @@ fn load_scenario(path: &str) -> Result<ScenarioSpec, String> {
 }
 
 /// The context described by `--fidelity` and (optionally) `--scenario`;
-/// without the latter, the built-in COVID spring-2020 calibration.
+/// without the latter, the shipped `scenarios/covid-spring-2020.toml`.
 fn parse_context(rest: &[String]) -> Result<Context, String> {
     let fidelity = parse_fidelity(rest)?;
     Ok(match flag(rest, "--scenario") {
@@ -1050,10 +1049,8 @@ fn cmd_capture(rest: &[String], _: &[&String]) -> Result<ExitCode, String> {
     }
     let out = flag(rest, "--out").ok_or("--out required")?;
     let format = parse_format(rest)?;
-    let sample_rate: u32 = match flag(rest, "--sample") {
-        None => 1,
-        Some(s) => s.parse().map_err(|_| format!("bad sample rate: {s}"))?,
-    };
+    let sample_rate = u32::try_from(parse_count(rest, "--sample", 1)?)
+        .map_err(|_| "bad --sample: above 2^32 - 1".to_string())?;
 
     let ctx = Context::new(Fidelity::Standard);
     let flows = if vantage == VantagePoint::Edu {
@@ -1229,7 +1226,10 @@ fn cmd_loadgen(rest: &[String], _: &[&String]) -> Result<ExitCode, String> {
     };
     let duration_secs: f64 = match flag(rest, "--duration") {
         None => 5.0,
-        Some(s) => s.parse().map_err(|_| format!("bad --duration: {s}"))?,
+        Some(s) => match s.parse::<f64>() {
+            Ok(d) if d.is_finite() && d >= 0.0 => d,
+            _ => return Err(format!("bad --duration (want seconds >= 0): {s}")),
+        },
     };
     let seed: u64 = match flag(rest, "--seed") {
         None => 0x10CD_2020,

@@ -194,9 +194,35 @@ fn capture_validates_arguments() {
             "--out",
             "/tmp/x",
         ],
+        vec![
+            "capture",
+            "--vantage",
+            "IXP-CE",
+            "--date",
+            "2020-03-17",
+            "--sample",
+            "0",
+            "--out",
+            "/tmp/x",
+        ],
     ] {
         let out = bin().args(&bad).output().expect("spawn");
-        assert!(!out.status.success(), "should fail: {bad:?}");
+        assert_eq!(out.status.code(), Some(1), "should fail cleanly: {bad:?}");
+    }
+    // A duration no clock can hold is refused before connecting: the
+    // target is a port nothing listens on.
+    let unbound = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .expect("probe port")
+        .to_string();
+    for duration in ["NaN", "inf", "-1"] {
+        let out = bin()
+            .args(["loadgen", "--target", &unbound, "--duration", duration])
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(1), "--duration {duration}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("bad --duration"), "{duration}: {err}");
     }
 }
 
@@ -288,6 +314,12 @@ fn figures_rejects_unknown_names_and_prints_nothing() {
         );
         assert!(err.contains("fig2 fig3") && err.contains("edu"), "{err}");
     }
+    let out = bin()
+        .args(["figures", "--fidelity", "high", "table2"])
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown fidelity: high"));
 }
 
 #[test]

@@ -51,7 +51,7 @@ impl Pass {
 /// The scenario a row runs under, hence which reference it is held to.
 #[derive(Clone, Copy)]
 enum Calibration {
-    /// The built-in COVID spring-2020 calibration.
+    /// The default calibration, the shipped `scenarios/covid-spring-2020.toml`.
     Builtin,
     /// The shipped counterfactual, `scenarios/hypergiant-outage.toml`.
     Outage,
@@ -105,7 +105,6 @@ const PATHS: &[(&str, Calibration, Produce)] = &[
     ("archive, warm", Calibration::Builtin, archive_warm),
     ("serve::render_figure over a QueryEngine", Calibration::Builtin, served_from_the_archive),
     ("archive, resumed from the journal", Calibration::Builtin, resumed_from_journal),
-    ("shipped scenarios/covid-spring-2020.toml", Calibration::Builtin, shipped_scenario_file),
     ("matrix lane 0", Calibration::Builtin, matrix_lane_0),
     ("matrix lane 1", Calibration::Outage, matrix_lane_1),
     ("coordinate, 3 workers, cold archive", Calibration::Builtin, coordinate_cold),
@@ -195,12 +194,6 @@ fn wire_audited(_: &Path) -> Option<Vec<String>> {
     assert_unfaulted(&wired);
     assert_audit_clean(&wired);
     Some(wired.renders())
-}
-
-fn shipped_scenario_file(_: &Path) -> Option<Vec<String>> {
-    let via_file = suite::run_all(&under_file("covid-spring-2020.toml"));
-    assert_eq!(via_file.stats, reference(Calibration::Builtin).stats);
-    Some(via_file.renders())
 }
 
 // --- the archive ---------------------------------------------------------------

@@ -1,8 +1,8 @@
 //! Matrix archives replay per lane: a warm re-run generates nothing, and
-//! swapping one scenario regenerates only that lane. (That the shipped
-//! `scenarios/covid-spring-2020.toml` reproduces the built-in suite and
-//! that a lane is a plain pass of its scenario are the scenario-file and
-//! `matrix lane` rows of `tests/equivalence.rs`.)
+//! swapping one scenario regenerates only that lane. (That a lane is a
+//! plain pass of its scenario is the `matrix lane` rows of
+//! `tests/equivalence.rs`.) The default context's archive key is pinned
+//! here too.
 
 use lockdown::core::{run_matrix, Context, Fidelity, MatrixOptions, MatrixScenario};
 use lockdown::scenario::measures::ScenarioSpec;
@@ -69,4 +69,18 @@ fn matrix_archives_replay_per_lane() {
     assert_eq!(mixed.runs[0].suite.renders(), cold.runs[0].suite.renders());
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The default context's archive key, recorded at the commit before the
+/// shipped `scenarios/covid-spring-2020.toml` became the only source of the
+/// default calibration: archives written before and after replay into
+/// each other.
+const PINNED_DEFAULT_SCENARIO_HASH: u64 = 0xBC4E_38B8_C4AC_DDE9;
+
+#[test]
+fn default_context_scenario_hash_is_pinned() {
+    assert_eq!(
+        Context::new(Fidelity::Test).scenario_hash(),
+        PINNED_DEFAULT_SCENARIO_HASH
+    );
 }
