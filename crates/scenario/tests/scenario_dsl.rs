@@ -154,9 +154,18 @@ fn every_parse_rule_names_its_line() {
                 "[[region]] # <-\nname = \"central-europe\"",
             ),
         ),
+        // Each of the three order checks names the later measure's line.
         (
-            "overlapping measure dates",
+            "overlapping measure dates in central-europe: restrictions (2020-01-02)",
+            sub(b, "date = 2020-03-09", "date = 2020-01-02 # <-"),
+        ),
+        (
+            "overlapping measure dates in central-europe: stay-at-home (2020-03-01)",
             sub(b, "date = 2020-03-16\nfrom", "date = 2020-03-01 # <-\nfrom"),
+        ),
+        (
+            "overlapping measure dates in central-europe: reopening (2020-03-10)",
+            sub(b, "date = 2020-04-20", "date = 2020-03-10 # <-"),
         ),
         // Events.
         ("event name must not be empty", sub(b, "name = \"gaming-provider-outage\"", "name = \"\" # <-")),

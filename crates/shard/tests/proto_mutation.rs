@@ -31,11 +31,9 @@ fn frame_bytes(kind: u8, payload: &[u8]) -> Vec<u8> {
     wire
 }
 
-/// Decode one frame from bytes: written into a connected loopback
-/// socket whose write half is then shut, and read back with
-/// `read_frame_deadline`. A flip that survives the CRC *cannot* survive
-/// into a wrong value — it must reproduce the original frame exactly.
-fn decode(wire: &[u8]) -> Result<Option<(u8, Vec<u8>)>, ShardError> {
+/// Run `read` on a connected loopback socket that delivers `wire` and
+/// then the peer's clean shutdown of its write half.
+fn with_socket<T>(wire: &[u8], read: impl FnOnce(&mut TcpStream) -> T) -> T {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let mut tx = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
     let (mut rx, _) = listener.accept().expect("accept");
@@ -46,11 +44,108 @@ fn decode(wire: &[u8]) -> Result<Option<(u8, Vec<u8>)>, ShardError> {
             let _ = tx.write_all(wire);
             let _ = tx.shutdown(Shutdown::Write);
         });
-        let budget = Duration::from_secs(10);
-        let got = proto::read_frame_deadline(&mut rx, Some(budget), budget);
+        let got = read(&mut rx);
         drop(rx); // unblocks a writer the reader stopped short of
         got
     })
+}
+
+/// Read the next frame with the reader the system runs.
+fn read_next(rx: &mut TcpStream) -> Result<Option<(u8, Vec<u8>)>, ShardError> {
+    let budget = Duration::from_secs(10);
+    proto::read_frame_deadline(rx, Some(budget), budget)
+}
+
+/// Decode one frame from bytes. A flip that survives the CRC *cannot*
+/// survive into a wrong value — it must reproduce the original frame
+/// exactly.
+fn decode(wire: &[u8]) -> Result<Option<(u8, Vec<u8>)>, ShardError> {
+    with_socket(wire, read_next)
+}
+
+#[test]
+fn frames_roundtrip_back_to_back_over_one_socket() {
+    let id = sample_identity();
+    let assign = Assign {
+        start: 10,
+        end: 20,
+        attempt: 1,
+        kill: false,
+        stall_ms: 0,
+    };
+    let mut wire = frame_bytes(proto::T_HELLO, &proto::encode_identity(&id));
+    wire.extend(frame_bytes(proto::T_ASSIGN, &proto::encode_assign(&assign)));
+    wire.extend(frame_bytes(
+        proto::T_DONE,
+        &proto::encode_outcome(&sample_outcome()),
+    ));
+    wire.extend(frame_bytes(proto::T_SHUTDOWN, &[]));
+
+    with_socket(&wire, |r| {
+        let (k, p) = read_next(r).unwrap().unwrap();
+        assert_eq!(k, proto::T_HELLO);
+        assert_eq!(proto::decode_identity(&p).unwrap(), id);
+        let (k, p) = read_next(r).unwrap().unwrap();
+        assert_eq!(k, proto::T_ASSIGN);
+        assert_eq!(proto::decode_assign(&p).unwrap(), assign);
+        let (k, p) = read_next(r).unwrap().unwrap();
+        assert_eq!(k, proto::T_DONE);
+        let got = proto::decode_outcome(&p).unwrap();
+        let want = sample_outcome();
+        assert_eq!(got.states, want.states);
+        assert_eq!(got.segments, want.segments);
+        assert_eq!(got.flows, want.flows);
+        assert_eq!(got.quarantined.len(), 1);
+        assert_eq!(got.quarantined[0].error, want.quarantined[0].error);
+        let (k, p) = read_next(r).unwrap().unwrap();
+        assert_eq!((k, p.len()), (proto::T_SHUTDOWN, 0));
+        assert!(read_next(r).unwrap().is_none(), "clean EOF");
+    });
+}
+
+/// The sweeps below accept any error; these malformations must fail with
+/// the error that names them.
+#[test]
+fn malformed_frames_are_rejected_by_name() {
+    let named = |wire: &[u8], what: &str| {
+        let err = decode(wire).expect_err(what);
+        assert!(err.to_string().contains(what), "wanted {what:?}, got {err}");
+    };
+    named(b"NOPE\x02\x01\x00\x00\x00\x00\x00\x00\x00\x00", "magic");
+    // v1 peers are rejected by name, not misread.
+    let mut wire = frame_bytes(proto::T_HEARTBEAT, &[]);
+    wire[4] = 1;
+    named(&wire, "version 1");
+    // A payload claim over the frame limit.
+    let mut wire = frame_bytes(proto::T_DONE, &[]);
+    wire[6..10].copy_from_slice(&u32::MAX.to_be_bytes());
+    named(&wire, "limit");
+    // A claim under the limit that delivery cannot back: the reader fails
+    // on EOF after at most one chunk of allocation, not the full 200 MiB.
+    let mut wire = frame_bytes(proto::T_DONE, &[0u8; 16]);
+    wire[6..10].copy_from_slice(&(200u32 << 20).to_be_bytes());
+    named(&wire, "payload");
+    // A flipped payload byte, and a flipped type byte over the same
+    // payload: the kind is folded into the check.
+    let mut wire = frame_bytes(
+        proto::T_ASSIGN,
+        &proto::encode_assign(&Assign {
+            start: 1,
+            end: 2,
+            attempt: 0,
+            kill: false,
+            stall_ms: 0,
+        }),
+    );
+    *wire.last_mut().unwrap() ^= 0x40;
+    named(&wire, "CRC mismatch");
+    let mut wire = frame_bytes(proto::T_HEARTBEAT, &[]);
+    wire[5] = proto::T_SHUTDOWN;
+    named(&wire, "CRC mismatch");
+    // A truncated outcome payload names the missing field.
+    let full = proto::encode_outcome(&sample_outcome());
+    let err = proto::decode_outcome(&full[..12]).unwrap_err();
+    assert!(err.to_string().contains("generated tally"), "{err}");
 }
 
 /// The oracle: flipping `wire[pos]` by `xor` either errors by name or

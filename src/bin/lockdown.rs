@@ -1226,10 +1226,18 @@ fn cmd_loadgen(rest: &[String], _: &[&String]) -> Result<ExitCode, String> {
     };
     let duration_secs: f64 = match flag(rest, "--duration") {
         None => 5.0,
-        Some(s) => match s.parse::<f64>() {
-            Ok(d) if d.is_finite() && d >= 0.0 => d,
-            _ => return Err(format!("bad --duration (want seconds >= 0): {s}")),
-        },
+        // Refused unless the load phase's deadline is representable:
+        // negative, non-finite and clock-overflowing spans all exit 1 here.
+        Some(s) => {
+            let fits = |d: f64| {
+                Duration::try_from_secs_f64(d)
+                    .is_ok_and(|span| std::time::Instant::now().checked_add(span).is_some())
+            };
+            match s.parse::<f64>() {
+                Ok(d) if fits(d) => d,
+                _ => return Err(format!("bad --duration (want seconds >= 0): {s}")),
+            }
+        }
     };
     let seed: u64 = match flag(rest, "--seed") {
         None => 0x10CD_2020,

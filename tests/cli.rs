@@ -215,7 +215,8 @@ fn capture_validates_arguments() {
         .and_then(|l| l.local_addr())
         .expect("probe port")
         .to_string();
-    for duration in ["NaN", "inf", "-1"] {
+    // 1e20 s overflows `Duration`; 1e19 s fits it but not the clock.
+    for duration in ["NaN", "inf", "-1", "1e19", "1e20"] {
         let out = bin()
             .args(["loadgen", "--target", &unbound, "--duration", duration])
             .output()
