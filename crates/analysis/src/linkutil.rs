@@ -190,11 +190,6 @@ impl<'a> LinkUtilization<'a> {
         }
     }
 
-    /// Number of calibrated members.
-    pub fn calibrated_members(&self) -> usize {
-        self.gbps_equivalent.len()
-    }
-
     /// Per-member min/avg/max utilization for one day of flows.
     /// Members without calibration or traffic that day are omitted.
     pub fn day_stats(&self, flows: &[FlowRecord], date: Date) -> Vec<MemberUtilization> {
@@ -283,8 +278,9 @@ mod tests {
         let base = Date::new(2020, 2, 20);
         let flows = flat_day(&f, 10, base, 1_000_000);
         let lu = LinkUtilization::calibrate(&f, &flows, base);
-        assert_eq!(lu.calibrated_members(), 10);
-        for s in lu.day_stats(&flows, base) {
+        let stats = lu.day_stats(&flows, base);
+        assert_eq!(stats.len(), 10, "every member with traffic is calibrated");
+        for s in stats {
             let m = f.members.iter().find(|m| m.asn == s.asn).unwrap();
             assert!(
                 (s.avg - m.base_utilization).abs() < 1e-9,
@@ -348,7 +344,7 @@ mod tests {
         let base = Date::new(2020, 2, 20);
         let flows = flat_day(&f, 5, base, 1_000_000);
         let lu = LinkUtilization::calibrate(&f, &flows, base);
-        assert_eq!(lu.calibrated_members(), 5);
+        assert_eq!(lu.day_stats(&flows, base).len(), 5);
         let later = flat_day(&f, 3, base, 500_000);
         assert_eq!(lu.day_stats(&later, base).len(), 3);
     }

@@ -205,15 +205,32 @@ impl Collectd {
         assert!(cfg.sockets >= 1, "need at least one socket");
         assert!(cfg.shards >= 1, "need at least one shard");
 
+        // Socket i binds PORT+i: a range past 65535 is refused before any
+        // socket is bound, never wrapped onto an ephemeral port.
+        let base = cfg.listen.port();
+        let ports = (0..cfg.sockets)
+            .map(|i| match base {
+                0 => Some(0),
+                _ => u16::try_from(i).ok().and_then(|i| base.checked_add(i)),
+            })
+            .collect::<Option<Vec<u16>>>()
+            .ok_or_else(|| {
+                io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!(
+                        "ports {base}..={} run past 65535",
+                        usize::from(base) + cfg.sockets - 1
+                    ),
+                )
+            })?;
+
         // Bind every socket before spawning anything, so a bind failure
         // is a clean error.
         let mut sockets = Vec::with_capacity(cfg.sockets);
         let mut addrs = Vec::with_capacity(cfg.sockets);
-        for i in 0..cfg.sockets {
+        for port in ports {
             let mut addr = cfg.listen;
-            if addr.port() != 0 {
-                addr.set_port(addr.port() + i as u16);
-            }
+            addr.set_port(port);
             let sock = RecvSocket::bind_with_buffer(addr, cfg.recv_buf_len)?;
             let granted = match cfg.rcvbuf {
                 Some(bytes) => sock.set_rcvbuf(bytes)?,
@@ -669,5 +686,12 @@ mod tests {
         cfg.listen = taken.local_addr().unwrap();
         cfg.sockets = 1;
         assert!(Collectd::bind(&cfg, CollectMetrics::new()).is_err());
+
+        // Socket i binds PORT+i: a range past 65535 fails before any bind.
+        cfg.listen = "127.0.0.1:65535".parse().unwrap();
+        cfg.sockets = 2;
+        let err = Collectd::bind(&cfg, CollectMetrics::new()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        assert!(err.to_string().contains("65535..=65536"), "{err}");
     }
 }

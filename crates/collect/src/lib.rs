@@ -83,9 +83,6 @@ pub struct WireConfig {
     /// Scale accepted records by estimated loss at session close so
     /// aggregates degrade proportionally instead of silently.
     pub renormalize: bool,
-    /// Thread a conservation-audit ledger through every stage and verify
-    /// the pipeline's conservation identities at the end of the run.
-    pub audit: bool,
     /// Sequence value every exporter's first datagram carries. Non-zero
     /// values model long-lived exporters whose u32 counters sit anywhere,
     /// including just below the wrap.
@@ -110,7 +107,6 @@ impl WireConfig {
             faults: FaultProfile::zero(),
             seed: 0,
             renormalize: true,
-            audit: false,
             initial_sequence: 0,
             boot_age_secs: 0,
             sampling: None,
@@ -120,12 +116,6 @@ impl WireConfig {
     /// Same configuration with a different fault profile.
     pub fn with_faults(mut self, faults: FaultProfile) -> WireConfig {
         self.faults = faults.clamped();
-        self
-    }
-
-    /// Same configuration with conservation auditing switched on or off.
-    pub fn with_audit(mut self, audit: bool) -> WireConfig {
-        self.audit = audit;
         self
     }
 
@@ -159,8 +149,7 @@ pub struct Loopback;
 pub type CollectionPlane = Plane<Loopback>;
 
 impl Plane<Loopback> {
-    /// A plane with a fresh metrics registry (and, when the configuration
-    /// asks for auditing, a fresh conservation ledger).
+    /// A plane with a fresh metrics registry and conservation ledger.
     pub fn new(cfg: WireConfig) -> CollectionPlane {
         Plane::over(cfg, CollectMetrics::new(), Loopback)
     }

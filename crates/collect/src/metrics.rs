@@ -118,7 +118,6 @@ lockdown_base::metrics_family! {
             "exporter_stalls_total",
             "Injected exporter stall timeouts (attempt abandoned and retried)"
         ),
-        /// (zero when auditing is off).
         audit_cells: gauge("audit_cells", "Cells covered by the conservation audit"),
         audit_violations: gauge(
             "audit_violations",

@@ -1,8 +1,8 @@
 //! The one stage pipeline both wire planes run.
 //!
 //! A [`Plane`] pushes every cell through the same export stage and the
-//! same collect stage and keeps the same books (metrics and, when
-//! auditing, the conservation ledger). The two planes differ only in the
+//! same collect stage and keeps the same books: metrics and the
+//! conservation ledger. The two planes differ only in the
 //! transit `T` between the stages: [`crate::Loopback`] (the seeded
 //! in-process [`crate::Transport`]) or [`crate::daemon::Sockets`] (real UDP
 //! plus a manifest diff), which also posts its own part of the cell's
@@ -29,7 +29,7 @@ use crate::WireConfig;
 pub struct Plane<T> {
     pub(crate) cfg: WireConfig,
     pub(crate) metrics: Arc<CollectMetrics>,
-    ledger: Option<Arc<Ledger>>,
+    ledger: Ledger,
     pub(crate) transit: T,
 }
 
@@ -61,20 +61,15 @@ fn volume(records: &[FlowRecord]) -> Counts {
 }
 
 impl<T> Plane<T> {
-    /// A plane over `transit` posting to `metrics` (and, when the
-    /// configuration asks for auditing, to a fresh conservation ledger).
+    /// A plane over `transit` posting to `metrics` and to a fresh
+    /// conservation ledger.
     pub(crate) fn over(cfg: WireConfig, metrics: Arc<CollectMetrics>, transit: T) -> Plane<T> {
         Plane {
-            metrics,
-            ledger: cfg.audit.then(|| Arc::new(Ledger::new())),
             cfg,
+            metrics,
+            ledger: Ledger::new(),
             transit,
         }
-    }
-
-    /// The plane's configuration.
-    pub fn config(&self) -> &WireConfig {
-        &self.cfg
     }
 
     /// Shared handle to the plane's metrics.
@@ -82,48 +77,39 @@ impl<T> Plane<T> {
         Arc::clone(&self.metrics)
     }
 
-    /// Shared handle to the conservation ledger, if auditing is on.
-    pub fn ledger(&self) -> Option<Arc<Ledger>> {
-        self.ledger.clone()
-    }
-
     /// Post what the analysis layer actually consumed for one cell. Called
     /// by the engine after `process_cell`, closing the last link of the
-    /// conservation chain. No-op without auditing.
+    /// conservation chain.
     pub fn note_consumed(&self, cell: &Cell, records: &[FlowRecord]) {
-        if let Some(ledger) = &self.ledger {
-            let consumed = volume(records);
-            ledger.record(cell_key(cell), |c| c.consumed.add(consumed));
-        }
+        let consumed = volume(records);
+        self.ledger
+            .record(cell_key(cell), |c| c.consumed.add(consumed));
     }
 
-    /// Record an injected exporter stall for one cell: the fleet timed
-    /// out before delivering, so the attempt is abandoned and the
-    /// supervisor retries. Only the stall counter moves — conservation
-    /// stages are posted by the (later, successful) attempt.
-    pub fn note_stalled(&self, _cell: &Cell) {
+    /// Record one injected exporter stall: the fleet timed out before
+    /// delivering, so the attempt is abandoned and the supervisor
+    /// retries. Only the stall counter moves — conservation stages are
+    /// posted by the (later, successful) attempt.
+    pub fn note_stalled(&self) {
         self.metrics.exporter_stalls.inc();
     }
 
     /// Mark one cell quarantined in the conservation ledger: it exhausted
     /// its attempt budget and never delivered, so the auditor must not
-    /// hold it to the usual conservation identities. No-op without
-    /// auditing.
+    /// hold it to the usual conservation identities.
     pub fn note_quarantined(&self, cell: &Cell) {
-        if let Some(ledger) = &self.ledger {
-            ledger.record(cell_key(cell), |c| c.quarantined = true);
-        }
+        self.ledger.record(cell_key(cell), |c| c.quarantined = true);
     }
 
-    /// Audit every cell ledger and return the report (None without
-    /// auditing). Also mirrors the outcome into the `audit_*` metrics.
-    pub fn audit_report(&self) -> Option<Report> {
-        let report = self.ledger.as_ref()?.report();
+    /// Audit every cell ledger and return the report. Also mirrors the
+    /// outcome into the `audit_*` metrics.
+    pub fn audit_report(&self) -> Report {
+        let report = self.ledger.report();
         self.metrics.audit_cells.set_max(report.cells);
         self.metrics
             .audit_violations
             .set_max(report.violations.len() as u64);
-        Some(report)
+        report
     }
 
     /// Export stage: encode one cell's flows through a fresh exporter
@@ -171,8 +157,8 @@ impl<T> Plane<T> {
     }
 
     /// Collect stage: close the shards' sessions against the export
-    /// truth, post the `collector_*` family and — when auditing — the
-    /// cell's ledger entry, in which `transit` posts what became of the
+    /// truth, post the `collector_*` family and the cell's ledger entry,
+    /// in which `transit` posts what became of the
     /// datagrams in between. Returns what the shards accepted (possibly
     /// renormalized under loss).
     pub(crate) fn collect(
@@ -201,36 +187,34 @@ impl<T> Plane<T> {
         m.collector_shards.set_max(self.cfg.shards as u64);
         m.engine_flows_delivered.add(records.len() as u64);
 
-        if let Some(ledger) = &self.ledger {
-            let generated = volume(flows);
-            let units_exact = SequenceUnits::for_format(self.cfg.format) != SequenceUnits::Packets;
-            let sampling = self.cfg.sampling.is_some_and(|r| r > 1);
-            ledger.record(cell_key(cell), |c| {
-                c.generated.add(generated);
-                c.sampled_out += truth.sampled_out;
-                c.exported.add(exported.volume);
-                c.export_units += exported.sequence_units;
-                c.offered_datagrams += exported.datagrams;
-                transit(c);
-                c.accepted.add(Counts {
-                    records: t.records_accepted,
-                    bytes: t.bytes_accepted,
-                    packets: t.packets_accepted,
-                });
-                c.rejected_duplicate += t.records_duplicate;
-                c.rejected_anomalous += t.records_anomalous;
-                c.rejected_malformed += t.records_malformed;
-                c.undecoded += t.records_undecoded;
-                c.abandoned_records += t.records_abandoned;
-                c.abandoned_units += t.units_abandoned;
-                c.est_lost += t.records_lost_est;
-                c.renorm_bytes_added += t.renorm_bytes_added;
-                c.renorm_packets_added += t.renorm_packets_added;
-                c.renorm_clipped += t.renorm_clipped;
-                c.units_exact = units_exact;
-                c.sampling = sampling;
+        let generated = volume(flows);
+        let units_exact = SequenceUnits::for_format(self.cfg.format) != SequenceUnits::Packets;
+        let sampling = self.cfg.sampling.is_some_and(|r| r > 1);
+        self.ledger.record(cell_key(cell), |c| {
+            c.generated.add(generated);
+            c.sampled_out += truth.sampled_out;
+            c.exported.add(exported.volume);
+            c.export_units += exported.sequence_units;
+            c.offered_datagrams += exported.datagrams;
+            transit(c);
+            c.accepted.add(Counts {
+                records: t.records_accepted,
+                bytes: t.bytes_accepted,
+                packets: t.packets_accepted,
             });
-        }
+            c.rejected_duplicate += t.records_duplicate;
+            c.rejected_anomalous += t.records_anomalous;
+            c.rejected_malformed += t.records_malformed;
+            c.undecoded += t.records_undecoded;
+            c.abandoned_records += t.records_abandoned;
+            c.abandoned_units += t.units_abandoned;
+            c.est_lost += t.records_lost_est;
+            c.renorm_bytes_added += t.renorm_bytes_added;
+            c.renorm_packets_added += t.renorm_packets_added;
+            c.renorm_clipped += t.renorm_clipped;
+            c.units_exact = units_exact;
+            c.sampling = sampling;
+        });
         records
     }
 }

@@ -50,14 +50,17 @@ impl FaultProfile {
         self.loss == 0.0 && self.duplicate == 0.0 && self.reorder == 0.0 && self.restart_every == 0
     }
 
-    /// Clamp probabilities into `[0, 0.95]` (a transport that drops
-    /// everything would make loss accounting vacuous).
+    /// The largest fault probability a profile honours: a transport that
+    /// drops everything would make loss accounting vacuous.
+    pub const MAX_PROBABILITY: f64 = 0.95;
+
+    /// Clamp probabilities into `[0, MAX_PROBABILITY]`.
     pub fn clamped(mut self) -> FaultProfile {
         for p in [&mut self.loss, &mut self.duplicate, &mut self.reorder] {
             if !p.is_finite() || *p < 0.0 {
                 *p = 0.0;
-            } else if *p > 0.95 {
-                *p = 0.95;
+            } else if *p > Self::MAX_PROBABILITY {
+                *p = Self::MAX_PROBABILITY;
             }
         }
         self

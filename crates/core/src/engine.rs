@@ -361,8 +361,7 @@ impl EngineOutput {
         self.wire_metrics.as_ref()
     }
 
-    /// Conservation-audit report, present when the plan ran in wire mode
-    /// with auditing enabled.
+    /// Conservation-audit report, present when the plan ran in wire mode.
     pub fn audit(&self) -> Option<&lockdown_audit::Report> {
         self.audit.as_ref()
     }
@@ -551,12 +550,10 @@ impl CellRunner<'_> {
             }
             CellFill::Generated
         };
-        if self.plane.is_some() && chaos.stall {
+        if let Some(pl) = self.plane.filter(|_| chaos.stall) {
             // The exporter fleet timed out before delivering anything:
             // the attempt is abandoned before any conservation post.
-            if let Some(pl) = self.plane {
-                pl.note_stalled(&cell);
-            }
+            pl.note_stalled();
             sup.metrics().stalls.inc();
             return Err(AttemptError::Stall);
         }
@@ -880,7 +877,7 @@ impl Pass {
         Ok(EngineOutput {
             stats,
             consumers: consumers.into_iter().map(Some).collect(),
-            audit: self.plane.as_ref().and_then(|p| p.audit_report()),
+            audit: self.plane.as_ref().map(|p| p.audit_report()),
             wire_metrics: self.plane.map(|p| p.metrics()),
             store_metrics: self.store_metrics,
             supervisor_metrics,

@@ -25,8 +25,7 @@ pub struct Suite {
     pub stats: EngineStats,
     /// Wire-plane metrics, present when the pass ran in wire mode.
     pub wire_metrics: Option<Arc<CollectMetrics>>,
-    /// Conservation-audit report, present when the pass ran in wire mode
-    /// with `WireConfig::audit` set.
+    /// Conservation-audit report, present when the pass ran in wire mode.
     pub audit: Option<lockdown_audit::Report>,
     /// Store metrics, present when the pass ran against an archive.
     pub store_metrics: Option<Arc<StoreMetrics>>,

@@ -98,11 +98,6 @@ impl TextTable {
     }
 }
 
-/// Format a ratio as a percentage change string ("+23.4%", "-12.0%").
-pub fn pct_change(ratio: f64) -> String {
-    format!("{:+.1}%", (ratio - 1.0) * 100.0)
-}
-
 /// Format an optional normalized value ("1.23" or "-").
 pub fn opt_norm(v: Option<f64>) -> String {
     v.map(|x| format!("{x:.3}")).unwrap_or_else(|| "-".into())
@@ -158,8 +153,6 @@ mod tests {
 
     #[test]
     fn formatting_helpers() {
-        assert_eq!(pct_change(1.234), "+23.4%");
-        assert_eq!(pct_change(0.88), "-12.0%");
         assert_eq!(opt_norm(Some(1.5)), "1.500");
         assert_eq!(opt_norm(None), "-");
     }

@@ -61,11 +61,6 @@ impl DomainName {
         &self.labels
     }
 
-    /// Number of labels.
-    pub fn label_count(&self) -> usize {
-        self.labels.len()
-    }
-
     /// Length (in labels) of this domain's public suffix.
     ///
     /// Two-level rules (`co.uk`, `ac.uk`, `com.es`) are checked before
@@ -160,7 +155,7 @@ mod tests {
     #[test]
     fn parse_and_display() {
         assert_eq!(d("WWW.Example.COM").to_string(), "www.example.com");
-        assert_eq!(d("example.com.").label_count(), 2);
+        assert_eq!(d("example.com.").labels(), ["example", "com"]);
         assert!("".parse::<DomainName>().is_err());
         assert!("foo..bar".parse::<DomainName>().is_err());
         assert!("exa mple.com".parse::<DomainName>().is_err());

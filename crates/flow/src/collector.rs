@@ -198,11 +198,6 @@ impl Collector {
         &self.records
     }
 
-    /// Drain collected records, leaving template state intact.
-    pub fn take_records(&mut self) -> Vec<FlowRecord> {
-        std::mem::take(&mut self.records)
-    }
-
     /// Collection statistics so far.
     pub fn stats(&self) -> CollectorStats {
         self.stats
@@ -439,7 +434,7 @@ mod tests {
     }
 
     #[test]
-    fn take_records_preserves_templates() {
+    fn templates_outlive_the_datagram_that_announced_them() {
         let boot = Date::new(2020, 3, 18).midnight();
         let now = boot.add_hours(1);
         let mut cfg = ExporterConfig::new(ExportFormat::Ipfix, boot);
@@ -450,11 +445,10 @@ mod tests {
 
         let mut collector = Collector::new();
         collector.ingest_all(p1.iter().map(|p| p.as_slice()));
-        let drained = collector.take_records();
-        assert_eq!(drained.len(), 3);
-        assert!(collector.records().is_empty());
-        // Template cache survives the drain; p2 (data-only) still decodes.
-        collector.ingest_all(p2.iter().map(|p| p.as_slice()));
         assert_eq!(collector.records().len(), 3);
+        // The template cache outlives p1; p2 (data-only) still decodes.
+        collector.ingest_all(p2.iter().map(|p| p.as_slice()));
+        assert_eq!(collector.records().len(), 6);
+        assert_eq!(collector.stats().missing_template, 0);
     }
 }

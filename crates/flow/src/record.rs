@@ -43,19 +43,6 @@ pub struct FlowKey {
     pub protocol: IpProtocol,
 }
 
-impl FlowKey {
-    /// The key of the reverse flow.
-    pub fn reversed(self) -> FlowKey {
-        FlowKey {
-            src_addr: self.dst_addr,
-            dst_addr: self.src_addr,
-            src_port: self.dst_port,
-            dst_port: self.src_port,
-            protocol: self.protocol,
-        }
-    }
-}
-
 impl fmt::Display for FlowKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -117,17 +104,6 @@ impl FlowRecord {
     /// Duration in seconds (zero for single-packet flows).
     pub fn duration_secs(&self) -> u64 {
         self.end.unix().saturating_sub(self.start.unix())
-    }
-
-    /// Mean packet size in bytes; zero-packet records yield 0.
-    pub fn mean_packet_size(&self) -> u64 {
-        self.bytes.checked_div(self.packets).unwrap_or(0)
-    }
-
-    /// Whether this record represents the start of a TCP connection
-    /// (SYN observed). Used for connection counting in §7.
-    pub fn is_connection_start(&self) -> bool {
-        self.key.protocol == IpProtocol::Tcp && self.tcp_flags.has_syn()
     }
 }
 
@@ -278,29 +254,11 @@ mod tests {
             .direction(Direction::Egress)
             .build();
         assert_eq!(r.duration_secs(), 30);
-        assert_eq!(r.mean_packet_size(), 1_500);
-        assert!(r.is_connection_start());
-        assert_eq!(r.src_as, 64_512);
-    }
-
-    #[test]
-    fn reversed_key() {
-        let k = key();
-        let r = k.reversed();
-        assert_eq!(r.src_addr, k.dst_addr);
-        assert_eq!(r.dst_port, k.src_port);
-        assert_eq!(r.reversed(), k);
-    }
-
-    #[test]
-    fn udp_flow_is_not_connection_start() {
-        let mut k = key();
-        k.protocol = IpProtocol::Udp;
-        let t = Date::new(2020, 3, 1).at_hour(0);
-        let r = FlowRecord::builder(k, t)
-            .tcp_flags(TcpFlags(TcpFlags::SYN))
-            .build();
-        assert!(!r.is_connection_start());
+        assert_eq!((r.bytes, r.packets), (15_000, 10));
+        assert_eq!(r.tcp_flags, TcpFlags::complete_connection());
+        assert_eq!((r.input_if, r.output_if), (4, 7));
+        assert_eq!((r.src_as, r.dst_as), (64_512, 15_169));
+        assert_eq!(r.direction, Direction::Egress);
     }
 
     #[test]

@@ -99,20 +99,6 @@ impl FlowSampler {
     pub fn sample_all(&self, records: &[FlowRecord]) -> Vec<FlowRecord> {
         records.iter().filter_map(|r| self.sample(r)).collect()
     }
-
-    /// Sample a batch, also counting records whose counters clipped.
-    pub fn sample_all_counted(&self, records: &[FlowRecord]) -> (Vec<FlowRecord>, u64) {
-        let mut clipped = 0u64;
-        let out = records
-            .iter()
-            .filter_map(|r| self.sample_counted(r))
-            .map(|(r, c)| {
-                clipped += u64::from(c);
-                r
-            })
-            .collect();
-        (out, clipped)
-    }
 }
 
 /// Threshold ("smart") sampler: size-dependent flow sampling with
@@ -357,15 +343,18 @@ mod tests {
     }
 
     #[test]
-    fn sample_all_counted_reports_clips() {
+    fn sample_counted_reports_clips() {
         let mut recs = records(64);
         for r in &mut recs {
             r.bytes = u64::MAX / 4;
         }
         let s = FlowSampler::new(8, 3);
-        let (kept, clipped) = s.sample_all_counted(&recs);
+        let kept: Vec<(FlowRecord, bool)> =
+            recs.iter().filter_map(|r| s.sample_counted(r)).collect();
         assert!(!kept.is_empty());
-        assert_eq!(clipped, kept.len() as u64, "every kept record clips at x8");
-        assert!(kept.iter().all(|r| r.bytes == u64::MAX));
+        for (r, clipped) in kept {
+            assert!(clipped, "every kept record clips at x8");
+            assert_eq!(r.bytes, u64::MAX);
+        }
     }
 }

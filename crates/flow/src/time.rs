@@ -64,11 +64,6 @@ impl Timestamp {
         Timestamp(self.0 - self.0 % SECS_PER_HOUR)
     }
 
-    /// This instant truncated down to midnight UTC.
-    pub fn floor_day(self) -> Timestamp {
-        Timestamp(self.0 - self.0 % SECS_PER_DAY)
-    }
-
     /// Add a whole number of seconds.
     pub const fn add_secs(self, secs: u64) -> Timestamp {
         Timestamp(self.0 + secs)
@@ -437,7 +432,6 @@ mod tests {
         assert_eq!(t.hour(), 13);
         assert_eq!(t.minute(), 45);
         assert_eq!(t.floor_hour(), Date::new(2020, 3, 25).at_hour(13));
-        assert_eq!(t.floor_day(), Date::new(2020, 3, 25).midnight());
     }
 
     #[test]

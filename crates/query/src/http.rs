@@ -334,11 +334,6 @@ impl Server {
         self.addr
     }
 
-    /// Connections currently being served.
-    pub fn active_connections(&self) -> usize {
-        self.active.load(Ordering::Relaxed)
-    }
-
     /// Graceful shutdown: stop accepting, let in-flight requests finish
     /// (bounded by `drain` — idle keep-alive connections notice the stop
     /// flag within one poll tick), and join the accept loop.
@@ -524,10 +519,11 @@ mod tests {
         }
         // Reset connections drain their slots; nothing stays wedged.
         let deadline = Instant::now() + Duration::from_secs(5);
-        while server.active_connections() > 1 && Instant::now() < deadline {
+        let active = || server.active.load(Ordering::Relaxed);
+        while active() > 1 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(10));
         }
-        assert!(server.active_connections() <= 1, "reset slots drained");
+        assert!(active() <= 1, "reset slots drained");
         server.shutdown(Duration::from_secs(2));
     }
 

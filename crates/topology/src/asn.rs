@@ -74,34 +74,6 @@ impl AsCategory {
         AsCategory::Transit,
         AsCategory::MusicStreaming,
     ];
-
-    /// Whether users at home *receive* most of this category's traffic
-    /// (content-heavy, outbound-dominant ASes).
-    pub fn is_content_heavy(self) -> bool {
-        matches!(
-            self,
-            AsCategory::Hypergiant
-                | AsCategory::Cdn
-                | AsCategory::VodProvider
-                | AsCategory::TvBroadcaster
-                | AsCategory::GamingProvider
-                | AsCategory::SocialMedia
-                | AsCategory::MusicStreaming
-        )
-    }
-
-    /// Whether this category is relevant to remote work (§3.4: "large
-    /// companies with their own AS or ASes offering cloud-based products
-    /// used by companies").
-    pub fn is_remote_work_relevant(self) -> bool {
-        matches!(
-            self,
-            AsCategory::Enterprise
-                | AsCategory::CloudProvider
-                | AsCategory::ConferencingProvider
-                | AsCategory::CollaborationProvider
-        )
-    }
 }
 
 impl fmt::Display for AsCategory {
@@ -182,14 +154,6 @@ mod tests {
         assert_eq!(Asn(15_169).to_string(), "AS15169");
         assert_eq!(AsCategory::EyeballIsp.to_string(), "eyeball ISP");
         assert_eq!(Region::UsEast.to_string(), "US East Coast");
-    }
-
-    #[test]
-    fn category_flags() {
-        assert!(AsCategory::Hypergiant.is_content_heavy());
-        assert!(!AsCategory::Enterprise.is_content_heavy());
-        assert!(AsCategory::CloudProvider.is_remote_work_relevant());
-        assert!(!AsCategory::EyeballIsp.is_remote_work_relevant());
     }
 
     #[test]

@@ -4,10 +4,9 @@
 //! educational metropolitan network, one mobile operator, plus the roaming
 //! exchange (IPX). Each vantage point pairs a network kind with a region —
 //! the region decides which lockdown timeline applies, the kind decides the
-//! traffic composition and export format.
+//! traffic composition.
 
 use crate::asn::Region;
-use lockdown_flow::exporter::ExportFormat;
 use std::fmt;
 
 /// What kind of network a vantage point observes.
@@ -90,16 +89,6 @@ impl VantagePoint {
         }
     }
 
-    /// Export format used at this vantage point (§2: NetFlow at the ISP,
-    /// EDU and mobile operator; IPFIX at the IXPs).
-    pub fn export_format(self) -> ExportFormat {
-        match self.kind() {
-            VantageKind::Ixp => ExportFormat::Ipfix,
-            VantageKind::Isp => ExportFormat::NetflowV9,
-            _ => ExportFormat::NetflowV5,
-        }
-    }
-
     /// Nominal peak traffic in Gbps, used to scale synthetic volumes to
     /// the relative magnitudes the paper reports.
     pub fn peak_gbps(self) -> f64 {
@@ -158,13 +147,6 @@ mod tests {
         assert_eq!(VantagePoint::IxpUs.region(), Region::UsEast);
         assert_eq!(VantagePoint::Edu.region(), Region::SouthernEurope);
         assert_eq!(VantagePoint::RoamingIpx.region(), Region::CentralEurope);
-    }
-
-    #[test]
-    fn export_formats_match_paper() {
-        assert_eq!(VantagePoint::IxpCe.export_format(), ExportFormat::Ipfix);
-        assert_eq!(VantagePoint::IspCe.export_format(), ExportFormat::NetflowV9);
-        assert_eq!(VantagePoint::Edu.export_format(), ExportFormat::NetflowV5);
     }
 
     #[test]

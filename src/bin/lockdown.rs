@@ -59,15 +59,12 @@ type Handler = fn(&[String], &[&String]) -> Result<ExitCode, String>;
 const COMMANDS: &[(&str, &str, &str, Handler)] = &[
     ("figures",
         "--fidelity --scenario --loss --reorder --dup --restart --archive --chaos",
-        "--wire --audit", cmd_figures),
+        "--wire", cmd_figures),
     ("coordinate",
         "--workers --attach --fidelity --scenario --archive --chaos --chunks --timeout-ms",
         "", cmd_coordinate),
     ("worker", "--listen --fidelity --scenario --archive --chaos", "", cmd_worker),
     ("chaosproxy", "--listen --upstream --chaos", "--udp", cmd_chaosproxy),
-    ("collect",
-        "--fidelity --scenario --loss --reorder --dup --restart --chaos",
-        "--audit", cmd_collect),
     ("collectd",
         "--format --listen --sockets --shards --queue --cells --records --batch --rcvbuf",
         "--soak", cmd_collectd),
@@ -117,7 +114,7 @@ lockdown — reproduce 'The Lockdown Effect' (IMC 2020) from synthetic flows
 
 USAGE:
   lockdown figures [--fidelity test|standard] [NAME...]
-                   [--scenario FILE] [--wire] [--audit] [--archive DIR]
+                   [--scenario FILE] [--wire] [--archive DIR]
                    [--chaos SPEC]
                    [--loss P] [--reorder P] [--dup P] [--restart N]
       Render figures/tables (default: all) in one engine pass. Names:
@@ -128,11 +125,11 @@ USAGE:
       instead of the shipped scenarios/covid-spring-2020.toml, compiled
       in; see 'lockdown scenarios' and scenarios/*.toml.
       --wire routes the full suite through the export -> faulty transport
-      -> collect plane (zero faults keep output byte-identical) and prints
-      the metrics snapshot to stderr. P are probabilities in [0,1); N is
-      an exporter restart cadence in datagrams. --audit (requires --wire)
-      threads a conservation ledger through every stage, prints the audit
-      report to stderr and fails the run on any violated identity.
+      -> collect plane (zero faults keep output byte-identical), keeping a
+      conservation ledger over every stage; the metrics snapshot and the
+      audit report go to stderr, and a violated identity exits 1. P are
+      probabilities in [0,0.95]; N is an exporter restart cadence in
+      datagrams.
       --archive DIR runs the full suite against a columnar cell archive:
       cold (generate + spill segments) when DIR has no covering manifest
       for this seed/scenario, warm (replay, zero generation) when it does.
@@ -222,15 +219,6 @@ USAGE:
       the matrix summary and a per-scenario diff report vs. the first
       file go to stderr. With --archive DIR each lane replays from /
       spills to its own subdirectory of DIR.
-  lockdown collect [--fidelity test|standard] [--audit]
-                   [--scenario FILE]
-                   [--loss P] [--reorder P] [--dup P] [--restart N]
-                   [--chaos SPEC]
-      Run the full suite in wire mode and print the Prometheus-style
-      metrics snapshot of the collection plane to stdout. --audit appends
-      the conservation report to stderr and fails on violations. --chaos
-      schedules faults as in figures (degraded runs exit 3).
-      --scenario swaps the calibration as in figures.
 
   lockdown collectd [--format ipfix|v9|v5] [--listen HOST:PORT]
                     [--sockets N] [--shards N] [--queue N]
@@ -300,7 +288,8 @@ USAGE:
 EXIT CODES:
   0  success      1  error (incl. unknown flag/command, a scenario
                             file that fails to parse or validate, or a
-                            non-clean collectd --soak audit)
+                            non-clean figures --wire or collectd --soak
+                            audit)
                   2  serve/collectd could not bind a socket
                   3  degraded (quarantined cells; figures rendered from
                                partial data)
@@ -377,8 +366,9 @@ fn parse_prob(rest: &[String], name: &str) -> Result<f64, String> {
         None => Ok(0.0),
         Some(s) => {
             let p: f64 = s.parse().map_err(|_| format!("bad {name}: {s}"))?;
-            if !(0.0..1.0).contains(&p) {
-                return Err(format!("{name} must be in [0,1): {s}"));
+            let max = FaultProfile::MAX_PROBABILITY;
+            if !(0.0..=max).contains(&p) {
+                return Err(format!("{name} must be in [0,{max}]: {s}"));
             }
             Ok(p)
         }
@@ -446,15 +436,11 @@ fn degraded_exit(suite: &suite::Suite) -> ExitCode {
 
 fn cmd_figures(rest: &[String], names: &[&String]) -> Result<ExitCode, String> {
     let faults = parse_faults(rest)?;
-    let audit = rest.iter().any(|a| a == "--audit");
     let wire = if rest.iter().any(|a| a == "--wire") {
-        Some(WireConfig::new().with_faults(faults).with_audit(audit))
+        Some(WireConfig::new().with_faults(faults))
     } else {
         if !faults.is_zero() {
             return Err("fault flags (--loss/--reorder/--dup/--restart) require --wire".into());
-        }
-        if audit {
-            return Err("--audit requires --wire".into());
         }
         None
     };
@@ -483,7 +469,7 @@ fn cmd_figures(rest: &[String], names: &[&String]) -> Result<ExitCode, String> {
     // fanned out to all consumers. In wire mode every cell additionally
     // crosses the export -> transport -> collect plane first; stdout
     // stays byte-identical at zero faults, and the plane's metrics
-    // snapshot goes to stderr. With --archive the cells come from (or go
+    // snapshot and audit report go to stderr. With --archive the cells come from (or go
     // to) the columnar store — stdout is byte-identical cold vs. warm,
     // which is why the engine summary and every metrics snapshot go to
     // stderr. Quarantined cells degrade (not abort) the run, and the
@@ -665,30 +651,6 @@ fn cmd_chaosproxy(rest: &[String], _: &[&String]) -> Result<ExitCode, String> {
     }
     eprint!("{}", metrics.render());
     Ok(ExitCode::SUCCESS)
-}
-
-fn cmd_collect(rest: &[String], _: &[&String]) -> Result<ExitCode, String> {
-    let faults = parse_faults(rest)?;
-    let audit = rest.iter().any(|a| a == "--audit");
-    let chaos = parse_chaos(rest)?;
-    let ctx = parse_context(rest)?;
-    let cfg = WireConfig::new().with_faults(faults).with_audit(audit);
-    let suite = suite::run_all_opts(
-        &ctx,
-        suite::SuiteOptions {
-            wire: Some(cfg),
-            archive: None,
-            chaos,
-        },
-    )
-    .map_err(|e| e.to_string())?;
-    let metrics = suite
-        .wire_metrics
-        .as_ref()
-        .expect("wire mode always carries metrics");
-    print!("{}", metrics.render());
-    check_audit(&suite)?;
-    Ok(degraded_exit(&suite))
 }
 
 /// Parse an optional positive-integer flag with a default.
@@ -1006,7 +968,7 @@ fn cmd_store(rest: &[String], actions: &[&String]) -> Result<ExitCode, String> {
 }
 
 /// Print the conservation-audit report (stderr) and fail the command if
-/// any identity was violated. No-op when auditing was off.
+/// any identity was violated. No-op for a pass without the wire plane.
 fn check_audit(suite: &suite::Suite) -> Result<(), String> {
     let Some(report) = &suite.audit else {
         return Ok(());

@@ -93,9 +93,12 @@ fn help_prints_usage() {
 
 #[test]
 fn unknown_command_fails() {
-    let out = bin().arg("frobnicate").output().expect("spawn");
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
+    // `collect` was a second `figures --wire`; it is gone.
+    for name in ["frobnicate", "collect"] {
+        let out = bin().arg(name).output().expect("spawn");
+        assert!(!out.status.success());
+        assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
+    }
 }
 
 #[test]
@@ -256,7 +259,7 @@ fn every_subcommand_rejects_unknown_flags_with_usage() {
         .collect();
     commands.sort_unstable();
     commands.dedup();
-    assert_eq!(commands.len(), 16, "subcommands in USAGE: {commands:?}");
+    assert_eq!(commands.len(), 15, "subcommands in USAGE: {commands:?}");
 
     let mut cases: Vec<Vec<&str>> = commands.iter().map(|c| vec![*c, "--frobnicate"]).collect();
     cases.extend([
@@ -272,9 +275,9 @@ fn every_subcommand_rejects_unknown_flags_with_usage() {
         vec!["analyze", "--bogus"],
         vec!["figures", "--fidelity", "test", "--frobnicate"],
         vec!["scenarios", "list", "--frobnicate"],
-        // Valid for `figures`, meaningless for `collect` (always wired):
-        // rejected, not silently ignored.
-        vec!["collect", "--fidelity", "test", "--wire"],
+        // Every wire pass keeps the conservation ledger; there is no
+        // switch left to ask for it.
+        vec!["figures", "--fidelity", "test", "--wire", "--audit"],
     ]);
     for args in cases {
         let culprit = args.last().expect("non-empty");
@@ -344,6 +347,60 @@ fn figures_selection_equals_the_full_suite_sections() {
     assert!(fig2.contains("Fig. 2"));
     assert!(full.contains(fig2), "fig2a-c are the suite's bytes");
     assert!(full.contains(&format!("Fig. 7{rest}")), "fig7a-b likewise");
+}
+
+/// The value of one `name value` line of a metrics snapshot.
+fn metric(snapshot: &str, name: &str) -> u64 {
+    snapshot
+        .lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("metric {name} missing:\n{snapshot}"))
+}
+
+/// `figures --wire` keeps the conservation ledger on every pass: stdout
+/// is the plain suite's, and the audit closes on stderr.
+#[test]
+fn figures_wire_prints_the_plain_figures_and_a_clean_audit() {
+    let out = bin()
+        .args(["figures", "--fidelity", "test", "--wire"])
+        .output()
+        .expect("spawn");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{err}");
+    assert_eq!(out.stdout, plain_figures(), "zero faults change no byte");
+    assert!(
+        err.contains("conservation audit: 20592 cells, 0 violations"),
+        "{err}"
+    );
+}
+
+#[test]
+fn figures_wire_under_faults_drops_and_still_audits_clean() {
+    let out = bin()
+        .args(["figures", "--fidelity", "test", "--wire"])
+        .args(["--loss", "0.02", "--dup", "0.01", "--restart", "64"])
+        .output()
+        .expect("spawn");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{err}");
+    assert!(
+        metric(&err, "transport_datagrams_dropped_total") > 0,
+        "{err}"
+    );
+    assert!(
+        err.contains("conservation audit: 20592 cells, 0 violations"),
+        "{err}"
+    );
+
+    // The flags accept exactly the range the fault profile honours.
+    let out = bin()
+        .args(["figures", "--fidelity", "test", "--wire", "--loss", "0.99"])
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(out.stdout.is_empty(), "no pass runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--loss must be in [0,0.95]: 0.99"), "{err}");
 }
 
 #[test]
@@ -613,6 +670,20 @@ fn collectd_bind_failure_exits_2() {
     assert_eq!(out.status.code(), Some(2), "bind conflict must exit 2");
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("binding"), "{err}");
+}
+
+#[test]
+fn collectd_port_range_past_65535_exits_2() {
+    // Socket i binds PORT+i: a range that would wrap is refused before
+    // any socket is bound, never moved onto an ephemeral port.
+    let out = bin()
+        .args(["collectd", "--listen", "127.0.0.1:65535", "--sockets", "2"])
+        .output()
+        .expect("spawn");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(out.stdout.is_empty(), "nothing was bound");
+    assert!(err.contains("65535..=65536"), "{err}");
 }
 
 #[test]

@@ -100,7 +100,6 @@ type Produce = fn(&Path) -> Option<Vec<String>>;
 const PATHS: &[(&str, Calibration, Produce)] = &[
     ("figures::select of every name", Calibration::Builtin, select_every_name),
     ("wire, zero faults", Calibration::Builtin, wire_zero_faults),
-    ("wire + audit", Calibration::Builtin, wire_audited),
     ("archive, cold", Calibration::Builtin, archive_cold),
     ("archive, warm", Calibration::Builtin, archive_warm),
     ("serve::render_figure over a QueryEngine", Calibration::Builtin, served_from_the_archive),
@@ -161,12 +160,14 @@ fn wire_zero_faults(_: &Path) -> Option<Vec<String>> {
         ..Default::default()
     });
     assert_eq!(wired.stats, reference(Calibration::Builtin).stats);
+    assert_unfaulted(&wired);
+    assert_audit_clean(&wired);
     Some(wired.renders())
 }
 
 /// The audit closed every identity over a pass that dropped nothing.
 fn assert_audit_clean(wired: &Suite) {
-    let audit = wired.audit.as_ref().expect("audit requested");
+    let audit = wired.audit.as_ref().expect("every wire pass audits");
     assert!(
         audit.is_clean(),
         "zero-fault suite violated conservation:\n{}",
@@ -183,17 +184,6 @@ fn assert_audit_clean(wired: &Suite) {
         m.engine_flows_delivered.get(),
         "zero faults deliver every flow"
     );
-}
-
-fn wire_audited(_: &Path) -> Option<Vec<String>> {
-    let wired = run(SuiteOptions {
-        wire: Some(WireConfig::new().with_audit(true)),
-        ..Default::default()
-    });
-    assert_eq!(wired.stats, reference(Calibration::Builtin).stats);
-    assert_unfaulted(&wired);
-    assert_audit_clean(&wired);
-    Some(wired.renders())
 }
 
 // --- the archive ---------------------------------------------------------------

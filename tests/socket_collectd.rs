@@ -58,7 +58,6 @@ fn zero_loss_socket_runs_are_byte_identical_to_loopback() {
     ] {
         let mut cfg = WireConfig::new();
         cfg.format = format;
-        cfg.audit = true;
 
         let loopback = CollectionPlane::new(cfg);
         let mut socket =
@@ -77,7 +76,7 @@ fn zero_loss_socket_runs_are_byte_identical_to_loopback() {
             socket.note_consumed(&cell(hour), &via_socket);
         }
 
-        let audit = socket.audit_report().expect("audit requested");
+        let audit = socket.audit_report();
         assert!(
             audit.is_clean(),
             "{format:?} socket audit violated conservation:\n{}",
@@ -96,7 +95,7 @@ fn zero_loss_socket_runs_are_byte_identical_to_loopback() {
             m.exporter_datagrams.get(),
             "{format:?}: every exported datagram crossed the socket"
         );
-        let loop_audit = loopback.audit_report().expect("audit requested");
+        let loop_audit = loopback.audit_report();
         assert!(loop_audit.is_clean());
         assert_eq!(loop_audit.totals.socket_cells, 0);
     }
@@ -158,7 +157,6 @@ fn tiny_queue_run_closes_conservation_with_drops_decomposed() {
     cfg.template_refresh = 1; // self-describing: loss accounting is exact
     cfg.batch_size = 8;
     cfg.renormalize = false;
-    cfg.audit = true;
     let mut dcfg = CollectdConfig::new(cfg.format);
     dcfg.queue_capacity = 1;
     dcfg.shards = 2;
@@ -167,7 +165,7 @@ fn tiny_queue_run_closes_conservation_with_drops_decomposed() {
     let input = flows(4_000, 14);
     let out = plane.process_cell(cell(14), &input);
     plane.note_consumed(&cell(14), &out);
-    let audit = plane.audit_report().expect("audit requested");
+    let audit = plane.audit_report();
     assert!(
         audit.is_clean(),
         "conservation must close even under backpressure:\n{}",

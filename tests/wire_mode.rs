@@ -2,7 +2,7 @@
 //! accounts losses against transport ground truth, balances its audit
 //! under faults, and stays deterministic across runs and worker counts.
 //! (That it keeps the suite byte-identical and audits clean at zero faults
-//! is the `wire` rows of `tests/equivalence.rs`.)
+//! is the `wire` row of `tests/equivalence.rs`.)
 
 use lockdown::analysis::timeseries::HourlyVolume;
 use lockdown::collect::{FaultProfile, WireConfig};
@@ -116,7 +116,6 @@ fn faulted_suite_audit_balances_across_workers() {
     });
     cfg.template_refresh = 1;
     cfg.seed = 13;
-    cfg.audit = true;
     cfg.initial_sequence = u32::MAX - 200;
     let ctx = Context::with_seed(Fidelity::Test, 9);
     let d1 = Date::new(2020, 3, 23);
@@ -130,7 +129,7 @@ fn faulted_suite_audit_balances_across_workers() {
         HourlyVolume::new,
     );
     let mut out = engine::run_with_workers(&ctx, plan, 4).expect("pass succeeds");
-    let audit = out.audit().cloned().expect("audit requested");
+    let audit = out.audit().cloned().expect("every wire pass audits");
     assert!(audit.is_clean(), "{}", audit.render());
     assert_eq!(audit.cells, 2 * 24, "one ledger cell per engine cell");
     let t = &audit.totals;
