@@ -582,7 +582,7 @@ impl CellRunner<'_> {
                     AttemptError::Panic(panic_message(payload))
                 }
             };
-            // Whatever the failure left behind (a torn file, a half
+            // Whatever the failure left behind (a torn range, a half
             // filled buffer), the next attempt regenerates from scratch
             // rather than trusting on-disk state.
             force_generate = true;
@@ -592,7 +592,7 @@ impl CellRunner<'_> {
         // cell, and the auditor records the outcome as a first-class
         // conservation stage instead of a violation.
         if let Some(w) = self.writer {
-            let _ = w.remove(cell);
+            w.remove(cell);
         }
         if let Some(pl) = self.plane {
             pl.note_quarantined(&cell);
@@ -691,7 +691,7 @@ enum ArchiveMode {
     /// regenerates only what is actually missing (checkpoint/resume).
     OwnResumable,
     /// A coordinator owns the index and has already invalidated a stale
-    /// one: spill segment files only, never the manifest or journal.
+    /// one: spill into packs of its own, never the manifest or journal.
     Attach,
 }
 
@@ -767,7 +767,7 @@ impl Pass {
             Ok(r) => r,
             // An archive to rebuild, not a failed pass: `create` deletes
             // the manifest, `create_or_resume` counts it as rejected.
-            Err(StoreError::Corrupt { .. }) => None,
+            Err(StoreError::Corrupt { .. } | StoreError::Version { .. }) => None,
             Err(e) => return Err(e),
         };
         match (opened, mode) {
@@ -968,7 +968,7 @@ pub struct SliceOutcome {
 ///   (worker *processes* are the parallelism, so a second thread pool
 ///   inside each would fight the scheduler);
 /// * the archive is resolved against the slice alone, and a cold slice
-///   spills through [`ArchiveWriter::attach`] — segment files only, never
+///   spills through [`ArchiveWriter::attach`] — packs of its own, never
 ///   the manifest or journal, which belong to the coordinator;
 /// * nothing is published: the consumers come back as codec frames for
 ///   [`ShardAssembler::absorb`] to merge.
@@ -1103,7 +1103,7 @@ impl ShardAssembler {
         let end = range.end.min(cells.len()).max(start);
         for &cell in &cells[start..end] {
             if let Some(w) = &self.pass.writer {
-                let _ = w.remove(cell);
+                w.remove(cell);
             }
             self.quarantined.push(QuarantinedCell {
                 cell,

@@ -2,7 +2,7 @@
 //!
 //! Same school as the HTTP plane and the collection daemon — explicit
 //! bytes over `std::net`, explicit limits, no serialization dependency.
-//! Every v2 frame is
+//! Every frame is
 //!
 //! ```text
 //! "LKSH" ‖ version u8 ‖ type u8 ‖ payload_len u32 BE ‖ check u32 BE ‖ payload
@@ -63,8 +63,9 @@ pub const MAGIC: [u8; 4] = *b"LKSH";
 
 /// Protocol version byte; bumped on any incompatible frame change.
 /// v2 added the per-frame CRC-32 check and the HELLO_ACK retained-range
-/// inventory; v1 frames are rejected by name.
-pub const PROTO_VERSION: u8 = 2;
+/// inventory; v3 locates each DONE segment by pack tag, offset and
+/// length. Frames of any other version are rejected by name.
+pub const PROTO_VERSION: u8 = 3;
 
 /// Hard ceiling on a frame payload. A full-suite slice outcome at high
 /// fidelity is a few MB of consumer state; 256 MiB is "corrupt peer",
@@ -472,7 +473,7 @@ fn get_cell(r: &mut StateReader<'_>) -> Result<Cell, ShardError> {
 /// Encode a slice outcome (DONE payload).
 pub fn encode_outcome(o: &SliceOutcome) -> Vec<u8> {
     let state_bytes: usize = o.states.iter().map(|s| s.len() + 4).sum();
-    let mut out = Vec::with_capacity(64 + state_bytes + o.segments.len() * 48);
+    let mut out = Vec::with_capacity(64 + state_bytes + o.segments.len() * 62);
     out.put_u64_be(o.flows);
     out.put_u64_be(o.generated);
     out.put_u64_be(o.replayed);
@@ -487,7 +488,9 @@ pub fn encode_outcome(o: &SliceOutcome) -> Vec<u8> {
     for m in &o.segments {
         put_cell(&mut out, m.cell);
         out.put_u64_be(m.records);
-        out.put_u64_be(m.file_len);
+        out.put_u64_be(m.pack_tag);
+        out.put_u64_be(m.offset);
+        out.put_u64_be(m.len);
         out.put_u32_be(m.crc);
         out.put_u64_be(m.min_start);
         out.put_u64_be(m.max_end);
@@ -521,13 +524,15 @@ pub fn decode_outcome(buf: &[u8]) -> Result<SliceOutcome, ShardError> {
         }
         o.states.push(frame);
     }
-    let n_segments = r.len("segment inventory", 10 + 36).map_err(proto_err)?;
+    let n_segments = r.len("segment inventory", 10 + 52).map_err(proto_err)?;
     for _ in 0..n_segments {
         let cell = get_cell(&mut r)?;
         o.segments.push(SegmentMeta {
             cell,
             records: r.u64("segment records").map_err(proto_err)?,
-            file_len: r.u64("segment file length").map_err(proto_err)?,
+            pack_tag: r.u64("segment pack tag").map_err(proto_err)?,
+            offset: r.u64("segment offset").map_err(proto_err)?,
+            len: r.u64("segment length").map_err(proto_err)?,
             crc: r.u32("segment crc").map_err(proto_err)?,
             min_start: r.u64("segment min start").map_err(proto_err)?,
             max_end: r.u64("segment max end").map_err(proto_err)?,

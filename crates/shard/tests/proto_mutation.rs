@@ -112,10 +112,13 @@ fn malformed_frames_are_rejected_by_name() {
         assert!(err.to_string().contains(what), "wanted {what:?}, got {err}");
     };
     named(b"NOPE\x02\x01\x00\x00\x00\x00\x00\x00\x00\x00", "magic");
-    // v1 peers are rejected by name, not misread.
-    let mut wire = frame_bytes(proto::T_HEARTBEAT, &[]);
-    wire[4] = 1;
-    named(&wire, "version 1");
+    // Older peers (v2 located segments by file length alone) are
+    // rejected by name, not misread.
+    for version in [1u8, 2] {
+        let mut wire = frame_bytes(proto::T_HEARTBEAT, &[]);
+        wire[4] = version;
+        named(&wire, &format!("version {version}"));
+    }
     // A payload claim over the frame limit.
     let mut wire = frame_bytes(proto::T_DONE, &[]);
     wire[6..10].copy_from_slice(&u32::MAX.to_be_bytes());
@@ -196,7 +199,9 @@ fn sample_outcome() -> SliceOutcome {
                 hour: 13,
             },
             records: 42,
-            file_len: 1024,
+            pack_tag: 0x5eed_0000_0000_0001,
+            offset: 4096,
+            len: 1024,
             crc: 0xdead_beef,
             min_start: 7,
             max_end: 9,

@@ -1,12 +1,28 @@
-//! The archive: a directory of per-cell segments under a staleness-keyed
-//! manifest.
+//! The archive: per-cell segments packed into one append-only file per
+//! `(stream, day)`, under a staleness-keyed manifest.
 //!
 //! Layout on disk:
 //!
 //! ```text
-//! DIR/manifest.lks            key + per-segment index (CRC-trailed)
-//! DIR/segments/seg-S-D-H.lks  one columnar segment per (stream, date, hour)
+//! DIR/manifest.lks               key + per-cell index (CRC-trailed)
+//! DIR/journal.lks                partial manifest while a spill runs
+//! DIR/packs/pack-S-D.lkp         the day pack of stream S, day D: the
+//!                                cells' LKSG segments back to back
+//! DIR/packs/pack-S-D-TAG.lkp     the same, appended by an attached
+//!                                (shard-worker) writer that owns TAG
+//!
+//! pack-S-D.lkp:  | segment (S,D,h) | segment (S,D,h') | dead | ... |
+//!                ^ offset          ^ offset + len
 //! ```
+//!
+//! The manifest is the cell index: each entry names its cell's pack (by
+//! the cell's stream and day plus the writer tag) and the byte range
+//! `offset .. offset + len` the segment occupies there. A segment is
+//! stored exactly as [`encode_segment`] produced it — same bytes, same
+//! footer, same trailing CRC — and a read checks the range against the
+//! pack, the CRC against the manifest and the record count against the
+//! footer. Ranges no index names (a torn or retried spill, a quarantined
+//! cell) are dead space; `gc` removes whole packs no index names.
 //!
 //! The manifest is written last, atomically (temp file + rename), so a
 //! crashed spill never leaves an archive that looks complete. Reopening
@@ -22,30 +38,48 @@ use crate::segment::{
 };
 use crate::StoreError;
 use lockdown_base::crc::crc32;
+use lockdown_base::hash::fold;
 use lockdown_flow::record::FlowRecord;
 use lockdown_flow::time::Date;
 use lockdown_flow::tracefile::{read_container_header, write_container_header};
-use lockdown_flow::wire::{Cursor, PutBe, WireResult};
-use lockdown_traffic::plan::{Cell, Stream};
-use std::collections::BTreeMap;
+use lockdown_flow::wire::{Cursor, PutBe, WireError};
+use lockdown_traffic::plan::{Cell, Stream, FINGERPRINT_INIT};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::fs::{File, OpenOptions};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 
 /// Manifest file magic.
 pub const MANIFEST_MAGIC: [u8; 4] = *b"LKSM";
-/// Manifest format version.
-pub const MANIFEST_VERSION: u16 = 1;
+/// Manifest format version. Version 1 filed each cell as its own
+/// segment file; version 2 files it as a byte range of a day pack.
+pub const MANIFEST_VERSION: u16 = 2;
 /// Manifest file name inside an archive directory.
 pub const MANIFEST_NAME: &str = "manifest.lks";
 /// In-progress journal file name: a partial manifest, same encoding and
 /// magic, republished atomically every few spills so a killed process can
 /// resume from completed segments instead of regenerating them.
 pub const JOURNAL_NAME: &str = "journal.lks";
-/// Sub-directory holding segment files.
-pub const SEGMENTS_DIR: &str = "segments";
+/// Sub-directory holding the day packs.
+pub const PACKS_DIR: &str = "packs";
 
-/// Spills between automatic journal checkpoints.
+/// Fewest spills between automatic journal checkpoints. Past 512 cells
+/// the interval is a sixteenth of the cells recorded, so the journal
+/// bytes a spill writes stay O(cells) in total and a kill loses at most
+/// that sixteenth.
 const CHECKPOINT_INTERVAL: usize = 32;
+
+/// Smallest encoded manifest entry: stream id u32, crc u32, hour u8 and
+/// seven one-byte varints.
+const MIN_ENTRY_LEN: usize = 4 + 4 + 1 + 7;
+
+/// Pack handles a reader or writer keeps open at once. Cells are claimed
+/// in `(stream, date, hour)` order, so the packs in use at any moment
+/// are a handful; past the cap every handle is dropped and reopened on
+/// demand.
+const MAX_OPEN_PACKS: usize = 64;
 
 /// What an archive was generated from. Seed and scenario hash identify the
 /// flow *content*; the plan hash records the cell-set shape for reporting.
@@ -76,17 +110,24 @@ impl StoreKey {
     }
 }
 
-/// One segment's manifest entry: identity, counts and integrity data.
+/// One segment's manifest entry: identity, location, counts and
+/// integrity data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentMeta {
     /// The cell the segment stores.
     pub cell: Cell,
     /// Records in the segment.
     pub records: u64,
-    /// Segment file length in bytes.
-    pub file_len: u64,
-    /// The segment's own trailing CRC, duplicated here so `verify` can
-    /// cross-check file against manifest.
+    /// Tag of the writer whose day pack holds the segment: 0 for the
+    /// archive's owner, a value the writer alone holds for an attached
+    /// shard worker.
+    pub pack_tag: u64,
+    /// First byte of the segment inside its pack.
+    pub offset: u64,
+    /// Segment length in bytes.
+    pub len: u64,
+    /// The segment's own trailing CRC, duplicated here so a read can
+    /// cross-check the pack's bytes against the manifest.
     pub crc: u32,
     /// Earliest flow start in the segment (zone map).
     pub min_start: u64,
@@ -94,14 +135,67 @@ pub struct SegmentMeta {
     pub max_end: u64,
 }
 
-/// Deterministic file name for a cell's segment.
-pub fn segment_file_name(cell: Cell) -> String {
-    format!(
-        "seg-{}-{}-{:02}.lks",
-        cell.stream.wire_id(),
-        cell.date.day_number(),
-        cell.hour
-    )
+impl SegmentMeta {
+    /// File name (inside [`PACKS_DIR`]) of the day pack holding the
+    /// segment.
+    pub fn pack_name(&self) -> String {
+        self.pack().file_name()
+    }
+
+    fn pack(&self) -> PackId {
+        PackId {
+            stream: self.cell.stream,
+            date: self.cell.date,
+            tag: self.pack_tag,
+        }
+    }
+
+    /// Whether a pack of `pack_len` bytes holds the segment's range.
+    fn fits(&self, pack_len: u64) -> bool {
+        self.offset
+            .checked_add(self.len)
+            .is_some_and(|end| end <= pack_len)
+    }
+
+    /// The segment's name in errors: its pack and offset.
+    fn label(&self) -> String {
+        format!("{}@{}", self.pack_name(), self.offset)
+    }
+}
+
+/// A day pack: the `(stream, day)` its cells share and the tag of the
+/// writer appending to it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct PackId {
+    stream: Stream,
+    date: Date,
+    tag: u64,
+}
+
+impl PackId {
+    fn file_name(self) -> String {
+        let (stream, day) = (self.stream.wire_id(), self.date.day_number());
+        match self.tag {
+            0 => format!("pack-{stream}-{day}.lkp"),
+            tag => format!("pack-{stream}-{day}-{tag:016x}.lkp"),
+        }
+    }
+}
+
+/// A tag no other writer holds, for an attached writer's packs: the
+/// process id, the clock and a per-process count, folded. Never 0, the
+/// owner's tag.
+fn attached_tag() -> u64 {
+    static ATTACHED: AtomicU64 = AtomicU64::new(0);
+    let nanos = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.as_nanos() as u64);
+    let parts = [
+        u64::from(std::process::id()),
+        nanos,
+        ATTACHED.fetch_add(1, Ordering::Relaxed),
+    ];
+    fold(FINGERPRINT_INIT, parts).max(1)
 }
 
 fn io_err(path: &Path, e: std::io::Error) -> StoreError {
@@ -130,7 +224,9 @@ fn encode_manifest(key: StoreKey, metas: &[SegmentMeta]) -> Vec<u8> {
         put_varint(&mut buf, zigzag(m.cell.date.day_number()));
         buf.push(m.cell.hour);
         put_varint(&mut buf, m.records);
-        put_varint(&mut buf, m.file_len);
+        put_varint(&mut buf, m.pack_tag);
+        put_varint(&mut buf, m.offset);
+        put_varint(&mut buf, m.len);
         buf.put_u32_be(m.crc);
         put_varint(&mut buf, m.min_start);
         put_varint(&mut buf, m.max_end);
@@ -142,68 +238,72 @@ fn encode_manifest(key: StoreKey, metas: &[SegmentMeta]) -> Vec<u8> {
 
 /// Decode a manifest-format index file (`manifest.lks` or `journal.lks` —
 /// the journal is a partial manifest under a different name). `file` is
-/// used only for error attribution.
+/// used only for error attribution. An index of another format version
+/// is [`StoreError::Version`].
 fn decode_index(file: &str, bytes: &[u8]) -> Result<(StoreKey, Vec<SegmentMeta>), StoreError> {
-    let m = file;
     if bytes.len() < 12 {
-        return Err(corrupt(m, "shorter than header + CRC"));
+        return Err(corrupt(file, "shorter than header + CRC"));
     }
     let crc_off = bytes.len() - 4;
     let stored = u32::from_be_bytes(bytes[crc_off..].try_into().expect("4 bytes"));
     let actual = crc32(&bytes[..crc_off]);
     if stored != actual {
         return Err(corrupt(
-            m,
+            file,
             format!("CRC mismatch: stored {stored:#010x}, computed {actual:#010x}"),
         ));
     }
-    let mut c = Cursor::new(&bytes[..crc_off]);
-    // Raw manifest rows before stream-id validation: (wire_id, day, hour, meta).
-    type RawRows = Vec<(u32, i64, u8, SegmentMeta)>;
-    let parse = |c: &mut Cursor<'_>| -> WireResult<(StoreKey, RawRows)> {
-        read_container_header(c, MANIFEST_MAGIC, MANIFEST_VERSION)?;
-        let key = StoreKey {
-            seed: c.read_u64("manifest seed")?,
-            scenario_hash: c.read_u64("manifest scenario hash")?,
-            plan_hash: c.read_u64("manifest plan hash")?,
-        };
-        let count = c.read_u32("segment count")?;
-        let mut raw = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            let wire_id = c.read_u32("segment stream id")?;
-            let day = unzigzag(get_varint(c, "segment day")?);
-            let hour = c.read_u8("segment hour")?;
-            let meta = SegmentMeta {
-                // Placeholder cell; resolved below once the stream id is
-                // validated outside this WireResult closure.
-                cell: Cell {
-                    stream: Stream::Edu,
-                    date: Date::from_day_number(day),
-                    hour,
-                },
-                records: get_varint(c, "segment records")?,
-                file_len: get_varint(c, "segment file length")?,
-                crc: c.read_u32("segment crc")?,
-                min_start: get_varint(c, "segment min start")?,
-                max_end: get_varint(c, "segment max end")?,
-            };
-            raw.push((wire_id, day, hour, meta));
-        }
-        Ok((key, raw))
+    let we = |e: WireError| match e {
+        WireError::BadVersion { found, .. } => StoreError::Version {
+            file: file.to_string(),
+            found,
+        },
+        e => corrupt(file, e.to_string()),
     };
-    let (key, raw) = parse(&mut c).map_err(|e| corrupt(m, e.to_string()))?;
-    if c.remaining() != 0 {
-        return Err(corrupt(m, "trailing bytes after segment index"));
+    let mut c = Cursor::new(&bytes[..crc_off]);
+    read_container_header(&mut c, MANIFEST_MAGIC, MANIFEST_VERSION).map_err(we)?;
+    let key = StoreKey {
+        seed: c.read_u64("manifest seed").map_err(we)?,
+        scenario_hash: c.read_u64("manifest scenario hash").map_err(we)?,
+        plan_hash: c.read_u64("manifest plan hash").map_err(we)?,
+    };
+    let count = c.read_u32("segment count").map_err(we)? as usize;
+    if count > c.remaining() / MIN_ENTRY_LEN {
+        return Err(corrupt(
+            file,
+            format!(
+                "{count} entries cannot fit in the {} bytes left",
+                c.remaining()
+            ),
+        ));
     }
-    let mut metas = Vec::with_capacity(raw.len());
-    for (wire_id, _, hour, mut meta) in raw {
+    let mut metas = Vec::with_capacity(count);
+    for _ in 0..count {
+        let wire_id = c.read_u32("segment stream id").map_err(we)?;
         let stream = Stream::from_wire_id(wire_id)
-            .ok_or_else(|| corrupt(m, format!("unknown stream id {wire_id}")))?;
+            .ok_or_else(|| corrupt(file, format!("unknown stream id {wire_id}")))?;
+        let day = unzigzag(get_varint(&mut c, "segment day").map_err(we)?);
+        let hour = c.read_u8("segment hour").map_err(we)?;
         if hour >= 24 {
-            return Err(corrupt(m, format!("hour {hour} out of range")));
+            return Err(corrupt(file, format!("hour {hour} out of range")));
         }
-        meta.cell.stream = stream;
-        metas.push(meta);
+        metas.push(SegmentMeta {
+            cell: Cell {
+                stream,
+                date: Date::from_day_number(day),
+                hour,
+            },
+            records: get_varint(&mut c, "segment records").map_err(we)?,
+            pack_tag: get_varint(&mut c, "segment pack tag").map_err(we)?,
+            offset: get_varint(&mut c, "segment offset").map_err(we)?,
+            len: get_varint(&mut c, "segment length").map_err(we)?,
+            crc: c.read_u32("segment crc").map_err(we)?,
+            min_start: get_varint(&mut c, "segment min start").map_err(we)?,
+            max_end: get_varint(&mut c, "segment max end").map_err(we)?,
+        });
+    }
+    if c.remaining() != 0 {
+        return Err(corrupt(file, "trailing bytes after segment index"));
     }
     Ok((key, metas))
 }
@@ -246,67 +346,131 @@ fn remove_if_present(path: &Path) -> Result<(), StoreError> {
     }
 }
 
-/// Read one segment file, decode it with `decode`, and check the file
-/// against its index entry: length, trailing CRC, record count. Every
-/// failed check names the segment and counts a CRC failure.
-fn read_checked<T>(
-    dir: &Path,
-    meta: &SegmentMeta,
-    metrics: &StoreMetrics,
-    decode: impl FnOnce(&str, &[u8]) -> Result<(T, SegmentFooter), StoreError>,
-) -> Result<(T, SegmentFooter), StoreError> {
-    let name = segment_file_name(meta.cell);
-    let path = dir.join(SEGMENTS_DIR).join(&name);
-    let bytes = std::fs::read(&path).map_err(|e| io_err(&path, e))?;
-    let checked = (|| {
-        let fail = |detail: String| Err(corrupt(&name, detail));
-        if bytes.len() as u64 != meta.file_len {
-            let (len, want) = (bytes.len(), meta.file_len);
-            return fail(format!("file is {len} bytes, manifest says {want}"));
-        }
-        let (value, footer) = decode(&name, &bytes)?;
-        let file_crc = u32::from_be_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
-        if file_crc != meta.crc {
-            let want = meta.crc;
-            return fail(format!(
-                "segment CRC {file_crc:#010x} does not match manifest {want:#010x}"
-            ));
-        }
-        if footer.records != meta.records {
-            let (held, want) = (footer.records, meta.records);
-            return fail(format!(
-                "segment holds {held} records, manifest says {want}"
-            ));
-        }
-        Ok((value, footer))
-    })();
-    if checked.is_err() {
-        metrics.crc_failures.inc();
-    }
-    checked
+/// Create `DIR/packs`.
+fn create_packs_dir(dir: &Path) -> Result<(), StoreError> {
+    let packs = dir.join(PACKS_DIR);
+    std::fs::create_dir_all(&packs).map_err(|e| io_err(&packs, e))
 }
 
-/// Decode one segment file through [`read_checked`]. Shared by
-/// [`ArchiveReader::read_cell`] and the resume path, so adopted segments
-/// get the same integrity treatment as manifest replay.
-fn read_segment(
-    dir: &Path,
-    meta: &SegmentMeta,
-    metrics: &StoreMetrics,
-) -> Result<Vec<FlowRecord>, StoreError> {
-    let (records, _) = read_checked(dir, meta, metrics, decode_segment)?;
-    metrics.segments_read.inc();
-    metrics.bytes_read.add(meta.file_len);
-    metrics.records_read.add(records.len() as u64);
-    Ok(records)
+/// Lazily opened pack handles, at most [`MAX_OPEN_PACKS`] at a time.
+/// Shared by reads and writes: positioned I/O (`read_exact_at`,
+/// `write_all_at`) needs no seek, so one handle serves every thread.
+#[derive(Debug)]
+struct Packs {
+    dir: PathBuf,
+    writable: bool,
+    open: Mutex<HashMap<PackId, Arc<File>>>,
+}
+
+impl Packs {
+    fn new(dir: &Path, writable: bool) -> Packs {
+        Packs {
+            dir: dir.join(PACKS_DIR),
+            writable,
+            open: Mutex::new(HashMap::new()),
+        }
+    }
+
+    fn path(&self, id: PackId) -> PathBuf {
+        self.dir.join(id.file_name())
+    }
+
+    /// The pack's handle, opened (and, for a writer, created) on first
+    /// use. The open runs outside the lock: creating a file can wait on
+    /// the filesystem's journal, and other threads' packs need not.
+    fn file(&self, id: PackId) -> Result<Arc<File>, StoreError> {
+        if let Some(file) = self.open.lock().expect("pack handles lock").get(&id) {
+            return Ok(Arc::clone(file));
+        }
+        let path = self.path(id);
+        let file = OpenOptions::new()
+            .read(true)
+            .write(self.writable)
+            .create(self.writable)
+            .truncate(false)
+            .open(&path)
+            .map_err(|e| io_err(&path, e))?;
+        let mut open = self.open.lock().expect("pack handles lock");
+        if open.len() >= MAX_OPEN_PACKS {
+            open.clear();
+        }
+        Ok(Arc::clone(open.entry(id).or_insert(Arc::new(file))))
+    }
+
+    /// Current length of a pack on disk, 0 when it does not exist.
+    fn len_on_disk(&self, id: PackId) -> u64 {
+        std::fs::metadata(self.path(id)).map_or(0, |st| st.len())
+    }
+
+    /// Read one segment's range, decode it with `decode`, and check it
+    /// against its index entry: the range lies inside the pack, the
+    /// trailing CRC is the manifest's, the record count is the footer's.
+    /// Every failed check names the segment and counts a CRC failure.
+    fn read_checked<T>(
+        &self,
+        meta: &SegmentMeta,
+        metrics: &StoreMetrics,
+        decode: impl FnOnce(&str, &[u8]) -> Result<(T, SegmentFooter), StoreError>,
+    ) -> Result<(T, SegmentFooter), StoreError> {
+        let name = meta.label();
+        let path = || self.path(meta.pack());
+        let file = self.file(meta.pack())?;
+        let checked = (|| {
+            let fail = |detail: String| Err(corrupt(&name, detail));
+            let pack_len = file.metadata().map_err(|e| io_err(&path(), e))?.len();
+            if !meta.fits(pack_len) {
+                let (offset, len) = (meta.offset, meta.len);
+                return fail(format!(
+                    "range {offset}+{len} overruns the pack's {pack_len} bytes"
+                ));
+            }
+            let mut bytes = vec![0; meta.len as usize];
+            file.read_exact_at(&mut bytes, meta.offset)
+                .map_err(|e| io_err(&path(), e))?;
+            let (value, footer) = decode(&name, &bytes)?;
+            let stored = u32::from_be_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
+            if stored != meta.crc {
+                let want = meta.crc;
+                return fail(format!(
+                    "segment CRC {stored:#010x} does not match manifest {want:#010x}"
+                ));
+            }
+            if footer.records != meta.records {
+                let (held, want) = (footer.records, meta.records);
+                return fail(format!(
+                    "segment holds {held} records, manifest says {want}"
+                ));
+            }
+            Ok((value, footer))
+        })();
+        if let Err(StoreError::Corrupt { .. }) = checked {
+            metrics.crc_failures.inc();
+        }
+        checked
+    }
+
+    /// Decode one segment through [`Packs::read_checked`]. Shared by
+    /// [`ArchiveReader::read_cell`] and the resume path, so adopted
+    /// segments get the same integrity treatment as manifest replay.
+    fn read_segment(
+        &self,
+        meta: &SegmentMeta,
+        metrics: &StoreMetrics,
+    ) -> Result<Vec<FlowRecord>, StoreError> {
+        let (records, _) = self.read_checked(meta, metrics, decode_segment)?;
+        metrics.segments_read.inc();
+        metrics.bytes_read.add(meta.len);
+        metrics.records_read.add(records.len() as u64);
+        Ok(records)
+    }
 }
 
 /// A fault injected into one segment spill (driven by the chaos
 /// injector; the store only executes the mechanics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpillFault {
-    /// Write a truncated segment file, then fail — what a crash between
-    /// `write` and close leaves behind.
+    /// Write half the segment's reserved range, then fail — what a crash
+    /// mid-write leaves behind.
     Torn,
     /// Fail up front with a simulated "no space left on device"; nothing
     /// is written.
@@ -317,17 +481,29 @@ pub enum SpillFault {
 struct WriterState {
     metas: BTreeMap<Cell, SegmentMeta>,
     since_checkpoint: usize,
+    /// Next free byte of every pack this writer appends to. A pack not
+    /// here holds nothing this writer's index names, so its first spill
+    /// starts it over.
+    ends: HashMap<PackId, u64>,
 }
 
-/// Spills generated cells into segment files; `finish` publishes the
+/// Spills generated cells into day packs; `finish` publishes the
 /// manifest. `spill` takes `&self` so engine workers can write
-/// concurrently. Between spills the writer periodically republishes a
+/// concurrently: a spill reserves its byte range under the state lock and
+/// writes it outside, so two workers filling one pack never wait for each
+/// other's I/O. Between spills the writer periodically republishes a
 /// *journal* (a partial manifest) so [`ArchiveWriter::create_or_resume`]
 /// can adopt completed segments after a crash.
 #[derive(Debug)]
 pub struct ArchiveWriter {
     dir: PathBuf,
     key: StoreKey,
+    /// Tag of the packs this writer appends to (see
+    /// [`SegmentMeta::pack_tag`]). Only the owner (tag 0) republishes the
+    /// journal: the manifest and journal are single-writer files, and an
+    /// attached shard worker checkpointing too would race the owner's
+    /// atomic rename with its own.
+    tag: u64,
     state: Mutex<WriterState>,
     /// Held while an index file (journal or manifest) is encoded and
     /// written — work that grows with the archive and must not hold
@@ -335,27 +511,24 @@ pub struct ArchiveWriter {
     /// cannot overtake a newer one, nor land beside a published manifest.
     /// Taken before `state`, never the other way round.
     index_io: Mutex<()>,
+    packs: Packs,
     metrics: Arc<StoreMetrics>,
-    /// Whether spills periodically republish the journal. Attached
-    /// (shard-worker) writers disable this: the manifest and journal are
-    /// single-writer files owned by whoever created the archive, and a
-    /// second process appending checkpoints would race the owner's
-    /// atomic-rename with its own.
-    journal: bool,
 }
 
 impl ArchiveWriter {
-    fn new(dir: &Path, key: StoreKey, metrics: Arc<StoreMetrics>, journal: bool) -> ArchiveWriter {
+    fn new(dir: &Path, key: StoreKey, metrics: Arc<StoreMetrics>, tag: u64) -> ArchiveWriter {
         ArchiveWriter {
             dir: dir.to_path_buf(),
             key,
+            tag,
             state: Mutex::new(WriterState {
                 metas: BTreeMap::new(),
                 since_checkpoint: 0,
+                ends: HashMap::new(),
             }),
             index_io: Mutex::new(()),
+            packs: Packs::new(dir, true),
             metrics,
-            journal,
         }
     }
 
@@ -368,48 +541,46 @@ impl ArchiveWriter {
         key: StoreKey,
         metrics: Arc<StoreMetrics>,
     ) -> Result<ArchiveWriter, StoreError> {
-        let seg_dir = dir.join(SEGMENTS_DIR);
-        std::fs::create_dir_all(&seg_dir).map_err(|e| io_err(&seg_dir, e))?;
+        create_packs_dir(dir)?;
         remove_if_present(&dir.join(MANIFEST_NAME))?;
         remove_if_present(&dir.join(JOURNAL_NAME))?;
-        Ok(ArchiveWriter::new(dir, key, metrics, true))
+        Ok(ArchiveWriter::new(dir, key, metrics, 0))
     }
 
     /// Join an archive another process owns (the shard-worker spill path):
-    /// ensure the segment layout exists but leave the manifest and journal
-    /// alone, and never checkpoint — per-cell segment files are naturally
-    /// single-writer (cell ranges are disjoint across workers), while the
-    /// index files belong to the coordinator, which collects every
-    /// worker's [`ArchiveWriter::metas`] inventory, [`ArchiveWriter::adopt`]s
-    /// it, and publishes the one manifest.
+    /// ensure the pack layout exists but leave the manifest and journal
+    /// alone, and never checkpoint. The writer appends only to packs named
+    /// by a tag it alone holds, so no pack ever has two writing
+    /// processes; the index files belong to the coordinator, which
+    /// collects every worker's [`ArchiveWriter::metas`] inventory,
+    /// [`ArchiveWriter::adopt`]s it, and publishes the one manifest.
     pub fn attach(
         dir: &Path,
         key: StoreKey,
         metrics: Arc<StoreMetrics>,
     ) -> Result<ArchiveWriter, StoreError> {
-        let seg_dir = dir.join(SEGMENTS_DIR);
-        std::fs::create_dir_all(&seg_dir).map_err(|e| io_err(&seg_dir, e))?;
-        Ok(ArchiveWriter::new(dir, key, metrics, false))
+        create_packs_dir(dir)?;
+        Ok(ArchiveWriter::new(dir, key, metrics, attached_tag()))
     }
 
     /// Like [`ArchiveWriter::create`], but first adopt every
     /// same-generation segment named by a journal left by a killed run —
     /// or by a published manifest whose plan no longer matches — so the
-    /// caller regenerates only what is actually missing. Adopted entries
-    /// are stat-validated (file present, length matches); full CRC
-    /// verification happens when the segment is read back. Returns the
-    /// writer plus the adopted cells.
+    /// caller regenerates only what is actually missing. An adopted entry
+    /// is valid when its pack holds `offset + len` bytes; full CRC
+    /// verification happens when the segment is read back. New spills
+    /// into a pack holding adopted segments append after its current
+    /// end. Returns the writer plus the adopted cells.
     ///
-    /// A corrupt journal or manifest is not fatal here: resume is an
-    /// optimization, so undecodable indexes are discarded and the pass
-    /// regenerates from scratch.
+    /// A corrupt or other-version journal or manifest is not fatal here:
+    /// resume is an optimization, so undecodable indexes are discarded
+    /// and the pass regenerates from scratch.
     pub fn create_or_resume(
         dir: &Path,
         key: StoreKey,
         metrics: Arc<StoreMetrics>,
     ) -> Result<(ArchiveWriter, BTreeMap<Cell, SegmentMeta>), StoreError> {
-        let seg_dir = dir.join(SEGMENTS_DIR);
-        std::fs::create_dir_all(&seg_dir).map_err(|e| io_err(&seg_dir, e))?;
+        create_packs_dir(dir)?;
         let mut adopted: BTreeMap<Cell, SegmentMeta> = BTreeMap::new();
         // Manifest first, journal second: on conflict the journal (the
         // more recent run) wins.
@@ -421,27 +592,33 @@ impl ArchiveWriter {
                     }
                 }
                 Ok(_) => {}
-                Err(StoreError::Corrupt { .. }) => {
+                Err(StoreError::Corrupt { .. } | StoreError::Version { .. }) => {
                     metrics.resume_rejected.inc();
                 }
                 Err(e) => return Err(e),
             }
         }
-        // Stat-validate: a torn segment write (crash mid-write) shows up
-        // as a length mismatch and the cell is simply regenerated.
-        adopted.retain(|&cell, meta| {
-            let ok = std::fs::metadata(seg_dir.join(segment_file_name(cell)))
-                .map(|st| st.len() == meta.file_len)
-                .unwrap_or(false);
+        let writer = ArchiveWriter::new(dir, key, metrics, 0);
+        // A torn write (crash mid-write) or a cut pack leaves a range
+        // past the pack's end, and that cell is simply regenerated.
+        let mut held: HashMap<PackId, u64> = HashMap::new();
+        adopted.retain(|_, meta| {
+            let len = *held
+                .entry(meta.pack())
+                .or_insert_with(|| writer.packs.len_on_disk(meta.pack()));
+            let ok = meta.fits(len);
             if !ok {
-                metrics.resume_rejected.inc();
+                writer.metrics.resume_rejected.inc();
             }
             ok
         });
-        let writer = ArchiveWriter::new(dir, key, metrics, true);
         {
             let mut state = writer.state.lock().expect("writer state lock");
             state.metas = adopted.clone();
+            state.ends = adopted
+                .values()
+                .map(|m| (m.pack(), held[&m.pack()]))
+                .collect();
         }
         // Re-journal the adopted set before invalidating the manifest, so
         // a crash between the two leaves every adopted segment reachable.
@@ -458,54 +635,75 @@ impl ArchiveWriter {
         self.key
     }
 
-    /// Encode one cell's records and write its segment file.
+    /// Encode one cell's records and append its segment to the cell's
+    /// day pack.
     pub fn spill(&self, cell: Cell, records: &[FlowRecord]) -> Result<(), StoreError> {
         self.spill_with_fault(cell, records, None)
     }
 
     /// [`ArchiveWriter::spill`] with an optional injected fault. A faulted
-    /// spill records no manifest entry: a torn write leaves a short file
-    /// on disk (exactly the crash artifact it simulates), ENOSPC writes
-    /// nothing.
+    /// spill records no manifest entry: a torn write leaves half its
+    /// reserved range written (exactly the crash artifact it simulates),
+    /// ENOSPC writes nothing.
     pub fn spill_with_fault(
         &self,
         cell: Cell,
         records: &[FlowRecord],
         fault: Option<SpillFault>,
     ) -> Result<(), StoreError> {
-        let bytes = encode_segment(records);
-        let crc = u32::from_be_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
-        let path = self.dir.join(SEGMENTS_DIR).join(segment_file_name(cell));
-        match fault {
-            Some(SpillFault::Torn) => {
-                let torn = &bytes[..bytes.len() / 2];
-                std::fs::write(&path, torn).map_err(|e| io_err(&path, e))?;
-                return Err(StoreError::Io {
-                    path: path.display().to_string(),
-                    detail: format!(
-                        "torn write: {} of {} bytes (injected)",
-                        torn.len(),
-                        bytes.len()
-                    ),
-                });
-            }
-            Some(SpillFault::Enospc) => {
-                return Err(StoreError::Io {
-                    path: path.display().to_string(),
-                    detail: "No space left on device (injected)".to_string(),
-                });
-            }
-            None => {}
+        let pack = PackId {
+            stream: cell.stream,
+            date: cell.date,
+            tag: self.tag,
+        };
+        let path = || self.packs.path(pack);
+        if fault == Some(SpillFault::Enospc) {
+            return Err(StoreError::Io {
+                path: path().display().to_string(),
+                detail: "No space left on device (injected)".to_string(),
+            });
         }
-        std::fs::write(&path, &bytes).map_err(|e| io_err(&path, e))?;
+        let bytes = encode_segment(records);
+        let len = bytes.len() as u64;
+        let file = self.packs.file(pack)?;
+        let offset = {
+            let mut state = self.state.lock().expect("writer state lock");
+            let end = match state.ends.get(&pack) {
+                Some(&end) => end,
+                None => {
+                    // Only an existing pack needs cutting; a new one is
+                    // spared the metadata write.
+                    let stale = file.metadata().map_err(|e| io_err(&path(), e))?.len();
+                    if stale > 0 {
+                        file.set_len(0).map_err(|e| io_err(&path(), e))?;
+                    }
+                    0
+                }
+            };
+            state.ends.insert(pack, end + len);
+            end
+        };
+        if fault == Some(SpillFault::Torn) {
+            let torn = &bytes[..bytes.len() / 2];
+            file.write_all_at(torn, offset)
+                .map_err(|e| io_err(&path(), e))?;
+            return Err(StoreError::Io {
+                path: path().display().to_string(),
+                detail: format!("torn write: {} of {len} bytes (injected)", torn.len()),
+            });
+        }
+        file.write_all_at(&bytes, offset)
+            .map_err(|e| io_err(&path(), e))?;
         self.metrics.segments_written.inc();
-        self.metrics.bytes_written.add(bytes.len() as u64);
+        self.metrics.bytes_written.add(len);
         self.metrics.records_written.add(records.len() as u64);
         let meta = SegmentMeta {
             cell,
             records: records.len() as u64,
-            file_len: bytes.len() as u64,
-            crc,
+            pack_tag: self.tag,
+            offset,
+            len,
+            crc: u32::from_be_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes")),
             min_start: records.iter().map(|r| r.start.unix()).min().unwrap_or(0),
             max_end: records.iter().map(|r| r.end.unix()).max().unwrap_or(0),
         };
@@ -513,7 +711,8 @@ impl ArchiveWriter {
             let mut state = self.state.lock().expect("writer state lock");
             state.metas.insert(cell, meta);
             state.since_checkpoint += 1;
-            self.journal && state.since_checkpoint >= CHECKPOINT_INTERVAL
+            let interval = CHECKPOINT_INTERVAL.max(state.metas.len() / 16);
+            self.tag == 0 && state.since_checkpoint >= interval
         };
         if checkpoint_due {
             // Skip, don't queue, while another worker's checkpoint is in
@@ -543,27 +742,23 @@ impl ArchiveWriter {
     /// Read back a segment this writer adopted during resume, with the
     /// same integrity checks as manifest replay.
     pub fn read_adopted(&self, meta: &SegmentMeta) -> Result<Vec<FlowRecord>, StoreError> {
-        read_segment(&self.dir, meta, &self.metrics)
+        self.packs.read_segment(meta, &self.metrics)
     }
 
     /// Adopt a segment another process spilled into this archive
-    /// directory (the shard coordinator's merge path: workers spill and
-    /// journal their own cells, the coordinator adopts every reported
-    /// meta and publishes the one manifest). Stat-validated like resume
-    /// adoption — the file must exist with the claimed length; full CRC
-    /// verification happens when the segment is read back.
+    /// directory (the shard coordinator's merge path: workers spill into
+    /// their own packs, the coordinator adopts every reported meta and
+    /// publishes the one manifest). Validated like resume adoption — the
+    /// pack must hold the claimed range; full CRC verification happens
+    /// when the segment is read back.
     pub fn adopt(&self, meta: SegmentMeta) -> Result<(), StoreError> {
-        let name = segment_file_name(meta.cell);
-        let path = self.dir.join(SEGMENTS_DIR).join(&name);
-        let len = std::fs::metadata(&path)
-            .map(|st| st.len())
-            .map_err(|e| io_err(&path, e))?;
-        if len != meta.file_len {
+        let held = self.packs.len_on_disk(meta.pack());
+        if !meta.fits(held) {
             return Err(corrupt(
-                &name,
+                &meta.label(),
                 format!(
-                    "adopted length {len} does not match claimed {}",
-                    meta.file_len
+                    "adopted range {}+{} overruns the pack's {held} bytes",
+                    meta.offset, meta.len
                 ),
             ));
         }
@@ -573,16 +768,15 @@ impl ArchiveWriter {
         Ok(())
     }
 
-    /// Drop a cell from the pending manifest and delete its segment file
-    /// (the quarantine path: the cell failed its attempt budget, so the
-    /// archive must not claim it).
-    pub fn remove(&self, cell: Cell) -> Result<(), StoreError> {
+    /// Drop a cell from the pending manifest (the quarantine path: the
+    /// cell failed its attempt budget, so the archive must not claim it).
+    /// Its bytes, if any, become dead space in their pack.
+    pub fn remove(&self, cell: Cell) {
         self.state
             .lock()
             .expect("writer state lock")
             .metas
             .remove(&cell);
-        remove_if_present(&self.dir.join(SEGMENTS_DIR).join(segment_file_name(cell)))
     }
 
     /// Write the journal from a snapshot of the recorded segments, taken
@@ -625,10 +819,10 @@ impl ArchiveWriter {
 /// Outcome of a [`gc_dir`] sweep.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GcReport {
-    /// Orphaned segment file names (deleted, or merely listed under
-    /// `--dry-run`), sorted.
+    /// File names in the packs directory that no index names (deleted,
+    /// or merely listed under `--dry-run`), sorted.
     pub removed: Vec<String>,
-    /// Segment files still referenced by the manifest or journal.
+    /// Packs still named by the manifest or journal.
     pub kept: u64,
     /// Whether this sweep only listed orphans without deleting.
     pub dry_run: bool,
@@ -649,30 +843,31 @@ pub fn scenario_subdir(base: &Path, index: usize, label: &str) -> PathBuf {
     base.join(format!("{index:02}-{}", sanitized.trim_matches('-')))
 }
 
-/// Reap segment files that neither the manifest nor the journal
-/// references. Works without a manifest — the exact state a kill -9
-/// between segment write and manifest publish leaves behind — in which
-/// case every unjournaled segment is an orphan. A present-but-corrupt
-/// index file is an error: gc refuses to guess at liveness.
+/// Reap packs and stray files that neither the manifest nor the journal
+/// names. Works without a manifest — the exact state a kill -9 between
+/// spill and manifest publish leaves behind — in which case every
+/// unjournaled pack is an orphan. A present-but-undecodable index file is
+/// an error: gc refuses to guess at liveness. Dead ranges inside a live
+/// pack stay until the archive is rebuilt.
 pub fn gc_dir(dir: &Path, dry_run: bool) -> Result<GcReport, StoreError> {
-    let mut live = std::collections::BTreeSet::new();
+    let mut live = BTreeSet::new();
     for name in [MANIFEST_NAME, JOURNAL_NAME] {
         if let Some((_, metas)) = read_index_file(dir, name)? {
-            live.extend(metas.iter().map(|m| segment_file_name(m.cell)));
+            live.extend(metas.iter().map(SegmentMeta::pack_name));
         }
     }
-    let seg_dir = dir.join(SEGMENTS_DIR);
-    let entries = match std::fs::read_dir(&seg_dir) {
+    let packs = dir.join(PACKS_DIR);
+    let entries = match std::fs::read_dir(&packs) {
         Ok(e) => e,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(GcReport::default()),
-        Err(e) => return Err(io_err(&seg_dir, e)),
+        Err(e) => return Err(io_err(&packs, e)),
     };
     let mut report = GcReport {
         dry_run,
         ..GcReport::default()
     };
     for entry in entries {
-        let entry = entry.map_err(|e| io_err(&seg_dir, e))?;
+        let entry = entry.map_err(|e| io_err(&packs, e))?;
         let name = entry.file_name().to_string_lossy().into_owned();
         if live.contains(&name) {
             report.kept += 1;
@@ -711,27 +906,24 @@ impl VerifyReport {
 /// Read side of an archive: the decoded manifest plus segment access.
 #[derive(Debug)]
 pub struct ArchiveReader {
-    dir: PathBuf,
     key: StoreKey,
     segments: BTreeMap<Cell, SegmentMeta>,
+    packs: Packs,
     metrics: Arc<StoreMetrics>,
 }
 
 impl ArchiveReader {
     /// Open the archive at `dir`. `Ok(None)` when no manifest exists (an
     /// empty or never-finished archive); errors when one exists but fails
-    /// validation.
+    /// validation, and [`StoreError::Version`] when it is of another
+    /// format version.
     pub fn open(
         dir: &Path,
         metrics: Arc<StoreMetrics>,
     ) -> Result<Option<ArchiveReader>, StoreError> {
-        let path = dir.join(MANIFEST_NAME);
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(io_err(&path, e)),
+        let Some((key, metas)) = read_index_file(dir, MANIFEST_NAME)? else {
+            return Ok(None);
         };
-        let (key, metas) = decode_index(MANIFEST_NAME, &bytes)?;
         let mut segments = BTreeMap::new();
         for m in metas {
             if segments.insert(m.cell, m).is_some() {
@@ -742,9 +934,9 @@ impl ArchiveReader {
             }
         }
         Ok(Some(ArchiveReader {
-            dir: dir.to_path_buf(),
             key,
             segments,
+            packs: Packs::new(dir, false),
             metrics,
         }))
     }
@@ -765,7 +957,8 @@ impl ArchiveReader {
     }
 
     /// Manifest entry for one cell, if archived.
-    pub fn meta(&self, cell: Cell) -> Option<&SegmentMeta> {
+    #[cfg(test)]
+    pub(crate) fn meta(&self, cell: Cell) -> Option<&SegmentMeta> {
         self.segments.get(&cell)
     }
 
@@ -777,25 +970,32 @@ impl ArchiveReader {
     /// The manifest entry of a cell the caller demands.
     fn entry(&self, cell: Cell) -> Result<&SegmentMeta, StoreError> {
         self.segments.get(&cell).ok_or_else(|| StoreError::Missing {
-            what: format!("segment {} not in manifest", segment_file_name(cell)),
+            what: format!(
+                "segment for {} {} hour {:02} not in manifest",
+                cell.stream.label(),
+                cell.date.iso(),
+                cell.hour
+            ),
         })
     }
 
     /// Decode one cell's segment, cross-checking the manifest entry
-    /// (length, CRC, record count) against the file.
+    /// (range, CRC, record count) against its pack.
     pub fn read_cell(&self, cell: Cell) -> Result<Vec<FlowRecord>, StoreError> {
-        read_segment(&self.dir, self.entry(cell)?, &self.metrics)
+        self.packs.read_segment(self.entry(cell)?, &self.metrics)
     }
 
     /// Read one cell's segment *footer* — record count, time range and
     /// column zone maps — without materializing any records. The whole
-    /// file is still read and CRC-checked (the trailer covers every
+    /// range is still read and CRC-checked (the trailer covers every
     /// prior byte), so a corrupt segment fails here exactly as it would
     /// on decode; what this skips is the per-column varint decode, which
     /// is what predicate-pushdown scans prune on.
     pub fn read_footer(&self, cell: Cell) -> Result<SegmentFooter, StoreError> {
         let footer_only = |name: &str, bytes: &[u8]| Ok(((), read_segment_footer(name, bytes)?));
-        read_checked(&self.dir, self.entry(cell)?, &self.metrics, footer_only).map(|(_, f)| f)
+        self.packs
+            .read_checked(self.entry(cell)?, &self.metrics, footer_only)
+            .map(|(_, f)| f)
     }
 
     /// Decode every segment, collecting failures instead of stopping at
@@ -804,20 +1004,13 @@ impl ArchiveReader {
         let mut report = VerifyReport::default();
         for meta in self.segments.values() {
             report.segments += 1;
-            report.bytes += meta.file_len;
+            report.bytes += meta.len;
             match self.read_cell(meta.cell) {
                 Ok(records) => report.records += records.len() as u64,
                 Err(e) => report.failures.push(e.to_string()),
             }
         }
         report
-    }
-
-    /// Delete files in the segments directory that neither the manifest
-    /// nor the journal names (leftovers from a larger earlier plan or a
-    /// crashed spill). Returns the deleted file names.
-    pub fn gc(&self) -> Result<Vec<String>, StoreError> {
-        gc_dir(&self.dir, false).map(|r| r.removed)
     }
 }
 
@@ -871,28 +1064,67 @@ mod tests {
         plan_hash: 13,
     };
 
+    fn pack_path(dir: &Path, meta: &SegmentMeta) -> PathBuf {
+        dir.join(PACKS_DIR).join(meta.pack_name())
+    }
+
+    fn published(dir: &Path) -> Vec<SegmentMeta> {
+        read_index_file(dir, MANIFEST_NAME)
+            .unwrap()
+            .expect("manifest present")
+            .1
+    }
+
+    /// `bytes` re-stamped as container version `version`, CRC recomputed.
+    fn restamped(bytes: &[u8], version: u16) -> Vec<u8> {
+        let mut out = bytes[..bytes.len() - 4].to_vec();
+        out[4..6].copy_from_slice(&version.to_be_bytes());
+        let crc = crc32(&out);
+        out.put_u32_be(crc);
+        out
+    }
+
     #[test]
     fn write_then_read_roundtrips() {
         let dir = tmp_dir("roundtrip");
         let metrics = StoreMetrics::new();
         let w = ArchiveWriter::create(&dir, KEY, Arc::clone(&metrics)).unwrap();
         let c0 = cell(2, 9);
-        let c1 = cell(3, 0);
+        let c1 = cell(2, 10);
+        let c2 = cell(3, 0);
         let r0 = records(c0, 50);
+        let r1 = records(c1, 7);
         w.spill(c0, &r0).unwrap();
-        w.spill(c1, &records(c1, 5)).unwrap();
-        assert_eq!(w.finish().unwrap(), 2);
+        w.spill(c1, &r1).unwrap();
+        w.spill(c2, &records(c2, 5)).unwrap();
+        assert_eq!(w.finish().unwrap(), 3);
 
         let r = ArchiveReader::open(&dir, StoreMetrics::new())
             .unwrap()
             .expect("manifest present");
         assert_eq!(r.key(), KEY);
-        assert_eq!(r.segment_count(), 2);
-        assert!(r.covers([c0, c1].iter()));
+        assert_eq!(r.segment_count(), 3);
+        assert!(r.covers([c0, c1, c2].iter()));
         assert!(!r.covers([c0, cell(4, 4)].iter()));
         assert_eq!(r.read_cell(c0).unwrap(), r0);
-        assert_eq!(metrics.segments_written.get(), 2);
-        assert_eq!(metrics.records_written.get(), 55);
+        assert_eq!(r.read_cell(c1).unwrap(), r1);
+        // One pack per day, each cell's segment back to back in it, the
+        // bytes exactly what the segment encoder produces.
+        let (m0, m1, m2) = (
+            r.meta(c0).unwrap(),
+            r.meta(c1).unwrap(),
+            r.meta(c2).unwrap(),
+        );
+        assert_eq!(m0.pack_name(), m1.pack_name());
+        assert_ne!(m0.pack_name(), m2.pack_name());
+        assert_eq!(m0.offset, 0);
+        assert_eq!(m1.offset, m0.len);
+        let pack = std::fs::read(pack_path(&dir, m0)).unwrap();
+        assert_eq!(pack.len() as u64, m0.len + m1.len);
+        assert_eq!(&pack[m1.offset as usize..], encode_segment(&r1));
+        assert_eq!(std::fs::read_dir(dir.join(PACKS_DIR)).unwrap().count(), 2);
+        assert_eq!(metrics.segments_written.get(), 3);
+        assert_eq!(metrics.records_written.get(), 62);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -916,9 +1148,21 @@ mod tests {
         let c = cell(2, 9);
         w.spill(c, &records(c, 3)).unwrap();
         w.finish().unwrap();
-        // Re-creating for a fresh spill removes the manifest immediately.
-        let _w2 = ArchiveWriter::create(&dir, KEY, Arc::clone(&metrics)).unwrap();
-        assert!(ArchiveReader::open(&dir, metrics).unwrap().is_none());
+        // Re-creating for a fresh spill removes the manifest immediately,
+        // and its first spill into a pack starts the pack over.
+        let w2 = ArchiveWriter::create(&dir, KEY, Arc::clone(&metrics)).unwrap();
+        assert!(ArchiveReader::open(&dir, Arc::clone(&metrics))
+            .unwrap()
+            .is_none());
+        let r = records(c, 5);
+        w2.spill(c, &r).unwrap();
+        w2.finish().unwrap();
+        let meta = published(&dir)[0];
+        assert_eq!(meta.offset, 0);
+        assert_eq!(
+            std::fs::read(pack_path(&dir, &meta)).unwrap(),
+            encode_segment(&r)
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -941,51 +1185,109 @@ mod tests {
     }
 
     #[test]
+    fn other_manifest_versions_are_named_errors() {
+        let dir = tmp_dir("manifest-version");
+        let w = ArchiveWriter::create(&dir, KEY, StoreMetrics::new()).unwrap();
+        let c = cell(2, 9);
+        w.spill(c, &records(c, 3)).unwrap();
+        w.finish().unwrap();
+        let path = dir.join(MANIFEST_NAME);
+        let v2 = std::fs::read(&path).unwrap();
+        std::fs::write(&path, restamped(&v2, 1)).unwrap();
+        let err = ArchiveReader::open(&dir, StoreMetrics::new()).unwrap_err();
+        assert_eq!(
+            err,
+            StoreError::Version {
+                file: MANIFEST_NAME.to_string(),
+                found: 1
+            }
+        );
+        assert!(err.to_string().contains("version 1"), "{err}");
+        // gc will not guess at what a v1 index names, and resume
+        // discards it like a corrupt one.
+        assert!(gc_dir(&dir, true).is_err());
+        let m = StoreMetrics::new();
+        let (_, adopted) = ArchiveWriter::create_or_resume(&dir, KEY, Arc::clone(&m)).unwrap();
+        assert!(adopted.is_empty());
+        assert_eq!(m.resume_rejected.get(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_entry_count_the_bytes_cannot_hold_is_corrupt_not_an_abort() {
+        // CRC-valid, but claiming u32::MAX entries after the key.
+        let mut bytes = encode_manifest(KEY, &[]);
+        bytes.truncate(bytes.len() - 4);
+        let count_at = bytes.len() - 4;
+        bytes[count_at..].copy_from_slice(&u32::MAX.to_be_bytes());
+        let crc = crc32(&bytes);
+        bytes.put_u32_be(crc);
+        match decode_index(MANIFEST_NAME, &bytes) {
+            Err(StoreError::Corrupt { segment, detail }) => {
+                assert_eq!(segment, MANIFEST_NAME);
+                assert!(detail.contains("4294967295 entries"), "{detail}");
+            }
+            other => panic!("expected a named corruption, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn segment_corruption_names_the_segment_and_counts() {
         let dir = tmp_dir("segment-corrupt");
         let metrics = StoreMetrics::new();
         let w = ArchiveWriter::create(&dir, KEY, Arc::clone(&metrics)).unwrap();
-        let c = cell(2, 9);
-        w.spill(c, &records(c, 40)).unwrap();
+        let (before, victim, after) = (cell(2, 8), cell(2, 9), cell(2, 10));
+        for c in [before, victim, after] {
+            w.spill(c, &records(c, 40)).unwrap();
+        }
         w.finish().unwrap();
 
-        let name = segment_file_name(c);
-        let path = dir.join(SEGMENTS_DIR).join(&name);
+        // Flip one byte inside the victim's range of the shared pack.
+        let meta = *published(&dir).iter().find(|m| m.cell == victim).unwrap();
+        let path = pack_path(&dir, &meta);
         let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x01;
+        bytes[(meta.offset + meta.len / 2) as usize] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
 
         let read_metrics = StoreMetrics::new();
         let r = ArchiveReader::open(&dir, Arc::clone(&read_metrics))
             .unwrap()
             .unwrap();
-        let err = r.read_cell(c).unwrap_err();
-        assert!(err.to_string().contains(&name), "{err}");
+        let err = r.read_cell(victim).unwrap_err();
+        assert!(err.to_string().contains(&meta.label()), "{err}");
         assert_eq!(read_metrics.crc_failures.get(), 1);
+        assert_eq!(r.read_cell(before).unwrap(), records(before, 40));
+        assert_eq!(r.read_cell(after).unwrap(), records(after, 40));
         let report = r.verify();
-        assert!(!report.ok());
-        assert_eq!(report.segments, 1);
-        assert!(report.failures[0].contains(&name));
+        assert_eq!(report.segments, 3);
+        assert_eq!(report.failures.len(), 1);
+        assert!(report.failures[0].contains(&meta.label()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn gc_removes_only_orphans() {
-        let dir = tmp_dir("gc");
-        let metrics = StoreMetrics::new();
-        let w = ArchiveWriter::create(&dir, KEY, Arc::clone(&metrics)).unwrap();
-        let c = cell(2, 9);
-        w.spill(c, &records(c, 3)).unwrap();
+    fn a_range_past_the_pack_end_is_corrupt() {
+        let dir = tmp_dir("range-overrun");
+        let w = ArchiveWriter::create(&dir, KEY, StoreMetrics::new()).unwrap();
+        let (first, last) = (cell(2, 0), cell(2, 1));
+        w.spill(first, &records(first, 9)).unwrap();
+        w.spill(last, &records(last, 9)).unwrap();
         w.finish().unwrap();
-        let orphan = dir.join(SEGMENTS_DIR).join("seg-9-99999-09.lks");
-        std::fs::write(&orphan, b"stale").unwrap();
+        let meta = published(&dir)[1];
+        let pack = OpenOptions::new()
+            .write(true)
+            .open(pack_path(&dir, &meta))
+            .unwrap();
+        pack.set_len(meta.offset + meta.len - 1).unwrap();
 
-        let r = ArchiveReader::open(&dir, metrics).unwrap().unwrap();
-        let removed = r.gc().unwrap();
-        assert_eq!(removed, vec!["seg-9-99999-09.lks".to_string()]);
-        assert!(!orphan.exists());
-        assert!(dir.join(SEGMENTS_DIR).join(segment_file_name(c)).exists());
+        let metrics = StoreMetrics::new();
+        let r = ArchiveReader::open(&dir, Arc::clone(&metrics))
+            .unwrap()
+            .unwrap();
+        let err = r.read_footer(last).unwrap_err();
+        assert!(err.to_string().contains("overruns the pack"), "{err}");
+        assert_eq!(metrics.crc_failures.get(), 1);
+        assert_eq!(r.read_cell(first).unwrap().len(), 9);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1000,11 +1302,16 @@ mod tests {
         w.spill(done, &r_done).unwrap();
         w.spill(torn, &records(torn, 20)).unwrap();
         w.checkpoint().unwrap();
-        // Simulate the kill: no finish(), and the second segment is left
-        // short on disk (crash mid-write after the journal named it).
-        let torn_path = dir.join(SEGMENTS_DIR).join(segment_file_name(torn));
-        let bytes = std::fs::read(&torn_path).unwrap();
-        std::fs::write(&torn_path, &bytes[..bytes.len() / 2]).unwrap();
+        // Simulate the kill: no finish(), and the pack is cut inside the
+        // second segment's range (crash mid-write after the journal
+        // named it).
+        let torn_meta = w.metas()[1];
+        let cut = torn_meta.offset + torn_meta.len / 2;
+        let pack = OpenOptions::new()
+            .write(true)
+            .open(pack_path(&dir, &torn_meta))
+            .unwrap();
+        pack.set_len(cut).unwrap();
 
         let m2 = StoreMetrics::new();
         let (w2, adopted) = ArchiveWriter::create_or_resume(&dir, KEY, Arc::clone(&m2)).unwrap();
@@ -1013,8 +1320,10 @@ mod tests {
         assert_eq!(m2.segments_resumed.get(), 1);
         assert_eq!(m2.resume_rejected.get(), 1);
         assert_eq!(w2.read_adopted(&adopted[&done]).unwrap(), r_done);
-        // Regenerate the torn cell, finish, and the archive is whole.
+        // Regenerate the torn cell: it is appended after the cut, and the
+        // archive is whole.
         w2.spill(torn, &records(torn, 20)).unwrap();
+        assert_eq!(w2.metas()[1].offset, cut);
         assert_eq!(w2.finish().unwrap(), 2);
         assert!(
             !dir.join(JOURNAL_NAME).exists(),
@@ -1024,6 +1333,7 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(r.segment_count(), 2);
+        assert!(r.verify().ok());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1068,6 +1378,75 @@ mod tests {
     }
 
     #[test]
+    fn journal_checkpoints_grow_logarithmically_with_the_cells() {
+        // A `Fidelity::Test` archive's cell count, spilled on one thread.
+        let dir = tmp_dir("checkpoint-count");
+        let metrics = StoreMetrics::new();
+        let w = ArchiveWriter::create(&dir, KEY, Arc::clone(&metrics)).unwrap();
+        let first = Date::new(2020, 1, 1).day_number();
+        for i in 0..20_592i64 {
+            let c = Cell {
+                stream: Stream::Vantage(VantagePoint::IspCe),
+                date: Date::from_day_number(first + i / 24),
+                hour: (i % 24) as u8,
+            };
+            w.spill(c, &[]).unwrap();
+        }
+        let checkpoints = metrics.journal_checkpoints.get();
+        assert!(checkpoints <= 100, "{checkpoints} journal checkpoints");
+        // The last checkpoint is at most a sixteenth of the cells old.
+        let journaled = read_index_file(&dir, JOURNAL_NAME)
+            .unwrap()
+            .unwrap()
+            .1
+            .len();
+        assert!(
+            20_592 - journaled <= 20_592 / 16,
+            "journal names {journaled}"
+        );
+        assert_eq!(w.finish().unwrap(), 20_592);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_spills_into_one_pack_each_get_their_own_range() {
+        let dir = tmp_dir("concurrent");
+        let w = ArchiveWriter::create(&dir, KEY, StoreMetrics::new()).unwrap();
+        std::thread::scope(|s| {
+            for half in 0..2u8 {
+                let w = &w;
+                s.spawn(move || {
+                    for hour in (half..24).step_by(2) {
+                        let c = cell(2, hour);
+                        w.spill(c, &records(c, u32::from(hour) + 1)).unwrap();
+                    }
+                });
+            }
+        });
+        w.finish().unwrap();
+        let r = ArchiveReader::open(&dir, StoreMetrics::new())
+            .unwrap()
+            .unwrap();
+        for hour in 0..24 {
+            let c = cell(2, hour);
+            assert_eq!(r.read_cell(c).unwrap(), records(c, u32::from(hour) + 1));
+        }
+        // The ranges tile the one pack exactly.
+        let mut ranges: Vec<(u64, u64)> = r.segments().map(|m| (m.offset, m.len)).collect();
+        ranges.sort_unstable();
+        let tiled = ranges.iter().fold(0, |end, &(offset, len)| {
+            assert_eq!(offset, end);
+            end + len
+        });
+        let meta = r.segments().next().unwrap();
+        assert_eq!(
+            std::fs::metadata(pack_path(&dir, meta)).unwrap().len(),
+            tiled
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn resume_adopts_from_stale_plan_manifest() {
         let dir = tmp_dir("resume-manifest");
         let metrics = StoreMetrics::new();
@@ -1102,11 +1481,20 @@ mod tests {
         let c = cell(4, 1);
         w.spill(c, &records(c, 4)).unwrap();
         w.checkpoint().unwrap();
-        // A different seed means different flow content: adopt nothing.
+        // A different seed means different flow content: adopt nothing,
+        // and start the packs over rather than append to dead bytes.
         let other = StoreKey { seed: 8, ..KEY };
-        let (_, adopted) =
+        let (w2, adopted) =
             ArchiveWriter::create_or_resume(&dir, other, StoreMetrics::new()).unwrap();
         assert!(adopted.is_empty());
+        let r = records(c, 6);
+        w2.spill(c, &r).unwrap();
+        let meta = w2.metas()[0];
+        assert_eq!(meta.offset, 0);
+        assert_eq!(
+            std::fs::read(pack_path(&dir, &meta)).unwrap(),
+            encode_segment(&r)
+        );
         // A corrupt journal is discarded, not fatal.
         std::fs::write(dir.join(JOURNAL_NAME), b"garbage").unwrap();
         let m = StoreMetrics::new();
@@ -1132,9 +1520,18 @@ mod tests {
             .unwrap_err();
         assert!(err.to_string().contains("torn write"), "{err}");
         assert_eq!(metrics.segments_written.get(), 0);
-        // The retry succeeds and overwrites the torn file.
+        assert!(w.metas().is_empty());
+        // The retry succeeds in a fresh range after the torn one, which
+        // is dead space no index names.
         w.spill(c, &r).unwrap();
         assert_eq!(w.finish().unwrap(), 1);
+        let meta = published(&dir)[0];
+        let len = encode_segment(&r).len() as u64;
+        assert_eq!(meta.offset, len);
+        assert_eq!(
+            std::fs::metadata(pack_path(&dir, &meta)).unwrap().len(),
+            2 * len
+        );
         let reader = ArchiveReader::open(&dir, StoreMetrics::new())
             .unwrap()
             .unwrap();
@@ -1150,12 +1547,14 @@ mod tests {
         let drop = cell(6, 1);
         w.spill(keep, &records(keep, 3)).unwrap();
         w.spill(drop, &records(drop, 3)).unwrap();
-        w.remove(drop).unwrap();
+        w.remove(drop);
         assert_eq!(w.finish().unwrap(), 1);
-        assert!(!dir
-            .join(SEGMENTS_DIR)
-            .join(segment_file_name(drop))
-            .exists());
+        let r = ArchiveReader::open(&dir, StoreMetrics::new())
+            .unwrap()
+            .unwrap();
+        assert!(!r.covers([drop].iter()));
+        assert!(matches!(r.read_cell(drop), Err(StoreError::Missing { .. })));
+        assert_eq!(r.read_cell(keep).unwrap(), records(keep, 3));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1166,18 +1565,23 @@ mod tests {
         let c0 = cell(7, 0);
         let c1 = cell(7, 1);
         let r0 = records(c0, 8);
-        // A shard worker attaches and spills its cells; the index files
-        // stay untouched (they belong to the coordinator).
+        // Two shard workers attach and spill cells of one day; the index
+        // files stay untouched (they belong to the coordinator) and each
+        // worker appends to a pack of its own.
         let w = ArchiveWriter::attach(&dir, KEY, StoreMetrics::new()).unwrap();
+        let w2 = ArchiveWriter::attach(&dir, KEY, StoreMetrics::new()).unwrap();
         w.spill(c0, &r0).unwrap();
-        w.spill(c1, &records(c1, 5)).unwrap();
+        w2.spill(c1, &records(c1, 5)).unwrap();
         assert!(!dir.join(JOURNAL_NAME).exists(), "attach never journals");
         assert!(!dir.join(MANIFEST_NAME).exists());
-        let inventory = w.metas();
+        let inventory: Vec<SegmentMeta> = w.metas().into_iter().chain(w2.metas()).collect();
         assert_eq!(inventory.len(), 2);
-        // Adoption stat-validates: a length lie is rejected loudly.
+        assert_ne!(inventory[0].pack_tag, 0);
+        assert_ne!(inventory[0].pack_name(), inventory[1].pack_name());
+        assert_eq!(inventory[1].offset, 0);
+        // Adoption checks the range: a length lie is rejected loudly.
         let lie = SegmentMeta {
-            file_len: inventory[0].file_len + 1,
+            len: inventory[0].len + 1,
             ..inventory[0]
         };
         assert!(owner.adopt(lie).is_err());
@@ -1192,6 +1596,7 @@ mod tests {
             .unwrap();
         assert_eq!(r.segment_count(), 2);
         assert_eq!(r.read_cell(c0).unwrap(), r0);
+        assert!(r.verify().ok());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1202,12 +1607,13 @@ mod tests {
         let kept = cell(2, 9);
         w.spill(kept, &records(kept, 3)).unwrap();
         w.checkpoint().unwrap();
+        let kept_pack = w.metas()[0].pack_name();
         // Killed before finish: manifest absent, one orphan on disk.
-        let orphan = dir.join(SEGMENTS_DIR).join("seg-9-99999-09.lks");
+        let orphan = dir.join(PACKS_DIR).join("pack-9-99999.lkp");
         std::fs::write(&orphan, b"stale").unwrap();
 
         let dry = gc_dir(&dir, true).unwrap();
-        assert_eq!(dry.removed, vec!["seg-9-99999-09.lks".to_string()]);
+        assert_eq!(dry.removed, vec!["pack-9-99999.lkp".to_string()]);
         assert_eq!(dry.kept, 1);
         assert!(dry.dry_run);
         assert!(orphan.exists(), "dry-run deletes nothing");
@@ -1216,15 +1622,13 @@ mod tests {
         assert_eq!(real.removed, dry.removed);
         assert!(!orphan.exists());
         assert!(
-            dir.join(SEGMENTS_DIR)
-                .join(segment_file_name(kept))
-                .exists(),
-            "journaled segment survives"
+            dir.join(PACKS_DIR).join(&kept_pack).exists(),
+            "journaled pack survives"
         );
-        // With no index at all, every segment is an orphan.
+        // With no index at all, every pack is an orphan.
         std::fs::remove_file(dir.join(JOURNAL_NAME)).unwrap();
         let bare = gc_dir(&dir, false).unwrap();
-        assert_eq!(bare.removed, vec![segment_file_name(kept)]);
+        assert_eq!(bare.removed, vec![kept_pack]);
         assert_eq!(bare.kept, 0);
         // A corrupt index makes gc refuse rather than guess.
         std::fs::write(dir.join(MANIFEST_NAME), b"garbage").unwrap();

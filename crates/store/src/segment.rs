@@ -359,6 +359,18 @@ pub fn decode_segment(
     let mut dst_as = take(Column::DstAs)?;
     let mut direction = take(Column::Direction)?;
 
+    // Every record takes at least one byte of the start column: a count
+    // the column cannot hold is corrupt, and is refused before it sizes
+    // an allocation.
+    if n > start.remaining() {
+        return Err(corrupt(
+            segment,
+            format!(
+                "{n} records cannot fit in a {}-byte start column",
+                start.remaining()
+            ),
+        ));
+    }
     let mut out = Vec::with_capacity(n);
     let mut prev_start = 0i64;
     for _ in 0..n {
@@ -525,6 +537,29 @@ mod tests {
                 Err(e) => assert!(e.to_string().contains("seg-x"), "{e}"),
                 Ok((decoded, _)) => assert_eq!(decoded, records, "flip at {i} changed data"),
             }
+        }
+    }
+
+    #[test]
+    fn a_record_count_the_columns_cannot_hold_is_corrupt_not_an_abort() {
+        // An empty segment whose footer, CRC and all, claims 2^40 records.
+        let empty = encode_segment(&[]);
+        let (footer_start, _) = check_trailer("empty", &empty).unwrap();
+        let mut bytes = empty[..footer_start].to_vec();
+        put_varint(&mut bytes, 1 << 40);
+        put_varint(&mut bytes, 0);
+        put_varint(&mut bytes, 0);
+        bytes.push(0);
+        bytes.put_u32_be((bytes.len() - footer_start) as u32);
+        let crc = crc32(&bytes);
+        bytes.put_u32_be(crc);
+        assert_eq!(read_footer("huge", &bytes).unwrap().records, 1 << 40);
+        match decode_segment("huge", &bytes) {
+            Err(StoreError::Corrupt { segment, detail }) => {
+                assert_eq!(segment, "huge");
+                assert!(detail.contains("1099511627776 records"), "{detail}");
+            }
+            other => panic!("expected a named corruption, got {other:?}"),
         }
     }
 

@@ -26,7 +26,7 @@ use lockdown::store::{gc_dir, ArchiveReader, StoreMetrics};
 use lockdown::topology::vantage::VantagePoint;
 use lockdown::wirechaos;
 use lockdown_flow::time::Date;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::io::{Read, Write};
 use std::path::Path;
 use std::process::ExitCode;
@@ -199,11 +199,16 @@ USAGE:
       to the proxy), between export and collectd (--udp), or between
       loadgen and serve.
   lockdown store inspect|verify|gc --archive DIR [--dry-run]
-      inspect: print the manifest key and per-segment zone maps.
+      An archive is one manifest (the cell index) over one pack file
+      per (stream, day) holding that day's cell segments back to back.
+      inspect: print the manifest key, segment and pack counts, and per
+               cell its pack, offset, length and time range.
       verify:  re-read and CRC-check every segment; non-zero on failure.
-      gc:      delete segment files neither the manifest nor the resume
-               journal references; works on manifest-less (killed)
+      gc:      delete pack files neither the manifest nor the resume
+               journal names; works on manifest-less (killed)
                archives. --dry-run lists orphans without deleting.
+      An archive of an older format version fails inspect and verify
+      (exit 1, naming the version); figures --archive rebuilds it.
   lockdown scenarios list [--dir DIR]
       List the scenario measure files under DIR (default: scenarios/)
       with name, regions, events and behavioural fingerprint.
@@ -903,7 +908,7 @@ fn cmd_store(rest: &[String], actions: &[&String]) -> Result<ExitCode, String> {
             "removed"
         };
         println!(
-            "gc {}: {verb} {} orphan files, kept {} live segments",
+            "gc {}: {verb} {} orphan files, kept {} live packs",
             dir,
             report.removed.len(),
             report.kept
@@ -923,21 +928,26 @@ fn cmd_store(rest: &[String], actions: &[&String]) -> Result<ExitCode, String> {
     let key = reader.key();
     match action {
         "inspect" => {
+            let packs: BTreeSet<String> = reader.segments().map(|m| m.pack_name()).collect();
             println!(
-                "archive {dir}: seed {:#x}, scenario {:#018x}, plan {:#018x}, {} segments",
+                "archive {dir}: seed {:#x}, scenario {:#018x}, plan {:#018x}, {} segments in {} packs",
                 key.seed,
                 key.scenario_hash,
                 key.plan_hash,
-                reader.segment_count()
+                reader.segment_count(),
+                packs.len()
             );
             for meta in reader.segments() {
-                let stream = meta.cell.stream.label();
+                let cell = meta.cell;
                 println!(
-                    "  {:<24} {} {:>9} records {:>10} bytes  [{} .. {}]",
-                    lockdown::store::segment_file_name(meta.cell),
-                    stream,
+                    "  {:<10} {} {:02}h  {:<32} @{:>9} {:>8} bytes {:>9} records  [{} .. {}]",
+                    cell.stream.label(),
+                    cell.date.iso(),
+                    cell.hour,
+                    meta.pack_name(),
+                    meta.offset,
+                    meta.len,
                     meta.records,
-                    meta.file_len,
                     meta.min_start,
                     meta.max_end,
                 );

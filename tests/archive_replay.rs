@@ -8,10 +8,13 @@
 
 use lockdown::core::engine::{self, EnginePlan};
 use lockdown::core::{Context, Fidelity};
+use lockdown::store::segment::{decode_segment, encode_segment};
 use lockdown::store::{
-    ArchiveReader, ArchiveWriter, StoreKey, StoreMetrics, MANIFEST_NAME, SEGMENTS_DIR,
+    ArchiveReader, ArchiveWriter, SegmentMeta, StoreError, StoreKey, StoreMetrics, MANIFEST_NAME,
+    MANIFEST_VERSION, PACKS_DIR,
 };
 use lockdown_analysis::consumer::FlowConsumer;
+use lockdown_base::crc::crc32;
 use lockdown_base::hash::fold;
 use lockdown_collect::WireConfig;
 use lockdown_flow::record::FlowRecord;
@@ -131,39 +134,110 @@ fn warm_replay_is_byte_identical_and_generates_nothing() {
 /// `tests/fixtures/archive-pr15` was written by the encoder as it stood
 /// before the CRC-32 went eight bytes a step (four cells cut to 67, 8, 0
 /// and 21 records, so segment lengths fall on either side of the
-/// stride). Today's reader must accept every checksum in it, and today's
-/// writer must produce the same files from the same records: archives
-/// already on disk stay valid, and neither the format nor a CRC value
-/// has moved.
+/// stride), in the version-1 layout of one file per cell. Today's reader
+/// refuses its manifest by version, by name; its segments are the bytes
+/// a day pack holds, so each must still pass its checksum and come back
+/// bit for bit from today's encoder: neither the segment format nor a
+/// CRC value has moved.
 #[test]
-fn archive_written_before_the_sliced_crc_replays_and_re_encodes_bit_for_bit() {
+fn v1_archive_is_refused_by_version_and_its_segments_re_encode_bit_for_bit() {
     let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/archive-pr15");
-    let reader = ArchiveReader::open(&fixture, StoreMetrics::new())
-        .expect("manifest CRC and layout accepted")
-        .expect("manifest present");
-    assert_eq!(reader.segment_count(), 4);
+    let err = ArchiveReader::open(&fixture, StoreMetrics::new()).expect_err("a v1 manifest");
+    assert_eq!(
+        err,
+        StoreError::Version {
+            file: MANIFEST_NAME.to_string(),
+            found: 1
+        }
+    );
 
-    let dir = tmp_dir("fixture");
-    let writer = ArchiveWriter::create(&dir, reader.key(), StoreMetrics::new()).expect("create");
-    let mut files = vec![PathBuf::from(MANIFEST_NAME)];
+    let mut segments: Vec<PathBuf> = std::fs::read_dir(fixture.join("segments"))
+        .expect("fixture segments")
+        .map(|e| e.expect("dir entry").path())
+        .collect();
+    segments.sort();
     let mut records = Vec::new();
-    for meta in reader.segments() {
-        let flows = reader.read_cell(meta.cell).expect("segment CRC accepted");
+    for path in segments {
+        let bytes = std::fs::read(&path).expect("fixture segment");
+        let (flows, _) = decode_segment("fixture", &bytes).expect("segment CRC accepted");
         records.push(flows.len());
-        writer.spill(meta.cell, &flows).expect("spill");
-        files.push(Path::new(SEGMENTS_DIR).join(lockdown::store::segment_file_name(meta.cell)));
-    }
-    assert_eq!(records, [67, 8, 0, 21]);
-    writer.finish().expect("publish");
-    for file in files {
         assert_eq!(
-            std::fs::read(dir.join(&file)).expect("re-encoded file"),
-            std::fs::read(fixture.join(&file)).expect("fixture file"),
-            "{} differs from the fixture",
-            file.display()
+            encode_segment(&flows),
+            bytes,
+            "{} re-encodes differently",
+            path.display()
         );
     }
-    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(records, [67, 8, 0, 21]);
+}
+
+/// The manifest entries of the archive at `dir`.
+fn manifest(dir: &Path) -> Vec<SegmentMeta> {
+    let reader = ArchiveReader::open(dir, StoreMetrics::new())
+        .expect("manifest decodes")
+        .expect("manifest present");
+    reader.segments().copied().collect()
+}
+
+/// Every pack file on disk, by name.
+fn packs_on_disk(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir.join(PACKS_DIR))
+        .expect("packs dir")
+        .map(|e| e.expect("entry").file_name().into_string().expect("utf8"))
+        .collect();
+    names.sort();
+    names
+}
+
+/// Bytes of the packs on disk that no manifest range covers.
+fn dead_bytes(dir: &Path) -> u64 {
+    let on_disk: u64 = packs_on_disk(dir)
+        .iter()
+        .map(|p| {
+            std::fs::metadata(dir.join(PACKS_DIR).join(p))
+                .expect("pack")
+                .len()
+        })
+        .sum();
+    on_disk - manifest(dir).iter().map(|m| m.len).sum::<u64>()
+}
+
+/// An archive holds one pack per distinct `(stream, day)` its manifest
+/// names, each cell's bytes are the same whatever the worker count
+/// (the manifest's per-cell CRCs match), and the packs fill exactly.
+#[test]
+fn one_pack_per_stream_day_and_per_cell_crcs_invariant_to_worker_count() {
+    let ctx = Context::with_seed(Fidelity::Test, 67);
+    let (d1, d2) = (Date::new(2020, 3, 30), Date::new(2020, 4, 1));
+    let spill = |workers: usize| {
+        let dir = tmp_dir(&format!("packs-{workers}"));
+        let mut plan = EnginePlan::new();
+        plan.with_archive(&dir);
+        for vp in [VantagePoint::IxpCe, VantagePoint::IspCe] {
+            plan.subscribe(Stream::Vantage(vp), d1, d2, || SortedFlows {
+                flows: Vec::new(),
+            });
+        }
+        plan.subscribe(Stream::Edu, d1, d1, || SortedFlows { flows: Vec::new() });
+        engine::run_with_workers(&ctx, plan, workers).expect("pass succeeds");
+        let metas = manifest(&dir);
+        let days: std::collections::BTreeSet<(Stream, Date)> =
+            metas.iter().map(|m| (m.cell.stream, m.cell.date)).collect();
+        let mut named: Vec<String> = metas.iter().map(SegmentMeta::pack_name).collect();
+        named.sort();
+        named.dedup();
+        assert_eq!(named.len(), days.len(), "workers={workers}");
+        assert_eq!(packs_on_disk(&dir), named, "workers={workers}");
+        assert_eq!(dead_bytes(&dir), 0, "workers={workers}");
+        let _ = std::fs::remove_dir_all(&dir);
+        metas
+            .iter()
+            .map(|m| (m.cell, m.records, m.len, m.crc))
+            .collect::<Vec<_>>()
+    };
+    let one = spill(1);
+    assert_eq!(one.len(), (2 * 3 + 1) * 24);
+    assert_eq!(spill(2), one);
 }
 
 #[test]
@@ -220,6 +294,9 @@ fn stale_seed_invalidates_and_respills() {
     assert_eq!(stats.cells_generated, 2 * 24);
     let (plain_b, _, _) = pass(&b, vp, d1, d2, None, false, 2);
     assert_eq!(cold_b, plain_b);
+
+    // The respill started each day pack over: no seed-1 bytes are left.
+    assert_eq!(dead_bytes(&dir), 0);
 
     // And the respill re-keyed the archive: seed 2 now replays warm.
     let (warm_b, stats, _) = pass(&b, vp, d1, d2, Some(&dir), false, 2);
@@ -299,17 +376,16 @@ fn corrupt_segment_is_regenerated_and_counted() {
     let vp = VantagePoint::MobileCe;
     pass(&ctx, vp, d1, d2, Some(&dir), false, 2);
 
-    let seg_dir = dir.join(SEGMENTS_DIR);
-    let mut names: Vec<_> = std::fs::read_dir(&seg_dir)
-        .expect("segments dir")
-        .map(|e| e.expect("entry").file_name().into_string().expect("utf8"))
-        .collect();
-    names.sort();
-    let victim = names[names.len() / 2].clone();
-    flip_a_byte(&seg_dir.join(&victim));
+    // Flip one byte in the middle of one cell's range of its day pack.
+    let metas = manifest(&dir);
+    let victim = metas[metas.len() / 2];
+    let path = dir.join(PACKS_DIR).join(victim.pack_name());
+    let mut bytes = std::fs::read(&path).expect("read pack");
+    bytes[(victim.offset + victim.len / 2) as usize] ^= 0x01;
+    std::fs::write(&path, &bytes).expect("rewrite pack");
 
-    // The pass completes: the victim is regenerated, every other cell
-    // replayed, and the flows are the archive-free pass's.
+    // The pass completes: exactly the victim is regenerated, every other
+    // cell replayed, and the flows are the archive-free pass's.
     let mut plan = EnginePlan::new();
     plan.with_archive(&dir);
     let d = plan.subscribe(Stream::Vantage(vp), d1, d2, || SortedFlows {
@@ -329,14 +405,25 @@ fn corrupt_segment_is_regenerated_and_counted() {
         .expect("manifest present")
         .verify();
     assert_eq!(report.failures.len(), 1, "{:?}", report.failures);
-    assert!(
-        report.failures[0].contains(&victim),
-        "{:?}",
-        report.failures
-    );
+    let named = format!("{}@{}", victim.pack_name(), victim.offset);
+    assert!(report.failures[0].contains(&named), "{:?}", report.failures);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Re-stamp the index file at `path` as format version 1, CRC and all.
+fn restamp_as_v1(path: &Path) {
+    let bytes = std::fs::read(path).expect("read index");
+    let mut old = bytes[..bytes.len() - 4].to_vec();
+    assert_eq!(old[4..6], MANIFEST_VERSION.to_be_bytes());
+    old[4..6].copy_from_slice(&1u16.to_be_bytes());
+    let crc = crc32(&old);
+    old.extend_from_slice(&crc.to_be_bytes());
+    std::fs::write(path, &old).expect("rewrite index");
+}
+
+/// A corrupt manifest, and one of another format version (its CRC
+/// intact), are each an archive to rebuild: the pass runs cold, counts
+/// it, and republishes.
 #[test]
 fn corrupt_manifest_runs_the_pass_cold() {
     let ctx = Context::with_seed(Fidelity::Test, 61);
@@ -344,25 +431,29 @@ fn corrupt_manifest_runs_the_pass_cold() {
     let day = Date::new(2020, 4, 14);
     let vp = VantagePoint::IxpCe;
     let (plain, _, _) = pass(&ctx, vp, day, day, Some(&dir), false, 2);
-    flip_a_byte(&dir.join(MANIFEST_NAME));
+    for damage in [flip_a_byte, restamp_as_v1] {
+        damage(&dir.join(MANIFEST_NAME));
 
-    let mut plan = EnginePlan::new();
-    plan.with_archive(&dir);
-    let d = plan.subscribe(Stream::Vantage(vp), day, day, || SortedFlows {
-        flows: Vec::new(),
-    });
-    let mut out = engine::run_with_workers(&ctx, plan, 2).expect("a corrupt manifest is not fatal");
-    let stats = out.stats();
-    assert_eq!(stats.cells_generated, 24);
-    assert_eq!(stats.cells_replayed, 0);
-    let store = out.store_metrics().expect("archived pass");
-    assert_eq!(store.resume_rejected.get(), 1);
-    assert_eq!(out.take(d).sorted(), plain);
+        let mut plan = EnginePlan::new();
+        plan.with_archive(&dir);
+        let d = plan.subscribe(Stream::Vantage(vp), day, day, || SortedFlows {
+            flows: Vec::new(),
+        });
+        let mut out =
+            engine::run_with_workers(&ctx, plan, 2).expect("a corrupt manifest is not fatal");
+        let stats = out.stats();
+        assert_eq!(stats.cells_generated, 24);
+        assert_eq!(stats.cells_replayed, 0);
+        assert_eq!(stats.cells_resumed, 0);
+        let store = out.store_metrics().expect("archived pass");
+        assert_eq!(store.resume_rejected.get(), 1);
+        assert_eq!(out.take(d).sorted(), plain);
 
-    // The cold pass republished the manifest: the next one is warm.
-    let (warm, stats, _) = pass(&ctx, vp, day, day, Some(&dir), false, 2);
-    assert_eq!(stats.cells_generated, 0);
-    assert_eq!(warm, plain);
+        // The cold pass republished the manifest: the next one is warm.
+        let (warm, stats, _) = pass(&ctx, vp, day, day, Some(&dir), false, 2);
+        assert_eq!(stats.cells_generated, 0);
+        assert_eq!(warm, plain);
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

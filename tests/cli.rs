@@ -418,6 +418,26 @@ fn store_subcommand_validates_input() {
     assert!(!out.status.success(), "manifest-less dir is not an archive");
     assert!(String::from_utf8_lossy(&out.stderr).contains("no archive manifest"));
     std::fs::remove_dir_all(&dir).ok();
+
+    // An archive of the one-file-per-cell layout is refused by version,
+    // not misread.
+    for action in ["inspect", "verify"] {
+        let out = bin()
+            .args(["store", action, "--archive"])
+            .arg(concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/tests/fixtures/archive-pr15"
+            ))
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(1), "{action}");
+        assert!(out.stdout.is_empty(), "{action}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("manifest.lks is format version 1; this build reads version 2"),
+            "{action}: {err}"
+        );
+    }
 }
 
 #[test]
@@ -599,11 +619,11 @@ fn scenarios_matrix_lane0_is_a_plain_figures_run() {
 #[test]
 fn store_gc_dry_run_previews_without_deleting() {
     let dir = std::env::temp_dir().join(format!("lockdown-cli-gc-{}", std::process::id()));
-    let seg_dir = dir.join("segments");
-    std::fs::create_dir_all(&seg_dir).expect("tmp dir");
-    // A manifest-less archive (as a kill -9 leaves behind): every segment
+    let packs = dir.join("packs");
+    std::fs::create_dir_all(&packs).expect("tmp dir");
+    // A manifest-less archive (as a kill -9 leaves behind): every pack
     // is an orphan, and gc must work without a manifest.
-    let orphan = seg_dir.join("seg-1-18262-00.lks");
+    let orphan = packs.join("pack-1-18262.lkp");
     std::fs::write(&orphan, b"leftover").expect("write orphan");
 
     let out = bin()

@@ -27,7 +27,9 @@ use lockdown::query::QueryEngine;
 use lockdown::scenario::measures::ScenarioSpec;
 use lockdown::shard::coord::{chunk_ranges, CoordOptions, Coordinated};
 use lockdown::shard::worker::WorkerExit;
-use lockdown::store::{JOURNAL_NAME, MANIFEST_NAME, SEGMENTS_DIR};
+use lockdown::store::{
+    ArchiveReader, SegmentMeta, StoreMetrics, JOURNAL_NAME, MANIFEST_NAME, PACKS_DIR,
+};
 use lockdown::wirechaos::WireChaosConfig;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -192,10 +194,36 @@ fn archive(scratch: &Path) -> PathBuf {
     scratch.join("archive")
 }
 
+/// The manifest entries of the shared archive.
+fn manifest(dir: &Path) -> Vec<SegmentMeta> {
+    let reader = ArchiveReader::open(dir, StoreMetrics::new())
+        .expect("manifest decodes")
+        .expect("manifest present");
+    reader.segments().copied().collect()
+}
+
 fn archive_cold(scratch: &Path) -> Option<Vec<String>> {
-    let cold = suite::run_all_archived(&ctx(), None, &archive(scratch)).expect("cold suite");
+    let dir = archive(scratch);
+    let cold = suite::run_all_archived(&ctx(), None, &dir).expect("cold suite");
     assert!(cold.stats.cells_generated > 0);
     assert_eq!(cold.stats.cells_replayed, 0);
+    // One pack per (stream, day) the manifest names, and no other file.
+    let metas = manifest(&dir);
+    assert_eq!(metas.len() as u64, cold.stats.cells_generated);
+    let days: std::collections::BTreeSet<_> =
+        metas.iter().map(|m| (m.cell.stream, m.cell.date)).collect();
+    let named: std::collections::BTreeSet<_> = metas.iter().map(SegmentMeta::pack_name).collect();
+    assert_eq!(named.len(), days.len());
+    let on_disk: std::collections::BTreeSet<_> = std::fs::read_dir(dir.join(PACKS_DIR))
+        .expect("packs dir")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .into_string()
+                .expect("utf8")
+        })
+        .collect();
+    assert_eq!(on_disk, named);
     Some(cold.renders())
 }
 
@@ -230,19 +258,23 @@ fn served_from_the_archive(scratch: &Path) -> Option<Vec<String>> {
 fn resumed_from_journal(scratch: &Path) -> Option<Vec<String>> {
     // A kill between the last checkpoint and manifest publication: the
     // journal holds what the manifest held (the encodings are the same,
-    // so a rename builds the state exactly) and some segments never hit
-    // the disk.
+    // so a rename builds the state exactly) and the tail of one day pack
+    // never hit the disk — which costs exactly the cells whose ranges
+    // end past the cut.
     let dir = archive(scratch);
+    let metas = manifest(&dir);
     std::fs::rename(dir.join(MANIFEST_NAME), dir.join(JOURNAL_NAME)).expect("fake the kill");
-    let mut segments: Vec<PathBuf> = std::fs::read_dir(dir.join(SEGMENTS_DIR))
-        .expect("segments dir")
-        .map(|e| e.expect("dir entry").path())
-        .collect();
-    segments.sort();
-    let killed = 3;
-    for path in &segments[..killed] {
-        std::fs::remove_file(path).expect("drop a completed segment");
-    }
+    let pack = metas[metas.len() / 2].pack_name();
+    let in_pack: Vec<&SegmentMeta> = metas.iter().filter(|m| m.pack_name() == pack).collect();
+    let cut = in_pack.iter().map(|m| m.len).sum::<u64>() / 2;
+    let killed = in_pack.iter().filter(|m| m.offset + m.len > cut).count();
+    assert!(killed > 0 && killed < in_pack.len());
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(dir.join(PACKS_DIR).join(&pack))
+        .expect("open the pack")
+        .set_len(cut)
+        .expect("cut the pack");
     let resumed = run(SuiteOptions {
         archive: Some(dir),
         ..Default::default()

@@ -415,7 +415,7 @@ fn dup_reorder_gap_schedules_balance_exactly() {
 
 use lockdown::chaos::{ChaosConfig, ChaosInjector};
 use lockdown::core::engine::{self, EnginePlan};
-use lockdown::store::{JOURNAL_NAME, MANIFEST_NAME, SEGMENTS_DIR};
+use lockdown::store::{ArchiveReader, StoreMetrics, JOURNAL_NAME, MANIFEST_NAME, PACKS_DIR};
 use lockdown_analysis::timeseries::HourlyVolume;
 use lockdown_traffic::plan::Stream;
 use std::path::PathBuf;
@@ -450,20 +450,35 @@ fn killed_archived_pass_resumes_from_journal() {
     assert_eq!(total, 2 * 24);
 
     // Simulate a kill between the last checkpoint and manifest
-    // publication: the journal holds what the manifest held, and some
-    // trailing segments never hit the disk. The journal encoding IS the
-    // manifest encoding, so a rename builds the crash state exactly.
-    std::fs::rename(dir.join(MANIFEST_NAME), dir.join(JOURNAL_NAME)).expect("fake the kill");
-    let seg_dir = dir.join(SEGMENTS_DIR);
-    let mut segs: Vec<PathBuf> = std::fs::read_dir(&seg_dir)
-        .expect("segments dir")
-        .map(|e| e.expect("dir entry").path())
+    // publication: the journal holds what the manifest held, and the
+    // tail of one day pack never hit the disk. The journal encoding IS
+    // the manifest encoding, so a rename builds the crash state exactly;
+    // the cut removes the ranges of exactly the cells that end past it.
+    let metas: Vec<_> = ArchiveReader::open(&dir, StoreMetrics::new())
+        .expect("manifest decodes")
+        .expect("manifest present")
+        .segments()
+        .copied()
         .collect();
-    segs.sort();
-    let killed = 5usize;
-    for path in segs.iter().take(killed) {
-        std::fs::remove_file(path).expect("drop a completed segment");
-    }
+    std::fs::rename(dir.join(MANIFEST_NAME), dir.join(JOURNAL_NAME)).expect("fake the kill");
+    let pack = metas[0].pack_name();
+    let pack_len: u64 = metas
+        .iter()
+        .filter(|m| m.pack_name() == pack)
+        .map(|m| m.len)
+        .sum();
+    let cut = pack_len * 3 / 4;
+    let killed = metas
+        .iter()
+        .filter(|m| m.pack_name() == pack && m.offset + m.len > cut)
+        .count();
+    assert!(killed > 0 && killed < 24, "the cut removes {killed} cells");
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(dir.join(PACKS_DIR).join(&pack))
+        .expect("open the pack")
+        .set_len(cut)
+        .expect("cut the pack");
 
     let (resumed, warm_stats) = cold();
     assert_eq!(resumed, reference, "resume must not change the figures");
