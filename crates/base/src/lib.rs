@@ -13,8 +13,9 @@
 //! - [`prop`] — the seeded case driver every property test runs under;
 //! - [`crc`] — the table-driven IEEE CRC-32 that segments, manifests,
 //!   consumer-state frames and shard frames carry;
-//! - [`spec`] — the `key=value,key=value` grammar behind both `--chaos`
-//!   flags;
+//! - [`spec`] — the `key=value,key=value` grammar behind `--chaos`;
+//! - [`fault`] — the one fault schedule: every fault kind of every plane,
+//!   its `--chaos` key, its salt and its decision;
 //! - [`metrics`] — the atomic registry, its one Prometheus-style renderer,
 //!   and [`metrics_family!`], which declares a family's metrics once.
 //!
@@ -25,6 +26,7 @@
 #![warn(missing_docs)]
 
 pub mod crc;
+pub mod fault;
 pub mod hash;
 pub mod metrics;
 pub mod prop;

@@ -13,11 +13,12 @@
 //! repo root. Usage: `cargo run --release -p lockdown-bench --bin
 //! proxy_json [--fidelity test|standard]` (prints to stdout).
 
+use lockdown_base::fault::FaultProfile;
 use lockdown_core::experiments::suite;
 use lockdown_core::{Context, Fidelity};
 use lockdown_shard::coord::{self, CoordOptions};
 use lockdown_shard::worker::serve_worker;
-use lockdown_wirechaos::{TcpProxy, WireChaosConfig};
+use lockdown_wirechaos::TcpProxy;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::Instant;
@@ -89,7 +90,7 @@ fn coordinated_pass(fidelity: Fidelity, opts: &CoordOptions, n: usize, proxied: 
             serve_worker(&Context::new(fidelity), &sopts, listener).expect("worker protocol")
         }));
         if proxied {
-            let proxy = TcpProxy::start("127.0.0.1:0", upstream, WireChaosConfig::zero())
+            let proxy = TcpProxy::start("127.0.0.1:0", upstream, FaultProfile::zero())
                 .expect("start proxy");
             addrs.push(proxy.addr().to_string());
             proxies.push(proxy);
@@ -122,7 +123,7 @@ fn main() {
     let sink = spawn_sink();
     let _ = bulk_pass(&sink);
     let direct_mibs = bulk_pass(&sink);
-    let proxy = TcpProxy::start("127.0.0.1:0", sink.as_str(), WireChaosConfig::zero())
+    let proxy = TcpProxy::start("127.0.0.1:0", sink.as_str(), FaultProfile::zero())
         .expect("start bulk proxy");
     let proxy_addr = proxy.addr().to_string();
     let _ = bulk_pass(&proxy_addr);

@@ -16,7 +16,7 @@
 //! Usage: `cargo run --release -p lockdown-bench --bin shard_json
 //! [--fidelity test|standard]` (prints to stdout).
 
-use lockdown_chaos::{ChaosConfig, ChaosInjector};
+use lockdown_base::fault::{FaultProfile, Schedule};
 use lockdown_core::experiments::suite::{self, suite_shard_cell_count};
 use lockdown_core::{Context, Fidelity};
 use lockdown_shard::coord::{self, chunk_ranges, CoordOptions};
@@ -49,20 +49,20 @@ fn coordinated_pass(fidelity: Fidelity, opts: &CoordOptions, n: usize) -> (f64, 
 
 /// A chaos seed that kills at least one first attempt on this plan's
 /// ranges and lets every retry through — pure reassignment cost.
-fn reassignment_seed(cells: usize, workers: usize, cpw: usize) -> ChaosConfig {
+fn reassignment_seed(cells: usize, workers: usize, cpw: usize) -> FaultProfile {
     let ranges = chunk_ranges(cells, workers, cpw);
     for seed in 0..10_000 {
-        let mut cfg = ChaosConfig::zero();
+        let mut cfg = FaultProfile::zero();
         cfg.seed = seed;
         cfg.wkill = 0.2;
-        let injector = ChaosInjector::new(cfg);
+        let schedule = Schedule::new(cfg);
         let mut kills = 0;
         let mut trouble = false;
         for &(s, e) in &ranges {
-            let a0 = injector.decide_worker(s, e, 0);
+            let a0 = schedule.decide_worker(s, e, 0);
             if a0.kill {
                 kills += 1;
-                let a1 = injector.decide_worker(s, e, 1);
+                let a1 = schedule.decide_worker(s, e, 1);
                 trouble |= a1.kill || a1.stall;
             }
         }

@@ -496,9 +496,9 @@ pub struct Sockets {
 /// counterpart of [`crate::CollectionPlane`].
 ///
 /// Differences from the loopback plane: the fault-injecting transport is
-/// replaced by the kernel (faults are whatever the sockets actually do —
-/// the configured [`crate::FaultProfile`] is ignored except for its
-/// restart cadence), drop ground truth comes from diffing the sender's
+/// replaced by the kernel (faults are whatever the sockets actually do, so
+/// a datagram fault in the [`crate::FaultProfile`] is refused; its restart
+/// cadence is honoured), drop ground truth comes from diffing the sender's
 /// datagram manifest against the workers' received log, and every drop is
 /// attributed to kernel, queue, or truncation. Cells are processed
 /// sequentially (`&mut self`): one daemon, one cycle at a time.
@@ -506,8 +506,19 @@ pub type SocketPlane = Plane<Sockets>;
 
 impl Plane<Sockets> {
     /// Bind a daemon per `dcfg` (its format is overridden by
-    /// `cfg.format`) and open the sending socket.
+    /// `cfg.format`) and open the sending socket. A non-zero `drop`, `dup`
+    /// or `reorder` in `cfg.faults` is [`io::ErrorKind::InvalidInput`]:
+    /// the kernel is this plane's transport.
     pub fn new(cfg: WireConfig, dcfg: CollectdConfig) -> io::Result<SocketPlane> {
+        let f = &cfg.faults;
+        for (key, p) in [("drop", f.drop), ("dup", f.dup), ("reorder", f.reorder)] {
+            if p != 0.0 {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!("the socket plane injects no datagram faults: {key}={p}"),
+                ));
+            }
+        }
         let metrics = CollectMetrics::new();
         let dcfg = CollectdConfig {
             format: cfg.format,

@@ -10,10 +10,10 @@
 //! proportionally. An atomic [`metrics::CollectMetrics`] registry observes
 //! every layer.
 //!
-//! Determinism contract: with a fixed `(seed, FaultProfile)` the whole
-//! plane is a pure function of cell content — figure output and the
+//! Determinism contract: with a fixed [`FaultProfile`] the whole plane is
+//! a pure function of cell content — figure output and the
 //! metrics snapshot are identical across runs and worker counts, and with
-//! [`transport::FaultProfile::zero`] the delivered records are exactly the
+//! [`FaultProfile::zero`] the delivered records are exactly the
 //! generated ones, so wire-mode figures match in-process figures byte for
 //! byte.
 
@@ -42,6 +42,7 @@ pub use daemon::{Collectd, CollectdConfig, Cycle, ReceivedDatagram, SocketPlane}
 pub use export::{ExportConfig, ExportSummary};
 pub use fleet::{DomainTruth, ExporterFleet, FleetConfig, FleetTruth, WireDatagram};
 pub use lockdown_audit as audit;
+pub use lockdown_base::fault::FaultProfile;
 pub use metrics::CollectMetrics;
 pub use queue::BoundedQueue;
 pub use shard::{
@@ -49,16 +50,12 @@ pub use shard::{
 };
 pub use socket::{peek, Recv, RecvSocket, SendSocket, WirePeek, MAX_UDP_PAYLOAD, RECV_BUF_LEN};
 pub use stages::Plane;
-pub use transport::{FaultProfile, Transport, TransportReport};
+pub use transport::{Transport, TransportReport};
 
-/// Initial constant of the per-cell seed fold over `(seed, stream, day,
-/// hour)`. Historical: every `--loss/--reorder/--dup` schedule is pinned
-/// to it (`lockdown_base::hash` tests hold the vector).
-const CELL_SEED_INIT: u64 = 0x51_7C_C1_B7_27_22_0A_95;
-
-/// Domain separator so transport fault draws never correlate with any
-/// other consumer of the cell seed.
-const TRANSPORT_SALT: u64 = 0x7472_616E_7370_6F72; // "transpor"
+/// Initial constant of the cell key the transport's schedule is keyed
+/// on, a fold of `(stream, day, hour)` (`lockdown_base::hash` tests hold
+/// the vector).
+const CELL_KEY_INIT: u64 = 0x51_7C_C1_B7_27_22_0A_95;
 
 /// Configuration of the whole wire path.
 #[derive(Debug, Clone, Copy)]
@@ -75,11 +72,9 @@ pub struct WireConfig {
     pub template_refresh: u32,
     /// Collector shards the observation domains are routed across.
     pub shards: usize,
-    /// Injected transport faults and restart cadence.
+    /// Injected transport faults, restart cadence and their seed (the
+    /// profile's other planes are not this path's).
     pub faults: FaultProfile,
-    /// Root seed for all fault schedules (mixed per cell with the stream's
-    /// wire id, date and hour).
-    pub seed: u64,
     /// Scale accepted records by estimated loss at session close so
     /// aggregates degrade proportionally instead of silently.
     pub renormalize: bool,
@@ -105,18 +100,11 @@ impl WireConfig {
             template_refresh: 8,
             shards: 4,
             faults: FaultProfile::zero(),
-            seed: 0,
             renormalize: true,
             initial_sequence: 0,
             boot_age_secs: 0,
             sampling: None,
         }
-    }
-
-    /// Same configuration with a different fault profile.
-    pub fn with_faults(mut self, faults: FaultProfile) -> WireConfig {
-        self.faults = faults.clamped();
-        self
     }
 
     /// The per-cell exporter-fleet configuration this wire path implies.
@@ -160,17 +148,15 @@ impl Plane<Loopback> {
         let cfg = &self.cfg;
         let (datagrams, exported) = self.export(&cell, flows);
 
-        let cell_seed = fold(
-            CELL_SEED_INIT,
+        let cell_key = fold(
+            CELL_KEY_INIT,
             [
-                cfg.seed,
                 u64::from(cell.stream.wire_id()),
                 cell.date.day_number() as u64,
                 u64::from(cell.hour),
             ],
         );
-        let transport = Transport::new(cfg.faults, cell_seed ^ TRANSPORT_SALT);
-        let (delivered, tr) = transport.deliver(datagrams);
+        let (delivered, tr) = Transport::new(cfg.faults, cell_key).deliver(datagrams);
         let m = &*self.metrics;
         m.transport_datagrams_delivered.add(tr.delivered);
         m.transport_datagrams_dropped.add(tr.dropped_datagrams);
@@ -280,12 +266,12 @@ mod tests {
         // ground truth exactly.
         cfg.template_refresh = 1;
         cfg.renormalize = false;
-        cfg.seed = 11;
         cfg.faults = FaultProfile {
-            loss: 0.12,
-            duplicate: 0.05,
+            seed: 11,
+            drop: 0.12,
+            dup: 0.05,
             reorder: 0.08,
-            restart_every: 0,
+            ..FaultProfile::zero()
         };
         let plane = CollectionPlane::new(cfg);
         let input = flows(4_000);
@@ -303,12 +289,10 @@ mod tests {
     fn renormalization_conserves_volume_proportionally() {
         let mut cfg = WireConfig::new();
         cfg.template_refresh = 1;
-        cfg.seed = 5;
         cfg.faults = FaultProfile {
-            loss: 0.2,
-            duplicate: 0.0,
-            reorder: 0.0,
-            restart_every: 0,
+            seed: 5,
+            drop: 0.2,
+            ..FaultProfile::zero()
         };
         let plane = CollectionPlane::new(cfg);
         let input = flows(4_000);
@@ -326,12 +310,13 @@ mod tests {
     #[test]
     fn deterministic_per_seed_and_profile() {
         let mut cfg = WireConfig::new();
-        cfg.seed = 3;
         cfg.faults = FaultProfile {
-            loss: 0.1,
-            duplicate: 0.1,
+            seed: 3,
+            drop: 0.1,
+            dup: 0.1,
             reorder: 0.1,
             restart_every: 4,
+            ..FaultProfile::zero()
         };
         let input = flows(1_000);
         let run = || {
@@ -344,7 +329,7 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(ma, mb);
         let mut cfg2 = cfg;
-        cfg2.seed = 4;
+        cfg2.faults.seed = 4;
         let plane = CollectionPlane::new(cfg2);
         let c = plane.process_cell(cell(), &input);
         assert_ne!(a, c, "a different seed must give a different schedule");
@@ -355,12 +340,7 @@ mod tests {
         let mut cfg = WireConfig::new();
         cfg.format = ExportFormat::NetflowV9;
         cfg.exporters = 2;
-        cfg.faults = FaultProfile {
-            loss: 0.0,
-            duplicate: 0.0,
-            reorder: 0.0,
-            restart_every: 3,
-        };
+        cfg.faults.restart_every = 3;
         let plane = CollectionPlane::new(cfg);
         let input = flows(2_000);
         let out = plane.process_cell(cell(), &input);

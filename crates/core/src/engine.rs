@@ -24,11 +24,11 @@
 
 use crate::context::Context;
 use crate::supervisor::{
-    AttemptError, DegradedReport, QuarantinedCell, Supervisor, SupervisorMetrics,
+    AttemptError, DegradedReport, InjectedPanic, QuarantinedCell, Supervisor, SupervisorMetrics,
 };
 use lockdown_analysis::codec::CodecError;
 use lockdown_analysis::consumer::FlowConsumer;
-use lockdown_chaos::{ChaosConfig, InjectedPanic, WriteFault};
+use lockdown_base::fault::{FaultProfile, WriteFault};
 use lockdown_collect::{CollectMetrics, CollectionPlane, WireConfig};
 use lockdown_flow::record::FlowRecord;
 use lockdown_flow::time::Date;
@@ -126,7 +126,7 @@ pub struct EnginePlan {
     subs: Vec<Subscription>,
     wire: Option<WireConfig>,
     archive: Option<PathBuf>,
-    chaos: ChaosConfig,
+    chaos: FaultProfile,
     scope: Option<String>,
 }
 
@@ -161,8 +161,8 @@ impl EnginePlan {
 
     /// Schedule deterministic faults and set the attempt budget and
     /// backoff of the pass's supervisor. Every pass runs supervised; the
-    /// default, [`ChaosConfig::zero`], injects nothing.
-    pub fn with_chaos(&mut self, cfg: ChaosConfig) -> &mut EnginePlan {
+    /// default, [`FaultProfile::zero`], injects nothing.
+    pub fn with_chaos(&mut self, cfg: FaultProfile) -> &mut EnginePlan {
         self.chaos = cfg;
         self
     }
@@ -1222,13 +1222,13 @@ mod tests {
         let (d1, d2) = (Date::new(2020, 3, 2), Date::new(2020, 3, 4));
         let degraded = |workers: usize| {
             let mut plan = EnginePlan::new();
-            plan.with_chaos(ChaosConfig {
+            plan.with_chaos(FaultProfile {
                 seed: 0xC4A05,
                 panic: 0.5,
                 attempts: 2,
                 backoff_base_ms: 0,
                 backoff_cap_ms: 0,
-                ..ChaosConfig::zero()
+                ..FaultProfile::zero()
             });
             let h = plan.scoped("fig-x", |p| {
                 p.subscribe(

@@ -11,7 +11,7 @@ use crate::context::Context;
 use crate::engine::{self, EngineOutput, EnginePlan, EngineStats, ShardAssembler, SliceOutcome};
 use crate::experiments::figures::{Figure, Finish, Section, FIGURES};
 use crate::supervisor::{DegradedReport, SupervisorMetrics};
-use lockdown_chaos::ChaosConfig;
+use lockdown_base::fault::FaultProfile;
 use lockdown_collect::{CollectMetrics, WireConfig};
 use lockdown_store::{StoreError, StoreMetrics};
 use std::path::{Path, PathBuf};
@@ -45,8 +45,8 @@ pub struct SuiteOptions {
     /// Spill/replay cells against a columnar archive at this directory.
     pub archive: Option<PathBuf>,
     /// The fault schedule, attempt budget and backoff of the pass's
-    /// supervisor; `None` means [`ChaosConfig::zero`].
-    pub chaos: Option<ChaosConfig>,
+    /// supervisor; `None` means [`FaultProfile::zero`].
+    pub chaos: Option<FaultProfile>,
 }
 
 /// The planned figures' pending halves, in table order.
@@ -154,7 +154,7 @@ pub struct ShardSuiteOptions {
     pub archive: Option<PathBuf>,
     /// The fault schedule of worker slices (and, via `wkill`/`wstall`,
     /// of coordinator-side worker faults), plus the attempt budget.
-    pub chaos: ChaosConfig,
+    pub chaos: FaultProfile,
 }
 
 fn shard_plan(ctx: &Context, opts: &ShardSuiteOptions) -> (EnginePlan, Pending) {

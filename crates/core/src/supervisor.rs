@@ -12,13 +12,13 @@
 //! instead of a violation. An archived segment that fails to read is not
 //! even a failed attempt — the cell is regenerated inline.
 //!
-//! All fault *scheduling* lives in [`lockdown_chaos`] and is a pure
+//! All fault *scheduling* lives in [`lockdown_base::fault`] and is a pure
 //! function of `(seed, cell, attempt)`, so the quarantine set of a chaos
 //! run is identical across repeat runs and worker counts — which is what
 //! the failure-injection tests assert. The default
-//! [`ChaosConfig::zero`] schedules nothing.
+//! [`FaultProfile::zero`] schedules nothing.
 
-use lockdown_chaos::{CellChaos, ChaosConfig, ChaosInjector, InjectedPanic};
+use lockdown_base::fault::{CellFaults, FaultProfile, Schedule};
 use lockdown_traffic::plan::Cell;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, Once};
@@ -115,6 +115,21 @@ impl DegradedReport {
     }
 }
 
+/// Payload of an injected worker panic. Carried through
+/// `std::panic::panic_any` so the panic hook can tell scheduled chaos
+/// (silenced) from a genuine bug (reported as usual).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct InjectedPanic {
+    /// Wire id of the stream whose cell panicked.
+    pub wire_id: u32,
+    /// Day number of the cell's date.
+    pub day_number: i64,
+    /// Hour of day.
+    pub hour: u8,
+    /// Which attempt the panic was scheduled for.
+    pub attempt: u32,
+}
+
 /// Install (once, process-wide) a panic hook that silences scheduled
 /// chaos panics — their payload is [`InjectedPanic`] — and forwards
 /// everything else to the previous hook. Without this, a chaos run's
@@ -158,26 +173,23 @@ impl AttemptError {
 /// `supervisor_*` metrics, and the quarantine list.
 #[derive(Debug)]
 pub struct Supervisor {
-    injector: ChaosInjector,
+    schedule: Schedule,
+    attempts: u32,
     metrics: Arc<SupervisorMetrics>,
     quarantined: Mutex<Vec<QuarantinedCell>>,
 }
 
 impl Supervisor {
-    /// A supervisor for one pass. A [`ChaosConfig::zero`] configuration
+    /// A supervisor for one pass. A [`FaultProfile::zero`] configuration
     /// gives panic isolation and retries without any injected faults.
-    pub fn new(cfg: ChaosConfig) -> Supervisor {
+    pub fn new(cfg: FaultProfile) -> Supervisor {
         install_quiet_panic_hook();
         Supervisor {
-            injector: ChaosInjector::new(cfg),
+            schedule: Schedule::new(cfg),
+            attempts: cfg.attempts.max(1),
             metrics: SupervisorMetrics::new(),
             quarantined: Mutex::new(Vec::new()),
         }
-    }
-
-    /// The configuration driving this supervisor.
-    pub fn config(&self) -> &ChaosConfig {
-        self.injector.config()
     }
 
     /// Shared handle to the `supervisor_*` metrics.
@@ -187,12 +199,12 @@ impl Supervisor {
 
     /// Per-cell attempt budget.
     pub(crate) fn attempts(&self) -> u32 {
-        self.config().attempts.max(1)
+        self.attempts
     }
 
     /// The fault schedule for one `(cell, attempt)` slot.
-    pub(crate) fn decide(&self, cell: Cell, attempt: u32) -> CellChaos {
-        self.injector.decide(
+    pub(crate) fn decide(&self, cell: Cell, attempt: u32) -> CellFaults {
+        self.schedule.decide(
             cell.stream.wire_id(),
             cell.date.day_number(),
             cell.hour,
@@ -203,7 +215,7 @@ impl Supervisor {
     /// Serve the deterministic backoff delay before retry `attempt` and
     /// account it. Returns the delay in milliseconds.
     pub(crate) fn backoff(&self, cell: Cell, attempt: u32) -> u64 {
-        let ms = self.injector.backoff_ms(
+        let ms = self.schedule.backoff_ms(
             cell.stream.wire_id(),
             cell.date.day_number(),
             cell.hour,
@@ -272,16 +284,16 @@ mod tests {
 
     #[test]
     fn zero_config_supervisor_schedules_nothing() {
-        let s = Supervisor::new(ChaosConfig::zero());
+        let s = Supervisor::new(FaultProfile::zero());
         for h in 0..24 {
-            assert!(s.decide(cell(h), 0).is_clean());
+            assert_eq!(s.decide(cell(h), 0), CellFaults::default());
         }
         assert_eq!(s.metrics.retries.get(), 0);
     }
 
     #[test]
     fn quarantine_set_is_sorted_and_counted() {
-        let s = Supervisor::new(ChaosConfig::zero());
+        let s = Supervisor::new(FaultProfile::zero());
         s.quarantine(cell(9), 3, "panic: injected".into());
         s.quarantine(cell(2), 3, "torn write".into());
         let q = s.quarantined();

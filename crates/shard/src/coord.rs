@@ -25,7 +25,7 @@
 //! redial fails (process dead, listener gone) or the reconnect budget
 //! is spent does the range go back on the queue for another worker.
 
-use lockdown_chaos::ChaosInjector;
+use lockdown_base::fault::Schedule;
 use lockdown_core::engine::SliceOutcome;
 use lockdown_core::experiments::suite::{ShardSuiteOptions, Suite, SuiteAssembler};
 use lockdown_core::Context;
@@ -375,7 +375,7 @@ pub fn coordinate(
         handshake(link, &identity, opts.heartbeat_timeout)?;
     }
 
-    let injector = ChaosInjector::new(opts.suite.chaos);
+    let schedule = Schedule::new(opts.suite.chaos);
     let budget = opts.suite.chaos.attempts.max(1);
     let chunks = chunk_ranges(assembler.cell_count(), links.len(), opts.chunks_per_worker);
     let dispatch = Mutex::new(Dispatch {
@@ -401,7 +401,7 @@ pub fn coordinate(
                     &dispatch,
                     &ready,
                     &identity,
-                    &injector,
+                    &schedule,
                     budget,
                     stall_ms,
                     opts.heartbeat_timeout,
@@ -548,7 +548,7 @@ fn worker_loop(
     dispatch: &Mutex<Dispatch>,
     ready: &Condvar,
     identity: &Identity,
-    injector: &ChaosInjector,
+    schedule: &Schedule,
     budget: u32,
     stall_ms: u32,
     timeout: Duration,
@@ -578,7 +578,7 @@ fn worker_loop(
             return;
         };
 
-        let chaos = injector.decide_worker(start, end, attempt);
+        let chaos = schedule.decide_worker(start, end, attempt);
         let assign = Assign {
             start,
             end,

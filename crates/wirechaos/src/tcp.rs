@@ -3,23 +3,34 @@
 //!
 //! One proxy is one listener plus two pump threads per accepted
 //! connection (one per direction). A pump reads up to [`CHUNK_LEN`]
-//! bytes, asks the [`WireSchedule`] what to do with chunk `i` of its
+//! bytes, asks the [`Schedule`] what to do with chunk `i` of its
 //! `(connection, direction)`, and relays, mangles, delays or severs
 //! accordingly. Clean EOF propagates as a write-side shutdown so
 //! half-closed protocols still drain; severing faults shut down both
 //! sockets in both directions so each end observes the failure rather
 //! than waiting on a ghost.
 
-use crate::{ChunkFault, Direction, ProxyMetrics, WireChaosConfig, WireSchedule, CHUNK_LEN};
+use crate::ProxyMetrics;
+use lockdown_base::fault::{ChunkFault, FaultProfile, Schedule};
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Poll tick for stoppable blocking operations.
 const POLL: Duration = Duration::from_millis(20);
+
+/// Relay buffer size: one proxied "chunk" is one `read` into this much.
+const CHUNK_LEN: usize = 64 << 10;
+
+/// Client → upstream or back; the value is a schedule key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Direction {
+    Up = 0,
+    Down = 1,
+}
 
 /// A running TCP wire-chaos proxy.
 #[derive(Debug)]
@@ -32,34 +43,25 @@ pub struct TcpProxy {
 
 impl TcpProxy {
     /// Bind `listen`, and relay every accepted connection to `upstream`
-    /// through the fault schedule seeded by `cfg`.
+    /// through the fault schedule of `cfg`.
     pub fn start(
         listen: impl ToSocketAddrs,
         upstream: impl ToSocketAddrs,
-        cfg: WireChaosConfig,
+        cfg: FaultProfile,
     ) -> io::Result<TcpProxy> {
         let listener = TcpListener::bind(listen)?;
         let upstream = upstream
             .to_socket_addrs()?
             .next()
             .ok_or_else(|| io::Error::other("upstream resolved to no address"))?;
-        TcpProxy::start_on(listener, upstream, cfg)
-    }
-
-    /// Like [`TcpProxy::start`] but over an already-bound listener.
-    pub fn start_on(
-        listener: TcpListener,
-        upstream: SocketAddr,
-        cfg: WireChaosConfig,
-    ) -> io::Result<TcpProxy> {
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
         let metrics = ProxyMetrics::new();
-        let schedule = WireSchedule::new(cfg);
+        let schedule = Schedule::new(cfg);
         // The deterministic cut-payload fault fires at most once per
-        // proxy lifetime; this is its one-shot trigger.
-        let cut = Arc::new(AtomicBool::new(cfg.cut_payload > 0));
+        // proxy lifetime: its threshold, zeroed when it fires.
+        let cut = Arc::new(AtomicUsize::new(cfg.cut_payload));
 
         let accept = {
             let stop = Arc::clone(&stop);
@@ -138,10 +140,10 @@ fn spawn_pumps(
     client: TcpStream,
     server: TcpStream,
     conn: u64,
-    schedule: WireSchedule,
+    schedule: Schedule,
     metrics: &Arc<ProxyMetrics>,
     stop: &Arc<AtomicBool>,
-    cut: &Arc<AtomicBool>,
+    cut: &Arc<AtomicUsize>,
 ) {
     // A severing fault in either pump must kill both directions; the
     // shared flag is how the surviving pump learns.
@@ -184,11 +186,12 @@ struct Pump {
     dst: TcpStream,
     dir: Direction,
     conn: u64,
-    schedule: WireSchedule,
+    schedule: Schedule,
     metrics: Arc<ProxyMetrics>,
     stop: Arc<AtomicBool>,
     dead: Arc<AtomicBool>,
-    cut: Arc<AtomicBool>,
+    /// The one-shot `cut-payload` threshold (0: spent or never).
+    cut: Arc<AtomicUsize>,
 }
 
 impl Pump {
@@ -227,11 +230,11 @@ impl Pump {
             // The one-shot deterministic cut beats the random draws: a
             // reconnect gate needs its mid-frame reset exactly where the
             // schedule cannot guarantee one.
-            let cut_at = self.schedule.config().cut_payload;
+            let cut_at = self.cut.load(Ordering::Relaxed);
             if self.dir == Direction::Down
                 && cut_at > 0
                 && n >= cut_at
-                && self.cut.swap(false, Ordering::Relaxed)
+                && self.cut.swap(0, Ordering::Relaxed) == cut_at
             {
                 self.metrics.truncated.inc();
                 let _ = self.dst.write_all(&chunk[..n / 2]);
@@ -240,7 +243,8 @@ impl Pump {
                 return;
             }
 
-            let fault = self.schedule.tcp_fault(self.conn, self.dir, chunk_idx, n);
+            let dir = self.dir as u64;
+            let fault = self.schedule.chunk(self.conn, dir, chunk_idx, n);
             chunk_idx += 1;
             match fault {
                 ChunkFault::Reset => {
@@ -248,7 +252,7 @@ impl Pump {
                     self.sever();
                     return;
                 }
-                ChunkFault::Stall => {
+                ChunkFault::Hold => {
                     // Hold both sockets open and go silent: the fault a
                     // frame deadline exists to catch.
                     self.metrics.stalls.inc();
@@ -357,7 +361,7 @@ mod tests {
     #[test]
     fn passthrough_is_byte_faithful() {
         let (upstream, _srv) = echo_server();
-        let mut proxy = TcpProxy::start("127.0.0.1:0", upstream, WireChaosConfig::zero()).unwrap();
+        let mut proxy = TcpProxy::start("127.0.0.1:0", upstream, FaultProfile::zero()).unwrap();
         let mut c = TcpStream::connect(proxy.addr()).unwrap();
         let payload: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
         c.write_all(&payload).unwrap();
@@ -367,7 +371,18 @@ mod tests {
         assert_eq!(got, payload);
         let m = proxy.metrics();
         assert_eq!(m.connections.get(), 1);
-        assert_eq!(m.faults(), 0, "passthrough injects nothing");
+        let faults = [
+            &m.corrupted,
+            &m.truncated,
+            &m.split,
+            &m.delayed,
+            &m.resets,
+            &m.stalls,
+        ];
+        assert!(
+            faults.iter().all(|f| f.get() == 0),
+            "passthrough injects nothing"
+        );
         assert_eq!(m.bytes_up.get(), payload.len() as u64);
         proxy.shutdown();
     }
@@ -375,7 +390,12 @@ mod tests {
     #[test]
     fn corrupt_flips_exactly_the_scheduled_bytes() {
         let (upstream, _srv) = echo_server();
-        let cfg = WireChaosConfig::parse("seed=2,corrupt=1,min-len=8").unwrap();
+        let cfg = FaultProfile {
+            seed: 2,
+            corrupt: 1.0,
+            min_len: 8,
+            ..FaultProfile::zero()
+        };
         let mut proxy = TcpProxy::start("127.0.0.1:0", upstream, cfg).unwrap();
         let mut c = TcpStream::connect(proxy.addr()).unwrap();
         let payload = vec![0u8; 1024];
@@ -393,7 +413,10 @@ mod tests {
     #[test]
     fn cut_payload_severs_mid_chunk_once() {
         let (upstream, _srv) = echo_server();
-        let cfg = WireChaosConfig::parse("cut-payload=1000").unwrap();
+        let cfg = FaultProfile {
+            cut_payload: 1000,
+            ..FaultProfile::zero()
+        };
         let mut proxy = TcpProxy::start("127.0.0.1:0", upstream, cfg).unwrap();
 
         // First connection: a big echo comes back cut roughly in half,
@@ -422,7 +445,11 @@ mod tests {
     #[test]
     fn split_still_delivers_every_byte() {
         let (upstream, _srv) = echo_server();
-        let cfg = WireChaosConfig::parse("seed=4,split=1").unwrap();
+        let cfg = FaultProfile {
+            seed: 4,
+            split: 1.0,
+            ..FaultProfile::zero()
+        };
         let mut proxy = TcpProxy::start("127.0.0.1:0", upstream, cfg).unwrap();
         let mut c = TcpStream::connect(proxy.addr()).unwrap();
         let payload: Vec<u8> = (0..2000u32).map(|i| (i % 13) as u8).collect();

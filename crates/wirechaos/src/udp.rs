@@ -2,12 +2,14 @@
 //!
 //! The collection plane is one-way (exporters send, collectd listens),
 //! so the forward path carries the fault schedule — drop, duplicate,
-//! corrupt, delay — keyed on the datagram's arrival index. A reverse
+//! corrupt, delay — keyed on the datagram's arrival index; drop and
+//! duplicate are the in-process transport's own body. A reverse
 //! pump still exists (replies from the upstream go back to the most
 //! recent client) but relays faithfully; none of our planes answer
 //! over UDP today.
 
-use crate::{ProxyMetrics, UdpFault, WireChaosConfig, WireSchedule};
+use crate::ProxyMetrics;
+use lockdown_base::fault::{DatagramFault, FaultProfile, Schedule};
 use std::io::{self, ErrorKind};
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -33,11 +35,11 @@ pub struct UdpProxy {
 
 impl UdpProxy {
     /// Bind `listen` and relay datagrams to `upstream` through the
-    /// fault schedule seeded by `cfg`.
+    /// fault schedule of `cfg`.
     pub fn start(
         listen: impl ToSocketAddrs,
         upstream: impl ToSocketAddrs,
-        cfg: WireChaosConfig,
+        cfg: FaultProfile,
     ) -> io::Result<UdpProxy> {
         let front = UdpSocket::bind(listen)?;
         let upstream = upstream
@@ -53,7 +55,7 @@ impl UdpProxy {
 
         let stop = Arc::new(AtomicBool::new(false));
         let metrics = ProxyMetrics::new();
-        let schedule = WireSchedule::new(cfg);
+        let schedule = Schedule::new(cfg);
         let last_client: Arc<Mutex<Option<SocketAddr>>> = Arc::new(Mutex::new(None));
         let mut threads = Vec::with_capacity(2);
 
@@ -84,28 +86,28 @@ impl UdpProxy {
                     };
                     *last_client.lock().expect("client-addr lock") = Some(from);
                     metrics.datagrams.inc();
-                    let fault = schedule.udp_fault(idx, n);
+                    let fault = schedule.datagram(0, idx, n);
                     idx += 1;
                     match fault {
-                        UdpFault::Drop => {
+                        DatagramFault::Drop => {
                             metrics.dropped.inc();
                         }
-                        UdpFault::Duplicate => {
+                        DatagramFault::Duplicate => {
                             metrics.duplicated.inc();
                             let _ = back.send_to(&buf[..n], upstream);
                             let _ = back.send_to(&buf[..n], upstream);
                         }
-                        UdpFault::Corrupt { index, xor } => {
+                        DatagramFault::Corrupt { index, xor } => {
                             metrics.corrupted.inc();
                             buf[index] ^= xor;
                             let _ = back.send_to(&buf[..n], upstream);
                         }
-                        UdpFault::Delay(ms) => {
+                        DatagramFault::Delay(ms) => {
                             metrics.delayed.inc();
                             std::thread::sleep(Duration::from_millis(ms));
                             let _ = back.send_to(&buf[..n], upstream);
                         }
-                        UdpFault::None => {
+                        DatagramFault::None => {
                             let _ = back.send_to(&buf[..n], upstream);
                         }
                     }
@@ -183,7 +185,13 @@ mod tests {
         let sink = UdpSocket::bind("127.0.0.1:0").unwrap();
         sink.set_read_timeout(Some(Duration::from_millis(50)))
             .unwrap();
-        let cfg = WireChaosConfig::parse("seed=6,drop=0.25,dup=0.25,corrupt=0.25").unwrap();
+        let cfg = FaultProfile {
+            seed: 6,
+            drop: 0.25,
+            dup: 0.25,
+            corrupt: 0.25,
+            ..FaultProfile::zero()
+        };
         let mut proxy = UdpProxy::start("127.0.0.1:0", sink.local_addr().unwrap(), cfg).unwrap();
 
         let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
@@ -213,11 +221,18 @@ mod tests {
         let duplicated = m.duplicated.get();
         let corrupted = m.corrupted.get();
         assert_eq!(m.datagrams.get(), SENT);
-        assert!(
-            dropped > 0 && duplicated > 0 && corrupted > 0,
+        // The counters are the schedule's, predicted over arrival indices
+        // without running the proxy.
+        let s = Schedule::new(cfg);
+        let predict = |f| (0..SENT).filter(|&i| s.datagram(0, i, 64) == f).count() as u64;
+        assert_eq!(dropped, predict(DatagramFault::Drop), "{}", m.render());
+        assert_eq!(
+            duplicated,
+            predict(DatagramFault::Duplicate),
             "{}",
             m.render()
         );
+        assert!(corrupted > 0, "{}", m.render());
         // Conservation: every sent datagram is delivered, dropped, or
         // delivered twice — nothing vanishes unaccounted.
         assert_eq!(received, SENT - dropped + duplicated, "{}", m.render());

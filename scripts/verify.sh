@@ -51,6 +51,20 @@ if grep -rn --include='*.rs' 'HashMap' crates/traffic/src >&2; then
     echo "said-once: a hash map is back under crates/traffic/src (resolve pools in Picker::new)" >&2
     exit 1
 fi
+# One fault schedule: every fault kind's salt is spelled in base::fault,
+# and the datagram planes decide by key, never from a sequential stream
+# whose draws shift with every earlier fate.
+salts=$(grep -rnE --include='*.rs' 'const [A-Z0-9_]*_SALT: u64' crates src |
+    grep -v '^crates/base/src/fault.rs:' || true)
+if [[ -n "$salts" ]]; then
+    echo "said-once: a fault salt outside crates/base/src/fault.rs:" >&2
+    echo "$salts" >&2
+    exit 1
+fi
+if grep -rn 'SplitMix' crates/collect/src/transport.rs crates/wirechaos/src >&2; then
+    echo "said-once: a sequential stream decides datagram faults again (key them in base::fault)" >&2
+    exit 1
+fi
 # The engine has one scheduler: one scope its workers run in, one loop
 # that runs a cell, one panic boundary around a cell attempt. A second of
 # any is a fork of the pass core.

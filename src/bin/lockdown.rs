@@ -8,10 +8,10 @@
 //! small); every subcommand prints human-oriented tables.
 
 use lockdown::analysis::prelude::*;
-use lockdown::chaos::ChaosConfig;
+use lockdown::base::fault::{FaultProfile, Plane};
 use lockdown::collect::soak::{self, SoakConfig};
 use lockdown::collect::{
-    export, CollectMetrics, Collectd, CollectdConfig, ExportConfig, FaultProfile, WireConfig,
+    export, CollectMetrics, Collectd, CollectdConfig, ExportConfig, WireConfig,
 };
 use lockdown::core::experiments::{figures, suite};
 use lockdown::core::serve::suite_plan_hash;
@@ -58,7 +58,7 @@ type Handler = fn(&[String], &[&String]) -> Result<ExitCode, String>;
 #[rustfmt::skip] // a table: one row per line
 const COMMANDS: &[(&str, &str, &str, Handler)] = &[
     ("figures",
-        "--fidelity --scenario --loss --reorder --dup --restart --archive --chaos",
+        "--fidelity --scenario --archive --chaos",
         "--wire", cmd_figures),
     ("coordinate",
         "--workers --attach --fidelity --scenario --archive --chaos --chunks --timeout-ms",
@@ -116,7 +116,6 @@ USAGE:
   lockdown figures [--fidelity test|standard] [NAME...]
                    [--scenario FILE] [--wire] [--archive DIR]
                    [--chaos SPEC]
-                   [--loss P] [--reorder P] [--dup P] [--restart N]
       Render figures/tables (default: all) in one engine pass. Names:
       fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 edu sec3.4 sec9
       table1 table2, or a single section as 'lockdown serve' names them
@@ -127,9 +126,7 @@ USAGE:
       --wire routes the full suite through the export -> faulty transport
       -> collect plane (zero faults keep output byte-identical), keeping a
       conservation ledger over every stage; the metrics snapshot and the
-      audit report go to stderr, and a violated identity exits 1. P are
-      probabilities in [0,0.95]; N is an exporter restart cadence in
-      datagrams.
+      audit report go to stderr, and a violated identity exits 1.
       --archive DIR runs the full suite against a columnar cell archive:
       cold (generate + spill segments) when DIR has no covering manifest
       for this seed/scenario, warm (replay, zero generation) when it does.
@@ -142,9 +139,12 @@ USAGE:
       cell; an archived segment that fails to read is regenerated, and
       with --archive a killed pass resumes from its journal. The
       supervisor_* metrics snapshot goes to stderr. --chaos SPEC
-      schedules faults: comma-separated key=value pairs seed=N panic=P
-      torn=P enospc=P stall=P attempts=N backoff=MS cap=MS (all
-      optional; probabilities in [0,1]).
+      schedules faults as comma-separated key=value pairs, all optional:
+      seed=N panic=P torn=P enospc=P attempts=N backoff=MS cap=MS, and
+      with --wire stall=P (exporter stall) restart=N (exporter reboot
+      every N datagrams) reorder=P drop=P dup=P (the last three at most
+      0.95). Probabilities are in [0,1]; a key of a plane the pass does
+      not run is an error naming it.
   lockdown coordinate (--workers N | --attach ADDR,ADDR,...)
                       [--fidelity test|standard] [--scenario FILE]
                       [--archive DIR] [--chaos SPEC]
@@ -159,14 +159,15 @@ USAGE:
       flags (the identity handshake rejects a mismatch). With
       --archive DIR workers spill segments into the shared directory
       and the coordinator adopts them into ONE manifest, so a warm
-      re-run (any worker count) regenerates zero cells. --chaos adds
-      wkill=P / wstall=P: seeded worker kills and heartbeat stalls,
-      decided per (range, attempt) so the schedule survives
-      reassignment. A dead worker's range is retried on a live worker;
-      a range that outlives the attempt budget is quarantined and the
-      suite completes degraded (exit 3). --chunks sets work-queue
-      ranges per worker (default 4); --timeout-ms the heartbeat
-      timeout (default 2000).
+      re-run (any worker count) regenerates zero cells. --chaos takes
+      the supervisor keys of figures (seed=N panic=P torn=P enospc=P
+      attempts=N backoff=MS cap=MS) and wkill=P wstall=P: seeded worker
+      kills and heartbeat stalls, decided per (range, attempt) so the
+      schedule survives reassignment. A dead worker's range is retried
+      on a live worker; a range that outlives the attempt budget is
+      quarantined and the suite completes degraded (exit 3). --chunks
+      sets work-queue ranges per worker (default 4); --timeout-ms the
+      heartbeat timeout (default 2000).
   lockdown worker [--listen HOST:PORT] [--fidelity test|standard]
                   [--scenario FILE] [--archive DIR] [--chaos SPEC]
       Run one shard worker: print 'listening on HOST:PORT' (first
@@ -177,7 +178,9 @@ USAGE:
       as hostile: every frame carries a CRC-32, reads run under a
       whole-frame deadline, and finished slices are retained across
       connection loss — a coordinator that redials resumes them
-      byte-identically instead of recomputing.
+      byte-identically instead of recomputing. --chaos is the
+      coordinator's: seed=N panic=P torn=P enospc=P attempts=N
+      backoff=MS cap=MS wkill=P wstall=P.
   lockdown chaosproxy --upstream HOST:PORT [--listen HOST:PORT]
                       [--chaos SPEC] [--udp]
       Interpose a seeded hostile wire between two lockdown processes:
@@ -188,13 +191,15 @@ USAGE:
       every run. Runs until stdin reaches EOF, then prints the
       wirechaos_* metrics snapshot to stderr. SPEC keys (comma-
       separated key=value; probabilities in [0,1]): seed=N corrupt=P
-      trunc=P split=P delay=P delay-ms=MS reset=P stall=P drop=P
-      dup=P min-len=BYTES (spare chunks smaller than BYTES from
-      corrupt/trunc — e.g. 512 mangles bulk payloads but not control
-      frames) cut-payload=BYTES (one-shot: sever the first upstream->
-      client chunk of at least BYTES halfway through — a deterministic
-      mid-frame reset). --udp proxies datagrams instead (drop/dup/
-      corrupt/delay apply; replies relay to the last client unfaulted).
+      delay=P delay-ms=MS min-len=BYTES (spare chunks smaller than
+      BYTES from corrupt/trunc — e.g. 512 mangles bulk payloads but not
+      control frames); over TCP trunc=P split=P reset=P hold=P (stop
+      relaying a direction, held open; the proxy's old 'stall', now
+      only the wired figures pass's exporter stall) cut-payload=BYTES
+      (one-shot: sever the first upstream->client chunk of at least
+      BYTES halfway through — a deterministic mid-frame reset). --udp
+      proxies datagrams instead: drop=P dup=P (at most 0.95) with
+      corrupt and delay; replies relay to the last client unfaulted.
       Insert between coordinate and workers (the coordinator attaches
       to the proxy), between export and collectd (--udp), or between
       loadgen and serve.
@@ -366,32 +371,6 @@ fn parse_fidelity(rest: &[String]) -> Result<Fidelity, String> {
     }
 }
 
-fn parse_prob(rest: &[String], name: &str) -> Result<f64, String> {
-    match flag(rest, name) {
-        None => Ok(0.0),
-        Some(s) => {
-            let p: f64 = s.parse().map_err(|_| format!("bad {name}: {s}"))?;
-            let max = FaultProfile::MAX_PROBABILITY;
-            if !(0.0..=max).contains(&p) {
-                return Err(format!("{name} must be in [0,{max}]: {s}"));
-            }
-            Ok(p)
-        }
-    }
-}
-
-/// The fault profile described by `--loss/--reorder/--dup/--restart`.
-fn parse_faults(rest: &[String]) -> Result<FaultProfile, String> {
-    let mut faults = FaultProfile::zero();
-    faults.loss = parse_prob(rest, "--loss")?;
-    faults.reorder = parse_prob(rest, "--reorder")?;
-    faults.duplicate = parse_prob(rest, "--dup")?;
-    if let Some(s) = flag(rest, "--restart") {
-        faults.restart_every = s.parse().map_err(|_| format!("bad --restart: {s}"))?;
-    }
-    Ok(faults)
-}
-
 fn parse_vantage(s: &str) -> Result<VantagePoint, String> {
     VantagePoint::ALL
         .into_iter()
@@ -416,14 +395,33 @@ fn parse_context(rest: &[String]) -> Result<Context, String> {
     })
 }
 
-/// The fault schedule described by `--chaos SPEC`.
-fn parse_chaos(rest: &[String]) -> Result<Option<ChaosConfig>, String> {
-    match flag(rest, "--chaos") {
-        None => Ok(None),
-        Some(spec) => ChaosConfig::parse(&spec)
-            .map(Some)
-            .map_err(|e| format!("bad --chaos spec: {e}")),
+/// The fault planes `command` runs under the flags in `rest`, and how to
+/// name it in a refusal.
+fn chaos_planes(command: &str, rest: &[String]) -> (&'static str, &'static [Plane]) {
+    let set = |f: &str| rest.iter().any(|a| a == f);
+    match command {
+        "figures" if set("--wire") => (
+            "figures --wire",
+            &[Plane::Supervisor, Plane::Wire, Plane::Datagram],
+        ),
+        "figures" => ("figures without --wire", &[Plane::Supervisor]),
+        "coordinate" => ("coordinate", &[Plane::Supervisor, Plane::Shard]),
+        "worker" => ("worker", &[Plane::Supervisor, Plane::Shard]),
+        "chaosproxy" if set("--udp") => ("chaosproxy --udp", &[Plane::Proxy, Plane::Datagram]),
+        "chaosproxy" => ("chaosproxy", &[Plane::Proxy, Plane::Tcp]),
+        _ => ("", &[]),
     }
+}
+
+/// The fault profile `--chaos SPEC` describes for `command`.
+fn parse_chaos(rest: &[String], command: &str) -> Result<Option<FaultProfile>, String> {
+    let Some(spec) = flag(rest, "--chaos") else {
+        return Ok(None);
+    };
+    let (label, planes) = chaos_planes(command, rest);
+    FaultProfile::parse(&spec, label, planes)
+        .map(Some)
+        .map_err(|e| format!("bad --chaos spec: {e}"))
 }
 
 /// Print the supervisor metrics and any degraded pass's report (stderr)
@@ -440,17 +438,12 @@ fn degraded_exit(suite: &suite::Suite) -> ExitCode {
 }
 
 fn cmd_figures(rest: &[String], names: &[&String]) -> Result<ExitCode, String> {
-    let faults = parse_faults(rest)?;
-    let wire = if rest.iter().any(|a| a == "--wire") {
-        Some(WireConfig::new().with_faults(faults))
-    } else {
-        if !faults.is_zero() {
-            return Err("fault flags (--loss/--reorder/--dup/--restart) require --wire".into());
-        }
-        None
-    };
+    let chaos = parse_chaos(rest, "figures")?;
+    let wire = rest.iter().any(|a| a == "--wire").then(|| WireConfig {
+        faults: chaos.unwrap_or_default(),
+        ..WireConfig::new()
+    });
     let archive = flag(rest, "--archive");
-    let chaos = parse_chaos(rest)?;
     let all = names.is_empty();
     if wire.is_some() && !all {
         return Err("--wire applies to the full suite; drop the figure names".into());
@@ -511,7 +504,7 @@ fn cmd_coordinate(rest: &[String], _: &[&String]) -> Result<ExitCode, String> {
     let mut opts = CoordOptions::default();
     opts.suite = suite::ShardSuiteOptions {
         archive: flag(rest, "--archive").map(|d| Path::new(&d).to_path_buf()),
-        chaos: parse_chaos(rest)?.unwrap_or_default(),
+        chaos: parse_chaos(rest, "coordinate")?.unwrap_or_default(),
     };
     opts.chunks_per_worker = parse_count(rest, "--chunks", opts.chunks_per_worker)?;
     if let Some(ms) = flag(rest, "--timeout-ms") {
@@ -590,7 +583,7 @@ fn cmd_worker(rest: &[String], _: &[&String]) -> Result<ExitCode, String> {
     let ctx = parse_context(rest)?;
     let opts = suite::ShardSuiteOptions {
         archive: flag(rest, "--archive").map(|d| Path::new(&d).to_path_buf()),
-        chaos: parse_chaos(rest)?.unwrap_or_default(),
+        chaos: parse_chaos(rest, "worker")?.unwrap_or_default(),
     };
     let addr = flag(rest, "--listen").unwrap_or_else(|| "127.0.0.1:0".into());
     // Bind before anything else: a port conflict must be diagnosable
@@ -618,12 +611,7 @@ fn cmd_chaosproxy(rest: &[String], _: &[&String]) -> Result<ExitCode, String> {
         .parse()
         .map_err(|_| format!("bad --upstream (want HOST:PORT): {upstream}"))?;
     let listen = flag(rest, "--listen").unwrap_or_else(|| "127.0.0.1:0".into());
-    let cfg = match flag(rest, "--chaos") {
-        None => wirechaos::WireChaosConfig::zero(),
-        Some(spec) => {
-            wirechaos::WireChaosConfig::parse(&spec).map_err(|e| format!("bad --chaos: {e}"))?
-        }
-    };
+    let cfg = parse_chaos(rest, "chaosproxy")?.unwrap_or_default();
     let udp = rest.iter().any(|a| a == "--udp");
 
     // Bind before anything else: exit 2 on a port conflict, as for
@@ -1259,13 +1247,16 @@ fn cmd_vpn_scan(_: &[String], _: &[&String]) -> Result<ExitCode, String> {
 
 #[cfg(test)]
 mod tests {
-    use super::{COMMANDS, USAGE};
+    use super::{chaos_planes, COMMANDS, USAGE};
+    use lockdown::base::fault::{Plane, KEYS};
     use std::collections::{BTreeMap, BTreeSet};
 
-    /// [`USAGE`] is written by hand beside [`COMMANDS`]; this is what keeps
-    /// the two from drifting: under each command's `lockdown NAME` entries
-    /// the usage text mentions every flag of the command's row and no
-    /// `--flag` the row does not define.
+    /// [`USAGE`] is written by hand beside [`COMMANDS`] and the `--chaos`
+    /// vocabulary [`KEYS`]; this is what keeps them from drifting: under
+    /// each command's `lockdown NAME` entries the usage text mentions
+    /// every flag of the command's row and no `--flag` the row does not
+    /// define, and every `key=VALUE` of a plane the command can run and no
+    /// other.
     #[test]
     fn usage_and_the_command_table_name_the_same_flags() {
         let mut documented: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
@@ -1277,16 +1268,28 @@ mod tests {
                 command = None; // a heading: the text under it is no command's
             }
             let Some(command) = command else { continue };
-            let flags = line
-                .split(|c: char| !(c.is_ascii_lowercase() || c == '-'))
-                .filter(|word| word.starts_with("--") && word.len() > 2);
+            let words = line.split(|c: char| !(c.is_ascii_alphanumeric() || "-=".contains(c)));
+            let flags = words.filter_map(|word| match word.split_once('=') {
+                None => (word.starts_with("--") && word.len() > 2).then_some(word),
+                Some((key, value)) => value.starts_with(char::is_uppercase).then_some(key),
+            });
             documented.entry(command).or_default().extend(flags);
         }
+        let flag_variants = [vec![], vec!["--wire".to_string(), "--udp".to_string()]];
         let table: BTreeMap<&str, BTreeSet<&str>> = COMMANDS
             .iter()
             .map(|(name, value_flags, bool_flags, _)| {
                 let flags = value_flags.split(' ').chain(bool_flags.split(' '));
-                (*name, flags.filter(|f| !f.is_empty()).collect())
+                let planes: Vec<Plane> = flag_variants
+                    .iter()
+                    .flat_map(|rest| chaos_planes(name, rest).1.iter().copied())
+                    .collect();
+                let keys = KEYS
+                    .iter()
+                    .filter(|(_, plane, _)| !planes.is_empty() && *plane == Plane::Every)
+                    .chain(KEYS.iter().filter(|(_, plane, _)| planes.contains(plane)))
+                    .map(|(key, ..)| *key);
+                (*name, flags.filter(|f| !f.is_empty()).chain(keys).collect())
             })
             .collect();
         assert_eq!(documented, table);

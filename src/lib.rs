@@ -4,7 +4,6 @@ pub mod app;
 
 pub use lockdown_analysis as analysis;
 pub use lockdown_base as base;
-pub use lockdown_chaos as chaos;
 pub use lockdown_collect as collect;
 pub use lockdown_core as core;
 pub use lockdown_dns as dns;

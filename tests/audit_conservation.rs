@@ -103,13 +103,13 @@ fn faulted_runs_balance_exactly_against_transport_ground_truth() {
     // transport drops and the audit's loss-exactness identity pins the
     // estimate to the ground truth with zero tolerance.
     cfg.template_refresh = 1;
-    cfg.seed = 23;
     cfg.initial_sequence = u32::MAX - 100;
     cfg.faults = FaultProfile {
-        loss: 0.15,
-        duplicate: 0.08,
+        seed: 23,
+        drop: 0.15,
+        dup: 0.08,
         reorder: 0.1,
-        restart_every: 0,
+        ..FaultProfile::zero()
     };
     let (out, report) = run_audited(cfg);
     assert!(report.is_clean(), "{}", report.render());
@@ -130,12 +130,7 @@ fn v9_restarts_near_the_uptime_wrap_stay_conservative() {
     cfg.format = ExportFormat::NetflowV9;
     cfg.exporters = 2;
     cfg.boot_age_secs = NEAR_UPTIME_WRAP_SECS;
-    cfg.faults = FaultProfile {
-        loss: 0.0,
-        duplicate: 0.0,
-        reorder: 0.0,
-        restart_every: 3,
-    };
+    cfg.faults.restart_every = 3;
     let (out, report) = run_audited(cfg);
     assert!(report.is_clean(), "{}", report.render());
     assert_eq!(out.len(), flows().len(), "no faults: nothing may be lost");
@@ -147,12 +142,10 @@ fn sampled_export_balances_in_record_space() {
     let mut cfg = WireConfig::new();
     cfg.template_refresh = 1;
     cfg.sampling = Some(4);
-    cfg.seed = 31;
     cfg.faults = FaultProfile {
-        loss: 0.1,
-        duplicate: 0.0,
-        reorder: 0.0,
-        restart_every: 0,
+        seed: 31,
+        drop: 0.1,
+        ..FaultProfile::zero()
     };
     let (_, report) = run_audited(cfg);
     assert!(report.is_clean(), "{}", report.render());
@@ -185,17 +178,21 @@ fn any_schedule_balances_the_ledger() {
             ExportFormat::Ipfix,
         ]);
         let faults = FaultProfile {
-            loss: rate(rng, 0.35),
-            duplicate: rate(rng, 0.2),
+            drop: rate(rng, 0.35),
+            dup: rate(rng, 0.2),
             reorder: rate(rng, 0.2),
             restart_every: edge_or(rng, &[0], 2..8) as u32,
+            ..FaultProfile::zero()
         };
         let template_refresh = edge_or(rng, &[0, 1], 2..10) as u32;
         let sample = edge_or(rng, &[1], 2..8) as u32;
         // v5 carries no in-band sampling announcement; sampling requires
         // a template-bearing format.
         let sampling = (sample > 1 && format != ExportFormat::NetflowV5).then_some(sample);
-        let mut cfg = WireConfig::new().with_faults(faults);
+        let mut cfg = WireConfig {
+            faults,
+            ..WireConfig::new()
+        };
         cfg.format = format;
         cfg.exporters = rng.range(1..5) as usize;
         cfg.shards = rng.range(1..5) as usize;
@@ -213,7 +210,7 @@ fn any_schedule_balances_the_ledger() {
         let near_wrap = u64::from(u32::MAX) - rng.below(2_001);
         cfg.initial_sequence = edge_or(rng, &[0, near_wrap], 0..1 << 32) as u32;
         cfg.boot_age_secs = edge_or(rng, &[0, NEAR_UPTIME_WRAP_SECS], 0..200 * 86_400);
-        cfg.seed = rng.next_u64();
+        cfg.faults.seed = rng.next_u64();
 
         let (out, report) = run_audited(cfg);
         assert!(report.is_clean(), "ledger imbalance:\n{}", report.render());

@@ -378,7 +378,7 @@ fn figures_wire_prints_the_plain_figures_and_a_clean_audit() {
 fn figures_wire_under_faults_drops_and_still_audits_clean() {
     let out = bin()
         .args(["figures", "--fidelity", "test", "--wire"])
-        .args(["--loss", "0.02", "--dup", "0.01", "--restart", "64"])
+        .args(["--chaos", "drop=0.02,dup=0.01,restart=64"])
         .output()
         .expect("spawn");
     let err = String::from_utf8_lossy(&out.stderr);
@@ -392,15 +392,47 @@ fn figures_wire_under_faults_drops_and_still_audits_clean() {
         "{err}"
     );
 
-    // The flags accept exactly the range the fault profile honours.
-    let out = bin()
-        .args(["figures", "--fidelity", "test", "--wire", "--loss", "0.99"])
-        .output()
-        .expect("spawn");
-    assert_eq!(out.status.code(), Some(1));
-    assert!(out.stdout.is_empty(), "no pass runs");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("--loss must be in [0,0.95]: 0.99"), "{err}");
+    // The spec accepts exactly the range each fault row honours, and a
+    // key of a plane the command does not run, naming key and command.
+    for (args, needles) in [
+        (
+            &[
+                "figures",
+                "--fidelity",
+                "test",
+                "--wire",
+                "--chaos",
+                "drop=0.99",
+            ][..],
+            &["drop=0.99", "outside [0, 0.95]"][..],
+        ),
+        (
+            &["figures", "--fidelity", "test", "--chaos", "drop=0.1"],
+            &["\"drop\"", "`figures without --wire`"],
+        ),
+        (
+            &[
+                "chaosproxy",
+                "--upstream",
+                "127.0.0.1:9",
+                "--chaos",
+                "panic=0.1",
+            ],
+            &["\"panic\"", "`chaosproxy`"],
+        ),
+        (
+            &["worker", "--fidelity", "test", "--chaos", "trunc=0.1"],
+            &["\"trunc\"", "`worker`"],
+        ),
+    ] {
+        let out = bin().args(args).output().expect("spawn");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        for needle in needles {
+            assert!(err.contains(needle), "{args:?}: {err}");
+        }
+    }
 }
 
 #[test]

@@ -3,10 +3,11 @@
 //! end byte-identical) and `wire_chaos.rs` (the ones that must end in a
 //! named degraded outcome).
 
+use lockdown::base::fault::FaultProfile as WireChaosConfig;
 use lockdown::core::{Context, Fidelity};
 use lockdown::shard::coord::{self, CoordOptions, Coordinated};
 use lockdown::shard::worker::{serve_worker, WorkerExit};
-use lockdown::wirechaos::{TcpProxy, WireChaosConfig};
+use lockdown::wirechaos::TcpProxy;
 use std::net::TcpListener;
 use std::sync::mpsc;
 use std::time::Duration;

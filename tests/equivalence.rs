@@ -14,7 +14,9 @@
 mod common;
 
 use common::{assert_named_degraded, coordinate, ctx};
-use lockdown::chaos::{ChaosConfig, ChaosInjector};
+use lockdown::base::fault::{
+    FaultProfile as ChaosConfig, FaultProfile as WireChaosConfig, Schedule as ChaosInjector,
+};
 use lockdown::collect::WireConfig;
 use lockdown::core::engine::EngineStats;
 use lockdown::core::experiments::figures;
@@ -30,7 +32,6 @@ use lockdown::shard::worker::WorkerExit;
 use lockdown::store::{
     ArchiveReader, SegmentMeta, StoreMetrics, JOURNAL_NAME, MANIFEST_NAME, PACKS_DIR,
 };
-use lockdown::wirechaos::WireChaosConfig;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::OnceLock;

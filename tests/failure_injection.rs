@@ -413,7 +413,7 @@ fn dup_reorder_gap_schedules_balance_exactly() {
 // The engine's supervisor: chaos-injected worker faults, quarantine, resume.
 // ---------------------------------------------------------------------------
 
-use lockdown::chaos::{ChaosConfig, ChaosInjector};
+use lockdown::base::fault::{FaultProfile as ChaosConfig, Schedule as ChaosInjector};
 use lockdown::core::engine::{self, EnginePlan};
 use lockdown::store::{ArchiveReader, StoreMetrics, JOURNAL_NAME, MANIFEST_NAME, PACKS_DIR};
 use lockdown_analysis::timeseries::HourlyVolume;

@@ -3,9 +3,11 @@
 //! runs, and must account every drop it does take — at the kernel, at a
 //! shard queue, or as a truncated read — exactly.
 
+use std::io::ErrorKind;
 use std::net::Ipv4Addr;
 use std::time::{Duration, Instant};
 
+use lockdown::base::fault::{FaultProfile, Plane};
 use lockdown::collect::daemon::{Collectd, CollectdConfig, SocketPlane};
 use lockdown::collect::{CollectMetrics, CollectionPlane, SendSocket, WireConfig};
 use lockdown::flow::exporter::ExportFormat;
@@ -99,6 +101,30 @@ fn zero_loss_socket_runs_are_byte_identical_to_loopback() {
         assert!(loop_audit.is_clean());
         assert_eq!(loop_audit.totals.socket_cells, 0);
     }
+}
+
+/// The kernel is the socket plane's transport: a datagram fault in the
+/// profile is refused by name, not silently ignored, and the exporter
+/// restart cadence is honoured.
+#[test]
+fn socket_plane_refuses_datagram_faults_and_honours_restarts() {
+    for key in ["drop", "dup", "reorder"] {
+        let mut cfg = WireConfig::new();
+        let spec = format!("{key}=0.1");
+        cfg.faults = FaultProfile::parse(&spec, "test", &[Plane::Wire, Plane::Datagram]).unwrap();
+        let err = SocketPlane::new(cfg, CollectdConfig::new(cfg.format))
+            .err()
+            .expect(key);
+        assert_eq!(err.kind(), ErrorKind::InvalidInput, "{key}");
+        assert!(err.to_string().contains(&spec), "{key}: {err}");
+    }
+    let mut cfg = WireConfig::new();
+    cfg.faults.restart_every = 3;
+    let mut plane = SocketPlane::new(cfg, CollectdConfig::new(cfg.format)).expect("binds");
+    let out = plane.process_cell(cell(14), &flows(700, 14));
+    plane.note_consumed(&cell(14), &out);
+    assert!(plane.metrics().exporter_restarts.get() > 0);
+    assert!(plane.audit_report().is_clean());
 }
 
 #[test]

@@ -19,13 +19,15 @@
 mod common;
 
 use common::{assert_named_degraded, coordinate, ctx, watchdog};
-use lockdown::chaos::{ChaosConfig, ChaosInjector};
+use lockdown::base::fault::{
+    FaultProfile as ChaosConfig, FaultProfile as WireChaosConfig, Schedule as ChaosInjector,
+};
 use lockdown::core::experiments::suite::{suite_shard_cell_count, ShardSuiteOptions};
 use lockdown::core::serve::figure_names;
 use lockdown::query::{http::Response, QueryMetrics, Server};
 use lockdown::shard::coord::{chunk_ranges, CoordOptions};
 use lockdown::shard::worker::WorkerExit;
-use lockdown::wirechaos::{TcpProxy, UdpProxy, WireChaosConfig};
+use lockdown::wirechaos::{TcpProxy, UdpProxy};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream, UdpSocket};
 use std::time::Duration;

@@ -51,14 +51,15 @@ fn est_lost_matches_transport_ground_truth() {
     // v5 has no templates, so every delivered datagram decodes: the only
     // record loss is transport drops, and sequence accounting must agree
     // with the transport's ground truth to within 1%.
-    let mut cfg = WireConfig::new().with_faults(FaultProfile {
-        loss: 0.12,
-        duplicate: 0.05,
+    let mut cfg = WireConfig::new();
+    cfg.faults = FaultProfile {
+        seed: 41,
+        drop: 0.12,
+        dup: 0.05,
         reorder: 0.08,
-        restart_every: 0,
-    });
+        ..FaultProfile::zero()
+    };
     cfg.format = ExportFormat::NetflowV5;
-    cfg.seed = 41;
     cfg.renormalize = false;
     let (_, metrics) = wired_pass(cfg, 2);
     let truth = metric(&metrics, "transport_records_dropped_total");
@@ -72,13 +73,15 @@ fn est_lost_matches_transport_ground_truth() {
 
 #[test]
 fn wire_mode_is_deterministic_across_runs_and_workers() {
-    let mut cfg = WireConfig::new().with_faults(FaultProfile {
-        loss: 0.1,
-        duplicate: 0.04,
+    let mut cfg = WireConfig::new();
+    cfg.faults = FaultProfile {
+        seed: 7,
+        drop: 0.1,
+        dup: 0.04,
         reorder: 0.06,
         restart_every: 8,
-    });
-    cfg.seed = 7;
+        ..FaultProfile::zero()
+    };
     let (series1, metrics1) = wired_pass(cfg, 1);
     for workers in [2usize, 3, 8] {
         let (series, metrics) = wired_pass(cfg, workers);
@@ -108,14 +111,16 @@ fn faulted_suite_audit_balances_across_workers() {
     // A full engine pass with faults, wrap-adjacent sequence counters, and
     // multiple workers posting to the shared ledger concurrently: every
     // per-cell conservation identity must still balance exactly.
-    let mut cfg = WireConfig::new().with_faults(FaultProfile {
-        loss: 0.1,
-        duplicate: 0.05,
+    let mut cfg = WireConfig::new();
+    cfg.faults = FaultProfile {
+        seed: 13,
+        drop: 0.1,
+        dup: 0.05,
         reorder: 0.06,
         restart_every: 6,
-    });
+        ..FaultProfile::zero()
+    };
     cfg.template_refresh = 1;
-    cfg.seed = 13;
     cfg.initial_sequence = u32::MAX - 200;
     let ctx = Context::with_seed(Fidelity::Test, 9);
     let d1 = Date::new(2020, 3, 23);
