@@ -5,13 +5,14 @@
 //! same windows constantly. The cache holds decoded batches behind
 //! `Arc` (readers share, eviction never invalidates an in-flight
 //! reference) under a byte budget charged at `records ×
-//! size_of::<FlowRecord>()`. Recency is a monotone tick per entry —
-//! eviction removes the smallest tick until the budget holds.
+//! size_of::<FlowRecord>()`. Recency is a monotone tick per entry, kept
+//! twice: on the entry and in a tick → cell index, so eviction pops the
+//! smallest tick in O(log n) until the budget holds.
 
 use crate::metrics::QueryMetrics;
 use lockdown_flow::record::FlowRecord;
 use lockdown_traffic::plan::Cell;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 
 struct Entry {
@@ -22,6 +23,9 @@ struct Entry {
 
 struct Inner {
     map: HashMap<Cell, Entry>,
+    /// Every entry's tick → its cell. Ticks are unique, so the first key
+    /// is the least recently used entry.
+    recency: BTreeMap<u64, Cell>,
     used: u64,
     tick: u64,
 }
@@ -44,6 +48,7 @@ impl SegmentCache {
         SegmentCache {
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
+                recency: BTreeMap::new(),
                 used: 0,
                 tick: 0,
             }),
@@ -52,18 +57,16 @@ impl SegmentCache {
         }
     }
 
-    /// The configured byte budget.
-    pub fn budget_bytes(&self) -> u64 {
-        self.budget
-    }
-
     /// Look one cell up, refreshing its recency. Counts a hit or miss.
     pub fn get(&self, cell: Cell) -> Option<Arc<Vec<FlowRecord>>> {
-        let mut inner = self.inner.lock().expect("cache lock");
+        let mut guard = self.inner.lock().expect("cache lock");
+        let inner = &mut *guard;
         inner.tick += 1;
         let tick = inner.tick;
         match inner.map.get_mut(&cell) {
             Some(e) => {
+                inner.recency.remove(&e.tick);
+                inner.recency.insert(tick, cell);
                 e.tick = tick;
                 self.metrics.cache_hits.inc();
                 Some(Arc::clone(&e.records))
@@ -104,17 +107,17 @@ impl SegmentCache {
                 tick,
             },
         ) {
+            inner.recency.remove(&old.tick);
             inner.used -= old.bytes;
         }
+        inner.recency.insert(tick, cell);
         inner.used += bytes;
         while inner.used > self.budget {
-            let oldest = inner
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.tick)
-                .map(|(&c, _)| c)
+            let (_, oldest) = inner
+                .recency
+                .pop_first()
                 .expect("over budget implies non-empty");
-            let evicted = inner.map.remove(&oldest).expect("just found");
+            let evicted = inner.map.remove(&oldest).expect("indexed entries are held");
             inner.used -= evicted.bytes;
             self.metrics.cache_evictions.inc();
         }
@@ -185,5 +188,85 @@ mod tests {
         // Oversized batches are never retained.
         cache.insert(cell(3), batch(100));
         assert!(cache.get(cell(3)).is_none());
+    }
+
+    /// The eviction rule by definition: a map of (bytes, tick) and a
+    /// scan for the smallest tick.
+    #[derive(Default)]
+    struct Model {
+        map: HashMap<Cell, (u64, u64)>,
+        used: u64,
+        tick: u64,
+        hits: u64,
+        misses: u64,
+        evictions: u64,
+    }
+
+    impl Model {
+        fn get(&mut self, cell: Cell) -> bool {
+            self.tick += 1;
+            match self.map.get_mut(&cell) {
+                Some(e) => {
+                    e.1 = self.tick;
+                    self.hits += 1;
+                    true
+                }
+                None => {
+                    self.misses += 1;
+                    false
+                }
+            }
+        }
+
+        fn insert(&mut self, cell: Cell, bytes: u64, budget: u64) {
+            if bytes > budget {
+                return;
+            }
+            self.tick += 1;
+            if let Some((old, _)) = self.map.insert(cell, (bytes, self.tick)) {
+                self.used -= old;
+            }
+            self.used += bytes;
+            while self.used > budget {
+                let (&oldest, _) = self.map.iter().min_by_key(|(_, e)| e.1).unwrap();
+                self.used -= self.map.remove(&oldest).unwrap().0;
+                self.evictions += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn lru_evicts_like_the_min_tick_scan() {
+        lockdown_base::prop::cases(256, |rng, size| {
+            let budget = rng.below(24) * record_cost();
+            let metrics = QueryMetrics::new();
+            let cache = SegmentCache::new(budget, Arc::clone(&metrics));
+            let mut model = Model::default();
+            for _ in 0..4 * size {
+                let c = cell(rng.below(8) as u8);
+                if rng.chance(0.5) {
+                    assert_eq!(cache.get(c).is_some(), model.get(c));
+                } else {
+                    let n = rng.below(12) as usize;
+                    cache.insert(c, batch(n));
+                    model.insert(c, n as u64 * record_cost(), budget);
+                }
+                for hour in 0..8 {
+                    assert_eq!(
+                        cache.contains(cell(hour)),
+                        model.map.contains_key(&cell(hour))
+                    );
+                }
+                assert_eq!(
+                    (
+                        metrics.cache_hits.get(),
+                        metrics.cache_misses.get(),
+                        metrics.cache_evictions.get(),
+                        metrics.cache_bytes.get(),
+                    ),
+                    (model.hits, model.misses, model.evictions, model.used)
+                );
+            }
+        });
     }
 }

@@ -5,7 +5,9 @@
 //!
 //! 1. **Manifest pruning** (no I/O): segments whose stream doesn't match,
 //!    whose `[min_start, max_end]` span cannot overlap the time window,
-//!    or which hold zero records are skipped outright.
+//!    or which hold zero records are skipped outright. A per-stream
+//!    index built at open narrows the walk to one slice per stream by
+//!    binary search; only that slice is tested entry by entry.
 //! 2. **Zone-map pruning** (footer read, no column decode): with a port
 //!    predicate, the segment footer's `SrcPort`/`DstPort` zone maps are
 //!    consulted — a port outside *both* zones proves no record matches
@@ -21,9 +23,9 @@ use crate::metrics::QueryMetrics;
 use crate::plan::QueryPlan;
 use lockdown_analysis::appclass::Classifier;
 use lockdown_flow::record::{hour_runs, FlowRecord};
-use lockdown_store::{ArchiveReader, Column, StoreError, StoreMetrics};
+use lockdown_store::{ArchiveReader, Column, SegmentMeta, StoreError, StoreMetrics, TimeRange};
 use lockdown_topology::registry::Registry;
-use lockdown_traffic::plan::Cell;
+use lockdown_traffic::plan::{Cell, Stream};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
@@ -36,14 +38,67 @@ pub const DEFAULT_CACHE_BYTES: u64 = 256 * 1024 * 1024;
 /// every HTTP worker concurrently.
 pub struct QueryEngine {
     reader: ArchiveReader,
+    /// The manifest by stream, in stream order: stage 1's index.
+    streams: Vec<StreamRange>,
     store_metrics: Arc<StoreMetrics>,
     metrics: Arc<QueryMetrics>,
     cache: SegmentCache,
     classifier: Classifier,
 }
 
+/// One stream's manifest entries in cell order, with two monotone
+/// bounds over them. Only the zone-map times are read, never the cell's
+/// name, so the slice stays exact whatever hours the cells are named.
+struct StreamRange {
+    stream: Stream,
+    metas: Vec<SegmentMeta>,
+    /// `max_end_upto[i]`: the largest `max_end` of `metas[..=i]`.
+    max_end_upto: Vec<u64>,
+    /// `min_start_from[i]`: the smallest `min_start` of `metas[i..]`.
+    min_start_from: Vec<u64>,
+}
+
+impl StreamRange {
+    /// `metas`: one stream's entries, in cell order.
+    fn new(metas: &[SegmentMeta]) -> StreamRange {
+        let mut hi = 0;
+        let max_end_upto = metas
+            .iter()
+            .map(|m| {
+                hi = hi.max(m.max_end);
+                hi
+            })
+            .collect();
+        let mut lo = u64::MAX;
+        let mut min_start_from: Vec<u64> = metas
+            .iter()
+            .rev()
+            .map(|m| {
+                lo = lo.min(m.min_start);
+                lo
+            })
+            .collect();
+        min_start_from.reverse();
+        StreamRange {
+            stream: metas[0].cell.stream,
+            metas: metas.to_vec(),
+            max_end_upto,
+            min_start_from,
+        }
+    }
+
+    /// The entries that may overlap `window`: every entry before the
+    /// slice ends before `window.from`, every entry after it starts at
+    /// or past `window.to`, so `admits_meta` would refuse them all.
+    fn candidates(&self, window: TimeRange) -> &[SegmentMeta] {
+        let lo = self.max_end_upto.partition_point(|&e| e < window.from);
+        let hi = self.min_start_from.partition_point(|&s| s < window.to);
+        &self.metas[lo..hi.max(lo)]
+    }
+}
+
 /// What one query matched, plus what the scan did to find it.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QueryOutput {
     /// Flow records matching every predicate.
     pub flows: u64,
@@ -93,9 +148,16 @@ impl QueryEngine {
             Some(r) => r,
             None => return Ok(None),
         };
+        let metas: Vec<SegmentMeta> = reader.segments().copied().collect();
+        // Manifest order is cell order, stream first: each stream is one run.
+        let streams = metas
+            .chunk_by(|a, b| a.cell.stream == b.cell.stream)
+            .map(StreamRange::new)
+            .collect();
         let metrics = QueryMetrics::new();
         Ok(Some(QueryEngine {
             reader,
+            streams,
             store_metrics,
             cache: SegmentCache::new(cache_bytes, Arc::clone(&metrics)),
             metrics,
@@ -106,11 +168,6 @@ impl QueryEngine {
     /// The query-plane metrics family.
     pub fn metrics(&self) -> &Arc<QueryMetrics> {
         &self.metrics
-    }
-
-    /// The store metrics backing the reader (decode I/O accounting).
-    pub fn store_metrics(&self) -> &Arc<StoreMetrics> {
-        &self.store_metrics
     }
 
     /// The underlying manifest reader.
@@ -152,17 +209,49 @@ impl QueryEngine {
     /// poisons the engine — healthy segments keep serving other queries.
     pub fn execute(&self, plan: &QueryPlan) -> Result<QueryOutput, StoreError> {
         let window = plan.time_range();
-        let mut out = QueryOutput {
-            flows: 0,
-            bytes: 0,
-            packets: 0,
-            hourly: BTreeMap::new(),
-            segments_scanned: 0,
-            segments_pruned: 0,
-            segments_cached: 0,
+        let streams = match plan.stream {
+            Some(s) => match self.streams.binary_search_by_key(&s, |r| r.stream) {
+                Ok(i) => &self.streams[i..=i],
+                Err(_) => &[],
+            },
+            None => &self.streams[..],
         };
+        let mut out = QueryOutput::default();
+        let mut walked = 0;
+        for range in streams {
+            let slice = range.candidates(window);
+            walked += slice.len() as u64;
+            self.scan(plan, slice, &mut out)?;
+        }
+        out.segments_pruned += self.reader.segment_count() as u64 - walked;
+        Ok(self.counted(out))
+    }
+
+    /// [`QueryEngine::execute`] by a walk of every manifest entry: the
+    /// reference the ranged walk must equal.
+    #[cfg(test)]
+    fn execute_full_walk(&self, plan: &QueryPlan) -> Result<QueryOutput, StoreError> {
+        let mut out = QueryOutput::default();
+        self.scan(plan, self.reader.segments(), &mut out)?;
+        Ok(self.counted(out))
+    }
+
+    fn counted(&self, out: QueryOutput) -> QueryOutput {
+        self.metrics.segments_pruned.add(out.segments_pruned);
+        self.metrics.segments_scanned.add(out.segments_scanned);
+        out
+    }
+
+    /// Run the three stages over `metas`, in their order, into `out`.
+    fn scan<'a>(
+        &self,
+        plan: &QueryPlan,
+        metas: impl IntoIterator<Item = &'a SegmentMeta>,
+        out: &mut QueryOutput,
+    ) -> Result<(), StoreError> {
+        let window = plan.time_range();
         // The manifest is iterated without I/O; only survivors touch disk.
-        for meta in self.reader.segments() {
+        for meta in metas {
             // Stage 1: manifest pruning (stream, time span, emptiness).
             if plan.stream.is_some_and(|s| meta.cell.stream != s) || !window.admits_meta(meta) {
                 out.segments_pruned += 1;
@@ -212,8 +301,130 @@ impl QueryEngine {
                 }
             }
         }
-        self.metrics.segments_pruned.add(out.segments_pruned);
-        self.metrics.segments_scanned.add(out.segments_scanned);
-        Ok(out)
+        Ok(())
+    }
+}
+
+/// The arbitrary-record generator shared with the consumer tests.
+#[cfg(test)]
+#[path = "../../analysis/tests/support/mod.rs"]
+mod hour_slices;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lockdown_analysis::appclass::PaperClass;
+    use lockdown_base::hash::SplitMix;
+    use lockdown_flow::record::Direction;
+    use lockdown_store::{ArchiveWriter, StoreKey};
+    use lockdown_topology::vantage::VantagePoint;
+
+    const STREAMS: [Stream; 4] = [
+        Stream::Vantage(VantagePoint::IspCe),
+        Stream::Vantage(VantagePoint::IxpCe),
+        Stream::IspTransit,
+        Stream::Edu,
+    ];
+    const DAYS: u64 = 10;
+
+    /// A second somewhere in, or a day either side of, the archive's days.
+    fn instant(rng: &mut SplitMix) -> u64 {
+        let day0 = hour_slices::DAY.midnight().unix();
+        day0 - 86_400 + rng.below((DAYS + 2) * 86_400)
+    }
+
+    /// An archive of up to `size / 4 + 3` cells whose names (stream,
+    /// date, hour) are drawn apart from their records' times; one cell
+    /// in eight is empty. The last stream of [`STREAMS`] never appears.
+    /// Returns every cell's earliest start and latest end.
+    fn archive(rng: &mut SplitMix, size: usize, dir: &Path) -> Vec<u64> {
+        let _ = std::fs::remove_dir_all(dir);
+        let key = StoreKey {
+            seed: 1,
+            scenario_hash: 2,
+            plan_hash: 3,
+        };
+        let writer = ArchiveWriter::create(dir, key, StoreMetrics::new()).expect("create");
+        let mut cells = BTreeMap::new();
+        for _ in 0..1 + rng.below(size as u64 / 4 + 3) {
+            let cell = Cell {
+                stream: rng.pick(&STREAMS[..3]),
+                date: hour_slices::DAY.add_days(rng.below(DAYS) as i64),
+                hour: rng.below(24) as u8,
+            };
+            let n = if rng.chance(0.125) {
+                0
+            } else {
+                1 + rng.below(6)
+            };
+            let widest = if rng.chance(0.5) { 3_600 } else { 3 * 86_400 };
+            let span = 1 + rng.below(widest);
+            let from = lockdown_flow::time::Timestamp::from_unix(instant(rng));
+            cells.insert(cell, hour_slices::flows(rng, n as usize, from, span));
+        }
+        let mut edges = Vec::new();
+        for (cell, records) in &cells {
+            writer.spill(*cell, records).expect("spill");
+            edges.extend(records.iter().map(|r| r.start.unix()).min());
+            edges.extend(records.iter().map(|r| r.end.unix()).max());
+        }
+        writer.finish().expect("finish");
+        edges
+    }
+
+    /// A plan with every predicate optional and windows that may be
+    /// unbounded on either end, empty or inverted. Half the window ends
+    /// sit on, or one second beside, a segment's `edges`.
+    fn plan(rng: &mut SplitMix, edges: &[u64]) -> QueryPlan {
+        let end = |rng: &mut SplitMix| match edges.len() {
+            n if n > 0 && rng.chance(0.5) => edges[rng.below(n as u64) as usize] + rng.below(3) - 1,
+            _ => instant(rng),
+        };
+        let from = rng.chance(0.7).then(|| end(rng));
+        let to = match from {
+            Some(f) if rng.chance(0.1) => Some(f),
+            _ => rng.chance(0.7).then(|| end(rng)),
+        };
+        QueryPlan {
+            from,
+            to,
+            stream: rng.chance(0.5).then(|| rng.pick(&STREAMS)),
+            class: rng.chance(0.2).then(|| rng.pick(&PaperClass::ALL)),
+            asn: rng
+                .chance(0.2)
+                .then(|| rng.pick(&[hour_slices::EYEBALL, 3_320, 15_169])),
+            port: rng
+                .chance(0.3)
+                .then(|| rng.pick(&[22, 443, 8_801, 50_000, 7])),
+            direction: rng
+                .chance(0.2)
+                .then(|| rng.pick(&[Direction::Ingress, Direction::Egress])),
+        }
+    }
+
+    #[test]
+    fn ranged_walk_equals_the_full_walk() {
+        let dir =
+            std::env::temp_dir().join(format!("lockdown-query-ranged-{}", std::process::id()));
+        let record = std::mem::size_of::<FlowRecord>() as u64;
+        lockdown_base::prop::cases(64, |rng, size| {
+            let edges = archive(rng, size, &dir);
+            let budget = rng.pick(&[0, 4 * record, 16 * record, 1 << 20]);
+            let open = || QueryEngine::open(&dir, budget).unwrap().unwrap();
+            let (ranged, full) = (open(), open());
+            for _ in 0..8 {
+                let plan = plan(rng, &edges);
+                let got = ranged.execute(&plan).unwrap();
+                let want = full.execute_full_walk(&plan).unwrap();
+                assert_eq!(got, want, "{plan:?}");
+                // Equal registries after every plan: equal deltas.
+                assert_eq!(
+                    ranged.metrics().render(),
+                    full.metrics().render(),
+                    "{plan:?}"
+                );
+            }
+        });
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -7,7 +7,9 @@
 //! [`Server::shutdown`] stops accepting, lets in-flight requests finish,
 //! and joins the accept loop. A malformed request gets a 400 and a
 //! closed connection; a panicking handler gets a 500 — the server
-//! thread survives both.
+//! thread survives both. Every accepted stream sets `TCP_NODELAY` and
+//! every response leaves in one write, so no part of it waits on the
+//! client's delayed ACK.
 
 use crate::metrics::QueryMetrics;
 use std::io::{Read, Write};
@@ -157,18 +159,21 @@ fn parse_request(head: &str) -> Option<(Request, bool)> {
 const MAX_HEAD: usize = 8 * 1024;
 const POLL: Duration = Duration::from_millis(100);
 
-fn write_response(stream: &mut TcpStream, resp: &Response, close: bool) -> std::io::Result<()> {
-    let head = format!(
+/// Send one response — head and body — in a single write.
+fn write_response(out: &mut impl Write, resp: &Response, close: bool) -> std::io::Result<()> {
+    let mut wire = Vec::with_capacity(128 + resp.body.len());
+    write!(
+        wire,
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
         resp.status,
         status_reason(resp.status),
         resp.content_type,
         resp.body.len(),
         if close { "close" } else { "keep-alive" },
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(&resp.body)?;
-    stream.flush()
+    )?;
+    wire.extend_from_slice(&resp.body);
+    out.write_all(&wire)?;
+    out.flush()
 }
 
 /// Serve one connection until EOF, a protocol error, `Connection:
@@ -247,8 +252,9 @@ fn serve_connection(
         };
         let close = close || stop.load(Ordering::Relaxed);
         metrics.observe_status(resp.status);
+        let written = write_response(&mut stream, &resp, close);
         metrics.observe_latency_us(started.elapsed().as_micros() as u64);
-        if write_response(&mut stream, &resp, close).is_err() || close {
+        if written.is_err() || close {
             return;
         }
         // GET has no body: anything past the head is the next request.
@@ -294,6 +300,7 @@ impl Server {
                         Ok(s) => s,
                         Err(_) => continue,
                     };
+                    let _ = stream.set_nodelay(true);
                     if accept_active.load(Ordering::Relaxed) >= max_connections {
                         metrics.requests.inc();
                         metrics.observe_status(503);
@@ -414,7 +421,10 @@ mod tests {
 
         assert_eq!(metrics.requests.get(), 5);
         assert_eq!(metrics.responses_5xx.get(), 1);
+        // Latency is observed after the write: once the drain has joined
+        // every connection, each answered request has its observation.
         server.shutdown(Duration::from_secs(2));
+        assert_eq!(metrics.latency_count.get(), 5);
     }
 
     #[test]
@@ -579,6 +589,79 @@ mod tests {
         assert_eq!(report.failed_status, 0, "healthy server, healthy mix");
         assert!(report.p50_us > 0, "percentiles measured");
         assert!(report.p50_us <= report.p99_us && report.p99_us <= report.p999_us);
+        server.shutdown(Duration::from_secs(2));
+    }
+
+    /// A sink that counts the `write` calls it is handed.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_response_goes_out_in_one_write() {
+        // A head written apart from its body waits, under Nagle, for the
+        // client's delayed ACK: the whole response is one write.
+        let cases = [
+            (Response::json(200, "{\"ok\":true}".into()), false),
+            (Response::json(200, "x".repeat(1 << 20)), false),
+            (Response::error(400, "malformed request"), true),
+            (Response::error(431, "headers too large"), true),
+            (Response::error(503, "connection limit reached"), true),
+        ];
+        for (resp, close) in cases {
+            let mut sink = CountingWriter::default();
+            write_response(&mut sink, &resp, close).unwrap();
+            assert_eq!(sink.writes, 1, "status {}", resp.status);
+            let head_end = find_head_end(&sink.bytes).expect("a head") + 4;
+            let head = std::str::from_utf8(&sink.bytes[..head_end]).unwrap();
+            assert!(head.starts_with(&format!("HTTP/1.1 {} ", resp.status)));
+            assert!(head.contains(&format!("Content-Length: {}\r\n", resp.body.len())));
+            assert_eq!(&sink.bytes[head_end..], &resp.body[..]);
+        }
+    }
+
+    #[test]
+    fn keep_alive_round_trips_never_wait_on_a_delayed_ack() {
+        // Bodies from under one loopback segment to over it. A response
+        // whose tail waits on the client's delayed ACK costs >= 40 ms; a
+        // head written apart from a small body does so every time, so the
+        // 38 small round trips alone would take >= 1.5 s.
+        const SIZES: [usize; 4] = [100, 1_000, 10_000, 100_000];
+        let metrics = QueryMetrics::new();
+        let handler: Handler = Arc::new(|req: &Request| {
+            let size: usize = req.path[1..].parse().expect("a body size");
+            Response::json(200, "x".repeat(size))
+        });
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let server = Server::start(listener, 2, Arc::clone(&metrics), handler).unwrap();
+        let mut s = TcpStream::connect(server.addr()).unwrap();
+        let started = Instant::now();
+        for size in SIZES.iter().cycle().take(50) {
+            s.write_all(format!("GET /{size} HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes())
+                .unwrap();
+            let resp = read_response(&mut s);
+            assert!(resp.contains("200 OK") && resp.ends_with(&"x".repeat(*size)));
+        }
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_secs(1),
+            "50 round trips took {took:?}"
+        );
+        drop(s);
         server.shutdown(Duration::from_secs(2));
     }
 

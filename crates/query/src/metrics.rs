@@ -7,11 +7,13 @@
 //! bound admits it, plus `_count` and `_sum_us`.
 
 /// Upper bounds (microseconds) of the request-latency buckets.
-pub const LATENCY_BUCKETS_US: [u64; 10] = [
-    250, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 1_000_000,
+pub const LATENCY_BUCKETS_US: [u64; 12] = [
+    25, 100, 250, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 1_000_000,
 ];
 
-const BUCKET_NAMES: [&str; 10] = [
+const BUCKET_NAMES: [&str; 12] = [
+    "query_latency_us_le_25",
+    "query_latency_us_le_100",
     "query_latency_us_le_250",
     "query_latency_us_le_1000",
     "query_latency_us_le_2500",
@@ -60,7 +62,7 @@ lockdown_base::metrics_family! {
         latency_count: counter("query_latency_us_count", "Latency observations"),
         latency_sum_us: counter("query_latency_us_sum", "Sum of observed latencies (us)"),
         /// — one per [`LATENCY_BUCKETS_US`] bound; the implicit `+Inf` bucket is `latency_count`.
-        latency_buckets: counter[10](
+        latency_buckets: counter[12](
             BUCKET_NAMES,
             "Requests at or under this latency (cumulative)"
         ),
@@ -96,16 +98,20 @@ mod tests {
     #[test]
     fn latency_buckets_are_cumulative() {
         let m = QueryMetrics::new();
+        m.observe_latency_us(20); // under the first bound: every bucket
         m.observe_latency_us(250); // boundary: included in its bucket
         m.observe_latency_us(251); // just over: next bucket up
         m.observe_latency_us(2_000_000); // over the top bound: +Inf only
         assert_eq!(m.latency_buckets[0].get(), 1);
-        assert_eq!(m.latency_buckets[1].get(), 2);
-        assert_eq!(m.latency_buckets[9].get(), 2);
-        assert_eq!(m.latency_count.get(), 3);
-        assert_eq!(m.latency_sum_us.get(), 2_000_501);
+        assert_eq!(m.latency_buckets[1].get(), 1);
+        assert_eq!(m.latency_buckets[2].get(), 2);
+        assert_eq!(m.latency_buckets[3].get(), 3);
+        assert_eq!(m.latency_buckets[11].get(), 3);
+        assert_eq!(m.latency_count.get(), 4);
+        assert_eq!(m.latency_sum_us.get(), 2_000_521);
         let text = m.render();
-        assert!(text.contains("query_latency_us_le_250 1"));
-        assert!(text.contains("query_latency_us_count 3"));
+        assert!(text.contains("query_latency_us_le_25 1"));
+        assert!(text.contains("query_latency_us_le_250 2"));
+        assert!(text.contains("query_latency_us_count 4"));
     }
 }
