@@ -513,11 +513,8 @@ impl CellRunner<'_> {
                 if let Some(r) = self.reader {
                     // Warm replay. A segment that is missing, unreadable
                     // or corrupt is regenerated inline.
-                    match r.read_cell(cell) {
-                        Ok(records) => {
-                            *buf = records;
-                            break 'fill CellFill::Replayed;
-                        }
+                    match r.read_cell_into(cell, buf) {
+                        Ok(()) => break 'fill CellFill::Replayed,
                         Err(_) => sup.metrics().replay_corruptions.inc(),
                     }
                 } else if let (Some(w), Some(meta)) = (self.writer, self.adopted.get(&cell)) {

@@ -34,7 +34,7 @@
 use crate::codec::{get_varint, put_varint, unzigzag, zigzag};
 use crate::metrics::StoreMetrics;
 use crate::segment::{
-    decode_segment, encode_segment, read_footer as read_segment_footer, SegmentFooter,
+    decode_segment_into, encode_segment, read_footer as read_segment_footer, SegmentFooter,
 };
 use crate::StoreError;
 use lockdown_base::crc::crc32;
@@ -44,8 +44,10 @@ use lockdown_flow::time::Date;
 use lockdown_flow::tracefile::{read_container_header, write_container_header};
 use lockdown_flow::wire::{Cursor, PutBe, WireError};
 use lockdown_traffic::plan::{Cell, Stream, FINGERPRINT_INIT};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fs::{File, OpenOptions};
+use std::io::ErrorKind;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -406,28 +408,46 @@ impl Packs {
     /// against its index entry: the range lies inside the pack, the
     /// trailing CRC is the manifest's, the record count is the footer's.
     /// Every failed check names the segment and counts a CRC failure.
+    ///
+    /// The range is one positioned read into the thread's reused scratch.
+    /// A range past the pack's end shows as a short read; the pack's
+    /// length is asked for only when a range would grow the scratch, so a
+    /// corrupt entry's length cannot size an allocation the pack does not
+    /// back. `decode` names no segment: the label is formatted only when
+    /// a check fails.
     fn read_checked<T>(
         &self,
         meta: &SegmentMeta,
         metrics: &StoreMetrics,
-        decode: impl FnOnce(&str, &[u8]) -> Result<(T, SegmentFooter), StoreError>,
+        decode: impl FnOnce(&[u8]) -> Result<(T, SegmentFooter), StoreError>,
     ) -> Result<(T, SegmentFooter), StoreError> {
-        let name = meta.label();
+        thread_local! {
+            static SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+        }
         let path = || self.path(meta.pack());
         let file = self.file(meta.pack())?;
-        let checked = (|| {
-            let fail = |detail: String| Err(corrupt(&name, detail));
-            let pack_len = file.metadata().map_err(|e| io_err(&path(), e))?.len();
-            if !meta.fits(pack_len) {
-                let (offset, len) = (meta.offset, meta.len);
-                return fail(format!(
-                    "range {offset}+{len} overruns the pack's {pack_len} bytes"
-                ));
+        let checked = SCRATCH.with_borrow_mut(|scratch| {
+            let fail = |detail: String| Err(corrupt(&meta.label(), detail));
+            let (offset, len) = (meta.offset, meta.len);
+            let overrun = |pack: String| fail(format!("range {offset}+{len} overruns {pack}"));
+            if len > scratch.len() as u64 {
+                let pack_len = file.metadata().map_err(|e| io_err(&path(), e))?.len();
+                if !meta.fits(pack_len) {
+                    return overrun(format!("the pack's {pack_len} bytes"));
+                }
+                scratch.resize(len as usize, 0);
             }
-            let mut bytes = vec![0; meta.len as usize];
-            file.read_exact_at(&mut bytes, meta.offset)
-                .map_err(|e| io_err(&path(), e))?;
-            let (value, footer) = decode(&name, &bytes)?;
+            let bytes = &mut scratch[..len as usize];
+            match file.read_exact_at(bytes, offset) {
+                Err(e) if e.kind() == ErrorKind::UnexpectedEof => {
+                    return overrun("the pack".to_string())
+                }
+                read => read.map_err(|e| io_err(&path(), e))?,
+            }
+            let (value, footer) = decode(bytes).map_err(|e| match e {
+                StoreError::Corrupt { detail, .. } => corrupt(&meta.label(), detail),
+                e => e,
+            })?;
             let stored = u32::from_be_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
             if stored != meta.crc {
                 let want = meta.crc;
@@ -442,26 +462,30 @@ impl Packs {
                 ));
             }
             Ok((value, footer))
-        })();
+        });
         if let Err(StoreError::Corrupt { .. }) = checked {
             metrics.crc_failures.inc();
         }
         checked
     }
 
-    /// Decode one segment through [`Packs::read_checked`]. Shared by
-    /// [`ArchiveReader::read_cell`] and the resume path, so adopted
-    /// segments get the same integrity treatment as manifest replay.
+    /// Decode one segment into `out` through [`Packs::read_checked`].
+    /// Shared by [`ArchiveReader::read_cell_into`] and the resume path,
+    /// so adopted segments get the same integrity treatment as manifest
+    /// replay. On error `out` is left empty.
     fn read_segment(
         &self,
         meta: &SegmentMeta,
         metrics: &StoreMetrics,
-    ) -> Result<Vec<FlowRecord>, StoreError> {
-        let (records, _) = self.read_checked(meta, metrics, decode_segment)?;
+        out: &mut Vec<FlowRecord>,
+    ) -> Result<(), StoreError> {
+        let into = |bytes: &[u8]| Ok(((), decode_segment_into("", bytes, out)?));
+        self.read_checked(meta, metrics, into)
+            .inspect_err(|_| out.clear())?;
         metrics.segments_read.inc();
         metrics.bytes_read.add(meta.len);
-        metrics.records_read.add(records.len() as u64);
-        Ok(records)
+        metrics.records_read.add(out.len() as u64);
+        Ok(())
     }
 }
 
@@ -742,7 +766,9 @@ impl ArchiveWriter {
     /// Read back a segment this writer adopted during resume, with the
     /// same integrity checks as manifest replay.
     pub fn read_adopted(&self, meta: &SegmentMeta) -> Result<Vec<FlowRecord>, StoreError> {
-        self.packs.read_segment(meta, &self.metrics)
+        let mut records = Vec::new();
+        self.packs.read_segment(meta, &self.metrics, &mut records)?;
+        Ok(records)
     }
 
     /// Adopt a segment another process spilled into this archive
@@ -982,7 +1008,17 @@ impl ArchiveReader {
     /// Decode one cell's segment, cross-checking the manifest entry
     /// (range, CRC, record count) against its pack.
     pub fn read_cell(&self, cell: Cell) -> Result<Vec<FlowRecord>, StoreError> {
-        self.packs.read_segment(self.entry(cell)?, &self.metrics)
+        let mut records = Vec::new();
+        self.read_cell_into(cell, &mut records)?;
+        Ok(records)
+    }
+
+    /// [`ArchiveReader::read_cell`] into the caller's buffer, replacing
+    /// its contents: a replay loop that keeps one buffer decodes every
+    /// cell without allocating. On error `out` is left empty.
+    pub fn read_cell_into(&self, cell: Cell, out: &mut Vec<FlowRecord>) -> Result<(), StoreError> {
+        let meta = self.entry(cell).inspect_err(|_| out.clear())?;
+        self.packs.read_segment(meta, &self.metrics, out)
     }
 
     /// Read one cell's segment *footer* — record count, time range and
@@ -992,7 +1028,7 @@ impl ArchiveReader {
     /// on decode; what this skips is the per-column varint decode, which
     /// is what predicate-pushdown scans prune on.
     pub fn read_footer(&self, cell: Cell) -> Result<SegmentFooter, StoreError> {
-        let footer_only = |name: &str, bytes: &[u8]| Ok(((), read_segment_footer(name, bytes)?));
+        let footer_only = |bytes: &[u8]| Ok(((), read_segment_footer("", bytes)?));
         self.packs
             .read_checked(self.entry(cell)?, &self.metrics, footer_only)
             .map(|(_, f)| f)
@@ -1002,11 +1038,12 @@ impl ArchiveReader {
     /// the first.
     pub fn verify(&self) -> VerifyReport {
         let mut report = VerifyReport::default();
+        let mut records = Vec::new();
         for meta in self.segments.values() {
             report.segments += 1;
             report.bytes += meta.len;
-            match self.read_cell(meta.cell) {
-                Ok(records) => report.records += records.len() as u64,
+            match self.packs.read_segment(meta, &self.metrics, &mut records) {
+                Ok(()) => report.records += records.len() as u64,
                 Err(e) => report.failures.push(e.to_string()),
             }
         }
@@ -1288,6 +1325,37 @@ mod tests {
         assert!(err.to_string().contains("overruns the pack"), "{err}");
         assert_eq!(metrics.crc_failures.get(), 1);
         assert_eq!(r.read_cell(first).unwrap().len(), 9);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_short_read_past_the_pack_end_is_the_same_named_corruption() {
+        let dir = tmp_dir("short-read");
+        let w = ArchiveWriter::create(&dir, KEY, StoreMetrics::new()).unwrap();
+        let (large, last) = (cell(2, 0), cell(2, 1));
+        w.spill(large, &records(large, 60)).unwrap();
+        w.spill(last, &records(last, 9)).unwrap();
+        w.finish().unwrap();
+        let meta = published(&dir)[1];
+        let pack = OpenOptions::new()
+            .write(true)
+            .open(pack_path(&dir, &meta))
+            .unwrap();
+        pack.set_len(meta.offset + meta.len - 1).unwrap();
+
+        // The larger segment leaves scratch the cut range fits in, so the
+        // overrun shows as a short read, not as a length check.
+        let metrics = StoreMetrics::new();
+        let r = ArchiveReader::open(&dir, Arc::clone(&metrics))
+            .unwrap()
+            .unwrap();
+        let mut out = records(large, 3);
+        r.read_cell_into(large, &mut out).unwrap();
+        assert_eq!(out, records(large, 60));
+        let err = r.read_cell_into(last, &mut out).unwrap_err();
+        assert!(err.to_string().ends_with("overruns the pack"), "{err}");
+        assert!(out.is_empty(), "a failed read left records behind");
+        assert_eq!(metrics.crc_failures.get(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -80,6 +80,12 @@ exactly_once() { # <what> <fixed-string pattern>
 exactly_once "the engine's worker scope" 'thread::scope('
 exactly_once "the call that runs a cell" '.process('
 exactly_once "the panic boundary around a cell attempt" 'catch_unwind('
+# Warm replay decodes into the worker's reused buffer: a `read_cell(` under
+# crates/core/src is a fresh row vector per replayed cell again.
+if grep -rnF --include='*.rs' 'read_cell(' crates/core/src >&2; then
+    echo "said-once: the engine takes a fresh row vector per cell again (use read_cell_into)" >&2
+    exit 1
+fi
 # The default calibration is the shipped scenarios/covid-spring-2020.toml:
 # the parser builds the one ScenarioSpec literal, and any other is a
 # calibration written as code again.
