@@ -1,13 +1,14 @@
 //! AS-level traffic splits: hypergiants vs. the rest (Fig. 4), remote-work
 //! AS grouping (§3.4), and the per-AS residential-shift scatter (Fig. 6).
 
+use crate::slots::Slots;
 use lockdown_flow::record::{FlowRecord, HourRun};
 use lockdown_flow::time::Date;
 use lockdown_flow::wire::PutBe;
 use lockdown_scenario::calendar::day_type;
 use lockdown_topology::asn::{Asn, Region};
 use lockdown_topology::hypergiants::is_hypergiant;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
 /// Fig. 4's four time buckets: workday/weekend × working hours
 /// (09:00–16:59) / evening (17:00–24:00).
@@ -101,16 +102,28 @@ impl HypergiantSplit {
         let Some(part) = DayPart::of(run.date, run.hour, region) else {
             return;
         };
-        let (_, week) = run.date.iso_week();
-        let mut sides: [Option<u64>; 2] = [None; 2];
+        let (mut sums, mut seen) = ([0u64; 2], [false; 2]);
         for record in run.records {
             let content_asn = if record.src_as == eyeball_asn.0 {
-                Asn(record.dst_as)
+                record.dst_as
             } else {
-                Asn(record.src_as)
+                record.src_as
             };
-            *sides[usize::from(is_hypergiant(content_asn))].get_or_insert(0) += record.bytes;
+            let side = usize::from(is_hypergiant(Asn(content_asn)));
+            sums[side] += record.bytes;
+            seen[side] = true;
         }
+        self.add_sides(
+            run,
+            part,
+            [0, 1].map(|side| seen[side].then_some(sums[side])),
+        );
+    }
+
+    /// Add a run's bytes per side, other, then hypergiant (`None` when no
+    /// flow fell on it, so the side gets no bin), and count its day.
+    pub(crate) fn add_sides(&mut self, run: &HourRun<'_>, part: DayPart, sides: [Option<u64>; 2]) {
+        let (_, week) = run.date.iso_week();
         for (hg, bytes) in [false, true].into_iter().zip(sides) {
             if let Some(bytes) = bytes {
                 *self.bins.entry((week, part, hg)).or_insert(0) += bytes;
@@ -243,7 +256,10 @@ pub enum RatioGroup {
 /// Per-AS byte totals split by workday/weekend.
 #[derive(Debug, Clone, Default)]
 pub struct AsDayTotals {
-    totals: HashMap<u32, (u64, u64)>, // (workday, weekend)
+    /// Slots of the ASNs seen.
+    slots: Slots,
+    /// `[workday, weekend]` bytes per slot.
+    totals: Vec<[u64; 2]>,
     days_seen: (HashSet<i64>, HashSet<i64>),
     region: Option<Region>,
 }
@@ -257,6 +273,21 @@ impl AsDayTotals {
         }
     }
 
+    /// The counters of an ASN, zeroed if new.
+    #[inline]
+    fn entry(&mut self, asn: u32) -> &mut [u64; 2] {
+        let slot = self.slots.slot(asn);
+        if slot == self.totals.len() {
+            self.totals.push([0; 2]);
+        }
+        &mut self.totals[slot]
+    }
+
+    /// The counters of an ASN, if seen.
+    fn get(&self, asn: u32) -> Option<&[u64; 2]> {
+        self.slots.get(asn).map(|slot| &self.totals[slot])
+    }
+
     /// Add one flow, attributing bytes to both endpoint ASes (an AS's
     /// traffic is what it sends plus what it receives).
     pub fn add(&mut self, record: &FlowRecord) {
@@ -268,18 +299,13 @@ impl AsDayTotals {
     pub fn add_run(&mut self, run: &HourRun<'_>, keep: impl Fn(&FlowRecord) -> bool) {
         let region = self.region.expect("constructed via new()");
         let weekend = day_type(run.date, region).is_weekend_like();
+        let side = usize::from(weekend);
         let mut seen = false;
         for record in run.records.iter().filter(|r| keep(r)) {
             seen = true;
             for asn in [record.src_as, record.dst_as] {
-                if asn == 0 {
-                    continue;
-                }
-                let entry = self.totals.entry(asn).or_insert((0, 0));
-                if weekend {
-                    entry.1 += record.bytes;
-                } else {
-                    entry.0 += record.bytes;
+                if asn != 0 {
+                    self.entry(asn)[side] += record.bytes;
                 }
             }
         }
@@ -296,10 +322,10 @@ impl AsDayTotals {
     /// Merge another accumulator (same region) into this one.
     pub fn merge(&mut self, other: &AsDayTotals) {
         debug_assert_eq!(self.region, other.region, "regions must agree");
-        for (asn, (wd, we)) in &other.totals {
-            let entry = self.totals.entry(*asn).or_insert((0, 0));
-            entry.0 += wd;
-            entry.1 += we;
+        for (&asn, [wd, we]) in other.slots.keys().iter().zip(&other.totals) {
+            let entry = self.entry(asn);
+            entry[0] += wd;
+            entry[1] += we;
         }
         self.days_seen.0.extend(&other.days_seen.0);
         self.days_seen.1.extend(&other.days_seen.1);
@@ -309,11 +335,9 @@ impl AsDayTotals {
     /// day-seen sets sorted. The region is *not* encoded — the receiving
     /// consumer is factory-built with it.
     pub(crate) fn encode_totals(&self, out: &mut Vec<u8>) {
-        let mut asns: Vec<u32> = self.totals.keys().copied().collect();
-        asns.sort_unstable();
-        out.put_u64_be(asns.len() as u64);
-        for asn in asns {
-            let (wd, we) = self.totals[&asn];
+        out.put_u64_be(self.slots.len() as u64);
+        for (asn, slot) in self.slots.sorted() {
+            let [wd, we] = self.totals[slot];
             out.put_u32_be(asn);
             out.put_u64_be(wd);
             out.put_u64_be(we);
@@ -338,9 +362,9 @@ impl AsDayTotals {
             let asn = r.u32("asn")?;
             let wd = r.u64("workday bytes")?;
             let we = r.u64("weekend bytes")?;
-            let entry = self.totals.entry(asn).or_insert((0, 0));
-            entry.0 += wd;
-            entry.1 += we;
+            let entry = self.entry(asn);
+            entry[0] += wd;
+            entry[1] += we;
         }
         let wd_days = r.len("workday set", 8)?;
         for _ in 0..wd_days {
@@ -356,7 +380,7 @@ impl AsDayTotals {
     /// Group an AS by its *per-day* workday/weekend ratio. `None` if the
     /// AS was not observed (or one class of days is absent in the window).
     pub fn group_of(&self, asn: Asn) -> Option<RatioGroup> {
-        let (wd_bytes, we_bytes) = self.totals.get(&asn.0).copied()?;
+        let &[wd_bytes, we_bytes] = self.get(asn.0)?;
         let wd_days = self.days_seen.0.len() as f64;
         let we_days = self.days_seen.1.len() as f64;
         if wd_days == 0.0 || we_days == 0.0 {
@@ -383,9 +407,7 @@ impl AsDayTotals {
 
     /// All ASes in a group.
     pub fn in_group(&self, group: RatioGroup) -> Vec<Asn> {
-        let mut out: Vec<Asn> = self
-            .totals
-            .keys()
+        let mut out: Vec<Asn> = (self.slots.keys().iter())
             .map(|&a| Asn(a))
             .filter(|&a| self.group_of(a) == Some(group))
             .collect();
@@ -395,7 +417,7 @@ impl AsDayTotals {
 
     /// Mean daily bytes of an AS across the whole window.
     pub fn mean_daily_bytes(&self, asn: Asn) -> f64 {
-        let Some(&(wd, we)) = self.totals.get(&asn.0) else {
+        let Some(&[wd, we]) = self.get(asn.0) else {
             return 0.0;
         };
         let days = (self.days_seen.0.len() + self.days_seen.1.len()).max(1) as f64;

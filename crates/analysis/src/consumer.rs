@@ -7,12 +7,14 @@
 //! so results are independent of both flow fan-out order and worker count —
 //! the property the engine's determinism tests assert.
 //!
-//! Calendar facts are per hour run: an accumulator's one body takes a
-//! [`HourRun`](lockdown_flow::record::HourRun) and derives day type, ISO
-//! week, day part and bin keys from it once, so `observe_all` walks
-//! [`hour_runs`] and `observe` is the one-record case of the same body.
-//! The state either leaves is the same field for field, down to which keys
-//! exist — `encode_frame` bytes cross the shard boundary.
+//! Calendar facts are per hour run: an accumulator's one body,
+//! [`FlowConsumer::observe_run`], takes an [`HourRun`] and derives day
+//! type, ISO week, day part and bin keys from it once. The engine splits
+//! each cell into runs once and hands every covering consumer the same
+//! runs; `observe_all` walks [`hour_runs`] the same way, and `observe` is
+//! the one-record run. The state any path leaves is the same field for
+//! field, down to which keys exist — `encode_frame` bytes cross the shard
+//! boundary.
 
 use crate::appclass::{Classifier, HourUsage, PaperClass, WeekHeatmap};
 use crate::asgroup::{AsDayTotals, HypergiantSplit};
@@ -21,7 +23,7 @@ use crate::edu::EduAnalysis;
 use crate::linkutil::AsHourly;
 use crate::ports::{client_addr, PortProfile};
 use crate::timeseries::HourlyVolume;
-use lockdown_flow::record::{hour_runs, FlowRecord};
+use lockdown_flow::record::{hour_runs, FlowRecord, HourRun};
 use lockdown_flow::time::Date;
 use lockdown_flow::wire::PutBe;
 use lockdown_topology::asn::{Asn, Region};
@@ -38,12 +40,20 @@ pub trait FlowConsumer {
     /// Observe one flow record.
     fn observe(&mut self, record: &FlowRecord);
 
-    /// Observe a batch of records (hot path for the engine's per-cell
-    /// fan-out; the default just loops, the figures' accumulators take it
-    /// an hour run at a time).
-    fn observe_all(&mut self, records: &[FlowRecord]) {
-        for r in records {
+    /// Observe one hour run: the engine's hot path, called once per run
+    /// of a cell. The default observes each record; the figures'
+    /// accumulators implement their one body here and make `observe` the
+    /// call with [`HourRun::of`].
+    fn observe_run(&mut self, run: &HourRun<'_>) {
+        for r in run.records {
             self.observe(r);
+        }
+    }
+
+    /// Observe a batch of records, an hour run at a time.
+    fn observe_all(&mut self, records: &[FlowRecord]) {
+        for run in hour_runs(records) {
+            self.observe_run(&run);
         }
     }
 
@@ -76,13 +86,11 @@ pub trait FlowConsumer {
 
 impl FlowConsumer for HourlyVolume {
     fn observe(&mut self, record: &FlowRecord) {
-        self.add(record);
+        self.observe_run(&HourRun::of(record));
     }
 
-    fn observe_all(&mut self, records: &[FlowRecord]) {
-        for run in hour_runs(records) {
-            self.add_run(&run);
-        }
+    fn observe_run(&mut self, run: &HourRun<'_>) {
+        self.add_run(run);
     }
 
     fn merge(&mut self, other: Self) {
@@ -104,13 +112,11 @@ impl FlowConsumer for HourlyVolume {
 
 impl FlowConsumer for EduAnalysis {
     fn observe(&mut self, record: &FlowRecord) {
-        self.add(record);
+        self.observe_run(&HourRun::of(record));
     }
 
-    fn observe_all(&mut self, records: &[FlowRecord]) {
-        for run in hour_runs(records) {
-            self.add_run(&run);
-        }
+    fn observe_run(&mut self, run: &HourRun<'_>) {
+        self.add_run(run);
     }
 
     fn merge(&mut self, other: Self) {
@@ -150,13 +156,11 @@ impl PortConsumer {
 
 impl FlowConsumer for PortConsumer {
     fn observe(&mut self, record: &FlowRecord) {
-        self.profile.add(record, self.region);
+        self.observe_run(&HourRun::of(record));
     }
 
-    fn observe_all(&mut self, records: &[FlowRecord]) {
-        for run in hour_runs(records) {
-            self.profile.add_run(&run, self.region);
-        }
+    fn observe_run(&mut self, run: &HourRun<'_>) {
+        self.profile.add_run(run, self.region);
     }
 
     fn merge(&mut self, other: Self) {
@@ -198,13 +202,11 @@ impl HypergiantConsumer {
 
 impl FlowConsumer for HypergiantConsumer {
     fn observe(&mut self, record: &FlowRecord) {
-        self.split.add(record, self.region, self.eyeball);
+        self.observe_run(&HourRun::of(record));
     }
 
-    fn observe_all(&mut self, records: &[FlowRecord]) {
-        for run in hour_runs(records) {
-            self.split.add_run(&run, self.region, self.eyeball);
-        }
+    fn observe_run(&mut self, run: &HourRun<'_>) {
+        self.split.add_run(run, self.region, self.eyeball);
     }
 
     fn merge(&mut self, other: Self) {
@@ -253,16 +255,13 @@ impl AsTotalsConsumer {
 
 impl FlowConsumer for AsTotalsConsumer {
     fn observe(&mut self, record: &FlowRecord) {
-        self.observe_all(std::slice::from_ref(record));
+        self.observe_run(&HourRun::of(record));
     }
 
-    fn observe_all(&mut self, records: &[FlowRecord]) {
+    fn observe_run(&mut self, run: &HourRun<'_>) {
         let gate = self.require_asn;
-        for run in hour_runs(records) {
-            self.totals.add_run(&run, |r| {
-                gate.is_none_or(|a| r.src_as == a || r.dst_as == a)
-            });
-        }
+        self.totals
+            .add_run(run, |r| gate.is_none_or(|a| r.src_as == a || r.dst_as == a));
     }
 
     fn merge(&mut self, other: Self) {
@@ -302,13 +301,11 @@ impl HeatmapConsumer {
 
 impl FlowConsumer for HeatmapConsumer {
     fn observe(&mut self, record: &FlowRecord) {
-        self.heatmap.add(&self.classifier, record);
+        self.observe_run(&HourRun::of(record));
     }
 
-    fn observe_all(&mut self, records: &[FlowRecord]) {
-        for run in hour_runs(records) {
-            self.heatmap.add_run(&self.classifier, &run);
-        }
+    fn observe_run(&mut self, run: &HourRun<'_>) {
+        self.heatmap.add_run(&self.classifier, run);
     }
 
     fn merge(&mut self, other: Self) {
@@ -392,28 +389,26 @@ impl ClassUsageConsumer {
 
 impl FlowConsumer for ClassUsageConsumer {
     fn observe(&mut self, record: &FlowRecord) {
-        self.observe_all(std::slice::from_ref(record));
+        self.observe_run(&HourRun::of(record));
     }
 
-    fn observe_all(&mut self, records: &[FlowRecord]) {
-        for run in hour_runs(records) {
-            let mut matched = run
-                .records
-                .iter()
-                .filter(|r| self.classifier.classify(r) == Some(self.class))
-                .peekable();
-            // The run's bin exists only once a flow of the class is seen.
-            if matched.peek().is_none() {
-                continue;
-            }
-            let bin = self
-                .bins
-                .entry((run.day_number, run.hour))
-                .or_insert_with(|| (0, HashSet::new()));
-            for record in matched {
-                bin.0 += record.bytes;
-                bin.1.insert(client_addr(record));
-            }
+    fn observe_run(&mut self, run: &HourRun<'_>) {
+        let mut matched = run
+            .records
+            .iter()
+            .filter(|r| self.classifier.classify(r) == Some(self.class))
+            .peekable();
+        // The run's bin exists only once a flow of the class is seen.
+        if matched.peek().is_none() {
+            return;
+        }
+        let bin = self
+            .bins
+            .entry((run.day_number, run.hour))
+            .or_insert_with(|| (0, HashSet::new()));
+        for record in matched {
+            bin.0 += record.bytes;
+            bin.1.insert(client_addr(record));
         }
     }
 
@@ -469,13 +464,11 @@ impl FlowConsumer for ClassUsageConsumer {
 
 impl FlowConsumer for AsHourly {
     fn observe(&mut self, record: &FlowRecord) {
-        self.add(record);
+        self.observe_run(&HourRun::of(record));
     }
 
-    fn observe_all(&mut self, records: &[FlowRecord]) {
-        for run in hour_runs(records) {
-            self.add_run(&run);
-        }
+    fn observe_run(&mut self, run: &HourRun<'_>) {
+        self.add_run(run);
     }
 
     fn merge(&mut self, other: Self) {

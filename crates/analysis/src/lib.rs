@@ -32,8 +32,19 @@ pub mod ecdf;
 pub mod edu;
 pub mod linkutil;
 pub mod ports;
+mod slots;
 pub mod timeseries;
 pub mod vpn;
+
+#[cfg(test)]
+mod reference;
+/// The seeded record generator of this crate's integration tests, which
+/// name the crate as `lockdown_analysis`.
+#[cfg(test)]
+#[path = "../tests/support/mod.rs"]
+mod support;
+#[cfg(test)]
+extern crate self as lockdown_analysis;
 
 /// Convenient glob-import surface.
 pub mod prelude {

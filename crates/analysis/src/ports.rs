@@ -7,12 +7,12 @@
 //! protocols (GRE, ESP) are first-class citizens — Fig. 7 plots them as
 //! their own rows.
 
+use crate::slots::Slots;
 use lockdown_flow::protocol::IpProtocol;
 use lockdown_flow::record::{FlowRecord, HourRun};
 use lockdown_flow::wire::PutBe;
 use lockdown_scenario::calendar::{day_type, DayType};
 use lockdown_topology::asn::Region;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -57,6 +57,27 @@ impl ServiceKey {
         service_port(record).map(|port| ServiceKey::Port(proto.number(), port))
     }
 
+    /// The key as one `u32` whose order is the key's order: `Port(p,
+    /// port)` is `p << 16 | port`, below every `Protocol(p)`, which is
+    /// `1 << 24 | p`. [`ServiceKey::of`] yields `Port(6 | 17, 0..32768)`
+    /// and `Protocol(0..=255)`, so the keys a flow can have pack into 65 792
+    /// values.
+    pub fn pack(self) -> u32 {
+        match self {
+            ServiceKey::Port(proto, port) => u32::from(proto) << 16 | u32::from(port),
+            ServiceKey::Protocol(proto) => 1 << 24 | u32::from(proto),
+        }
+    }
+
+    /// Inverse of [`ServiceKey::pack`].
+    pub fn unpack(packed: u32) -> ServiceKey {
+        if packed >> 24 == 0 {
+            ServiceKey::Port((packed >> 16) as u8, packed as u16)
+        } else {
+            ServiceKey::Protocol(packed as u8)
+        }
+    }
+
     /// Human-readable form ("TCP/443", "GRE").
     pub fn label(&self) -> String {
         match self {
@@ -74,10 +95,18 @@ impl fmt::Display for ServiceKey {
 
 /// Fig. 7's unit of aggregation: bytes per (service, workday/weekend,
 /// hour of day), accumulated over one analysis week.
+///
+/// Dense: each service seen has a slot holding its total, its 48 bins
+/// (`weekend * 24 + hour`) and a mask of the bins a flow reached — a bin
+/// exists once a flow, even a zero-byte one, lands in it.
 #[derive(Debug, Clone, Default)]
 pub struct PortProfile {
-    bins: BTreeMap<(ServiceKey, bool, u8), u64>,
-    totals: BTreeMap<ServiceKey, u64>,
+    /// Slots of packed [`ServiceKey`]s.
+    slots: Slots,
+    /// `(presence mask, total)` per slot, apart from the bins so that a
+    /// walk over the services reads them from a few cache lines.
+    heads: Vec<(u64, u64)>,
+    bins: Vec<[u64; 48]>,
 }
 
 impl PortProfile {
@@ -86,22 +115,37 @@ impl PortProfile {
         PortProfile::default()
     }
 
+    /// The slot of a packed service key, with zeroed counters if new.
+    #[inline]
+    fn slot(&mut self, key: u32) -> usize {
+        let slot = self.slots.slot(key);
+        if slot == self.heads.len() {
+            self.heads.push((0, 0));
+            self.bins.push([0; 48]);
+        }
+        slot
+    }
+
     /// Add one flow observed in `region` (the region's calendar decides
     /// workday vs. weekend; Easter counts as weekend, §4).
     pub fn add(&mut self, record: &FlowRecord, region: Region) {
         self.add_run(&HourRun::of(record), region);
     }
 
-    /// Add one hour run observed in `region`: the day type is the run's,
-    /// only the service key is per flow.
+    /// Add one hour run observed in `region`: the day type and so the bin
+    /// are the run's, only the service key is per flow.
     pub fn add_run(&mut self, run: &HourRun<'_>, region: Region) {
         let weekend = day_type(run.date, region) != DayType::Workday;
+        let bin = usize::from(weekend) * 24 + usize::from(run.hour);
         for record in run.records {
             let Some(key) = ServiceKey::of(record) else {
                 continue;
             };
-            *self.bins.entry((key, weekend, run.hour)).or_insert(0) += record.bytes;
-            *self.totals.entry(key).or_insert(0) += record.bytes;
+            let slot = self.slot(key.pack());
+            let head = &mut self.heads[slot];
+            head.0 |= 1 << bin;
+            head.1 += record.bytes;
+            self.bins[slot][bin] += record.bytes;
         }
     }
 
@@ -118,28 +162,28 @@ impl PortProfile {
 
     /// Merge another profile into this one (bins are additive).
     pub fn merge(&mut self, other: &PortProfile) {
-        for (k, v) in &other.bins {
-            *self.bins.entry(*k).or_insert(0) += v;
-        }
-        for (k, v) in &other.totals {
-            *self.totals.entry(*k).or_insert(0) += v;
+        for (theirs, &key) in other.slots.keys().iter().enumerate() {
+            let ours = self.slot(key);
+            let (present, total) = other.heads[theirs];
+            self.heads[ours].0 |= present;
+            self.heads[ours].1 += total;
+            for (a, b) in self.bins[ours].iter_mut().zip(other.bins[theirs]) {
+                *a += b;
+            }
         }
     }
 
     /// Total bytes attributed to a service.
     pub fn total(&self, key: ServiceKey) -> u64 {
-        self.totals.get(&key).copied().unwrap_or(0)
+        self.slots.get(key.pack()).map_or(0, |s| self.heads[s].1)
     }
 
     /// Hourly byte curve for (service, weekend?).
     pub fn curve(&self, key: ServiceKey, weekend: bool) -> [u64; 24] {
         let mut out = [0u64; 24];
-        for (h, slot) in out.iter_mut().enumerate() {
-            *slot = self
-                .bins
-                .get(&(key, weekend, h as u8))
-                .copied()
-                .unwrap_or(0);
+        if let Some(s) = self.slots.get(key.pack()) {
+            let from = usize::from(weekend) * 24;
+            out.copy_from_slice(&self.bins[s][from..from + 24]);
         }
         out
     }
@@ -148,25 +192,25 @@ impl PortProfile {
     /// (Fig. 7 omits TCP/443 and TCP/80 "for readability purposes" and
     /// shows the top 3–12).
     pub fn top_services(&self, n: usize, exclude: &[ServiceKey]) -> Vec<ServiceKey> {
-        let mut entries: Vec<(&ServiceKey, &u64)> = self
-            .totals
-            .iter()
+        let mut entries: Vec<(ServiceKey, u64)> = (self.slots.keys().iter())
+            .zip(&self.heads)
+            .map(|(&key, &(_, total))| (ServiceKey::unpack(key), total))
             .filter(|(k, _)| !exclude.contains(k))
             .collect();
-        entries.sort_by(|a, b| b.1.cmp(a.1).then(a.0.cmp(b.0)));
-        entries.into_iter().take(n).map(|(k, _)| *k).collect()
+        entries.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        entries.into_iter().take(n).map(|(k, _)| k).collect()
     }
 
-    /// All services seen.
+    /// All services seen, in key order.
     pub fn services(&self) -> impl Iterator<Item = ServiceKey> + '_ {
-        self.totals.keys().copied()
+        self.slots.sorted().map(|(key, _)| ServiceKey::unpack(key))
     }
 
     /// Share of total bytes carried by a set of services (e.g. the §4
     /// claim that TCP/443+TCP/80 carry 80% at the ISP).
     pub fn share_of(&self, keys: &[ServiceKey]) -> f64 {
         let selected: u64 = keys.iter().map(|k| self.total(*k)).sum();
-        let all: u64 = self.totals.values().sum();
+        let all: u64 = self.heads.iter().map(|h| h.1).sum();
         if all == 0 {
             0.0
         } else {
@@ -174,29 +218,45 @@ impl PortProfile {
         }
     }
 
-    /// Shard-codec payload: both maps in key order.
+    /// Shard-codec payload: every `(service, weekend, hour)` bin that
+    /// exists, then every service's total, each in key order.
     pub(crate) fn encode_profile(&self, out: &mut Vec<u8>) {
-        out.put_u64_be(self.bins.len() as u64);
-        for ((key, weekend, hour), bytes) in &self.bins {
-            put_service_key(out, *key);
-            crate::codec::put_bool(out, *weekend);
-            out.push(*hour);
-            out.put_u64_be(*bytes);
+        let bins: u32 = self.heads.iter().map(|h| h.0.count_ones()).sum();
+        // At most 14 bytes a bin and 12 a total.
+        out.reserve(16 + 14 * bins as usize + 12 * self.slots.len());
+        out.put_u64_be(u64::from(bins));
+        for (key, slot) in self.slots.sorted() {
+            // The entry's key bytes once, then weekend, hour and bytes.
+            let mut entry = [0u8; 14];
+            let at = service_key_bytes(ServiceKey::unpack(key), &mut entry);
+            let mut present = self.heads[slot].0;
+            while present != 0 {
+                let bin = present.trailing_zeros() as usize;
+                present &= present - 1;
+                entry[at] = u8::from(bin >= 24);
+                entry[at + 1] = (bin % 24) as u8;
+                entry[at + 2..at + 10].copy_from_slice(&self.bins[slot][bin].to_be_bytes());
+                out.extend_from_slice(&entry[..at + 10]);
+            }
         }
-        out.put_u64_be(self.totals.len() as u64);
-        for (key, bytes) in &self.totals {
-            put_service_key(out, *key);
-            out.put_u64_be(*bytes);
+        out.put_u64_be(self.slots.len() as u64);
+        for (key, slot) in self.slots.sorted() {
+            put_service_key(out, ServiceKey::unpack(key));
+            out.put_u64_be(self.heads[slot].1);
         }
     }
 
-    /// Decode a shard-codec payload and merge it additively.
+    /// Decode a shard-codec payload and merge it additively. A payload no
+    /// flows could have produced is an error, and merges nothing: a key
+    /// outside the service-key space, or bins and totals that name
+    /// different services (every flow makes both).
     pub(crate) fn merge_profile(
         &mut self,
         r: &mut crate::codec::StateReader<'_>,
     ) -> Result<(), crate::codec::CodecError> {
         // Smallest bins entry: 2-byte key + weekend + hour + 8-byte count.
         let n = r.len("port bins", 12)?;
+        let mut bins = Vec::with_capacity(n);
         for _ in 0..n {
             let key = read_service_key(r)?;
             let weekend = r.bool("weekend flag")?;
@@ -205,13 +265,45 @@ impl PortProfile {
             if hour >= 24 {
                 return Err(r.error(format!("hour {hour} out of range")));
             }
-            *self.bins.entry((key, weekend, hour)).or_insert(0) += bytes;
+            bins.push((
+                key.pack(),
+                usize::from(weekend) * 24 + usize::from(hour),
+                bytes,
+            ));
         }
         let n = r.len("port totals", 10)?;
+        let mut totals = Vec::with_capacity(n);
         for _ in 0..n {
             let key = read_service_key(r)?;
-            let bytes = r.u64("total bytes")?;
-            *self.totals.entry(key).or_insert(0) += bytes;
+            totals.push((key.pack(), r.u64("total bytes")?));
+        }
+        /// The services `keys` name, sorted.
+        fn named(keys: impl Iterator<Item = u32>) -> Vec<u32> {
+            let mut keys: Vec<u32> = keys.collect();
+            keys.sort_unstable();
+            keys.dedup();
+            keys
+        }
+        let in_bins = named(bins.iter().map(|b| b.0));
+        let in_totals = named(totals.iter().map(|t| t.0));
+        let unnamed = |these: &[u32], those: &[u32]| {
+            let key = these.iter().find(|k| those.binary_search(k).is_err());
+            key.map(|&k| ServiceKey::unpack(k))
+        };
+        if let Some(key) = unnamed(&in_bins, &in_totals) {
+            return Err(r.error(format!("bins name service {key} that no total names")));
+        }
+        if let Some(key) = unnamed(&in_totals, &in_bins) {
+            return Err(r.error(format!("totals name service {key} that no bin names")));
+        }
+        for (key, bin, bytes) in bins {
+            let slot = self.slot(key);
+            self.heads[slot].0 |= 1 << bin;
+            self.bins[slot][bin] += bytes;
+        }
+        for (key, bytes) in totals {
+            let slot = self.slot(key);
+            self.heads[slot].1 += bytes;
         }
         Ok(())
     }
@@ -220,24 +312,46 @@ impl PortProfile {
 /// [`ServiceKey`] wire form: variant byte 0 = `Port(proto, port)`,
 /// 1 = `Protocol(proto)`.
 fn put_service_key(out: &mut Vec<u8>, key: ServiceKey) {
+    let mut buf = [0u8; 4];
+    let len = service_key_bytes(key, &mut buf);
+    out.extend_from_slice(&buf[..len]);
+}
+
+/// Write `key`'s wire form at the start of `buf`; returns its length.
+fn service_key_bytes(key: ServiceKey, buf: &mut [u8]) -> usize {
     match key {
         ServiceKey::Port(proto, port) => {
-            out.push(0);
-            out.push(proto);
-            out.put_u16_be(port);
+            let [hi, lo] = port.to_be_bytes();
+            buf[..4].copy_from_slice(&[0, proto, hi, lo]);
+            4
         }
         ServiceKey::Protocol(proto) => {
-            out.push(1);
-            out.push(proto);
+            buf[..2].copy_from_slice(&[1, proto]);
+            2
         }
     }
 }
 
+/// Read a [`ServiceKey`], refusing any [`ServiceKey::of`] never yields: a
+/// port of a protocol without ports, or an ephemeral one.
 fn read_service_key(
     r: &mut crate::codec::StateReader<'_>,
 ) -> Result<ServiceKey, crate::codec::CodecError> {
     match r.u8("service key variant")? {
-        0 => Ok(ServiceKey::Port(r.u8("protocol")?, r.u16("port")?)),
+        0 => {
+            let (proto, port) = (r.u8("protocol")?, r.u16("port")?);
+            if !IpProtocol::from_number(proto).has_ports() {
+                return Err(r.error(format!(
+                    "service key names port {port} of protocol {proto}, which has no ports"
+                )));
+            }
+            if port >= EPHEMERAL_START {
+                return Err(r.error(format!(
+                    "service key names ephemeral port {proto}/{port}, never a service port"
+                )));
+            }
+            Ok(ServiceKey::Port(proto, port))
+        }
         1 => Ok(ServiceKey::Protocol(r.u8("protocol")?)),
         other => Err(r.error(format!("unknown service key variant {other}"))),
     }
@@ -397,5 +511,105 @@ mod tests {
         );
         let top = p.top_services(2, &[]);
         assert_eq!(top, vec![ServiceKey::Port(6, 22), ServiceKey::Port(6, 25)]);
+    }
+
+    /// A port state written byte by byte, framed like a consumer's own.
+    struct Crafted(Vec<u8>);
+
+    impl crate::consumer::FlowConsumer for Crafted {
+        fn observe(&mut self, _: &FlowRecord) {}
+
+        fn merge(&mut self, _: Self) {}
+
+        fn state_tag(&self) -> crate::codec::ConsumerTag {
+            crate::codec::TAG_PORT_CONSUMER
+        }
+
+        fn encode_state(&self, out: &mut Vec<u8>) {
+            out.extend_from_slice(&self.0);
+        }
+    }
+
+    /// The payload of `bins` `(key, weekend, hour, bytes)` and `totals`.
+    fn payload(bins: &[(ServiceKey, bool, u8, u64)], totals: &[(ServiceKey, u64)]) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.put_u64_be(bins.len() as u64);
+        for &(key, weekend, hour, bytes) in bins {
+            put_service_key(&mut out, key);
+            out.extend_from_slice(&[u8::from(weekend), hour]);
+            out.put_u64_be(bytes);
+        }
+        out.put_u64_be(totals.len() as u64);
+        for &(key, bytes) in totals {
+            put_service_key(&mut out, key);
+            out.put_u64_be(bytes);
+        }
+        out
+    }
+
+    /// `ServiceKey::of` yields `Port(6 | 17, < 32768)` or `Protocol(_)`,
+    /// and every flow makes a bin and a total of its service: a frame
+    /// that says otherwise is a named error that merges nothing, never a
+    /// service no flow had.
+    #[test]
+    fn port_states_no_flow_can_produce_are_named_errors() {
+        use crate::codec::{encode_frame, merge_frame};
+        use crate::consumer::PortConsumer;
+        let (gre80, tcp40k, gre) = (
+            ServiceKey::Port(47, 80),
+            ServiceKey::Port(6, 40_000),
+            ServiceKey::Protocol(47),
+        );
+        let (https, http) = (tcp443(), tcp80());
+        for (bins, totals, named) in [
+            (
+                vec![(gre80, false, 9, 5)],
+                vec![(gre80, 5)],
+                "service key names port 80 of protocol 47, which has no ports",
+            ),
+            (
+                vec![(tcp40k, true, 3, 5)],
+                vec![(tcp40k, 5)],
+                "service key names ephemeral port 6/40000, never a service port",
+            ),
+            (
+                vec![(https, false, 9, 5)],
+                vec![(https, 5), (http, 1)],
+                "totals name service TCP/80 that no bin names",
+            ),
+            (
+                vec![(https, false, 9, 5), (gre, true, 23, 0)],
+                vec![(https, 5)],
+                "bins name service GRE that no total names",
+            ),
+        ] {
+            let frame = encode_frame(&Crafted(payload(&bins, &totals)));
+            let mut sink = PortConsumer::new(Region::CentralEurope);
+            let e = merge_frame(&mut sink, &frame).expect_err(named);
+            assert_eq!((e.consumer, e.detail.as_str()), ("PortConsumer", named));
+            assert!(sink.profile.services().next().is_none(), "{named}: merged");
+        }
+
+        // The same services in both halves decode to the state that
+        // re-encodes them, zero-byte bins and all, in key order.
+        let unsorted = payload(
+            &[
+                (https, false, 9, 5),
+                (gre, true, 23, 0),
+                (https, true, 0, 2),
+            ],
+            &[(https, 7), (gre, 0)],
+        );
+        let mut sink = PortConsumer::new(Region::CentralEurope);
+        merge_frame(&mut sink, &encode_frame(&Crafted(unsorted))).expect("a state flows make");
+        let sorted = payload(
+            &[
+                (https, false, 9, 5),
+                (https, true, 0, 2),
+                (gre, true, 23, 0),
+            ],
+            &[(https, 7), (gre, 0)],
+        );
+        assert_eq!(encode_frame(&sink), encode_frame(&Crafted(sorted)));
     }
 }

@@ -29,10 +29,10 @@ impl HourlyVolume {
         self.add_bytes(record.start, record.bytes);
     }
 
-    /// Add one hour run: its bytes summed, then one bin entry (created even
+    /// Add one hour run: its byte sum into one bin entry (created even
     /// when the sum is zero, as a zero-byte flow creates its bin).
     pub fn add_run(&mut self, run: &HourRun<'_>) {
-        self.add_bytes(run.hour_start, run.records.iter().map(|r| r.bytes).sum());
+        *self.bins.entry(run.hour_start).or_insert(0) += run.bytes;
     }
 
     /// Add raw bytes at a time.

@@ -1,7 +1,9 @@
 //! Record slices that stress the hour-run accumulate path, and the check
-//! every consumer is held to over them: `observe_all` — which takes a
-//! slice an hour run at a time — must leave the state per-record `observe`
-//! leaves, byte for byte in `encode_frame`, including which keys exist.
+//! every consumer is held to over them: three ways of feeding a slice —
+//! `observe_all` on it whole, `observe` a record at a time, and the
+//! engine's way, split into hour runs once and `observe_run` per run —
+//! must leave the same state, byte for byte in `encode_frame`, including
+//! which keys exist.
 //!
 //! Included by path from the tests of consumers this crate cannot see
 //! (`lockdown-core`'s private ones, the query filter in `tests/`), so a
@@ -13,7 +15,7 @@ use lockdown_analysis::codec::encode_frame;
 use lockdown_analysis::consumer::FlowConsumer;
 use lockdown_base::hash::SplitMix;
 use lockdown_flow::protocol::{IpProtocol, TcpFlags};
-use lockdown_flow::record::{Direction, FlowKey, FlowRecord};
+use lockdown_flow::record::{hour_runs, Direction, FlowKey, FlowRecord};
 use lockdown_flow::time::{Date, Timestamp};
 use lockdown_topology::registry::{EDU_ASN, SPOTIFY_ASN, ZOOM_ASN};
 use std::net::Ipv4Addr;
@@ -184,30 +186,44 @@ pub fn slices(seed: u64) -> Vec<(String, Vec<FlowRecord>)> {
 }
 
 /// Hold one consumer type to the contract: over every slice of every seed,
-/// alone and on top of the state the earlier slices left, `observe_all`
-/// equals per-record `observe` in `encode_frame` bytes.
+/// alone and on top of the state the earlier slices left, the whole
+/// slice, a record at a time and a run at a time end in equal
+/// `encode_frame` bytes.
 pub fn assert_runs_match_records<C: FlowConsumer>(make: impl Fn() -> C) {
+    /// Feed `slice` to `c` the engine's way.
+    fn by_run<C: FlowConsumer>(c: &mut C, slice: &[FlowRecord]) {
+        for run in hour_runs(slice) {
+            c.observe_run(&run);
+        }
+    }
     for seed in SEEDS {
-        let (mut all_by_run, mut all_by_record) = (make(), make());
+        let (mut all_whole, mut all_by_record, mut all_by_run) = (make(), make(), make());
         for (label, slice) in slices(seed) {
-            let (mut by_run, mut by_record) = (make(), make());
-            by_run.observe_all(&slice);
-            all_by_run.observe_all(&slice);
+            let (mut whole, mut by_record, mut one_by_run) = (make(), make(), make());
+            whole.observe_all(&slice);
+            all_whole.observe_all(&slice);
             for r in &slice {
                 by_record.observe(r);
                 all_by_record.observe(r);
             }
-            let name = by_run.state_tag().name;
-            assert_eq!(
-                encode_frame(&by_run),
-                encode_frame(&by_record),
-                "{name} over {label} (seed {seed:#x})"
-            );
-            assert_eq!(
-                encode_frame(&all_by_run),
-                encode_frame(&all_by_record),
-                "{name} through {label} (seed {seed:#x})"
-            );
+            by_run(&mut one_by_run, &slice);
+            by_run(&mut all_by_run, &slice);
+            let name = whole.state_tag().name;
+            for (path, alone, through) in [
+                ("a record at a time", &by_record, &all_by_record),
+                ("a run at a time", &one_by_run, &all_by_run),
+            ] {
+                assert_eq!(
+                    encode_frame(&whole),
+                    encode_frame(alone),
+                    "{name} over {label}, {path} (seed {seed:#x})"
+                );
+                assert_eq!(
+                    encode_frame(&all_whole),
+                    encode_frame(through),
+                    "{name} through {label}, {path} (seed {seed:#x})"
+                );
+            }
         }
     }
 }

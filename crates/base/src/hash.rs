@@ -98,6 +98,16 @@ pub fn fold(init: u64, parts: impl IntoIterator<Item = u64>) -> u64 {
         .fold(init, |acc, part| splitmix64(acc ^ part))
 }
 
+/// Multiplicative (Fibonacci) hashing of an integer key: the top `bits`
+/// bits of `key × GAMMA`, the splitmix64 increment, as an index into a
+/// table of `2^bits` entries (`bits` in `1..64`). One multiply spreads
+/// consecutive or clustered keys (ASNs, ports) over the whole table. It is
+/// unkeyed: for keys the program counts, not keys an adversary chooses.
+#[inline]
+pub fn mul_index(key: u64, bits: u32) -> usize {
+    (key.wrapping_mul(GAMMA) >> (64 - bits)) as usize
+}
+
 /// Map a hash to a uniform draw in `[0, 1)` from its top 53 bits.
 #[inline]
 pub fn unit(h: u64) -> f64 {
@@ -173,6 +183,19 @@ mod tests {
         let mut deck = [0u8, 1, 2, 3, 4, 5, 6, 7];
         rng().shuffle(&mut deck);
         assert_eq!(deck, [3, 7, 5, 0, 1, 2, 4, 6]);
+    }
+
+    #[test]
+    fn mul_index_spreads_consecutive_keys() {
+        assert_eq!(mul_index(0, 8), 0);
+        assert_eq!(mul_index(1, 8), (GAMMA >> 56) as usize);
+        // 256 consecutive keys over a 1024-entry table: no index repeats.
+        let mut seen = [false; 1_024];
+        for key in 64_496..64_496 + 256 {
+            let i = mul_index(key, 10);
+            assert!(!seen[i], "key {key} repeats index {i}");
+            seen[i] = true;
+        }
     }
 
     #[test]

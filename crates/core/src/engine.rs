@@ -30,7 +30,7 @@ use lockdown_analysis::codec::CodecError;
 use lockdown_analysis::consumer::FlowConsumer;
 use lockdown_base::fault::{FaultProfile, WriteFault};
 use lockdown_collect::{CollectMetrics, CollectionPlane, WireConfig};
-use lockdown_flow::record::FlowRecord;
+use lockdown_flow::record::{hour_runs, FlowRecord, HourRun};
 use lockdown_flow::time::Date;
 use lockdown_store::{
     ArchiveReader, ArchiveWriter, SegmentMeta, SpillFault, StoreError, StoreKey, StoreMetrics,
@@ -45,7 +45,7 @@ use std::sync::Arc;
 
 /// Object-safe face of [`FlowConsumer`] used inside the engine.
 trait AnyConsumer: Send {
-    fn observe_batch(&mut self, records: &[FlowRecord]);
+    fn observe_run(&mut self, run: &HourRun<'_>);
     fn merge_box(&mut self, other: Box<dyn AnyConsumer>);
     fn into_any(self: Box<Self>) -> Box<dyn Any>;
     /// Serialize this consumer's state as a self-checking codec frame
@@ -59,8 +59,8 @@ trait AnyConsumer: Send {
 struct Erased<C>(C);
 
 impl<C: FlowConsumer + Send + 'static> AnyConsumer for Erased<C> {
-    fn observe_batch(&mut self, records: &[FlowRecord]) {
-        self.0.observe_all(records);
+    fn observe_run(&mut self, run: &HourRun<'_>) {
+        self.0.observe_run(run);
     }
 
     fn merge_box(&mut self, other: Box<dyn AnyConsumer>) {
@@ -463,15 +463,20 @@ fn fresh_consumers(subs: &[Subscription]) -> Vec<Box<dyn AnyConsumer>> {
 }
 
 /// Hand one cell's batch to every subscription whose window covers it.
+/// The batch is split into hour runs once, and each covering consumer
+/// observes every run, so a run's boundaries, calendar facts and byte sum
+/// are found once per cell rather than once per subscription.
 fn fan_out(
     subs: &[Subscription],
     consumers: &mut [Box<dyn AnyConsumer>],
     cell: Cell,
     batch: &[FlowRecord],
 ) {
-    for (sub, consumer) in subs.iter().zip(consumers.iter_mut()) {
-        if sub.covers(cell) {
-            consumer.observe_batch(batch);
+    for run in hour_runs(batch) {
+        for (sub, consumer) in subs.iter().zip(consumers.iter_mut()) {
+            if sub.covers(cell) {
+                consumer.observe_run(&run);
+            }
         }
     }
 }

@@ -9,7 +9,7 @@ use crate::report::TextTable;
 use lockdown_analysis::codec::{self, CodecError, ConsumerTag, StateReader};
 use lockdown_analysis::consumer::FlowConsumer;
 use lockdown_analysis::vpn::{VpnClassifier, VpnMethod};
-use lockdown_flow::record::{hour_runs, FlowRecord};
+use lockdown_flow::record::{FlowRecord, HourRun};
 use lockdown_flow::wire::PutBe;
 use lockdown_scenario::calendar::{day_type, DayType, PORTS_IXP_WEEKS};
 use lockdown_topology::asn::Region;
@@ -69,28 +69,26 @@ impl VpnWeekConsumer {
 
 impl FlowConsumer for VpnWeekConsumer {
     fn observe(&mut self, record: &FlowRecord) {
-        self.observe_all(std::slice::from_ref(record));
+        self.observe_run(&HourRun::of(record));
     }
 
-    fn observe_all(&mut self, records: &[FlowRecord]) {
-        for run in hour_runs(records) {
-            let (mut port, mut domain) = (0u64, 0u64);
-            for record in run.records {
-                match self.classifier.classify(record) {
-                    Some(VpnMethod::Port) => port += record.bytes,
-                    Some(VpnMethod::Domain) => domain += record.bytes,
-                    None => {}
-                }
+    fn observe_run(&mut self, run: &HourRun<'_>) {
+        let (mut port, mut domain) = (0u64, 0u64);
+        for record in run.records {
+            match self.classifier.classify(record) {
+                Some(VpnMethod::Port) => port += record.bytes,
+                Some(VpnMethod::Domain) => domain += record.bytes,
+                None => {}
             }
-            let weekend = day_type(run.date, self.region) != DayType::Workday;
-            for (week, bytes) in [(&mut self.port, port), (&mut self.domain, domain)] {
-                let series = if weekend {
-                    &mut week.weekend
-                } else {
-                    &mut week.workday
-                };
-                series[usize::from(run.hour)] += bytes;
-            }
+        }
+        let weekend = day_type(run.date, self.region) != DayType::Workday;
+        for (week, bytes) in [(&mut self.port, port), (&mut self.domain, domain)] {
+            let series = if weekend {
+                &mut week.weekend
+            } else {
+                &mut week.workday
+            };
+            series[usize::from(run.hour)] += bytes;
         }
     }
 

@@ -15,7 +15,7 @@ use crate::report::TextTable;
 use lockdown_analysis::codec::{self, CodecError, ConsumerTag, StateReader};
 use lockdown_analysis::consumer::FlowConsumer;
 use lockdown_analysis::edu::{orientation, EduAnalysis, EduTrafficClass, Orientation};
-use lockdown_flow::record::{hour_runs, FlowRecord};
+use lockdown_flow::record::{FlowRecord, HourRun};
 use lockdown_flow::time::Date;
 use lockdown_flow::wire::PutBe;
 use lockdown_scenario::calendar::{AnalysisWeek, EDU_WEEKS};
@@ -122,25 +122,23 @@ impl OriginsConsumer {
 
 impl FlowConsumer for OriginsConsumer {
     fn observe(&mut self, record: &FlowRecord) {
-        self.observe_all(std::slice::from_ref(record));
+        self.observe_run(&HourRun::of(record));
     }
 
-    fn observe_all(&mut self, records: &[FlowRecord]) {
-        for run in hour_runs(records) {
-            let (mut national, mut overseas) = (0u64, 0u64);
-            for record in run.records {
-                if orientation(record) != Orientation::Incoming {
-                    continue;
-                }
-                if self.national_as.contains(&record.src_as) {
-                    national += 1;
-                } else if self.overseas_as.contains(&record.src_as) {
-                    overseas += 1;
-                }
+    fn observe_run(&mut self, run: &HourRun<'_>) {
+        let (mut national, mut overseas) = (0u64, 0u64);
+        for record in run.records {
+            if orientation(record) != Orientation::Incoming {
+                continue;
             }
-            self.national[usize::from(run.hour)] += national;
-            self.overseas[usize::from(run.hour)] += overseas;
+            if self.national_as.contains(&record.src_as) {
+                national += 1;
+            } else if self.overseas_as.contains(&record.src_as) {
+                overseas += 1;
+            }
         }
+        self.national[usize::from(run.hour)] += national;
+        self.overseas[usize::from(run.hour)] += overseas;
     }
 
     fn merge(&mut self, other: Self) {

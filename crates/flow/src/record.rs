@@ -7,7 +7,7 @@
 //! on the packet header … no payload information").
 
 use crate::protocol::{IpProtocol, TcpFlags};
-use crate::time::{Date, Timestamp};
+use crate::time::{Date, Timestamp, SECS_PER_HOUR};
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -108,7 +108,7 @@ impl FlowRecord {
 }
 
 /// A maximal run of consecutive records that start in one hour, with that
-/// hour's calendar facts computed once.
+/// hour's calendar facts and byte sum computed once.
 ///
 /// Every figure bins by (week, day type, hour), all functions of the start
 /// hour, and the engine hands consumers one vantage-hour at a time — so an
@@ -127,17 +127,19 @@ pub struct HourRun<'a> {
     pub day_number: i64,
     /// Hour of day in `0..24`.
     pub hour: u8,
+    /// Sum of the records' bytes (wrapping on overflow).
+    pub bytes: u64,
 }
 
 impl<'a> HourRun<'a> {
-    /// The one-record run: how a per-flow `add` enters the run path.
+    /// The one-record run: how a per-flow `observe` enters the run path.
     pub fn of(record: &'a FlowRecord) -> HourRun<'a> {
-        HourRun::starting(std::slice::from_ref(record))
+        HourRun::starting(std::slice::from_ref(record), record.bytes)
     }
 
-    /// The run `records` forms: not empty, and every record starts in the
-    /// first one's hour.
-    fn starting(records: &'a [FlowRecord]) -> HourRun<'a> {
+    /// The run `records` forms: not empty, every record starts in the
+    /// first one's hour, and their bytes sum to `bytes`.
+    fn starting(records: &'a [FlowRecord], bytes: u64) -> HourRun<'a> {
         let hour_start = records[0].start.floor_hour();
         HourRun {
             records,
@@ -145,16 +147,30 @@ impl<'a> HourRun<'a> {
             date: hour_start.date(),
             day_number: hour_start.day_number(),
             hour: hour_start.hour(),
+            bytes,
         }
     }
 }
 
 /// Split `records` into its [`HourRun`]s, in order; concatenated, the runs'
-/// records are the input.
+/// records are the input. One scan finds each run's end and byte sum.
 pub fn hour_runs(records: &[FlowRecord]) -> impl Iterator<Item = HourRun<'_>> {
-    records
-        .chunk_by(|a, b| a.start.floor_hour() == b.start.floor_hour())
-        .map(HourRun::starting)
+    let mut rest = records;
+    std::iter::from_fn(move || {
+        let hour_start = rest.first()?.start.floor_hour().unix();
+        let (mut len, mut bytes) = (0, 0u64);
+        for r in rest {
+            // An earlier hour wraps to a large difference and ends the run.
+            if r.start.unix().wrapping_sub(hour_start) >= SECS_PER_HOUR {
+                break;
+            }
+            len += 1;
+            bytes = bytes.wrapping_add(r.bytes);
+        }
+        let (run, tail) = rest.split_at(len);
+        rest = tail;
+        Some(HourRun::starting(run, bytes))
+    })
 }
 
 /// Builder for [`FlowRecord`]; keeps construction sites readable when only a
@@ -264,7 +280,7 @@ mod tests {
     #[test]
     fn hour_runs_split_at_the_hour_and_reassemble() {
         let d = Date::new(2020, 3, 25);
-        let at = |t: Timestamp| FlowRecord::builder(key(), t).build();
+        let at = |t: Timestamp| FlowRecord::builder(key(), t).bytes(t.unix() % 97).build();
         assert_eq!(hour_runs(&[]).count(), 0);
 
         // xx:59:59 | xx+1:00:00 is a boundary; the seconds before it are not.
@@ -288,6 +304,8 @@ mod tests {
             for r in run.records {
                 assert_eq!(r.start.floor_hour(), run.hour_start);
             }
+            let bytes: u64 = run.records.iter().map(|r| r.bytes).sum();
+            assert_eq!(run.bytes, bytes);
         }
         let back: Vec<FlowRecord> = runs.iter().flat_map(|r| r.records).copied().collect();
         assert_eq!(back, flows);
@@ -297,8 +315,14 @@ mod tests {
         let of = HourRun::of(&flows[1]);
         assert_eq!(one.records, of.records);
         assert_eq!(
-            (one.hour_start, one.date, one.day_number, one.hour),
-            (of.hour_start, of.date, of.day_number, of.hour)
+            (
+                one.hour_start,
+                one.date,
+                one.day_number,
+                one.hour,
+                one.bytes
+            ),
+            (of.hour_start, of.date, of.day_number, of.hour, of.bytes)
         );
         assert_eq!((of.hour_start, of.hour), (d.at_hour(9), 9));
     }

@@ -80,9 +80,42 @@ pub const HYPERGIANTS: [Hypergiant; 15] = [
     },
 ];
 
-/// Whether an ASN is one of the paper's 15 hypergiants.
+/// Words of [`MEMBERS`]: enough for the largest ASN of Table 2.
+const WORDS: usize = {
+    let mut max = 0;
+    let mut i = 0;
+    while i < HYPERGIANTS.len() {
+        if HYPERGIANTS[i].asn.0 > max {
+            max = HYPERGIANTS[i].asn.0;
+        }
+        i += 1;
+    }
+    max as usize / 64 + 1
+};
+
+/// Table 2 as a bitset over ASNs, one bit each, built from [`HYPERGIANTS`]
+/// at compile time (5.8 KB).
+const MEMBERS: [u64; WORDS] = members();
+
+const fn members() -> [u64; WORDS] {
+    let mut bits = [0u64; WORDS];
+    let mut i = 0;
+    while i < HYPERGIANTS.len() {
+        let asn = HYPERGIANTS[i].asn.0 as usize;
+        bits[asn / 64] |= 1 << (asn % 64);
+        i += 1;
+    }
+    bits
+}
+
+/// Whether an ASN is one of the paper's 15 hypergiants: one bitset read,
+/// with no branch on the ASN (an ASN past the set reads its last word and
+/// is masked out).
+#[inline]
 pub fn is_hypergiant(asn: Asn) -> bool {
-    HYPERGIANTS.iter().any(|h| h.asn == asn)
+    let word = asn.0 as usize / 64;
+    let bits = MEMBERS[word.min(WORDS - 1)];
+    (word < WORDS) & (bits >> (asn.0 % 64) & 1 == 1)
 }
 
 /// Look up a hypergiant by ASN.
@@ -106,6 +139,14 @@ mod tests {
         assert!(is_hypergiant(Asn(13_335))); // Cloudflare
         assert!(!is_hypergiant(Asn(3_320))); // Deutsche Telekom: eyeball, not HG
         assert!(!is_hypergiant(Asn(0)));
+    }
+
+    #[test]
+    fn bitset_matches_the_table() {
+        let listed = |asn: u32| HYPERGIANTS.iter().any(|h| h.asn.0 == asn);
+        for asn in (0..70_000).chain([u32::MAX, u32::MAX - 63, 1 << 31, 46_489 + 64]) {
+            assert_eq!(is_hypergiant(Asn(asn)), listed(asn), "AS{asn}");
+        }
     }
 
     #[test]

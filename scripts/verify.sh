@@ -80,6 +80,17 @@ exactly_once() { # <what> <fixed-string pattern>
 exactly_once "the engine's worker scope" 'thread::scope('
 exactly_once "the call that runs a cell" '.process('
 exactly_once "the panic boundary around a cell attempt" 'catch_unwind('
+# One consumer body per flow: the engine splits each cell into hour runs
+# once and hands every covering consumer `observe_run`; `observe_all` is
+# the FlowConsumer trait's walk over `hour_runs`. A second `fn observe_all`
+# is a consumer re-splitting its batch on its own again.
+observe_all=$(grep -rnF --include='*.rs' 'fn observe_all' crates src || true)
+if [[ $(grep -c . <<< "$observe_all") -ne 1 ]] ||
+    ! grep -q '^crates/analysis/src/consumer.rs:' <<< "$observe_all"; then
+    echo "said-once: fn observe_all must occur exactly once, in the FlowConsumer trait, found:" >&2
+    echo "${observe_all:-(nowhere)}" >&2
+    exit 1
+fi
 # Warm replay decodes into the worker's reused buffer: a `read_cell(` under
 # crates/core/src is a fresh row vector per replayed cell again.
 if grep -rnF --include='*.rs' 'read_cell(' crates/core/src >&2; then
