@@ -11,16 +11,15 @@
 //! number of filters and the number of distinct ASNs and transport ports
 //! they reference.
 
-use crate::ports::{client_addr, service_port, EPHEMERAL_START};
+use crate::ports::{service_port, EPHEMERAL_START};
 use lockdown_flow::protocol::IpProtocol;
-use lockdown_flow::record::{hour_runs, FlowRecord, HourRun};
+use lockdown_flow::record::{FlowRecord, HourRun};
 use lockdown_flow::time::Date;
 use lockdown_scenario::apps::{PortSig, GAMING_PORTS};
 use lockdown_topology::asn::{AsCategory, Asn};
 use lockdown_topology::registry::{Registry, ZOOM_ASN};
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 use std::fmt;
-use std::net::Ipv4Addr;
 
 /// The nine application classes of Table 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -104,7 +103,7 @@ impl fmt::Display for PaperClass {
 
 /// One filter: ports, ASNs, or a port+AS combination.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FilterRule {
+pub(crate) enum FilterRule {
     /// Match on service port signature(s) alone.
     Ports(Vec<PortSig>),
     /// Match on endpoint AS(es) alone.
@@ -468,27 +467,6 @@ pub struct HourUsage {
     pub unique_ips: usize,
 }
 
-/// Measure one class's hourly usage over a batch of flows: volume plus
-/// distinct non-content endpoint addresses.
-pub fn class_hour_usage(
-    classifier: &Classifier,
-    class: PaperClass,
-    flows: &[FlowRecord],
-) -> HourUsage {
-    let mut bytes = 0u64;
-    let mut ips: HashSet<Ipv4Addr> = HashSet::new();
-    for f in flows {
-        if classifier.classify(f) == Some(class) {
-            bytes += f.bytes;
-            ips.insert(client_addr(f));
-        }
-    }
-    HourUsage {
-        bytes,
-        unique_ips: ips.len(),
-    }
-}
-
 /// Fig. 9 heatmap cell grid for one analysis week: per class, 7 days × the
 /// displayed hours (the paper removes 02:00–07:00, keeping 19 hours/day).
 #[derive(Debug, Clone)]
@@ -514,23 +492,17 @@ pub fn display_slot(hour: u8) -> Option<usize> {
 
 impl WeekHeatmap {
     /// An empty grid for the week starting at `start`.
-    pub fn new(start: Date) -> WeekHeatmap {
+    pub(crate) fn new(start: Date) -> WeekHeatmap {
         WeekHeatmap {
             start,
             grid: vec![[[0u64; DISPLAY_HOURS]; 7]; PaperClass::ALL.len()],
         }
     }
 
-    /// Accumulate one flow into the grid (classified flows inside the
-    /// week's displayed hours only).
-    pub fn add(&mut self, classifier: &Classifier, record: &FlowRecord) {
-        self.add_run(classifier, &HourRun::of(record));
-    }
-
     /// Accumulate one hour run: day and display slot are the run's (a run
     /// outside the week or the displayed hours is not classified at all),
     /// bytes are summed per class and flushed into the run's one column.
-    pub fn add_run(&mut self, classifier: &Classifier, run: &HourRun<'_>) {
+    pub(crate) fn add_run(&mut self, classifier: &Classifier, run: &HourRun<'_>) {
         let day = run.day_number - self.start.day_number();
         if !(0..7).contains(&day) {
             return;
@@ -550,7 +522,7 @@ impl WeekHeatmap {
     }
 
     /// Merge another same-week grid into this one (cells are additive).
-    pub fn merge(&mut self, other: &WeekHeatmap) {
+    pub(crate) fn merge(&mut self, other: &WeekHeatmap) {
         debug_assert_eq!(self.start, other.start, "weeks must agree");
         for (mine, theirs) in self.grid.iter_mut().zip(&other.grid) {
             for (day_m, day_t) in mine.iter_mut().zip(theirs) {
@@ -561,20 +533,15 @@ impl WeekHeatmap {
         }
     }
 
-    /// Accumulate one week of flows into the grid.
-    pub fn build(classifier: &Classifier, start: Date, flows: &[FlowRecord]) -> WeekHeatmap {
-        let mut h = WeekHeatmap::new(start);
-        for run in hour_runs(flows) {
-            h.add_run(classifier, &run);
-        }
-        h
-    }
-
     /// The class's cells normalized to this week+others' shared max (the
     /// caller supplies the per-class max across all compared weeks, per
     /// the paper's "normalized to the minimum/maximum of all three weeks
     /// per application per vantage point").
-    pub fn normalized(&self, class: PaperClass, class_max: u64) -> [[f64; DISPLAY_HOURS]; 7] {
+    pub(crate) fn normalized(
+        &self,
+        class: PaperClass,
+        class_max: u64,
+    ) -> [[f64; DISPLAY_HOURS]; 7] {
         let ci = class.index();
         let mut out = [[0.0; DISPLAY_HOURS]; 7];
         let denom = class_max.max(1) as f64;
@@ -587,7 +554,7 @@ impl WeekHeatmap {
     }
 
     /// Max cell value of one class in this week.
-    pub fn class_max(&self, class: PaperClass) -> u64 {
+    pub(crate) fn class_max(&self, class: PaperClass) -> u64 {
         let ci = class.index();
         self.grid[ci]
             .iter()
@@ -628,7 +595,8 @@ pub fn heatmap_diff(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lockdown_flow::record::FlowKey;
+    use lockdown_flow::record::{hour_runs, FlowKey};
+    use std::net::Ipv4Addr;
 
     fn registry() -> Registry {
         Registry::synthesize()
@@ -877,8 +845,9 @@ mod tests {
 
     #[test]
     fn hour_usage_counts_unique_clients() {
+        use crate::consumer::{ClassUsageConsumer, FlowConsumer};
         let r = registry();
-        let c = Classifier::from_registry(&r);
+        let c = std::sync::Arc::new(Classifier::from_registry(&r));
         let t = Date::new(2020, 3, 25).at_hour(20);
         let mk = |client: u8| {
             FlowRecord::builder(
@@ -898,11 +867,15 @@ mod tests {
             .build()
         };
         let flows = vec![mk(1), mk(1), mk(2), mk(3)];
-        let usage = class_hour_usage(&c, PaperClass::Gaming, &flows);
-        assert_eq!(usage.bytes, 2_000);
-        assert_eq!(usage.unique_ips, 3);
-        let other = class_hour_usage(&c, PaperClass::Email, &flows);
-        assert_eq!(other.bytes, 0);
+        let usage = |class| {
+            let mut consumer = ClassUsageConsumer::new(c.clone(), class);
+            consumer.observe_all(&flows);
+            consumer.hour_usage(t.date(), 20)
+        };
+        let gaming = usage(PaperClass::Gaming);
+        assert_eq!(gaming.bytes, 2_000);
+        assert_eq!(gaming.unique_ips, 3);
+        assert_eq!(usage(PaperClass::Email).bytes, 0);
     }
 
     #[test]
@@ -939,8 +912,13 @@ mod tests {
             .packets(1)
             .build()]
         };
-        let base = WeekHeatmap::build(&c, start, &mk_week(100));
-        let stage = WeekHeatmap::build(&c, start, &mk_week(800)); // +700%
+        let week = |flows: Vec<FlowRecord>| {
+            let mut h = WeekHeatmap::new(start);
+            hour_runs(&flows).for_each(|run| h.add_run(&c, &run));
+            h
+        };
+        let base = week(mk_week(100));
+        let stage = week(mk_week(800)); // +700%
         let diff = heatmap_diff(&base, &stage, PaperClass::Email);
         let slot = display_slot(11).unwrap();
         assert_eq!(diff[0][slot], 200.0, "growth clamps at +200%");

@@ -34,7 +34,7 @@ impl DayPart {
     ];
 
     /// Classify a (date, hour); `None` outside the two windows.
-    pub fn of(date: Date, hour: u8, region: Region) -> Option<DayPart> {
+    pub(crate) fn of(date: Date, hour: u8, region: Region) -> Option<DayPart> {
         let weekendish = day_type(date, region).is_weekend_like();
         let work = (9..17).contains(&hour);
         let evening = (17..24).contains(&hour);
@@ -84,21 +84,16 @@ pub struct HypergiantSplit {
 
 impl HypergiantSplit {
     /// An empty accumulator.
-    pub fn new() -> HypergiantSplit {
+    pub(crate) fn new() -> HypergiantSplit {
         HypergiantSplit::default()
     }
 
-    /// Add one flow observed at a vantage point in `region`. The flow's
-    /// content side is whichever endpoint is not the local eyeball; the
-    /// caller passes the eyeball ASN to exclude.
-    pub fn add(&mut self, record: &FlowRecord, region: Region, eyeball_asn: Asn) {
-        self.add_run(&HourRun::of(record), region, eyeball_asn);
-    }
-
-    /// Add one hour run: week and day part are the run's, only the
-    /// hypergiant/other side is per flow. A side gets a bin only if a
-    /// flow of the run fell on it.
-    pub fn add_run(&mut self, run: &HourRun<'_>, region: Region, eyeball_asn: Asn) {
+    /// Add one hour run observed at a vantage point in `region`: week and
+    /// day part are the run's, only the hypergiant/other side is per flow
+    /// (a flow's content side is whichever endpoint is not the local
+    /// eyeball `eyeball_asn`). A side gets a bin only if a flow of the run
+    /// fell on it.
+    pub(crate) fn add_run(&mut self, run: &HourRun<'_>, region: Region, eyeball_asn: Asn) {
         let Some(part) = DayPart::of(run.date, run.hour, region) else {
             return;
         };
@@ -137,7 +132,7 @@ impl HypergiantSplit {
 
     /// Merge another split into this one (byte bins are additive; day
     /// sets union, so double-counting a day is impossible).
-    pub fn merge(&mut self, other: &HypergiantSplit) {
+    pub(crate) fn merge(&mut self, other: &HypergiantSplit) {
         for (k, v) in &other.bins {
             *self.bins.entry(*k).or_insert(0) += v;
         }
@@ -147,7 +142,7 @@ impl HypergiantSplit {
     }
 
     /// Total bytes for (week, part, hypergiant?).
-    pub fn get(&self, week: u8, part: DayPart, hypergiant: bool) -> u64 {
+    pub(crate) fn get(&self, week: u8, part: DayPart, hypergiant: bool) -> u64 {
         self.bins
             .get(&(week, part, hypergiant))
             .copied()
@@ -156,7 +151,7 @@ impl HypergiantSplit {
 
     /// Mean *daily* bytes for (week, part, hypergiant?) — the unit Fig. 4
     /// plots.
-    pub fn mean_daily(&self, week: u8, part: DayPart, hypergiant: bool) -> f64 {
+    pub(crate) fn mean_daily(&self, week: u8, part: DayPart, hypergiant: bool) -> f64 {
         let days = self.days.get(&(week, part)).map(HashSet::len).unwrap_or(0);
         if days == 0 {
             0.0
@@ -266,7 +261,7 @@ pub struct AsDayTotals {
 
 impl AsDayTotals {
     /// An empty accumulator for a region's calendar.
-    pub fn new(region: Region) -> AsDayTotals {
+    pub(crate) fn new(region: Region) -> AsDayTotals {
         AsDayTotals {
             region: Some(region),
             ..AsDayTotals::default()
@@ -288,15 +283,11 @@ impl AsDayTotals {
         self.slots.get(asn).map(|slot| &self.totals[slot])
     }
 
-    /// Add one flow, attributing bytes to both endpoint ASes (an AS's
-    /// traffic is what it sends plus what it receives).
-    pub fn add(&mut self, record: &FlowRecord) {
-        self.add_run(&HourRun::of(record), |_| true);
-    }
-
-    /// Add the flows of one hour run that `keep` admits; the day and its
-    /// type are the run's, and count as seen only if a flow was admitted.
-    pub fn add_run(&mut self, run: &HourRun<'_>, keep: impl Fn(&FlowRecord) -> bool) {
+    /// Add the flows of one hour run that `keep` admits, attributing bytes
+    /// to both endpoint ASes (an AS's traffic is what it sends plus what it
+    /// receives); the day and its type are the run's, and count as seen
+    /// only if a flow was admitted.
+    pub(crate) fn add_run(&mut self, run: &HourRun<'_>, keep: impl Fn(&FlowRecord) -> bool) {
         let region = self.region.expect("constructed via new()");
         let weekend = day_type(run.date, region).is_weekend_like();
         let side = usize::from(weekend);
@@ -379,7 +370,7 @@ impl AsDayTotals {
 
     /// Group an AS by its *per-day* workday/weekend ratio. `None` if the
     /// AS was not observed (or one class of days is absent in the window).
-    pub fn group_of(&self, asn: Asn) -> Option<RatioGroup> {
+    pub(crate) fn group_of(&self, asn: Asn) -> Option<RatioGroup> {
         let &[wd_bytes, we_bytes] = self.get(asn.0)?;
         let wd_days = self.days_seen.0.len() as f64;
         let we_days = self.days_seen.1.len() as f64;
@@ -591,25 +582,25 @@ mod tests {
         let mut split = HypergiantSplit::new();
         // Week 8 (Feb 19 is in ISO week 8): baseline.
         let base_day = Date::new(2020, 2, 19);
-        split.add(
-            &flow(base_day, 10, GOOGLE, EYEBALL.0, 100),
+        split.add_run(
+            &HourRun::of(&flow(base_day, 10, GOOGLE, EYEBALL.0, 100)),
             Region::CentralEurope,
             EYEBALL,
         );
-        split.add(
-            &flow(base_day, 10, OTHER, EYEBALL.0, 100),
+        split.add_run(
+            &HourRun::of(&flow(base_day, 10, OTHER, EYEBALL.0, 100)),
             Region::CentralEurope,
             EYEBALL,
         );
         // Week 13 (Mar 25): hypergiants +30%, others +60%.
         let lock_day = Date::new(2020, 3, 25);
-        split.add(
-            &flow(lock_day, 10, GOOGLE, EYEBALL.0, 130),
+        split.add_run(
+            &HourRun::of(&flow(lock_day, 10, GOOGLE, EYEBALL.0, 130)),
             Region::CentralEurope,
             EYEBALL,
         );
-        split.add(
-            &flow(lock_day, 10, OTHER, EYEBALL.0, 160),
+        split.add_run(
+            &HourRun::of(&flow(lock_day, 10, OTHER, EYEBALL.0, 160)),
             Region::CentralEurope,
             EYEBALL,
         );
@@ -632,8 +623,8 @@ mod tests {
         let mut split = HypergiantSplit::new();
         let d = Date::new(2020, 2, 19);
         // Upstream flow: eyeball is the source; content side is dst.
-        split.add(
-            &flow(d, 10, EYEBALL.0, GOOGLE, 50),
+        split.add_run(
+            &HourRun::of(&flow(d, 10, EYEBALL.0, GOOGLE, 50)),
             Region::CentralEurope,
             EYEBALL,
         );
@@ -648,9 +639,15 @@ mod tests {
         // Weekend-heavy AS 2: the reverse. Balanced AS 3.
         for d in Date::new(2020, 2, 3).range_inclusive(Date::new(2020, 2, 9)) {
             let weekend = d.weekday().is_weekend();
-            t.add(&flow(d, 12, 1, 0, if weekend { 10 } else { 100 }));
-            t.add(&flow(d, 12, 2, 0, if weekend { 100 } else { 10 }));
-            t.add(&flow(d, 12, 3, 0, 50));
+            t.add_run(
+                &HourRun::of(&flow(d, 12, 1, 0, if weekend { 10 } else { 100 })),
+                |_| true,
+            );
+            t.add_run(
+                &HourRun::of(&flow(d, 12, 2, 0, if weekend { 100 } else { 10 })),
+                |_| true,
+            );
+            t.add_run(&HourRun::of(&flow(d, 12, 3, 0, 50)), |_| true);
         }
         assert_eq!(t.group_of(Asn(1)), Some(RatioGroup::WorkdayDominated));
         assert_eq!(t.group_of(Asn(2)), Some(RatioGroup::WeekendDominated));
@@ -667,10 +664,10 @@ mod tests {
         let mk = |d: Date, asn: u32, total: u64, res: u64| {
             let mut all = AsDayTotals::new(region);
             let mut resid = AsDayTotals::new(region);
-            all.add(&flow(d, 12, asn, 0, total));
+            all.add_run(&HourRun::of(&flow(d, 12, asn, 0, total)), |_| true);
             let r = flow(d, 12, asn, EYEBALL.0, res);
-            all.add(&r);
-            resid.add(&r);
+            all.add_run(&HourRun::of(&r), |_| true);
+            resid.add_run(&HourRun::of(&r), |_| true);
             (all, resid)
         };
         // AS 10: total down, residential up (top-left quadrant).
@@ -689,8 +686,14 @@ mod tests {
         let region = Region::CentralEurope;
         let mut b = AsDayTotals::new(region);
         let mut l = AsDayTotals::new(region);
-        b.add(&flow(Date::new(2020, 2, 19), 12, 5, 0, 1));
-        l.add(&flow(Date::new(2020, 3, 25), 12, 5, 0, 1_000_000));
+        b.add_run(
+            &HourRun::of(&flow(Date::new(2020, 2, 19), 12, 5, 0, 1)),
+            |_| true,
+        );
+        l.add_run(
+            &HourRun::of(&flow(Date::new(2020, 3, 25), 12, 5, 0, 1_000_000)),
+            |_| true,
+        );
         let pts = residential_shift(&b, &l, &b, &l, [Asn(5)]);
         assert!(pts[0].total_delta <= 1.0 && pts[0].total_delta > 0.99);
     }

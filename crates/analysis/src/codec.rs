@@ -28,11 +28,11 @@ use lockdown_flow::wire::{Cursor, PutBe, WireError, WireResult};
 use std::fmt;
 
 /// Current state-frame format version.
-pub const STATE_VERSION: u16 = 1;
+pub(crate) const STATE_VERSION: u16 = 1;
 
 /// Fixed frame overhead: version (2) + tag (1) + payload length (4) +
 /// CRC-32 trailer (4).
-pub const FRAME_OVERHEAD: usize = 11;
+pub(crate) const FRAME_OVERHEAD: usize = 11;
 
 /// Stable identity of one consumer's serialized state: a tag byte on the
 /// wire plus the human-readable name decode errors carry.
@@ -45,42 +45,42 @@ pub struct ConsumerTag {
 }
 
 /// [`crate::timeseries::HourlyVolume`] state.
-pub const TAG_HOURLY_VOLUME: ConsumerTag = ConsumerTag {
+pub(crate) const TAG_HOURLY_VOLUME: ConsumerTag = ConsumerTag {
     id: 1,
     name: "HourlyVolume",
 };
 /// [`crate::edu::EduAnalysis`] state.
-pub const TAG_EDU_ANALYSIS: ConsumerTag = ConsumerTag {
+pub(crate) const TAG_EDU_ANALYSIS: ConsumerTag = ConsumerTag {
     id: 2,
     name: "EduAnalysis",
 };
 /// [`crate::consumer::PortConsumer`] state.
-pub const TAG_PORT_CONSUMER: ConsumerTag = ConsumerTag {
+pub(crate) const TAG_PORT_CONSUMER: ConsumerTag = ConsumerTag {
     id: 3,
     name: "PortConsumer",
 };
 /// [`crate::consumer::HypergiantConsumer`] state.
-pub const TAG_HYPERGIANT_CONSUMER: ConsumerTag = ConsumerTag {
+pub(crate) const TAG_HYPERGIANT_CONSUMER: ConsumerTag = ConsumerTag {
     id: 4,
     name: "HypergiantConsumer",
 };
 /// [`crate::consumer::AsTotalsConsumer`] state.
-pub const TAG_AS_TOTALS_CONSUMER: ConsumerTag = ConsumerTag {
+pub(crate) const TAG_AS_TOTALS_CONSUMER: ConsumerTag = ConsumerTag {
     id: 5,
     name: "AsTotalsConsumer",
 };
 /// [`crate::consumer::HeatmapConsumer`] state.
-pub const TAG_HEATMAP_CONSUMER: ConsumerTag = ConsumerTag {
+pub(crate) const TAG_HEATMAP_CONSUMER: ConsumerTag = ConsumerTag {
     id: 6,
     name: "HeatmapConsumer",
 };
 /// [`crate::consumer::ClassUsageConsumer`] state.
-pub const TAG_CLASS_USAGE_CONSUMER: ConsumerTag = ConsumerTag {
+pub(crate) const TAG_CLASS_USAGE_CONSUMER: ConsumerTag = ConsumerTag {
     id: 7,
     name: "ClassUsageConsumer",
 };
 /// [`crate::linkutil::AsHourly`] state.
-pub const TAG_AS_HOURLY: ConsumerTag = ConsumerTag {
+pub(crate) const TAG_AS_HOURLY: ConsumerTag = ConsumerTag {
     id: 8,
     name: "AsHourly",
 };
@@ -96,14 +96,14 @@ pub const TAG_HOURLY_ORIGINS: ConsumerTag = ConsumerTag {
 };
 /// Default tag for consumers that never cross a process boundary (the
 /// trait's default methods refuse to encode or decode).
-pub const TAG_UNSUPPORTED: ConsumerTag = ConsumerTag {
+pub(crate) const TAG_UNSUPPORTED: ConsumerTag = ConsumerTag {
     id: 0,
     name: "unsupported",
 };
 
 /// Name of a known tag byte (`"unknown"` otherwise) — makes mis-routed
 /// frame errors attributable from both ends.
-pub fn tag_name(id: u8) -> &'static str {
+pub(crate) fn tag_name(id: u8) -> &'static str {
     [
         TAG_HOURLY_VOLUME,
         TAG_EDU_ANALYSIS,
@@ -167,7 +167,7 @@ impl<'a> StateReader<'a> {
     }
 
     /// Build an error attributed to this reader's consumer.
-    pub fn error(&self, detail: impl Into<String>) -> CodecError {
+    pub(crate) fn error(&self, detail: impl Into<String>) -> CodecError {
         CodecError {
             consumer: self.consumer,
             detail: detail.into(),
@@ -175,7 +175,7 @@ impl<'a> StateReader<'a> {
     }
 
     /// Unread bytes.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.cur.remaining()
     }
 
@@ -201,7 +201,7 @@ impl<'a> StateReader<'a> {
     }
 
     /// Read a big-endian `u16`.
-    pub fn u16(&mut self, what: &'static str) -> Result<u16, CodecError> {
+    pub(crate) fn u16(&mut self, what: &'static str) -> Result<u16, CodecError> {
         self.read(|cur| cur.read_u16(what))
     }
 

@@ -355,9 +355,8 @@ impl FlowConsumer for HeatmapConsumer {
 }
 
 /// Fig. 8's per-hour usage of one application class: bytes plus distinct
-/// client addresses per `(day, hour)` bin. Equivalent to calling
-/// [`crate::appclass::class_hour_usage`] on each hour batch separately
-/// (flows land in the bin of their start hour).
+/// client addresses per `(day, hour)` bin (flows land in the bin of their
+/// start hour).
 #[derive(Debug, Clone)]
 pub struct ClassUsageConsumer {
     classifier: Arc<Classifier>,
@@ -567,8 +566,7 @@ mod tests {
     }
 
     #[test]
-    fn class_usage_matches_per_hour_helper() {
-        use crate::appclass::class_hour_usage;
+    fn class_usage_bins_by_start_hour() {
         let registry = Registry::synthesize();
         let classifier = Arc::new(Classifier::from_registry(&registry));
         let d = Date::new(2020, 3, 25);
@@ -581,15 +579,9 @@ mod tests {
         ];
         let mut c = ClassUsageConsumer::new(classifier.clone(), PaperClass::Email);
         c.observe_all(&flows);
-        let h9: Vec<FlowRecord> = flows
-            .iter()
-            .filter(|f| f.start.hour() == 9)
-            .cloned()
-            .collect();
-        assert_eq!(
-            c.hour_usage(d, 9),
-            class_hour_usage(&classifier, PaperClass::Email, &h9)
-        );
+        let usage = |bytes, unique_ips| HourUsage { bytes, unique_ips };
+        assert_eq!(c.hour_usage(d, 9), usage(200, 1));
+        assert_eq!(c.hour_usage(d, 10), usage(100, 1));
         assert_eq!(c.hour_usage(d, 11), HourUsage::default());
     }
 }

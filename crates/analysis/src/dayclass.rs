@@ -44,7 +44,7 @@ pub struct ClassifiedDay {
 impl ClassifiedDay {
     /// Whether the verdict matches the calendar (blue vs. orange bars in
     /// Fig. 2b/2c). Holidays count as weekend days, per §4.
-    pub fn matches_calendar(&self) -> bool {
+    pub(crate) fn matches_calendar(&self) -> bool {
         match self.pattern {
             DayPattern::WorkdayLike => self.calendar == DayType::Workday,
             DayPattern::WeekendLike => self.calendar.is_weekend_like(),
@@ -93,7 +93,7 @@ pub struct DayClassifier {
 
 impl DayClassifier {
     /// The paper's aggregation level.
-    pub const PAPER_BUCKETS: usize = 4; // 24h / 6h
+    pub(crate) const PAPER_BUCKETS: usize = 4; // 24h / 6h
 
     /// Train from February baseline data at the paper's 6-hour level.
     pub fn train_february(volume: &HourlyVolume, region: Region) -> DayClassifier {
@@ -108,7 +108,7 @@ impl DayClassifier {
 
     /// Train from an arbitrary baseline window and bucket count (the
     /// ablation bench varies `buckets`).
-    pub fn train(
+    pub(crate) fn train(
         volume: &HourlyVolume,
         region: Region,
         start: Date,
@@ -175,11 +175,6 @@ impl DayClassifier {
                 })
             })
             .collect()
-    }
-
-    /// Bucket count in use.
-    pub fn buckets(&self) -> usize {
-        self.buckets
     }
 }
 

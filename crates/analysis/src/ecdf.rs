@@ -17,16 +17,6 @@ impl Ecdf {
         Ecdf { sorted: sample }
     }
 
-    /// Sample size.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// Whether the sample is empty.
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
     /// Fraction of the sample ≤ `x` (0 for an empty sample).
     pub fn fraction_le(&self, x: f64) -> f64 {
         if self.sorted.is_empty() {
@@ -48,12 +38,6 @@ impl Ecdf {
         // back to rank k, not k+1 (k/n × n can land at k + ε).
         let rank = ((q * self.sorted.len() as f64) - 1e-9).ceil() as usize;
         self.sorted[rank.clamp(1, self.sorted.len()) - 1]
-    }
-
-    /// Evaluate the ECDF at each of `xs` (for plotting fixed grids, like
-    /// Fig. 5's 1–100% utilization axis).
-    pub fn evaluate(&self, xs: &[f64]) -> Vec<f64> {
-        xs.iter().map(|&x| self.fraction_le(x)).collect()
     }
 
     /// Mean of the sample (0 for empty).
@@ -107,16 +91,16 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_grid() {
+    fn fraction_le_on_a_grid() {
         let e = Ecdf::new(vec![0.2, 0.4, 0.9]);
-        let ys = e.evaluate(&[0.1, 0.5, 1.0]);
+        let ys: Vec<f64> = [0.1, 0.5, 1.0].map(|x| e.fraction_le(x)).to_vec();
         assert_eq!(ys, vec![0.0, 2.0 / 3.0, 1.0]);
     }
 
     #[test]
     fn empty_and_invalid() {
         let e = Ecdf::new(vec![]);
-        assert!(e.is_empty());
+        assert!(e.sorted.is_empty());
         assert_eq!(e.fraction_le(1.0), 0.0);
         assert_eq!(e.mean(), 0.0);
     }

@@ -197,14 +197,14 @@ impl EduAnalysis {
     }
 
     /// Add one border flow.
-    pub fn add(&mut self, record: &FlowRecord) {
+    pub(crate) fn add(&mut self, record: &FlowRecord) {
         self.add_run(&HourRun::of(record));
     }
 
     /// Add one hour run: connections are counted per (class, orientation)
     /// and volume per direction in locals, then flushed under the run's
     /// day and hour — one map entry per key the run touched.
-    pub fn add_run(&mut self, run: &HourRun<'_>) {
+    pub(crate) fn add_run(&mut self, run: &HourRun<'_>) {
         let mut connections = [[0u64; ORIENTATIONS.len()]; EduTrafficClass::ALL.len()];
         let mut ingress: Option<u64> = None;
         let mut egress: Option<u64> = None;
@@ -251,7 +251,7 @@ impl EduAnalysis {
 
     /// Merge another accumulator into this one (used by the engine's
     /// per-worker partial merge; all bins are additive).
-    pub fn merge(&mut self, other: &EduAnalysis) {
+    pub(crate) fn merge(&mut self, other: &EduAnalysis) {
         for (k, v) in &other.connections {
             *self.connections.entry(*k).or_insert(0) += v;
         }
@@ -306,7 +306,7 @@ impl EduAnalysis {
     }
 
     /// Daily connections for (class, orientation).
-    pub fn daily_connections(
+    pub(crate) fn daily_connections(
         &self,
         date: Date,
         class: EduTrafficClass,

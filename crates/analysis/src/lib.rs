@@ -22,6 +22,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod appclass;
 pub mod asgroup;
@@ -48,12 +49,10 @@ extern crate self as lockdown_analysis;
 
 /// Convenient glob-import surface.
 pub mod prelude {
-    pub use crate::appclass::{
-        class_hour_usage, heatmap_diff, Classifier, HourUsage, PaperClass, WeekHeatmap,
-    };
+    pub use crate::appclass::{heatmap_diff, Classifier, PaperClass, WeekHeatmap};
     pub use crate::asgroup::{
-        residential_shift, shift_correlation, AsDayTotals, DayPart, HypergiantSplit,
-        QuadrantCounts, RatioGroup, ResidentialShift,
+        residential_shift, shift_correlation, DayPart, HypergiantSplit, QuadrantCounts, RatioGroup,
+        ResidentialShift,
     };
     pub use crate::codec::{encode_frame, merge_frame, CodecError, ConsumerTag, StateReader};
     pub use crate::consumer::{

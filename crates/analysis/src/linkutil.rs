@@ -60,18 +60,18 @@ impl AsHourly {
     }
 
     /// The day being accumulated.
-    pub fn date(&self) -> Date {
+    pub(crate) fn date(&self) -> Date {
         self.date
     }
 
     /// Add one flow (binned by start hour; flows outside the day are
     /// ignored).
-    pub fn add(&mut self, record: &FlowRecord) {
+    pub(crate) fn add(&mut self, record: &FlowRecord) {
         self.add_run(&HourRun::of(record));
     }
 
     /// Add one hour run: the hour slot is the run's.
-    pub fn add_run(&mut self, run: &HourRun<'_>) {
+    pub(crate) fn add_run(&mut self, run: &HourRun<'_>) {
         let since_midnight = run.hour_start.unix().saturating_sub(self.day_start_unix);
         let hour = (since_midnight / SECS_PER_HOUR) as usize;
         if hour >= 24 {
@@ -87,7 +87,7 @@ impl AsHourly {
     }
 
     /// Merge another same-day accumulator into this one.
-    pub fn merge(&mut self, other: &AsHourly) {
+    pub(crate) fn merge(&mut self, other: &AsHourly) {
         debug_assert_eq!(self.date, other.date, "days must agree");
         for (asn, theirs) in &other.bins {
             let mine = self.bins.entry(*asn).or_insert([0; 24]);
@@ -138,7 +138,7 @@ impl AsHourly {
     }
 
     /// Accumulate a batch of flows.
-    pub fn from_flows(flows: &[FlowRecord], date: Date) -> AsHourly {
+    pub(crate) fn from_flows(flows: &[FlowRecord], date: Date) -> AsHourly {
         let mut h = AsHourly::new(date);
         for f in flows {
             h.add(f);
@@ -147,7 +147,7 @@ impl AsHourly {
     }
 
     /// One AS's 24 hourly totals, if it carried traffic.
-    pub fn hours(&self, asn: Asn) -> Option<&[u64; 24]> {
+    pub(crate) fn hours(&self, asn: Asn) -> Option<&[u64; 24]> {
         self.bins.get(&asn.0)
     }
 }

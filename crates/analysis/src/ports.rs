@@ -17,19 +17,19 @@ use std::fmt;
 use std::net::Ipv4Addr;
 
 /// First port of the ephemeral range for service-port attribution.
-pub const EPHEMERAL_START: u16 = 32_768;
+pub(crate) const EPHEMERAL_START: u16 = 32_768;
 
 /// The service port of a flow that carries ports: the lower side, unless
 /// it too is ephemeral (ephemeral↔ephemeral is unattributable). Two
 /// registered ports resolve to the lower one, like most flow tools.
-pub fn service_port(record: &FlowRecord) -> Option<u16> {
+pub(crate) fn service_port(record: &FlowRecord) -> Option<u16> {
     let lo = record.key.src_port.min(record.key.dst_port);
     (lo < EPHEMERAL_START).then_some(lo)
 }
 
 /// The client address of a flow: the ephemeral-port side, falling back to
 /// the source (§5 counts these to "approximate the order of households").
-pub fn client_addr(record: &FlowRecord) -> Ipv4Addr {
+pub(crate) fn client_addr(record: &FlowRecord) -> Ipv4Addr {
     if record.key.src_port >= EPHEMERAL_START || record.key.src_port == 0 {
         record.key.src_addr
     } else {
@@ -62,7 +62,7 @@ impl ServiceKey {
     /// `1 << 24 | p`. [`ServiceKey::of`] yields `Port(6 | 17, 0..32768)`
     /// and `Protocol(0..=255)`, so the keys a flow can have pack into 65 792
     /// values.
-    pub fn pack(self) -> u32 {
+    pub(crate) fn pack(self) -> u32 {
         match self {
             ServiceKey::Port(proto, port) => u32::from(proto) << 16 | u32::from(port),
             ServiceKey::Protocol(proto) => 1 << 24 | u32::from(proto),
@@ -70,7 +70,7 @@ impl ServiceKey {
     }
 
     /// Inverse of [`ServiceKey::pack`].
-    pub fn unpack(packed: u32) -> ServiceKey {
+    pub(crate) fn unpack(packed: u32) -> ServiceKey {
         if packed >> 24 == 0 {
             ServiceKey::Port((packed >> 16) as u8, packed as u16)
         } else {
@@ -128,13 +128,13 @@ impl PortProfile {
 
     /// Add one flow observed in `region` (the region's calendar decides
     /// workday vs. weekend; Easter counts as weekend, §4).
-    pub fn add(&mut self, record: &FlowRecord, region: Region) {
+    pub(crate) fn add(&mut self, record: &FlowRecord, region: Region) {
         self.add_run(&HourRun::of(record), region);
     }
 
     /// Add one hour run observed in `region`: the day type and so the bin
     /// are the run's, only the service key is per flow.
-    pub fn add_run(&mut self, run: &HourRun<'_>, region: Region) {
+    pub(crate) fn add_run(&mut self, run: &HourRun<'_>, region: Region) {
         let weekend = day_type(run.date, region) != DayType::Workday;
         let bin = usize::from(weekend) * 24 + usize::from(run.hour);
         for record in run.records {
@@ -178,16 +178,6 @@ impl PortProfile {
         self.slots.get(key.pack()).map_or(0, |s| self.heads[s].1)
     }
 
-    /// Hourly byte curve for (service, weekend?).
-    pub fn curve(&self, key: ServiceKey, weekend: bool) -> [u64; 24] {
-        let mut out = [0u64; 24];
-        if let Some(s) = self.slots.get(key.pack()) {
-            let from = usize::from(weekend) * 24;
-            out.copy_from_slice(&self.bins[s][from..from + 24]);
-        }
-        out
-    }
-
     /// The top `n` services by total bytes, after removing `exclude`
     /// (Fig. 7 omits TCP/443 and TCP/80 "for readability purposes" and
     /// shows the top 3–12).
@@ -199,11 +189,6 @@ impl PortProfile {
             .collect();
         entries.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         entries.into_iter().take(n).map(|(k, _)| k).collect()
-    }
-
-    /// All services seen, in key order.
-    pub fn services(&self) -> impl Iterator<Item = ServiceKey> + '_ {
-        self.slots.sorted().map(|(key, _)| ServiceKey::unpack(key))
     }
 
     /// Share of total bytes carried by a set of services (e.g. the §4
@@ -375,6 +360,12 @@ mod tests {
     use lockdown_flow::time::Timestamp;
     use std::net::Ipv4Addr;
 
+    /// Bytes of one service in hour `h` of its workday or weekend curve.
+    fn hour_bin(p: &PortProfile, key: ServiceKey, weekend: bool, h: usize) -> u64 {
+        let s = p.slots.get(key.pack()).expect("service seen");
+        p.bins[s][usize::from(weekend) * 24 + h]
+    }
+
     fn flow(
         proto: IpProtocol,
         src_port: u16,
@@ -439,8 +430,8 @@ mod tests {
             Region::CentralEurope,
         );
         let quic = ServiceKey::Port(17, 443);
-        assert_eq!(p.curve(quic, false)[9], 150);
-        assert_eq!(p.curve(quic, true)[20], 70);
+        assert_eq!(hour_bin(&p, quic, false, 9), 150);
+        assert_eq!(hour_bin(&p, quic, true, 20), 70);
         assert_eq!(p.total(quic), 220);
     }
 
@@ -459,8 +450,8 @@ mod tests {
             Region::CentralEurope,
         );
         let k = ServiceKey::Port(6, 993);
-        assert_eq!(p.curve(k, true)[10], 10);
-        assert_eq!(p.curve(k, false)[10], 0);
+        assert_eq!(hour_bin(&p, k, true, 10), 10);
+        assert_eq!(hour_bin(&p, k, false, 10), 0);
     }
 
     #[test]
@@ -587,7 +578,7 @@ mod tests {
             let mut sink = PortConsumer::new(Region::CentralEurope);
             let e = merge_frame(&mut sink, &frame).expect_err(named);
             assert_eq!((e.consumer, e.detail.as_str()), ("PortConsumer", named));
-            assert!(sink.profile.services().next().is_none(), "{named}: merged");
+            assert!(sink.profile.bins.is_empty(), "{named}: merged");
         }
 
         // The same services in both halves decode to the state that

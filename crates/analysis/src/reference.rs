@@ -43,13 +43,6 @@ impl SparsePorts {
         self.totals.get(&key).copied().unwrap_or(0)
     }
 
-    fn curve(&self, key: ServiceKey, weekend: bool) -> [u64; 24] {
-        std::array::from_fn(|h| {
-            let bin = (key, weekend, h as u8);
-            self.bins.get(&bin).copied().unwrap_or(0)
-        })
-    }
-
     fn top_services(&self, n: usize, exclude: &[ServiceKey]) -> Vec<ServiceKey> {
         let mut entries: Vec<(&ServiceKey, &u64)> = self
             .totals
@@ -354,9 +347,6 @@ fn dense_forms_match_their_sparse_references() {
                 let d = &d.profile;
                 for key in s.totals.keys().chain(&PROBE_KEYS) {
                     assert_eq!(d.total(*key), s.total(*key), "total of {key}");
-                    for weekend in [false, true] {
-                        assert_eq!(d.curve(*key, weekend), s.curve(*key, weekend), "{key}");
-                    }
                 }
                 for n in [0, 3, 12, s.totals.len() + 1] {
                     for exclude in [&[][..], &[tcp443(), tcp80()], &PROBE_KEYS] {
@@ -364,7 +354,6 @@ fn dense_forms_match_their_sparse_references() {
                         assert_eq!(d.share_of(exclude), s.share_of(exclude));
                     }
                 }
-                assert!(d.services().eq(s.totals.keys().copied()));
             }
 
             for gate in [None, Some(support::EYEBALL), Some(0)] {

@@ -7,7 +7,7 @@
 //! accumulator so experiments never hold a full trace in memory.
 
 use lockdown_flow::record::{FlowRecord, HourRun};
-use lockdown_flow::time::{Date, Timestamp, SECS_PER_HOUR};
+use lockdown_flow::time::{Date, Timestamp};
 use lockdown_flow::wire::PutBe;
 use std::collections::BTreeMap;
 
@@ -31,12 +31,12 @@ impl HourlyVolume {
 
     /// Add one hour run: its byte sum into one bin entry (created even
     /// when the sum is zero, as a zero-byte flow creates its bin).
-    pub fn add_run(&mut self, run: &HourRun<'_>) {
+    pub(crate) fn add_run(&mut self, run: &HourRun<'_>) {
         *self.bins.entry(run.hour_start).or_insert(0) += run.bytes;
     }
 
     /// Add raw bytes at a time.
-    pub fn add_bytes(&mut self, at: Timestamp, bytes: u64) {
+    pub(crate) fn add_bytes(&mut self, at: Timestamp, bytes: u64) {
         *self.bins.entry(at.floor_hour()).or_insert(0) += bytes;
     }
 
@@ -55,19 +55,6 @@ impl HourlyVolume {
     /// Total bytes on a date.
     pub fn daily_total(&self, date: Date) -> u64 {
         (0..24).map(|h| self.get(date, h)).sum()
-    }
-
-    /// Mean daily volume over an inclusive date range.
-    pub fn mean_daily(&self, start: Date, end: Date) -> f64 {
-        let days: Vec<u64> = start
-            .range_inclusive(end)
-            .map(|d| self.daily_total(d))
-            .collect();
-        if days.is_empty() {
-            0.0
-        } else {
-            days.iter().sum::<u64>() as f64 / days.len() as f64
-        }
     }
 
     /// The 24 hourly values of a date.
@@ -100,16 +87,6 @@ impl HourlyVolume {
             *out.entry(key).or_insert(0) += bytes;
         }
         out
-    }
-
-    /// Number of non-empty hour bins.
-    pub fn len(&self) -> usize {
-        self.bins.len()
-    }
-
-    /// Whether nothing has been accumulated.
-    pub fn is_empty(&self) -> bool {
-        self.bins.is_empty()
     }
 
     /// Merge another accumulator into this one.
@@ -181,9 +158,6 @@ pub fn median(values: &[f64]) -> f64 {
         (v[mid - 1] + v[mid]) / 2.0
     }
 }
-
-/// Seconds covered by one hour bin (re-exported for rate conversions).
-pub const BIN_SECS: u64 = SECS_PER_HOUR;
 
 #[cfg(test)]
 mod tests {
@@ -285,13 +259,12 @@ mod tests {
     }
 
     #[test]
-    fn mean_daily_range() {
+    fn daily_totals_sum_hour_bins() {
         let mut v = HourlyVolume::new();
         v.add_bytes(Date::new(2020, 2, 1).at_hour(0), 10);
+        v.add_bytes(Date::new(2020, 2, 1).at_hour(23), 5);
         v.add_bytes(Date::new(2020, 2, 2).at_hour(0), 30);
-        assert_eq!(
-            v.mean_daily(Date::new(2020, 2, 1), Date::new(2020, 2, 2)),
-            20.0
-        );
+        assert_eq!(v.daily_total(Date::new(2020, 2, 1)), 15);
+        assert_eq!(v.daily_total(Date::new(2020, 2, 2)), 30);
     }
 }

@@ -27,7 +27,7 @@ pub enum VpnMethod {
 }
 
 /// VPN ports checked on both TCP and UDP (§6).
-pub const VPN_PORTS: [u16; 5] = [500, 4_500, 1_194, 1_701, 1_723];
+pub(crate) const VPN_PORTS: [u16; 5] = [500, 4_500, 1_194, 1_701, 1_723];
 
 /// The §6 classifier.
 #[derive(Debug, Clone, Default)]

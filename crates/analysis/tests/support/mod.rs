@@ -21,24 +21,24 @@ use lockdown_topology::registry::{EDU_ASN, SPOTIFY_ASN, ZOOM_ASN};
 use std::net::Ipv4Addr;
 
 /// Seeds every check runs over.
-pub const SEEDS: [u64; 3] = [1, 0x10CD_2020, 0xFEED];
+pub(crate) const SEEDS: [u64; 3] = [1, 0x10CD_2020, 0xFEED];
 
 /// The Wednesday the plain slices fall on; its week starts [`WEEK_START`].
-pub const DAY: Date = Date {
+pub(crate) const DAY: Date = Date {
     year: 2020,
     month: 3,
     day: 25,
 };
 
 /// Monday of [`DAY`]'s week.
-pub const WEEK_START: Date = Date {
+pub(crate) const WEEK_START: Date = Date {
     year: 2020,
     month: 3,
     day: 23,
 };
 
 /// The eyeball ASN among the slices' endpoints.
-pub const EYEBALL: u32 = 64_496;
+pub(crate) const EYEBALL: u32 = 64_496;
 
 /// One seeded flow starting at `start`: the one arbitrary-record
 /// generator of this crate's tests. Each field comes from a short list
@@ -47,7 +47,7 @@ pub const EYEBALL: u32 = 64_496;
 /// unknown ASNs; eight addresses — and from its whole domain otherwise, so
 /// a classifier meets every value. Every direction; one flow in eight
 /// carries no bytes.
-pub fn flow(rng: &mut SplitMix, start: Timestamp) -> FlowRecord {
+pub(crate) fn flow(rng: &mut SplitMix, start: Timestamp) -> FlowRecord {
     const PROTOCOLS: [IpProtocol; 6] = [
         IpProtocol::Tcp,
         IpProtocol::Tcp,
@@ -108,7 +108,12 @@ pub fn flow(rng: &mut SplitMix, start: Timestamp) -> FlowRecord {
 }
 
 /// `n` flows, each starting up to `span_secs` after `from`.
-pub fn flows(rng: &mut SplitMix, n: usize, from: Timestamp, span_secs: u64) -> Vec<FlowRecord> {
+pub(crate) fn flows(
+    rng: &mut SplitMix,
+    n: usize,
+    from: Timestamp,
+    span_secs: u64,
+) -> Vec<FlowRecord> {
     (0..n)
         .map(|_| {
             let start = from.add_secs(rng.below(span_secs));
@@ -128,7 +133,7 @@ fn interleave(a: Vec<FlowRecord>, b: Vec<FlowRecord>) -> Vec<FlowRecord> {
 }
 
 /// The labelled slices of one seed.
-pub fn slices(seed: u64) -> Vec<(String, Vec<FlowRecord>)> {
+pub(crate) fn slices(seed: u64) -> Vec<(String, Vec<FlowRecord>)> {
     let rng = &mut SplitMix::new(seed);
     let mut out = vec![
         ("the empty slice".to_string(), Vec::new()),
@@ -189,7 +194,7 @@ pub fn slices(seed: u64) -> Vec<(String, Vec<FlowRecord>)> {
 /// alone and on top of the state the earlier slices left, the whole
 /// slice, a record at a time and a run at a time end in equal
 /// `encode_frame` bytes.
-pub fn assert_runs_match_records<C: FlowConsumer>(make: impl Fn() -> C) {
+pub(crate) fn assert_runs_match_records<C: FlowConsumer>(make: impl Fn() -> C) {
     /// Feed `slice` to `c` the engine's way.
     fn by_run<C: FlowConsumer>(c: &mut C, slice: &[FlowRecord]) {
         for run in hour_runs(slice) {

@@ -119,7 +119,7 @@ impl MetricsRegistry {
     }
 
     /// Look up a metric by name.
-    pub fn find(&self, name: &str) -> Option<&Arc<Metric>> {
+    pub(crate) fn find(&self, name: &str) -> Option<&Arc<Metric>> {
         self.metrics.iter().find(|m| m.name == name)
     }
 
@@ -196,7 +196,7 @@ macro_rules! metrics_family {
         impl $family {
             /// Build the family inside a fresh registry.
             #[allow(clippy::new_without_default)]
-            pub fn new() -> ::std::sync::Arc<$family> {
+            $vis fn new() -> ::std::sync::Arc<$family> {
                 let mut r = $crate::metrics::MetricsRegistry::new();
                 ::std::sync::Arc::new($family {
                     $( $field: $crate::metrics_family!(@new r, $kind, $name, $help $(, $len)?), )*
@@ -205,12 +205,12 @@ macro_rules! metrics_family {
             }
 
             /// The underlying registry (for lookups and snapshot composition).
-            pub fn registry(&self) -> &$crate::metrics::MetricsRegistry {
+            $vis fn registry(&self) -> &$crate::metrics::MetricsRegistry {
                 &self.registry
             }
 
             /// Prometheus-style text snapshot of the family, sorted by name.
-            pub fn render(&self) -> String {
+            $vis fn render(&self) -> String {
                 self.registry.render()
             }
         }

@@ -5,13 +5,13 @@
 //! come from a counter, so a run is the same cases every time and a
 //! failure reproduces by running the test again: there is no shrinker, no
 //! regression file and nothing to configure. `size` ramps from 1 to
-//! [`MAX_SIZE`] with the case index — scale collection lengths by it and
+//! `MAX_SIZE` (100) with the case index — scale collection lengths by it and
 //! the first failing case is already the smallest one tried.
 
 use crate::hash::{fold, SplitMix};
 
 /// The `size` the last of several cases is handed.
-pub const MAX_SIZE: usize = 100;
+pub(crate) const MAX_SIZE: usize = 100;
 
 /// Initial constant of the case-seed fold.
 const CASE_INIT: u64 = 0xCA5E_5EED_2020_0019;

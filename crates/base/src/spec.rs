@@ -2,7 +2,7 @@
 //!
 //! One grammar, one vocabulary per table: a config declares a table of
 //! [`Key`]s (name, a tag the vocabulary reads, and a typed [`Set`]ter) and
-//! [`parse`] does the rest — parts are trimmed, empty parts skipped,
+//! `parse` does the rest — parts are trimmed, empty parts skipped,
 //! values typed as a bounded probability or a count, each key admitted
 //! by the caller on its tag, and an unknown key, a refused key or a
 //! malformed value is an error that names the key, never a default.
@@ -23,7 +23,7 @@ pub type Key<C, T> = (&'static str, T, Set<C>);
 /// whose tag `admit` rejects (with `admit`'s message). `what` names the
 /// spec in error messages. Later occurrences of a key override earlier
 /// ones; the empty spec changes nothing.
-pub fn parse<C, T: Copy>(
+pub(crate) fn parse<C, T: Copy>(
     what: &str,
     keys: &[Key<C, T>],
     spec: &str,

@@ -8,20 +8,20 @@
 //! disappears except through an explicitly accounted channel (a sampled-out
 //! flow, a dropped datagram, an abandoned buffer, a rejected duplicate).
 //!
-//! This crate is the ledger those stages post to, plus the checker. Each
-//! engine cell — one `(vantage, date, hour)` — gets its own [`CellLedger`];
-//! [`Ledger::report`] verifies every identity in every cell and renders a
+//! This module is the ledger those stages post to, plus the checker. Each
+//! engine cell — one `(vantage, date, hour)` — gets its own `CellLedger`;
+//! `Ledger::report` verifies every identity in every cell and renders a
 //! human-readable violation report. The identities are chosen so that the
 //! u32-wraparound bug family this subsystem guards against (wrapped
 //! sequence counters read as 4-billion-unit gaps, wrapped uptime clocks
 //! read as exporter restarts, narrowing renormalization arithmetic) shows
 //! up as an exact imbalance instead of a silent drift.
 //!
-//! The crate is dependency-free and knows nothing about flows or datagrams
-//! — only counts — so every pipeline layer can post to it without cycles.
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+//! The ledger knows nothing about flows or datagrams — only counts — so
+//! every pipeline layer can post to it without cycles. The rule that keeps
+//! it so: outside its tests this module imports from `std` alone, and
+//! `scripts/verify.sh` fails on an import from this crate or another
+//! workspace crate.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -41,7 +41,7 @@ pub struct Counts {
 
 impl Counts {
     /// Element-wise accumulate.
-    pub fn add(&mut self, other: Counts) {
+    pub(crate) fn add(&mut self, other: Counts) {
         self.records += other.records;
         self.bytes += other.bytes;
         self.packets += other.packets;
@@ -64,7 +64,7 @@ pub struct CellKey {
 /// Fields are grouped by the stage that owns them; the checker in
 /// [`CellLedger::violations`] relates adjacent stages.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct CellLedger {
+pub(crate) struct CellLedger {
     // --- traffic generation ---
     /// Flow records (and their volume) generated for the cell.
     pub generated: Counts,
@@ -160,7 +160,7 @@ pub struct Violation {
 impl CellLedger {
     /// Check every applicable conservation identity, returning one
     /// [`Violation`] per failed identity.
-    pub fn violations(&self, cell: CellKey) -> Vec<Violation> {
+    pub(crate) fn violations(&self, cell: CellKey) -> Vec<Violation> {
         let mut out = Vec::new();
         let mut check = |identity: &'static str, lhs: u64, rhs: u64, what: &str| {
             if lhs != rhs {
@@ -452,31 +452,26 @@ impl Report {
 /// Thread-safe ledger: one [`CellLedger`] per engine cell, posted to from
 /// any worker, audited once at the end of the run.
 #[derive(Debug, Default)]
-pub struct Ledger {
+pub(crate) struct Ledger {
     cells: Mutex<BTreeMap<CellKey, CellLedger>>,
 }
 
 impl Ledger {
     /// An empty ledger.
-    pub fn new() -> Ledger {
+    pub(crate) fn new() -> Ledger {
         Ledger::default()
     }
 
     /// Post to one cell's ledger. Each engine cell is processed by exactly
     /// one worker, so the closure never races with another writer of the
     /// same cell; the mutex only serializes map access.
-    pub fn record<F: FnOnce(&mut CellLedger)>(&self, key: CellKey, f: F) {
+    pub(crate) fn record<F: FnOnce(&mut CellLedger)>(&self, key: CellKey, f: F) {
         let mut cells = self.cells.lock().expect("audit ledger poisoned");
         f(cells.entry(key).or_default());
     }
 
-    /// Number of cells with ledger entries.
-    pub fn cell_count(&self) -> u64 {
-        self.cells.lock().expect("audit ledger poisoned").len() as u64
-    }
-
     /// Audit every cell and build the [`Report`].
-    pub fn report(&self) -> Report {
+    pub(crate) fn report(&self) -> Report {
         let cells = self.cells.lock().expect("audit ledger poisoned");
         let mut report = Report {
             cells: cells.len() as u64,

@@ -53,7 +53,7 @@ use crate::WireConfig;
 /// bound and the kernel receive buffer, so a flow-controlled run cannot
 /// lose a datagram — the precondition for byte-identity with the
 /// in-process transport.
-pub const SEND_WINDOW: u64 = 32;
+pub(crate) const SEND_WINDOW: u64 = 32;
 
 /// How long the sender waits without any accounting progress before it
 /// writes the in-flight remainder off as kernel-dropped. Loopback drops
@@ -76,7 +76,7 @@ pub struct CollectdConfig {
     pub shards: usize,
     /// Bound of each shard queue, in datagrams.
     pub queue_capacity: usize,
-    /// Receive buffer length; [`RECV_BUF_LEN`] makes truncation
+    /// Receive buffer length; `RECV_BUF_LEN` makes truncation
     /// impossible, smaller values (tests) make it observable.
     pub recv_buf_len: usize,
     /// Kernel receive-buffer request (`SO_RCVBUF`) applied to every
@@ -294,7 +294,7 @@ impl Collectd {
     }
 
     /// Datagrams read off the sockets so far (truncated included).
-    pub fn socket_received(&self) -> u64 {
+    pub(crate) fn socket_received(&self) -> u64 {
         self.shared.socket_received.load(Ordering::Acquire)
     }
 
@@ -531,11 +531,6 @@ impl Plane<Sockets> {
         Ok(Plane::over(cfg, metrics, transit))
     }
 
-    /// The daemon's bound socket addresses.
-    pub fn addrs(&self) -> &[SocketAddr] {
-        self.transit.daemon.addrs()
-    }
-
     /// Push one engine cell's flows through real UDP sockets and return
     /// what the collector shards accepted (possibly renormalized under
     /// loss). The export and collect stages are the ones
@@ -549,7 +544,7 @@ impl Plane<Sockets> {
         // Diffed against the workers' received log after the drain, this
         // yields the exact per-datagram drop ground truth the loopback
         // transport reports natively.
-        let mut manifest: HashMap<(u32, u32, u32), lockdown_audit::Counts> =
+        let mut manifest: HashMap<(u32, u32, u32), crate::audit::Counts> =
             HashMap::with_capacity(datagrams.len());
         for dg in &datagrams {
             if format == ExportFormat::NetflowV5 {
@@ -562,7 +557,7 @@ impl Plane<Sockets> {
             let seq = peek(format, &dg.bytes).map_or(0, |p| p.sequence);
             let prior = manifest.insert(
                 (dg.domain, seq, dg.bytes.len() as u32),
-                lockdown_audit::Counts {
+                crate::audit::Counts {
                     records: u64::from(dg.records),
                     bytes: dg.flow_bytes,
                     packets: dg.flow_packets,
@@ -619,7 +614,7 @@ impl Plane<Sockets> {
                 delivered += 1;
             }
         }
-        let mut dropped = lockdown_audit::Counts::default();
+        let mut dropped = crate::audit::Counts::default();
         for counts in manifest.values() {
             dropped.add(*counts);
         }
@@ -633,11 +628,6 @@ impl Plane<Sockets> {
             c.socket_queue_dropped += cycle.queue_dropped;
             c.socket_truncated += cycle.truncated_datagrams;
         })
-    }
-
-    /// Shut the daemon down (joins every thread). Also runs on drop.
-    pub fn shutdown(&mut self) {
-        self.transit.daemon.shutdown();
     }
 }
 

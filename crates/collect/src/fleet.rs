@@ -177,13 +177,8 @@ impl ExporterFleet {
     }
 
     /// Number of members.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.members.len()
-    }
-
-    /// Whether the fleet is empty (it never is; kept for API symmetry).
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
     }
 
     /// Export one cell's flows, returning the emitted datagrams (members in

@@ -22,12 +22,14 @@
 // (see `socket::sockopt`); everything else stays unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
+pub mod audit;
 pub mod daemon;
 pub mod export;
 pub mod fleet;
 pub mod metrics;
-pub mod queue;
+mod queue;
 pub mod shard;
 pub mod soak;
 pub mod socket;
@@ -38,19 +40,15 @@ use lockdown_base::hash::fold;
 use lockdown_flow::prelude::*;
 use lockdown_traffic::plan::Cell;
 
-pub use daemon::{Collectd, CollectdConfig, Cycle, ReceivedDatagram, SocketPlane};
-pub use export::{ExportConfig, ExportSummary};
-pub use fleet::{DomainTruth, ExporterFleet, FleetConfig, FleetTruth, WireDatagram};
-pub use lockdown_audit as audit;
+pub use daemon::{Collectd, CollectdConfig, Cycle, SocketPlane};
+pub use export::ExportConfig;
+pub use fleet::{DomainTruth, ExporterFleet, FleetConfig, WireDatagram};
 pub use lockdown_base::fault::FaultProfile;
 pub use metrics::CollectMetrics;
-pub use queue::BoundedQueue;
-pub use shard::{
-    CollectorShard, Observation, SequenceTracker, SequenceUnits, ShardSet, ShardTotals,
-};
-pub use socket::{peek, Recv, RecvSocket, SendSocket, WirePeek, MAX_UDP_PAYLOAD, RECV_BUF_LEN};
+pub use shard::{CollectorShard, ShardSet};
+pub use socket::{peek, SendSocket, MAX_UDP_PAYLOAD};
 pub use stages::Plane;
-pub use transport::{Transport, TransportReport};
+pub use transport::Transport;
 
 /// Initial constant of the cell key the transport's schedule is keyed
 /// on, a fold of `(stream, day, hour)` (`lockdown_base::hash` tests hold
@@ -171,7 +169,7 @@ impl Plane<Loopback> {
         self.collect(&cell, flows, exported, shards, |c| {
             c.delivered_datagrams += tr.delivered;
             c.dropped_datagrams += tr.dropped_datagrams;
-            c.dropped.add(lockdown_audit::Counts {
+            c.dropped.add(crate::audit::Counts {
                 records: tr.dropped_records,
                 bytes: tr.dropped_bytes,
                 packets: tr.dropped_packets,

@@ -17,7 +17,7 @@ use std::sync::{Condvar, Mutex};
 
 /// A bounded multi-producer queue with explicit, counted overflow.
 #[derive(Debug)]
-pub struct BoundedQueue<T> {
+pub(crate) struct BoundedQueue<T> {
     state: Mutex<State<T>>,
     not_empty: Condvar,
     not_full: Condvar,
@@ -32,7 +32,7 @@ struct State<T> {
 
 impl<T> BoundedQueue<T> {
     /// A queue holding at most `capacity` items (at least 1).
-    pub fn new(capacity: usize) -> BoundedQueue<T> {
+    pub(crate) fn new(capacity: usize) -> BoundedQueue<T> {
         let capacity = capacity.max(1);
         BoundedQueue {
             state: Mutex::new(State {
@@ -45,24 +45,9 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// The queue's bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Items currently queued.
-    pub fn len(&self) -> usize {
-        self.state.lock().expect("queue poisoned").items.len()
-    }
-
-    /// Whether the queue is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Non-blocking push: `Err(item)` hands the item back when the queue
     /// is full (or closed) so the caller can count the drop.
-    pub fn try_push(&self, item: T) -> Result<(), T> {
+    pub(crate) fn try_push(&self, item: T) -> Result<(), T> {
         let mut s = self.state.lock().expect("queue poisoned");
         if s.closed || s.items.len() >= self.capacity {
             return Err(item);
@@ -75,7 +60,7 @@ impl<T> BoundedQueue<T> {
 
     /// Blocking push for control messages that must not be dropped; waits
     /// for space. Returns `Err(item)` only if the queue was closed.
-    pub fn push(&self, item: T) -> Result<(), T> {
+    pub(crate) fn push(&self, item: T) -> Result<(), T> {
         let mut s = self.state.lock().expect("queue poisoned");
         loop {
             if s.closed {
@@ -93,7 +78,7 @@ impl<T> BoundedQueue<T> {
 
     /// Blocking pop; `None` once the queue is closed *and* drained, so a
     /// consumer loop processes everything enqueued before shutdown.
-    pub fn pop(&self) -> Option<T> {
+    pub(crate) fn pop(&self) -> Option<T> {
         let mut s = self.state.lock().expect("queue poisoned");
         loop {
             if let Some(item) = s.items.pop_front() {
@@ -109,7 +94,7 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Close the queue: producers fail fast, consumers drain then stop.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         self.state.lock().expect("queue poisoned").closed = true;
         self.not_empty.notify_all();
         self.not_full.notify_all();
@@ -127,7 +112,7 @@ mod tests {
         assert!(q.try_push(1).is_ok());
         assert!(q.try_push(2).is_ok());
         assert_eq!(q.try_push(3), Err(3));
-        assert_eq!(q.len(), 2);
+        assert_eq!(q.state.lock().unwrap().items.len(), 2);
         assert_eq!(q.pop(), Some(1));
         assert!(q.try_push(3).is_ok());
     }

@@ -21,7 +21,7 @@ use std::collections::BTreeMap;
 
 /// What a format's sequence numbers count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SequenceUnits {
+pub(crate) enum SequenceUnits {
     /// v5: the header sequence counts exported flows.
     Flows,
     /// v9: the header sequence counts exported packets.
@@ -32,7 +32,7 @@ pub enum SequenceUnits {
 
 impl SequenceUnits {
     /// The unit a format's sequence field advances in.
-    pub fn for_format(format: ExportFormat) -> SequenceUnits {
+    pub(crate) fn for_format(format: ExportFormat) -> SequenceUnits {
         match format {
             ExportFormat::NetflowV5 => SequenceUnits::Flows,
             ExportFormat::NetflowV9 => SequenceUnits::Packets,
@@ -43,7 +43,7 @@ impl SequenceUnits {
 
 /// Outcome of presenting one datagram's sequence range to the tracker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Observation {
+pub(crate) enum Observation {
     /// In-order (or past a gap): accepted, advancing the session.
     New,
     /// Filled part of a previously missing range: accepted late.
@@ -79,7 +79,7 @@ const HALF_WRAP: u64 = 1 << 31;
 /// its first wire sequence and unwrapped unit total — converting unseen
 /// head/tail ranges into gaps.
 #[derive(Debug, Default)]
-pub struct SequenceTracker {
+pub(crate) struct SequenceTracker {
     /// Position one past the highest accepted unit; `None` until anchored.
     expected: Option<u64>,
     /// Lowest accepted position (the session floor).
@@ -89,11 +89,6 @@ pub struct SequenceTracker {
 }
 
 impl SequenceTracker {
-    /// A tracker that will anchor on the first sequence it observes.
-    pub fn new() -> SequenceTracker {
-        SequenceTracker::default()
-    }
-
     /// Resolve wire sequence `seq` to the unwrapped position nearest
     /// `reference`: forward if within 2^31 ahead, otherwise behind.
     /// `reference` is always `>= HALF_WRAP` (positions are anchored at
@@ -111,7 +106,7 @@ impl SequenceTracker {
     /// Unwrapped position `seq` would resolve to right now (anchoring
     /// rule applied if the tracker is fresh). Used to order replay queues
     /// consistently across a wrap.
-    pub fn position_hint(&self, seq: u32) -> u64 {
+    pub(crate) fn position_hint(&self, seq: u32) -> u64 {
         match self.expected {
             Some(e) => Self::unwrap_near(e, seq),
             None => ANCHOR + u64::from(seq),
@@ -119,7 +114,7 @@ impl SequenceTracker {
     }
 
     /// Classify a datagram covering `[seq, seq + units)` in wire width.
-    pub fn observe(&mut self, seq: u32, units: u64) -> Observation {
+    pub(crate) fn observe(&mut self, seq: u32, units: u64) -> Observation {
         let Some(expected) = self.expected else {
             let pos = ANCHOR + u64::from(seq);
             self.low = pos;
@@ -189,7 +184,7 @@ impl SequenceTracker {
     /// units it sent in total. Units before the anchor (lost session
     /// heads) and after the highest acceptance (lost tails) become gaps.
     /// If nothing was ever observed, the whole session is missing.
-    pub fn close(&mut self, first_seq: u32, units_sent: u64) {
+    pub(crate) fn close(&mut self, first_seq: u32, units_sent: u64) {
         let Some(expected) = self.expected else {
             if units_sent > 0 {
                 let start = ANCHOR + u64::from(first_seq);
@@ -215,7 +210,7 @@ impl SequenceTracker {
     }
 
     /// Units currently missing (gaps minus late fills).
-    pub fn missing_units(&self) -> u64 {
+    pub(crate) fn missing_units(&self) -> u64 {
         self.missing
             .values()
             .zip(self.missing.keys())
@@ -224,7 +219,7 @@ impl SequenceTracker {
     }
 
     /// Gap events observed, including gaps later filled by late arrivals.
-    pub fn gap_events(&self) -> u64 {
+    pub(crate) fn gap_events(&self) -> u64 {
         self.gap_events
     }
 }
@@ -405,7 +400,7 @@ impl CollectorShard {
     /// for v5, an upper bound for v9, 0 for IPFIX). On the zero-loss path
     /// the derived tag equals the ground truth, so socket runs stay
     /// byte- and ledger-identical to the in-process loopback transport.
-    pub fn ingest_bytes(&mut self, domain: u32, claimed_records: u32, bytes: &[u8]) {
+    pub(crate) fn ingest_bytes(&mut self, domain: u32, claimed_records: u32, bytes: &[u8]) {
         self.ingest_impl(domain, None, claimed_records, bytes);
     }
 
@@ -593,19 +588,9 @@ impl ShardSet {
     /// daemon's workers own one shard each and hand them back at a cycle
     /// barrier). Shard `i` must have seen exactly the domains with
     /// `domain % len == i` — the same routing [`ShardSet::ingest`] applies.
-    pub fn from_shards(shards: Vec<CollectorShard>) -> ShardSet {
+    pub(crate) fn from_shards(shards: Vec<CollectorShard>) -> ShardSet {
         assert!(!shards.is_empty(), "need at least one shard");
         ShardSet { shards }
-    }
-
-    /// Number of shards.
-    pub fn len(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Whether the set has no shards (never true; kept for API symmetry).
-    pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
     }
 
     fn route(&mut self, domain: u32) -> &mut CollectorShard {
@@ -651,7 +636,7 @@ mod tests {
 
     #[test]
     fn tracker_in_order_session_has_no_gaps() {
-        let mut t = SequenceTracker::new();
+        let mut t = SequenceTracker::default();
         assert_eq!(t.observe(0, 10), Observation::New);
         assert_eq!(t.observe(10, 10), Observation::New);
         assert_eq!(t.observe(20, 5), Observation::New);
@@ -662,7 +647,7 @@ mod tests {
 
     #[test]
     fn tracker_gap_then_late_fill() {
-        let mut t = SequenceTracker::new();
+        let mut t = SequenceTracker::default();
         assert_eq!(t.observe(0, 10), Observation::New);
         // Datagram [10, 20) delayed; [20, 30) arrives first.
         assert_eq!(t.observe(20, 10), Observation::New);
@@ -677,7 +662,7 @@ mod tests {
 
     #[test]
     fn tracker_partial_fill_splits_range() {
-        let mut t = SequenceTracker::new();
+        let mut t = SequenceTracker::default();
         assert_eq!(t.observe(0, 5), Observation::New);
         assert_eq!(t.observe(30, 5), Observation::New);
         // Fill the middle of the [5, 30) hole.
@@ -690,7 +675,7 @@ mod tests {
 
     #[test]
     fn tracker_duplicates_and_anomalies() {
-        let mut t = SequenceTracker::new();
+        let mut t = SequenceTracker::default();
         assert_eq!(t.observe(0, 10), Observation::New);
         assert_eq!(t.observe(0, 10), Observation::Duplicate);
         assert_eq!(t.observe(3, 4), Observation::Duplicate);
@@ -703,7 +688,7 @@ mod tests {
 
     #[test]
     fn tracker_close_counts_tail_loss() {
-        let mut t = SequenceTracker::new();
+        let mut t = SequenceTracker::default();
         assert_eq!(t.observe(0, 10), Observation::New);
         t.close(0, 40);
         assert_eq!(t.missing_units(), 30);
@@ -714,7 +699,7 @@ mod tests {
     fn tracker_anchors_at_first_sequence_not_zero() {
         // Exporters joined mid-count do not start at 0: the range before
         // the ground-truth first sequence is not loss.
-        let mut t = SequenceTracker::new();
+        let mut t = SequenceTracker::default();
         assert_eq!(t.observe(1_000_000, 10), Observation::New);
         assert_eq!(t.observe(1_000_010, 10), Observation::New);
         t.close(1_000_000, 20);
@@ -726,7 +711,7 @@ mod tests {
     fn tracker_wrap_is_continuity_not_a_gap() {
         // seq u32::MAX - 10 then the post-wrap successor is ordinary
         // continuity — the pre-fix tracker saw a ~4-billion-unit gap here.
-        let mut t = SequenceTracker::new();
+        let mut t = SequenceTracker::default();
         assert_eq!(t.observe(u32::MAX - 10, 11), Observation::New);
         assert_eq!(t.observe(0, 5), Observation::New);
         assert_eq!(t.observe(5, 5), Observation::New);
@@ -737,7 +722,7 @@ mod tests {
 
     #[test]
     fn tracker_gap_and_late_fill_across_the_wrap() {
-        let mut t = SequenceTracker::new();
+        let mut t = SequenceTracker::default();
         assert_eq!(t.observe(u32::MAX - 5, 2), Observation::New);
         // The wrap-straddling datagram [MAX-3, 6) is delayed.
         assert_eq!(t.observe(6, 4), Observation::New);
@@ -751,7 +736,7 @@ mod tests {
 
     #[test]
     fn tracker_duplicate_across_the_wrap() {
-        let mut t = SequenceTracker::new();
+        let mut t = SequenceTracker::default();
         assert_eq!(t.observe(u32::MAX - 10, 11), Observation::New);
         assert_eq!(t.observe(0, 5), Observation::New);
         assert_eq!(t.observe(u32::MAX - 10, 11), Observation::Duplicate);
@@ -763,14 +748,14 @@ mod tests {
     #[test]
     fn tracker_close_counts_losses_around_the_wrap() {
         // Head datagram [MAX-10, 5) lost: only the post-wrap one arrives.
-        let mut t = SequenceTracker::new();
+        let mut t = SequenceTracker::default();
         assert_eq!(t.observe(4, 10), Observation::New);
         t.close(u32::MAX - 10, 25);
         assert_eq!(t.missing_units(), 15, "lost head straddling the wrap");
         assert_eq!(t.gap_events(), 1);
 
         // Tail lost across the wrap.
-        let mut t = SequenceTracker::new();
+        let mut t = SequenceTracker::default();
         assert_eq!(t.observe(u32::MAX - 10, 5), Observation::New);
         t.close(u32::MAX - 10, 40);
         assert_eq!(t.missing_units(), 35, "lost tail straddling the wrap");
@@ -780,7 +765,7 @@ mod tests {
     fn tracker_reordered_head_is_accepted_below_the_anchor() {
         // Adjacent reorder swaps the first two datagrams; the true head
         // arrives second and lands below the anchor.
-        let mut t = SequenceTracker::new();
+        let mut t = SequenceTracker::default();
         assert_eq!(t.observe(10, 10), Observation::New);
         assert_eq!(t.observe(0, 10), Observation::New);
         t.close(0, 20);
@@ -789,7 +774,7 @@ mod tests {
         assert_eq!(t.gap_events(), 1);
 
         // Same shape straddling the wrap.
-        let mut t = SequenceTracker::new();
+        let mut t = SequenceTracker::default();
         assert_eq!(t.observe(2, 10), Observation::New);
         assert_eq!(t.observe(u32::MAX - 7, 10), Observation::New);
         t.close(u32::MAX - 7, 20);
@@ -798,7 +783,7 @@ mod tests {
 
     #[test]
     fn tracker_nothing_observed_is_all_loss() {
-        let mut t = SequenceTracker::new();
+        let mut t = SequenceTracker::default();
         t.close(u32::MAX - 3, 17);
         assert_eq!(t.missing_units(), 17);
         assert_eq!(t.gap_events(), 1);

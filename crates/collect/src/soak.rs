@@ -101,12 +101,12 @@ pub struct SoakOutcome {
 
 impl SoakOutcome {
     /// Records per second, end to end.
-    pub fn flows_per_sec(&self) -> f64 {
+    pub(crate) fn flows_per_sec(&self) -> f64 {
         self.records_sent as f64 / self.secs.max(1e-9)
     }
 
     /// Datagrams per second, end to end.
-    pub fn datagrams_per_sec(&self) -> f64 {
+    pub(crate) fn datagrams_per_sec(&self) -> f64 {
         self.datagrams_sent as f64 / self.secs.max(1e-9)
     }
 

@@ -5,11 +5,11 @@
 //!
 //! * **Truncation safety.** A UDP read into a too-small buffer silently
 //!   discards the datagram's tail; decoding the surviving prefix would
-//!   mis-parse records. [`RecvSocket::recv`] therefore reads into a
+//!   mis-parse records. `RecvSocket::recv` therefore reads into a
 //!   buffer strictly larger than the maximum UDP payload, and any read
 //!   that *fills* the buffer — only possible when the buffer is smaller
 //!   than the payload, i.e. the datagram was cut — is reported as
-//!   [`Recv::Truncated`] and never decoded. The truncated prefix still
+//!   `Recv::Truncated` and never decoded. The truncated prefix still
 //!   carries the (intact) header, so the drop can be attributed to an
 //!   observation domain and a claimed record count.
 //! * **Header peeking.** Fan-out by observation domain must not wait for
@@ -18,7 +18,7 @@
 //!
 //! * **Kernel buffer tuning.** `SO_RCVBUF` defaults to the kernel's
 //!   `rmem_default`, which a burst of large datagrams overruns long
-//!   before the receiver thread falls behind. [`RecvSocket::set_rcvbuf`]
+//!   before the receiver thread falls behind. `RecvSocket::set_rcvbuf`
 //!   grows it through a raw `setsockopt` call (a two-symbol
 //!   `extern "C"` binding — no libc dependency) and reads the granted
 //!   size back, so callers see exactly what the kernel clamped them to
@@ -69,7 +69,7 @@ mod sockopt {
     /// Request a receive buffer of `bytes`; returns what the kernel
     /// granted (it doubles the request for bookkeeping overhead and
     /// clamps it to `net.core.rmem_max`).
-    pub fn set_rcvbuf(sock: &impl AsRawFd, bytes: usize) -> io::Result<usize> {
+    pub(crate) fn set_rcvbuf(sock: &impl AsRawFd, bytes: usize) -> io::Result<usize> {
         let requested = bytes.min(c_int::MAX as usize) as c_int;
         let len = std::mem::size_of::<c_int>() as u32;
         let rc = unsafe {
@@ -88,7 +88,7 @@ mod sockopt {
     }
 
     /// The socket's current receive-buffer size as the kernel reports it.
-    pub fn rcvbuf(sock: &impl AsRawFd) -> io::Result<usize> {
+    pub(crate) fn rcvbuf(sock: &impl AsRawFd) -> io::Result<usize> {
         let mut value: c_int = 0;
         let mut len = std::mem::size_of::<c_int>() as u32;
         let rc = unsafe {
@@ -114,14 +114,14 @@ mod sockopt {
     use std::io;
     use std::os::fd::AsRawFd;
 
-    pub fn set_rcvbuf(_sock: &impl AsRawFd, _bytes: usize) -> io::Result<usize> {
+    pub(crate) fn set_rcvbuf(_sock: &impl AsRawFd, _bytes: usize) -> io::Result<usize> {
         Err(io::Error::new(
             io::ErrorKind::Unsupported,
             "SO_RCVBUF tuning is only wired up for Linux",
         ))
     }
 
-    pub fn rcvbuf(_sock: &impl AsRawFd) -> io::Result<usize> {
+    pub(crate) fn rcvbuf(_sock: &impl AsRawFd) -> io::Result<usize> {
         Err(io::Error::new(
             io::ErrorKind::Unsupported,
             "SO_RCVBUF tuning is only wired up for Linux",
@@ -137,7 +137,7 @@ pub use lockdown_flow::wire::MAX_UDP_PAYLOAD;
 
 /// Default receive buffer: strictly larger than [`MAX_UDP_PAYLOAD`], so a
 /// full-buffer read is impossible and truncation cannot go undetected.
-pub const RECV_BUF_LEN: usize = 65_536;
+pub(crate) const RECV_BUF_LEN: usize = 65_536;
 
 /// How long a receiver blocks in one `recv` before checking for shutdown.
 pub const POLL: Duration = Duration::from_millis(25);
@@ -201,7 +201,7 @@ fn header_v5(bytes: &[u8]) -> Option<WirePeek> {
 
 /// One `recv` outcome.
 #[derive(Debug)]
-pub enum Recv {
+pub(crate) enum Recv {
     /// A complete datagram.
     Datagram(Vec<u8>),
     /// A datagram that filled the receive buffer: its tail was cut by the
@@ -214,21 +214,20 @@ pub enum Recv {
 
 /// A bound, polling UDP receive socket.
 #[derive(Debug)]
-pub struct RecvSocket {
+pub(crate) struct RecvSocket {
     socket: UdpSocket,
     buf: Vec<u8>,
 }
 
 impl RecvSocket {
-    /// Bind `addr` with the full-size (truncation-proof) receive buffer.
-    pub fn bind<A: ToSocketAddrs>(addr: A) -> io::Result<RecvSocket> {
-        RecvSocket::bind_with_buffer(addr, RECV_BUF_LEN)
-    }
-
-    /// Bind with an explicit buffer length. Buffers smaller than
-    /// [`RECV_BUF_LEN`] make truncation *possible* — used by tests to
-    /// exercise the truncation path without crafting >64 KiB datagrams.
-    pub fn bind_with_buffer<A: ToSocketAddrs>(addr: A, buf_len: usize) -> io::Result<RecvSocket> {
+    /// Bind `addr` with a `buf_len`-byte receive buffer. [`RECV_BUF_LEN`]
+    /// is truncation-proof; smaller buffers make truncation *possible* —
+    /// used by tests to exercise the truncation path without crafting
+    /// >64 KiB datagrams.
+    pub(crate) fn bind_with_buffer<A: ToSocketAddrs>(
+        addr: A,
+        buf_len: usize,
+    ) -> io::Result<RecvSocket> {
         let socket = UdpSocket::bind(addr)?;
         socket.set_read_timeout(Some(POLL))?;
         Ok(RecvSocket {
@@ -238,7 +237,7 @@ impl RecvSocket {
     }
 
     /// The bound local address.
-    pub fn local_addr(&self) -> io::Result<SocketAddr> {
+    pub(crate) fn local_addr(&self) -> io::Result<SocketAddr> {
         self.socket.local_addr()
     }
 
@@ -246,19 +245,19 @@ impl RecvSocket {
     /// the size actually granted. The kernel doubles the request for its
     /// own bookkeeping and clamps it to `net.core.rmem_max`, so the
     /// return value is how callers learn the clamp bit.
-    pub fn set_rcvbuf(&self, bytes: usize) -> io::Result<usize> {
+    pub(crate) fn set_rcvbuf(&self, bytes: usize) -> io::Result<usize> {
         sockopt::set_rcvbuf(&self.socket, bytes)
     }
 
     /// The kernel receive-buffer size currently in effect.
-    pub fn rcvbuf(&self) -> io::Result<usize> {
+    pub(crate) fn rcvbuf(&self) -> io::Result<usize> {
         sockopt::rcvbuf(&self.socket)
     }
 
     /// Receive one datagram, classifying truncation; blocks at most
     /// [`POLL`]. Interrupted reads surface as [`Recv::TimedOut`] so the
     /// caller's poll loop simply retries.
-    pub fn recv(&mut self) -> io::Result<Recv> {
+    pub(crate) fn recv(&mut self) -> io::Result<Recv> {
         match self.socket.recv(&mut self.buf) {
             Ok(n) if n >= self.buf.len() => Ok(Recv::Truncated(self.buf[..n].to_vec())),
             Ok(n) => Ok(Recv::Datagram(self.buf[..n].to_vec())),
@@ -310,7 +309,7 @@ mod tests {
 
     #[test]
     fn roundtrip_and_timeout() {
-        let mut rx = RecvSocket::bind("127.0.0.1:0").unwrap();
+        let mut rx = RecvSocket::bind_with_buffer("127.0.0.1:0", RECV_BUF_LEN).unwrap();
         let addr = rx.local_addr().unwrap();
         let tx = SendSocket::open().unwrap();
         tx.send_to(b"hello", addr).unwrap();
@@ -330,7 +329,7 @@ mod tests {
     #[cfg(target_os = "linux")]
     #[test]
     fn rcvbuf_request_is_granted_and_readable() {
-        let rx = RecvSocket::bind("127.0.0.1:0").unwrap();
+        let rx = RecvSocket::bind_with_buffer("127.0.0.1:0", RECV_BUF_LEN).unwrap();
         let default = rx.rcvbuf().expect("getsockopt");
         assert!(default > 0, "kernel always grants some buffer");
         // A small request is always under rmem_max, so the grant must be

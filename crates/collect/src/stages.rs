@@ -10,10 +10,10 @@
 
 use std::sync::Arc;
 
-use lockdown_audit::{CellLedger, Counts, Ledger, Report};
 use lockdown_flow::prelude::*;
 use lockdown_traffic::plan::Cell;
 
+use crate::audit::{CellLedger, Counts, Ledger, Report};
 use crate::fleet::{ExporterFleet, FleetTruth, WireDatagram};
 use crate::metrics::CollectMetrics;
 use crate::shard::{SequenceUnits, ShardSet};
@@ -43,8 +43,8 @@ pub(crate) struct Exported {
 }
 
 /// The audit key of one engine cell.
-fn cell_key(cell: &Cell) -> lockdown_audit::CellKey {
-    lockdown_audit::CellKey {
+fn cell_key(cell: &Cell) -> crate::audit::CellKey {
+    crate::audit::CellKey {
         wire_id: cell.stream.wire_id(),
         day_number: cell.date.day_number(),
         hour: cell.hour,

@@ -29,7 +29,7 @@ pub enum Fidelity {
 
 impl Fidelity {
     /// Generator configuration for this fidelity.
-    pub fn config(self, seed: u64) -> GeneratorConfig {
+    pub(crate) fn config(self, seed: u64) -> GeneratorConfig {
         match self {
             Fidelity::Test => GeneratorConfig::coarse(seed),
             Fidelity::Standard => GeneratorConfig::with_seed(seed),
@@ -79,7 +79,7 @@ impl Context {
     /// The same substrate — registry, corpus, generator configuration —
     /// under another scenario: one lane of a multi-scenario sweep. Equal
     /// to [`Context::with_scenario`] at this context's fidelity and seed.
-    pub fn under(&self, scenario: ScenarioSpec) -> Context {
+    pub(crate) fn under(&self, scenario: ScenarioSpec) -> Context {
         Context {
             registry: self.registry.clone(),
             corpus: self.corpus.clone(),

@@ -171,7 +171,7 @@ impl EnginePlan {
     /// figure being planned). Labels drive the degraded-mode report's
     /// "affected figures" attribution; unlabeled subscriptions are
     /// reported under `unlabeled`.
-    pub fn scoped<R>(&mut self, label: &str, f: impl FnOnce(&mut EnginePlan) -> R) -> R {
+    pub(crate) fn scoped<R>(&mut self, label: &str, f: impl FnOnce(&mut EnginePlan) -> R) -> R {
         let prev = self.scope.replace(label.to_string());
         let out = f(self);
         self.scope = prev;
@@ -211,13 +211,13 @@ impl EnginePlan {
     /// build the same subscriptions get the same hash — the shard
     /// protocol's guard against running an assignment against a
     /// differently built plan.
-    pub fn plan_hash(&self) -> u64 {
+    pub(crate) fn plan_hash(&self) -> u64 {
         self.trace.plan_hash()
     }
 
     /// Every distinct cell the plan demands, ordered by
     /// `(stream, date, hour)` — the shard assignment index space.
-    pub fn cells(&self) -> Vec<Cell> {
+    pub(crate) fn cells(&self) -> Vec<Cell> {
         self.trace.cells()
     }
 }
@@ -254,7 +254,7 @@ pub struct EngineStats {
 impl EngineStats {
     /// How many times over per-figure regeneration would have re-made the
     /// average cell.
-    pub fn dedup_ratio(&self) -> f64 {
+    pub(crate) fn dedup_ratio(&self) -> f64 {
         self.cells_demanded as f64 / (self.cells_generated + self.cells_replayed).max(1) as f64
     }
 
@@ -288,7 +288,7 @@ impl EngineStats {
 
 /// Why [`EngineOutput::try_take`] could not redeem a demand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TakeError {
+pub(crate) enum TakeError {
     /// The demand was already taken from this output.
     AlreadyTaken,
     /// The demand's type parameter does not match the consumer the
@@ -313,7 +313,7 @@ pub struct EngineOutput {
     consumers: Vec<Option<Box<dyn AnyConsumer>>>,
     stats: EngineStats,
     wire_metrics: Option<Arc<CollectMetrics>>,
-    audit: Option<lockdown_audit::Report>,
+    audit: Option<lockdown_collect::audit::Report>,
     store_metrics: Option<Arc<StoreMetrics>>,
     supervisor_metrics: Arc<SupervisorMetrics>,
     degraded: Option<DegradedReport>,
@@ -323,7 +323,7 @@ impl EngineOutput {
     /// Take the merged consumer of one subscription, reporting a typed
     /// error for the two reachable misuses (double-take, wrong-type
     /// redemption) instead of panicking.
-    pub fn try_take<C: FlowConsumer + Send + 'static>(
+    pub(crate) fn try_take<C: FlowConsumer + Send + 'static>(
         &mut self,
         demand: Demand<C>,
     ) -> Result<C, TakeError> {
@@ -344,8 +344,8 @@ impl EngineOutput {
     }
 
     /// Take the merged consumer of one subscription (each demand can be
-    /// taken once). Panics on misuse — use [`EngineOutput::try_take`] for
-    /// the typed-error form.
+    /// taken once). Panics on misuse: a demand taken twice, or redeemed
+    /// as another consumer type.
     pub fn take<C: FlowConsumer + Send + 'static>(&mut self, demand: Demand<C>) -> C {
         self.try_take(demand)
             .unwrap_or_else(|e| panic!("engine demand redemption failed: {e}"))
@@ -362,7 +362,7 @@ impl EngineOutput {
     }
 
     /// Conservation-audit report, present when the plan ran in wire mode.
-    pub fn audit(&self) -> Option<&lockdown_audit::Report> {
+    pub fn audit(&self) -> Option<&lockdown_collect::audit::Report> {
         self.audit.as_ref()
     }
 
@@ -402,7 +402,7 @@ pub fn run(ctx: &Context, plan: EnginePlan) -> Result<EngineOutput, StoreError> 
 /// Run one driver standalone: subscribe its demands on a fresh plan, run
 /// the pass with the default worker count, and redeem them. This is what
 /// every figure driver's `run()` is.
-pub fn run_standalone<H, T>(
+pub(crate) fn run_standalone<H, T>(
     ctx: &Context,
     plan: impl FnOnce(&mut EnginePlan) -> H,
     finish: impl FnOnce(H, &mut EngineOutput) -> T,
@@ -915,7 +915,7 @@ pub type Fetch<'a> = dyn FnMut(Cell) -> Result<Arc<Vec<FlowRecord>>, StoreError>
 /// This is the serving path's pass — `fetch` is whatever read layer the
 /// caller owns — so the plan's own wire and archive options must be
 /// unset.
-pub fn run_fetched(
+pub(crate) fn run_fetched(
     ctx: &Context,
     plan: EnginePlan,
     fetch: &mut Fetch<'_>,
@@ -978,7 +978,7 @@ pub struct SliceOutcome {
 /// The plan must be built identically on both sides (guarded by the plan
 /// hash in the shard protocol); wire mode does not cross the shard
 /// boundary.
-pub fn run_slice(
+pub(crate) fn run_slice(
     ctx: &Context,
     plan: EnginePlan,
     range: std::ops::Range<usize>,
@@ -1013,7 +1013,7 @@ pub fn run_slice(
 /// Construction resolves the archive (warm manifest kept, anything else
 /// invalidated) *before* any worker opens it, so every worker sees a
 /// consistent warm/cold decision.
-pub struct ShardAssembler {
+pub(crate) struct ShardAssembler {
     pass: Pass,
     merged: Vec<Box<dyn AnyConsumer>>,
     tallies: Tallies,
@@ -1023,7 +1023,7 @@ pub struct ShardAssembler {
 impl ShardAssembler {
     /// Prepare a coordinated pass: build the merge targets and resolve
     /// the archive. Wire mode is not supported across the shard boundary.
-    pub fn new(ctx: &Context, plan: EnginePlan) -> Result<ShardAssembler, StoreError> {
+    pub(crate) fn new(ctx: &Context, plan: EnginePlan) -> Result<ShardAssembler, StoreError> {
         assert!(
             plan.wire.is_none(),
             "wire mode does not cross the shard boundary"
@@ -1041,19 +1041,13 @@ impl ShardAssembler {
 
     /// Fingerprint of the deduplicated cell plan; workers echo it back so
     /// an assignment can never run against a differently built plan.
-    pub fn plan_hash(&self) -> u64 {
+    pub(crate) fn plan_hash(&self) -> u64 {
         self.pass.plan_hash
     }
 
     /// Number of cells in the sorted plan (the assignment index space).
-    pub fn cell_count(&self) -> usize {
+    pub(crate) fn cell_count(&self) -> usize {
         self.pass.cells.len()
-    }
-
-    /// Whether the pass replays a warm archive (workers decode segments
-    /// instead of generating, and no segments come back to adopt).
-    pub fn is_warm(&self) -> bool {
-        self.pass.reader.is_some()
     }
 
     /// Merge one worker's slice into the coordinator state: consumer
@@ -1061,7 +1055,7 @@ impl ShardAssembler {
     /// into the pending manifest. A frame that fails to decode is
     /// surfaced as archive-grade corruption — the slice must be re-run,
     /// not silently dropped.
-    pub fn absorb(&mut self, outcome: SliceOutcome) -> Result<(), StoreError> {
+    pub(crate) fn absorb(&mut self, outcome: SliceOutcome) -> Result<(), StoreError> {
         if outcome.states.len() != self.merged.len() {
             return Err(StoreError::Corrupt {
                 segment: "consumer state".to_string(),
@@ -1099,7 +1093,12 @@ impl ShardAssembler {
     /// Quarantine a whole assignment range: every replica of these cells
     /// died. The archive must not claim any of them, and each cell is
     /// reported exactly like a supervisor quarantine.
-    pub fn quarantine_range(&mut self, range: std::ops::Range<usize>, attempts: u32, error: &str) {
+    pub(crate) fn quarantine_range(
+        &mut self,
+        range: std::ops::Range<usize>,
+        attempts: u32,
+        error: &str,
+    ) {
         let cells = &self.pass.cells;
         let start = range.start.min(cells.len());
         let end = range.end.min(cells.len()).max(start);
@@ -1119,7 +1118,7 @@ impl ShardAssembler {
     /// on a degraded one, and an [`EngineOutput`] carrying the merged
     /// consumers, the combined stats and the degraded-mode report.
     /// `workers` is recorded in the stats (worker processes, not threads).
-    pub fn finish(self, workers: usize) -> Result<EngineOutput, StoreError> {
+    pub(crate) fn finish(self, workers: usize) -> Result<EngineOutput, StoreError> {
         self.pass
             .conclude(self.merged, self.tallies, self.quarantined, workers)
     }

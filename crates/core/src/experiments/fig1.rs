@@ -15,10 +15,10 @@ use std::collections::BTreeMap;
 /// The week range Fig. 1 plots (calendar weeks of 2020).
 pub const WEEKS: std::ops::RangeInclusive<u8> = 1..=18;
 /// The normalization week ("normalized by 3rd week of Jan").
-pub const BASE_WEEK: u8 = 3;
+pub(crate) const BASE_WEEK: u8 = 3;
 
 /// Fig. 1's vantage points, in legend order.
-pub const VANTAGE_POINTS: [VantagePoint; 6] = [
+pub(crate) const VANTAGE_POINTS: [VantagePoint; 6] = [
     VantagePoint::IspCe,
     VantagePoint::IxpCe,
     VantagePoint::IxpSe,
@@ -44,14 +44,6 @@ impl WeeklySeries {
             .find(|(w, _)| *w == week)
             .and_then(|(_, v)| *v)
     }
-
-    /// Peak normalized value across the plotted weeks.
-    pub fn peak(&self) -> f64 {
-        self.series
-            .iter()
-            .filter_map(|(_, v)| *v)
-            .fold(0.0, f64::max)
-    }
 }
 
 /// The full Fig. 1 result.
@@ -62,12 +54,12 @@ pub struct Fig1 {
 }
 
 /// Demand handles of one Fig. 1 pass.
-pub struct Plan {
+pub(crate) struct Plan {
     volumes: Vec<(VantagePoint, Demand<HourlyVolume>)>,
 }
 
 /// Declare Fig. 1's trace demands on a shared engine plan.
-pub fn plan(plan: &mut EnginePlan) -> Plan {
+pub(crate) fn plan(plan: &mut EnginePlan) -> Plan {
     // The plot starts Jan 1 and the paper's snapshot runs into May.
     let start = Date::new(2020, 1, 1);
     let end = Date::new(2020, 5, 3); // end of week 18
@@ -85,7 +77,7 @@ pub fn plan(plan: &mut EnginePlan) -> Plan {
 }
 
 /// Assemble the figure from a finished engine pass.
-pub fn finish(plan: Plan, out: &mut EngineOutput) -> Fig1 {
+pub(crate) fn finish(plan: Plan, out: &mut EngineOutput) -> Fig1 {
     let mut series = Vec::new();
     for (vp, demand) in plan.volumes {
         let volume = out.take(demand);
@@ -116,14 +108,6 @@ pub fn run(ctx: &Context) -> Fig1 {
 }
 
 impl Fig1 {
-    /// Series for one vantage point.
-    pub fn vantage(&self, vp: VantagePoint) -> &WeeklySeries {
-        self.series
-            .iter()
-            .find(|s| s.vantage == vp)
-            .expect("all Fig. 1 vantage points present")
-    }
-
     /// Render the figure as a text table (weeks × vantage points).
     pub fn render(&self) -> String {
         let mut header = vec!["week".to_string()];
@@ -148,6 +132,12 @@ mod tests {
     use super::*;
     use crate::context::Fidelity;
 
+    /// Series for one vantage point.
+    fn vantage(f: &Fig1, vp: VantagePoint) -> &WeeklySeries {
+        let mut series = f.series.iter();
+        series.find(|s| s.vantage == vp).expect("vantage plotted")
+    }
+
     #[test]
     fn shape_matches_paper() {
         let ctx = Context::new(Fidelity::Test);
@@ -161,8 +151,8 @@ mod tests {
 
         // Lockdown lifts the European fixed networks by roughly the
         // paper's magnitudes (ISP >15%, IXP-CE >18% at week 13).
-        let isp = f.vantage(VantagePoint::IspCe);
-        let ixp_ce = f.vantage(VantagePoint::IxpCe);
+        let isp = vantage(&f, VantagePoint::IspCe);
+        let ixp_ce = vantage(&f, VantagePoint::IxpCe);
         assert!(
             isp.at(13).unwrap() > 1.12,
             "ISP wk13 {}",
@@ -176,14 +166,14 @@ mod tests {
 
         // The US IXP trails Europe: its week-12 growth is smaller than
         // IXP-CE's, and its curve keeps rising into late April.
-        let us = f.vantage(VantagePoint::IxpUs);
+        let us = vantage(&f, VantagePoint::IxpUs);
         assert!(us.at(12).unwrap() < ixp_ce.at(12).unwrap());
         assert!(us.at(17).unwrap() > us.at(11).unwrap());
 
         // Mobile dips below baseline during the lockdown; roaming falls
         // much harder (Fig. 1's bottom curves).
-        let mobile = f.vantage(VantagePoint::MobileCe);
-        let roaming = f.vantage(VantagePoint::RoamingIpx);
+        let mobile = vantage(&f, VantagePoint::MobileCe);
+        let roaming = vantage(&f, VantagePoint::RoamingIpx);
         assert!(mobile.at(14).unwrap() < 1.02);
         assert!(
             roaming.at(14).unwrap() < 0.75,
@@ -194,7 +184,11 @@ mod tests {
 
         // ISP decays toward May while IXP-CE's gain persists (§3.1).
         let isp_late = isp.at(18).unwrap();
-        let isp_peak = isp.peak();
+        let isp_peak = isp
+            .series
+            .iter()
+            .filter_map(|(_, v)| *v)
+            .fold(0.0, f64::max);
         assert!(
             isp_late < isp_peak - 0.04,
             "ISP should decay: {isp_late} vs {isp_peak}"

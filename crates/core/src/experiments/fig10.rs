@@ -28,12 +28,12 @@ pub struct VpnWeek {
 
 impl VpnWeek {
     /// Total bytes in the working-hours window (09:00–17:00) on workdays.
-    pub fn working_hours_bytes(&self) -> u64 {
+    pub(crate) fn working_hours_bytes(&self) -> u64 {
         (9..17).map(|h| self.workday[h]).sum()
     }
 
     /// Total weekend bytes.
-    pub fn weekend_bytes(&self) -> u64 {
+    pub(crate) fn weekend_bytes(&self) -> u64 {
         self.weekend.iter().sum()
     }
 }
@@ -136,13 +136,13 @@ impl FlowConsumer for VpnWeekConsumer {
 }
 
 /// Demand handles of one Fig. 10 pass.
-pub struct Plan {
+pub(crate) struct Plan {
     candidate_ips: usize,
     weeks: Vec<(&'static str, Demand<VpnWeekConsumer>)>,
 }
 
 /// Declare Fig. 10's trace demands on a shared engine plan.
-pub fn plan(plan: &mut EnginePlan, ctx: &Context) -> Plan {
+pub(crate) fn plan(plan: &mut EnginePlan, ctx: &Context) -> Plan {
     let classifier = Arc::new(VpnClassifier::new(ctx.vpn_candidate_ips()));
     let candidate_ips = classifier.candidate_count();
     let region = VantagePoint::IxpCe.region();
@@ -165,7 +165,7 @@ pub fn plan(plan: &mut EnginePlan, ctx: &Context) -> Plan {
 }
 
 /// Assemble Fig. 10 from a finished engine pass.
-pub fn finish(plan: Plan, out: &mut EngineOutput) -> Fig10 {
+pub(crate) fn finish(plan: Plan, out: &mut EngineOutput) -> Fig10 {
     let weeks = plan
         .weeks
         .into_iter()
@@ -187,7 +187,7 @@ pub fn run(ctx: &Context) -> Fig10 {
 
 impl Fig10 {
     /// One week's pair by label.
-    pub fn week(&self, label: &str) -> (&VpnWeek, &VpnWeek) {
+    pub(crate) fn week(&self, label: &str) -> (&VpnWeek, &VpnWeek) {
         let (_, p, d) = self
             .weeks
             .iter()

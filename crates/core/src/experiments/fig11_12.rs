@@ -26,13 +26,13 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Fig. 12's plotted range (Feb 27 – Apr 22).
-pub const F12_START: Date = Date {
+pub(crate) const F12_START: Date = Date {
     year: 2020,
     month: 2,
     day: 27,
 };
 /// End of the Fig. 12 range.
-pub const F12_END: Date = Date {
+pub(crate) const F12_END: Date = Date {
     year: 2020,
     month: 4,
     day: 22,
@@ -76,13 +76,6 @@ pub struct HourlyOrigins {
     pub national: [u64; 24],
     /// Connections from overseas eyeballs.
     pub overseas: [u64; 24],
-}
-
-impl HourlyOrigins {
-    /// Hour with the most connections for a series.
-    pub fn peak_hour(series: &[u64; 24]) -> u8 {
-        (0..24).max_by_key(|&h| series[h as usize]).unwrap_or(0) as u8
-    }
 }
 
 /// Combined EDU result.
@@ -173,13 +166,13 @@ impl FlowConsumer for OriginsConsumer {
 }
 
 /// Demand handles of one EDU pass.
-pub struct Plan {
+pub(crate) struct Plan {
     analysis: Demand<EduAnalysis>,
     origins: Demand<OriginsConsumer>,
 }
 
 /// Declare the EDU experiments' trace demands on a shared engine plan.
-pub fn plan(plan: &mut EnginePlan, registry: &Registry) -> Plan {
+pub(crate) fn plan(plan: &mut EnginePlan, registry: &Registry) -> Plan {
     // Cover the union of the Fig. 11 weeks and the Fig. 12 range.
     let start = Date::new(2020, 2, 27);
     let end = Date::new(2020, 4, 26);
@@ -207,7 +200,7 @@ pub fn plan(plan: &mut EnginePlan, registry: &Registry) -> Plan {
 }
 
 /// Assemble the EDU figures from a finished engine pass.
-pub fn finish(plan: Plan, out: &mut EngineOutput) -> EduFigures {
+pub(crate) fn finish(plan: Plan, out: &mut EngineOutput) -> EduFigures {
     let analysis = out.take(plan.analysis);
     let o = out.take(plan.origins);
     let origins = HourlyOrigins {
@@ -260,18 +253,8 @@ pub fn run(ctx: &Context) -> EduFigures {
 }
 
 impl EduFigures {
-    /// A week's normalized volumes by label.
-    pub fn volumes(&self, label: &str) -> &[f64; 7] {
-        &self
-            .fig11a
-            .iter()
-            .find(|(l, _)| *l == label)
-            .expect("week exists")
-            .1
-    }
-
     /// A week's in/out ratios by label.
-    pub fn ratios(&self, label: &str) -> &[f64; 7] {
+    pub(crate) fn ratios(&self, label: &str) -> &[f64; 7] {
         &self
             .fig11b
             .iter()
@@ -292,7 +275,7 @@ impl EduFigures {
 
     /// §7 statistic: median daily incoming-connection growth factor for a
     /// class between the base week and the online-lecturing week.
-    pub fn median_growth(&self, class: EduTrafficClass, orient: Orientation) -> f64 {
+    pub(crate) fn median_growth(&self, class: EduTrafficClass, orient: Orientation) -> f64 {
         let base =
             self.analysis
                 .median_daily(class, orient, EDU_WEEKS[0].start, EDU_WEEKS[0].end());
@@ -303,7 +286,7 @@ impl EduFigures {
     }
 
     /// §7 statistic: total incoming and outgoing growth (medians).
-    pub fn total_growth(&self) -> (f64, f64) {
+    pub(crate) fn total_growth(&self) -> (f64, f64) {
         let med = |orient, week: &AnalysisWeek| {
             let counts: Vec<f64> = week
                 .dates()
@@ -361,6 +344,11 @@ mod tests {
     use crate::context::Fidelity;
     use std::sync::OnceLock;
 
+    /// A week's normalized volumes by label.
+    fn volumes<'f>(f: &'f EduFigures, label: &str) -> &'f [f64; 7] {
+        &f.fig11a.iter().find(|(l, _)| *l == label).expect("week").1
+    }
+
     fn fig() -> &'static EduFigures {
         static FIG: OnceLock<EduFigures> = OnceLock::new();
         FIG.get_or_init(|| run(&Context::new(Fidelity::Test)))
@@ -381,8 +369,8 @@ mod tests {
     fn volume_drops_on_workdays() {
         // Fig. 11a: up to −55% on Tue/Wed. Week starts Thursday; Tue/Wed
         // are indices 5 and 6.
-        let base = fig().volumes("base");
-        let online = fig().volumes("online-lecturing");
+        let base = volumes(fig(), "base");
+        let online = volumes(fig(), "online-lecturing");
         for idx in [5usize, 6] {
             let drop = 1.0 - online[idx] / base[idx];
             assert!(
@@ -480,7 +468,7 @@ mod tests {
         // §7: national users peak in the working day; overseas (Latin
         // American time zones) peak in the small hours.
         let o = fig().origins;
-        let national_peak = HourlyOrigins::peak_hour(&o.national);
+        let national_peak = (0..24).max_by_key(|&h| o.national[h]).unwrap_or(0);
         assert!(
             (8..=21).contains(&national_peak),
             "national peak at {national_peak}h"

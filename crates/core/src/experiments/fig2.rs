@@ -17,7 +17,7 @@ use lockdown_topology::vantage::VantagePoint;
 use lockdown_traffic::plan::Stream;
 
 /// The three days of Fig. 2a.
-pub const FIG2A_DAYS: [(Date, &str); 3] = [
+pub(crate) const FIG2A_DAYS: [(Date, &str); 3] = [
     (
         Date {
             year: 2020,
@@ -52,12 +52,12 @@ pub struct Fig2a {
 }
 
 /// Demand handles of one Fig. 2a pass.
-pub struct Plan2a {
+pub(crate) struct Plan2a {
     days: Vec<(Date, &'static str, Demand<HourlyVolume>)>,
 }
 
 /// Declare Fig. 2a's trace demands on a shared engine plan.
-pub fn plan_2a(plan: &mut EnginePlan) -> Plan2a {
+pub(crate) fn plan_2a(plan: &mut EnginePlan) -> Plan2a {
     Plan2a {
         days: FIG2A_DAYS
             .iter()
@@ -75,7 +75,7 @@ pub fn plan_2a(plan: &mut EnginePlan) -> Plan2a {
 }
 
 /// Assemble Fig. 2a from a finished engine pass.
-pub fn finish_2a(plan: Plan2a, out: &mut EngineOutput) -> Fig2a {
+pub(crate) fn finish_2a(plan: Plan2a, out: &mut EngineOutput) -> Fig2a {
     let mut raw = Vec::new();
     for (date, label, demand) in plan.days {
         let volume = out.take(demand);
@@ -135,13 +135,13 @@ pub struct Fig2bc {
 }
 
 /// Demand handles of one Fig. 2b/2c pass.
-pub struct Plan2bc {
+pub(crate) struct Plan2bc {
     vantage: VantagePoint,
     volume: Demand<HourlyVolume>,
 }
 
 /// Declare Fig. 2b/2c's trace demand on a shared engine plan.
-pub fn plan_2bc(plan: &mut EnginePlan, vantage: VantagePoint) -> Plan2bc {
+pub(crate) fn plan_2bc(plan: &mut EnginePlan, vantage: VantagePoint) -> Plan2bc {
     let start = Date::new(2020, 1, 1);
     let end = Date::new(2020, 5, 11);
     Plan2bc {
@@ -151,7 +151,7 @@ pub fn plan_2bc(plan: &mut EnginePlan, vantage: VantagePoint) -> Plan2bc {
 }
 
 /// Assemble Fig. 2b/2c from a finished engine pass.
-pub fn finish_2bc(plan: Plan2bc, out: &mut EngineOutput) -> Fig2bc {
+pub(crate) fn finish_2bc(plan: Plan2bc, out: &mut EngineOutput) -> Fig2bc {
     let start = Date::new(2020, 1, 1);
     let end = Date::new(2020, 5, 11);
     let volume = out.take(plan.volume);
@@ -170,7 +170,7 @@ pub fn run_2bc(ctx: &Context, vantage: VantagePoint) -> Fig2bc {
 
 impl Fig2bc {
     /// Summary over a sub-range.
-    pub fn summary(&self, start: Date, end: Date) -> ClassificationSummary {
+    pub(crate) fn summary(&self, start: Date, end: Date) -> ClassificationSummary {
         let subset: Vec<ClassifiedDay> = self
             .days
             .iter()

@@ -22,12 +22,12 @@ pub struct Fig3a {
 }
 
 /// Demand handles of one Fig. 3a pass.
-pub struct Plan3a {
+pub(crate) struct Plan3a {
     weeks: Vec<(AnalysisWeek, Demand<HourlyVolume>)>,
 }
 
 /// Declare Fig. 3a's trace demands on a shared engine plan.
-pub fn plan_3a(plan: &mut EnginePlan) -> Plan3a {
+pub(crate) fn plan_3a(plan: &mut EnginePlan) -> Plan3a {
     Plan3a {
         weeks: FIG3_WEEKS
             .iter()
@@ -45,7 +45,7 @@ pub fn plan_3a(plan: &mut EnginePlan) -> Plan3a {
 }
 
 /// Assemble Fig. 3a from a finished engine pass.
-pub fn finish_3a(plan: Plan3a, out: &mut EngineOutput) -> Fig3a {
+pub(crate) fn finish_3a(plan: Plan3a, out: &mut EngineOutput) -> Fig3a {
     let mut raw: Vec<(&'static str, Vec<u64>)> = Vec::new();
     for (week, demand) in plan.weeks {
         let volume = out.take(demand);
@@ -166,12 +166,12 @@ fn week_profile(
 type WeekDemands = Vec<(AnalysisWeek, Demand<HourlyVolume>)>;
 
 /// Demand handles of one Fig. 3b pass.
-pub struct Plan3b {
+pub(crate) struct Plan3b {
     ixps: Vec<(VantagePoint, WeekDemands)>,
 }
 
 /// Declare Fig. 3b's trace demands on a shared engine plan.
-pub fn plan_3b(plan: &mut EnginePlan) -> Plan3b {
+pub(crate) fn plan_3b(plan: &mut EnginePlan) -> Plan3b {
     Plan3b {
         ixps: [
             VantagePoint::IxpCe,
@@ -199,7 +199,7 @@ pub fn plan_3b(plan: &mut EnginePlan) -> Plan3b {
 }
 
 /// Assemble Fig. 3b from a finished engine pass.
-pub fn finish_3b(plan: Plan3b, out: &mut EngineOutput) -> Fig3b {
+pub(crate) fn finish_3b(plan: Plan3b, out: &mut EngineOutput) -> Fig3b {
     let mut ixps = Vec::new();
     for (vp, weeks) in plan.ixps {
         let mut profiles = Vec::new();
@@ -235,18 +235,8 @@ pub fn run_3b(ctx: &Context) -> Fig3b {
 }
 
 impl Fig3b {
-    /// The weekly profiles of one IXP.
-    pub fn ixp(&self, vp: VantagePoint) -> &[IxpWeekProfile] {
-        &self
-            .ixps
-            .iter()
-            .find(|(v, _)| *v == vp)
-            .expect("IXP present")
-            .1
-    }
-
     /// Mean across a profile.
-    pub fn mean_of(profile: &[f64; 24]) -> f64 {
+    pub(crate) fn mean_of(profile: &[f64; 24]) -> f64 {
         profile.iter().sum::<f64>() / 24.0
     }
 
@@ -282,6 +272,15 @@ mod tests {
     use crate::context::Fidelity;
     use std::sync::OnceLock;
 
+    /// The weekly profiles of one IXP.
+    fn ixp(f: &Fig3b, vp: VantagePoint) -> &[IxpWeekProfile] {
+        &f.ixps
+            .iter()
+            .find(|(v, _)| *v == vp)
+            .expect("IXP present")
+            .1
+    }
+
     fn ctx() -> &'static Context {
         static CTX: OnceLock<Context> = OnceLock::new();
         CTX.get_or_init(|| Context::new(Fidelity::Test))
@@ -306,7 +305,7 @@ mod tests {
         // "not only the peak traffic increased but also the minimum
         // traffic levels" — compare base-week min vs stage2-week min.
         for vp in [VantagePoint::IxpCe, VantagePoint::IxpSe] {
-            let profiles = f.ixp(vp);
+            let profiles = ixp(&f, vp);
             let min_of = |p: &IxpWeekProfile| {
                 p.workday
                     .iter()
@@ -328,7 +327,7 @@ mod tests {
     fn fig3b_us_trails() {
         let f = run_3b(ctx());
         let growth = |vp: VantagePoint, idx: usize| {
-            let p = f.ixp(vp);
+            let p = ixp(&f, vp);
             Fig3b::mean_of(&p[idx].workday) / Fig3b::mean_of(&p[0].workday)
         };
         // Stage 1 (March): US barely moves while IXP-CE jumps.

@@ -18,7 +18,7 @@ use lockdown_traffic::plan::Stream;
 /// Weeks plotted.
 pub const WEEKS: std::ops::RangeInclusive<u8> = 1..=18;
 /// Normalization week (consistent with Fig. 1's baseline).
-pub const BASE_WEEK: u8 = 3;
+pub(crate) const BASE_WEEK: u8 = 3;
 
 /// Fig. 4 result.
 #[derive(Debug, Clone)]
@@ -30,12 +30,12 @@ pub struct Fig4 {
 }
 
 /// Demand handle of one Fig. 4 pass.
-pub struct Plan {
+pub(crate) struct Plan {
     split: Demand<HypergiantConsumer>,
 }
 
 /// Declare Fig. 4's trace demand on a shared engine plan.
-pub fn plan(plan: &mut EnginePlan) -> Plan {
+pub(crate) fn plan(plan: &mut EnginePlan) -> Plan {
     let region = VantagePoint::IspCe.region();
     Plan {
         split: plan.subscribe(
@@ -48,7 +48,7 @@ pub fn plan(plan: &mut EnginePlan) -> Plan {
 }
 
 /// Assemble Fig. 4 from a finished engine pass.
-pub fn finish(plan: Plan, out: &mut EngineOutput) -> Fig4 {
+pub(crate) fn finish(plan: Plan, out: &mut EngineOutput) -> Fig4 {
     let split = out.take(plan.split).split;
     let mut series = Vec::new();
     for part in DayPart::ALL {

@@ -15,13 +15,13 @@ use lockdown_topology::vantage::VantagePoint;
 use lockdown_traffic::plan::Stream;
 
 /// Base comparison day: a workday of the base week (Thu Feb 20).
-pub const BASE_DAY: Date = Date {
+pub(crate) const BASE_DAY: Date = Date {
     year: 2020,
     month: 2,
     day: 20,
 };
 /// Stage-2 comparison day: a workday of the stage-2 week (Thu Apr 23).
-pub const STAGE2_DAY: Date = Date {
+pub(crate) const STAGE2_DAY: Date = Date {
     year: 2020,
     month: 4,
     day: 23,
@@ -50,13 +50,13 @@ pub struct Fig5 {
 }
 
 /// Demand handles of one Fig. 5 pass.
-pub struct Plan {
+pub(crate) struct Plan {
     base: Demand<AsHourly>,
     stage2: Demand<AsHourly>,
 }
 
 /// Declare Fig. 5's trace demands on a shared engine plan.
-pub fn plan(plan: &mut EnginePlan) -> Plan {
+pub(crate) fn plan(plan: &mut EnginePlan) -> Plan {
     let stream = Stream::Vantage(VantagePoint::IxpCe);
     Plan {
         base: plan.subscribe(stream, BASE_DAY, BASE_DAY, || AsHourly::new(BASE_DAY)),
@@ -65,7 +65,7 @@ pub fn plan(plan: &mut EnginePlan) -> Plan {
 }
 
 /// Assemble Fig. 5 from a finished engine pass.
-pub fn finish(ctx: &Context, plan: Plan, out: &mut EngineOutput) -> Fig5 {
+pub(crate) fn finish(ctx: &Context, plan: Plan, out: &mut EngineOutput) -> Fig5 {
     let fabric = IxpFabric::synthesize(VantagePoint::IxpCe, &ctx.registry, ctx.config.seed);
     let base_hourly = out.take(plan.base);
     let stage2_hourly = out.take(plan.stage2);

@@ -34,7 +34,7 @@ pub const BASE: (Date, Date) = (
     },
 );
 /// Lockdown window (March week).
-pub const LOCKDOWN: (Date, Date) = (
+pub(crate) const LOCKDOWN: (Date, Date) = (
     Date {
         year: 2020,
         month: 3,
@@ -77,13 +77,13 @@ fn window_demands(
 }
 
 /// Demand handles of one Fig. 6 pass.
-pub struct Plan {
+pub(crate) struct Plan {
     base: (Demand<AsTotalsConsumer>, Demand<AsTotalsConsumer>),
     lockdown: (Demand<AsTotalsConsumer>, Demand<AsTotalsConsumer>),
 }
 
 /// Declare Fig. 6's trace demands on a shared engine plan.
-pub fn plan(plan: &mut EnginePlan) -> Plan {
+pub(crate) fn plan(plan: &mut EnginePlan) -> Plan {
     Plan {
         base: window_demands(plan, BASE),
         lockdown: window_demands(plan, LOCKDOWN),
@@ -91,7 +91,7 @@ pub fn plan(plan: &mut EnginePlan) -> Plan {
 }
 
 /// Assemble Fig. 6 from a finished engine pass.
-pub fn finish(ctx: &Context, plan: Plan, out: &mut EngineOutput) -> Fig6 {
+pub(crate) fn finish(ctx: &Context, plan: Plan, out: &mut EngineOutput) -> Fig6 {
     let base_all = out.take(plan.base.0).totals;
     let base_res = out.take(plan.base.1).totals;
     let lock_all = out.take(plan.lockdown.0).totals;

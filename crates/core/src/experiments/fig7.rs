@@ -12,7 +12,7 @@ use lockdown_topology::vantage::VantagePoint;
 use lockdown_traffic::plan::Stream;
 
 /// How many ports Fig. 7 shows ("the top 3–12 ports" = 10 rows).
-pub const TOP_N: usize = 10;
+pub(crate) const TOP_N: usize = 10;
 
 /// Per-week port profile.
 #[derive(Debug, Clone)]
@@ -36,13 +36,13 @@ pub struct Fig7 {
 }
 
 /// Demand handles of one Fig. 7 pass.
-pub struct Plan {
+pub(crate) struct Plan {
     vantage: VantagePoint,
     weeks: Vec<(&'static str, Demand<PortConsumer>)>,
 }
 
 /// Declare Fig. 7's trace demands on a shared engine plan.
-pub fn plan(plan: &mut EnginePlan, vantage: VantagePoint) -> Plan {
+pub(crate) fn plan(plan: &mut EnginePlan, vantage: VantagePoint) -> Plan {
     let week_set: &[AnalysisWeek] = if vantage == VantagePoint::IspCe {
         &PORTS_ISP_WEEKS
     } else {
@@ -67,7 +67,7 @@ pub fn plan(plan: &mut EnginePlan, vantage: VantagePoint) -> Plan {
 }
 
 /// Assemble Fig. 7 from a finished engine pass.
-pub fn finish(plan: Plan, out: &mut EngineOutput) -> Fig7 {
+pub(crate) fn finish(plan: Plan, out: &mut EngineOutput) -> Fig7 {
     let mut weeks = Vec::new();
     let mut combined = PortProfile::new();
     for (label, demand) in plan.weeks {
@@ -89,29 +89,8 @@ pub fn run(ctx: &Context, vantage: VantagePoint) -> Fig7 {
 }
 
 impl Fig7 {
-    /// The profile of a week by label.
-    pub fn week(&self, label: &str) -> &PortProfile {
-        &self
-            .weeks
-            .iter()
-            .find(|w| w.label == label)
-            .expect("week exists")
-            .profile
-    }
-
-    /// Total-volume growth of one port between two weeks.
-    pub fn growth(&self, key: ServiceKey, from: &str, to: &str) -> Option<f64> {
-        let a = self.week(from).total(key);
-        let b = self.week(to).total(key);
-        if a == 0 {
-            None
-        } else {
-            Some(b as f64 / a as f64)
-        }
-    }
-
     /// Share of web ports in the last week (§4's 80%/60% claim).
-    pub fn web_share(&self) -> f64 {
+    pub(crate) fn web_share(&self) -> f64 {
         self.weeks
             .last()
             .map(|w| w.profile.share_of(&[tcp443(), tcp80()]))
@@ -158,6 +137,19 @@ mod tests {
     use lockdown_flow::protocol::IpProtocol;
     use std::sync::OnceLock;
 
+    /// Total-volume growth of one port between two weeks.
+    fn growth(f: &Fig7, key: ServiceKey, from: &str, to: &str) -> Option<f64> {
+        let week = |label| {
+            &f.weeks
+                .iter()
+                .find(|w| w.label == label)
+                .expect("week")
+                .profile
+        };
+        let (a, b) = (week(from).total(key), week(to).total(key));
+        (a != 0).then(|| b as f64 / a as f64)
+    }
+
     fn isp() -> &'static Fig7 {
         static FIG: OnceLock<Fig7> = OnceLock::new();
         FIG.get_or_init(|| run(&Context::new(Fidelity::Test), VantagePoint::IspCe))
@@ -181,26 +173,26 @@ mod tests {
 
     #[test]
     fn quic_grows_30_to_80_percent() {
-        let g = isp().growth(quic(), "february", "march").unwrap();
+        let g = growth(isp(), quic(), "february", "march").unwrap();
         assert!((1.15..1.95).contains(&g), "ISP QUIC March growth {g:.2}");
-        let g = ixp().growth(quic(), "february", "april").unwrap();
+        let g = growth(ixp(), quic(), "february", "april").unwrap();
         assert!(g > 1.2, "IXP QUIC April growth {g:.2}");
     }
 
     #[test]
     fn vpn_nat_traversal_grows_gre_esp_diverge() {
         let nat = ServiceKey::Port(IpProtocol::Udp.number(), 4_500);
-        let g_isp = isp().growth(nat, "february", "march").unwrap();
-        let g_ixp = ixp().growth(nat, "february", "march").unwrap();
+        let g_isp = growth(isp(), nat, "february", "march").unwrap();
+        let g_ixp = growth(ixp(), nat, "february", "march").unwrap();
         assert!(g_isp > 1.2, "ISP UDP/4500 {g_isp:.2}");
         assert!(g_ixp > 1.2, "IXP UDP/4500 {g_ixp:.2}");
         // GRE/ESP decline at the IXP after the lockdown (§4).
         let esp = ServiceKey::Protocol(IpProtocol::Esp.number());
-        let g_esp = ixp().growth(esp, "february", "april").unwrap();
+        let g_esp = growth(ixp(), esp, "february", "april").unwrap();
         assert!(g_esp < 1.0, "IXP ESP should decline: {g_esp:.2}");
         // …while GRE sees a slight increase at the ISP.
         let gre = ServiceKey::Protocol(IpProtocol::Gre.number());
-        let g_gre = isp().growth(gre, "february", "march").unwrap();
+        let g_gre = growth(isp(), gre, "february", "march").unwrap();
         assert!(g_gre > 1.0, "ISP GRE should rise slightly: {g_gre:.2}");
     }
 
@@ -214,8 +206,7 @@ mod tests {
         for seed in CLAIM_SEEDS {
             let ctx = Context::with_seed(Fidelity::Standard, seed);
             for vantage in [VantagePoint::IspCe, VantagePoint::IxpCe] {
-                let g = run(&ctx, vantage)
-                    .growth(alt, "february", "march")
+                let g = growth(&run(&ctx, vantage), alt, "february", "march")
                     .expect("TCP/8080 carries February traffic");
                 assert!(
                     (0.85..1.2).contains(&g),
@@ -230,7 +221,7 @@ mod tests {
         // §4: UDP/8801 "increases by an order of magnitude from February
         // to April" at the ISP-CE.
         let zoom = ServiceKey::Port(IpProtocol::Udp.number(), 8_801);
-        let g = isp().growth(zoom, "february", "april");
+        let g = growth(isp(), zoom, "february", "april");
         if let Some(g) = g {
             assert!(g > 2.0, "Zoom connector growth {g:.2}");
         }
@@ -245,7 +236,7 @@ mod tests {
             "TV port missing at IXP: {:?}",
             ixp().top_ports
         );
-        let g = ixp().growth(tv, "february", "march").unwrap();
+        let g = growth(ixp(), tv, "february", "march").unwrap();
         assert!(g > 1.2, "TV streaming March growth {g:.2}");
     }
 

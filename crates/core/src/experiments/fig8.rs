@@ -15,13 +15,13 @@ use lockdown_traffic::plan::Stream;
 use std::sync::Arc;
 
 /// First Monday of calendar week 7 (Feb 10).
-pub const START: Date = Date {
+pub(crate) const START: Date = Date {
     year: 2020,
     month: 2,
     day: 10,
 };
 /// Last Sunday of calendar week 17 (Apr 26).
-pub const END: Date = Date {
+pub(crate) const END: Date = Date {
     year: 2020,
     month: 4,
     day: 26,
@@ -63,12 +63,12 @@ fn day_stats(date: Date, hourly: &[f64]) -> DayStats {
 }
 
 /// Demand handle of one Fig. 8 pass.
-pub struct Plan {
+pub(crate) struct Plan {
     usage: Demand<ClassUsageConsumer>,
 }
 
 /// Declare Fig. 8's trace demand on a shared engine plan.
-pub fn plan(plan: &mut EnginePlan, registry: &Registry) -> Plan {
+pub(crate) fn plan(plan: &mut EnginePlan, registry: &Registry) -> Plan {
     let classifier = Arc::new(Classifier::from_registry(registry));
     Plan {
         usage: plan.subscribe(
@@ -81,7 +81,7 @@ pub fn plan(plan: &mut EnginePlan, registry: &Registry) -> Plan {
 }
 
 /// Assemble Fig. 8 from a finished engine pass.
-pub fn finish(plan: Plan, out: &mut EngineOutput) -> Fig8 {
+pub(crate) fn finish(plan: Plan, out: &mut EngineOutput) -> Fig8 {
     let usage = out.take(plan.usage);
     let mut unique_ips = Vec::new();
     let mut volume = Vec::new();
@@ -124,7 +124,7 @@ pub fn run(ctx: &Context) -> Fig8 {
 
 impl Fig8 {
     /// Mean of daily averages over an inclusive date range.
-    pub fn mean_avg(series: &[DayStats], start: Date, end: Date) -> f64 {
+    pub(crate) fn mean_avg(series: &[DayStats], start: Date, end: Date) -> f64 {
         let vals: Vec<f64> = series
             .iter()
             .filter(|d| d.date >= start && d.date <= end)
@@ -135,7 +135,7 @@ impl Fig8 {
 
     /// The outage dip: minimum daily average in the first lockdown week
     /// divided by the preceding week's mean.
-    pub fn outage_dip(&self) -> f64 {
+    pub(crate) fn outage_dip(&self) -> f64 {
         let before = Self::mean_avg(&self.volume, Date::new(2020, 3, 9), Date::new(2020, 3, 15));
         let outage_week_min = self
             .volume

@@ -26,14 +26,14 @@ pub struct Fig9 {
 }
 
 /// Demand handles of one Fig. 9 pass.
-pub struct Plan {
+pub(crate) struct Plan {
     vantage: VantagePoint,
     weeks: [Demand<HeatmapConsumer>; 3],
 }
 
 /// Declare Fig. 9's trace demands for one vantage point on a shared
 /// engine plan.
-pub fn plan(plan: &mut EnginePlan, registry: &Registry, vantage: VantagePoint) -> Plan {
+pub(crate) fn plan(plan: &mut EnginePlan, registry: &Registry, vantage: VantagePoint) -> Plan {
     let weeks: &[AnalysisWeek; 3] = if vantage == VantagePoint::IspCe {
         &APPCLASS_ISP_WEEKS
     } else {
@@ -61,7 +61,7 @@ pub fn plan(plan: &mut EnginePlan, registry: &Registry, vantage: VantagePoint) -
 }
 
 /// Assemble Fig. 9 from a finished engine pass.
-pub fn finish(plan: Plan, out: &mut EngineOutput) -> Fig9 {
+pub(crate) fn finish(plan: Plan, out: &mut EngineOutput) -> Fig9 {
     let [a, b, c] = plan.weeks;
     Fig9 {
         vantage: plan.vantage,
@@ -80,7 +80,7 @@ pub fn run(ctx: &Context, vantage: VantagePoint) -> Fig9 {
 
 impl Fig9 {
     /// The (stage − base) difference grid for a class; `stage` is 1 or 2.
-    pub fn diff(&self, class: PaperClass, stage: usize) -> [[f64; DISPLAY_HOURS]; 7] {
+    pub(crate) fn diff(&self, class: PaperClass, stage: usize) -> [[f64; DISPLAY_HOURS]; 7] {
         assert!(stage == 1 || stage == 2, "stage must be 1 or 2");
         heatmap_diff(&self.weeks[0], &self.weeks[stage], class)
     }
@@ -89,7 +89,7 @@ impl Fig9 {
     /// days that are calendar workdays in *both* compared weeks (the ISP's
     /// stage-2 week contains the Easter holidays, which the paper
     /// classifies as weekend days, §4).
-    pub fn business_hours_diff(&self, class: PaperClass, stage: usize) -> f64 {
+    pub(crate) fn business_hours_diff(&self, class: PaperClass, stage: usize) -> f64 {
         use lockdown_scenario::calendar::{day_type, DayType};
         let grid = self.diff(class, stage);
         let region = self.vantage.region();
@@ -114,7 +114,7 @@ impl Fig9 {
     }
 
     /// Mean difference over the whole displayed grid.
-    pub fn overall_diff(&self, class: PaperClass, stage: usize) -> f64 {
+    pub(crate) fn overall_diff(&self, class: PaperClass, stage: usize) -> f64 {
         let grid = self.diff(class, stage);
         let total: f64 = grid.iter().flat_map(|d| d.iter()).sum();
         total / (7 * DISPLAY_HOURS) as f64

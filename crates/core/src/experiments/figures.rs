@@ -16,7 +16,7 @@ use crate::experiments::{
 use lockdown_topology::vantage::VantagePoint;
 
 /// A finished section; call it for the rendered text.
-pub type Section = Box<dyn Fn() -> String + Send + Sync>;
+pub(crate) type Section = Box<dyn Fn() -> String + Send + Sync>;
 
 /// The pending half of a planned figure: redeems its demands against the
 /// finished pass.
@@ -206,7 +206,7 @@ fn fig9_at(ctx: &Context, plan: &mut EnginePlan, vantage: VantagePoint) -> Finis
 }
 
 /// The table entry with exactly this section name.
-pub fn figure(name: &str) -> Option<&'static Figure> {
+pub(crate) fn figure(name: &str) -> Option<&'static Figure> {
     FIGURES.iter().find(|f| f.name == name)
 }
 

@@ -51,7 +51,7 @@ struct WindowDemands {
 }
 
 /// Demand handles of one §3.4 pass.
-pub struct Plan {
+pub(crate) struct Plan {
     base: WindowDemands,
     lockdown: WindowDemands,
 }
@@ -75,7 +75,7 @@ fn window_demands(plan: &mut EnginePlan, start: Date, end: Date) -> WindowDemand
 }
 
 /// Declare §3.4's trace demands on a shared engine plan.
-pub fn plan(plan: &mut EnginePlan) -> Plan {
+pub(crate) fn plan(plan: &mut EnginePlan) -> Plan {
     Plan {
         base: window_demands(plan, Date::new(2020, 2, 19), Date::new(2020, 2, 25)),
         lockdown: window_demands(plan, Date::new(2020, 3, 18), Date::new(2020, 3, 24)),
@@ -83,7 +83,7 @@ pub fn plan(plan: &mut EnginePlan) -> Plan {
 }
 
 /// Assemble §3.4 from a finished engine pass.
-pub fn finish(plan: Plan, out: &mut EngineOutput) -> Sec34 {
+pub(crate) fn finish(plan: Plan, out: &mut EngineOutput) -> Sec34 {
     let mut window = |w: WindowDemands| {
         let mut all = out.take(w.transit_all).totals;
         let mut residential = out.take(w.transit_res).totals;
@@ -128,14 +128,6 @@ pub fn run(ctx: &Context) -> Sec34 {
 }
 
 impl Sec34 {
-    /// Stats for one group.
-    pub fn group(&self, group: RatioGroup) -> &GroupStats {
-        self.groups
-            .iter()
-            .find(|g| g.group == group)
-            .expect("all groups present")
-    }
-
     /// Render the per-group table.
     pub fn render(&self) -> String {
         let mut t = TextTable::new(["group", "ASes", "corr(total, residential)", "mean res Δ"]);
@@ -160,6 +152,14 @@ mod tests {
     use crate::context::Fidelity;
     use std::sync::OnceLock;
 
+    /// Stats for one group.
+    fn group(f: &Sec34, group: RatioGroup) -> &GroupStats {
+        f.groups
+            .iter()
+            .find(|g| g.group == group)
+            .expect("group present")
+    }
+
     fn fig() -> &'static Sec34 {
         static FIG: OnceLock<Sec34> = OnceLock::new();
         FIG.get_or_init(|| run(&Context::new(Fidelity::Test)))
@@ -170,9 +170,9 @@ mod tests {
         // Companies land in the workday group, entertainment ASes in the
         // weekend group, the general web in between.
         let f = fig();
-        let wd = f.group(RatioGroup::WorkdayDominated);
-        let bal = f.group(RatioGroup::Balanced);
-        let we = f.group(RatioGroup::WeekendDominated);
+        let wd = group(f, RatioGroup::WorkdayDominated);
+        let bal = group(f, RatioGroup::Balanced);
+        let we = group(f, RatioGroup::WeekendDominated);
         assert!(wd.members > 20, "workday group has {} members", wd.members);
         assert!(
             bal.members > 3,
@@ -189,7 +189,7 @@ mod tests {
         // but is weaker" — with the transit view dominated by business
         // ASes the other groups are small here).
         let f = fig();
-        let wd = f.group(RatioGroup::WorkdayDominated);
+        let wd = group(f, RatioGroup::WorkdayDominated);
         assert!(
             wd.correlation > 0.15,
             "workday-group correlation {:.3}",
@@ -200,7 +200,7 @@ mod tests {
     #[test]
     fn residential_traffic_grows_for_companies() {
         let f = fig();
-        let wd = f.group(RatioGroup::WorkdayDominated);
+        let wd = group(f, RatioGroup::WorkdayDominated);
         assert!(
             wd.mean_residential_delta > 0.05,
             "mean residential delta {:+.3}",

@@ -37,12 +37,12 @@ pub struct Sec9 {
 }
 
 /// Demand handles of one §9 pass.
-pub struct Plan {
+pub(crate) struct Plan {
     rows: Vec<(VantagePoint, Demand<HourlyVolume>, Demand<HourlyVolume>)>,
 }
 
 /// Declare §9's trace demands on a shared engine plan.
-pub fn plan(plan: &mut EnginePlan) -> Plan {
+pub(crate) fn plan(plan: &mut EnginePlan) -> Plan {
     let base = &FIG3_WEEKS[0];
     let stage2 = &FIG3_WEEKS[2];
     Plan {
@@ -68,7 +68,7 @@ pub fn plan(plan: &mut EnginePlan) -> Plan {
 }
 
 /// Assemble §9 from a finished engine pass.
-pub fn finish(plan: Plan, out: &mut EngineOutput) -> Sec9 {
+pub(crate) fn finish(plan: Plan, out: &mut EngineOutput) -> Sec9 {
     let base = &FIG3_WEEKS[0];
     let stage2 = &FIG3_WEEKS[2];
     let stats = |volume: &HourlyVolume, week: &AnalysisWeek| {
@@ -102,14 +102,6 @@ pub fn run(ctx: &Context) -> Sec9 {
 }
 
 impl Sec9 {
-    /// Row for one vantage point.
-    pub fn vantage(&self, vp: VantagePoint) -> &PeakValley {
-        self.rows
-            .iter()
-            .find(|r| r.vantage == vp)
-            .expect("core four present")
-    }
-
     /// Render the decomposition.
     pub fn render(&self) -> String {
         let mut t = TextTable::new(["vantage", "peak growth", "mean growth", "valley growth"]);
@@ -134,6 +126,14 @@ mod tests {
     use crate::context::Fidelity;
     use std::sync::OnceLock;
 
+    /// Row for one vantage point.
+    fn vantage(f: &Sec9, vp: VantagePoint) -> &PeakValley {
+        f.rows
+            .iter()
+            .find(|r| r.vantage == vp)
+            .expect("core four present")
+    }
+
     fn fig() -> &'static Sec9 {
         static FIG: OnceLock<Sec9> = OnceLock::new();
         FIG.get_or_init(|| run(&Context::new(Fidelity::Test)))
@@ -144,7 +144,7 @@ mod tests {
         // §9's claim, per European fixed network: valley growth exceeds
         // mean growth exceeds (roughly) peak growth.
         for vp in [VantagePoint::IspCe, VantagePoint::IxpCe] {
-            let r = fig().vantage(vp);
+            let r = vantage(fig(), vp);
             assert!(
                 r.valley_growth > r.peak_growth,
                 "{vp}: valley {:.2} must outgrow peak {:.2}",

@@ -26,7 +26,7 @@ pub struct Suite {
     /// Wire-plane metrics, present when the pass ran in wire mode.
     pub wire_metrics: Option<Arc<CollectMetrics>>,
     /// Conservation-audit report, present when the pass ran in wire mode.
-    pub audit: Option<lockdown_audit::Report>,
+    pub audit: Option<lockdown_collect::audit::Report>,
     /// Store metrics, present when the pass ran against an archive.
     pub store_metrics: Option<Arc<StoreMetrics>>,
     /// The pass supervisor's metrics.
@@ -191,7 +191,7 @@ pub fn run_suite_slice(
 }
 
 /// Coordinator side of a sharded suite pass: the engine's
-/// [`ShardAssembler`] plus the retained per-figure demand handles, so the
+/// `ShardAssembler` plus the retained per-figure demand handles, so the
 /// merged consumer states assemble into a [`Suite`] exactly as a
 /// single-process pass would.
 pub struct SuiteAssembler {
@@ -218,11 +218,6 @@ impl SuiteAssembler {
     /// Number of cells in the assignment index space.
     pub fn cell_count(&self) -> usize {
         self.asm.cell_count()
-    }
-
-    /// Whether the pass replays a warm archive.
-    pub fn is_warm(&self) -> bool {
-        self.asm.is_warm()
     }
 
     /// Merge one worker's completed slice.

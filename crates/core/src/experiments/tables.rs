@@ -50,7 +50,7 @@ pub fn table1(ctx: &Context) -> Table1 {
 
 impl Table1 {
     /// The paper's published counts per class: (filters, ASNs, ports).
-    pub fn paper_counts(class: PaperClass) -> (usize, usize, usize) {
+    pub(crate) fn paper_counts(class: PaperClass) -> (usize, usize, usize) {
         match class {
             PaperClass::WebConf => (7, 1, 6),
             PaperClass::Vod => (5, 5, 0),

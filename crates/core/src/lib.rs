@@ -7,6 +7,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod context;
 pub mod engine;
@@ -17,4 +18,4 @@ pub mod serve;
 pub mod supervisor;
 
 pub use context::{Context, Fidelity};
-pub use matrix::{run_matrix, MatrixOptions, MatrixRun, MatrixScenario, MatrixStats, ScenarioRun};
+pub use matrix::{run_matrix, MatrixOptions, MatrixScenario};

@@ -30,18 +30,8 @@ impl TextTable {
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Render with aligned columns.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let cols = self.header.len();
         let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
         for row in &self.rows {
@@ -99,13 +89,13 @@ impl TextTable {
 }
 
 /// Format an optional normalized value ("1.23" or "-").
-pub fn opt_norm(v: Option<f64>) -> String {
+pub(crate) fn opt_norm(v: Option<f64>) -> String {
     v.map(|x| format!("{x:.3}")).unwrap_or_else(|| "-".into())
 }
 
 /// Render a compact sparkline of a normalized series (for terminal
 /// output), mapping `[0, max]` onto eight block glyphs.
-pub fn sparkline(values: &[f64]) -> String {
+pub(crate) fn sparkline(values: &[f64]) -> String {
     const GLYPHS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
     let max = values.iter().copied().fold(f64::MIN, f64::max);
     if values.is_empty() || max <= 0.0 {
@@ -132,7 +122,7 @@ mod tests {
         let s = t.render();
         assert!(s.contains("week  value"));
         assert!(s.lines().count() == 4);
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.rows.len(), 2);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! that: it looks the name up in the figure table, builds that entry's
 //! standalone plan — the same plan the suite registers, same
 //! subscriptions, same consumer factories — runs it over fetched cells
-//! ([`engine::run_fetched`]), and finishes the figure through the
+//! (`engine::run_fetched`), and finishes the figure through the
 //! identical consumer machinery. Because generation and replay are
 //! byte-identical (the store's contract) and consumer merging is
 //! order-independent (the engine's contract), the rendering is

@@ -82,11 +82,6 @@ pub struct DegradedReport {
 }
 
 impl DegradedReport {
-    /// Whether anything is actually missing.
-    pub fn is_degraded(&self) -> bool {
-        !self.quarantined.is_empty()
-    }
-
     /// Human-readable degraded-mode report, deterministic for a given
     /// quarantine set.
     pub fn render(&self) -> String {
@@ -182,7 +177,7 @@ pub struct Supervisor {
 impl Supervisor {
     /// A supervisor for one pass. A [`FaultProfile::zero`] configuration
     /// gives panic isolation and retries without any injected faults.
-    pub fn new(cfg: FaultProfile) -> Supervisor {
+    pub(crate) fn new(cfg: FaultProfile) -> Supervisor {
         install_quiet_panic_hook();
         Supervisor {
             schedule: Schedule::new(cfg),
@@ -193,7 +188,7 @@ impl Supervisor {
     }
 
     /// Shared handle to the `supervisor_*` metrics.
-    pub fn metrics(&self) -> Arc<SupervisorMetrics> {
+    pub(crate) fn metrics(&self) -> Arc<SupervisorMetrics> {
         Arc::clone(&self.metrics)
     }
 
@@ -313,12 +308,12 @@ mod tests {
             affected: vec![("fig3".into(), 1)],
             retries: 5,
         };
-        assert!(report.is_degraded());
+        assert!(!report.quarantined.is_empty());
         let text = report.render();
         assert!(text.contains("DEGRADED PASS: 1 cells quarantined, 5 retries"));
         assert!(text.contains("hour 14"));
         assert!(text.contains("affected figure fig3: 1 missing cells"));
-        assert!(!DegradedReport::default().is_degraded());
+        assert!(DegradedReport::default().quarantined.is_empty());
     }
 
     #[test]

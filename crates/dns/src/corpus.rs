@@ -29,7 +29,7 @@ use std::net::Ipv4Addr;
 
 /// Which §6 source datasets a domain was observed in.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SourceSet {
+pub(crate) struct SourceSet {
     /// TLS certificates from Certificate Transparency logs (2015–2020).
     pub ct_logs: bool,
     /// Rapid7 forward-DNS dataset.
@@ -40,7 +40,7 @@ pub struct SourceSet {
 
 /// One DNS name with its resolved addresses.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DnsEntry {
+pub(crate) struct DnsEntry {
     /// Resolved IPv4 addresses.
     pub addrs: Vec<Ipv4Addr>,
     /// Observation sources.
@@ -55,12 +55,12 @@ pub struct DnsDb {
 
 impl DnsDb {
     /// An empty database.
-    pub fn new() -> DnsDb {
+    pub(crate) fn new() -> DnsDb {
         DnsDb::default()
     }
 
     /// Insert (or extend) a record.
-    pub fn insert(&mut self, name: DomainName, addr: Ipv4Addr, sources: SourceSet) {
+    pub(crate) fn insert(&mut self, name: DomainName, addr: Ipv4Addr, sources: SourceSet) {
         let e = self.records.entry(name).or_insert_with(|| DnsEntry {
             addrs: Vec::new(),
             sources: SourceSet::default(),
@@ -74,7 +74,7 @@ impl DnsDb {
     }
 
     /// Resolve a name.
-    pub fn resolve(&self, name: &DomainName) -> &[Ipv4Addr] {
+    pub(crate) fn resolve(&self, name: &DomainName) -> &[Ipv4Addr] {
         self.records
             .get(name)
             .map(|e| e.addrs.as_slice())
@@ -82,7 +82,7 @@ impl DnsDb {
     }
 
     /// All `(name, entry)` pairs in lexicographic order.
-    pub fn iter(&self) -> impl Iterator<Item = (&DomainName, &DnsEntry)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&DomainName, &DnsEntry)> {
         self.records.iter()
     }
 
@@ -91,7 +91,7 @@ impl DnsDb {
         self.records.len()
     }
 
-    /// Whether the database is empty.
+    /// Whether the database holds no names.
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
     }
@@ -375,7 +375,7 @@ mod tests {
         for (d, _) in c.db.iter() {
             if d.is_www() {
                 assert!(
-                    !d.labels()[1..d.labels().len() - d.public_suffix_len()]
+                    !d.labels_left_of_suffix()[1..]
                         .iter()
                         .any(|l| l.contains("vpn"))
                         || d.to_string().contains("fast-vpn"),

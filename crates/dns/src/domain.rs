@@ -31,7 +31,7 @@ impl std::error::Error for ParseDomainError {}
 
 impl DomainName {
     /// Construct from labels (left to right). Labels are lower-cased.
-    pub fn from_labels<I, S>(labels: I) -> Result<DomainName, ParseDomainError>
+    pub(crate) fn from_labels<I, S>(labels: I) -> Result<DomainName, ParseDomainError>
     where
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
@@ -56,17 +56,12 @@ impl DomainName {
         Ok(DomainName { labels })
     }
 
-    /// The labels, leftmost first.
-    pub fn labels(&self) -> &[String] {
-        &self.labels
-    }
-
     /// Length (in labels) of this domain's public suffix.
     ///
     /// Two-level rules (`co.uk`, `ac.uk`, `com.es`) are checked before
     /// one-level TLDs; unknown TLDs default to a one-label suffix, the same
     /// fallback the PSL prescribes.
-    pub fn public_suffix_len(&self) -> usize {
+    pub(crate) fn public_suffix_len(&self) -> usize {
         const TWO_LEVEL: [[&str; 2]; 6] = [
             ["co", "uk"],
             ["ac", "uk"],
@@ -87,13 +82,13 @@ impl DomainName {
 
     /// Labels left of the public suffix (the part §6's `*vpn*` search
     /// scans). Empty for a bare public suffix.
-    pub fn labels_left_of_suffix(&self) -> &[String] {
+    pub(crate) fn labels_left_of_suffix(&self) -> &[String] {
         let ps = self.public_suffix_len();
         &self.labels[..self.labels.len().saturating_sub(ps)]
     }
 
     /// The registrable domain (public suffix plus one label), if any.
-    pub fn registrable(&self) -> Option<DomainName> {
+    pub(crate) fn registrable(&self) -> Option<DomainName> {
         let ps = self.public_suffix_len();
         if self.labels.len() <= ps {
             return None;
@@ -105,7 +100,7 @@ impl DomainName {
 
     /// Whether any label left of the public suffix contains `vpn`
     /// (§6's candidate condition).
-    pub fn has_vpn_label(&self) -> bool {
+    pub(crate) fn has_vpn_label(&self) -> bool {
         self.labels_left_of_suffix()
             .iter()
             .any(|l| l.contains("vpn"))
@@ -113,14 +108,14 @@ impl DomainName {
 
     /// Whether the leftmost label is exactly `www` (§6 excludes domains
     /// "labeled … as www.").
-    pub fn is_www(&self) -> bool {
+    pub(crate) fn is_www(&self) -> bool {
         self.labels.first().map(String::as_str) == Some("www")
     }
 
     /// The `www.` name on the same registrable domain
     /// (`companyvpn3.example.com` → `www.example.com`), used by §6's
     /// shared-IP elimination step.
-    pub fn www_sibling(&self) -> Option<DomainName> {
+    pub(crate) fn www_sibling(&self) -> Option<DomainName> {
         let reg = self.registrable()?;
         let mut labels = Vec::with_capacity(reg.labels.len() + 1);
         labels.push("www".to_string());
@@ -155,7 +150,7 @@ mod tests {
     #[test]
     fn parse_and_display() {
         assert_eq!(d("WWW.Example.COM").to_string(), "www.example.com");
-        assert_eq!(d("example.com.").labels(), ["example", "com"]);
+        assert_eq!(d("example.com.").labels, ["example", "com"]);
         assert!("".parse::<DomainName>().is_err());
         assert!("foo..bar".parse::<DomainName>().is_err());
         assert!("exa mple.com".parse::<DomainName>().is_err());

@@ -14,6 +14,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod corpus;
 pub mod domain;
@@ -21,7 +22,6 @@ pub mod vpn;
 
 /// Convenient glob-import surface.
 pub mod prelude {
-    pub use crate::corpus::{synthesize, Corpus, DnsDb, DnsEntry, SourceSet, VpnGroundTruth};
-    pub use crate::domain::DomainName;
-    pub use crate::vpn::{identify_vpn_ips, VpnIdentification};
+    pub use crate::corpus::{synthesize, Corpus};
+    pub use crate::vpn::identify_vpn_ips;
 }

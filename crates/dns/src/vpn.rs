@@ -32,13 +32,6 @@ pub struct VpnIdentification {
     pub vpn_ips: BTreeSet<Ipv4Addr>,
 }
 
-impl VpnIdentification {
-    /// Whether an address is classified as a VPN endpoint.
-    pub fn is_vpn_ip(&self, ip: Ipv4Addr) -> bool {
-        self.vpn_ips.contains(&ip)
-    }
-}
-
 /// Run the §6 procedure over a DNS database.
 pub fn identify_vpn_ips(db: &DnsDb) -> VpnIdentification {
     let mut out = VpnIdentification::default();
@@ -88,7 +81,7 @@ mod tests {
     fn finds_all_discoverable_gateways() {
         let (corpus, id) = setup();
         for ip in corpus.truth.discoverable() {
-            assert!(id.is_vpn_ip(ip), "missed gateway {ip}");
+            assert!(id.vpn_ips.contains(&ip), "missed gateway {ip}");
         }
     }
 
@@ -101,7 +94,7 @@ mod tests {
         );
         for ip in &corpus.truth.shared_with_www {
             assert!(
-                !id.is_vpn_ip(*ip),
+                !id.vpn_ips.contains(ip),
                 "www-shared address {ip} must be eliminated (conservative estimate)"
             );
             assert!(id.eliminated_ips.contains(ip));
@@ -169,8 +162,11 @@ mod tests {
         );
 
         let id = identify_vpn_ips(&db);
-        assert!(!id.is_vpn_ip(shared), "shared IP must be eliminated");
-        assert!(id.is_vpn_ip(dedicated));
+        assert!(
+            !id.vpn_ips.contains(&shared),
+            "shared IP must be eliminated"
+        );
+        assert!(id.vpn_ips.contains(&dedicated));
         assert_eq!(id.candidate_domains.len(), 2);
     }
 

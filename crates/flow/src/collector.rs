@@ -39,7 +39,7 @@ pub struct CollectorStats {
     pub renorm_clipped: u64,
 }
 
-/// Per-datagram outcome of [`Collector::ingest_detailed`].
+/// Per-datagram outcome of `Collector::ingest_detailed`.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct IngestReport {
     /// Whether the datagram was structurally valid and counted as accepted.
@@ -107,14 +107,14 @@ impl Collector {
 
     /// Ingest one datagram, reporting per-datagram detail (header sequence,
     /// observation domain, skipped sets) for sequence-tracking collectors.
-    pub fn ingest_detailed(&mut self, datagram: &[u8]) -> IngestReport {
+    pub(crate) fn ingest_detailed(&mut self, datagram: &[u8]) -> IngestReport {
         let mut records = std::mem::take(&mut self.records);
         let report = self.ingest_into(datagram, &mut records);
         self.records = records;
         report
     }
 
-    /// [`Collector::ingest_detailed`] for a caller that keeps the records
+    /// `Collector::ingest_detailed` for a caller that keeps the records
     /// itself: the datagram's records are decoded straight onto the end of
     /// `out` (the last `report.records` entries), and a rejected datagram
     /// leaves `out` as it was.

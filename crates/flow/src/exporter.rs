@@ -144,21 +144,9 @@ impl Exporter {
             })
     }
 
-    /// The template this exporter announces (templated formats).
-    pub fn template(&self) -> &Template {
-        &self.template
-    }
-
     /// The exporter's configuration.
     pub fn config(&self) -> &ExporterConfig {
         &self.config
-    }
-
-    /// Current sequence counter: the value the *next* datagram's header will
-    /// carry. This is the wire-width (wrapping u32) counter; for the total
-    /// units actually sent, use [`Exporter::units_sent`].
-    pub fn sequence(&self) -> u32 {
-        self.sequence
     }
 
     /// The sequence value the *first* datagram carried (from the config).
@@ -167,13 +155,13 @@ impl Exporter {
     }
 
     /// Unwrapped total sequence units emitted so far (flows for v5,
-    /// packets for v9, records for IPFIX). Unlike [`Exporter::sequence`],
-    /// this never wraps and does not include `initial_sequence`.
+    /// packets for v9, records for IPFIX). Unlike the wire sequence
+    /// counter, this never wraps and does not include `initial_sequence`.
     pub fn units_sent(&self) -> u64 {
         self.units_sent
     }
 
-    /// Flows offered via [`Exporter::push`] that the in-band sampler
+    /// Flows offered via `Exporter::push` that the in-band sampler
     /// rejected (and which therefore never reached the wire).
     pub fn sampled_out(&self) -> u64 {
         self.sampled_out
@@ -200,7 +188,7 @@ impl Exporter {
     }
 
     /// Queue a record; returns a datagram when a full batch is ready.
-    pub fn push(&mut self, record: FlowRecord, now: Timestamp) -> Option<Vec<u8>> {
+    pub(crate) fn push(&mut self, record: FlowRecord, now: Timestamp) -> Option<Vec<u8>> {
         if !self.admit(&record) {
             return None;
         }
@@ -213,7 +201,7 @@ impl Exporter {
     }
 
     /// Flush any buffered records into a final (possibly short) datagram.
-    pub fn flush(&mut self, now: Timestamp) -> Option<Vec<u8>> {
+    pub(crate) fn flush(&mut self, now: Timestamp) -> Option<Vec<u8>> {
         if self.pending.is_empty() {
             return None;
         }
@@ -249,7 +237,7 @@ impl Exporter {
     /// Encode `batch` — records [`Exporter::admit`] let through, at most
     /// `batch_size` of them — as the next datagram, straight from the
     /// caller's slice. Whoever has the records in hand calls this per
-    /// chunk; [`Exporter::push`] and [`Exporter::flush`] stage one record
+    /// chunk; `Exporter::push` and `Exporter::flush` stage one record
     /// at a time for callers that do not, and what they have buffered is
     /// not part of `batch`.
     pub fn export_batch(&mut self, batch: &[FlowRecord], now: Timestamp) -> Vec<u8> {
@@ -478,6 +466,6 @@ mod tests {
         // The wire counter wraps at u32; the unwrapped tally does not.
         assert_eq!((h0.sequence, h1.sequence), (u32::MAX - 2, 1));
         assert_eq!(e.units_sent(), 8);
-        assert_eq!(e.sequence(), 5);
+        assert_eq!(e.sequence, 5);
     }
 }

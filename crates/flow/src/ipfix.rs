@@ -17,13 +17,13 @@ use crate::time::{uptime, Timestamp};
 use crate::wire::{padded, Cursor, PutBe, WireError, WireResult};
 
 /// Protocol version constant.
-pub const VERSION: u16 = 10;
+pub(crate) const VERSION: u16 = 10;
 /// Message header size.
 pub const HEADER_LEN: usize = 16;
 /// Set id carrying templates.
-pub const TEMPLATE_SET_ID: u16 = 2;
+pub(crate) const TEMPLATE_SET_ID: u16 = 2;
 /// Set id carrying options templates (skipped on decode).
-pub const OPTIONS_TEMPLATE_SET_ID: u16 = 3;
+pub(crate) const OPTIONS_TEMPLATE_SET_ID: u16 = 3;
 
 /// Decoded IPFIX message header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,7 +60,7 @@ pub fn encode(
 
 /// [`encode`] plus an optional in-band sampling announcement (options
 /// template set + one options record, RFC 7011 §3.4.2.2).
-pub fn encode_full(
+pub(crate) fn encode_full(
     records: &[FlowRecord],
     template: Option<&Template>,
     sampling: Option<(&OptionsTemplate, SamplingInfo)>,
@@ -195,7 +195,7 @@ pub fn check(buf: &[u8]) -> WireResult<IpfixHeader> {
 /// decoding data sets whose template is known.
 ///
 /// Data sets referencing unknown templates fail the whole message with
-/// [`WireError::UnknownTemplate`]; use [`decode_tolerant`] to keep the
+/// [`WireError::UnknownTemplate`]; use `decode_tolerant` to keep the
 /// records from the message's other sets.
 pub fn decode(buf: &[u8], cache: &mut TemplateCache) -> WireResult<(IpfixHeader, Vec<FlowRecord>)> {
     let (header, records, skipped) = decode_tolerant(buf, cache)?;
@@ -212,7 +212,7 @@ pub fn decode(buf: &[u8], cache: &mut TemplateCache) -> WireResult<(IpfixHeader,
 /// ones, so an unknown template only costs the sets that reference it.
 /// Structural errors (truncation, bad lengths, reserved ids) still fail the
 /// whole message.
-pub fn decode_tolerant(
+pub(crate) fn decode_tolerant(
     buf: &[u8],
     cache: &mut TemplateCache,
 ) -> WireResult<(IpfixHeader, Vec<FlowRecord>, SkippedSets)> {

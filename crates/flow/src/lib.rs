@@ -56,6 +56,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod anon;
 pub mod collector;
@@ -72,13 +73,13 @@ pub mod wire;
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::anon::Anonymizer;
-    pub use crate::collector::{Collector, CollectorStats, IngestReport};
+    pub use crate::collector::{Collector, CollectorStats};
     pub use crate::exporter::{ExportFormat, Exporter, ExporterConfig};
     pub use crate::netflow::{FieldSpec, Template};
     pub use crate::protocol::{IpProtocol, TcpFlags};
     pub use crate::record::{hour_runs, Direction, FlowKey, FlowRecord, HourRun};
     pub use crate::sampling::{FlowSampler, ThresholdSampler};
     pub use crate::time::{Date, Timestamp, Weekday};
-    pub use crate::tracefile::{TraceReader, TraceRecord, TraceWriter};
+    pub use crate::tracefile::{TraceReader, TraceWriter};
     pub use crate::wire::{WireError, WireResult};
 }

@@ -17,15 +17,15 @@ use super::FieldSpec;
 use crate::wire::{Cursor, WireError, WireResult};
 
 /// Scope field type: System (the whole exporter).
-pub const SCOPE_SYSTEM: u16 = 1;
+pub(crate) const SCOPE_SYSTEM: u16 = 1;
 /// Information element: samplingInterval (1-in-N).
-pub const SAMPLING_INTERVAL: u16 = 34;
+pub(crate) const SAMPLING_INTERVAL: u16 = 34;
 /// Information element: samplingAlgorithm (1 = deterministic, 2 = random).
-pub const SAMPLING_ALGORITHM: u16 = 35;
+pub(crate) const SAMPLING_ALGORITHM: u16 = 35;
 
 /// A parsed options template: scope fields plus option fields.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OptionsTemplate {
+pub(crate) struct OptionsTemplate {
     /// Template id (shares the ≥256 space with data templates).
     pub id: u16,
     /// Scope field specifications.
@@ -37,7 +37,7 @@ pub struct OptionsTemplate {
 impl OptionsTemplate {
     /// The standard sampling announcement used by this workspace's
     /// exporters: System scope + (interval, algorithm).
-    pub fn sampling(id: u16) -> OptionsTemplate {
+    pub(crate) fn sampling(id: u16) -> OptionsTemplate {
         OptionsTemplate {
             id,
             scope_fields: vec![FieldSpec {
@@ -58,7 +58,7 @@ impl OptionsTemplate {
     }
 
     /// Total encoded record length in bytes.
-    pub fn record_len(&self) -> usize {
+    pub(crate) fn record_len(&self) -> usize {
         self.scope_fields
             .iter()
             .chain(&self.option_fields)
@@ -78,7 +78,7 @@ pub struct SamplingInfo {
 
 impl SamplingInfo {
     /// Unsampled export.
-    pub fn unsampled() -> SamplingInfo {
+    pub(crate) fn unsampled() -> SamplingInfo {
         SamplingInfo {
             interval: 1,
             algorithm: 1,
@@ -88,7 +88,7 @@ impl SamplingInfo {
 
 /// Parse one options data record against its template, extracting
 /// sampling information if the template carries it.
-pub fn parse_options_record(
+pub(crate) fn parse_options_record(
     cursor: &mut Cursor<'_>,
     template: &OptionsTemplate,
 ) -> WireResult<Option<SamplingInfo>> {
@@ -116,7 +116,7 @@ pub fn parse_options_record(
 }
 
 /// Validate an options template's structure.
-pub fn validate(template: &OptionsTemplate) -> WireResult<()> {
+pub(crate) fn validate(template: &OptionsTemplate) -> WireResult<()> {
     if template.id < 256 {
         return Err(WireError::BadField {
             what: "options template id must be >= 256",

@@ -18,15 +18,15 @@ use crate::wire::{Cursor, PutBe, WireError, WireResult};
 use std::net::Ipv4Addr;
 
 /// Protocol version constant.
-pub const VERSION: u16 = 5;
+pub(crate) const VERSION: u16 = 5;
 /// Header size in bytes.
 pub const HEADER_LEN: usize = 24;
 /// Record size in bytes.
-pub const RECORD_LEN: usize = 48;
+pub(crate) const RECORD_LEN: usize = 48;
 /// Maximum records per packet (per Cisco's format definition).
 pub const MAX_RECORDS: usize = 30;
 /// RFC 6793 transition ASN substituted when a 32-bit ASN cannot be encoded.
-pub const AS_TRANS: u16 = 23_456;
+pub(crate) const AS_TRANS: u16 = 23_456;
 
 /// Decoded NetFlow v5 packet header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

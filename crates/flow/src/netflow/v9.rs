@@ -31,13 +31,13 @@ pub(crate) struct TimeAnchor {
 }
 
 /// Protocol version constant.
-pub const VERSION: u16 = 9;
+pub(crate) const VERSION: u16 = 9;
 /// Packet header size.
 pub const HEADER_LEN: usize = 20;
 /// FlowSet id carrying templates.
-pub const TEMPLATE_FLOWSET_ID: u16 = 0;
+pub(crate) const TEMPLATE_FLOWSET_ID: u16 = 0;
 /// FlowSet id carrying options templates (parsed and skipped).
-pub const OPTIONS_FLOWSET_ID: u16 = 1;
+pub(crate) const OPTIONS_FLOWSET_ID: u16 = 1;
 
 /// Decoded v9 packet header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,32 +69,17 @@ impl TemplateCache {
     }
 
     /// Insert or refresh a template (v9 semantics: latest definition wins).
-    pub fn insert(&mut self, template: Template) {
+    pub(crate) fn insert(&mut self, template: Template) {
         self.templates.insert(template.id, template);
     }
 
-    /// Look up a template by id.
-    pub fn get(&self, id: u16) -> Option<&Template> {
-        self.templates.get(&id)
-    }
-
-    /// Number of cached templates.
-    pub fn len(&self) -> usize {
-        self.templates.len()
-    }
-
-    /// Whether the cache holds no templates.
-    pub fn is_empty(&self) -> bool {
-        self.templates.is_empty()
-    }
-
     /// Insert or refresh an options template.
-    pub fn insert_options(&mut self, template: OptionsTemplate) {
+    pub(crate) fn insert_options(&mut self, template: OptionsTemplate) {
         self.options.insert(template.id, template);
     }
 
     /// The exporter's announced sampling configuration, if any.
-    pub fn sampling(&self) -> Option<SamplingInfo> {
+    pub(crate) fn sampling(&self) -> Option<SamplingInfo> {
         self.sampling
     }
 }
@@ -130,7 +115,7 @@ pub fn encode(
 /// `sampling` is given, the packet carries an options template FlowSet and
 /// one options data record scoped to this exporter (RFC 3954 §6.1).
 #[allow(clippy::too_many_arguments)] // mirrors the packet layout
-pub fn encode_full(
+pub(crate) fn encode_full(
     records: &[FlowRecord],
     template: Option<&Template>,
     sampling: Option<(&OptionsTemplate, SamplingInfo)>,
@@ -415,7 +400,7 @@ pub fn check(buf: &[u8]) -> WireResult<V9Header> {
 /// Data sets skipped during a tolerant decode because their template had not
 /// been seen yet. Shared by the v9 and IPFIX decoders.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SkippedSets {
+pub(crate) struct SkippedSets {
     /// Number of data sets skipped in this datagram.
     pub count: u32,
     /// Template id of the first skipped set, for error reporting.
@@ -424,7 +409,7 @@ pub struct SkippedSets {
 
 impl SkippedSets {
     /// Record one skipped data set referencing template `id`.
-    pub fn note(&mut self, id: u16) {
+    pub(crate) fn note(&mut self, id: u16) {
         self.count += 1;
         self.first_id.get_or_insert(id);
     }
@@ -435,7 +420,7 @@ impl SkippedSets {
 ///
 /// Data FlowSets referencing unknown templates produce
 /// [`WireError::UnknownTemplate`]; a tolerant collector should use
-/// [`decode_tolerant`] instead to keep the records from the datagram's other
+/// `decode_tolerant` instead to keep the records from the datagram's other
 /// FlowSets (see [`crate::collector`]).
 pub fn decode(buf: &[u8], cache: &mut TemplateCache) -> WireResult<(V9Header, Vec<FlowRecord>)> {
     let (header, records, skipped) = decode_tolerant(buf, cache)?;
@@ -452,7 +437,7 @@ pub fn decode(buf: &[u8], cache: &mut TemplateCache) -> WireResult<(V9Header, Ve
 /// later ones, so an unknown template only costs the sets that reference it.
 /// Structural errors (truncation, bad lengths, reserved ids) still fail the
 /// whole datagram.
-pub fn decode_tolerant(
+pub(crate) fn decode_tolerant(
     buf: &[u8],
     cache: &mut TemplateCache,
 ) -> WireResult<(V9Header, Vec<FlowRecord>, SkippedSets)> {
@@ -897,7 +882,7 @@ mod tests {
         let (hdr, out) = decode(&pkt, &mut cache).unwrap();
         assert_eq!(hdr.count, 6); // 5 data + 1 template
         assert_eq!(hdr.source_id, 1);
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.templates.len(), 1);
         assert_eq!(out.len(), 5);
         for (a, b) in recs.iter().zip(&out) {
             assert_eq!(a, b);
@@ -1015,6 +1000,6 @@ mod tests {
         )
         .unwrap();
         cache.insert(shorter.clone());
-        assert_eq!(cache.get(300), Some(&shorter));
+        assert_eq!(cache.templates.get(&300), Some(&shorter));
     }
 }

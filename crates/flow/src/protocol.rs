@@ -75,22 +75,16 @@ pub struct TcpFlags(pub u8);
 
 #[allow(missing_docs)] // the six flag constants are self-describing
 impl TcpFlags {
-    pub const FIN: u8 = 0x01;
-    pub const SYN: u8 = 0x02;
-    pub const RST: u8 = 0x04;
-    pub const PSH: u8 = 0x08;
-    pub const ACK: u8 = 0x10;
-    pub const URG: u8 = 0x20;
+    pub(crate) const FIN: u8 = 0x01;
+    pub(crate) const SYN: u8 = 0x02;
+    pub(crate) const RST: u8 = 0x04;
+    pub(crate) const PSH: u8 = 0x08;
+    pub(crate) const ACK: u8 = 0x10;
+    pub(crate) const URG: u8 = 0x20;
 
     /// Flags typical of a complete connection (SYN + ACK + FIN).
     pub fn complete_connection() -> TcpFlags {
         TcpFlags(Self::SYN | Self::ACK | Self::FIN | Self::PSH)
-    }
-
-    /// Whether the SYN bit was observed — used to count *connections*
-    /// (as opposed to volume) in the EDU analysis (§7).
-    pub fn has_syn(self) -> bool {
-        self.0 & Self::SYN != 0
     }
 }
 
@@ -151,7 +145,7 @@ mod tests {
     #[test]
     fn flags() {
         let f = TcpFlags::complete_connection();
-        assert!(f.has_syn());
+        assert_eq!(f.0 & TcpFlags::SYN, TcpFlags::SYN);
         assert_eq!(f.0 & TcpFlags::FIN, TcpFlags::FIN);
         assert_eq!(f.0 & TcpFlags::RST, 0);
     }

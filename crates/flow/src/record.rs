@@ -100,11 +100,6 @@ impl FlowRecord {
             },
         }
     }
-
-    /// Duration in seconds (zero for single-packet flows).
-    pub fn duration_secs(&self) -> u64 {
-        self.end.unix().saturating_sub(self.start.unix())
-    }
 }
 
 /// A maximal run of consecutive records that start in one hour, with that
@@ -254,7 +249,7 @@ mod tests {
         let r = FlowRecord::builder(key(), t).build();
         assert_eq!(r.bytes, 0);
         assert_eq!(r.direction, Direction::Unknown);
-        assert_eq!(r.duration_secs(), 0);
+        assert_eq!(r.end, t);
     }
 
     #[test]
@@ -269,7 +264,7 @@ mod tests {
             .asns(64_512, 15_169)
             .direction(Direction::Egress)
             .build();
-        assert_eq!(r.duration_secs(), 30);
+        assert_eq!(r.end, t.add_secs(30));
         assert_eq!((r.bytes, r.packets), (15_000, 10));
         assert_eq!(r.tcp_flags, TcpFlags::complete_connection());
         assert_eq!((r.input_if, r.output_if), (4, 7));

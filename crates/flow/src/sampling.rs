@@ -19,7 +19,7 @@ use crate::record::FlowRecord;
 /// clipped at the clamp — callers account clipped records explicitly so
 /// volume conservation checks know the totals are a lower bound rather
 /// than silently drifting.
-pub fn scale_counters(record: &mut FlowRecord, factor: u32) -> bool {
+pub(crate) fn scale_counters(record: &mut FlowRecord, factor: u32) -> bool {
     let cap = u128::from(u64::MAX);
     let bytes = u128::from(record.bytes) * u128::from(factor);
     let packets = u128::from(record.packets) * u128::from(factor);
@@ -61,16 +61,11 @@ impl FlowSampler {
         FlowSampler { rate, seed }
     }
 
-    /// The sampling rate N (1 in N).
-    pub fn rate(&self) -> u32 {
-        self.rate
-    }
-
     /// Whether a flow is selected. Selection is a deterministic hash of
     /// the flow key and start time, so the same flow is consistently kept
     /// or dropped regardless of batch boundaries — the property that lets
     /// distributed collectors agree.
-    pub fn selects(&self, record: &FlowRecord) -> bool {
+    pub(crate) fn selects(&self, record: &FlowRecord) -> bool {
         if self.rate == 1 {
             return true;
         }
@@ -79,14 +74,14 @@ impl FlowSampler {
 
     /// Sample one record: `None` if dropped; otherwise the record with
     /// byte/packet counters scaled by the rate, exactly in u128, clamped
-    /// at `u64::MAX` (see [`scale_counters`]).
-    pub fn sample(&self, record: &FlowRecord) -> Option<FlowRecord> {
+    /// at `u64::MAX` (see `scale_counters`).
+    pub(crate) fn sample(&self, record: &FlowRecord) -> Option<FlowRecord> {
         self.sample_counted(record).map(|(out, _)| out)
     }
 
     /// [`FlowSampler::sample`], also reporting whether a counter clipped
     /// at the `u64::MAX` clamp during renormalization.
-    pub fn sample_counted(&self, record: &FlowRecord) -> Option<(FlowRecord, bool)> {
+    pub(crate) fn sample_counted(&self, record: &FlowRecord) -> Option<(FlowRecord, bool)> {
         if !self.selects(record) {
             return None;
         }
@@ -129,11 +124,6 @@ impl ThresholdSampler {
     pub fn new(z: u64, seed: u64) -> ThresholdSampler {
         assert!(z >= 1, "byte threshold must be >= 1");
         ThresholdSampler { z, seed }
-    }
-
-    /// The byte threshold `z`.
-    pub fn threshold(&self) -> u64 {
-        self.z
     }
 
     /// Sample one record. Selection is the same deterministic hash of the

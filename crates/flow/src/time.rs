@@ -13,12 +13,10 @@
 //! scenario layer models by shifting demand curves, not by carrying zone
 //! data in timestamps.
 
-/// Seconds in one minute.
-pub const SECS_PER_MIN: u64 = 60;
 /// Seconds in one hour.
 pub const SECS_PER_HOUR: u64 = 3_600;
 /// Seconds in one civil day.
-pub const SECS_PER_DAY: u64 = 86_400;
+pub(crate) const SECS_PER_DAY: u64 = 86_400;
 
 /// A Unix timestamp (seconds since 1970-01-01T00:00:00Z).
 ///
@@ -40,7 +38,7 @@ impl Timestamp {
 
     /// Whole days since the Unix epoch — [`Date::day_number`] of
     /// [`Timestamp::date`] without the trip through the civil calendar.
-    pub const fn day_number(self) -> i64 {
+    pub(crate) const fn day_number(self) -> i64 {
         (self.0 / SECS_PER_DAY) as i64
     }
 
@@ -52,11 +50,6 @@ impl Timestamp {
     /// Hour of day in `0..24`.
     pub fn hour(self) -> u8 {
         ((self.0 % SECS_PER_DAY) / SECS_PER_HOUR) as u8
-    }
-
-    /// Minute of hour in `0..60`.
-    pub fn minute(self) -> u8 {
-        ((self.0 % SECS_PER_HOUR) / SECS_PER_MIN) as u8
     }
 
     /// This instant truncated down to the start of its hour.
@@ -90,7 +83,7 @@ pub enum Weekday {
 
 impl Weekday {
     /// From an index where Monday = 0 … Sunday = 6.
-    pub fn from_monday0(idx: u8) -> Weekday {
+    pub(crate) fn from_monday0(idx: u8) -> Weekday {
         use Weekday::*;
         match idx % 7 {
             0 => Monday,
@@ -229,12 +222,12 @@ impl Date {
 }
 
 /// True for Gregorian leap years.
-pub fn is_leap_year(year: i32) -> bool {
+pub(crate) fn is_leap_year(year: i32) -> bool {
     year % 4 == 0 && (year % 100 != 0 || year % 400 == 0)
 }
 
 /// Number of days in a month.
-pub fn days_in_month(year: i32, month: u8) -> u8 {
+pub(crate) fn days_in_month(year: i32, month: u8) -> u8 {
     match month {
         1 | 3 | 5 | 7 | 8 | 10 | 12 => 31,
         4 | 6 | 9 | 11 => 30,
@@ -287,16 +280,16 @@ fn civil_from_days(z: i64) -> (i32, u8, u8) {
 /// disambiguation within half a wrap period.
 pub mod uptime {
     /// The uptime clock's period: `2^32` ms, about 49.7 days.
-    pub const WRAP_MS: u64 = 1 << 32;
+    pub(crate) const WRAP_MS: u64 = 1 << 32;
     /// Half the wrap period. Offsets within this window are unambiguous
     /// under serial-number comparison.
-    pub const HALF_WRAP_MS: u64 = 1 << 31;
+    pub(crate) const HALF_WRAP_MS: u64 = 1 << 31;
 
     /// Encode an absolute Unix-millisecond instant as the wrapped u32
     /// uptime of an exporter booted at `boot_unix_ms`. Pure modular
     /// arithmetic: instants before boot wrap backwards, which decodes
     /// correctly as long as they stay within half a wrap of the anchor.
-    pub fn to_wire(unix_ms: u64, boot_unix_ms: u64) -> u32 {
+    pub(crate) fn to_wire(unix_ms: u64, boot_unix_ms: u64) -> u32 {
         unix_ms.wrapping_sub(boot_unix_ms) as u32
     }
 
@@ -305,7 +298,7 @@ pub mod uptime {
     /// (clamped to the export instant) and may see pre-boot timestamps
     /// under clock skew (clamped to boot), and the encoding must stay
     /// within half a wrap of the export anchor to decode unambiguously.
-    pub fn record_field(unix_ms: u64, boot_unix_ms: u64, export_unix_ms: u64) -> u32 {
+    pub(crate) fn record_field(unix_ms: u64, boot_unix_ms: u64, export_unix_ms: u64) -> u32 {
         debug_assert!(boot_unix_ms <= export_unix_ms, "export before boot");
         to_wire(unix_ms.clamp(boot_unix_ms, export_unix_ms), boot_unix_ms)
     }
@@ -316,27 +309,12 @@ pub mod uptime {
     /// behind the anchor resolve into the past — across any number of
     /// wraps — and fields ahead of it resolve (slightly) into the future,
     /// covering exporter clock skew.
-    pub fn from_wire(field: u32, export_uptime_ms: u32, export_unix_ms: u64) -> u64 {
+    pub(crate) fn from_wire(field: u32, export_uptime_ms: u32, export_unix_ms: u64) -> u64 {
         let behind = u64::from(export_uptime_ms.wrapping_sub(field));
         if behind <= HALF_WRAP_MS {
             export_unix_ms.saturating_sub(behind)
         } else {
             export_unix_ms + u64::from(field.wrapping_sub(export_uptime_ms))
-        }
-    }
-
-    /// Checked variant of [`from_wire`]: `None` when the resolved instant
-    /// would precede the Unix epoch (only possible with a corrupt anchor).
-    pub fn checked_from_wire(
-        field: u32,
-        export_uptime_ms: u32,
-        export_unix_ms: u64,
-    ) -> Option<u64> {
-        let behind = u64::from(export_uptime_ms.wrapping_sub(field));
-        if behind <= HALF_WRAP_MS {
-            export_unix_ms.checked_sub(behind)
-        } else {
-            export_unix_ms.checked_add(u64::from(field.wrapping_sub(export_uptime_ms)))
         }
     }
 }
@@ -430,7 +408,6 @@ mod tests {
         let t = Date::new(2020, 3, 25).at_hour(13).add_secs(45 * 60 + 7);
         assert_eq!(t.date(), Date::new(2020, 3, 25));
         assert_eq!(t.hour(), 13);
-        assert_eq!(t.minute(), 45);
         assert_eq!(t.floor_hour(), Date::new(2020, 3, 25).at_hour(13));
     }
 
@@ -537,10 +514,6 @@ mod tests {
         assert_eq!(
             uptime::from_wire(field, export_field, export_ms),
             export_ms + 2_000
-        );
-        assert_eq!(
-            uptime::checked_from_wire(field, export_field, export_ms),
-            Some(export_ms + 2_000)
         );
     }
 }

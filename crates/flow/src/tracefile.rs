@@ -21,7 +21,7 @@ use crate::wire::{Cursor, WireError, WireResult};
 /// File magic.
 pub const MAGIC: [u8; 4] = *b"LKDN";
 /// Current format version.
-pub const VERSION: u16 = 1;
+pub(crate) const VERSION: u16 = 1;
 /// Header length in bytes.
 pub const HEADER_LEN: usize = 8;
 
@@ -58,10 +58,8 @@ pub fn read_container_header(
     }
     cursor.read_u16("container flags")
 }
-/// Per-record framing overhead.
-pub const RECORD_OVERHEAD: usize = 12;
 /// Sanity cap on datagram size (64 KiB, the UDP maximum).
-pub const MAX_DATAGRAM: usize = 65_535;
+pub(crate) const MAX_DATAGRAM: usize = 65_535;
 
 /// Incremental trace writer over any `Vec<u8>`-like sink.
 #[derive(Debug, Default)]
@@ -95,13 +93,8 @@ impl TraceWriter {
     }
 
     /// Number of datagrams written.
-    pub fn len(&self) -> usize {
+    pub fn datagrams(&self) -> usize {
         self.count
-    }
-
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
     }
 
     /// Finish and return the encoded bytes.
@@ -134,7 +127,7 @@ impl<'a> TraceReader<'a> {
     }
 
     /// Read the next record; `Ok(None)` at a clean end of file.
-    pub fn next_record(&mut self) -> WireResult<Option<TraceRecord<'a>>> {
+    pub(crate) fn next_record(&mut self) -> WireResult<Option<TraceRecord<'a>>> {
         if self.cursor.remaining() == 0 {
             return Ok(None);
         }
@@ -171,7 +164,7 @@ mod tests {
         w.push(t0, b"hello").unwrap();
         w.push(t0.add_secs(1), b"").unwrap();
         w.push(t0.add_secs(2), &[0xAB; 1_500]).unwrap();
-        assert_eq!(w.len(), 3);
+        assert_eq!(w.datagrams(), 3);
         let bytes = w.finish();
 
         let mut r = TraceReader::open(&bytes).unwrap();

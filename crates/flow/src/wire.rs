@@ -67,13 +67,8 @@ impl<'a> Cursor<'a> {
         self.buf.len() - self.pos
     }
 
-    /// Current offset from the start of the buffer.
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
     /// Fail with a `Truncated` error unless `n` bytes remain.
-    pub fn require(&self, n: usize, what: &'static str) -> WireResult<()> {
+    pub(crate) fn require(&self, n: usize, what: &'static str) -> WireResult<()> {
         if self.remaining() < n {
             Err(WireError::Truncated {
                 what,
@@ -120,7 +115,7 @@ impl<'a> Cursor<'a> {
 
     /// Read an unsigned integer of 1, 2, 4 or 8 bytes (IPFIX reduced-size
     /// encoding permits shorter-than-natural field lengths).
-    pub fn read_uint(&mut self, len: usize, what: &'static str) -> WireResult<u64> {
+    pub(crate) fn read_uint(&mut self, len: usize, what: &'static str) -> WireResult<u64> {
         self.require(len, what)?;
         if len == 0 || len > 8 {
             return Err(WireError::BadLength { what, value: len });

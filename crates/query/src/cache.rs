@@ -31,7 +31,7 @@ struct Inner {
 }
 
 /// A shared LRU of decoded segments under a byte budget.
-pub struct SegmentCache {
+pub(crate) struct SegmentCache {
     inner: Mutex<Inner>,
     budget: u64,
     metrics: Arc<QueryMetrics>,
@@ -44,7 +44,7 @@ fn record_cost() -> u64 {
 
 impl SegmentCache {
     /// A cache holding at most `budget_bytes` of decoded records.
-    pub fn new(budget_bytes: u64, metrics: Arc<QueryMetrics>) -> SegmentCache {
+    pub(crate) fn new(budget_bytes: u64, metrics: Arc<QueryMetrics>) -> SegmentCache {
         SegmentCache {
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
@@ -58,7 +58,7 @@ impl SegmentCache {
     }
 
     /// Look one cell up, refreshing its recency. Counts a hit or miss.
-    pub fn get(&self, cell: Cell) -> Option<Arc<Vec<FlowRecord>>> {
+    pub(crate) fn get(&self, cell: Cell) -> Option<Arc<Vec<FlowRecord>>> {
         let mut guard = self.inner.lock().expect("cache lock");
         let inner = &mut *guard;
         inner.tick += 1;
@@ -80,7 +80,7 @@ impl SegmentCache {
 
     /// Whether one cell is currently cached, without touching recency or
     /// the hit/miss counters (used for pruning decisions, not reads).
-    pub fn contains(&self, cell: Cell) -> bool {
+    pub(crate) fn contains(&self, cell: Cell) -> bool {
         self.inner
             .lock()
             .expect("cache lock")
@@ -91,7 +91,7 @@ impl SegmentCache {
     /// Insert one decoded cell, evicting least-recently-used entries
     /// until the budget holds. A batch larger than the whole budget is
     /// still served (the `Arc` is returned) but not retained.
-    pub fn insert(&self, cell: Cell, records: Arc<Vec<FlowRecord>>) {
+    pub(crate) fn insert(&self, cell: Cell, records: Arc<Vec<FlowRecord>>) {
         let bytes = records.len() as u64 * record_cost();
         let mut inner = self.inner.lock().expect("cache lock");
         if bytes > self.budget {
@@ -122,16 +122,6 @@ impl SegmentCache {
             self.metrics.cache_evictions.inc();
         }
         self.metrics.cache_bytes.set(inner.used);
-    }
-
-    /// Entries currently held.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("cache lock").map.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -179,7 +169,7 @@ mod tests {
         cache.insert(cell(1), batch(10));
         assert!(cache.get(cell(0)).is_some()); // refresh 0 → 1 is LRU
         cache.insert(cell(2), batch(10));
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.inner.lock().unwrap().map.len(), 2);
         assert!(cache.get(cell(1)).is_none(), "LRU entry must be evicted");
         assert!(cache.get(cell(0)).is_some());
         assert!(cache.get(cell(2)).is_some());

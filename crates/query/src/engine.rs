@@ -13,7 +13,7 @@
 //!    consulted — a port outside *both* zones proves no record matches
 //!    (a flow matches on either end, so only double exclusion prunes).
 //! 3. **Decode + filter**: surviving segments are decoded through the
-//!    byte-budgeted [`SegmentCache`] and filtered record-by-record.
+//!    byte-budgeted `SegmentCache` and filtered record-by-record.
 //!
 //! Every stage is counted in the `query_*` registry, so "pruning is
 //! real" is an assertable property, not a code comment.

@@ -85,17 +85,18 @@ fn status_reason(status: u16) -> &'static str {
 /// The request handler: shared across connection threads.
 pub type Handler = Arc<dyn Fn(&Request) -> Response + Send + Sync>;
 
-/// Percent-decode one URL component (`%XX` and `+` → space).
-pub fn percent_decode(s: &str) -> Option<String> {
+/// Percent-decode one URL component (`%XX` and `+` → space). A `%` must
+/// be followed by two hex digits (RFC 3986), so `%+f` is refused, not
+/// read as a signed number.
+pub(crate) fn percent_decode(s: &str) -> Option<String> {
     let bytes = s.as_bytes();
+    let hex = |j: usize| char::from(*bytes.get(j)?).to_digit(16);
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
     while i < bytes.len() {
         match bytes[i] {
             b'%' => {
-                let hex = bytes.get(i + 1..i + 3)?;
-                let hex = std::str::from_utf8(hex).ok()?;
-                out.push(u8::from_str_radix(hex, 16).ok()?);
+                out.push((hex(i + 1)? << 4 | hex(i + 2)?) as u8);
                 i += 3;
             }
             b'+' => {
@@ -112,7 +113,8 @@ pub fn percent_decode(s: &str) -> Option<String> {
 }
 
 /// Parse the request line + headers of one HTTP/1.x request. Returns the
-/// request and whether the client asked to close the connection.
+/// request and whether the connection closes after it: a `close` token in
+/// any `Connection` header, or HTTP/1.0 without a `keep-alive` token.
 fn parse_request(head: &str) -> Option<(Request, bool)> {
     let mut lines = head.split("\r\n");
     let request_line = lines.next()?;
@@ -138,11 +140,13 @@ fn parse_request(head: &str) -> Option<(Request, bool)> {
             query.push((percent_decode(k)?, percent_decode(v)?));
         }
     }
-    let mut close = version == "HTTP/1.0";
-    for line in lines {
-        if let Some((name, value)) = line.split_once(':') {
-            if name.eq_ignore_ascii_case("connection") {
-                close = value.trim().eq_ignore_ascii_case("close");
+    let mut keep_alive = version != "HTTP/1.0";
+    let mut close = false;
+    for (name, value) in lines.filter_map(|line| line.split_once(':')) {
+        if name.eq_ignore_ascii_case("connection") {
+            for token in value.split(',').map(str::trim) {
+                close |= token.eq_ignore_ascii_case("close");
+                keep_alive |= token.eq_ignore_ascii_case("keep-alive");
             }
         }
     }
@@ -152,7 +156,7 @@ fn parse_request(head: &str) -> Option<(Request, bool)> {
             path,
             query,
         },
-        close,
+        close || !keep_alive,
     ))
 }
 
@@ -378,10 +382,28 @@ mod tests {
             ]
         );
         assert!(!close);
-        let (_, close) = parse_request("GET / HTTP/1.1\r\nConnection: close\r\n").unwrap();
-        assert!(close);
+        let closes = |head| parse_request(head).unwrap().1;
+        assert!(closes("GET / HTTP/1.1\r\nConnection: close\r\n"));
+        // `Connection` is a token list, and a `close` in any line wins.
+        assert!(closes(
+            "GET / HTTP/1.1\r\nConnection: keep-alive, close\r\n"
+        ));
+        assert!(closes(
+            "GET / HTTP/1.1\r\nConnection: close\r\nConnection: keep-alive\r\n"
+        ));
+        assert!(closes("GET / HTTP/1.0\r\n"));
+        assert!(!closes("GET / HTTP/1.0\r\nConnection: Keep-Alive\r\n"));
         assert!(parse_request("FLY / TO/1.1\r\n").is_none());
         assert!(parse_request("GET no-slash HTTP/1.1\r\n").is_none());
+        // A `%` takes exactly two hex digits: no sign, no short escape.
+        for bad in ["/a%+f", "/a%f", "/a%zz"] {
+            let head = format!("GET {bad} HTTP/1.1\r\n");
+            assert!(parse_request(&head).is_none(), "{bad}");
+        }
+        assert_eq!(
+            parse_request("GET /a%0f HTTP/1.1\r\n").unwrap().0.path,
+            "/a\u{f}"
+        );
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub fn escape(s: &str) -> String {
 
 /// Unescape a JSON string body (the part between the quotes). Returns
 /// `None` on malformed escapes.
-pub fn unescape(s: &str) -> Option<String> {
+pub(crate) fn unescape(s: &str) -> Option<String> {
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
     while let Some(c) = chars.next() {

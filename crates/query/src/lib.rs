@@ -7,7 +7,7 @@
 //! compiled against the archive manifest, executed by a
 //! [`engine::QueryEngine`] with predicate pushdown — manifest time spans
 //! and segment zone-map footers prune whole segments before any column
-//! is decoded — and a byte-budgeted LRU ([`cache`]) of decoded hot
+//! is decoded — and a byte-budgeted LRU (`cache`) of decoded hot
 //! segments so dashboard-style repeat queries never re-decode. On top
 //! sit a hand-rolled HTTP/1.1 server ([`http`]) over
 //! `std::net::TcpListener` with a bounded connection pool and a
@@ -22,8 +22,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod cache;
+mod cache;
 pub mod engine;
 pub mod http;
 pub mod json;
@@ -31,9 +32,8 @@ pub mod loadgen;
 pub mod metrics;
 pub mod plan;
 
-pub use cache::SegmentCache;
 pub use engine::{QueryEngine, QueryOutput};
 pub use http::{Request, Response, Server};
-pub use loadgen::{LoadConfig, LoadReport};
+pub use loadgen::LoadConfig;
 pub use metrics::QueryMetrics;
 pub use plan::QueryPlan;

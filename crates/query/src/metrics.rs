@@ -7,7 +7,7 @@
 //! bound admits it, plus `_count` and `_sum_us`.
 
 /// Upper bounds (microseconds) of the request-latency buckets.
-pub const LATENCY_BUCKETS_US: [u64; 12] = [
+pub(crate) const LATENCY_BUCKETS_US: [u64; 12] = [
     25, 100, 250, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 1_000_000,
 ];
 
@@ -71,7 +71,7 @@ lockdown_base::metrics_family! {
 
 impl QueryMetrics {
     /// Record one request latency into the cumulative buckets.
-    pub fn observe_latency_us(&self, us: u64) {
+    pub(crate) fn observe_latency_us(&self, us: u64) {
         self.latency_count.inc();
         self.latency_sum_us.add(us);
         for (bound, bucket) in LATENCY_BUCKETS_US.iter().zip(&self.latency_buckets) {
@@ -82,7 +82,7 @@ impl QueryMetrics {
     }
 
     /// Record one response's status class.
-    pub fn observe_status(&self, status: u16) {
+    pub(crate) fn observe_status(&self, status: u16) {
         match status {
             200..=299 => self.responses_2xx.inc(),
             400..=499 => self.responses_4xx.inc(),

@@ -314,7 +314,7 @@ impl AppClass {
     }
 
     /// Short label used in reports.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             AppClass::Web => "Web",
             AppClass::Quic => "QUIC",

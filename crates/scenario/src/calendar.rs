@@ -28,19 +28,13 @@ pub fn study_start() -> Date {
     Date::new(2020, 1, 1)
 }
 
-/// Last day of the study window (Fig. 2 runs to May 11; Fig. 3 stage 3 to
-/// May 17).
-pub fn study_end() -> Date {
-    Date::new(2020, 5, 17)
-}
-
 /// Public holidays observed in the study regions during the window.
 ///
 /// Only holidays that shape the paper's figures are modelled: the New Year
 /// period (the "Christmas holiday effect" that makes week 1 unusable as a
 /// baseline) and Easter (categorized as weekend days in §4's ISP analysis;
 /// visible as a shaded break in Fig. 12).
-pub fn is_holiday(date: Date, region: Region) -> bool {
+pub(crate) fn is_holiday(date: Date, region: Region) -> bool {
     const fn day(month: u8, day: u8) -> Date {
         Date {
             year: 2020,
@@ -94,11 +88,6 @@ impl AnalysisWeek {
     /// Inclusive end date.
     pub fn end(&self) -> Date {
         self.start.add_days(6)
-    }
-
-    /// Whether a date falls in this week.
-    pub fn contains(&self, date: Date) -> bool {
-        date >= self.start && date <= self.end()
     }
 }
 
@@ -343,8 +332,7 @@ mod tests {
         assert_eq!(w.label, "base");
         assert_eq!(w.start.weekday(), Weekday::Wednesday);
         assert_eq!(w.dates().len(), 7);
-        assert!(w.contains(Date::new(2020, 2, 25)));
-        assert!(!w.contains(Date::new(2020, 2, 26))); // Feb 19 + 6 = Feb 25
+        assert_eq!(w.end(), Date::new(2020, 2, 25)); // Feb 19 + 6
     }
 
     #[test]
@@ -352,11 +340,5 @@ mod tests {
         assert_eq!(EDU_WEEKS[0].start, Date::new(2020, 2, 27));
         assert_eq!(EDU_WEEKS[1].end(), Date::new(2020, 3, 18));
         assert_eq!(EDU_WEEKS[2].start, Date::new(2020, 4, 16));
-    }
-
-    #[test]
-    fn study_window() {
-        assert!(study_start() < study_end());
-        assert_eq!(study_start().days_until(study_end()), 137);
     }
 }

@@ -93,7 +93,7 @@ impl DemandModel {
     }
 
     /// The measures for a region.
-    pub fn measures(&self, region: Region) -> &RegionMeasures {
+    pub(crate) fn measures(&self, region: Region) -> &RegionMeasures {
         match region {
             Region::CentralEurope => &self.regions[0],
             Region::SouthernEurope => &self.regions[1],
@@ -161,12 +161,8 @@ impl DemandModel {
     }
 
     /// Combined multiplier of the scenario's discrete events on this
-    /// (vantage, class, date) — events multiply in file order.
-    pub fn event_factor(&self, vp: VantagePoint, app: AppClass, date: Date) -> f64 {
-        self.event_factors(vp, date)[app as usize]
-    }
-
-    /// [`DemandModel::event_factor`] of every class, by `class as usize`.
+    /// (vantage, date) for every class, by `class as usize` — events
+    /// multiply in file order.
     fn event_factors(&self, vp: VantagePoint, date: Date) -> [f64; AppClass::ALL.len()] {
         let mut factors = [1.0; AppClass::ALL.len()];
         // Most events are out of force on most days: ask that once.
@@ -181,7 +177,7 @@ impl DemandModel {
     }
 
     /// The scenario's organic week-over-week baseline drift.
-    pub fn organic_factor(&self, date: Date) -> f64 {
+    pub(crate) fn organic_factor(&self, date: Date) -> f64 {
         let weeks = self.organic_anchor.days_until(date) as f64 / 7.0;
         self.organic_weekly.powf(weeks)
     }
@@ -452,7 +448,7 @@ impl DayDemand<'_> {
 /// Entertainment runs hotter on weekends, office traffic collapses, the
 /// web baseline barely moves — the asymmetry §3.4's workday/weekend-ratio
 /// grouping extracts (companies vs. entertainment vs. balanced ASes).
-pub fn weekend_level(app: AppClass) -> f64 {
+pub(crate) fn weekend_level(app: AppClass) -> f64 {
     use AppClass::*;
     match app {
         Vod | Gaming | TvStreaming | SocialMedia | MusicStreaming => 1.30,
@@ -780,7 +776,7 @@ mod tests {
         let d_pre = Date::new(2020, 3, 18);
         let d_in = Date::new(2020, 4, 1);
         let d_post = Date::new(2020, 5, 13);
-        let vod = |vp, d| m.event_factor(vp, AppClass::Vod, d);
+        let vod = |vp, d| m.event_factors(vp, d)[AppClass::Vod as usize];
         assert_eq!(vod(VantagePoint::IxpCe, d_pre), 1.0);
         assert!(vod(VantagePoint::IxpCe, d_in) < 1.0);
         assert_eq!(vod(VantagePoint::IxpCe, d_post), 1.0);
@@ -792,7 +788,7 @@ mod tests {
     fn gaming_outage_at_ixp_se_only() {
         let m = model();
         let d = Date::new(2020, 3, 16);
-        let gaming = |vp, d| m.event_factor(vp, AppClass::Gaming, d);
+        let gaming = |vp, d| m.event_factors(vp, d)[AppClass::Gaming as usize];
         assert!(gaming(VantagePoint::IxpSe, d) < 0.2);
         assert_eq!(gaming(VantagePoint::IxpCe, d), 1.0);
         assert_eq!(gaming(VantagePoint::IxpSe, Date::new(2020, 3, 20)), 1.0);

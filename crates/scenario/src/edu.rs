@@ -77,7 +77,7 @@ impl EduClass {
 
     /// Baseline median daily connections (relative units; only ratios
     /// matter for Fig. 12, which normalizes to Feb 27).
-    pub fn base_daily_connections(self) -> f64 {
+    pub(crate) fn base_daily_connections(self) -> f64 {
         match self {
             EduClass::WebIn => 900_000.0,
             EduClass::WebOut => 4_000_000.0,
@@ -94,7 +94,7 @@ impl EduClass {
 
     /// Asymptotic growth factor once fully in the online-lecturing regime
     /// (§7's quoted medians).
-    pub fn lockdown_factor(self) -> f64 {
+    pub(crate) fn lockdown_factor(self) -> f64 {
         match self {
             EduClass::WebIn => 1.7,
             EduClass::WebOut => 0.45,
@@ -106,22 +106,6 @@ impl EduClass {
             EduClass::SshIn => 9.1,
             EduClass::PushNotifOut => 0.35,
             EduClass::SpotifyOut => 0.17,
-        }
-    }
-
-    /// Report label.
-    pub fn label(self) -> &'static str {
-        match self {
-            EduClass::WebIn => "Eyeball ISPs (Web, In)",
-            EduClass::WebOut => "Web (Out)",
-            EduClass::HypergiantWebOut => "Hypergiants (Web, Out)",
-            EduClass::QuicOut => "QUIC (Out)",
-            EduClass::EmailIn => "Eyeball ISPs (Email, In)",
-            EduClass::VpnIn => "Eyeball ISPs (VPN, In)",
-            EduClass::RemoteDesktopIn => "Remote desktop (In)",
-            EduClass::SshIn => "SSH (In)",
-            EduClass::PushNotifOut => "Push notifications (Out)",
-            EduClass::SpotifyOut => "Spotify (Out)",
         }
     }
 }
@@ -247,21 +231,6 @@ impl EduModel {
         };
         base * weekend_scale * level
     }
-
-    /// Total daily connections across classes, split (incoming, outgoing).
-    pub fn total_daily_connections(&self, date: Date) -> (f64, f64) {
-        let mut inc = 0.0;
-        let mut out = 0.0;
-        for c in EduClass::ALL {
-            let n = self.daily_connections(c, date);
-            if c.is_incoming() {
-                inc += n;
-            } else {
-                out += n;
-            }
-        }
-        (inc, out)
-    }
 }
 
 #[cfg(test)]
@@ -354,8 +323,7 @@ mod tests {
             let g = m.daily_connections(class, online) / m.daily_connections(class, base);
             assert!(
                 (lo..hi).contains(&g),
-                "{}: growth {g:.2} outside [{lo}, {hi}]",
-                class.label()
+                "{class:?}: growth {g:.2} outside [{lo}, {hi}]"
             );
         }
     }
@@ -387,8 +355,19 @@ mod tests {
     fn incoming_doubles_outgoing_halves() {
         // §7: median incoming ×2, outgoing ×½ after the state of emergency.
         let m = model();
-        let (bi, bo) = m.total_daily_connections(Date::new(2020, 3, 4));
-        let (oi, oo) = m.total_daily_connections(Date::new(2020, 4, 22));
+        // Total daily connections across classes, split (incoming, outgoing).
+        let totals = |date| {
+            EduClass::ALL.iter().fold((0.0, 0.0), |(inc, out), &c| {
+                let n = m.daily_connections(c, date);
+                if c.is_incoming() {
+                    (inc + n, out)
+                } else {
+                    (inc, out + n)
+                }
+            })
+        };
+        let (bi, bo) = totals(Date::new(2020, 3, 4));
+        let (oi, oo) = totals(Date::new(2020, 4, 22));
         let gi = oi / bi;
         let go = oo / bo;
         assert!((1.5..2.6).contains(&gi), "incoming growth {gi:.2}");

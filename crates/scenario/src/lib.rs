@@ -36,6 +36,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod apps;
 pub mod calendar;
@@ -50,14 +51,11 @@ pub mod toml;
 pub mod prelude {
     pub use crate::apps::{AppClass, PortSig, GAMING_PORTS};
     pub use crate::calendar::{
-        day_type, is_holiday, study_end, study_start, AnalysisWeek, DayType, APPCLASS_ISP_WEEKS,
-        APPCLASS_IXP_WEEKS, EDU_WEEKS, FIG3_WEEKS, PORTS_ISP_WEEKS, PORTS_IXP_WEEKS,
+        day_type, study_start, AnalysisWeek, DayType, APPCLASS_ISP_WEEKS, APPCLASS_IXP_WEEKS,
+        EDU_WEEKS, FIG3_WEEKS, PORTS_ISP_WEEKS, PORTS_IXP_WEEKS,
     };
     pub use crate::demand::{app_share, DayDemand, DemandModel};
     pub use crate::diurnal::{blend, peak_hour, shape, DiurnalProfile};
     pub use crate::edu::{EduClass, EduModel};
-    pub use crate::measures::{
-        BaselineSpec, EduSpec, MeasureEvent, RegionMeasures, ScenarioSpec, SpecError,
-    };
-    pub use crate::phases::LockdownPhase;
+    pub use crate::measures::ScenarioSpec;
 }

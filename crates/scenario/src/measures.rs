@@ -67,7 +67,7 @@ pub struct BaselineSpec {
 /// One region's dated measures and curve parameters.
 ///
 /// The four dates are strictly ordered (awareness < restrictions <
-/// stay-at-home < reopening); [`RegionMeasures::phase`] and
+/// stay-at-home < reopening); `RegionMeasures::phase` and
 /// [`RegionMeasures::intensity`] (in [`crate::phases`]) interpret them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RegionMeasures {
@@ -148,13 +148,13 @@ pub struct MeasureEvent {
 
 impl MeasureEvent {
     /// Whether the event applies to this (vantage, class, date).
-    pub fn applies(&self, vp: VantagePoint, app: AppClass, date: Date) -> bool {
+    pub(crate) fn applies(&self, vp: VantagePoint, app: AppClass, date: Date) -> bool {
         (self.classes.is_empty() || self.classes.contains(&app)) && self.covers(vp, date)
     }
 
     /// Whether the event is in force at this vantage point on this date,
     /// whatever the class — the part of the scope that is a fact of the day.
-    pub fn covers(&self, vp: VantagePoint, date: Date) -> bool {
+    pub(crate) fn covers(&self, vp: VantagePoint, date: Date) -> bool {
         self.start.is_none_or(|s| date >= s)
             && self.until.is_none_or(|u| date < u)
             && (self.regions.is_empty() || self.regions.contains(&vp.region()))
@@ -509,7 +509,7 @@ impl ScenarioSpec {
 // Name maps (the DSL's vocabulary).
 
 /// Scenario-file name of a region.
-pub fn region_name(region: Region) -> &'static str {
+pub(crate) fn region_name(region: Region) -> &'static str {
     match region {
         Region::CentralEurope => "central-europe",
         Region::SouthernEurope => "southern-europe",
@@ -534,7 +534,7 @@ fn region_index(region: Region) -> usize {
 }
 
 /// Scenario-file name of a vantage kind.
-pub fn kind_name(kind: VantageKind) -> &'static str {
+pub(crate) fn kind_name(kind: VantageKind) -> &'static str {
     match kind {
         VantageKind::Isp => "isp",
         VantageKind::Ixp => "ixp",
@@ -567,7 +567,7 @@ fn kind_index(kind: VantageKind) -> usize {
 }
 
 /// Scenario-file name of a vantage point (its report label, lowercased).
-pub fn vantage_name(vp: VantagePoint) -> String {
+pub(crate) fn vantage_name(vp: VantagePoint) -> String {
     vp.label().to_ascii_lowercase()
 }
 
@@ -586,7 +586,7 @@ fn vantage_index(vp: VantagePoint) -> usize {
 }
 
 /// Scenario-file name of an application class.
-pub fn class_name(app: AppClass) -> &'static str {
+pub(crate) fn class_name(app: AppClass) -> &'static str {
     match app {
         AppClass::Web => "web",
         AppClass::Quic => "quic",

@@ -17,7 +17,7 @@ use lockdown_flow::time::Date;
 
 /// Coarse phase of the pandemic response.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LockdownPhase {
+pub(crate) enum LockdownPhase {
     /// Before the outbreak influenced behaviour.
     PreCovid,
     /// Outbreak known, behaviour beginning to change (Europe: from late
@@ -33,7 +33,7 @@ pub enum LockdownPhase {
 
 impl RegionMeasures {
     /// Phase in force on a date.
-    pub fn phase(&self, date: Date) -> LockdownPhase {
+    pub(crate) fn phase(&self, date: Date) -> LockdownPhase {
         if date < self.awareness {
             LockdownPhase::PreCovid
         } else if date < self.restrictions {

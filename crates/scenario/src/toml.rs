@@ -33,7 +33,7 @@ pub enum Value {
 
 impl Value {
     /// Human name of the value's type, for "expected X, got Y" errors.
-    pub fn type_name(&self) -> &'static str {
+    pub(crate) fn type_name(&self) -> &'static str {
         match self {
             Value::Str(_) => "string",
             Value::Float(_) => "float",
@@ -73,7 +73,7 @@ pub struct Table {
 
 impl Table {
     /// Look up an entry by key.
-    pub fn get(&self, key: &str) -> Option<&Entry> {
+    pub(crate) fn get(&self, key: &str) -> Option<&Entry> {
         self.entries.iter().find(|e| e.key == key)
     }
 }
@@ -81,14 +81,14 @@ impl Table {
 /// A parsed document: tables in source order (root table first when any
 /// top-level keys exist).
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct Document {
+pub(crate) struct Document {
     /// Tables in source order.
     pub tables: Vec<Table>,
 }
 
 /// A parse error, carrying the 1-based line it occurred on.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ParseError {
+pub(crate) struct ParseError {
     /// 1-based source line.
     pub line: usize,
     /// What went wrong.
@@ -245,7 +245,7 @@ fn parse_header(body: &str, line: usize) -> Result<Vec<String>, ParseError> {
 }
 
 /// Parse a document from source text.
-pub fn parse(text: &str) -> Result<Document, ParseError> {
+pub(crate) fn parse(text: &str) -> Result<Document, ParseError> {
     let mut doc = Document::default();
     let mut current: Option<Table> = None;
     for (idx, raw) in text.lines().enumerate() {
@@ -325,7 +325,7 @@ pub fn parse(text: &str) -> Result<Document, ParseError> {
 }
 
 /// Render a string with the escapes [`parse`] understands.
-pub fn quote(s: &str) -> String {
+pub(crate) fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -343,7 +343,7 @@ pub fn quote(s: &str) -> String {
 
 /// Render a float so it parses back bit-identically and is always read as
 /// a float (a trailing `.0` is appended to integral values without one).
-pub fn render_float(f: f64) -> String {
+pub(crate) fn render_float(f: f64) -> String {
     let s = format!("{f:?}");
     if s.contains('.') || s.contains('e') || s.contains('E') {
         s

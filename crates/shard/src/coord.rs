@@ -44,7 +44,7 @@ use crate::ShardError;
 /// declaring the worker dead. Wire failures are not charged against the
 /// range's attempt budget — they are the link's fault, not the work's —
 /// so this cap is what keeps a persistently hostile wire bounded.
-pub const RECONNECTS_PER_ASSIGNMENT: u32 = 2;
+pub(crate) const RECONNECTS_PER_ASSIGNMENT: u32 = 2;
 
 /// How long a redial keeps trying when the connection is not being
 /// actively refused (a refused dial means the listener is gone and the

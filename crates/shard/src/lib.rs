@@ -30,6 +30,8 @@
 //! - [`worker`] — serve one coordinator connection; run slices.
 //! - [`coord`] — spawn/attach workers, dispatch ranges, merge, report.
 
+#![warn(unreachable_pub)]
+
 pub mod coord;
 pub mod proto;
 pub mod worker;
@@ -59,7 +61,7 @@ pub enum ShardError {
 
 impl ShardError {
     /// Wrap an I/O error with what was being attempted.
-    pub fn io(context: impl Into<String>, err: &std::io::Error) -> ShardError {
+    pub(crate) fn io(context: impl Into<String>, err: &std::io::Error) -> ShardError {
         ShardError::Io {
             context: context.into(),
             detail: err.to_string(),

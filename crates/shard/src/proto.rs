@@ -65,17 +65,17 @@ pub const MAGIC: [u8; 4] = *b"LKSH";
 /// v2 added the per-frame CRC-32 check and the HELLO_ACK retained-range
 /// inventory; v3 locates each DONE segment by pack tag, offset and
 /// length. Frames of any other version are rejected by name.
-pub const PROTO_VERSION: u8 = 3;
+pub(crate) const PROTO_VERSION: u8 = 3;
 
 /// Hard ceiling on a frame payload. A full-suite slice outcome at high
 /// fidelity is a few MB of consumer state; 256 MiB is "corrupt peer",
 /// not "big slice".
-pub const MAX_PAYLOAD: u32 = 256 << 20;
+pub(crate) const MAX_PAYLOAD: u32 = 256 << 20;
 
 /// Payloads are read in increments of at most this much, so a flipped
 /// length byte claiming (say) 200 MiB costs one chunk of allocation per
 /// chunk actually received, not an eager up-front `vec![0; claim]`.
-pub const READ_CHUNK: usize = 64 << 10;
+pub(crate) const READ_CHUNK: usize = 64 << 10;
 
 /// Coordinator → worker: identity announcement.
 pub const T_HELLO: u8 = 1;
@@ -134,7 +134,7 @@ pub struct Assign {
 /// splitmix-derived constant of the type byte. One flipped byte in
 /// either fails verification; the fold means a (kind, payload) pair can
 /// never verify as a different kind with the same payload.
-pub fn frame_check(kind: u8, payload: &[u8]) -> u32 {
+pub(crate) fn frame_check(kind: u8, payload: &[u8]) -> u32 {
     lockdown_base::crc::crc32(payload)
         ^ 0x9e37_79b9u32.wrapping_mul(u32::from(kind).wrapping_add(1))
 }
@@ -411,7 +411,7 @@ pub fn encode_failed(message: &str) -> Vec<u8> {
 }
 
 /// Decode a FAILED message.
-pub fn decode_failed(buf: &[u8]) -> Result<String, ShardError> {
+pub(crate) fn decode_failed(buf: &[u8]) -> Result<String, ShardError> {
     get_str(&mut reader(buf), "failure message")
 }
 

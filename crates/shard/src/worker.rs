@@ -5,14 +5,14 @@
 //! is assigned through [`suite::run_suite_slice`] — sequentially,
 //! because worker *processes* are the parallelism of a coordinated
 //! pass. While a slice runs, a sidecar thread heartbeats every
-//! [`HEARTBEAT_MS`] milliseconds so the coordinator can tell "slow"
+//! 100 ms (`HEARTBEAT_MS`) so the coordinator can tell "slow"
 //! from "dead" without guessing at cell runtimes.
 //!
 //! **Reconnect-and-resume.** The wire between coordinator and worker is
 //! allowed to fail without costing compute. Every completed slice is
 //! retained — as its already-encoded DONE payload — for the lifetime of
 //! the process, and when a connection dies (reset, corrupt frame, EOF)
-//! the worker goes back to its listener for up to [`RECONNECT_WAIT`]
+//! the worker goes back to its listener for up to 5 s (`RECONNECT_WAIT`)
 //! instead of exiting. The next HELLO_ACK advertises the retained range
 //! inventory, and a re-ASSIGN of a retained range is answered straight
 //! from the cache: zero cells recomputed, byte-identical payload. Only
@@ -39,11 +39,11 @@ use crate::proto::{self, Identity};
 use crate::ShardError;
 
 /// Heartbeat cadence while an assignment is running.
-pub const HEARTBEAT_MS: u64 = 100;
+pub(crate) const HEARTBEAT_MS: u64 = 100;
 
 /// How long a worker that lost its coordinator waits at the listener
 /// for a reconnect before giving up and exiting.
-pub const RECONNECT_WAIT: Duration = Duration::from_secs(5);
+pub(crate) const RECONNECT_WAIT: Duration = Duration::from_secs(5);
 
 /// Budget for one inbound frame once its first byte lands. Generous —
 /// assignments are tiny — but finite, so a trickling coordinator can
@@ -56,7 +56,7 @@ pub enum WorkerExit {
     /// The coordinator sent SHUTDOWN: clean end of a finished pass.
     Shutdown,
     /// The coordinator hung up without SHUTDOWN and never reconnected
-    /// within [`RECONNECT_WAIT`]. Nothing left to serve.
+    /// within 5 s (`RECONNECT_WAIT`). Nothing left to serve.
     Disconnected,
     /// An injected fault terminated this worker mid-pass.
     ChaosKilled,
@@ -64,11 +64,11 @@ pub enum WorkerExit {
 
 /// Completed slices this worker still holds, as encoded DONE payloads
 /// keyed by `(start, end)`. Serving one is a write, not a recompute.
-pub type Retained = HashMap<(u32, u32), Vec<u8>>;
+pub(crate) type Retained = HashMap<(u32, u32), Vec<u8>>;
 
 /// The worker's own identity under `opts` — what it echoes in
 /// HELLO_ACK for the coordinator to verify.
-pub fn worker_identity(ctx: &Context, opts: &ShardSuiteOptions) -> Identity {
+pub(crate) fn worker_identity(ctx: &Context, opts: &ShardSuiteOptions) -> Identity {
     Identity {
         seed: ctx.config.seed,
         scenario_hash: ctx.scenario_hash(),
@@ -135,7 +135,7 @@ fn await_reconnect(listener: &TcpListener) -> Option<TcpStream> {
 /// of [`serve_worker`]). `retained` carries finished slices across
 /// connections; re-assigned retained ranges are answered from it
 /// without recomputation.
-pub fn serve_connection(
+pub(crate) fn serve_connection(
     ctx: &Context,
     opts: &ShardSuiteOptions,
     mut stream: TcpStream,

@@ -54,7 +54,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 
 /// Manifest file magic.
-pub const MANIFEST_MAGIC: [u8; 4] = *b"LKSM";
+pub(crate) const MANIFEST_MAGIC: [u8; 4] = *b"LKSM";
 /// Manifest format version. Version 1 filed each cell as its own
 /// segment file; version 2 files it as a byte range of a day pack.
 pub const MANIFEST_VERSION: u16 = 2;
@@ -652,11 +652,6 @@ impl ArchiveWriter {
         remove_if_present(&dir.join(MANIFEST_NAME))?;
         writer.metrics.segments_resumed.add(adopted.len() as u64);
         Ok((writer, adopted))
-    }
-
-    /// The key the manifest will record.
-    pub fn key(&self) -> StoreKey {
-        self.key
     }
 
     /// Encode one cell's records and append its segment to the cell's

@@ -8,7 +8,7 @@
 use lockdown_flow::wire::{Cursor, WireError, WireResult};
 
 /// Append `v` as an LEB128 varint (1–10 bytes).
-pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
+pub(crate) fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7F) as u8;
         v >>= 7;
@@ -26,7 +26,7 @@ pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
 /// the tenth, or end in a redundant zero byte (`0x80 0x00` is not 0), so
 /// a decoded value re-encodes to the same bytes.
 #[inline]
-pub fn varint_at(bytes: &[u8], pos: &mut usize) -> Option<u64> {
+pub(crate) fn varint_at(bytes: &[u8], pos: &mut usize) -> Option<u64> {
     let mut v: u64 = 0;
     for shift in (0..64).step_by(7) {
         let byte = *bytes.get(*pos)?;
@@ -48,7 +48,7 @@ pub fn varint_at(bytes: &[u8], pos: &mut usize) -> Option<u64> {
 /// lengths a byte-at-a-time read predicts. Falls back to [`varint_at`]
 /// within eight bytes of the end and on nine- and ten-byte values.
 #[inline]
-pub fn varint_word_at(bytes: &[u8], pos: &mut usize) -> Option<u64> {
+pub(crate) fn varint_word_at(bytes: &[u8], pos: &mut usize) -> Option<u64> {
     if let Some(word) = bytes.get(*pos..*pos + 8) {
         let w = u64::from_le_bytes(word.try_into().expect("8 bytes"));
         let stops = !w & 0x8080_8080_8080_8080;
@@ -70,7 +70,7 @@ pub fn varint_word_at(bytes: &[u8], pos: &mut usize) -> Option<u64> {
 /// Read one LEB128 varint through [`varint_at`]: `Truncated` when the
 /// cursor ends mid-varint, `BadField` for any other encoding
 /// [`put_varint`] never writes.
-pub fn get_varint(cursor: &mut Cursor<'_>, what: &'static str) -> WireResult<u64> {
+pub(crate) fn get_varint(cursor: &mut Cursor<'_>, what: &'static str) -> WireResult<u64> {
     let rest = cursor.clone().read_bytes(cursor.remaining(), what)?;
     let mut pos = 0;
     match varint_at(rest, &mut pos) {
@@ -87,12 +87,12 @@ pub fn get_varint(cursor: &mut Cursor<'_>, what: &'static str) -> WireResult<u64
 
 /// Map a signed delta onto unsigned so small magnitudes of either sign
 /// stay small varints.
-pub fn zigzag(v: i64) -> u64 {
+pub(crate) fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
 /// Inverse of [`zigzag`].
-pub fn unzigzag(v: u64) -> i64 {
+pub(crate) fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 

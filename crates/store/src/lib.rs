@@ -16,20 +16,21 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod archive;
-pub mod codec;
+mod codec;
 pub mod metrics;
 pub mod scan;
 pub mod segment;
 
 pub use archive::{
-    gc_dir, scenario_subdir, ArchiveReader, ArchiveWriter, GcReport, SegmentMeta, SpillFault,
-    StoreKey, VerifyReport, JOURNAL_NAME, MANIFEST_NAME, MANIFEST_VERSION, PACKS_DIR,
+    gc_dir, scenario_subdir, ArchiveReader, ArchiveWriter, SegmentMeta, SpillFault, StoreKey,
+    JOURNAL_NAME, MANIFEST_NAME, MANIFEST_VERSION, PACKS_DIR,
 };
 pub use metrics::StoreMetrics;
 pub use scan::TimeRange;
-pub use segment::{Column, SegmentFooter, ZoneMap};
+pub use segment::Column;
 
 use std::fmt;
 

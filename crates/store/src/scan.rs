@@ -9,7 +9,7 @@ use crate::archive::SegmentMeta;
 /// The asymmetry is deliberate and matches how the paper bins traffic:
 /// hour bins are `[h, h+1)`, so a record starting exactly at `to` belongs
 /// to the *next* window. Segment footers, by contrast, record an
-/// *inclusive* `[min_start, max_end]` span — [`TimeRange::admits_span`]
+/// *inclusive* `[min_start, max_end]` span — `TimeRange::admits_span`
 /// translates between the two conventions so boundary segments are never
 /// wrongly pruned (a record starting exactly at `from` must survive) and
 /// never wrongly scanned (a segment whose earliest start is exactly `to`
@@ -23,14 +23,6 @@ pub struct TimeRange {
 }
 
 impl TimeRange {
-    /// The unbounded range: admits every record.
-    pub fn all() -> TimeRange {
-        TimeRange {
-            from: 0,
-            to: u64::MAX,
-        }
-    }
-
     /// Whether the range admits nothing (`from >= to`).
     pub fn is_empty(&self) -> bool {
         self.from >= self.to
@@ -46,7 +38,7 @@ impl TimeRange {
     /// direction only: a `true` may still decode to zero matches (the
     /// footer stores `max_end`, not the latest start), but `false` is a
     /// proof — no record in the segment can start inside the window.
-    pub fn admits_span(&self, min_start: u64, max_end: u64) -> bool {
+    pub(crate) fn admits_span(&self, min_start: u64, max_end: u64) -> bool {
         !self.is_empty() && min_start < self.to && self.from <= max_end
     }
 
@@ -213,7 +205,11 @@ mod tests {
         assert!(!window.admits_meta(r.meta(cell(1)).unwrap()));
         // Even an all-admitting window prunes the empty segment (its
         // zeroed footer span must not be mistaken for the epoch).
-        assert!(!TimeRange::all().admits_meta(r.meta(cell(1)).unwrap()));
+        let all = TimeRange {
+            from: 0,
+            to: u64::MAX,
+        };
+        assert!(!all.admits_meta(r.meta(cell(1)).unwrap()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -34,11 +34,11 @@ use std::fmt;
 use std::net::Ipv4Addr;
 
 /// Segment file magic.
-pub const SEGMENT_MAGIC: [u8; 4] = *b"LKSG";
+pub(crate) const SEGMENT_MAGIC: [u8; 4] = *b"LKSG";
 /// Segment format version.
-pub const SEGMENT_VERSION: u16 = 1;
+pub(crate) const SEGMENT_VERSION: u16 = 1;
 /// Fixed trailer size: `footer_len u32 | crc u32`.
-pub const TRAILER_LEN: usize = 8;
+pub(crate) const TRAILER_LEN: usize = 8;
 
 /// Column identifiers (stable on disk; do not renumber).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -341,12 +341,12 @@ fn parse_footer(segment: &str, bytes: &[u8]) -> Result<SegmentFooter, StoreError
 
 /// Read only the footer (CRC-checked): what `store inspect`/`verify` use
 /// without materializing records.
-pub fn read_footer(segment: &str, bytes: &[u8]) -> Result<SegmentFooter, StoreError> {
+pub(crate) fn read_footer(segment: &str, bytes: &[u8]) -> Result<SegmentFooter, StoreError> {
     let (footer_start, _) = check_trailer(segment, bytes)?;
     parse_footer(segment, &bytes[footer_start..bytes.len() - TRAILER_LEN])
 }
 
-/// Decode a segment into a fresh record vector: [`decode_segment_into`]
+/// Decode a segment into a fresh record vector: `decode_segment_into`
 /// for callers that keep no buffer.
 pub fn decode_segment(
     segment: &str,
@@ -364,7 +364,7 @@ pub fn decode_segment(
 /// footer's record count of in-range values, and that the footer is the
 /// one the records imply, so a decode that succeeds re-encodes to the
 /// same bytes. On error `out` is left empty.
-pub fn decode_segment_into(
+pub(crate) fn decode_segment_into(
     segment: &str,
     bytes: &[u8],
     out: &mut Vec<FlowRecord>,

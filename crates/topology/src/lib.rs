@@ -22,6 +22,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod asn;
 pub mod hypergiants;
@@ -34,7 +35,7 @@ pub mod vantage;
 pub mod prelude {
     pub use crate::asn::{AsCategory, AsInfo, Asn, Region};
     pub use crate::hypergiants::{hypergiant, is_hypergiant, HYPERGIANTS};
-    pub use crate::ixp::{IxpFabric, IxpMember};
+    pub use crate::ixp::IxpFabric;
     pub use crate::prefix::{Ipv4Prefix, LinearPrefixTable, LpmTable};
     pub use crate::registry::{
         Registry, EDU_ASN, EDU_INSTITUTIONS, ISP_CE_ASN, MOBILE_ASN, SPOTIFY_ASN, ZOOM_ASN,

@@ -111,7 +111,6 @@ impl FromStr for Ipv4Prefix {
 #[derive(Debug, Clone)]
 pub struct LpmTable<V> {
     nodes: Vec<Node<V>>,
-    len: usize,
 }
 
 #[derive(Debug, Clone)]
@@ -140,18 +139,7 @@ impl<V: Clone> LpmTable<V> {
     pub fn new() -> LpmTable<V> {
         LpmTable {
             nodes: vec![Node::empty()],
-            len: 0,
         }
-    }
-
-    /// Number of prefixes stored.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Insert a prefix→value mapping. Replaces (and returns) any existing
@@ -171,11 +159,7 @@ impl<V: Clone> LpmTable<V> {
                 }
             };
         }
-        let old = self.nodes[node].value.replace(value);
-        if old.is_none() {
-            self.len += 1;
-        }
-        old
+        self.nodes[node].value.replace(value)
     }
 
     /// Longest-prefix-match lookup: the value of the most specific prefix
@@ -230,16 +214,6 @@ impl<V: Clone> LinearPrefixTable<V> {
     /// Append a prefix→value pair.
     pub fn insert(&mut self, prefix: Ipv4Prefix, value: V) {
         self.entries.push((prefix, value));
-    }
-
-    /// Number of stored prefixes.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Scan all prefixes for the longest one containing `addr`.
@@ -311,7 +285,6 @@ mod tests {
         assert_eq!(t.lookup(Ipv4Addr::new(10, 1, 99, 1)), Some(&2));
         assert_eq!(t.lookup(Ipv4Addr::new(10, 200, 0, 1)), Some(&1));
         assert_eq!(t.lookup(Ipv4Addr::new(11, 0, 0, 1)), None);
-        assert_eq!(t.len(), 3);
     }
 
     #[test]
@@ -319,7 +292,6 @@ mod tests {
         let mut t = LpmTable::new();
         assert_eq!(t.insert("10.0.0.0/8".parse().unwrap(), 1u32), None);
         assert_eq!(t.insert("10.0.0.0/8".parse().unwrap(), 9), Some(1));
-        assert_eq!(t.len(), 1);
         assert_eq!(t.get("10.0.0.0/8".parse().unwrap()), Some(&9));
     }
 

@@ -35,7 +35,7 @@ pub const EDU_INSTITUTIONS: usize = 16;
 
 /// How many eyeball ISPs the synthetic Internet carries per region
 /// (including ISP-CE itself in Central Europe).
-pub const EYEBALLS_PER_REGION: usize = 12;
+pub(crate) const EYEBALLS_PER_REGION: usize = 12;
 
 /// The complete synthetic AS registry.
 #[derive(Debug, Clone)]
@@ -250,11 +250,6 @@ impl Registry {
     /// Attribute an address to its AS via longest-prefix match.
     pub fn lookup(&self, addr: Ipv4Addr) -> Option<Asn> {
         self.lpm.lookup(addr).copied()
-    }
-
-    /// The underlying LPM table (exposed for the ablation bench).
-    pub fn lpm(&self) -> &LpmTable<Asn> {
-        &self.lpm
     }
 
     /// Total number of allocated prefixes.

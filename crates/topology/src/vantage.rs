@@ -115,19 +115,6 @@ impl VantagePoint {
             VantagePoint::RoamingIpx => "IPX",
         }
     }
-
-    /// Long description matching the paper's dataset table.
-    pub fn description(self) -> &'static str {
-        match self {
-            VantagePoint::IspCe => "ISP, Europe (>15M fixed-network lines)",
-            VantagePoint::IxpCe => "IXP, Central Europe (900 members)",
-            VantagePoint::IxpSe => "IXP, South Europe (170 members)",
-            VantagePoint::IxpUs => "IXP, US East Coast (250 members)",
-            VantagePoint::Edu => "Educational metropolitan network (16 institutions)",
-            VantagePoint::MobileCe => "Mobile operator, Europe (>40M customers)",
-            VantagePoint::RoamingIpx => "Roaming network, Europe",
-        }
-    }
 }
 
 impl fmt::Display for VantagePoint {

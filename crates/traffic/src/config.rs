@@ -59,7 +59,7 @@ impl GeneratorConfig {
     /// A high-resolution configuration for this crate's statistics-hungry
     /// tests (port distributions, unique-IP counts).
     #[cfg(test)]
-    pub fn high_resolution(seed: u64) -> GeneratorConfig {
+    pub(crate) fn high_resolution(seed: u64) -> GeneratorConfig {
         GeneratorConfig {
             seed,
             flows_per_gbps: 2.0,

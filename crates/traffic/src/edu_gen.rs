@@ -24,7 +24,7 @@ use std::net::Ipv4Addr;
 /// Scale factor from modelled connection counts to generated records.
 /// Fig. 12 plots *relative* growth, so the factor cancels; it only trades
 /// statistical smoothness against cost.
-pub const CONN_SCALE: f64 = 1.0 / 1_500.0;
+pub(crate) const CONN_SCALE: f64 = 1.0 / 1_500.0;
 
 /// Cell-stream class ids beside the [`EduClass`] numbers: the
 /// direction-unknown chaff, and the hour's byte split.
@@ -73,14 +73,14 @@ pub struct EduGenerator<'a> {
 impl<'a> EduGenerator<'a> {
     /// Build an EDU generator over the shared registry, calibrated to the
     /// default scenario, the shipped `scenarios/covid-spring-2020.toml`.
-    pub fn new(registry: &'a Registry, config: GeneratorConfig) -> EduGenerator<'a> {
+    pub(crate) fn new(registry: &'a Registry, config: GeneratorConfig) -> EduGenerator<'a> {
         EduGenerator::with_model(registry, config, EduModel::new())
     }
 
     /// Build an EDU generator whose model interprets `spec` instead of
     /// the default calibration. With
     /// [`ScenarioSpec::covid_spring_2020`] this is byte-identical to
-    /// [`EduGenerator::new`].
+    /// `EduGenerator::new`.
     pub fn with_scenario(
         registry: &'a Registry,
         config: GeneratorConfig,
@@ -109,11 +109,6 @@ impl<'a> EduGenerator<'a> {
             hypergiants: nets(registry, registry.in_category(AsCategory::Hypergiant)),
             web_servers: nets(registry, web_servers),
         }
-    }
-
-    /// The behavioural model in use.
-    pub fn model(&self) -> &EduModel {
-        &self.model
     }
 
     /// Hourly weight (mean 1.0 across the day) for a class's connections.
@@ -413,7 +408,7 @@ mod tests {
             .filter(|f| f.direction == Direction::Ingress)
             .map(|f| f.bytes)
             .sum();
-        let (in_gbps, _) = g.model().volume_gbps(date, 11);
+        let (in_gbps, _) = g.model.volume_gbps(date, 11);
         let expected = in_gbps * crate::generate::BYTES_PER_GBPS_HOUR;
         let err = (in_bytes as f64 - expected).abs() / expected;
         assert!(err < 0.01, "ingress volume error {err}");

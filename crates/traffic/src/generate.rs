@@ -27,7 +27,7 @@ use lockdown_topology::registry::Registry;
 use lockdown_topology::vantage::{VantageKind, VantagePoint};
 
 /// Bytes carried by 1 Gbps sustained for one hour.
-pub const BYTES_PER_GBPS_HOUR: f64 = 3_600.0 / 8.0 * 1e9;
+pub(crate) const BYTES_PER_GBPS_HOUR: f64 = 3_600.0 / 8.0 * 1e9;
 
 /// Classes whose two directions carry comparable volume (conferencing,
 /// tunnels, interactive protocols) — the generator emits both directions.
@@ -103,11 +103,6 @@ impl<'a> TrafficGenerator<'a> {
             demand: DemandModel::from_spec(spec),
             config,
         }
-    }
-
-    /// The demand model driving this generator.
-    pub fn demand(&self) -> &DemandModel {
-        &self.demand
     }
 
     /// The generator's configuration.
@@ -274,7 +269,7 @@ impl<'a> TrafficGenerator<'a> {
     /// streams this generator owns; [`Stream::Edu`] cells belong to
     /// [`crate::edu_gen::EduGenerator`] and panic here — route them
     /// through [`crate::plan::TraceEmitter`] instead.
-    pub fn generate_cell(&self, cell: Cell, out: &mut Vec<FlowRecord>) {
+    pub(crate) fn generate_cell(&self, cell: Cell, out: &mut Vec<FlowRecord>) {
         out.clear();
         match cell.stream {
             Stream::Vantage(vp) => self.hour_into(vp, cell.date, cell.hour, out),
@@ -299,21 +294,15 @@ impl<'a> TrafficGenerator<'a> {
         }
     }
 
-    /// Generate the ISP-CE's *transit* view for one hour: per-AS traffic
-    /// including both residential-facing and business-to-business flows.
+    /// The ISP-CE's *transit* view of one hour, appended to `out`: per-AS
+    /// traffic including both residential-facing and business-to-business
+    /// flows.
     ///
     /// §3.4 uses "the ISP in Central Europe dataset, including its transit
     /// traffic" to classify ASes by workday/weekend ratio and compare total
     /// vs. residential volume shifts (Fig. 6). B2B volume declines under
     /// lockdown (offices empty) while the residential-facing share grows —
     /// with heavy per-AS idiosyncrasy, giving Fig. 6 its quadrant scatter.
-    pub fn generate_isp_transit_hour(&self, date: Date, hour: u8) -> Vec<FlowRecord> {
-        let mut out = Vec::new();
-        self.isp_transit_into(date, hour, &mut out);
-        out
-    }
-
-    /// The transit view of one hour, appended to `out`.
     fn isp_transit_into(&self, date: Date, hour: u8, out: &mut Vec<FlowRecord>) {
         let mut rng = self.config.cell_rng(Stream::IspTransit, 0, date, hour);
         let i = self.demand.effective_intensity(VantagePoint::IspCe, date);
@@ -418,7 +407,7 @@ mod tests {
         let flows = g.generate_hour(VantagePoint::IspCe, date, 20);
         let expected: f64 = AppClass::ALL
             .iter()
-            .map(|&a| g.demand().volume_gbps(VantagePoint::IspCe, a, date, 20))
+            .map(|&a| g.demand.volume_gbps(VantagePoint::IspCe, a, date, 20))
             .sum::<f64>()
             * BYTES_PER_GBPS_HOUR;
         let actual = total_bytes(&flows) as f64;
@@ -521,7 +510,8 @@ mod tests {
     fn transit_has_residential_and_b2b() {
         let (r, c) = setup();
         let g = TrafficGenerator::new(&r, &c, GeneratorConfig::with_seed(8));
-        let flows = g.generate_isp_transit_hour(Date::new(2020, 2, 20), 11);
+        let mut flows = Vec::new();
+        g.isp_transit_into(Date::new(2020, 2, 20), 11, &mut flows);
         assert!(!flows.is_empty());
         let res = flows
             .iter()
@@ -537,8 +527,10 @@ mod tests {
         let (r, c) = setup();
         let g = TrafficGenerator::new(&r, &c, GeneratorConfig::with_seed(9));
         let sum_b2b = |d: Date| -> u64 {
-            (8..18)
-                .flat_map(|h| g.generate_isp_transit_hour(d, h))
+            let mut flows = Vec::new();
+            (8..18).for_each(|h| g.isp_transit_into(d, h, &mut flows));
+            flows
+                .into_iter()
                 .filter(|f| f.src_as != ISP_CE_ASN.0 && f.dst_as != ISP_CE_ASN.0)
                 .map(|f| f.bytes)
                 .sum()

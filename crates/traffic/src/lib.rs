@@ -13,7 +13,7 @@
 //!
 //! * [`config`] — resolution knobs (flows and users per Gbps);
 //! * [`sizes`] — heavy-tailed flow sizes, packet counts, durations;
-//! * [`picker`] — endpoint selection (AS, address, port) with hypergiant
+//! * `picker` — endpoint selection (AS, address, port) with hypergiant
 //!   shares and real VPN gateway addresses;
 //! * [`generate`] — the main generator plus the ISP transit view (§3.4);
 //! * [`plan`] — deduplicated generation plans shared across consumers
@@ -22,11 +22,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod config;
 pub mod edu_gen;
 pub mod generate;
-pub mod picker;
+mod picker;
 pub mod plan;
 pub mod sizes;
 
@@ -34,7 +35,6 @@ pub mod sizes;
 pub mod prelude {
     pub use crate::config::GeneratorConfig;
     pub use crate::edu_gen::EduGenerator;
-    pub use crate::generate::{TrafficGenerator, BYTES_PER_GBPS_HOUR};
-    pub use crate::picker::{as_jitter, Picker};
+    pub use crate::generate::TrafficGenerator;
     pub use crate::plan::{Cell, Stream, TraceEmitter, TracePlan};
 }

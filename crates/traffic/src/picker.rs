@@ -51,7 +51,7 @@ struct ServerPools<'a> {
 
 /// Pre-resolved endpoint chooser shared by all generation cells.
 #[derive(Debug)]
-pub struct Picker<'a> {
+pub(crate) struct Picker<'a> {
     /// Indexed by `AppClass as usize`.
     servers: Vec<ServerPools<'a>>,
     /// Eyeball ISPs, indexed by `Region as usize`, registry order.
@@ -71,7 +71,7 @@ pub struct Picker<'a> {
 
 impl<'a> Picker<'a> {
     /// Resolve every pool a flow can draw from, once.
-    pub fn new(registry: &'a Registry, corpus: &'a Corpus) -> Picker<'a> {
+    pub(crate) fn new(registry: &'a Registry, corpus: &'a Corpus) -> Picker<'a> {
         let servers = AppClass::ALL
             .iter()
             .map(|app| {
@@ -129,7 +129,7 @@ impl<'a> Picker<'a> {
     /// Pick the content/server side of a flow for an application class:
     /// an AS (hypergiant with the class's hypergiant share) and a stable
     /// server address within it.
-    pub fn server(&self, app: AppClass, rng: &mut SplitMix) -> (Asn, Ipv4Addr) {
+    pub(crate) fn server(&self, app: AppClass, rng: &mut SplitMix) -> (Asn, Ipv4Addr) {
         // TLS-tunnelled VPN flows terminate at real gateway addresses so
         // the §6 classifier has something to find.
         if app == AppClass::VpnTls {
@@ -167,7 +167,12 @@ impl<'a> Picker<'a> {
     /// Pick the subscriber/client side for a vantage point. `user_pool` is
     /// the number of concurrently active users; unique-address statistics
     /// (Fig. 8) derive from it.
-    pub fn client(&self, vp: VantagePoint, user_pool: u64, rng: &mut SplitMix) -> (Asn, Ipv4Addr) {
+    pub(crate) fn client(
+        &self,
+        vp: VantagePoint,
+        user_pool: u64,
+        rng: &mut SplitMix,
+    ) -> (Asn, Ipv4Addr) {
         let (asn, prefixes) = match vp.kind() {
             VantageKind::Isp => self.isp,
             VantageKind::Mobile | VantageKind::Roaming => self.mobile,
@@ -188,7 +193,7 @@ impl<'a> Picker<'a> {
 
     /// Pick a port signature for a class: the first (canonical) signature
     /// dominates, the rest share the remainder.
-    pub fn port_sig(&self, app: AppClass, rng: &mut SplitMix) -> PortSig {
+    pub(crate) fn port_sig(&self, app: AppClass, rng: &mut SplitMix) -> PortSig {
         let sigs = app.port_signatures();
         if sigs.len() == 1 || rng.chance(0.6) {
             sigs[0]
@@ -204,7 +209,7 @@ const JITTER_INIT: u64 = 0x6A09_E667_F3BC_C908;
 /// Deterministic per-AS idiosyncrasy factor in `[1-spread, 1+spread)`,
 /// used to scatter per-AS growth (Fig. 6's cloud of points). `trait_id`
 /// numbers the independent factors one AS carries.
-pub fn as_jitter(asn: Asn, seed: u64, trait_id: u64, spread: f64) -> f64 {
+pub(crate) fn as_jitter(asn: Asn, seed: u64, trait_id: u64, spread: f64) -> f64 {
     let u = unit(fold(JITTER_INIT, [seed, trait_id, u64::from(asn.0)]));
     1.0 - spread + 2.0 * spread * u
 }

@@ -107,7 +107,7 @@ pub struct TracePlan {
 
 impl TracePlan {
     /// An empty plan.
-    pub fn new() -> TracePlan {
+    pub(crate) fn new() -> TracePlan {
         TracePlan::default()
     }
 
@@ -120,11 +120,6 @@ impl TracePlan {
         }
     }
 
-    /// The raw demands, in insertion order.
-    pub fn demands(&self) -> &[(Stream, Date, Date)] {
-        &self.demands
-    }
-
     /// Total cells requested across all demands, counting overlap
     /// multiplicity — what per-figure regeneration would materialize.
     pub fn cells_demanded(&self) -> u64 {
@@ -135,13 +130,8 @@ impl TracePlan {
     }
 
     /// Number of distinct cells the plan will generate.
-    pub fn cell_count(&self) -> u64 {
+    pub(crate) fn cell_count(&self) -> u64 {
         self.dates.values().map(|d| d.len() as u64 * 24).sum()
-    }
-
-    /// Whether no demands have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.demands.is_empty()
     }
 
     /// Stable fingerprint of the deduplicated cell set. Two plans hash
@@ -207,16 +197,6 @@ impl<'a> TraceEmitter<'a> {
             vantage: TrafficGenerator::with_scenario(registry, corpus, config, spec),
             edu: EduGenerator::with_scenario(registry, config, spec),
         }
-    }
-
-    /// The vantage-point generator backing non-EDU streams.
-    pub fn generator(&self) -> &TrafficGenerator<'a> {
-        &self.vantage
-    }
-
-    /// The EDU generator backing [`Stream::Edu`].
-    pub fn edu_generator(&self) -> &EduGenerator<'a> {
-        &self.edu
     }
 
     /// Generate one cell's flows into `out` (cleared first).
@@ -339,15 +319,15 @@ mod tests {
         );
         assert_eq!(buf, generator.generate_hour(VantagePoint::IxpCe, date, 9));
 
-        emitter.generate_cell(
-            Cell {
-                stream: Stream::IspTransit,
-                date,
-                hour: 9,
-            },
-            &mut buf,
-        );
-        assert_eq!(buf, generator.generate_isp_transit_hour(date, 9));
+        let transit = Cell {
+            stream: Stream::IspTransit,
+            date,
+            hour: 9,
+        };
+        let mut expected = Vec::new();
+        generator.generate_cell(transit, &mut expected);
+        emitter.generate_cell(transit, &mut buf);
+        assert_eq!(buf, expected);
 
         emitter.generate_cell(
             Cell {

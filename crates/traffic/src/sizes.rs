@@ -10,14 +10,14 @@ use lockdown_base::hash::SplitMix;
 
 /// Pareto shape parameter for flow-size weights. α ≈ 1.2 reproduces the
 /// classic elephants-and-mice skew without divergent variance in samples.
-pub const SIZE_ALPHA: f64 = 1.2;
+pub(crate) const SIZE_ALPHA: f64 = 1.2;
 
 /// Upper bound of a flow-size weight.
 const SIZE_CAP: f64 = 10_000.0;
 
 /// A Pareto(α) with x_m = 1, truncated to `[1, cap]`.
 #[derive(Debug, Clone, Copy)]
-pub struct BoundedPareto {
+pub(crate) struct BoundedPareto {
     alpha: f64,
     cap: f64,
     /// `1 − cap^−α`, the same for every draw.
@@ -26,13 +26,13 @@ pub struct BoundedPareto {
 
 impl BoundedPareto {
     /// The distribution; build it once for a run of draws.
-    pub fn new(alpha: f64, cap: f64) -> BoundedPareto {
+    pub(crate) fn new(alpha: f64, cap: f64) -> BoundedPareto {
         let mass = 1.0 - cap.powf(-alpha);
         BoundedPareto { alpha, cap, mass }
     }
 
     /// Draw a variate by inverse transform.
-    pub fn sample(&self, rng: &mut SplitMix) -> f64 {
+    pub(crate) fn sample(&self, rng: &mut SplitMix) -> f64 {
         let raw = (1.0 - rng.next_f64() * self.mass).powf(-1.0 / self.alpha);
         raw.min(self.cap)
     }
@@ -42,7 +42,7 @@ impl BoundedPareto {
 /// into `sizes` (cleared first; a caller keeps one across calls). The
 /// sizes sum to exactly `total_bytes` (remainder goes to the largest
 /// flow). Every flow gets at least 1 byte when `total_bytes >= n`.
-pub fn split_bytes(rng: &mut SplitMix, total_bytes: u64, n: usize, sizes: &mut Vec<u64>) {
+pub(crate) fn split_bytes(rng: &mut SplitMix, total_bytes: u64, n: usize, sizes: &mut Vec<u64>) {
     assert!(n > 0, "cannot split across zero flows");
     sizes.clear();
     if n == 1 {
@@ -66,7 +66,7 @@ pub fn split_bytes(rng: &mut SplitMix, total_bytes: u64, n: usize, sizes: &mut V
 
 /// Packets for a flow of `bytes` bytes: MTU-ish mean packet size with some
 /// spread, at least 1 packet for non-empty flows.
-pub fn packets_for(rng: &mut SplitMix, bytes: u64) -> u64 {
+pub(crate) fn packets_for(rng: &mut SplitMix, bytes: u64) -> u64 {
     if bytes == 0 {
         return 0;
     }
@@ -76,7 +76,7 @@ pub fn packets_for(rng: &mut SplitMix, bytes: u64) -> u64 {
 
 /// Flow duration in seconds: log-uniform over [1, cap], so short flows
 /// dominate but long-lived tunnels appear.
-pub fn duration_secs(rng: &mut SplitMix, cap_secs: u64) -> u64 {
+pub(crate) fn duration_secs(rng: &mut SplitMix, cap_secs: u64) -> u64 {
     let cap = cap_secs.max(1) as f64;
     cap.powf(rng.next_f64()) as u64
 }

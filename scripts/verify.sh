@@ -2,7 +2,7 @@
 # Tier-1 verification gate: everything CI runs, runnable locally.
 #
 #   scripts/verify.sh          # full gate
-#   scripts/verify.sh --quick  # said-once gate, tests, fmt, clippy
+#   scripts/verify.sh --quick  # said-once and pub-item gates, tests, fmt, clippy, doc
 #
 # What is asserted lives in Rust tests (byte-identity of every path:
 # tests/equivalence.rs; the CLI and its daemons as processes: tests/cli.rs).
@@ -138,6 +138,90 @@ if grep -rnE 'rand::|StdRng|proptest' crates src tests examples >&2; then
     exit 1
 fi
 
+# The audit ledger knows only counts, so every pipeline layer can post to
+# it without a cycle: outside its tests it imports nothing but std.
+if sed '/^#\[cfg(test)\]/,$d' crates/collect/src/audit.rs |
+    grep -nE 'use (crate|super)::|lockdown_' >&2; then
+    echo "said-once: crates/collect/src/audit.rs imports from the pipeline (it takes only counts)" >&2
+    exit 1
+fi
+
+# `pub` means "crosses a crate boundary": every crate root warns on
+# unreachable_pub, so each `pub` is reachable, and this gate holds each
+# reachable item to a caller. A `pub` item under crates/<c>/src must be
+# named on a code line (not a comment) of a .rs file outside that
+# directory, crates/<c>/tests included, or in something else its crate
+# exposes — a `pub` fn's signature, a `pub` field, a `pub` enum's
+# variants, a `pub` trait's methods, an associated type — which rustc's
+# private_interfaces lint needs to stay `pub` too. A `$crate::` path in an
+# exported macro is spelled for the crate that expands it. One awk pass
+# reads every file once; rustc's dead_code then reports what only tests
+# called.
+echo "==> pub-item gate (a pub item has a caller outside its crate)"
+# ROADMAP item 4's claim accessors (Fig. 5's right shift among them) and
+# item 13's model oracle: pub ahead of the callers those items add.
+pub_allow='volume_diff working_hours_growth workdays_turned_weekend week_mean shifted_right_of daily_volume_gbps'
+awk -v allow="$pub_allow" '
+    BEGIN {
+        split(allow, a, " ")
+        for (i in a) allowed[a[i]] = 1
+        item = "^ *pub ((const |async |unsafe )*fn|struct|enum|const|static|type|trait|union) [A-Za-z_][A-Za-z0-9_]*"
+    }
+    FNR == 1 {
+        split(FILENAME, p, "/")
+        scope = (p[1] == "crates" && p[3] == "src") ? p[2] : "-"
+        impl = ""; body = ""; sig = 0
+    }
+    /^ *\/\// { next }  # a mention in a comment is not a caller
+    {
+        name = ""
+        if (scope != "-" && match($0, item)) {
+            name = substr($0, RSTART, RLENGTH)
+            sub(/.* /, "", name)
+            decl[++n] = FILENAME ":" FNR ": " name; dscope[n] = scope; dname[n] = name
+        }
+        # Does this line expose its names to other crates?
+        if (scope == "-") expose = 0
+        else if (body != "") expose = body_pub && (kind != "struct" || $0 ~ /^ *pub /)
+        else expose = sig || $0 ~ /^ *type [A-Za-z_].* = / ||
+            ($0 ~ /^ *pub / && $0 !~ /^ *pub (use|mod) /)
+        s = $0
+        while (match(s, /[$]crate::[A-Za-z0-9_:]+|[A-Za-z_][A-Za-z0-9_]*/)) {
+            t = substr(s, RSTART, RLENGTH)
+            s = substr(s, RSTART + RLENGTH)
+            here = scope
+            if (sub(/^[$]crate::([A-Za-z0-9_]+::)*/, "", t)) here = "-"
+            if (!(t in seen)) seen[t] = here
+            else if (seen[t] != here) seen[t] = "*"
+            if (expose && t != name && t != impl) exposed[scope, t] = 1
+        }
+        # A `pub fn` signature that wraps; the body of a type; the type a
+        # top-level impl block is for (its constructors do not expose it).
+        if (name != "" && $0 ~ /fn / && $0 !~ /[{;]$/) sig = 1
+        else if (sig && $0 ~ /[{;]$/) sig = 0
+        if (body == "" && $0 ~ /^ *pub(\(crate\))? (struct|enum|trait|union) .*\{$/) {
+            body = kind = $0
+            sub(/[^ ].*/, "}", body)
+            body_pub = $0 ~ /^ *pub /
+            sub(/^ *pub(\(crate\))? /, "", kind)
+            sub(/ .*/, "", kind)
+        } else if ($0 == body) body = ""
+        if ($0 ~ /^impl.*\{$/) {
+            impl = $0
+            sub(/ *\{$/, "", impl); sub(/.* /, "", impl); sub(/<.*/, "", impl)
+        } else if ($0 == "}") impl = ""
+    }
+    END {
+        for (i = 1; i <= n; i++) {
+            t = dname[i]
+            if (!(t in allowed) && seen[t] == dscope[i] && !((dscope[i], t) in exposed)) {
+                print "pub-item: " decl[i] " is named nowhere outside its crate" > "/dev/stderr"
+                bad = 1
+            }
+        }
+        exit bad
+    }' $(find crates src tests examples lockbench/src -name '*.rs' | LC_ALL=C sort)
+
 if [[ $quick -eq 1 ]]; then
     echo "==> cargo test --workspace"
     cargo test --workspace --quiet
@@ -163,6 +247,10 @@ cargo fmt --all --check
 
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+# A public doc that links to an item narrowed to pub(crate) is a warning.
+echo "==> cargo doc -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 if [[ $quick -eq 0 ]]; then
     # Each needs more runnable threads than a small box has cores, and

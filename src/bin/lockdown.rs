@@ -1037,7 +1037,7 @@ fn cmd_capture(rest: &[String], _: &[&String]) -> Result<ExitCode, String> {
     for pkt in exporter.export_all(&flows, export_time) {
         writer.push(export_time, &pkt).map_err(|e| e.to_string())?;
     }
-    let datagrams = writer.len();
+    let datagrams = writer.datagrams();
     let bytes = writer.finish();
     std::fs::write(&out, &bytes).map_err(|e| format!("writing {out}: {e}"))?;
     println!(
