@@ -17,7 +17,9 @@
 //! - [`fault`] — the one fault schedule: every fault kind of every plane,
 //!   its `--chaos` key, its salt and its decision;
 //! - [`metrics`] — the atomic registry, its one Prometheus-style renderer,
-//!   and [`metrics_family!`], which declares a family's metrics once.
+//!   and [`metrics_family!`], which declares a family's metrics once;
+//! - [`net`] — socket lifecycle: the one poll tick, the stop handle, the
+//!   accept loop every TCP server runs and the bounded accept.
 //!
 //! Seeded output is a contract: every value here is pinned by a test, and
 //! `scripts/verify.sh` fails by name if a primitive is copied elsewhere.
@@ -30,5 +32,6 @@ pub mod crc;
 pub mod fault;
 pub mod hash;
 pub mod metrics;
+pub mod net;
 pub mod prop;
 pub mod spec;

@@ -13,12 +13,12 @@
 //! repo root. Usage: `cargo run --release -p lockdown-bench --bin
 //! proxy_json [--fidelity test|standard]` (prints to stdout).
 
-use lockdown_base::fault::FaultProfile;
-use lockdown_core::experiments::suite;
-use lockdown_core::{Context, Fidelity};
-use lockdown_shard::coord::{self, CoordOptions};
-use lockdown_shard::worker::serve_worker;
-use lockdown_wirechaos::TcpProxy;
+use lockdown::base::fault::FaultProfile;
+use lockdown::core::experiments::suite;
+use lockdown::core::{Context, Fidelity};
+use lockdown::shard::coord::{self, CoordOptions};
+use lockdown::shard::worker::serve_worker;
+use lockdown::wirechaos::TcpProxy;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::Instant;
@@ -59,8 +59,7 @@ fn spawn_sink() -> String {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind sink");
     let addr = listener.local_addr().expect("sink addr").to_string();
     std::thread::spawn(move || {
-        for conn in listener.incoming() {
-            let Ok(mut conn) = conn else { break };
+        while let Ok((mut conn, _)) = listener.accept() {
             let mut buf = vec![0u8; CHUNK];
             let mut total = 0u64;
             loop {

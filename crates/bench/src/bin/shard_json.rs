@@ -16,11 +16,11 @@
 //! Usage: `cargo run --release -p lockdown-bench --bin shard_json
 //! [--fidelity test|standard]` (prints to stdout).
 
-use lockdown_base::fault::{FaultProfile, Schedule};
-use lockdown_core::experiments::suite::{self, suite_shard_cell_count};
-use lockdown_core::{Context, Fidelity};
-use lockdown_shard::coord::{self, chunk_ranges, CoordOptions};
-use lockdown_shard::worker::serve_worker;
+use lockdown::base::fault::{FaultProfile, Schedule};
+use lockdown::core::experiments::suite::{self, suite_shard_cell_count};
+use lockdown::core::{Context, Fidelity};
+use lockdown::shard::coord::{self, chunk_ranges, CoordOptions};
+use lockdown::shard::worker::serve_worker;
 use std::net::TcpListener;
 use std::time::Instant;
 

@@ -33,11 +33,12 @@ use std::collections::HashMap;
 use std::io;
 use std::mem;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use lockdown_base::net::Stop;
 use lockdown_flow::prelude::*;
 use lockdown_traffic::plan::Cell;
 
@@ -154,8 +155,8 @@ struct DaemonShared {
     truncated_datagrams: AtomicU64,
     /// Header-claimed records inside truncated datagrams.
     truncated_records: AtomicU64,
-    /// Shutdown flag for the receiver poll loops.
-    stop: AtomicBool,
+    /// Shutdown for the receiver poll loops.
+    stop: Stop,
 }
 
 /// Per-cycle counter snapshot, for delta computation at cycle close.
@@ -346,7 +347,7 @@ impl Collectd {
     /// Stop the receivers, drain and stop the workers, join everything.
     /// Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
+        self.shared.stop.stop();
         for h in self.receivers.drain(..) {
             let _ = h.join();
         }
@@ -373,7 +374,7 @@ fn receiver_loop(
     shared: &DaemonShared,
     metrics: &CollectMetrics,
 ) {
-    while !shared.stop.load(Ordering::Acquire) {
+    while !shared.stop.is_stopped() {
         match sock.recv() {
             Ok(Recv::Datagram(bytes)) => {
                 shared.socket_received.fetch_add(1, Ordering::AcqRel);

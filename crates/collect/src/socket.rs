@@ -26,9 +26,9 @@
 //!   bound their in-flight window (see [`crate::daemon`]); the buffer is
 //!   the margin for senders that cannot.
 
+use lockdown_base::net::{is_tick, POLL};
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
-use std::time::Duration;
 
 /// Raw `SO_RCVBUF` get/set on an already-bound socket.
 ///
@@ -138,9 +138,6 @@ pub use lockdown_flow::wire::MAX_UDP_PAYLOAD;
 /// Default receive buffer: strictly larger than [`MAX_UDP_PAYLOAD`], so a
 /// full-buffer read is impossible and truncation cannot go undetected.
 pub(crate) const RECV_BUF_LEN: usize = 65_536;
-
-/// How long a receiver blocks in one `recv` before checking for shutdown.
-pub const POLL: Duration = Duration::from_millis(25);
 
 /// Format-level header fields readable without template state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -261,16 +258,7 @@ impl RecvSocket {
         match self.socket.recv(&mut self.buf) {
             Ok(n) if n >= self.buf.len() => Ok(Recv::Truncated(self.buf[..n].to_vec())),
             Ok(n) => Ok(Recv::Datagram(self.buf[..n].to_vec())),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) =>
-            {
-                Ok(Recv::TimedOut)
-            }
+            Err(e) if is_tick(&e) => Ok(Recv::TimedOut),
             Err(e) => Err(e),
         }
     }

@@ -12,10 +12,10 @@
 //! client's delayed ACK.
 
 use crate::metrics::QueryMetrics;
+use lockdown_base::net::{is_tick, Acceptor, Stop, POLL};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -161,7 +161,6 @@ fn parse_request(head: &str) -> Option<(Request, bool)> {
 }
 
 const MAX_HEAD: usize = 8 * 1024;
-const POLL: Duration = Duration::from_millis(100);
 
 /// Send one response — head and body — in a single write.
 fn write_response(out: &mut impl Write, resp: &Response, close: bool) -> std::io::Result<()> {
@@ -182,12 +181,7 @@ fn write_response(out: &mut impl Write, resp: &Response, close: bool) -> std::io
 
 /// Serve one connection until EOF, a protocol error, `Connection:
 /// close`, or shutdown.
-fn serve_connection(
-    mut stream: TcpStream,
-    handler: &Handler,
-    metrics: &QueryMetrics,
-    stop: &AtomicBool,
-) {
+fn serve_connection(mut stream: TcpStream, handler: &Handler, metrics: &QueryMetrics, stop: &Stop) {
     if stream.set_read_timeout(Some(POLL)).is_err() {
         return;
     }
@@ -210,21 +204,16 @@ fn serve_connection(
             match stream.read(&mut chunk) {
                 Ok(0) => return, // client closed between requests
                 Ok(n) => buf.extend_from_slice(&chunk[..n]),
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    // Idle poll tick: drain, but never strand a client
-                    // mid-request — only close when no bytes are pending.
-                    // Bytes already buffered (a slow writer mid-header)
-                    // stay put; the next tick keeps accumulating.
-                    if stop.load(Ordering::Relaxed) && buf.is_empty() {
+                // Idle poll tick (or a signal, which is not a dead
+                // connection either): drain, but never strand a client
+                // mid-request — only close when no bytes are pending.
+                // Bytes already buffered (a slow writer mid-header) stay
+                // put; the next tick keeps accumulating.
+                Err(e) if is_tick(&e) => {
+                    if stop.is_stopped() && buf.is_empty() {
                         return;
                     }
                 }
-                // EINTR is not a dead connection: a signal landing on the
-                // poll read must not discard a half-received request.
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(_) => return,
             }
         };
@@ -254,7 +243,7 @@ fn serve_connection(
                 (resp, client_close)
             }
         };
-        let close = close || stop.load(Ordering::Relaxed);
+        let close = close || stop.is_stopped();
         metrics.observe_status(resp.status);
         let written = write_response(&mut stream, &resp, close);
         metrics.observe_latency_us(started.elapsed().as_micros() as u64);
@@ -270,12 +259,10 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
-/// A running server: accept loop plus per-connection threads.
+/// A running server: accept loop plus per-connection threads. Dropped,
+/// it stops accepting and closes its listener at once.
 pub struct Server {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    active: Arc<AtomicUsize>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
+    acceptor: Acceptor,
 }
 
 impl Server {
@@ -288,77 +275,34 @@ impl Server {
         metrics: Arc<QueryMetrics>,
         handler: Handler,
     ) -> std::io::Result<Server> {
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let active = Arc::new(AtomicUsize::new(0));
-        let accept_stop = Arc::clone(&stop);
-        let accept_active = Arc::clone(&active);
-        let accept_thread = std::thread::Builder::new()
-            .name("query-accept".into())
-            .spawn(move || {
-                for conn in listener.incoming() {
-                    if accept_stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let mut stream = match conn {
-                        Ok(s) => s,
-                        Err(_) => continue,
-                    };
-                    let _ = stream.set_nodelay(true);
-                    if accept_active.load(Ordering::Relaxed) >= max_connections {
-                        metrics.requests.inc();
-                        metrics.observe_status(503);
-                        let _ = write_response(
-                            &mut stream,
-                            &Response::error(503, "connection limit reached"),
-                            true,
-                        );
-                        continue;
-                    }
-                    accept_active.fetch_add(1, Ordering::Relaxed);
-                    let handler = Arc::clone(&handler);
-                    let metrics = Arc::clone(&metrics);
-                    let stop = Arc::clone(&accept_stop);
-                    let active = Arc::clone(&accept_active);
-                    let spawned = std::thread::Builder::new()
-                        .name("query-conn".into())
-                        .stack_size(512 * 1024)
-                        .spawn(move || {
-                            serve_connection(stream, &handler, &metrics, &stop);
-                            active.fetch_sub(1, Ordering::Relaxed);
-                        });
-                    if spawned.is_err() {
-                        accept_active.fetch_sub(1, Ordering::Relaxed);
-                    }
-                }
-            })?;
-        Ok(Server {
-            addr,
-            stop,
-            active,
-            accept_thread: Some(accept_thread),
-        })
+        let acceptor = Acceptor::spawn("query", listener, move |mut stream, live| {
+            let _ = stream.set_nodelay(true);
+            if live >= max_connections {
+                metrics.requests.inc();
+                metrics.observe_status(503);
+                let _ = write_response(
+                    &mut stream,
+                    &Response::error(503, "connection limit reached"),
+                    true,
+                );
+                return None;
+            }
+            let (handler, metrics) = (Arc::clone(&handler), Arc::clone(&metrics));
+            Some(move |stop: &Stop| serve_connection(stream, &handler, &metrics, stop))
+        })?;
+        Ok(Server { acceptor })
     }
 
     /// The bound address (useful with `--addr host:0`).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptor.addr()
     }
 
-    /// Graceful shutdown: stop accepting, let in-flight requests finish
-    /// (bounded by `drain` — idle keep-alive connections notice the stop
-    /// flag within one poll tick), and join the accept loop.
+    /// Graceful shutdown: stop accepting, and let in-flight requests
+    /// finish for at most `drain` (idle keep-alive connections notice the
+    /// stop within one poll tick).
     pub fn shutdown(mut self, drain: Duration) {
-        self.stop.store(true, Ordering::Relaxed);
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        let deadline = Instant::now() + drain;
-        while self.active.load(Ordering::Relaxed) > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        self.acceptor.shutdown(drain);
     }
 }
 
@@ -463,12 +407,12 @@ mod tests {
         let mut s = TcpStream::connect(server.addr()).unwrap();
 
         let request = b"GET /slow HTTP/1.1\r\nHost: t\r\n\r\n";
-        // ~36 bytes * 20ms = ~720ms of writing against a 100ms poll: the
-        // head straddles at least six timeout ticks.
+        // One byte per POLL: the ~30-byte head straddles about as many
+        // timeout ticks.
         for &b in request.iter() {
             s.write_all(&[b]).unwrap();
             s.flush().unwrap();
-            std::thread::sleep(Duration::from_millis(20));
+            std::thread::sleep(POLL);
         }
         let resp = read_response(&mut s);
         assert!(resp.contains("200 OK"), "slow writer got: {resp}");
@@ -551,7 +495,7 @@ mod tests {
         }
         // Reset connections drain their slots; nothing stays wedged.
         let deadline = Instant::now() + Duration::from_secs(5);
-        let active = || server.active.load(Ordering::Relaxed);
+        let active = || server.acceptor.live();
         while active() > 1 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(10));
         }
@@ -578,10 +522,10 @@ mod tests {
         let server = Server::start(listener, 64, Arc::clone(&metrics), handler).unwrap();
         let addr = server.addr();
 
-        let stop = Arc::new(AtomicBool::new(false));
-        let rude_stop = Arc::clone(&stop);
+        let stop = Stop::default();
+        let rude_stop = stop.clone();
         let rude = std::thread::spawn(move || {
-            while !rude_stop.load(Ordering::Relaxed) {
+            while !rude_stop.is_stopped() {
                 if let Ok(mut s) = TcpStream::connect(addr) {
                     let _ = s.write_all(b"GET /figures HTTP/1.1\r\nHost: t\r\n\r\n");
                     let mut b = [0u8; 8];
@@ -599,7 +543,7 @@ mod tests {
             expect: None,
         })
         .expect("loadgen runs");
-        stop.store(true, Ordering::Relaxed);
+        stop.stop();
         rude.join().unwrap();
 
         assert!(report.requests > 0, "loadgen did work");
@@ -612,6 +556,38 @@ mod tests {
         assert!(report.p50_us > 0, "percentiles measured");
         assert!(report.p50_us <= report.p99_us && report.p99_us <= report.p999_us);
         server.shutdown(Duration::from_secs(2));
+    }
+
+    fn echo_server(addr: &str) -> Server {
+        let handler: Handler = Arc::new(|req: &Request| Response::json(200, req.path.clone()));
+        let listener = TcpListener::bind(addr).unwrap();
+        Server::start(listener, 2, QueryMetrics::new(), handler).unwrap()
+    }
+
+    #[test]
+    fn a_dropped_server_closes_its_port() {
+        let server = echo_server("127.0.0.1:0");
+        let addr = server.addr();
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.write_all(b"GET /a HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+        assert!(read_response(&mut s).contains("200 OK"));
+        drop(server);
+        assert!(TcpStream::connect(addr).is_err(), "still accepting");
+    }
+
+    #[test]
+    fn a_server_on_every_interface_shuts_down_within_its_drain() {
+        // The accept loop is woken over loopback, not at 0.0.0.0.
+        let server = echo_server("0.0.0.0:0");
+        let port = server.addr().port();
+        // An idle keep-alive client holds a connection thread open.
+        let _idle = TcpStream::connect(("127.0.0.1", port)).unwrap();
+        let drain = Duration::from_millis(500);
+        let started = Instant::now();
+        server.shutdown(drain);
+        let took = started.elapsed();
+        assert!(took < drain, "shutdown took {took:?}");
+        assert!(TcpStream::connect(("127.0.0.1", port)).is_err());
     }
 
     /// A sink that counts the `write` calls it is handed.

@@ -40,11 +40,12 @@
 //!
 //! Reads are hostile-wire hardened: [`read_frame_deadline`] holds a
 //! monotonic whole-frame deadline across every `read` call (a peer
-//! trickling one byte per poll tick cannot reset the clock), and
+//! trickling one byte per read cannot reset the clock), and
 //! payloads are read in capped chunks so a corrupt length field costs
 //! bounded memory before the check rejects the frame.
 
 use lockdown_analysis::codec::{self, StateReader};
+use lockdown_base::net::is_tick;
 use lockdown_core::engine::SliceOutcome;
 use lockdown_core::supervisor::QuarantinedCell;
 use lockdown_flow::time::Date;
@@ -52,7 +53,7 @@ use lockdown_flow::wire::PutBe;
 use lockdown_store::SegmentMeta;
 use lockdown_topology::vantage::VantagePoint;
 use lockdown_traffic::plan::{Cell, Stream};
-use std::io::{ErrorKind, Read, Write};
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -94,9 +95,6 @@ pub const T_SHUTDOWN: u8 = 7;
 
 /// Bytes of frame header preceding the payload.
 pub const HEADER_LEN: usize = 4 + 1 + 1 + 4 + 4;
-
-/// Poll tick for deadline-guarded socket reads.
-const POLL: Duration = Duration::from_millis(50);
 
 /// Identity of one side of the shard conversation. Mirrors the archive
 /// manifest key: two processes with equal identities generate equal
@@ -196,7 +194,7 @@ fn verify_check(kind: u8, payload: &[u8], check: u32) -> Result<(), ShardError> 
 
 /// Fill `buf` from the socket under a monotonic deadline. The deadline
 /// is *absolute*: progress does not extend it, so a peer delivering one
-/// byte per poll tick still runs out of clock.
+/// byte per read still runs out of clock.
 fn read_full_deadline(
     stream: &mut TcpStream,
     buf: &mut [u8],
@@ -205,16 +203,15 @@ fn read_full_deadline(
 ) -> Result<(), ShardError> {
     let mut filled = 0;
     while filled < buf.len() {
-        let now = Instant::now();
-        if now >= deadline {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
             return Err(ShardError::Timeout(format!(
                 "{what}: whole-frame deadline exceeded after {filled} of {} bytes",
                 buf.len()
             )));
         }
-        let tick = (deadline - now).min(POLL);
         stream
-            .set_read_timeout(Some(tick))
+            .set_read_timeout(Some(left))
             .map_err(|e| ShardError::io("arming frame deadline", &e))?;
         match stream.read(&mut buf[filled..]) {
             Ok(0) => {
@@ -225,11 +222,7 @@ fn read_full_deadline(
                 )))
             }
             Ok(n) => filled += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
-                ) => {}
+            Err(e) if is_tick(&e) => {}
             Err(e) => return Err(ShardError::io(what, &e)),
         }
     }
@@ -259,30 +252,21 @@ pub fn read_frame_deadline(
     let idle_deadline = idle.map(|d| Instant::now() + d);
     let mut first = [0u8; 1];
     loop {
-        let tick = match idle_deadline {
-            Some(deadline) => {
-                let now = Instant::now();
-                if now >= deadline {
-                    return Err(ShardError::Timeout(format!(
-                        "no frame within {}ms",
-                        idle.expect("deadline implies budget").as_millis()
-                    )));
-                }
-                (deadline - now).min(POLL)
-            }
-            None => POLL,
-        };
+        // `None` blocks until a byte or EOF arrives.
+        let left = idle_deadline.map(|t| t.saturating_duration_since(Instant::now()));
+        if let (Some(idle), Some(Duration::ZERO)) = (idle, left) {
+            return Err(ShardError::Timeout(format!(
+                "no frame within {}ms",
+                idle.as_millis()
+            )));
+        }
         stream
-            .set_read_timeout(Some(tick))
+            .set_read_timeout(left)
             .map_err(|e| ShardError::io("arming idle timeout", &e))?;
         match stream.read(&mut first) {
             Ok(0) => return Ok(None),
             Ok(_) => break,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
-                ) => {}
+            Err(e) if is_tick(&e) => {}
             Err(e) => return Err(ShardError::io("reading frame header", &e)),
         }
     }

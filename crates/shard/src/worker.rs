@@ -5,8 +5,9 @@
 //! is assigned through [`suite::run_suite_slice`] — sequentially,
 //! because worker *processes* are the parallelism of a coordinated
 //! pass. While a slice runs, a sidecar thread heartbeats every
-//! 100 ms (`HEARTBEAT_MS`) so the coordinator can tell "slow"
-//! from "dead" without guessing at cell runtimes.
+//! 100 ms (`HEARTBEAT`) so the coordinator can tell "slow"
+//! from "dead" without guessing at cell runtimes; it stops the moment
+//! the slice does.
 //!
 //! **Reconnect-and-resume.** The wire between coordinator and worker is
 //! allowed to fail without costing compute. Every completed slice is
@@ -24,22 +25,20 @@
 //! [`WorkerExit::ChaosKilled`] — observationally identical to a crashed
 //! process; a stall goes silent for the requested window first.
 
+use lockdown_base::net::{accept_within, Stop};
 use lockdown_core::experiments::suite::{
     self, suite_shard_cell_count, suite_shard_plan_hash, ShardSuiteOptions,
 };
 use lockdown_core::Context;
 use std::collections::HashMap;
-use std::io::ErrorKind;
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::proto::{self, Identity};
 use crate::ShardError;
 
 /// Heartbeat cadence while an assignment is running.
-pub(crate) const HEARTBEAT_MS: u64 = 100;
+pub(crate) const HEARTBEAT: Duration = Duration::from_millis(100);
 
 /// How long a worker that lost its coordinator waits at the listener
 /// for a reconnect before giving up and exiting.
@@ -86,14 +85,9 @@ pub fn serve_worker(
     listener: TcpListener,
 ) -> Result<WorkerExit, ShardError> {
     let mut retained = Retained::new();
-    let (stream, _peer) = listener
+    let (mut stream, _peer) = listener
         .accept()
         .map_err(|e| ShardError::io("accepting coordinator connection", &e))?;
-    // Later accepts are reconnect polls; they must not block forever.
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| ShardError::io("unblocking worker listener", &e))?;
-    let mut stream = stream;
     loop {
         match serve_connection(ctx, opts, stream, &mut retained) {
             Ok(WorkerExit::Shutdown) => return Ok(WorkerExit::Shutdown),
@@ -101,34 +95,14 @@ pub fn serve_worker(
             // A lost or garbled connection is a *wire* failure, not a
             // work failure: hold the finished slices and wait for the
             // coordinator to come back.
-            Ok(WorkerExit::Disconnected) | Err(_) => match await_reconnect(&listener) {
-                Some(next) => stream = next,
-                None => return Ok(WorkerExit::Disconnected),
-            },
+            Ok(WorkerExit::Disconnected) | Err(_) => {
+                match accept_within(&listener, Instant::now() + RECONNECT_WAIT) {
+                    Ok(Some(next)) => stream = next,
+                    Ok(None) | Err(_) => return Ok(WorkerExit::Disconnected),
+                }
+            }
         }
     }
-}
-
-/// Poll the listener for a reconnecting coordinator, up to
-/// [`RECONNECT_WAIT`].
-fn await_reconnect(listener: &TcpListener) -> Option<TcpStream> {
-    let deadline = Instant::now() + RECONNECT_WAIT;
-    while Instant::now() < deadline {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                // The accepted socket may inherit the listener's
-                // non-blocking mode; frame reads expect blocking.
-                let _ = stream.set_nonblocking(false);
-                return Some(stream);
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return None,
-        }
-    }
-    None
 }
 
 /// Serve one already-accepted coordinator connection (the testable core
@@ -213,26 +187,24 @@ fn run_assignment(
     assign: proto::Assign,
     retained: &mut Retained,
 ) -> Result<(), ShardError> {
-    let stop = Arc::new(AtomicBool::new(false));
-    let beat_stream = stream
+    let stop = Stop::default();
+    let mut beat_stream = stream
         .try_clone()
         .map_err(|e| ShardError::io("cloning stream for heartbeats", &e))?;
-    let beat_stop = Arc::clone(&stop);
-    let beats = std::thread::spawn(move || {
-        let mut s = beat_stream;
-        while !beat_stop.load(Ordering::Relaxed) {
-            if proto::write_frame(&mut s, proto::T_HEARTBEAT, &[]).is_err() {
-                // Coordinator gone; the main thread will find out when
-                // it tries to send the outcome.
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(HEARTBEAT_MS));
-        }
-    });
+    let beats = {
+        let stop = stop.clone();
+        // Until stopped, or until the coordinator is gone (the main
+        // thread finds out when it sends the outcome).
+        std::thread::spawn(move || {
+            while proto::write_frame(&mut beat_stream, proto::T_HEARTBEAT, &[]).is_ok()
+                && !stop.sleep(HEARTBEAT)
+            {}
+        })
+    };
 
     let result = suite::run_suite_slice(ctx, opts, assign.start as usize..assign.end as usize);
 
-    stop.store(true, Ordering::Relaxed);
+    stop.stop();
     beats.join().expect("heartbeat thread never panics");
 
     match result {

@@ -61,8 +61,21 @@ if [[ -n "$salts" ]]; then
     echo "$salts" >&2
     exit 1
 fi
-if grep -rn 'SplitMix' crates/collect/src/transport.rs crates/wirechaos/src >&2; then
+if grep -rn 'SplitMix' crates/collect/src/transport.rs src/wirechaos.rs >&2; then
     echo "said-once: a sequential stream decides datagram faults again (key them in base::fault)" >&2
+    exit 1
+fi
+# One socket lifecycle: the poll tick, the stop flag, the only
+# non-blocking listener and the one accept loop live in base::net. Test
+# code (a `#[cfg(test)]` tail, crates/*/tests) may stand up its own.
+net=$(for f in $(find crates src -path 'crates/*/tests' -prune -o -name '*.rs' -print); do
+    sed '/^#\[cfg(test)\]/,$d' "$f" |
+        grep -nF -e 'const POLL' -e 'AtomicBool' -e 'set_nonblocking(true)' -e '.incoming()' |
+        sed "s|^|$f:|"
+done | grep -v '^crates/base/src/net.rs:' || true)
+if [[ -n "$net" ]]; then
+    echo "said-once: a poll tick, stop flag, non-blocking listener or accept loop outside crates/base/src/net.rs:" >&2
+    echo "$net" >&2
     exit 1
 fi
 # The engine has one scheduler: one scope its workers run in, one loop
@@ -115,8 +128,8 @@ for manifest in crates/store/Cargo.toml crates/query/Cargo.toml; do
     fi
 done
 # No crate outside the workspace: every entry of every dependency table
-# is a lockdown-* path, so tier-1 builds with no registry and no network,
-# and every draw comes from base::hash::SplitMix.
+# is a lockdown-* path or the umbrella crate, so tier-1 builds with no
+# registry and no network, and every draw comes from base::hash::SplitMix.
 external=$(awk '
     /^\[/ {
         deps = /dependencies/
@@ -124,7 +137,8 @@ external=$(awk '
         next
     }
     deps && NF && !/^#/ &&
-        !/^lockdown-[a-z]+(\.workspace = true| = \{ path = "crates\/[a-z]+" \})$/ {
+        !/^lockdown(-[a-z]+)?\.workspace = true$/ &&
+        !/^lockdown-[a-z]+ = \{ path = "crates\/[a-z]+" \}$/ && !/^lockdown = \{ path = "\." \}$/ {
         print FILENAME ":" FNR ": " $0
     }
 ' Cargo.toml crates/*/Cargo.toml)

@@ -616,18 +616,18 @@ fn cmd_chaosproxy(rest: &[String], _: &[&String]) -> Result<ExitCode, String> {
 
     // Bind before anything else: exit 2 on a port conflict, as for
     // serve, collectd and worker.
-    let (addr, metrics, mut tcp, mut udp_proxy) = if udp {
+    let (addr, metrics, proxies) = if udp {
         let start = wirechaos::UdpProxy::start(listen.as_str(), upstream, cfg);
         let Some(p) = bound(&listen, start) else {
             return Ok(ExitCode::from(EXIT_BIND));
         };
-        (p.addr(), p.metrics(), None, Some(p))
+        (p.addr(), p.metrics(), (None, Some(p)))
     } else {
         let start = wirechaos::TcpProxy::start(listen.as_str(), upstream, cfg);
         let Some(p) = bound(&listen, start) else {
             return Ok(ExitCode::from(EXIT_BIND));
         };
-        (p.addr(), p.metrics(), Some(p), None)
+        (p.addr(), p.metrics(), (Some(p), None))
     };
     // The bound address is the first stdout line so a parent pipeline
     // can scrape the ephemeral port.
@@ -635,13 +635,8 @@ fn cmd_chaosproxy(rest: &[String], _: &[&String]) -> Result<ExitCode, String> {
     std::io::stdout().flush().map_err(|e| e.to_string())?;
 
     wait_for_stdin_eof();
-
-    if let Some(p) = tcp.as_mut() {
-        p.shutdown();
-    }
-    if let Some(p) = udp_proxy.as_mut() {
-        p.shutdown();
-    }
+    // A dropped proxy stops and joins its pumps.
+    drop(proxies);
     eprint!("{}", metrics.render());
     Ok(ExitCode::SUCCESS)
 }
