@@ -140,12 +140,12 @@ impl fmt::Display for CodecError {
 impl std::error::Error for CodecError {}
 
 /// Append an `i64`, big-endian two's complement.
-pub fn put_i64(out: &mut Vec<u8>, v: i64) {
+pub(crate) fn put_i64(out: &mut Vec<u8>, v: i64) {
     out.extend_from_slice(&v.to_be_bytes());
 }
 
 /// Append a strict boolean byte (0 or 1).
-pub fn put_bool(out: &mut Vec<u8>, v: bool) {
+pub(crate) fn put_bool(out: &mut Vec<u8>, v: bool) {
     out.push(u8::from(v));
 }
 
@@ -159,7 +159,7 @@ pub struct StateReader<'a> {
 
 impl<'a> StateReader<'a> {
     /// A reader over `buf`, attributing errors to `consumer`.
-    pub fn new(consumer: &'static str, buf: &'a [u8]) -> StateReader<'a> {
+    pub(crate) fn new(consumer: &'static str, buf: &'a [u8]) -> StateReader<'a> {
         StateReader {
             consumer,
             cur: Cursor::new(buf),
@@ -196,7 +196,7 @@ impl<'a> StateReader<'a> {
     }
 
     /// Read one byte.
-    pub fn u8(&mut self, what: &'static str) -> Result<u8, CodecError> {
+    pub(crate) fn u8(&mut self, what: &'static str) -> Result<u8, CodecError> {
         self.read(|cur| cur.read_u8(what))
     }
 
@@ -206,7 +206,7 @@ impl<'a> StateReader<'a> {
     }
 
     /// Read a big-endian `u32`.
-    pub fn u32(&mut self, what: &'static str) -> Result<u32, CodecError> {
+    pub(crate) fn u32(&mut self, what: &'static str) -> Result<u32, CodecError> {
         self.read(|cur| cur.read_u32(what))
     }
 
@@ -216,12 +216,12 @@ impl<'a> StateReader<'a> {
     }
 
     /// Read a big-endian two's-complement `i64`.
-    pub fn i64(&mut self, what: &'static str) -> Result<i64, CodecError> {
+    pub(crate) fn i64(&mut self, what: &'static str) -> Result<i64, CodecError> {
         Ok(self.u64(what)? as i64)
     }
 
     /// Read a strict boolean byte (anything but 0/1 is corruption).
-    pub fn bool(&mut self, what: &'static str) -> Result<bool, CodecError> {
+    pub(crate) fn bool(&mut self, what: &'static str) -> Result<bool, CodecError> {
         match self.u8(what)? {
             0 => Ok(false),
             1 => Ok(true),
@@ -231,16 +231,13 @@ impl<'a> StateReader<'a> {
 
     /// Read a `u64` length prefix, sanity-bounded by what the remaining
     /// bytes could possibly hold (`min_entry` bytes per entry).
-    pub fn len(&mut self, what: &'static str, min_entry: usize) -> Result<usize, CodecError> {
+    pub(crate) fn len(
+        &mut self,
+        what: &'static str,
+        min_entry: usize,
+    ) -> Result<usize, CodecError> {
         let n = self.u64(what)?;
-        let cap = self.remaining() / min_entry.max(1);
-        if n as usize > cap {
-            return Err(self.error(format!(
-                "implausible {what}: {n} entries in {} bytes",
-                self.remaining()
-            )));
-        }
-        Ok(n as usize)
+        self.read(|cur| cur.fit(n, min_entry, what))
     }
 }
 

@@ -1,6 +1,7 @@
 //! Shared experiment context: one registry, DNS corpus and generator pair
 //! that every figure reproduction runs against, under one scenario.
 
+use lockdown_analysis::appclass::Classifier;
 use lockdown_base::hash::fold;
 use lockdown_dns::corpus::{synthesize, Corpus};
 use lockdown_dns::vpn::identify_vpn_ips;
@@ -48,6 +49,9 @@ pub struct Context {
     pub config: GeneratorConfig,
     /// The scenario every generator interprets.
     pub scenario: Arc<ScenarioSpec>,
+    /// The Table 1 classifier over this registry, built once and shared by
+    /// every figure that classifies flows.
+    pub(crate) classifier: Arc<Classifier>,
 }
 
 impl Context {
@@ -69,6 +73,7 @@ impl Context {
         let registry = Registry::synthesize();
         let corpus = synthesize(&registry, seed);
         Context {
+            classifier: Arc::new(Classifier::from_registry(&registry)),
             registry,
             corpus,
             config: fidelity.config(seed),
@@ -85,6 +90,7 @@ impl Context {
             corpus: self.corpus.clone(),
             config: self.config,
             scenario: Arc::new(scenario),
+            classifier: Arc::clone(&self.classifier),
         }
     }
 

@@ -444,8 +444,9 @@ enum CellFill {
     Resumed,
 }
 
-/// Render a caught panic payload for the quarantine record.
-fn panic_message(payload: Box<dyn Any + Send>) -> String {
+/// Render a caught panic payload: an injected panic by its attempt, a
+/// string payload as itself.
+pub fn panic_message(payload: Box<dyn Any + Send>) -> String {
     if let Some(p) = payload.downcast_ref::<InjectedPanic>() {
         format!("injected worker panic (attempt {})", p.attempt)
     } else if let Some(s) = payload.downcast_ref::<&'static str>() {

@@ -6,10 +6,9 @@
 use crate::context::Context;
 use crate::engine::{self, Demand, EngineOutput, EnginePlan};
 use crate::report::TextTable;
-use lockdown_analysis::appclass::{Classifier, PaperClass};
+use lockdown_analysis::appclass::PaperClass;
 use lockdown_analysis::consumer::ClassUsageConsumer;
 use lockdown_flow::time::Date;
-use lockdown_topology::registry::Registry;
 use lockdown_topology::vantage::VantagePoint;
 use lockdown_traffic::plan::Stream;
 use std::sync::Arc;
@@ -68,8 +67,8 @@ pub(crate) struct Plan {
 }
 
 /// Declare Fig. 8's trace demand on a shared engine plan.
-pub(crate) fn plan(plan: &mut EnginePlan, registry: &Registry) -> Plan {
-    let classifier = Arc::new(Classifier::from_registry(registry));
+pub(crate) fn plan(plan: &mut EnginePlan, ctx: &Context) -> Plan {
+    let classifier = Arc::clone(&ctx.classifier);
     Plan {
         usage: plan.subscribe(
             Stream::Vantage(VantagePoint::IxpSe),
@@ -119,7 +118,7 @@ pub(crate) fn finish(plan: Plan, out: &mut EngineOutput) -> Fig8 {
 
 /// Run Fig. 8 standalone.
 pub fn run(ctx: &Context) -> Fig8 {
-    engine::run_standalone(ctx, |p| plan(p, &ctx.registry), finish)
+    engine::run_standalone(ctx, |p| plan(p, ctx), finish)
 }
 
 impl Fig8 {

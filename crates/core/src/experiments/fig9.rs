@@ -6,12 +6,9 @@
 use crate::context::Context;
 use crate::engine::{self, Demand, EngineOutput, EnginePlan};
 use crate::report::TextTable;
-use lockdown_analysis::appclass::{
-    heatmap_diff, Classifier, PaperClass, WeekHeatmap, DISPLAY_HOURS,
-};
+use lockdown_analysis::appclass::{heatmap_diff, PaperClass, WeekHeatmap, DISPLAY_HOURS};
 use lockdown_analysis::consumer::HeatmapConsumer;
 use lockdown_scenario::calendar::{AnalysisWeek, APPCLASS_ISP_WEEKS, APPCLASS_IXP_WEEKS};
-use lockdown_topology::registry::Registry;
 use lockdown_topology::vantage::VantagePoint;
 use lockdown_traffic::plan::Stream;
 use std::sync::Arc;
@@ -33,15 +30,14 @@ pub(crate) struct Plan {
 
 /// Declare Fig. 9's trace demands for one vantage point on a shared
 /// engine plan.
-pub(crate) fn plan(plan: &mut EnginePlan, registry: &Registry, vantage: VantagePoint) -> Plan {
+pub(crate) fn plan(plan: &mut EnginePlan, ctx: &Context, vantage: VantagePoint) -> Plan {
     let weeks: &[AnalysisWeek; 3] = if vantage == VantagePoint::IspCe {
         &APPCLASS_ISP_WEEKS
     } else {
         &APPCLASS_IXP_WEEKS
     };
-    let classifier = Arc::new(Classifier::from_registry(registry));
     let mut subscribe = |week: &AnalysisWeek| {
-        let classifier = Arc::clone(&classifier);
+        let classifier = Arc::clone(&ctx.classifier);
         let start = week.start;
         plan.subscribe(
             Stream::Vantage(vantage),
@@ -75,7 +71,7 @@ pub(crate) fn finish(plan: Plan, out: &mut EngineOutput) -> Fig9 {
 
 /// Run Fig. 9 for one vantage point standalone.
 pub fn run(ctx: &Context, vantage: VantagePoint) -> Fig9 {
-    engine::run_standalone(ctx, |p| plan(p, &ctx.registry, vantage), finish)
+    engine::run_standalone(ctx, |p| plan(p, ctx, vantage), finish)
 }
 
 impl Fig9 {

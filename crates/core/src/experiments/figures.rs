@@ -142,13 +142,7 @@ pub static FIGURES: [Figure; 22] = [
     Figure {
         name: "fig8",
         group: None,
-        plan: |ctx, p| {
-            driver(
-                fig8::plan(p, &ctx.registry),
-                fig8::finish,
-                fig8::Fig8::render,
-            )
-        },
+        plan: |ctx, p| driver(fig8::plan(p, ctx), fig8::finish, fig8::Fig8::render),
     },
     // Fig. 9's sections are named `fig9:<vantage label>`, core-four order.
     Figure {
@@ -201,7 +195,7 @@ fn fig7_at(plan: &mut EnginePlan, vantage: VantagePoint) -> Finish {
 }
 
 fn fig9_at(ctx: &Context, plan: &mut EnginePlan, vantage: VantagePoint) -> Finish {
-    let handles = fig9::plan(plan, &ctx.registry, vantage);
+    let handles = fig9::plan(plan, ctx, vantage);
     driver(handles, fig9::finish, fig9::Fig9::render)
 }
 

@@ -2,7 +2,7 @@
 
 use crate::context::Context;
 use crate::report::TextTable;
-use lockdown_analysis::appclass::{Classifier, PaperClass};
+use lockdown_analysis::appclass::PaperClass;
 use lockdown_topology::hypergiants::HYPERGIANTS;
 
 /// One Table 1 row.
@@ -29,7 +29,7 @@ pub struct Table1 {
 
 /// Regenerate Table 1 from the classifier's filter inventory.
 pub fn table1(ctx: &Context) -> Table1 {
-    let classifier = Classifier::from_registry(&ctx.registry);
+    let classifier = &ctx.classifier;
     let rows = PaperClass::ALL
         .iter()
         .map(|&class| {

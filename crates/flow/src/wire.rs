@@ -26,6 +26,14 @@ pub enum WireError {
     UnknownTemplate { id: u16 },
     /// A field value is semantically invalid.
     BadField { what: &'static str },
+    /// A value its field cannot carry (an unknown id, an hour past 23).
+    OutOfRange { what: &'static str, value: u64 },
+    /// A count of entries that the bytes left cannot hold.
+    TooMany {
+        what: &'static str,
+        count: u64,
+        left: usize,
+    },
 }
 
 impl fmt::Display for WireError {
@@ -40,6 +48,10 @@ impl fmt::Display for WireError {
             WireError::BadLength { what, value } => write!(f, "bad length for {what}: {value}"),
             WireError::UnknownTemplate { id } => write!(f, "unknown template id {id}"),
             WireError::BadField { what } => write!(f, "invalid field: {what}"),
+            WireError::OutOfRange { what, value } => write!(f, "{what} {value} out of range"),
+            WireError::TooMany { what, count, left } => {
+                write!(f, "implausible {what}: {count} entries in {left} bytes")
+            }
         }
     }
 }
@@ -136,6 +148,17 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
+    /// `count` entries of at least `min_entry` bytes each, as a `usize`,
+    /// if the bytes left can hold them: a corrupt count is `TooMany`
+    /// before anything is allocated for it.
+    pub fn fit(&self, count: u64, min_entry: usize, what: &'static str) -> WireResult<usize> {
+        let left = self.remaining();
+        if count > (left / min_entry.max(1)) as u64 {
+            return Err(WireError::TooMany { what, count, left });
+        }
+        Ok(count as usize)
+    }
+
     /// Skip `n` bytes.
     pub fn skip(&mut self, n: usize, what: &'static str) -> WireResult<()> {
         self.require(n, what)?;
@@ -223,6 +246,18 @@ mod tests {
         assert_eq!(inner.remaining(), 1);
         assert_eq!(c.remaining(), 2);
         assert_eq!(c.read_u16("rest").unwrap(), 0x0405);
+    }
+
+    #[test]
+    fn fit_bounds_a_count_by_the_bytes_left() {
+        let c = Cursor::new(&[0u8; 10]);
+        assert_eq!(c.fit(2, 5, "pairs").unwrap(), 2);
+        assert_eq!(c.fit(0, 0, "none").unwrap(), 0);
+        let err = c.fit(u64::MAX, 5, "pairs").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "implausible pairs: 18446744073709551615 entries in 10 bytes"
+        );
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! is spent does the range go back on the queue for another worker.
 
 use lockdown_base::fault::Schedule;
-use lockdown_core::engine::SliceOutcome;
+use lockdown_core::engine::{panic_message, SliceOutcome};
 use lockdown_core::experiments::suite::{ShardSuiteOptions, Suite, SuiteAssembler};
 use lockdown_core::Context;
 use std::collections::VecDeque;
@@ -449,17 +449,6 @@ pub fn coordinate(
                 resume_unwind(panic)
             }
         }
-    }
-}
-
-/// Render a panic payload for the degraded report.
-fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic during assembly".to_string()
     }
 }
 

@@ -36,6 +36,7 @@ pub mod coord;
 pub mod proto;
 pub mod worker;
 
+use lockdown_flow::wire::WireError;
 use lockdown_store::StoreError;
 use std::fmt;
 
@@ -85,5 +86,13 @@ impl std::error::Error for ShardError {}
 impl From<StoreError> for ShardError {
     fn from(e: StoreError) -> ShardError {
         ShardError::Store(e)
+    }
+}
+
+/// A payload that does not decode is the peer speaking the protocol
+/// wrong, named by the field that failed.
+impl From<WireError> for ShardError {
+    fn from(e: WireError) -> ShardError {
+        ShardError::Protocol(format!("shard frame: {e}"))
     }
 }

@@ -11,10 +11,12 @@
 //! `check` is the CRC-32 (IEEE, the archive's checksum) of the payload,
 //! xor-folded with a constant derived from the type byte — so a flipped
 //! payload byte fails the CRC and a flipped type byte shifts the fold,
-//! and neither can decode as a silently-wrong frame. Payload integers
-//! are big-endian via the analysis codec's primitives, so the
-//! consumer-state frames riding inside [`T_DONE`] use the very same
-//! byte conventions as their envelope.
+//! and neither can decode as a silently-wrong frame. Payloads are read
+//! with the flow codecs' byte [`Cursor`], integers big-endian; the
+//! segment entries and quarantined cells inside [`T_DONE`] are in the
+//! archive index's entry form ([`put_entry`], [`put_cell`]), so a cell
+//! is the same bytes on the wire as in the manifest. Every payload
+//! decoder consumes its whole payload or refuses it by name.
 //!
 //! The conversation is strictly coordinator-driven:
 //!
@@ -44,15 +46,13 @@
 //! payloads are read in capped chunks so a corrupt length field costs
 //! bounded memory before the check rejects the frame.
 
-use lockdown_analysis::codec::{self, StateReader};
 use lockdown_base::net::is_tick;
 use lockdown_core::engine::SliceOutcome;
 use lockdown_core::supervisor::QuarantinedCell;
-use lockdown_flow::time::Date;
-use lockdown_flow::wire::PutBe;
-use lockdown_store::SegmentMeta;
-use lockdown_topology::vantage::VantagePoint;
-use lockdown_traffic::plan::{Cell, Stream};
+use lockdown_flow::wire::{Cursor, PutBe};
+use lockdown_store::archive::{
+    put_cell, put_entry, read_cell, read_entry, MIN_CELL_LEN, MIN_ENTRY_LEN,
+};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -65,8 +65,9 @@ pub const MAGIC: [u8; 4] = *b"LKSH";
 /// Protocol version byte; bumped on any incompatible frame change.
 /// v2 added the per-frame CRC-32 check and the HELLO_ACK retained-range
 /// inventory; v3 locates each DONE segment by pack tag, offset and
-/// length. Frames of any other version are rejected by name.
-pub(crate) const PROTO_VERSION: u8 = 3;
+/// length; v4 writes DONE's segments and cells in the archive index's
+/// entry form. Frames of any other version are rejected by name.
+pub(crate) const PROTO_VERSION: u8 = 4;
 
 /// Hard ceiling on a frame payload. A full-suite slice outcome at high
 /// fidelity is a few MB of consumer state; 256 MiB is "corrupt peer",
@@ -295,12 +296,21 @@ pub fn read_frame_deadline(
     Ok(Some((kind, payload)))
 }
 
-fn reader<'a>(buf: &'a [u8]) -> StateReader<'a> {
-    StateReader::new("shard frame", buf)
-}
-
-fn proto_err(e: impl std::fmt::Display) -> ShardError {
-    ShardError::Protocol(e.to_string())
+/// Decode a whole payload: `read` must consume every byte of it, so a
+/// payload with bytes past its last field is refused, not half-read.
+fn decode_all<T>(
+    buf: &[u8],
+    what: &str,
+    read: impl FnOnce(&mut Cursor<'_>) -> Result<T, ShardError>,
+) -> Result<T, ShardError> {
+    let mut c = Cursor::new(buf);
+    let decoded = read(&mut c)?;
+    match c.remaining() {
+        0 => Ok(decoded),
+        n => Err(ShardError::Protocol(format!(
+            "{n} trailing bytes after the {what}"
+        ))),
+    }
 }
 
 /// Encode an identity (HELLO payload).
@@ -315,16 +325,15 @@ pub fn encode_identity(id: &Identity) -> Vec<u8> {
 
 /// Decode an identity.
 pub fn decode_identity(buf: &[u8]) -> Result<Identity, ShardError> {
-    let mut r = reader(buf);
-    decode_identity_from(&mut r)
+    decode_all(buf, "identity", read_identity)
 }
 
-fn decode_identity_from(r: &mut StateReader<'_>) -> Result<Identity, ShardError> {
+fn read_identity(c: &mut Cursor<'_>) -> Result<Identity, ShardError> {
     Ok(Identity {
-        seed: r.u64("seed").map_err(proto_err)?,
-        scenario_hash: r.u64("scenario hash").map_err(proto_err)?,
-        plan_hash: r.u64("plan hash").map_err(proto_err)?,
-        cells: r.u64("cell count").map_err(proto_err)?,
+        seed: c.read_u64("seed")?,
+        scenario_hash: c.read_u64("scenario hash")?,
+        plan_hash: c.read_u64("plan hash")?,
+        cells: c.read_u64("cell count")?,
     })
 }
 
@@ -332,11 +341,7 @@ fn decode_identity_from(r: &mut StateReader<'_>) -> Result<Identity, ShardError>
 /// completed ranges it still retains and can re-serve without
 /// recomputation.
 pub fn encode_hello_ack(id: &Identity, retained: &[(u32, u32)]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(32 + 8 + retained.len() * 8);
-    out.put_u64_be(id.seed);
-    out.put_u64_be(id.scenario_hash);
-    out.put_u64_be(id.plan_hash);
-    out.put_u64_be(id.cells);
+    let mut out = encode_identity(id);
     out.put_u64_be(retained.len() as u64);
     for &(start, end) in retained {
         out.put_u32_be(start);
@@ -347,21 +352,23 @@ pub fn encode_hello_ack(id: &Identity, retained: &[(u32, u32)]) -> Vec<u8> {
 
 /// Decode a HELLO_ACK into `(identity, retained ranges)`.
 pub fn decode_hello_ack(buf: &[u8]) -> Result<(Identity, Vec<(u32, u32)>), ShardError> {
-    let mut r = reader(buf);
-    let id = decode_identity_from(&mut r)?;
-    let n = r.len("retained ranges", 8).map_err(proto_err)?;
-    let mut retained = Vec::with_capacity(n);
-    for _ in 0..n {
-        let start = r.u32("retained range start").map_err(proto_err)?;
-        let end = r.u32("retained range end").map_err(proto_err)?;
-        if end <= start {
-            return Err(ShardError::Protocol(format!(
-                "retained range {start}..{end} is empty or inverted"
-            )));
+    decode_all(buf, "hello-ack", |c| {
+        let id = read_identity(c)?;
+        let n = c.read_u64("retained ranges")?;
+        let n = c.fit(n, 8, "retained ranges")?;
+        let mut retained = Vec::with_capacity(n);
+        for _ in 0..n {
+            let start = c.read_u32("retained range start")?;
+            let end = c.read_u32("retained range end")?;
+            if end <= start {
+                return Err(ShardError::Protocol(format!(
+                    "retained range {start}..{end} is empty or inverted"
+                )));
+            }
+            retained.push((start, end));
         }
-        retained.push((start, end));
-    }
-    Ok((id, retained))
+        Ok((id, retained))
+    })
 }
 
 /// Encode an assignment.
@@ -370,20 +377,27 @@ pub fn encode_assign(a: &Assign) -> Vec<u8> {
     out.put_u32_be(a.start);
     out.put_u32_be(a.end);
     out.put_u32_be(a.attempt);
-    codec::put_bool(&mut out, a.kill);
+    out.push(u8::from(a.kill));
     out.put_u32_be(a.stall_ms);
     out
 }
 
 /// Decode an assignment.
 pub fn decode_assign(buf: &[u8]) -> Result<Assign, ShardError> {
-    let mut r = reader(buf);
-    Ok(Assign {
-        start: r.u32("range start").map_err(proto_err)?,
-        end: r.u32("range end").map_err(proto_err)?,
-        attempt: r.u32("attempt").map_err(proto_err)?,
-        kill: r.bool("kill flag").map_err(proto_err)?,
-        stall_ms: r.u32("stall ms").map_err(proto_err)?,
+    decode_all(buf, "assignment", |c| {
+        Ok(Assign {
+            start: c.read_u32("range start")?,
+            end: c.read_u32("range end")?,
+            attempt: c.read_u32("attempt")?,
+            kill: match c.read_u8("kill flag")? {
+                0 => false,
+                1 => true,
+                other => {
+                    return Err(ShardError::Protocol(format!("bad kill flag {other}")));
+                }
+            },
+            stall_ms: c.read_u32("stall ms")?,
+        })
     })
 }
 
@@ -396,7 +410,7 @@ pub fn encode_failed(message: &str) -> Vec<u8> {
 
 /// Decode a FAILED message.
 pub(crate) fn decode_failed(buf: &[u8]) -> Result<String, ShardError> {
-    get_str(&mut reader(buf), "failure message")
+    decode_all(buf, "failure message", |c| get_str(c, "failure message"))
 }
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
@@ -404,60 +418,18 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-fn get_str(r: &mut StateReader<'_>, what: &'static str) -> Result<String, ShardError> {
-    let len = r.u32(what).map_err(proto_err)? as usize;
-    let mut bytes = Vec::with_capacity(len.min(4096));
-    for _ in 0..len {
-        bytes.push(r.u8(what).map_err(proto_err)?);
-    }
-    String::from_utf8(bytes).map_err(|_| ShardError::Protocol(format!("{what} is not UTF-8")))
+fn get_str(c: &mut Cursor<'_>, what: &'static str) -> Result<String, ShardError> {
+    let len = c.read_u32(what)? as usize;
+    let bytes = c.read_bytes(len, what)?;
+    String::from_utf8(bytes.to_vec())
+        .map_err(|_| ShardError::Protocol(format!("{what} is not UTF-8")))
 }
 
-/// Stream → stable wire code. Indices 0..7 are `VantagePoint::ALL`
-/// order; the two non-vantage streams follow.
-fn stream_code(stream: Stream) -> u8 {
-    match stream {
-        Stream::Vantage(vp) => VantagePoint::ALL
-            .iter()
-            .position(|v| *v == vp)
-            .expect("every vantage point is in ALL") as u8,
-        Stream::IspTransit => VantagePoint::ALL.len() as u8,
-        Stream::Edu => VantagePoint::ALL.len() as u8 + 1,
-    }
-}
-
-fn stream_from_code(code: u8) -> Result<Stream, ShardError> {
-    let n = VantagePoint::ALL.len() as u8;
-    match code {
-        c if c < n => Ok(Stream::Vantage(VantagePoint::ALL[c as usize])),
-        c if c == n => Ok(Stream::IspTransit),
-        c if c == n + 1 => Ok(Stream::Edu),
-        other => Err(ShardError::Protocol(format!("unknown stream code {other}"))),
-    }
-}
-
-fn put_cell(out: &mut Vec<u8>, cell: Cell) {
-    out.push(stream_code(cell.stream));
-    codec::put_i64(out, cell.date.day_number());
-    out.push(cell.hour);
-}
-
-fn get_cell(r: &mut StateReader<'_>) -> Result<Cell, ShardError> {
-    let stream = stream_from_code(r.u8("stream code").map_err(proto_err)?)?;
-    let date = Date::from_day_number(r.i64("cell date").map_err(proto_err)?);
-    let hour = r.u8("cell hour").map_err(proto_err)?;
-    if hour >= 24 {
-        return Err(ShardError::Protocol(format!(
-            "cell hour {hour} out of range"
-        )));
-    }
-    Ok(Cell { stream, date, hour })
-}
-
-/// Encode a slice outcome (DONE payload).
+/// Encode a slice outcome (DONE payload). Segment entries and
+/// quarantined cells are in the archive index's entry form.
 pub fn encode_outcome(o: &SliceOutcome) -> Vec<u8> {
     let state_bytes: usize = o.states.iter().map(|s| s.len() + 4).sum();
-    let mut out = Vec::with_capacity(64 + state_bytes + o.segments.len() * 62);
+    let mut out = Vec::with_capacity(64 + state_bytes + o.segments.len() * 40);
     out.put_u64_be(o.flows);
     out.put_u64_be(o.generated);
     out.put_u64_be(o.replayed);
@@ -470,14 +442,7 @@ pub fn encode_outcome(o: &SliceOutcome) -> Vec<u8> {
     }
     out.put_u64_be(o.segments.len() as u64);
     for m in &o.segments {
-        put_cell(&mut out, m.cell);
-        out.put_u64_be(m.records);
-        out.put_u64_be(m.pack_tag);
-        out.put_u64_be(m.offset);
-        out.put_u64_be(m.len);
-        out.put_u32_be(m.crc);
-        out.put_u64_be(m.min_start);
-        out.put_u64_be(m.max_end);
+        put_entry(&mut out, m);
     }
     out.put_u64_be(o.quarantined.len() as u64);
     for q in &o.quarantined {
@@ -490,50 +455,34 @@ pub fn encode_outcome(o: &SliceOutcome) -> Vec<u8> {
 
 /// Decode a slice outcome.
 pub fn decode_outcome(buf: &[u8]) -> Result<SliceOutcome, ShardError> {
-    let mut r = reader(buf);
-    let mut o = SliceOutcome {
-        flows: r.u64("flow tally").map_err(proto_err)?,
-        generated: r.u64("generated tally").map_err(proto_err)?,
-        replayed: r.u64("replayed tally").map_err(proto_err)?,
-        resumed: r.u64("resumed tally").map_err(proto_err)?,
-        retries: r.u64("retry tally").map_err(proto_err)?,
-        ..SliceOutcome::default()
-    };
-    let n_states = r.len("consumer states", 4).map_err(proto_err)?;
-    for _ in 0..n_states {
-        let len = r.u32("state frame length").map_err(proto_err)? as usize;
-        let mut frame = Vec::with_capacity(len.min(1 << 20));
-        for _ in 0..len {
-            frame.push(r.u8("state frame byte").map_err(proto_err)?);
+    decode_all(buf, "slice outcome", |c| {
+        let mut o = SliceOutcome {
+            flows: c.read_u64("flow tally")?,
+            generated: c.read_u64("generated tally")?,
+            replayed: c.read_u64("replayed tally")?,
+            resumed: c.read_u64("resumed tally")?,
+            retries: c.read_u64("retry tally")?,
+            ..SliceOutcome::default()
+        };
+        let n = c.read_u64("consumer states")?;
+        for _ in 0..c.fit(n, 4, "consumer states")? {
+            let len = c.read_u32("state frame length")? as usize;
+            o.states.push(c.read_bytes(len, "state frame")?.to_vec());
         }
-        o.states.push(frame);
-    }
-    let n_segments = r.len("segment inventory", 10 + 52).map_err(proto_err)?;
-    for _ in 0..n_segments {
-        let cell = get_cell(&mut r)?;
-        o.segments.push(SegmentMeta {
-            cell,
-            records: r.u64("segment records").map_err(proto_err)?,
-            pack_tag: r.u64("segment pack tag").map_err(proto_err)?,
-            offset: r.u64("segment offset").map_err(proto_err)?,
-            len: r.u64("segment length").map_err(proto_err)?,
-            crc: r.u32("segment crc").map_err(proto_err)?,
-            min_start: r.u64("segment min start").map_err(proto_err)?,
-            max_end: r.u64("segment max end").map_err(proto_err)?,
-        });
-    }
-    let n_quar = r.len("quarantine list", 10 + 8).map_err(proto_err)?;
-    for _ in 0..n_quar {
-        let cell = get_cell(&mut r)?;
-        let attempts = r.u32("quarantine attempts").map_err(proto_err)?;
-        let error = get_str(&mut r, "quarantine error")?;
-        o.quarantined.push(QuarantinedCell {
-            cell,
-            attempts,
-            error,
-        });
-    }
-    Ok(o)
+        let n = c.read_u64("segment inventory")?;
+        for _ in 0..c.fit(n, MIN_ENTRY_LEN, "segment inventory")? {
+            o.segments.push(read_entry(c)?);
+        }
+        let n = c.read_u64("quarantine list")?;
+        for _ in 0..c.fit(n, MIN_CELL_LEN + 4 + 4, "quarantine list")? {
+            o.quarantined.push(QuarantinedCell {
+                cell: read_cell(c)?,
+                attempts: c.read_u32("quarantine attempts")?,
+                error: get_str(c, "quarantine error")?,
+            });
+        }
+        Ok(o)
+    })
 }
 
 #[cfg(test)]
@@ -562,6 +511,102 @@ mod tests {
         let bad = encode_hello_ack(&id, &[(9, 9)]);
         let err = decode_hello_ack(&bad).unwrap_err();
         assert!(err.to_string().contains("empty or inverted"), "{err}");
+    }
+
+    /// Every decoded payload with one byte appended, sealed by
+    /// `write_frame` with a valid check: each decoder refuses the byte by
+    /// name rather than decoding the fields before it.
+    #[test]
+    fn a_trailing_byte_after_any_payload_is_refused_by_name() {
+        use lockdown_core::engine::SliceOutcome;
+        use lockdown_core::supervisor::QuarantinedCell;
+        use lockdown_flow::time::Date;
+        use lockdown_store::SegmentMeta;
+        use lockdown_traffic::plan::{Cell, Stream};
+
+        let id = Identity {
+            seed: 1,
+            scenario_hash: 2,
+            plan_hash: 3,
+            cells: 96,
+        };
+        let cell = Cell {
+            stream: Stream::Edu,
+            date: Date::new(2020, 3, 25),
+            hour: 9,
+        };
+        let outcome = SliceOutcome {
+            flows: 5,
+            states: vec![vec![1, 2, 3]],
+            segments: vec![SegmentMeta {
+                cell,
+                records: 5,
+                pack_tag: 7,
+                offset: 64,
+                len: 300,
+                crc: 0xABCD,
+                min_start: 10,
+                max_end: 20,
+            }],
+            quarantined: vec![QuarantinedCell {
+                cell,
+                attempts: 3,
+                error: "boom".into(),
+            }],
+            ..SliceOutcome::default()
+        };
+        let assign = Assign {
+            start: 0,
+            end: 8,
+            attempt: 1,
+            kill: true,
+            stall_ms: 5,
+        };
+        type Decode = fn(&[u8]) -> Result<(), ShardError>;
+        let frames: [(u8, Vec<u8>, Decode); 5] = [
+            (T_HELLO, encode_identity(&id), |p| {
+                decode_identity(p).map(drop)
+            }),
+            (T_HELLO_ACK, encode_hello_ack(&id, &[(0, 8)]), |p| {
+                decode_hello_ack(p).map(drop)
+            }),
+            (T_ASSIGN, encode_assign(&assign), |p| {
+                decode_assign(p).map(drop)
+            }),
+            (T_DONE, encode_outcome(&outcome), |p| {
+                decode_outcome(p).map(drop)
+            }),
+            (T_FAILED, encode_failed("slice failed"), |p| {
+                decode_failed(p).map(drop)
+            }),
+        ];
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut wire = Vec::new();
+        for (kind, payload, decode) in &frames {
+            decode(payload).unwrap_or_else(|e| panic!("type {kind} decodes: {e}"));
+            let mut longer = payload.clone();
+            longer.push(0);
+            write_frame(&mut wire, *kind, &longer).unwrap();
+        }
+        let writer = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            s.write_all(&wire).unwrap();
+        });
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let budget = Duration::from_secs(5);
+        for (kind, _, decode) in &frames {
+            let (got, payload) = read_frame_deadline(&mut stream, Some(budget), budget)
+                .unwrap()
+                .unwrap();
+            assert_eq!(got, *kind);
+            let err = decode(&payload).expect_err("a trailing byte must be refused");
+            assert!(
+                matches!(&err, ShardError::Protocol(m) if m.contains("1 trailing bytes")),
+                "type {kind}: {err}"
+            );
+        }
+        writer.join().unwrap();
     }
 
     #[test]
@@ -648,16 +693,5 @@ mod tests {
         assert!(matches!(err, ShardError::Timeout(_)), "{err}");
         assert!(err.to_string().contains("no frame within 150ms"), "{err}");
         holder.join().unwrap();
-    }
-
-    #[test]
-    fn every_stream_code_roundtrips() {
-        let mut streams: Vec<Stream> = VantagePoint::ALL.into_iter().map(Stream::Vantage).collect();
-        streams.push(Stream::IspTransit);
-        streams.push(Stream::Edu);
-        for s in streams {
-            assert_eq!(stream_from_code(stream_code(s)).unwrap(), s);
-        }
-        assert!(stream_from_code(200).is_err());
     }
 }

@@ -42,7 +42,7 @@ use lockdown_base::hash::fold;
 use lockdown_flow::record::FlowRecord;
 use lockdown_flow::time::Date;
 use lockdown_flow::tracefile::{read_container_header, write_container_header};
-use lockdown_flow::wire::{Cursor, PutBe, WireError};
+use lockdown_flow::wire::{Cursor, PutBe, WireError, WireResult};
 use lockdown_traffic::plan::{Cell, Stream, FINGERPRINT_INIT};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -72,10 +72,6 @@ pub const PACKS_DIR: &str = "packs";
 /// bytes a spill writes stay O(cells) in total and a kill loses at most
 /// that sixteenth.
 const CHECKPOINT_INTERVAL: usize = 32;
-
-/// Smallest encoded manifest entry: stream id u32, crc u32, hour u8 and
-/// seven one-byte varints.
-const MIN_ENTRY_LEN: usize = 4 + 4 + 1 + 7;
 
 /// Pack handles a reader or writer keeps open at once. Cells are claimed
 /// in `(stream, date, hour)` order, so the packs in use at any moment
@@ -165,6 +161,69 @@ impl SegmentMeta {
     }
 }
 
+// The one wire form of a cell and a segment entry. The index files store
+// their entries in it, and the shard protocol carries a worker's segments
+// and quarantined cells in it, so a cell is the same bytes on disk and on
+// the wire:
+//
+//   cell  = stream wire id u32 ‖ zigzag day varint ‖ hour u8
+//   entry = cell ‖ records, pack tag, offset, length (varints) ‖ crc u32
+//           ‖ min start, max end (varints)
+
+/// Fewest bytes an encoded cell takes: stream id, a one-byte day, hour.
+pub const MIN_CELL_LEN: usize = 4 + 1 + 1;
+
+/// Fewest bytes an encoded entry takes: its cell, the crc and six
+/// one-byte varints.
+pub const MIN_ENTRY_LEN: usize = MIN_CELL_LEN + 4 + 6;
+
+/// Append `cell` in the entry form.
+pub fn put_cell(out: &mut Vec<u8>, cell: Cell) {
+    out.put_u32_be(cell.stream.wire_id());
+    put_varint(out, zigzag(cell.date.day_number()));
+    out.push(cell.hour);
+}
+
+/// Read a cell: a stream id no stream carries and an hour past 23 are
+/// [`WireError::OutOfRange`].
+pub fn read_cell(c: &mut Cursor<'_>) -> WireResult<Cell> {
+    let out_of_range = |what, value| WireError::OutOfRange { what, value };
+    let id = c.read_u32("cell stream id")?;
+    let stream = Stream::from_wire_id(id).ok_or(out_of_range("cell stream id", id.into()))?;
+    let date = Date::from_day_number(unzigzag(get_varint(c, "cell day")?));
+    let hour = c.read_u8("cell hour")?;
+    if hour >= 24 {
+        return Err(out_of_range("cell hour", hour.into()));
+    }
+    Ok(Cell { stream, date, hour })
+}
+
+/// Append `m`'s entry.
+pub fn put_entry(out: &mut Vec<u8>, m: &SegmentMeta) {
+    put_cell(out, m.cell);
+    put_varint(out, m.records);
+    put_varint(out, m.pack_tag);
+    put_varint(out, m.offset);
+    put_varint(out, m.len);
+    out.put_u32_be(m.crc);
+    put_varint(out, m.min_start);
+    put_varint(out, m.max_end);
+}
+
+/// Read an entry [`put_entry`] wrote.
+pub fn read_entry(c: &mut Cursor<'_>) -> WireResult<SegmentMeta> {
+    Ok(SegmentMeta {
+        cell: read_cell(c)?,
+        records: get_varint(c, "segment records")?,
+        pack_tag: get_varint(c, "segment pack tag")?,
+        offset: get_varint(c, "segment offset")?,
+        len: get_varint(c, "segment length")?,
+        crc: c.read_u32("segment crc")?,
+        min_start: get_varint(c, "segment min start")?,
+        max_end: get_varint(c, "segment max end")?,
+    })
+}
+
 /// A day pack: the `(stream, day)` its cells share and the tag of the
 /// writer appending to it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -222,16 +281,7 @@ fn encode_manifest(key: StoreKey, metas: &[SegmentMeta]) -> Vec<u8> {
     buf.put_u64_be(key.plan_hash);
     buf.put_u32_be(metas.len() as u32);
     for m in metas {
-        buf.put_u32_be(m.cell.stream.wire_id());
-        put_varint(&mut buf, zigzag(m.cell.date.day_number()));
-        buf.push(m.cell.hour);
-        put_varint(&mut buf, m.records);
-        put_varint(&mut buf, m.pack_tag);
-        put_varint(&mut buf, m.offset);
-        put_varint(&mut buf, m.len);
-        buf.put_u32_be(m.crc);
-        put_varint(&mut buf, m.min_start);
-        put_varint(&mut buf, m.max_end);
+        put_entry(&mut buf, m);
     }
     let crc = crc32(&buf);
     buf.put_u32_be(crc);
@@ -255,57 +305,33 @@ fn decode_index(file: &str, bytes: &[u8]) -> Result<(StoreKey, Vec<SegmentMeta>)
             format!("CRC mismatch: stored {stored:#010x}, computed {actual:#010x}"),
         ));
     }
-    let we = |e: WireError| match e {
+    let mut c = Cursor::new(&bytes[..crc_off]);
+    let index = read_index(&mut c).map_err(|e| match e {
         WireError::BadVersion { found, .. } => StoreError::Version {
             file: file.to_string(),
             found,
         },
         e => corrupt(file, e.to_string()),
-    };
-    let mut c = Cursor::new(&bytes[..crc_off]);
-    read_container_header(&mut c, MANIFEST_MAGIC, MANIFEST_VERSION).map_err(we)?;
-    let key = StoreKey {
-        seed: c.read_u64("manifest seed").map_err(we)?,
-        scenario_hash: c.read_u64("manifest scenario hash").map_err(we)?,
-        plan_hash: c.read_u64("manifest plan hash").map_err(we)?,
-    };
-    let count = c.read_u32("segment count").map_err(we)? as usize;
-    if count > c.remaining() / MIN_ENTRY_LEN {
-        return Err(corrupt(
-            file,
-            format!(
-                "{count} entries cannot fit in the {} bytes left",
-                c.remaining()
-            ),
-        ));
-    }
-    let mut metas = Vec::with_capacity(count);
-    for _ in 0..count {
-        let wire_id = c.read_u32("segment stream id").map_err(we)?;
-        let stream = Stream::from_wire_id(wire_id)
-            .ok_or_else(|| corrupt(file, format!("unknown stream id {wire_id}")))?;
-        let day = unzigzag(get_varint(&mut c, "segment day").map_err(we)?);
-        let hour = c.read_u8("segment hour").map_err(we)?;
-        if hour >= 24 {
-            return Err(corrupt(file, format!("hour {hour} out of range")));
-        }
-        metas.push(SegmentMeta {
-            cell: Cell {
-                stream,
-                date: Date::from_day_number(day),
-                hour,
-            },
-            records: get_varint(&mut c, "segment records").map_err(we)?,
-            pack_tag: get_varint(&mut c, "segment pack tag").map_err(we)?,
-            offset: get_varint(&mut c, "segment offset").map_err(we)?,
-            len: get_varint(&mut c, "segment length").map_err(we)?,
-            crc: c.read_u32("segment crc").map_err(we)?,
-            min_start: get_varint(&mut c, "segment min start").map_err(we)?,
-            max_end: get_varint(&mut c, "segment max end").map_err(we)?,
-        });
-    }
+    })?;
     if c.remaining() != 0 {
         return Err(corrupt(file, "trailing bytes after segment index"));
+    }
+    Ok(index)
+}
+
+/// The key and entries of an index file whose CRC has been checked.
+fn read_index(c: &mut Cursor<'_>) -> WireResult<(StoreKey, Vec<SegmentMeta>)> {
+    read_container_header(c, MANIFEST_MAGIC, MANIFEST_VERSION)?;
+    let key = StoreKey {
+        seed: c.read_u64("manifest seed")?,
+        scenario_hash: c.read_u64("manifest scenario hash")?,
+        plan_hash: c.read_u64("manifest plan hash")?,
+    };
+    let count = c.read_u32("segment count")?;
+    let count = c.fit(count.into(), MIN_ENTRY_LEN, "segment count")?;
+    let mut metas = Vec::with_capacity(count);
+    for _ in 0..count {
+        metas.push(read_entry(c)?);
     }
     Ok((key, metas))
 }
@@ -1243,6 +1269,81 @@ mod tests {
         assert!(adopted.is_empty());
         assert_eq!(m.resume_rejected.get(), 1);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The manifest's bytes, pinned: one entry per stream, a day before
+    /// the epoch, a writer's pack tag and all-ones fields. Archives on
+    /// disk hold these bytes, so a change to the entry form, which the
+    /// shard protocol shares, fails here.
+    #[test]
+    fn manifest_bytes_are_pinned() {
+        let mut streams: Vec<Stream> = VantagePoint::ALL.into_iter().map(Stream::Vantage).collect();
+        streams.extend([Stream::IspTransit, Stream::Edu]);
+        let metas: Vec<SegmentMeta> = streams
+            .into_iter()
+            .enumerate()
+            .map(|(i, stream)| {
+                let i = i as u64;
+                SegmentMeta {
+                    cell: Cell {
+                        stream,
+                        date: Date::from_day_number(i as i64 * 4_111 - 20_000),
+                        hour: (i * 5 % 24) as u8,
+                    },
+                    records: i * 1_000,
+                    pack_tag: (i & 1) * (0xDEAD_BEEF_0000 + i),
+                    offset: i << 33,
+                    len: 64 + i,
+                    crc: 0x0102_0304 * i as u32,
+                    min_start: 1_584_000_000_000 + i,
+                    max_end: 1_584_000_003_600 + i,
+                }
+            })
+            .chain([SegmentMeta {
+                cell: Cell {
+                    stream: Stream::Edu,
+                    date: Date::from_day_number(-1),
+                    hour: 23,
+                },
+                records: u64::MAX,
+                pack_tag: u64::MAX,
+                offset: u64::MAX,
+                len: u64::MAX,
+                crc: u32::MAX,
+                min_start: u64::MAX,
+                max_end: u64::MAX,
+            }])
+            .collect();
+        let key = StoreKey {
+            seed: 0x10CD_2020,
+            scenario_hash: u64::MAX,
+            plan_hash: 0x0123_4567_89AB_CDEF,
+        };
+        let bytes = encode_manifest(key, &metas);
+        assert_eq!(crc32(&bytes), 0x1eee_b5ec, "{} bytes", bytes.len());
+        assert_eq!(decode_index(MANIFEST_NAME, &bytes).unwrap(), (key, metas));
+    }
+
+    #[test]
+    fn a_cell_out_of_range_is_named() {
+        let mut bytes = Vec::new();
+        put_cell(
+            &mut bytes,
+            Cell {
+                stream: Stream::Edu,
+                date: Date::from_day_number(-3),
+                hour: 23,
+            },
+        );
+        let mut unknown = bytes.clone();
+        unknown[3] = 99;
+        let err = read_cell(&mut Cursor::new(&unknown)).unwrap_err();
+        assert_eq!(err.to_string(), "cell stream id 99 out of range");
+        let mut late = bytes.clone();
+        *late.last_mut().unwrap() = 24;
+        let err = read_cell(&mut Cursor::new(&late)).unwrap_err();
+        assert_eq!(err.to_string(), "cell hour 24 out of range");
+        assert_eq!(read_cell(&mut Cursor::new(&bytes)).unwrap().hour, 23);
     }
 
     #[test]

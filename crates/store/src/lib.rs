@@ -5,7 +5,8 @@
 //! adds a persistence layer beneath it: each generated `(stream, date,
 //! hour)` cell is encoded as a per-column segment ([`segment`]) with zone
 //! maps and a CRC, appended to its `(stream, day)` pack and indexed by a
-//! manifest ([`archive`]) keyed by seed, scenario hash and plan hash. A
+//! manifest ([`archive`], its entries in the wire form the shard protocol
+//! shares) keyed by seed, scenario hash and plan hash. A
 //! later run with the same generation key replays decoded segments
 //! ([`ArchiveReader::read_cell`]) through the identical consumer machinery
 //! and produces byte-identical output without generating a single flow;

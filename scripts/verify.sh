@@ -47,6 +47,11 @@ said_once "the element-to-record mapping" 'IPV4_SRC_ADDR =>' crates/flow/src/net
 # registry probe by ASN, or a hash map, under crates/traffic/src is a
 # per-flow lookup back on a per-flow path.
 said_once "a per-flow registry probe" '.host_addr(' crates/dns/src/ crates/topology/src/
+# One wire form of a cell and a segment entry, the archive index's: the
+# shard protocol carries a worker's segments and quarantined cells in it
+# through store::archive::{put_entry, read_entry} instead of a second
+# encoding of its own.
+said_once "the segment-entry wire form" '"segment pack tag"' crates/store/src/
 if grep -rn --include='*.rs' 'HashMap' crates/traffic/src >&2; then
     echo "said-once: a hash map is back under crates/traffic/src (resolve pools in Picker::new)" >&2
     exit 1
@@ -127,6 +132,12 @@ for manifest in crates/store/Cargo.toml crates/query/Cargo.toml; do
         exit 1
     fi
 done
+# The shard protocol reads its payloads with flow's Cursor and its cells
+# with store::archive::read_cell: neither the analysis codec nor topology.
+if grep -nE "lockdown-(analysis|topology)" crates/shard/Cargo.toml >&2; then
+    echo "said-once: crates/shard/Cargo.toml depends on lockdown-analysis or lockdown-topology again" >&2
+    exit 1
+fi
 # No crate outside the workspace: every entry of every dependency table
 # is a lockdown-* path or the umbrella crate, so tier-1 builds with no
 # registry and no network, and every draw comes from base::hash::SplitMix.
