@@ -33,10 +33,8 @@
 
 use crate::codec::{get_varint, put_varint, unzigzag, zigzag};
 use crate::metrics::StoreMetrics;
-use crate::segment::{
-    decode_segment_into, encode_segment, read_footer as read_segment_footer, SegmentFooter,
-};
-use crate::StoreError;
+use crate::segment::{encode_segment, open_segment, Sealed, SegmentFooter};
+use crate::{corrupt, StoreError};
 use lockdown_base::crc::crc32;
 use lockdown_base::hash::fold;
 use lockdown_flow::record::FlowRecord;
@@ -55,9 +53,11 @@ use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 
 /// Manifest file magic.
 pub(crate) const MANIFEST_MAGIC: [u8; 4] = *b"LKSM";
-/// Manifest format version. Version 1 filed each cell as its own
-/// segment file; version 2 files it as a byte range of a day pack.
-pub const MANIFEST_VERSION: u16 = 2;
+/// Archive format version, of the manifest, the journal and every
+/// segment alike. Version 1 filed each cell as its own segment file;
+/// version 2 filed it as a byte range of a day pack; version 3 bit-packs
+/// the segment's columns.
+pub const MANIFEST_VERSION: u16 = 3;
 /// Manifest file name inside an archive directory.
 pub const MANIFEST_NAME: &str = "manifest.lks";
 /// In-progress journal file name: a partial manifest, same encoding and
@@ -266,13 +266,6 @@ fn io_err(path: &Path, e: std::io::Error) -> StoreError {
     }
 }
 
-fn corrupt(segment: &str, detail: impl Into<String>) -> StoreError {
-    StoreError::Corrupt {
-        segment: segment.to_string(),
-        detail: detail.into(),
-    }
-}
-
 fn encode_manifest(key: StoreKey, metas: &[SegmentMeta]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64 + metas.len() * 32);
     write_container_header(&mut buf, MANIFEST_MAGIC, MANIFEST_VERSION, 0);
@@ -306,13 +299,7 @@ fn decode_index(file: &str, bytes: &[u8]) -> Result<(StoreKey, Vec<SegmentMeta>)
         ));
     }
     let mut c = Cursor::new(&bytes[..crc_off]);
-    let index = read_index(&mut c).map_err(|e| match e {
-        WireError::BadVersion { found, .. } => StoreError::Version {
-            file: file.to_string(),
-            found,
-        },
-        e => corrupt(file, e.to_string()),
-    })?;
+    let index = read_index(&mut c).map_err(|e| StoreError::wire(file, e))?;
     if c.remaining() != 0 {
         return Err(corrupt(file, "trailing bytes after segment index"));
     }
@@ -430,10 +417,11 @@ impl Packs {
         std::fs::metadata(self.path(id)).map_or(0, |st| st.len())
     }
 
-    /// Read one segment's range, decode it with `decode`, and check it
-    /// against its index entry: the range lies inside the pack, the
-    /// trailing CRC is the manifest's, the record count is the footer's.
-    /// Every failed check names the segment and counts a CRC failure.
+    /// Read one segment's range, check it against its index entry, then
+    /// decode it with `decode`: the range lies inside the pack, the
+    /// trailing CRC is the manifest's, and the footer's record count is
+    /// the manifest's before any column is decoded. Every failed check
+    /// names the segment and counts a CRC failure.
     ///
     /// The range is one positioned read into the thread's reused scratch.
     /// A range past the pack's end shows as a short read; the pack's
@@ -445,8 +433,8 @@ impl Packs {
         &self,
         meta: &SegmentMeta,
         metrics: &StoreMetrics,
-        decode: impl FnOnce(&[u8]) -> Result<(T, SegmentFooter), StoreError>,
-    ) -> Result<(T, SegmentFooter), StoreError> {
+        decode: impl FnOnce(Sealed<'_>) -> Result<T, StoreError>,
+    ) -> Result<T, StoreError> {
         thread_local! {
             static SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
         }
@@ -470,10 +458,15 @@ impl Packs {
                 }
                 read => read.map_err(|e| io_err(&path(), e))?,
             }
-            let (value, footer) = decode(bytes).map_err(|e| match e {
+            let relabel = |e| match e {
                 StoreError::Corrupt { detail, .. } => corrupt(&meta.label(), detail),
+                StoreError::Version { found, .. } => StoreError::Version {
+                    file: meta.label(),
+                    found,
+                },
                 e => e,
-            })?;
+            };
+            let sealed = open_segment("", bytes).map_err(relabel)?;
             let stored = u32::from_be_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
             if stored != meta.crc {
                 let want = meta.crc;
@@ -481,13 +474,13 @@ impl Packs {
                     "segment CRC {stored:#010x} does not match manifest {want:#010x}"
                 ));
             }
-            if footer.records != meta.records {
-                let (held, want) = (footer.records, meta.records);
+            if sealed.footer.records != meta.records {
+                let (held, want) = (sealed.footer.records, meta.records);
                 return fail(format!(
                     "segment holds {held} records, manifest says {want}"
                 ));
             }
-            Ok((value, footer))
+            decode(sealed).map_err(relabel)
         });
         if let Err(StoreError::Corrupt { .. }) = checked {
             metrics.crc_failures.inc();
@@ -505,8 +498,7 @@ impl Packs {
         metrics: &StoreMetrics,
         out: &mut Vec<FlowRecord>,
     ) -> Result<(), StoreError> {
-        let into = |bytes: &[u8]| Ok(((), decode_segment_into("", bytes, out)?));
-        self.read_checked(meta, metrics, into)
+        self.read_checked(meta, metrics, |s| s.decode_into("", out))
             .inspect_err(|_| out.clear())?;
         metrics.segments_read.inc();
         metrics.bytes_read.add(meta.len);
@@ -1046,13 +1038,11 @@ impl ArchiveReader {
     /// column zone maps — without materializing any records. The whole
     /// range is still read and CRC-checked (the trailer covers every
     /// prior byte), so a corrupt segment fails here exactly as it would
-    /// on decode; what this skips is the per-column varint decode, which
+    /// on decode; what this skips is the per-column unpack, which
     /// is what predicate-pushdown scans prune on.
     pub fn read_footer(&self, cell: Cell) -> Result<SegmentFooter, StoreError> {
-        let footer_only = |bytes: &[u8]| Ok(((), read_segment_footer("", bytes)?));
         self.packs
-            .read_checked(self.entry(cell)?, &self.metrics, footer_only)
-            .map(|(_, f)| f)
+            .read_checked(self.entry(cell)?, &self.metrics, |s| Ok(s.footer))
     }
 
     /// Decode every segment, collecting failures instead of stopping at
@@ -1320,7 +1310,11 @@ mod tests {
             plan_hash: 0x0123_4567_89AB_CDEF,
         };
         let bytes = encode_manifest(key, &metas);
-        assert_eq!(crc32(&bytes), 0x1eee_b5ec, "{} bytes", bytes.len());
+        // The header carries the format version; the entries after it
+        // are the bytes version 2 wrote, and the trailing CRC covers both.
+        assert_eq!(bytes[..8], *b"LKSM\x00\x03\x00\x00");
+        let entries = &bytes[8..bytes.len() - 4];
+        assert_eq!(crc32(entries), 0xff94_9040, "{} bytes", bytes.len());
         assert_eq!(decode_index(MANIFEST_NAME, &bytes).unwrap(), (key, metas));
     }
 

@@ -1,9 +1,11 @@
-//! Byte-level primitives for the columnar segment format: LEB128 varints
-//! and the zigzag signed mapping. (The CRC every segment and manifest
-//! carries is `lockdown_base::crc::crc32`.)
+//! Byte-level primitives of the archive's index entries and segment
+//! footers: LEB128 varints and the zigzag signed mapping. (The CRC every
+//! segment and manifest carries is `lockdown_base::crc::crc32`; segment
+//! columns are bit-packed in `segment`.)
 //!
-//! Column arrays are sequences of small deltas most of the time, so LEB128
-//! keeps the common case at one byte while still carrying full `u64` range.
+//! Counts, offsets and zone bounds are small most of the time, so LEB128
+//! keeps the common case at a byte or two while still carrying full `u64`
+//! range.
 
 use lockdown_flow::wire::{Cursor, WireError, WireResult};
 
@@ -26,7 +28,7 @@ pub(crate) fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
 /// the tenth, or end in a redundant zero byte (`0x80 0x00` is not 0), so
 /// a decoded value re-encodes to the same bytes.
 #[inline]
-pub(crate) fn varint_at(bytes: &[u8], pos: &mut usize) -> Option<u64> {
+fn varint_at(bytes: &[u8], pos: &mut usize) -> Option<u64> {
     let mut v: u64 = 0;
     for shift in (0..64).step_by(7) {
         let byte = *bytes.get(*pos)?;
@@ -39,32 +41,6 @@ pub(crate) fn varint_at(bytes: &[u8], pos: &mut usize) -> Option<u64> {
         }
     }
     None
-}
-
-/// [`varint_at`] a word at a time: the varint's length is the first of
-/// eight bytes without the continuation bit, and its 7-bit groups are
-/// packed together in three mask-and-shift steps. Same values, same
-/// refusals; faster on long values, slower on one-byte ones, whose
-/// lengths a byte-at-a-time read predicts. Falls back to [`varint_at`]
-/// within eight bytes of the end and on nine- and ten-byte values.
-#[inline]
-pub(crate) fn varint_word_at(bytes: &[u8], pos: &mut usize) -> Option<u64> {
-    if let Some(word) = bytes.get(*pos..*pos + 8) {
-        let w = u64::from_le_bytes(word.try_into().expect("8 bytes"));
-        let stops = !w & 0x8080_8080_8080_8080;
-        if stops != 0 {
-            let len = stops.trailing_zeros() as usize / 8 + 1;
-            *pos += len;
-            if len > 1 && (w >> (8 * (len - 1))) as u8 == 0 {
-                return None;
-            }
-            let x = w & (u64::MAX >> (64 - 8 * len)) & 0x7F7F_7F7F_7F7F_7F7F;
-            let x = (x & 0x007F_007F_007F_007F) | ((x & 0x7F00_7F00_7F00_7F00) >> 1);
-            let x = (x & 0x0000_3FFF_0000_3FFF) | ((x & 0x3FFF_0000_3FFF_0000) >> 2);
-            return Some((x & 0x0FFF_FFFF) | ((x & 0x0FFF_FFFF_0000_0000) >> 4));
-        }
-    }
-    varint_at(bytes, pos)
 }
 
 /// Read one LEB128 varint through [`varint_at`]: `Truncated` when the
@@ -85,8 +61,8 @@ pub(crate) fn get_varint(cursor: &mut Cursor<'_>, what: &'static str) -> WireRes
     }
 }
 
-/// Map a signed delta onto unsigned so small magnitudes of either sign
-/// stay small varints.
+/// Map a signed value onto unsigned so small magnitudes of either sign
+/// stay small.
 pub(crate) fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
@@ -118,38 +94,6 @@ mod tests {
             let mut c = Cursor::new(&buf);
             assert_eq!(get_varint(&mut c, "v").unwrap(), v);
             assert_eq!(c.remaining(), 0);
-        }
-    }
-
-    #[test]
-    fn the_word_read_and_the_byte_read_agree() {
-        // Every value length from 1 to 10 bytes, read with padding behind
-        // it (the word path) and at the slice's end (the byte path), as is
-        // and with a redundant zero byte appended.
-        let mut rng = lockdown_base::hash::SplitMix::new(0xB17E);
-        for bits in 0..=64u32 {
-            let v = match bits {
-                0 => 0,
-                b => (rng.next_u64() >> (64 - b)) | (1 << (b - 1)),
-            };
-            let mut enc = Vec::new();
-            put_varint(&mut enc, v);
-            let mut redundant = enc.clone();
-            *redundant.last_mut().unwrap() |= 0x80;
-            redundant.push(0);
-            for (bytes, want) in [(enc, Some(v)), (redundant, None)] {
-                let padded = [&bytes[..], &[0xFF; 9]].concat();
-                for slice in [&bytes[..], &padded[..]] {
-                    for read in [varint_at, varint_word_at] {
-                        let mut pos = 0;
-                        let got = read(slice, &mut pos);
-                        assert_eq!(got, want, "{bits} bits in {} bytes", slice.len());
-                        if got.is_some() {
-                            assert_eq!(pos, bytes.len());
-                        }
-                    }
-                }
-            }
         }
     }
 

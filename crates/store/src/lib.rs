@@ -12,8 +12,8 @@
 //! and produces byte-identical output without generating a single flow;
 //! any key mismatch marks the archive stale and the run regenerates.
 //! Everything is dependency-light: the encodings are hand-rolled
-//! varints/deltas over `std::fs`, no serialization or compression crates
-//! involved.
+//! bit-packed columns and varints over `std::fs`, no serialization or
+//! compression crates involved.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,6 +33,7 @@ pub use metrics::StoreMetrics;
 pub use scan::TimeRange;
 pub use segment::Column;
 
+use lockdown_flow::wire::WireError;
 use std::fmt;
 
 /// Errors from the archive layer.
@@ -53,10 +54,10 @@ pub enum StoreError {
         /// What failed.
         detail: String,
     },
-    /// An index file (manifest or journal) of another format version:
-    /// an archive to rebuild, not to read.
+    /// An archive file (manifest, journal or segment) of another format
+    /// version: an archive to rebuild, not to read.
     Version {
-        /// The index file's name.
+        /// The file's name.
         file: String,
         /// The version it carries.
         found: u16,
@@ -87,6 +88,27 @@ impl fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
+impl StoreError {
+    /// A failed read of `file`'s bytes: a container header of another
+    /// version is [`StoreError::Version`], anything else corruption.
+    pub(crate) fn wire(file: &str, e: WireError) -> StoreError {
+        match e {
+            WireError::BadVersion { found, .. } => StoreError::Version {
+                file: file.to_string(),
+                found,
+            },
+            e => corrupt(file, e.to_string()),
+        }
+    }
+}
+
+pub(crate) fn corrupt(file: &str, detail: impl Into<String>) -> StoreError {
+    StoreError::Corrupt {
+        segment: file.to_string(),
+        detail: detail.into(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,7 +129,7 @@ mod tests {
         };
         assert_eq!(
             e.to_string(),
-            "archive file manifest.lks is format version 1; this build reads version 2: \
+            "archive file manifest.lks is format version 1; this build reads version 3: \
              rebuild the archive"
         );
         let e = StoreError::Io {

@@ -1,13 +1,15 @@
 //! The columnar segment: one engine cell's flow records, encoded column by
 //! column with a zone-map footer and a CRC.
 //!
-//! Layout (all integers big-endian, varints LEB128):
+//! Layout (integers big-endian, footer varints LEB128):
 //!
 //! ```text
 //! header   magic "LKSG" | version u16 | flags u16          (shared 8-byte
 //!          container header, same idiom as flow::tracefile)
 //! body     ncols u8
 //!          repeat: col_id u8 | byte_len u32 | column bytes
+//! column   min u64 | width u8 | n values of `value − min`, `width` bits
+//!          each, packed LSB first; the last byte's spare bits are 0
 //! footer   records varint | min_start varint | max_end varint
 //!          nzones u8, repeat: col_id u8 | min varint | max varint
 //! trailer  footer_len u32 | crc u32                        (fixed 8 bytes)
@@ -15,15 +17,18 @@
 //!
 //! The CRC covers every byte before itself (header + body + footer +
 //! footer_len), so flipping any single byte of a stored segment is
-//! detected. Column encodings are chosen per field: timestamps are
-//! zigzag-delta varints (records are nearly time-sorted, so deltas are
-//! tiny), durations/counters are varints, addresses are raw 4-byte values
-//! (high entropy — varints would pessimize), and enums are single bytes.
-//! Decoding rebuilds [`FlowRecord`]s bit-exactly; the replay path depends
-//! on that for byte-identical figure output.
+//! detected. Every column is one frame of reference: its smallest value,
+//! then each value's offset from it in `width = bits(max − min)` bits, so
+//! a cell's starts (all within about an hour) take some 12 bits, its
+//! addresses 32 or fewer and a flag set 8. A duration is stored as
+//! `zigzag(end − start)`. Decoding is one fixed-width unpack per column,
+//! with no per-value length branch, and rebuilds [`FlowRecord`]s
+//! bit-exactly; the replay path depends on that for byte-identical figure
+//! output.
 
-use crate::codec::{get_varint, put_varint, unzigzag, varint_at, varint_word_at, zigzag};
-use crate::StoreError;
+use crate::archive::MANIFEST_VERSION;
+use crate::codec::{get_varint, put_varint, unzigzag, zigzag};
+use crate::{corrupt, StoreError};
 use lockdown_base::crc::crc32;
 use lockdown_flow::protocol::{IpProtocol, TcpFlags};
 use lockdown_flow::record::{Direction, FlowKey, FlowRecord};
@@ -35,10 +40,15 @@ use std::net::Ipv4Addr;
 
 /// Segment file magic.
 pub(crate) const SEGMENT_MAGIC: [u8; 4] = *b"LKSG";
-/// Segment format version.
-pub(crate) const SEGMENT_VERSION: u16 = 1;
 /// Fixed trailer size: `footer_len u32 | crc u32`.
 pub(crate) const TRAILER_LEN: usize = 8;
+/// A column's frame ahead of its packed values: `min u64 | width u8`.
+const FRAME_LEN: usize = 9;
+/// Most records one segment holds. [`encode_segment`] asserts it, and a
+/// decode refuses a footer claiming more before that count sizes a
+/// buffer: a column of 0-bit values takes no bytes, so bytes bound
+/// nothing.
+pub(crate) const MAX_SEGMENT_RECORDS: u64 = 1 << 24;
 
 /// Column identifiers (stable on disk; do not renumber).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,7 +132,7 @@ impl SegmentFooter {
 }
 
 /// Which columns get a zone map beyond the dedicated time range: the ones
-/// analyses filter on, in the order [`zoned_values`] yields them.
+/// analyses filter on, in the order the footer holds them.
 const ZONED: [Column; 4] = [
     Column::Bytes,
     Column::Packets,
@@ -130,141 +140,121 @@ const ZONED: [Column; 4] = [
     Column::DstPort,
 ];
 
-fn zoned_values(r: &FlowRecord) -> [u64; 4] {
+/// The zone maps of the [`ZONED`] columns, from each one's `(min, max)`.
+fn zones(ranges: [(u64, u64); 4]) -> [ZoneMap; 4] {
+    std::array::from_fn(|i| ZoneMap {
+        col: ZONED[i] as u8,
+        min: ranges[i].0,
+        max: ranges[i].1,
+    })
+}
+
+/// Bits needed to write `v`: 0 for 0.
+fn bits(v: u64) -> u32 {
+    u64::BITS - v.leading_zeros()
+}
+
+/// Bytes `n` values of `width` bits pack into.
+fn packed_len(n: usize, width: u32) -> usize {
+    (n * width as usize).div_ceil(8)
+}
+
+/// A record's value in every column, in [`ALL_COLUMNS`] order.
+#[inline(always)]
+fn values(r: &FlowRecord) -> [u64; 15] {
     [
+        u32::from(r.key.src_addr).into(),
+        u32::from(r.key.dst_addr).into(),
+        r.key.src_port.into(),
+        r.key.dst_port.into(),
+        r.key.protocol.number().into(),
+        r.start.unix(),
+        zigzag(r.end.unix().wrapping_sub(r.start.unix()) as i64),
         r.bytes,
         r.packets,
-        u64::from(r.key.src_port),
-        u64::from(r.key.dst_port),
+        r.tcp_flags.0.into(),
+        r.input_if.into(),
+        r.output_if.into(),
+        r.src_as.into(),
+        r.dst_as.into(),
+        match r.direction {
+            Direction::Ingress => 0,
+            Direction::Egress => 1,
+            Direction::Unknown => 2,
+        },
     ]
 }
 
-/// The footer `records` imply: what [`encode_segment`] writes, and what a
-/// decode must find.
-fn footer_of(records: &[FlowRecord]) -> SegmentFooter {
-    let (mut min_start, mut max_end) = (u64::MAX, 0);
-    let (mut lo, mut hi) = ([u64::MAX; 4], [0; 4]);
-    for r in records {
-        min_start = min_start.min(r.start.unix());
-        max_end = max_end.max(r.end.unix());
-        for (i, v) in zoned_values(r).into_iter().enumerate() {
-            lo[i] = lo[i].min(v);
-            hi[i] = hi[i].max(v);
+/// Append column `ALL_COLUMNS[I]`: its id, its length, and its values as
+/// a frame of reference, `min` and then every value's offset from it in
+/// `bits(max − min)` bits. One loop per column: `values(r)[I]` computes
+/// that column's field alone.
+fn put_column<const I: usize>(buf: &mut Vec<u8>, records: &[FlowRecord], min: u64, max: u64) {
+    let width = bits(max - min);
+    buf.push(ALL_COLUMNS[I] as u8);
+    buf.put_u32_be((FRAME_LEN + packed_len(records.len(), width)) as u32);
+    pack(buf, min, width, records.iter().map(|r| values(r)[I] - min));
+}
+
+/// Append a frame, `min | width`, and `offsets`, `width` bits each, LSB
+/// first through a register accumulator: each full word is stored whole,
+/// and the last store, of the tail, may run past the column into slack
+/// the truncate drops, leaving the spare bits 0. Every offset must fit
+/// in `width` bits.
+fn pack(buf: &mut Vec<u8>, min: u64, width: u32, offsets: impl ExactSizeIterator<Item = u64>) {
+    buf.put_u64_be(min);
+    buf.push(width as u8);
+    let (start, len) = (buf.len(), packed_len(offsets.len(), width));
+    buf.resize(start + len + 8, 0);
+    let out = &mut buf[start..];
+    let (mut acc, mut held, mut at) = (0u64, 0, 0);
+    for d in offsets {
+        acc |= d << held;
+        held += width;
+        if held >= 64 {
+            out[at..at + 8].copy_from_slice(&acc.to_le_bytes());
+            at += 8;
+            held -= 64;
+            // The bits of `d` the word had no room for, in two shifts:
+            // one of 64 would overflow.
+            acc = (d >> 1) >> (width - held - 1);
         }
     }
-    if records.is_empty() {
-        (min_start, lo) = (0, [0; 4]);
-    }
-    SegmentFooter {
-        records: records.len() as u64,
-        min_start,
-        max_end,
-        zones: (0..ZONED.len())
-            .map(|i| ZoneMap {
-                col: ZONED[i] as u8,
-                min: lo[i],
-                max: hi[i],
-            })
-            .collect(),
-    }
-}
-
-fn direction_byte(d: Direction) -> u8 {
-    match d {
-        Direction::Ingress => 0,
-        Direction::Egress => 1,
-        Direction::Unknown => 2,
-    }
-}
-
-/// Append one column: its id, its length (back-patched once `write` has
-/// appended the column's bytes) and those bytes.
-fn put_column(buf: &mut Vec<u8>, col: Column, write: impl FnOnce(&mut Vec<u8>)) {
-    buf.push(col as u8);
-    let len_at = buf.len();
-    buf.put_u32_be(0);
-    write(buf);
-    let len = (buf.len() - len_at - 4) as u32;
-    buf[len_at..len_at + 4].copy_from_slice(&len.to_be_bytes());
-}
-
-fn put_varints(buf: &mut Vec<u8>, records: &[FlowRecord], field: impl Fn(&FlowRecord) -> u64) {
-    for r in records {
-        put_varint(buf, field(r));
-    }
+    out[at..at + 8].copy_from_slice(&acc.to_le_bytes());
+    buf.truncate(start + len);
 }
 
 /// Encode one cell's records into a self-contained segment.
 pub fn encode_segment(records: &[FlowRecord]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64 + records.len() * 40);
-    write_container_header(&mut buf, SEGMENT_MAGIC, SEGMENT_VERSION, 0);
-
-    // One loop per column, in `ALL_COLUMNS` order. Addresses are raw
-    // 4-byte values (high entropy: varints would inflate them), enums and
-    // flag sets single bytes, starts zigzag deltas from the previous
-    // record's start, everything else plain varints.
+    assert!(
+        records.len() as u64 <= MAX_SEGMENT_RECORDS,
+        "a cell of {} records exceeds the segment limit",
+        records.len()
+    );
+    // One pass takes every column's range; `min` is 0 in an empty segment.
+    let (mut lo, mut hi, mut max_end) = ([u64::MAX; 15], [0; 15], 0);
+    for r in records {
+        for (i, v) in values(r).into_iter().enumerate() {
+            (lo[i], hi[i]) = (lo[i].min(v), hi[i].max(v));
+        }
+        max_end = max_end.max(r.end.unix());
+    }
+    let lo: [u64; 15] = std::array::from_fn(|i| lo[i].min(hi[i]));
+    let mut buf = Vec::with_capacity(256 + records.len() * 32);
+    write_container_header(&mut buf, SEGMENT_MAGIC, MANIFEST_VERSION, 0);
     buf.push(ALL_COLUMNS.len() as u8);
-    let addrs = |buf: &mut Vec<u8>, addr: fn(&FlowRecord) -> Ipv4Addr| {
-        for r in records {
-            buf.put_u32_be(u32::from(addr(r)));
-        }
-    };
-    put_column(&mut buf, Column::SrcAddr, |b| addrs(b, |r| r.key.src_addr));
-    put_column(&mut buf, Column::DstAddr, |b| addrs(b, |r| r.key.dst_addr));
-    put_column(&mut buf, Column::SrcPort, |b| {
-        put_varints(b, records, |r| u64::from(r.key.src_port))
-    });
-    put_column(&mut buf, Column::DstPort, |b| {
-        put_varints(b, records, |r| u64::from(r.key.dst_port))
-    });
-    put_column(&mut buf, Column::Protocol, |b| {
-        b.extend(records.iter().map(|r| r.key.protocol.number()))
-    });
-    put_column(&mut buf, Column::Start, |b| {
-        let mut prev = 0i64;
-        for r in records {
-            let v = r.start.unix() as i64;
-            put_varint(b, zigzag(v - prev));
-            prev = v;
-        }
-    });
-    put_column(&mut buf, Column::Duration, |b| {
-        put_varints(b, records, |r| {
-            zigzag(r.end.unix() as i64 - r.start.unix() as i64)
-        })
-    });
-    put_column(&mut buf, Column::Bytes, |b| {
-        put_varints(b, records, |r| r.bytes)
-    });
-    put_column(&mut buf, Column::Packets, |b| {
-        put_varints(b, records, |r| r.packets)
-    });
-    put_column(&mut buf, Column::TcpFlags, |b| {
-        b.extend(records.iter().map(|r| r.tcp_flags.0))
-    });
-    put_column(&mut buf, Column::InputIf, |b| {
-        put_varints(b, records, |r| u64::from(r.input_if))
-    });
-    put_column(&mut buf, Column::OutputIf, |b| {
-        put_varints(b, records, |r| u64::from(r.output_if))
-    });
-    put_column(&mut buf, Column::SrcAs, |b| {
-        put_varints(b, records, |r| u64::from(r.src_as))
-    });
-    put_column(&mut buf, Column::DstAs, |b| {
-        put_varints(b, records, |r| u64::from(r.dst_as))
-    });
-    put_column(&mut buf, Column::Direction, |b| {
-        b.extend(records.iter().map(|r| direction_byte(r.direction)))
-    });
+    // Then each column is packed in a loop of its own.
+    macro_rules! put_columns {
+        ($($i:literal)*) => { $(put_column::<$i>(&mut buf, records, lo[$i], hi[$i]);)* };
+    }
+    put_columns!(0 1 2 3 4 5 6 7 8 9 10 11 12 13 14);
 
     let footer_start = buf.len();
-    let footer = footer_of(records);
-    put_varint(&mut buf, footer.records);
-    put_varint(&mut buf, footer.min_start);
-    put_varint(&mut buf, footer.max_end);
-    buf.push(footer.zones.len() as u8);
-    for z in &footer.zones {
+    put_varint(&mut buf, records.len() as u64);
+    put_varint(&mut buf, lo[Column::Start as usize - 1]);
+    put_varint(&mut buf, max_end);
+    buf.push(ZONED.len() as u8);
+    for z in zones(ZONED.map(|c| (lo[c as usize - 1], hi[c as usize - 1]))) {
         buf.push(z.col);
         put_varint(&mut buf, z.min);
         put_varint(&mut buf, z.max);
@@ -277,19 +267,8 @@ pub fn encode_segment(records: &[FlowRecord]) -> Vec<u8> {
     buf
 }
 
-fn corrupt(segment: &str, detail: impl Into<String>) -> StoreError {
-    StoreError::Corrupt {
-        segment: segment.to_string(),
-        detail: detail.into(),
-    }
-}
-
-fn wire_err(segment: &str, e: lockdown_flow::wire::WireError) -> StoreError {
-    corrupt(segment, e.to_string())
-}
-
-/// Validate the trailer CRC and return `(footer_start, stored_crc)`.
-fn check_trailer(segment: &str, bytes: &[u8]) -> Result<(usize, u32), StoreError> {
+/// Validate the trailer CRC and return where the footer starts.
+fn check_trailer(segment: &str, bytes: &[u8]) -> Result<usize, StoreError> {
     if bytes.len() < 8 + TRAILER_LEN {
         return Err(corrupt(segment, "shorter than header + trailer"));
     }
@@ -304,11 +283,10 @@ fn check_trailer(segment: &str, bytes: &[u8]) -> Result<(usize, u32), StoreError
     }
     let flen_off = bytes.len() - TRAILER_LEN;
     let footer_len = u32::from_be_bytes(bytes[flen_off..crc_off].try_into().expect("4 bytes"));
-    let footer_start = flen_off
+    flen_off
         .checked_sub(footer_len as usize)
         .filter(|&s| s >= 8)
-        .ok_or_else(|| corrupt(segment, format!("bad footer length {footer_len}")))?;
-    Ok((footer_start, stored))
+        .ok_or_else(|| corrupt(segment, format!("bad footer length {footer_len}")))
 }
 
 fn parse_footer(segment: &str, bytes: &[u8]) -> Result<SegmentFooter, StoreError> {
@@ -332,48 +310,62 @@ fn parse_footer(segment: &str, bytes: &[u8]) -> Result<SegmentFooter, StoreError
             zones,
         })
     };
-    let footer = parse(&mut c).map_err(|e| wire_err(segment, e))?;
+    let footer = parse(&mut c).map_err(|e| StoreError::wire(segment, e))?;
     if c.remaining() != 0 {
         return Err(corrupt(segment, "trailing bytes after footer"));
     }
     Ok(footer)
 }
 
-/// Read only the footer (CRC-checked): what `store inspect`/`verify` use
-/// without materializing records.
-pub(crate) fn read_footer(segment: &str, bytes: &[u8]) -> Result<SegmentFooter, StoreError> {
-    let (footer_start, _) = check_trailer(segment, bytes)?;
-    parse_footer(segment, &bytes[footer_start..bytes.len() - TRAILER_LEN])
+/// A segment whose CRC checked and whose footer parsed, its columns not
+/// yet decoded: an index entry is compared with the footer before any
+/// column is read.
+pub(crate) struct Sealed<'a> {
+    /// The parsed footer.
+    pub(crate) footer: SegmentFooter,
+    body: &'a [u8],
 }
 
-/// Decode a segment into a fresh record vector: `decode_segment_into`
-/// for callers that keep no buffer.
+/// Check a segment's CRC and parse its footer: all `store
+/// inspect`/`verify` and scan pruning read.
+pub(crate) fn open_segment<'a>(segment: &str, bytes: &'a [u8]) -> Result<Sealed<'a>, StoreError> {
+    let footer_start = check_trailer(segment, bytes)?;
+    let footer = parse_footer(segment, &bytes[footer_start..bytes.len() - TRAILER_LEN])?;
+    Ok(Sealed {
+        footer,
+        body: &bytes[..footer_start],
+    })
+}
+
+/// Decode a segment into a fresh record vector.
 pub fn decode_segment(
     segment: &str,
     bytes: &[u8],
 ) -> Result<(Vec<FlowRecord>, SegmentFooter), StoreError> {
     let mut records = Vec::new();
-    let footer = decode_segment_into(segment, bytes, &mut records)?;
+    let footer = open_segment(segment, bytes)?.decode_into(segment, &mut records)?;
     Ok((records, footer))
 }
 
-/// Decode a segment into `out`, replacing its contents, one column at a
-/// time: `out` is sized to the footer's record count, then each column's
-/// loop writes its field into every record. Verifies the CRC, the
-/// header, the column directory, that every column carries exactly the
-/// footer's record count of in-range values, and that the footer is the
-/// one the records imply, so a decode that succeeds re-encodes to the
-/// same bytes. On error `out` is left empty.
-pub(crate) fn decode_segment_into(
-    segment: &str,
-    bytes: &[u8],
-    out: &mut Vec<FlowRecord>,
-) -> Result<SegmentFooter, StoreError> {
-    let decoded = decode_columns(segment, bytes, out);
-    if decoded.is_err() {
-        out.clear();
+impl Sealed<'_> {
+    /// Decode the columns into `out`, replacing its contents, one column
+    /// at a time: `out` is sized to the footer's record count once every
+    /// column's length agrees with it, then each column's unpack writes
+    /// its field into every record. Verifies the header, the column
+    /// directory, every frame's canonical form and range, and that the
+    /// footer is the one the records imply, so a decode that succeeds
+    /// re-encodes to the same bytes. On error `out` is left empty.
+    pub(crate) fn decode_into(
+        self,
+        segment: &str,
+        out: &mut Vec<FlowRecord>,
+    ) -> Result<SegmentFooter, StoreError> {
+        let decoded = decode_columns(segment, self.body, &self.footer, out);
+        if decoded.is_err() {
+            out.clear();
+        }
+        decoded.map(|()| self.footer)
     }
-    decoded
 }
 
 /// What every field of a record is before its column writes it.
@@ -397,124 +389,96 @@ const BLANK: FlowRecord = FlowRecord {
     direction: Direction::Unknown,
 };
 
+const DIRECTIONS: [Direction; 4] = [
+    Direction::Ingress,
+    Direction::Egress,
+    Direction::Unknown,
+    Direction::Unknown, // out of range, refused after the column's unpack
+];
+
 fn decode_columns(
     segment: &str,
-    bytes: &[u8],
+    body: &[u8],
+    footer: &SegmentFooter,
     out: &mut Vec<FlowRecord>,
-) -> Result<SegmentFooter, StoreError> {
-    let (footer_start, _) = check_trailer(segment, bytes)?;
-    let footer = parse_footer(segment, &bytes[footer_start..bytes.len() - TRAILER_LEN])?;
-    let n = usize::try_from(footer.records)
-        .map_err(|_| corrupt(segment, "record count exceeds usize"))?;
-    let [src_addr, dst_addr, src_port, dst_port, protocol, start, duration, bytes_col, packets, tcp_flags, input_if, output_if, src_as, dst_as, direction] =
-        column_directory(segment, &bytes[..footer_start])?;
-
-    // Every record takes at least one byte of the start column: a count
-    // the column cannot hold is corrupt, and is refused before it sizes
-    // the buffer.
-    if n > start.len() {
-        return Err(corrupt(
-            segment,
-            format!(
-                "{n} records cannot fit in a {}-byte start column",
-                start.len()
-            ),
-        ));
+) -> Result<(), StoreError> {
+    let cols = column_directory(segment, body)?;
+    let n = footer.records;
+    if n > MAX_SEGMENT_RECORDS {
+        let what = format!("{n} records exceed the segment limit of {MAX_SEGMENT_RECORDS}");
+        return Err(corrupt(segment, what));
     }
+    let n = n as usize;
+    let mut frames = [Frame::EMPTY; 15];
+    for ((frame, col), bytes) in frames.iter_mut().zip(ALL_COLUMNS).zip(cols) {
+        *frame = Frame::parse(segment, col, bytes, n)?;
+    }
+    let [src_addr, dst_addr, src_port, dst_port, protocol, start, duration, bytes_col, packets, tcp_flags, input_if, output_if, src_as, dst_as, direction] =
+        frames;
+
     out.clear();
     out.resize(n, BLANK);
     let out = &mut out[..];
-    fixed(segment, "src_addr", src_addr, out, |r, b: [u8; 4]| {
-        r.key.src_addr = Ipv4Addr::from(b);
-        true
+    let (u8s, u16s, u32s) = (u8::MAX.into(), u16::MAX.into(), u32::MAX.into());
+    // Narrow fields take the low bits here; `unpack` refuses the column
+    // afterwards if any value was wider than its field.
+    unpack(segment, src_addr, u32s, out, |r, v| {
+        r.key.src_addr = Ipv4Addr::from(v as u32)
     })?;
-    fixed(segment, "dst_addr", dst_addr, out, |r, b: [u8; 4]| {
-        r.key.dst_addr = Ipv4Addr::from(b);
-        true
+    unpack(segment, dst_addr, u32s, out, |r, v| {
+        r.key.dst_addr = Ipv4Addr::from(v as u32)
     })?;
-    varints(segment, "src_port", src_port, out, |r, v| {
-        u16::try_from(v).map(|v| r.key.src_port = v).is_ok()
+    let src_port_max = unpack(segment, src_port, u16s, out, |r, v| {
+        r.key.src_port = v as u16
     })?;
-    varints(segment, "dst_port", dst_port, out, |r, v| {
-        u16::try_from(v).map(|v| r.key.dst_port = v).is_ok()
+    let dst_port_max = unpack(segment, dst_port, u16s, out, |r, v| {
+        r.key.dst_port = v as u16
     })?;
-    fixed(segment, "protocol", protocol, out, |r, [b]| {
-        r.key.protocol = IpProtocol::from_number(b);
-        true
+    unpack(segment, protocol, u8s, out, |r, v| {
+        r.key.protocol = IpProtocol::from_number(v as u8)
     })?;
-    let mut prev = 0i64;
-    varints(segment, "start", start, out, |r, v| {
-        match prev.checked_add(unzigzag(v)).filter(|&s| s >= 0) {
-            Some(s) => {
-                prev = s;
-                r.start = Timestamp::from_unix(s as u64);
-                true
-            }
-            None => false,
-        }
+    unpack(segment, start, u64::MAX, out, |r, v| {
+        r.start = Timestamp::from_unix(v)
     })?;
-    varints(
-        segment,
-        "duration",
-        duration,
-        out,
-        |r, v| match (r.start.unix() as i64)
-            .checked_add(unzigzag(v))
-            .filter(|&e| e >= 0)
-        {
-            Some(e) => {
-                r.end = Timestamp::from_unix(e as u64);
-                true
-            }
-            None => false,
-        },
-    )?;
-    varints(segment, "bytes", bytes_col, out, |r, v| {
-        r.bytes = v;
-        true
+    let mut max_end = 0;
+    unpack(segment, duration, u64::MAX, out, |r, v| {
+        let end = r.start.unix().wrapping_add(unzigzag(v) as u64);
+        max_end = max_end.max(end);
+        r.end = Timestamp::from_unix(end);
     })?;
-    varints(segment, "packets", packets, out, |r, v| {
-        r.packets = v;
-        true
+    let bytes_max = unpack(segment, bytes_col, u64::MAX, out, |r, v| r.bytes = v)?;
+    let packets_max = unpack(segment, packets, u64::MAX, out, |r, v| r.packets = v)?;
+    unpack(segment, tcp_flags, u8s, out, |r, v| {
+        r.tcp_flags = TcpFlags(v as u8)
     })?;
-    fixed(segment, "tcp_flags", tcp_flags, out, |r, [b]| {
-        r.tcp_flags = TcpFlags(b);
-        true
+    unpack(segment, input_if, u16s, out, |r, v| r.input_if = v as u16)?;
+    unpack(segment, output_if, u16s, out, |r, v| r.output_if = v as u16)?;
+    unpack(segment, src_as, u32s, out, |r, v| r.src_as = v as u32)?;
+    unpack(segment, dst_as, u32s, out, |r, v| r.dst_as = v as u32)?;
+    unpack(segment, direction, 2, out, |r, v| {
+        r.direction = DIRECTIONS[v as usize & 3]
     })?;
-    varints(segment, "input_if", input_if, out, |r, v| {
-        u16::try_from(v).map(|v| r.input_if = v).is_ok()
-    })?;
-    varints(segment, "output_if", output_if, out, |r, v| {
-        u16::try_from(v).map(|v| r.output_if = v).is_ok()
-    })?;
-    varints(segment, "src_as", src_as, out, |r, v| {
-        u32::try_from(v).map(|v| r.src_as = v).is_ok()
-    })?;
-    varints(segment, "dst_as", dst_as, out, |r, v| {
-        u32::try_from(v).map(|v| r.dst_as = v).is_ok()
-    })?;
-    fixed(segment, "direction", direction, out, |r, [b]| {
-        r.direction = match b {
-            0 => Direction::Ingress,
-            1 => Direction::Egress,
-            2 => Direction::Unknown,
-            _ => return false,
-        };
-        true
-    })?;
-    if footer_of(out) != footer {
+
+    let zones = zones([
+        (bytes_col.min, bytes_max),
+        (packets.min, packets_max),
+        (src_port.min, src_port_max),
+        (dst_port.min, dst_port_max),
+    ]);
+    if footer.min_start != start.min || footer.max_end != max_end || footer.zones != zones {
         return Err(corrupt(segment, "footer does not match the records"));
     }
-    Ok(footer)
+    Ok(())
 }
 
 /// The header and the column directory of a segment's body: one byte
 /// slice per column, in [`ALL_COLUMNS`] order, the only order
-/// [`encode_segment`] writes.
+/// [`encode_segment`] writes. A header of another version is
+/// [`StoreError::Version`].
 fn column_directory<'a>(segment: &str, body: &'a [u8]) -> Result<[&'a [u8]; 15], StoreError> {
-    let we = |e| wire_err(segment, e);
+    let we = |e| StoreError::wire(segment, e);
     let mut c = Cursor::new(body);
-    let flags = read_container_header(&mut c, SEGMENT_MAGIC, SEGMENT_VERSION).map_err(we)?;
+    let flags = read_container_header(&mut c, SEGMENT_MAGIC, MANIFEST_VERSION).map_err(we)?;
     if flags != 0 {
         return Err(corrupt(
             segment,
@@ -546,104 +510,150 @@ fn column_directory<'a>(segment: &str, body: &'a [u8]) -> Result<[&'a [u8]; 15],
     Ok(cols)
 }
 
-/// Decode a varint column into one field of every record of `out`:
-/// `set` stores a value and says whether it is in its field's range.
-/// Columns of long values (three bytes a record or more, as byte and
-/// packet counts are) are read a word at a time; the rest a byte at a
-/// time, where a one-byte value takes the fast path.
-#[inline(always)]
-fn varints(
-    segment: &str,
-    name: &str,
-    col: &[u8],
-    out: &mut [FlowRecord],
-    set: impl FnMut(&mut FlowRecord, u64) -> bool,
-) -> Result<(), StoreError> {
-    if col.len() >= 3 * out.len() {
-        return varint_loop(segment, name, col, out, set, varint_word_at);
-    }
-    let read = |col: &[u8], pos: &mut usize| match col.get(*pos) {
-        Some(&b) if b < 0x80 => {
-            *pos += 1;
-            Some(u64::from(b))
-        }
-        _ => varint_at(col, pos),
+/// One column's frame of reference and its packed values.
+#[derive(Clone, Copy)]
+struct Frame<'a> {
+    col: Column,
+    min: u64,
+    width: u32,
+    packed: &'a [u8],
+}
+
+impl<'a> Frame<'a> {
+    const EMPTY: Frame<'static> = Frame {
+        col: Column::SrcAddr,
+        min: 0,
+        width: 0,
+        packed: &[],
     };
-    varint_loop(segment, name, col, out, set, read)
-}
 
-#[inline(always)]
-fn varint_loop(
-    segment: &str,
-    name: &str,
-    col: &[u8],
-    out: &mut [FlowRecord],
-    mut set: impl FnMut(&mut FlowRecord, u64) -> bool,
-    read: impl Fn(&[u8], &mut usize) -> Option<u64>,
-) -> Result<(), StoreError> {
-    let mut pos = 0;
-    for (i, r) in out.iter_mut().enumerate() {
-        let Some(v) = read(col, &mut pos) else {
-            return Err(bad_value(
-                segment,
-                name,
-                "a truncated or overlong varint",
-                i,
-            ));
+    /// Split a column into its frame and packed values, refusing a width
+    /// over 64 bits and any length other than `n` values of that width.
+    fn parse(segment: &str, col: Column, bytes: &'a [u8], n: usize) -> Result<Self, StoreError> {
+        let Some((head, packed)) = bytes.split_first_chunk::<FRAME_LEN>() else {
+            return Err(column_err(segment, col, "shorter than its frame"));
         };
-        if !set(r, v) {
-            return Err(out_of_range(segment, name, v, i));
+        let min = u64::from_be_bytes(head[..8].try_into().expect("8 bytes"));
+        let width = head[8];
+        if width > 64 {
+            return Err(column_err(segment, col, format!("{width}-bit values")));
         }
+        let want = packed_len(n, width.into());
+        if packed.len() != want {
+            let held = packed.len();
+            let what = format!("{held} bytes where {n} values of {width} bits take {want}");
+            return Err(column_err(segment, col, what));
+        }
+        Ok(Frame {
+            col,
+            min,
+            width: width.into(),
+            packed,
+        })
     }
-    if pos != col.len() {
-        return Err(longer_than_count(segment, name));
-    }
-    Ok(())
 }
 
-/// Decode a fixed-width column of `W`-byte values, as [`varints`] does.
+/// Unpack a column into one field of every record of `out`: `set` takes
+/// each value, `min` plus its offset, and the column's largest value is
+/// returned. The frame must be the one [`put_column`] writes and the
+/// values in `0..=limit`: some offset is 0 (or the segment is empty and
+/// `min` is 0), the width is the widest offset's, the spare bits are 0,
+/// and `min` plus the widest offset is at most `limit`. Each is checked
+/// once, after the loop.
 #[inline(always)]
-fn fixed<const W: usize>(
+fn unpack(
     segment: &str,
-    name: &str,
-    col: &[u8],
+    f: Frame<'_>,
+    limit: u64,
     out: &mut [FlowRecord],
-    mut set: impl FnMut(&mut FlowRecord, [u8; W]) -> bool,
-) -> Result<(), StoreError> {
-    if col.len() < W * out.len() {
-        let held = col.len() / W;
-        return Err(bad_value(segment, name, "the column's end", held));
-    }
-    if col.len() > W * out.len() {
-        return Err(longer_than_count(segment, name));
-    }
-    for (i, (r, w)) in out.iter_mut().zip(col.chunks_exact(W)).enumerate() {
-        if !set(r, w.try_into().expect("W bytes")) {
-            return Err(out_of_range(segment, name, w, i));
+    mut set: impl FnMut(&mut FlowRecord, u64),
+) -> Result<u64, StoreError> {
+    let (lo, hi) = match f.width {
+        0 => {
+            out.iter_mut().for_each(|r| set(r, f.min));
+            (0, 0)
         }
+        // A value and its shift fit one 8-byte load up to 56 bits.
+        1..=56 => unpack_bits::<8>(f, out, set),
+        _ => unpack_bits::<16>(f, out, set),
+    };
+    let spare = (out.len() * f.width as usize) % 8;
+    let fail = |what: String| Err(column_err(segment, f.col, what));
+    if out.is_empty() && f.min != 0 || !out.is_empty() && lo != 0 {
+        return fail(format!("no value is the frame's min {}", f.min));
     }
-    Ok(())
+    if bits(hi) != f.width {
+        return fail(format!("{}-bit frame of {}-bit offsets", f.width, bits(hi)));
+    }
+    if spare != 0 && f.packed.last().is_some_and(|b| b >> spare != 0) {
+        return fail("nonzero padding bits".to_string());
+    }
+    match f.min.checked_add(hi).filter(|&max| max <= limit) {
+        Some(max) => Ok(max),
+        None => fail(format!(
+            "value {} out of range",
+            u128::from(f.min) + u128::from(hi)
+        )),
+    }
 }
 
-#[cold]
-fn bad_value(segment: &str, name: &str, what: &str, record: usize) -> StoreError {
-    corrupt(segment, format!("column {name}: {what} at record {record}"))
+/// The unpack for widths of 1 to 64 bits, each value one `LOAD`-byte
+/// little-endian load at its byte and a shift. Values whose load lies
+/// inside the column read it in place; the last few read a zero-padded
+/// copy of its tail. Returns the smallest and largest offset.
+#[inline(always)]
+fn unpack_bits<const LOAD: usize>(
+    f: Frame<'_>,
+    out: &mut [FlowRecord],
+    mut set: impl FnMut(&mut FlowRecord, u64),
+) -> (u64, u64) {
+    let w = f.width as usize;
+    let fast = f
+        .packed
+        .len()
+        .checked_sub(LOAD)
+        .map_or(0, |room| out.len().min(room * 8 / w + 1));
+    let (head, tail) = out.split_at_mut(fast);
+    let from = fast * w / 8;
+    let mut pad = [0u8; 32];
+    pad[..f.packed.len() - from].copy_from_slice(&f.packed[from..]);
+    let (lo, hi) = unpack_run::<LOAD>(f, f.packed, 0, head, &mut set);
+    let (tail_lo, tail_hi) = unpack_run::<LOAD>(f, &pad, fast * w - from * 8, tail, &mut set);
+    (lo.min(tail_lo), hi.max(tail_hi))
 }
 
-/// Takes the value by value, so the hot loop never spills it for the
-/// message's sake.
+/// One loop of [`unpack_bits`]: `out`'s values, from bit `bit` of `src`.
+#[inline(always)]
+fn unpack_run<const LOAD: usize>(
+    f: Frame<'_>,
+    src: &[u8],
+    mut bit: usize,
+    out: &mut [FlowRecord],
+    set: &mut impl FnMut(&mut FlowRecord, u64),
+) -> (u64, u64) {
+    let mask = u64::MAX >> (64 - f.width);
+    let (mut lo, mut hi) = (u64::MAX, 0);
+    for r in out {
+        let at = bit / 8;
+        let word = match LOAD {
+            8 => u64::from_le_bytes(src[at..at + 8].try_into().expect("8 bytes")) >> (bit % 8),
+            _ => {
+                (u128::from_le_bytes(src[at..at + 16].try_into().expect("16 bytes")) >> (bit % 8))
+                    as u64
+            }
+        };
+        let d = word & mask;
+        (lo, hi) = (lo.min(d), hi.max(d));
+        set(r, f.min.wrapping_add(d));
+        bit += f.width as usize;
+    }
+    (lo, hi)
+}
+
 #[cold]
 #[inline(never)]
-fn out_of_range(segment: &str, name: &str, v: impl fmt::Debug, record: usize) -> StoreError {
-    corrupt(
-        segment,
-        format!("column {name}: value {v:?} out of range at record {record}"),
-    )
-}
-
-#[cold]
-fn longer_than_count(segment: &str, name: &str) -> StoreError {
-    corrupt(segment, format!("column {name} longer than record count"))
+fn column_err(segment: &str, col: Column, what: impl fmt::Display) -> StoreError {
+    corrupt(segment, format!("column {col:?}: {what}"))
 }
 
 #[cfg(test)]
@@ -652,160 +662,11 @@ mod tests {
     use lockdown_base::hash::SplitMix;
     use lockdown_base::prop::cases;
     use lockdown_flow::time::Date;
-
-    /// The per-record decoder the column-at-a-time one replaced, kept as
-    /// the differential reference. Never used outside tests: it casts
-    /// ports, interface indexes and AS numbers with `as`, so a value wider
-    /// than its field decodes truncated instead of failing.
-    fn reference_decode(
-        segment: &str,
-        bytes: &[u8],
-    ) -> Result<(Vec<FlowRecord>, SegmentFooter), StoreError> {
-        let (footer_start, _) = check_trailer(segment, bytes)?;
-        let footer = parse_footer(segment, &bytes[footer_start..bytes.len() - TRAILER_LEN])?;
-        let n = usize::try_from(footer.records)
-            .map_err(|_| corrupt(segment, "record count exceeds usize"))?;
-
-        let mut c = Cursor::new(&bytes[..footer_start]);
-        read_container_header(&mut c, SEGMENT_MAGIC, SEGMENT_VERSION)
-            .map_err(|e| wire_err(segment, e))?;
-        let ncols = c
-            .read_u8("column count")
-            .map_err(|e| wire_err(segment, e))?;
-
-        // Column payloads, collected by id so on-disk order is free to change.
-        let mut cols: [Option<Cursor<'_>>; 16] = Default::default();
-        for _ in 0..ncols {
-            let id = c.read_u8("column id").map_err(|e| wire_err(segment, e))?;
-            let len = c
-                .read_u32("column length")
-                .map_err(|e| wire_err(segment, e))? as usize;
-            let sub = c
-                .sub(len, "column bytes")
-                .map_err(|e| wire_err(segment, e))?;
-            let slot = cols
-                .get_mut(id as usize)
-                .ok_or_else(|| corrupt(segment, format!("unknown column id {id}")))?;
-            if slot.replace(sub).is_some() {
-                return Err(corrupt(segment, format!("duplicate column id {id}")));
-            }
-        }
-        if c.remaining() != 0 {
-            return Err(corrupt(segment, "trailing bytes after columns"));
-        }
-
-        let mut take = |col: Column| -> Result<Cursor<'_>, StoreError> {
-            cols[col as usize]
-                .take()
-                .ok_or_else(|| corrupt(segment, format!("missing column {col:?}")))
-        };
-        let mut src_addr = take(Column::SrcAddr)?;
-        let mut dst_addr = take(Column::DstAddr)?;
-        let mut src_port = take(Column::SrcPort)?;
-        let mut dst_port = take(Column::DstPort)?;
-        let mut protocol = take(Column::Protocol)?;
-        let mut start = take(Column::Start)?;
-        let mut duration = take(Column::Duration)?;
-        let mut bytes_col = take(Column::Bytes)?;
-        let mut packets = take(Column::Packets)?;
-        let mut tcp_flags = take(Column::TcpFlags)?;
-        let mut input_if = take(Column::InputIf)?;
-        let mut output_if = take(Column::OutputIf)?;
-        let mut src_as = take(Column::SrcAs)?;
-        let mut dst_as = take(Column::DstAs)?;
-        let mut direction = take(Column::Direction)?;
-
-        // Every record takes at least one byte of the start column: a count
-        // the column cannot hold is corrupt, and is refused before it sizes
-        // an allocation.
-        if n > start.remaining() {
-            return Err(corrupt(
-                segment,
-                format!(
-                    "{n} records cannot fit in a {}-byte start column",
-                    start.remaining()
-                ),
-            ));
-        }
-        let mut out = Vec::with_capacity(n);
-        let mut prev_start = 0i64;
-        for _ in 0..n {
-            let we = |e: lockdown_flow::wire::WireError| wire_err(segment, e);
-            let start_v = prev_start
-                .checked_add(unzigzag(get_varint(&mut start, "start delta").map_err(we)?))
-                .filter(|&v| v >= 0)
-                .ok_or_else(|| corrupt(segment, "start delta out of range"))?;
-            prev_start = start_v;
-            let dur = unzigzag(get_varint(&mut duration, "duration").map_err(we)?);
-            let end_v = (start_v)
-                .checked_add(dur)
-                .filter(|&v| v >= 0)
-                .ok_or_else(|| corrupt(segment, "duration out of range"))?;
-            let dir = match direction.read_u8("direction").map_err(we)? {
-                0 => Direction::Ingress,
-                1 => Direction::Egress,
-                2 => Direction::Unknown,
-                other => return Err(corrupt(segment, format!("bad direction {other}"))),
-            };
-            out.push(FlowRecord {
-                key: FlowKey {
-                    src_addr: Ipv4Addr::from(src_addr.read_u32("src_addr").map_err(we)?),
-                    dst_addr: Ipv4Addr::from(dst_addr.read_u32("dst_addr").map_err(we)?),
-                    src_port: get_varint(&mut src_port, "src_port").map_err(we)? as u16,
-                    dst_port: get_varint(&mut dst_port, "dst_port").map_err(we)? as u16,
-                    protocol: IpProtocol::from_number(protocol.read_u8("protocol").map_err(we)?),
-                },
-                start: Timestamp::from_unix(start_v as u64),
-                end: Timestamp::from_unix(end_v as u64),
-                bytes: get_varint(&mut bytes_col, "bytes").map_err(we)?,
-                packets: get_varint(&mut packets, "packets").map_err(we)?,
-                tcp_flags: TcpFlags(tcp_flags.read_u8("tcp_flags").map_err(we)?),
-                input_if: get_varint(&mut input_if, "input_if").map_err(we)? as u16,
-                output_if: get_varint(&mut output_if, "output_if").map_err(we)? as u16,
-                src_as: get_varint(&mut src_as, "src_as").map_err(we)? as u32,
-                dst_as: get_varint(&mut dst_as, "dst_as").map_err(we)? as u32,
-                direction: dir,
-            });
-        }
-        for (cur, name) in [
-            (&src_addr, "src_addr"),
-            (&dst_addr, "dst_addr"),
-            (&src_port, "src_port"),
-            (&dst_port, "dst_port"),
-            (&protocol, "protocol"),
-            (&start, "start"),
-            (&duration, "duration"),
-            (&bytes_col, "bytes"),
-            (&packets, "packets"),
-            (&tcp_flags, "tcp_flags"),
-            (&input_if, "input_if"),
-            (&output_if, "output_if"),
-            (&src_as, "src_as"),
-            (&dst_as, "dst_as"),
-            (&direction, "direction"),
-        ] {
-            if cur.remaining() != 0 {
-                return Err(corrupt(
-                    segment,
-                    format!("column {name} longer than record count"),
-                ));
-            }
-        }
-        Ok((out, footer))
-    }
-
-    /// Re-stamp the trailing CRC over the bytes before it, so a mutation
-    /// gets past the CRC and reaches the column decoder.
-    fn restamp(bytes: &mut [u8]) {
-        if let Some(crc_off) = bytes.len().checked_sub(4) {
-            let crc = crc32(&bytes[..crc_off]);
-            bytes[crc_off..].copy_from_slice(&crc.to_be_bytes());
-        }
-    }
+    use std::ops::Range;
 
     /// Byte offsets of every column's length field and of its bytes, in
     /// on-disk order.
-    fn directory(bytes: &[u8]) -> Vec<(usize, std::ops::Range<usize>)> {
+    fn directory(bytes: &[u8]) -> Vec<(usize, Range<usize>)> {
         let mut pos = 9; // container header + column count
         (0..bytes[8])
             .map(|_| {
@@ -817,8 +678,106 @@ mod tests {
             .collect()
     }
 
+    /// Column `c`'s (an index into [`ALL_COLUMNS`]) frame and its `n`
+    /// offsets, read one bit at a time.
+    fn offsets(bytes: &[u8], c: usize, n: usize) -> (u64, u32, Vec<u64>) {
+        let col = &bytes[directory(bytes)[c].1.clone()];
+        let (min, width) = (u64::from_be_bytes(col[..8].try_into().unwrap()), col[8]);
+        let packed = &col[FRAME_LEN..];
+        let bit = |at: usize| u64::from((packed[at / 8] >> (at % 8)) & 1);
+        let w = usize::from(width);
+        let offsets = (0..n)
+            .map(|i| (0..w).fold(0, |d, k| d | (bit(i * w + k) << k)))
+            .collect();
+        (min, width.into(), offsets)
+    }
+
+    /// The scalar reference: every column read one bit at a time, then
+    /// the records assembled from them. Never used outside tests: it
+    /// checks no frame and casts narrow fields with `as`, so a value
+    /// wider than its field decodes truncated instead of failing.
+    fn reference_decode(bytes: &[u8]) -> (Vec<FlowRecord>, SegmentFooter) {
+        let footer = open_segment("reference", bytes).unwrap().footer;
+        let n = footer.records as usize;
+        let cols: Vec<Vec<u64>> = (0..ALL_COLUMNS.len())
+            .map(|c| {
+                let (min, _, offsets) = offsets(bytes, c, n);
+                offsets.into_iter().map(|d| min.wrapping_add(d)).collect()
+            })
+            .collect();
+        let records = (0..n)
+            .map(|i| {
+                let v = |col: Column| cols[col as usize - 1][i];
+                let start = v(Column::Start);
+                FlowRecord {
+                    key: FlowKey {
+                        src_addr: Ipv4Addr::from(v(Column::SrcAddr) as u32),
+                        dst_addr: Ipv4Addr::from(v(Column::DstAddr) as u32),
+                        src_port: v(Column::SrcPort) as u16,
+                        dst_port: v(Column::DstPort) as u16,
+                        protocol: IpProtocol::from_number(v(Column::Protocol) as u8),
+                    },
+                    start: Timestamp::from_unix(start),
+                    end: Timestamp::from_unix(
+                        start.wrapping_add(unzigzag(v(Column::Duration)) as u64),
+                    ),
+                    bytes: v(Column::Bytes),
+                    packets: v(Column::Packets),
+                    tcp_flags: TcpFlags(v(Column::TcpFlags) as u8),
+                    input_if: v(Column::InputIf) as u16,
+                    output_if: v(Column::OutputIf) as u16,
+                    src_as: v(Column::SrcAs) as u32,
+                    dst_as: v(Column::DstAs) as u32,
+                    direction: match v(Column::Direction) {
+                        0 => Direction::Ingress,
+                        1 => Direction::Egress,
+                        _ => Direction::Unknown,
+                    },
+                }
+            })
+            .collect();
+        (records, footer)
+    }
+
+    /// Re-stamp the trailing CRC over the bytes before it, so a mutation
+    /// gets past the CRC and reaches the column decoder.
+    fn restamp(bytes: &mut [u8]) {
+        if let Some(crc_off) = bytes.len().checked_sub(4) {
+            let crc = crc32(&bytes[..crc_off]);
+            bytes[crc_off..].copy_from_slice(&crc.to_be_bytes());
+        }
+    }
+
+    /// `bytes` with column `c`'s bytes replaced by `col`, its length
+    /// field fixed and the CRC re-stamped.
+    fn with_column(bytes: &[u8], c: usize, col: &[u8]) -> Vec<u8> {
+        let (len_at, at) = directory(bytes)[c].clone();
+        let len = (col.len() as u32).to_be_bytes();
+        let mut out = [&bytes[..len_at], &len, col, &bytes[at.end..]].concat();
+        restamp(&mut out);
+        out
+    }
+
+    /// `bytes` with column `c` packed again as `min | width | offsets`.
+    fn repack(bytes: &[u8], c: usize, min: u64, width: u32, offsets: &[u64]) -> Vec<u8> {
+        let mut col = Vec::new();
+        pack(&mut col, min, width, offsets.iter().copied());
+        with_column(bytes, c, &col)
+    }
+
+    /// Decode as the archive does, into a buffer that may hold records.
+    fn decode_into(
+        segment: &str,
+        bytes: &[u8],
+        out: &mut Vec<FlowRecord>,
+    ) -> Result<SegmentFooter, StoreError> {
+        open_segment(segment, bytes)
+            .inspect_err(|_| out.clear())?
+            .decode_into(segment, out)
+    }
+
     /// A value of up to `bits` bits; half of them use every bit, so each
-    /// varint column holds values of its field's full width.
+    /// column holds values of its field's full width.
     fn magnitude(rng: &mut SplitMix, bits: u64) -> u64 {
         let bits = if rng.chance(0.5) {
             bits
@@ -833,8 +792,8 @@ mod tests {
 
     /// `n` records, every field drawn: starts wander in small steps of
     /// either sign, a few durations are negative (the format holds them; the
-    /// builder would refuse them), and each varint field
-    /// spans one byte to its full width.
+    /// builder would refuse them), and each integer field
+    /// spans one bit to its full width.
     fn random_cell(rng: &mut SplitMix, n: usize) -> Vec<FlowRecord> {
         let mut t = 1_584_000_000 + rng.below(1 << 20) as i64;
         (0..n)
@@ -902,6 +861,14 @@ mod tests {
             .collect()
     }
 
+    /// The `Corrupt` detail of a decode that must fail, naming `segment`.
+    fn refusal(segment: &str, bytes: &[u8]) -> String {
+        match decode_segment(segment, bytes) {
+            Err(StoreError::Corrupt { segment: s, detail }) if s == segment => detail,
+            other => panic!("expected a named corruption, got {other:?}"),
+        }
+    }
+
     #[test]
     fn roundtrip_is_exact() {
         let records = sample(500);
@@ -917,6 +884,9 @@ mod tests {
             footer.max_end,
             records.iter().map(|r| r.end.unix()).max().unwrap()
         );
+        // These starts span 500 s: a 9-bit frame.
+        let (_, width, _) = offsets(&bytes, Column::Start as usize - 1, 500);
+        assert_eq!(width, 9);
     }
 
     #[test]
@@ -932,21 +902,12 @@ mod tests {
     fn zone_maps_cover_column_ranges() {
         let records = sample(64);
         let bytes = encode_segment(&records);
-        let footer = read_footer("test", &bytes).unwrap();
-        let zone = |c: Column| {
-            footer
-                .zones
-                .iter()
-                .find(|z| z.col == c as u8)
-                .copied()
-                .unwrap()
-        };
-        let b = zone(Column::Bytes);
+        let footer = open_segment("test", &bytes).unwrap().footer;
+        let b = footer.zone(Column::Bytes).unwrap();
         assert_eq!(b.min, records.iter().map(|r| r.bytes).min().unwrap());
         assert_eq!(b.max, records.iter().map(|r| r.bytes).max().unwrap());
-        let p = zone(Column::DstPort);
-        assert_eq!(p.min, 443);
-        assert_eq!(p.max, 4500);
+        let p = footer.zone(Column::DstPort).unwrap();
+        assert_eq!((p.min, p.max), (443, 4500));
     }
 
     #[test]
@@ -966,10 +927,11 @@ mod tests {
     }
 
     #[test]
-    fn a_record_count_the_columns_cannot_hold_is_corrupt_not_an_abort() {
-        // An empty segment whose footer, CRC and all, claims 2^40 records.
+    fn a_record_count_past_the_limit_is_corrupt_and_allocates_nothing() {
+        // An empty segment, every column 0 bits wide, whose footer claims
+        // 2^40 records, CRC and all: no column's length can refuse it.
         let empty = encode_segment(&[]);
-        let (footer_start, _) = check_trailer("empty", &empty).unwrap();
+        let footer_start = check_trailer("empty", &empty).unwrap();
         let mut bytes = empty[..footer_start].to_vec();
         put_varint(&mut bytes, 1 << 40);
         put_varint(&mut bytes, 0);
@@ -978,22 +940,73 @@ mod tests {
         bytes.put_u32_be((bytes.len() - footer_start) as u32);
         let crc = crc32(&bytes);
         bytes.put_u32_be(crc);
-        assert_eq!(read_footer("huge", &bytes).unwrap().records, 1 << 40);
-        match decode_segment("huge", &bytes) {
+        assert_eq!(
+            open_segment("huge", &bytes).unwrap().footer.records,
+            1 << 40
+        );
+        let mut out = Vec::new();
+        match decode_into("huge", &bytes, &mut out) {
             Err(StoreError::Corrupt { segment, detail }) => {
                 assert_eq!(segment, "huge");
-                assert!(detail.contains("1099511627776 records"), "{detail}");
+                assert!(detail.contains("1099511627776 records exceed"), "{detail}");
             }
             other => panic!("expected a named corruption, got {other:?}"),
+        }
+        assert_eq!(out.capacity(), 0);
+    }
+
+    #[test]
+    fn a_segment_of_another_version_is_refused_by_version() {
+        let mut bytes = encode_segment(&sample(3));
+        bytes[4..6].copy_from_slice(&2u16.to_be_bytes());
+        restamp(&mut bytes);
+        assert_eq!(
+            decode_segment("seg-v2", &bytes).unwrap_err(),
+            StoreError::Version {
+                file: "seg-v2".into(),
+                found: 2
+            }
+        );
+    }
+
+    #[test]
+    fn every_width_from_0_to_64_roundtrips() {
+        // The bytes column spans exactly `width` bits, 0 and u64::MAX
+        // together at 64, with the other counter columns at other widths;
+        // the counts put the last value inside the 8- and 16-byte loads'
+        // padded tail and past it.
+        let mut out = Vec::new();
+        for width in 0..=64u32 {
+            for n in [1u32, 2, 7, 8, 9, 17, 64, 129] {
+                let mut records = sample(n);
+                let top = u64::MAX >> (64 - width.max(1));
+                let base = if width == 64 { 0 } else { 3 << 40 };
+                for (i, r) in records.iter_mut().enumerate() {
+                    r.bytes = match (width, i) {
+                        (0, _) => base,
+                        (_, 0) => base,
+                        (_, 1) => base + top,
+                        _ => base + (top / 3).wrapping_mul(i as u64) % top.max(1),
+                    };
+                    r.packets = u64::MAX - r.bytes / 5;
+                }
+                let bytes = encode_segment(&records);
+                let (_, stored, _) = offsets(&bytes, Column::Bytes as usize - 1, n as usize);
+                let want = if n == 1 { 0 } else { width };
+                assert_eq!(stored, want, "{width} bits, {n} records");
+                let footer = decode_into("w", &bytes, &mut out).unwrap();
+                assert_eq!(out, records, "{width} bits, {n} records");
+                assert_eq!((out.clone(), footer), reference_decode(&bytes));
+            }
         }
     }
 
     #[test]
-    fn column_decoder_equals_the_per_record_reference() {
+    fn column_decoder_equals_the_bitwise_reference() {
         let check = |records: &[FlowRecord], out: &mut Vec<FlowRecord>| {
             let bytes = encode_segment(records);
-            let (reference, reference_footer) = reference_decode("cell", &bytes).unwrap();
-            let footer = decode_segment_into("cell", &bytes, out).unwrap();
+            let (reference, reference_footer) = reference_decode(&bytes);
+            let footer = decode_into("cell", &bytes, out).unwrap();
             assert_eq!(*out, reference);
             assert_eq!(*out, records);
             assert_eq!(footer, reference_footer);
@@ -1001,7 +1014,7 @@ mod tests {
         };
         let mut rng = SplitMix::new(0x5E6);
         let mut out = random_cell(&mut rng, 5);
-        assert!(check(&[], &mut out) < 200);
+        assert!(check(&[], &mut out) < 300);
         check(&random_cell(&mut rng, 1), &mut out);
         assert!(check(&random_cell(&mut rng, 4_000), &mut out) > 64 * 1024);
         // A dirty buffer of any length is replaced, never appended to.
@@ -1020,18 +1033,26 @@ mod tests {
 
     #[test]
     fn restamped_mutations_are_named_errors_or_identical_decodes() {
+        // Byte-level damage, and frames rewritten against each canonical
+        // rule in turn: a min no value reaches, a width wider than the
+        // offsets need, set padding bits, pad bytes, and a value past its
+        // field's range. Each rule's mutants decode to the same records
+        // when the rule is not checked, and re-encode differently.
         cases(4_000, |rng, size| {
             let segment = |rng: &mut SplitMix| {
                 let n = rng.below(4 * size as u64) as usize;
                 encode_segment(&random_cell(rng, n))
             };
             let (a, b) = (segment(rng), segment(rng));
+            let n = open_segment("a", &a).unwrap().footer.records as usize;
+            let cols = directory(&a);
+            let c = rng.below(cols.len() as u64) as usize;
+            let within = cols[c].1.clone();
+            let (min, width, mut offs) = offsets(&a, c, n);
             let mut m = a.clone();
-            match rng.below(5) {
+            match rng.below(10) {
                 0 => {
-                    // Anywhere, or inside one column's values.
-                    let cols = directory(&a);
-                    let (_, within) = &cols[rng.below(cols.len() as u64) as usize];
+                    // Anywhere, or inside one column's bytes.
                     let at = match rng.chance(0.5) && !within.is_empty() {
                         true => rng.range(within.start as u64..within.end as u64),
                         false => rng.below(a.len() as u64),
@@ -1048,80 +1069,151 @@ mod tests {
                 }
                 3 => {
                     // A column length, or the footer length in the trailer.
-                    let mut fields: Vec<usize> = directory(&a).iter().map(|(at, _)| *at).collect();
+                    let mut fields: Vec<usize> = cols.iter().map(|(at, _)| *at).collect();
                     fields.push(a.len() - TRAILER_LEN);
                     let at = rng.pick(&fields);
                     let len = u32::from_be_bytes(m[at..at + 4].try_into().unwrap());
                     let inflated = len.wrapping_add(rng.range(1..300) as u32);
                     m[at..at + 4].copy_from_slice(&inflated.to_be_bytes());
                 }
-                _ => {
+                4 => {
                     let (i, j) = (rng.below(a.len() as u64), rng.below(b.len() as u64));
                     m = [&a[..i as usize], &b[j as usize..]].concat();
+                }
+                5 => {
+                    // The min lowered, every offset raised to match.
+                    let most = 1 << rng.range(1..40);
+                    let k = rng.range(1..most).min(min);
+                    let top = offs.iter().max().map_or(0, |&d| d.saturating_add(k));
+                    offs.iter_mut().for_each(|d| *d = d.saturating_add(k));
+                    m = repack(&a, c, min - k, bits(top), &offs);
+                }
+                6 => {
+                    // The same offsets, wider.
+                    let wider = rng.range(u64::from(width) + 1..66).min(64) as u32;
+                    m = repack(&a, c, min, wider, &offs);
+                }
+                7 => {
+                    // Any spare bit of the last byte set.
+                    let spare = (n * width as usize % 8) as u64;
+                    if spare != 0 {
+                        m[within.end - 1] |= 1 << rng.range(spare..8);
+                    }
+                }
+                8 => {
+                    // Bytes after the last value, the length grown to match.
+                    let pad: Vec<u8> = (0..rng.range(1..9))
+                        .map(|_| rng.next_u64() as u8 & rng.pick(&[0, 0xFF]))
+                        .collect();
+                    m = with_column(&a, c, &[&a[within.clone()], &pad].concat());
+                }
+                _ => {
+                    // One value past 2^(field bits), framed canonically.
+                    let mut values: Vec<u64> = offs.iter().map(|d| min + d).collect();
+                    if let Some(v) = values.get_mut(rng.below(n as u64 + 1) as usize) {
+                        *v = magnitude(rng, 64) | 1 << rng.range(8..64);
+                    }
+                    let lo = values.iter().copied().min().unwrap_or(0);
+                    let top = values.iter().map(|v| v - lo).max().unwrap_or(0);
+                    let offs: Vec<u64> = values.iter().map(|v| v - lo).collect();
+                    m = repack(&a, c, lo, bits(top), &offs);
                 }
             }
             restamp(&mut m);
             let mut out = Vec::new();
-            match decode_segment_into("mutant", &m, &mut out) {
+            match decode_into("mutant", &m, &mut out) {
                 Ok(_) => assert_eq!(encode_segment(&out), m, "a decode that does not re-encode"),
-                Err(StoreError::Corrupt { segment, .. }) => {
+                Err(
+                    StoreError::Corrupt { segment, .. } | StoreError::Version { file: segment, .. },
+                ) => {
                     assert_eq!(segment, "mutant");
                     assert!(out.is_empty(), "a failed decode left records behind");
                 }
-                Err(e) => panic!("not a named corruption: {e:?}"),
+                Err(e) => panic!("not a named refusal: {e:?}"),
             }
         });
     }
 
+    /// One refusal per canonical rule, on column `SrcAs` of a 5-record
+    /// cell whose values are 64 496..=64 500: a 3-bit frame at min 64 496.
+    #[test]
+    fn each_frame_rule_refuses_by_name() {
+        let bytes = encode_segment(&sample(5));
+        let c = Column::SrcAs as usize - 1;
+        let (min, width, offs) = offsets(&bytes, c, 5);
+        assert_eq!((min, width, &offs[..]), (64_496, 3, &[0, 1, 2, 3, 4][..]));
+        let up: Vec<u64> = offs.iter().map(|d| d + 1).collect();
+        let (_, at) = directory(&bytes)[c].clone();
+        let mut padding = bytes.clone();
+        padding[at.end - 1] |= 0x80; // 15 bits of 16 hold values
+        restamp(&mut padding);
+        let padded = with_column(&bytes, c, &[&bytes[at.clone()], &[0][..]].concat());
+        let short = with_column(&bytes, c, &bytes[at.start..at.start + FRAME_LEN - 1]);
+        let mut wide = bytes.clone();
+        wide[at.start + 8] = 65;
+        restamp(&mut wide);
+        let cases: [(Vec<u8>, &str); 7] = [
+            (
+                repack(&bytes, c, min - 1, 3, &up),
+                "no value is the frame's min 64495",
+            ),
+            (
+                repack(&bytes, c, min, 4, &offs),
+                "4-bit frame of 3-bit offsets",
+            ),
+            (padding, "nonzero padding bits"),
+            (padded, "3 bytes where 5 values of 3 bits take 2"),
+            (short, "shorter than its frame"),
+            (wide, "65-bit values"),
+            (
+                repack(&bytes, c, u64::from(u32::MAX) - 3, 3, &offs),
+                "value 4294967296 out of range",
+            ),
+        ];
+        for (bad, want) in cases {
+            let detail = refusal("rule", &bad);
+            assert_eq!(detail, format!("column SrcAs: {want}"));
+        }
+        // An empty segment's frames are all `0 | 0`.
+        let empty = encode_segment(&[]);
+        let c = Column::DstAs as usize - 1;
+        assert_eq!(
+            refusal("rule", &repack(&empty, c, 7, 0, &[])),
+            "column DstAs: no value is the frame's min 7"
+        );
+    }
+
     #[test]
     fn a_value_wider_than_its_field_is_corrupt_not_truncated() {
-        // One record with the field at its maximum; the column's one
-        // varint is rewritten to `maximum + 4465`, which has the same
-        // length, and the CRC re-stamped.
-        type Field = (Column, &'static str, u64, fn(&mut FlowRecord));
-        let fields: [Field; 6] = [
-            (Column::SrcPort, "src_port", 65_535, |r| {
-                r.key.src_port = u16::MAX
+        // One record with the field at its maximum; the column is framed
+        // again at `maximum + 4465` and the CRC re-stamped.
+        type Field = (Column, u64, fn(&mut FlowRecord));
+        let fields: [Field; 9] = [
+            (Column::SrcAddr, u32::MAX.into(), |r| {
+                r.key.src_addr = Ipv4Addr::BROADCAST
             }),
-            (Column::DstPort, "dst_port", 65_535, |r| {
-                r.key.dst_port = u16::MAX
+            (Column::SrcPort, 65_535, |r| r.key.src_port = u16::MAX),
+            (Column::DstPort, 65_535, |r| r.key.dst_port = u16::MAX),
+            (Column::Protocol, 255, |r| {
+                r.key.protocol = IpProtocol::from_number(255)
             }),
-            (Column::InputIf, "input_if", 65_535, |r| {
-                r.input_if = u16::MAX
-            }),
-            (Column::OutputIf, "output_if", 65_535, |r| {
-                r.output_if = u16::MAX
-            }),
-            (Column::SrcAs, "src_as", u64::from(u32::MAX), |r| {
-                r.src_as = u32::MAX
-            }),
-            (Column::DstAs, "dst_as", u64::from(u32::MAX), |r| {
-                r.dst_as = u32::MAX
-            }),
+            (Column::InputIf, 65_535, |r| r.input_if = u16::MAX),
+            (Column::OutputIf, 65_535, |r| r.output_if = u16::MAX),
+            (Column::SrcAs, u32::MAX.into(), |r| r.src_as = u32::MAX),
+            (Column::DstAs, u32::MAX.into(), |r| r.dst_as = u32::MAX),
+            (Column::Direction, 2, |r| r.direction = Direction::Unknown),
         ];
-        for (col, name, max, set) in fields {
+        for (col, max, set) in fields {
             let mut records = sample(1);
             set(&mut records[0]);
-            let mut bytes = encode_segment(&records);
-            let (_, at) =
-                directory(&bytes)[ALL_COLUMNS.iter().position(|&c| c == col).unwrap()].clone();
-            let mut wide = Vec::new();
-            put_varint(&mut wide, max + 4_465);
-            assert_eq!(wide.len(), at.len(), "{name}");
-            bytes[at].copy_from_slice(&wide);
-            restamp(&mut bytes);
-            // The per-record reference keeps the low bits: 70 000 as u16
-            // is 4 464, and the decode no longer re-encodes.
-            let (truncated, _) = reference_decode("wide", &bytes).unwrap();
-            assert_ne!(encode_segment(&truncated), bytes, "{name}");
-            match decode_segment("wide", &bytes) {
-                Err(StoreError::Corrupt { segment, detail }) => {
-                    assert_eq!(segment, "wide");
-                    let want = format!("column {name}: value {} out of range", max + 4_465);
-                    assert!(detail.contains(&want), "{detail}");
-                }
-                other => panic!("{name}: expected a named corruption, got {other:?}"),
-            }
+            let bytes = encode_segment(&records);
+            let bytes = repack(&bytes, col as usize - 1, max + 4_465, 0, &[0]);
+            // The reference keeps the low bits (70 000 as u16 is 4 464),
+            // and that decode no longer re-encodes.
+            let (truncated, _) = reference_decode(&bytes);
+            assert_ne!(encode_segment(&truncated), bytes, "{col:?}");
+            let want = format!("column {col:?}: value {} out of range", max + 4_465);
+            assert_eq!(refusal("wide", &bytes), want);
         }
     }
 

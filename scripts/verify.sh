@@ -52,6 +52,10 @@ said_once "a per-flow registry probe" '.host_addr(' crates/dns/src/ crates/topol
 # through store::archive::{put_entry, read_entry} instead of a second
 # encoding of its own.
 said_once "the segment-entry wire form" '"segment pack tag"' crates/store/src/
+# One column unpacker: every segment column is a frame of reference read
+# by the fixed-width unpack in store::segment; a second bit reader beside
+# it would be a second segment format.
+said_once "the segment column unpacker" 'fn unpack_bits' crates/store/src/segment.rs
 if grep -rn --include='*.rs' 'HashMap' crates/traffic/src >&2; then
     echo "said-once: a hash map is back under crates/traffic/src (resolve pools in Picker::new)" >&2
     exit 1

@@ -8,7 +8,7 @@
 
 use lockdown::core::engine::{self, EnginePlan};
 use lockdown::core::{Context, Fidelity};
-use lockdown::store::segment::{decode_segment, encode_segment};
+use lockdown::store::segment::decode_segment;
 use lockdown::store::{
     ArchiveReader, ArchiveWriter, SegmentMeta, StoreError, StoreKey, StoreMetrics, MANIFEST_NAME,
     MANIFEST_VERSION, PACKS_DIR,
@@ -135,12 +135,12 @@ fn warm_replay_is_byte_identical_and_generates_nothing() {
 /// before the CRC-32 went eight bytes a step (four cells cut to 67, 8, 0
 /// and 21 records, so segment lengths fall on either side of the
 /// stride), in the version-1 layout of one file per cell. Today's reader
-/// refuses its manifest by version, by name; its segments are the bytes
-/// a day pack holds, so each must still pass its checksum and come back
-/// bit for bit from today's encoder: neither the segment format nor a
-/// CRC value has moved.
+/// refuses its manifest by version, by name. Its segments hold the
+/// version-1 column encodings: each must still pass its checksum, so no
+/// CRC value has moved, and a decode refuses it by version, by name,
+/// instead of misreading its columns.
 #[test]
-fn v1_archive_is_refused_by_version_and_its_segments_re_encode_bit_for_bit() {
+fn v1_archive_and_its_segments_are_refused_by_version() {
     let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/archive-pr15");
     let err = ArchiveReader::open(&fixture, StoreMetrics::new()).expect_err("a v1 manifest");
     assert_eq!(
@@ -156,19 +156,21 @@ fn v1_archive_is_refused_by_version_and_its_segments_re_encode_bit_for_bit() {
         .map(|e| e.expect("dir entry").path())
         .collect();
     segments.sort();
-    let mut records = Vec::new();
+    assert_eq!(segments.len(), 4);
     for path in segments {
         let bytes = std::fs::read(&path).expect("fixture segment");
-        let (flows, _) = decode_segment("fixture", &bytes).expect("segment CRC accepted");
-        records.push(flows.len());
+        let (body, crc) = bytes.split_at(bytes.len() - 4);
+        assert_eq!(crc32(body).to_be_bytes(), crc, "{}", path.display());
         assert_eq!(
-            encode_segment(&flows),
-            bytes,
-            "{} re-encodes differently",
+            decode_segment("fixture", &bytes).expect_err("a v1 segment"),
+            StoreError::Version {
+                file: "fixture".to_string(),
+                found: 1
+            },
+            "{}",
             path.display()
         );
     }
-    assert_eq!(records, [67, 8, 0, 21]);
 }
 
 /// The manifest entries of the archive at `dir`.

@@ -466,7 +466,7 @@ fn store_subcommand_validates_input() {
         assert!(out.stdout.is_empty(), "{action}");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(
-            err.contains("manifest.lks is format version 1; this build reads version 2"),
+            err.contains("manifest.lks is format version 1; this build reads version 3"),
             "{action}: {err}"
         );
     }
