@@ -6,7 +6,7 @@
 //! IPsec payloads (Appendix B's VPN class).
 //!
 //! Method 2 (domain-based): TCP/443 flows to addresses identified by the
-//! `lockdown-dns` `*vpn*` procedure. The paper's finding — reproduced by
+//! `topology::dns` `*vpn*` procedure. The paper's finding — reproduced by
 //! Fig. 10 — is that method 1 shows almost no change across the lockdown
 //! while method 2 surfaces a >200% working-hours increase, because
 //! enterprise SSL-VPN rides TCP/443 where port-based counting cannot see
@@ -37,7 +37,7 @@ pub struct VpnClassifier {
 
 impl VpnClassifier {
     /// Build from the candidate VPN endpoint set produced by
-    /// [`lockdown_dns::vpn::identify_vpn_ips`].
+    /// [`lockdown_topology::dns::vpn::identify_vpn_ips`].
     pub fn new(vpn_ips: BTreeSet<Ipv4Addr>) -> VpnClassifier {
         VpnClassifier { vpn_ips }
     }

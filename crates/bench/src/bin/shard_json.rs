@@ -7,11 +7,12 @@
 //! Workers here are protocol-serving threads on loopback listeners (the
 //! same topology the shard integration tests use), so the numbers
 //! isolate the shard layer itself — framing, state streaming, merge —
-//! from process spawn cost. Every pass is cold (no archive) and every
-//! worker's engine uses the machine's full core budget, so wall clock
-//! does not *drop* with more workers on a saturated machine; the
-//! interesting numbers are the coordination overhead vs the baseline
-//! and the reassignment penalty under chaos.
+//! from process spawn cost. Every pass is cold (no archive). The
+//! single-process baseline uses every core, while each worker runs its
+//! slice on one engine thread, so wall clock drops with more workers
+//! only up to the machine's core count; the interesting numbers are the
+//! coordination overhead vs the baseline and the reassignment penalty
+//! under chaos.
 //!
 //! Usage: `cargo run --release -p lockdown-bench --bin shard_json
 //! [--fidelity test|standard]` (prints to stdout).

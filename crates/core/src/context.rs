@@ -3,9 +3,9 @@
 
 use lockdown_analysis::appclass::Classifier;
 use lockdown_base::hash::fold;
-use lockdown_dns::corpus::{synthesize, Corpus};
-use lockdown_dns::vpn::identify_vpn_ips;
 use lockdown_scenario::measures::ScenarioSpec;
+use lockdown_topology::dns::corpus::{synthesize, Corpus};
+use lockdown_topology::dns::vpn::identify_vpn_ips;
 use lockdown_topology::registry::Registry;
 use lockdown_traffic::config::GeneratorConfig;
 use lockdown_traffic::edu_gen::EduGenerator;

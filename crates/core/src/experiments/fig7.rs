@@ -1,6 +1,6 @@
-//! Fig. 7 — top application ports at ISP-CE and IXP-CE: hourly volume per
-//! port for three weeks, split workday/weekend, TCP/443 and TCP/80
-//! excluded for readability (§4).
+//! Fig. 7 — top application ports at ISP-CE and IXP-CE: each port's total
+//! volume in the February, March and April weeks and its growth over
+//! February, TCP/443 and TCP/80 excluded for readability (§4).
 
 use crate::context::Context;
 use crate::engine::{self, Demand, EngineOutput, EnginePlan};

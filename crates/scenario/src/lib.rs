@@ -46,16 +46,3 @@ pub mod edu;
 pub mod measures;
 pub mod phases;
 pub mod toml;
-
-/// Convenient glob-import surface.
-pub mod prelude {
-    pub use crate::apps::{AppClass, PortSig, GAMING_PORTS};
-    pub use crate::calendar::{
-        day_type, study_start, AnalysisWeek, DayType, APPCLASS_ISP_WEEKS, APPCLASS_IXP_WEEKS,
-        EDU_WEEKS, FIG3_WEEKS, PORTS_ISP_WEEKS, PORTS_IXP_WEEKS,
-    };
-    pub use crate::demand::{app_share, DayDemand, DemandModel};
-    pub use crate::diurnal::{blend, peak_hour, shape, DiurnalProfile};
-    pub use crate::edu::{EduClass, EduModel};
-    pub use crate::measures::ScenarioSpec;
-}

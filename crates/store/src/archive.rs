@@ -66,6 +66,9 @@ pub const MANIFEST_NAME: &str = "manifest.lks";
 pub const JOURNAL_NAME: &str = "journal.lks";
 /// Sub-directory holding the day packs.
 pub const PACKS_DIR: &str = "packs";
+/// Sub-directory of a version-1 archive, one segment file per cell. No
+/// index of this version names a file there.
+const V1_SEGMENTS_DIR: &str = "segments";
 
 /// Fewest spills between automatic journal checkpoints. Past 512 cells
 /// the interval is a sixteenth of the cells recorded, so the journal
@@ -858,8 +861,9 @@ impl ArchiveWriter {
 /// Outcome of a [`gc_dir`] sweep.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GcReport {
-    /// File names in the packs directory that no index names (deleted,
-    /// or merely listed under `--dry-run`), sorted.
+    /// File names in the packs directory that no index names, and every
+    /// file of a version-1 `segments/` directory as `segments/NAME`
+    /// (deleted, or merely listed under `--dry-run`), sorted.
     pub removed: Vec<String>,
     /// Packs still named by the manifest or journal.
     pub kept: u64,
@@ -887,7 +891,9 @@ pub fn scenario_subdir(base: &Path, index: usize, label: &str) -> PathBuf {
 /// spill and manifest publish leaves behind — in which case every
 /// unjournaled pack is an orphan. A present-but-undecodable index file is
 /// an error: gc refuses to guess at liveness. Dead ranges inside a live
-/// pack stay until the archive is rebuilt.
+/// pack stay until the archive is rebuilt. A version-1 `segments/`
+/// directory, which a rebuild leaves beside the packs, is all orphans: a
+/// live sweep empties and removes it.
 pub fn gc_dir(dir: &Path, dry_run: bool) -> Result<GcReport, StoreError> {
     let mut live = BTreeSet::new();
     for name in [MANIFEST_NAME, JOURNAL_NAME] {
@@ -895,27 +901,36 @@ pub fn gc_dir(dir: &Path, dry_run: bool) -> Result<GcReport, StoreError> {
             live.extend(metas.iter().map(SegmentMeta::pack_name));
         }
     }
-    let packs = dir.join(PACKS_DIR);
-    let entries = match std::fs::read_dir(&packs) {
-        Ok(e) => e,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(GcReport::default()),
-        Err(e) => return Err(io_err(&packs, e)),
-    };
     let mut report = GcReport {
         dry_run,
         ..GcReport::default()
     };
-    for entry in entries {
-        let entry = entry.map_err(|e| io_err(&packs, e))?;
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if live.contains(&name) {
-            report.kept += 1;
-        } else {
-            if !dry_run {
-                let path = entry.path();
-                std::fs::remove_file(&path).map_err(|e| io_err(&path, e))?;
+    for sub in [PACKS_DIR, V1_SEGMENTS_DIR] {
+        let path = dir.join(sub);
+        let entries = match std::fs::read_dir(&path) {
+            Ok(e) => e,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
+            Err(e) => return Err(io_err(&path, e)),
+        };
+        for entry in entries {
+            let entry = entry.map_err(|e| io_err(&path, e))?;
+            let name = entry.file_name().to_string_lossy().into_owned();
+            if sub == PACKS_DIR && live.contains(&name) {
+                report.kept += 1;
+                continue;
             }
-            report.removed.push(name);
+            if !dry_run {
+                let file = entry.path();
+                std::fs::remove_file(&file).map_err(|e| io_err(&file, e))?;
+            }
+            report.removed.push(if sub == PACKS_DIR {
+                name
+            } else {
+                format!("{sub}/{name}")
+            });
+        }
+        if sub == V1_SEGMENTS_DIR && !dry_run {
+            std::fs::remove_dir(&path).map_err(|e| io_err(&path, e))?;
         }
     }
     report.removed.sort();

@@ -20,10 +20,10 @@
 //! VPN endpoints), which only tests and the traffic generator see — the
 //! analysis pipeline works from the corpus alone, exactly like the paper.
 
-use crate::domain::DomainName;
+use crate::asn::{AsCategory, Asn, Region};
+use crate::dns::domain::DomainName;
+use crate::registry::Registry;
 use lockdown_base::hash::{fold, SplitMix};
-use lockdown_topology::asn::{AsCategory, Asn, Region};
-use lockdown_topology::registry::Registry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 

@@ -14,8 +14,8 @@
 //!
 //! The output feeds `lockdown-analysis`'s Fig. 10 reproduction.
 
-use crate::corpus::DnsDb;
-use crate::domain::DomainName;
+use crate::dns::corpus::DnsDb;
+use crate::dns::domain::DomainName;
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
@@ -68,10 +68,10 @@ pub fn identify_vpn_ips(db: &DnsDb) -> VpnIdentification {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corpus::{synthesize, SourceSet};
-    use lockdown_topology::registry::Registry;
+    use crate::dns::corpus::{synthesize, SourceSet};
+    use crate::registry::Registry;
 
-    fn setup() -> (crate::corpus::Corpus, VpnIdentification) {
+    fn setup() -> (crate::dns::corpus::Corpus, VpnIdentification) {
         let corpus = synthesize(&Registry::synthesize(), 42);
         let id = identify_vpn_ips(&corpus.db);
         (corpus, id)

@@ -12,10 +12,11 @@
 //!
 //! * [`asn`] — ASNs, business categories, regions;
 //! * [`hypergiants`] — the paper's Table 2, verbatim;
-//! * [`prefix`] — CIDR prefixes and a longest-prefix-match trie (plus the
-//!   linear-scan baseline for the ablation bench);
+//! * [`prefix`] — CIDR prefixes and a longest-prefix-match trie;
 //! * [`registry`] — the deterministic synthetic AS registry with prefix
 //!   allocations and IP→AS attribution;
+//! * [`dns`] — the CT-log/forward-DNS corpus over that registry and §6's
+//!   `*vpn*` domain identification;
 //! * [`vantage`] — the paper's seven observation networks;
 //! * [`ixp`] — IXP member fabrics with port capacities and the pandemic
 //!   capacity upgrades of §3.1.
@@ -25,20 +26,9 @@
 #![warn(unreachable_pub)]
 
 pub mod asn;
+pub mod dns;
 pub mod hypergiants;
 pub mod ixp;
 pub mod prefix;
 pub mod registry;
 pub mod vantage;
-
-/// Convenient glob-import surface.
-pub mod prelude {
-    pub use crate::asn::{AsCategory, AsInfo, Asn, Region};
-    pub use crate::hypergiants::{hypergiant, is_hypergiant, HYPERGIANTS};
-    pub use crate::ixp::IxpFabric;
-    pub use crate::prefix::{Ipv4Prefix, LinearPrefixTable, LpmTable};
-    pub use crate::registry::{
-        Registry, EDU_ASN, EDU_INSTITUTIONS, ISP_CE_ASN, MOBILE_ASN, SPOTIFY_ASN, ZOOM_ASN,
-    };
-    pub use crate::vantage::{VantageKind, VantagePoint};
-}

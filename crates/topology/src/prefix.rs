@@ -5,8 +5,7 @@
 //! analyses (hypergiant split §3.2, remote-work ASes §3.4, app classes §5)
 //! all depend on that attribution, so the substrate implements a real LPM
 //! structure: a binary trie keyed on address bits, with exact longest-match
-//! semantics. A linear-scan fallback exists for the ablation bench
-//! (`ablation_lpm`) that quantifies why tries are used.
+//! semantics.
 
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -195,37 +194,6 @@ impl<V: Clone> LpmTable<V> {
     }
 }
 
-/// Linear-scan prefix matcher used as the ablation baseline: stores
-/// `(prefix, value)` pairs and scans all of them per lookup, keeping the
-/// longest match. Same results as [`LpmTable`], asymptotically worse.
-#[derive(Debug, Clone, Default)]
-pub struct LinearPrefixTable<V> {
-    entries: Vec<(Ipv4Prefix, V)>,
-}
-
-impl<V: Clone> LinearPrefixTable<V> {
-    /// An empty table.
-    pub fn new() -> LinearPrefixTable<V> {
-        LinearPrefixTable {
-            entries: Vec::new(),
-        }
-    }
-
-    /// Append a prefix→value pair.
-    pub fn insert(&mut self, prefix: Ipv4Prefix, value: V) {
-        self.entries.push((prefix, value));
-    }
-
-    /// Scan all prefixes for the longest one containing `addr`.
-    pub fn lookup(&self, addr: Ipv4Addr) -> Option<&V> {
-        self.entries
-            .iter()
-            .filter(|(p, _)| p.contains(addr))
-            .max_by_key(|(p, _)| p.len())
-            .map(|(_, v)| v)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,31 +279,5 @@ mod tests {
         t.insert("192.0.2.0/24".parse().unwrap(), 2);
         assert_eq!(t.lookup(Ipv4Addr::new(192, 0, 2, 1)), Some(&1));
         assert_eq!(t.lookup(Ipv4Addr::new(192, 0, 2, 2)), Some(&2));
-    }
-
-    #[test]
-    fn linear_matches_trie() {
-        let prefixes: Vec<(Ipv4Prefix, u32)> = vec![
-            ("10.0.0.0/8".parse().unwrap(), 1),
-            ("10.1.0.0/16".parse().unwrap(), 2),
-            ("172.16.0.0/12".parse().unwrap(), 3),
-            ("192.0.2.0/24".parse().unwrap(), 4),
-            ("0.0.0.0/0".parse().unwrap(), 5),
-        ];
-        let mut trie = LpmTable::new();
-        let mut linear = LinearPrefixTable::new();
-        for (p, v) in &prefixes {
-            trie.insert(*p, *v);
-            linear.insert(*p, *v);
-        }
-        for addr in [
-            Ipv4Addr::new(10, 1, 2, 3),
-            Ipv4Addr::new(10, 99, 0, 1),
-            Ipv4Addr::new(172, 20, 1, 1),
-            Ipv4Addr::new(192, 0, 2, 77),
-            Ipv4Addr::new(203, 0, 113, 1),
-        ] {
-            assert_eq!(trie.lookup(addr), linear.lookup(addr), "mismatch at {addr}");
-        }
     }
 }

@@ -259,13 +259,14 @@ impl Registry {
 
     /// A deterministic "random" host address inside one of an AS's
     /// prefixes, selected by an arbitrary index (generators pass RNG draws).
-    pub fn host_addr(&self, asn: Asn, index: u64) -> Option<Ipv4Addr> {
+    pub(crate) fn host_addr(&self, asn: Asn, index: u64) -> Option<Ipv4Addr> {
         let prefixes = self.prefixes_of(asn);
         (!prefixes.is_empty()).then(|| Registry::host_in(prefixes, index))
     }
 
-    /// [`Registry::host_addr`] over an AS's already-resolved, non-empty
-    /// prefix list — generators resolve their pools once, not per flow.
+    /// The host address `host_addr` picks, over an AS's already-resolved,
+    /// non-empty prefix list — generators resolve their pools once, not
+    /// per flow.
     pub fn host_in(prefixes: &[Ipv4Prefix], index: u64) -> Ipv4Addr {
         let p = prefixes[(index % prefixes.len() as u64) as usize];
         // Rotate by a large odd constant so consecutive indices spread out.

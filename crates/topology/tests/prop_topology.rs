@@ -1,32 +1,70 @@
 //! Property tests for the topology substrate: the LPM trie must agree with
-//! the linear-scan oracle on arbitrary prefix sets, and prefixes must
-//! behave like the sets they denote.
+//! a linear scan on arbitrary prefix sets, and prefixes must behave like
+//! the sets they denote.
 
 use lockdown_base::hash::SplitMix;
 use lockdown_base::prop::cases;
-use lockdown_topology::prefix::{Ipv4Prefix, LinearPrefixTable, LpmTable};
+use lockdown_topology::prefix::{Ipv4Prefix, LpmTable};
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 fn prefix(rng: &mut SplitMix) -> Ipv4Prefix {
     Ipv4Prefix::new(Ipv4Addr::from(rng.next_u64() as u32), rng.below(33) as u8)
 }
 
-/// The trie and the linear oracle agree on every lookup. Duplicated
-/// prefixes resolve to the *last* insert in the trie; feed the oracle
-/// deduplicated last-wins entries to match.
+/// The reference the trie is checked against: scan every entry for the
+/// longest prefix containing `addr`. Two distinct prefixes of one length
+/// are disjoint, so the longest match is unambiguous.
+fn assert_matches_linear_scan(
+    trie: &LpmTable<u32>,
+    entries: &BTreeMap<Ipv4Prefix, u32>,
+    addr: Ipv4Addr,
+) {
+    let want = entries
+        .iter()
+        .filter(|(p, _)| p.contains(addr))
+        .max_by_key(|(p, _)| p.len())
+        .map(|(_, v)| *v);
+    assert_eq!(trie.lookup(addr).copied(), want, "mismatch at {addr}");
+}
+
+/// The trie and a linear scan agree on every lookup: first over nested
+/// prefixes under a default route, probed at each level, then over
+/// arbitrary sets. Duplicated prefixes resolve to the *last* insert in the
+/// trie; the scan reads deduplicated last-wins entries to match.
 #[test]
 fn trie_matches_linear_oracle() {
+    let nested: BTreeMap<Ipv4Prefix, u32> = [
+        ("10.0.0.0/8", 1),
+        ("10.1.0.0/16", 2),
+        ("172.16.0.0/12", 3),
+        ("192.0.2.0/24", 4),
+        ("0.0.0.0/0", 5),
+    ]
+    .into_iter()
+    .map(|(p, v)| (p.parse().unwrap(), v))
+    .collect();
+    let mut trie = LpmTable::new();
+    for (p, v) in &nested {
+        trie.insert(*p, *v);
+    }
+    for addr in [
+        Ipv4Addr::new(10, 1, 2, 3),
+        Ipv4Addr::new(10, 99, 0, 1),
+        Ipv4Addr::new(172, 20, 1, 1),
+        Ipv4Addr::new(192, 0, 2, 77),
+        Ipv4Addr::new(203, 0, 113, 1),
+    ] {
+        assert_matches_linear_scan(&trie, &nested, addr);
+    }
+
     cases(256, |rng, size| {
         let mut trie = LpmTable::new();
-        let mut last: std::collections::BTreeMap<Ipv4Prefix, u32> = Default::default();
+        let mut last = BTreeMap::new();
         for _ in 0..rng.below(size.min(60) as u64) {
             let (p, v) = (prefix(rng), rng.next_u64() as u32);
             trie.insert(p, v);
             last.insert(p, v);
-        }
-        let mut linear = LinearPrefixTable::new();
-        for (p, v) in &last {
-            linear.insert(*p, *v);
         }
         let inserted: Vec<Ipv4Prefix> = last.keys().copied().collect();
         for _ in 0..rng.below(size as u64) {
@@ -37,14 +75,7 @@ fn trie_matches_linear_oracle() {
             } else {
                 Ipv4Addr::from(raw as u32)
             };
-            let got = trie.lookup(addr).copied();
-            // The linear oracle needs the longest match among last-wins
-            // entries; LinearPrefixTable already returns that, but when
-            // several distinct prefixes share a length and contain the
-            // address they cannot (disjoint equal-length prefixes can't
-            // both contain one address, so it's unambiguous).
-            let want = linear.lookup(addr).copied();
-            assert_eq!(got, want, "mismatch at {}", addr);
+            assert_matches_linear_scan(&trie, &last, addr);
         }
     });
 }

@@ -13,7 +13,6 @@ use crate::picker::{as_jitter, Net, Picker};
 use crate::plan::{Cell, Stream, TracePlan};
 use crate::sizes;
 use lockdown_base::hash::SplitMix;
-use lockdown_dns::corpus::Corpus;
 use lockdown_flow::protocol::{IpProtocol, TcpFlags};
 use lockdown_flow::record::{Direction, FlowKey, FlowRecord};
 use lockdown_flow::time::{Date, Timestamp};
@@ -23,6 +22,7 @@ use lockdown_scenario::demand::{DayDemand, DemandModel};
 use lockdown_scenario::diurnal::{shape, DiurnalProfile};
 use lockdown_scenario::measures::ScenarioSpec;
 use lockdown_topology::asn::Region;
+use lockdown_topology::dns::corpus::Corpus;
 use lockdown_topology::registry::Registry;
 use lockdown_topology::vantage::{VantageKind, VantagePoint};
 
@@ -386,7 +386,7 @@ impl<'a> TrafficGenerator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lockdown_dns::corpus::synthesize;
+    use lockdown_topology::dns::corpus::synthesize;
     use lockdown_topology::registry::ISP_CE_ASN;
 
     fn setup() -> (Registry, Corpus) {

@@ -30,11 +30,3 @@ pub mod generate;
 mod picker;
 pub mod plan;
 pub mod sizes;
-
-/// Convenient glob-import surface.
-pub mod prelude {
-    pub use crate::config::GeneratorConfig;
-    pub use crate::edu_gen::EduGenerator;
-    pub use crate::generate::TrafficGenerator;
-    pub use crate::plan::{Cell, Stream, TraceEmitter, TracePlan};
-}

@@ -1,9 +1,9 @@
 //! Endpoint selection: which ASes, addresses and ports a flow gets.
 
 use lockdown_base::hash::{fold, unit, SplitMix};
-use lockdown_dns::corpus::Corpus;
 use lockdown_scenario::apps::{AppClass, PortSig};
 use lockdown_topology::asn::{AsCategory, AsInfo, Asn, Region};
+use lockdown_topology::dns::corpus::Corpus;
 use lockdown_topology::prefix::Ipv4Prefix;
 use lockdown_topology::registry::{Registry, ISP_CE_ASN, MOBILE_ASN};
 use lockdown_topology::vantage::{VantageKind, VantagePoint};
@@ -217,7 +217,7 @@ pub(crate) fn as_jitter(asn: Asn, seed: u64, trait_id: u64, spread: f64) -> f64 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lockdown_dns::corpus::synthesize;
+    use lockdown_topology::dns::corpus::synthesize;
     use lockdown_topology::hypergiants::is_hypergiant;
 
     fn setup() -> (Registry, Corpus) {

@@ -12,10 +12,10 @@ use crate::config::GeneratorConfig;
 use crate::edu_gen::EduGenerator;
 use crate::generate::TrafficGenerator;
 use lockdown_base::hash::fold;
-use lockdown_dns::corpus::Corpus;
 use lockdown_flow::record::FlowRecord;
 use lockdown_flow::time::Date;
 use lockdown_scenario::measures::ScenarioSpec;
+use lockdown_topology::dns::corpus::Corpus;
 use lockdown_topology::registry::Registry;
 use lockdown_topology::vantage::VantagePoint;
 use std::collections::{BTreeMap, BTreeSet};
@@ -214,7 +214,7 @@ impl<'a> TraceEmitter<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lockdown_dns::corpus::synthesize;
+    use lockdown_topology::dns::corpus::synthesize;
 
     fn plan_basic() -> TracePlan {
         let mut plan = TracePlan::new();

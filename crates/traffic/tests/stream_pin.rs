@@ -14,13 +14,13 @@
 
 use lockdown_base::crc::crc32;
 use lockdown_base::hash::fold;
-use lockdown_dns::corpus::synthesize;
 use lockdown_flow::record::FlowRecord;
 use lockdown_flow::time::Date;
 use lockdown_scenario::apps::AppClass;
 use lockdown_scenario::calendar::study_start;
 use lockdown_scenario::demand::DemandModel;
 use lockdown_scenario::measures::ScenarioSpec;
+use lockdown_topology::dns::corpus::synthesize;
 use lockdown_topology::registry::Registry;
 use lockdown_topology::vantage::VantagePoint;
 use lockdown_traffic::config::{GeneratorConfig, GENERATOR_STREAM};

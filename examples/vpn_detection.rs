@@ -10,7 +10,7 @@
 
 use lockdown::analysis::vpn::{is_port_vpn, VpnClassifier};
 use lockdown::core::{Context, Fidelity};
-use lockdown::dns::vpn::identify_vpn_ips;
+use lockdown::topology::dns::vpn::identify_vpn_ips;
 use lockdown::topology::vantage::VantagePoint;
 use lockdown_flow::time::Date;
 

@@ -46,7 +46,7 @@ said_once "the element-to-record mapping" 'IPV4_SRC_ADDR =>' crates/flow/src/net
 # Generation per cell: endpoint pools are resolved once per generator. A
 # registry probe by ASN, or a hash map, under crates/traffic/src is a
 # per-flow lookup back on a per-flow path.
-said_once "a per-flow registry probe" '.host_addr(' crates/dns/src/ crates/topology/src/
+said_once "a per-flow registry probe" '.host_addr(' crates/topology/src/
 # One wire form of a cell and a segment entry, the archive index's: the
 # shard protocol carries a worker's segments and quarantined cells in it
 # through store::archive::{put_entry, read_entry} instead of a second

@@ -16,13 +16,13 @@ use lockdown::collect::{
 use lockdown::core::experiments::{figures, suite};
 use lockdown::core::serve::suite_plan_hash;
 use lockdown::core::{run_matrix, Context, Fidelity, MatrixOptions, MatrixScenario};
-use lockdown::dns::vpn::identify_vpn_ips;
 use lockdown::flow::prelude::*;
 use lockdown::query::{loadgen, LoadConfig, QueryEngine, QueryPlan, Server};
 use lockdown::scenario::measures::ScenarioSpec;
 use lockdown::shard::coord::{self, CoordOptions};
 use lockdown::shard::worker::serve_worker;
 use lockdown::store::{gc_dir, ArchiveReader, StoreMetrics};
+use lockdown::topology::dns::vpn::identify_vpn_ips;
 use lockdown::topology::vantage::VantagePoint;
 use lockdown::wirechaos;
 use lockdown_flow::time::Date;

@@ -14,7 +14,6 @@ pub use lockdown_analysis as analysis;
 pub use lockdown_base as base;
 pub use lockdown_collect as collect;
 pub use lockdown_core as core;
-pub use lockdown_dns as dns;
 pub use lockdown_flow as flow;
 pub use lockdown_query as query;
 pub use lockdown_scenario as scenario;

@@ -6,6 +6,7 @@
 //! which `tests/equivalence.rs` pins to the in-process reference.
 
 use std::io::{BufRead, BufReader, Read};
+use std::path::Path;
 use std::process::{Child, ChildStdout, Command, ExitStatus, Stdio};
 use std::sync::OnceLock;
 
@@ -89,6 +90,30 @@ fn help_prints_usage() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("figures"));
     assert!(text.contains("vpn-scan"));
+}
+
+#[test]
+fn vpn_scan_output_is_pinned() {
+    // The §6 procedure end to end over the synthetic corpus: corpus size,
+    // candidates, the www.-collision eliminations and the first ten
+    // domains, byte for byte.
+    let out = bin().arg("vpn-scan").output().expect("spawn");
+    assert!(out.status.success());
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        "corpus: 489 names; candidates: 100 domains -> 98 addresses; eliminated 8; final 90
+  companyvpn3.cloud-0.net
+  companyvpn3.enterprise-2.org
+  companyvpn3.enterprise-24.com
+  companyvpn3.enterprise-31.com.es
+  companyvpn3.enterprise-33.com
+  companyvpn3.nren-3.eu
+  companyvpn3.nren-5.net
+  companyvpn3.nren-6.com
+  companyvpn31.cloud-3.org
+  companyvpn31.enterprise-24.com
+"
+    );
 }
 
 #[test]
@@ -681,6 +706,61 @@ fn store_gc_dry_run_previews_without_deleting() {
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("removed 1"));
     assert!(!orphan.exists(), "real gc deletes the orphan");
+
+    // A version-1 archive that `figures --archive` rebuilt keeps its
+    // one-file-per-cell segments/ directory. No index of this version can
+    // name a file there, so each is an orphan, and a live sweep removes
+    // the emptied directory too.
+    let old = std::env::temp_dir().join(format!("lockdown-cli-gc-v1-{}", std::process::id()));
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/archive-pr15");
+    std::fs::create_dir_all(old.join("segments")).expect("tmp dir");
+    std::fs::copy(fixture.join("manifest.lks"), old.join("manifest.lks")).expect("copy");
+    let mut segments = Vec::new();
+    for entry in std::fs::read_dir(fixture.join("segments")).expect("fixture") {
+        let name = entry.expect("entry").file_name();
+        std::fs::copy(
+            fixture.join("segments").join(&name),
+            old.join("segments").join(&name),
+        )
+        .expect("copy");
+        segments.push(format!("  segments/{}", name.to_string_lossy()));
+    }
+    segments.sort();
+    assert_eq!(segments.len(), 4);
+    let out = bin()
+        .args(["figures", "--fidelity", "test", "--archive"])
+        .arg(&old)
+        .output()
+        .expect("spawn");
+    assert!(out.status.success());
+    let out = bin()
+        .args(["store", "gc", "--dry-run", "--archive"])
+        .arg(&old)
+        .output()
+        .expect("spawn");
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("would remove 4 orphan files"), "{text}");
+    assert_eq!(text.lines().skip(1).collect::<Vec<_>>(), segments, "{text}");
+    assert!(old.join("segments").exists(), "dry run must not delete");
+    let out = bin()
+        .args(["store", "gc", "--archive"])
+        .arg(&old)
+        .output()
+        .expect("spawn");
+    assert!(out.status.success());
+    assert!(String::from_utf8_lossy(&out.stdout).contains("removed 4"));
+    assert!(
+        !old.join("segments").exists(),
+        "gc removes the emptied directory"
+    );
+    let out = bin()
+        .args(["store", "verify", "--archive"])
+        .arg(&old)
+        .output()
+        .expect("spawn");
+    assert!(out.status.success(), "the rebuilt archive still verifies");
+    std::fs::remove_dir_all(&old).ok();
 
     // --dry-run is gc-only.
     let out = bin()

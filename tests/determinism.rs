@@ -8,7 +8,7 @@ use lockdown::core::engine::{self, EnginePlan};
 use lockdown::core::experiments::figures::FIGURES;
 use lockdown::core::experiments::{fig1, tables};
 use lockdown::core::{Context, Fidelity};
-use lockdown::dns::corpus::synthesize as synth_corpus;
+use lockdown::topology::dns::corpus::synthesize as synth_corpus;
 use lockdown::topology::registry::Registry;
 use lockdown::topology::vantage::VantagePoint;
 use lockdown_analysis::timeseries::HourlyVolume;
