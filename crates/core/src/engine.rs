@@ -9,10 +9,13 @@
 //! distinct cell is generated exactly once and fanned out to every
 //! subscription whose window covers it.
 //!
-//! Scheduling and determinism: the workers of a pass claim cells one at
-//! a time from a shared cursor over the sorted cell list, so each stays
-//! busy until the list runs dry however unevenly the flows are spread
-//! over it (the first half of the suite's cells carries 78% of its flows).
+//! Scheduling and determinism: the workers of a pass claim a day of one
+//! stream at a time (at most `RUN_CELLS`, 24, consecutive cells of the sorted
+//! list) from a shared cursor, so each stays busy until the list runs dry
+//! however unevenly the flows are spread over it (the first half of the
+//! suite's cells carries 78% of its flows), and a warm pass reads each
+//! claimed day with one positioned read per day pack. Each cell of a claim
+//! is still run, supervised and fanned out on its own.
 //! Which worker ends up with which cells differs from run to run, and the
 //! output does not: cells are independently seeded, so a cell's flows are
 //! the same on any thread; each cell is claimed exactly once; and every
@@ -33,7 +36,8 @@ use lockdown_collect::{CollectMetrics, CollectionPlane, WireConfig};
 use lockdown_flow::record::{hour_runs, FlowRecord, HourRun};
 use lockdown_flow::time::Date;
 use lockdown_store::{
-    ArchiveReader, ArchiveWriter, SegmentMeta, SpillFault, StoreError, StoreKey, StoreMetrics,
+    ArchiveReader, ArchiveWriter, SegmentMeta, SegmentRun, SpillFault, StoreError, StoreKey,
+    StoreMetrics,
 };
 use lockdown_traffic::plan::{Cell, Stream, TraceEmitter, TracePlan};
 use std::any::Any;
@@ -482,6 +486,18 @@ fn fan_out(
     }
 }
 
+/// Most cells one claim covers: a whole day of one stream, the cells one
+/// day pack holds. Plans are whole days, so every claim is one.
+const RUN_CELLS: usize = 24;
+
+/// A claimed cell's place in its run: the run's segments, read ahead on a
+/// warm pass, and the cell's index among them.
+#[derive(Clone, Copy)]
+struct Slot<'r> {
+    segments: &'r SegmentRun,
+    index: usize,
+}
+
 /// Everything one engine pass shares across workers to execute a cell:
 /// generation, replay, resume, the wire plane and the supervisor. Every
 /// cell of every entry point runs through [`CellRunner::run`], so
@@ -505,6 +521,7 @@ impl CellRunner<'_> {
     fn fill_attempt(
         &self,
         cell: Cell,
+        slot: Slot<'_>,
         attempt: u32,
         force_generate: bool,
         buf: &mut Vec<FlowRecord>,
@@ -517,9 +534,10 @@ impl CellRunner<'_> {
         let fill = 'fill: {
             if !force_generate {
                 if let Some(r) = self.reader {
-                    // Warm replay. A segment that is missing, unreadable
-                    // or corrupt is regenerated inline.
-                    match r.read_cell_into(cell, buf) {
+                    // Warm replay from the claim's read. A segment that
+                    // is missing, unreadable or corrupt is regenerated
+                    // inline.
+                    match r.decode_run(slot.segments, slot.index, buf) {
                         Ok(()) => break 'fill CellFill::Replayed,
                         Err(_) => sup.metrics().replay_corruptions.inc(),
                     }
@@ -565,7 +583,7 @@ impl CellRunner<'_> {
 
     /// The attempt loop: catch panics, back off, retry, and quarantine
     /// once the budget is spent. `None` means quarantined.
-    fn fill(&self, cell: Cell, buf: &mut Vec<FlowRecord>) -> Option<CellFill> {
+    fn fill(&self, cell: Cell, slot: Slot<'_>, buf: &mut Vec<FlowRecord>) -> Option<CellFill> {
         let sup = self.supervisor;
         let budget = sup.attempts();
         let mut force_generate = false;
@@ -575,7 +593,7 @@ impl CellRunner<'_> {
                 sup.backoff(cell, attempt - 1);
             }
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.fill_attempt(cell, attempt, force_generate, buf)
+                self.fill_attempt(cell, slot, attempt, force_generate, buf)
             }));
             let err = match caught {
                 Ok(Ok(fill)) => return Some(fill),
@@ -610,11 +628,12 @@ impl CellRunner<'_> {
     fn process(
         &self,
         cell: Cell,
+        slot: Slot<'_>,
         buf: &mut Vec<FlowRecord>,
         consumers: &mut [Box<dyn AnyConsumer>],
         tallies: &mut Tallies,
     ) {
-        let Some(fill) = self.fill(cell, buf) else {
+        let Some(fill) = self.fill(cell, slot, buf) else {
             return;
         };
         match fill {
@@ -640,30 +659,50 @@ impl CellRunner<'_> {
         fan_out(self.subs, consumers, cell, batch);
     }
 
-    /// One worker: claim the next unclaimed cell until the list runs dry,
-    /// running each into this worker's own consumer column through its
-    /// own record buffer.
-    fn claim_cells(&self, cells: &[Cell], cursor: &AtomicUsize) -> Partial {
+    /// One worker: claim the next unclaimed run until the list runs dry,
+    /// read a warm run's segments at once, and run each of its cells into
+    /// this worker's own consumer column through its own record buffer.
+    fn claim_runs(&self, runs: &[&[Cell]], cursor: &AtomicUsize) -> Partial {
         let mut partial = Partial {
             consumers: fresh_consumers(self.subs),
             tallies: Tallies::default(),
         };
-        let mut buf = Vec::new();
-        // Relaxed: the cursor publishes no data. The cell list is shared
+        let (mut buf, mut segments) = (Vec::new(), SegmentRun::default());
+        // Relaxed: the cursor publishes no data. The run list is shared
         // before any worker starts, and each column reaches the merge
         // through its worker's join.
-        while let Some(&cell) = cells.get(cursor.fetch_add(1, Ordering::Relaxed)) {
-            self.process(cell, &mut buf, &mut partial.consumers, &mut partial.tallies);
+        while let Some(&run) = runs.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+            if let Some(r) = self.reader {
+                r.read_run(run, &mut segments);
+            }
+            for (index, &cell) in run.iter().enumerate() {
+                let slot = Slot {
+                    segments: &segments,
+                    index,
+                };
+                self.process(
+                    cell,
+                    slot,
+                    &mut buf,
+                    &mut partial.consumers,
+                    &mut partial.tallies,
+                );
+            }
         }
         partial
     }
 
     /// Run `cells` — the unit of work of a whole pass and of a shard
     /// worker's slice alike — over `workers` claimants, this thread being
-    /// the first, and merge their columns in worker order.
+    /// the first, and merge their columns in worker order. A claim is a
+    /// run of consecutive cells of one stream and day.
     fn run(&self, cells: &[Cell], workers: usize) -> Partial {
+        let runs: Vec<&[Cell]> = cells
+            .chunk_by(|a, b| (a.stream, a.date) == (b.stream, b.date))
+            .flat_map(|day| day.chunks(RUN_CELLS))
+            .collect();
         let cursor = AtomicUsize::new(0);
-        let claim = || self.claim_cells(cells, &cursor);
+        let claim = || self.claim_runs(&runs, &cursor);
         let (mut merged, rest) = std::thread::scope(|scope| {
             let spawned: Vec<_> = (1..workers).map(|_| scope.spawn(claim)).collect();
             let first = claim();

@@ -25,16 +25,27 @@ pub enum IpProtocol {
 }
 
 impl IpProtocol {
-    /// Parse from the IANA protocol number.
+    /// Parse from the IANA protocol number: one load from a table built at
+    /// compile time, since the segment decoder and the v9/IPFIX decoders
+    /// call it once per record.
     pub fn from_number(n: u8) -> IpProtocol {
-        match n {
-            1 => IpProtocol::Icmp,
-            6 => IpProtocol::Tcp,
-            17 => IpProtocol::Udp,
-            47 => IpProtocol::Gre,
-            50 => IpProtocol::Esp,
-            other => IpProtocol::Other(other),
-        }
+        static BY_NUMBER: [IpProtocol; 256] = {
+            let mut table = [IpProtocol::Other(0); 256];
+            let mut n = 0;
+            while n < 256 {
+                table[n] = match n as u8 {
+                    1 => IpProtocol::Icmp,
+                    6 => IpProtocol::Tcp,
+                    17 => IpProtocol::Udp,
+                    47 => IpProtocol::Gre,
+                    50 => IpProtocol::Esp,
+                    other => IpProtocol::Other(other),
+                };
+                n += 1;
+            }
+            table
+        };
+        BY_NUMBER[usize::from(n)]
     }
 
     /// The IANA protocol number.
@@ -115,8 +126,13 @@ mod tests {
 
     #[test]
     fn protocol_roundtrip() {
+        // Every table entry: the number comes back, and only the five
+        // named numbers are not `Other`.
         for n in 0..=255u8 {
-            assert_eq!(IpProtocol::from_number(n).number(), n);
+            let p = IpProtocol::from_number(n);
+            assert_eq!(p.number(), n);
+            let named = [1, 6, 17, 47, 50].contains(&n);
+            assert_eq!(p == IpProtocol::Other(n), !named, "{n}: {p:?}");
         }
     }
 

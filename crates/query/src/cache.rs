@@ -1,6 +1,6 @@
 //! Byte-budgeted LRU of decoded segments.
 //!
-//! Decoding a segment (varint columns → `Vec<FlowRecord>`) dominates
+//! Decoding a segment (bit-packed columns → `Vec<FlowRecord>`) dominates
 //! query cost once pushdown has pruned the rest; dashboards re-ask the
 //! same windows constantly. The cache holds decoded batches behind
 //! `Arc` (readers share, eviction never invalidates an in-flight

@@ -8,10 +8,12 @@
 //!    or which hold zero records are skipped outright. A per-stream
 //!    index built at open narrows the walk to one slice per stream by
 //!    binary search; only that slice is tested entry by entry.
-//! 2. **Zone-map pruning** (footer read, no column decode): with a port
-//!    predicate, the segment footer's `SrcPort`/`DstPort` zone maps are
-//!    consulted — a port outside *both* zones proves no record matches
-//!    (a flow matches on either end, so only double exclusion prunes).
+//! 2. **Zone-map pruning** (no column decode): with a port predicate, the
+//!    segment footer's `SrcPort`/`DstPort` zone maps are consulted — a
+//!    port outside *both* zones proves no record matches (a flow matches
+//!    on either end, so only double exclusion prunes). The footer is that
+//!    of the one read of the segment: an admitted segment is decoded from
+//!    the same bytes.
 //! 3. **Decode + filter**: surviving segments are decoded through the
 //!    byte-budgeted `SegmentCache` and filtered record-by-record.
 //!
@@ -23,6 +25,7 @@ use crate::metrics::QueryMetrics;
 use crate::plan::QueryPlan;
 use lockdown_analysis::appclass::Classifier;
 use lockdown_flow::record::{hour_runs, FlowRecord};
+use lockdown_store::segment::SegmentFooter;
 use lockdown_store::{ArchiveReader, Column, SegmentMeta, StoreError, StoreMetrics, TimeRange};
 use lockdown_topology::registry::Registry;
 use lockdown_traffic::plan::{Cell, Stream};
@@ -196,10 +199,15 @@ impl QueryEngine {
         if let Some(records) = self.cache.get(cell) {
             return Ok((records, true));
         }
-        let records = Arc::new(self.reader.read_cell(cell)?);
+        Ok((self.retain(cell, self.reader.read_cell(cell)?), false))
+    }
+
+    /// Count a decoded batch and retain it in the cache.
+    fn retain(&self, cell: Cell, records: Vec<FlowRecord>) -> Arc<Vec<FlowRecord>> {
+        let records = Arc::new(records);
         self.metrics.segments_decoded.inc();
         self.cache.insert(cell, Arc::clone(&records));
-        Ok((records, false))
+        records
     }
 
     /// Execute one plan over the whole manifest with predicate pushdown.
@@ -257,23 +265,31 @@ impl QueryEngine {
                 out.segments_pruned += 1;
                 continue;
             }
-            // Stage 2: zone-map pruning for port predicates. Skip the
-            // footer read when the cell is already cached — the decoded
-            // batch is free anyway.
-            if let Some(port) = plan.port {
-                if !self.cache.contains(meta.cell) {
-                    let footer = self.reader.read_footer(meta.cell)?;
-                    self.metrics.footer_reads.inc();
-                    let excluded =
-                        |col: Column| footer.zone(col).is_some_and(|z| !z.admits(u64::from(port)));
-                    if excluded(Column::SrcPort) && excluded(Column::DstPort) {
+            // Stage 2: zone-map pruning for port predicates, on the footer
+            // of the one read that decodes the segment if it is admitted.
+            // A cached cell skips it — the decoded batch is free anyway.
+            // Stage 3: decode (through the cache) and filter.
+            let (records, was_hit) = match plan.port {
+                Some(port) if !self.cache.contains(meta.cell) => {
+                    let admits = |footer: &SegmentFooter| {
+                        self.metrics.footer_reads.inc();
+                        let excluded = |col: Column| {
+                            footer.zone(col).is_some_and(|z| !z.admits(u64::from(port)))
+                        };
+                        !(excluded(Column::SrcPort) && excluded(Column::DstPort))
+                    };
+                    let mut records = Vec::new();
+                    if !self
+                        .reader
+                        .read_cell_where(meta.cell, admits, &mut records)?
+                    {
                         out.segments_pruned += 1;
                         continue;
                     }
+                    (self.retain(meta.cell, records), false)
                 }
-            }
-            // Stage 3: decode (through the cache) and filter.
-            let (records, was_hit) = self.read_cell_tracked(meta.cell)?;
+                _ => self.read_cell_tracked(meta.cell)?,
+            };
             out.segments_scanned += 1;
             if was_hit {
                 out.segments_cached += 1;
@@ -400,6 +416,66 @@ mod tests {
                 .chance(0.2)
                 .then(|| rng.pick(&[Direction::Ingress, Direction::Egress])),
         }
+    }
+
+    /// A port query on a cold cache reads each segment it touches once:
+    /// a zone-pruned one for its footer, an admitted one for its footer
+    /// and records from the same bytes. `store_bytes_read_total` counts
+    /// both, and nothing the window prunes from the manifest.
+    #[test]
+    fn a_port_query_reads_each_touched_segment_once() {
+        let dir = std::env::temp_dir().join(format!("lockdown-query-once-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let key = StoreKey {
+            seed: 1,
+            scenario_hash: 2,
+            plan_hash: 3,
+        };
+        let writer = ArchiveWriter::create(&dir, key, StoreMetrics::new()).expect("create");
+        let mut rng = SplitMix::new(0x443);
+        // Two days of four hours; an even hour's flows all reach port 443,
+        // an odd hour's never do.
+        for date in [hour_slices::DAY, hour_slices::DAY.add_days(1)] {
+            for hour in 0..4u8 {
+                let cell = Cell {
+                    stream: STREAMS[0],
+                    date,
+                    hour,
+                };
+                let records: Vec<FlowRecord> = (0..20)
+                    .map(|_| {
+                        let mut r = hour_slices::flow(&mut rng, date.at_hour(hour));
+                        r.key.src_port = 40_000;
+                        r.key.dst_port = if hour % 2 == 0 { 443 } else { 8_080 };
+                        r
+                    })
+                    .collect();
+                writer.spill(cell, &records).expect("spill");
+            }
+        }
+        writer.finish().expect("finish");
+
+        let engine = QueryEngine::open(&dir, 1 << 20).unwrap().unwrap();
+        let day = hour_slices::DAY.midnight().unix();
+        let plan = QueryPlan {
+            from: Some(day),
+            to: Some(day + 86_400),
+            port: Some(443),
+            ..QueryPlan::default()
+        };
+        let out = engine.execute(&plan).unwrap();
+        assert_eq!((out.segments_scanned, out.segments_pruned), (2, 6));
+        let touched: u64 = engine
+            .reader
+            .segments()
+            .filter(|m| m.cell.date == hour_slices::DAY)
+            .map(|m| m.len)
+            .sum();
+        assert_eq!(engine.store_metrics.bytes_read.get(), touched);
+        assert_eq!(engine.metrics.footer_reads.get(), 4);
+        assert_eq!(engine.metrics.segments_decoded.get(), 2);
+        assert_eq!(engine.store_metrics.segments_read.get(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

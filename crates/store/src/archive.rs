@@ -420,94 +420,229 @@ impl Packs {
         std::fs::metadata(self.path(id)).map_or(0, |st| st.len())
     }
 
-    /// Read one segment's range, check it against its index entry, then
-    /// decode it with `decode`: the range lies inside the pack, the
-    /// trailing CRC is the manifest's, and the footer's record count is
-    /// the manifest's before any column is decoded. Every failed check
-    /// names the segment and counts a CRC failure.
+    /// Read the ranges of `entries` into `run`, one positioned read per
+    /// pack: consecutive entries in one pack are read as the one range
+    /// spanning them (any gap between them included), and each entry
+    /// records where its range starts in the run's bytes. An entry that
+    /// failed before any read (not in the index) keeps its error. This is
+    /// the read of every reader method; [`SegmentRun::check`] is the check.
     ///
-    /// The range is one positioned read into the thread's reused scratch.
-    /// A range past the pack's end shows as a short read; the pack's
-    /// length is asked for only when a range would grow the scratch, so a
-    /// corrupt entry's length cannot size an allocation the pack does not
-    /// back. `decode` names no segment: the label is formatted only when
-    /// a check fails.
-    fn read_checked<T>(
+    /// A span that fails — a pack cut short, a range past its end, an I/O
+    /// error — is read again one entry at a time, so only the entries the
+    /// pack cannot back fail. The pack's length is asked for only when a
+    /// span would grow the buffer, so a corrupt entry's length cannot size
+    /// an allocation the pack does not back; a range past the pack's end
+    /// within the buffer shows as a short read. Bytes are counted per
+    /// entry read, not per span.
+    fn read_run<'m>(
         &self,
+        entries: impl IntoIterator<Item = Result<&'m SegmentMeta, StoreError>>,
+        run: &mut SegmentRun,
+        metrics: &StoreMetrics,
+    ) {
+        run.reads.clear();
+        run.reads
+            .extend(entries.into_iter().map(|e| e.map(|m| (*m, 0))));
+        let SegmentRun { bytes, reads } = run;
+        let one_pack =
+            |a: &Read, b: &Read| matches!((a, b), (Ok((x, _)), Ok((y, _))) if x.pack() == y.pack());
+        let mut at = 0;
+        for group in reads.chunk_by_mut(one_pack) {
+            let Ok((first, _)) = group[0] else {
+                continue;
+            };
+            let pack = first.pack();
+            let file = match self.file(pack) {
+                Ok(file) => file,
+                Err(e) => {
+                    group.iter_mut().for_each(|r| *r = Err(e.clone()));
+                    continue;
+                }
+            };
+            let metas = || group.iter().map(|r| r.as_ref().expect("read entry").0);
+            let lo = metas()
+                .map(|m| m.offset)
+                .min()
+                .expect("a group is not empty");
+            let span = metas()
+                .try_fold(lo, |hi, m| m.offset.checked_add(m.len).map(|e| hi.max(e)))
+                .map(|hi| SegmentMeta {
+                    offset: lo,
+                    len: hi - lo,
+                    ..first
+                });
+            if let Some(span) =
+                span.filter(|span| self.read_span(pack, &file, span, bytes, at).is_ok())
+            {
+                for r in group.iter_mut() {
+                    let (meta, start) = r.as_mut().expect("read entry");
+                    *start = at + (meta.offset - lo) as usize;
+                    metrics.bytes_read.add(meta.len);
+                }
+                at += span.len as usize;
+                continue;
+            }
+            for r in group.iter_mut() {
+                let meta = r.as_ref().expect("read entry").0;
+                *r = self
+                    .read_span(pack, &file, &meta, bytes, at)
+                    .map(|()| (meta, at));
+                if r.is_ok() {
+                    metrics.bytes_read.add(meta.len);
+                    at += meta.len as usize;
+                }
+            }
+        }
+    }
+
+    /// Read `meta`'s range of its pack into `bytes[at..]`, growing `bytes`
+    /// only once the pack is known to hold the range. Failures name
+    /// `meta`.
+    fn read_span(
+        &self,
+        pack: PackId,
+        file: &File,
         meta: &SegmentMeta,
+        bytes: &mut Vec<u8>,
+        at: usize,
+    ) -> Result<(), StoreError> {
+        let (offset, len) = (meta.offset, meta.len);
+        let overrun = |pack: String| {
+            corrupt(
+                &meta.label(),
+                format!("range {offset}+{len} overruns {pack}"),
+            )
+        };
+        let end = (at as u64).saturating_add(len);
+        if end > bytes.len() as u64 {
+            let pack_len = file
+                .metadata()
+                .map_err(|e| io_err(&self.path(pack), e))?
+                .len();
+            if !meta.fits(pack_len) {
+                return Err(overrun(format!("the pack's {pack_len} bytes")));
+            }
+            bytes.resize(end as usize, 0);
+        }
+        match file.read_exact_at(&mut bytes[at..end as usize], offset) {
+            Err(e) if e.kind() == ErrorKind::UnexpectedEof => Err(overrun("the pack".to_string())),
+            read => read.map_err(|e| io_err(&self.path(pack), e)),
+        }
+    }
+
+    /// Read one entry as a run of one into this thread's reused buffer
+    /// and hand the run to `then`: the single-segment reads.
+    fn read_one<T>(
+        &self,
+        meta: Result<&SegmentMeta, StoreError>,
+        metrics: &StoreMetrics,
+        then: impl FnOnce(&SegmentRun) -> T,
+    ) -> T {
+        thread_local! {
+            static RUN: RefCell<SegmentRun> = RefCell::default();
+        }
+        RUN.with_borrow_mut(|run| {
+            self.read_run([meta], run, metrics);
+            then(run)
+        })
+    }
+}
+
+/// One entry of a [`SegmentRun`]: its index entry and where its range
+/// starts in the run's bytes, or the error reading it met.
+type Read = Result<(SegmentMeta, usize), StoreError>;
+
+/// The segment bytes of a run of index entries — a day of one stream, say
+/// — read with one positioned read per pack: what
+/// [`ArchiveReader::read_run`] fills and [`ArchiveReader::decode_run`]
+/// checks and decodes entry by entry. Reused across runs, its buffer grows
+/// to the largest run read.
+#[derive(Debug, Default)]
+pub struct SegmentRun {
+    bytes: Vec<u8>,
+    /// Per entry, in the order asked.
+    reads: Vec<Read>,
+}
+
+impl SegmentRun {
+    /// Check entry `i` against its index entry, then decode it with
+    /// `decode`: the range was read whole, the trailing CRC is the
+    /// manifest's, and the footer's record count is the manifest's before
+    /// any column is decoded. Every failed check names the segment and
+    /// counts a CRC failure; `decode` names no segment, the label is
+    /// formatted only when a check fails.
+    fn check<T>(
+        &self,
+        i: usize,
         metrics: &StoreMetrics,
         decode: impl FnOnce(Sealed<'_>) -> Result<T, StoreError>,
     ) -> Result<T, StoreError> {
-        thread_local! {
-            static SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
-        }
-        let path = || self.path(meta.pack());
-        let file = self.file(meta.pack())?;
-        let checked = SCRATCH.with_borrow_mut(|scratch| {
-            let fail = |detail: String| Err(corrupt(&meta.label(), detail));
-            let (offset, len) = (meta.offset, meta.len);
-            let overrun = |pack: String| fail(format!("range {offset}+{len} overruns {pack}"));
-            if len > scratch.len() as u64 {
-                let pack_len = file.metadata().map_err(|e| io_err(&path(), e))?.len();
-                if !meta.fits(pack_len) {
-                    return overrun(format!("the pack's {pack_len} bytes"));
-                }
-                scratch.resize(len as usize, 0);
-            }
-            let bytes = &mut scratch[..len as usize];
-            match file.read_exact_at(bytes, offset) {
-                Err(e) if e.kind() == ErrorKind::UnexpectedEof => {
-                    return overrun("the pack".to_string())
-                }
-                read => read.map_err(|e| io_err(&path(), e))?,
-            }
-            let relabel = |e| match e {
-                StoreError::Corrupt { detail, .. } => corrupt(&meta.label(), detail),
-                StoreError::Version { found, .. } => StoreError::Version {
-                    file: meta.label(),
-                    found,
-                },
-                e => e,
-            };
-            let sealed = open_segment("", bytes).map_err(relabel)?;
-            let stored = u32::from_be_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
-            if stored != meta.crc {
-                let want = meta.crc;
-                return fail(format!(
-                    "segment CRC {stored:#010x} does not match manifest {want:#010x}"
-                ));
-            }
-            if sealed.footer.records != meta.records {
-                let (held, want) = (sealed.footer.records, meta.records);
-                return fail(format!(
-                    "segment holds {held} records, manifest says {want}"
-                ));
-            }
-            decode(sealed).map_err(relabel)
-        });
+        let checked = match &self.reads[i] {
+            Err(e) => Err(e.clone()),
+            Ok((meta, at)) => check_entry(meta, &self.bytes[*at..*at + meta.len as usize], decode),
+        };
         if let Err(StoreError::Corrupt { .. }) = checked {
             metrics.crc_failures.inc();
         }
         checked
     }
 
-    /// Decode one segment into `out` through [`Packs::read_checked`].
-    /// Shared by [`ArchiveReader::read_cell_into`] and the resume path,
-    /// so adopted segments get the same integrity treatment as manifest
-    /// replay. On error `out` is left empty.
-    fn read_segment(
+    /// Check entry `i` through [`SegmentRun::check`] and decode it into
+    /// `out`, replacing its contents, if `admit` takes its footer; a
+    /// decoded entry is counted. Returns whether it was admitted; `out` is
+    /// left empty when it was not, or on error.
+    fn decode_where(
         &self,
-        meta: &SegmentMeta,
+        i: usize,
         metrics: &StoreMetrics,
+        admit: impl FnOnce(&SegmentFooter) -> bool,
         out: &mut Vec<FlowRecord>,
-    ) -> Result<(), StoreError> {
-        self.read_checked(meta, metrics, |s| s.decode_into("", out))
+    ) -> Result<bool, StoreError> {
+        out.clear();
+        let admitted = self
+            .check(i, metrics, |s| match admit(&s.footer) {
+                true => s.decode_into("", out).map(|_| true),
+                false => Ok(false),
+            })
             .inspect_err(|_| out.clear())?;
-        metrics.segments_read.inc();
-        metrics.bytes_read.add(meta.len);
-        metrics.records_read.add(out.len() as u64);
-        Ok(())
+        if admitted {
+            metrics.segments_read.inc();
+            metrics.records_read.add(out.len() as u64);
+        }
+        Ok(admitted)
     }
+}
+
+/// [`SegmentRun::check`] of one entry's bytes.
+fn check_entry<T>(
+    meta: &SegmentMeta,
+    bytes: &[u8],
+    decode: impl FnOnce(Sealed<'_>) -> Result<T, StoreError>,
+) -> Result<T, StoreError> {
+    let fail = |detail: String| Err(corrupt(&meta.label(), detail));
+    let relabel = |e| match e {
+        StoreError::Corrupt { detail, .. } => corrupt(&meta.label(), detail),
+        StoreError::Version { found, .. } => StoreError::Version {
+            file: meta.label(),
+            found,
+        },
+        e => e,
+    };
+    let sealed = open_segment("", bytes).map_err(relabel)?;
+    let stored = u32::from_be_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
+    if stored != meta.crc {
+        let want = meta.crc;
+        return fail(format!(
+            "segment CRC {stored:#010x} does not match manifest {want:#010x}"
+        ));
+    }
+    if sealed.footer.records != meta.records {
+        let (held, want) = (sealed.footer.records, meta.records);
+        return fail(format!(
+            "segment holds {held} records, manifest says {want}"
+        ));
+    }
+    decode(sealed).map_err(relabel)
 }
 
 /// A fault injected into one segment spill (driven by the chaos
@@ -782,8 +917,10 @@ impl ArchiveWriter {
     /// Read back a segment this writer adopted during resume, with the
     /// same integrity checks as manifest replay.
     pub fn read_adopted(&self, meta: &SegmentMeta) -> Result<Vec<FlowRecord>, StoreError> {
-        let mut records = Vec::new();
-        self.packs.read_segment(meta, &self.metrics, &mut records)?;
+        let (mut records, m) = (Vec::new(), &self.metrics);
+        self.packs.read_one(Ok(meta), m, |run| {
+            run.decode_where(0, m, |_| true, &mut records)
+        })?;
         Ok(records)
     }
 
@@ -961,7 +1098,9 @@ impl VerifyReport {
 #[derive(Debug)]
 pub struct ArchiveReader {
     key: StoreKey,
-    segments: BTreeMap<Cell, SegmentMeta>,
+    /// The manifest's entries sorted by cell, one per cell: the index is
+    /// looked up by binary search.
+    segments: Vec<SegmentMeta>,
     packs: Packs,
     metrics: Arc<StoreMetrics>,
 }
@@ -969,23 +1108,21 @@ pub struct ArchiveReader {
 impl ArchiveReader {
     /// Open the archive at `dir`. `Ok(None)` when no manifest exists (an
     /// empty or never-finished archive); errors when one exists but fails
-    /// validation, and [`StoreError::Version`] when it is of another
-    /// format version.
+    /// validation — two entries for one cell included — and
+    /// [`StoreError::Version`] when it is of another format version.
     pub fn open(
         dir: &Path,
         metrics: Arc<StoreMetrics>,
     ) -> Result<Option<ArchiveReader>, StoreError> {
-        let Some((key, metas)) = read_index_file(dir, MANIFEST_NAME)? else {
+        let Some((key, mut segments)) = read_index_file(dir, MANIFEST_NAME)? else {
             return Ok(None);
         };
-        let mut segments = BTreeMap::new();
-        for m in metas {
-            if segments.insert(m.cell, m).is_some() {
-                return Err(corrupt(
-                    MANIFEST_NAME,
-                    format!("duplicate segment for {:?}", m.cell),
-                ));
-            }
+        segments.sort_by_key(|m| m.cell);
+        if let Some(pair) = segments.windows(2).find(|w| w[0].cell == w[1].cell) {
+            return Err(corrupt(
+                MANIFEST_NAME,
+                format!("duplicate segment for {:?}", pair[0].cell),
+            ));
         }
         Ok(Some(ArchiveReader {
             key,
@@ -1007,23 +1144,25 @@ impl ArchiveReader {
 
     /// Manifest entries in `(stream, date, hour)` order.
     pub fn segments(&self) -> impl Iterator<Item = &SegmentMeta> {
-        self.segments.values()
+        self.segments.iter()
     }
 
     /// Manifest entry for one cell, if archived.
-    #[cfg(test)]
     pub(crate) fn meta(&self, cell: Cell) -> Option<&SegmentMeta> {
-        self.segments.get(&cell)
+        self.segments
+            .binary_search_by_key(&cell, |m| m.cell)
+            .ok()
+            .map(|i| &self.segments[i])
     }
 
     /// Whether every cell in `cells` has an archived segment.
     pub fn covers<'a>(&self, cells: impl IntoIterator<Item = &'a Cell>) -> bool {
-        cells.into_iter().all(|c| self.segments.contains_key(c))
+        cells.into_iter().all(|&c| self.meta(c).is_some())
     }
 
     /// The manifest entry of a cell the caller demands.
     fn entry(&self, cell: Cell) -> Result<&SegmentMeta, StoreError> {
-        self.segments.get(&cell).ok_or_else(|| StoreError::Missing {
+        self.meta(cell).ok_or_else(|| StoreError::Missing {
             what: format!(
                 "segment for {} {} hour {:02} not in manifest",
                 cell.stream.label(),
@@ -1042,35 +1181,80 @@ impl ArchiveReader {
     }
 
     /// [`ArchiveReader::read_cell`] into the caller's buffer, replacing
-    /// its contents: a replay loop that keeps one buffer decodes every
-    /// cell without allocating. On error `out` is left empty.
-    pub fn read_cell_into(&self, cell: Cell, out: &mut Vec<FlowRecord>) -> Result<(), StoreError> {
-        let meta = self.entry(cell).inspect_err(|_| out.clear())?;
-        self.packs.read_segment(meta, &self.metrics, out)
+    /// its contents. On error `out` is left empty.
+    pub(crate) fn read_cell_into(
+        &self,
+        cell: Cell,
+        out: &mut Vec<FlowRecord>,
+    ) -> Result<(), StoreError> {
+        self.read_cell_where(cell, |_| true, out).map(|_| ())
+    }
+
+    /// Read one cell's segment once and decode it into `out` only if
+    /// `admit` takes its footer — record count, time range and column zone
+    /// maps. The whole range is read and CRC-checked either way, so a
+    /// corrupt segment fails here exactly as it would on decode; what a
+    /// refusal skips is the per-column unpack. Returns whether the cell
+    /// was admitted; `out` is left empty when it was not, or on error.
+    pub fn read_cell_where(
+        &self,
+        cell: Cell,
+        admit: impl FnOnce(&SegmentFooter) -> bool,
+        out: &mut Vec<FlowRecord>,
+    ) -> Result<bool, StoreError> {
+        let m = &self.metrics;
+        self.packs.read_one(self.entry(cell), m, |run| {
+            run.decode_where(0, m, admit, out)
+        })
     }
 
     /// Read one cell's segment *footer* — record count, time range and
-    /// column zone maps — without materializing any records. The whole
-    /// range is still read and CRC-checked (the trailer covers every
-    /// prior byte), so a corrupt segment fails here exactly as it would
-    /// on decode; what this skips is the per-column unpack, which
-    /// is what predicate-pushdown scans prune on.
+    /// column zone maps — without materializing any records, checked as
+    /// [`ArchiveReader::read_cell_where`] checks it.
     pub fn read_footer(&self, cell: Cell) -> Result<SegmentFooter, StoreError> {
+        let m = &self.metrics;
         self.packs
-            .read_checked(self.entry(cell)?, &self.metrics, |s| Ok(s.footer))
+            .read_one(self.entry(cell), m, |run| run.check(0, m, |s| Ok(s.footer)))
     }
 
-    /// Decode every segment, collecting failures instead of stopping at
-    /// the first.
+    /// Read the segments of `cells`, in order, into `run` with one
+    /// positioned read per pack: a day of one stream is one read. Nothing
+    /// is checked yet; [`ArchiveReader::decode_run`] checks and decodes
+    /// each cell, and a cell that could not be read fails there.
+    pub fn read_run(&self, cells: &[Cell], run: &mut SegmentRun) {
+        self.packs
+            .read_run(cells.iter().map(|&c| self.entry(c)), run, &self.metrics);
+    }
+
+    /// Check and decode the `i`-th cell of the last [`read_run`] of `run`
+    /// into `out`, replacing its contents, with the checks of
+    /// [`ArchiveReader::read_cell`]. On error `out` is left empty.
+    ///
+    /// [`read_run`]: ArchiveReader::read_run
+    pub fn decode_run(
+        &self,
+        run: &SegmentRun,
+        i: usize,
+        out: &mut Vec<FlowRecord>,
+    ) -> Result<(), StoreError> {
+        run.decode_where(i, &self.metrics, |_| true, out).map(drop)
+    }
+
+    /// Decode every segment, a pack at a time, collecting failures instead
+    /// of stopping at the first.
     pub fn verify(&self) -> VerifyReport {
         let mut report = VerifyReport::default();
-        let mut records = Vec::new();
-        for meta in self.segments.values() {
-            report.segments += 1;
-            report.bytes += meta.len;
-            match self.packs.read_segment(meta, &self.metrics, &mut records) {
-                Ok(()) => report.records += records.len() as u64,
-                Err(e) => report.failures.push(e.to_string()),
+        let (mut run, mut records) = (SegmentRun::default(), Vec::new());
+        for pack in self.segments.chunk_by(|a, b| a.pack() == b.pack()) {
+            self.packs
+                .read_run(pack.iter().map(Ok), &mut run, &self.metrics);
+            for (i, meta) in pack.iter().enumerate() {
+                report.segments += 1;
+                report.bytes += meta.len;
+                match run.decode_where(i, &self.metrics, |_| true, &mut records) {
+                    Ok(_) => report.records += records.len() as u64,
+                    Err(e) => report.failures.push(e.to_string()),
+                }
             }
         }
         report
@@ -1461,6 +1645,117 @@ mod tests {
         assert!(err.to_string().ends_with("overruns the pack"), "{err}");
         assert!(out.is_empty(), "a failed read left records behind");
         assert_eq!(metrics.crc_failures.get(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A run read spans two days' packs and a cell the index lacks: each
+    /// read cell decodes to what a single-cell read gives, the missing one
+    /// fails alone, and every read cell's bytes are counted once, as a
+    /// footer read's are.
+    #[test]
+    fn a_run_read_equals_single_cell_reads() {
+        let dir = tmp_dir("run-read");
+        let w = ArchiveWriter::create(&dir, KEY, StoreMetrics::new()).unwrap();
+        let cells = [cell(2, 3), cell(2, 0), cell(2, 7), cell(3, 1), cell(3, 2)];
+        for (i, &c) in cells.iter().enumerate() {
+            w.spill(c, &records(c, 5 + 9 * i as u32)).unwrap();
+        }
+        w.finish().unwrap();
+
+        let metrics = StoreMetrics::new();
+        let r = ArchiveReader::open(&dir, Arc::clone(&metrics))
+            .unwrap()
+            .unwrap();
+        let asked = [
+            cell(2, 0),
+            cell(2, 3),
+            cell(2, 5),
+            cell(2, 7),
+            cell(3, 1),
+            cell(3, 2),
+        ];
+        let mut run = SegmentRun::default();
+        r.read_run(&asked, &mut run);
+        let held: u64 = r.segments().map(|m| m.len).sum();
+        assert_eq!(metrics.bytes_read.get(), held);
+        let mut out = records(cell(4, 4), 3);
+        for (i, &c) in asked.iter().enumerate() {
+            match r.decode_run(&run, i, &mut out) {
+                Ok(()) => assert_eq!(out, r.read_cell(c).unwrap(), "{c:?}"),
+                Err(e) => {
+                    assert_eq!(c, cell(2, 5));
+                    assert!(matches!(e, StoreError::Missing { .. }), "{e}");
+                    assert!(out.is_empty());
+                }
+            }
+        }
+        assert_eq!(metrics.segments_read.get(), 2 * 5);
+        // A footer read checks the whole range, so it counts its bytes
+        // as a decode does.
+        let before = metrics.bytes_read.get();
+        assert_eq!(r.read_footer(cell(2, 7)).unwrap().records, 23);
+        let len = r.meta(cell(2, 7)).unwrap().len;
+        assert_eq!(metrics.bytes_read.get(), before + len);
+        assert_eq!(metrics.segments_read.get(), 2 * 5);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A pack cut short under a run read: whether the span outgrows the
+    /// buffer (the pack's length is asked) or fits a buffer grown by an
+    /// earlier run (a short read), only the cells past the cut fail, each
+    /// named and counted.
+    #[test]
+    fn a_cut_pack_fails_only_the_cells_past_the_cut() {
+        let dir = tmp_dir("run-cut");
+        let w = ArchiveWriter::create(&dir, KEY, StoreMetrics::new()).unwrap();
+        let (big, day) = (cell(3, 0), (0..6).map(|h| cell(2, h)).collect::<Vec<_>>());
+        w.spill(big, &records(big, 400)).unwrap();
+        for &c in &day {
+            w.spill(c, &records(c, 20)).unwrap();
+        }
+        w.finish().unwrap();
+        let metas: Vec<SegmentMeta> = published(&dir)
+            .into_iter()
+            .filter(|m| m.cell.date == day[0].date)
+            .collect();
+        let path = pack_path(&dir, &metas[0]);
+        let cut = std::fs::metadata(&path).unwrap().len() / 2;
+        OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(cut)
+            .unwrap();
+        let past: Vec<Cell> = metas
+            .iter()
+            .filter(|m| m.offset + m.len > cut)
+            .map(|m| m.cell)
+            .collect();
+        assert!(!past.is_empty() && past.len() < day.len());
+
+        for grown in [false, true] {
+            let metrics = StoreMetrics::new();
+            let r = ArchiveReader::open(&dir, Arc::clone(&metrics))
+                .unwrap()
+                .unwrap();
+            let mut run = SegmentRun::default();
+            if grown {
+                r.read_run(&[big], &mut run);
+            }
+            r.read_run(&day, &mut run);
+            let mut out = Vec::new();
+            for (i, &c) in day.iter().enumerate() {
+                match r.decode_run(&run, i, &mut out) {
+                    Ok(()) => assert_eq!(out, records(c, 20)),
+                    Err(e) => {
+                        assert!(past.contains(&c), "{c:?}: {e}");
+                        assert!(e.to_string().contains("overruns"), "{e}");
+                    }
+                }
+            }
+            let failed = metrics.crc_failures.get() as usize;
+            assert_eq!(failed, past.len(), "grown buffer: {grown}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -7,9 +7,10 @@
 //! maps and a CRC, appended to its `(stream, day)` pack and indexed by a
 //! manifest ([`archive`], its entries in the wire form the shard protocol
 //! shares) keyed by seed, scenario hash and plan hash. A
-//! later run with the same generation key replays decoded segments
-//! ([`ArchiveReader::read_cell`]) through the identical consumer machinery
-//! and produces byte-identical output without generating a single flow;
+//! later run with the same generation key replays decoded segments (a
+//! day pack at a time: [`ArchiveReader::read_run`]) through the identical
+//! consumer machinery and produces byte-identical output without
+//! generating a single flow;
 //! any key mismatch marks the archive stale and the run regenerates.
 //! Everything is dependency-light: the encodings are hand-rolled
 //! bit-packed columns and varints over `std::fs`, no serialization or
@@ -26,8 +27,8 @@ pub mod scan;
 pub mod segment;
 
 pub use archive::{
-    gc_dir, scenario_subdir, ArchiveReader, ArchiveWriter, SegmentMeta, SpillFault, StoreKey,
-    JOURNAL_NAME, MANIFEST_NAME, MANIFEST_VERSION, PACKS_DIR,
+    gc_dir, scenario_subdir, ArchiveReader, ArchiveWriter, SegmentMeta, SegmentRun, SpillFault,
+    StoreKey, JOURNAL_NAME, MANIFEST_NAME, MANIFEST_VERSION, PACKS_DIR,
 };
 pub use metrics::StoreMetrics;
 pub use scan::TimeRange;

@@ -568,10 +568,10 @@ fn unpack(
     out: &mut [FlowRecord],
     mut set: impl FnMut(&mut FlowRecord, u64),
 ) -> Result<u64, StoreError> {
-    let (lo, hi) = match f.width {
+    let (no_zero, hi) = match f.width {
         0 => {
             out.iter_mut().for_each(|r| set(r, f.min));
-            (0, 0)
+            (false, 0)
         }
         // A value and its shift fit one 8-byte load up to 56 bits.
         1..=56 => unpack_bits::<8>(f, out, set),
@@ -579,7 +579,7 @@ fn unpack(
     };
     let spare = (out.len() * f.width as usize) % 8;
     let fail = |what: String| Err(column_err(segment, f.col, what));
-    if out.is_empty() && f.min != 0 || !out.is_empty() && lo != 0 {
+    if out.is_empty() && f.min != 0 || !out.is_empty() && no_zero {
         return fail(format!("no value is the frame's min {}", f.min));
     }
     if bits(hi) != f.width {
@@ -600,13 +600,13 @@ fn unpack(
 /// The unpack for widths of 1 to 64 bits, each value one `LOAD`-byte
 /// little-endian load at its byte and a shift. Values whose load lies
 /// inside the column read it in place; the last few read a zero-padded
-/// copy of its tail. Returns the smallest and largest offset.
+/// copy of its tail. Returns whether no offset is 0, and the largest.
 #[inline(always)]
 fn unpack_bits<const LOAD: usize>(
     f: Frame<'_>,
     out: &mut [FlowRecord],
     mut set: impl FnMut(&mut FlowRecord, u64),
-) -> (u64, u64) {
+) -> (bool, u64) {
     let w = f.width as usize;
     let fast = f
         .packed
@@ -617,12 +617,14 @@ fn unpack_bits<const LOAD: usize>(
     let from = fast * w / 8;
     let mut pad = [0u8; 32];
     pad[..f.packed.len() - from].copy_from_slice(&f.packed[from..]);
-    let (lo, hi) = unpack_run::<LOAD>(f, f.packed, 0, head, &mut set);
-    let (tail_lo, tail_hi) = unpack_run::<LOAD>(f, &pad, fast * w - from * 8, tail, &mut set);
-    (lo.min(tail_lo), hi.max(tail_hi))
+    let (no_zero, hi) = unpack_run::<LOAD>(f, f.packed, 0, head, &mut set);
+    let (tail_no_zero, tail_hi) = unpack_run::<LOAD>(f, &pad, fast * w - from * 8, tail, &mut set);
+    (no_zero && tail_no_zero, hi.max(tail_hi))
 }
 
 /// One loop of [`unpack_bits`]: `out`'s values, from bit `bit` of `src`.
+/// Whether some offset is 0 is a flag, not a running minimum: one `and`
+/// per value instead of a compare and select.
 #[inline(always)]
 fn unpack_run<const LOAD: usize>(
     f: Frame<'_>,
@@ -630,9 +632,9 @@ fn unpack_run<const LOAD: usize>(
     mut bit: usize,
     out: &mut [FlowRecord],
     set: &mut impl FnMut(&mut FlowRecord, u64),
-) -> (u64, u64) {
+) -> (bool, u64) {
     let mask = u64::MAX >> (64 - f.width);
-    let (mut lo, mut hi) = (u64::MAX, 0);
+    let (mut no_zero, mut hi) = (true, 0);
     for r in out {
         let at = bit / 8;
         let word = match LOAD {
@@ -643,11 +645,12 @@ fn unpack_run<const LOAD: usize>(
             }
         };
         let d = word & mask;
-        (lo, hi) = (lo.min(d), hi.max(d));
+        no_zero &= d != 0;
+        hi = hi.max(d);
         set(r, f.min.wrapping_add(d));
         bit += f.width as usize;
     }
-    (lo, hi)
+    (no_zero, hi)
 }
 
 #[cold]
@@ -1181,6 +1184,36 @@ mod tests {
             refusal("rule", &repack(&empty, c, 7, 0, &[])),
             "column DstAs: no value is the frame's min 7"
         );
+    }
+
+    /// The unpack reads a column's values in place up to the last whole
+    /// load and the rest from a padded copy of its tail: "some offset is
+    /// 0" must be found on either side of that split, and refused when it
+    /// is on neither.
+    #[test]
+    fn the_zero_offset_is_found_on_either_side_of_the_padded_tail() {
+        let n = 40;
+        let c = Column::SrcAs as usize - 1;
+        for low in [0, n - 1] {
+            let mut records = sample(n as u32);
+            for (i, r) in records.iter_mut().enumerate() {
+                r.src_as = if i == low { 100 } else { 1_000 + i as u32 };
+            }
+            let bytes = encode_segment(&records);
+            let (min, width, offs) = offsets(&bytes, c, n);
+            assert_eq!((min, width), (100, 10));
+            assert_eq!(offs.iter().position(|&d| d == 0), Some(low));
+            // 40 values of 10 bits take 50 bytes: an 8-byte load at the
+            // last value's byte would overrun them, so it is in the tail.
+            let in_tail = low * 10 / 8 + 8 > packed_len(n, 10);
+            assert_eq!(in_tail, low == n - 1);
+            assert_eq!(decode_segment("zero", &bytes).unwrap().0, records);
+            let up: Vec<u64> = offs.iter().map(|d| d + 1).collect();
+            assert_eq!(
+                refusal("zero", &repack(&bytes, c, min - 1, 10, &up)),
+                "column SrcAs: no value is the frame's min 99"
+            );
+        }
     }
 
     #[test]

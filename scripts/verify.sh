@@ -113,10 +113,12 @@ if [[ $(grep -c . <<< "$observe_all") -ne 1 ]] ||
     echo "${observe_all:-(nowhere)}" >&2
     exit 1
 fi
-# Warm replay decodes into the worker's reused buffer: a `read_cell(` under
-# crates/core/src is a fresh row vector per replayed cell again.
-if grep -rnF --include='*.rs' 'read_cell(' crates/core/src >&2; then
-    echo "said-once: the engine takes a fresh row vector per cell again (use read_cell_into)" >&2
+# Warm replay reads a claimed day with one positioned read per pack and
+# decodes each cell into the worker's reused buffer: a `read_cell(` under
+# crates/core/src is a fresh row vector per replayed cell again, and a
+# `read_cell_into(` one positioned read per cell again.
+if grep -rnF --include='*.rs' -e 'read_cell(' -e 'read_cell_into(' crates/core/src >&2; then
+    echo "said-once: the engine reads a cell at a time again (use read_run and decode_run)" >&2
     exit 1
 fi
 # The default calibration is the shipped scenarios/covid-spring-2020.toml:

@@ -412,6 +412,49 @@ fn corrupt_segment_is_regenerated_and_counted() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A day pack cut to half its length: a warm pass reads each claimed day
+/// with one positioned read per pack, and the short read falls back to
+/// one read per cell, so exactly the cells whose range runs past the cut
+/// are regenerated (and counted as corrupt replays) and the rest replay.
+#[test]
+fn truncated_pack_regenerates_only_the_cells_past_the_cut() {
+    let ctx = Context::with_seed(Fidelity::Test, 59);
+    let dir = tmp_dir("truncated");
+    let (d1, d2) = (Date::new(2020, 3, 23), Date::new(2020, 3, 24));
+    let vp = VantagePoint::IspCe;
+    pass(&ctx, vp, d1, d2, Some(&dir), false, 2);
+
+    let metas = manifest(&dir);
+    let pack = metas[0].pack_name();
+    let path = dir.join(PACKS_DIR).join(&pack);
+    let cut = std::fs::metadata(&path).expect("pack").len() / 2;
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&path)
+        .expect("open pack")
+        .set_len(cut)
+        .expect("cut pack");
+    let past = metas
+        .iter()
+        .filter(|m| m.pack_name() == pack && m.offset + m.len > cut)
+        .count() as u64;
+    assert!(0 < past && past < 24, "{past} cells past the cut");
+
+    let mut plan = EnginePlan::new();
+    plan.with_archive(&dir);
+    let d = plan.subscribe(Stream::Vantage(vp), d1, d2, || SortedFlows {
+        flows: Vec::new(),
+    });
+    let mut out = engine::run_with_workers(&ctx, plan, 2).expect("a cut pack is not fatal");
+    let stats = out.stats();
+    assert_eq!(stats.cells_generated, past);
+    assert_eq!(stats.cells_replayed, 2 * 24 - past);
+    assert_eq!(out.supervisor_metrics().replay_corruptions.get(), past);
+    let (plain, _, _) = pass(&ctx, vp, d1, d2, None, false, 2);
+    assert_eq!(out.take(d).sorted(), plain);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Re-stamp the index file at `path` as format version 1, CRC and all.
 fn restamp_as_v1(path: &Path) {
     let bytes = std::fs::read(path).expect("read index");
