@@ -1,10 +1,11 @@
 //! Versioned wire codec for consumer state.
 //!
-//! The shard subsystem moves partial [`FlowConsumer`] state between
-//! processes: a worker runs the engine over its cell slice, serializes
-//! each consumer's accumulator, and the coordinator deserializes and
-//! merges the partials through the same additive merge the in-process
-//! engine uses. The encoding therefore has exactly two jobs:
+//! The engine moves every partial [`FlowConsumer`] state through this
+//! codec: each thread but the first serializes its column once when a
+//! pass ends, a shard worker serializes each cell slice it runs, and the
+//! pass decodes every partial into the first column through the
+//! consumer's own additive merge. The encoding therefore has exactly two
+//! jobs:
 //!
 //! * **Determinism.** The same state encodes to the same bytes whatever
 //!   the insertion order — hash maps and sets are emitted in sorted key
@@ -213,6 +214,11 @@ impl<'a> StateReader<'a> {
     /// Read a big-endian `u64`.
     pub fn u64(&mut self, what: &'static str) -> Result<u64, CodecError> {
         self.read(|cur| cur.read_u64(what))
+    }
+
+    /// Read `n` raw bytes.
+    pub fn bytes(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], CodecError> {
+        self.read(|cur| cur.read_bytes(n, what))
     }
 
     /// Read a big-endian two's-complement `i64`.

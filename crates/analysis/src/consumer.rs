@@ -62,9 +62,11 @@ pub trait FlowConsumer {
     where
         Self: Sized;
 
-    /// Stable identity of this consumer's serialized state (the shard
-    /// codec's tag byte + the name decode errors carry). Consumers that
-    /// never cross a process boundary keep the default.
+    /// Stable identity of this consumer's serialized state (the state
+    /// codec's tag byte + the name decode errors carry). A consumer that
+    /// keeps the default cannot leave the column that built it, so only a
+    /// one-thread pass can run it: a pass of more threads, or a worker
+    /// process, panics when it encodes that column.
     fn state_tag(&self) -> ConsumerTag {
         codec::TAG_UNSUPPORTED
     }
@@ -74,13 +76,13 @@ pub trait FlowConsumer {
     /// version/tag/CRC framing). Constructor parameters are not encoded:
     /// the receiving side factory-builds the consumer and merges.
     fn encode_state(&self, _out: &mut Vec<u8>) {
-        unimplemented!("consumer does not implement the shard state codec")
+        unimplemented!("a consumer without the state codec runs only in a one-thread pass")
     }
 
     /// Decode a peer's payload from `r` and merge it into `self` — the
     /// cross-process analogue of [`FlowConsumer::merge`].
     fn merge_state(&mut self, r: &mut StateReader<'_>) -> Result<(), CodecError> {
-        Err(r.error("consumer does not implement the shard state codec"))
+        Err(r.error("consumer does not implement the state codec"))
     }
 }
 

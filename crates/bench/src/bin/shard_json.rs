@@ -1,23 +1,27 @@
 //! Emit machine-readable shard-plane numbers as JSON (hand-formatted —
 //! no serialization dependency): coordinated wall clock at 1, 2 and 4
-//! workers against the single-process baseline, plus the cost of one
+//! workers against single-process baselines, plus the cost of one
 //! seeded worker-kill reassignment. `scripts/verify.sh` writes the
 //! output to `BENCH_shard.json` at the repo root.
 //!
 //! Workers here are protocol-serving threads on loopback listeners (the
 //! same topology the shard integration tests use), so the numbers
 //! isolate the shard layer itself — framing, state streaming, merge —
-//! from process spawn cost. Every pass is cold (no archive). The
-//! single-process baseline uses every core, while each worker runs its
-//! slice on one engine thread, so wall clock drops with more workers
-//! only up to the machine's core count; the interesting numbers are the
-//! coordination overhead vs the baseline and the reassignment penalty
-//! under chaos.
+//! from process spawn cost. Every pass is cold (no archive). Each worker
+//! runs its slice on one engine thread, so `coordination_overhead_1w`
+//! divides the one-worker pass by a single-process pass on one thread
+//! (`single_thread_secs`); the single-process pass on every core is
+//! reported beside it (`single_process_all_cores_secs`). Wall clock drops
+//! with more workers only up to the machine's core count; the
+//! interesting numbers are the coordination overhead and the
+//! reassignment penalty under chaos.
 //!
 //! Usage: `cargo run --release -p lockdown-bench --bin shard_json
 //! [--fidelity test|standard]` (prints to stdout).
 
 use lockdown::base::fault::{FaultProfile, Schedule};
+use lockdown::core::engine::{self, DriveStats, EnginePlan};
+use lockdown::core::experiments::figures::FIGURES;
 use lockdown::core::experiments::suite::{self, suite_shard_cell_count};
 use lockdown::core::{Context, Fidelity};
 use lockdown::shard::coord::{self, chunk_ranges, CoordOptions};
@@ -27,7 +31,7 @@ use std::time::Instant;
 
 /// One coordinated pass over `n` protocol-thread workers; returns the
 /// wall clock and the coordinator stats.
-fn coordinated_pass(fidelity: Fidelity, opts: &CoordOptions, n: usize) -> (f64, coord::CoordStats) {
+fn coordinated_pass(fidelity: Fidelity, opts: &CoordOptions, n: usize) -> (f64, DriveStats) {
     let mut addrs = Vec::with_capacity(n);
     let mut handles = Vec::with_capacity(n);
     for _ in 0..n {
@@ -86,10 +90,19 @@ fn main() {
     let opts = CoordOptions::default();
     let cells = suite_shard_cell_count(&Context::new(fidelity), &opts.suite);
 
-    // Warm-up pass, then the single-process baseline.
+    // Warm-up pass, then the single-process baselines: every core, and
+    // the one engine thread a worker runs its slice on (the figures
+    // planned onto one plan and redeemed as `tests/determinism.rs` does).
     let _ = suite::run_all(&Context::new(fidelity));
     let t = Instant::now();
     let single = suite::run_all(&Context::new(fidelity));
+    let all_cores_secs = t.elapsed().as_secs_f64();
+    let t = Instant::now();
+    let ctx = Context::new(fidelity);
+    let mut plan = EnginePlan::new();
+    let pending: Vec<_> = FIGURES.iter().map(|f| f.plan(&ctx, &mut plan)).collect();
+    let mut out = engine::run_with_workers(&ctx, plan, 1).expect("suite pass");
+    let _sections: Vec<_> = pending.into_iter().map(|f| f(&ctx, &mut out)).collect();
     let single_secs = t.elapsed().as_secs_f64();
 
     let mut pass_secs = [0.0f64; 3];
@@ -115,7 +128,8 @@ fn main() {
     println!("  \"fidelity\": \"{fidelity_name}\",");
     println!("  \"cells\": {cells},");
     println!("  \"flows_emitted\": {},", single.stats.flows_emitted);
-    println!("  \"single_process_secs\": {single_secs:.4},");
+    println!("  \"single_process_all_cores_secs\": {all_cores_secs:.4},");
+    println!("  \"single_thread_secs\": {single_secs:.4},");
     println!("  \"workers_1_secs\": {t1:.4},");
     println!("  \"workers_2_secs\": {t2:.4},");
     println!("  \"workers_4_secs\": {t4:.4},");

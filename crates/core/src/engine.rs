@@ -9,21 +9,33 @@
 //! distinct cell is generated exactly once and fanned out to every
 //! subscription whose window covers it.
 //!
-//! Scheduling and determinism: the workers of a pass claim a day of one
-//! stream at a time (at most `RUN_CELLS`, 24, consecutive cells of the sorted
-//! list) from a shared cursor, so each stays busy until the list runs dry
-//! however unevenly the flows are spread over it (the first half of the
-//! suite's cells carries 78% of its flows), and a warm pass reads each
-//! claimed day with one positioned read per day pack. Each cell of a claim
-//! is still run, supervised and fanned out on its own.
-//! Which worker ends up with which cells differs from run to run, and the
+//! Scheduling and determinism: a pass is one work queue of [`Claim`]s —
+//! a range of the sorted cell list and an attempt number — and one
+//! driver that hands them to [`Link`]s. A link is a thread of this
+//! process or a worker process behind a socket (`lockdown_shard`), and
+//! the driver treats both alike: a claim a link did not finish goes back
+//! on the queue with its attempt + 1, a lost link is retired, and a claim
+//! whose attempts are spent is quarantined. A thread link's claim is a
+//! day of one stream (at most `RUN_CELLS`, 24, consecutive cells), so
+//! each thread stays busy until the queue runs dry however unevenly the
+//! flows are spread over it (the first half of the suite's cells carries
+//! 78% of its flows), and a warm pass reads each claimed day with one
+//! positioned read per day pack. Each cell of a claim is still run,
+//! supervised and fanned out on its own, into the link's one consumer
+//! column. Every partial — another thread's column, encoded once when
+//! the pass ends, or a worker process's slice — merges through the one
+//! consumer-state codec into the first thread's column, so a one-thread
+//! pass encodes nothing (and only such a pass can run a consumer that
+//! keeps [`FlowConsumer::state_tag`]'s default, which has no codec).
+//! Which link ends up with which cells differs from run to run, and the
 //! output does not: cells are independently seeded, so a cell's flows are
-//! the same on any thread; each cell is claimed exactly once; and every
-//! [`FlowConsumer`] merge is commutative and associative over disjoint
-//! cell sets, so the merged result depends only on the set of cells. It
-//! is therefore bit-identical for any worker count and any claim order,
-//! and identical to the old per-figure regeneration.
-//! `tests/determinism.rs` asserts all three.
+//! the same on any link; each cell is run to completion exactly once; and
+//! every [`FlowConsumer`] merge is commutative and associative over
+//! disjoint cell sets, so the merged result depends only on the set of
+//! cells. It is therefore bit-identical for any worker count, any claim
+//! order and either kind of link, and identical to the old per-figure
+//! regeneration. `tests/determinism.rs` and `tests/equivalence.rs` assert
+//! it.
 
 use crate::context::Context;
 use crate::supervisor::{
@@ -41,22 +53,19 @@ use lockdown_store::{
 };
 use lockdown_traffic::plan::{Cell, Stream, TraceEmitter, TracePlan};
 use std::any::Any;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::marker::PhantomData;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
-/// Object-safe face of [`FlowConsumer`] used inside the engine.
+/// Object-safe face of [`FlowConsumer`] used inside the engine. A
+/// consumer's state leaves its column only as a codec frame.
 trait AnyConsumer: Send {
     fn observe_run(&mut self, run: &HourRun<'_>);
-    fn merge_box(&mut self, other: Box<dyn AnyConsumer>);
     fn into_any(self: Box<Self>) -> Box<dyn Any>;
-    /// Serialize this consumer's state as a self-checking codec frame
-    /// (the shard worker's side of the cross-process merge).
+    /// Serialize this consumer's state as a self-checking codec frame.
     fn encode_state_frame(&self) -> Vec<u8>;
-    /// Decode a peer's frame and merge it into this consumer (the shard
-    /// coordinator's side).
+    /// Decode a partial's frame and merge it into this consumer.
     fn merge_state_frame(&mut self, frame: &[u8]) -> Result<(), CodecError>;
 }
 
@@ -65,17 +74,6 @@ struct Erased<C>(C);
 impl<C: FlowConsumer + Send + 'static> AnyConsumer for Erased<C> {
     fn observe_run(&mut self, run: &HourRun<'_>) {
         self.0.observe_run(run);
-    }
-
-    fn merge_box(&mut self, other: Box<dyn AnyConsumer>) {
-        // Unreachable by construction: partials are merged strictly by
-        // subscription index, and each index has exactly one concrete
-        // consumer type (enforced at `subscribe` time by the factory).
-        let other = other
-            .into_any()
-            .downcast::<Erased<C>>()
-            .expect("merged consumers share one subscription type");
-        self.0.merge(other.0);
     }
 
     fn into_any(self: Box<Self>) -> Box<dyn Any> {
@@ -183,8 +181,8 @@ impl EnginePlan {
     }
 
     /// Subscribe a consumer to an inclusive date window of one stream.
-    /// `factory` builds one fresh consumer per worker; partials are merged
-    /// in worker order after the pass.
+    /// `factory` builds one fresh consumer per link column; partials merge
+    /// through the consumer-state codec after the pass.
     pub fn subscribe<C, F>(
         &mut self,
         stream: Stream,
@@ -251,7 +249,8 @@ pub struct EngineStats {
     pub retries: u64,
     /// Flow records fanned out across all cells, generated or replayed.
     pub flows_emitted: u64,
-    /// Worker threads used.
+    /// Links the pass ran on: threads, or a coordinated pass's worker
+    /// processes.
     pub workers: usize,
 }
 
@@ -417,27 +416,64 @@ pub(crate) fn run_standalone<H, T>(
     finish(handles, &mut out)
 }
 
-/// One worker's consumer column and tallies.
-struct Partial {
+/// One link's consumers, one per subscription, and the counts of the
+/// cells they hold (`counts.states` stays empty until [`Column::encode`]).
+struct Column {
     consumers: Vec<Box<dyn AnyConsumer>>,
-    tallies: Tallies,
+    counts: SliceOutcome,
 }
 
-/// Per-worker cell accounting.
-#[derive(Debug, Default, Clone, Copy)]
-struct Tallies {
-    flows: u64,
-    generated: u64,
-    replayed: u64,
-    resumed: u64,
-}
+impl Column {
+    /// One fresh consumer per subscription, in subscription order.
+    fn new(subs: &[Subscription]) -> Column {
+        Column {
+            consumers: subs.iter().map(|s| (s.factory)()).collect(),
+            counts: SliceOutcome::default(),
+        }
+    }
 
-impl Tallies {
-    fn add(&mut self, other: Tallies) {
-        self.flows += other.flows;
-        self.generated += other.generated;
-        self.replayed += other.replayed;
-        self.resumed += other.resumed;
+    /// Close the column: every consumer's state as one codec frame.
+    fn encode(self) -> SliceOutcome {
+        SliceOutcome {
+            states: self
+                .consumers
+                .iter()
+                .map(|c| c.encode_state_frame())
+                .collect(),
+            ..self.counts
+        }
+    }
+
+    /// The one merge: fold a closed partial — another thread's column or
+    /// a worker process's slice — into this column through the codec. A
+    /// frame that fails to decode is archive-grade corruption: the
+    /// partial must be re-run, not silently dropped.
+    fn absorb(&mut self, partial: SliceOutcome) -> Result<(), StoreError> {
+        let corrupt = |detail: String| StoreError::Corrupt {
+            segment: "consumer state".to_string(),
+            detail,
+        };
+        if partial.states.len() != self.consumers.len() {
+            return Err(corrupt(format!(
+                "a partial holds {} states for {} subscriptions",
+                partial.states.len(),
+                self.consumers.len()
+            )));
+        }
+        for (consumer, frame) in self.consumers.iter_mut().zip(&partial.states) {
+            consumer
+                .merge_state_frame(frame)
+                .map_err(|e| corrupt(e.to_string()))?;
+        }
+        let counts = &mut self.counts;
+        counts.flows += partial.flows;
+        counts.generated += partial.generated;
+        counts.replayed += partial.replayed;
+        counts.resumed += partial.resumed;
+        counts.retries += partial.retries;
+        counts.segments.extend(partial.segments);
+        counts.quarantined.extend(partial.quarantined);
+        Ok(())
     }
 }
 
@@ -460,11 +496,6 @@ pub fn panic_message(payload: Box<dyn Any + Send>) -> String {
     } else {
         "opaque panic payload".to_string()
     }
-}
-
-/// One fresh consumer per subscription, in subscription order.
-fn fresh_consumers(subs: &[Subscription]) -> Vec<Box<dyn AnyConsumer>> {
-    subs.iter().map(|s| (s.factory)()).collect()
 }
 
 /// Hand one cell's batch to every subscription whose window covers it.
@@ -498,11 +529,12 @@ struct Slot<'r> {
     index: usize,
 }
 
-/// Everything one engine pass shares across workers to execute a cell:
-/// generation, replay, resume, the wire plane and the supervisor. Every
-/// cell of every entry point runs through [`CellRunner::run`], so
+/// Everything one engine pass shares across its thread links to execute
+/// a cell: generation, replay, resume, the wire plane and the supervisor.
+/// Every cell a pass generates or replays, on a thread of this process or
+/// of a worker process, runs through [`CellRunner::process`], so
 /// supervised semantics cannot drift between worker counts or between
-/// threads and shard processes.
+/// threads and worker processes.
 struct CellRunner<'a> {
     emitter: TraceEmitter<'a>,
     reader: Option<&'a ArchiveReader>,
@@ -623,28 +655,22 @@ impl CellRunner<'_> {
     }
 
     /// Run one cell end to end: fill, wire processing, conservation
-    /// posts, and fan-out to covering subscriptions. Quarantined cells
-    /// skip everything downstream.
-    fn process(
-        &self,
-        cell: Cell,
-        slot: Slot<'_>,
-        buf: &mut Vec<FlowRecord>,
-        consumers: &mut [Box<dyn AnyConsumer>],
-        tallies: &mut Tallies,
-    ) {
+    /// posts, and fan-out into `column`. Quarantined cells skip
+    /// everything downstream.
+    fn process(&self, cell: Cell, slot: Slot<'_>, buf: &mut Vec<FlowRecord>, column: &mut Column) {
         let Some(fill) = self.fill(cell, slot, buf) else {
             return;
         };
+        let counts = &mut column.counts;
         match fill {
-            CellFill::Generated => tallies.generated += 1,
-            CellFill::Replayed => tallies.replayed += 1,
+            CellFill::Generated => counts.generated += 1,
+            CellFill::Replayed => counts.replayed += 1,
             CellFill::Resumed => {
-                tallies.replayed += 1;
-                tallies.resumed += 1;
+                counts.replayed += 1;
+                counts.resumed += 1;
             }
         }
-        tallies.flows += buf.len() as u64;
+        counts.flows += buf.len() as u64;
         let wired;
         let batch: &[FlowRecord] = match self.plane {
             Some(pl) => {
@@ -656,70 +682,238 @@ impl CellRunner<'_> {
         if let Some(pl) = self.plane {
             pl.note_consumed(&cell, batch);
         }
-        fan_out(self.subs, consumers, cell, batch);
+        fan_out(self.subs, &mut column.consumers, cell, batch);
     }
+}
 
-    /// One worker: claim the next unclaimed run until the list runs dry,
-    /// read a warm run's segments at once, and run each of its cells into
-    /// this worker's own consumer column through its own record buffer.
-    fn claim_runs(&self, runs: &[&[Cell]], cursor: &AtomicUsize) -> Partial {
-        let mut partial = Partial {
-            consumers: fresh_consumers(self.subs),
-            tallies: Tallies::default(),
+/// A claim on a link: cells `start..end` of a pass's sorted cell list, on
+/// its `attempt` (0 the first).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Claim {
+    /// First cell index.
+    pub start: u32,
+    /// One past the last cell index.
+    pub end: u32,
+    /// Attempts this claim has had before this one.
+    pub attempt: u32,
+}
+
+/// Why a link did not finish a claim. Either way the claim is charged
+/// the attempt: it goes back on the queue, or is quarantined once its
+/// attempts are spent.
+#[derive(Debug)]
+pub enum LinkFault {
+    /// The claim failed on a healthy link, which stays in rotation.
+    Failed(String),
+    /// The link is gone, and the driver retires it.
+    Lost(String),
+}
+
+/// What runs a pass's claims for the driver: a thread of this process, or
+/// a worker process behind a socket.
+pub trait Link: Send {
+    /// Run one claim. A thread link runs it into its own column and
+    /// answers `None`; a process link answers with the slice the worker
+    /// sent back.
+    fn run(&mut self, claim: Claim) -> Result<Option<SliceOutcome>, LinkFault>;
+}
+
+/// A thread of this process as a link: it runs each claim, a day run,
+/// cell by cell into its own column, reading a warm run's segments at once.
+struct ThreadLink<'p> {
+    runner: &'p CellRunner<'p>,
+    cells: &'p [Cell],
+    column: Column,
+    buf: Vec<FlowRecord>,
+    segments: SegmentRun,
+}
+
+impl Link for ThreadLink<'_> {
+    fn run(&mut self, claim: Claim) -> Result<Option<SliceOutcome>, LinkFault> {
+        let run = &self.cells[claim.start as usize..claim.end as usize];
+        if let Some(r) = self.runner.reader {
+            r.read_run(run, &mut self.segments);
+        }
+        for (index, &cell) in run.iter().enumerate() {
+            let slot = Slot {
+                segments: &self.segments,
+                index,
+            };
+            self.runner
+                .process(cell, slot, &mut self.buf, &mut self.column);
+        }
+        // The supervisor retries or quarantines a failing cell, so a
+        // thread link finishes every claim.
+        Ok(None)
+    }
+}
+
+/// What a pass over process links did, beyond its output: the driver
+/// counts the links, claims and their fates, and the links' owner (the
+/// shard coordinator) adds what its links did on the wire.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct DriveStats {
+    /// Worker processes (links) at the start of the pass.
+    pub workers: usize,
+    /// Ranges (first claims) the plan was split into.
+    pub chunks: u32,
+    /// Claims handed to a link: first attempts and retries.
+    pub assignments: u32,
+    /// Claims put back on the queue after a failure or a lost link.
+    pub reassignments: u32,
+    /// Links retired as lost.
+    pub workers_lost: u32,
+    /// Claims quarantined: their attempts, or the live links, ran out.
+    pub quarantined_ranges: u32,
+    /// Successful redial-and-rehandshake recoveries after wire failures.
+    pub reconnects: u32,
+    /// Ranges re-adopted from a reconnected worker's retained inventory
+    /// — completed work that a wire failure did *not* force us to redo.
+    pub ranges_resumed: u32,
+}
+
+impl DriveStats {
+    /// One-line summary for stderr.
+    pub fn summary(&self) -> String {
+        format!(
+            "coordinated {} workers: {} ranges, {} assignments, {} reassigned, \
+             {} workers lost, {} ranges quarantined, {} reconnects, {} ranges resumed",
+            self.workers,
+            self.chunks,
+            self.assignments,
+            self.reassignments,
+            self.workers_lost,
+            self.quarantined_ranges,
+            self.reconnects,
+            self.ranges_resumed
+        )
+    }
+}
+
+/// The work queue the links of one pass share.
+struct Queue {
+    /// Claims waiting for a link.
+    claims: VecDeque<Claim>,
+    /// Claims some link is running.
+    in_flight: usize,
+    /// Links not yet retired.
+    live: usize,
+    /// The slices process links sent back.
+    done: Vec<SliceOutcome>,
+    /// Quarantined claims (`attempt`: the attempts spent) and last errors.
+    quarantined: Vec<(Claim, String)>,
+    stats: DriveStats,
+}
+
+impl Queue {
+    /// Put a claim a link did not finish back on the queue with one more
+    /// attempt, or quarantine it once its attempts, or the live links,
+    /// are spent. With no link left, nothing queued will ever run.
+    fn fail(&mut self, claim: Claim, attempts: u32, error: String) {
+        let next = Claim {
+            attempt: claim.attempt + 1,
+            ..claim
         };
-        let (mut buf, mut segments) = (Vec::new(), SegmentRun::default());
-        // Relaxed: the cursor publishes no data. The run list is shared
-        // before any worker starts, and each column reaches the merge
-        // through its worker's join.
-        while let Some(&run) = runs.get(cursor.fetch_add(1, Ordering::Relaxed)) {
-            if let Some(r) = self.reader {
-                r.read_run(run, &mut segments);
-            }
-            for (index, &cell) in run.iter().enumerate() {
-                let slot = Slot {
-                    segments: &segments,
-                    index,
-                };
-                self.process(
-                    cell,
-                    slot,
-                    &mut buf,
-                    &mut partial.consumers,
-                    &mut partial.tallies,
-                );
-            }
+        if next.attempt < attempts && self.live > 0 {
+            self.claims.push_back(next);
+            self.stats.reassignments += 1;
+        } else {
+            self.quarantined.push((next, error));
+            self.stats.quarantined_ranges += 1;
         }
-        partial
+        if self.live == 0 {
+            let stranded = self.claims.drain(..);
+            self.stats.quarantined_ranges += stranded.len() as u32;
+            self.quarantined
+                .extend(stranded.map(|claim| (claim, "no live links left".to_string())));
+        }
     }
+}
 
-    /// Run `cells` — the unit of work of a whole pass and of a shard
-    /// worker's slice alike — over `workers` claimants, this thread being
-    /// the first, and merge their columns in worker order. A claim is a
-    /// run of consecutive cells of one stream and day.
-    fn run(&self, cells: &[Cell], workers: usize) -> Partial {
-        let runs: Vec<&[Cell]> = cells
-            .chunk_by(|a, b| (a.stream, a.date) == (b.stream, b.date))
-            .flat_map(|day| day.chunks(RUN_CELLS))
-            .collect();
-        let cursor = AtomicUsize::new(0);
-        let claim = || self.claim_runs(&runs, &cursor);
-        let (mut merged, rest) = std::thread::scope(|scope| {
-            let spawned: Vec<_> = (1..workers).map(|_| scope.spawn(claim)).collect();
-            let first = claim();
-            let rest: Vec<_> = spawned
-                .into_iter()
-                .map(|h| h.join().expect("engine workers do not panic"))
-                .collect();
-            (first, rest)
-        });
-        for partial in rest {
-            merged.tallies.add(partial.tallies);
-            for (m, l) in merged.consumers.iter_mut().zip(partial.consumers) {
-                m.merge_box(l);
+/// Takes a claim off the in-flight count however its run ends, an
+/// unwinding link included, so no other link waits on it forever.
+struct Settle<'q>(&'q Mutex<Queue>, &'q Condvar);
+
+impl Drop for Settle<'_> {
+    fn drop(&mut self) {
+        self.0
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .in_flight -= 1;
+        self.1.notify_all();
+    }
+}
+
+/// The one driver: every link takes the next claim of `ranges` off one
+/// queue until the queue is dry and nothing is in flight (a running
+/// claim may yet fail and come back). A claim a link did not finish goes
+/// back on the queue with its attempt + 1, a lost link is retired, and a
+/// claim that has had `attempts` is quarantined. The first link runs on
+/// this thread.
+fn drive<L: Link>(ranges: &[(u32, u32)], links: &mut [L], attempts: u32) -> Queue {
+    let queue = Mutex::new(Queue {
+        claims: ranges
+            .iter()
+            .map(|&(start, end)| Claim {
+                start,
+                end,
+                attempt: 0,
+            })
+            .collect(),
+        in_flight: 0,
+        live: links.len(),
+        done: Vec::new(),
+        quarantined: Vec::new(),
+        stats: DriveStats {
+            workers: links.len(),
+            chunks: ranges.len() as u32,
+            ..DriveStats::default()
+        },
+    });
+    let ready = Condvar::new();
+    let serve = |link: &mut L| loop {
+        let claim = {
+            let mut q = queue.lock().expect("work queue lock");
+            loop {
+                if let Some(claim) = q.claims.pop_front() {
+                    q.in_flight += 1;
+                    q.stats.assignments += 1;
+                    break claim;
+                }
+                if q.in_flight == 0 {
+                    return;
+                }
+                q = ready.wait(q).expect("work queue lock");
+            }
+        };
+        let settle = Settle(&queue, &ready);
+        let result = link.run(claim);
+        let lost = matches!(result, Err(LinkFault::Lost(_)));
+        let mut q = queue.lock().expect("work queue lock");
+        match result {
+            Ok(outcome) => q.done.extend(outcome),
+            Err(LinkFault::Failed(error)) => q.fail(claim, attempts, error),
+            Err(LinkFault::Lost(error)) => {
+                q.live -= 1;
+                q.stats.workers_lost += 1;
+                q.fail(claim, attempts, error);
             }
         }
-        merged
-    }
+        drop(q);
+        drop(settle);
+        if lost {
+            return;
+        }
+    };
+    std::thread::scope(|scope| {
+        if let Some((first, rest)) = links.split_first_mut() {
+            for link in rest {
+                scope.spawn(|| serve(link));
+            }
+            serve(first);
+        }
+    });
+    queue.into_inner().expect("work queue lock")
 }
 
 /// Who owns the archive index (manifest and journal) during a pass.
@@ -737,16 +931,15 @@ enum ArchiveMode {
     Attach,
 }
 
-/// A plan with its archive resolved: the state the three entry points —
-/// [`run_with_workers`], [`run_slice`], [`ShardAssembler`] — start from,
-/// and the one [`Pass::conclude`] they end in.
+/// A plan with its archive resolved: the state every entry point —
+/// [`run_with_workers`], [`run_links`], [`run_range`], [`run_fetched`] —
+/// starts from, and the one [`Pass::conclude`] they end in.
 struct Pass {
     subs: Vec<Subscription>,
     /// The cells this pass answers for, in plan order: the whole plan, or
-    /// a shard worker's slice of it.
+    /// a shard worker's range of it.
     cells: Vec<Cell>,
     cells_demanded: u64,
-    plan_hash: u64,
     plane: Option<CollectionPlane>,
     supervisor: Supervisor,
     store_metrics: Option<Arc<StoreMetrics>>,
@@ -784,7 +977,6 @@ impl Pass {
             subs,
             cells,
             cells_demanded: trace.cells_demanded(),
-            plan_hash,
             // Wire mode: each cell's flows cross the export → transport →
             // collect plane before fan-out. The plane is per-cell seeded,
             // so the delivered batch is the same whichever worker
@@ -836,9 +1028,13 @@ impl Pass {
         Ok(pass)
     }
 
-    /// The per-cell executor over this pass's state.
-    fn runner<'a>(&'a self, ctx: &'a Context) -> CellRunner<'a> {
-        CellRunner {
+    /// Run this pass's cells over up to `workers` thread links, a claim
+    /// per day run of at most `RUN_CELLS` cells, and merge every other
+    /// link's column, encoded once, into the first's. Returns the merged
+    /// column and the link count.
+    fn run_threads(&self, ctx: &Context, workers: usize) -> Result<(Column, usize), StoreError> {
+        let workers = workers.max(1).min(self.cells.len().max(1));
+        let runner = CellRunner {
             emitter: TraceEmitter::with_scenario(
                 &ctx.registry,
                 &ctx.corpus,
@@ -852,23 +1048,72 @@ impl Pass {
             supervisor: &self.supervisor,
             store_metrics: self.store_metrics.as_ref(),
             subs: &self.subs,
+        };
+        let mut end = 0;
+        let runs: Vec<(u32, u32)> = self
+            .cells
+            .chunk_by(|a, b| (a.stream, a.date) == (b.stream, b.date))
+            .flat_map(|day| day.chunks(RUN_CELLS))
+            .map(|run| {
+                end += run.len() as u32;
+                (end - run.len() as u32, end)
+            })
+            .collect();
+        let mut links: Vec<ThreadLink> = (0..workers)
+            .map(|_| ThreadLink {
+                runner: &runner,
+                cells: &self.cells,
+                column: Column::new(&self.subs),
+                buf: Vec::new(),
+                segments: SegmentRun::default(),
+            })
+            .collect();
+        // Thread links finish every claim into their columns.
+        drive(&runs, &mut links, self.supervisor.attempts());
+        let mut columns = links.into_iter().map(|link| link.column);
+        let mut merged = columns
+            .next()
+            .expect("a pass runs at least one thread link");
+        for column in columns {
+            merged.absorb(column.encode())?;
         }
+        Ok((merged, workers))
     }
 
-    /// End a pass: publish or checkpoint the archive, attribute
-    /// quarantined cells to the figures they starve, and assemble the
-    /// output. A complete pass publishes the manifest; a degraded pass
-    /// (any quarantined cell) must not claim completeness, so it
-    /// checkpoints the journal instead, leaving the archive resumable. A
-    /// pass that failed on the archive itself never gets here and leaves
-    /// it manifest-less (= absent).
+    /// End a pass: adopt the segments its process links spilled,
+    /// quarantine every cell of a claim the driver gave up on, publish or
+    /// checkpoint the archive, attribute quarantined cells to the figures
+    /// they starve, and assemble the output. A complete pass publishes
+    /// the manifest; a degraded pass (any quarantined cell) must not
+    /// claim completeness, so it checkpoints the journal instead, leaving
+    /// the archive resumable. A pass that failed on the archive itself
+    /// never gets here and leaves it manifest-less (= absent).
     fn conclude(
         self,
-        consumers: Vec<Box<dyn AnyConsumer>>,
-        tallies: Tallies,
-        mut quarantined: Vec<QuarantinedCell>,
+        column: Column,
+        lost_claims: Vec<(Claim, String)>,
         workers: usize,
     ) -> Result<EngineOutput, StoreError> {
+        let Column { consumers, counts } = column;
+        let mut quarantined = counts.quarantined;
+        quarantined.extend(self.supervisor.quarantined());
+        if let Some(w) = &self.writer {
+            for meta in counts.segments {
+                w.adopt(meta)?;
+            }
+        }
+        for (claim, error) in lost_claims {
+            for &cell in &self.cells[claim.start as usize..claim.end as usize] {
+                if let Some(w) = &self.writer {
+                    w.remove(cell);
+                }
+                quarantined.push(QuarantinedCell {
+                    cell,
+                    attempts: claim.attempt,
+                    error: error.clone(),
+                });
+            }
+        }
         quarantined.sort_by_key(|q| q.cell);
         if let Some(w) = &self.writer {
             if quarantined.is_empty() {
@@ -881,17 +1126,18 @@ impl Pass {
         supervisor_metrics
             .quarantined_cells
             .set_max(quarantined.len() as u64);
-        supervisor_metrics.resumed_cells.set_max(tallies.resumed);
+        supervisor_metrics.resumed_cells.set_max(counts.resumed);
+        supervisor_metrics.retries.add(counts.retries);
         let retries = supervisor_metrics.retries.get();
         let stats = EngineStats {
             demands: consumers.len(),
             cells_demanded: self.cells_demanded,
-            cells_generated: tallies.generated,
-            cells_replayed: tallies.replayed,
-            cells_resumed: tallies.resumed,
+            cells_generated: counts.generated,
+            cells_replayed: counts.replayed,
+            cells_resumed: counts.resumed,
             cells_quarantined: quarantined.len() as u64,
             retries,
-            flows_emitted: tallies.flows,
+            flows_emitted: counts.flows,
             workers,
         };
         let degraded = (!quarantined.is_empty()).then(|| {
@@ -930,20 +1176,76 @@ impl Pass {
 
 /// Run a plan with an explicit worker count, surfacing archive errors:
 /// resolve the archive (adopting an interrupted predecessor's journal),
-/// let the workers claim the sorted cell list between them, merge their
-/// consumers in worker order, conclude. Output is bit-identical for any
+/// drive the sorted cell list over `workers` thread links, merge their
+/// columns through the codec, conclude. Output is bit-identical for any
 /// count (see module docs) and for warm vs. cold archive passes
 /// (`tests/equivalence.rs`).
+///
+/// # Panics
+///
+/// On more than one thread, when a subscribed consumer has no state
+/// codec ([`FlowConsumer::state_tag`] left at its default).
 pub fn run_with_workers(
     ctx: &Context,
     plan: EnginePlan,
     workers: usize,
 ) -> Result<EngineOutput, StoreError> {
     let pass = Pass::resolve(ctx, plan, 0..usize::MAX, ArchiveMode::OwnResumable)?;
-    let workers = workers.max(1).min(pass.cells.len().max(1));
-    let partial = pass.runner(ctx).run(&pass.cells, workers);
-    let quarantined = pass.supervisor.quarantined();
-    pass.conclude(partial.consumers, partial.tallies, quarantined, workers)
+    let (column, workers) = pass.run_threads(ctx, workers)?;
+    pass.conclude(column, Vec::new(), workers)
+}
+
+/// Run a plan over links the caller owns — worker processes behind a
+/// socket — a claim per range of `ranges`: resolve the archive before any
+/// link runs (a stale or partial one is invalidated, and the links spill
+/// packs of their own for this pass to adopt), drive, merge every slice
+/// through the codec, conclude. `EngineStats::workers` counts the links.
+/// Wire mode does not cross a process link.
+pub(crate) fn run_links<L: Link>(
+    ctx: &Context,
+    plan: EnginePlan,
+    ranges: &[(u32, u32)],
+    links: &mut [L],
+) -> Result<(EngineOutput, DriveStats), StoreError> {
+    assert!(
+        plan.wire.is_none(),
+        "wire mode does not cross a process link"
+    );
+    let pass = Pass::resolve(ctx, plan, 0..usize::MAX, ArchiveMode::Own)?;
+    let queue = drive(ranges, links, pass.supervisor.attempts());
+    let mut merged = Column::new(&pass.subs);
+    for slice in queue.done {
+        merged.absorb(slice)?;
+    }
+    let out = pass.conclude(merged, queue.quarantined, links.len())?;
+    Ok((out, queue.stats))
+}
+
+/// Run the cells `range` of a plan's sorted cell list as the far end of a
+/// process link: one thread link over the range's day runs (worker
+/// processes are the parallelism of a coordinated pass), its column
+/// encoded once for the coordinator's [`run_links`] to merge. The archive
+/// is resolved against the range alone, and a cold range spills through
+/// [`ArchiveWriter::attach`] — packs of its own, never the manifest or
+/// journal, which belong to the coordinator. The plan must be built
+/// identically on both sides (the shard handshake guards the plan hash).
+pub(crate) fn run_range(
+    ctx: &Context,
+    plan: EnginePlan,
+    range: std::ops::Range<usize>,
+) -> Result<SliceOutcome, StoreError> {
+    assert!(
+        plan.wire.is_none(),
+        "wire mode does not cross a process link"
+    );
+    let pass = Pass::resolve(ctx, plan, range, ArchiveMode::Attach)?;
+    let (column, _) = pass.run_threads(ctx, 1)?;
+    Ok(SliceOutcome {
+        retries: pass.supervisor.metrics().retries.get(),
+        segments: pass.writer.as_ref().map(|w| w.metas()).unwrap_or_default(),
+        quarantined: pass.supervisor.quarantined(),
+        ..column.encode()
+    })
 }
 
 /// The cell source a fetched pass is assembled from.
@@ -965,20 +1267,19 @@ pub(crate) fn run_fetched(
         "a fetched pass reads only through its fetch"
     );
     let pass = Pass::resolve(ctx, plan, 0..usize::MAX, ArchiveMode::Own)?;
-    let mut consumers = fresh_consumers(&pass.subs);
-    let mut tallies = Tallies::default();
+    let mut column = Column::new(&pass.subs);
     for &cell in &pass.cells {
         let records = fetch(cell)?;
-        tallies.replayed += 1;
-        tallies.flows += records.len() as u64;
-        fan_out(&pass.subs, &mut consumers, cell, &records);
+        column.counts.replayed += 1;
+        column.counts.flows += records.len() as u64;
+        fan_out(&pass.subs, &mut column.consumers, cell, &records);
     }
-    pass.conclude(consumers, tallies, Vec::new(), 1)
+    pass.conclude(column, Vec::new(), 1)
 }
 
-/// Everything one shard worker hands back after running a cell-index
-/// slice of a plan: serialized consumer states, cell accounting, the
-/// archive segment inventory it spilled, and any quarantined cells.
+/// A closed partial of a pass: a link's serialized consumer states, cell
+/// accounting, the archive segment inventory it spilled, and any
+/// quarantined cells — what a worker process sends back for a claim.
 #[derive(Debug, Default)]
 pub struct SliceOutcome {
     /// One encoded state frame per subscription, in subscription order
@@ -1000,168 +1301,6 @@ pub struct SliceOutcome {
     pub segments: Vec<SegmentMeta>,
     /// Cells the slice's supervisor quarantined.
     pub quarantined: Vec<QuarantinedCell>,
-}
-
-/// Run one cell-index slice `[range.start, range.end)` of a plan's sorted
-/// cell list — the shard worker's half of a coordinated pass. Semantics
-/// match [`run_with_workers`] except:
-///
-/// * only the slice's cells execute, with this thread the one claimant
-///   (worker *processes* are the parallelism, so a second thread pool
-///   inside each would fight the scheduler);
-/// * the archive is resolved against the slice alone, and a cold slice
-///   spills through [`ArchiveWriter::attach`] — packs of its own, never
-///   the manifest or journal, which belong to the coordinator;
-/// * nothing is published: the consumers come back as codec frames for
-///   [`ShardAssembler::absorb`] to merge.
-///
-/// The plan must be built identically on both sides (guarded by the plan
-/// hash in the shard protocol); wire mode does not cross the shard
-/// boundary.
-pub(crate) fn run_slice(
-    ctx: &Context,
-    plan: EnginePlan,
-    range: std::ops::Range<usize>,
-) -> Result<SliceOutcome, StoreError> {
-    assert!(
-        plan.wire.is_none(),
-        "wire mode does not cross the shard boundary"
-    );
-    let pass = Pass::resolve(ctx, plan, range, ArchiveMode::Attach)?;
-    let partial = pass.runner(ctx).run(&pass.cells, 1);
-    Ok(SliceOutcome {
-        states: partial
-            .consumers
-            .iter()
-            .map(|c| c.encode_state_frame())
-            .collect(),
-        flows: partial.tallies.flows,
-        generated: partial.tallies.generated,
-        replayed: partial.tallies.replayed,
-        resumed: partial.tallies.resumed,
-        retries: pass.supervisor.metrics().retries.get(),
-        segments: pass.writer.as_ref().map(|w| w.metas()).unwrap_or_default(),
-        quarantined: pass.supervisor.quarantined(),
-    })
-}
-
-/// The shard coordinator's merge half: owns the archive index, merges
-/// worker [`SliceOutcome`]s through the consumer-state codec, and
-/// produces an [`EngineOutput`] indistinguishable from a single-process
-/// [`run_with_workers`] pass over the same plan.
-///
-/// Construction resolves the archive (warm manifest kept, anything else
-/// invalidated) *before* any worker opens it, so every worker sees a
-/// consistent warm/cold decision.
-pub(crate) struct ShardAssembler {
-    pass: Pass,
-    merged: Vec<Box<dyn AnyConsumer>>,
-    tallies: Tallies,
-    quarantined: Vec<QuarantinedCell>,
-}
-
-impl ShardAssembler {
-    /// Prepare a coordinated pass: build the merge targets and resolve
-    /// the archive. Wire mode is not supported across the shard boundary.
-    pub(crate) fn new(ctx: &Context, plan: EnginePlan) -> Result<ShardAssembler, StoreError> {
-        assert!(
-            plan.wire.is_none(),
-            "wire mode does not cross the shard boundary"
-        );
-        // The coordinator invalidates rather than resumes: workers spill
-        // fresh segments for it to adopt.
-        let pass = Pass::resolve(ctx, plan, 0..usize::MAX, ArchiveMode::Own)?;
-        Ok(ShardAssembler {
-            merged: fresh_consumers(&pass.subs),
-            pass,
-            tallies: Tallies::default(),
-            quarantined: Vec::new(),
-        })
-    }
-
-    /// Fingerprint of the deduplicated cell plan; workers echo it back so
-    /// an assignment can never run against a differently built plan.
-    pub(crate) fn plan_hash(&self) -> u64 {
-        self.pass.plan_hash
-    }
-
-    /// Number of cells in the sorted plan (the assignment index space).
-    pub(crate) fn cell_count(&self) -> usize {
-        self.pass.cells.len()
-    }
-
-    /// Merge one worker's slice into the coordinator state: consumer
-    /// frames through the codec, tallies additively, segments adopted
-    /// into the pending manifest. A frame that fails to decode is
-    /// surfaced as archive-grade corruption — the slice must be re-run,
-    /// not silently dropped.
-    pub(crate) fn absorb(&mut self, outcome: SliceOutcome) -> Result<(), StoreError> {
-        if outcome.states.len() != self.merged.len() {
-            return Err(StoreError::Corrupt {
-                segment: "consumer state".to_string(),
-                detail: format!(
-                    "worker returned {} states for {} subscriptions",
-                    outcome.states.len(),
-                    self.merged.len()
-                ),
-            });
-        }
-        for (consumer, frame) in self.merged.iter_mut().zip(&outcome.states) {
-            consumer
-                .merge_state_frame(frame)
-                .map_err(|e| StoreError::Corrupt {
-                    segment: "consumer state".to_string(),
-                    detail: e.to_string(),
-                })?;
-        }
-        self.tallies.add(Tallies {
-            flows: outcome.flows,
-            generated: outcome.generated,
-            replayed: outcome.replayed,
-            resumed: outcome.resumed,
-        });
-        self.pass.supervisor.metrics().retries.add(outcome.retries);
-        if let Some(w) = &self.pass.writer {
-            for meta in outcome.segments {
-                w.adopt(meta)?;
-            }
-        }
-        self.quarantined.extend(outcome.quarantined);
-        Ok(())
-    }
-
-    /// Quarantine a whole assignment range: every replica of these cells
-    /// died. The archive must not claim any of them, and each cell is
-    /// reported exactly like a supervisor quarantine.
-    pub(crate) fn quarantine_range(
-        &mut self,
-        range: std::ops::Range<usize>,
-        attempts: u32,
-        error: &str,
-    ) {
-        let cells = &self.pass.cells;
-        let start = range.start.min(cells.len());
-        let end = range.end.min(cells.len()).max(start);
-        for &cell in &cells[start..end] {
-            if let Some(w) = &self.pass.writer {
-                w.remove(cell);
-            }
-            self.quarantined.push(QuarantinedCell {
-                cell,
-                attempts,
-                error: error.to_string(),
-            });
-        }
-    }
-
-    /// Publish and assemble: manifest on a clean pass, resumable journal
-    /// on a degraded one, and an [`EngineOutput`] carrying the merged
-    /// consumers, the combined stats and the degraded-mode report.
-    /// `workers` is recorded in the stats (worker processes, not threads).
-    pub(crate) fn finish(self, workers: usize) -> Result<EngineOutput, StoreError> {
-        self.pass
-            .conclude(self.merged, self.tallies, self.quarantined, workers)
-    }
 }
 
 #[cfg(test)]
@@ -1191,70 +1330,160 @@ mod tests {
         assert!(first_day.daily_total(d2) == 0, "window gates fan-out");
     }
 
-    #[test]
-    fn sharded_slices_match_single_process() {
-        let ctx = Context::with_seed(Fidelity::Test, 9);
-        let d1 = Date::new(2020, 3, 9);
-        let d2 = Date::new(2020, 3, 12);
-        let build = |plan: &mut EnginePlan| {
-            plan.subscribe(
+    /// A process link without the process: each claim runs through
+    /// [`run_range`] on a plan instance of its own, as a worker's would;
+    /// a `dead` link loses every claim.
+    struct Remote<'c> {
+        ctx: &'c Context,
+        plan: fn() -> EnginePlan,
+        dead: bool,
+    }
+
+    impl Link for Remote<'_> {
+        fn run(&mut self, claim: Claim) -> Result<Option<SliceOutcome>, LinkFault> {
+            if self.dead {
+                return Err(LinkFault::Lost("worker died (test)".into()));
+            }
+            let range = claim.start as usize..claim.end as usize;
+            run_range(self.ctx, (self.plan)(), range)
+                .map(Some)
+                .map_err(|e| LinkFault::Failed(e.to_string()))
+        }
+    }
+
+    /// The four days `four_days` subscribes.
+    fn days() -> (Date, Date) {
+        (Date::new(2020, 3, 9), Date::new(2020, 3, 12))
+    }
+
+    fn four_days(plan: &mut EnginePlan) -> Demand<HourlyVolume> {
+        let (d1, d2) = days();
+        plan.scoped("fig-x", |p| {
+            p.subscribe(
                 Stream::Vantage(VantagePoint::IxpSe),
                 d1,
                 d2,
                 HourlyVolume::new,
             )
-        };
-        let mut plan = EnginePlan::new();
-        let h = build(&mut plan);
-        let mut reference = run_with_workers(&ctx, plan, 1).expect("archive-free pass cannot fail");
-        let series = reference.take(h).hourly_series(d1, d2);
+        })
+    }
 
-        // Three disjoint slices, each run through its own plan instance
-        // (as worker processes would), absorbed out of order.
-        let mut coord_plan = EnginePlan::new();
-        let ch = build(&mut coord_plan);
-        let mut asm = ShardAssembler::new(&ctx, coord_plan).expect("assembler");
-        let n = asm.cell_count();
-        assert_eq!(n, 4 * 24);
-        let cuts = [0, n / 3, 2 * n / 3, n];
-        let mut outcomes = Vec::new();
-        for w in 0..3 {
-            let mut p = EnginePlan::new();
-            build(&mut p);
-            outcomes.push(run_slice(&ctx, p, cuts[w]..cuts[w + 1]).expect("slice"));
+    fn four_day_plan() -> EnginePlan {
+        let mut plan = EnginePlan::new();
+        four_days(&mut plan);
+        plan
+    }
+
+    /// A link with a bug: it panics on any claim.
+    struct Unwinding;
+
+    impl Link for Unwinding {
+        fn run(&mut self, _: Claim) -> Result<Option<SliceOutcome>, LinkFault> {
+            panic!("a link bug (test)");
         }
-        outcomes.rotate_left(1);
-        for o in outcomes {
-            asm.absorb(o).expect("absorb");
+    }
+
+    /// Whichever link takes the one claim unwinds; the other must not
+    /// wait on it forever, so the pass panics instead of hanging.
+    #[test]
+    #[should_panic]
+    fn a_link_that_unwinds_leaves_no_link_waiting() {
+        drive(&[(0, 1)], &mut [Unwinding, Unwinding], 1);
+    }
+
+    /// A consumer without the state codec: it counts the flows it saw.
+    struct Counted(u64);
+
+    impl FlowConsumer for Counted {
+        fn observe(&mut self, _: &FlowRecord) {
+            self.0 += 1;
         }
-        let mut merged = asm.finish(3).expect("finish");
-        assert_eq!(merged.stats().cells_generated, (4 * 24) as u64);
-        assert!(merged.degraded().is_none());
-        assert_eq!(merged.take(ch).hourly_series(d1, d2), series);
+
+        fn merge(&mut self, other: Self) {
+            self.0 += other.0;
+        }
+    }
+
+    /// The flows a `Counted` saw over `days()`, and the flows the pass
+    /// emitted.
+    fn counted_pass(workers: usize) -> (u64, u64) {
+        let ctx = Context::with_seed(Fidelity::Test, 9);
+        let (d1, d2) = days();
+        let mut plan = EnginePlan::new();
+        let vp = Stream::Vantage(VantagePoint::IxpSe);
+        let h = plan.subscribe(vp, d1, d2, || Counted(0));
+        let mut out = run_with_workers(&ctx, plan, workers).expect("archive-free pass");
+        (out.take(h).0, out.stats().flows_emitted)
     }
 
     #[test]
-    fn quarantined_ranges_degrade_the_assembled_pass() {
+    fn a_consumer_without_the_codec_runs_in_a_one_thread_pass() {
+        let (seen, emitted) = counted_pass(1);
+        assert!(emitted > 0);
+        assert_eq!(seen, emitted);
+    }
+
+    /// Its state cannot leave a thread's column, so a pass of more
+    /// threads fails loudly rather than merging without it.
+    #[test]
+    #[should_panic(expected = "runs only in a one-thread pass")]
+    fn a_consumer_without_the_codec_fails_a_pass_of_more_threads() {
+        counted_pass(2);
+    }
+
+    #[test]
+    fn process_links_match_thread_links() {
         let ctx = Context::with_seed(Fidelity::Test, 9);
-        let d = Date::new(2020, 3, 9);
+        let (d1, d2) = days();
         let mut plan = EnginePlan::new();
-        plan.scoped("fig-x", |p| {
-            p.subscribe(
-                Stream::Vantage(VantagePoint::IxpSe),
-                d,
-                d,
-                HourlyVolume::new,
-            )
-        });
-        let mut asm = ShardAssembler::new(&ctx, plan).expect("assembler");
-        asm.quarantine_range(0..2, 3, "worker died (test)");
-        let out = asm.finish(2).expect("finish");
+        let h = four_days(&mut plan);
+        let mut reference = run_with_workers(&ctx, plan, 1).expect("archive-free pass cannot fail");
+        let series = reference.take(h).hourly_series(d1, d2);
+
+        // Three links, each claim run through its own plan instance, the
+        // slices merged in whatever order they finish.
+        let mut plan = EnginePlan::new();
+        let h = four_days(&mut plan);
+        let n = 4 * 24;
+        let ranges = [(0, n / 3), (n / 3, 2 * n / 3), (2 * n / 3, n)];
+        let mut links: Vec<Remote> = (0..3)
+            .map(|_| Remote {
+                ctx: &ctx,
+                plan: four_day_plan,
+                dead: false,
+            })
+            .collect();
+        let (mut merged, stats) = run_links(&ctx, plan, &ranges, &mut links).expect("pass");
+        assert_eq!((stats.assignments, stats.reassignments), (3, 0));
+        assert_eq!(merged.stats().cells_generated, u64::from(n));
+        assert_eq!(merged.stats().workers, 3);
+        assert!(merged.degraded().is_none());
+        assert_eq!(merged.take(h).hourly_series(d1, d2), series);
+    }
+
+    #[test]
+    fn a_lost_last_link_quarantines_its_claim_and_the_stranded_ones() {
+        let ctx = Context::with_seed(Fidelity::Test, 9);
+        let mut links = [Remote {
+            ctx: &ctx,
+            plan: four_day_plan,
+            dead: true,
+        }];
+        let (out, stats) =
+            run_links(&ctx, four_day_plan(), &[(0, 2), (2, 3)], &mut links).expect("pass");
+        assert_eq!((stats.workers_lost, stats.quarantined_ranges), (1, 2));
         let report = out.degraded().expect("degraded");
-        assert_eq!(report.quarantined.len(), 2);
-        assert_eq!(report.affected, vec![("fig-x".to_string(), 2)]);
+        let errors: Vec<(u32, &str)> = report
+            .quarantined
+            .iter()
+            .map(|q| (q.attempts, q.error.as_str()))
+            .collect();
+        let (died, stranded) = ((1, "worker died (test)"), (0, "no live links left"));
+        assert_eq!(errors, [died, died, stranded]);
+        assert_eq!(report.affected, vec![("fig-x".to_string(), 3)]);
         assert!(report
             .render()
-            .contains("DEGRADED PASS: 2 cells quarantined"));
+            .contains("DEGRADED PASS: 3 cells quarantined"));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! per-figure `run()` wrappers remain for standalone use.
 
 use crate::context::Context;
-use crate::engine::{self, EngineOutput, EnginePlan, EngineStats, ShardAssembler, SliceOutcome};
+use crate::engine::{self, DriveStats, EngineOutput, EnginePlan, EngineStats, Link, SliceOutcome};
 use crate::experiments::figures::{Figure, Finish, Section, FIGURES};
 use crate::supervisor::{DegradedReport, SupervisorMetrics};
 use lockdown_base::fault::FaultProfile;
@@ -180,62 +180,32 @@ pub fn suite_shard_cell_count(ctx: &Context, opts: &ShardSuiteOptions) -> usize 
 }
 
 /// Worker side of a sharded suite pass: run one cell-index slice of the
-/// full-suite plan and return the serialized consumer states, tallies and
-/// segment inventory for the coordinator to merge.
+/// full-suite plan as the far end of a process link and return the
+/// serialized consumer states, tallies and segment inventory for the
+/// coordinator to merge.
 pub fn run_suite_slice(
     ctx: &Context,
     opts: &ShardSuiteOptions,
     range: std::ops::Range<usize>,
 ) -> Result<SliceOutcome, StoreError> {
-    engine::run_slice(ctx, shard_plan(ctx, opts).0, range)
+    engine::run_range(ctx, shard_plan(ctx, opts).0, range)
 }
 
-/// Coordinator side of a sharded suite pass: the engine's
-/// `ShardAssembler` plus the retained per-figure demand handles, so the
-/// merged consumer states assemble into a [`Suite`] exactly as a
-/// single-process pass would.
-pub struct SuiteAssembler {
-    pending: Pending,
-    asm: ShardAssembler,
-}
-
-impl SuiteAssembler {
-    /// Build the full-suite plan and prepare the coordinated pass
-    /// (resolving the archive before any worker opens it).
-    pub fn new(ctx: &Context, opts: &ShardSuiteOptions) -> Result<SuiteAssembler, StoreError> {
-        let (plan, pending) = shard_plan(ctx, opts);
-        Ok(SuiteAssembler {
-            pending,
-            asm: ShardAssembler::new(ctx, plan)?,
-        })
-    }
-
-    /// The plan fingerprint workers must echo.
-    pub fn plan_hash(&self) -> u64 {
-        self.asm.plan_hash()
-    }
-
-    /// Number of cells in the assignment index space.
-    pub fn cell_count(&self) -> usize {
-        self.asm.cell_count()
-    }
-
-    /// Merge one worker's completed slice.
-    pub fn absorb(&mut self, outcome: SliceOutcome) -> Result<(), StoreError> {
-        self.asm.absorb(outcome)
-    }
-
-    /// Give up on an assignment range every replica of which died.
-    pub fn quarantine_range(&mut self, range: std::ops::Range<usize>, attempts: u32, error: &str) {
-        self.asm.quarantine_range(range, attempts, error)
-    }
-
-    /// Publish the archive index and assemble the suite. `workers` is the
-    /// worker *process* count recorded in the stats.
-    pub fn finish(self, ctx: &Context, workers: usize) -> Result<Suite, StoreError> {
-        let out = self.asm.finish(workers)?;
-        Ok(assemble(ctx, self.pending, out))
-    }
+/// Coordinator side of a sharded suite pass: the full-suite plan under
+/// `opts`, driven claim by claim over `links` (one claim per range of
+/// `ranges`) with every slice merged through the consumer-state codec.
+/// Returns what the driver did and the figures' assembly, which can
+/// panic when quarantine left a figure without the data its windows
+/// demand.
+pub fn run_suite_links<'c, L: Link>(
+    ctx: &'c Context,
+    opts: &ShardSuiteOptions,
+    ranges: &[(u32, u32)],
+    links: &mut [L],
+) -> Result<(DriveStats, impl FnOnce() -> Suite + 'c), StoreError> {
+    let (plan, pending) = shard_plan(ctx, opts);
+    let (out, stats) = engine::run_links(ctx, plan, ranges, links)?;
+    Ok((stats, move || assemble(ctx, pending, out)))
 }
 
 impl Suite {

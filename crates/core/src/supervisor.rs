@@ -236,17 +236,13 @@ impl Supervisor {
 
     /// Record a cell that exhausted its budget.
     pub(crate) fn quarantine(&self, cell: Cell, attempts: u32, error: String) {
-        self.quarantined
-            .lock()
-            .expect("quarantine list lock")
-            .push(QuarantinedCell {
-                cell,
-                attempts,
-                error,
-            });
-        self.metrics
-            .quarantined_cells
-            .set_max(self.quarantined.lock().expect("quarantine list lock").len() as u64);
+        let mut list = self.quarantined.lock().expect("quarantine list lock");
+        list.push(QuarantinedCell {
+            cell,
+            attempts,
+            error,
+        });
+        self.metrics.quarantined_cells.set_max(list.len() as u64);
     }
 
     /// The quarantine set so far, sorted by cell.

@@ -1,14 +1,17 @@
-//! The coordinator: dispatch cell ranges, merge streamed state.
+//! The coordinator: worker processes as links of the engine's driver.
 //!
-//! The coordinator owns the whole pass. It resolves the archive (warm
-//! vs. cold) *before* any worker runs, splits the full-suite cell plan
-//! into contiguous index ranges, and keeps every worker busy from a
-//! shared work queue — a dead worker's range goes back on the queue for
-//! a live one, carrying its attempt count so the seeded fault schedule
-//! keys on `(range, attempt)` rather than on which process happens to
-//! run it. Ranges that outlive the attempt budget are quarantined; the
-//! assembled suite then degrades exactly like a single-process pass
-//! (same report, same exit-3 contract).
+//! A coordinated pass is the engine's one driver (`lockdown_core::engine`)
+//! over process links instead of thread links. The coordinator checks
+//! every worker's identity and splits the full-suite cell plan into
+//! contiguous index ranges ([`chunk_ranges`]); the driver keeps every
+//! worker busy from one queue, requeues a range a worker failed or lost
+//! with its attempt + 1 (so the seeded fault schedule keys on `(range,
+//! attempt)`, not on which process runs it), retires a lost worker,
+//! quarantines a range that outlives the attempt budget, and merges each
+//! slice through the codec it merges a thread's column with. The
+//! assembled suite then degrades exactly like a single-process pass. What
+//! lives here is the process link: spawn, attach, handshake, liveness and
+//! redial/resume.
 //!
 //! Liveness is deadline-based on two clocks: silence past
 //! [`CoordOptions::heartbeat_timeout`] between frames, or a single
@@ -16,28 +19,27 @@
 //! (see [`proto::read_frame_deadline`]) — so neither a dead worker nor
 //! a byte-per-tick hostile wire can hold an assignment hostage.
 //!
-//! A failed link is not immediately a failed worker: the coordinator
-//! redials the worker's address and re-handshakes first. Workers retain
-//! finished slices across connections (see [`crate::worker`]) and
-//! advertise them in HELLO_ACK, so re-driving the same assignment after
-//! a transient reset re-adopts completed work — byte-identical, zero
-//! cells recomputed — instead of recomputing the range. Only when the
-//! redial fails (process dead, listener gone) or the reconnect budget
-//! is spent does the range go back on the queue for another worker.
+//! A failed connection is not yet a lost link: the process link redials
+//! the worker's address and re-handshakes first. Workers retain finished
+//! slices across connections (see [`crate::worker`]) and advertise them
+//! in HELLO_ACK, so re-driving the same assignment after a transient
+//! reset re-adopts completed work — byte-identical, zero cells
+//! recomputed. Only when the redial fails (process dead, listener gone)
+//! or the reconnect budget is spent is the link lost and its range back
+//! on the queue.
 
 use lockdown_base::fault::Schedule;
-use lockdown_core::engine::{panic_message, SliceOutcome};
-use lockdown_core::experiments::suite::{ShardSuiteOptions, Suite, SuiteAssembler};
+use lockdown_core::engine::{panic_message, Claim, DriveStats, Link, LinkFault, SliceOutcome};
+use lockdown_core::experiments::suite::{self, ShardSuiteOptions, Suite};
 use lockdown_core::Context;
-use std::collections::VecDeque;
 use std::io::BufRead;
 use std::net::TcpStream;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::process::{Child, Command, Stdio};
-use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::proto::{self, Assign, Identity};
+use crate::worker::worker_identity;
 use crate::ShardError;
 
 /// Consecutive reconnects the coordinator grants one assignment before
@@ -93,46 +95,6 @@ pub struct WorkerLink {
     pub label: String,
 }
 
-/// What the coordinator did, beyond the suite itself.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CoordStats {
-    /// Worker processes at the start of the pass.
-    pub workers: usize,
-    /// Ranges the plan was split into.
-    pub chunks: u32,
-    /// Assignments sent (first attempts plus retries).
-    pub assignments: u32,
-    /// Ranges reassigned after a worker death or slice failure.
-    pub reassignments: u32,
-    /// Workers declared dead during the pass.
-    pub workers_lost: u32,
-    /// Ranges whose attempt budget ran out.
-    pub quarantined_ranges: u32,
-    /// Successful redial-and-rehandshake recoveries after wire failures.
-    pub reconnects: u32,
-    /// Ranges re-adopted from a reconnected worker's retained inventory
-    /// — completed work that a wire failure did *not* force us to redo.
-    pub ranges_resumed: u32,
-}
-
-impl CoordStats {
-    /// One-line summary for stderr.
-    pub fn summary(&self) -> String {
-        format!(
-            "coordinated {} workers: {} ranges, {} assignments, {} reassigned, \
-             {} workers lost, {} ranges quarantined, {} reconnects, {} ranges resumed",
-            self.workers,
-            self.chunks,
-            self.assignments,
-            self.reassignments,
-            self.workers_lost,
-            self.quarantined_ranges,
-            self.reconnects,
-            self.ranges_resumed
-        )
-    }
-}
-
 /// A finished coordinated pass.
 pub struct Coordinated {
     /// The assembled suite — byte-identical to a single-process pass
@@ -144,7 +106,7 @@ pub struct Coordinated {
     /// message of the figure that could not compute from partial data.
     pub assembly_error: Option<String>,
     /// Scheduling statistics.
-    pub stats: CoordStats,
+    pub stats: DriveStats,
 }
 
 impl Coordinated {
@@ -255,71 +217,23 @@ pub fn spawn_workers(
     Ok(links)
 }
 
-/// Work-queue state shared by the per-worker dispatch threads.
-struct Dispatch {
-    /// `(start, end, attempt)` ranges awaiting a worker.
-    queue: VecDeque<(u32, u32, u32)>,
-    /// Ranges currently running on some worker.
-    in_flight: usize,
-    /// Workers not yet declared dead.
-    live: usize,
-    /// Completed `(range start, outcome)` pairs.
-    done: Vec<(u32, SliceOutcome)>,
-    /// `(start, end, attempts spent, error)` for exhausted ranges.
-    quarantined: Vec<(u32, u32, u32, String)>,
-    stats: CoordStats,
-}
-
-impl Dispatch {
-    /// Requeue a failed range, or quarantine it when the budget (or the
-    /// worker pool) is exhausted.
-    fn fail(&mut self, start: u32, end: u32, attempt: u32, budget: u32, error: &str) {
-        let spent = attempt + 1;
-        if spent < budget && self.live > 0 {
-            self.queue.push_back((start, end, spent));
-            self.stats.reassignments += 1;
-        } else {
-            self.quarantined
-                .push((start, end, spent, error.to_string()));
-            self.stats.quarantined_ranges += 1;
-        }
-    }
-
-    /// With no workers left, nothing queued will ever run.
-    fn drain_to_quarantine(&mut self) {
-        while let Some((start, end, attempt)) = self.queue.pop_front() {
-            self.quarantined
-                .push((start, end, attempt, "no live workers left".to_string()));
-            self.stats.quarantined_ranges += 1;
-        }
-    }
-}
-
-/// What one assignment round-trip produced.
-enum Reply {
-    Done(SliceOutcome),
-    Failed(String),
-}
-
-/// Send one assignment and pump frames until DONE/FAILED. Heartbeats
-/// reset the idle clock; silence past the timeout, a frame trickling
-/// past the same budget, EOF, or protocol garbage mean the link is
-/// gone.
+/// Send one assignment and pump frames until DONE, or FAILED (`Ok(Err)`:
+/// the slice failed on a healthy worker). Heartbeats reset the idle
+/// clock; silence past the timeout, a frame trickling past the same
+/// budget, EOF, or protocol garbage mean the connection is gone.
 fn drive_assignment(
     stream: &mut TcpStream,
     assign: &Assign,
     timeout: Duration,
-) -> Result<Reply, ShardError> {
+) -> Result<Result<SliceOutcome, String>, ShardError> {
     proto::write_frame(stream, proto::T_ASSIGN, &proto::encode_assign(assign))
         .map_err(|e| ShardError::io("sending assignment", &e))?;
     loop {
         match proto::read_frame_deadline(stream, Some(timeout), timeout) {
             Ok(Some((proto::T_HEARTBEAT, _))) => continue,
-            Ok(Some((proto::T_DONE, payload))) => {
-                return Ok(Reply::Done(proto::decode_outcome(&payload)?))
-            }
+            Ok(Some((proto::T_DONE, payload))) => return Ok(Ok(proto::decode_outcome(&payload)?)),
             Ok(Some((proto::T_FAILED, payload))) => {
-                return Ok(Reply::Failed(proto::decode_failed(&payload)?))
+                return Ok(Err(proto::decode_failed(&payload)?))
             }
             Ok(Some((kind, _))) => {
                 return Err(ShardError::Protocol(format!(
@@ -344,9 +258,11 @@ fn drive_assignment(
 /// Run a coordinated full-suite pass over `links`.
 ///
 /// The hello exchange rejects any worker whose seed, scenario or cell
-/// plan differs from the coordinator's; after that, range dispatch,
-/// retry, reconnect, quarantine and merge all happen here. Spawned
-/// children are shut down (or killed, if dead) before this returns.
+/// plan differs from the coordinator's; after that, the engine's driver
+/// runs the ranges over the workers as process links — dispatch, retry,
+/// quarantine and merge — and each link redials and resumes its own
+/// worker. Spawned children are shut down (or killed, if dead) before
+/// this returns.
 ///
 /// A pass whose quarantine holes are too large for the figure suite to
 /// assemble still returns `Ok` — with [`Coordinated::suite`] `None` and
@@ -355,101 +271,58 @@ fn drive_assignment(
 pub fn coordinate(
     ctx: &Context,
     opts: &CoordOptions,
-    links: Vec<WorkerLink>,
+    mut links: Vec<WorkerLink>,
 ) -> Result<Coordinated, ShardError> {
     if links.is_empty() {
         return Err(ShardError::Protocol("no workers to coordinate".into()));
     }
-    // Resolve the archive (delete a stale index, or commit to warm
-    // replay) before any worker can open it.
-    let mut assembler = SuiteAssembler::new(ctx, &opts.suite)?;
-    let identity = Identity {
-        seed: ctx.config.seed,
-        scenario_hash: ctx.scenario_hash(),
-        plan_hash: assembler.plan_hash(),
-        cells: assembler.cell_count() as u64,
-    };
-
-    let mut links = links;
-    for link in &mut links {
-        handshake(link, &identity, opts.heartbeat_timeout)?;
+    let identity = worker_identity(ctx, &opts.suite);
+    for worker in &mut links {
+        handshake(worker, &identity, opts.heartbeat_timeout)?;
     }
 
     let schedule = Schedule::new(opts.suite.chaos);
-    let budget = opts.suite.chaos.attempts.max(1);
-    let chunks = chunk_ranges(assembler.cell_count(), links.len(), opts.chunks_per_worker);
-    let dispatch = Mutex::new(Dispatch {
-        queue: chunks.iter().map(|&(s, e)| (s, e, 0)).collect(),
-        in_flight: 0,
-        live: links.len(),
-        done: Vec::with_capacity(chunks.len()),
-        quarantined: Vec::new(),
-        stats: CoordStats {
-            workers: links.len(),
-            chunks: chunks.len() as u32,
-            ..CoordStats::default()
-        },
-    });
-    let ready = Condvar::new();
-    let stall_ms = (2 * opts.heartbeat_timeout.as_millis()).min(u128::from(u32::MAX)) as u32;
-
-    std::thread::scope(|scope| {
-        for link in links {
-            scope.spawn(|| {
-                worker_loop(
-                    link,
-                    &dispatch,
-                    &ready,
-                    &identity,
-                    &schedule,
-                    budget,
-                    stall_ms,
-                    opts.heartbeat_timeout,
-                );
-            });
+    let mut links: Vec<ProcessLink> = links
+        .into_iter()
+        .map(|worker| ProcessLink {
+            worker,
+            identity: &identity,
+            schedule: &schedule,
+            timeout: opts.heartbeat_timeout,
+            inventory: Vec::new(),
+            reconnects: 0,
+            resumed: 0,
+            lost: false,
+        })
+        .collect();
+    let ranges = chunk_ranges(identity.cells as usize, links.len(), opts.chunks_per_worker);
+    // The pass resolves the archive (deleting a stale index, or
+    // committing to warm replay) before any worker can open it.
+    let driven = suite::run_suite_links(ctx, &opts.suite, &ranges, &mut links);
+    for link in &mut links {
+        if !link.lost {
+            shutdown_link(&mut link.worker);
         }
-    });
-
-    let state = dispatch.into_inner().expect("no thread held the lock");
-    let stats = state.stats;
-    let quarantined = !state.quarantined.is_empty();
-
-    // Deterministic merge order — not required for correctness (the
-    // merges are additive over disjoint cells) but it keeps two runs of
-    // the same pass bit-for-bit alike in every internal ordering.
-    let mut done = state.done;
-    done.sort_by_key(|(start, _)| *start);
-    for (_, outcome) in done {
-        assembler.absorb(outcome)?;
     }
-    for (start, end, attempts, error) in state.quarantined {
-        assembler.quarantine_range(start as usize..end as usize, attempts, &error);
-    }
+    let (mut stats, assemble) = driven?;
+    stats.reconnects = links.iter().map(|link| link.reconnects).sum();
+    stats.ranges_resumed = links.iter().map(|link| link.resumed).sum();
 
     // Figure assembly asserts it has the data its windows demand; a
     // badly-holed quarantine pattern can make that impossible. Under
     // quarantine, an assembly panic is a *named degraded outcome* — the
     // robustness contract is "recovery or degraded, never a crash" —
     // while a panic on complete data is a genuine bug and re-raised.
-    match catch_unwind(AssertUnwindSafe(|| assembler.finish(ctx, stats.workers))) {
-        Ok(Ok(suite)) => Ok(Coordinated {
-            suite: Some(suite),
-            assembly_error: None,
-            stats,
-        }),
-        Ok(Err(e)) => Err(e.into()),
-        Err(panic) => {
-            if quarantined {
-                Ok(Coordinated {
-                    suite: None,
-                    assembly_error: Some(panic_message(panic)),
-                    stats,
-                })
-            } else {
-                resume_unwind(panic)
-            }
-        }
-    }
+    let (suite, assembly_error) = match catch_unwind(AssertUnwindSafe(assemble)) {
+        Ok(suite) => (Some(suite), None),
+        Err(panic) if stats.quarantined_ranges > 0 => (None, Some(panic_message(panic))),
+        Err(panic) => resume_unwind(panic),
+    };
+    Ok(Coordinated {
+        suite,
+        assembly_error,
+        stats,
+    })
 }
 
 /// Exchange identities with one worker and verify them field by field.
@@ -529,105 +402,72 @@ fn reconnect(link: &mut WorkerLink, ours: &Identity, timeout: Duration) -> Optio
     }
 }
 
-/// One worker's dispatch loop: pull ranges until the queue is dry and
-/// nothing is in flight, then shut the worker down.
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
-    mut link: WorkerLink,
-    dispatch: &Mutex<Dispatch>,
-    ready: &Condvar,
-    identity: &Identity,
-    schedule: &Schedule,
-    budget: u32,
-    stall_ms: u32,
+/// A worker process as a link of the engine's driver: it sends a claim
+/// as one assignment and pumps frames until the worker answers, and it
+/// redials a failed connection before it declares the worker lost.
+struct ProcessLink<'a> {
+    worker: WorkerLink,
+    identity: &'a Identity,
+    schedule: &'a Schedule,
+    /// The heartbeat timeout; an injected stall lasts twice as long.
     timeout: Duration,
-) {
-    // Ranges the worker advertised as retained at its last handshake:
-    // completing one of these after a reconnect is resumed work, not
-    // recomputed work.
-    let mut inventory: Vec<(u32, u32)> = Vec::new();
-    loop {
-        let job = {
-            let mut d = dispatch.lock().expect("dispatch lock");
-            loop {
-                if let Some(job) = d.queue.pop_front() {
-                    d.in_flight += 1;
-                    d.stats.assignments += 1;
-                    break Some(job);
-                }
-                if d.in_flight == 0 {
-                    break None;
-                }
-                // A running range may yet fail and come back.
-                d = ready.wait(d).expect("dispatch lock");
-            }
-        };
-        let Some((start, end, attempt)) = job else {
-            shutdown_link(&mut link);
-            return;
-        };
+    /// Ranges the worker advertised as retained at its last handshake:
+    /// completing one of these after a reconnect is resumed work, not
+    /// recomputed work.
+    inventory: Vec<(u32, u32)>,
+    reconnects: u32,
+    resumed: u32,
+    lost: bool,
+}
 
-        let chaos = schedule.decide_worker(start, end, attempt);
+impl Link for ProcessLink<'_> {
+    fn run(&mut self, claim: Claim) -> Result<Option<SliceOutcome>, LinkFault> {
+        let chaos = self
+            .schedule
+            .decide_worker(claim.start, claim.end, claim.attempt);
         let assign = Assign {
-            start,
-            end,
-            attempt,
+            start: claim.start,
+            end: claim.end,
+            attempt: claim.attempt,
             kill: chaos.kill,
-            stall_ms: if chaos.stall { stall_ms } else { 0 },
+            stall_ms: match chaos.stall {
+                true => (2 * self.timeout.as_millis()).min(u128::from(u32::MAX)) as u32,
+                false => 0,
+            },
         };
         let mut redials_left = RECONNECTS_PER_ASSIGNMENT;
         loop {
-            match drive_assignment(&mut link.stream, &assign, timeout) {
-                Ok(Reply::Done(outcome)) => {
-                    let resumed = inventory.contains(&(start, end));
-                    let mut d = dispatch.lock().expect("dispatch lock");
-                    d.in_flight -= 1;
-                    d.done.push((start, outcome));
-                    if resumed {
-                        d.stats.ranges_resumed += 1;
+            match drive_assignment(&mut self.worker.stream, &assign, self.timeout) {
+                Ok(Ok(outcome)) => {
+                    if self.inventory.contains(&(claim.start, claim.end)) {
+                        self.resumed += 1;
                     }
-                    ready.notify_all();
-                    break;
+                    return Ok(Some(outcome));
                 }
-                Ok(Reply::Failed(message)) => {
-                    // The slice failed but the worker is healthy: charge
-                    // the attempt and keep the worker in rotation.
-                    let mut d = dispatch.lock().expect("dispatch lock");
-                    d.in_flight -= 1;
-                    d.fail(start, end, attempt, budget, &message);
-                    ready.notify_all();
-                    break;
-                }
+                // The slice failed but the worker is healthy: the driver
+                // charges the attempt and keeps the worker in rotation.
+                Ok(Err(message)) => return Err(LinkFault::Failed(message)),
                 Err(e) => {
-                    // The *link* failed (timeout, EOF, garbage). Redial
-                    // before declaring the worker dead: a worker that
-                    // answers retains its finished slices, so the same
-                    // assignment re-adopts work instead of redoing it.
-                    // The wire failure is not charged as an attempt.
+                    // The *connection* failed (timeout, EOF, garbage).
+                    // Redial before declaring the worker lost: a worker
+                    // that answers retains its finished slices, so the
+                    // same assignment re-adopts work instead of redoing
+                    // it. The wire failure is not charged as an attempt.
                     if redials_left > 0 {
                         redials_left -= 1;
-                        if let Some(inv) = reconnect(&mut link, identity, timeout) {
-                            inventory = inv;
-                            let mut d = dispatch.lock().expect("dispatch lock");
-                            d.stats.reconnects += 1;
+                        if let Some(inventory) =
+                            reconnect(&mut self.worker, self.identity, self.timeout)
+                        {
+                            self.inventory = inventory;
+                            self.reconnects += 1;
                             continue;
                         }
                     }
-                    // Dead for real: release the range, retire the
-                    // worker, reap any child.
-                    {
-                        let mut d = dispatch.lock().expect("dispatch lock");
-                        d.in_flight -= 1;
-                        d.live -= 1;
-                        d.stats.workers_lost += 1;
-                        d.fail(start, end, attempt, budget, &e.to_string());
-                        if d.live == 0 {
-                            d.drain_to_quarantine();
-                        }
-                        ready.notify_all();
-                    }
-                    reap_link(&mut link);
-                    return;
+                    // Lost for real: reap any child; the driver retires
+                    // the link and requeues the range.
+                    reap_link(&mut self.worker);
+                    self.lost = true;
+                    return Err(LinkFault::Lost(e.to_string()));
                 }
             }
         }

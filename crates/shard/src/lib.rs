@@ -3,20 +3,21 @@
 //! The engine already proves that a figure-suite pass is a fold over
 //! disjoint `(stream, date, hour)` cells: consumer merges are additive,
 //! so any partition of the cell list produces byte-identical figures.
-//! This crate stretches that property across *process* boundaries. A
+//! This crate stretches that property across *process* boundaries: a
+//! worker process is a link of the engine's one driver, like a thread. A
 //! coordinator splits the full-suite cell plan into contiguous index
 //! ranges, hands them to workers over a hand-rolled length-prefixed TCP
-//! protocol ([`proto`]), and merges the serialized consumer states each
-//! worker streams back through the analysis codec. Worker archive
-//! segments are adopted into the coordinator's single manifest, so a
-//! sharded cold pass leaves exactly the archive a single-process pass
-//! would.
+//! protocol ([`proto`]), and the driver merges the serialized consumer
+//! states each worker streams back through the codec it merges a
+//! thread's column with. Worker archive segments are adopted into the
+//! coordinator's single manifest, so a sharded cold pass leaves exactly
+//! the archive a single-process pass would.
 //!
-//! Failure semantics mirror the in-process supervisor: a worker that
-//! stops heartbeating (killed, stalled, unplugged) loses its assignment,
-//! the range is retried on a live worker, and a range that outlives its
-//! attempt budget is quarantined — the assembled suite then degrades
-//! (exit 3) instead of aborting, with every missing cell named.
+//! Failure semantics are the driver's: a worker that stops heartbeating
+//! (killed, stalled, unplugged) is a lost link, its range is retried on a
+//! live worker, and a range that outlives its attempt budget is
+//! quarantined — the assembled suite then degrades (exit 3) instead of
+//! aborting, with every missing cell named.
 //!
 //! The wire itself is treated as hostile (PR 10): every frame carries a
 //! CRC-32 check, every socket read runs under a monotonic whole-frame
@@ -28,7 +29,7 @@
 //!
 //! - [`proto`] — frames and message codecs; no sockets, pure bytes.
 //! - [`worker`] — serve one coordinator connection; run slices.
-//! - [`coord`] — spawn/attach workers, dispatch ranges, merge, report.
+//! - [`coord`] — spawn/attach workers, the process link, report.
 
 #![warn(unreachable_pub)]
 

@@ -1,10 +1,11 @@
 //! The worker side: serve coordinator connections, retain finished work.
 //!
-//! A worker is a single-purpose process: it binds a TCP listener,
-//! answers one coordinator at a time, and runs whatever cell ranges it
-//! is assigned through [`suite::run_suite_slice`] — sequentially,
-//! because worker *processes* are the parallelism of a coordinated
-//! pass. While a slice runs, a sidecar thread heartbeats every
+//! A worker is the far end of a process link: it binds a TCP listener,
+//! answers one coordinator at a time, and runs each assigned cell range
+//! through [`suite::run_suite_slice`] — the engine's driver over one
+//! thread link, because worker *processes* are the parallelism of a
+//! coordinated pass — sending back that thread's column, encoded. While
+//! a slice runs, a sidecar thread heartbeats every
 //! 100 ms (`HEARTBEAT`) so the coordinator can tell "slow"
 //! from "dead" without guessing at cell runtimes; it stops the moment
 //! the slice does.

@@ -102,6 +102,24 @@ exactly_once() { # <what> <fixed-string pattern>
 exactly_once "the engine's worker scope" 'thread::scope('
 exactly_once "the call that runs a cell" '.process('
 exactly_once "the panic boundary around a cell attempt" 'catch_unwind('
+# One merge and one queue: every partial, a thread's column or a worker
+# process's slice, merges through the engine's one codec `absorb`, and the
+# engine's driver is the one work queue for thread and process links, so
+# neither a typed merge beside the codec nor a second queue in the shard
+# crate (a condition variable outside its tests) comes back.
+said_once "the partial merge through the state codec" 'merge_state_frame(' crates/core/src/engine.rs
+if grep -rnF --include='*.rs' 'fn merge_box' crates src tests examples lockbench/src >&2; then
+    echo "said-once: a typed partial merge (fn merge_box) is back beside the codec merge" >&2
+    exit 1
+fi
+condvar=$(for f in $(find crates/shard/src -name '*.rs'); do
+    sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nF 'Condvar' | sed "s|^|$f:|"
+done || true)
+if [[ -n "$condvar" ]]; then
+    echo "said-once: a work queue under crates/shard/src (the engine's driver is the one queue):" >&2
+    echo "$condvar" >&2
+    exit 1
+fi
 # One consumer body per flow: the engine splits each cell into hour runs
 # once and hands every covering consumer `observe_run`; `observe_all` is
 # the FlowConsumer trait's walk over `hour_runs`. A second `fn observe_all`

@@ -8,23 +8,26 @@
 
 use lockdown::core::engine::{self, EnginePlan};
 use lockdown::core::{Context, Fidelity};
-use lockdown::store::segment::decode_segment;
+use lockdown::store::segment::{decode_segment, encode_segment};
 use lockdown::store::{
     ArchiveReader, ArchiveWriter, SegmentMeta, StoreError, StoreKey, StoreMetrics, MANIFEST_NAME,
     MANIFEST_VERSION, PACKS_DIR,
 };
+use lockdown_analysis::codec::{CodecError, ConsumerTag, StateReader};
 use lockdown_analysis::consumer::FlowConsumer;
 use lockdown_base::crc::crc32;
 use lockdown_base::hash::fold;
 use lockdown_collect::WireConfig;
 use lockdown_flow::record::FlowRecord;
 use lockdown_flow::time::Date;
+use lockdown_flow::wire::PutBe;
 use lockdown_topology::vantage::VantagePoint;
 use lockdown_traffic::plan::{Cell, Stream, FINGERPRINT_INIT};
 use std::path::{Path, PathBuf};
 
 /// Engine consumer that keeps raw flows sorted into canonical order, so
-/// equality is insensitive to worker scheduling.
+/// equality is insensitive to worker scheduling. Its state crosses
+/// threads as one store segment, so a pass runs it on every thread.
 struct SortedFlows {
     flows: Vec<FlowRecord>,
 }
@@ -36,6 +39,31 @@ impl FlowConsumer for SortedFlows {
 
     fn merge(&mut self, mut other: Self) {
         self.flows.append(&mut other.flows);
+    }
+
+    fn state_tag(&self) -> ConsumerTag {
+        ConsumerTag {
+            id: 200,
+            name: "SortedFlows",
+        }
+    }
+
+    fn encode_state(&self, out: &mut Vec<u8>) {
+        let segment = encode_segment(&self.flows);
+        out.put_u64_be(segment.len() as u64);
+        out.extend_from_slice(&segment);
+    }
+
+    fn merge_state(&mut self, r: &mut StateReader<'_>) -> Result<(), CodecError> {
+        let len = r.u64("segment length")? as usize;
+        let segment = r.bytes(len, "segment")?;
+        let (mut flows, _) =
+            decode_segment("SortedFlows state", segment).map_err(|e| CodecError {
+                consumer: "SortedFlows",
+                detail: e.to_string(),
+            })?;
+        self.flows.append(&mut flows);
+        Ok(())
     }
 }
 

@@ -555,3 +555,92 @@ fn quarantine_set_is_deterministic_and_predicted() {
         }
     });
 }
+
+// ---------------------------------------------------------------------------
+// One driver: thread links and process links quarantine alike.
+// ---------------------------------------------------------------------------
+
+use lockdown::core::experiments::figures::FIGURES;
+use lockdown::core::experiments::suite::ShardSuiteOptions;
+use lockdown::shard::coord::{self, CoordOptions};
+use lockdown::shard::worker::serve_worker;
+use std::net::TcpListener;
+
+/// A cell-level chaos profile quarantines the same cells, with the same
+/// attempts and errors, and renders the same degraded sections whether
+/// the suite runs on one thread, on three, or on two worker processes
+/// behind the coordinator: the driver runs a thread and a process alike
+/// as links, and on either the per-cell supervisor draws the same
+/// schedule.
+#[test]
+fn thread_and_process_links_quarantine_the_same_cells() {
+    let chaos = ChaosConfig {
+        seed: 0x51DE,
+        panic: 0.05,
+        attempts: 2,
+        backoff_base_ms: 0,
+        backoff_cap_ms: 0,
+        ..ChaosConfig::zero()
+    };
+    let ctx = Context::new(Fidelity::Test);
+    let threads = |workers| {
+        let mut plan = EnginePlan::new();
+        plan.with_chaos(chaos);
+        let pending: Vec<_> = FIGURES.iter().map(|f| f.plan(&ctx, &mut plan)).collect();
+        let mut out = engine::run_with_workers(&ctx, plan, workers).expect("archive-free pass");
+        let report = out
+            .degraded()
+            .expect("the profile quarantines cells")
+            .clone();
+        let sections: Vec<String> = pending
+            .into_iter()
+            .map(|finish| finish(&ctx, &mut out)())
+            .collect();
+        (report, sections)
+    };
+    let (report, sections) = threads(1);
+    assert!(report.quarantined.len() > 1 && report.retries > 0);
+    assert_eq!(threads(3), (report.clone(), sections.clone()), "3 threads");
+
+    let opts = CoordOptions {
+        suite: ShardSuiteOptions {
+            archive: None,
+            chaos,
+        },
+        ..CoordOptions::default()
+    };
+    let mut addrs = Vec::new();
+    let mut workers = Vec::new();
+    for _ in 0..2 {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind worker");
+        addrs.push(listener.local_addr().expect("worker addr").to_string());
+        let suite = opts.suite.clone();
+        workers.push(std::thread::spawn(move || {
+            serve_worker(&Context::new(Fidelity::Test), &suite, listener)
+        }));
+    }
+    let links = coord::attach_workers(&addrs).expect("attach");
+    let out = coord::coordinate(&ctx, &opts, links).expect("coordinate");
+    for worker in workers {
+        worker
+            .join()
+            .expect("worker thread")
+            .expect("worker protocol");
+    }
+    assert_eq!(out.stats.quarantined_ranges, 0, "{}", out.stats.summary());
+    let suite = out.suite.as_ref().expect("quarantined cells leave a suite");
+    assert_eq!(suite.degraded.as_ref(), Some(&report), "process links");
+    // The suite notes a figure's quarantined cells after its section.
+    let renders = out.renders();
+    assert_eq!(renders.len(), sections.len());
+    for ((figure, section), coordinated) in FIGURES.iter().zip(&sections).zip(renders) {
+        let note = coordinated
+            .strip_prefix(section.as_str())
+            .unwrap_or_else(|| panic!("process links: section {} differs", figure.name));
+        let affected = report
+            .affected
+            .iter()
+            .any(|(label, _)| label == figure.name);
+        assert_eq!(note.contains("[degraded:"), affected, "{}", figure.name);
+    }
+}

@@ -14,10 +14,12 @@ use lockdown::core::{Context, Fidelity};
 use lockdown::query::{loadgen, LoadConfig, QueryEngine, QueryPlan, Server};
 use lockdown::store::{ArchiveWriter, StoreKey, StoreMetrics};
 use lockdown_analysis::appclass::{Classifier, PaperClass};
+use lockdown_analysis::codec::{CodecError, ConsumerTag, StateReader};
 use lockdown_analysis::consumer::FlowConsumer;
 use lockdown_core::engine::{self, EnginePlan};
 use lockdown_flow::record::FlowRecord;
 use lockdown_flow::time::Date;
+use lockdown_flow::wire::PutBe;
 use lockdown_topology::registry::Registry;
 use lockdown_topology::vantage::VantagePoint;
 use lockdown_traffic::plan::{Cell, Stream};
@@ -179,6 +181,39 @@ impl FlowConsumer for FilteredAggregate {
         for (h, b) in other.hourly {
             *self.hourly.entry(h).or_insert(0) += b;
         }
+    }
+
+    fn state_tag(&self) -> ConsumerTag {
+        ConsumerTag {
+            id: 201,
+            name: "FilteredAggregate",
+        }
+    }
+
+    fn encode_state(&self, out: &mut Vec<u8>) {
+        for v in [
+            self.flows,
+            self.bytes,
+            self.packets,
+            self.hourly.len() as u64,
+        ] {
+            out.put_u64_be(v);
+        }
+        for (&h, &b) in &self.hourly {
+            out.put_u64_be(h);
+            out.put_u64_be(b);
+        }
+    }
+
+    fn merge_state(&mut self, r: &mut StateReader<'_>) -> Result<(), CodecError> {
+        self.flows += r.u64("flows")?;
+        self.bytes += r.u64("bytes")?;
+        self.packets += r.u64("packets")?;
+        for _ in 0..r.u64("hours")? {
+            let h = r.u64("hour")?;
+            *self.hourly.entry(h).or_insert(0) += r.u64("hour bytes")?;
+        }
+        Ok(())
     }
 }
 
