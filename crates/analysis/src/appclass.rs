@@ -521,18 +521,6 @@ impl WeekHeatmap {
         }
     }
 
-    /// Merge another same-week grid into this one (cells are additive).
-    pub(crate) fn merge(&mut self, other: &WeekHeatmap) {
-        debug_assert_eq!(self.start, other.start, "weeks must agree");
-        for (mine, theirs) in self.grid.iter_mut().zip(&other.grid) {
-            for (day_m, day_t) in mine.iter_mut().zip(theirs) {
-                for (cell_m, cell_t) in day_m.iter_mut().zip(day_t) {
-                    *cell_m += cell_t;
-                }
-            }
-        }
-    }
-
     /// The class's cells normalized to this week+others' shared max (the
     /// caller supplies the per-class max across all compared weeks, per
     /// the paper's "normalized to the minimum/maximum of all three weeks

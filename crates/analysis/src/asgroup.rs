@@ -130,17 +130,6 @@ impl HypergiantSplit {
             .insert(run.day_number);
     }
 
-    /// Merge another split into this one (byte bins are additive; day
-    /// sets union, so double-counting a day is impossible).
-    pub(crate) fn merge(&mut self, other: &HypergiantSplit) {
-        for (k, v) in &other.bins {
-            *self.bins.entry(*k).or_insert(0) += v;
-        }
-        for (k, days) in &other.days {
-            self.days.entry(*k).or_default().extend(days);
-        }
-    }
-
     /// Total bytes for (week, part, hypergiant?).
     pub(crate) fn get(&self, week: u8, part: DayPart, hypergiant: bool) -> u64 {
         self.bins
@@ -523,7 +512,7 @@ pub fn shift_correlation(points: &[ResidentialShift]) -> f64 {
 mod tests {
     use super::*;
     use lockdown_flow::protocol::IpProtocol;
-    use lockdown_flow::record::FlowKey;
+    use lockdown_flow::record::{hour_runs, FlowKey};
     use std::net::Ipv4Addr;
 
     fn flow(date: Date, hour: u8, src_as: u32, dst_as: u32, bytes: u64) -> FlowRecord {
@@ -543,6 +532,12 @@ mod tests {
         .packets(1)
         .asns(src_as, dst_as)
         .build()
+    }
+
+    /// The one-record run of `record`.
+    fn one_run(record: &FlowRecord) -> HourRun<'_> {
+        let mut runs = hour_runs(std::slice::from_ref(record));
+        runs.next().expect("a record is a run")
     }
 
     const EYEBALL: Asn = Asn(64_496);
@@ -583,24 +578,24 @@ mod tests {
         // Week 8 (Feb 19 is in ISO week 8): baseline.
         let base_day = Date::new(2020, 2, 19);
         split.add_run(
-            &HourRun::of(&flow(base_day, 10, GOOGLE, EYEBALL.0, 100)),
+            &one_run(&flow(base_day, 10, GOOGLE, EYEBALL.0, 100)),
             Region::CentralEurope,
             EYEBALL,
         );
         split.add_run(
-            &HourRun::of(&flow(base_day, 10, OTHER, EYEBALL.0, 100)),
+            &one_run(&flow(base_day, 10, OTHER, EYEBALL.0, 100)),
             Region::CentralEurope,
             EYEBALL,
         );
         // Week 13 (Mar 25): hypergiants +30%, others +60%.
         let lock_day = Date::new(2020, 3, 25);
         split.add_run(
-            &HourRun::of(&flow(lock_day, 10, GOOGLE, EYEBALL.0, 130)),
+            &one_run(&flow(lock_day, 10, GOOGLE, EYEBALL.0, 130)),
             Region::CentralEurope,
             EYEBALL,
         );
         split.add_run(
-            &HourRun::of(&flow(lock_day, 10, OTHER, EYEBALL.0, 160)),
+            &one_run(&flow(lock_day, 10, OTHER, EYEBALL.0, 160)),
             Region::CentralEurope,
             EYEBALL,
         );
@@ -624,7 +619,7 @@ mod tests {
         let d = Date::new(2020, 2, 19);
         // Upstream flow: eyeball is the source; content side is dst.
         split.add_run(
-            &HourRun::of(&flow(d, 10, EYEBALL.0, GOOGLE, 50)),
+            &one_run(&flow(d, 10, EYEBALL.0, GOOGLE, 50)),
             Region::CentralEurope,
             EYEBALL,
         );
@@ -640,14 +635,14 @@ mod tests {
         for d in Date::new(2020, 2, 3).range_inclusive(Date::new(2020, 2, 9)) {
             let weekend = d.weekday().is_weekend();
             t.add_run(
-                &HourRun::of(&flow(d, 12, 1, 0, if weekend { 10 } else { 100 })),
+                &one_run(&flow(d, 12, 1, 0, if weekend { 10 } else { 100 })),
                 |_| true,
             );
             t.add_run(
-                &HourRun::of(&flow(d, 12, 2, 0, if weekend { 100 } else { 10 })),
+                &one_run(&flow(d, 12, 2, 0, if weekend { 100 } else { 10 })),
                 |_| true,
             );
-            t.add_run(&HourRun::of(&flow(d, 12, 3, 0, 50)), |_| true);
+            t.add_run(&one_run(&flow(d, 12, 3, 0, 50)), |_| true);
         }
         assert_eq!(t.group_of(Asn(1)), Some(RatioGroup::WorkdayDominated));
         assert_eq!(t.group_of(Asn(2)), Some(RatioGroup::WeekendDominated));
@@ -664,10 +659,10 @@ mod tests {
         let mk = |d: Date, asn: u32, total: u64, res: u64| {
             let mut all = AsDayTotals::new(region);
             let mut resid = AsDayTotals::new(region);
-            all.add_run(&HourRun::of(&flow(d, 12, asn, 0, total)), |_| true);
+            all.add_run(&one_run(&flow(d, 12, asn, 0, total)), |_| true);
             let r = flow(d, 12, asn, EYEBALL.0, res);
-            all.add_run(&HourRun::of(&r), |_| true);
-            resid.add_run(&HourRun::of(&r), |_| true);
+            all.add_run(&one_run(&r), |_| true);
+            resid.add_run(&one_run(&r), |_| true);
             (all, resid)
         };
         // AS 10: total down, residential up (top-left quadrant).
@@ -686,12 +681,11 @@ mod tests {
         let region = Region::CentralEurope;
         let mut b = AsDayTotals::new(region);
         let mut l = AsDayTotals::new(region);
-        b.add_run(
-            &HourRun::of(&flow(Date::new(2020, 2, 19), 12, 5, 0, 1)),
-            |_| true,
-        );
+        b.add_run(&one_run(&flow(Date::new(2020, 2, 19), 12, 5, 0, 1)), |_| {
+            true
+        });
         l.add_run(
-            &HourRun::of(&flow(Date::new(2020, 3, 25), 12, 5, 0, 1_000_000)),
+            &one_run(&flow(Date::new(2020, 3, 25), 12, 5, 0, 1_000_000)),
             |_| true,
         );
         let pts = residential_shift(&b, &l, &b, &l, [Asn(5)]);

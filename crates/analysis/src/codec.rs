@@ -1,11 +1,11 @@
 //! Versioned wire codec for consumer state.
 //!
-//! The engine moves every partial [`FlowConsumer`] state through this
-//! codec: each thread but the first serializes its column once when a
-//! pass ends, a shard worker serializes each cell slice it runs, and the
-//! pass decodes every partial into the first column through the
-//! consumer's own additive merge. The encoding therefore has exactly two
-//! jobs:
+//! Every [`FlowConsumer`] carries this codec, and it is the consumer's
+//! one way out: each engine thread but the first serializes its column
+//! once when a pass ends, a shard worker serializes each cell slice it
+//! runs, and the pass decodes every partial into the first column
+//! through the consumer's [`FlowConsumer::merge_state`], its one merge.
+//! The encoding therefore has exactly two jobs:
 //!
 //! * **Determinism.** The same state encodes to the same bytes whatever
 //!   the insertion order — hash maps and sets are emitted in sorted key
@@ -94,12 +94,6 @@ pub const TAG_VPN_WEEK: ConsumerTag = ConsumerTag {
 pub const TAG_HOURLY_ORIGINS: ConsumerTag = ConsumerTag {
     id: 10,
     name: "OriginsConsumer",
-};
-/// Default tag for consumers that never cross a process boundary (the
-/// trait's default methods refuse to encode or decode).
-pub(crate) const TAG_UNSUPPORTED: ConsumerTag = ConsumerTag {
-    id: 0,
-    name: "unsupported",
 };
 
 /// Name of a known tag byte (`"unknown"` otherwise) — makes mis-routed
@@ -325,10 +319,33 @@ pub fn merge_frame<C: FlowConsumer + ?Sized>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::timeseries::HourlyVolume;
+    use lockdown_flow::record::HourRun;
     use lockdown_flow::time::Date;
+
+    /// A state written byte by byte under a consumer's tag, framed like
+    /// that consumer's own; merging one appends its payload.
+    pub(crate) struct Crafted(pub(crate) ConsumerTag, pub(crate) Vec<u8>);
+
+    impl FlowConsumer for Crafted {
+        fn observe_run(&mut self, _: &HourRun<'_>) {}
+
+        fn state_tag(&self) -> ConsumerTag {
+            self.0
+        }
+
+        fn encode_state(&self, out: &mut Vec<u8>) {
+            out.extend_from_slice(&self.1);
+        }
+
+        fn merge_state(&mut self, r: &mut StateReader<'_>) -> Result<(), CodecError> {
+            let payload = r.bytes(r.remaining(), "crafted state")?;
+            self.1.extend_from_slice(payload);
+            Ok(())
+        }
+    }
 
     #[test]
     fn frame_roundtrips_and_any_flipped_byte_fails_named() {

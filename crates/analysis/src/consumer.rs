@@ -1,20 +1,18 @@
 //! The multi-consumer aggregation contract used by the single-pass trace
 //! engine (`lockdown-core::engine`).
 //!
-//! Every figure's accumulator observes flow records and can merge a
-//! same-typed partial produced by another worker. All implementors bin into
-//! integer counters (or sets) whose merges are commutative and associative,
-//! so results are independent of both flow fan-out order and worker count —
-//! the property the engine's determinism tests assert.
-//!
-//! Calendar facts are per hour run: an accumulator's one body,
-//! [`FlowConsumer::observe_run`], takes an [`HourRun`] and derives day
-//! type, ISO week, day part and bin keys from it once. The engine splits
-//! each cell into runs once and hands every covering consumer the same
-//! runs; `observe_all` walks [`hour_runs`] the same way, and `observe` is
-//! the one-record run. The state any path leaves is the same field for
-//! field, down to which keys exist — `encode_frame` bytes cross the shard
-//! boundary.
+//! Every figure's accumulator has one way in and one way out. The way in
+//! is [`FlowConsumer::observe_run`]: it takes an [`HourRun`] and derives
+//! day type, ISO week, day part and bin keys from it once. The engine
+//! splits each cell into runs once and hands every covering consumer the
+//! same runs; [`FlowConsumer::observe_all`] walks [`hour_runs`] the same
+//! way, and a one-record slice is a one-record run. The way out is the
+//! state codec: a partial leaves as an `encode_frame` and merges into
+//! another consumer of its type through `merge_frame`, in a thread's
+//! column and across the shard socket alike. Every merge is additive
+//! over integer counters or sets, so the merged state depends only on the
+//! set of flows observed, not on fan-out order or worker count — the
+//! property the engine's determinism tests assert.
 
 use crate::appclass::{Classifier, HourUsage, PaperClass, WeekHeatmap};
 use crate::asgroup::{AsDayTotals, HypergiantSplit};
@@ -27,28 +25,21 @@ use lockdown_flow::record::{hour_runs, FlowRecord, HourRun};
 use lockdown_flow::time::Date;
 use lockdown_flow::wire::PutBe;
 use lockdown_topology::asn::{Asn, Region};
+use std::any::Any;
 use std::collections::{BTreeMap, HashSet};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
-/// A streaming flow aggregator that can absorb a same-typed partial.
+/// A streaming flow aggregator whose partials merge through its state
+/// codec.
 ///
-/// `merge` must be commutative and associative so that sharding flows
-/// across workers and merging the partials yields the same state as a
-/// single sequential pass.
-pub trait FlowConsumer {
-    /// Observe one flow record.
-    fn observe(&mut self, record: &FlowRecord);
-
-    /// Observe one hour run: the engine's hot path, called once per run
-    /// of a cell. The default observes each record; the figures'
-    /// accumulators implement their one body here and make `observe` the
-    /// call with [`HourRun::of`].
-    fn observe_run(&mut self, run: &HourRun<'_>) {
-        for r in run.records {
-            self.observe(r);
-        }
-    }
+/// Observing two disjoint flow sets in two consumers and merging one's
+/// frame into the other must leave the state one consumer observing both
+/// leaves, byte for byte in `encode_frame`, in either merge order.
+pub trait FlowConsumer: Any {
+    /// Observe one hour run: the consumer's one observation body, called
+    /// once per run of a cell.
+    fn observe_run(&mut self, run: &HourRun<'_>);
 
     /// Observe a batch of records, an hour run at a time.
     fn observe_all(&mut self, records: &[FlowRecord]) {
@@ -57,46 +48,24 @@ pub trait FlowConsumer {
         }
     }
 
-    /// Absorb another worker's partial state.
-    fn merge(&mut self, other: Self)
-    where
-        Self: Sized;
-
-    /// Stable identity of this consumer's serialized state (the state
-    /// codec's tag byte + the name decode errors carry). A consumer that
-    /// keeps the default cannot leave the column that built it, so only a
-    /// one-thread pass can run it: a pass of more threads, or a worker
-    /// process, panics when it encodes that column.
-    fn state_tag(&self) -> ConsumerTag {
-        codec::TAG_UNSUPPORTED
-    }
+    /// Stable identity of this consumer's serialized state: the state
+    /// codec's tag byte and the name decode errors carry.
+    fn state_tag(&self) -> ConsumerTag;
 
     /// Append this consumer's mergeable state to `out` in the
     /// deterministic payload encoding ([`codec::encode_frame`] adds the
     /// version/tag/CRC framing). Constructor parameters are not encoded:
     /// the receiving side factory-builds the consumer and merges.
-    fn encode_state(&self, _out: &mut Vec<u8>) {
-        unimplemented!("a consumer without the state codec runs only in a one-thread pass")
-    }
+    fn encode_state(&self, out: &mut Vec<u8>);
 
-    /// Decode a peer's payload from `r` and merge it into `self` — the
-    /// cross-process analogue of [`FlowConsumer::merge`].
-    fn merge_state(&mut self, r: &mut StateReader<'_>) -> Result<(), CodecError> {
-        Err(r.error("consumer does not implement the state codec"))
-    }
+    /// Decode a partial's payload from `r` and merge it into `self`: the
+    /// one merge. A payload no flows could have produced is an error.
+    fn merge_state(&mut self, r: &mut StateReader<'_>) -> Result<(), CodecError>;
 }
 
 impl FlowConsumer for HourlyVolume {
-    fn observe(&mut self, record: &FlowRecord) {
-        self.observe_run(&HourRun::of(record));
-    }
-
     fn observe_run(&mut self, run: &HourRun<'_>) {
         self.add_run(run);
-    }
-
-    fn merge(&mut self, other: Self) {
-        HourlyVolume::merge(self, &other);
     }
 
     fn state_tag(&self) -> ConsumerTag {
@@ -113,16 +82,8 @@ impl FlowConsumer for HourlyVolume {
 }
 
 impl FlowConsumer for EduAnalysis {
-    fn observe(&mut self, record: &FlowRecord) {
-        self.observe_run(&HourRun::of(record));
-    }
-
     fn observe_run(&mut self, run: &HourRun<'_>) {
         self.add_run(run);
-    }
-
-    fn merge(&mut self, other: Self) {
-        EduAnalysis::merge(self, &other);
     }
 
     fn state_tag(&self) -> ConsumerTag {
@@ -157,16 +118,8 @@ impl PortConsumer {
 }
 
 impl FlowConsumer for PortConsumer {
-    fn observe(&mut self, record: &FlowRecord) {
-        self.observe_run(&HourRun::of(record));
-    }
-
     fn observe_run(&mut self, run: &HourRun<'_>) {
         self.profile.add_run(run, self.region);
-    }
-
-    fn merge(&mut self, other: Self) {
-        self.profile.merge(&other.profile);
     }
 
     fn state_tag(&self) -> ConsumerTag {
@@ -203,16 +156,8 @@ impl HypergiantConsumer {
 }
 
 impl FlowConsumer for HypergiantConsumer {
-    fn observe(&mut self, record: &FlowRecord) {
-        self.observe_run(&HourRun::of(record));
-    }
-
     fn observe_run(&mut self, run: &HourRun<'_>) {
         self.split.add_run(run, self.region, self.eyeball);
-    }
-
-    fn merge(&mut self, other: Self) {
-        self.split.merge(&other.split);
     }
 
     fn state_tag(&self) -> ConsumerTag {
@@ -256,18 +201,10 @@ impl AsTotalsConsumer {
 }
 
 impl FlowConsumer for AsTotalsConsumer {
-    fn observe(&mut self, record: &FlowRecord) {
-        self.observe_run(&HourRun::of(record));
-    }
-
     fn observe_run(&mut self, run: &HourRun<'_>) {
         let gate = self.require_asn;
         self.totals
             .add_run(run, |r| gate.is_none_or(|a| r.src_as == a || r.dst_as == a));
-    }
-
-    fn merge(&mut self, other: Self) {
-        self.totals.merge(&other.totals);
     }
 
     fn state_tag(&self) -> ConsumerTag {
@@ -302,16 +239,8 @@ impl HeatmapConsumer {
 }
 
 impl FlowConsumer for HeatmapConsumer {
-    fn observe(&mut self, record: &FlowRecord) {
-        self.observe_run(&HourRun::of(record));
-    }
-
     fn observe_run(&mut self, run: &HourRun<'_>) {
         self.heatmap.add_run(&self.classifier, run);
-    }
-
-    fn merge(&mut self, other: Self) {
-        self.heatmap.merge(&other.heatmap);
     }
 
     fn state_tag(&self) -> ConsumerTag {
@@ -389,10 +318,6 @@ impl ClassUsageConsumer {
 }
 
 impl FlowConsumer for ClassUsageConsumer {
-    fn observe(&mut self, record: &FlowRecord) {
-        self.observe_run(&HourRun::of(record));
-    }
-
     fn observe_run(&mut self, run: &HourRun<'_>) {
         let mut matched = run
             .records
@@ -410,14 +335,6 @@ impl FlowConsumer for ClassUsageConsumer {
         for record in matched {
             bin.0 += record.bytes;
             bin.1.insert(client_addr(record));
-        }
-    }
-
-    fn merge(&mut self, other: Self) {
-        for (k, (bytes, ips)) in other.bins {
-            let bin = self.bins.entry(k).or_insert_with(|| (0, HashSet::new()));
-            bin.0 += bytes;
-            bin.1.extend(ips);
         }
     }
 
@@ -464,16 +381,8 @@ impl FlowConsumer for ClassUsageConsumer {
 }
 
 impl FlowConsumer for AsHourly {
-    fn observe(&mut self, record: &FlowRecord) {
-        self.observe_run(&HourRun::of(record));
-    }
-
     fn observe_run(&mut self, run: &HourRun<'_>) {
         self.add_run(run);
-    }
-
-    fn merge(&mut self, other: Self) {
-        AsHourly::merge(self, &other);
     }
 
     fn state_tag(&self) -> ConsumerTag {
@@ -515,9 +424,10 @@ mod tests {
         .build()
     }
 
-    /// Observing a batch split across two consumers then merging equals
-    /// one sequential pass — the engine's core invariant, checked here on
-    /// a representative consumer of each binning shape.
+    /// Observing a batch split across two consumers then merging the
+    /// second's frame into the first equals one sequential pass — the
+    /// engine's core invariant, checked here on a representative consumer
+    /// of each binning shape.
     #[test]
     fn split_merge_equals_sequential() {
         let d = Date::new(2020, 3, 25);
@@ -539,7 +449,7 @@ mod tests {
         let mut b = HourlyVolume::new();
         a.observe_all(&flows[..17]);
         b.observe_all(&flows[17..]);
-        FlowConsumer::merge(&mut a, b);
+        codec::merge_frame(&mut a, &codec::encode_frame(&b)).expect("own frame");
         assert_eq!(seq.hourly_series(d, d), a.hourly_series(d, d));
 
         let mut seq = AsTotalsConsumer::all(Region::CentralEurope);
@@ -548,7 +458,7 @@ mod tests {
         let mut b = AsTotalsConsumer::all(Region::CentralEurope);
         a.observe_all(&flows[..9]);
         b.observe_all(&flows[9..]);
-        FlowConsumer::merge(&mut a, b);
+        codec::merge_frame(&mut a, &codec::encode_frame(&b)).expect("own frame");
         for asn in [65_000, 65_001, 65_002, 64_496] {
             assert_eq!(
                 seq.totals.mean_daily_bytes(Asn(asn)),
@@ -561,8 +471,10 @@ mod tests {
     fn filtered_totals_gate_on_endpoint() {
         let d = Date::new(2020, 3, 25);
         let mut c = AsTotalsConsumer::touching(Region::CentralEurope, Asn(64_496));
-        c.observe(&flow(d.at_hour(9), 443, 50_000, 64_496, 65_000));
-        c.observe(&flow(d.at_hour(9), 443, 50_001, 65_001, 65_000));
+        c.observe_all(&[
+            flow(d.at_hour(9), 443, 50_000, 64_496, 65_000),
+            flow(d.at_hour(9), 443, 50_001, 65_001, 65_000),
+        ]);
         assert!(c.totals.mean_daily_bytes(Asn(64_496)) > 0.0);
         assert_eq!(c.totals.mean_daily_bytes(Asn(65_001)), 0.0);
     }

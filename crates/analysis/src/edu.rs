@@ -196,11 +196,6 @@ impl EduAnalysis {
         EduAnalysis::default()
     }
 
-    /// Add one border flow.
-    pub(crate) fn add(&mut self, record: &FlowRecord) {
-        self.add_run(&HourRun::of(record));
-    }
-
     /// Add one hour run: connections are counted per (class, orientation)
     /// and volume per direction in locals, then flushed under the run's
     /// day and hour — one map entry per key the run touched.
@@ -240,25 +235,6 @@ impl EduAnalysis {
                 volume.add_bytes(run.hour_start, bytes);
             }
         }
-    }
-
-    /// Add many flows.
-    pub fn add_all<'a>(&mut self, records: impl IntoIterator<Item = &'a FlowRecord>) {
-        for r in records {
-            self.add(r);
-        }
-    }
-
-    /// Merge another accumulator into this one (used by the engine's
-    /// per-worker partial merge; all bins are additive).
-    pub(crate) fn merge(&mut self, other: &EduAnalysis) {
-        for (k, v) in &other.connections {
-            *self.connections.entry(*k).or_insert(0) += v;
-        }
-        self.ingress.merge(&other.ingress);
-        self.egress.merge(&other.egress);
-        self.flows += other.flows;
-        self.undetermined += other.undetermined;
     }
 
     /// Shard-codec payload: connection bins (class/orientation as indexes
@@ -410,6 +386,7 @@ pub(crate) fn orientation_index(orient: Orientation) -> u8 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::consumer::FlowConsumer;
     use lockdown_flow::protocol::TcpFlags;
     use lockdown_flow::record::FlowKey;
     use std::net::Ipv4Addr;
@@ -561,28 +538,28 @@ mod tests {
     fn accumulator_counts_and_volume() {
         let mut a = EduAnalysis::new();
         let d = Date::new(2020, 3, 3);
-        a.add(&flow(
+        a.observe_all(&[flow(
             IpProtocol::Tcp,
             50_000,
             443,
             false,
             Direction::Ingress,
-        ));
-        a.add(&flow(
+        )]);
+        a.observe_all(&[flow(
             IpProtocol::Tcp,
             50_000,
             443,
             false,
             Direction::Ingress,
-        ));
-        a.add(&flow(IpProtocol::Tcp, 50_000, 443, true, Direction::Egress));
-        a.add(&flow(
+        )]);
+        a.observe_all(&[flow(IpProtocol::Tcp, 50_000, 443, true, Direction::Egress)]);
+        a.observe_all(&[flow(
             IpProtocol::Udp,
             40_000,
             50_000,
             true,
             Direction::Unknown,
-        ));
+        )]);
         assert_eq!(
             a.daily_connections(d, EduTrafficClass::Web, Orientation::Incoming),
             2
@@ -597,18 +574,12 @@ mod tests {
     fn growth_series_and_median() {
         let mut a = EduAnalysis::new();
         // 1 connection on Mar 3, 3 on Mar 4.
-        a.add(&flow(
-            IpProtocol::Tcp,
-            50_000,
-            22,
-            false,
-            Direction::Ingress,
-        ));
+        a.observe_all(&[flow(IpProtocol::Tcp, 50_000, 22, false, Direction::Ingress)]);
         for _ in 0..3 {
             let mut f = flow(IpProtocol::Tcp, 50_000, 22, false, Direction::Ingress);
             f.start = Date::new(2020, 3, 4).at_hour(9);
             f.end = f.start.add_secs(2);
-            a.add(&f);
+            a.observe_all(&[f]);
         }
         let series = a.relative_growth(
             EduTrafficClass::Ssh,
@@ -631,13 +602,13 @@ mod tests {
     #[test]
     fn ratio_none_without_egress() {
         let mut a = EduAnalysis::new();
-        a.add(&flow(
+        a.observe_all(&[flow(
             IpProtocol::Tcp,
             50_000,
             443,
             false,
             Direction::Ingress,
-        ));
+        )]);
         assert_eq!(a.in_out_ratio(Date::new(2020, 3, 3)), None);
     }
 }

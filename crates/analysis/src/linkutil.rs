@@ -17,6 +17,7 @@
 //! reproduction's flow resolution minute bins would be mostly empty —
 //! documented in EXPERIMENTS.md).
 
+use crate::consumer::FlowConsumer;
 use lockdown_flow::record::{FlowRecord, HourRun};
 use lockdown_flow::time::{Date, SECS_PER_HOUR};
 use lockdown_flow::wire::PutBe;
@@ -64,13 +65,8 @@ impl AsHourly {
         self.date
     }
 
-    /// Add one flow (binned by start hour; flows outside the day are
-    /// ignored).
-    pub(crate) fn add(&mut self, record: &FlowRecord) {
-        self.add_run(&HourRun::of(record));
-    }
-
-    /// Add one hour run: the hour slot is the run's.
+    /// Add one hour run: the hour slot is the run's (a run outside the
+    /// day is ignored).
     pub(crate) fn add_run(&mut self, run: &HourRun<'_>) {
         let since_midnight = run.hour_start.unix().saturating_sub(self.day_start_unix);
         let hour = (since_midnight / SECS_PER_HOUR) as usize;
@@ -82,17 +78,6 @@ impl AsHourly {
                 if asn != 0 {
                     self.bins.entry(asn).or_insert([0; 24])[hour] += record.bytes;
                 }
-            }
-        }
-    }
-
-    /// Merge another same-day accumulator into this one.
-    pub(crate) fn merge(&mut self, other: &AsHourly) {
-        debug_assert_eq!(self.date, other.date, "days must agree");
-        for (asn, theirs) in &other.bins {
-            let mine = self.bins.entry(*asn).or_insert([0; 24]);
-            for (m, t) in mine.iter_mut().zip(theirs) {
-                *m += t;
             }
         }
     }
@@ -113,8 +98,7 @@ impl AsHourly {
     }
 
     /// Decode a shard-codec payload and merge it additively. The encoded
-    /// day must match this accumulator's day (same-date invariant of
-    /// [`AsHourly::merge`]).
+    /// day must match this accumulator's day.
     pub(crate) fn merge_hourly(
         &mut self,
         r: &mut crate::codec::StateReader<'_>,
@@ -140,9 +124,7 @@ impl AsHourly {
     /// Accumulate a batch of flows.
     pub(crate) fn from_flows(flows: &[FlowRecord], date: Date) -> AsHourly {
         let mut h = AsHourly::new(date);
-        for f in flows {
-            h.add(f);
-        }
+        h.observe_all(flows);
         h
     }
 

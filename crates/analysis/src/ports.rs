@@ -126,14 +126,9 @@ impl PortProfile {
         slot
     }
 
-    /// Add one flow observed in `region` (the region's calendar decides
-    /// workday vs. weekend; Easter counts as weekend, §4).
-    pub(crate) fn add(&mut self, record: &FlowRecord, region: Region) {
-        self.add_run(&HourRun::of(record), region);
-    }
-
     /// Add one hour run observed in `region`: the day type and so the bin
-    /// are the run's, only the service key is per flow.
+    /// are the run's (the region's calendar decides workday vs. weekend;
+    /// Easter counts as weekend, §4), only the service key is per flow.
     pub(crate) fn add_run(&mut self, run: &HourRun<'_>, region: Region) {
         let weekend = day_type(run.date, region) != DayType::Workday;
         let bin = usize::from(weekend) * 24 + usize::from(run.hour);
@@ -146,17 +141,6 @@ impl PortProfile {
             head.0 |= 1 << bin;
             head.1 += record.bytes;
             self.bins[slot][bin] += record.bytes;
-        }
-    }
-
-    /// Add many flows.
-    pub fn add_all<'a>(
-        &mut self,
-        records: impl IntoIterator<Item = &'a FlowRecord>,
-        region: Region,
-    ) {
-        for r in records {
-            self.add(r, region);
         }
     }
 
@@ -355,10 +339,19 @@ pub fn tcp80() -> ServiceKey {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::tests::Crafted;
+    use crate::consumer::{FlowConsumer, PortConsumer};
     use lockdown_flow::record::FlowKey;
     use lockdown_flow::time::Date;
     use lockdown_flow::time::Timestamp;
     use std::net::Ipv4Addr;
+
+    /// The profile of `flows` observed in Central Europe.
+    fn profile(flows: &[FlowRecord]) -> PortProfile {
+        let mut c = PortConsumer::new(Region::CentralEurope);
+        c.observe_all(flows);
+        c.profile
+    }
 
     /// Bytes of one service in hour `h` of its workday or weekend curve.
     fn hour_bin(p: &PortProfile, key: ServiceKey, weekend: bool, h: usize) -> u64 {
@@ -414,21 +407,13 @@ mod tests {
 
     #[test]
     fn profile_curves_and_daytypes() {
-        let mut p = PortProfile::new();
         let wed = Date::new(2020, 2, 19);
         let sat = Date::new(2020, 2, 22);
-        p.add(
-            &flow(IpProtocol::Udp, 443, 40_000, wed.at_hour(9), 100),
-            Region::CentralEurope,
-        );
-        p.add(
-            &flow(IpProtocol::Udp, 443, 40_001, wed.at_hour(9), 50),
-            Region::CentralEurope,
-        );
-        p.add(
-            &flow(IpProtocol::Udp, 40_002, 443, sat.at_hour(20), 70),
-            Region::CentralEurope,
-        );
+        let p = profile(&[
+            flow(IpProtocol::Udp, 443, 40_000, wed.at_hour(9), 100),
+            flow(IpProtocol::Udp, 443, 40_001, wed.at_hour(9), 50),
+            flow(IpProtocol::Udp, 40_002, 443, sat.at_hour(20), 70),
+        ]);
         let quic = ServiceKey::Port(17, 443);
         assert_eq!(hour_bin(&p, quic, false, 9), 150);
         assert_eq!(hour_bin(&p, quic, true, 20), 70);
@@ -437,18 +422,14 @@ mod tests {
 
     #[test]
     fn easter_is_weekend() {
-        let mut p = PortProfile::new();
         // Apr 13 (Easter Monday) is a Monday but classifies as weekend.
-        p.add(
-            &flow(
-                IpProtocol::Tcp,
-                993,
-                40_000,
-                Date::new(2020, 4, 13).at_hour(10),
-                10,
-            ),
-            Region::CentralEurope,
-        );
+        let p = profile(&[flow(
+            IpProtocol::Tcp,
+            993,
+            40_000,
+            Date::new(2020, 4, 13).at_hour(10),
+            10,
+        )]);
         let k = ServiceKey::Port(6, 993);
         assert_eq!(hour_bin(&p, k, true, 10), 10);
         assert_eq!(hour_bin(&p, k, false, 10), 0);
@@ -456,25 +437,14 @@ mod tests {
 
     #[test]
     fn top_services_with_exclusion() {
-        let mut p = PortProfile::new();
         let t = Date::new(2020, 2, 19).at_hour(12);
-        p.add(
-            &flow(IpProtocol::Tcp, 443, 40_000, t, 1_000),
-            Region::CentralEurope,
-        );
-        p.add(
-            &flow(IpProtocol::Tcp, 80, 40_001, t, 500),
-            Region::CentralEurope,
-        );
-        p.add(
-            &flow(IpProtocol::Udp, 443, 40_002, t, 300),
-            Region::CentralEurope,
-        );
-        p.add(
-            &flow(IpProtocol::Udp, 4_500, 40_003, t, 200),
-            Region::CentralEurope,
-        );
-        p.add(&flow(IpProtocol::Gre, 0, 0, t, 100), Region::CentralEurope);
+        let p = profile(&[
+            flow(IpProtocol::Tcp, 443, 40_000, t, 1_000),
+            flow(IpProtocol::Tcp, 80, 40_001, t, 500),
+            flow(IpProtocol::Udp, 443, 40_002, t, 300),
+            flow(IpProtocol::Udp, 4_500, 40_003, t, 200),
+            flow(IpProtocol::Gre, 0, 0, t, 100),
+        ]);
         let top = p.top_services(3, &[tcp443(), tcp80()]);
         assert_eq!(
             top,
@@ -490,35 +460,18 @@ mod tests {
 
     #[test]
     fn deterministic_tie_break() {
-        let mut p = PortProfile::new();
         let t = Date::new(2020, 2, 19).at_hour(12);
-        p.add(
-            &flow(IpProtocol::Tcp, 22, 40_000, t, 100),
-            Region::CentralEurope,
-        );
-        p.add(
-            &flow(IpProtocol::Tcp, 25, 40_001, t, 100),
-            Region::CentralEurope,
-        );
+        let p = profile(&[
+            flow(IpProtocol::Tcp, 22, 40_000, t, 100),
+            flow(IpProtocol::Tcp, 25, 40_001, t, 100),
+        ]);
         let top = p.top_services(2, &[]);
         assert_eq!(top, vec![ServiceKey::Port(6, 22), ServiceKey::Port(6, 25)]);
     }
 
     /// A port state written byte by byte, framed like a consumer's own.
-    struct Crafted(Vec<u8>);
-
-    impl crate::consumer::FlowConsumer for Crafted {
-        fn observe(&mut self, _: &FlowRecord) {}
-
-        fn merge(&mut self, _: Self) {}
-
-        fn state_tag(&self) -> crate::codec::ConsumerTag {
-            crate::codec::TAG_PORT_CONSUMER
-        }
-
-        fn encode_state(&self, out: &mut Vec<u8>) {
-            out.extend_from_slice(&self.0);
-        }
+    fn crafted(payload: Vec<u8>) -> Crafted {
+        Crafted(crate::codec::TAG_PORT_CONSUMER, payload)
     }
 
     /// The payload of `bins` `(key, weekend, hour, bytes)` and `totals`.
@@ -545,7 +498,6 @@ mod tests {
     #[test]
     fn port_states_no_flow_can_produce_are_named_errors() {
         use crate::codec::{encode_frame, merge_frame};
-        use crate::consumer::PortConsumer;
         let (gre80, tcp40k, gre) = (
             ServiceKey::Port(47, 80),
             ServiceKey::Port(6, 40_000),
@@ -574,7 +526,7 @@ mod tests {
                 "bins name service GRE that no total names",
             ),
         ] {
-            let frame = encode_frame(&Crafted(payload(&bins, &totals)));
+            let frame = encode_frame(&crafted(payload(&bins, &totals)));
             let mut sink = PortConsumer::new(Region::CentralEurope);
             let e = merge_frame(&mut sink, &frame).expect_err(named);
             assert_eq!((e.consumer, e.detail.as_str()), ("PortConsumer", named));
@@ -592,7 +544,7 @@ mod tests {
             &[(https, 7), (gre, 0)],
         );
         let mut sink = PortConsumer::new(Region::CentralEurope);
-        merge_frame(&mut sink, &encode_frame(&Crafted(unsorted))).expect("a state flows make");
+        merge_frame(&mut sink, &encode_frame(&crafted(unsorted))).expect("a state flows make");
         let sorted = payload(
             &[
                 (https, false, 9, 5),
@@ -601,6 +553,6 @@ mod tests {
             ],
             &[(https, 7), (gre, 0)],
         );
-        assert_eq!(encode_frame(&sink), encode_frame(&Crafted(sorted)));
+        assert_eq!(encode_frame(&sink), encode_frame(&crafted(sorted)));
     }
 }

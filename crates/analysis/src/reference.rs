@@ -3,11 +3,11 @@
 //! SipHash `HashMap`, and the hypergiant split's per-run fold with
 //! `Option` sides and a scan of Table 2. Each is the one reference its
 //! dense form is held to: over random and foreign records, equal
-//! `encode_frame` bytes and equal accessors, alone and merged in both
-//! orders.
+//! `encode_frame` bytes and equal accessors, alone and fed both halves
+//! in either order.
 
 use crate::asgroup::{AsDayTotals, DayPart, HypergiantSplit, RatioGroup};
-use crate::codec::{self, encode_frame, ConsumerTag};
+use crate::codec::{self, encode_frame, CodecError, ConsumerTag, StateReader};
 use crate::consumer::{AsTotalsConsumer, FlowConsumer, HypergiantConsumer, PortConsumer};
 use crate::ports::{tcp443, tcp80, ServiceKey};
 use crate::support;
@@ -23,7 +23,7 @@ use lockdown_topology::hypergiants::HYPERGIANTS;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// [`PortConsumer`] as `(service, weekend, hour)` and service `BTreeMap`s.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct SparsePorts {
     bins: BTreeMap<(ServiceKey, bool, u8), u64>,
     totals: BTreeMap<ServiceKey, u64>,
@@ -65,21 +65,13 @@ impl SparsePorts {
 }
 
 impl FlowConsumer for SparsePorts {
-    fn observe(&mut self, record: &FlowRecord) {
-        let run = HourRun::of(record);
+    fn observe_run(&mut self, run: &HourRun<'_>) {
         let weekend = day_type(run.date, self.region) != DayType::Workday;
-        if let Some(key) = ServiceKey::of(record) {
-            *self.bins.entry((key, weekend, run.hour)).or_insert(0) += record.bytes;
-            *self.totals.entry(key).or_insert(0) += record.bytes;
-        }
-    }
-
-    fn merge(&mut self, other: Self) {
-        for (k, v) in other.bins {
-            *self.bins.entry(k).or_insert(0) += v;
-        }
-        for (k, v) in other.totals {
-            *self.totals.entry(k).or_insert(0) += v;
+        for record in run.records {
+            if let Some(key) = ServiceKey::of(record) {
+                *self.bins.entry((key, weekend, run.hour)).or_insert(0) += record.bytes;
+                *self.totals.entry(key).or_insert(0) += record.bytes;
+            }
         }
     }
 
@@ -107,10 +99,14 @@ impl FlowConsumer for SparsePorts {
             out.put_u64_be(*bytes);
         }
     }
+
+    fn merge_state(&mut self, r: &mut StateReader<'_>) -> Result<(), CodecError> {
+        Err(r.error(REFERENCE_ONLY))
+    }
 }
 
 /// [`AsTotalsConsumer`] as a SipHash `HashMap` of `(workday, weekend)`.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct SparseAsTotals {
     totals: HashMap<u32, (u64, u64)>,
     days_seen: (HashSet<i64>, HashSet<i64>),
@@ -173,42 +169,33 @@ impl SparseAsTotals {
 }
 
 impl FlowConsumer for SparseAsTotals {
-    fn observe(&mut self, record: &FlowRecord) {
-        if self
-            .require_asn
-            .is_some_and(|a| record.src_as != a && record.dst_as != a)
-        {
-            return;
-        }
-        let run = HourRun::of(record);
+    fn observe_run(&mut self, run: &HourRun<'_>) {
         let weekend = day_type(run.date, self.region).is_weekend_like();
-        for asn in [record.src_as, record.dst_as] {
-            if asn == 0 {
+        for record in run.records {
+            if self
+                .require_asn
+                .is_some_and(|a| record.src_as != a && record.dst_as != a)
+            {
                 continue;
             }
-            let entry = self.totals.entry(asn).or_insert((0, 0));
-            if weekend {
-                entry.1 += record.bytes;
-            } else {
-                entry.0 += record.bytes;
+            for asn in [record.src_as, record.dst_as] {
+                if asn == 0 {
+                    continue;
+                }
+                let entry = self.totals.entry(asn).or_insert((0, 0));
+                if weekend {
+                    entry.1 += record.bytes;
+                } else {
+                    entry.0 += record.bytes;
+                }
             }
+            let days = if weekend {
+                &mut self.days_seen.1
+            } else {
+                &mut self.days_seen.0
+            };
+            days.insert(run.day_number);
         }
-        let days = if weekend {
-            &mut self.days_seen.1
-        } else {
-            &mut self.days_seen.0
-        };
-        days.insert(run.day_number);
-    }
-
-    fn merge(&mut self, other: Self) {
-        for (asn, (wd, we)) in other.totals {
-            let entry = self.totals.entry(asn).or_insert((0, 0));
-            entry.0 += wd;
-            entry.1 += we;
-        }
-        self.days_seen.0.extend(other.days_seen.0);
-        self.days_seen.1.extend(other.days_seen.1);
     }
 
     fn state_tag(&self) -> ConsumerTag {
@@ -234,11 +221,15 @@ impl FlowConsumer for SparseAsTotals {
             }
         }
     }
+
+    fn merge_state(&mut self, r: &mut StateReader<'_>) -> Result<(), CodecError> {
+        Err(r.error(REFERENCE_ONLY))
+    }
 }
 
 /// [`HypergiantConsumer`] folding each flow into `Option` sides, its
 /// content AS looked up by a scan of Table 2.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct SparseSplit {
     split: HypergiantSplit,
     region: Region,
@@ -246,24 +237,21 @@ struct SparseSplit {
 }
 
 impl FlowConsumer for SparseSplit {
-    fn observe(&mut self, record: &FlowRecord) {
-        let run = HourRun::of(record);
+    fn observe_run(&mut self, run: &HourRun<'_>) {
         let Some(part) = DayPart::of(run.date, run.hour, self.region) else {
             return;
         };
-        let content_asn = if record.src_as == self.eyeball.0 {
-            Asn(record.dst_as)
-        } else {
-            Asn(record.src_as)
-        };
-        let hg = HYPERGIANTS.iter().any(|h| h.asn == content_asn);
-        let mut sides: [Option<u64>; 2] = [None; 2];
-        *sides[usize::from(hg)].get_or_insert(0) += record.bytes;
-        self.split.add_sides(&run, part, sides);
-    }
-
-    fn merge(&mut self, other: Self) {
-        self.split.merge(&other.split);
+        for record in run.records {
+            let content_asn = if record.src_as == self.eyeball.0 {
+                Asn(record.dst_as)
+            } else {
+                Asn(record.src_as)
+            };
+            let hg = HYPERGIANTS.iter().any(|h| h.asn == content_asn);
+            let mut sides: [Option<u64>; 2] = [None; 2];
+            *sides[usize::from(hg)].get_or_insert(0) += record.bytes;
+            self.split.add_sides(run, part, sides);
+        }
     }
 
     fn state_tag(&self) -> ConsumerTag {
@@ -273,20 +261,29 @@ impl FlowConsumer for SparseSplit {
     fn encode_state(&self, out: &mut Vec<u8>) {
         self.split.encode_split(out);
     }
+
+    fn merge_state(&mut self, r: &mut StateReader<'_>) -> Result<(), CodecError> {
+        Err(r.error(REFERENCE_ONLY))
+    }
 }
 
-/// `a` and `b` fed their records, then merged `a ← b` and `b ← a`.
-fn fed_and_merged<C: FlowConsumer + Clone>(
+/// A reference is held to its dense form's frames and accessors; it is
+/// never merged.
+const REFERENCE_ONLY: &str = "a reference form is never merged";
+
+/// `a` and `b` fed their records, then both in either order.
+fn fed_in_both_orders<C: FlowConsumer>(
     make: impl Fn() -> C,
     a: &[FlowRecord],
     b: &[FlowRecord],
 ) -> [C; 4] {
-    let (mut ca, mut cb) = (make(), make());
+    let (mut ca, mut cb, mut ab, mut ba) = (make(), make(), make(), make());
     ca.observe_all(a);
     cb.observe_all(b);
-    let (mut ab, mut ba) = (ca.clone(), cb.clone());
-    ab.merge(cb.clone());
-    ba.merge(ca.clone());
+    for (c, first, then) in [(&mut ab, a, b), (&mut ba, b, a)] {
+        c.observe_all(first);
+        c.observe_all(then);
+    }
     [ca, cb, ab, ba]
 }
 
@@ -340,8 +337,8 @@ fn dense_forms_match_their_sparse_references() {
         let flows = records(rng, 4 * size);
         let (a, b) = flows.split_at(rng.below(flows.len() as u64 + 1) as usize);
         for region in [Region::CentralEurope, Region::UsEast] {
-            let dense = fed_and_merged(|| PortConsumer::new(region), a, b);
-            let sparse = fed_and_merged(|| SparsePorts::new(region), a, b);
+            let dense = fed_in_both_orders(|| PortConsumer::new(region), a, b);
+            let sparse = fed_in_both_orders(|| SparsePorts::new(region), a, b);
             for (d, s) in dense.iter().zip(&sparse) {
                 assert_eq!(encode_frame(d), encode_frame(s), "PortConsumer frame");
                 let d = &d.profile;
@@ -361,8 +358,8 @@ fn dense_forms_match_their_sparse_references() {
                     None => AsTotalsConsumer::all(region),
                     Some(asn) => AsTotalsConsumer::touching(region, Asn(asn)),
                 };
-                let dense = fed_and_merged(make, a, b);
-                let sparse = fed_and_merged(|| SparseAsTotals::new(region, gate), a, b);
+                let dense = fed_in_both_orders(make, a, b);
+                let sparse = fed_in_both_orders(|| SparseAsTotals::new(region, gate), a, b);
                 for (d, s) in dense.iter().zip(&sparse) {
                     assert_eq!(encode_frame(d), encode_frame(s), "AsTotalsConsumer frame");
                     let d: &AsDayTotals = &d.totals;
@@ -381,8 +378,8 @@ fn dense_forms_match_their_sparse_references() {
             }
 
             let eyeball = Asn(support::EYEBALL);
-            let dense = fed_and_merged(|| HypergiantConsumer::new(region, eyeball), a, b);
-            let sparse = fed_and_merged(
+            let dense = fed_in_both_orders(|| HypergiantConsumer::new(region, eyeball), a, b);
+            let sparse = fed_in_both_orders(
                 || SparseSplit {
                     split: HypergiantSplit::new(),
                     region,

@@ -6,7 +6,7 @@
 //! for the §5 heatmaps). This module provides that primitive as a streaming
 //! accumulator so experiments never hold a full trace in memory.
 
-use lockdown_flow::record::{FlowRecord, HourRun};
+use lockdown_flow::record::HourRun;
 use lockdown_flow::time::{Date, Timestamp};
 use lockdown_flow::wire::PutBe;
 use std::collections::BTreeMap;
@@ -23,14 +23,9 @@ impl HourlyVolume {
         HourlyVolume::default()
     }
 
-    /// Add one flow (binned by its start hour, the convention flow
-    /// pipelines use for hourly accounting).
-    pub fn add(&mut self, record: &FlowRecord) {
-        self.add_bytes(record.start, record.bytes);
-    }
-
-    /// Add one hour run: its byte sum into one bin entry (created even
-    /// when the sum is zero, as a zero-byte flow creates its bin).
+    /// Add one hour run: its byte sum into one bin entry, keyed by the
+    /// run's start hour (the convention flow pipelines use for hourly
+    /// accounting) and created even when the sum is zero.
     pub(crate) fn add_run(&mut self, run: &HourRun<'_>) {
         *self.bins.entry(run.hour_start).or_insert(0) += run.bytes;
     }
@@ -38,13 +33,6 @@ impl HourlyVolume {
     /// Add raw bytes at a time.
     pub(crate) fn add_bytes(&mut self, at: Timestamp, bytes: u64) {
         *self.bins.entry(at.floor_hour()).or_insert(0) += bytes;
-    }
-
-    /// Add many flows.
-    pub fn add_all<'a>(&mut self, records: impl IntoIterator<Item = &'a FlowRecord>) {
-        for r in records {
-            self.add(r);
-        }
     }
 
     /// Bytes in one hour bin.
@@ -106,15 +94,23 @@ impl HourlyVolume {
         }
     }
 
-    /// Decode a shard-codec payload and merge it additively.
+    /// Decode a shard-codec payload and merge it additively. A bin key
+    /// that is not the start of an hour, which no flow's `floor_hour`
+    /// yields, is an error, and merges nothing.
     pub(crate) fn merge_bins(
         &mut self,
         r: &mut crate::codec::StateReader<'_>,
     ) -> Result<(), crate::codec::CodecError> {
         let n = r.len("hour bins", 16)?;
+        let mut bins = Vec::with_capacity(n);
         for _ in 0..n {
             let t = Timestamp(r.u64("bin timestamp")?);
-            let b = r.u64("bin bytes")?;
+            if t.floor_hour() != t {
+                return Err(r.error(format!("bin timestamp {} is not the start of an hour", t.0)));
+            }
+            bins.push((t, r.u64("bin bytes")?));
+        }
+        for (t, b) in bins {
             *self.bins.entry(t).or_insert(0) += b;
         }
         Ok(())
@@ -162,8 +158,12 @@ pub fn median(values: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::tests::Crafted;
+    use crate::codec::{encode_frame, merge_frame, TAG_EDU_ANALYSIS, TAG_HOURLY_VOLUME};
+    use crate::consumer::FlowConsumer;
+    use crate::edu::EduAnalysis;
     use lockdown_flow::protocol::IpProtocol;
-    use lockdown_flow::record::FlowKey;
+    use lockdown_flow::record::{FlowKey, FlowRecord};
     use std::net::Ipv4Addr;
 
     fn flow(at: Timestamp, bytes: u64) -> FlowRecord {
@@ -187,9 +187,11 @@ mod tests {
     fn bins_by_start_hour() {
         let mut v = HourlyVolume::new();
         let d = Date::new(2020, 3, 25);
-        v.add(&flow(d.at_hour(9).add_secs(120), 100));
-        v.add(&flow(d.at_hour(9).add_secs(3_599), 50));
-        v.add(&flow(d.at_hour(10), 7));
+        v.observe_all(&[
+            flow(d.at_hour(9).add_secs(120), 100),
+            flow(d.at_hour(9).add_secs(3_599), 50),
+            flow(d.at_hour(10), 7),
+        ]);
         assert_eq!(v.get(d, 9), 150);
         assert_eq!(v.get(d, 10), 7);
         assert_eq!(v.get(d, 11), 0);
@@ -266,5 +268,35 @@ mod tests {
         v.add_bytes(Date::new(2020, 2, 2).at_hour(0), 30);
         assert_eq!(v.daily_total(Date::new(2020, 2, 1)), 15);
         assert_eq!(v.daily_total(Date::new(2020, 2, 2)), 30);
+    }
+
+    /// Every writer keys a bin by an hour's start, so a frame whose key
+    /// falls inside an hour is one no flows made: a named error that
+    /// merges nothing, in `HourlyVolume` and in EDU's two volume series.
+    #[test]
+    fn bin_keys_no_flow_can_produce_are_named_errors() {
+        let nine = Date::new(2020, 3, 25).at_hour(9).unix();
+        let mut bins = Vec::new();
+        bins.put_u64_be(2);
+        for (t, bytes) in [(nine, 5), (nine + 1_800, 7)] {
+            bins.put_u64_be(t);
+            bins.put_u64_be(bytes);
+        }
+        let named = format!("bin timestamp {} is not the start of an hour", nine + 1_800);
+
+        let frame = encode_frame(&Crafted(TAG_HOURLY_VOLUME, bins.clone()));
+        let mut sink = HourlyVolume::new();
+        let e = merge_frame(&mut sink, &frame).expect_err("an off-hour key");
+        assert_eq!((e.consumer, e.detail.as_str()), ("HourlyVolume", &*named));
+        assert!(sink.bins.is_empty(), "merged");
+
+        // No connection bins, then the ingress series.
+        let mut edu = vec![0; 8];
+        edu.extend_from_slice(&bins);
+        let frame = encode_frame(&Crafted(TAG_EDU_ANALYSIS, edu));
+        let mut sink = EduAnalysis::new();
+        let e = merge_frame(&mut sink, &frame).expect_err("an off-hour key");
+        assert_eq!((e.consumer, e.detail.as_str()), ("EduAnalysis", &*named));
+        assert!(sink.ingress.bins.is_empty(), "merged");
     }
 }

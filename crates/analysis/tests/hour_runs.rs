@@ -1,7 +1,7 @@
-//! The consumer contract of DESIGN.md, "calendar facts are per hour run":
-//! each of this crate's eight accumulators, fed the stress slices of
-//! `support`, ends in the same `encode_frame` bytes whether it took a
-//! slice whole or a record at a time.
+//! The consumer contract of DESIGN.md, "The consumer contract": each of
+//! this crate's eight accumulators, fed the stress slices of `support`,
+//! ends in the same `encode_frame` bytes whether it took a slice whole,
+//! a one-record run at a time or as two halves merged through the codec.
 
 mod support;
 

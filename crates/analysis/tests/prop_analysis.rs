@@ -5,6 +5,7 @@
 mod support;
 
 use lockdown_analysis::appclass::Classifier;
+use lockdown_analysis::consumer::FlowConsumer;
 use lockdown_analysis::ecdf::Ecdf;
 use lockdown_analysis::edu::{orientation, EduTrafficClass};
 use lockdown_analysis::ports::ServiceKey;
@@ -39,10 +40,10 @@ fn hourly_volume_order_and_merge() {
         let n = rng.below(size.min(80) as u64) as usize;
         let records = records(rng, n);
         let mut forward = HourlyVolume::new();
-        forward.add_all(&records);
+        forward.observe_all(&records);
         let mut backward = HourlyVolume::new();
         for r in records.iter().rev() {
-            backward.add(r);
+            backward.observe_all(std::slice::from_ref(r));
         }
         let d = Date::new(2020, 1, 15);
         for h in 0..24 {
@@ -52,9 +53,9 @@ fn hourly_volume_order_and_merge() {
         // Split + merge == bulk.
         let mid = records.len() / 2;
         let mut a = HourlyVolume::new();
-        a.add_all(&records[..mid]);
+        a.observe_all(&records[..mid]);
         let mut b = HourlyVolume::new();
-        b.add_all(&records[mid..]);
+        b.observe_all(&records[mid..]);
         a.merge(&b);
         let total_weekly: u64 = forward.weekly_totals().values().sum();
         let merged_weekly: u64 = a.weekly_totals().values().sum();
@@ -204,7 +205,7 @@ fn hour_bucketing() {
     cases(256, |rng, _| {
         let r = record(rng);
         let mut v = HourlyVolume::new();
-        v.add(&r);
+        v.observe_all(&[r]);
         let t: Timestamp = r.start.floor_hour();
         assert_eq!(v.get(t.date(), t.hour()), r.bytes);
     });

@@ -5,10 +5,10 @@
 //!
 //! * **Merge equivalence.** Observing a flow batch split across two
 //!   consumers and merging the second into the first *through the codec*
-//!   (serialize → decode → merge) must produce exactly the state direct
-//!   in-process [`FlowConsumer::merge`] produces. Canonical-encoding byte
-//!   equality is the oracle — the codec sorts every map and set, so equal
-//!   states encode identically.
+//!   (serialize → decode → merge) must produce exactly the state one
+//!   consumer observing both halves in turn produces. Canonical-encoding
+//!   byte equality is the oracle — the codec sorts every map and set, so
+//!   equal states encode identically.
 //! * **Corruption detection.** Flipping any single byte of a frame must
 //!   fail the decode, and the error must name the consumer the decode was
 //!   *for* (CRC-32 detects all sub-32-bit burst errors, so a one-byte
@@ -52,10 +52,10 @@ fn week_flows(rng: &mut SplitMix, size: usize, max: usize) -> Vec<FlowRecord> {
     support::flows(rng, n, BASE.midnight(), 7 * 86_400)
 }
 
-/// Codec-mediated merge must equal direct in-process merge.
+/// Codec-mediated merge must equal sequential observation.
 fn check_merge_equivalence<C>(make: impl Fn() -> C, flows: &[FlowRecord], split: usize)
 where
-    C: FlowConsumer + Clone,
+    C: FlowConsumer,
 {
     let split = split.min(flows.len());
     let mut a = make();
@@ -63,8 +63,9 @@ where
     let mut b = make();
     b.observe_all(&flows[split..]);
 
-    let mut direct = a.clone();
-    FlowConsumer::merge(&mut direct, b.clone());
+    let mut direct = make();
+    direct.observe_all(&flows[..split]);
+    direct.observe_all(&flows[split..]);
 
     let frame = encode_frame(&b);
     let mut via_codec = a;
@@ -73,7 +74,7 @@ where
     assert_eq!(
         encode_frame(&direct),
         encode_frame(&via_codec),
-        "codec merge diverged from direct merge for {}",
+        "codec merge diverged from sequential observation for {}",
         direct.state_tag().name
     );
 }

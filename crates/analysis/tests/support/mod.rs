@@ -1,9 +1,11 @@
 //! Record slices that stress the hour-run accumulate path, and the check
-//! every consumer is held to over them: three ways of feeding a slice —
-//! `observe_all` on it whole, `observe` a record at a time, and the
-//! engine's way, split into hour runs once and `observe_run` per run —
-//! must leave the same state, byte for byte in `encode_frame`, including
-//! which keys exist.
+//! every consumer is held to over them: its one way in and its one way
+//! out. Three ways of feeding a slice — `observe_all` on it whole,
+//! one-record runs, and the engine's way, split into hour runs once and
+//! `observe_run` per run — must leave the same state, byte for byte in
+//! `encode_frame`, including which keys exist; and so must the slice's
+//! two halves at every split, observed apart and merged through
+//! `merge_frame` in either order.
 //!
 //! Included by path from the tests of consumers this crate cannot see
 //! (`lockdown-core`'s private ones, the query filter in `tests/`), so a
@@ -11,7 +13,7 @@
 
 #![allow(dead_code)] // each includer uses its share
 
-use lockdown_analysis::codec::encode_frame;
+use lockdown_analysis::codec::{encode_frame, merge_frame};
 use lockdown_analysis::consumer::FlowConsumer;
 use lockdown_base::hash::SplitMix;
 use lockdown_flow::protocol::{IpProtocol, TcpFlags};
@@ -192,8 +194,10 @@ pub(crate) fn slices(seed: u64) -> Vec<(String, Vec<FlowRecord>)> {
 
 /// Hold one consumer type to the contract: over every slice of every seed,
 /// alone and on top of the state the earlier slices left, the whole
-/// slice, a record at a time and a run at a time end in equal
-/// `encode_frame` bytes.
+/// slice, one-record runs and a run at a time end in equal `encode_frame`
+/// bytes; and at every split of a slice, the two halves observed apart
+/// and either one's frame merged into the other through `merge_frame` end
+/// in the whole slice's bytes.
 pub(crate) fn assert_runs_match_records<C: FlowConsumer>(make: impl Fn() -> C) {
     /// Feed `slice` to `c` the engine's way.
     fn by_run<C: FlowConsumer>(c: &mut C, slice: &[FlowRecord]) {
@@ -201,25 +205,30 @@ pub(crate) fn assert_runs_match_records<C: FlowConsumer>(make: impl Fn() -> C) {
             c.observe_run(&run);
         }
     }
+    /// Feed `slice` to `c` a one-record run at a time.
+    fn by_record<C: FlowConsumer>(c: &mut C, slice: &[FlowRecord]) {
+        for r in slice {
+            c.observe_all(std::slice::from_ref(r));
+        }
+    }
     for seed in SEEDS {
         let (mut all_whole, mut all_by_record, mut all_by_run) = (make(), make(), make());
         for (label, slice) in slices(seed) {
-            let (mut whole, mut by_record, mut one_by_run) = (make(), make(), make());
+            let (mut whole, mut one_by_record, mut one_by_run) = (make(), make(), make());
             whole.observe_all(&slice);
             all_whole.observe_all(&slice);
-            for r in &slice {
-                by_record.observe(r);
-                all_by_record.observe(r);
-            }
+            by_record(&mut one_by_record, &slice);
+            by_record(&mut all_by_record, &slice);
             by_run(&mut one_by_run, &slice);
             by_run(&mut all_by_run, &slice);
             let name = whole.state_tag().name;
+            let frame = encode_frame(&whole);
             for (path, alone, through) in [
-                ("a record at a time", &by_record, &all_by_record),
+                ("one-record runs", &one_by_record, &all_by_record),
                 ("a run at a time", &one_by_run, &all_by_run),
             ] {
                 assert_eq!(
-                    encode_frame(&whole),
+                    frame,
                     encode_frame(alone),
                     "{name} over {label}, {path} (seed {seed:#x})"
                 );
@@ -228,6 +237,22 @@ pub(crate) fn assert_runs_match_records<C: FlowConsumer>(make: impl Fn() -> C) {
                     encode_frame(through),
                     "{name} through {label}, {path} (seed {seed:#x})"
                 );
+            }
+            for split in 0..=slice.len() {
+                let (a, b) = slice.split_at(split);
+                let (mut first, mut second) = (make(), make());
+                first.observe_all(a);
+                second.observe_all(b);
+                let (first_frame, second_frame) = (encode_frame(&first), encode_frame(&second));
+                for (into, from, order) in [
+                    (&mut first, &second_frame, "second into first"),
+                    (&mut second, &first_frame, "first into second"),
+                ] {
+                    let at =
+                        format!("{name} over {label} split at {split}, {order} (seed {seed:#x})");
+                    merge_frame(into, from).unwrap_or_else(|e| panic!("{at}: {e}"));
+                    assert_eq!(frame, encode_frame(into), "{at}");
+                }
             }
         }
     }

@@ -24,13 +24,13 @@
 //! supervised and fanned out on its own, into the link's one consumer
 //! column. Every partial — another thread's column, encoded once when
 //! the pass ends, or a worker process's slice — merges through the one
-//! consumer-state codec into the first thread's column, so a one-thread
-//! pass encodes nothing (and only such a pass can run a consumer that
-//! keeps [`FlowConsumer::state_tag`]'s default, which has no codec).
+//! consumer-state codec ([`FlowConsumer::merge_state`], every consumer's
+//! one merge) into the first thread's column, so a one-thread pass
+//! encodes nothing.
 //! Which link ends up with which cells differs from run to run, and the
 //! output does not: cells are independently seeded, so a cell's flows are
 //! the same on any link; each cell is run to completion exactly once; and
-//! every [`FlowConsumer`] merge is commutative and associative over
+//! every consumer's codec merge is commutative and associative over
 //! disjoint cell sets, so the merged result depends only on the set of
 //! cells. It is therefore bit-identical for any worker count, any claim
 //! order and either kind of link, and identical to the old per-figure
@@ -41,11 +41,11 @@ use crate::context::Context;
 use crate::supervisor::{
     AttemptError, DegradedReport, InjectedPanic, QuarantinedCell, Supervisor, SupervisorMetrics,
 };
-use lockdown_analysis::codec::CodecError;
+use lockdown_analysis::codec::{encode_frame, merge_frame};
 use lockdown_analysis::consumer::FlowConsumer;
 use lockdown_base::fault::{FaultProfile, WriteFault};
 use lockdown_collect::{CollectMetrics, CollectionPlane, WireConfig};
-use lockdown_flow::record::{hour_runs, FlowRecord, HourRun};
+use lockdown_flow::record::{hour_runs, FlowRecord};
 use lockdown_flow::time::Date;
 use lockdown_store::{
     ArchiveReader, ArchiveWriter, SegmentMeta, SegmentRun, SpillFault, StoreError, StoreKey,
@@ -58,36 +58,9 @@ use std::marker::PhantomData;
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
-/// Object-safe face of [`FlowConsumer`] used inside the engine. A
-/// consumer's state leaves its column only as a codec frame.
-trait AnyConsumer: Send {
-    fn observe_run(&mut self, run: &HourRun<'_>);
-    fn into_any(self: Box<Self>) -> Box<dyn Any>;
-    /// Serialize this consumer's state as a self-checking codec frame.
-    fn encode_state_frame(&self) -> Vec<u8>;
-    /// Decode a partial's frame and merge it into this consumer.
-    fn merge_state_frame(&mut self, frame: &[u8]) -> Result<(), CodecError>;
-}
-
-struct Erased<C>(C);
-
-impl<C: FlowConsumer + Send + 'static> AnyConsumer for Erased<C> {
-    fn observe_run(&mut self, run: &HourRun<'_>) {
-        self.0.observe_run(run);
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-
-    fn encode_state_frame(&self) -> Vec<u8> {
-        lockdown_analysis::codec::encode_frame(&self.0)
-    }
-
-    fn merge_state_frame(&mut self, frame: &[u8]) -> Result<(), CodecError> {
-        lockdown_analysis::codec::merge_frame(&mut self.0, frame)
-    }
-}
+/// One subscription's consumer in a link's column. Its state leaves the
+/// column only as a codec frame; [`EngineOutput::take`] downcasts it.
+type Boxed = Box<dyn FlowConsumer + Send>;
 
 struct Subscription {
     stream: Stream,
@@ -96,7 +69,7 @@ struct Subscription {
     /// Figure label from [`EnginePlan::scoped`]; attributes quarantined
     /// cells to the figures they starve in the degraded-mode report.
     label: Option<String>,
-    factory: Box<dyn Fn() -> Box<dyn AnyConsumer> + Send + Sync>,
+    factory: Box<dyn Fn() -> Boxed + Send + Sync>,
 }
 
 impl Subscription {
@@ -201,7 +174,7 @@ impl EnginePlan {
             start,
             end,
             label: self.scope.clone(),
-            factory: Box::new(move || Box::new(Erased(factory()))),
+            factory: Box::new(move || Box::new(factory())),
         });
         Demand {
             idx,
@@ -313,7 +286,7 @@ impl std::error::Error for TakeError {}
 
 /// Merged consumer states of one engine pass, redeemable by [`Demand`].
 pub struct EngineOutput {
-    consumers: Vec<Option<Box<dyn AnyConsumer>>>,
+    consumers: Vec<Option<Boxed>>,
     stats: EngineStats,
     wire_metrics: Option<Arc<CollectMetrics>>,
     audit: Option<lockdown_collect::audit::Report>,
@@ -334,15 +307,14 @@ impl EngineOutput {
             .consumers
             .get_mut(demand.idx)
             .ok_or(TakeError::TypeMismatch)?;
-        let boxed = slot.take().ok_or(TakeError::AlreadyTaken)?;
+        let boxed: Box<dyn Any + Send> = slot.take().ok_or(TakeError::AlreadyTaken)?;
         // A failed downcast consumes the slot: erasure is one-way, so a
         // wrong-typed probe cannot restore the consumer. That is fine —
         // both reachable misuses are programming errors the caller should
         // surface, not probe-and-recover paths.
         boxed
-            .into_any()
-            .downcast::<Erased<C>>()
-            .map(|erased| erased.0)
+            .downcast::<C>()
+            .map(|c| *c)
             .map_err(|_| TakeError::TypeMismatch)
     }
 
@@ -419,7 +391,7 @@ pub(crate) fn run_standalone<H, T>(
 /// One link's consumers, one per subscription, and the counts of the
 /// cells they hold (`counts.states` stays empty until [`Column::encode`]).
 struct Column {
-    consumers: Vec<Box<dyn AnyConsumer>>,
+    consumers: Vec<Boxed>,
     counts: SliceOutcome,
 }
 
@@ -438,7 +410,7 @@ impl Column {
             states: self
                 .consumers
                 .iter()
-                .map(|c| c.encode_state_frame())
+                .map(|c| encode_frame(c.as_ref()))
                 .collect(),
             ..self.counts
         }
@@ -461,9 +433,7 @@ impl Column {
             )));
         }
         for (consumer, frame) in self.consumers.iter_mut().zip(&partial.states) {
-            consumer
-                .merge_state_frame(frame)
-                .map_err(|e| corrupt(e.to_string()))?;
+            merge_frame(consumer.as_mut(), frame).map_err(|e| corrupt(e.to_string()))?;
         }
         let counts = &mut self.counts;
         counts.flows += partial.flows;
@@ -502,12 +472,7 @@ pub fn panic_message(payload: Box<dyn Any + Send>) -> String {
 /// The batch is split into hour runs once, and each covering consumer
 /// observes every run, so a run's boundaries, calendar facts and byte sum
 /// are found once per cell rather than once per subscription.
-fn fan_out(
-    subs: &[Subscription],
-    consumers: &mut [Box<dyn AnyConsumer>],
-    cell: Cell,
-    batch: &[FlowRecord],
-) {
+fn fan_out(subs: &[Subscription], consumers: &mut [Boxed], cell: Cell, batch: &[FlowRecord]) {
     for run in hour_runs(batch) {
         for (sub, consumer) in subs.iter().zip(consumers.iter_mut()) {
             if sub.covers(cell) {
@@ -1180,11 +1145,6 @@ impl Pass {
 /// columns through the codec, conclude. Output is bit-identical for any
 /// count (see module docs) and for warm vs. cold archive passes
 /// (`tests/equivalence.rs`).
-///
-/// # Panics
-///
-/// On more than one thread, when a subscribed consumer has no state
-/// codec ([`FlowConsumer::state_tag`] left at its default).
 pub fn run_with_workers(
     ctx: &Context,
     plan: EnginePlan,
@@ -1389,46 +1349,6 @@ mod tests {
     #[should_panic]
     fn a_link_that_unwinds_leaves_no_link_waiting() {
         drive(&[(0, 1)], &mut [Unwinding, Unwinding], 1);
-    }
-
-    /// A consumer without the state codec: it counts the flows it saw.
-    struct Counted(u64);
-
-    impl FlowConsumer for Counted {
-        fn observe(&mut self, _: &FlowRecord) {
-            self.0 += 1;
-        }
-
-        fn merge(&mut self, other: Self) {
-            self.0 += other.0;
-        }
-    }
-
-    /// The flows a `Counted` saw over `days()`, and the flows the pass
-    /// emitted.
-    fn counted_pass(workers: usize) -> (u64, u64) {
-        let ctx = Context::with_seed(Fidelity::Test, 9);
-        let (d1, d2) = days();
-        let mut plan = EnginePlan::new();
-        let vp = Stream::Vantage(VantagePoint::IxpSe);
-        let h = plan.subscribe(vp, d1, d2, || Counted(0));
-        let mut out = run_with_workers(&ctx, plan, workers).expect("archive-free pass");
-        (out.take(h).0, out.stats().flows_emitted)
-    }
-
-    #[test]
-    fn a_consumer_without_the_codec_runs_in_a_one_thread_pass() {
-        let (seen, emitted) = counted_pass(1);
-        assert!(emitted > 0);
-        assert_eq!(seen, emitted);
-    }
-
-    /// Its state cannot leave a thread's column, so a pass of more
-    /// threads fails loudly rather than merging without it.
-    #[test]
-    #[should_panic(expected = "runs only in a one-thread pass")]
-    fn a_consumer_without_the_codec_fails_a_pass_of_more_threads() {
-        counted_pass(2);
     }
 
     #[test]

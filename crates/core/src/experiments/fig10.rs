@@ -9,7 +9,7 @@ use crate::report::TextTable;
 use lockdown_analysis::codec::{self, CodecError, ConsumerTag, StateReader};
 use lockdown_analysis::consumer::FlowConsumer;
 use lockdown_analysis::vpn::{VpnClassifier, VpnMethod};
-use lockdown_flow::record::{FlowRecord, HourRun};
+use lockdown_flow::record::HourRun;
 use lockdown_flow::wire::PutBe;
 use lockdown_scenario::calendar::{day_type, DayType, PORTS_IXP_WEEKS};
 use lockdown_topology::asn::Region;
@@ -68,10 +68,6 @@ impl VpnWeekConsumer {
 }
 
 impl FlowConsumer for VpnWeekConsumer {
-    fn observe(&mut self, record: &FlowRecord) {
-        self.observe_run(&HourRun::of(record));
-    }
-
     fn observe_run(&mut self, run: &HourRun<'_>) {
         let (mut port, mut domain) = (0u64, 0u64);
         for record in run.records {
@@ -89,15 +85,6 @@ impl FlowConsumer for VpnWeekConsumer {
                 &mut week.workday
             };
             series[usize::from(run.hour)] += bytes;
-        }
-    }
-
-    fn merge(&mut self, other: Self) {
-        for h in 0..24 {
-            self.port.workday[h] += other.port.workday[h];
-            self.port.weekend[h] += other.port.weekend[h];
-            self.domain.workday[h] += other.domain.workday[h];
-            self.domain.weekend[h] += other.domain.weekend[h];
         }
     }
 

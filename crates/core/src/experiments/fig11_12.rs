@@ -15,7 +15,7 @@ use crate::report::TextTable;
 use lockdown_analysis::codec::{self, CodecError, ConsumerTag, StateReader};
 use lockdown_analysis::consumer::FlowConsumer;
 use lockdown_analysis::edu::{orientation, EduAnalysis, EduTrafficClass, Orientation};
-use lockdown_flow::record::{FlowRecord, HourRun};
+use lockdown_flow::record::HourRun;
 use lockdown_flow::time::Date;
 use lockdown_flow::wire::PutBe;
 use lockdown_scenario::calendar::{AnalysisWeek, EDU_WEEKS};
@@ -114,10 +114,6 @@ impl OriginsConsumer {
 }
 
 impl FlowConsumer for OriginsConsumer {
-    fn observe(&mut self, record: &FlowRecord) {
-        self.observe_run(&HourRun::of(record));
-    }
-
     fn observe_run(&mut self, run: &HourRun<'_>) {
         let (mut national, mut overseas) = (0u64, 0u64);
         for record in run.records {
@@ -132,13 +128,6 @@ impl FlowConsumer for OriginsConsumer {
         }
         self.national[usize::from(run.hour)] += national;
         self.overseas[usize::from(run.hour)] += overseas;
-    }
-
-    fn merge(&mut self, other: Self) {
-        for h in 0..24 {
-            self.national[h] += other.national[h];
-            self.overseas[h] += other.overseas[h];
-        }
     }
 
     fn state_tag(&self) -> ConsumerTag {

@@ -126,45 +126,31 @@ pub struct HourRun<'a> {
     pub bytes: u64,
 }
 
-impl<'a> HourRun<'a> {
-    /// The one-record run: how a per-flow `observe` enters the run path.
-    pub fn of(record: &'a FlowRecord) -> HourRun<'a> {
-        HourRun::starting(std::slice::from_ref(record), record.bytes)
-    }
-
-    /// The run `records` forms: not empty, every record starts in the
-    /// first one's hour, and their bytes sum to `bytes`.
-    fn starting(records: &'a [FlowRecord], bytes: u64) -> HourRun<'a> {
-        let hour_start = records[0].start.floor_hour();
-        HourRun {
+/// Split `records` into its [`HourRun`]s, in order; concatenated, the runs'
+/// records are the input. One scan finds each run's end and byte sum.
+pub fn hour_runs(records: &[FlowRecord]) -> impl Iterator<Item = HourRun<'_>> {
+    let mut rest = records;
+    std::iter::from_fn(move || {
+        let hour_start = rest.first()?.start.floor_hour();
+        let (mut len, mut bytes) = (0, 0u64);
+        for r in rest {
+            // An earlier hour wraps to a large difference and ends the run.
+            if r.start.unix().wrapping_sub(hour_start.unix()) >= SECS_PER_HOUR {
+                break;
+            }
+            len += 1;
+            bytes = bytes.wrapping_add(r.bytes);
+        }
+        let (records, tail) = rest.split_at(len);
+        rest = tail;
+        Some(HourRun {
             records,
             hour_start,
             date: hour_start.date(),
             day_number: hour_start.day_number(),
             hour: hour_start.hour(),
             bytes,
-        }
-    }
-}
-
-/// Split `records` into its [`HourRun`]s, in order; concatenated, the runs'
-/// records are the input. One scan finds each run's end and byte sum.
-pub fn hour_runs(records: &[FlowRecord]) -> impl Iterator<Item = HourRun<'_>> {
-    let mut rest = records;
-    std::iter::from_fn(move || {
-        let hour_start = rest.first()?.start.floor_hour().unix();
-        let (mut len, mut bytes) = (0, 0u64);
-        for r in rest {
-            // An earlier hour wraps to a large difference and ends the run.
-            if r.start.unix().wrapping_sub(hour_start) >= SECS_PER_HOUR {
-                break;
-            }
-            len += 1;
-            bytes = bytes.wrapping_add(r.bytes);
-        }
-        let (run, tail) = rest.split_at(len);
-        rest = tail;
-        Some(HourRun::starting(run, bytes))
+        })
     })
 }
 
@@ -305,21 +291,12 @@ mod tests {
         let back: Vec<FlowRecord> = runs.iter().flat_map(|r| r.records).copied().collect();
         assert_eq!(back, flows);
 
-        // One record is one run, and `HourRun::of` is that run.
-        let one = hour_runs(&flows[1..2]).next().expect("one run");
-        let of = HourRun::of(&flows[1]);
-        assert_eq!(one.records, of.records);
-        assert_eq!(
-            (
-                one.hour_start,
-                one.date,
-                one.day_number,
-                one.hour,
-                one.bytes
-            ),
-            (of.hour_start, of.date, of.day_number, of.hour, of.bytes)
-        );
-        assert_eq!((of.hour_start, of.hour), (d.at_hour(9), 9));
+        // One record is one run.
+        let one: Vec<HourRun<'_>> = hour_runs(&flows[1..2]).collect();
+        assert_eq!(one.len(), 1);
+        assert_eq!(one[0].records, &flows[1..2]);
+        assert_eq!((one[0].hour_start, one[0].hour), (d.at_hour(9), 9));
+        assert_eq!(one[0].bytes, flows[1].bytes);
     }
 
     #[test]

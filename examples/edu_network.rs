@@ -8,6 +8,7 @@
 //! cargo run --release --example edu_network
 //! ```
 
+use lockdown::analysis::consumer::FlowConsumer;
 use lockdown::analysis::edu::{EduAnalysis, EduTrafficClass, Orientation};
 use lockdown::core::{Context, Fidelity};
 use lockdown_flow::time::Date;
@@ -26,7 +27,7 @@ fn main() {
         for hour in 0..24 {
             let flows = generator.generate_hour(date, hour);
             total_flows += flows.len();
-            analysis.add_all(&flows);
+            analysis.observe_all(&flows);
         }
     }
     println!(

@@ -51,7 +51,8 @@ fn main() {
 
     // 4. The headline: lockdown volume growth and the pattern shift.
     let mut vol = HourlyVolume::new();
-    vol.add_all(base.iter().chain(collector.records()));
+    vol.observe_all(&base);
+    vol.observe_all(collector.records());
     let b = vol.daily_total(base_day) as f64;
     let l = vol.daily_total(lockdown_day) as f64;
     println!(

@@ -107,9 +107,36 @@ exactly_once "the panic boundary around a cell attempt" 'catch_unwind('
 # engine's driver is the one work queue for thread and process links, so
 # neither a typed merge beside the codec nor a second queue in the shard
 # crate (a condition variable outside its tests) comes back.
-said_once "the partial merge through the state codec" 'merge_state_frame(' crates/core/src/engine.rs
+said_once "the partial merge through the state codec" 'merge_frame(' crates/core/src/engine.rs crates/analysis/
 if grep -rnF --include='*.rs' 'fn merge_box' crates src tests examples lockbench/src >&2; then
     echo "said-once: a typed partial merge (fn merge_box) is back beside the codec merge" >&2
+    exit 1
+fi
+# One way in and one way out: a FlowConsumer observes hour runs
+# (`observe_run`) and merges only through its state codec (`merge_state`),
+# which every consumer carries. A per-record `fn observe` or a typed
+# `fn merge(&mut self, ... Self)` in the trait or an impl of it, a
+# codec-less default tag, or an engine trait erasing consumers beside
+# `dyn FlowConsumer` is a second way in or out again.
+contract=$(for f in $(find crates src tests examples -name '*.rs'); do
+    awk -v f="$f" '
+        /trait FlowConsumer[: {]/ || /impl.* FlowConsumer for / || /impl.*::FlowConsumer for / {
+            inside = 1
+            match($0, /^ */)
+            close_at = "^" sprintf("%" RLENGTH "s", "") "}"
+            next
+        }
+        inside && $0 ~ close_at { inside = 0 }
+        inside && (/fn observe\(&mut self/ || /fn merge\(&mut self, [^)]*Self\)/) { print f ":" FNR ": " $0 }
+    ' "$f"
+done)
+if [[ -n "$contract" ]]; then
+    echo "said-once: a FlowConsumer has a second way in or out beside observe_run and merge_state:" >&2
+    echo "$contract" >&2
+    exit 1
+fi
+if grep -rnF --include='*.rs' -e 'TAG_UNSUPPORTED' -e 'trait AnyConsumer' crates src tests examples >&2; then
+    echo "said-once: a consumer without the state codec, or a second erasure of consumers, is back" >&2
     exit 1
 fi
 condvar=$(for f in $(find crates/shard/src -name '*.rs'); do

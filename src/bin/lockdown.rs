@@ -1073,10 +1073,11 @@ fn cmd_analyze(rest: &[String], _: &[&String]) -> Result<ExitCode, String> {
         first.date().iso()
     );
 
-    let mut profile = PortProfile::new();
     // Region only affects weekday labels in the profile; Central Europe is
     // the default lens for a stored trace.
-    profile.add_all(records, lockdown::topology::asn::Region::CentralEurope);
+    let mut ports = PortConsumer::new(lockdown::topology::asn::Region::CentralEurope);
+    ports.observe_all(records);
+    let profile = ports.profile;
     println!("top services:");
     for key in profile.top_services(8, &[]) {
         println!("  {:<12} {:>16} bytes", key.label(), profile.total(key));

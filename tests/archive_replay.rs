@@ -18,7 +18,7 @@ use lockdown_analysis::consumer::FlowConsumer;
 use lockdown_base::crc::crc32;
 use lockdown_base::hash::fold;
 use lockdown_collect::WireConfig;
-use lockdown_flow::record::FlowRecord;
+use lockdown_flow::record::{FlowRecord, HourRun};
 use lockdown_flow::time::Date;
 use lockdown_flow::wire::PutBe;
 use lockdown_topology::vantage::VantagePoint;
@@ -33,12 +33,8 @@ struct SortedFlows {
 }
 
 impl FlowConsumer for SortedFlows {
-    fn observe(&mut self, record: &FlowRecord) {
-        self.flows.push(*record);
-    }
-
-    fn merge(&mut self, mut other: Self) {
-        self.flows.append(&mut other.flows);
+    fn observe_run(&mut self, run: &HourRun<'_>) {
+        self.flows.extend_from_slice(run.records);
     }
 
     fn state_tag(&self) -> ConsumerTag {

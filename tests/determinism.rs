@@ -11,6 +11,7 @@ use lockdown::core::{Context, Fidelity};
 use lockdown::topology::dns::corpus::synthesize as synth_corpus;
 use lockdown::topology::registry::Registry;
 use lockdown::topology::vantage::VantagePoint;
+use lockdown_analysis::consumer::FlowConsumer;
 use lockdown_analysis::timeseries::HourlyVolume;
 use lockdown_flow::time::Date;
 use lockdown_traffic::plan::Stream;
@@ -82,7 +83,7 @@ fn engine_matches_direct_generation() {
 
     let mut direct = HourlyVolume::new();
     ctx.generator()
-        .for_each_hour(vp, start, end, |_, _, flows| direct.add_all(flows));
+        .for_each_hour(vp, start, end, |_, _, flows| direct.observe_all(flows));
 
     let mut plan = EnginePlan::new();
     let d = plan.subscribe(Stream::Vantage(vp), start, end, HourlyVolume::new);

@@ -30,9 +30,9 @@ fn wire_pipeline_is_transparent_for_analysis() {
 
     // Identical hourly volumes either way.
     let mut direct = HourlyVolume::new();
-    direct.add_all(&flows);
+    direct.observe_all(&flows);
     let mut collected = HourlyVolume::new();
-    collected.add_all(collector.records());
+    collected.observe_all(collector.records());
     for hour in 0..24 {
         assert_eq!(
             direct.get(date, hour),
@@ -43,10 +43,12 @@ fn wire_pipeline_is_transparent_for_analysis() {
 
     // Identical port profile.
     let region = VantagePoint::IspCe.region();
-    let mut p_direct = PortProfile::new();
-    p_direct.add_all(&flows, region);
-    let mut p_wire = PortProfile::new();
-    p_wire.add_all(collector.records(), region);
+    let mut p_direct = PortConsumer::new(region);
+    p_direct.observe_all(&flows);
+    let p_direct = p_direct.profile;
+    let mut p_wire = PortConsumer::new(region);
+    p_wire.observe_all(collector.records());
+    let p_wire = p_wire.profile;
     for key in p_direct.top_services(10, &[]) {
         assert_eq!(p_direct.total(key), p_wire.total(key), "{key}");
     }

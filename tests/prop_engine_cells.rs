@@ -12,14 +12,18 @@
 use lockdown::core::engine::{self, EnginePlan};
 use lockdown::core::{Context, Fidelity};
 use lockdown::flow::prelude::*;
+use lockdown::store::segment::{decode_segment, encode_segment};
 use lockdown::topology::vantage::VantagePoint;
+use lockdown_analysis::codec::{CodecError, ConsumerTag, StateReader};
 use lockdown_analysis::consumer::FlowConsumer;
 use lockdown_base::hash::SplitMix;
 use lockdown_base::prop::cases;
 use lockdown_flow::ipfix;
 use lockdown_flow::netflow::v9::{self, TemplateCache};
 use lockdown_flow::netflow::Template;
+use lockdown_flow::record::HourRun;
 use lockdown_flow::time::Date;
+use lockdown_flow::wire::PutBe;
 use lockdown_traffic::plan::Stream;
 use std::sync::OnceLock;
 
@@ -37,18 +41,40 @@ fn ctx(seed_idx: usize) -> &'static Context {
     })[seed_idx]
 }
 
-/// Engine consumer that keeps the raw flows, in fan-out order.
+/// Engine consumer that keeps the raw flows, in fan-out order. Its state
+/// is its flows as one store segment.
 struct CollectFlows {
     flows: Vec<FlowRecord>,
 }
 
 impl FlowConsumer for CollectFlows {
-    fn observe(&mut self, record: &FlowRecord) {
-        self.flows.push(*record);
+    fn observe_run(&mut self, run: &HourRun<'_>) {
+        self.flows.extend_from_slice(run.records);
     }
 
-    fn merge(&mut self, mut other: Self) {
-        self.flows.append(&mut other.flows);
+    fn state_tag(&self) -> ConsumerTag {
+        ConsumerTag {
+            id: 202,
+            name: "CollectFlows",
+        }
+    }
+
+    fn encode_state(&self, out: &mut Vec<u8>) {
+        let segment = encode_segment(&self.flows);
+        out.put_u64_be(segment.len() as u64);
+        out.extend_from_slice(&segment);
+    }
+
+    fn merge_state(&mut self, r: &mut StateReader<'_>) -> Result<(), CodecError> {
+        let len = r.u64("segment length")? as usize;
+        let segment = r.bytes(len, "segment")?;
+        let (mut flows, _) =
+            decode_segment("CollectFlows state", segment).map_err(|e| CodecError {
+                consumer: "CollectFlows",
+                detail: e.to_string(),
+            })?;
+        self.flows.append(&mut flows);
+        Ok(())
     }
 }
 

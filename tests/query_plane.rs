@@ -17,7 +17,7 @@ use lockdown_analysis::appclass::{Classifier, PaperClass};
 use lockdown_analysis::codec::{CodecError, ConsumerTag, StateReader};
 use lockdown_analysis::consumer::FlowConsumer;
 use lockdown_core::engine::{self, EnginePlan};
-use lockdown_flow::record::FlowRecord;
+use lockdown_flow::record::HourRun;
 use lockdown_flow::time::Date;
 use lockdown_flow::wire::PutBe;
 use lockdown_topology::registry::Registry;
@@ -149,7 +149,7 @@ impl QueryOutputExpect {
 /// archive, no pushdown. The query plane must agree exactly.
 struct FilteredAggregate {
     plan: QueryPlan,
-    classifier: Classifier,
+    classifier: Arc<Classifier>,
     flows: u64,
     bytes: u64,
     packets: u64,
@@ -157,29 +157,22 @@ struct FilteredAggregate {
 }
 
 impl FlowConsumer for FilteredAggregate {
-    fn observe(&mut self, r: &FlowRecord) {
-        if !self.plan.admits_record(r) {
-            return;
-        }
-        if self
-            .plan
-            .class
-            .is_some_and(|c| self.classifier.classify(r) != Some(c))
-        {
-            return;
-        }
-        self.flows += 1;
-        self.bytes += r.bytes;
-        self.packets += r.packets;
-        *self.hourly.entry(r.start.floor_hour().unix()).or_insert(0) += r.bytes;
-    }
-
-    fn merge(&mut self, other: Self) {
-        self.flows += other.flows;
-        self.bytes += other.bytes;
-        self.packets += other.packets;
-        for (h, b) in other.hourly {
-            *self.hourly.entry(h).or_insert(0) += b;
+    fn observe_run(&mut self, run: &HourRun<'_>) {
+        for r in run.records {
+            if !self.plan.admits_record(r) {
+                continue;
+            }
+            if self
+                .plan
+                .class
+                .is_some_and(|c| self.classifier.classify(r) != Some(c))
+            {
+                continue;
+            }
+            self.flows += 1;
+            self.bytes += r.bytes;
+            self.packets += r.packets;
+            *self.hourly.entry(r.start.floor_hour().unix()).or_insert(0) += r.bytes;
         }
     }
 
@@ -219,9 +212,12 @@ impl FlowConsumer for FilteredAggregate {
 
 impl FilteredAggregate {
     fn new(plan: QueryPlan) -> FilteredAggregate {
+        static CLASSIFIER: OnceLock<Arc<Classifier>> = OnceLock::new();
+        let classifier =
+            CLASSIFIER.get_or_init(|| Arc::new(Classifier::from_registry(&Registry::synthesize())));
         FilteredAggregate {
             plan,
-            classifier: Classifier::from_registry(&Registry::synthesize()),
+            classifier: Arc::clone(classifier),
             flows: 0,
             bytes: 0,
             packets: 0,
@@ -243,6 +239,29 @@ fn execute_filters_by_hour_run_like_the_per_record_oracle() {
         scenario_hash: 2,
         plan_hash: 3,
     };
+    let eleven = hour_slices::DAY.at_hour(11).unix();
+    let plans = [
+        QueryPlan::default(),
+        QueryPlan {
+            class: Some(PaperClass::Email),
+            ..QueryPlan::default()
+        },
+        QueryPlan {
+            class: Some(PaperClass::WebConf),
+            port: Some(8_801),
+            ..QueryPlan::default()
+        },
+        QueryPlan {
+            asn: Some(hour_slices::EYEBALL),
+            ..QueryPlan::default()
+        },
+        // A window that opens and closes inside an hour.
+        QueryPlan {
+            from: Some(eleven + 600),
+            to: Some(eleven + 3_600 + 1_800),
+            ..QueryPlan::default()
+        },
+    ];
     for seed in hour_slices::SEEDS {
         // One segment per slice; the cell is only its name in the manifest.
         let slices = hour_slices::slices(seed);
@@ -260,35 +279,12 @@ fn execute_filters_by_hour_run_like_the_per_record_oracle() {
             .expect("archive opens")
             .expect("archive has a manifest");
 
-        let eleven = hour_slices::DAY.at_hour(11).unix();
-        let plans = [
-            QueryPlan::default(),
-            QueryPlan {
-                class: Some(PaperClass::Email),
-                ..QueryPlan::default()
-            },
-            QueryPlan {
-                class: Some(PaperClass::WebConf),
-                port: Some(8_801),
-                ..QueryPlan::default()
-            },
-            QueryPlan {
-                asn: Some(hour_slices::EYEBALL),
-                ..QueryPlan::default()
-            },
-            // A window that opens and closes inside an hour.
-            QueryPlan {
-                from: Some(eleven + 600),
-                to: Some(eleven + 3_600 + 1_800),
-                ..QueryPlan::default()
-            },
-        ];
         for plan in plans {
             let got = engine.execute(&plan).expect("query");
             let mut oracle = FilteredAggregate::new(plan);
             for (_, slice) in &slices {
                 for r in slice {
-                    oracle.observe(r);
+                    oracle.observe_all(std::slice::from_ref(r));
                 }
             }
             assert_eq!(
@@ -297,6 +293,10 @@ fn execute_filters_by_hour_run_like_the_per_record_oracle() {
                 "{plan:?} (seed {seed:#x})"
             );
         }
+    }
+    // The oracle keeps the consumer contract over the same slices.
+    for plan in plans {
+        hour_slices::assert_runs_match_records(|| FilteredAggregate::new(plan));
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -73,12 +73,12 @@ fn day_pattern_classification_survives_sampling() {
         Date::new(2020, 2, 1),
         Date::new(2020, 3, 31),
         |_, _, flows| {
-            full.add_all(flows);
+            full.observe_all(flows);
             seen += flows.len() as u64;
             for f in flows {
                 if let Some(s) = sampler.sample(f) {
                     kept += 1;
-                    sampled.add(&s);
+                    sampled.observe_all(&[s]);
                 }
             }
         },
@@ -120,10 +120,12 @@ fn port_mix_shares_survive_sampling() {
     let sampled = sampler.sample_all(&flows);
 
     let region = VantagePoint::IxpCe.region();
-    let mut p_full = PortProfile::new();
-    p_full.add_all(&flows, region);
-    let mut p_sampled = PortProfile::new();
-    p_sampled.add_all(&sampled, region);
+    let mut p_full = PortConsumer::new(region);
+    p_full.observe_all(&flows);
+    let p_full = p_full.profile;
+    let mut p_sampled = PortConsumer::new(region);
+    p_sampled.observe_all(&sampled);
+    let p_sampled = p_sampled.profile;
 
     // The web-port share (a headline §4 statistic) moves by at most a few
     // points under sampling.
