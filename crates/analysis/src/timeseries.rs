@@ -77,13 +77,6 @@ impl HourlyVolume {
         out
     }
 
-    /// Merge another accumulator into this one.
-    pub fn merge(&mut self, other: &HourlyVolume) {
-        for (t, b) in &other.bins {
-            *self.bins.entry(*t).or_insert(0) += b;
-        }
-    }
-
     /// Shard-codec payload: bin count, then `(timestamp, bytes)` pairs in
     /// key order (`BTreeMap` iteration is already sorted).
     pub(crate) fn encode_bins(&self, out: &mut Vec<u8>) {
@@ -245,19 +238,6 @@ mod tests {
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
         assert_eq!(median(&[]), 0.0);
-    }
-
-    #[test]
-    fn merge_accumulators() {
-        let d = Date::new(2020, 2, 1);
-        let mut a = HourlyVolume::new();
-        a.add_bytes(d.at_hour(1), 5);
-        let mut b = HourlyVolume::new();
-        b.add_bytes(d.at_hour(1), 3);
-        b.add_bytes(d.at_hour(2), 9);
-        a.merge(&b);
-        assert_eq!(a.get(d, 1), 8);
-        assert_eq!(a.get(d, 2), 9);
     }
 
     #[test]

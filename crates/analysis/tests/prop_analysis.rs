@@ -5,6 +5,7 @@
 mod support;
 
 use lockdown_analysis::appclass::Classifier;
+use lockdown_analysis::codec::{encode_frame, merge_frame};
 use lockdown_analysis::consumer::FlowConsumer;
 use lockdown_analysis::ecdf::Ecdf;
 use lockdown_analysis::edu::{orientation, EduTrafficClass};
@@ -50,16 +51,15 @@ fn hourly_volume_order_and_merge() {
             assert_eq!(forward.get(d, h), backward.get(d, h));
         }
 
-        // Split + merge == bulk.
+        // Split + codec merge == bulk.
         let mid = records.len() / 2;
         let mut a = HourlyVolume::new();
         a.observe_all(&records[..mid]);
         let mut b = HourlyVolume::new();
         b.observe_all(&records[mid..]);
-        a.merge(&b);
-        let total_weekly: u64 = forward.weekly_totals().values().sum();
-        let merged_weekly: u64 = a.weekly_totals().values().sum();
-        assert_eq!(total_weekly, merged_weekly);
+        merge_frame(&mut a, &encode_frame(&b)).expect("a frame of its own kind merges");
+        assert_eq!(forward.weekly_totals(), a.weekly_totals());
+        assert_eq!(encode_frame(&forward), encode_frame(&a));
     });
 }
 

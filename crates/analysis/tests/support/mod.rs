@@ -189,6 +189,17 @@ pub(crate) fn slices(seed: u64) -> Vec<(String, Vec<FlowRecord>)> {
         (r.src_as, r.dst_as) = (1, 2);
     }
     out.push(("an all-unclassified slice".to_string(), unclassified));
+
+    // Two counted incoming flows from one eyeball AS in one hour: a split
+    // between them puts one in each half, so a merge that keeps the larger
+    // count instead of the sum shows.
+    let mut incoming = hour(rng, DAY, 9, 2);
+    for r in &mut incoming {
+        r.key.protocol = IpProtocol::Tcp;
+        (r.key.src_port, r.key.dst_port) = (50_000, 443);
+        (r.src_as, r.dst_as) = (EYEBALL, EDU_ASN.0);
+    }
+    out.push(("two incoming flows of one eyeball AS".to_string(), incoming));
     out
 }
 

@@ -29,7 +29,7 @@ use lockdown::core::engine::{self, DriveStats, EnginePlan};
 use lockdown::core::experiments::figures::FIGURES;
 use lockdown::core::experiments::suite::{self, suite_shard_cell_count};
 use lockdown::core::{Context, Fidelity};
-use lockdown::shard::coord::{self, chunk_ranges, CoordOptions};
+use lockdown::shard::coord::{self, chunk_ranges, CoordOptions, CHUNKS_PER_WORKER};
 use lockdown::shard::worker::serve_worker;
 use std::net::TcpListener;
 use std::time::Instant;
@@ -148,7 +148,7 @@ fn main() {
     // Reassignment cost: same 2-worker pass, one seeded first-attempt
     // kill, every retry clean — the delta is protocol + rerun overhead.
     let mut chaos_opts = CoordOptions::default();
-    chaos_opts.suite.chaos = reassignment_seed(cells, 2, opts.chunks_per_worker);
+    chaos_opts.suite.chaos = reassignment_seed(cells, 2, CHUNKS_PER_WORKER);
     let (tkill, kill_stats) = coordinated_pass(fidelity, &chaos_opts, 2);
     assert!(
         kill_stats.reassignments >= 1,

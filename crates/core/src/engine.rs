@@ -27,6 +27,13 @@
 //! consumer-state codec ([`FlowConsumer::merge_state`], every consumer's
 //! one merge) into the first thread's column, so a one-thread pass
 //! encodes nothing.
+//!
+//! A cell has one way in and one way out. In: a cell the pass's archive
+//! reader names (a warm pass's manifest, or what a resuming pass adopted)
+//! is decoded from its claim's day-pack read; any other is generated.
+//! Out: its flows and its fate (retries, quarantine) go into the link's
+//! column, so a pass's end reads every cell's fate from the merged column.
+//!
 //! Which link ends up with which cells differs from run to run, and the
 //! output does not: cells are independently seeded, so a cell's flows are
 //! the same on any link; each cell is run to completion exactly once; and
@@ -388,8 +395,9 @@ pub(crate) fn run_standalone<H, T>(
     finish(handles, &mut out)
 }
 
-/// One link's consumers, one per subscription, and the counts of the
-/// cells they hold (`counts.states` stays empty until [`Column::encode`]).
+/// One link's consumers, one per subscription, and the counts and fates
+/// of the cells it ran (`counts.states` stays empty until
+/// [`Column::encode`]).
 struct Column {
     consumers: Vec<Boxed>,
     counts: SliceOutcome,
@@ -447,13 +455,6 @@ impl Column {
     }
 }
 
-/// How one cell's records were obtained.
-enum CellFill {
-    Generated,
-    Replayed,
-    Resumed,
-}
-
 /// Render a caught panic payload: an injected panic by its attempt, a
 /// string payload as itself.
 pub fn panic_message(payload: Box<dyn Any + Send>) -> String {
@@ -495,25 +496,24 @@ struct Slot<'r> {
 }
 
 /// Everything one engine pass shares across its thread links to execute
-/// a cell: generation, replay, resume, the wire plane and the supervisor.
-/// Every cell a pass generates or replays, on a thread of this process or
-/// of a worker process, runs through [`CellRunner::process`], so
-/// supervised semantics cannot drift between worker counts or between
-/// threads and worker processes.
+/// a cell: generation, replay, the wire plane and the supervisor. Every
+/// cell a pass generates or replays, on a thread of this process or of a
+/// worker process, runs through [`CellRunner::process`], so supervised
+/// semantics cannot drift between worker counts or between threads and
+/// worker processes.
 struct CellRunner<'a> {
     emitter: TraceEmitter<'a>,
     reader: Option<&'a ArchiveReader>,
     writer: Option<&'a ArchiveWriter>,
-    adopted: &'a BTreeMap<Cell, SegmentMeta>,
     plane: Option<&'a CollectionPlane>,
     supervisor: &'a Supervisor,
-    store_metrics: Option<&'a Arc<StoreMetrics>>,
     subs: &'a [Subscription],
 }
 
 impl CellRunner<'_> {
-    /// One attempt. Every injected failure point precedes the cell's wire
-    /// processing and ledger posts, so a retried attempt leaves no
+    /// One attempt; `Ok(true)` when it replayed the cell, `Ok(false)` when
+    /// it generated it. Every injected failure point precedes the cell's
+    /// wire processing and ledger posts, so a retried attempt leaves no
     /// partial side effects behind.
     fn fill_attempt(
         &self,
@@ -522,36 +522,21 @@ impl CellRunner<'_> {
         attempt: u32,
         force_generate: bool,
         buf: &mut Vec<FlowRecord>,
-    ) -> Result<CellFill, AttemptError> {
+    ) -> Result<bool, AttemptError> {
         let sup = self.supervisor;
         let chaos = sup.decide(cell, attempt);
         if chaos.panic {
             std::panic::panic_any(sup.injected_panic(cell, attempt));
         }
-        let fill = 'fill: {
-            if !force_generate {
-                if let Some(r) = self.reader {
-                    // Warm replay from the claim's read. A segment that
-                    // is missing, unreadable or corrupt is regenerated
-                    // inline.
-                    match r.decode_run(slot.segments, slot.index, buf) {
-                        Ok(()) => break 'fill CellFill::Replayed,
-                        Err(_) => sup.metrics().replay_corruptions.inc(),
-                    }
-                } else if let (Some(w), Some(meta)) = (self.writer, self.adopted.get(&cell)) {
-                    // Cold resume: adopt the journaled segment. A failed
-                    // integrity check self-heals by regenerating inline.
-                    match w.read_adopted(meta) {
-                        Ok(records) => {
-                            *buf = records;
-                            break 'fill CellFill::Resumed;
-                        }
-                        Err(_) => {
-                            if let Some(m) = self.store_metrics {
-                                m.resume_rejected.inc();
-                            }
-                        }
-                    }
+        let replayed = 'fill: {
+            if let Some(r) = self.reader.filter(|_| !force_generate) {
+                // Replay from the claim's read. A cell the index does not
+                // name is generated; a segment that is unreadable or
+                // corrupt is regenerated inline.
+                match r.decode_run(slot.segments, slot.index, buf) {
+                    Ok(true) => break 'fill true,
+                    Ok(false) => {}
+                    Err(_) => sup.metrics().replay_corruptions.inc(),
                 }
             }
             self.emitter.generate_cell(cell, buf);
@@ -566,7 +551,7 @@ impl CellRunner<'_> {
                 w.spill_with_fault(cell, buf, fault)
                     .map_err(AttemptError::Store)?;
             }
-            CellFill::Generated
+            false
         };
         if let Some(pl) = self.plane.filter(|_| chaos.stall) {
             // The exporter fleet timed out before delivering anything:
@@ -575,12 +560,20 @@ impl CellRunner<'_> {
             sup.metrics().stalls.inc();
             return Err(AttemptError::Stall);
         }
-        Ok(fill)
+        Ok(replayed)
     }
 
     /// The attempt loop: catch panics, back off, retry, and quarantine
-    /// once the budget is spent. `None` means quarantined.
-    fn fill(&self, cell: Cell, slot: Slot<'_>, buf: &mut Vec<FlowRecord>) -> Option<CellFill> {
+    /// once the budget is spent. A cell's retries and its quarantine are
+    /// written into the link's `counts`, its one ledger. Returns whether
+    /// the cell was replayed, `None` when it was quarantined.
+    fn fill(
+        &self,
+        cell: Cell,
+        slot: Slot<'_>,
+        buf: &mut Vec<FlowRecord>,
+        counts: &mut SliceOutcome,
+    ) -> Option<bool> {
         let sup = self.supervisor;
         let budget = sup.attempts();
         let mut force_generate = false;
@@ -588,12 +581,13 @@ impl CellRunner<'_> {
         for attempt in 1..=budget {
             if attempt > 1 {
                 sup.backoff(cell, attempt - 1);
+                counts.retries += 1;
             }
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 self.fill_attempt(cell, slot, attempt, force_generate, buf)
             }));
             let err = match caught {
-                Ok(Ok(fill)) => return Some(fill),
+                Ok(Ok(replayed)) => return Some(replayed),
                 Ok(Err(e)) => e,
                 Err(payload) => {
                     sup.metrics().panics_caught.inc();
@@ -615,7 +609,11 @@ impl CellRunner<'_> {
         if let Some(pl) = self.plane {
             pl.note_quarantined(&cell);
         }
-        sup.quarantine(cell, budget, last_error);
+        counts.quarantined.push(QuarantinedCell {
+            cell,
+            attempts: budget,
+            error: last_error,
+        });
         None
     }
 
@@ -623,18 +621,14 @@ impl CellRunner<'_> {
     /// posts, and fan-out into `column`. Quarantined cells skip
     /// everything downstream.
     fn process(&self, cell: Cell, slot: Slot<'_>, buf: &mut Vec<FlowRecord>, column: &mut Column) {
-        let Some(fill) = self.fill(cell, slot, buf) else {
+        let counts = &mut column.counts;
+        let Some(replayed) = self.fill(cell, slot, buf, counts) else {
             return;
         };
-        let counts = &mut column.counts;
-        match fill {
-            CellFill::Generated => counts.generated += 1,
-            CellFill::Replayed => counts.replayed += 1,
-            CellFill::Resumed => {
-                counts.replayed += 1;
-                counts.resumed += 1;
-            }
-        }
+        counts.generated += u64::from(!replayed);
+        counts.replayed += u64::from(replayed);
+        // A pass that replays beside a writer is resuming.
+        counts.resumed += u64::from(replayed && self.writer.is_some());
         counts.flows += buf.len() as u64;
         let wired;
         let batch: &[FlowRecord] = match self.plane {
@@ -908,9 +902,9 @@ struct Pass {
     plane: Option<CollectionPlane>,
     supervisor: Supervisor,
     store_metrics: Option<Arc<StoreMetrics>>,
+    /// A warm pass's manifest, or a resuming pass's adopted entries.
     reader: Option<ArchiveReader>,
     writer: Option<ArchiveWriter>,
-    adopted: BTreeMap<Cell, SegmentMeta>,
 }
 
 impl Pass {
@@ -951,7 +945,6 @@ impl Pass {
             store_metrics: None,
             reader: None,
             writer: None,
-            adopted: BTreeMap::new(),
         };
         let Some(dir) = archive else {
             return Ok(pass);
@@ -981,9 +974,9 @@ impl Pass {
                 pass.writer = Some(ArchiveWriter::create(&dir, key, Arc::clone(&metrics))?);
             }
             (_, ArchiveMode::OwnResumable) => {
-                let (w, a) = ArchiveWriter::create_or_resume(&dir, key, Arc::clone(&metrics))?;
+                let (w, r) = ArchiveWriter::create_or_resume(&dir, key, Arc::clone(&metrics))?;
                 pass.writer = Some(w);
-                pass.adopted = a;
+                pass.reader = Some(r);
             }
             (_, ArchiveMode::Attach) => {
                 pass.writer = Some(ArchiveWriter::attach(&dir, key, Arc::clone(&metrics))?);
@@ -1008,10 +1001,8 @@ impl Pass {
             ),
             reader: self.reader.as_ref(),
             writer: self.writer.as_ref(),
-            adopted: &self.adopted,
             plane: self.plane.as_ref(),
             supervisor: &self.supervisor,
-            store_metrics: self.store_metrics.as_ref(),
             subs: &self.subs,
         };
         let mut end = 0;
@@ -1061,7 +1052,6 @@ impl Pass {
     ) -> Result<EngineOutput, StoreError> {
         let Column { consumers, counts } = column;
         let mut quarantined = counts.quarantined;
-        quarantined.extend(self.supervisor.quarantined());
         if let Some(w) = &self.writer {
             for meta in counts.segments {
                 w.adopt(meta)?;
@@ -1093,7 +1083,6 @@ impl Pass {
             .set_max(quarantined.len() as u64);
         supervisor_metrics.resumed_cells.set_max(counts.resumed);
         supervisor_metrics.retries.add(counts.retries);
-        let retries = supervisor_metrics.retries.get();
         let stats = EngineStats {
             demands: consumers.len(),
             cells_demanded: self.cells_demanded,
@@ -1101,7 +1090,7 @@ impl Pass {
             cells_replayed: counts.replayed,
             cells_resumed: counts.resumed,
             cells_quarantined: quarantined.len() as u64,
-            retries,
+            retries: counts.retries,
             flows_emitted: counts.flows,
             workers,
         };
@@ -1124,7 +1113,7 @@ impl Pass {
                     .map(|(label, n)| (label.to_string(), n))
                     .collect(),
                 quarantined,
-                retries,
+                retries: counts.retries,
             }
         });
         Ok(EngineOutput {
@@ -1201,9 +1190,7 @@ pub(crate) fn run_range(
     let pass = Pass::resolve(ctx, plan, range, ArchiveMode::Attach)?;
     let (column, _) = pass.run_threads(ctx, 1)?;
     Ok(SliceOutcome {
-        retries: pass.supervisor.metrics().retries.get(),
         segments: pass.writer.as_ref().map(|w| w.metas()).unwrap_or_default(),
-        quarantined: pass.supervisor.quarantined(),
         ..column.encode()
     })
 }
@@ -1238,8 +1225,9 @@ pub(crate) fn run_fetched(
 }
 
 /// A closed partial of a pass: a link's serialized consumer states, cell
-/// accounting, the archive segment inventory it spilled, and any
-/// quarantined cells — what a worker process sends back for a claim.
+/// accounting, the archive segment inventory it spilled, and its cells'
+/// fates (retries and quarantine) — what a worker process sends back for
+/// a claim, and the one ledger of a thread link's column.
 #[derive(Debug, Default)]
 pub struct SliceOutcome {
     /// One encoded state frame per subscription, in subscription order
@@ -1252,14 +1240,14 @@ pub struct SliceOutcome {
     pub generated: u64,
     /// Distinct cells replayed from the archive.
     pub replayed: u64,
-    /// Of the replayed cells, how many came from journal adoption.
+    /// Of the replayed cells, how many a resuming pass adopted.
     pub resumed: u64,
     /// Cell attempts beyond the first.
     pub retries: u64,
     /// Segments this slice spilled (cold archived slices only); the
     /// coordinator adopts these into the one published manifest.
     pub segments: Vec<SegmentMeta>,
-    /// Cells the slice's supervisor quarantined.
+    /// Cells the slice quarantined after exhausting their attempt budget.
     pub quarantined: Vec<QuarantinedCell>,
 }
 

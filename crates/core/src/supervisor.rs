@@ -12,6 +12,10 @@
 //! instead of a violation. An archived segment that fails to read is not
 //! even a failed attempt — the cell is regenerated inline.
 //!
+//! The supervisor is immutable once built (schedule, budget, metrics) and
+//! keeps no ledger: a cell's retries and quarantine travel in the column
+//! of the link that ran it, a thread's or a worker process's alike.
+//!
 //! All fault *scheduling* lives in [`lockdown_base::fault`] and is a pure
 //! function of `(seed, cell, attempt)`, so the quarantine set of a chaos
 //! run is identical across repeat runs and worker counts — which is what
@@ -21,7 +25,7 @@
 use lockdown_base::fault::{CellFaults, FaultProfile, Schedule};
 use lockdown_traffic::plan::Cell;
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex, Once};
+use std::sync::{Arc, Once};
 
 lockdown_base::metrics_family! {
     /// The `supervisor_*` metrics family, on the same Prometheus-style
@@ -164,14 +168,13 @@ impl AttemptError {
 }
 
 /// The supervised-execution control surface every engine pass shares
-/// across its workers: the seeded fault schedule, the retry budget, the
-/// `supervisor_*` metrics, and the quarantine list.
+/// across its workers: the seeded fault schedule, the retry budget and
+/// the `supervisor_*` metrics.
 #[derive(Debug)]
 pub struct Supervisor {
     schedule: Schedule,
     attempts: u32,
     metrics: Arc<SupervisorMetrics>,
-    quarantined: Mutex<Vec<QuarantinedCell>>,
 }
 
 impl Supervisor {
@@ -183,7 +186,6 @@ impl Supervisor {
             schedule: Schedule::new(cfg),
             attempts: cfg.attempts.max(1),
             metrics: SupervisorMetrics::new(),
-            quarantined: Mutex::new(Vec::new()),
         }
     }
 
@@ -208,20 +210,18 @@ impl Supervisor {
     }
 
     /// Serve the deterministic backoff delay before retry `attempt` and
-    /// account it. Returns the delay in milliseconds.
-    pub(crate) fn backoff(&self, cell: Cell, attempt: u32) -> u64 {
+    /// account its milliseconds.
+    pub(crate) fn backoff(&self, cell: Cell, attempt: u32) {
         let ms = self.schedule.backoff_ms(
             cell.stream.wire_id(),
             cell.date.day_number(),
             cell.hour,
             attempt,
         );
-        self.metrics.retries.inc();
         self.metrics.backoff_ms.add(ms);
         if ms > 0 {
             std::thread::sleep(std::time::Duration::from_millis(ms));
         }
-        ms
     }
 
     /// Build the injected panic payload for one `(cell, attempt)` slot.
@@ -232,28 +232,6 @@ impl Supervisor {
             hour: cell.hour,
             attempt,
         }
-    }
-
-    /// Record a cell that exhausted its budget.
-    pub(crate) fn quarantine(&self, cell: Cell, attempts: u32, error: String) {
-        let mut list = self.quarantined.lock().expect("quarantine list lock");
-        list.push(QuarantinedCell {
-            cell,
-            attempts,
-            error,
-        });
-        self.metrics.quarantined_cells.set_max(list.len() as u64);
-    }
-
-    /// The quarantine set so far, sorted by cell.
-    pub(crate) fn quarantined(&self) -> Vec<QuarantinedCell> {
-        let mut q = self
-            .quarantined
-            .lock()
-            .expect("quarantine list lock")
-            .clone();
-        q.sort_by_key(|q| q.cell);
-        q
     }
 }
 
@@ -280,17 +258,6 @@ mod tests {
             assert_eq!(s.decide(cell(h), 0), CellFaults::default());
         }
         assert_eq!(s.metrics.retries.get(), 0);
-    }
-
-    #[test]
-    fn quarantine_set_is_sorted_and_counted() {
-        let s = Supervisor::new(FaultProfile::zero());
-        s.quarantine(cell(9), 3, "panic: injected".into());
-        s.quarantine(cell(2), 3, "torn write".into());
-        let q = s.quarantined();
-        assert_eq!(q.len(), 2);
-        assert!(q[0].cell.hour < q[1].cell.hour, "sorted by cell");
-        assert_eq!(s.metrics.quarantined_cells.get(), 2);
     }
 
     #[test]

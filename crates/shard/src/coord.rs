@@ -60,10 +60,6 @@ const REDIAL_WINDOW: Duration = Duration::from_secs(2);
 pub struct CoordOptions {
     /// Archive/chaos options, shared verbatim with workers.
     pub suite: ShardSuiteOptions,
-    /// Target work-queue granularity: ranges per worker. More ranges
-    /// mean finer rebalancing after a death, at more protocol round
-    /// trips. Zero means one range per worker.
-    pub chunks_per_worker: usize,
     /// Declare a worker dead after this long without a frame — and
     /// declare a frame dead this long after it started.
     pub heartbeat_timeout: Duration,
@@ -73,7 +69,6 @@ impl Default for CoordOptions {
     fn default() -> CoordOptions {
         CoordOptions {
             suite: ShardSuiteOptions::default(),
-            chunks_per_worker: 4,
             heartbeat_timeout: Duration::from_millis(2_000),
         }
     }
@@ -131,6 +126,11 @@ impl Coordinated {
         }
     }
 }
+
+/// Work-queue granularity of a coordinated pass: ranges per worker. More
+/// ranges mean finer rebalancing after a death, at more protocol round
+/// trips.
+pub const CHUNKS_PER_WORKER: usize = 4;
 
 /// Split `cells` indices into up to `workers * chunks_per_worker`
 /// contiguous near-equal ranges (never more ranges than cells).
@@ -295,7 +295,7 @@ pub fn coordinate(
             lost: false,
         })
         .collect();
-    let ranges = chunk_ranges(identity.cells as usize, links.len(), opts.chunks_per_worker);
+    let ranges = chunk_ranges(identity.cells as usize, links.len(), CHUNKS_PER_WORKER);
     // The pass resolves the archive (deleting a stale index, or
     // committing to warm replay) before any worker can open it.
     let driven = suite::run_suite_links(ctx, &opts.suite, &ranges, &mut links);

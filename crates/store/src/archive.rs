@@ -423,9 +423,9 @@ impl Packs {
     /// Read the ranges of `entries` into `run`, one positioned read per
     /// pack: consecutive entries in one pack are read as the one range
     /// spanning them (any gap between them included), and each entry
-    /// records where its range starts in the run's bytes. An entry that
-    /// failed before any read (not in the index) keeps its error. This is
-    /// the read of every reader method; [`SegmentRun::check`] is the check.
+    /// records where its range starts in the run's bytes. An entry the
+    /// index does not name (`None`) reads nothing. This is the read of
+    /// every reader method; [`SegmentRun::check`] is the check.
     ///
     /// A span that fails — a pack cut short, a range past its end, an I/O
     /// error — is read again one entry at a time, so only the entries the
@@ -436,13 +436,13 @@ impl Packs {
     /// entry read, not per span.
     fn read_run<'m>(
         &self,
-        entries: impl IntoIterator<Item = Result<&'m SegmentMeta, StoreError>>,
+        entries: impl IntoIterator<Item = Option<&'m SegmentMeta>>,
         run: &mut SegmentRun,
         metrics: &StoreMetrics,
     ) {
         run.reads.clear();
         run.reads
-            .extend(entries.into_iter().map(|e| e.map(|m| (*m, 0))));
+            .extend(entries.into_iter().map(|e| e.map(|m| (*m, 0)).ok_or(None)));
         let SegmentRun { bytes, reads } = run;
         let one_pack =
             |a: &Read, b: &Read| matches!((a, b), (Ok((x, _)), Ok((y, _))) if x.pack() == y.pack());
@@ -455,7 +455,7 @@ impl Packs {
             let file = match self.file(pack) {
                 Ok(file) => file,
                 Err(e) => {
-                    group.iter_mut().for_each(|r| *r = Err(e.clone()));
+                    group.iter_mut().for_each(|r| *r = Err(Some(e.clone())));
                     continue;
                 }
             };
@@ -486,7 +486,8 @@ impl Packs {
                 let meta = r.as_ref().expect("read entry").0;
                 *r = self
                     .read_span(pack, &file, &meta, bytes, at)
-                    .map(|()| (meta, at));
+                    .map(|()| (meta, at))
+                    .map_err(Some);
                 if r.is_ok() {
                     metrics.bytes_read.add(meta.len);
                     at += meta.len as usize;
@@ -534,7 +535,7 @@ impl Packs {
     /// and hand the run to `then`: the single-segment reads.
     fn read_one<T>(
         &self,
-        meta: Result<&SegmentMeta, StoreError>,
+        meta: &SegmentMeta,
         metrics: &StoreMetrics,
         then: impl FnOnce(&SegmentRun) -> T,
     ) -> T {
@@ -542,15 +543,16 @@ impl Packs {
             static RUN: RefCell<SegmentRun> = RefCell::default();
         }
         RUN.with_borrow_mut(|run| {
-            self.read_run([meta], run, metrics);
+            self.read_run([Some(meta)], run, metrics);
             then(run)
         })
     }
 }
 
 /// One entry of a [`SegmentRun`]: its index entry and where its range
-/// starts in the run's bytes, or the error reading it met.
-type Read = Result<(SegmentMeta, usize), StoreError>;
+/// starts in the run's bytes, or the error reading it met — `None` when
+/// the index names no segment for it.
+type Read = Result<(SegmentMeta, usize), Option<StoreError>>;
 
 /// The segment bytes of a run of index entries — a day of one stream, say
 /// — read with one positioned read per pack: what
@@ -570,27 +572,30 @@ impl SegmentRun {
     /// manifest's, and the footer's record count is the manifest's before
     /// any column is decoded. Every failed check names the segment and
     /// counts a CRC failure; `decode` names no segment, the label is
-    /// formatted only when a check fails.
+    /// formatted only when a check fails. `Ok(None)`: the index names no
+    /// segment for entry `i`.
     fn check<T>(
         &self,
         i: usize,
         metrics: &StoreMetrics,
         decode: impl FnOnce(Sealed<'_>) -> Result<T, StoreError>,
-    ) -> Result<T, StoreError> {
+    ) -> Result<Option<T>, StoreError> {
         let checked = match &self.reads[i] {
-            Err(e) => Err(e.clone()),
+            Err(None) => return Ok(None),
+            Err(Some(e)) => Err(e.clone()),
             Ok((meta, at)) => check_entry(meta, &self.bytes[*at..*at + meta.len as usize], decode),
         };
         if let Err(StoreError::Corrupt { .. }) = checked {
             metrics.crc_failures.inc();
         }
-        checked
+        checked.map(Some)
     }
 
     /// Check entry `i` through [`SegmentRun::check`] and decode it into
     /// `out`, replacing its contents, if `admit` takes its footer; a
-    /// decoded entry is counted. Returns whether it was admitted; `out` is
-    /// left empty when it was not, or on error.
+    /// decoded entry is counted. Returns whether it was admitted (an entry
+    /// the index does not name is not); `out` is left empty when it was
+    /// not, or on error.
     fn decode_where(
         &self,
         i: usize,
@@ -604,7 +609,8 @@ impl SegmentRun {
                 true => s.decode_into("", out).map(|_| true),
                 false => Ok(false),
             })
-            .inspect_err(|_| out.clear())?;
+            .inspect_err(|_| out.clear())?
+            == Some(true);
         if admitted {
             metrics.segments_read.inc();
             metrics.records_read.add(out.len() as u64);
@@ -747,10 +753,12 @@ impl ArchiveWriter {
     /// same-generation segment named by a journal left by a killed run —
     /// or by a published manifest whose plan no longer matches — so the
     /// caller regenerates only what is actually missing. An adopted entry
-    /// is valid when its pack holds `offset + len` bytes; full CRC
-    /// verification happens when the segment is read back. New spills
-    /// into a pack holding adopted segments append after its current
-    /// end. Returns the writer plus the adopted cells.
+    /// is valid when its pack holds `offset + len` bytes; a refused index
+    /// file or entry counts `store_resume_rejected_total`. New spills into
+    /// a pack holding adopted segments append after its current end.
+    /// Returns the writer plus an [`ArchiveReader`] over the adopted
+    /// entries: a resumed cell is read like any archived one
+    /// ([`ArchiveReader::read_run`]), its checks made on that read.
     ///
     /// A corrupt or other-version journal or manifest is not fatal here:
     /// resume is an optimization, so undecodable indexes are discarded
@@ -759,7 +767,7 @@ impl ArchiveWriter {
         dir: &Path,
         key: StoreKey,
         metrics: Arc<StoreMetrics>,
-    ) -> Result<(ArchiveWriter, BTreeMap<Cell, SegmentMeta>), StoreError> {
+    ) -> Result<(ArchiveWriter, ArchiveReader), StoreError> {
         create_packs_dir(dir)?;
         let mut adopted: BTreeMap<Cell, SegmentMeta> = BTreeMap::new();
         // Manifest first, journal second: on conflict the journal (the
@@ -807,7 +815,9 @@ impl ArchiveWriter {
         }
         remove_if_present(&dir.join(MANIFEST_NAME))?;
         writer.metrics.segments_resumed.add(adopted.len() as u64);
-        Ok((writer, adopted))
+        let segments = adopted.into_values().collect();
+        let reader = ArchiveReader::new(dir, key, segments, Arc::clone(&writer.metrics));
+        Ok((writer, reader))
     }
 
     /// Encode one cell's records and append its segment to the cell's
@@ -912,16 +922,6 @@ impl ArchiveWriter {
             .values()
             .copied()
             .collect()
-    }
-
-    /// Read back a segment this writer adopted during resume, with the
-    /// same integrity checks as manifest replay.
-    pub fn read_adopted(&self, meta: &SegmentMeta) -> Result<Vec<FlowRecord>, StoreError> {
-        let (mut records, m) = (Vec::new(), &self.metrics);
-        self.packs.read_one(Ok(meta), m, |run| {
-            run.decode_where(0, m, |_| true, &mut records)
-        })?;
-        Ok(records)
     }
 
     /// Adopt a segment another process spilled into this archive
@@ -1124,12 +1124,18 @@ impl ArchiveReader {
                 format!("duplicate segment for {:?}", pair[0].cell),
             ));
         }
-        Ok(Some(ArchiveReader {
+        Ok(Some(ArchiveReader::new(dir, key, segments, metrics)))
+    }
+
+    /// A reader over `index`, entries sorted by cell and one per cell: a
+    /// manifest's, or the entries [`ArchiveWriter::create_or_resume`] adopted.
+    fn new(dir: &Path, key: StoreKey, index: Vec<SegmentMeta>, metrics: Arc<StoreMetrics>) -> Self {
+        ArchiveReader {
             key,
-            segments,
+            segments: index,
             packs: Packs::new(dir, false),
             metrics,
-        }))
+        }
     }
 
     /// The key recorded at write time.
@@ -1160,7 +1166,7 @@ impl ArchiveReader {
         cells.into_iter().all(|&c| self.meta(c).is_some())
     }
 
-    /// The manifest entry of a cell the caller demands.
+    /// The manifest entry of a cell a single read demands.
     fn entry(&self, cell: Cell) -> Result<&SegmentMeta, StoreError> {
         self.meta(cell).ok_or_else(|| StoreError::Missing {
             what: format!(
@@ -1176,18 +1182,8 @@ impl ArchiveReader {
     /// (range, CRC, record count) against its pack.
     pub fn read_cell(&self, cell: Cell) -> Result<Vec<FlowRecord>, StoreError> {
         let mut records = Vec::new();
-        self.read_cell_into(cell, &mut records)?;
+        self.read_cell_where(cell, |_| true, &mut records)?;
         Ok(records)
-    }
-
-    /// [`ArchiveReader::read_cell`] into the caller's buffer, replacing
-    /// its contents. On error `out` is left empty.
-    pub(crate) fn read_cell_into(
-        &self,
-        cell: Cell,
-        out: &mut Vec<FlowRecord>,
-    ) -> Result<(), StoreError> {
-        self.read_cell_where(cell, |_| true, out).map(|_| ())
     }
 
     /// Read one cell's segment once and decode it into `out` only if
@@ -1203,7 +1199,7 @@ impl ArchiveReader {
         out: &mut Vec<FlowRecord>,
     ) -> Result<bool, StoreError> {
         let m = &self.metrics;
-        self.packs.read_one(self.entry(cell), m, |run| {
+        self.packs.read_one(self.entry(cell)?, m, |run| {
             run.decode_where(0, m, admit, out)
         })
     }
@@ -1213,22 +1209,27 @@ impl ArchiveReader {
     /// [`ArchiveReader::read_cell_where`] checks it.
     pub fn read_footer(&self, cell: Cell) -> Result<SegmentFooter, StoreError> {
         let m = &self.metrics;
-        self.packs
-            .read_one(self.entry(cell), m, |run| run.check(0, m, |s| Ok(s.footer)))
+        let checked = self.packs.read_one(self.entry(cell)?, m, |run| {
+            run.check(0, m, |s| Ok(s.footer))
+        })?;
+        Ok(checked.expect("a named entry is checked"))
     }
 
     /// Read the segments of `cells`, in order, into `run` with one
-    /// positioned read per pack: a day of one stream is one read. Nothing
-    /// is checked yet; [`ArchiveReader::decode_run`] checks and decodes
-    /// each cell, and a cell that could not be read fails there.
+    /// positioned read per pack: a day of one stream is one read. A cell
+    /// the index does not name is skipped, not an error. Nothing is
+    /// checked yet; [`ArchiveReader::decode_run`] checks and decodes each
+    /// cell, and a cell that could not be read fails there.
     pub fn read_run(&self, cells: &[Cell], run: &mut SegmentRun) {
         self.packs
-            .read_run(cells.iter().map(|&c| self.entry(c)), run, &self.metrics);
+            .read_run(cells.iter().map(|&c| self.meta(c)), run, &self.metrics);
     }
 
     /// Check and decode the `i`-th cell of the last [`read_run`] of `run`
     /// into `out`, replacing its contents, with the checks of
-    /// [`ArchiveReader::read_cell`]. On error `out` is left empty.
+    /// [`ArchiveReader::read_cell`]. Returns `false`, `out` empty, when
+    /// the index names no segment for the cell; on error `out` is left
+    /// empty.
     ///
     /// [`read_run`]: ArchiveReader::read_run
     pub fn decode_run(
@@ -1236,8 +1237,8 @@ impl ArchiveReader {
         run: &SegmentRun,
         i: usize,
         out: &mut Vec<FlowRecord>,
-    ) -> Result<(), StoreError> {
-        run.decode_where(i, &self.metrics, |_| true, out).map(drop)
+    ) -> Result<bool, StoreError> {
+        run.decode_where(i, &self.metrics, |_| true, out)
     }
 
     /// Decode every segment, a pack at a time, collecting failures instead
@@ -1247,7 +1248,7 @@ impl ArchiveReader {
         let (mut run, mut records) = (SegmentRun::default(), Vec::new());
         for pack in self.segments.chunk_by(|a, b| a.pack() == b.pack()) {
             self.packs
-                .read_run(pack.iter().map(Ok), &mut run, &self.metrics);
+                .read_run(pack.iter().map(Some), &mut run, &self.metrics);
             for (i, meta) in pack.iter().enumerate() {
                 report.segments += 1;
                 report.bytes += meta.len;
@@ -1455,7 +1456,7 @@ mod tests {
         assert!(gc_dir(&dir, true).is_err());
         let m = StoreMetrics::new();
         let (_, adopted) = ArchiveWriter::create_or_resume(&dir, KEY, Arc::clone(&m)).unwrap();
-        assert!(adopted.is_empty());
+        assert_eq!(adopted.segment_count(), 0);
         assert_eq!(m.resume_rejected.get(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1639,9 +1640,9 @@ mod tests {
             .unwrap()
             .unwrap();
         let mut out = records(large, 3);
-        r.read_cell_into(large, &mut out).unwrap();
+        assert!(r.read_cell_where(large, |_| true, &mut out).unwrap());
         assert_eq!(out, records(large, 60));
-        let err = r.read_cell_into(last, &mut out).unwrap_err();
+        let err = r.read_cell_where(last, |_| true, &mut out).unwrap_err();
         assert!(err.to_string().ends_with("overruns the pack"), "{err}");
         assert!(out.is_empty(), "a failed read left records behind");
         assert_eq!(metrics.crc_failures.get(), 1);
@@ -1649,9 +1650,9 @@ mod tests {
     }
 
     /// A run read spans two days' packs and a cell the index lacks: each
-    /// read cell decodes to what a single-cell read gives, the missing one
-    /// fails alone, and every read cell's bytes are counted once, as a
-    /// footer read's are.
+    /// read cell decodes to what a single-cell read gives, the one the
+    /// index does not name decodes to nothing and is no error, and every
+    /// read cell's bytes are counted once, as a footer read's are.
     #[test]
     fn a_run_read_equals_single_cell_reads() {
         let dir = tmp_dir("run-read");
@@ -1680,15 +1681,16 @@ mod tests {
         assert_eq!(metrics.bytes_read.get(), held);
         let mut out = records(cell(4, 4), 3);
         for (i, &c) in asked.iter().enumerate() {
-            match r.decode_run(&run, i, &mut out) {
-                Ok(()) => assert_eq!(out, r.read_cell(c).unwrap(), "{c:?}"),
-                Err(e) => {
-                    assert_eq!(c, cell(2, 5));
-                    assert!(matches!(e, StoreError::Missing { .. }), "{e}");
-                    assert!(out.is_empty());
-                }
+            let named = r.decode_run(&run, i, &mut out).unwrap();
+            assert_eq!(named, c != cell(2, 5), "{c:?}");
+            match named {
+                true => assert_eq!(out, r.read_cell(c).unwrap(), "{c:?}"),
+                false => assert!(out.is_empty()),
             }
         }
+        assert_eq!(metrics.crc_failures.get(), 0);
+        let missing = r.read_cell(cell(2, 5)).unwrap_err();
+        assert!(matches!(missing, StoreError::Missing { .. }), "{missing}");
         assert_eq!(metrics.segments_read.get(), 2 * 5);
         // A footer read checks the whole range, so it counts its bytes
         // as a decode does.
@@ -1746,7 +1748,7 @@ mod tests {
             let mut out = Vec::new();
             for (i, &c) in day.iter().enumerate() {
                 match r.decode_run(&run, i, &mut out) {
-                    Ok(()) => assert_eq!(out, records(c, 20)),
+                    Ok(named) => assert!(named && out == records(c, 20)),
                     Err(e) => {
                         assert!(past.contains(&c), "{c:?}: {e}");
                         assert!(e.to_string().contains("overruns"), "{e}");
@@ -1783,11 +1785,20 @@ mod tests {
 
         let m2 = StoreMetrics::new();
         let (w2, adopted) = ArchiveWriter::create_or_resume(&dir, KEY, Arc::clone(&m2)).unwrap();
-        assert_eq!(adopted.len(), 1, "only the intact segment is adopted");
-        assert!(adopted.contains_key(&done));
+        assert_eq!(
+            adopted.segment_count(),
+            1,
+            "only the intact segment is adopted"
+        );
+        assert!(adopted.covers(&[done]) && !adopted.covers(&[torn]));
         assert_eq!(m2.segments_resumed.get(), 1);
         assert_eq!(m2.resume_rejected.get(), 1);
-        assert_eq!(w2.read_adopted(&adopted[&done]).unwrap(), r_done);
+        // The adopted segment is read like any archived one: a run read.
+        let (mut run, mut out) = (SegmentRun::default(), Vec::new());
+        adopted.read_run(&[done, torn], &mut run);
+        assert!(adopted.decode_run(&run, 0, &mut out).unwrap());
+        assert_eq!(out, r_done);
+        assert!(!adopted.decode_run(&run, 1, &mut out).unwrap());
         // Regenerate the torn cell: it is appended after the cut, and the
         // archive is whole.
         w2.spill(torn, &records(torn, 20)).unwrap();
@@ -1930,7 +1941,7 @@ mod tests {
         };
         let (_w2, adopted) =
             ArchiveWriter::create_or_resume(&dir, wider, StoreMetrics::new()).unwrap();
-        assert_eq!(adopted.len(), 1);
+        assert_eq!(adopted.segment_count(), 1);
         assert!(
             !dir.join(MANIFEST_NAME).exists(),
             "resume invalidates the manifest"
@@ -1954,7 +1965,7 @@ mod tests {
         let other = StoreKey { seed: 8, ..KEY };
         let (w2, adopted) =
             ArchiveWriter::create_or_resume(&dir, other, StoreMetrics::new()).unwrap();
-        assert!(adopted.is_empty());
+        assert_eq!(adopted.segment_count(), 0);
         let r = records(c, 6);
         w2.spill(c, &r).unwrap();
         let meta = w2.metas()[0];
@@ -1967,7 +1978,7 @@ mod tests {
         std::fs::write(dir.join(JOURNAL_NAME), b"garbage").unwrap();
         let m = StoreMetrics::new();
         let (_, adopted) = ArchiveWriter::create_or_resume(&dir, KEY, Arc::clone(&m)).unwrap();
-        assert!(adopted.is_empty());
+        assert_eq!(adopted.segment_count(), 0);
         assert_eq!(m.resume_rejected.get(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -166,6 +166,20 @@ if grep -rnF --include='*.rs' -e 'read_cell(' -e 'read_cell_into(' crates/core/s
     echo "said-once: the engine reads a cell at a time again (use read_run and decode_run)" >&2
     exit 1
 fi
+# One way in for an archived cell: a resuming pass reads what it adopted
+# through the ArchiveReader create_or_resume returns, a claimed day at a
+# time like a warm pass. A `read_adopted` is a second read path again.
+if grep -rnF --include='*.rs' 'read_adopted' crates src tests examples lockbench/src >&2; then
+    echo "said-once: a resumed cell has its own read path again (read it through read_run)" >&2
+    exit 1
+fi
+# One way out: a cell's retries and quarantine travel in its link's
+# column, so the supervisor is immutable once built. A lock in it, outside
+# its tests, is a second ledger of a cell's fate again.
+if sed '/^#\[cfg(test)\]/,$d' crates/core/src/supervisor.rs | grep -nF 'Mutex' >&2; then
+    echo "said-once: crates/core/src/supervisor.rs holds a lock (a cell's fate goes in its column)" >&2
+    exit 1
+fi
 # The default calibration is the shipped scenarios/covid-spring-2020.toml:
 # the parser builds the one ScenarioSpec literal, and any other is a
 # calibration written as code again.

@@ -61,7 +61,7 @@ const COMMANDS: &[(&str, &str, &str, Handler)] = &[
         "--fidelity --scenario --archive --chaos",
         "--wire", cmd_figures),
     ("coordinate",
-        "--workers --attach --fidelity --scenario --archive --chaos --chunks --timeout-ms",
+        "--workers --attach --fidelity --scenario --archive --chaos --timeout-ms",
         "", cmd_coordinate),
     ("worker", "--listen --fidelity --scenario --archive --chaos", "", cmd_worker),
     ("chaosproxy", "--listen --upstream --chaos", "--udp", cmd_chaosproxy),
@@ -147,8 +147,7 @@ USAGE:
       not run is an error naming it.
   lockdown coordinate (--workers N | --attach ADDR,ADDR,...)
                       [--fidelity test|standard] [--scenario FILE]
-                      [--archive DIR] [--chaos SPEC]
-                      [--chunks N] [--timeout-ms MS]
+                      [--archive DIR] [--chaos SPEC] [--timeout-ms MS]
       Run the full figure suite sharded across worker processes and
       merge their streamed consumer state: stdout is byte-identical to
       'lockdown figures' under the same seed/scenario, whatever the
@@ -165,8 +164,8 @@ USAGE:
       kills and heartbeat stalls, decided per (range, attempt) so the
       schedule survives reassignment. A dead worker's range is retried
       on a live worker; a range that outlives the attempt budget is
-      quarantined and the suite completes degraded (exit 3). --chunks
-      sets work-queue ranges per worker (default 4); --timeout-ms the
+      quarantined and the suite completes degraded (exit 3). The plan is
+      split into 4 work-queue ranges per worker; --timeout-ms sets the
       heartbeat timeout (default 2000).
   lockdown worker [--listen HOST:PORT] [--fidelity test|standard]
                   [--scenario FILE] [--archive DIR] [--chaos SPEC]
@@ -501,24 +500,16 @@ fn cmd_figures(rest: &[String], names: &[&String]) -> Result<ExitCode, String> {
 /// stderr, and a degraded pass exits 3 like any other.
 fn cmd_coordinate(rest: &[String], _: &[&String]) -> Result<ExitCode, String> {
     let ctx = parse_context(rest)?;
-    let mut opts = CoordOptions::default();
-    opts.suite = suite::ShardSuiteOptions {
-        archive: flag(rest, "--archive").map(|d| Path::new(&d).to_path_buf()),
-        chaos: parse_chaos(rest, "coordinate")?.unwrap_or_default(),
+    let mut opts = CoordOptions {
+        suite: suite::ShardSuiteOptions {
+            archive: flag(rest, "--archive").map(|d| Path::new(&d).to_path_buf()),
+            chaos: parse_chaos(rest, "coordinate")?.unwrap_or_default(),
+        },
+        ..CoordOptions::default()
     };
-    opts.chunks_per_worker = parse_count(rest, "--chunks", opts.chunks_per_worker)?;
-    if let Some(ms) = flag(rest, "--timeout-ms") {
-        let ms: u64 = ms
-            .parse()
-            .map_err(|_| format!("bad --timeout-ms: {ms}"))
-            .and_then(|n: u64| {
-                if n > 0 {
-                    Ok(n)
-                } else {
-                    Err("bad --timeout-ms: 0".to_string())
-                }
-            })?;
-        opts.heartbeat_timeout = Duration::from_millis(ms);
+    if flag(rest, "--timeout-ms").is_some() {
+        let ms = parse_count(rest, "--timeout-ms", 0)?;
+        opts.heartbeat_timeout = Duration::from_millis(ms as u64);
     }
     let links = match (flag(rest, "--workers"), flag(rest, "--attach")) {
         (Some(_), Some(_)) => {

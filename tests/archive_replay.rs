@@ -10,8 +10,8 @@ use lockdown::core::engine::{self, EnginePlan};
 use lockdown::core::{Context, Fidelity};
 use lockdown::store::segment::{decode_segment, encode_segment};
 use lockdown::store::{
-    ArchiveReader, ArchiveWriter, SegmentMeta, StoreError, StoreKey, StoreMetrics, MANIFEST_NAME,
-    MANIFEST_VERSION, PACKS_DIR,
+    ArchiveReader, ArchiveWriter, SegmentMeta, StoreError, StoreKey, StoreMetrics, JOURNAL_NAME,
+    MANIFEST_NAME, MANIFEST_VERSION, PACKS_DIR,
 };
 use lockdown_analysis::codec::{CodecError, ConsumerTag, StateReader};
 use lockdown_analysis::consumer::FlowConsumer;
@@ -476,6 +476,54 @@ fn truncated_pack_regenerates_only_the_cells_past_the_cut() {
     assert_eq!(out.supervisor_metrics().replay_corruptions.get(), past);
     let (plain, _, _) = pass(&ctx, vp, d1, d2, None, false, 2);
     assert_eq!(out.take(d).sorted(), plain);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A resumed pass reads its adopted segments the way a warm pass reads a
+/// manifest's. A journal left by a kill, over a pack whose tail never hit
+/// the disk and one flipped byte inside what did: the entries past the
+/// cut are refused at adoption and simply generated, no corruption; the
+/// flipped segment fails its checks on the day-pack read and is
+/// regenerated, counted like any replayed segment; the rest resume.
+#[test]
+fn resumed_segments_replay_through_the_day_pack_read() {
+    let ctx = Context::with_seed(Fidelity::Test, 67);
+    let dir = tmp_dir("resumed");
+    let (d1, d2) = (Date::new(2020, 3, 30), Date::new(2020, 3, 31));
+    let vp = VantagePoint::IxpUs;
+    let (cold, _, _) = pass(&ctx, vp, d1, d2, Some(&dir), false, 2);
+
+    let metas = manifest(&dir);
+    std::fs::rename(dir.join(MANIFEST_NAME), dir.join(JOURNAL_NAME)).expect("fake the kill");
+    let pack = metas[0].pack_name();
+    let path = dir.join(PACKS_DIR).join(&pack);
+    let mut bytes = std::fs::read(&path).expect("read pack");
+    let cut = bytes.len() as u64 * 3 / 4;
+    let past = metas
+        .iter()
+        .filter(|m| m.pack_name() == pack && m.offset + m.len > cut)
+        .count() as u64;
+    assert!(0 < past && past < 24, "{past} cells past the cut");
+    let victim = metas[0];
+    bytes[(victim.offset + victim.len / 2) as usize] ^= 0x01;
+    bytes.truncate(cut as usize);
+    std::fs::write(&path, &bytes).expect("rewrite pack");
+
+    let mut plan = EnginePlan::new();
+    plan.with_archive(&dir);
+    let d = plan.subscribe(Stream::Vantage(vp), d1, d2, || SortedFlows {
+        flows: Vec::new(),
+    });
+    let mut out = engine::run_with_workers(&ctx, plan, 2).expect("a resumed pass");
+    let stats = out.stats();
+    assert_eq!(stats.cells_generated, past + 1);
+    assert_eq!(stats.cells_resumed, 2 * 24 - past - 1);
+    assert_eq!(stats.cells_replayed, stats.cells_resumed);
+    assert_eq!(out.supervisor_metrics().replay_corruptions.get(), 1);
+    let store = out.store_metrics().expect("archived pass");
+    assert_eq!(store.resume_rejected.get(), past);
+    assert_eq!(store.segments_resumed.get(), 2 * 24 - past);
+    assert_eq!(out.take(d).sorted(), cold);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -27,7 +27,7 @@ use lockdown::core::serve::{figure_names, render_figure};
 use lockdown::core::{run_matrix, Context, Fidelity, MatrixOptions, MatrixScenario};
 use lockdown::query::QueryEngine;
 use lockdown::scenario::measures::ScenarioSpec;
-use lockdown::shard::coord::{chunk_ranges, CoordOptions, Coordinated};
+use lockdown::shard::coord::{chunk_ranges, CoordOptions, Coordinated, CHUNKS_PER_WORKER};
 use lockdown::shard::worker::WorkerExit;
 use lockdown::store::{
     ArchiveReader, SegmentMeta, StoreMetrics, JOURNAL_NAME, MANIFEST_NAME, PACKS_DIR,
@@ -418,7 +418,7 @@ fn coordinate_worker_kill(_: &Path) -> Option<Vec<String>> {
     let workers = 3;
     let mut opts = CoordOptions::default();
     let cells = suite_shard_cell_count(&ctx(), &opts.suite);
-    opts.suite.chaos = seed_with_survivable_kills(cells, workers, opts.chunks_per_worker);
+    opts.suite.chaos = seed_with_survivable_kills(cells, workers, CHUNKS_PER_WORKER);
     let (out, exits) = coordinate("shard/kill", opts, workers, |_| None);
     assert!(
         exits.contains(&WorkerExit::ChaosKilled),

@@ -25,7 +25,7 @@ use lockdown::base::fault::{
 use lockdown::core::experiments::suite::{suite_shard_cell_count, ShardSuiteOptions};
 use lockdown::core::serve::figure_names;
 use lockdown::query::{http::Response, QueryMetrics, Server};
-use lockdown::shard::coord::{chunk_ranges, CoordOptions};
+use lockdown::shard::coord::{chunk_ranges, CoordOptions, CHUNKS_PER_WORKER};
 use lockdown::shard::worker::WorkerExit;
 use lockdown::wirechaos::{TcpProxy, UdpProxy};
 use std::io::{Read, Write};
@@ -57,8 +57,7 @@ fn a_fully_dead_range_degrades_instead_of_aborting() {
     let base = ShardSuiteOptions::default();
     let cells = suite_shard_cell_count(&ctx(), &base);
     let workers = 3;
-    let cpw = CoordOptions::default().chunks_per_worker;
-    let ranges = chunk_ranges(cells, workers, cpw);
+    let ranges = chunk_ranges(cells, workers, CHUNKS_PER_WORKER);
 
     // attempts=1: a range whose only replica dies has exhausted its
     // budget — quarantined, not retried. Find a seed that kills exactly
