@@ -25,7 +25,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::Mutex;
 
 /// A records/bytes/packets triple — the three units volume accounting
 /// happens in.
@@ -449,35 +448,39 @@ impl Report {
     }
 }
 
-/// Thread-safe ledger: one [`CellLedger`] per engine cell, posted to from
-/// any worker, audited once at the end of the run.
+/// One `CellLedger` per engine cell, owned by whoever ran the cells: an
+/// engine link carries its ledger in its column, and the pass unions the
+/// links' ledgers and audits the result once.
 #[derive(Debug, Default)]
-pub(crate) struct Ledger {
-    cells: Mutex<BTreeMap<CellKey, CellLedger>>,
+pub struct Ledger {
+    cells: BTreeMap<CellKey, CellLedger>,
 }
 
 impl Ledger {
-    /// An empty ledger.
-    pub(crate) fn new() -> Ledger {
-        Ledger::default()
+    /// One cell's entry, for a stage to post to.
+    pub(crate) fn entry(&mut self, key: CellKey) -> &mut CellLedger {
+        self.cells.entry(key).or_default()
     }
 
-    /// Post to one cell's ledger. Each engine cell is processed by exactly
-    /// one worker, so the closure never races with another writer of the
-    /// same cell; the mutex only serializes map access.
-    pub(crate) fn record<F: FnOnce(&mut CellLedger)>(&self, key: CellKey, f: F) {
-        let mut cells = self.cells.lock().expect("audit ledger poisoned");
-        f(cells.entry(key).or_default());
+    /// Mark a cell quarantined: it exhausted its attempt budget and never
+    /// delivered, so the auditor holds it only to "nothing consumed".
+    pub fn quarantine(&mut self, key: CellKey) {
+        self.entry(key).quarantined = true;
+    }
+
+    /// Union another ledger into this one. Each engine cell runs on
+    /// exactly one link, so the two ledgers' cells are disjoint.
+    pub fn absorb(&mut self, mut other: Ledger) {
+        self.cells.append(&mut other.cells);
     }
 
     /// Audit every cell and build the [`Report`].
-    pub(crate) fn report(&self) -> Report {
-        let cells = self.cells.lock().expect("audit ledger poisoned");
+    pub fn report(&self) -> Report {
         let mut report = Report {
-            cells: cells.len() as u64,
+            cells: self.cells.len() as u64,
             ..Report::default()
         };
-        for (&key, cell) in cells.iter() {
+        for (&key, cell) in &self.cells {
             report.violations.extend(cell.violations(key));
             let t = &mut report.totals;
             t.generated.add(cell.generated);
@@ -614,14 +617,13 @@ mod tests {
 
     #[test]
     fn report_aggregates_and_renders() {
-        let ledger = Ledger::new();
-        ledger.record(key(), |c| *c = balanced());
+        let mut ledger = Ledger::default();
+        *ledger.entry(key()) = balanced();
         let mut k2 = key();
         k2.hour = 15;
-        ledger.record(k2, |c| {
-            *c = balanced();
-            c.accepted.bytes += 7; // bytes appeared from nowhere
-        });
+        let c = ledger.entry(k2);
+        *c = balanced();
+        c.accepted.bytes += 7; // bytes appeared from nowhere
         let report = ledger.report();
         assert_eq!(report.cells, 2);
         assert!(!report.is_clean());
@@ -650,13 +652,12 @@ mod tests {
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].identity, "quarantine-unconsumed");
 
-        let ledger = Ledger::new();
-        ledger.record(key(), |cl| {
-            *cl = balanced();
-            cl.accepted = Counts::default();
-            cl.consumed = Counts::default();
-            cl.quarantined = true;
-        });
+        let mut ledger = Ledger::default();
+        let cl = ledger.entry(key());
+        *cl = balanced();
+        cl.accepted = Counts::default();
+        cl.consumed = Counts::default();
+        cl.quarantined = true;
         let report = ledger.report();
         assert!(report.is_clean());
         assert_eq!(report.totals.quarantined_cells, 1);
@@ -698,11 +699,10 @@ mod tests {
         c.socket = false;
         assert!(c.violations(key()).is_empty());
 
-        let ledger = Ledger::new();
-        ledger.record(key(), |cl| {
-            *cl = balanced();
-            cl.socket = true;
-        });
+        let mut ledger = Ledger::default();
+        let cl = ledger.entry(key());
+        *cl = balanced();
+        cl.socket = true;
         let report = ledger.report();
         assert_eq!(report.totals.socket_cells, 1);
         assert!(report.render().contains("socket edge: 1 cells"));
@@ -710,8 +710,8 @@ mod tests {
 
     #[test]
     fn clean_report_says_so() {
-        let ledger = Ledger::new();
-        ledger.record(key(), |c| *c = balanced());
+        let mut ledger = Ledger::default();
+        *ledger.entry(key()) = balanced();
         let report = ledger.report();
         assert!(report.is_clean());
         assert!(report.render().contains("all conservation identities hold"));

@@ -42,6 +42,7 @@ use lockdown_base::net::Stop;
 use lockdown_flow::prelude::*;
 use lockdown_traffic::plan::Cell;
 
+use crate::audit::{Counts, Ledger};
 use crate::metrics::CollectMetrics;
 use crate::queue::BoundedQueue;
 use crate::shard::{CollectorShard, ShardSet};
@@ -529,15 +530,24 @@ impl Plane<Sockets> {
             daemon: Collectd::bind(&dcfg, Arc::clone(&metrics))?,
             sender: SendSocket::open()?,
         };
-        Ok(Plane::over(cfg, metrics, transit))
+        Ok(Plane {
+            cfg,
+            metrics,
+            transit,
+        })
     }
 
-    /// Push one engine cell's flows through real UDP sockets and return
-    /// what the collector shards accepted (possibly renormalized under
-    /// loss). The export and collect stages are the ones
-    /// [`crate::CollectionPlane::process_cell`] runs; only the transit
+    /// Push one engine cell's flows through real UDP sockets, post its
+    /// whole entry in `ledger` and return what the collector shards
+    /// accepted. The export and collect stages are the ones
+    /// [`crate::CollectionPlane::process_audited`] runs; only the transit
     /// between them differs.
-    pub fn process_cell(&mut self, cell: Cell, flows: &[FlowRecord]) -> Vec<FlowRecord> {
+    pub fn process_audited(
+        &mut self,
+        cell: Cell,
+        flows: &[FlowRecord],
+        ledger: &mut Ledger,
+    ) -> Vec<FlowRecord> {
         let format = self.cfg.format;
         let (datagrams, exported) = self.export(&cell, flows);
 
@@ -545,7 +555,7 @@ impl Plane<Sockets> {
         // Diffed against the workers' received log after the drain, this
         // yields the exact per-datagram drop ground truth the loopback
         // transport reports natively.
-        let mut manifest: HashMap<(u32, u32, u32), crate::audit::Counts> =
+        let mut manifest: HashMap<(u32, u32, u32), Counts> =
             HashMap::with_capacity(datagrams.len());
         for dg in &datagrams {
             if format == ExportFormat::NetflowV5 {
@@ -558,7 +568,7 @@ impl Plane<Sockets> {
             let seq = peek(format, &dg.bytes).map_or(0, |p| p.sequence);
             let prior = manifest.insert(
                 (dg.domain, seq, dg.bytes.len() as u32),
-                crate::audit::Counts {
+                Counts {
                     records: u64::from(dg.records),
                     bytes: dg.flow_bytes,
                     packets: dg.flow_packets,
@@ -615,12 +625,12 @@ impl Plane<Sockets> {
                 delivered += 1;
             }
         }
-        let mut dropped = crate::audit::Counts::default();
+        let mut dropped = Counts::default();
         for counts in manifest.values() {
             dropped.add(*counts);
         }
         let dropped_datagrams = manifest.len() as u64;
-        self.collect(&cell, flows, exported, cycle.shards, |c| {
+        self.collect(&cell, flows, exported, cycle.shards, ledger, |c| {
             c.delivered_datagrams += delivered;
             c.dropped_datagrams += dropped_datagrams;
             c.dropped.add(dropped);

@@ -40,6 +40,7 @@ use lockdown_base::hash::fold;
 use lockdown_flow::prelude::*;
 use lockdown_traffic::plan::Cell;
 
+use audit::Ledger;
 pub use daemon::{Collectd, CollectdConfig, Cycle, SocketPlane};
 pub use export::ExportConfig;
 pub use fleet::{DomainTruth, ExporterFleet, FleetConfig, WireDatagram};
@@ -135,14 +136,30 @@ pub struct Loopback;
 pub type CollectionPlane = Plane<Loopback>;
 
 impl Plane<Loopback> {
-    /// A plane with a fresh metrics registry and conservation ledger.
+    /// A plane with a fresh metrics registry.
     pub fn new(cfg: WireConfig) -> CollectionPlane {
-        Plane::over(cfg, CollectMetrics::new(), Loopback)
+        Plane {
+            cfg,
+            metrics: CollectMetrics::new(),
+            transit: Loopback,
+        }
     }
 
-    /// Push one engine cell's flows through the wire and return what the
-    /// collector shards accepted (possibly renormalized under loss).
+    /// [`CollectionPlane::process_audited`] into a scratch ledger: the
+    /// unaudited form, which the benchmark harness times.
     pub fn process_cell(&self, cell: Cell, flows: &[FlowRecord]) -> Vec<FlowRecord> {
+        self.process_audited(cell, flows, &mut Ledger::default())
+    }
+
+    /// Push one engine cell's flows through the wire, post its whole entry
+    /// in `ledger` and return what the collector shards accepted (possibly
+    /// renormalized under loss), which the entry holds as `consumed`.
+    pub fn process_audited(
+        &self,
+        cell: Cell,
+        flows: &[FlowRecord],
+        ledger: &mut Ledger,
+    ) -> Vec<FlowRecord> {
         let cfg = &self.cfg;
         let (datagrams, exported) = self.export(&cell, flows);
 
@@ -166,7 +183,7 @@ impl Plane<Loopback> {
         for dg in &delivered {
             shards.ingest(dg);
         }
-        self.collect(&cell, flows, exported, shards, |c| {
+        self.collect(&cell, flows, exported, shards, ledger, |c| {
             c.delivered_datagrams += tr.delivered;
             c.dropped_datagrams += tr.dropped_datagrams;
             c.dropped.add(crate::audit::Counts {

@@ -113,11 +113,6 @@ lockdown_base::metrics_family! {
             "engine_flows_delivered_total",
             "Records delivered back to the engine"
         ),
-        /// — the chaos surface; the supervisor retries the cell.
-        exporter_stalls: counter(
-            "exporter_stalls_total",
-            "Injected exporter stall timeouts (attempt abandoned and retried)"
-        ),
         audit_cells: gauge("audit_cells", "Cells covered by the conservation audit"),
         audit_violations: gauge(
             "audit_violations",

@@ -8,7 +8,7 @@
 //! decomposed exactly into kernel, queue and truncation drops. The flows
 //! themselves are synthetic — the soak measures the wire plane, not the
 //! traffic model — but they ride the exact production path:
-//! [`SocketPlane::process_cell`] with the audit ledger threaded through.
+//! [`SocketPlane::process_audited`] with the audit ledger threaded through.
 
 use std::io;
 use std::net::Ipv4Addr;
@@ -21,6 +21,7 @@ use lockdown_flow::time::Date;
 use lockdown_topology::vantage::VantagePoint;
 use lockdown_traffic::plan::{Cell, Stream};
 
+use crate::audit::Ledger;
 use crate::daemon::{CollectdConfig, SocketPlane};
 use crate::WireConfig;
 
@@ -174,6 +175,17 @@ pub(crate) fn soak_flows(n: usize, hour: u8) -> Vec<FlowRecord> {
         .collect()
 }
 
+/// Soak cell `c`: the `c`-th hour before the flows' hour (12, 2020-03-25),
+/// so each has its own ledger entry and its exporters boot before the flows end.
+fn soak_cell(c: usize) -> Cell {
+    let hours = 12 - c as i64;
+    Cell {
+        stream: Stream::Vantage(VantagePoint::IxpCe),
+        date: Date::new(2020, 3, 25).add_days(hours.div_euclid(24)),
+        hour: hours.rem_euclid(24) as u8,
+    }
+}
+
 /// Run a soak. Flow generation happens before the clock starts; the
 /// timed region is the full wire path per cell.
 pub fn run(cfg: &SoakConfig) -> io::Result<SoakOutcome> {
@@ -192,28 +204,21 @@ pub fn run(cfg: &SoakConfig) -> io::Result<SoakOutcome> {
     let mut plane = SocketPlane::new(wire, dcfg)?;
     let flows = soak_flows(cfg.records_per_cell, 12);
 
-    let mut delivered = 0u64;
+    let mut ledger = Ledger::default();
     let t0 = Instant::now();
     for c in 0..cfg.cells {
-        let cell = Cell {
-            stream: Stream::Vantage(VantagePoint::IxpCe),
-            date: Date::new(2020, 3, 25),
-            hour: (c % 24) as u8,
-        };
-        let out = plane.process_cell(cell, &flows);
-        delivered += out.len() as u64;
-        plane.note_consumed(&cell, &out);
+        plane.process_audited(soak_cell(c), &flows, &mut ledger);
     }
     let secs = t0.elapsed().as_secs_f64();
 
-    let audit = plane.audit_report();
+    let audit = ledger.report();
     let m = plane.metrics();
     Ok(SoakOutcome {
         format: cfg.format,
         cells: cfg.cells,
         records_sent: m.exporter_records.get(),
         datagrams_sent: m.exporter_datagrams.get(),
-        records_delivered: delivered,
+        records_delivered: audit.totals.consumed.records,
         records_lost_est: m.collector_records_lost_est.get(),
         kernel_dropped: m.socket_datagrams_kernel_dropped.get(),
         queue_dropped: m.queue_datagrams_dropped.get(),
@@ -245,6 +250,25 @@ mod tests {
         let json = out.render_json();
         assert!(json.contains("\"audit_clean\": true"));
         assert!(json.contains("\"records_sent\": 40000"));
+    }
+
+    #[test]
+    fn every_soak_cell_is_its_own_ledger_cell() {
+        let cells: std::collections::BTreeSet<_> = (0..48)
+            .map(|c| (soak_cell(c).date, soak_cell(c).hour))
+            .collect();
+        assert_eq!(cells.len(), 48);
+    }
+
+    /// Uptime-relative formats refuse an export before boot: a day of
+    /// soak cells must keep every exporter booted before the flows end.
+    #[test]
+    fn a_day_of_v5_soak_cells_closes_clean() {
+        let mut cfg = SoakConfig::new();
+        cfg.format = ExportFormat::NetflowV5;
+        cfg.cells = 25;
+        cfg.records_per_cell = 300;
+        assert!(run(&cfg).expect("soak binds on localhost").audit_clean);
     }
 
     /// With a generously tuned `SO_RCVBUF` the flow-controlled soak must

@@ -1,8 +1,9 @@
 //! The one stage pipeline both wire planes run.
 //!
 //! A [`Plane`] pushes every cell through the same export stage and the
-//! same collect stage and keeps the same books: metrics and the
-//! conservation ledger. The two planes differ only in the
+//! same collect stage and posts the same metrics. It keeps no ledger:
+//! the audited call posts each cell's whole entry, `consumed` included,
+//! into the caller's [`Ledger`]. The two planes differ only in the
 //! transit `T` between the stages: [`crate::Loopback`] (the seeded
 //! in-process [`crate::Transport`]) or [`crate::daemon::Sockets`] (real UDP
 //! plus a manifest diff), which also posts its own part of the cell's
@@ -13,7 +14,7 @@ use std::sync::Arc;
 use lockdown_flow::prelude::*;
 use lockdown_traffic::plan::Cell;
 
-use crate::audit::{CellLedger, Counts, Ledger, Report};
+use crate::audit::{CellKey, CellLedger, Counts, Ledger};
 use crate::fleet::{ExporterFleet, FleetTruth, WireDatagram};
 use crate::metrics::CollectMetrics;
 use crate::shard::{SequenceUnits, ShardSet};
@@ -22,14 +23,14 @@ use crate::WireConfig;
 /// The export → transit → collect path for engine cells.
 ///
 /// With `T = Loopback` the plane is `Sync`: per-cell state (fleet,
-/// transport, shards) is built inside `process_cell` from the cell's
-/// deterministic seed, and the shared metrics are atomic, so engine
-/// workers can process disjoint cells concurrently without coordination.
+/// transport, shards) is built inside `process_audited` from the cell's
+/// deterministic seed, the shared metrics are atomic, and each caller
+/// brings its own ledger, so engine workers can process disjoint cells
+/// concurrently without coordination.
 #[derive(Debug)]
 pub struct Plane<T> {
     pub(crate) cfg: WireConfig,
     pub(crate) metrics: Arc<CollectMetrics>,
-    ledger: Ledger,
     pub(crate) transit: T,
 }
 
@@ -43,11 +44,13 @@ pub(crate) struct Exported {
 }
 
 /// The audit key of one engine cell.
-fn cell_key(cell: &Cell) -> crate::audit::CellKey {
-    crate::audit::CellKey {
-        wire_id: cell.stream.wire_id(),
-        day_number: cell.date.day_number(),
-        hour: cell.hour,
+impl From<&Cell> for CellKey {
+    fn from(cell: &Cell) -> CellKey {
+        CellKey {
+            wire_id: cell.stream.wire_id(),
+            day_number: cell.date.day_number(),
+            hour: cell.hour,
+        }
     }
 }
 
@@ -61,55 +64,9 @@ fn volume(records: &[FlowRecord]) -> Counts {
 }
 
 impl<T> Plane<T> {
-    /// A plane over `transit` posting to `metrics` and to a fresh
-    /// conservation ledger.
-    pub(crate) fn over(cfg: WireConfig, metrics: Arc<CollectMetrics>, transit: T) -> Plane<T> {
-        Plane {
-            cfg,
-            metrics,
-            ledger: Ledger::new(),
-            transit,
-        }
-    }
-
     /// Shared handle to the plane's metrics.
     pub fn metrics(&self) -> Arc<CollectMetrics> {
         Arc::clone(&self.metrics)
-    }
-
-    /// Post what the analysis layer actually consumed for one cell. Called
-    /// by the engine after `process_cell`, closing the last link of the
-    /// conservation chain.
-    pub fn note_consumed(&self, cell: &Cell, records: &[FlowRecord]) {
-        let consumed = volume(records);
-        self.ledger
-            .record(cell_key(cell), |c| c.consumed.add(consumed));
-    }
-
-    /// Record one injected exporter stall: the fleet timed out before
-    /// delivering, so the attempt is abandoned and the supervisor
-    /// retries. Only the stall counter moves — conservation stages are
-    /// posted by the (later, successful) attempt.
-    pub fn note_stalled(&self) {
-        self.metrics.exporter_stalls.inc();
-    }
-
-    /// Mark one cell quarantined in the conservation ledger: it exhausted
-    /// its attempt budget and never delivered, so the auditor must not
-    /// hold it to the usual conservation identities.
-    pub fn note_quarantined(&self, cell: &Cell) {
-        self.ledger.record(cell_key(cell), |c| c.quarantined = true);
-    }
-
-    /// Audit every cell ledger and return the report. Also mirrors the
-    /// outcome into the `audit_*` metrics.
-    pub fn audit_report(&self) -> Report {
-        let report = self.ledger.report();
-        self.metrics.audit_cells.set_max(report.cells);
-        self.metrics
-            .audit_violations
-            .set_max(report.violations.len() as u64);
-        report
     }
 
     /// Export stage: encode one cell's flows through a fresh exporter
@@ -157,16 +114,17 @@ impl<T> Plane<T> {
     }
 
     /// Collect stage: close the shards' sessions against the export
-    /// truth, post the `collector_*` family and the cell's ledger entry,
-    /// in which `transit` posts what became of the
-    /// datagrams in between. Returns what the shards accepted (possibly
-    /// renormalized under loss).
+    /// truth, post the `collector_*` family and the cell's whole entry in
+    /// `ledger`, in which `transit` posts what became of the datagrams in
+    /// between and `consumed` is what this returns: the records the
+    /// shards accepted (possibly renormalized under loss).
     pub(crate) fn collect(
         &self,
         cell: &Cell,
         flows: &[FlowRecord],
         exported: Exported,
         mut shards: ShardSet,
+        ledger: &mut Ledger,
         transit: impl FnOnce(&mut CellLedger),
     ) -> Vec<FlowRecord> {
         let truth = &exported.truth;
@@ -187,34 +145,31 @@ impl<T> Plane<T> {
         m.collector_shards.set_max(self.cfg.shards as u64);
         m.engine_flows_delivered.add(records.len() as u64);
 
-        let generated = volume(flows);
-        let units_exact = SequenceUnits::for_format(self.cfg.format) != SequenceUnits::Packets;
-        let sampling = self.cfg.sampling.is_some_and(|r| r > 1);
-        self.ledger.record(cell_key(cell), |c| {
-            c.generated.add(generated);
-            c.sampled_out += truth.sampled_out;
-            c.exported.add(exported.volume);
-            c.export_units += exported.sequence_units;
-            c.offered_datagrams += exported.datagrams;
-            transit(c);
-            c.accepted.add(Counts {
-                records: t.records_accepted,
-                bytes: t.bytes_accepted,
-                packets: t.packets_accepted,
-            });
-            c.rejected_duplicate += t.records_duplicate;
-            c.rejected_anomalous += t.records_anomalous;
-            c.rejected_malformed += t.records_malformed;
-            c.undecoded += t.records_undecoded;
-            c.abandoned_records += t.records_abandoned;
-            c.abandoned_units += t.units_abandoned;
-            c.est_lost += t.records_lost_est;
-            c.renorm_bytes_added += t.renorm_bytes_added;
-            c.renorm_packets_added += t.renorm_packets_added;
-            c.renorm_clipped += t.renorm_clipped;
-            c.units_exact = units_exact;
-            c.sampling = sampling;
+        let c = ledger.entry(CellKey::from(cell));
+        c.generated.add(volume(flows));
+        c.sampled_out += truth.sampled_out;
+        c.exported.add(exported.volume);
+        c.export_units += exported.sequence_units;
+        c.offered_datagrams += exported.datagrams;
+        transit(c);
+        c.accepted.add(Counts {
+            records: t.records_accepted,
+            bytes: t.bytes_accepted,
+            packets: t.packets_accepted,
         });
+        c.rejected_duplicate += t.records_duplicate;
+        c.rejected_anomalous += t.records_anomalous;
+        c.rejected_malformed += t.records_malformed;
+        c.undecoded += t.records_undecoded;
+        c.abandoned_records += t.records_abandoned;
+        c.abandoned_units += t.units_abandoned;
+        c.est_lost += t.records_lost_est;
+        c.renorm_bytes_added += t.renorm_bytes_added;
+        c.renorm_packets_added += t.renorm_packets_added;
+        c.renorm_clipped += t.renorm_clipped;
+        c.consumed.add(volume(&records));
+        c.units_exact = SequenceUnits::for_format(self.cfg.format) != SequenceUnits::Packets;
+        c.sampling = self.cfg.sampling.is_some_and(|r| r > 1);
         records
     }
 }

@@ -31,8 +31,8 @@
 //! A cell has one way in and one way out. In: a cell the pass's archive
 //! reader names (a warm pass's manifest, or what a resuming pass adopted)
 //! is decoded from its claim's day-pack read; any other is generated.
-//! Out: its flows and its fate (retries, quarantine) go into the link's
-//! column, so a pass's end reads every cell's fate from the merged column.
+//! Out: its flows, its fate (retries, quarantine) and its wire audit go
+//! into the link's column, so a pass's end reads them from the merged one.
 //!
 //! Which link ends up with which cells differs from run to run, and the
 //! output does not: cells are independently seeded, so a cell's flows are
@@ -51,6 +51,7 @@ use crate::supervisor::{
 use lockdown_analysis::codec::{encode_frame, merge_frame};
 use lockdown_analysis::consumer::FlowConsumer;
 use lockdown_base::fault::{FaultProfile, WriteFault};
+use lockdown_collect::audit::{CellKey, Ledger};
 use lockdown_collect::{CollectMetrics, CollectionPlane, WireConfig};
 use lockdown_flow::record::{hour_runs, FlowRecord};
 use lockdown_flow::time::Date;
@@ -451,6 +452,7 @@ impl Column {
         counts.retries += partial.retries;
         counts.segments.extend(partial.segments);
         counts.quarantined.extend(partial.quarantined);
+        counts.ledger.absorb(partial.ledger);
         Ok(())
     }
 }
@@ -553,10 +555,9 @@ impl CellRunner<'_> {
             }
             false
         };
-        if let Some(pl) = self.plane.filter(|_| chaos.stall) {
+        if chaos.stall && self.plane.is_some() {
             // The exporter fleet timed out before delivering anything:
             // the attempt is abandoned before any conservation post.
-            pl.note_stalled();
             sup.metrics().stalls.inc();
             return Err(AttemptError::Stall);
         }
@@ -601,13 +602,9 @@ impl CellRunner<'_> {
             last_error = err.render();
         }
         // Budget exhausted: quarantine. The archive must not claim the
-        // cell, and the auditor records the outcome as a first-class
-        // conservation stage instead of a violation.
+        // cell, and `Pass::conclude` marks it in the audit ledger.
         if let Some(w) = self.writer {
             w.remove(cell);
-        }
-        if let Some(pl) = self.plane {
-            pl.note_quarantined(&cell);
         }
         counts.quarantined.push(QuarantinedCell {
             cell,
@@ -617,9 +614,9 @@ impl CellRunner<'_> {
         None
     }
 
-    /// Run one cell end to end: fill, wire processing, conservation
-    /// posts, and fan-out into `column`. Quarantined cells skip
-    /// everything downstream.
+    /// Run one cell end to end: fill, wire processing (its ledger entry
+    /// goes into `column`), and fan-out into `column`. Quarantined cells
+    /// skip everything downstream.
     fn process(&self, cell: Cell, slot: Slot<'_>, buf: &mut Vec<FlowRecord>, column: &mut Column) {
         let counts = &mut column.counts;
         let Some(replayed) = self.fill(cell, slot, buf, counts) else {
@@ -633,14 +630,11 @@ impl CellRunner<'_> {
         let wired;
         let batch: &[FlowRecord] = match self.plane {
             Some(pl) => {
-                wired = pl.process_cell(cell, buf);
+                wired = pl.process_audited(cell, buf, &mut counts.ledger);
                 &wired
             }
             None => buf,
         };
-        if let Some(pl) = self.plane {
-            pl.note_consumed(&cell, batch);
-        }
         fan_out(self.subs, &mut column.consumers, cell, batch);
     }
 }
@@ -1083,6 +1077,19 @@ impl Pass {
             .set_max(quarantined.len() as u64);
         supervisor_metrics.resumed_cells.set_max(counts.resumed);
         supervisor_metrics.retries.add(counts.retries);
+        // Every quarantined cell, a supervisor's or a lost claim's, is
+        // marked once, from the one sorted list, and the pass audited.
+        let audit = self.plane.as_ref().map(|pl| {
+            let mut ledger = counts.ledger;
+            for q in &quarantined {
+                ledger.quarantine(CellKey::from(&q.cell));
+            }
+            let report = ledger.report();
+            let m = pl.metrics();
+            m.audit_cells.set_max(report.cells);
+            m.audit_violations.set_max(report.violations.len() as u64);
+            report
+        });
         let stats = EngineStats {
             demands: consumers.len(),
             cells_demanded: self.cells_demanded,
@@ -1119,7 +1126,7 @@ impl Pass {
         Ok(EngineOutput {
             stats,
             consumers: consumers.into_iter().map(Some).collect(),
-            audit: self.plane.as_ref().map(|p| p.audit_report()),
+            audit,
             wire_metrics: self.plane.map(|p| p.metrics()),
             store_metrics: self.store_metrics,
             supervisor_metrics,
@@ -1226,8 +1233,8 @@ pub(crate) fn run_fetched(
 
 /// A closed partial of a pass: a link's serialized consumer states, cell
 /// accounting, the archive segment inventory it spilled, and its cells'
-/// fates (retries and quarantine) — what a worker process sends back for
-/// a claim, and the one ledger of a thread link's column.
+/// fates and audit — what a worker process sends back for a claim, and
+/// the one ledger of a thread link's column.
 #[derive(Debug, Default)]
 pub struct SliceOutcome {
     /// One encoded state frame per subscription, in subscription order
@@ -1249,6 +1256,10 @@ pub struct SliceOutcome {
     pub segments: Vec<SegmentMeta>,
     /// Cells the slice quarantined after exhausting their attempt budget.
     pub quarantined: Vec<QuarantinedCell>,
+    /// The wire plane's conservation entry of every cell the slice ran.
+    /// Wire mode does not cross a process link, so a worker's slice
+    /// leaves this empty and the shard protocol does not carry it.
+    pub ledger: Ledger,
 }
 
 #[cfg(test)]

@@ -215,6 +215,7 @@ fn sample_outcome() -> SliceOutcome {
             attempts: 3,
             error: "worker died (heartbeat timeout)".into(),
         }],
+        ..SliceOutcome::default()
     }
 }
 

@@ -173,11 +173,22 @@ if grep -rnF --include='*.rs' 'read_adopted' crates src tests examples lockbench
     echo "said-once: a resumed cell has its own read path again (read it through read_run)" >&2
     exit 1
 fi
-# One way out: a cell's retries and quarantine travel in its link's
-# column, so the supervisor is immutable once built. A lock in it, outside
-# its tests, is a second ledger of a cell's fate again.
-if sed '/^#\[cfg(test)\]/,$d' crates/core/src/supervisor.rs | grep -nF 'Mutex' >&2; then
-    echo "said-once: crates/core/src/supervisor.rs holds a lock (a cell's fate goes in its column)" >&2
+# One way out: a cell's retries, quarantine and wire audit travel in its
+# link's column, so neither the supervisor nor the wire plane keeps books
+# of its own. A lock in either, outside its tests, is a second ledger of a
+# cell's fate again.
+for f in crates/core/src/supervisor.rs crates/collect/src/audit.rs crates/collect/src/stages.rs; do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nF 'Mutex' >&2; then
+        echo "said-once: $f holds a lock (a cell's fate and audit go in its column)" >&2
+        exit 1
+    fi
+done
+# Docs at a budget: a CHANGES.md entry from PR 51 on keeps to 1,536 bytes.
+long=$(LC_ALL=C awk '/^PR [0-9]+:/ && $2 + 0 >= 51 && length($0) > 1536 {
+    print "CHANGES.md:" NR ": the PR " $2 + 0 " entry is " length($0) " bytes" }' CHANGES.md)
+if [[ -n "$long" ]]; then
+    echo "$long" >&2
+    echo "docs: a CHANGES.md entry is over its 1,536-byte cap" >&2
     exit 1
 fi
 # The default calibration is the shipped scenarios/covid-spring-2020.toml:

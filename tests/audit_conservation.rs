@@ -65,9 +65,9 @@ fn flows() -> &'static Vec<FlowRecord> {
 /// what came out the far end.
 fn run_audited(cfg: WireConfig) -> (Vec<FlowRecord>, audit::Report) {
     let plane = CollectionPlane::new(cfg);
-    let out = plane.process_cell(cell(), flows());
-    plane.note_consumed(&cell(), &out);
-    (out, plane.audit_report())
+    let mut ledger = audit::Ledger::default();
+    let out = plane.process_audited(cell(), flows(), &mut ledger);
+    (out, ledger.report())
 }
 
 #[test]

@@ -8,6 +8,7 @@ use std::net::Ipv4Addr;
 use std::time::{Duration, Instant};
 
 use lockdown::base::fault::{FaultProfile, Plane};
+use lockdown::collect::audit::Ledger;
 use lockdown::collect::daemon::{Collectd, CollectdConfig, SocketPlane};
 use lockdown::collect::{CollectMetrics, CollectionPlane, SendSocket, WireConfig};
 use lockdown::flow::exporter::ExportFormat;
@@ -66,19 +67,18 @@ fn zero_loss_socket_runs_are_byte_identical_to_loopback() {
             SocketPlane::new(cfg, CollectdConfig::new(format)).expect("daemon binds on localhost");
 
         // Two cells through the same daemon: cycle isolation must hold.
+        let (mut loop_ledger, mut ledger) = (Ledger::default(), Ledger::default());
         for hour in [14u8, 15] {
             let input = flows(700, hour);
-            let via_loopback = loopback.process_cell(cell(hour), &input);
-            let via_socket = socket.process_cell(cell(hour), &input);
+            let via_loopback = loopback.process_audited(cell(hour), &input, &mut loop_ledger);
+            let via_socket = socket.process_audited(cell(hour), &input, &mut ledger);
             assert_eq!(
                 via_loopback, via_socket,
                 "{format:?} hour {hour}: socket output must be byte-identical to loopback"
             );
-            loopback.note_consumed(&cell(hour), &via_loopback);
-            socket.note_consumed(&cell(hour), &via_socket);
         }
 
-        let audit = socket.audit_report();
+        let audit = ledger.report();
         assert!(
             audit.is_clean(),
             "{format:?} socket audit violated conservation:\n{}",
@@ -97,7 +97,7 @@ fn zero_loss_socket_runs_are_byte_identical_to_loopback() {
             m.exporter_datagrams.get(),
             "{format:?}: every exported datagram crossed the socket"
         );
-        let loop_audit = loopback.audit_report();
+        let loop_audit = loop_ledger.report();
         assert!(loop_audit.is_clean());
         assert_eq!(loop_audit.totals.socket_cells, 0);
     }
@@ -121,10 +121,10 @@ fn socket_plane_refuses_datagram_faults_and_honours_restarts() {
     let mut cfg = WireConfig::new();
     cfg.faults.restart_every = 3;
     let mut plane = SocketPlane::new(cfg, CollectdConfig::new(cfg.format)).expect("binds");
-    let out = plane.process_cell(cell(14), &flows(700, 14));
-    plane.note_consumed(&cell(14), &out);
+    let mut ledger = Ledger::default();
+    plane.process_audited(cell(14), &flows(700, 14), &mut ledger);
     assert!(plane.metrics().exporter_restarts.get() > 0);
-    assert!(plane.audit_report().is_clean());
+    assert!(ledger.report().is_clean());
 }
 
 #[test]
@@ -189,9 +189,9 @@ fn tiny_queue_run_closes_conservation_with_drops_decomposed() {
     let mut plane = SocketPlane::new(cfg, dcfg).expect("daemon binds on localhost");
 
     let input = flows(4_000, 14);
-    let out = plane.process_cell(cell(14), &input);
-    plane.note_consumed(&cell(14), &out);
-    let audit = plane.audit_report();
+    let mut ledger = Ledger::default();
+    let out = plane.process_audited(cell(14), &input, &mut ledger);
+    let audit = ledger.report();
     assert!(
         audit.is_clean(),
         "conservation must close even under backpressure:\n{}",

@@ -5,6 +5,7 @@
 //! is the `wire` row of `tests/equivalence.rs`.)
 
 use lockdown::analysis::timeseries::HourlyVolume;
+use lockdown::collect::audit::Report;
 use lockdown::collect::{FaultProfile, WireConfig};
 use lockdown::core::engine::{self, EnginePlan};
 use lockdown::core::{Context, Fidelity};
@@ -109,7 +110,7 @@ fn metrics_snapshot_covers_every_layer() {
 #[test]
 fn faulted_suite_audit_balances_across_workers() {
     // A full engine pass with faults, wrap-adjacent sequence counters, and
-    // multiple workers posting to the shared ledger concurrently: every
+    // multiple workers, each posting to its own column's ledger: every
     // per-cell conservation identity must still balance exactly.
     let mut cfg = WireConfig::new();
     cfg.faults = FaultProfile {
@@ -150,4 +151,51 @@ fn faulted_suite_audit_balances_across_workers() {
         "IPFIX loss estimate decomposes exactly into accounted causes"
     );
     let _ = out.take(h);
+}
+
+/// Supervisor chaos over a wire pass: stalled and panicking attempts are
+/// retried, and cells whose two attempts both fail are quarantined. Each
+/// link carries its cells' ledger entries in its column, and the pass's
+/// one audit reads the merged column.
+#[test]
+fn supervisor_chaos_audits_from_the_merged_column() {
+    let chaos = FaultProfile {
+        seed: 0x57A1,
+        stall: 0.2,
+        panic: 0.2,
+        attempts: 2,
+        backoff_base_ms: 0,
+        backoff_cap_ms: 0,
+        ..FaultProfile::zero()
+    };
+    let pass = |workers| -> Report {
+        let ctx = Context::with_seed(Fidelity::Test, 9);
+        let d1 = Date::new(2020, 3, 23);
+        let d2 = Date::new(2020, 3, 24);
+        let mut plan = EnginePlan::new();
+        plan.with_wire(WireConfig::new());
+        plan.with_chaos(chaos);
+        let h = plan.subscribe(
+            Stream::Vantage(VantagePoint::IxpCe),
+            d1,
+            d2,
+            HourlyVolume::new,
+        );
+        let mut out = engine::run_with_workers(&ctx, plan, workers).expect("pass succeeds");
+        let audit = out.audit().cloned().expect("every wire pass audits");
+        let stats = out.stats();
+        let quarantined = out.degraded().map_or(0, |d| d.quarantined.len() as u64);
+        assert!(stats.retries > 0, "workers={workers}: attempts must retry");
+        assert!(quarantined > 0, "workers={workers}: cells must quarantine");
+        assert_eq!(audit.totals.quarantined_cells, quarantined);
+        // A retried attempt posts nothing; a quarantined cell posts only
+        // its mark.
+        assert_eq!(audit.totals.generated.records, stats.flows_emitted);
+        assert_eq!(audit.cells, stats.cells_generated + stats.cells_quarantined);
+        let _ = out.take(h);
+        audit
+    };
+    let single = pass(1);
+    assert!(single.is_clean(), "{}", single.render());
+    assert_eq!(pass(4), single, "the audit is the same on 4 workers");
 }
