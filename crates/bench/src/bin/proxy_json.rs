@@ -101,7 +101,10 @@ fn coordinated_pass(fidelity: Fidelity, opts: &CoordOptions, n: usize, proxied: 
     let links = coord::attach_workers(&addrs).expect("attach");
     let out = coord::coordinate(&Context::new(fidelity), opts, links).expect("coordinate");
     let secs = t.elapsed().as_secs_f64();
-    assert!(!out.is_degraded(), "zero-chaos pass must be clean");
+    assert!(
+        out.suite.degraded.is_none(),
+        "zero-chaos pass must be clean"
+    );
     for h in handles {
         let _ = h.join();
     }

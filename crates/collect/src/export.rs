@@ -22,7 +22,7 @@ use std::net::SocketAddr;
 use lockdown_flow::exporter::ExportFormat;
 use lockdown_flow::time::Date;
 use lockdown_topology::vantage::VantagePoint;
-use lockdown_traffic::plan::{Cell, Stream};
+use lockdown_traffic::plan::Stream;
 
 use crate::fleet::ExporterFleet;
 use crate::soak::soak_flows;
@@ -97,14 +97,6 @@ pub fn run(cfg: &ExportConfig) -> io::Result<ExportSummary> {
         ));
     }
     let sender = SendSocket::open()?;
-    let flows = soak_flows(cfg.records_per_cell, 12);
-    let now = flows
-        .iter()
-        .map(|f| f.end)
-        .max()
-        .unwrap_or_else(|| Date::new(2020, 3, 25).at_hour(13))
-        .add_secs(1);
-
     let mut summary = ExportSummary {
         cells: cfg.cells,
         records_sent: 0,
@@ -121,17 +113,22 @@ pub fn run(cfg: &ExportConfig) -> io::Result<ExportSummary> {
         ..WireConfig::new()
     }
     .fleet_config();
+    // One fleet for the whole run, booted before the anchor: its
+    // sequences run on from cell to cell, as a router's do, so the
+    // daemon's trackers see one session per domain. Cell `c`'s flows lie
+    // in the `c`-th hour after the anchor.
+    let anchor = Date::new(2020, 3, 25).midnight();
+    let stream = Stream::Vantage(VantagePoint::IxpCe);
+    let mut fleet = ExporterFleet::new(fleet_cfg, stream.wire_id(), anchor);
     for c in 0..cfg.cells {
-        let cell = Cell {
-            stream: Stream::Vantage(VantagePoint::IxpCe),
-            date: Date::new(2020, 3, 25),
-            hour: (c % 24) as u8,
-        };
-        let mut fleet = ExporterFleet::new(
-            fleet_cfg,
-            cell.stream.wire_id(),
-            cell.date.at_hour(cell.hour),
-        );
+        let start = anchor.add_secs(c as u64 * 3_600);
+        let flows = soak_flows(cfg.records_per_cell, start);
+        let now = flows
+            .iter()
+            .map(|f| f.end)
+            .max()
+            .unwrap_or(start)
+            .add_secs(1);
         let (datagrams, truth) = fleet.export_cell(&flows, now);
         for dg in &datagrams {
             sender.send_to(

@@ -17,7 +17,7 @@ use std::time::Instant;
 use lockdown_flow::exporter::ExportFormat;
 use lockdown_flow::protocol::IpProtocol;
 use lockdown_flow::record::{FlowKey, FlowRecord};
-use lockdown_flow::time::Date;
+use lockdown_flow::time::{Date, Timestamp};
 use lockdown_topology::vantage::VantagePoint;
 use lockdown_traffic::plan::{Cell, Stream};
 
@@ -146,11 +146,10 @@ impl SoakOutcome {
     }
 }
 
-/// Synthetic soak flows: deterministic, key-diverse, one hour wide.
-/// Shared with [`crate::export`] so a separate exporter process pushes
-/// exactly the load the in-process soak does.
-pub(crate) fn soak_flows(n: usize, hour: u8) -> Vec<FlowRecord> {
-    let t = Date::new(2020, 3, 25).at_hour(hour);
+/// Synthetic soak flows: deterministic, key-diverse, one hour wide from
+/// `t`. Shared with [`crate::export`] so a separate exporter process
+/// pushes exactly the load the in-process soak does.
+pub(crate) fn soak_flows(n: usize, t: Timestamp) -> Vec<FlowRecord> {
     (0..n as u32)
         .map(|i| {
             FlowRecord::builder(
@@ -202,7 +201,7 @@ pub fn run(cfg: &SoakConfig) -> io::Result<SoakOutcome> {
     dcfg.rcvbuf = cfg.rcvbuf;
 
     let mut plane = SocketPlane::new(wire, dcfg)?;
-    let flows = soak_flows(cfg.records_per_cell, 12);
+    let flows = soak_flows(cfg.records_per_cell, Date::new(2020, 3, 25).at_hour(12));
 
     let mut ledger = Ledger::default();
     let t0 = Instant::now();

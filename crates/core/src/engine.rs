@@ -46,7 +46,7 @@
 
 use crate::context::Context;
 use crate::supervisor::{
-    AttemptError, DegradedReport, InjectedPanic, QuarantinedCell, Supervisor, SupervisorMetrics,
+    isolate, AttemptError, DegradedReport, QuarantinedCell, Supervisor, SupervisorMetrics,
 };
 use lockdown_analysis::codec::{encode_frame, merge_frame};
 use lockdown_analysis::consumer::FlowConsumer;
@@ -457,20 +457,6 @@ impl Column {
     }
 }
 
-/// Render a caught panic payload: an injected panic by its attempt, a
-/// string payload as itself.
-pub fn panic_message(payload: Box<dyn Any + Send>) -> String {
-    if let Some(p) = payload.downcast_ref::<InjectedPanic>() {
-        format!("injected worker panic (attempt {})", p.attempt)
-    } else if let Some(s) = payload.downcast_ref::<&'static str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
-}
-
 /// Hand one cell's batch to every subscription whose window covers it.
 /// The batch is split into hour runs once, and each covering consumer
 /// observes every run, so a run's boundaries, calendar facts and byte sum
@@ -584,15 +570,13 @@ impl CellRunner<'_> {
                 sup.backoff(cell, attempt - 1);
                 counts.retries += 1;
             }
-            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.fill_attempt(cell, slot, attempt, force_generate, buf)
-            }));
-            let err = match caught {
+            let err = match isolate(|| self.fill_attempt(cell, slot, attempt, force_generate, buf))
+            {
                 Ok(Ok(replayed)) => return Some(replayed),
                 Ok(Err(e)) => e,
-                Err(payload) => {
+                Err(message) => {
                     sup.metrics().panics_caught.inc();
-                    AttemptError::Panic(panic_message(payload))
+                    AttemptError::Panic(message)
                 }
             };
             // Whatever the failure left behind (a torn range, a half

@@ -15,12 +15,9 @@ use crate::experiments::{
 };
 use lockdown_topology::vantage::VantagePoint;
 
-/// A finished section; call it for the rendered text.
-pub(crate) type Section = Box<dyn Fn() -> String + Send + Sync>;
-
 /// The pending half of a planned figure: redeems its demands against the
-/// finished pass.
-pub type Finish = Box<dyn FnOnce(&Context, &mut EngineOutput) -> Section + Send>;
+/// finished pass and renders the section.
+pub type Finish = Box<dyn FnOnce(&Context, &mut EngineOutput) -> String + Send>;
 
 /// One figure or table of the paper.
 pub struct Figure {
@@ -46,7 +43,7 @@ impl Figure {
 }
 
 /// Erase one driver's handle and result types behind [`Finish`].
-fn driver<H: Send + 'static, T: Send + Sync + 'static>(
+fn driver<H: Send + 'static, T: 'static>(
     handles: H,
     finish: fn(H, &mut EngineOutput) -> T,
     render: fn(&T) -> String,
@@ -55,15 +52,12 @@ fn driver<H: Send + 'static, T: Send + Sync + 'static>(
 }
 
 /// [`driver`] for a `finish` that also reads the context.
-fn driver_ctx<H: Send + 'static, T: Send + Sync + 'static>(
+fn driver_ctx<H: Send + 'static, T: 'static>(
     handles: H,
     finish: impl FnOnce(&Context, H, &mut EngineOutput) -> T + Send + 'static,
     render: fn(&T) -> String,
 ) -> Finish {
-    Box::new(move |ctx, out| {
-        let result = finish(ctx, handles, out);
-        Box::new(move || render(&result))
-    })
+    Box::new(move |ctx, out| render(&finish(ctx, handles, out)))
 }
 
 /// Every section of the suite, in print order. The two tables come first

@@ -9,8 +9,8 @@
 
 use crate::context::Context;
 use crate::engine::{self, DriveStats, EngineOutput, EnginePlan, EngineStats, Link, SliceOutcome};
-use crate::experiments::figures::{Figure, Finish, Section, FIGURES};
-use crate::supervisor::{DegradedReport, SupervisorMetrics};
+use crate::experiments::figures::{Figure, Finish, FIGURES};
+use crate::supervisor::{isolate, DegradedReport, SupervisorMetrics};
 use lockdown_base::fault::FaultProfile;
 use lockdown_collect::{CollectMetrics, WireConfig};
 use lockdown_store::{StoreError, StoreMetrics};
@@ -19,8 +19,8 @@ use std::sync::Arc;
 
 /// Figures and tables of the paper, produced by one engine pass.
 pub struct Suite {
-    /// The finished sections by name, in [`FIGURES`] order.
-    sections: Vec<(&'static str, Section)>,
+    /// The rendered sections, in [`FIGURES`] order, annotated when degraded.
+    sections: Vec<String>,
     /// What the shared pass did (dedup story included).
     pub stats: EngineStats,
     /// Wire-plane metrics, present when the pass ran in wire mode.
@@ -32,7 +32,7 @@ pub struct Suite {
     /// The pass supervisor's metrics.
     pub supervisor_metrics: Arc<SupervisorMetrics>,
     /// Degraded-mode report, present when the pass quarantined at least
-    /// one cell. Affected figures are annotated in `renders()`.
+    /// one cell. Affected figures are annotated in [`Suite::renders`].
     pub degraded: Option<DegradedReport>,
 }
 
@@ -79,19 +79,41 @@ pub(crate) fn full_plan(ctx: &Context) -> EnginePlan {
     build_plan(ctx, &FIGURES, SuiteOptions::default()).0
 }
 
-/// Redeem every demand against the pass output and assemble the suite.
+/// The one way out of a pass, a thread link's or a process link's:
+/// redeem every demand against the pass output and render each section.
+/// A figure that lost quarantined cells is finished inside the engine's
+/// panic boundary: it renders with a note that its data is partial, or,
+/// when partial data cannot build it, as one section naming why. A panic
+/// in a figure that lost nothing is a bug and propagates.
 fn assemble(ctx: &Context, pending: Pending, mut out: EngineOutput) -> Suite {
+    let degraded = out.degraded().cloned();
+    let affected = degraded.as_ref().map_or(&[][..], |d| &d.affected);
+    let sections = pending
+        .into_iter()
+        .map(|(name, finish)| {
+            let Some((_, n)) = affected.iter().find(|(label, _)| label == name) else {
+                return finish(ctx, &mut out);
+            };
+            match isolate(|| finish(ctx, &mut out)) {
+                Ok(text) => {
+                    format!(
+                        "{text}\n[degraded: {n} cell(s) quarantined — computed from partial data]"
+                    )
+                }
+                Err(message) => {
+                    format!("[degraded: {name} not assembled — {n} cell(s) quarantined: {message}]")
+                }
+            }
+        })
+        .collect();
     Suite {
-        sections: pending
-            .into_iter()
-            .map(|(name, finish)| (name, finish(ctx, &mut out)))
-            .collect(),
+        sections,
         stats: out.stats(),
         wire_metrics: out.wire_metrics().cloned(),
         audit: out.audit().cloned(),
         store_metrics: out.store_metrics().cloned(),
         supervisor_metrics: Arc::clone(out.supervisor_metrics()),
-        degraded: out.degraded().cloned(),
+        degraded,
     }
 }
 
@@ -193,41 +215,27 @@ pub fn run_suite_slice(
 
 /// Coordinator side of a sharded suite pass: the full-suite plan under
 /// `opts`, driven claim by claim over `links` (one claim per range of
-/// `ranges`) with every slice merged through the consumer-state codec.
-/// Returns what the driver did and the figures' assembly, which can
-/// panic when quarantine left a figure without the data its windows
-/// demand.
-pub fn run_suite_links<'c, L: Link>(
-    ctx: &'c Context,
+/// `ranges`) with every slice merged through the consumer-state codec,
+/// and assembled like any other pass. Returns what the driver did and
+/// the suite.
+pub fn run_suite_links<L: Link>(
+    ctx: &Context,
     opts: &ShardSuiteOptions,
     ranges: &[(u32, u32)],
     links: &mut [L],
-) -> Result<(DriveStats, impl FnOnce() -> Suite + 'c), StoreError> {
+) -> Result<(DriveStats, Suite), StoreError> {
     let (plan, pending) = shard_plan(ctx, opts);
     let (out, stats) = engine::run_links(ctx, plan, ranges, links)?;
-    Ok((stats, move || assemble(ctx, pending, out)))
+    Ok((stats, assemble(ctx, pending, out)))
 }
 
 impl Suite {
     /// Rendered sections in the CLI's print order (Table 2 first — it is
     /// registry-static and needs no trace). After a degraded pass, every
-    /// section whose figure lost quarantined cells carries a trailing
-    /// annotation naming how many, so partial data is never mistaken for
-    /// a complete reproduction.
+    /// section whose figure lost quarantined cells says how many, so
+    /// partial data is never mistaken for a complete reproduction.
     pub fn renders(&self) -> Vec<String> {
-        let affected = self.degraded.as_ref().map_or(&[][..], |d| &d.affected);
-        self.sections
-            .iter()
-            .map(|(name, section)| {
-                let mut text = section();
-                if let Some((_, n)) = affected.iter().find(|(label, _)| label == name) {
-                    text.push_str(&format!(
-                        "\n[degraded: {n} cell(s) quarantined — computed from partial data]"
-                    ));
-                }
-                text
-            })
-            .collect()
+        self.sections.clone()
     }
 }
 

@@ -82,7 +82,7 @@ pub fn render_figure(
 ) -> Result<String, ServeError> {
     let (plan, finish) = standalone(ctx, name)?;
     let mut out = engine::run_fetched(ctx, plan, fetch)?;
-    Ok(finish(ctx, &mut out)())
+    Ok(finish(ctx, &mut out))
 }
 
 /// The full-suite plan hash for this context — the value an archive

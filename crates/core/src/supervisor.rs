@@ -3,11 +3,13 @@
 //! A measurement plane that runs for months cannot be all-or-nothing:
 //! real exporters stall, disks fill, and a single bad hour must not take
 //! down a week of figures. Every engine pass therefore runs under one
-//! [`Supervisor`]. Each cell attempt runs inside `catch_unwind`; a failed
-//! attempt (a panic, a stall, a spill error) is retried under seeded
-//! bounded-exponential backoff, and once the per-cell attempt budget is
-//! exhausted the cell is **quarantined**: the pass completes without it,
-//! the suite renders a degraded-mode report naming it, and the
+//! [`Supervisor`]. Each cell attempt runs inside `isolate`, the engine's
+//! one panic boundary; a failed attempt (a panic, a stall, a spill error)
+//! is retried under seeded bounded-exponential backoff, and once the
+//! per-cell attempt budget is exhausted the cell is **quarantined**: the
+//! pass completes without it, the suite renders a degraded-mode report
+//! naming it (a figure the hole starves is finished inside the same
+//! boundary and, if it cannot be built, named as such), and the
 //! conservation auditor records the quarantine as a first-class outcome
 //! instead of a violation. An archived segment that fails to read is not
 //! even a failed attempt — the cell is regenerated inline.
@@ -25,6 +27,7 @@
 use lockdown_base::fault::{CellFaults, FaultProfile, Schedule};
 use lockdown_traffic::plan::Cell;
 use std::fmt::Write as _;
+use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Once};
 
 lockdown_base::metrics_family! {
@@ -144,6 +147,24 @@ fn install_quiet_panic_hook() {
             }
         }));
     });
+}
+
+/// The engine's one panic boundary: run `f`, and turn a panic into its
+/// rendered message — an injected panic by its attempt, a string payload
+/// as itself. A cell attempt runs inside it, and so does a figure that a
+/// degraded pass may have starved.
+pub(crate) fn isolate<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    std::panic::catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+        if let Some(p) = payload.downcast_ref::<InjectedPanic>() {
+            format!("injected worker panic (attempt {})", p.attempt)
+        } else if let Some(s) = payload.downcast_ref::<&'static str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "opaque panic payload".to_string()
+        }
+    })
 }
 
 /// How one cell attempt failed (internal classification surface).

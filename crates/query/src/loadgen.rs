@@ -8,8 +8,8 @@
 //! keep-alive connection each, drive a seeded request mix (ad-hoc
 //! `/query` plans, figure fetches, `/metrics` scrapes) until the
 //! deadline, recording per-request latency. The report carries
-//! throughput and p50/p99/p999 — the numbers `BENCH_query.json`
-//! commits.
+//! throughput and p50/p99/p999, which `lockdown loadgen` prints as one
+//! JSON object.
 //!
 //! The client is hand-rolled over `std::net::TcpStream`, sharing the
 //! request mix's determinism guarantees: same seed, same sequence of
@@ -76,7 +76,7 @@ pub struct LoadReport {
 }
 
 impl LoadReport {
-    /// Render as a JSON object (the `BENCH_query.json` payload).
+    /// Render as a JSON object (what `lockdown loadgen` prints).
     pub fn render_json(&self) -> String {
         format!(
             "{{\n  \"clients\": {},\n  \"secs\": {:.3},\n  \"requests\": {},\n  \"errors\": {},\n  \"failed_status\": {},\n  \"latency_samples\": {},\n  \"rps\": {:.1},\n  \"p50_us\": {},\n  \"p99_us\": {},\n  \"p999_us\": {},\n  \"figures_verified\": {},\n  \"mismatches\": {}\n}}",

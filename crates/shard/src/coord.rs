@@ -29,12 +29,11 @@
 //! on the queue.
 
 use lockdown_base::fault::Schedule;
-use lockdown_core::engine::{panic_message, Claim, DriveStats, Link, LinkFault, SliceOutcome};
+use lockdown_core::engine::{Claim, DriveStats, Link, LinkFault, SliceOutcome};
 use lockdown_core::experiments::suite::{self, ShardSuiteOptions, Suite};
 use lockdown_core::Context;
 use std::io::BufRead;
 use std::net::TcpStream;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -92,39 +91,11 @@ pub struct WorkerLink {
 
 /// A finished coordinated pass.
 pub struct Coordinated {
-    /// The assembled suite — byte-identical to a single-process pass
-    /// when nothing was quarantined. `None` when quarantine holes left
-    /// the figure assembly unable to run (see `assembly_error`); the
-    /// pass still ends in a *named* degraded outcome, never a crash.
-    pub suite: Option<Suite>,
-    /// Why assembly produced no suite, when it did not: the panic
-    /// message of the figure that could not compute from partial data.
-    pub assembly_error: Option<String>,
+    /// The assembled suite, byte-identical to a single-process pass over
+    /// the same cells, degraded or not.
+    pub suite: Suite,
     /// Scheduling statistics.
     pub stats: DriveStats,
-}
-
-impl Coordinated {
-    /// Whether this pass must exit with the degraded contract (exit 3):
-    /// either the suite computed from partial data, or the quarantine
-    /// holes were too large for it to compute at all.
-    pub fn is_degraded(&self) -> bool {
-        self.assembly_error.is_some() || self.suite.as_ref().is_some_and(|s| s.degraded.is_some())
-    }
-
-    /// Rendered sections: the suite's own (annotated when degraded), or
-    /// a single named degraded section when assembly could not run.
-    pub fn renders(&self) -> Vec<String> {
-        match &self.suite {
-            Some(suite) => suite.renders(),
-            None => vec![format!(
-                "[degraded: no figures — {} quarantined range(s) left the suite \
-                 unable to assemble: {}]",
-                self.stats.quarantined_ranges,
-                self.assembly_error.as_deref().unwrap_or("unknown failure")
-            )],
-        }
-    }
 }
 
 /// Work-queue granularity of a coordinated pass: ranges per worker. More
@@ -264,10 +235,10 @@ fn drive_assignment(
 /// worker. Spawned children are shut down (or killed, if dead) before
 /// this returns.
 ///
-/// A pass whose quarantine holes are too large for the figure suite to
-/// assemble still returns `Ok` — with [`Coordinated::suite`] `None` and
-/// the failure named — because "the network lost that much work" is a
-/// degraded outcome under the exit-3 contract, not a crash.
+/// A pass that quarantined cells or ranges returns `Ok` with a degraded
+/// suite, assembled like a single-process one: "the network lost that
+/// much work" is a degraded outcome under the exit-3 contract, not a
+/// crash.
 pub fn coordinate(
     ctx: &Context,
     opts: &CoordOptions,
@@ -304,25 +275,10 @@ pub fn coordinate(
             shutdown_link(&mut link.worker);
         }
     }
-    let (mut stats, assemble) = driven?;
+    let (mut stats, suite) = driven?;
     stats.reconnects = links.iter().map(|link| link.reconnects).sum();
     stats.ranges_resumed = links.iter().map(|link| link.resumed).sum();
-
-    // Figure assembly asserts it has the data its windows demand; a
-    // badly-holed quarantine pattern can make that impossible. Under
-    // quarantine, an assembly panic is a *named degraded outcome* — the
-    // robustness contract is "recovery or degraded, never a crash" —
-    // while a panic on complete data is a genuine bug and re-raised.
-    let (suite, assembly_error) = match catch_unwind(AssertUnwindSafe(assemble)) {
-        Ok(suite) => (Some(suite), None),
-        Err(panic) if stats.quarantined_ranges > 0 => (None, Some(panic_message(panic))),
-        Err(panic) => resume_unwind(panic),
-    };
-    Ok(Coordinated {
-        suite,
-        assembly_error,
-        stats,
-    })
+    Ok(Coordinated { suite, stats })
 }
 
 /// Exchange identities with one worker and verify them field by field.

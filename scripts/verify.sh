@@ -88,8 +88,9 @@ if [[ -n "$net" ]]; then
     exit 1
 fi
 # The engine has one scheduler: one scope its workers run in, one loop
-# that runs a cell, one panic boundary around a cell attempt. A second of
-# any is a fork of the pass core.
+# that runs a cell, one panic boundary (around a cell attempt, and around
+# a figure a degraded pass starved). A second of any is a fork of the
+# pass core.
 exactly_once() { # <what> <fixed-string pattern>
     local hits
     hits=$(grep -rnF --include='*.rs' -e "$2" crates/core/src || true)
@@ -101,7 +102,18 @@ exactly_once() { # <what> <fixed-string pattern>
 }
 exactly_once "the engine's worker scope" 'thread::scope('
 exactly_once "the call that runs a cell" '.process('
-exactly_once "the panic boundary around a cell attempt" 'catch_unwind('
+exactly_once "the one panic boundary" 'catch_unwind('
+# One way out of a pass: the coordinator's suite assembles and degrades
+# through the engine's boundary like a thread pass's, so the shard crate
+# catches no panic of its own outside its tests.
+unwind=$(for f in $(find crates/shard/src -name '*.rs'); do
+    sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nF 'catch_unwind(' | sed "s|^|$f:|"
+done || true)
+if [[ -n "$unwind" ]]; then
+    echo "said-once: a panic boundary under crates/shard/src (a pass degrades in suite::assemble):" >&2
+    echo "$unwind" >&2
+    exit 1
+fi
 # One merge and one queue: every partial, a thread's column or a worker
 # process's slice, merges through the engine's one codec `absorb`, and the
 # engine's driver is the one work queue for thread and process links, so

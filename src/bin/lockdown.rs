@@ -13,6 +13,7 @@ use lockdown::collect::soak::{self, SoakConfig};
 use lockdown::collect::{
     export, CollectMetrics, Collectd, CollectdConfig, ExportConfig, WireConfig,
 };
+use lockdown::core::engine::DriveStats;
 use lockdown::core::experiments::{figures, suite};
 use lockdown::core::serve::suite_plan_hash;
 use lockdown::core::{run_matrix, Context, Fidelity, MatrixOptions, MatrixScenario};
@@ -301,7 +302,9 @@ EXIT CODES:
                             audit)
                   2  serve/collectd could not bind a socket
                   3  degraded (quarantined cells; figures rendered from
-                               partial data)
+                               partial data, and a figure partial data
+                               cannot build named as not assembled;
+                               figures and coordinate alike)
                   4  loadgen served-vs-expected figure mismatch
   lockdown registry
       Print the synthetic AS registry summary.
@@ -423,17 +426,34 @@ fn parse_chaos(rest: &[String], command: &str) -> Result<Option<FaultProfile>, S
         .map_err(|e| format!("bad --chaos spec: {e}"))
 }
 
-/// Print the supervisor metrics and any degraded pass's report (stderr)
-/// and map the pass to the documented exit code; clean passes exit 0.
-fn degraded_exit(suite: &suite::Suite) -> ExitCode {
+/// The one way out of `figures` and `coordinate`: the sections on
+/// stdout; the engine summary, the driver's line a coordinated pass
+/// adds, every metrics snapshot, the audit and any degraded pass's
+/// report on stderr. A failed audit is an error, a degraded pass exits 3
+/// and a clean one 0.
+fn finish_pass(suite: &suite::Suite, drive: Option<&DriveStats>) -> Result<ExitCode, String> {
+    for section in suite.renders() {
+        println!("{section}");
+    }
+    eprintln!("{}", suite.stats.summary());
+    if let Some(stats) = drive {
+        eprintln!("{}", stats.summary());
+    }
+    if let Some(metrics) = &suite.store_metrics {
+        eprint!("{}", metrics.render());
+    }
+    if let Some(metrics) = &suite.wire_metrics {
+        eprint!("{}", metrics.render());
+    }
+    check_audit(suite)?;
     eprint!("{}", suite.supervisor_metrics.render());
-    match &suite.degraded {
+    Ok(match &suite.degraded {
         Some(report) => {
             eprint!("{}", report.render());
             ExitCode::from(EXIT_DEGRADED)
         }
         None => ExitCode::SUCCESS,
-    }
+    })
 }
 
 fn cmd_figures(rest: &[String], names: &[&String]) -> Result<ExitCode, String> {
@@ -481,18 +501,7 @@ fn cmd_figures(rest: &[String], names: &[&String]) -> Result<ExitCode, String> {
         },
     )
     .map_err(|e| e.to_string())?;
-    for section in suite.renders() {
-        println!("{section}");
-    }
-    eprintln!("{}", suite.stats.summary());
-    if let Some(metrics) = &suite.store_metrics {
-        eprint!("{}", metrics.render());
-    }
-    if let Some(metrics) = &suite.wire_metrics {
-        eprint!("{}", metrics.render());
-    }
-    check_audit(&suite)?;
-    Ok(degraded_exit(&suite))
+    finish_pass(&suite, None)
 }
 
 /// `coordinate`: the sharded full-suite pass. Stdout carries exactly
@@ -545,26 +554,7 @@ fn cmd_coordinate(rest: &[String], _: &[&String]) -> Result<ExitCode, String> {
         }
     };
     let out = coord::coordinate(&ctx, &opts, links).map_err(|e| e.to_string())?;
-    for section in out.renders() {
-        println!("{section}");
-    }
-    if let Some(suite) = &out.suite {
-        eprintln!("{}", suite.stats.summary());
-    }
-    eprintln!("{}", out.stats.summary());
-    let Some(suite) = &out.suite else {
-        // Quarantine holes too large for the figures to assemble at
-        // all: the deepest degraded outcome, same exit contract.
-        eprintln!(
-            "DEGRADED: suite assembly impossible after {} quarantined range(s)",
-            out.stats.quarantined_ranges
-        );
-        return Ok(ExitCode::from(EXIT_DEGRADED));
-    };
-    if let Some(metrics) = &suite.store_metrics {
-        eprint!("{}", metrics.render());
-    }
-    Ok(degraded_exit(suite))
+    finish_pass(&out.suite, Some(&out.stats))
 }
 
 /// `worker`: one shard worker process. Stdout carries only the
@@ -723,13 +713,14 @@ fn cmd_collectd(rest: &[String], _: &[&String]) -> Result<ExitCode, String> {
     let t = cycle.shards.totals();
     println!(
         "collectd: {} datagrams received ({} truncated), {} decoded, \
-         {} records accepted, {} malformed, {} queue-dropped",
+         {} records accepted, {} malformed, {} queue-dropped, {} duplicate-rejected",
         cycle.socket_received,
         cycle.truncated_datagrams,
         t.datagrams,
         t.records_accepted,
         t.malformed,
         cycle.queue_dropped,
+        t.duplicates,
     );
     eprint!("{}", metrics.render());
     Ok(ExitCode::SUCCESS)

@@ -526,6 +526,42 @@ fn figures_under_chaos_exits_degraded_with_report() {
 }
 
 #[test]
+fn total_quarantine_degrades_figures_and_coordinate_alike() {
+    // Every cell panics on its one attempt: a figure that no data can
+    // build renders as one named section instead of aborting the pass,
+    // and a thread link and a process link end the pass the same way.
+    let chaos = ["--chaos", "seed=3,panic=1,attempts=1,backoff=0"];
+    let figures = bin()
+        .args(["figures", "--fidelity", "test"])
+        .args(chaos)
+        .output()
+        .expect("spawn figures");
+    let coordinated = bin()
+        .args(["coordinate", "--fidelity", "test", "--workers", "2"])
+        .args(chaos)
+        .output()
+        .expect("spawn coordinate");
+    for out in [&figures, &coordinated] {
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(3), "degraded exit code: {err}");
+        assert!(err.contains("DEGRADED PASS"), "{err}");
+    }
+    assert_eq!(
+        String::from_utf8_lossy(&coordinated.stdout),
+        String::from_utf8_lossy(&figures.stdout),
+        "a degraded pass reads the same through either link"
+    );
+    // All 22 sections: the two tables, which demand no cells, and one
+    // degraded note closing each of the 20 figures.
+    let text = String::from_utf8_lossy(&figures.stdout);
+    assert!(text.starts_with("Table 2"), "{text}");
+    assert!(text.contains("\nTable 1"), "{text}");
+    let notes = text.lines().filter(|l| l.starts_with("[degraded:"));
+    assert_eq!(notes.count(), 20, "{text}");
+    assert!(text.contains("[degraded: fig2b not assembled — "), "{text}");
+}
+
+#[test]
 fn figures_zero_chaos_supervision_exits_clean() {
     let out = bin()
         .args(["figures", "--fidelity", "test", "--chaos", "seed=0"])
@@ -863,28 +899,57 @@ fn collectd_soak_smoke_reports_clean_audit() {
 
 #[test]
 fn export_process_feeds_collectd_and_conservation_closes() {
+    // One IPFIX cell, then many cells in each format: an exporter's
+    // sequences run on from cell to cell, so later cells are neither
+    // refused before boot (v5, v9) nor rejected as duplicates.
+    for (format, cells, records) in [
+        ("ipfix", 1, 20_000),
+        ("ipfix", 3, 200),
+        ("v5", 30, 200),
+        ("v9", 30, 200),
+    ] {
+        export_reconciles_with_collectd(format, cells, records);
+    }
+}
+
+fn export_reconciles_with_collectd(format: &str, cells: u64, records: u64) {
+    let case = format!("{format}, {cells} cells of {records}");
     // A daemon process with a generous kernel buffer (the exporter is a
     // separate process with no flow-control channel back).
-    let mut collectd = daemon(&["collectd", "--sockets", "2", "--rcvbuf", "4194304"]);
+    let mut collectd = daemon(&[
+        "collectd",
+        "--format",
+        format,
+        "--sockets",
+        "2",
+        "--rcvbuf",
+        "4194304",
+    ]);
     let second = announced_addr(&mut collectd.stdout);
     let targets = [collectd.addr.as_str(), second.as_str()];
 
-    // A separate exporter process pushes one cell at the daemon.
+    // A separate exporter process pushes the cells at the daemon.
     let out = bin()
-        .args(["export", "--target", &targets.join(",")])
-        .args(["--cells", "1", "--records", "20000"])
+        .args(["export", "--format", format, "--target", &targets.join(",")])
+        .args([
+            "--cells",
+            &cells.to_string(),
+            "--records",
+            &records.to_string(),
+        ])
         .output()
         .expect("spawn export");
     assert!(
         out.status.success(),
-        "{}",
+        "{case}: {}",
         String::from_utf8_lossy(&out.stderr)
     );
     let summary = String::from_utf8_lossy(&out.stdout);
-    // "export: R records in D datagrams (B bytes) over 1 cells"
+    // "export: R records in D datagrams (B bytes) over C cells"
     let words: Vec<&str> = summary.split_whitespace().collect();
+    let sent = cells * records;
     assert_eq!(words[0], "export:", "{summary}");
-    assert_eq!(words[1], "20000", "{summary}");
+    assert_eq!(words[1], sent.to_string(), "{case}: {summary}");
     let datagrams: u64 = words[4].parse().unwrap_or_else(|_| panic!("{summary}"));
     assert!(datagrams > 0, "{summary}");
 
@@ -895,17 +960,18 @@ fn export_process_feeds_collectd_and_conservation_closes() {
 
     // Cross-process conservation: every datagram and record the exporter
     // printed shows up in the daemon's drain summary, with zero losses
-    // at any of the three drop sites.
+    // at any of the three drop sites and no duplicates.
     assert!(
         rest.contains(&format!("{datagrams} datagrams received (0 truncated)")),
-        "sent {datagrams}: {rest:?}"
+        "{case}: sent {datagrams}: {rest:?}"
     );
     assert!(
-        rest.contains("20000 records accepted"),
-        "all records must land: {rest:?}"
+        rest.contains(&format!("{sent} records accepted")),
+        "{case}: all records must land: {rest:?}"
     );
-    assert!(rest.contains("0 malformed"), "{rest:?}");
-    assert!(rest.contains("0 queue-dropped"), "{rest:?}");
+    assert!(rest.contains("0 malformed"), "{case}: {rest:?}");
+    assert!(rest.contains("0 queue-dropped"), "{case}: {rest:?}");
+    assert!(rest.contains(" 0 duplicate-rejected"), "{case}: {rest:?}");
 }
 
 #[test]

@@ -93,18 +93,10 @@ pub fn coordinate(
     })
 }
 
-/// A degraded outcome must be *named*: either the suite's own quarantine
-/// report or the assembly-failure section.
+/// A degraded outcome must be *named*: the suite's own quarantine report.
 pub fn assert_named_degraded(label: &str, out: &Coordinated) {
-    assert!(out.is_degraded(), "{label}: {}", out.stats.summary());
-    match &out.suite {
-        Some(suite) => {
-            let report = suite.degraded.as_ref().expect("degraded names its holes");
-            assert!(!report.quarantined.is_empty(), "{label}: empty quarantine");
-        }
-        None => assert!(
-            out.assembly_error.is_some(),
-            "{label}: suite-less outcome must carry the assembly error"
-        ),
-    }
+    let Some(report) = &out.suite.degraded else {
+        panic!("{label}: {}", out.stats.summary());
+    };
+    assert!(!report.quarantined.is_empty(), "{label}: empty quarantine");
 }

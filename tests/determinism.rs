@@ -169,7 +169,7 @@ fn suite_renders(ctx: &Context, workers: usize, options: impl Fn(&mut EnginePlan
     let mut out = engine::run_with_workers(ctx, plan, workers).expect("suite pass");
     pending
         .into_iter()
-        .map(|finish| finish(ctx, &mut out)())
+        .map(|finish| finish(ctx, &mut out))
         .collect()
 }
 

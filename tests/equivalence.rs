@@ -351,10 +351,6 @@ fn adopted(scratch: &Path) -> CoordOptions {
     }
 }
 
-fn assembled(out: &Coordinated) -> &Suite {
-    out.suite.as_ref().expect("suite assembled")
-}
-
 fn coordinate_cold(scratch: &Path) -> Option<Vec<String>> {
     // Three workers generate disjoint ranges and spill segments; the
     // coordinator adopts them all into one manifest.
@@ -364,19 +360,19 @@ fn coordinate_cold(scratch: &Path) -> Option<Vec<String>> {
         "{exits:?}"
     );
     assert_eq!(cold.stats.workers, 3);
-    assert!(!cold.is_degraded());
+    assert!(cold.suite.degraded.is_none());
     assert_eq!(cold.stats.reassignments, 0);
-    assert!(assembled(&cold).stats.cells_generated > 0);
-    assert_eq!(assembled(&cold).stats.cells_replayed, 0);
-    Some(cold.renders())
+    assert!(cold.suite.stats.cells_generated > 0);
+    assert_eq!(cold.suite.stats.cells_replayed, 0);
+    Some(cold.suite.renders())
 }
 
 fn coordinate_warm(scratch: &Path) -> Option<Vec<String>> {
     // The adopted manifest covers the whole plan, so a re-run — with a
     // different worker count, even — regenerates zero cells.
     let (warm, _) = coordinate("shard/warm", adopted(scratch), 2, |_| None);
-    assert_warm(&assembled(&warm).stats);
-    Some(warm.renders())
+    assert_warm(&warm.suite.stats);
+    Some(warm.suite.renders())
 }
 
 fn adopted_archive_replays(scratch: &Path) -> Option<Vec<String>> {
@@ -427,8 +423,8 @@ fn coordinate_worker_kill(_: &Path) -> Option<Vec<String>> {
     assert!(out.stats.workers_lost >= 1, "{}", out.stats.summary());
     assert!(out.stats.reassignments >= 1, "{}", out.stats.summary());
     assert_eq!(out.stats.quarantined_ranges, 0, "{}", out.stats.summary());
-    assert!(assembled(&out).degraded.is_none());
-    Some(out.renders())
+    assert!(out.suite.degraded.is_none());
+    Some(out.suite.renders())
 }
 
 // --- shard workers behind the seeded chaos proxy ---------------------------------
@@ -440,14 +436,14 @@ fn through_proxies(
     cfg: impl Fn(usize) -> WireChaosConfig + Send + 'static,
 ) -> Coordinated {
     let (out, _) = coordinate(label, CoordOptions::default(), 2, move |i| Some(cfg(i)));
-    assert!(!out.is_degraded(), "{}", out.stats.summary());
+    assert!(out.suite.degraded.is_none(), "{}", out.stats.summary());
     out
 }
 
 fn proxy_passthrough(_: &Path) -> Option<Vec<String>> {
     let out = through_proxies("shard/passthrough", |_| WireChaosConfig::zero());
     assert_eq!(out.stats.reconnects, 0, "{}", out.stats.summary());
-    Some(out.renders())
+    Some(out.suite.renders())
 }
 
 fn proxy_split_writes(_: &Path) -> Option<Vec<String>> {
@@ -460,7 +456,7 @@ fn proxy_split_writes(_: &Path) -> Option<Vec<String>> {
         c.split = 1.0;
         c
     });
-    Some(out.renders())
+    Some(out.suite.renders())
 }
 
 fn proxy_added_latency(_: &Path) -> Option<Vec<String>> {
@@ -471,7 +467,7 @@ fn proxy_added_latency(_: &Path) -> Option<Vec<String>> {
         c.delay_ms = 120; // well inside the 2s heartbeat budget
         c
     });
-    Some(out.renders())
+    Some(out.suite.renders())
 }
 
 fn proxy_mid_frame_cut(_: &Path) -> Option<Vec<String>> {
@@ -496,7 +492,7 @@ fn proxy_mid_frame_cut(_: &Path) -> Option<Vec<String>> {
         "every range computed exactly once: {}",
         out.stats.summary()
     );
-    Some(out.renders())
+    Some(out.suite.renders())
 }
 
 fn proxy_random_truncation(_: &Path) -> Option<Vec<String>> {
@@ -511,8 +507,8 @@ fn proxy_random_truncation(_: &Path) -> Option<Vec<String>> {
         c.min_len = 512;
         Some(c)
     });
-    if !out.is_degraded() {
-        return Some(out.renders());
+    if out.suite.degraded.is_none() {
+        return Some(out.suite.renders());
     }
     assert_named_degraded("shard/trunc", &out);
     None

@@ -561,7 +561,7 @@ fn quarantine_set_is_deterministic_and_predicted() {
 // ---------------------------------------------------------------------------
 
 use lockdown::core::experiments::figures::FIGURES;
-use lockdown::core::experiments::suite::ShardSuiteOptions;
+use lockdown::core::experiments::suite::{self, ShardSuiteOptions, SuiteOptions};
 use lockdown::shard::coord::{self, CoordOptions};
 use lockdown::shard::worker::serve_worker;
 use std::net::TcpListener;
@@ -570,11 +570,13 @@ use std::net::TcpListener;
 /// attempts and errors, and renders the same degraded sections whether
 /// the suite runs on one thread, on three, or on two worker processes
 /// behind the coordinator: the driver runs a thread and a process alike
-/// as links, and on either the per-cell supervisor draws the same
-/// schedule.
+/// as links, on either the per-cell supervisor draws the same schedule,
+/// and either pass assembles through the suite's one assembly. The second
+/// profile quarantines every cell, so some figures cannot be built at
+/// all; each renders as one named section on both kinds of link.
 #[test]
 fn thread_and_process_links_quarantine_the_same_cells() {
-    let chaos = ChaosConfig {
+    let partial = ChaosConfig {
         seed: 0x51DE,
         panic: 0.05,
         attempts: 2,
@@ -582,25 +584,43 @@ fn thread_and_process_links_quarantine_the_same_cells() {
         backoff_cap_ms: 0,
         ..ChaosConfig::zero()
     };
+    let total = ChaosConfig {
+        panic: 1.0,
+        ..partial
+    };
+    assert_eq!(unassembled_on_both_links(partial), 0, "partial data builds");
+    assert!(
+        unassembled_on_both_links(total) > 0,
+        "no data builds nothing"
+    );
+}
+
+/// Run the suite under `chaos` on thread links and on process links,
+/// check both quarantine and render alike, and count the figures that
+/// could not be assembled.
+fn unassembled_on_both_links(chaos: ChaosConfig) -> usize {
     let ctx = Context::new(Fidelity::Test);
-    let threads = |workers| {
+    let report_on = |workers| {
         let mut plan = EnginePlan::new();
         plan.with_chaos(chaos);
-        let pending: Vec<_> = FIGURES.iter().map(|f| f.plan(&ctx, &mut plan)).collect();
-        let mut out = engine::run_with_workers(&ctx, plan, workers).expect("archive-free pass");
-        let report = out
-            .degraded()
+        for figure in &FIGURES {
+            let _ = figure.plan(&ctx, &mut plan);
+        }
+        let out = engine::run_with_workers(&ctx, plan, workers).expect("archive-free pass");
+        out.degraded()
+            .cloned()
             .expect("the profile quarantines cells")
-            .clone();
-        let sections: Vec<String> = pending
-            .into_iter()
-            .map(|finish| finish(&ctx, &mut out)())
-            .collect();
-        (report, sections)
     };
-    let (report, sections) = threads(1);
+    let report = report_on(1);
     assert!(report.quarantined.len() > 1 && report.retries > 0);
-    assert_eq!(threads(3), (report.clone(), sections.clone()), "3 threads");
+    assert_eq!(report_on(3), report, "3 threads");
+    let options = SuiteOptions {
+        chaos: Some(chaos),
+        ..SuiteOptions::default()
+    };
+    let threads = suite::run_figures(&ctx, &FIGURES, options).expect("archive-free pass");
+    assert_eq!(threads.degraded.as_ref(), Some(&report), "thread links");
+    let sections = threads.renders();
 
     let opts = CoordOptions {
         suite: ShardSuiteOptions {
@@ -628,19 +648,19 @@ fn thread_and_process_links_quarantine_the_same_cells() {
             .expect("worker protocol");
     }
     assert_eq!(out.stats.quarantined_ranges, 0, "{}", out.stats.summary());
-    let suite = out.suite.as_ref().expect("quarantined cells leave a suite");
-    assert_eq!(suite.degraded.as_ref(), Some(&report), "process links");
-    // The suite notes a figure's quarantined cells after its section.
-    let renders = out.renders();
-    assert_eq!(renders.len(), sections.len());
-    for ((figure, section), coordinated) in FIGURES.iter().zip(&sections).zip(renders) {
-        let note = coordinated
-            .strip_prefix(section.as_str())
-            .unwrap_or_else(|| panic!("process links: section {} differs", figure.name));
+    assert_eq!(out.suite.degraded.as_ref(), Some(&report), "process links");
+    assert_eq!(out.suite.renders(), sections, "process links");
+    // The suite notes a figure's quarantined cells in its section.
+    assert_eq!(sections.len(), FIGURES.len());
+    for (figure, section) in FIGURES.iter().zip(&sections) {
         let affected = report
             .affected
             .iter()
             .any(|(label, _)| label == figure.name);
-        assert_eq!(note.contains("[degraded:"), affected, "{}", figure.name);
+        assert_eq!(section.contains("[degraded:"), affected, "{}", figure.name);
     }
+    sections
+        .iter()
+        .filter(|s| s.contains(" not assembled — "))
+        .count()
 }

@@ -89,20 +89,20 @@ fn a_fully_dead_range_degrades_instead_of_aborting() {
         assert_eq!(out.stats.workers_lost, 1, "{}", out.stats.summary());
         assert_eq!(out.stats.quarantined_ranges, 1, "{}", out.stats.summary());
         assert_eq!(out.stats.reassignments, 0, "{}", out.stats.summary());
-        assert!(out.is_degraded(), "a quarantined range must degrade");
-        let Some(suite) = &out.suite else {
-            // This seed's hole was too large for figure assembly: the
-            // coordinator must still return a *named* degraded outcome
-            // (no crash), with its single explanatory section. Keep
+        let report = out
+            .suite
+            .degraded
+            .as_ref()
+            .expect("a quarantined range must degrade");
+        let sections = out.suite.renders();
+        if let Some(section) = sections.iter().find(|s| s.contains(" not assembled — ")) {
+            // This seed's hole was too large for a figure to assemble:
+            // the coordinator must still return a *named* degraded
+            // outcome (no crash), that figure's section naming why. Keep
             // searching for a seed whose hole the figures tolerate.
-            let err = out.assembly_error.as_deref().expect("named failure");
-            assert!(!err.is_empty());
-            let sections = out.renders();
-            assert_eq!(sections.len(), 1, "{sections:?}");
-            assert!(sections[0].contains("degraded"), "{}", sections[0]);
+            assert!(section.starts_with("[degraded:"), "{section}");
             continue;
-        };
-        let report = suite.degraded.as_ref().expect("degraded report");
+        }
         let rendered = report.render();
         assert!(rendered.contains("DEGRADED PASS"), "{rendered}");
         assert!(!report.quarantined.is_empty());
@@ -111,7 +111,7 @@ fn a_fully_dead_range_degrades_instead_of_aborting() {
             "one replica, one attempt"
         );
         // The suite still renders every section — degraded, not aborted.
-        assert_eq!(out.renders().len(), figure_names().len());
+        assert_eq!(sections.len(), figure_names().len());
         return;
     }
     panic!("no seed in 0..10000 produced a renderable one-range quarantine");
