@@ -10,7 +10,7 @@
 use crate::context::Context;
 use crate::engine::{self, DriveStats, EngineOutput, EnginePlan, EngineStats, Link, SliceOutcome};
 use crate::experiments::figures::{Figure, Finish, FIGURES};
-use crate::supervisor::{isolate, DegradedReport, SupervisorMetrics};
+use crate::supervisor::{isolate_starved, DegradedReport, SupervisorMetrics};
 use lockdown_base::fault::FaultProfile;
 use lockdown_collect::{CollectMetrics, WireConfig};
 use lockdown_store::{StoreError, StoreMetrics};
@@ -94,7 +94,7 @@ fn assemble(ctx: &Context, pending: Pending, mut out: EngineOutput) -> Suite {
             let Some((_, n)) = affected.iter().find(|(label, _)| label == name) else {
                 return finish(ctx, &mut out);
             };
-            match isolate(|| finish(ctx, &mut out)) {
+            match isolate_starved(|| finish(ctx, &mut out)) {
                 Ok(text) => {
                     format!(
                         "{text}\n[degraded: {n} cell(s) quarantined — computed from partial data]"

@@ -132,21 +132,38 @@ pub(crate) struct InjectedPanic {
     pub attempt: u32,
 }
 
+thread_local! {
+    /// Set while this thread finishes a figure a degraded pass starved.
+    static STARVED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
 /// Install (once, process-wide) a panic hook that silences scheduled
-/// chaos panics — their payload is [`InjectedPanic`] — and forwards
-/// everything else to the previous hook. Without this, a chaos run's
-/// stderr drowns in backtraces for panics the supervisor is about to
-/// catch on purpose.
+/// chaos panics — their payload is [`InjectedPanic`] — and the panic of
+/// a starved figure, and forwards everything else to the previous hook.
+/// Without this, a chaos run's stderr drowns in backtraces for panics
+/// the supervisor is about to catch on purpose.
 fn install_quiet_panic_hook() {
     static HOOK: Once = Once::new();
     HOOK.call_once(|| {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<InjectedPanic>().is_none() {
+            if info.payload().downcast_ref::<InjectedPanic>().is_none()
+                && !STARVED.try_with(|s| s.get()).unwrap_or(false)
+            {
                 prev(info);
             }
         }));
     });
+}
+
+/// Finish a figure that lost quarantined cells inside [`isolate`]. Partial
+/// data may fail to build it; that panic is expected, and its message
+/// goes into the figure's section rather than to stderr.
+pub(crate) fn isolate_starved<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    STARVED.set(true);
+    let result = isolate(f);
+    STARVED.set(false);
+    result
 }
 
 /// The engine's one panic boundary: run `f`, and turn a panic into its

@@ -545,6 +545,8 @@ fn total_quarantine_degrades_figures_and_coordinate_alike() {
         let err = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(3), "degraded exit code: {err}");
         assert!(err.contains("DEGRADED PASS"), "{err}");
+        // A figure's caught panic is named in its section, not on stderr.
+        assert!(!err.contains("panicked"), "{err}");
     }
     assert_eq!(
         String::from_utf8_lossy(&coordinated.stdout),

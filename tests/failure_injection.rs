@@ -565,6 +565,7 @@ use lockdown::core::experiments::suite::{self, ShardSuiteOptions, SuiteOptions};
 use lockdown::shard::coord::{self, CoordOptions};
 use lockdown::shard::worker::serve_worker;
 use std::net::TcpListener;
+use std::panic::AssertUnwindSafe;
 
 /// A cell-level chaos profile quarantines the same cells, with the same
 /// attempts and errors, and renders the same degraded sections whether
@@ -600,20 +601,40 @@ fn thread_and_process_links_quarantine_the_same_cells() {
 /// could not be assembled.
 fn unassembled_on_both_links(chaos: ChaosConfig) -> usize {
     let ctx = Context::new(Fidelity::Test);
-    let report_on = |workers| {
+    // Each figure's own finish: its text, or the message of the panic that
+    // partial data raised in it.
+    let finished_on = |workers| {
         let mut plan = EnginePlan::new();
         plan.with_chaos(chaos);
-        for figure in &FIGURES {
-            let _ = figure.plan(&ctx, &mut plan);
-        }
-        let out = engine::run_with_workers(&ctx, plan, workers).expect("archive-free pass");
-        out.degraded()
+        let pending: Vec<_> = FIGURES.iter().map(|f| f.plan(&ctx, &mut plan)).collect();
+        let mut out = engine::run_with_workers(&ctx, plan, workers).expect("archive-free pass");
+        let report = out
+            .degraded()
             .cloned()
-            .expect("the profile quarantines cells")
+            .expect("the profile quarantines cells");
+        let finished: Vec<Result<String, String>> = pending
+            .into_iter()
+            .map(|finish| {
+                std::panic::catch_unwind(AssertUnwindSafe(|| finish(&ctx, &mut out))).map_err(
+                    |payload| match payload.downcast::<String>() {
+                        Ok(s) => *s,
+                        Err(payload) => payload
+                            .downcast_ref::<&str>()
+                            .map_or("opaque panic payload", |s| s)
+                            .to_string(),
+                    },
+                )
+            })
+            .collect();
+        (report, finished)
     };
-    let report = report_on(1);
+    let (report, finished) = finished_on(1);
     assert!(report.quarantined.len() > 1 && report.retries > 0);
-    assert_eq!(report_on(3), report, "3 threads");
+    assert_eq!(
+        finished_on(3),
+        (report.clone(), finished.clone()),
+        "3 threads"
+    );
     let options = SuiteOptions {
         chaos: Some(chaos),
         ..SuiteOptions::default()
@@ -621,6 +642,34 @@ fn unassembled_on_both_links(chaos: ChaosConfig) -> usize {
     let threads = suite::run_figures(&ctx, &FIGURES, options).expect("archive-free pass");
     assert_eq!(threads.degraded.as_ref(), Some(&report), "thread links");
     let sections = threads.renders();
+    // The suite's sections are the figures' own finishes: a figure that
+    // lost cells carries a note after its text, or names the panic that
+    // kept it from being built.
+    assert_eq!(sections.len(), FIGURES.len());
+    for ((figure, section), finished) in FIGURES.iter().zip(&sections).zip(&finished) {
+        let affected = report
+            .affected
+            .iter()
+            .any(|(label, _)| label == figure.name);
+        match finished {
+            Ok(text) if !affected => assert_eq!(section, text, "{}", figure.name),
+            Ok(text) => {
+                let note = section
+                    .strip_prefix(text.as_str())
+                    .unwrap_or_else(|| panic!("thread links: section {} differs", figure.name));
+                assert!(note.contains("[degraded:"), "{}", figure.name);
+            }
+            Err(message) => {
+                assert!(affected, "{} panicked on complete data", figure.name);
+                assert!(
+                    section.contains(" not assembled — ")
+                        && section.ends_with(&format!(": {message}]")),
+                    "{}: {section}",
+                    figure.name
+                );
+            }
+        }
+    }
 
     let opts = CoordOptions {
         suite: ShardSuiteOptions {
@@ -650,17 +699,5 @@ fn unassembled_on_both_links(chaos: ChaosConfig) -> usize {
     assert_eq!(out.stats.quarantined_ranges, 0, "{}", out.stats.summary());
     assert_eq!(out.suite.degraded.as_ref(), Some(&report), "process links");
     assert_eq!(out.suite.renders(), sections, "process links");
-    // The suite notes a figure's quarantined cells in its section.
-    assert_eq!(sections.len(), FIGURES.len());
-    for (figure, section) in FIGURES.iter().zip(&sections) {
-        let affected = report
-            .affected
-            .iter()
-            .any(|(label, _)| label == figure.name);
-        assert_eq!(section.contains("[degraded:"), affected, "{}", figure.name);
-    }
-    sections
-        .iter()
-        .filter(|s| s.contains(" not assembled — "))
-        .count()
+    finished.iter().filter(|f| f.is_err()).count()
 }
