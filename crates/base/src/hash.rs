@@ -160,7 +160,7 @@ mod tests {
             0x62AE_7004_C41E_F816,
             "scenario fingerprint fold drifted"
         );
-        // The transport and loadgen streams.
+        // A stream seeded directly, as `prop::cases` seeds a case.
         let mut r = SplitMix::new(42);
         assert_eq!(r.next_u64(), 0xBDD7_3226_2FEB_6E95);
         assert_eq!(r.next_u64(), 0x28EF_E333_B266_F103);

@@ -270,28 +270,6 @@ impl EngineStats {
     }
 }
 
-/// Why [`EngineOutput::try_take`] could not redeem a demand.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum TakeError {
-    /// The demand was already taken from this output.
-    AlreadyTaken,
-    /// The demand's type parameter does not match the consumer the
-    /// subscription actually built (a handle redeemed against the wrong
-    /// output, or transmuted indices).
-    TypeMismatch,
-}
-
-impl std::fmt::Display for TakeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TakeError::AlreadyTaken => write!(f, "demand already taken from this engine output"),
-            TakeError::TypeMismatch => write!(f, "demand type does not match its subscription"),
-        }
-    }
-}
-
-impl std::error::Error for TakeError {}
-
 /// Merged consumer states of one engine pass, redeemable by [`Demand`].
 pub struct EngineOutput {
     consumers: Vec<Option<Boxed>>,
@@ -304,34 +282,20 @@ pub struct EngineOutput {
 }
 
 impl EngineOutput {
-    /// Take the merged consumer of one subscription, reporting a typed
-    /// error for the two reachable misuses (double-take, wrong-type
-    /// redemption) instead of panicking.
-    pub(crate) fn try_take<C: FlowConsumer + Send + 'static>(
-        &mut self,
-        demand: Demand<C>,
-    ) -> Result<C, TakeError> {
-        let slot = self
-            .consumers
-            .get_mut(demand.idx)
-            .ok_or(TakeError::TypeMismatch)?;
-        let boxed: Box<dyn Any + Send> = slot.take().ok_or(TakeError::AlreadyTaken)?;
-        // A failed downcast consumes the slot: erasure is one-way, so a
-        // wrong-typed probe cannot restore the consumer. That is fine —
-        // both reachable misuses are programming errors the caller should
-        // surface, not probe-and-recover paths.
-        boxed
-            .downcast::<C>()
-            .map(|c| *c)
-            .map_err(|_| TakeError::TypeMismatch)
-    }
-
     /// Take the merged consumer of one subscription (each demand can be
     /// taken once). Panics on misuse: a demand taken twice, or redeemed
     /// as another consumer type.
     pub fn take<C: FlowConsumer + Send + 'static>(&mut self, demand: Demand<C>) -> C {
-        self.try_take(demand)
-            .unwrap_or_else(|e| panic!("engine demand redemption failed: {e}"))
+        let fail = |why: &str| -> ! { panic!("engine demand redemption failed: {why}") };
+        let boxed: Box<dyn Any + Send> = match self.consumers.get_mut(demand.idx) {
+            Some(slot) => slot
+                .take()
+                .unwrap_or_else(|| fail("demand already taken from this engine output")),
+            None => fail("demand type does not match its subscription"),
+        };
+        *boxed
+            .downcast::<C>()
+            .unwrap_or_else(|_| fail("demand type does not match its subscription"))
     }
 
     /// The pass's statistics.

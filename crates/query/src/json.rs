@@ -1,9 +1,9 @@
-//! Hand-rolled JSON string escaping and the few extractors the load
-//! generator needs — no serialization dependency, same as the rest of
-//! the workspace.
+//! Hand-rolled JSON string escaping and the few extractors `loadgen` and
+//! lockbench's client need — no serialization dependency, same as the
+//! rest of the workspace.
 //!
 //! This is deliberately not a JSON parser: the query plane's responses
-//! are flat objects built by this repo, so the load generator only needs
+//! are flat objects built by this repo, so a client only needs
 //! to pull one string field, one integer field, or one string array out
 //! of a known-shape document.
 

@@ -12,13 +12,12 @@
 //! sit a hand-rolled HTTP/1.1 server ([`http`]) over
 //! `std::net::TcpListener` with a bounded connection pool and a
 //! Prometheus-style `query_*` metrics family ([`metrics`]), and a
-//! concurrent load generator ([`loadgen`]) that both *verifies* (served
-//! figures must be byte-identical to the engine's own output) and
-//! *stresses* (thousands of keep-alive clients, p50/p99/p999 reporting).
+//! client ([`loadgen`]) that *verifies* a running server: the served
+//! figures must be byte-identical to the engine's own output. (Load and
+//! latency under a request mix are lockbench's serve workloads.)
 //!
 //! Like its siblings the crate is dependency-free beyond the workspace:
-//! HTTP parsing, JSON encoding and the seeded request mix are all
-//! hand-rolled over `std`.
+//! HTTP parsing and JSON encoding are hand-rolled over `std`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,6 +33,5 @@ pub mod plan;
 
 pub use engine::{QueryEngine, QueryOutput};
 pub use http::{Request, Response, Server};
-pub use loadgen::LoadConfig;
 pub use metrics::QueryMetrics;
 pub use plan::QueryPlan;

@@ -175,8 +175,8 @@ impl QueryPlan {
     }
 
     /// Render back to a canonical query string (no percent-escaping
-    /// needed: every key and value is URL-safe by construction). The
-    /// load generator uses this to build its seeded request mix.
+    /// needed: every key and value is URL-safe by construction).
+    /// lockbench's client uses this to build its seeded request mix.
     pub fn to_query_string(&self) -> String {
         let mut parts: Vec<String> = Vec::new();
         if let Some(f) = self.from {

@@ -195,6 +195,13 @@ for f in crates/core/src/supervisor.rs crates/collect/src/audit.rs crates/collec
         exit 1
     fi
 done
+# One load generator: lockbench's serve workloads time the server, and
+# `query::loadgen` only verifies it over one connection. A thread or a
+# seeded draw outside its tests is a load phase back beside lockbench's.
+if sed '/^#\[cfg(test)\]/,$d' crates/query/src/loadgen.rs | grep -nE 'thread::|SplitMix' >&2; then
+    echo "said-once: crates/query/src/loadgen.rs drives load again (lockbench's serve workloads do)" >&2
+    exit 1
+fi
 # Docs at a budget: a CHANGES.md entry from PR 51 on keeps to 1,536 bytes.
 long=$(LC_ALL=C awk '/^PR [0-9]+:/ && $2 + 0 >= 51 && length($0) > 1536 {
     print "CHANGES.md:" NR ": the PR " $2 + 0 " entry is " length($0) " bytes" }' CHANGES.md)

@@ -52,7 +52,7 @@ fn serve_error_response(err: ServeError) -> Response {
 /// Figure renderings are memoized: the archive is immutable for the
 /// lifetime of the server (the manifest key pins seed, scenario and
 /// plan), so a figure rendered once is a string lookup forever after —
-/// the load generator's hot `/figures/<name>` path never re-runs a plan.
+/// a request mix's hot `/figures/<name>` path never re-runs a plan.
 pub fn build_handler(engine: Arc<QueryEngine>, ctx: Arc<Context>) -> Handler {
     let rendered: Arc<Mutex<HashMap<String, String>>> = Arc::new(Mutex::new(HashMap::new()));
     Arc::new(move |req: &Request| -> Response {

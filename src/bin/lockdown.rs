@@ -18,7 +18,7 @@ use lockdown::core::experiments::{figures, suite};
 use lockdown::core::serve::suite_plan_hash;
 use lockdown::core::{run_matrix, Context, Fidelity, MatrixOptions, MatrixScenario};
 use lockdown::flow::prelude::*;
-use lockdown::query::{loadgen, LoadConfig, QueryEngine, QueryPlan, Server};
+use lockdown::query::{loadgen, QueryEngine, QueryPlan, Server};
 use lockdown::scenario::measures::ScenarioSpec;
 use lockdown::shard::coord::{self, CoordOptions};
 use lockdown::shard::worker::serve_worker;
@@ -44,9 +44,9 @@ const EXIT_BIND: u8 = 2;
 /// the run completed and rendered every figure, but from partial data.
 const EXIT_DEGRADED: u8 = 3;
 
-/// Documented exit code for a load-generator verification failure: the
-/// server answered, but at least one served figure was not byte-identical
-/// to the expected engine output.
+/// Documented exit code for a `loadgen` verification failure: the server
+/// answered, but at least one served figure was not byte-identical to the
+/// expected engine output.
 const EXIT_MISMATCH: u8 = 4;
 
 type Handler = fn(&[String], &[&String]) -> Result<ExitCode, String>;
@@ -79,7 +79,7 @@ const COMMANDS: &[(&str, &str, &str, Handler)] = &[
     ("query",
         "--archive --cache-mb --from --to --vantage --class --as --port --direction",
         "", cmd_query),
-    ("loadgen", "--target --clients --duration --seed --expect", "", cmd_loadgen),
+    ("loadgen", "--target --expect", "", cmd_loadgen),
     ("vpn-scan", "", "", cmd_vpn_scan),
 ];
 
@@ -286,14 +286,11 @@ USAGE:
       vantage label, 'isp-transit' or 'edu-directional'; C is one of
       webconf vod gaming social messaging email educational collab
       cdn; D is ingress|egress|unknown.
-  lockdown loadgen --target HOST:PORT [--clients N] [--duration S]
-                   [--seed N] [--expect FILE]
-      Drive concurrent keep-alive clients (default 1000) at a running
-      serve instance with a seeded query mix for S seconds (default 5)
-      and print a JSON report (rps, p50/p99/p999 latency). --expect
-      FILE additionally fetches every served figure first and
-      byte-compares the reassembled catalog against FILE (the suite
-      stdout); any mismatch exits 4.
+  lockdown loadgen --target HOST:PORT --expect FILE
+      Verify a running serve instance: fetch the catalog and every
+      served figure over one keep-alive connection, byte-compare the
+      reassembled catalog against FILE (the suite stdout) and print a
+      JSON report (figures_verified, mismatches); any mismatch exits 4.
 
 EXIT CODES:
   0  success      1  error (incl. unknown flag/command, a scenario
@@ -305,7 +302,7 @@ EXIT CODES:
                                partial data, and a figure partial data
                                cannot build named as not assembled;
                                figures and coordinate alike)
-                  4  loadgen served-vs-expected figure mismatch
+                  4  loadgen: a served figure differs from --expect FILE
   lockdown registry
       Print the synthetic AS registry summary.
   lockdown capture --vantage <VP> --date YYYY-MM-DD --out FILE
@@ -1158,42 +1155,10 @@ fn cmd_query(rest: &[String], _: &[&String]) -> Result<ExitCode, String> {
 
 fn cmd_loadgen(rest: &[String], _: &[&String]) -> Result<ExitCode, String> {
     let target = flag(rest, "--target").ok_or("--target HOST:PORT required")?;
-    let clients: usize = match flag(rest, "--clients") {
-        None => 1000,
-        Some(s) => s.parse().map_err(|_| format!("bad --clients: {s}"))?,
-    };
-    let duration_secs: f64 = match flag(rest, "--duration") {
-        None => 5.0,
-        // Refused unless the load phase's deadline is representable:
-        // negative, non-finite and clock-overflowing spans all exit 1 here.
-        Some(s) => {
-            let fits = |d: f64| {
-                Duration::try_from_secs_f64(d)
-                    .is_ok_and(|span| std::time::Instant::now().checked_add(span).is_some())
-            };
-            match s.parse::<f64>() {
-                Ok(d) if fits(d) => d,
-                _ => return Err(format!("bad --duration (want seconds >= 0): {s}")),
-            }
-        }
-    };
-    let seed: u64 = match flag(rest, "--seed") {
-        None => 0x10CD_2020,
-        Some(s) => s.parse().map_err(|_| format!("bad --seed: {s}"))?,
-    };
-    let expect = match flag(rest, "--expect") {
-        None => None,
-        Some(path) => {
-            Some(std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?)
-        }
-    };
-    let report = loadgen::run(&LoadConfig {
-        target,
-        clients,
-        duration_secs,
-        seed,
-        expect,
-    })?;
+    let path =
+        flag(rest, "--expect").ok_or_else(|| format!("--expect FILE required\n\n{USAGE}"))?;
+    let expected = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
+    let report = loadgen::run(&target, &expected)?;
     println!("{}", report.render_json());
     if report.mismatches > 0 {
         eprintln!(

@@ -83,6 +83,14 @@ impl Drop for Daemon {
     }
 }
 
+/// The whole number written right before `label` in `text` (`"… 10
+/// malformed, …"` reads 10 for `"malformed"`), so a count is compared
+/// whole and never as the tail of a longer one.
+fn count_before(text: &str, label: &str) -> Option<u64> {
+    text.match_indices(&format!(" {label}"))
+        .find_map(|(at, _)| text[..at].split_whitespace().next_back()?.parse().ok())
+}
+
 #[test]
 fn help_prints_usage() {
     let out = bin().arg("help").output().expect("spawn");
@@ -185,7 +193,7 @@ fn capture_analyze_roundtrip() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("records"), "{text}");
     assert!(text.contains("top services"));
-    assert!(text.contains("0 malformed"));
+    assert_eq!(count_before(&text, "malformed"), Some(0), "{text}");
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -236,22 +244,6 @@ fn capture_validates_arguments() {
     ] {
         let out = bin().args(&bad).output().expect("spawn");
         assert_eq!(out.status.code(), Some(1), "should fail cleanly: {bad:?}");
-    }
-    // A duration no clock can hold is refused before connecting: the
-    // target is a port nothing listens on.
-    let unbound = std::net::TcpListener::bind("127.0.0.1:0")
-        .and_then(|l| l.local_addr())
-        .expect("probe port")
-        .to_string();
-    // 1e20 s overflows `Duration`; 1e19 s fits it but not the clock.
-    for duration in ["NaN", "inf", "-1", "1e19", "1e20"] {
-        let out = bin()
-            .args(["loadgen", "--target", &unbound, "--duration", duration])
-            .output()
-            .expect("spawn");
-        assert_eq!(out.status.code(), Some(1), "--duration {duration}");
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains("bad --duration"), "{duration}: {err}");
     }
 }
 
@@ -963,17 +955,19 @@ fn export_reconciles_with_collectd(format: &str, cells: u64, records: u64) {
     // Cross-process conservation: every datagram and record the exporter
     // printed shows up in the daemon's drain summary, with zero losses
     // at any of the three drop sites and no duplicates.
-    assert!(
-        rest.contains(&format!("{datagrams} datagrams received (0 truncated)")),
+    assert_eq!(
+        count_before(&rest, "datagrams received (0 truncated)"),
+        Some(datagrams),
         "{case}: sent {datagrams}: {rest:?}"
     );
-    assert!(
-        rest.contains(&format!("{sent} records accepted")),
+    assert_eq!(
+        count_before(&rest, "records accepted"),
+        Some(sent),
         "{case}: all records must land: {rest:?}"
     );
-    assert!(rest.contains("0 malformed"), "{case}: {rest:?}");
-    assert!(rest.contains("0 queue-dropped"), "{case}: {rest:?}");
-    assert!(rest.contains(" 0 duplicate-rejected"), "{case}: {rest:?}");
+    for label in ["malformed", "queue-dropped", "duplicate-rejected"] {
+        assert_eq!(count_before(&rest, label), Some(0), "{case}: {rest:?}");
+    }
 }
 
 #[test]
@@ -1146,8 +1140,7 @@ fn serve_loadgen_roundtrip_and_mismatch_exit_4() {
 
     // Matching expectation: exit 0, zero mismatches reported.
     let out = bin()
-        .args(["loadgen", "--target", addr, "--clients", "2"])
-        .args(["--duration", "0", "--expect"])
+        .args(["loadgen", "--target", addr, "--expect"])
         .arg(&expected)
         .output()
         .expect("spawn loadgen");
@@ -1162,8 +1155,7 @@ fn serve_loadgen_roundtrip_and_mismatch_exit_4() {
 
     // Garbage expectation: the documented mismatch exit code 4.
     let out = bin()
-        .args(["loadgen", "--target", addr, "--clients", "0"])
-        .args(["--duration", "0", "--expect"])
+        .args(["loadgen", "--target", addr, "--expect"])
         .arg(&garbage)
         .output()
         .expect("spawn loadgen");
