@@ -1,6 +1,6 @@
 //! Predicate-pushdown execution against the archive manifest.
 //!
-//! [`QueryEngine::execute`] resolves a [`QueryPlan`] in three stages,
+//! [`QueryEngine::execute`] resolves a [`QueryPlan`] in four stages,
 //! cheapest first:
 //!
 //! 1. **Manifest pruning** (no I/O): segments whose stream doesn't match,
@@ -8,13 +8,19 @@
 //!    or which hold zero records are skipped outright. A per-stream
 //!    index built at open narrows the walk to one slice per stream by
 //!    binary search; only that slice is tested entry by entry.
-//! 2. **Zone-map pruning** (no column decode): with a port predicate, the
+//! 2. **Manifest summary** (no I/O): when the plan's only per-record
+//!    predicate is its window, a segment whose `[min_start, max_start]`
+//!    the window holds whole, both ends in one clock hour, matches whole.
+//!    Its entry's record count and byte and packet sums are the answer,
+//!    and its bytes go to that hour's bin: no read, no CRC, no decode and
+//!    no cache traffic.
+//! 3. **Zone-map pruning** (no column decode): with a port predicate, the
 //!    segment footer's `SrcPort`/`DstPort` zone maps are consulted — a
 //!    port outside *both* zones proves no record matches (a flow matches
 //!    on either end, so only double exclusion prunes). The footer is that
 //!    of the one read of the segment: an admitted segment is decoded from
 //!    the same bytes.
-//! 3. **Decode + filter**: surviving segments are decoded through the
+//! 4. **Decode + filter**: surviving segments are decoded through the
 //!    byte-budgeted `SegmentCache` and filtered record-by-record.
 //!
 //! Every stage is counted in the `query_*` registry, so "pruning is
@@ -25,6 +31,7 @@ use crate::metrics::QueryMetrics;
 use crate::plan::QueryPlan;
 use lockdown_analysis::appclass::Classifier;
 use lockdown_flow::record::{hour_runs, FlowRecord};
+use lockdown_flow::time::Timestamp;
 use lockdown_store::segment::SegmentFooter;
 use lockdown_store::{ArchiveReader, Column, SegmentMeta, StoreError, StoreMetrics, TimeRange};
 use lockdown_topology::registry::Registry;
@@ -112,32 +119,43 @@ pub struct QueryOutput {
     /// Matched bytes binned by flow-start hour (unix hour-start → bytes),
     /// the same binning every paper figure uses.
     pub hourly: BTreeMap<u64, u64>,
-    /// Segments admitted by pushdown (decoded or served from cache).
+    /// Segments admitted by pushdown (summed, decoded or served from
+    /// cache).
     pub segments_scanned: u64,
     /// Segments skipped before decode.
     pub segments_pruned: u64,
     /// Of the scanned segments, how many came from the cache.
     pub segments_cached: u64,
+    /// Of the scanned segments, how many were answered from their
+    /// manifest entries alone.
+    pub segments_summed: u64,
 }
 
 impl QueryOutput {
-    /// Render as a JSON object (stable key order).
+    /// Render as a JSON object (stable key order), into one string sized
+    /// for its hourly bins.
     pub fn render_json(&self) -> String {
-        let hourly: Vec<String> = self
-            .hourly
-            .iter()
-            .map(|(h, b)| format!("[{h},{b}]"))
-            .collect();
-        format!(
-            "{{\"flows\":{},\"bytes\":{},\"packets\":{},\"segments_scanned\":{},\"segments_pruned\":{},\"segments_cached\":{},\"hourly\":[{}]}}",
+        use std::fmt::Write;
+        // A bin is at most `[`, two 20-digit numbers, `,` and `],`.
+        let mut out = String::with_capacity(256 + 44 * self.hourly.len());
+        write!(
+            out,
+            "{{\"flows\":{},\"bytes\":{},\"packets\":{},\"segments_scanned\":{},\"segments_pruned\":{},\"segments_cached\":{},\"segments_summed\":{},\"hourly\":[",
             self.flows,
             self.bytes,
             self.packets,
             self.segments_scanned,
             self.segments_pruned,
             self.segments_cached,
-            hourly.join(",")
+            self.segments_summed,
         )
+        .expect("writing to a String");
+        for (i, (h, b)) in self.hourly.iter().enumerate() {
+            let sep = if i == 0 { "" } else { "," };
+            write!(out, "{sep}[{h},{b}]").expect("writing to a String");
+        }
+        out.push_str("]}");
+        out
     }
 }
 
@@ -212,9 +230,11 @@ impl QueryEngine {
 
     /// Execute one plan over the whole manifest with predicate pushdown.
     ///
-    /// A CRC-failing segment aborts the query with an error naming the
-    /// segment (the caller degrades per supervisor conventions); it never
-    /// poisons the engine — healthy segments keep serving other queries.
+    /// A CRC-failing segment among those the query reads aborts it with an
+    /// error naming the segment (the caller degrades per supervisor
+    /// conventions); it never poisons the engine — healthy segments keep
+    /// serving other queries. A segment answered from its manifest entry
+    /// is not read, so it cannot fail the query.
     pub fn execute(&self, plan: &QueryPlan) -> Result<QueryOutput, StoreError> {
         let window = plan.time_range();
         let streams = match plan.stream {
@@ -229,32 +249,37 @@ impl QueryEngine {
         for range in streams {
             let slice = range.candidates(window);
             walked += slice.len() as u64;
-            self.scan(plan, slice, &mut out)?;
+            self.scan(plan, slice, plan.window_only(), &mut out)?;
         }
         out.segments_pruned += self.reader.segment_count() as u64 - walked;
         Ok(self.counted(out))
     }
 
-    /// [`QueryEngine::execute`] by a walk of every manifest entry: the
-    /// reference the ranged walk must equal.
+    /// [`QueryEngine::execute`] by a walk of every manifest entry that
+    /// decodes every segment it admits: the reference the ranged,
+    /// summing walk must equal.
     #[cfg(test)]
     fn execute_full_walk(&self, plan: &QueryPlan) -> Result<QueryOutput, StoreError> {
         let mut out = QueryOutput::default();
-        self.scan(plan, self.reader.segments(), &mut out)?;
+        self.scan(plan, self.reader.segments(), false, &mut out)?;
         Ok(self.counted(out))
     }
 
     fn counted(&self, out: QueryOutput) -> QueryOutput {
         self.metrics.segments_pruned.add(out.segments_pruned);
         self.metrics.segments_scanned.add(out.segments_scanned);
+        self.metrics.segments_summed.add(out.segments_summed);
         out
     }
 
-    /// Run the three stages over `metas`, in their order, into `out`.
+    /// Run the four stages over `metas`, in their order, into `out`; the
+    /// second only when `summed`, which the plan must allow
+    /// ([`QueryPlan::window_only`]).
     fn scan<'a>(
         &self,
         plan: &QueryPlan,
         metas: impl IntoIterator<Item = &'a SegmentMeta>,
+        summed: bool,
         out: &mut QueryOutput,
     ) -> Result<(), StoreError> {
         let window = plan.time_range();
@@ -265,10 +290,27 @@ impl QueryEngine {
                 out.segments_pruned += 1;
                 continue;
             }
-            // Stage 2: zone-map pruning for port predicates, on the footer
+            // Stage 2: every record of a segment the window holds whole
+            // matches, and one that starts in one hour fills one bin.
+            let hour = |t| Timestamp::from_unix(t).floor_hour().unix();
+            if summed
+                && window.admits_start(meta.min_start)
+                && window.admits_start(meta.max_start)
+                && hour(meta.min_start) == hour(meta.max_start)
+            {
+                out.segments_scanned += 1;
+                out.segments_summed += 1;
+                out.flows += meta.records;
+                out.bytes = out.bytes.wrapping_add(meta.bytes);
+                out.packets = out.packets.wrapping_add(meta.packets);
+                let bin = out.hourly.entry(hour(meta.min_start)).or_insert(0);
+                *bin = bin.wrapping_add(meta.bytes);
+                continue;
+            }
+            // Stage 3: zone-map pruning for port predicates, on the footer
             // of the one read that decodes the segment if it is admitted.
             // A cached cell skips it — the decoded batch is free anyway.
-            // Stage 3: decode (through the cache) and filter.
+            // Stage 4: decode (through the cache) and filter.
             let (records, was_hit) = match plan.port {
                 Some(port) if !self.cache.contains(meta.cell) => {
                     let admits = |footer: &SegmentFooter| {
@@ -308,12 +350,14 @@ impl QueryEngine {
                         continue;
                     }
                     out.flows += 1;
-                    out.packets += r.packets;
-                    *hour_bytes.get_or_insert(0) += r.bytes;
+                    out.packets = out.packets.wrapping_add(r.packets);
+                    let sum = hour_bytes.get_or_insert(0);
+                    *sum = sum.wrapping_add(r.bytes);
                 }
                 if let Some(bytes) = hour_bytes {
-                    out.bytes += bytes;
-                    *out.hourly.entry(run.hour_start.unix()).or_insert(0) += bytes;
+                    out.bytes = out.bytes.wrapping_add(bytes);
+                    let bin = out.hourly.entry(run.hour_start.unix()).or_insert(0);
+                    *bin = bin.wrapping_add(bytes);
                 }
             }
         }
@@ -350,9 +394,11 @@ mod tests {
     }
 
     /// An archive of up to `size / 4 + 3` cells whose names (stream,
-    /// date, hour) are drawn apart from their records' times; one cell
-    /// in eight is empty. The last stream of [`STREAMS`] never appears.
-    /// Returns every cell's earliest start and latest end.
+    /// date, hour) are drawn apart from their records' times, which may
+    /// span an hour, cross it or cross midnight; one cell in eight is
+    /// empty, and one in eight carries byte and packet counts whose sums
+    /// wrap. The last stream of [`STREAMS`] never appears. Returns every
+    /// cell's earliest and latest start and latest end.
     fn archive(rng: &mut SplitMix, size: usize, dir: &Path) -> Vec<u64> {
         let _ = std::fs::remove_dir_all(dir);
         let key = StoreKey {
@@ -375,13 +421,20 @@ mod tests {
             };
             let widest = if rng.chance(0.5) { 3_600 } else { 3 * 86_400 };
             let span = 1 + rng.below(widest);
-            let from = lockdown_flow::time::Timestamp::from_unix(instant(rng));
-            cells.insert(cell, hour_slices::flows(rng, n as usize, from, span));
+            let from = Timestamp::from_unix(instant(rng));
+            let mut records = hour_slices::flows(rng, n as usize, from, span);
+            if rng.chance(0.125) {
+                for r in &mut records {
+                    (r.bytes, r.packets) = (u64::MAX - rng.below(1 << 20), u64::MAX / 2);
+                }
+            }
+            cells.insert(cell, records);
         }
         let mut edges = Vec::new();
         for (cell, records) in &cells {
             writer.spill(*cell, records).expect("spill");
             edges.extend(records.iter().map(|r| r.start.unix()).min());
+            edges.extend(records.iter().map(|r| r.start.unix()).max());
             edges.extend(records.iter().map(|r| r.end.unix()).max());
         }
         writer.finish().expect("finish");
@@ -416,6 +469,29 @@ mod tests {
                 .chance(0.2)
                 .then(|| rng.pick(&[Direction::Ingress, Direction::Egress])),
         }
+    }
+
+    #[test]
+    fn render_json_keeps_its_key_order_and_bins() {
+        let mut out = QueryOutput {
+            flows: 3,
+            bytes: u64::MAX,
+            packets: 7,
+            segments_scanned: 5,
+            segments_pruned: 2,
+            segments_cached: 1,
+            segments_summed: 4,
+            ..QueryOutput::default()
+        };
+        let head = "{\"flows\":3,\"bytes\":18446744073709551615,\"packets\":7,\
+                    \"segments_scanned\":5,\"segments_pruned\":2,\"segments_cached\":1,\
+                    \"segments_summed\":4,\"hourly\":[";
+        assert_eq!(out.render_json(), format!("{head}]}}"));
+        out.hourly = BTreeMap::from([(3_600, 0), (u64::MAX, u64::MAX), (7_200, 9)]);
+        assert_eq!(
+            out.render_json(),
+            format!("{head}[3600,0],[7200,9],[{0},{0}]]}}", u64::MAX)
+        );
     }
 
     /// A port query on a cold cache reads each segment it touches once:
@@ -478,29 +554,64 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// `execute` — a ranged walk that answers what it can from manifest
+    /// entries — gives the answer of a walk of every entry that decodes
+    /// every segment it admits.
     #[test]
     fn ranged_walk_equals_the_full_walk() {
         let dir =
             std::env::temp_dir().join(format!("lockdown-query-ranged-{}", std::process::id()));
         let record = std::mem::size_of::<FlowRecord>() as u64;
+        let (mut summed, mut decoded) = (0, 0);
         lockdown_base::prop::cases(64, |rng, size| {
             let edges = archive(rng, size, &dir);
             let budget = rng.pick(&[0, 4 * record, 16 * record, 1 << 20]);
             let open = || QueryEngine::open(&dir, budget).unwrap().unwrap();
             let (ranged, full) = (open(), open());
+            let mut seen = ([0; 3], [0; 3]);
             for _ in 0..8 {
                 let plan = plan(rng, &edges);
                 let got = ranged.execute(&plan).unwrap();
                 let want = full.execute_full_walk(&plan).unwrap();
-                assert_eq!(got, want, "{plan:?}");
-                // Equal registries after every plan: equal deltas.
-                assert_eq!(
-                    ranged.metrics().render(),
-                    full.metrics().render(),
-                    "{plan:?}"
-                );
+                let answer = |o: &QueryOutput| (o.flows, o.bytes, o.packets, o.hourly.clone());
+                assert_eq!(answer(&got), answer(&want), "{plan:?}");
+                // A port query zone-prunes a segment only when it is not
+                // cached, and a summed segment never is: with a port the
+                // two walks split the same total differently.
+                let shape = |o: &QueryOutput| match plan.port {
+                    None => (o.segments_scanned, o.segments_pruned),
+                    Some(_) => (o.segments_scanned + o.segments_pruned, 0),
+                };
+                assert_eq!(shape(&got), shape(&want), "{plan:?}");
+                assert!(got.segments_summed <= got.segments_scanned, "{plan:?}");
+                assert_eq!(want.segments_summed, 0, "{plan:?}");
+                summed += got.segments_summed;
+                decoded += got.segments_scanned - got.segments_summed;
+                // Each walk's counters move by its output: then the
+                // counters the walks share are equal after every plan
+                // without a port.
+                for (engine, out, seen) in
+                    [(&ranged, &got, &mut seen.0), (&full, &want, &mut seen.1)]
+                {
+                    let m = &engine.metrics;
+                    let now = [&m.segments_scanned, &m.segments_pruned, &m.segments_summed]
+                        .map(|c| c.get());
+                    let moved: [u64; 3] = std::array::from_fn(|i| now[i] - seen[i]);
+                    let shown = [
+                        out.segments_scanned,
+                        out.segments_pruned,
+                        out.segments_summed,
+                    ];
+                    assert_eq!(moved, shown, "{plan:?}");
+                    *seen = now;
+                }
             }
         });
+        // Both stages answered a share of the scanned segments.
+        assert!(
+            summed > 0 && decoded > 0,
+            "{summed} summed, {decoded} decoded"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -7,7 +7,8 @@
 //! compiled against the archive manifest, executed by a
 //! [`engine::QueryEngine`] with predicate pushdown — manifest time spans
 //! and segment zone-map footers prune whole segments before any column
-//! is decoded — and a byte-budgeted LRU (`cache`) of decoded hot
+//! is decoded, and a plan with no record predicate sums a whole-hour
+//! segment from its manifest entry — and a byte-budgeted LRU (`cache`) of decoded hot
 //! segments so dashboard-style repeat queries never re-decode. On top
 //! sit a hand-rolled HTTP/1.1 server ([`http`]) over
 //! `std::net::TcpListener` with a bounded connection pool and a

@@ -41,6 +41,10 @@ lockdown_base::metrics_family! {
             "query_segments_scanned_total",
             "Segments admitted by a query plan"
         ),
+        segments_summed: counter(
+            "query_segments_summed_total",
+            "Scanned segments answered from their manifest entries"
+        ),
         segments_decoded: counter(
             "query_segments_decoded_total",
             "Segments decoded from disk (cache misses)"

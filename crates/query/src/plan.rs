@@ -162,6 +162,15 @@ impl QueryPlan {
         }
     }
 
+    /// Whether the window is the plan's only per-record predicate: then
+    /// every record of a segment whose starts the window holds matches.
+    pub(crate) fn window_only(&self) -> bool {
+        self.class.is_none()
+            && self.asn.is_none()
+            && self.port.is_none()
+            && self.direction.is_none()
+    }
+
     /// Whether a decoded record passes every per-record predicate. The
     /// class predicate is evaluated by the caller (it needs the
     /// classifier); everything else is column comparisons.

@@ -66,8 +66,9 @@ pub const MAGIC: [u8; 4] = *b"LKSH";
 /// v2 added the per-frame CRC-32 check and the HELLO_ACK retained-range
 /// inventory; v3 locates each DONE segment by pack tag, offset and
 /// length; v4 writes DONE's segments and cells in the archive index's
-/// entry form. Frames of any other version are rejected by name.
-pub(crate) const PROTO_VERSION: u8 = 4;
+/// entry form; v5 carries that form's latest start and byte and packet
+/// sums. Frames of any other version are rejected by name.
+pub(crate) const PROTO_VERSION: u8 = 5;
 
 /// Hard ceiling on a frame payload. A full-suite slice outcome at high
 /// fidelity is a few MB of consumer state; 256 MiB is "corrupt peer",
@@ -547,6 +548,9 @@ mod tests {
                 crc: 0xABCD,
                 min_start: 10,
                 max_end: 20,
+                max_start: 19,
+                bytes: 7_500,
+                packets: 5,
             }],
             quarantined: vec![QuarantinedCell {
                 cell,

@@ -112,9 +112,9 @@ fn malformed_frames_are_rejected_by_name() {
         assert!(err.to_string().contains(what), "wanted {what:?}, got {err}");
     };
     named(b"NOPE\x02\x01\x00\x00\x00\x00\x00\x00\x00\x00", "magic");
-    // Older peers (v2 located segments by file length alone) are
-    // rejected by name, not misread.
-    for version in [1u8, 2] {
+    // Older peers (v2 located segments by file length alone, v4 sent
+    // segment entries without their sums) are rejected by name, not misread.
+    for version in [1u8, 2, 3, 4] {
         let mut wire = frame_bytes(proto::T_HEARTBEAT, &[]);
         wire[4] = version;
         named(&wire, &format!("version {version}"));
@@ -205,6 +205,9 @@ fn sample_outcome() -> SliceOutcome {
             crc: 0xdead_beef,
             min_start: 7,
             max_end: 9,
+            max_start: 8,
+            bytes: 63_000,
+            packets: 42,
         }],
         quarantined: vec![QuarantinedCell {
             cell: Cell {

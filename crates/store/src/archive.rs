@@ -33,7 +33,7 @@
 
 use crate::codec::{get_varint, put_varint, unzigzag, zigzag};
 use crate::metrics::StoreMetrics;
-use crate::segment::{encode_segment, open_segment, Sealed, SegmentFooter};
+use crate::segment::{encode_segment, open_segment, Sealed, SegmentFooter, Summary};
 use crate::{corrupt, StoreError};
 use lockdown_base::crc::crc32;
 use lockdown_base::hash::fold;
@@ -56,8 +56,9 @@ pub(crate) const MANIFEST_MAGIC: [u8; 4] = *b"LKSM";
 /// Archive format version, of the manifest, the journal and every
 /// segment alike. Version 1 filed each cell as its own segment file;
 /// version 2 filed it as a byte range of a day pack; version 3 bit-packs
-/// the segment's columns.
-pub const MANIFEST_VERSION: u16 = 3;
+/// the segment's columns; version 4 gives each index entry its records'
+/// latest start and byte and packet sums.
+pub const MANIFEST_VERSION: u16 = 4;
 /// Manifest file name inside an archive directory.
 pub const MANIFEST_NAME: &str = "manifest.lks";
 /// In-progress journal file name: a partial manifest, same encoding and
@@ -134,6 +135,13 @@ pub struct SegmentMeta {
     pub min_start: u64,
     /// Latest flow end in the segment (zone map).
     pub max_end: u64,
+    /// Latest flow start in the segment: with `min_start`, whether every
+    /// record starts in one window or one clock hour.
+    pub max_start: u64,
+    /// Sum of the records' bytes, wrapping on overflow.
+    pub bytes: u64,
+    /// Sum of the records' packets, wrapping on overflow.
+    pub packets: u64,
 }
 
 impl SegmentMeta {
@@ -162,6 +170,25 @@ impl SegmentMeta {
     fn label(&self) -> String {
         format!("{}@{}", self.pack_name(), self.offset)
     }
+
+    /// Refuse decoded records whose summary is not the entry's.
+    fn check_summary(&self, got: Summary) -> Result<(), StoreError> {
+        let want = Summary {
+            max_start: self.max_start,
+            bytes: self.bytes,
+            packets: self.packets,
+        };
+        if got == want {
+            return Ok(());
+        }
+        Err(corrupt(
+            &self.label(),
+            format!(
+                "records start by {}, sum to {} bytes and {} packets; manifest says {}, {} and {}",
+                got.max_start, got.bytes, got.packets, want.max_start, want.bytes, want.packets
+            ),
+        ))
+    }
 }
 
 // The one wire form of a cell and a segment entry. The index files store
@@ -171,14 +198,14 @@ impl SegmentMeta {
 //
 //   cell  = stream wire id u32 ‖ zigzag day varint ‖ hour u8
 //   entry = cell ‖ records, pack tag, offset, length (varints) ‖ crc u32
-//           ‖ min start, max end (varints)
+//           ‖ min start, max end, max start, bytes, packets (varints)
 
 /// Fewest bytes an encoded cell takes: stream id, a one-byte day, hour.
 pub const MIN_CELL_LEN: usize = 4 + 1 + 1;
 
-/// Fewest bytes an encoded entry takes: its cell, the crc and six
+/// Fewest bytes an encoded entry takes: its cell, the crc and nine
 /// one-byte varints.
-pub const MIN_ENTRY_LEN: usize = MIN_CELL_LEN + 4 + 6;
+pub const MIN_ENTRY_LEN: usize = MIN_CELL_LEN + 4 + 9;
 
 /// Append `cell` in the entry form.
 pub fn put_cell(out: &mut Vec<u8>, cell: Cell) {
@@ -211,6 +238,9 @@ pub fn put_entry(out: &mut Vec<u8>, m: &SegmentMeta) {
     out.put_u32_be(m.crc);
     put_varint(out, m.min_start);
     put_varint(out, m.max_end);
+    put_varint(out, m.max_start);
+    put_varint(out, m.bytes);
+    put_varint(out, m.packets);
 }
 
 /// Read an entry [`put_entry`] wrote.
@@ -224,6 +254,9 @@ pub fn read_entry(c: &mut Cursor<'_>) -> WireResult<SegmentMeta> {
         crc: c.read_u32("segment crc")?,
         min_start: get_varint(c, "segment min start")?,
         max_end: get_varint(c, "segment max end")?,
+        max_start: get_varint(c, "segment max start")?,
+        bytes: get_varint(c, "segment bytes")?,
+        packets: get_varint(c, "segment packets")?,
     })
 }
 
@@ -571,14 +604,14 @@ impl SegmentRun {
     /// `decode`: the range was read whole, the trailing CRC is the
     /// manifest's, and the footer's record count is the manifest's before
     /// any column is decoded. Every failed check names the segment and
-    /// counts a CRC failure; `decode` names no segment, the label is
-    /// formatted only when a check fails. `Ok(None)`: the index names no
-    /// segment for entry `i`.
+    /// counts a CRC failure; `decode`, which also takes the index entry,
+    /// names no segment, the label is formatted only when a check fails.
+    /// `Ok(None)`: the index names no segment for entry `i`.
     fn check<T>(
         &self,
         i: usize,
         metrics: &StoreMetrics,
-        decode: impl FnOnce(Sealed<'_>) -> Result<T, StoreError>,
+        decode: impl FnOnce(&SegmentMeta, Sealed<'_>) -> Result<T, StoreError>,
     ) -> Result<Option<T>, StoreError> {
         let checked = match &self.reads[i] {
             Err(None) => return Ok(None),
@@ -592,10 +625,11 @@ impl SegmentRun {
     }
 
     /// Check entry `i` through [`SegmentRun::check`] and decode it into
-    /// `out`, replacing its contents, if `admit` takes its footer; a
-    /// decoded entry is counted. Returns whether it was admitted (an entry
-    /// the index does not name is not); `out` is left empty when it was
-    /// not, or on error.
+    /// `out`, replacing its contents, if `admit` takes its footer; the
+    /// records' latest start and byte and packet sums must be the index
+    /// entry's, and a decoded entry is counted. Returns whether it was
+    /// admitted (an entry the index does not name is not); `out` is left
+    /// empty when it was not, or on error.
     fn decode_where(
         &self,
         i: usize,
@@ -605,8 +639,11 @@ impl SegmentRun {
     ) -> Result<bool, StoreError> {
         out.clear();
         let admitted = self
-            .check(i, metrics, |s| match admit(&s.footer) {
-                true => s.decode_into("", out).map(|_| true),
+            .check(i, metrics, |meta, s| match admit(&s.footer) {
+                true => s
+                    .decode_into("", out)
+                    .and_then(|(_, summary)| meta.check_summary(summary))
+                    .map(|()| true),
                 false => Ok(false),
             })
             .inspect_err(|_| out.clear())?
@@ -623,7 +660,7 @@ impl SegmentRun {
 fn check_entry<T>(
     meta: &SegmentMeta,
     bytes: &[u8],
-    decode: impl FnOnce(Sealed<'_>) -> Result<T, StoreError>,
+    decode: impl FnOnce(&SegmentMeta, Sealed<'_>) -> Result<T, StoreError>,
 ) -> Result<T, StoreError> {
     let fail = |detail: String| Err(corrupt(&meta.label(), detail));
     let relabel = |e| match e {
@@ -648,7 +685,7 @@ fn check_entry<T>(
             "segment holds {held} records, manifest says {want}"
         ));
     }
-    decode(sealed).map_err(relabel)
+    decode(meta, sealed).map_err(relabel)
 }
 
 /// A fault injected into one segment spill (driven by the chaos
@@ -882,6 +919,7 @@ impl ArchiveWriter {
         self.metrics.segments_written.inc();
         self.metrics.bytes_written.add(len);
         self.metrics.records_written.add(records.len() as u64);
+        let summary = Summary::of(records);
         let meta = SegmentMeta {
             cell,
             records: records.len() as u64,
@@ -891,6 +929,9 @@ impl ArchiveWriter {
             crc: u32::from_be_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes")),
             min_start: records.iter().map(|r| r.start.unix()).min().unwrap_or(0),
             max_end: records.iter().map(|r| r.end.unix()).max().unwrap_or(0),
+            max_start: summary.max_start,
+            bytes: summary.bytes,
+            packets: summary.packets,
         };
         let checkpoint_due = {
             let mut state = self.state.lock().expect("writer state lock");
@@ -1210,7 +1251,7 @@ impl ArchiveReader {
     pub fn read_footer(&self, cell: Cell) -> Result<SegmentFooter, StoreError> {
         let m = &self.metrics;
         let checked = self.packs.read_one(self.entry(cell)?, m, |run| {
-            run.check(0, m, |s| Ok(s.footer))
+            run.check(0, m, |_, s| Ok(s.footer))
         })?;
         Ok(checked.expect("a named entry is checked"))
     }
@@ -1440,17 +1481,23 @@ mod tests {
         w.spill(c, &records(c, 3)).unwrap();
         w.finish().unwrap();
         let path = dir.join(MANIFEST_NAME);
-        let v2 = std::fs::read(&path).unwrap();
-        std::fs::write(&path, restamped(&v2, 1)).unwrap();
-        let err = ArchiveReader::open(&dir, StoreMetrics::new()).unwrap_err();
-        assert_eq!(
-            err,
-            StoreError::Version {
-                file: MANIFEST_NAME.to_string(),
-                found: 1
-            }
-        );
-        assert!(err.to_string().contains("version 1"), "{err}");
+        let current = std::fs::read(&path).unwrap();
+        // The version before this one, then version 1, which stays on disk.
+        for found in [MANIFEST_VERSION - 1, 1] {
+            std::fs::write(&path, restamped(&current, found)).unwrap();
+            let err = ArchiveReader::open(&dir, StoreMetrics::new()).unwrap_err();
+            assert_eq!(
+                err,
+                StoreError::Version {
+                    file: MANIFEST_NAME.to_string(),
+                    found
+                }
+            );
+            assert!(
+                err.to_string().contains(&format!("version {found}")),
+                "{err}"
+            );
+        }
         // gc will not guess at what a v1 index names, and resume
         // discards it like a corrupt one.
         assert!(gc_dir(&dir, true).is_err());
@@ -1487,6 +1534,9 @@ mod tests {
                     crc: 0x0102_0304 * i as u32,
                     min_start: 1_584_000_000_000 + i,
                     max_end: 1_584_000_003_600 + i,
+                    max_start: 1_584_000_003_599 + i,
+                    bytes: i.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                    packets: i * 1_001,
                 }
             })
             .chain([SegmentMeta {
@@ -1502,6 +1552,9 @@ mod tests {
                 crc: u32::MAX,
                 min_start: u64::MAX,
                 max_end: u64::MAX,
+                max_start: u64::MAX,
+                bytes: u64::MAX,
+                packets: u64::MAX,
             }])
             .collect();
         let key = StoreKey {
@@ -1511,10 +1564,10 @@ mod tests {
         };
         let bytes = encode_manifest(key, &metas);
         // The header carries the format version; the entries after it
-        // are the bytes version 2 wrote, and the trailing CRC covers both.
-        assert_eq!(bytes[..8], *b"LKSM\x00\x03\x00\x00");
+        // are the bytes version 4 writes, and the trailing CRC covers both.
+        assert_eq!(bytes[..8], *b"LKSM\x00\x04\x00\x00");
         let entries = &bytes[8..bytes.len() - 4];
-        assert_eq!(crc32(entries), 0xff94_9040, "{} bytes", bytes.len());
+        assert_eq!(crc32(entries), 0x527e_24bc, "{} bytes", bytes.len());
         assert_eq!(decode_index(MANIFEST_NAME, &bytes).unwrap(), (key, metas));
     }
 
@@ -1589,6 +1642,54 @@ mod tests {
         assert_eq!(report.segments, 3);
         assert_eq!(report.failures.len(), 1);
         assert!(report.failures[0].contains(&meta.label()));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An entry whose latest start, byte sum or packet sum is off by one,
+    /// the manifest's CRC re-stamped: the segment itself is sound, yet
+    /// `verify`, a single-cell read and a warm pass's run read each refuse
+    /// it by name, and only it.
+    #[test]
+    fn an_entry_that_misstates_its_records_is_named() {
+        let dir = tmp_dir("entry-summary");
+        let w = ArchiveWriter::create(&dir, KEY, StoreMetrics::new()).unwrap();
+        let cells = [cell(2, 8), cell(2, 9), cell(2, 10)];
+        for c in cells {
+            w.spill(c, &records(c, 40)).unwrap();
+        }
+        w.finish().unwrap();
+        let honest = published(&dir);
+        for field in 0..3 {
+            let mut metas = honest.clone();
+            let victim = &mut metas[1];
+            match field {
+                0 => victim.max_start += 1,
+                1 => victim.bytes += 1,
+                _ => victim.packets -= 1,
+            }
+            let label = victim.label();
+            write_index_atomic(&dir, MANIFEST_NAME, KEY, &metas).unwrap();
+
+            let metrics = StoreMetrics::new();
+            let r = ArchiveReader::open(&dir, Arc::clone(&metrics))
+                .unwrap()
+                .unwrap();
+            let report = r.verify();
+            assert_eq!(report.failures.len(), 1, "field {field}");
+            assert!(report.failures[0].contains(&label), "{report:?}");
+            assert!(report.failures[0].contains("manifest says"), "{report:?}");
+            let err = r.read_cell(cells[1]).unwrap_err();
+            assert!(matches!(&err, StoreError::Corrupt { segment, .. } if *segment == label));
+            let (mut run, mut out) = (SegmentRun::default(), Vec::new());
+            r.read_run(&cells, &mut run);
+            for (i, &c) in cells.iter().enumerate() {
+                match r.decode_run(&run, i, &mut out) {
+                    Ok(named) => assert!(i != 1 && named && out == records(c, 40)),
+                    Err(e) => assert!(i == 1 && e.to_string().contains(&label), "{e}"),
+                }
+            }
+            assert_eq!(metrics.crc_failures.get(), 3, "field {field}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

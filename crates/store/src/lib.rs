@@ -130,7 +130,7 @@ mod tests {
         };
         assert_eq!(
             e.to_string(),
-            "archive file manifest.lks is format version 1; this build reads version 3: \
+            "archive file manifest.lks is format version 1; this build reads version 4: \
              rebuild the archive"
         );
         let e = StoreError::Io {

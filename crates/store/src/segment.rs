@@ -131,6 +131,31 @@ impl SegmentFooter {
     }
 }
 
+/// What a decode learns of a segment's records beyond its footer: the
+/// latest flow start and the wrapping sums of bytes and packets. The
+/// manifest entry carries the same three values, computed at spill time,
+/// and every decode checks them against the records.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Summary {
+    /// Latest flow start (0 in an empty segment).
+    pub(crate) max_start: u64,
+    /// Sum of the records' bytes, wrapping on overflow.
+    pub(crate) bytes: u64,
+    /// Sum of the records' packets, wrapping on overflow.
+    pub(crate) packets: u64,
+}
+
+impl Summary {
+    /// The summary of `records`, as a decode of their segment finds it.
+    pub(crate) fn of(records: &[FlowRecord]) -> Summary {
+        records.iter().fold(Summary::default(), |s, r| Summary {
+            max_start: s.max_start.max(r.start.unix()),
+            bytes: s.bytes.wrapping_add(r.bytes),
+            packets: s.packets.wrapping_add(r.packets),
+        })
+    }
+}
+
 /// Which columns get a zone map beyond the dedicated time range: the ones
 /// analyses filter on, in the order the footer holds them.
 const ZONED: [Column; 4] = [
@@ -343,7 +368,7 @@ pub fn decode_segment(
     bytes: &[u8],
 ) -> Result<(Vec<FlowRecord>, SegmentFooter), StoreError> {
     let mut records = Vec::new();
-    let footer = open_segment(segment, bytes)?.decode_into(segment, &mut records)?;
+    let (footer, _) = open_segment(segment, bytes)?.decode_into(segment, &mut records)?;
     Ok((records, footer))
 }
 
@@ -354,17 +379,18 @@ impl Sealed<'_> {
     /// its field into every record. Verifies the header, the column
     /// directory, every frame's canonical form and range, and that the
     /// footer is the one the records imply, so a decode that succeeds
-    /// re-encodes to the same bytes. On error `out` is left empty.
+    /// re-encodes to the same bytes. Returns the footer and the records'
+    /// [`Summary`]. On error `out` is left empty.
     pub(crate) fn decode_into(
         self,
         segment: &str,
         out: &mut Vec<FlowRecord>,
-    ) -> Result<SegmentFooter, StoreError> {
+    ) -> Result<(SegmentFooter, Summary), StoreError> {
         let decoded = decode_columns(segment, self.body, &self.footer, out);
         if decoded.is_err() {
             out.clear();
         }
-        decoded.map(|()| self.footer)
+        decoded.map(|summary| (self.footer, summary))
     }
 }
 
@@ -401,7 +427,7 @@ fn decode_columns(
     body: &[u8],
     footer: &SegmentFooter,
     out: &mut Vec<FlowRecord>,
-) -> Result<(), StoreError> {
+) -> Result<Summary, StoreError> {
     let cols = column_directory(segment, body)?;
     let n = footer.records;
     if n > MAX_SEGMENT_RECORDS {
@@ -437,7 +463,7 @@ fn decode_columns(
     unpack(segment, protocol, u8s, out, |r, v| {
         r.key.protocol = IpProtocol::from_number(v as u8)
     })?;
-    unpack(segment, start, u64::MAX, out, |r, v| {
+    let max_start = unpack(segment, start, u64::MAX, out, |r, v| {
         r.start = Timestamp::from_unix(v)
     })?;
     let mut max_end = 0;
@@ -446,8 +472,15 @@ fn decode_columns(
         max_end = max_end.max(end);
         r.end = Timestamp::from_unix(end);
     })?;
-    let bytes_max = unpack(segment, bytes_col, u64::MAX, out, |r, v| r.bytes = v)?;
-    let packets_max = unpack(segment, packets, u64::MAX, out, |r, v| r.packets = v)?;
+    let (mut bytes_sum, mut packets_sum) = (0u64, 0u64);
+    let bytes_max = unpack(segment, bytes_col, u64::MAX, out, |r, v| {
+        r.bytes = v;
+        bytes_sum = bytes_sum.wrapping_add(v);
+    })?;
+    let packets_max = unpack(segment, packets, u64::MAX, out, |r, v| {
+        r.packets = v;
+        packets_sum = packets_sum.wrapping_add(v);
+    })?;
     unpack(segment, tcp_flags, u8s, out, |r, v| {
         r.tcp_flags = TcpFlags(v as u8)
     })?;
@@ -468,7 +501,11 @@ fn decode_columns(
     if footer.min_start != start.min || footer.max_end != max_end || footer.zones != zones {
         return Err(corrupt(segment, "footer does not match the records"));
     }
-    Ok(())
+    Ok(Summary {
+        max_start,
+        bytes: bytes_sum,
+        packets: packets_sum,
+    })
 }
 
 /// The header and the column directory of a segment's body: one byte
@@ -769,14 +806,17 @@ mod tests {
     }
 
     /// Decode as the archive does, into a buffer that may hold records.
+    /// A decode that succeeds must summarize the records it returns.
     fn decode_into(
         segment: &str,
         bytes: &[u8],
         out: &mut Vec<FlowRecord>,
     ) -> Result<SegmentFooter, StoreError> {
-        open_segment(segment, bytes)
+        let (footer, summary) = open_segment(segment, bytes)
             .inspect_err(|_| out.clear())?
-            .decode_into(segment, out)
+            .decode_into(segment, out)?;
+        assert_eq!(summary, Summary::of(out), "{segment}");
+        Ok(footer)
     }
 
     /// A value of up to `bits` bits; half of them use every bit, so each

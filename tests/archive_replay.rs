@@ -527,12 +527,12 @@ fn resumed_segments_replay_through_the_day_pack_read() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Re-stamp the index file at `path` as format version 1, CRC and all.
-fn restamp_as_v1(path: &Path) {
+/// Re-stamp the index file at `path` as format version `V`, CRC and all.
+fn restamp_as<const V: u16>(path: &Path) {
     let bytes = std::fs::read(path).expect("read index");
     let mut old = bytes[..bytes.len() - 4].to_vec();
     assert_eq!(old[4..6], MANIFEST_VERSION.to_be_bytes());
-    old[4..6].copy_from_slice(&1u16.to_be_bytes());
+    old[4..6].copy_from_slice(&V.to_be_bytes());
     let crc = crc32(&old);
     old.extend_from_slice(&crc.to_be_bytes());
     std::fs::write(path, &old).expect("rewrite index");
@@ -548,7 +548,9 @@ fn corrupt_manifest_runs_the_pass_cold() {
     let day = Date::new(2020, 4, 14);
     let vp = VantagePoint::IxpCe;
     let (plain, _, _) = pass(&ctx, vp, day, day, Some(&dir), false, 2);
-    for damage in [flip_a_byte, restamp_as_v1] {
+    // Version 3 entries lack their records' sums; version 1 filed a
+    // segment per cell.
+    for damage in [flip_a_byte, restamp_as::<3>, restamp_as::<1>] {
         damage(&dir.join(MANIFEST_NAME));
 
         let mut plan = EnginePlan::new();

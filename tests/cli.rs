@@ -483,7 +483,7 @@ fn store_subcommand_validates_input() {
         assert!(out.stdout.is_empty(), "{action}");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(
-            err.contains("manifest.lks is format version 1; this build reads version 3"),
+            err.contains("manifest.lks is format version 1; this build reads version 4"),
             "{action}: {err}"
         );
     }

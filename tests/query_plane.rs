@@ -78,7 +78,7 @@ fn pushdown_prunes_strictly_fewer_segments_than_full_scan() {
         "zone maps were consulted"
     );
 
-    // Full scan: no predicates, everything is decoded.
+    // Full scan: no predicates, everything is admitted.
     let full = engine.execute(&QueryPlan::default()).expect("full scan");
     assert_eq!(full.segments_scanned + full.segments_pruned, total);
     assert!(full.flows > 0);
@@ -104,13 +104,37 @@ fn pushdown_prunes_strictly_fewer_segments_than_full_scan() {
     assert!(engine.metrics().segments_pruned.get() > 0);
 }
 
+/// A query with no record predicate reads none of a week of whole-hour
+/// segments: every one is answered from its manifest entry.
+#[test]
+fn a_plain_week_is_summed_without_decoding() {
+    let engine = open_engine();
+    let week = QueryPlan::parse([
+        ("vantage", "isp-ce"),
+        ("from", "2020-03-09"),
+        ("to", "2020-03-16"),
+    ])
+    .expect("plan parses");
+    let out = engine.execute(&week).expect("week scan");
+    assert_eq!(
+        (out.segments_summed, out.segments_scanned),
+        (7 * 24, 7 * 24)
+    );
+    assert_eq!(out.segments_cached, 0);
+    assert_eq!(out.hourly.len(), 7 * 24);
+    assert_eq!(engine.metrics().segments_decoded.get(), 0);
+    assert_eq!(engine.metrics().segments_summed.get(), 7 * 24);
+}
+
 #[test]
 fn cache_serves_repeat_queries_without_redecoding() {
     let engine = open_engine();
+    // A port predicate: a plain query would sum its segments, not decode.
     let plan = QueryPlan::parse([
         ("vantage", "ixp-ce"),
         ("from", "2020-03-16"),
         ("to", "2020-03-19"),
+        ("port", "443"),
     ])
     .expect("plan parses");
 
